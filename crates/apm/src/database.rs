@@ -136,6 +136,11 @@ impl<P: Provenance> SortedTable<P> {
         recycle_columns(device, self.columns);
     }
 
+    /// Moves the table out, leaving an empty one of the same arity.
+    pub(crate) fn take(&mut self) -> Self {
+        std::mem::replace(self, SortedTable::empty(self.arity))
+    }
+
     /// Consuming [`SortedTable::merge_disjoint`]: when either side is empty
     /// the other is returned *as is* (no copy, no allocation), and consumed
     /// inputs are recycled into the device arena — the steady-state shape of
@@ -192,18 +197,47 @@ impl<P: Provenance> SortedTable<P> {
     /// `candidate` through untouched (no copy), and a consumed `candidate`
     /// is recycled into the device arena.
     pub fn difference_from_owned(&self, device: &Device, candidate: SortedTable<P>) -> Self {
-        if candidate.is_empty() || self.is_empty() || self.arity == 0 {
-            // `difference_from` would clone the (possibly empty) candidate
-            // or drop it for nullary relations; consuming avoids the copy.
-            if self.arity == 0 && !self.is_empty() {
-                candidate.recycle(device);
-                return SortedTable::empty(0);
-            }
+        Self::difference_from_all_owned(device, std::iter::once(self), candidate)
+    }
+
+    /// Rows of `candidate` present in **none** of the `known` tables (all of
+    /// the candidate's arity), in one pass over the candidate
+    /// ([`kernels::difference_runs`]). Nothing to compare against passes
+    /// `candidate` through untouched (no copy); a consumed `candidate` is
+    /// recycled into the device arena.
+    pub(crate) fn difference_from_all_owned<'a>(
+        device: &Device,
+        known: impl Iterator<Item = &'a SortedTable<P>>,
+        candidate: SortedTable<P>,
+    ) -> Self {
+        let known: Vec<&SortedTable<P>> = known.filter(|t| !t.is_empty()).collect();
+        if candidate.is_empty() || known.is_empty() {
             return candidate;
         }
-        let delta = self.difference_from(device, &candidate);
+        let arity = candidate.arity;
+        if arity == 0 {
+            // The fact already exists; nothing is new.
+            candidate.recycle(device);
+            return SortedTable::empty(0);
+        }
+        // One flat list of column slices, cut per table.
+        let cols: Vec<&[u64]> = known
+            .iter()
+            .flat_map(|table| table.columns.iter().map(|c| c.as_slice()))
+            .collect();
+        let runs: Vec<(&[&[u64]], usize)> = cols
+            .chunks(arity)
+            .zip(&known)
+            .map(|(cols, table)| (cols, table.len()))
+            .collect();
+        let (columns, tags) =
+            kernels::difference_runs(device, &candidate.col_refs(), &candidate.tags, &runs);
         candidate.recycle(device);
-        delta
+        SortedTable {
+            columns,
+            tags,
+            arity,
+        }
     }
 
     /// Rows of `candidate` (sorted) that are not present in `self`.
@@ -455,9 +489,23 @@ fn decoded_rows_packed<P: Provenance>(
 /// The bookkeeping for one relation: the semi-naive partitions plus staged
 /// delta candidates produced by `store` instructions during the current
 /// iteration.
+///
+/// # The stable partition as sorted runs
+///
+/// While the stratum that defines the relation is running, its stable
+/// partition is a set of sorted, pairwise disjoint runs: `stable` is the
+/// oldest and longest, `runs` the newer ones, oldest first, every run more
+/// than twice as long as the next. A finished frontier is pushed as the
+/// newest run ([`RelationData::push_run`]) and merged into its older
+/// neighbour only while that neighbour is at most twice its size, so a row
+/// is rewritten O(log) times over a whole fix point instead of once per
+/// iteration. **At rest — outside `Executor::run_stratum_inner` — `runs` is
+/// empty** and `stable` is the whole partition as one sorted table, which is
+/// what every reader outside the executor relies on.
 #[derive(Debug, Clone)]
 pub(crate) struct RelationData<P: Provenance> {
     pub(crate) stable: SortedTable<P>,
+    pub(crate) runs: Vec<SortedTable<P>>,
     pub(crate) recent: SortedTable<P>,
     pub(crate) staged: Vec<(Columns, Vec<P::Tag>)>,
 }
@@ -466,14 +514,90 @@ impl<P: Provenance> RelationData<P> {
     fn new(arity: usize) -> Self {
         RelationData {
             stable: SortedTable::empty(arity),
+            runs: Vec::new(),
             recent: SortedTable::empty(arity),
             staged: Vec::new(),
         }
     }
 
-    /// Total number of facts (stable + recent).
+    /// Total number of facts (stable, including its runs, + recent).
     pub(crate) fn len(&self) -> usize {
-        self.stable.len() + self.recent.len()
+        self.stable_tables().map(SortedTable::len).sum::<usize>() + self.recent.len()
+    }
+
+    /// Approximate device bytes occupied by every partition and run.
+    fn size_bytes(&self) -> usize {
+        self.stable_tables()
+            .map(SortedTable::size_bytes)
+            .sum::<usize>()
+            + self.recent.size_bytes()
+    }
+
+    /// The tables making up the stable partition, oldest first.
+    pub(crate) fn stable_tables(&self) -> impl Iterator<Item = &SortedTable<P>> {
+        std::iter::once(&self.stable).chain(&self.runs)
+    }
+
+    /// Merges two disjoint runs, adding the rows the merge writes to
+    /// `written` (nothing when a side is empty: the other is moved).
+    fn merge_runs(
+        device: &Device,
+        older: SortedTable<P>,
+        newer: SortedTable<P>,
+        written: &mut usize,
+    ) -> SortedTable<P> {
+        if !older.is_empty() && !newer.is_empty() {
+            *written += older.len() + newer.len();
+        }
+        SortedTable::merge_disjoint_owned(device, older, newer)
+    }
+
+    /// Adds `run` — sorted and disjoint from everything already stable — as
+    /// the newest run, then restores the size invariant by merging it into
+    /// its older neighbour while that neighbour is at most twice as long.
+    /// Returns the number of rows the merges wrote.
+    pub(crate) fn push_run(&mut self, device: &Device, run: SortedTable<P>) -> usize {
+        if run.is_empty() {
+            run.recycle(device);
+            return 0;
+        }
+        let mut written = 0;
+        let mut top = run;
+        while self
+            .runs
+            .last()
+            .is_some_and(|older| older.len() <= 2 * top.len())
+        {
+            let older = self.runs.pop().expect("checked non-empty");
+            top = Self::merge_runs(device, older, top, &mut written);
+        }
+        if self.runs.is_empty() && self.stable.len() <= 2 * top.len() {
+            self.stable = Self::merge_runs(device, self.stable.take(), top, &mut written);
+        } else {
+            self.runs.push(top);
+        }
+        written
+    }
+
+    /// Folds every run back into `stable`, newest first (the sizes grow
+    /// geometrically towards the old end, so the partial merges sum to at
+    /// most twice the result). Restores the at-rest invariant; returns the
+    /// number of rows the merges wrote.
+    pub(crate) fn compact(&mut self, device: &Device) -> usize {
+        let mut written = 0;
+        let Some(mut folded) = self.runs.pop() else {
+            return 0;
+        };
+        while let Some(older) = self.runs.pop() {
+            folded = Self::merge_runs(device, older, folded, &mut written);
+        }
+        self.stable = Self::merge_runs(device, self.stable.take(), folded, &mut written);
+        written
+    }
+
+    /// The rows of `candidate` that are in no run of the stable partition.
+    pub(crate) fn new_facts(&self, device: &Device, candidate: SortedTable<P>) -> SortedTable<P> {
+        SortedTable::difference_from_all_owned(device, self.stable_tables(), candidate)
     }
 }
 
@@ -590,8 +714,8 @@ impl<P: Provenance> Database<P> {
         let old = self.codec.take().expect("codec present");
         for (name, data) in self.relations.iter_mut() {
             debug_assert!(
-                data.staged.is_empty(),
-                "dictionary extension with staged rows in `{name}`"
+                data.staged.is_empty() && data.runs.is_empty(),
+                "dictionary extension mid-stratum in `{name}`"
             );
             let schema = &self.schemas[name];
             let packed_arity = next.layout(name).packed_arity();
@@ -701,9 +825,8 @@ impl<P: Provenance> Database<P> {
             let tags = std::mem::take(tags);
             let table = self.encoded_from_unsorted(device, &name, columns, tags);
             let data = self.relations.get_mut(&name).expect("relation exists");
-            let new_rows = data.stable.difference_from(device, &table);
-            data.stable = data.stable.merge_disjoint(device, &new_rows);
-            table.recycle(device);
+            let new_rows = data.stable.difference_from_owned(device, table);
+            data.stable = SortedTable::merge_disjoint_owned(device, data.stable.take(), new_rows);
         }
     }
 
@@ -722,10 +845,7 @@ impl<P: Provenance> Database<P> {
 
     /// Approximate device bytes occupied by all relations.
     pub fn size_bytes(&self) -> usize {
-        self.relations
-            .values()
-            .map(|r| r.stable.size_bytes() + r.recent.size_bytes())
-            .sum()
+        self.relations.values().map(RelationData::size_bytes).sum()
     }
 
     /// The decoded rows (with tags) of a relation, combining stable and
@@ -738,6 +858,7 @@ impl<P: Provenance> Database<P> {
         let Some(data) = self.relations.get(relation) else {
             return Vec::new();
         };
+        debug_assert!(data.runs.is_empty(), "`{relation}` read mid-stratum");
         match self.codec.as_ref() {
             Some(codec) if !codec.layout(relation).is_identity() => {
                 let mut rows = decoded_rows_packed(&data.stable, schema, codec, relation);
@@ -883,6 +1004,129 @@ mod tests {
         let merged = a.merge_disjoint(&device, &new);
         assert_eq!(merged.len(), 3);
         assert_eq!(merged.columns[0], vec![1, 2, 3]);
+    }
+
+    /// splitmix64: the seeded generator of the property test below.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, bound: usize) -> usize {
+            (self.next() % bound as u64) as usize
+        }
+    }
+
+    /// Builds a sorted table over the given `(a, b)` rows: one packed word
+    /// per row, or two full-width columns.
+    fn table_of<P: Provenance>(
+        device: &Device,
+        prov: &P,
+        rows: &[(u64, u64)],
+        tags: Vec<P::Tag>,
+        packed: bool,
+    ) -> SortedTable<P> {
+        let columns = if packed {
+            vec![rows.iter().map(|(a, b)| (a << 32) | b).collect()]
+        } else {
+            vec![
+                rows.iter().map(|(a, _)| *a).collect(),
+                rows.iter().map(|(_, b)| *b).collect(),
+            ]
+        };
+        SortedTable::from_unsorted(device, prov, columns, tags)
+    }
+
+    /// Random sequences of disjoint sorted pushes against the fold of
+    /// `merge_disjoint` over the same tables: after every push the run sizes
+    /// are geometric, the multi-run difference of a random candidate equals
+    /// `difference_from` the fold, and a compaction equals the fold bit for
+    /// bit — which is why the final tables of a fix point cannot depend on
+    /// how its frontiers happened to be merged.
+    fn check_run_set<P: Provenance>(prov: &P, mut tag: impl FnMut(&mut Rng) -> P::Tag) {
+        let device = Device::sequential();
+        for packed in [false, true] {
+            for seed in 0..6u64 {
+                let mut rng = Rng(seed * 2 + u64::from(packed));
+                let arity = if packed { 1 } else { 2 };
+                // A shuffled universe of distinct rows, consumed front to
+                // back so that pushes are pairwise disjoint.
+                let mut universe: Vec<(u64, u64)> =
+                    (0..48).flat_map(|a| (0..48).map(move |b| (a, b))).collect();
+                for i in (1..universe.len()).rev() {
+                    universe.swap(i, rng.below(i + 1));
+                }
+                let mut data: RelationData<P> = RelationData::new(arity);
+                let mut fold: SortedTable<P> = SortedTable::empty(arity);
+                let mut pushed = 0;
+                let mut written = 0;
+                while pushed < universe.len() {
+                    // Mostly small frontiers, now and then one that dwarfs
+                    // every run so far.
+                    let want = if rng.below(8) == 0 {
+                        1 + rng.below(400)
+                    } else {
+                        1 + rng.below(24)
+                    };
+                    let rows = &universe[pushed..(pushed + want).min(universe.len())];
+                    pushed += rows.len();
+                    let tags: Vec<P::Tag> = rows.iter().map(|_| tag(&mut rng)).collect();
+                    let run = table_of(&device, prov, rows, tags, packed);
+                    fold = fold.merge_disjoint(&device, &run);
+                    written += data.push_run(&device, run);
+
+                    let sizes: Vec<usize> = data.stable_tables().map(SortedTable::len).collect();
+                    assert!(
+                        sizes.windows(2).all(|w| w[0] > 2 * w[1] && w[1] > 0),
+                        "run sizes not geometric: {sizes:?}"
+                    );
+                    assert_eq!(data.len(), fold.len());
+
+                    let picks: Vec<(u64, u64)> = (0..1 + rng.below(60))
+                        .map(|_| universe[rng.below(universe.len())])
+                        .collect();
+                    let tags: Vec<P::Tag> = picks.iter().map(|_| tag(&mut rng)).collect();
+                    let candidate = table_of(&device, prov, &picks, tags, packed);
+                    let want = fold.difference_from(&device, &candidate);
+                    let got = data.new_facts(&device, candidate);
+                    assert_eq!(got.columns, want.columns, "seed {seed}, packed {packed}");
+                    assert_eq!(got.tags, want.tags, "seed {seed}, packed {packed}");
+
+                    let mut at_rest = data.clone();
+                    at_rest.compact(&device);
+                    assert!(at_rest.runs.is_empty());
+                    assert_eq!(at_rest.stable.columns, fold.columns);
+                    assert_eq!(at_rest.stable.tags, fold.tags);
+                }
+                written += data.compact(&device);
+                // Each row is rewritten O(log) times, never once per push.
+                let bound = fold.len() * (2 + fold.len().ilog2() as usize);
+                assert!(written <= bound, "{written} rows written, bound {bound}");
+            }
+        }
+    }
+
+    #[test]
+    fn run_set_agrees_with_a_single_sorted_table() {
+        use lobster_provenance::{DiffTop1Proof, InputFactRegistry, MaxMinProb};
+        check_run_set(&Unit::new(), |_| ());
+        let prob = |rng: &mut Rng| (1 + rng.below(999)) as f64 / 1000.0;
+        let max_min = MaxMinProb::new();
+        check_run_set(&max_min, |rng| {
+            max_min.input_tag(InputFactId(0), Some(prob(rng)))
+        });
+        let registry = InputFactRegistry::new();
+        let top1 = DiffTop1Proof::new(registry.clone());
+        check_run_set(&top1, |rng| {
+            let p = prob(rng);
+            top1.input_tag(registry.register(Some(p), None), Some(p))
+        });
     }
 
     fn sym_schemas() -> BTreeMap<String, RelationSchema> {

@@ -19,7 +19,7 @@
 
 use crate::compiler::{compile_stratum_with_options, CompiledStratum};
 use crate::config::RuntimeOptions;
-use crate::database::{Database, SortedTable};
+use crate::database::{recycle_columns, Database, SortedTable};
 use crate::isa::{DbPart, Instr, RegId};
 use lobster_gpu::kernels::PackLane;
 use lobster_gpu::{kernels, Column, Device, DeviceError, HashIndex, ProbePartition};
@@ -65,6 +65,11 @@ pub struct ExecutionStats {
     pub elapsed: Duration,
     /// Number of strata executed.
     pub strata: usize,
+    /// Rows written by the update phase's run merges and compactions (a
+    /// merge of `a` and `b` rows counts `a + b`; moving a table counts
+    /// nothing). A deterministic measure of what folding frontiers into the
+    /// stable partition costs, independent of the machine.
+    pub update_rows_written: usize,
 }
 
 impl ExecutionStats {
@@ -75,6 +80,7 @@ impl ExecutionStats {
         self.kernel_launches += other.kernel_launches;
         self.elapsed += other.elapsed;
         self.strata += other.strata;
+        self.update_rows_written += other.update_rows_written;
     }
 }
 
@@ -243,10 +249,12 @@ impl<P: Provenance> Executor<P> {
         // frontier — but staged chunks are still cleared defensively.
         for rel in &compiled.relations {
             let data = db.relation_data_mut(rel);
+            debug_assert!(
+                data.runs.is_empty(),
+                "`{rel}` entered a stratum with live runs"
+            );
             if preamble {
-                let arity = data.stable.arity();
-                let stable = std::mem::replace(&mut data.stable, SortedTable::empty(arity));
-                let recent = std::mem::replace(&mut data.recent, SortedTable::empty(arity));
+                let (stable, recent) = (data.stable.take(), data.recent.take());
                 data.recent = SortedTable::merge_disjoint_owned(&self.device, stable, recent);
             }
             data.staged.clear();
@@ -284,15 +292,6 @@ impl<P: Provenance> Executor<P> {
             owned
         });
         let compiled = rewritten.as_ref().unwrap_or(compiled);
-        // Pack lanes of the stratum's own relations (`None` = identity
-        // layout or full-width database), resolved after any dictionary
-        // extension so widths are final for the whole stratum.
-        let stratum_lanes: Vec<Option<Vec<Vec<PackLane>>>> = compiled
-            .relations
-            .iter()
-            .map(|rel| db.codec().and_then(|c| c.lanes(rel).cloned()))
-            .collect();
-
         // Registers that survive across iterations.
         let mut static_file: HashMap<RegId, RegValue<P>> = HashMap::new();
         // Cached "all" loads of relations not updated by this stratum (the
@@ -300,72 +299,27 @@ impl<P: Provenance> Executor<P> {
         // iteration).
         let mut load_cache: LoadCache<P::Tag> = HashMap::new();
 
-        let mut iteration = 0usize;
-        loop {
-            if iteration >= self.options.max_iterations {
-                return Err(ExecError::IterationLimit {
-                    limit: self.options.max_iterations,
-                });
-            }
-            if let Some(timeout) = self.options.timeout_ms {
-                if start.elapsed() > Duration::from_millis(timeout) {
-                    return Err(ExecError::Timeout {
-                        elapsed: start.elapsed(),
-                    });
-                }
-            }
+        let outcome = self.iterate(
+            db,
+            compiled,
+            start,
+            &mut static_file,
+            &mut load_cache,
+            &mut stats,
+        );
 
-            self.execute_iteration(db, compiled, iteration, &mut static_file, &mut load_cache)?;
-
-            // Update phase: fold staged facts into the partitions. Consumed
-            // tables (the previous stable set, the folded frontier, the
-            // candidate) are recycled into the arena, which is what keeps
-            // the next iteration allocation-free.
-            let mut changed = false;
-            for (rel, lanes) in compiled.relations.iter().zip(&stratum_lanes) {
-                let prov = self.provenance.clone();
-                let data = db.relation_data_mut(rel);
-                let staged = std::mem::take(&mut data.staged);
-                let candidate = Self::collect_staged(
-                    &self.device,
-                    &prov,
-                    staged,
-                    data.recent.arity(),
-                    lanes.as_deref(),
-                );
-                let arity = data.recent.arity();
-                // Fold the previous frontier into the stable set. When the
-                // frontier is empty the stable set is unchanged, so the merge
-                // (and its copy) is skipped entirely.
-                let recent = std::mem::replace(&mut data.recent, SortedTable::empty(arity));
-                let stable = std::mem::replace(&mut data.stable, SortedTable::empty(arity));
-                let new_stable = SortedTable::merge_disjoint_owned(&self.device, stable, recent);
-                let delta = new_stable.difference_from_owned(&self.device, candidate);
-                stats.facts_produced += delta.len();
-                if !delta.is_empty() {
-                    changed = true;
-                }
-                data.stable = new_stable;
-                data.recent = delta;
+        // Every way out of the stratum — fix point, iteration cap, timeout,
+        // OOM, kernel error — restores the at-rest invariant: the runs fold
+        // back into one sorted `stable`. A failed stratum folds its frontier
+        // in as well, so the database holds exactly the facts of the
+        // completed iterations as one sorted, duplicate-free table.
+        for rel in &compiled.relations {
+            let data = db.relation_data_mut(rel);
+            if outcome.is_err() {
+                let frontier = data.recent.take();
+                stats.update_rows_written += data.push_run(&self.device, frontier);
             }
-
-            // Device memory budget check (reproduces OOM behaviour).
-            if let Some(limit) = self.device.config().memory_limit {
-                let used = db.size_bytes();
-                if used > limit {
-                    return Err(ExecError::Device(DeviceError::OutOfMemory {
-                        requested: used,
-                        live: used,
-                        limit,
-                    }));
-                }
-            }
-
-            iteration += 1;
-            stats.iterations += 1;
-            if !changed || !compiled.recursive {
-                break;
-            }
+            stats.update_rows_written += data.compact(&self.device);
         }
 
         // The stratum is done: cached loads and static registers die here,
@@ -383,9 +337,95 @@ impl<P: Provenance> Executor<P> {
         }
         Self::recycle_registers(&self.device, static_file.into_values().map(Some).collect());
 
+        outcome?;
         stats.kernel_launches = self.device.stats().kernel_launches - kernels_before;
         stats.elapsed = start.elapsed();
         Ok(stats)
+    }
+
+    /// The fix-point loop of one stratum: execute, fold the staged facts into
+    /// the partitions, repeat until no relation gains a fact. Returns early
+    /// on any error with the stable partitions still held as runs — the
+    /// caller compacts them on every exit.
+    fn iterate(
+        &self,
+        db: &mut Database<P>,
+        compiled: &CompiledStratum,
+        start: Instant,
+        static_file: &mut HashMap<RegId, RegValue<P>>,
+        load_cache: &mut LoadCache<P::Tag>,
+        stats: &mut ExecutionStats,
+    ) -> Result<(), ExecError> {
+        // Pack lanes of the stratum's own relations (`None` = identity
+        // layout or full-width database), resolved after any dictionary
+        // extension so widths are final for the whole stratum.
+        let stratum_lanes: Vec<Option<Vec<Vec<PackLane>>>> = compiled
+            .relations
+            .iter()
+            .map(|rel| db.codec().and_then(|c| c.lanes(rel).cloned()))
+            .collect();
+
+        loop {
+            if stats.iterations >= self.options.max_iterations {
+                return Err(ExecError::IterationLimit {
+                    limit: self.options.max_iterations,
+                });
+            }
+            if let Some(timeout) = self.options.timeout_ms {
+                if start.elapsed() > Duration::from_millis(timeout) {
+                    return Err(ExecError::Timeout {
+                        elapsed: start.elapsed(),
+                    });
+                }
+            }
+
+            self.execute_iteration(db, compiled, static_file, load_cache, stats)?;
+
+            // Update phase: the finished frontier becomes the newest run of
+            // the stable partition — merged into older runs only while they
+            // are at most twice its size, so the cost follows the frontier,
+            // not everything derived so far — and the staged candidates are
+            // filtered against all runs in one pass. Consumed tables are
+            // recycled into the arena, which is what keeps the next
+            // iteration allocation-free.
+            let mut changed = false;
+            for (rel, lanes) in compiled.relations.iter().zip(&stratum_lanes) {
+                let data = db.relation_data_mut(rel);
+                let staged = std::mem::take(&mut data.staged);
+                let candidate = Self::collect_staged(
+                    &self.device,
+                    &self.provenance,
+                    staged,
+                    data.recent.arity(),
+                    lanes.as_deref(),
+                );
+                let frontier = data.recent.take();
+                stats.update_rows_written += data.push_run(&self.device, frontier);
+                let delta = data.new_facts(&self.device, candidate);
+                stats.facts_produced += delta.len();
+                if !delta.is_empty() {
+                    changed = true;
+                }
+                data.recent = delta;
+            }
+
+            // Device memory budget check (reproduces OOM behaviour).
+            if let Some(limit) = self.device.config().memory_limit {
+                let used = db.size_bytes();
+                if used > limit {
+                    return Err(ExecError::Device(DeviceError::OutOfMemory {
+                        requested: used,
+                        live: used,
+                        limit,
+                    }));
+                }
+            }
+
+            stats.iterations += 1;
+            if !changed || !compiled.recursive {
+                return Ok(());
+            }
+        }
     }
 
     /// Turns the staged (columns, tags) chunks produced by `store` into one
@@ -448,10 +488,12 @@ impl<P: Provenance> Executor<P> {
         &self,
         db: &mut Database<P>,
         compiled: &CompiledStratum,
-        iteration: usize,
         static_file: &mut HashMap<RegId, RegValue<P>>,
         load_cache: &mut LoadCache<P::Tag>,
+        stats: &mut ExecutionStats,
     ) -> Result<(), ExecError> {
+        // The stratum's iteration counter is the number completed so far.
+        let iteration = stats.iterations;
         let program = &compiled.program;
         let mut regs: Vec<Option<RegValue<P>>> = vec![None; program.register_count as usize];
         // Count radix-groups the probe side of a partitioned hash join; the
@@ -526,6 +568,13 @@ impl<P: Provenance> Executor<P> {
                             continue;
                         }
                     }
+                    if is_own && *part == DbPart::Stable {
+                        // The compiler treats a single-partition load as
+                        // sorted (it may feed a merge join), so the runs are
+                        // folded into one table first.
+                        stats.update_rows_written +=
+                            db.relation_data_mut(relation).compact(&self.device);
+                    }
                     let arena = self.device.arena();
                     // Packed relations are unpacked into wide registers here
                     // (values stay in *local* symbol space); full-width
@@ -540,56 +589,53 @@ impl<P: Provenance> Executor<P> {
                             .collect()
                     };
                     let data = db.relation_data(relation);
-                    let (cols, tag_vec): (Vec<Arc<Column>>, Arc<Vec<P::Tag>>) = match part {
-                        DbPart::Stable => (
+                    let single = match part {
+                        DbPart::Stable => Some(&data.stable),
+                        DbPart::Recent => Some(&data.recent),
+                        DbPart::All => None,
+                    };
+                    let (cols, tag_vec): (Vec<Arc<Column>>, Arc<Vec<P::Tag>>) = match single {
+                        Some(table) => (
                             if lanes.is_some() {
-                                unpack(&data.stable.columns)
+                                unpack(&table.columns)
                             } else {
-                                data.stable
+                                table
                                     .columns
                                     .iter()
                                     .map(|c| Arc::new(arena.alloc_copy(exec_sites::LOAD, c)))
                                     .collect()
                             },
-                            Arc::new(data.stable.tags.clone()),
+                            Arc::new(table.tags.clone()),
                         ),
-                        DbPart::Recent => (
-                            if lanes.is_some() {
-                                unpack(&data.recent.columns)
-                            } else {
-                                data.recent
-                                    .columns
-                                    .iter()
-                                    .map(|c| Arc::new(arena.alloc_copy(exec_sites::LOAD, c)))
-                                    .collect()
-                            },
-                            Arc::new(data.recent.tags.clone()),
-                        ),
-                        DbPart::All => {
-                            // Concatenate the (narrow) stored columns first,
-                            // then unpack once — moving packed bytes is
-                            // cheaper than moving unpacked ones.
-                            let mut merged_cols = Vec::with_capacity(data.stable.columns.len());
-                            for (s, r) in data.stable.columns.iter().zip(&data.recent.columns) {
-                                let mut merged =
-                                    arena.alloc_empty(exec_sites::LOAD, s.len() + r.len());
-                                merged.extend_from_slice(s);
-                                merged.extend_from_slice(r);
-                                merged_cols.push(merged);
-                            }
+                        None => {
+                            // `all` is compiled as unsorted, so the runs and
+                            // the frontier are simply concatenated — the
+                            // (narrow) stored columns first, then one
+                            // unpack: moving packed bytes is cheaper than
+                            // moving unpacked ones.
+                            let tables =
+                                || data.stable_tables().chain(std::iter::once(&data.recent));
+                            let rows: usize = tables().map(SortedTable::len).sum();
+                            let merged_cols: Vec<Column> = (0..data.stable.columns.len())
+                                .map(|c| {
+                                    let mut merged = arena.alloc_empty(exec_sites::LOAD, rows);
+                                    for table in tables() {
+                                        merged.extend_from_slice(&table.columns[c]);
+                                    }
+                                    merged
+                                })
+                                .collect();
                             let cols = if lanes.is_some() {
                                 let wide = unpack(&merged_cols);
-                                for col in merged_cols {
-                                    if col.capacity() > 0 {
-                                        arena.recycle_shared(col);
-                                    }
-                                }
+                                recycle_columns(&self.device, merged_cols);
                                 wide
                             } else {
                                 merged_cols.into_iter().map(Arc::new).collect()
                             };
-                            let mut t = data.stable.tags.clone();
-                            t.extend(data.recent.tags.iter().cloned());
+                            let mut t = Vec::with_capacity(rows);
+                            for table in tables() {
+                                t.extend(table.tags.iter().cloned());
+                            }
                             (cols, Arc::new(t))
                         }
                     };
@@ -1087,11 +1133,17 @@ mod tests {
 
     #[test]
     fn steady_state_iterations_allocate_no_fresh_columns() {
-        // Two chains of different lengths execute the same per-iteration
+        // Chains of different lengths execute the same per-iteration
         // instruction structure — only for more iterations. With arena reuse
-        // enabled every steady-state iteration must be funded entirely by
-        // recycled buffers, so the *fresh* allocation count cannot depend on
-        // the iteration count.
+        // enabled every steady-state iteration is funded by recycled
+        // buffers, so fresh allocations cannot grow with the iteration
+        // count. They are not *constant* in it either, since the stable
+        // partition became a set of sorted runs: a chain twice as long keeps
+        // about one more run alive at its peak, and a live run holds its
+        // columns out of the pool. What buffer reuse (Section 4.1) promises
+        // now is fresh columns ∝ live runs = O(log iterations): each
+        // doubling of the chain costs a small constant number of columns,
+        // and that constant is the same at 16× the length.
         let fresh = |n: u32, reuse: bool| {
             let compiled = parse(
                 "type edge(x: u32, y: u32)
@@ -1113,16 +1165,133 @@ mod tests {
             assert!(stats.iterations > n as usize / 2, "fix-point actually ran");
             device.arena().stats().fresh_columns
         };
-        // Both runs cross every size threshold from iteration 0 (the first
+        // Every run crosses every size threshold from iteration 0 (the first
         // candidate stages n ≥ 64 rows), so the instruction-level allocation
-        // structure is identical; the longer chain just iterates more.
-        assert_eq!(
-            fresh(80, true),
-            fresh(160, true),
-            "steady-state iterations performed fresh column allocations"
+        // structure is identical; the longer chains just iterate more. One
+        // more run is one more buffer per stored column (two here).
+        let per_doubling = |n: u32| fresh(2 * n, true) - fresh(n, true);
+        let (short, long) = (per_doubling(80), per_doubling(640));
+        assert!(
+            short <= 4 && long <= 4,
+            "a doubling of the chain allocated {short} / {long} fresh columns"
+        );
+        assert!(
+            long <= short,
+            "fresh columns per doubling grew with the iteration count: {short} -> {long}"
         );
         // Ablation sanity: without reuse, allocations scale with iterations.
         assert!(fresh(160, false) > fresh(80, false) + 80);
+    }
+
+    const LINEAR_TC: &str = "type edge(x: u32, y: u32)
+         rel path(x, y) = edge(x, y) or (path(x, z) and edge(z, y))
+         query path";
+
+    /// Runs `source` over the chain `0 → 1 → … → n` and returns the outcome
+    /// with `path` as `Database::rows` reports it (not re-sorted).
+    fn run_chain(
+        source: &str,
+        n: u32,
+        options: RuntimeOptions,
+    ) -> (Result<ExecutionStats, ExecError>, Vec<(u32, u32)>) {
+        let compiled = parse(source).unwrap();
+        let device = Device::sequential();
+        let mut db = Database::new(compiled.ram.schemas.clone(), Unit::new());
+        for i in 0..n {
+            db.insert("edge", &[Value::U32(i), Value::U32(i + 1)], ());
+        }
+        db.seal(&device);
+        let exec = Executor::new(device, Unit::new(), options);
+        let outcome = exec.run_program(&mut db, &compiled.ram);
+        let rows = db
+            .rows("path")
+            .into_iter()
+            .map(|(t, _)| (t[0].as_u32().unwrap(), t[1].as_u32().unwrap()))
+            .collect();
+        (outcome, rows)
+    }
+
+    /// Every `(i, j)` of the chain with `0 < j - i <= hops`, in sorted order.
+    fn chain_paths(n: u32, hops: u32) -> Vec<(u32, u32)> {
+        (0..n)
+            .flat_map(|i| (i + 1..=(i + hops).min(n)).map(move |j| (i, j)))
+            .collect()
+    }
+
+    #[test]
+    fn nonlinear_recursion_compacts_before_loading_stable() {
+        // `path ⋈ path` has a (stable, recent) variant, and a single-partition
+        // load must be one sorted table — so the runs are folded on demand,
+        // every iteration. The closure must not notice.
+        let nonlinear = "type edge(x: u32, y: u32)
+             rel path(x, y) = edge(x, y) or (path(x, z) and path(z, y))
+             query path";
+        let stratum = parse(nonlinear).unwrap();
+        let stratum = compile_stratum_with_options(
+            &stratum.ram.strata[0],
+            &stratum.ram,
+            &RuntimeOptions::default(),
+        );
+        assert!(stratum.program.instructions.iter().any(|i| matches!(
+            i,
+            Instr::Load {
+                part: DbPart::Stable,
+                ..
+            }
+        )));
+        let (linear, want) = run_chain(LINEAR_TC, 70, RuntimeOptions::default());
+        let (outcome, rows) = run_chain(nonlinear, 70, RuntimeOptions::default());
+        assert_eq!(rows, want);
+        assert_eq!(rows, chain_paths(70, 70));
+        // Doubling path lengths closes the chain in O(log n) iterations.
+        assert!(outcome.unwrap().iterations < linear.unwrap().iterations / 4);
+    }
+
+    #[test]
+    fn a_stratum_cut_short_leaves_one_sorted_table() {
+        // Iteration k derives the paths of k + 1 hops, so a cap of 10 leaves
+        // exactly the paths of at most 10 hops — as one sorted table, with
+        // the runs and the last frontier folded in.
+        let (outcome, rows) = run_chain(
+            LINEAR_TC,
+            40,
+            RuntimeOptions {
+                max_iterations: 10,
+                ..RuntimeOptions::default()
+            },
+        );
+        assert_eq!(outcome, Err(ExecError::IterationLimit { limit: 10 }));
+        assert_eq!(rows, chain_paths(40, 10));
+
+        // Wherever the deadline falls, the iterations that completed are all
+        // there and nothing else is: some whole number of hops.
+        let (outcome, rows) = run_chain(
+            LINEAR_TC,
+            3000,
+            RuntimeOptions::default().with_timeout_ms(Some(5)),
+        );
+        assert!(matches!(outcome, Err(ExecError::Timeout { .. })));
+        let hops = rows.iter().map(|(i, j)| j - i).max().unwrap_or(0);
+        assert_eq!(rows, chain_paths(3000, hops));
+    }
+
+    #[test]
+    fn update_phase_writes_each_row_a_logarithmic_number_of_times() {
+        // Folding every frontier into one sorted table rewrote all of it on
+        // every iteration: Θ(iterations × facts / 2) rows. With geometric
+        // runs a row is rewritten when its run doubles, and once more by the
+        // final compaction.
+        for n in [128u32, 512] {
+            let (outcome, rows) = run_chain(LINEAR_TC, n, RuntimeOptions::default());
+            let stats = outcome.unwrap();
+            assert_eq!(stats.facts_produced, rows.len());
+            let bound = stats.facts_produced * (2 + stats.iterations.ilog2() as usize);
+            assert!(
+                stats.update_rows_written > 0 && stats.update_rows_written <= bound,
+                "{n} edges: {} rows written, bound {bound}",
+                stats.update_rows_written
+            );
+        }
     }
 
     #[test]

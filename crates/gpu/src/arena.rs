@@ -34,6 +34,17 @@
 //!   pool is empty falls back to it; a popped buffer is resized to the
 //!   requested length (its capacity only ever grows).
 //!
+//! **The pools hold loans, not donations.** Columns built elsewhere
+//! (host-staged facts, `Vec::clone`d tables) reach `recycle_shared` through
+//! the same table-recycling code as arena columns do; were each of them
+//! admitted, the pool would be a one-way sink and a long-lived session's
+//! resident set would grow with every refresh. So the arena counts the
+//! buffers it has handed out and not yet seen again, and admits a recycle
+//! against that count. With nothing on loan a recycled buffer may only
+//! *displace* a smaller one in the shared pool: the pools never hold more
+//! buffers than the arena itself created, and a long-lived table coming home
+//! after a foreign buffer took its place still keeps its capacity pooled.
+//!
 //! The arena is internally synchronized (`&self` everywhere) so a device
 //! shared by concurrent kernel launches needs no external locking.
 
@@ -78,6 +89,10 @@ struct ArenaInner {
     pooled_bytes: usize,
     /// Pooled-capacity ceiling; recycles beyond it drop the buffer instead.
     pool_budget: usize,
+    /// Buffers handed out and not yet recycled. A recycle is admitted against
+    /// this count or displaces a pooled buffer, so
+    /// `pooled buffers <= fresh_columns` always.
+    lent: usize,
     fresh_columns: usize,
     reused_columns: usize,
     recycled_columns: usize,
@@ -113,9 +128,15 @@ impl ArenaInner {
         Some(buf)
     }
 
-    /// Accounts a buffer entering a pool; `false` means the budget is full
-    /// and the buffer should be dropped instead.
+    /// Accounts a buffer entering a pool; `false` means the buffer should be
+    /// dropped instead: nothing is out on loan and no smaller pooled buffer
+    /// can make way for it, or the budget is full.
     fn admit(&mut self, buffer: &Column) -> bool {
+        if self.lent > 0 {
+            self.lent -= 1;
+        } else if !self.displace_smaller(buffer.capacity()) {
+            return false;
+        }
         let bytes = buffer.capacity() * std::mem::size_of::<u64>();
         if self.pooled_bytes + bytes > self.pool_budget {
             return false;
@@ -123,6 +144,25 @@ impl ArenaInner {
         self.pooled_bytes += bytes;
         self.recycled_columns += 1;
         true
+    }
+
+    /// Drops the smallest buffer of the shared pool if `capacity` exceeds
+    /// its own, making room for the larger one without growing the pool.
+    fn displace_smaller(&mut self, capacity: usize) -> bool {
+        let smallest = self
+            .shared
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, b)| b.capacity())
+            .map(|(i, b)| (i, b.capacity()));
+        match smallest {
+            Some((index, held)) if held < capacity => {
+                self.shared.swap_remove(index);
+                self.pooled_bytes -= held * std::mem::size_of::<u64>();
+                true
+            }
+            _ => false,
+        }
     }
 
     fn drop_pools(&mut self) {
@@ -202,6 +242,7 @@ impl Arena {
     pub fn alloc_zeroed(&self, site: usize, len: usize) -> Column {
         if self.reuse_enabled() {
             let mut inner = self.lock();
+            inner.lent += 1;
             if let Some(mut buf) = inner.pop(site, len) {
                 inner.reused_columns += 1;
                 drop(inner);
@@ -221,6 +262,7 @@ impl Arena {
     pub fn alloc_empty(&self, site: usize, capacity: usize) -> Column {
         if self.reuse_enabled() {
             let mut inner = self.lock();
+            inner.lent += 1;
             if let Some(mut buf) = inner.pop(site, capacity) {
                 inner.reused_columns += 1;
                 drop(inner);
@@ -342,6 +384,26 @@ mod tests {
         let buf2 = arena.alloc_zeroed(9, 64);
         assert!(buf2.capacity() >= 4);
         assert_eq!(arena.pooled_buffers(), 0);
+    }
+
+    #[test]
+    fn buffers_made_elsewhere_do_not_grow_the_pool() {
+        let arena = Arena::new(true);
+        // Nothing is on loan: a foreign buffer has no place to take.
+        arena.recycle_shared(vec![0u64; 8]);
+        assert_eq!(arena.pooled_buffers(), 0);
+        // One loan that never comes home makes room for exactly one.
+        drop(arena.alloc_zeroed(0, 8));
+        arena.recycle_shared(vec![0u64; 8]);
+        arena.recycle_shared(vec![0u64; 8]);
+        assert_eq!(arena.pooled_buffers(), 1);
+        // A larger one displaces the pooled one; a smaller one is dropped.
+        arena.recycle_shared(vec![0u64; 64]);
+        arena.recycle_shared(vec![0u64; 16]);
+        let stats = arena.stats();
+        assert_eq!(stats.pooled_buffers, 1);
+        assert!(stats.pooled_bytes >= 64 * 8);
+        assert!(stats.pooled_buffers <= stats.fresh_columns);
     }
 
     #[test]

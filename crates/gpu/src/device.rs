@@ -8,7 +8,7 @@
 //! interact with shard-level parallelism.
 
 use crate::arena::Arena;
-use crate::pool::WorkerPool;
+use crate::pool::{LiveWorkers, WorkerPool};
 use std::cell::Cell;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -361,6 +361,13 @@ impl Device {
     /// in every launch. Exposed so lifecycle tests can assert pool sizing.
     pub fn pool_workers(&self) -> usize {
         self.inner.pool.workers()
+    }
+
+    /// A handle on the number of this device's pool threads that are still
+    /// alive. It stays readable after every clone of the device is gone,
+    /// when it must read zero: dropping the last clone joins the pool.
+    pub fn live_pool_workers(&self) -> LiveWorkers {
+        self.inner.pool.live_workers()
     }
 
     /// The persistent kernel worker pool (see [`crate::pool`]).

@@ -27,7 +27,9 @@
 //! * [`merge`] / [`difference`] cut both inputs at *partition points*
 //!   (binary searches on the data), and each worker runs the sequential
 //!   two-pointer walk on its cut; the cuts are data-determined, so the
-//!   concatenated output equals the sequential walk.
+//!   concatenated output equals the sequential walk. Where
+//!   [`difference_runs`] gallops through a long run it lands on the same
+//!   lower bounds the walk would have reached.
 //! * [`eval`], the gathers, and [`hash_join`] write each output element as a
 //!   pure function of its input row(s) into disjoint, position-stable
 //!   output ranges.
@@ -787,14 +789,45 @@ fn columns_chunked<'a>(cols: &'a mut Columns, ranges: &[Range<usize>]) -> Vec<Ve
     per_chunk
 }
 
+/// A run at least this many times longer than the candidate is probed by
+/// galloping instead of a linear two-pointer walk: per candidate row the
+/// gallop costs about `2·log2(ratio)` comparisons against the walk's
+/// `ratio`, which crosses over near 8.
+const GALLOP_RATIO: usize = 8;
+
+/// First index in `from..len` at which `less` turns false, found by doubling
+/// steps from `from` and a bisection of the last step. `less` must be
+/// monotone over `from..len` (a prefix of `true`, then `false`). The cost is
+/// logarithmic in the *distance* from `from`, not in `len` — which is what
+/// makes a carried cursor over sorted probes amortize.
+fn gallop(from: usize, len: usize, less: impl Fn(usize) -> bool) -> usize {
+    let (mut lo, mut hi) = (from, from);
+    let mut step = 1;
+    while hi < len && less(hi) {
+        lo = hi + 1;
+        hi += step;
+        step *= 2;
+    }
+    bisect(lo, hi.min(len), less)
+}
+
+/// First index in `lo..hi` at which the monotone `less` turns false.
+fn bisect(mut lo: usize, mut hi: usize, less: impl Fn(usize) -> bool) -> usize {
+    while lo < hi {
+        let mid = (lo + hi) / 2;
+        if less(mid) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
 /// `diff(ā, b̄)`: rows of sorted table `a` that do not occur in sorted table
 /// `b`, keeping `a`'s tags. This is the set difference required to keep
 /// semi-naive evaluation terminating (new delta facts must not already be
-/// known).
-///
-/// `a` is cut into chunks; each worker binary-searches its start position in
-/// `b` and runs the sequential two-pointer walk (once to count, once to
-/// fill), so the kept-row set is chunk-independent.
+/// known). The single-run case of [`difference_runs`].
 pub fn difference<T: Clone + Send + Sync>(
     device: &Device,
     a_cols: &[&[u64]],
@@ -802,67 +835,85 @@ pub fn difference<T: Clone + Send + Sync>(
     b_cols: &[&[u64]],
     b_len: usize,
 ) -> (Columns, Vec<T>) {
+    difference_runs(device, a_cols, a_tags, &[(b_cols, b_len)])
+}
+
+/// Rows of sorted table `a` that occur in **none** of the sorted `runs`
+/// (each a `(columns, row count)` pair), keeping `a`'s tags: the new-fact
+/// filter of a fix-point iteration whose known facts are held as several
+/// sorted runs.
+///
+/// `a` is cut into chunks; each worker binary-searches its start position in
+/// every run and walks its chunk **once**, carrying one cursor per run, so
+/// the kept-row set is chunk-independent and no intermediate table is built
+/// per run. A run at least 8× longer than `a` (`GALLOP_RATIO`) advances its
+/// cursor by galloping — the cost of an iteration then follows the
+/// candidate, not the accumulated runs; runs of comparable length keep the
+/// linear two-pointer step. The choice reads the two lengths only.
+pub fn difference_runs<T: Clone + Send + Sync>(
+    device: &Device,
+    a_cols: &[&[u64]],
+    a_tags: &[T],
+    runs: &[(&[&[u64]], usize)],
+) -> (Columns, Vec<T>) {
     let _t = device.launch(KernelKind::Other);
     let arity = a_cols.len();
     let a_len = a_tags.len();
     let arena = device.arena();
     let ranges = chunks_for(device, a_len);
-    // First b-row not less than a[start] — where the two-pointer walk of a
-    // chunk must begin.
-    let lower_bound = |i: usize| {
-        let (mut lo, mut hi) = (0usize, b_len);
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if cmp_rows(b_cols, mid, a_cols, i) == Ordering::Less {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
-    };
-    let walk = |range: Range<usize>, mut on_kept: Box<dyn FnMut(usize) + '_>| {
-        let mut j = if range.start < a_len {
-            lower_bound(range.start)
-        } else {
-            b_len
-        };
+    // Every chunk writes the indices it keeps at the front of its own slice
+    // of `kept`; the prefixes are closed up afterwards.
+    let mut kept = arena.alloc_zeroed(sites::DIFF_KEPT, a_len);
+    let slices = split_by_ranges(&mut kept, &ranges);
+    let counts: Vec<usize> = run_chunks(device, &ranges, slices, |_, range, slice: &mut [u64]| {
+        // Per run: whether to gallop, and the cursor — starting at the first
+        // row not less than the chunk's first a-row, where the walk of this
+        // chunk must begin.
+        let mut cursors: Vec<(bool, usize)> = runs
+            .iter()
+            .map(|(b_cols, b_len)| {
+                let start = if range.is_empty() {
+                    0
+                } else {
+                    bisect(0, *b_len, |j| {
+                        cmp_rows(b_cols, j, a_cols, range.start) == Ordering::Less
+                    })
+                };
+                (*b_len / GALLOP_RATIO >= a_len, start)
+            })
+            .collect();
+        let mut k = 0;
         for i in range {
-            while j < b_len && cmp_rows(b_cols, j, a_cols, i) == Ordering::Less {
-                j += 1;
+            let mut present = false;
+            for ((b_cols, b_len), (gallop_run, cursor)) in runs.iter().zip(cursors.iter_mut()) {
+                let less = |j: usize| cmp_rows(b_cols, j, a_cols, i) == Ordering::Less;
+                let mut j = *cursor;
+                if *gallop_run {
+                    j = gallop(j, *b_len, less);
+                } else {
+                    while j < *b_len && less(j) {
+                        j += 1;
+                    }
+                }
+                *cursor = j;
+                if j < *b_len && cmp_rows(b_cols, j, a_cols, i) == Ordering::Equal {
+                    present = true;
+                    break;
+                }
             }
-            let present = j < b_len && cmp_rows(b_cols, j, a_cols, i) == Ordering::Equal;
             if !present {
-                on_kept(i);
+                slice[k] = i as u64;
+                k += 1;
             }
         }
-    };
-    let counts: Vec<usize> = map_chunks(device, &ranges, |_, range| {
-        let mut n = 0;
-        walk(range, Box::new(|_| n += 1));
-        n
+        k
     });
-    let total: usize = counts.iter().sum();
-    let mut kept = arena.alloc_zeroed(sites::DIFF_KEPT, total);
-    {
-        let mut bounds = Vec::with_capacity(counts.len());
-        let mut acc = 0;
-        for &c in &counts {
-            bounds.push(acc..acc + c);
-            acc += c;
-        }
-        let slices = split_by_ranges(&mut kept, &bounds);
-        run_chunks(device, &ranges, slices, |_, range, slice: &mut [u64]| {
-            let mut k = 0;
-            walk(
-                range,
-                Box::new(|i| {
-                    slice[k] = i as u64;
-                    k += 1;
-                }),
-            );
-        });
+    let mut total = 0;
+    for (range, count) in ranges.iter().zip(&counts) {
+        kept.copy_within(range.start..range.start + count, total);
+        total += count;
     }
+    kept.truncate(total);
     let mut out_cols: Columns = Vec::with_capacity(arity);
     for col in a_cols {
         let mut out = arena.alloc_zeroed(sites::DIFF_OUT, total);
@@ -1125,32 +1176,13 @@ fn merge_lower_bound(
     let len = build_key_cols.first().map(|c| c.len()).unwrap_or(0);
     let hint = hint.min(len);
     let less = |row: usize| cmp_rows(build_key_cols, row, probe_key_cols, i) == Ordering::Less;
-    let (mut lo, mut hi);
     if hint == 0 || less(hint - 1) {
-        // Answer is >= hint: gallop right with doubling steps.
-        lo = hint;
-        hi = hint;
-        let mut step = 1;
-        while hi < len && less(hi) {
-            lo = hi + 1;
-            hi += step;
-            step *= 2;
-        }
-        hi = hi.min(len);
+        // Answer is >= hint.
+        gallop(hint, len, less)
     } else {
         // Out-of-order probe row: the answer lies before the hint.
-        lo = 0;
-        hi = hint - 1;
+        bisect(0, hint - 1, less)
     }
-    while lo < hi {
-        let mid = (lo + hi) / 2;
-        if less(mid) {
-            lo = mid + 1;
-        } else {
-            hi = mid;
-        }
-    }
-    lo
 }
 
 /// First build row whose key is greater than probe row `i`'s key, galloping
@@ -1163,25 +1195,9 @@ fn merge_upper_bound(
     hint: usize,
 ) -> usize {
     let len = build_key_cols.first().map(|c| c.len()).unwrap_or(0);
-    let not_greater =
-        |row: usize| cmp_rows(build_key_cols, row, probe_key_cols, i) != Ordering::Greater;
-    let (mut lo, mut hi) = (hint.min(len), hint.min(len));
-    let mut step = 1;
-    while hi < len && not_greater(hi) {
-        lo = hi + 1;
-        hi += step;
-        step *= 2;
-    }
-    hi = hi.min(len);
-    while lo < hi {
-        let mid = (lo + hi) / 2;
-        if not_greater(mid) {
-            lo = mid + 1;
-        } else {
-            hi = mid;
-        }
-    }
-    lo
+    gallop(hint.min(len), len, |row| {
+        cmp_rows(build_key_cols, row, probe_key_cols, i) != Ordering::Greater
+    })
 }
 
 /// `mergecount(b̄, ā)`: for every probe row, the number of build rows with a

@@ -119,12 +119,38 @@ fn lock_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
+/// The number of one pool's `lobster-kernel-N` threads that have been
+/// spawned and have not yet exited. The handle outlives the pool, so a
+/// lifecycle test can watch the count reach zero when the last device clone
+/// drops — without reading the process-wide thread count, which sibling
+/// tests creating and dropping their own pools also move.
+#[derive(Debug, Clone)]
+pub struct LiveWorkers(Arc<AtomicUsize>);
+
+impl LiveWorkers {
+    /// Threads of this pool alive right now.
+    pub fn get(&self) -> usize {
+        self.0.load(Ordering::SeqCst)
+    }
+}
+
+/// Decrements a pool's live count when its worker thread exits, however it
+/// exits.
+struct LiveGuard(Arc<AtomicUsize>);
+
+impl Drop for LiveGuard {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
 /// The persistent worker pool owned by a [`Device`](crate::Device): spawned
 /// at device construction, joined when the last device clone drops. See the
 /// module docs for the execution model.
 pub(crate) struct WorkerPool {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
+    live: Arc<AtomicUsize>,
 }
 
 impl std::fmt::Debug for WorkerPool {
@@ -146,19 +172,33 @@ impl WorkerPool {
             work: Condvar::new(),
             done: Condvar::new(),
         });
+        let live = Arc::new(AtomicUsize::new(0));
         let handles = (0..workers)
             .filter_map(|i| {
                 let shared = Arc::clone(&shared);
+                // Counted by the spawner, so the count is exact as soon as
+                // `new` returns; a failed spawn drops the guard unrun.
+                live.fetch_add(1, Ordering::SeqCst);
+                let guard = LiveGuard(Arc::clone(&live));
                 std::thread::Builder::new()
                     .name(format!("lobster-kernel-{i}"))
-                    .spawn(move || worker_loop(&shared))
+                    .spawn(move || {
+                        let _guard = guard;
+                        worker_loop(&shared);
+                    })
                     .ok()
             })
             .collect();
         WorkerPool {
             shared,
             workers: handles,
+            live,
         }
+    }
+
+    /// A handle on this pool's live-thread count (see [`LiveWorkers`]).
+    pub(crate) fn live_workers(&self) -> LiveWorkers {
+        LiveWorkers(Arc::clone(&self.live))
     }
 
     /// Number of pooled worker threads (the launcher is not counted).
@@ -338,7 +378,10 @@ mod tests {
     #[test]
     fn drop_joins_workers() {
         let pool = WorkerPool::new(4);
+        let live = pool.live_workers();
+        assert_eq!(live.get(), 4);
         pool.run(16, &|_| {});
         drop(pool); // must not hang or leak
+        assert_eq!(live.get(), 0, "drop returned before every worker exited");
     }
 }

@@ -148,6 +148,61 @@ fn sort_unique_merge_difference_agree_with_sequential() {
     }
 }
 
+/// `difference_runs` against a host-side oracle (a set of every run's rows),
+/// with run lengths on both sides of the galloping threshold: the longest
+/// run is ≥ 8× the candidate (galloped), the shortest is shorter than it
+/// (walked), and the kept set must not depend on which happened or on the
+/// chunking.
+#[test]
+fn difference_over_many_runs_agrees_with_a_set_oracle() {
+    use std::collections::BTreeSet;
+    let seq = Device::sequential();
+    for (arity, key_space) in [(1, 5_000u64), (2, 97), (2, u64::MAX - 1)] {
+        for rows in [0usize, 1, 37, 640, 4099] {
+            let mut rng = Rng::new(rows as u64 * 17 + arity as u64 + key_space % 7);
+            let sorted_unique = |rng: &mut Rng, n: usize| {
+                let (cols, tags) = random_table(rng, n, arity, key_space);
+                let (sorted, stags) = sorted_on(&seq, &cols, &tags);
+                kernels::unique(&seq, &refs(&sorted), &stags, |a, _| *a)
+            };
+            let (cand, cand_tags) = sorted_unique(&mut rng, rows / 16 + 1);
+            let runs: Vec<(Vec<Vec<u64>>, Vec<f64>)> = [rows, rows / 4, rows / 40]
+                .into_iter()
+                .map(|n| sorted_unique(&mut rng, n))
+                .collect();
+            let known: BTreeSet<Vec<u64>> = runs
+                .iter()
+                .flat_map(|(cols, tags)| {
+                    (0..tags.len()).map(move |r| cols.iter().map(|c| c[r]).collect())
+                })
+                .collect();
+            let kept: Vec<usize> = (0..cand_tags.len())
+                .filter(|&r| !known.contains(&cand.iter().map(|c| c[r]).collect::<Vec<u64>>()))
+                .collect();
+            let want_cols: Vec<Vec<u64>> = cand
+                .iter()
+                .map(|c| kept.iter().map(|&r| c[r]).collect())
+                .collect();
+            let want_tags: Vec<f64> = kept.iter().map(|&r| cand_tags[r]).collect();
+
+            let run_refs: Vec<Vec<&[u64]>> = runs.iter().map(|(cols, _)| refs(cols)).collect();
+            let run_args: Vec<(&[&[u64]], usize)> = run_refs
+                .iter()
+                .zip(&runs)
+                .map(|(r, (_, tags))| (r.as_slice(), tags.len()))
+                .collect();
+            for parallelism in PARALLELISMS {
+                let par = parallel_device(parallelism);
+                let ctx = format!("arity {arity}, keys {key_space}, rows {rows}, p {parallelism}");
+                let (cols, tags) =
+                    kernels::difference_runs(&par, &refs(&cand), &cand_tags, &run_args);
+                assert_eq!(cols, want_cols, "difference_runs cols: {ctx}");
+                assert_bits(&tags, &want_tags, &format!("difference_runs tags: {ctx}"));
+            }
+        }
+    }
+}
+
 /// f64 comparisons must be *bit*-identical (the provenance contract), not
 /// merely approximately equal.
 fn assert_bits(a: &[f64], b: &[f64], ctx: &str) {

@@ -3,19 +3,15 @@
 //! and are joined when the last handle drops — repeated create/drop cycles
 //! must not leak OS threads, a panicking kernel must not kill the pool, and
 //! shard devices must each get their own correctly sized pool.
+//!
+//! Thread liveness is read from the pool's own count
+//! ([`Device::live_pool_workers`], decremented as each `lobster-kernel-N`
+//! thread exits), never from the process-wide `Threads:` line of
+//! `/proc/self/status`: the tests of this binary run in parallel and each
+//! creates and drops pools, so the process count moves under every one of
+//! them.
 
 use lobster_gpu::{kernels, Device, DeviceConfig};
-
-/// Reads this process's live thread count from `/proc/self/status`.
-/// Returns `None` off Linux (or in a sandbox that hides procfs), in which
-/// case the leak test self-skips.
-fn os_thread_count() -> Option<usize> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    status
-        .lines()
-        .find_map(|line| line.strip_prefix("Threads:"))
-        .and_then(|rest| rest.trim().parse().ok())
-}
 
 fn device(parallelism: usize) -> Device {
     Device::new(DeviceConfig {
@@ -35,24 +31,17 @@ fn exercise(dev: &Device) {
 
 #[test]
 fn repeated_create_drop_does_not_leak_threads() {
-    let Some(before) = os_thread_count() else {
-        eprintln!("skipping: /proc/self/status not readable");
-        return;
-    };
     for _ in 0..50 {
         let dev = device(4);
+        let live = dev.live_pool_workers();
         assert_eq!(dev.pool_workers(), 3);
+        assert_eq!(live.get(), 3);
         exercise(&dev);
-        drop(dev); // joins the three `lobster-kernel-{i}` threads
+        drop(dev);
+        // Drop joins the three `lobster-kernel-{i}` threads before it
+        // returns, and each decrements the count on its way out.
+        assert_eq!(live.get(), 0, "pool thread outlived its device");
     }
-    // Drop joins the workers before returning, so the count must be back to
-    // where it started — any growth is a leaked pool thread. A small slack
-    // covers unrelated runtime threads the test harness may start or stop.
-    let after = os_thread_count().expect("procfs was readable above");
-    assert!(
-        after <= before + 1,
-        "thread leak: {before} threads before, {after} after 50 create/drop cycles"
-    );
 }
 
 #[test]
@@ -64,22 +53,20 @@ fn sequential_device_owns_no_pool_threads() {
 
 #[test]
 fn clones_share_one_pool_and_drop_joins_only_the_last() {
-    let Some(baseline) = os_thread_count() else {
-        eprintln!("skipping: /proc/self/status not readable");
-        return;
-    };
     let dev = device(3);
     let clone = dev.clone();
+    let live = dev.live_pool_workers();
     assert_eq!(dev.pool_workers(), 2);
     assert_eq!(clone.pool_workers(), 2);
     drop(dev);
     // The clone keeps the pool alive and working.
+    assert_eq!(live.get(), 2);
     exercise(&clone);
     drop(clone);
-    let after = os_thread_count().expect("procfs was readable above");
-    assert!(
-        after <= baseline + 2,
-        "pool threads outlived the last device handle: {baseline} -> {after}"
+    assert_eq!(
+        live.get(),
+        0,
+        "pool threads outlived the last device handle"
     );
 }
 
@@ -93,8 +80,17 @@ fn split_shards_gives_each_shard_its_own_pool() {
     for shard in &shards {
         exercise(shard);
     }
-    // Dropping the parent leaves the shard pools untouched.
+    // Dropping the parent joins its own pool and leaves the shard pools
+    // untouched.
+    let parent_live = parent.live_pool_workers();
+    assert_eq!(parent_live.get(), 7);
     drop(parent);
+    assert_eq!(parent_live.get(), 0);
+    let live: Vec<usize> = shards
+        .iter()
+        .map(|shard| shard.live_pool_workers().get())
+        .collect();
+    assert_eq!(live, vec![2, 2, 1]);
     for shard in &shards {
         exercise(shard);
     }
