@@ -59,6 +59,39 @@ struct Compiled {
 }
 
 impl<'a> Compiler<'a> {
+    fn new(ram: &'a RamProgram, own_relations: BTreeSet<String>, options: &RuntimeOptions) -> Self {
+        Compiler {
+            ram,
+            own_relations,
+            instructions: Vec::new(),
+            first_iteration_only: Vec::new(),
+            static_registers: Vec::new(),
+            next_reg: 0,
+            current_first_only: false,
+            merge_join_enabled: options.merge_join,
+            merge_joins: 0,
+            hash_joins: 0,
+        }
+    }
+
+    /// Assembles the emitted instructions into the stratum's program, which
+    /// is where every register's last reader is marked.
+    fn finish(self, stratum: &Stratum, recursive: bool) -> CompiledStratum {
+        CompiledStratum {
+            program: ApmProgram::new(
+                self.instructions,
+                self.first_iteration_only,
+                self.next_reg,
+                self.static_registers,
+                stratum.relations.clone(),
+            ),
+            relations: stratum.relations.clone(),
+            recursive,
+            merge_joins: self.merge_joins,
+            hash_joins: self.hash_joins,
+        }
+    }
+
     fn fresh(&mut self) -> RegId {
         let reg = RegId(self.next_reg);
         self.next_reg += 1;
@@ -449,19 +482,7 @@ pub fn compile_stratum_delta(
 ) -> CompiledStratum {
     let mut tracked: BTreeSet<String> = stratum.relations.iter().cloned().collect();
     tracked.extend(changed_inputs.iter().cloned());
-    let options = RuntimeOptions::default();
-    let mut compiler = Compiler {
-        ram,
-        own_relations: tracked,
-        instructions: Vec::new(),
-        first_iteration_only: Vec::new(),
-        static_registers: Vec::new(),
-        next_reg: 0,
-        current_first_only: false,
-        merge_join_enabled: options.merge_join,
-        merge_joins: 0,
-        hash_joins: 0,
-    };
+    let mut compiler = Compiler::new(ram, tracked, &RuntimeOptions::default());
     for rule in &stratum.rules {
         if compiler.recursive_leaf_count(&rule.expr) == 0 {
             // No leaf over a changed relation: every derivation of this rule
@@ -470,20 +491,7 @@ pub fn compile_stratum_delta(
         }
         compiler.compile_rule(rule, true);
     }
-    let program = ApmProgram {
-        instructions: compiler.instructions,
-        first_iteration_only: compiler.first_iteration_only,
-        register_count: compiler.next_reg,
-        static_registers: compiler.static_registers,
-        stored_relations: stratum.relations.clone(),
-    };
-    CompiledStratum {
-        program,
-        relations: stratum.relations.clone(),
-        recursive: true,
-        merge_joins: compiler.merge_joins,
-        hash_joins: compiler.hash_joins,
-    }
+    compiler.finish(stratum, true)
 }
 
 /// Compiles a RAM stratum into an APM program, honouring the join-strategy
@@ -506,35 +514,12 @@ pub fn compile_stratum_with_options(
             rendered.join("\n")
         );
     }
-    let mut compiler = Compiler {
-        ram,
-        own_relations: stratum.relations.iter().cloned().collect(),
-        instructions: Vec::new(),
-        first_iteration_only: Vec::new(),
-        static_registers: Vec::new(),
-        next_reg: 0,
-        current_first_only: false,
-        merge_join_enabled: options.merge_join,
-        merge_joins: 0,
-        hash_joins: 0,
-    };
+    let own_relations = stratum.relations.iter().cloned().collect();
+    let mut compiler = Compiler::new(ram, own_relations, options);
     for rule in &stratum.rules {
         compiler.compile_rule(rule, stratum.recursive);
     }
-    let program = ApmProgram {
-        instructions: compiler.instructions,
-        first_iteration_only: compiler.first_iteration_only,
-        register_count: compiler.next_reg,
-        static_registers: compiler.static_registers,
-        stored_relations: stratum.relations.clone(),
-    };
-    CompiledStratum {
-        program,
-        relations: stratum.relations.clone(),
-        recursive: stratum.recursive,
-        merge_joins: compiler.merge_joins,
-        hash_joins: compiler.hash_joins,
-    }
+    compiler.finish(stratum, stratum.recursive)
 }
 
 #[cfg(test)]

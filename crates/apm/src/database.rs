@@ -112,11 +112,23 @@ impl<P: Provenance> SortedTable<P> {
                 arity,
             };
         }
-        let refs: Vec<&[u64]> = columns.iter().map(|c| c.as_slice()).collect();
-        let perm = kernels::sort_permutation(device, &refs);
-        let (sorted_cols, sorted_tags) = kernels::apply_permutation(device, &perm, &refs, &tags);
+        // A one-word table is sorted by moving the words themselves, so only
+        // the tags are left to gather; wider tables sort a permutation and
+        // gather every column through it.
+        let (sorted_cols, perm) = if let [words] = columns.as_slice() {
+            let (sorted, perm) = kernels::sort_words(device, words);
+            (vec![sorted], perm)
+        } else {
+            let refs: Vec<&[u64]> = columns.iter().map(|c| c.as_slice()).collect();
+            let perm = kernels::sort_permutation(device, &refs);
+            let sorted = refs
+                .iter()
+                .map(|col| kernels::gather(device, &perm, col))
+                .collect();
+            (sorted, perm)
+        };
+        let sorted_tags = kernels::gather_tags(device, &perm, &tags);
         device.arena().recycle_shared(perm);
-        drop(refs);
         recycle_columns(device, columns);
         let sorted_refs: Vec<&[u64]> = sorted_cols.iter().map(|c| c.as_slice()).collect();
         let (unique_cols, unique_tags) =

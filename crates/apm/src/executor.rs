@@ -10,10 +10,13 @@
 //!   partitions of relations not updated by the stratum) are cached instead
 //!   of being reallocated each iteration, and *every* per-iteration column —
 //!   kernel outputs, loads, staged stores — is routed through the device
-//!   [`Arena`](lobster_gpu::Arena): registers that die at the end of an
-//!   iteration are swept back into the pool, so a steady-state iteration
-//!   performs zero fresh column allocations (Section 4.1; disabling the
-//!   `buffer_reuse` option restores the unoptimized Figure 10 behaviour);
+//!   [`Arena`](lobster_gpu::Arena): a register goes back into the pool
+//!   right after the last instruction that reads it (the compiler marks
+//!   it, see [`ApmProgram::last_reads`](crate::ApmProgram::last_reads)),
+//!   and `store` takes a buffer it is the last reader of instead of copying
+//!   it, so a steady-state iteration performs zero fresh column allocations
+//!   (Section 4.1; disabling the `buffer_reuse` option restores the
+//!   unoptimized Figure 10 behaviour);
 //! * a configurable device memory budget and wall-clock timeout, used to
 //!   reproduce the OOM and timeout entries of the paper's evaluation.
 
@@ -45,8 +48,6 @@ mod exec_sites {
     pub const PRODUCT: usize = 102;
     /// Table-append outputs.
     pub const APPEND: usize = 103;
-    /// Staged-fact concatenation in the update phase.
-    pub const STAGED: usize = 104;
 }
 
 /// Cached "all" loads of relations not updated by the running stratum.
@@ -59,6 +60,10 @@ pub struct ExecutionStats {
     pub iterations: usize,
     /// New facts derived.
     pub facts_produced: usize,
+    /// Candidate rows staged by `store` and handed to the update phase,
+    /// summed over iterations: what was sorted and deduplicated to yield
+    /// `facts_produced`. Exact and repeatable, like `update_rows_written`.
+    pub candidate_rows: usize,
     /// Kernel launches on the device.
     pub kernel_launches: usize,
     /// Wall-clock time spent in symbolic execution.
@@ -77,6 +82,7 @@ impl ExecutionStats {
     pub fn merge(&mut self, other: &ExecutionStats) {
         self.iterations += other.iterations;
         self.facts_produced += other.facts_produced;
+        self.candidate_rows += other.candidate_rows;
         self.kernel_launches += other.kernel_launches;
         self.elapsed += other.elapsed;
         self.strata += other.strata;
@@ -335,7 +341,9 @@ impl<P: Provenance> Executor<P> {
                 }
             }
         }
-        Self::recycle_registers(&self.device, static_file.into_values().map(Some).collect());
+        for value in static_file.into_values() {
+            Self::recycle_register(&self.device, value);
+        }
 
         outcome?;
         stats.kernel_launches = self.device.stats().kernel_launches - kernels_before;
@@ -392,6 +400,7 @@ impl<P: Provenance> Executor<P> {
             for (rel, lanes) in compiled.relations.iter().zip(&stratum_lanes) {
                 let data = db.relation_data_mut(rel);
                 let staged = std::mem::take(&mut data.staged);
+                stats.candidate_rows += staged.iter().map(|(_, t)| t.len()).sum::<usize>();
                 let candidate = Self::collect_staged(
                     &self.device,
                     &self.provenance,
@@ -429,15 +438,17 @@ impl<P: Provenance> Executor<P> {
     }
 
     /// Turns the staged (columns, tags) chunks produced by `store` into one
-    /// sorted, deduplicated candidate table. The staged chunk buffers are
-    /// recycled into the arena once concatenated.
+    /// sorted, deduplicated candidate table, consuming the chunks (dead
+    /// buffers go back to the arena).
     ///
     /// When `lanes` is given the relation is stored packed: the logical
-    /// columns are fused into group words *before* sorting, so the radix
-    /// sort, dedup, merge, and difference downstream all run over
-    /// `packed_arity` columns instead of the logical arity — the bandwidth
-    /// win of the encoded layout. `storage_arity` is the stored column count
-    /// (`packed_arity` when packed, logical arity otherwise).
+    /// columns of every chunk are fused into group words straight into one
+    /// buffer — concatenation and packing are one pass — so the sort, dedup,
+    /// merge, and difference downstream all run over `packed_arity` columns
+    /// instead of the logical arity. A full-width relation keeps its first
+    /// chunk as it is and appends the others to it, so the usual single
+    /// chunk is not copied at all. `storage_arity` is the stored column
+    /// count (`packed_arity` when packed, logical arity otherwise).
     fn collect_staged(
         device: &Device,
         prov: &P,
@@ -448,38 +459,28 @@ impl<P: Provenance> Executor<P> {
         if staged.is_empty() {
             return SortedTable::empty(storage_arity);
         }
-        let arena = device.arena();
-        let logical_arity = staged[0].0.len();
-        let rows: usize = staged.iter().map(|(_, t)| t.len()).sum();
-        let mut columns: Vec<Column> = (0..logical_arity)
-            .map(|_| arena.alloc_empty(exec_sites::STAGED, rows))
-            .collect();
-        let mut tags: Vec<P::Tag> = Vec::with_capacity(rows);
-        for (cols, t) in staged {
-            for (dst, src) in columns.iter_mut().zip(&cols) {
-                dst.extend_from_slice(src);
-            }
-            for col in cols {
-                if col.capacity() > 0 {
-                    arena.recycle_shared(col);
+        let packed = lanes.map(|lanes| {
+            let tables: Vec<Vec<&[u64]>> = staged
+                .iter()
+                .map(|(cols, _)| cols.iter().map(|c| c.as_slice()).collect())
+                .collect();
+            let tables: Vec<&[&[u64]]> = tables.iter().map(|t| t.as_slice()).collect();
+            kernels::pack_tables(device, &tables, lanes)
+        });
+        let mut chunks = staged.into_iter();
+        let (mut columns, mut tags) = chunks.next().expect("checked non-empty");
+        for (cols, t) in chunks {
+            if packed.is_none() {
+                for (dst, src) in columns.iter_mut().zip(&cols) {
+                    dst.extend_from_slice(src);
                 }
             }
+            recycle_columns(device, cols);
             tags.extend(t);
         }
-        let columns = match lanes {
-            Some(lanes) => {
-                let refs: Vec<&[u64]> = columns.iter().map(|c| c.as_slice()).collect();
-                let packed = kernels::pack_columns(device, &refs, lanes);
-                drop(refs);
-                for col in columns {
-                    if col.capacity() > 0 {
-                        arena.recycle_shared(col);
-                    }
-                }
-                packed
-            }
-            None => columns,
-        };
+        if let Some(packed) = packed {
+            recycle_columns(device, std::mem::replace(&mut columns, packed));
+        }
         SortedTable::from_unsorted(device, prov, columns, tags)
     }
 
@@ -540,6 +541,16 @@ impl<P: Provenance> Executor<P> {
             };
         }
 
+        // Drops the registers nothing reads after instruction `pc`; a column
+        // this was the last owner of goes back to the arena there and then.
+        let release = |regs: &mut Vec<Option<RegValue<P>>>, pc: usize| {
+            for reg in program.last_reads(pc) {
+                if let Some(value) = regs[reg.0 as usize].take() {
+                    Self::recycle_register(&self.device, value);
+                }
+            }
+        };
+
         for (pc, instr) in program.instructions.iter().enumerate() {
             if iteration > 0
                 && program
@@ -565,6 +576,7 @@ impl<P: Provenance> Executor<P> {
                                 set(&mut regs, *reg, RegValue::Data(col.clone()));
                             }
                             set(&mut regs, *tags, RegValue::Tags(t.clone()));
+                            release(&mut regs, pc);
                             continue;
                         }
                     }
@@ -653,36 +665,47 @@ impl<P: Provenance> Executor<P> {
                     columns,
                     tags,
                 } => {
+                    let cols: Vec<Arc<Column>> = columns.iter().map(|r| data!(*r)).collect();
+                    let tag_vec = tags!(*tags);
+                    // The registers this store is the last to read die
+                    // before the rows are staged, so a buffer nothing else
+                    // holds is staged as it is. One that is still shared —
+                    // a cached load, a register a columnar copy aliased, a
+                    // later store — is copied.
+                    release(&mut regs, pc);
                     let arena = self.device.arena();
-                    let tag_vec: Vec<P::Tag> = (*tags!(*tags)).clone();
-                    // Rows whose tag collapsed to an unacceptable value
-                    // (e.g. a conflicting proof) are dropped while copying.
-                    let keep: Vec<usize> = tag_vec
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, t)| self.provenance.accept(t))
-                        .map(|(i, _)| i)
-                        .collect();
-                    let (cols, tag_vec) = if keep.len() == tag_vec.len() {
-                        let cols: Vec<Column> = columns
-                            .iter()
-                            .map(|r| arena.alloc_copy(exec_sites::STORE, &data!(*r)))
+                    let staged = if tag_vec.iter().all(|t| self.provenance.accept(t)) {
+                        let cols = cols
+                            .into_iter()
+                            .map(|col| {
+                                Arc::try_unwrap(col).unwrap_or_else(|shared| {
+                                    arena.alloc_copy(exec_sites::STORE, &shared)
+                                })
+                            })
                             .collect();
+                        let tag_vec =
+                            Arc::try_unwrap(tag_vec).unwrap_or_else(|shared| (*shared).clone());
                         (cols, tag_vec)
                     } else {
-                        let filtered_cols = columns
-                            .iter()
-                            .map(|r| {
-                                let src = data!(*r);
+                        // Rows whose tag collapsed to an unacceptable value
+                        // (e.g. a conflicting proof) are dropped while
+                        // copying.
+                        let keep: Vec<usize> = (0..tag_vec.len())
+                            .filter(|&i| self.provenance.accept(&tag_vec[i]))
+                            .collect();
+                        let filtered_cols = cols
+                            .into_iter()
+                            .map(|src| {
                                 let mut out = arena.alloc_empty(exec_sites::STORE, keep.len());
                                 out.extend(keep.iter().map(|&i| src[i]));
+                                Self::recycle_register(&self.device, RegValue::Data(src));
                                 out
                             })
                             .collect();
                         let filtered_tags = keep.iter().map(|&i| tag_vec[i].clone()).collect();
                         (filtered_cols, filtered_tags)
                     };
-                    db.relation_data_mut(relation).staged.push((cols, tag_vec));
+                    db.relation_data_mut(relation).staged.push(staged);
                 }
                 Instr::Eval {
                     inputs,
@@ -739,6 +762,7 @@ impl<P: Provenance> Executor<P> {
                 } => {
                     let use_static = *static_ && self.options.static_registers;
                     if use_static && static_file.contains_key(index) {
+                        release(&mut regs, pc);
                         continue;
                     }
                     let key_cols: Vec<Arc<Column>> = keys.iter().map(|r| data!(*r)).collect();
@@ -957,37 +981,37 @@ impl<P: Provenance> Executor<P> {
                     set(&mut regs, *output_tags, RegValue::Tags(Arc::new(out_tags)));
                 }
             }
+            release(&mut regs, pc);
         }
         if let Some((_, _, part)) = probe_memo {
             part.recycle(&self.device);
         }
-        // Register sweep: every column that dies with this iteration (sole
-        // Arc owner — cached loads and static registers keep extra owners
-        // and are skipped) goes back to the arena, funding the next
-        // iteration's allocations.
-        Self::recycle_registers(&self.device, regs);
+        // Register sweep: whatever outlived its last reader (registers of a
+        // skipped instruction, a non-static index) dies with the iteration.
+        for value in regs.into_iter().flatten() {
+            Self::recycle_register(&self.device, value);
+        }
         Ok(())
     }
 
-    /// Recycles the data columns of dead register values into the arena.
-    fn recycle_registers(device: &Device, regs: Vec<Option<RegValue<P>>>) {
-        let arena = device.arena();
-        for reg in regs.into_iter().flatten() {
-            match reg {
-                RegValue::Data(col) => {
-                    if let Some(col) = Arc::into_inner(col) {
-                        if col.capacity() > 0 {
-                            arena.recycle_shared(col);
-                        }
+    /// Drops a register value; a column or index it was the sole owner of
+    /// (cached loads and static registers keep other owners) goes back to
+    /// the arena, funding later allocations.
+    fn recycle_register(device: &Device, value: RegValue<P>) {
+        match value {
+            RegValue::Data(col) => {
+                if let Some(col) = Arc::into_inner(col) {
+                    if col.capacity() > 0 {
+                        device.arena().recycle_shared(col);
                     }
                 }
-                RegValue::Index(index) => {
-                    if let Some(index) = Arc::into_inner(index) {
-                        index.recycle(device);
-                    }
-                }
-                RegValue::Tags(_) => {}
             }
+            RegValue::Index(index) => {
+                if let Some(index) = Arc::into_inner(index) {
+                    index.recycle(device);
+                }
+            }
+            RegValue::Tags(_) => {}
         }
     }
 }
@@ -1169,6 +1193,10 @@ mod tests {
         // candidate stages n ≥ 64 rows), so the instruction-level allocation
         // structure is identical; the longer chains just iterate more. One
         // more run is one more buffer per stored column (two here).
+        // A register goes back to the arena at its last read, so it funds
+        // the instructions after it in the same iteration (43 when registers
+        // were only swept at the end of an iteration).
+        assert!(fresh(80, true) <= 36, "{} fresh columns", fresh(80, true));
         let per_doubling = |n: u32| fresh(2 * n, true) - fresh(n, true);
         let (short, long) = (per_doubling(80), per_doubling(640));
         assert!(
@@ -1285,6 +1313,8 @@ mod tests {
             let (outcome, rows) = run_chain(LINEAR_TC, n, RuntimeOptions::default());
             let stats = outcome.unwrap();
             assert_eq!(stats.facts_produced, rows.len());
+            // A chain derives every path exactly once.
+            assert_eq!(stats.candidate_rows, rows.len());
             let bound = stats.facts_produced * (2 + stats.iterations.ilog2() as usize);
             assert!(
                 stats.update_rows_written > 0 && stats.update_rows_written <= bound,
@@ -1403,6 +1433,161 @@ mod tests {
                 packed.size_bytes() < wide.size_bytes(),
                 "encoded database should be smaller"
             );
+        }
+    }
+
+    #[test]
+    fn stores_move_a_register_they_are_last_to_read_and_copy_a_shared_one() {
+        use crate::isa::ApmProgram;
+        use lobster_ram::{RelationSchema, RowProjection, ScalarExpr, ValueType};
+
+        // `src` is loaded once; `same` is stored from the loaded registers
+        // twice (the first store must leave them intact for the second) and
+        // `swapped` from registers a columnar copy aliased to them (the
+        // buffers are still the loaded registers' when it is stored).
+        let reg = |n: u32| RegId(n);
+        let store = |relation: &str, columns: [u32; 2], tags: u32| Instr::Store {
+            relation: relation.into(),
+            columns: columns.map(RegId).to_vec(),
+            tags: reg(tags),
+        };
+        let program = ApmProgram::new(
+            vec![
+                Instr::Load {
+                    relation: "src".into(),
+                    part: DbPart::Recent,
+                    columns: vec![reg(0), reg(1)],
+                    tags: reg(2),
+                },
+                Instr::Eval {
+                    inputs: vec![reg(0), reg(1)],
+                    input_tags: reg(2),
+                    projection: RowProjection::new(
+                        vec![ScalarExpr::Col(1), ScalarExpr::Col(0)],
+                        None,
+                    ),
+                    outputs: vec![reg(3), reg(4)],
+                    output_tags: reg(5),
+                },
+                store("same", [0, 1], 2),
+                store("swapped", [3, 4], 5),
+                store("same", [0, 1], 2),
+            ],
+            vec![false; 5],
+            6,
+            Vec::new(),
+            vec!["src".into(), "same".into(), "swapped".into()],
+        );
+        // Only the last store is the last reader of what it stores.
+        assert!(program.last_reads(2).is_empty());
+        assert_eq!(program.last_reads(3), [reg(3), reg(4), reg(5)]);
+        assert_eq!(program.last_reads(4), [reg(0), reg(1), reg(2)]);
+        let relations = program.stored_relations.clone();
+        let compiled = CompiledStratum {
+            program,
+            relations: relations.clone(),
+            recursive: false,
+            merge_joins: 0,
+            hash_joins: 0,
+        };
+        let schemas = relations
+            .iter()
+            .map(|name| {
+                let schema = RelationSchema::new(name, vec![ValueType::U32, ValueType::U32]);
+                (name.clone(), schema)
+            })
+            .collect();
+        let device = Device::sequential();
+        let prov = MaxMinProb::new();
+        let mut db = Database::new(schemas, prov);
+        let rows: Vec<(u32, u32, f64)> = (0..200)
+            .map(|i| (i % 17, i, 0.1 + f64::from(i) / 400.0))
+            .collect();
+        for &(a, b, p) in &rows {
+            db.insert("src", &[Value::U32(a), Value::U32(b)], p);
+        }
+        db.seal(&device);
+        let exec = Executor::new(device, prov, RuntimeOptions::default());
+        let stats = exec.run_stratum(&mut db, &compiled).unwrap();
+        assert_eq!(stats.candidate_rows, 3 * rows.len());
+        assert_eq!(stats.facts_produced, 2 * rows.len());
+        let src = db.rows("src");
+        assert_eq!(src.len(), rows.len());
+        assert_eq!(db.rows("same"), src);
+        let mut swapped: Vec<_> = src
+            .iter()
+            .map(|(t, tag)| (vec![t[1], t[0]], *tag))
+            .collect();
+        swapped.sort_by_key(|(t, _)| (t[0].as_u32(), t[1].as_u32()));
+        assert_eq!(db.rows("swapped"), swapped);
+    }
+
+    #[test]
+    fn one_word_candidates_are_bit_identical_to_full_width_ones() {
+        use crate::database::EncodingSpec;
+
+        // A dense random digraph under `addmultprob`: a path is derived many
+        // times per iteration and float addition is order-sensitive, so the
+        // tags agree to the bit only if the one-word sort (packed `path`)
+        // and the multi-column permutation sort (full-width `path`) put
+        // duplicate candidates in the same order before `unique` folds them.
+        let compiled = parse(LINEAR_TC).unwrap();
+        let (nodes, degree) = (60u64, 4u64);
+        let mut state = 7u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            state >> 33
+        };
+        let edges: Vec<(u32, u32, f64)> = (0..nodes * degree)
+            .map(|i| {
+                let p = 0.01 + (next() % 1000) as f64 / 25_000.0;
+                ((i % nodes) as u32, (next() % nodes) as u32, p)
+            })
+            .collect();
+        let spec = EncodingSpec {
+            symbol_constants: compiled.ram.symbol_constants(),
+            widen_u32: compiled.ram.has_u32_arithmetic(),
+        };
+        for parallelism in [1, 4] {
+            let device = Device::new(DeviceConfig {
+                parallelism,
+                min_parallel_rows: 16,
+                ..DeviceConfig::default()
+            });
+            let prov = AddMultProb::new();
+            let mut wide = Database::new(compiled.ram.schemas.clone(), prov);
+            let mut packed = Database::new_encoded(compiled.ram.schemas.clone(), prov, &spec);
+            assert_eq!(packed.storage_arity("path"), 1);
+            assert_eq!(wide.storage_arity("path"), 2);
+            let exec = Executor::new(device.clone(), prov, RuntimeOptions::default());
+            let mut stats = Vec::new();
+            for db in [&mut wide, &mut packed] {
+                for (i, &(a, b, p)) in edges.iter().enumerate() {
+                    let tag = prov.input_tag(InputFactId(i as u32), Some(p));
+                    db.insert("edge", &[Value::U32(a), Value::U32(b)], tag);
+                }
+                db.seal(&device);
+                stats.push(exec.run_program(db, &compiled.ram).unwrap());
+            }
+            assert_eq!(stats[0].candidate_rows, stats[1].candidate_rows);
+            assert!(stats[0].candidate_rows > 3 * stats[0].facts_produced);
+            let (w, p) = (wide.rows("path"), packed.rows("path"));
+            assert!(w.len() > 3000, "the closure is dense: {} paths", w.len());
+            assert_eq!(w.len(), p.len());
+            for ((wt, wtag), (pt, ptag)) in w.iter().zip(&p) {
+                assert_eq!(wt, pt, "tuples at parallelism {parallelism}");
+                assert!(
+                    *wtag < 1.0,
+                    "an unsaturated sum keeps its order-sensitivity"
+                );
+                assert_eq!(
+                    wtag.to_bits(),
+                    ptag.to_bits(),
+                    "tag of {wt:?} at parallelism {parallelism}"
+                );
+            }
         }
     }
 

@@ -292,6 +292,123 @@ impl Instr {
     }
 }
 
+impl Instr {
+    /// Calls `f` on every register the instruction reads or writes (one it
+    /// mentions twice is visited twice).
+    pub fn for_each_register(&self, mut f: impl FnMut(RegId)) {
+        let mut all = |regs: &[RegId]| regs.iter().copied().for_each(&mut f);
+        match self {
+            Instr::Load { columns, tags, .. } | Instr::Store { columns, tags, .. } => {
+                all(columns);
+                all(&[*tags]);
+            }
+            Instr::Eval {
+                inputs,
+                input_tags,
+                outputs,
+                output_tags,
+                ..
+            } => {
+                all(inputs);
+                all(outputs);
+                all(&[*input_tags, *output_tags]);
+            }
+            Instr::Build { keys, index, .. } => {
+                all(keys);
+                all(&[*index]);
+            }
+            Instr::Count {
+                index,
+                probe_keys,
+                counts,
+            } => {
+                all(probe_keys);
+                all(&[*index, *counts]);
+            }
+            Instr::Scan { counts, offsets } => all(&[*counts, *offsets]),
+            Instr::Join {
+                index,
+                probe_keys,
+                counts,
+                offsets,
+                build_indices,
+                probe_indices,
+            } => {
+                all(probe_keys);
+                all(&[*index, *counts, *offsets, *build_indices, *probe_indices]);
+            }
+            Instr::MergeCount {
+                build_keys,
+                probe_keys,
+                counts,
+            } => {
+                all(build_keys);
+                all(probe_keys);
+                all(&[*counts]);
+            }
+            Instr::MergeJoin {
+                build_keys,
+                probe_keys,
+                counts,
+                offsets,
+                build_indices,
+                probe_indices,
+            } => {
+                all(build_keys);
+                all(probe_keys);
+                all(&[*counts, *offsets, *build_indices, *probe_indices]);
+            }
+            Instr::Gather {
+                indices,
+                sources,
+                destinations,
+            } => {
+                all(sources);
+                all(destinations);
+                all(&[*indices]);
+            }
+            Instr::GatherMulTags {
+                left_indices,
+                right_indices,
+                left_tags,
+                right_tags,
+                output,
+            } => all(&[
+                *left_indices,
+                *right_indices,
+                *left_tags,
+                *right_tags,
+                *output,
+            ]),
+            Instr::Product {
+                left,
+                left_tags,
+                right,
+                right_tags,
+                outputs,
+                output_tags,
+            } => {
+                all(left);
+                all(right);
+                all(outputs);
+                all(&[*left_tags, *right_tags, *output_tags]);
+            }
+            Instr::Append {
+                inputs,
+                outputs,
+                output_tags,
+            } => {
+                for (columns, tags) in inputs {
+                    all(columns);
+                    all(&[*tags]);
+                }
+                all(outputs);
+                all(&[*output_tags]);
+            }
+        }
+    }
+}
+
 impl fmt::Display for Instr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -330,9 +447,59 @@ pub struct ApmProgram {
     pub static_registers: Vec<RegId>,
     /// Relations written by this program.
     pub stored_relations: Vec<String>,
+    /// Every non-static register, latest death first: the registers no
+    /// instruction after `pc` mentions are
+    /// `dead[died_after[pc + 1]..died_after[pc]]`.
+    dead: Vec<RegId>,
+    died_after: Vec<usize>,
 }
 
 impl ApmProgram {
+    /// Assembles a program, marking for every register the last instruction
+    /// that mentions it ([`ApmProgram::last_reads`]).
+    pub fn new(
+        instructions: Vec<Instr>,
+        first_iteration_only: Vec<bool>,
+        register_count: u32,
+        static_registers: Vec<RegId>,
+        stored_relations: Vec<String>,
+    ) -> Self {
+        let mut seen = vec![false; register_count as usize];
+        for reg in &static_registers {
+            seen[reg.0 as usize] = true;
+        }
+        // Backwards, the first mention of a register is its last.
+        let mut dead = Vec::with_capacity(seen.len());
+        let mut died_after = vec![0; instructions.len() + 1];
+        for (pc, instr) in instructions.iter().enumerate().rev() {
+            instr.for_each_register(|reg| {
+                if !std::mem::replace(&mut seen[reg.0 as usize], true) {
+                    dead.push(reg);
+                }
+            });
+            died_after[pc] = dead.len();
+        }
+        ApmProgram {
+            instructions,
+            first_iteration_only,
+            register_count,
+            static_registers,
+            stored_relations,
+            dead,
+            died_after,
+        }
+    }
+
+    /// The registers no instruction after `pc` mentions: those it is the
+    /// last to read, and those it writes that nothing reads. The executor
+    /// drops them right after the instruction, which returns their buffers
+    /// to the arena mid-iteration and lets `store` take a buffer it is the
+    /// last reader of instead of copying it. Static registers are never
+    /// listed.
+    pub fn last_reads(&self, pc: usize) -> &[RegId] {
+        &self.dead[self.died_after[pc + 1]..self.died_after[pc]]
+    }
+
     /// Number of instructions in the program body.
     pub fn len(&self) -> usize {
         self.instructions.len()
@@ -410,8 +577,8 @@ mod tests {
 
     #[test]
     fn listing_marks_first_iteration_instructions() {
-        let program = ApmProgram {
-            instructions: vec![
+        let program = ApmProgram::new(
+            vec![
                 Instr::Load {
                     relation: "edge".into(),
                     part: DbPart::All,
@@ -424,11 +591,13 @@ mod tests {
                     tags: RegId(2),
                 },
             ],
-            first_iteration_only: vec![true, true],
-            register_count: 3,
-            static_registers: vec![],
-            stored_relations: vec!["path".into()],
-        };
+            vec![true, true],
+            3,
+            vec![],
+            vec!["path".into()],
+        );
+        assert!(program.last_reads(0).is_empty());
+        assert_eq!(program.last_reads(1), [RegId(0), RegId(1), RegId(2)]);
         let listing = program.listing();
         assert!(listing.contains("load<edge:all>"));
         assert!(listing.starts_with('*'));

@@ -176,15 +176,10 @@
 //! [`ShardConfig::skew_factor`] × the ideal per-shard share — becomes its
 //! own work unit, and idle shards steal pending work units, so one monster
 //! sample delays only itself, not the whole batch.
-//!
-//! The pre-0.2 [`LobsterContext`] API remains available as a deprecated shim
-//! over these types; see [`context`](LobsterContext) for the migration
-//! table.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod context;
 mod dynamic;
 mod error;
 mod pool;
@@ -193,7 +188,6 @@ mod scheduler;
 mod session;
 mod sharded;
 
-pub use context::LobsterContext;
 pub use dynamic::{DynProgram, DynSession, DynShardedExecutor};
 pub use error::LobsterError;
 pub use pool::{DynSessionPool, PoolableProgram, PooledSession, SessionPool, SessionPoolStats};

@@ -1022,6 +1022,39 @@ mod tests {
     }
 
     #[test]
+    fn scheduling_toggle_changes_transfer_counts() {
+        let source = "type edge(x: u32, y: u32)
+            type is_endpoint(x: u32)
+            rel path(x, y) = edge(x, y) or (path(x, z) and edge(z, y))
+            rel connected() = is_endpoint(x), is_endpoint(y), path(x, y), x != y
+            query connected";
+        let run_with = |scheduling: bool| {
+            let program = Lobster::builder(source)
+                .stratum_scheduling(scheduling)
+                .device(lobster_gpu::Device::sequential())
+                .compile_typed::<Unit>()
+                .unwrap();
+            let mut session = program.session();
+            for (a, b) in [(0u32, 1u32), (1, 2), (2, 3)] {
+                session
+                    .add_fact("edge", &[Value::U32(a), Value::U32(b)], None)
+                    .unwrap();
+            }
+            for node in [0, 3] {
+                session
+                    .add_fact("is_endpoint", &[Value::U32(node)], None)
+                    .unwrap();
+            }
+            let connected = session.run().unwrap().len("connected");
+            (connected, program.device().stats().transfers)
+        };
+        let (with_sched, transfers_with) = run_with(true);
+        let (without_sched, transfers_without) = run_with(false);
+        assert_eq!(with_sched, without_sched);
+        assert!(transfers_without > transfers_with);
+    }
+
+    #[test]
     fn inline_facts_are_preregistered() {
         let program = Lobster::builder(
             "type edge(x: u32, y: u32)

@@ -15,13 +15,14 @@
 //!
 //! * [`sort_permutation`] returns the unique permutation that orders rows by
 //!   `(row content, original index)` — a total order, so the stable LSD
-//!   radix sort, the parallel merge sort, and the small-input comparison
-//!   sort all produce the same bytes.
+//!   radix sort, the parallel merge sort, the small-input comparison sort
+//!   and the one-word sort ([`sort_words`], whichever prefix of the words
+//!   it finds already in order) all produce the same bytes.
 //! * [`scan`] splits into per-chunk sums plus per-chunk rescan; `u64`
 //!   addition is associative, so the two-pass result equals the sequential
 //!   fold.
 //! * [`unique`] reduces each duplicate segment left-to-right (ascending row
-//!   index) regardless of how segments are distributed over workers, so
+//!   index) — a segment belongs to the chunk it starts in, whole — so
 //!   non-commutative or order-sensitive tag disjunctions (e.g. float
 //!   addition) fold in exactly one order.
 //! * [`merge`] / [`difference`] cut both inputs at *partition points*
@@ -63,8 +64,6 @@ pub mod sites {
     pub const SORT_SCRATCH: usize = 2;
     /// Scan output offsets.
     pub const SCAN_OUT: usize = 3;
-    /// Unique segment-start scratch.
-    pub const UNIQUE_STARTS: usize = 4;
     /// Unique output columns.
     pub const UNIQUE_OUT: usize = 5;
     /// Merge output columns.
@@ -97,6 +96,8 @@ pub mod sites {
     pub const PACK_OUT: usize = 19;
     /// Unpack-columns output (full-width logical columns).
     pub const UNPACK_OUT: usize = 20;
+    /// Sorted words of a one-word sort.
+    pub const SORT_KEYS: usize = 21;
 }
 
 /// Compares row `i` of `a` with row `j` of `b` lexicographically by column.
@@ -193,27 +194,42 @@ pub struct PackLane {
 
 /// `pack(s*, G)`: fuses logical columns into one narrow word column per
 /// lane group. `out[g][k] = Σ_lanes (columns[lane.column][k] & mask) << shift`.
+/// The one-table case of [`pack_tables`].
+pub fn pack_columns(device: &Device, columns: &[&[u64]], groups: &[Vec<PackLane>]) -> Columns {
+    pack_tables(device, &[columns], groups)
+}
+
+/// [`pack_columns`] over the row-wise concatenation of `tables`, without
+/// building the concatenation: every table is packed straight into its own
+/// stretch of the output, so each input word is read once and each output
+/// word written once.
 ///
 /// Every input value must fit its lane (`value & !mask == 0`) — the caller's
 /// layout planner guarantees this by sizing lanes from the column's logical
 /// type and dictionary cardinality. Debug builds assert it.
-pub fn pack_columns(device: &Device, columns: &[&[u64]], groups: &[Vec<PackLane>]) -> Columns {
+pub fn pack_tables(device: &Device, tables: &[&[&[u64]]], groups: &[Vec<PackLane>]) -> Columns {
     let _t = device.launch(KernelKind::Other);
-    let rows = columns.first().map_or(0, |c| c.len());
+    let rows_of = |columns: &[&[u64]]| columns.first().map_or(0, |c| c.len());
+    let rows = tables.iter().map(|columns| rows_of(columns)).sum();
     let arena = device.arena();
     groups
         .iter()
         .map(|lanes| {
             let mut out = arena.alloc_zeroed(sites::PACK_OUT, rows);
-            par_map_into(device, &mut out, |k| {
-                let mut word = 0u64;
-                for lane in lanes {
-                    let v = columns[lane.column][k];
-                    debug_assert_eq!(v & !lane.mask, 0, "value overflows its pack lane");
-                    word |= (v & lane.mask) << lane.shift;
-                }
-                word
-            });
+            let mut rest = out.as_mut_slice();
+            for columns in tables {
+                let (stretch, tail) = rest.split_at_mut(rows_of(columns));
+                par_map_into(device, stretch, |k| {
+                    let mut word = 0u64;
+                    for lane in lanes {
+                        let v = columns[lane.column][k];
+                        debug_assert_eq!(v & !lane.mask, 0, "value overflows its pack lane");
+                        word |= (v & lane.mask) << lane.shift;
+                    }
+                    word
+                });
+                rest = tail;
+            }
             out
         })
         .collect()
@@ -367,32 +383,41 @@ fn scan_into(device: &Device, counts: &[u64]) -> (Column, u64) {
     (offsets, acc)
 }
 
-/// Maximum total radix passes (one per significant byte, summed over
+/// Maximum number of radix passes (one per *non-constant* byte, summed over
 /// columns) before [`sort_permutation`] falls back to the parallel merge
 /// sort: beyond this the `O(passes · n)` radix cost loses to
 /// `O(n log n)` comparisons.
-const RADIX_PASS_BUDGET: u32 = 16;
+const RADIX_PASS_BUDGET: usize = 16;
 
 /// Below this row count the permutation is comparison-sorted directly —
 /// chunking and radix machinery only pay off in bulk.
 const SMALL_SORT: usize = 64;
 
+/// A segment of a one-word sort of at most this many rows is insertion-sorted
+/// in place: cheaper than zeroing and scanning a histogram per digit.
+const SMALL_SEGMENT: usize = 32;
+
 /// `sort(s̄)`: returns the permutation that lexicographically sorts the rows
 /// of the table formed by `columns`.
 ///
 /// The permutation is the unique one ordering rows by `(row content,
-/// original index)`; equal rows keep their input order. Narrow tables (at
-/// most `RADIX_PASS_BUDGET` (16) significant bytes across all columns, the
-/// common case once dictionary-encoded values stay small) are sorted with a
-/// parallel least-significant-digit radix sort — per-chunk digit histograms,
-/// a scan over `(digit, chunk)` buckets, and a scatter into per-bucket
-/// output slices. Wider tables fall back to a parallel stable merge sort
-/// (sorted chunks, pairwise merged). Both are stable, so both produce the
-/// same bytes.
+/// original index)`; equal rows keep their input order. A one-column table
+/// is sorted by [`sort_words`]. Narrow tables (at most `RADIX_PASS_BUDGET`
+/// (16) non-constant bytes across all columns, the common case once
+/// dictionary-encoded values stay small) are sorted with a parallel
+/// least-significant-digit radix sort — per-chunk digit histograms, a scan
+/// over `(digit, chunk)` buckets, and a scatter into per-bucket output
+/// slices. Wider tables fall back to a parallel stable merge sort (sorted
+/// chunks, pairwise merged). All are stable, so all produce the same bytes.
 pub fn sort_permutation(device: &Device, columns: &[&[u64]]) -> Column {
     let _t = device.launch(KernelKind::Sort);
-    let len = columns.first().map(|c| c.len()).unwrap_or(0);
     let arena = device.arena();
+    if let [words] = columns {
+        let (sorted, perm) = sort_words_into(device, words);
+        arena.recycle(sites::SORT_KEYS, sorted);
+        return perm;
+    }
+    let len = columns.first().map(|c| c.len()).unwrap_or(0);
     let mut perm = arena.alloc_zeroed(sites::SORT_OUT, len);
     par_map_into(device, &mut perm, |i| i as u64);
     if len <= 1 || columns.is_empty() {
@@ -406,57 +431,69 @@ pub fn sort_permutation(device: &Device, columns: &[&[u64]]) -> Column {
         device.record_busy(start.elapsed());
         return perm;
     }
-    let sig_bytes: Vec<u32> = columns
-        .iter()
-        .map(|col| significant_bytes(device, col))
-        .collect();
-    let total_passes: u32 = sig_bytes.iter().sum();
-    if total_passes <= RADIX_PASS_BUDGET {
-        radix_sort(device, columns, &sig_bytes, &mut perm);
-    } else {
-        merge_sort(device, columns, &mut perm);
+    match radix_digits(device, columns) {
+        Some(digits) => radix_sort(device, columns, &digits, &mut perm),
+        None => merge_sort(device, columns, &mut perm),
     }
     perm
 }
 
-/// Number of bytes needed to represent the largest value of `col`.
-fn significant_bytes(device: &Device, col: &[u64]) -> u32 {
+/// The bits in which some element of `col` differs from another: byte `b`
+/// of the result is non-zero exactly when digit `b` is not constant.
+fn varying_bits(device: &Device, col: &[u64]) -> u64 {
+    let Some(&first) = col.first() else {
+        return 0;
+    };
     let ranges = chunks_for(device, col.len());
-    let max = map_chunks(device, &ranges, |_, range| {
-        col[range].iter().copied().max().unwrap_or(0)
+    map_chunks(device, &ranges, |_, range| {
+        col[range].iter().fold(0, |acc, &v| acc | (v ^ first))
     })
     .into_iter()
-    .max()
-    .unwrap_or(0);
-    if max == 0 {
-        0
-    } else {
-        (64 - max.leading_zeros()).div_ceil(8)
-    }
+    .fold(0, |acc, v| acc | v)
 }
 
-/// Stable LSD radix sort of `perm` by the rows of `columns`: bytes within a
-/// column least-significant first, columns last-to-first, so the final order
-/// is lexicographic by row with original-index ties (stability).
-fn radix_sort(device: &Device, columns: &[&[u64]], sig_bytes: &[u32], perm: &mut Column) {
-    let len = perm.len();
+/// The non-constant bytes of `varying`, as bit shifts, least significant
+/// first.
+fn varying_digits(varying: u64) -> impl Iterator<Item = u32> {
+    (0..8)
+        .map(|b| 8 * b)
+        .filter(move |shift| (varying >> shift) & 0xFF != 0)
+}
+
+/// The passes of an LSD radix sort of `columns`, in the order they run —
+/// `(column, bit shift)` of every byte that is not the same in all rows,
+/// last column first — or `None` when there are more than
+/// `RADIX_PASS_BUDGET` of them. A constant digit moves nothing, so it costs
+/// no pass and is not counted.
+fn radix_digits(device: &Device, columns: &[&[u64]]) -> Option<Vec<(usize, u32)>> {
+    let mut digits = Vec::new();
+    for (c, col) in columns.iter().enumerate().rev() {
+        digits.extend(varying_digits(varying_bits(device, col)).map(|shift| (c, shift)));
+        if digits.len() > RADIX_PASS_BUDGET {
+            return None;
+        }
+    }
+    Some(digits)
+}
+
+/// Stable LSD radix sort of `perm` by the rows of `columns`, one counting
+/// pass per entry of `digits` ([`radix_digits`]): bytes within a column
+/// least-significant first, columns last-to-first, so the final order is
+/// lexicographic by row with original-index ties (stability).
+fn radix_sort(device: &Device, columns: &[&[u64]], digits: &[(usize, u32)], perm: &mut Column) {
     let arena = device.arena();
     let mut cur = std::mem::take(perm);
-    let mut tmp = arena.alloc_zeroed(sites::SORT_SCRATCH, len);
-    for (col, &bytes) in columns.iter().zip(sig_bytes).rev() {
-        for b in 0..bytes {
-            if radix_pass(device, col, 8 * b, &cur, &mut tmp) {
-                std::mem::swap(&mut cur, &mut tmp);
-            }
-        }
+    let mut tmp = arena.alloc_zeroed(sites::SORT_SCRATCH, cur.len());
+    for &(c, shift) in digits {
+        radix_pass(device, columns[c], shift, &cur, &mut tmp);
+        std::mem::swap(&mut cur, &mut tmp);
     }
     *perm = cur;
     arena.recycle(sites::SORT_SCRATCH, tmp);
 }
 
-/// One counting-sort pass over the byte at `shift`. Returns `false` (and
-/// leaves `dst` untouched) when every element shares the same digit.
-fn radix_pass(device: &Device, col: &[u64], shift: u32, src: &Column, dst: &mut Column) -> bool {
+/// One counting-sort pass over the byte at `shift`.
+fn radix_pass(device: &Device, col: &[u64], shift: u32, src: &Column, dst: &mut Column) {
     let len = src.len();
     let ranges = chunks_for(device, len);
     let digit = |v: u64| ((col[v as usize] >> shift) & 0xFF) as usize;
@@ -468,16 +505,6 @@ fn radix_pass(device: &Device, col: &[u64], shift: u32, src: &Column, dst: &mut 
         }
         h
     });
-    // A pass whose digit is constant moves nothing — skip the scatter.
-    let mut totals = [0usize; 256];
-    for h in &histograms {
-        for (t, c) in totals.iter_mut().zip(h.iter()) {
-            *t += c;
-        }
-    }
-    if totals.contains(&len) {
-        return false;
-    }
     // Carve `dst` into one slice per (digit, chunk) bucket, in destination
     // order, and regroup them per chunk: bucket (d, c) starts where all
     // smaller digits and all earlier chunks of digit d end.
@@ -509,7 +536,240 @@ fn radix_pass(device: &Device, col: &[u64], shift: u32, src: &Column, dst: &mut 
             }
         },
     );
-    true
+}
+
+/// `sort(s)` of a one-word table — every relation whose row packs into one
+/// 8-byte word: returns the sorted words and the permutation that sorts
+/// them, `sorted[k] == words[perm[k]]`, equal words in input order (the
+/// permutation [`sort_permutation`] returns for the same column).
+///
+/// The words themselves are moved, with the row id as payload, so no pass
+/// reads a column through the permutation and the sorted table needs no
+/// gather. One pass over the input finds which bytes vary at all and the
+/// shortest suffix of low bits that is out of order: the bits above it are
+/// already non-decreasing (a join emits in probe order, so the leading lane
+/// of its output usually is), and the table falls into *segments* — runs of
+/// equal prefix — that only need sorting inside. Each segment is sorted by
+/// an LSD radix sort over its varying low bytes, with all its digit
+/// histograms taken in one pass over the segment; segments are spread over
+/// the workers whole, and one that fits the cache is sorted without touching
+/// memory twice. A table in no order at all is one segment; a sorted one is
+/// copied through.
+pub fn sort_words(device: &Device, words: &[u64]) -> (Column, Column) {
+    let _t = device.launch(KernelKind::Sort);
+    sort_words_into(device, words)
+}
+
+/// [`sort_words`] inside an already-open launch.
+fn sort_words_into(device: &Device, words: &[u64]) -> (Column, Column) {
+    let len = words.len();
+    let arena = device.arena();
+    let mut keys = arena.alloc_zeroed(sites::SORT_KEYS, len);
+    let mut ids = arena.alloc_zeroed(sites::SORT_OUT, len);
+    let (varying, descents) = word_order(device, words);
+    // Every descent between neighbours lies below bit `low`, so `w >> low`
+    // is non-decreasing and only the bytes below it take part in the sort.
+    let low = 64 - descents.leading_zeros();
+    let prefix = |w: u64| w.checked_shr(low).unwrap_or(0);
+    let digits: Vec<u32> = varying_digits(varying)
+        .take_while(|&shift| shift < low)
+        .collect();
+    // Chunk boundaries move right to the next segment start.
+    let mut ranges = Vec::new();
+    let mut start = 0;
+    for range in chunks_for(device, len) {
+        let mut end = range.end.max(start);
+        while 0 < end && end < len && prefix(words[end]) == prefix(words[end - 1]) {
+            end += 1;
+        }
+        ranges.push(start..end);
+        start = end;
+    }
+    let key_slices = split_by_ranges(&mut keys, &ranges);
+    let id_slices = split_by_ranges(&mut ids, &ranges);
+    run_chunks(
+        device,
+        &ranges,
+        key_slices.into_iter().zip(id_slices).collect(),
+        |_, range, (keys, ids): (&mut [u64], &mut [u64])| {
+            let mut scratch = None;
+            let mut s = range.start;
+            while s < range.end {
+                let p = prefix(words[s]);
+                let mut e = s + 1;
+                while e < range.end && prefix(words[e]) == p {
+                    e += 1;
+                }
+                let out = s - range.start..e - range.start;
+                sort_segment(
+                    device,
+                    &words[s..e],
+                    s as u64,
+                    &digits,
+                    &mut keys[out.clone()],
+                    &mut ids[out],
+                    &mut scratch,
+                );
+                s = e;
+            }
+            if let Some(scratch) = scratch {
+                scratch.recycle(device);
+            }
+        },
+    );
+    (keys, ids)
+}
+
+/// One pass over a word column: the bits in which any two words differ, and
+/// the bits in which a word differs from a *greater* predecessor. The
+/// highest set bit of the latter bounds the part of the word that is out of
+/// order.
+fn word_order(device: &Device, words: &[u64]) -> (u64, u64) {
+    let Some(&first) = words.first() else {
+        return (0, 0);
+    };
+    let ranges = chunks_for(device, words.len());
+    map_chunks(device, &ranges, |_, range| {
+        let mut prev = words[range.start.saturating_sub(1)];
+        let (mut varying, mut descents) = (0, 0);
+        for &w in &words[range] {
+            varying |= w ^ first;
+            descents |= if prev > w { prev ^ w } else { 0 };
+            prev = w;
+        }
+        (varying, descents)
+    })
+    .into_iter()
+    .fold((0, 0), |(v, d), (cv, cd)| (v | cv, d | cd))
+}
+
+/// Per-worker scratch of [`sort_segment`], made when the first segment
+/// needs a radix pass: the second buffer of the radix ping-pong, as long as
+/// the longest segment seen so far, and one histogram per digit.
+struct SegmentScratch {
+    keys: Column,
+    ids: Column,
+    histograms: [[usize; 256]; 8],
+}
+
+impl Default for SegmentScratch {
+    fn default() -> Self {
+        SegmentScratch {
+            keys: Vec::new(),
+            ids: Vec::new(),
+            histograms: [[0; 256]; 8],
+        }
+    }
+}
+
+impl SegmentScratch {
+    fn recycle(self, device: &Device) {
+        for buffer in [self.keys, self.ids] {
+            if buffer.capacity() > 0 {
+                device.arena().recycle(sites::SORT_SCRATCH, buffer);
+            }
+        }
+    }
+}
+
+/// Stable sort of one segment of a one-word table into `keys` / `ids`
+/// (the input row of `words[i]` is `base + i`), by the bytes at `digits`:
+/// the only ones that can differ inside the segment.
+fn sort_segment(
+    device: &Device,
+    words: &[u64],
+    base: u64,
+    digits: &[u32],
+    keys: &mut [u64],
+    ids: &mut [u64],
+    scratch: &mut Option<SegmentScratch>,
+) {
+    let n = words.len();
+    if n <= SMALL_SEGMENT {
+        // Insertion sort straight into the output; a word only moves past
+        // strictly greater ones, so equal words keep their input order.
+        for (i, &w) in words.iter().enumerate() {
+            let mut slot = i;
+            while slot > 0 && keys[slot - 1] > w {
+                keys[slot] = keys[slot - 1];
+                ids[slot] = ids[slot - 1];
+                slot -= 1;
+            }
+            keys[slot] = w;
+            ids[slot] = base + i as u64;
+        }
+        return;
+    }
+    // Every digit's histogram in one pass: a histogram does not depend on
+    // the order the earlier passes leave the segment in.
+    let scratch = scratch.get_or_insert_with(SegmentScratch::default);
+    let histograms = &mut scratch.histograms[..digits.len()];
+    for h in histograms.iter_mut() {
+        h.fill(0);
+    }
+    for &w in words {
+        for (h, &shift) in histograms.iter_mut().zip(digits) {
+            h[(w >> shift) as usize & 0xFF] += 1;
+        }
+    }
+    // A digit that is constant within the segment moves nothing.
+    let mut passes = [0usize; 8];
+    let mut count = 0;
+    for (d, (h, &shift)) in histograms.iter().zip(digits).enumerate() {
+        if h[(words[0] >> shift) as usize & 0xFF] != n {
+            passes[count] = d;
+            count += 1;
+        }
+    }
+    let Some((&first, rest)) = passes[..count].split_first() else {
+        keys.copy_from_slice(words);
+        for (i, id) in ids.iter_mut().enumerate() {
+            *id = base + i as u64;
+        }
+        return;
+    };
+    if count > 1 && scratch.keys.len() < n {
+        let arena = device.arena();
+        let grown = n.max(2 * scratch.keys.len());
+        for buffer in [&mut scratch.keys, &mut scratch.ids] {
+            let old = std::mem::replace(buffer, arena.alloc_zeroed(sites::SORT_SCRATCH, grown));
+            if old.capacity() > 0 {
+                arena.recycle(sites::SORT_SCRATCH, old);
+            }
+        }
+    }
+    // The passes alternate between the output and the scratch; the first
+    // one is aimed so that the last lands in the output.
+    let spare = n.min(scratch.keys.len());
+    let mut dst = (keys, ids);
+    let mut src = (&mut scratch.keys[..spare], &mut scratch.ids[..spare]);
+    if count % 2 == 0 {
+        std::mem::swap(&mut dst, &mut src);
+    }
+    let offsets = bucket_offsets(&mut histograms[first]);
+    for (i, &w) in words.iter().enumerate() {
+        let slot = &mut offsets[(w >> digits[first]) as usize & 0xFF];
+        (dst.0[*slot], dst.1[*slot]) = (w, base + i as u64);
+        *slot += 1;
+    }
+    for &d in rest {
+        std::mem::swap(&mut dst, &mut src);
+        let offsets = bucket_offsets(&mut histograms[d]);
+        for (&w, &id) in src.0.iter().zip(src.1.iter()) {
+            let slot = &mut offsets[(w >> digits[d]) as usize & 0xFF];
+            (dst.0[*slot], dst.1[*slot]) = (w, id);
+            *slot += 1;
+        }
+    }
+}
+
+/// Turns a digit histogram into the start offset of every bucket, in place.
+fn bucket_offsets(histogram: &mut [usize; 256]) -> &mut [usize; 256] {
+    let mut acc = 0;
+    for slot in histogram.iter_mut() {
+        acc += std::mem::replace(slot, acc);
+    }
+    histogram
 }
 
 /// Stable parallel merge sort of `perm` by row content: sorted chunks (index
@@ -604,73 +864,89 @@ pub fn apply_permutation<T: Clone + Send + Sync>(
 /// `unique⟨⊕⟩(s̄)`: merges adjacent duplicate rows of a sorted table,
 /// combining their tags with the semiring disjunction.
 ///
-/// Segment starts are found with a parallel boundary flag
-/// (`row[i] != row[i-1]`), and each output row's tag is the left-to-right
-/// fold of its segment's tags — the same order the sequential loop uses, so
-/// order-sensitive disjunctions (float addition) produce identical bits.
+/// Segment starts (`row[i] != row[i-1]`) are counted per chunk, which sizes
+/// the output exactly; then every chunk takes **one walk** over the segments
+/// that start in it, writing each segment's row and the left-to-right fold
+/// of its tags as it goes — the order the sequential loop uses, so
+/// order-sensitive disjunctions (float addition) produce identical bits
+/// wherever the chunk boundaries fall. A one-column table compares words
+/// directly instead of rows column by column.
 pub fn unique<T, F>(device: &Device, columns: &[&[u64]], tags: &[T], or: F) -> (Columns, Vec<T>)
 where
     T: Clone + Send + Sync,
     F: Fn(&T, &T) -> T + Sync,
 {
     let _t = device.launch(KernelKind::Unique);
-    let len = columns.first().map(|c| c.len()).unwrap_or(0);
-    let arity = columns.len();
-    if len == 0 {
-        return (vec![Vec::new(); arity], Vec::new());
+    if let [words] = columns {
+        unique_by(device, columns, tags, or, |i| {
+            i == 0 || words[i] != words[i - 1]
+        })
+    } else {
+        unique_by(device, columns, tags, or, |i| {
+            i == 0 || cmp_rows(columns, i - 1, columns, i) != Ordering::Equal
+        })
     }
+}
+
+/// [`unique`] with the segment-start test given.
+fn unique_by<T, F, S>(
+    device: &Device,
+    columns: &[&[u64]],
+    tags: &[T],
+    or: F,
+    is_start: S,
+) -> (Columns, Vec<T>)
+where
+    T: Clone + Send + Sync,
+    F: Fn(&T, &T) -> T + Sync,
+    S: Fn(usize) -> bool + Sync,
+{
+    let len = columns.first().map(|c| c.len()).unwrap_or(0);
     let arena = device.arena();
-    // Two-phase boundary collection: count segment starts per chunk, then
-    // write them into disjoint slices of one starts column.
+    // A chunk owns the segments that start in it: it skips the tail of one
+    // begun earlier and follows its own last one past its end.
     let ranges = chunks_for(device, len);
-    let is_start = |i: usize| i == 0 || cmp_rows(columns, i - 1, columns, i) != Ordering::Equal;
     let counts: Vec<usize> = map_chunks(device, &ranges, |_, range| {
         range.filter(|&i| is_start(i)).count()
     });
     let total: usize = counts.iter().sum();
-    let mut starts = arena.alloc_zeroed(sites::UNIQUE_STARTS, total);
-    {
-        let mut bounds = Vec::with_capacity(counts.len());
-        let mut acc = 0;
-        for &c in &counts {
-            bounds.push(acc..acc + c);
-            acc += c;
-        }
-        let slices = split_by_ranges(&mut starts, &bounds);
-        run_chunks(device, &ranges, slices, |_, range, slice: &mut [u64]| {
-            for (k, i) in range.filter(|&i| is_start(i)).enumerate() {
-                slice[k] = i as u64;
+    let mut bounds = Vec::with_capacity(counts.len());
+    let mut acc = 0;
+    for &c in &counts {
+        bounds.push(acc..acc + c);
+        acc += c;
+    }
+    let mut out_cols: Columns = columns
+        .iter()
+        .map(|_| arena.alloc_zeroed(sites::UNIQUE_OUT, total))
+        .collect();
+    let col_slices = columns_chunked(&mut out_cols, &bounds);
+    let pieces: Vec<Vec<T>> = run_chunks(
+        device,
+        &ranges,
+        col_slices,
+        |c, range, mut outs: Vec<&mut [u64]>| {
+            let mut out_tags = Vec::with_capacity(counts[c]);
+            let mut i = range.start;
+            while i < range.end && !is_start(i) {
+                i += 1;
             }
-        });
-    }
-    // Output rows: the segment-start rows; output tags: per-segment fold.
-    let mut out_cols: Columns = Vec::with_capacity(arity);
-    for col in columns {
-        let mut out = arena.alloc_zeroed(sites::UNIQUE_OUT, total);
-        par_map_into(device, &mut out, |k| col[starts[k] as usize]);
-        out_cols.push(out);
-    }
-    let seg_ranges = chunks_for(device, total);
-    let pieces: Vec<Vec<T>> = map_chunks(device, &seg_ranges, |_, range| {
-        range
-            .map(|k| {
-                let start = starts[k] as usize;
-                let end = if k + 1 < total {
-                    starts[k + 1] as usize
-                } else {
-                    len
-                };
-                let mut tag = tags[start].clone();
-                for t in &tags[start + 1..end] {
-                    tag = or(&tag, t);
+            for k in 0..counts[c] {
+                for (out, col) in outs.iter_mut().zip(columns) {
+                    out[k] = col[i];
                 }
-                tag
-            })
-            .collect()
-    });
-    let out_tags = concat_pieces(pieces, total);
-    arena.recycle(sites::UNIQUE_STARTS, starts);
-    (out_cols, out_tags)
+                let mut tag = tags[i].clone();
+                i += 1;
+                while i < len && !is_start(i) {
+                    tag = or(&tag, &tags[i]);
+                    i += 1;
+                }
+                out_tags.push(tag);
+            }
+            out_tags
+        },
+    );
+    (out_cols, concat_pieces(pieces, total))
 }
 
 /// Finds the merge-path split of diagonal `t`: the `(i, j)` with `i + j = t`
@@ -1489,6 +1765,39 @@ mod tests {
         let cols = vec![vec![5u64, 1, 5, 1, 5]];
         let perm = sort_permutation(&d, &refs(&cols));
         assert_eq!(perm, vec![1, 3, 0, 2, 4]);
+    }
+
+    #[test]
+    fn constant_digits_are_not_charged_to_the_radix_budget() {
+        let d = dev();
+        // Three packed words of two 4-byte lanes holding values below 2^16:
+        // six significant bytes each, eighteen in all, but bytes 2 and 3 are
+        // zero in every row — twelve scatters, inside the budget of sixteen.
+        let word = |i: u64, salt: u64| ((i * salt) % 60_000) << 32 | ((i * 7 + salt) % 60_000);
+        let cols: Vec<Column> = [3, 11, 17]
+            .iter()
+            .map(|&salt| (0..500).map(|i| word(i, salt)).collect())
+            .collect();
+        let digits = radix_digits(&d, &refs(&cols)).expect("inside the radix budget");
+        let want: Vec<(usize, u32)> = [2, 1, 0]
+            .iter()
+            .flat_map(|&c| [0, 8, 32, 40].map(|shift| (c, shift)))
+            .collect();
+        assert_eq!(digits, want);
+        // One more such column is over it, and both sorts agree.
+        let mut wide = cols.clone();
+        wide.extend([cols[0].clone(), cols[1].clone()]);
+        assert_eq!(radix_digits(&d, &refs(&wide)), None);
+        let mut want: Vec<u64> = (0..500).collect();
+        want.sort_by_key(|&i| {
+            (
+                cols[0][i as usize],
+                cols[1][i as usize],
+                cols[2][i as usize],
+            )
+        });
+        assert_eq!(sort_permutation(&d, &refs(&cols)), want);
+        assert_eq!(sort_permutation(&d, &refs(&wide)), want);
     }
 
     #[test]

@@ -77,11 +77,18 @@ fn sorted_on(device: &Device, cols: &[Vec<u64>], tags: &[f64]) -> (Vec<Vec<u64>>
     kernels::apply_permutation(device, &perm, &refs(cols), tags)
 }
 
-/// Table shapes: (arity, key space). Small key spaces force heavy
-/// duplication and few significant radix bytes; the huge key space forces
-/// full-width radix passes; arity 9 blows the radix pass budget and lands on
-/// the parallel merge sort.
-const SHAPES: [(usize, u64); 4] = [(1, 11), (2, 97), (2, u64::MAX - 1), (9, 5)];
+/// Table shapes: (arity, key space). One column takes the one-word sort;
+/// small key spaces force heavy duplication and few varying radix bytes; the
+/// huge key space forces full-width radix passes — 16 of them at arity 2,
+/// the whole budget — and at arity 3 blows the budget and lands on the
+/// parallel merge sort.
+const SHAPES: [(usize, u64); 5] = [
+    (1, 11),
+    (2, 97),
+    (2, u64::MAX - 1),
+    (3, u64::MAX - 1),
+    (9, 5),
+];
 
 #[test]
 fn sort_unique_merge_difference_agree_with_sequential() {
@@ -550,6 +557,14 @@ fn packed_narrow_rows_sort_like_wide_rows() {
                 let ctx = format!("w {width_bytes}, rows {rows}, p {parallelism}");
                 let packed = kernels::pack_columns(&par, &refs(&cols), &groups);
                 assert_eq!(packed, seq_packed, "pack: {ctx}");
+                // Packing a table in pieces is packing their concatenation.
+                let (head, tail): (Vec<&[u64]>, Vec<&[u64]>) =
+                    cols.iter().map(|c| c.split_at(rows / 3)).unzip();
+                assert_eq!(
+                    kernels::pack_tables(&par, &[&head, &tail, &[]], &groups),
+                    seq_packed,
+                    "pack in pieces: {ctx}"
+                );
                 assert_eq!(
                     kernels::unpack_columns(&par, &refs(&packed), &groups, ARITY),
                     cols,
@@ -575,11 +590,15 @@ fn algorithm_switch_is_invisible_on_shared_prefix() {
     let mut rng = Rng::new(99);
     let rows = 2048;
     let (mut cols, _) = random_table(&mut rng, rows, 2, 50);
-    // Constant wide column: forces the merge-sort path without changing the
-    // lexicographic order of the rows.
-    cols.push(vec![u64::MAX - 3; rows]);
-    for _ in 0..7 {
-        cols.push(vec![u64::MAX - 3; rows]);
+    // Wide columns that are a function of the first two: every byte of them
+    // varies, which forces the merge-sort path (constant bytes would cost no
+    // radix pass), while rows that tie on the prefix tie on them too, so the
+    // lexicographic order of the rows does not change.
+    for salt in 1..=3u64 {
+        let wide = (0..rows)
+            .map(|i| (cols[0][i] * 50 + cols[1][i] + salt).wrapping_mul(0x9e37_79b9_7f4a_7c15))
+            .collect();
+        cols.push(wide);
     }
     let narrow = &cols[..2];
     let wide = &cols[..];
@@ -588,7 +607,144 @@ fn algorithm_switch_is_invisible_on_shared_prefix() {
         let wide_perm = kernels::sort_permutation(device, &refs(wide));
         assert_eq!(
             narrow_perm, wide_perm,
-            "constant wide columns change nothing"
+            "columns determined by the prefix change nothing"
         );
+    }
+}
+
+/// A one-word table of `rows` rows whose word holds `8 / width` lanes of
+/// `width` bytes, the first in the most significant position. The leading
+/// lane follows `leading` (row index → value, reduced to the lane), every
+/// other lane is drawn from `0..key_space`.
+fn laned_words(
+    rng: &mut Rng,
+    rows: usize,
+    width: usize,
+    key_space: u64,
+    leading: impl Fn(usize, &mut Rng) -> u64,
+) -> Vec<u64> {
+    let bits = 8 * width as u32;
+    let mask = u64::MAX >> (64 - bits);
+    (0..rows)
+        .map(|i| {
+            let mut word = leading(i, rng) & mask;
+            for _ in 1..8 / width {
+                word = (word << bits) | (rng.below(key_space) & mask);
+            }
+            word
+        })
+        .collect()
+}
+
+/// The one-word sort — taken by [`kernels::sort_words`] and by
+/// `sort_permutation` of a single column — must return exactly the
+/// permutation a stable comparison sort returns, whichever way it gets
+/// there: a table in no order (one segment), a sorted one (copied through),
+/// a non-decreasing leading lane (sorted inside runs of equal prefix, by
+/// comparison when a run is short and by radix passes when it is long), and
+/// the shapes in between.
+#[test]
+fn one_word_sort_is_the_stable_comparison_sort() {
+    let seq = Device::sequential();
+    for width in [1usize, 2, 4, 8] {
+        for rows in [0usize, 1, 37, 700, 4099] {
+            for key_space in [3, u64::MAX] {
+                let mut rng = Rng::new((rows * 8 + width) as u64 + key_space % 7);
+                let r = rows as u64;
+                let mut tables: Vec<(&str, Vec<u64>)> = vec![
+                    (
+                        "random",
+                        laned_words(&mut rng, rows, width, key_space, |_, rng| rng.next()),
+                    ),
+                    (
+                        "leading lane descending",
+                        laned_words(&mut rng, rows, width, key_space, |i, _| (r - i as u64) / 5),
+                    ),
+                    (
+                        "all rows equal",
+                        laned_words(&mut rng, rows, width, 1, |_, _| 7),
+                    ),
+                    (
+                        "one giant segment",
+                        laned_words(&mut rng, rows, width, key_space, |_, _| 7),
+                    ),
+                ];
+                // Non-decreasing leading lane, in runs of 1, 5 and 700 rows
+                // (a one-byte lane only counts to 255, so its runs are at
+                // least rows / 256 long).
+                for run in [1usize, 5, 700] {
+                    let run = run.max(if width == 1 { rows.div_ceil(256) } else { 1 });
+                    tables.push((
+                        "leading lane non-decreasing",
+                        laned_words(&mut rng, rows, width, key_space, |i, _| (i / run) as u64),
+                    ));
+                }
+                let mut sorted = tables[0].1.clone();
+                sorted.sort_unstable();
+                tables.push(("already sorted", sorted));
+
+                for (shape, words) in &tables {
+                    let mut want: Vec<u64> = (0..rows as u64).collect();
+                    want.sort_by_key(|&i| words[i as usize]);
+                    let want_words: Vec<u64> = want.iter().map(|&i| words[i as usize]).collect();
+                    for parallelism in PARALLELISMS {
+                        let par = parallel_device(parallelism);
+                        for device in [&seq, &par] {
+                            let ctx = format!(
+                                "{shape}, width {width}, rows {rows}, keys {key_space}, \
+                                 p {parallelism}"
+                            );
+                            assert_eq!(
+                                kernels::sort_permutation(device, &[words]),
+                                want,
+                                "sort_permutation: {ctx}"
+                            );
+                            let (got_words, got_perm) = kernels::sort_words(device, words);
+                            assert_eq!(got_perm, want, "sort_words permutation: {ctx}");
+                            assert_eq!(got_words, want_words, "sort_words words: {ctx}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// `unique` over one word column folds the tags of a duplicate run strictly
+/// left to right, wherever the chunk boundaries fall: pinned with a
+/// disjunction that is neither commutative nor associative.
+#[test]
+fn one_word_unique_folds_tags_left_to_right() {
+    let or = |a: &u64, b: &u64| a.wrapping_mul(31).wrapping_add(*b) ^ (a >> 7);
+    for (rows, key_space) in [
+        (0usize, 5u64),
+        (1, 5),
+        (37, 5),
+        (4099, 1),
+        (4099, 40),
+        (6000, 5000),
+    ] {
+        let mut rng = Rng::new(rows as u64 + key_space);
+        let mut words: Vec<u64> = (0..rows).map(|_| rng.below(key_space) << 32 | 9).collect();
+        words.sort_unstable();
+        let tags: Vec<u64> = (0..rows).map(|_| rng.next()).collect();
+        let mut want_words: Vec<u64> = Vec::new();
+        let mut want_tags: Vec<u64> = Vec::new();
+        for (i, &word) in words.iter().enumerate() {
+            if want_words.last() == Some(&word) {
+                let folded = want_tags.last_mut().expect("one tag per word");
+                *folded = or(folded, &tags[i]);
+            } else {
+                want_words.push(word);
+                want_tags.push(tags[i]);
+            }
+        }
+        for parallelism in PARALLELISMS {
+            let par = parallel_device(parallelism);
+            let (got_words, got_tags) = kernels::unique(&par, &[&words], &tags, or);
+            let ctx = format!("rows {rows}, keys {key_space}, p {parallelism}");
+            assert_eq!(got_words, vec![want_words.clone()], "words: {ctx}");
+            assert_eq!(got_tags, want_tags, "tags: {ctx}");
+        }
     }
 }

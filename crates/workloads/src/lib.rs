@@ -36,7 +36,7 @@ pub mod psa;
 pub mod rna;
 pub mod suite;
 
-use lobster::{FactSet, LobsterContext, LobsterError, Provenance, Session, Value};
+use lobster::{FactSet, LobsterError, Provenance, Session, Value};
 
 /// A set of generated facts in a neutral form usable by both Lobster and the
 /// baseline engines.
@@ -89,25 +89,6 @@ impl WorkloadFacts {
     ) -> Result<(), LobsterError> {
         for (rel, values, prob) in &self.facts {
             session.add_fact(rel, values, *prob)?;
-        }
-        Ok(())
-    }
-
-    /// Registers every fact on a deprecated Lobster context.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`LobsterError::BadFact`] for malformed facts.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `add_to_session` with a `Program` session"
-    )]
-    pub fn add_to_context<P: lobster::SessionProvenance>(
-        &self,
-        ctx: &mut LobsterContext<P>,
-    ) -> Result<(), LobsterError> {
-        for (rel, values, prob) in &self.facts {
-            ctx.add_fact(rel, values, *prob)?;
         }
         Ok(())
     }
