@@ -44,7 +44,9 @@ struct Compiler<'a> {
     static_registers: Vec<RegId>,
     next_reg: u32,
     current_first_only: bool,
-    merge_join_enabled: bool,
+    /// Set only by [`compile_stratum_hash_only`]: ignore sort-order
+    /// inference and send every join through the hash path.
+    hash_only: bool,
     merge_joins: usize,
     hash_joins: usize,
 }
@@ -59,7 +61,7 @@ struct Compiled {
 }
 
 impl<'a> Compiler<'a> {
-    fn new(ram: &'a RamProgram, own_relations: BTreeSet<String>, options: &RuntimeOptions) -> Self {
+    fn new(ram: &'a RamProgram, own_relations: BTreeSet<String>) -> Self {
         Compiler {
             ram,
             own_relations,
@@ -68,7 +70,7 @@ impl<'a> Compiler<'a> {
             static_registers: Vec::new(),
             next_reg: 0,
             current_first_only: false,
-            merge_join_enabled: options.merge_join,
+            hash_only: false,
             merge_joins: 0,
             hash_joins: 0,
         }
@@ -271,11 +273,11 @@ impl<'a> Compiler<'a> {
     }
 
     /// Compiles `left ⊲⊳_w right`. When sort-order inference proves both
-    /// inputs sorted on the key prefix (and the option is enabled), emits
-    /// the merge-path sequence `mergecount`/`scan`/`mergejoin` — no hash
-    /// index is built at all. Otherwise emits the hash-join sequence of
-    /// Figure 6. The two paths produce bit-identical index pairs, so the
-    /// choice is invisible downstream.
+    /// inputs sorted on the key prefix, emits the merge-path sequence
+    /// `mergecount`/`scan`/`mergejoin` — no hash index is built at all.
+    /// Otherwise emits the hash-join sequence of Figure 6. The two paths
+    /// produce bit-identical index pairs, so the choice is invisible
+    /// downstream.
     fn compile_join(
         &mut self,
         left: &RamExpr,
@@ -306,10 +308,10 @@ impl<'a> Compiler<'a> {
             (&r.columns, r.tags, &l.columns, l.tags)
         };
 
-        let strategy = if self.merge_join_enabled {
-            join_strategy(l.sorted_prefix, r.sorted_prefix, width)
-        } else {
+        let strategy = if self.hash_only {
             JoinStrategy::Hash
+        } else {
+            join_strategy(l.sorted_prefix, r.sorted_prefix, width)
         };
 
         let counts = self.fresh();
@@ -440,12 +442,6 @@ impl<'a> Compiler<'a> {
     }
 }
 
-/// Compiles a RAM stratum into an APM program with default options
-/// (merge-path joins enabled).
-pub fn compile_stratum(stratum: &Stratum, ram: &RamProgram) -> CompiledStratum {
-    compile_stratum_with_options(stratum, ram, &RuntimeOptions::default())
-}
-
 /// Compiles a stratum for *incremental* (delta) re-evaluation after some of
 /// its input relations gained new facts.
 ///
@@ -454,13 +450,14 @@ pub fn compile_stratum(stratum: &Stratum, ram: &RamProgram) -> CompiledStratum {
 /// changed relation participates in the stable/recent/all partitioning. The
 /// caller seeds the `recent` partition of each changed input with the newly
 /// inserted rows (and of each own relation with its new EDB rows) and runs
-/// the program with [`Executor::run_stratum_seeded`]; derivations touching
+/// the program without the semi-naive preamble, as
+/// [`refresh_database`](crate::refresh_database) does; derivations touching
 /// at least one new fact are then produced by the recent-part variants while
 /// derivations over purely old facts — already materialized — are never
 /// recomputed. Rules with no tracked leaf are dropped outright: their
 /// derivations cannot have changed.
 ///
-/// Two deliberate differences from [`compile_stratum`]:
+/// Two deliberate differences from [`compile_stratum_with_options`]:
 ///
 /// * every rule with a tracked leaf gets the full variant expansion even in
 ///   a non-recursive stratum (the base-rule "first iteration only" shortcut
@@ -474,15 +471,17 @@ pub fn compile_stratum(stratum: &Stratum, ram: &RamProgram) -> CompiledStratum {
 /// executor's update phase folds frontiers for those only, leaving the
 /// caller-managed splits of the changed input relations untouched.
 ///
-/// [`Executor::run_stratum_seeded`]: crate::Executor::run_stratum_seeded
+/// `options` are the options of the executor that will run the result, as
+/// for [`compile_stratum_with_options`].
 pub fn compile_stratum_delta(
     stratum: &Stratum,
     ram: &RamProgram,
     changed_inputs: &BTreeSet<String>,
+    _options: &RuntimeOptions,
 ) -> CompiledStratum {
     let mut tracked: BTreeSet<String> = stratum.relations.iter().cloned().collect();
     tracked.extend(changed_inputs.iter().cloned());
-    let mut compiler = Compiler::new(ram, tracked, &RuntimeOptions::default());
+    let mut compiler = Compiler::new(ram, tracked);
     for rule in &stratum.rules {
         if compiler.recursive_leaf_count(&rule.expr) == 0 {
             // No leaf over a changed relation: every derivation of this rule
@@ -494,18 +493,45 @@ pub fn compile_stratum_delta(
     compiler.finish(stratum, true)
 }
 
-/// Compiles a RAM stratum into an APM program, honouring the join-strategy
-/// toggles in `options`.
+/// Compiles a RAM stratum into the APM program a from-scratch run executes:
+/// the one from-scratch compile entry, called by [`Executor::run_program`]
+/// and by the recompute path of [`refresh_database`], each with the
+/// executor's own options.
+///
+/// No field of `options` changes the emitted program today — static
+/// registers and buffer reuse are honoured by the executor, instruction by
+/// instruction, and every join takes the strategy sort-order inference
+/// picks. The parameter stays because it is the one way a compile-time
+/// option can arrive, from the executor that will run the result, and
+/// because the repo benchmark's replay (`benchmark/src/replay.rs`) calls
+/// this function by this name and signature.
 ///
 /// Under `debug_assertions` the whole source program is re-validated first
 /// (`lobster_ram::passes::validate_program`), so a malformed rewrite
 /// panics at compile time with rule provenance instead of surfacing as
 /// executor misbehaviour mid-request.
+///
+/// [`Executor::run_program`]: crate::Executor::run_program
+/// [`refresh_database`]: crate::refresh_database
 pub fn compile_stratum_with_options(
     stratum: &Stratum,
     ram: &RamProgram,
-    options: &RuntimeOptions,
+    _options: &RuntimeOptions,
 ) -> CompiledStratum {
+    compile_from_scratch(stratum, ram, false)
+}
+
+/// Test hook: [`compile_stratum_with_options`] with sort-order inference
+/// ignored, so every join — merge-eligible or not — takes the hash path.
+/// It exists to give the join-strategy differential
+/// (`crates/bench/tests/strategy_agreement.rs`) its second build; no
+/// non-test code calls it and no option, builder or cache key leads here.
+#[doc(hidden)]
+pub fn compile_stratum_hash_only(stratum: &Stratum, ram: &RamProgram) -> CompiledStratum {
+    compile_from_scratch(stratum, ram, true)
+}
+
+fn compile_from_scratch(stratum: &Stratum, ram: &RamProgram, hash_only: bool) -> CompiledStratum {
     #[cfg(debug_assertions)]
     if let Err(errors) = lobster_ram::passes::validate_program(ram) {
         let rendered: Vec<String> = errors.iter().map(ToString::to_string).collect();
@@ -515,7 +541,8 @@ pub fn compile_stratum_with_options(
         );
     }
     let own_relations = stratum.relations.iter().cloned().collect();
-    let mut compiler = Compiler::new(ram, own_relations, options);
+    let mut compiler = Compiler::new(ram, own_relations);
+    compiler.hash_only = hash_only;
     for rule in &stratum.rules {
         compiler.compile_rule(rule, stratum.recursive);
     }
@@ -526,6 +553,11 @@ pub fn compile_stratum_with_options(
 mod tests {
     use super::*;
     use lobster_datalog::parse;
+
+    /// The from-scratch build every run executes.
+    fn compile(stratum: &Stratum, ram: &RamProgram) -> CompiledStratum {
+        compile_stratum_with_options(stratum, ram, &RuntimeOptions::default())
+    }
 
     fn transitive_closure() -> (lobster_ram::RamProgram, Stratum) {
         let compiled = parse(
@@ -541,7 +573,7 @@ mod tests {
     #[test]
     fn base_rule_is_first_iteration_only() {
         let (ram, stratum) = transitive_closure();
-        let compiled = compile_stratum(&stratum, &ram);
+        let compiled = compile(&stratum, &ram);
         assert!(compiled.recursive);
         // At least one instruction is first-iteration-only (the base rule)
         // and at least one is not (the recursive rule).
@@ -552,7 +584,7 @@ mod tests {
     #[test]
     fn recursive_join_builds_static_index_on_edb_side() {
         let (ram, stratum) = transitive_closure();
-        let compiled = compile_stratum(&stratum, &ram);
+        let compiled = compile(&stratum, &ram);
         // The join against the EDB `edge` relation should produce a static
         // index register.
         assert!(!compiled.program.static_registers.is_empty());
@@ -571,7 +603,7 @@ mod tests {
     #[test]
     fn program_contains_expected_instruction_mix() {
         let (ram, stratum) = transitive_closure();
-        let compiled = compile_stratum(&stratum, &ram);
+        let compiled = compile(&stratum, &ram);
         let mnemonics: Vec<&str> = compiled
             .program
             .instructions
@@ -606,7 +638,7 @@ mod tests {
         )
         .unwrap();
         let stratum = compiled.ram.strata[0].clone();
-        let apm = compile_stratum(&stratum, &compiled.ram);
+        let apm = compile(&stratum, &compiled.ram);
         assert!(!apm.recursive);
         let stores = apm
             .program
@@ -627,7 +659,7 @@ mod tests {
         )
         .unwrap();
         let stratum = compiled.ram.strata[0].clone();
-        let apm = compile_stratum(&stratum, &compiled.ram);
+        let apm = compile(&stratum, &compiled.ram);
         // Both sides are full loads of relations the stratum doesn't update,
         // hence sorted — the join needs no hash index at all.
         assert_eq!(apm.merge_joins, 1);
@@ -653,8 +685,7 @@ mod tests {
         )
         .unwrap();
         let stratum = compiled.ram.strata[0].clone();
-        let options = RuntimeOptions::default().with_merge_join(false);
-        let apm = compile_stratum_with_options(&stratum, &compiled.ram, &options);
+        let apm = compile_stratum_hash_only(&stratum, &compiled.ram);
         assert_eq!(apm.merge_joins, 0);
         assert_eq!(apm.hash_joins, 1);
         assert!(apm
@@ -670,7 +701,7 @@ mod tests {
         // prefix-preserving projection, so its sort order is unknown and the
         // static-index hash path of Section 4.2 must be preserved.
         let (ram, stratum) = transitive_closure();
-        let apm = compile_stratum(&stratum, &ram);
+        let apm = compile(&stratum, &ram);
         assert_eq!(apm.merge_joins, 0);
         assert!(apm.hash_joins >= 1);
     }
@@ -683,7 +714,7 @@ mod tests {
         )
         .unwrap();
         let stratum = compiled.ram.strata[0].clone();
-        let apm = compile_stratum(&stratum, &compiled.ram);
+        let apm = compile(&stratum, &compiled.ram);
         // The recursive rule has two recursive leaves, so it expands into two
         // semi-naive variants plus the base rule: three stores.
         let stores = apm

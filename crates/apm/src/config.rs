@@ -23,8 +23,15 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     fnv1a_extend(FNV_OFFSET, bytes)
 }
 
-/// Options controlling the APM executor, including the optimization toggles
-/// used by the paper's ablation study (Figure 10).
+/// Options controlling the APM executor: the two optimization toggles of
+/// the paper's ablation study (Figure 10) and the two run limits.
+///
+/// These are the only execution knobs. Everything else the engine decides
+/// from the program itself: joins take the merge path exactly where
+/// sort-order inference proves both inputs sorted on the key, relations are
+/// stored in packed dictionary-encoded columns unless the program does
+/// arithmetic over symbols (`RamProgram::has_symbol_arithmetic`), and dead
+/// rules are reported by the lint, never pruned behind the caller's back.
 ///
 /// `RuntimeOptions` has structural equality and hashing, and a stable
 /// [`fingerprint`](RuntimeOptions::fingerprint), so it can key caches of
@@ -42,30 +49,12 @@ pub struct RuntimeOptions {
     /// Maximum number of fix-point iterations per stratum (safety net against
     /// non-terminating programs).
     pub max_iterations: usize,
-    /// Optional wall-clock budget in milliseconds for a single stratum; the
-    /// executor aborts with an error when exceeded (used to reproduce the
-    /// paper's 2-hour-timeout entries at laptop scale).
+    /// Optional wall-clock budget in milliseconds for one whole run — every
+    /// stratum of a from-scratch run or of an incremental refresh draws on
+    /// the same budget, compilation included. The executor aborts with an
+    /// error when it is exceeded (used to reproduce the paper's
+    /// 2-hour-timeout entries at laptop scale).
     pub timeout_ms: Option<u64>,
-    /// Compile merge-path joins (binary search over a sorted build side, no
-    /// hash index) at join sites where sort-order inference proves both
-    /// inputs sorted on the key prefix. Disabling this forces every join
-    /// through the hash build+probe path.
-    pub merge_join: bool,
-    /// Drop rules that cannot reach any declared output before compiling
-    /// (see `lobster_ram::passes::eliminate_dead_rules`). Off by default:
-    /// pruning is observable through relation sizes and execution stats, so
-    /// callers opt in; the lint report warns about dead rules otherwise.
-    pub eliminate_dead_rules: bool,
-    /// Store relations in narrow, dictionary-encoded packed columns
-    /// (`lobster_ram::RelationLayout`): symbol columns narrow to the
-    /// database dictionary width, booleans to one byte, and adjacent narrow
-    /// columns fuse into shared `u64` words — fewer radix-sort passes,
-    /// smaller merge/difference inputs, more rows per cache line. Results
-    /// are bit-identical to full-width execution (the encoding is
-    /// order-preserving). Sessions disable this automatically for programs
-    /// that do arithmetic over `Symbol`/`Bool` operands (see the
-    /// `symbol-arithmetic` lint).
-    pub encode_columns: bool,
 }
 
 impl Default for RuntimeOptions {
@@ -75,9 +64,6 @@ impl Default for RuntimeOptions {
             buffer_reuse: true,
             max_iterations: 1_000_000,
             timeout_ms: None,
-            merge_join: true,
-            eliminate_dead_rules: false,
-            encode_columns: true,
         }
     }
 }
@@ -88,12 +74,11 @@ impl RuntimeOptions {
         Self::default()
     }
 
-    /// All optimizations disabled (the paper's "None").
+    /// Both optimizations disabled (the paper's "None").
     pub fn unoptimized() -> Self {
         RuntimeOptions {
             static_registers: false,
             buffer_reuse: false,
-            merge_join: false,
             ..Self::default()
         }
     }
@@ -116,40 +101,27 @@ impl RuntimeOptions {
         self
     }
 
-    /// Builder-style setter for [`RuntimeOptions::merge_join`].
-    pub fn with_merge_join(mut self, enabled: bool) -> Self {
-        self.merge_join = enabled;
-        self
-    }
-
-    /// Builder-style setter for [`RuntimeOptions::eliminate_dead_rules`].
-    pub fn with_eliminate_dead_rules(mut self, enabled: bool) -> Self {
-        self.eliminate_dead_rules = enabled;
-        self
-    }
-
-    /// Builder-style setter for [`RuntimeOptions::encode_columns`].
-    pub fn with_encode_columns(mut self, enabled: bool) -> Self {
-        self.encode_columns = enabled;
-        self
-    }
-
     /// A stable 64-bit fingerprint of every field (FNV-1a), independent of
     /// the process and of `std`'s randomized hasher. Equal options always
     /// fingerprint equally, so `(source hash, provenance kind, options
     /// fingerprint)` is a well-defined compiled-program cache key.
     pub fn fingerprint(&self) -> u64 {
+        // Destructured without `..`: a new field does not compile until it
+        // is mixed in, so it cannot be left out of the cache key.
+        let RuntimeOptions {
+            static_registers,
+            buffer_reuse,
+            max_iterations,
+            timeout_ms,
+        } = self;
         let mix = |hash, value: u64| fnv1a_extend(hash, &value.to_le_bytes());
         let mut hash = FNV_OFFSET;
-        hash = mix(hash, u64::from(self.static_registers));
-        hash = mix(hash, u64::from(self.buffer_reuse));
-        hash = mix(hash, self.max_iterations as u64);
+        hash = mix(hash, u64::from(*static_registers));
+        hash = mix(hash, u64::from(*buffer_reuse));
+        hash = mix(hash, *max_iterations as u64);
         // Distinguish `None` from `Some(0)`.
-        hash = mix(hash, u64::from(self.timeout_ms.is_some()));
-        hash = mix(hash, self.timeout_ms.unwrap_or(0));
-        hash = mix(hash, u64::from(self.merge_join));
-        hash = mix(hash, u64::from(self.eliminate_dead_rules));
-        hash = mix(hash, u64::from(self.encode_columns));
+        hash = mix(hash, u64::from(timeout_ms.is_some()));
+        hash = mix(hash, timeout_ms.unwrap_or(0));
         hash
     }
 }
@@ -163,9 +135,6 @@ mod tests {
         let opts = RuntimeOptions::default();
         assert!(opts.static_registers);
         assert!(opts.buffer_reuse);
-        assert!(opts.merge_join);
-        assert!(!opts.eliminate_dead_rules);
-        assert!(opts.encode_columns);
     }
 
     #[test]
@@ -173,7 +142,6 @@ mod tests {
         let opts = RuntimeOptions::unoptimized();
         assert!(!opts.static_registers);
         assert!(!opts.buffer_reuse);
-        assert!(!opts.merge_join);
     }
 
     #[test]
@@ -193,18 +161,6 @@ mod tests {
         assert_ne!(
             base.fingerprint(),
             base.clone().with_timeout_ms(Some(0)).fingerprint()
-        );
-        assert_ne!(
-            base.fingerprint(),
-            base.clone().with_merge_join(false).fingerprint()
-        );
-        assert_ne!(
-            base.fingerprint(),
-            base.clone().with_eliminate_dead_rules(true).fingerprint()
-        );
-        assert_ne!(
-            base.fingerprint(),
-            base.clone().with_encode_columns(false).fingerprint()
         );
         let mut capped = base.clone();
         capped.max_iterations = 7;

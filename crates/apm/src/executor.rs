@@ -166,7 +166,9 @@ impl<P: Provenance> Executor<P> {
         &self.options
     }
 
-    /// Compiles and runs every stratum of a RAM program against the database.
+    /// Compiles and runs every stratum of a RAM program against the
+    /// database: the one from-scratch loop over strata. The `timeout_ms`
+    /// budget starts here and covers the whole run.
     ///
     /// # Errors
     ///
@@ -179,22 +181,15 @@ impl<P: Provenance> Executor<P> {
     ) -> Result<ExecutionStats, ExecError> {
         let mut total = ExecutionStats::default();
         let start = Instant::now();
-        let pruned;
-        let ram = if self.options.eliminate_dead_rules {
-            pruned = lobster_ram::passes::eliminate_dead_rules(ram);
-            &pruned
-        } else {
-            ram
-        };
         for stratum in &ram.strata {
             let compiled = compile_stratum_with_options(stratum, ram, &self.options);
-            let stats = self.run_stratum_with_deadline(db, &compiled, start)?;
-            total.merge(&stats);
+            total.merge(&self.run_stratum_from(db, &compiled, start, true)?);
         }
         Ok(total)
     }
 
-    /// Runs one compiled stratum to its fix point.
+    /// Runs one compiled stratum to its fix point, as a run of its own (the
+    /// `timeout_ms` budget starts at the call).
     ///
     /// # Errors
     ///
@@ -205,45 +200,27 @@ impl<P: Provenance> Executor<P> {
         db: &mut Database<P>,
         compiled: &CompiledStratum,
     ) -> Result<ExecutionStats, ExecError> {
-        self.run_stratum_inner(db, compiled, Instant::now(), true)
+        self.run_stratum_from(db, compiled, Instant::now(), true)
     }
 
-    /// Runs one compiled stratum *without* the semi-naive preamble: the
-    /// caller has already arranged every relation's stable/recent split —
-    /// typically `stable` holding the materialized fix point and `recent`
-    /// seeded with newly inserted rows (see
+    /// Runs one compiled stratum as part of the run that began at
+    /// `run_start`, which is what the `timeout_ms` budget is measured from.
+    ///
+    /// With `preamble` false the semi-naive preamble is skipped: the caller
+    /// has already arranged every relation's stable/recent split — `stable`
+    /// holding the materialized fix point and `recent` seeded with newly
+    /// inserted rows (see
     /// [`compile_stratum_delta`](crate::compile_stratum_delta)). The
-    /// iteration loop, update phase, and arena recycling are identical to
-    /// [`Executor::run_stratum`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`ExecError`] on device OOM, timeout, or a hit iteration
-    /// cap.
-    pub fn run_stratum_seeded(
+    /// iteration loop, update phase, and arena recycling are the same either
+    /// way.
+    pub(crate) fn run_stratum_from(
         &self,
         db: &mut Database<P>,
         compiled: &CompiledStratum,
-    ) -> Result<ExecutionStats, ExecError> {
-        self.run_stratum_inner(db, compiled, Instant::now(), false)
-    }
-
-    fn run_stratum_with_deadline(
-        &self,
-        db: &mut Database<P>,
-        compiled: &CompiledStratum,
-        start: Instant,
-    ) -> Result<ExecutionStats, ExecError> {
-        self.run_stratum_inner(db, compiled, start, true)
-    }
-
-    fn run_stratum_inner(
-        &self,
-        db: &mut Database<P>,
-        compiled: &CompiledStratum,
-        start: Instant,
+        run_start: Instant,
         preamble: bool,
     ) -> Result<ExecutionStats, ExecError> {
+        let began = Instant::now();
         let kernels_before = self.device.stats().kernel_launches;
         let mut stats = ExecutionStats {
             strata: 1,
@@ -308,7 +285,7 @@ impl<P: Provenance> Executor<P> {
         let outcome = self.iterate(
             db,
             compiled,
-            start,
+            run_start,
             &mut static_file,
             &mut load_cache,
             &mut stats,
@@ -347,7 +324,7 @@ impl<P: Provenance> Executor<P> {
 
         outcome?;
         stats.kernel_launches = self.device.stats().kernel_launches - kernels_before;
-        stats.elapsed = start.elapsed();
+        stats.elapsed = began.elapsed();
         Ok(stats)
     }
 

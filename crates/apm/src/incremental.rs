@@ -19,21 +19,22 @@
 //!   and provenances whose tags fold information across derivations in rank
 //!   order (where dropping re-derivations of existing rows would diverge
 //!   from a from-scratch run). Affected strata are recomputed exactly as
-//!   `Program::execute` would — same compilation, same executor entry — so
-//!   the result is bit-identical by construction; unaffected strata are
-//!   skipped entirely and launch zero kernels.
+//!   `Executor::run_program` would — same compile entry, same options, same
+//!   stratum run — so the result is bit-identical by construction;
+//!   unaffected strata are skipped entirely and launch zero kernels.
 //!
 //! Dirtiness propagates along the stratum order: a recomputed or
 //! delta-updated relation whose content (including the stable/recent split)
 //! is bitwise unchanged does not dirty its consumers.
 
-use crate::compiler::{compile_stratum, compile_stratum_delta};
+use crate::compiler::{compile_stratum_delta, compile_stratum_with_options};
 use crate::database::{Database, SortedTable};
 use crate::executor::{ExecError, ExecutionStats, Executor};
 use lobster_gpu::{Columns, Device};
 use lobster_provenance::Provenance;
 use lobster_ram::RamProgram;
 use std::collections::{BTreeMap, BTreeSet};
+use std::time::Instant;
 
 /// The extensional content of one relation, in fact-registration order:
 /// encoded columns plus one input tag per row.
@@ -80,7 +81,7 @@ fn fold_split<P: Provenance>(
 ///
 /// Returns the executed strata's merged statistics. Strata outside the
 /// change cone are skipped and contribute nothing (no kernels, no
-/// iterations).
+/// iterations). The executor's `timeout_ms` budget covers the whole refresh.
 ///
 /// # Errors
 ///
@@ -94,6 +95,7 @@ pub fn refresh_database<P: Provenance>(
     edb: &dyn Fn(&str) -> EdbContent<P::Tag>,
 ) -> Result<ExecutionStats, ExecError> {
     let device = executor.device().clone();
+    let run_start = Instant::now();
     let mut stats = ExecutionStats::default();
 
     // Relations whose content differs from the materialized state.
@@ -185,13 +187,13 @@ pub fn refresh_database<P: Provenance>(
                 .filter(|r| changed.contains(*r))
                 .cloned()
                 .collect();
-            let compiled = compile_stratum_delta(stratum, ram, &changed_inputs);
+            let compiled = compile_stratum_delta(stratum, ram, &changed_inputs, executor.options());
             let old_tables: Vec<(String, SortedTable<P>)> = stratum
                 .relations
                 .iter()
                 .map(|rel| (rel.clone(), db.relation_data(rel).stable.clone()))
                 .collect();
-            stats.merge(&executor.run_stratum_seeded(db, &compiled)?);
+            stats.merge(&executor.run_stratum_from(db, &compiled, run_start, false)?);
             for (rel, old_stable) in old_tables {
                 let data = db.relation_data_mut(&rel);
                 debug_assert!(data.recent.is_empty(), "seeded run left a frontier");
@@ -243,8 +245,8 @@ pub fn refresh_database<P: Provenance>(
                     (rel.clone(), old_stable, old_recent)
                 })
                 .collect();
-            let compiled = compile_stratum(stratum, ram);
-            stats.merge(&executor.run_stratum(db, &compiled)?);
+            let compiled = compile_stratum_with_options(stratum, ram, executor.options());
+            stats.merge(&executor.run_stratum_from(db, &compiled, run_start, true)?);
             for (rel, old_stable, old_recent) in old_tables {
                 let data = db.relation_data_mut(&rel);
                 let same = data.stable.columns == old_stable.columns

@@ -6,9 +6,9 @@
 //! contains:
 //!
 //! * the APM instruction set ([`Instr`], mirroring Table 1 of the paper),
-//! * the RAM → APM compiler ([`compile_stratum`], mirroring the translation
-//!   rules of Appendix A, including the semi-naive expansion of joins over
-//!   the stable / recent / delta partitions of the database),
+//! * the RAM → APM compiler ([`compile_stratum_with_options`], mirroring the
+//!   translation rules of Appendix A, including the semi-naive expansion of
+//!   joins over the stable / recent / delta partitions of the database),
 //! * the tagged, columnar [`Database`] that holds every relation on the
 //!   (simulated) device, and
 //! * the [`Executor`] that runs APM programs to a fix point (Algorithm 1)
@@ -30,9 +30,9 @@ mod incremental;
 mod isa;
 
 pub use batch::batch_transform;
-pub use compiler::{
-    compile_stratum, compile_stratum_delta, compile_stratum_with_options, CompiledStratum,
-};
+#[doc(hidden)]
+pub use compiler::compile_stratum_hash_only;
+pub use compiler::{compile_stratum_delta, compile_stratum_with_options, CompiledStratum};
 pub use config::{fnv1a, fnv1a_extend, RuntimeOptions};
 pub use database::{Database, EncodingSpec, SortedTable};
 pub use executor::{ExecError, ExecutionStats, Executor};

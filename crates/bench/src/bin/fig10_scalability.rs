@@ -1,6 +1,7 @@
 //! Figure 10: scalability of Lobster vs Scallop on Pacman (10a) and
 //! Pathfinder (10b) as the grid size grows, with the optimization ablation
-//! ("None", "Stratum", "Alloc", "Both").
+//! ("None", "Static", "Alloc", "Both": static registers and buffer reuse,
+//! each off and on).
 //!
 //! Run with `cargo run -p lobster-bench --release --bin fig10_scalability`
 //! (optionally pass `pacman` or `pathfinder` to run one sub-figure).
@@ -12,13 +13,19 @@ use lobster_workloads::{pacman, pathfinder, WorkloadFacts};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// One ablation configuration: (label, runtime options, stratum scheduling).
-fn configurations() -> Vec<(&'static str, RuntimeOptions, bool)> {
-    vec![
-        ("None", RuntimeOptions::unoptimized(), false),
-        ("Stratum", RuntimeOptions::unoptimized(), true),
-        ("Alloc", RuntimeOptions::optimized(), false),
-        ("Both", RuntimeOptions::optimized(), true),
+/// The four cells of the ablation: (label, runtime options).
+fn configurations() -> [(&'static str, RuntimeOptions); 4] {
+    [
+        ("None", RuntimeOptions::unoptimized()),
+        (
+            "Static",
+            RuntimeOptions::unoptimized().with_static_registers(true),
+        ),
+        (
+            "Alloc",
+            RuntimeOptions::unoptimized().with_buffer_reuse(true),
+        ),
+        ("Both", RuntimeOptions::optimized()),
     ]
 }
 
@@ -33,16 +40,15 @@ fn run_sweep(
     );
     println!(
         "{:<6} {:>12} {:>10} {:>10} {:>10} {:>10}",
-        "size", "scallop (s)", "None", "Stratum", "Alloc", "Both"
+        "size", "scallop (s)", "None", "Static", "Alloc", "Both"
     );
     let mut rng = StdRng::seed_from_u64(10);
     // One compiled program per ablation configuration, reused across sizes.
     let programs: Vec<Program<DiffTop1Proof>> = configurations()
         .into_iter()
-        .map(|(_, options, scheduling)| {
+        .map(|(_, options)| {
             Lobster::builder(program)
                 .options(options)
-                .stratum_scheduling(scheduling)
                 .compile_typed()
                 .expect("program compiles")
         })
@@ -71,7 +77,7 @@ fn main() {
         .unwrap_or_else(|| "both".to_string());
     print_header(
         "Figure 10 — scalability and optimization ablation",
-        "paper: speedup grows with problem size and collapses toward 1x without the Alloc/Stratum optimizations",
+        "paper: speedup grows with problem size and collapses toward 1x without the Static/Alloc optimizations",
     );
     let sizes: Vec<u32> = if quick_mode() {
         vec![5, 8]

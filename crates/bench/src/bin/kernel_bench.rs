@@ -29,20 +29,13 @@
 //!   index build by `X ×` at parallelism 4 — the wall-clock case the
 //!   compiler's sort-order pass exploits when it picks
 //!   `JoinStrategy::Merge`.
-//! * `--assert-encoded-factor X` — exit non-zero unless the wide-string
-//!   fix-point moves `X ×` fewer host↔device bytes with dictionary-encoded
-//!   storage than with full-width storage (the `bytes_per_fixpoint`
-//!   fields of the artifact's `wide_string` rows). Transfer volume is
-//!   deterministic for a given workload, so this gate never self-skips on
-//!   small runners; the wall-clock ratio is recorded alongside but not
-//!   gated (too noisy on shared CI machines).
 //!
 //! `BENCH_kernels.json` records the machine context (`cpus`) and each
 //! gate's outcome (`not-requested` / `passed` / `failed` /
 //! `skipped-single-cpu`), so a recorded run is self-describing: a missing
 //! speedup on a one-CPU runner is distinguishable from a regression.
 
-use lobster::{Lobster, RuntimeOptions, SymbolTable, Value};
+use lobster::{Lobster, SymbolTable, Value};
 use lobster_bench::{print_header, quick_mode};
 use lobster_gpu::{kernels, Device, DeviceConfig, HashIndex, KernelTime};
 use lobster_provenance::Unit;
@@ -127,8 +120,6 @@ fn main() {
             v.parse()
                 .expect("--assert-merge-join-factor takes a number")
         });
-    let assert_encoded_factor: Option<f64> = arg_value(&args, "--assert-encoded-factor")
-        .map(|v| v.parse().expect("--assert-encoded-factor takes a number"));
     let tc_edges = scale(400, 120);
 
     print_header(
@@ -165,7 +156,6 @@ fn main() {
             &sorted_tags[..half],
         );
         let index = HashIndex::build(&device, &refs(&build), 2);
-        let index_mono = HashIndex::build_partitioned(&device, &refs(&build), 2, 1);
         // The merge join's precondition — *both* sides sorted on the key —
         // is prepared outside the timings, exactly as the executor sees it
         // when sort-order inference picks the merge path (stable partitions
@@ -268,24 +258,6 @@ fn main() {
                 device.arena().recycle_shared(col);
             }
         });
-        bench("hash_join_monolithic", &mut || {
-            // Same probe against a single-partition index: the pre-partition
-            // layout, one big slot table, no probe grouping. The gap to the
-            // `hash_join` row is what partitioning buys at this row count.
-            let counts = kernels::count_matches(&device, &index_mono, &refs(&probe));
-            let (offsets, total) = kernels::scan(&device, &counts);
-            let (bi, pi) = kernels::hash_join(
-                &device,
-                &index_mono,
-                &refs(&probe),
-                &counts,
-                &offsets,
-                total,
-            );
-            for col in [counts, offsets, bi, pi] {
-                device.arena().recycle_shared(col);
-            }
-        });
         bench("hash_join_with_build", &mut || {
             // The per-iteration cost when the index cannot be reused (the
             // non-static case): build, count, scan, join.
@@ -365,20 +337,14 @@ fn main() {
     }
 
     // Wide-string workload: the same transitive closure, but over *symbol*
-    // keys — long entity names interned to ids — once with dictionary-encoded
-    // storage (the default) and once with full-width storage. Encoded, the
-    // two symbol columns of every table pack into a single narrow word
-    // column, so every sort / merge / difference / dedup / join over stored
-    // rows touches roughly half the bytes. `bytes_per_fixpoint` is the
-    // host↔device transfer volume the run records at GPU-region boundaries
-    // (the final boundary copies the whole fix-point database back), which
-    // is deterministic for a given workload; wall time rides along for
-    // context.
-    struct WideRow {
-        mode: &'static str,
-        wall: Duration,
-        bytes: usize,
-    }
+    // keys — long entity names interned to ids — in the dictionary-encoded
+    // storage every eligible program gets: the two symbol columns of every
+    // table pack into a single narrow word column. `bytes_per_fixpoint` is
+    // the host↔device transfer volume the run records (the sealed input in,
+    // the whole fix-point database out), which is deterministic for a given
+    // workload; wall time rides along for context. That full-width storage
+    // would move at least 1.2× the bytes is asserted in tier-1
+    // (`strategy_agreement.rs`), not measured here.
     let sym_source = "type edge(x: symbol, y: symbol)
         rel path(x, y) = edge(x, y) or (path(x, z) and edge(z, y))
         query path";
@@ -387,17 +353,14 @@ fn main() {
     let ids: Vec<u32> = (0..=sym_edges as u32)
         .map(|i| symbols.intern(&format!("entity-with-a-rather-long-name-{i:06}")))
         .collect();
-    let mut wide_rows: Vec<WideRow> = Vec::new();
-    for (mode, encoded) in [("encoded", true), ("full_width", false)] {
-        let mut best: Option<WideRow> = None;
-        for _ in 0..repeats {
+    let (wide_wall, wide_bytes) = (0..repeats)
+        .map(|_| {
             let device = Device::new(DeviceConfig {
                 parallelism: 4,
                 ..DeviceConfig::default()
             });
             let program = Lobster::builder(sym_source)
                 .device(device.clone())
-                .options(RuntimeOptions::default().with_encode_columns(encoded))
                 .compile_typed::<Unit>()
                 .expect("symbol TC compiles");
             let mut session = program.session();
@@ -415,24 +378,11 @@ fn main() {
             let result = session.run().expect("symbol TC runs");
             let wall = start.elapsed();
             let moved = device.stats().delta_since(&before);
-            let bytes = moved.bytes_to_device + moved.bytes_to_host;
             assert!(result.len("path") > sym_edges);
-            if best.as_ref().map_or(true, |b| wall < b.wall) {
-                best = Some(WideRow { mode, wall, bytes });
-            }
-        }
-        wide_rows.push(best.expect("at least one repeat"));
-    }
-    let wide_at = |mode: &str| {
-        wide_rows
-            .iter()
-            .find(|r| r.mode == mode)
-            .expect("wide-string row measured")
-    };
-    let encoded_width_factor =
-        wide_at("full_width").bytes as f64 / (wide_at("encoded").bytes as f64).max(1.0);
-    let encoded_wall_factor =
-        wide_at("full_width").wall.as_secs_f64() / wide_at("encoded").wall.as_secs_f64().max(1e-12);
+            (wall, moved.bytes_to_device + moved.bytes_to_host)
+        })
+        .min()
+        .expect("at least one repeat");
 
     let p1_wall = |rows: &[Row], kernel: &str| {
         rows.iter()
@@ -463,16 +413,14 @@ fn main() {
         );
     }
 
-    for r in &wide_rows {
-        println!(
-            "{:<20} {:>12} {:>6} {:>12.3} {:>9.2}MB",
-            format!("sym_tc_{}", r.mode),
-            sym_edges,
-            4,
-            r.wall.as_secs_f64() * 1e3,
-            r.bytes as f64 / 1e6,
-        );
-    }
+    println!(
+        "{:<20} {:>12} {:>6} {:>12.3} {:>9.2}MB",
+        "sym_tc_encoded",
+        sym_edges,
+        4,
+        wide_wall.as_secs_f64() * 1e3,
+        wide_bytes as f64 / 1e6,
+    );
 
     let factor = |kernel: &str, p: usize| {
         let base = p1_wall(&rows_out, kernel).as_secs_f64();
@@ -548,24 +496,6 @@ fn main() {
             "passed"
         }
     };
-    let encoded_gate = match assert_encoded_factor {
-        None => "not-requested",
-        Some(required) if encoded_width_factor < required => {
-            eprintln!(
-                "FAIL: encoded wide-string fix-point moved only {encoded_width_factor:.2}x \
-                 fewer bytes than full-width, below required {required:.2}x"
-            );
-            "failed"
-        }
-        Some(required) => {
-            println!(
-                "encoded wide-string fix-point: {encoded_width_factor:.2}x fewer bytes, \
-                 {encoded_wall_factor:.2}x wall (required ≥ {required:.2}x bytes)"
-            );
-            "passed"
-        }
-    };
-
     let kernel_rows_json = rows_out
         .iter()
         .map(|r| r.json(p1_wall(&rows_out, r.kernel)))
@@ -595,20 +525,11 @@ fn main() {
         .map(|(p, _, wall)| format!("{{\"parallelism\": {p}, {}}}", time_buckets(wall)))
         .collect::<Vec<_>>()
         .join(",\n    ");
-    let wide_json = wide_rows
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"mode\": \"{}\", \"edges\": {}, \"parallelism\": 4, \
-                 \"wall_ms\": {:.3}, \"bytes_per_fixpoint\": {}}}",
-                r.mode,
-                sym_edges,
-                r.wall.as_secs_f64() * 1e3,
-                r.bytes,
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n    ");
+    let wide_json = format!(
+        "{{\"mode\": \"encoded\", \"edges\": {sym_edges}, \"parallelism\": 4, \
+         \"wall_ms\": {:.3}, \"bytes_per_fixpoint\": {wide_bytes}}}",
+        wide_wall.as_secs_f64() * 1e3,
+    );
     let json = format!(
         "{{\n  \"workload\": \"synthetic-kernels\",\n  \"rows\": {rows},\n  \
          \"tc_edges\": {tc_edges},\n  \"quick_mode\": {quick},\n  \"cpus\": {cpus},\n  \
@@ -621,11 +542,8 @@ fn main() {
          \"unique_parallel4_factor\": {unique_factor:.3},\n  \
          \"hash_build_parallel4_factor\": {hash_build_factor:.3},\n  \
          \"merge_vs_hash_build_parallel4_factor\": {merge_factor:.3},\n  \
-         \"encoded_width_factor\": {encoded_width_factor:.3},\n  \
-         \"encoded_wall_factor\": {encoded_wall_factor:.3},\n  \
          \"parallel_factor_gate\": \"{parallel_gate}\",\n  \
-         \"merge_join_gate\": \"{merge_gate}\",\n  \
-         \"encoded_gate\": \"{encoded_gate}\"\n}}\n",
+         \"merge_join_gate\": \"{merge_gate}\"\n}}\n",
     );
     // A degraded rerun (quick mode / 1 CPU) over a committed full-fidelity
     // artifact warns loudly and stamps the file.
@@ -646,7 +564,7 @@ fn main() {
     std::fs::write("BENCH_kernels.json", &json).expect("write BENCH_kernels.json");
     println!("\nwrote BENCH_kernels.json");
 
-    if parallel_gate == "failed" || merge_gate == "failed" || encoded_gate == "failed" {
+    if parallel_gate == "failed" || merge_gate == "failed" {
         std::process::exit(1);
     }
 }

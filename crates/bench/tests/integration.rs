@@ -196,15 +196,15 @@ fn optimization_toggles_preserve_results_on_a_real_workload() {
         facts.push("edge", vec![Value::U32(*a), Value::U32(*b)], None);
     }
     let mut reference: Option<BTreeSet<(String, Vec<u64>)>> = None;
-    for (options, scheduling) in [
-        (RuntimeOptions::optimized(), true),
-        (RuntimeOptions::optimized(), false),
-        (RuntimeOptions::unoptimized(), true),
-        (RuntimeOptions::unoptimized(), false),
+    // The four cells of Figure 10: None, Static, Alloc, Both.
+    for options in [
+        RuntimeOptions::unoptimized(),
+        RuntimeOptions::unoptimized().with_static_registers(true),
+        RuntimeOptions::unoptimized().with_buffer_reuse(true),
+        RuntimeOptions::optimized(),
     ] {
         let mut session = Lobster::builder(graphs::TRANSITIVE_CLOSURE)
             .options(options)
-            .stratum_scheduling(scheduling)
             .device(Device::sequential())
             .compile_typed::<Unit>()
             .unwrap()

@@ -95,6 +95,23 @@
 //! gradient of every output probability with respect to every input fact —
 //! which is what lets an upstream network train end-to-end.
 //!
+//! # Runtime options
+//!
+//! [`RuntimeOptions`] has four fields, and they are the only execution
+//! knobs: `static_registers` and `buffer_reuse` (the two optimizations of
+//! the paper's Figure 10 ablation, both on by default), `max_iterations`
+//! per stratum, and `timeout_ms`, one wall-clock budget for a whole run.
+//! Join strategy and storage width are not options: a join takes the merge
+//! path where sort-order inference proves both inputs sorted on the key,
+//! and relations are stored packed and dictionary-encoded unless the
+//! program does arithmetic over symbols. Every entry point —
+//! [`Session::run`], [`Session::run_batch`], [`Session::run_incremental`],
+//! the shard workers — reaches its fix point the same way:
+//! `lobster_apm::Executor::run_program` (`lobster_apm::refresh_database`
+//! for an incremental refresh) under the program's options, with one
+//! host→device transfer recorded before a from-scratch run and one
+//! device→host transfer after it.
+//!
 //! # Serving
 //!
 //! A server builds on two properties of this API: a [`Program`] is an
@@ -184,7 +201,6 @@ mod dynamic;
 mod error;
 mod pool;
 mod program;
-mod scheduler;
 mod session;
 mod sharded;
 
@@ -192,7 +208,6 @@ pub use dynamic::{DynProgram, DynSession, DynShardedExecutor};
 pub use error::LobsterError;
 pub use pool::{DynSessionPool, PoolableProgram, PooledSession, SessionPool, SessionPoolStats};
 pub use program::{Lobster, LobsterBuilder, Program};
-pub use scheduler::{plan_offload, OffloadPlan};
 pub use session::{FactSet, RunResult, Session};
 pub use sharded::{ShardConfig, ShardRunStats, ShardedExecutor};
 

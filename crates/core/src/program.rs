@@ -4,17 +4,15 @@
 //! A [`Program`] is everything that can be computed *before* any facts
 //! arrive: the parsed and stratified Datalog program, its RAM compilation,
 //! the batch-transformed RAM variant used by [`Program::run_batch`], and the
-//! execution configuration (device, runtime options, scheduling). All of it
+//! execution configuration (device, runtime options). All of it
 //! sits behind an [`Arc`], so cloning a `Program` — or sending clones to
 //! other threads to serve concurrent requests — costs a pointer copy.
 //! Per-request state lives in [`Session`](crate::Session).
 
 use crate::error::LobsterError;
-use crate::scheduler::plan_offload;
 use crate::session::Session;
 use lobster_apm::{
-    batch_transform, compile_stratum, Database, EncodingSpec, ExecutionStats, Executor,
-    RuntimeOptions,
+    batch_transform, Database, EncodingSpec, ExecutionStats, Executor, RuntimeOptions,
 };
 use lobster_datalog::CompiledProgram;
 use lobster_gpu::{Device, TransferDirection};
@@ -39,7 +37,6 @@ impl Lobster {
             source: source.into(),
             device: Device::default(),
             options: RuntimeOptions::default(),
-            stratum_scheduling: true,
             provenance: None,
         }
     }
@@ -70,7 +67,6 @@ pub struct LobsterBuilder {
     source: String,
     device: Device,
     options: RuntimeOptions,
-    stratum_scheduling: bool,
     provenance: Option<ProvenanceKind>,
 }
 
@@ -84,13 +80,6 @@ impl LobsterBuilder {
     /// Sets the runtime options (optimization toggles, timeout).
     pub fn options(mut self, options: RuntimeOptions) -> Self {
         self.options = options;
-        self
-    }
-
-    /// Enables or disables the stratum-offloading scheduler (paper
-    /// Section 5.3). Enabled by default.
-    pub fn stratum_scheduling(mut self, enabled: bool) -> Self {
-        self.stratum_scheduling = enabled;
         self
     }
 
@@ -177,7 +166,6 @@ impl LobsterBuilder {
             }),
             device: self.device,
             options: self.options,
-            stratum_scheduling: self.stratum_scheduling,
             _marker: PhantomData,
         })
     }
@@ -216,7 +204,6 @@ pub struct Program<P: Provenance> {
     pub(crate) artifact: Arc<ProgramArtifact>,
     pub(crate) device: Device,
     pub(crate) options: RuntimeOptions,
-    pub(crate) stratum_scheduling: bool,
     _marker: PhantomData<fn() -> P>,
 }
 
@@ -226,7 +213,6 @@ impl<P: Provenance> Clone for Program<P> {
             artifact: Arc::clone(&self.artifact),
             device: self.device.clone(),
             options: self.options.clone(),
-            stratum_scheduling: self.stratum_scheduling,
             _marker: PhantomData,
         }
     }
@@ -252,14 +238,8 @@ impl<P: Provenance> Program<P> {
             artifact: Arc::clone(&self.artifact),
             device,
             options: self.options.clone(),
-            stratum_scheduling: self.stratum_scheduling,
             _marker: PhantomData,
         }
-    }
-
-    /// Whether the stratum-offloading scheduler is enabled.
-    pub fn stratum_scheduling(&self) -> bool {
-        self.stratum_scheduling
     }
 
     /// The compiled RAM program.
@@ -345,41 +325,32 @@ impl<P: Provenance> Program<P> {
     }
 
     /// Creates the database a run of `ram` executes against: narrow
-    /// dictionary-encoded storage when the `encode_columns` option is on and
-    /// the program is eligible, full-width otherwise.
+    /// dictionary-encoded storage when the program is eligible, full-width
+    /// otherwise.
     ///
     /// Eligibility: programs applying arithmetic to `Symbol`/`Bool` operands
     /// (the `symbol-arithmetic` lint) treat raw interner ids as numbers, so
-    /// their results are not invariant under re-encoding — they silently get
+    /// their results are not invariant under re-encoding — they get
     /// full-width storage. Programs with `u32` arithmetic stay encoded but
     /// keep `u32` lanes at word width (see
     /// `lobster_ram::RelationLayout::plan`).
     pub(crate) fn new_database(&self, provenance: P, ram: &RamProgram) -> Database<P> {
-        if self.options.encode_columns && !ram.has_symbol_arithmetic() {
+        if ram.has_symbol_arithmetic() {
+            Database::new(ram.schemas.clone(), provenance)
+        } else {
             let spec = EncodingSpec {
                 symbol_constants: ram.symbol_constants(),
                 widen_u32: ram.has_u32_arithmetic(),
             };
             Database::new_encoded(ram.schemas.clone(), provenance, &spec)
-        } else {
-            Database::new(ram.schemas.clone(), provenance)
         }
     }
 
-    /// Simulates the host↔device transfer of the current database contents
-    /// at a GPU-region boundary: the byte volume is recorded on the device
-    /// and a proportional copy is performed to model the bandwidth cost.
-    fn simulate_transfer(&self, db: &Database<P>, direction: TransferDirection) {
-        let bytes = db.size_bytes();
-        self.device.record_transfer(direction, bytes);
-        // Touch the memory to model PCIe bandwidth: a volatile-ish copy
-        // whose result is observed by the length check below.
-        let staging: Vec<u8> = vec![0u8; bytes.min(1 << 26)];
-        assert_eq!(staging.len(), bytes.min(1 << 26));
-    }
-
-    /// Runs `ram` against `db` with the given provenance instance, following
-    /// the offload plan of the stratum scheduler.
+    /// Runs `ram` against the sealed `db` with the given provenance
+    /// instance. The whole program runs on the device, so the run records
+    /// one host→device transfer of the input database and one device→host
+    /// transfer of the fix point (Section 5.3's placement, with nothing left
+    /// to place while there is a single executor).
     pub(crate) fn execute(
         &self,
         provenance: &P,
@@ -391,31 +362,11 @@ impl<P: Provenance> Program<P> {
             provenance.clone(),
             self.options.clone(),
         );
-        let plan = plan_offload(ram, self.stratum_scheduling);
-        let mut stats = ExecutionStats::default();
-        let mut previously_on_gpu = false;
-        for (i, stratum) in ram.strata.iter().enumerate() {
-            let on_gpu = plan.is_gpu(i);
-            if on_gpu && !previously_on_gpu {
-                self.simulate_transfer(db, TransferDirection::HostToDevice);
-            }
-            if !on_gpu && previously_on_gpu {
-                self.simulate_transfer(db, TransferDirection::DeviceToHost);
-            }
-            previously_on_gpu = on_gpu;
-            let compiled = compile_stratum(stratum, ram);
-            let stratum_stats = executor.run_stratum(db, &compiled)?;
-            stats.merge(&stratum_stats);
-            // Without the scheduling optimization every stratum transfers
-            // its results back immediately.
-            if !self.stratum_scheduling && on_gpu {
-                self.simulate_transfer(db, TransferDirection::DeviceToHost);
-                previously_on_gpu = false;
-            }
-        }
-        if previously_on_gpu {
-            self.simulate_transfer(db, TransferDirection::DeviceToHost);
-        }
+        self.device
+            .record_transfer(TransferDirection::HostToDevice, db.size_bytes());
+        let stats = executor.run_program(db, ram)?;
+        self.device
+            .record_transfer(TransferDirection::DeviceToHost, db.size_bytes());
         Ok(stats)
     }
 }
@@ -541,11 +492,10 @@ mod tests {
         let program = Lobster::builder(TC)
             .device(Device::sequential())
             .options(RuntimeOptions::unoptimized())
-            .stratum_scheduling(false)
             .compile_typed::<Unit>()
             .unwrap();
         assert_eq!(program.device().parallelism(), 1);
-        assert!(!program.stratum_scheduling());
+        assert_eq!(program.options(), &RuntimeOptions::unoptimized());
     }
 
     #[test]

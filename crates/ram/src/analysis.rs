@@ -1,12 +1,12 @@
-//! Static analyses over RAM programs used by the optimizer and scheduler.
+//! Static analyses over RAM programs used by the optimizer and the lint.
 //!
 //! * [`is_linear_recursive`] — detects the "linear recursion" property of
 //!   Section 4.2: every join in a recursive stratum has at most one input
 //!   that depends on the stratum's own relations, which is what allows the
 //!   hash index of the other (EDB / stable) side to be built once and reused
 //!   across fix-point iterations via a static register.
-//! * [`count_recursive_joins`] — the heuristic of Section 5.3 used by the
-//!   stratum-offloading scheduler to identify the longest-running stratum.
+//! * [`count_recursive_joins`] — the heuristic of Section 5.3 for
+//!   identifying the longest-running stratum.
 
 use crate::{RamExpr, Stratum};
 use std::collections::BTreeSet;
@@ -79,8 +79,8 @@ pub fn is_linear_recursive(stratum: &Stratum) -> bool {
     StratumAnalysis::analyze(stratum).linear_recursive
 }
 
-/// Number of joins in the stratum that involve a recursive relation. Used as
-/// the scheduling heuristic for identifying the longest-running stratum.
+/// Number of joins in the stratum that involve a recursive relation: the
+/// paper's heuristic for identifying the longest-running stratum.
 pub fn count_recursive_joins(stratum: &Stratum) -> usize {
     StratumAnalysis::analyze(stratum).recursive_joins
 }
