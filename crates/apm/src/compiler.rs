@@ -38,7 +38,13 @@ pub struct CompiledStratum {
 
 struct Compiler<'a> {
     ram: &'a RamProgram,
-    own_relations: BTreeSet<String>,
+    /// The relations whose leaves take part in the stable / recent / all
+    /// partitioning: the stratum's own, plus `changed_inputs`.
+    tracked: BTreeSet<String>,
+    /// Set only by [`compile_stratum_delta`]: tracked relations the stratum
+    /// reads but does not update. Their split is the caller's and stays put
+    /// while the stratum iterates.
+    changed_inputs: BTreeSet<String>,
     instructions: Vec<Instr>,
     first_iteration_only: Vec<bool>,
     static_registers: Vec<RegId>,
@@ -64,7 +70,8 @@ impl<'a> Compiler<'a> {
     fn new(ram: &'a RamProgram, own_relations: BTreeSet<String>) -> Self {
         Compiler {
             ram,
-            own_relations,
+            tracked: own_relations,
+            changed_inputs: BTreeSet::new(),
             instructions: Vec::new(),
             first_iteration_only: Vec::new(),
             static_registers: Vec::new(),
@@ -114,25 +121,30 @@ impl<'a> Compiler<'a> {
             .expect("validated program has known arities")
     }
 
-    /// Whether an expression depends on a relation defined in this stratum.
+    /// Whether an expression depends on a relation this stratum updates,
+    /// i.e. whether its value can differ from one iteration to the next. A
+    /// changed input does not count: every partition of it is the same table
+    /// on every iteration, so an index built over it can be static.
     fn is_recursive_expr(&self, expr: &RamExpr) -> bool {
         let mut refs = Vec::new();
         expr.referenced_relations(&mut refs);
-        refs.iter().any(|r| self.own_relations.contains(r))
+        refs.iter()
+            .any(|r| self.tracked.contains(r) && !self.changed_inputs.contains(r))
     }
 
-    /// Leaf `Relation` occurrences that refer to this stratum's relations, in
-    /// traversal order.
-    fn recursive_leaf_count(&self, expr: &RamExpr) -> usize {
-        let mut count = 0;
+    /// The leaf `Relation` occurrences over tracked relations, in traversal
+    /// order: `true` where the leaf reads a changed input, `false` where it
+    /// reads one of the stratum's own relations.
+    fn tracked_leaves(&self, expr: &RamExpr) -> Vec<bool> {
+        let mut leaves = Vec::new();
         expr.visit(&mut |e| {
             if let RamExpr::Relation(name) = e {
-                if self.own_relations.contains(name) {
-                    count += 1;
+                if self.tracked.contains(name) {
+                    leaves.push(self.changed_inputs.contains(name));
                 }
             }
         });
-        count
+        leaves
     }
 
     /// Compiles an expression. `parts` assigns a database partition to each
@@ -155,8 +167,8 @@ impl<'a> Compiler<'a> {
     ) -> Compiled {
         match expr {
             RamExpr::Relation(name) => {
-                let own = self.own_relations.contains(name);
-                let part = if own {
+                let tracked = self.tracked.contains(name);
+                let part = if tracked {
                     let part = parts[*next_recursive_leaf];
                     *next_recursive_leaf += 1;
                     part
@@ -172,10 +184,10 @@ impl<'a> Compiler<'a> {
                     columns: columns.clone(),
                     tags,
                 });
-                let sorted_prefix = if part != DbPart::All || !own {
+                let sorted_prefix = if part != DbPart::All || !tracked {
                     arity
                 } else {
-                    // `all` on an own relation concatenates two sorted
+                    // `all` on a tracked relation concatenates two sorted
                     // halves, which is not sorted overall.
                     0
                 };
@@ -403,28 +415,31 @@ impl<'a> Compiler<'a> {
         }
     }
 
-    /// Compiles one rule, expanding it into its semi-naive variants.
+    /// Compiles one rule, expanding it into its semi-naive variants: one per
+    /// tracked leaf, reading that leaf's `recent` partition, the `stable`
+    /// partition of every leaf ranked before it and `all` of every leaf
+    /// ranked after it. The stratum's own leaves rank first, in traversal
+    /// order, then the leaves over changed inputs (none in a from-scratch
+    /// build); a variant whose `recent` leaf is a changed input runs in the
+    /// first iteration only — see [`compile_stratum_delta`] for why.
     fn compile_rule(&mut self, rule: &RamRule, recursive_stratum: bool) {
-        let recursive_leaves = self.recursive_leaf_count(&rule.expr);
-        let variants: Vec<(Vec<DbPart>, bool)> = if !recursive_stratum || recursive_leaves == 0 {
+        let leaves = self.tracked_leaves(&rule.expr);
+        let variants: Vec<(Vec<DbPart>, bool)> = if !recursive_stratum || leaves.is_empty() {
             // Base rules only need to run while the initial facts are still
             // the frontier (the first iteration).
             vec![(Vec::new(), recursive_stratum)]
         } else {
-            (0..recursive_leaves)
-                .map(|i| {
-                    let parts = (0..recursive_leaves)
-                        .map(|j| {
-                            if j < i {
-                                DbPart::Stable
-                            } else if j == i {
-                                DbPart::Recent
-                            } else {
-                                DbPart::All
-                            }
-                        })
-                        .collect();
-                    (parts, false)
+            let mut ranked: Vec<usize> = (0..leaves.len()).collect();
+            // Stable: traversal order survives inside each class.
+            ranked.sort_by_key(|&leaf| leaves[leaf]);
+            (0..ranked.len())
+                .map(|rank| {
+                    let mut parts = vec![DbPart::All; leaves.len()];
+                    for &leaf in &ranked[..rank] {
+                        parts[leaf] = DbPart::Stable;
+                    }
+                    parts[ranked[rank]] = DbPart::Recent;
+                    (parts, leaves[ranked[rank]])
                 })
                 .collect()
         };
@@ -451,11 +466,27 @@ impl<'a> Compiler<'a> {
 /// caller seeds the `recent` partition of each changed input with the newly
 /// inserted rows (and of each own relation with its new EDB rows) and runs
 /// the program without the semi-naive preamble, as
-/// [`refresh_database`](crate::refresh_database) does; derivations touching
-/// at least one new fact are then produced by the recent-part variants while
-/// derivations over purely old facts — already materialized — are never
-/// recomputed. Rules with no tracked leaf are dropped outright: their
-/// derivations cannot have changed.
+/// [`refresh_database`](crate::refresh_database) does. Rules with no tracked
+/// leaf are dropped outright: their derivations cannot have changed.
+///
+/// **Leaf ranking.** Within a rule the stratum's own leaves rank before the
+/// changed-input leaves, whatever their order in the rule body. An
+/// own-`recent` variant therefore reads every changed input as `all` (old
+/// rows and Δ together), and a changed-input-`recent` variant reads every own
+/// leaf as `stable`. The latter are marked `first_iteration_only`: a changed
+/// input's `recent` is the caller's Δ and never drains, so left to run every
+/// iteration such a variant would load, probe and re-derive against the
+/// whole materialized relation again and again.
+///
+/// **Why that is complete.** A derivation that uses a new own fact — seeded
+/// or derived — is produced in the last iteration *k* whose frontier holds
+/// one of its own leaves, by the own-`recent` variant of its lowest-ranked
+/// leaf in that frontier: the other own leaves are `stable` or `all` there
+/// and every input leaf is `all`. One that uses only old own facts and some
+/// Δ input row is produced in iteration 0 — the one iteration in which
+/// `stable` still *is* the set the run entered with — by the input-`recent`
+/// variant of its lowest-ranked Δ leaf. One over old facts only is already
+/// materialized, and no variant reads it.
 ///
 /// Two deliberate differences from [`compile_stratum_with_options`]:
 ///
@@ -469,7 +500,8 @@ impl<'a> Compiler<'a> {
 ///
 /// `stored_relations`/`relations` stay the stratum's own relations: the
 /// executor's update phase folds frontiers for those only, leaving the
-/// caller-managed splits of the changed input relations untouched.
+/// caller-managed splits of the changed input relations untouched — which is
+/// also why a hash index over a changed input is a static register.
 ///
 /// `options` are the options of the executor that will run the result, as
 /// for [`compile_stratum_with_options`].
@@ -482,8 +514,13 @@ pub fn compile_stratum_delta(
     let mut tracked: BTreeSet<String> = stratum.relations.iter().cloned().collect();
     tracked.extend(changed_inputs.iter().cloned());
     let mut compiler = Compiler::new(ram, tracked);
+    compiler.changed_inputs = changed_inputs
+        .iter()
+        .filter(|r| !stratum.relations.contains(r))
+        .cloned()
+        .collect();
     for rule in &stratum.rules {
-        if compiler.recursive_leaf_count(&rule.expr) == 0 {
+        if compiler.tracked_leaves(&rule.expr).is_empty() {
             // No leaf over a changed relation: every derivation of this rule
             // is already in the materialized stable set.
             continue;
@@ -734,5 +771,144 @@ mod tests {
                 _ => None,
             })
             .all(|s| !s));
+    }
+
+    /// Splits a delta-compiled stratum into its variants (each ends at its
+    /// `store`) and returns, per variant, the relation its `recent` leaf
+    /// reads and the first-iteration-only flags of its instructions.
+    fn delta_variants(source: &str, changed: &[&str]) -> (Vec<String>, Vec<(String, Vec<bool>)>) {
+        let compiled = parse(source).unwrap();
+        let stratum = compiled
+            .ram
+            .strata
+            .iter()
+            .find(|s| s.recursive)
+            .expect("a recursive stratum");
+        let changed = changed.iter().map(|r| r.to_string()).collect();
+        let apm =
+            compile_stratum_delta(stratum, &compiled.ram, &changed, &RuntimeOptions::default());
+        let program = &apm.program;
+        let mut variants = Vec::new();
+        let (mut recent, mut flags) = (Vec::new(), Vec::new());
+        for (instr, first_only) in program
+            .instructions
+            .iter()
+            .zip(&program.first_iteration_only)
+        {
+            flags.push(*first_only);
+            match instr {
+                Instr::Load {
+                    relation,
+                    part: DbPart::Recent,
+                    ..
+                } => recent.push(relation.clone()),
+                Instr::Store { .. } => {
+                    assert_eq!(recent.len(), 1, "one `recent` leaf per variant");
+                    variants.push((recent.remove(0), std::mem::take(&mut flags)));
+                }
+                _ => {}
+            }
+        }
+        assert!(flags.is_empty(), "instructions after the last store");
+        (stratum.relations.clone(), variants)
+    }
+
+    #[test]
+    fn delta_variants_over_a_changed_input_run_in_the_first_iteration_only() {
+        // The changed input on the right of the own leaf, on its left, twice
+        // in one rule, and beside two own leaves.
+        let cases: [(&str, &[&str]); 4] = [
+            (
+                "type edge(x: u32, y: u32)
+                 rel path(x, y) = edge(x, y) or (path(x, z) and edge(z, y))",
+                &["edge"],
+            ),
+            (
+                "type edge(x: u32, y: u32)
+                 rel path(x, y) = edge(x, y) or (edge(x, z) and path(z, y))",
+                &["edge"],
+            ),
+            (
+                "type a(x: u32, y: u32)
+                 type b(x: u32, y: u32)
+                 rel reach(x, y) = a(x, y) or (reach(x, z) and b(z, w) and a(w, y))",
+                &["a", "b"],
+            ),
+            (
+                "type edge(x: u32, y: u32)
+                 rel path(x, y) = edge(x, y) or (path(x, z) and edge(z, w) and path(w, y))",
+                &["edge", "path"],
+            ),
+        ];
+        for (source, changed) in cases {
+            let (own, variants) = delta_variants(source, changed);
+            let (mut over_own, mut over_input) = (0, 0);
+            for (recent, flags) in &variants {
+                if own.contains(recent) {
+                    over_own += 1;
+                    assert!(
+                        flags.iter().all(|first_only| !first_only),
+                        "an own-recent variant of `{recent}` must run every iteration"
+                    );
+                } else {
+                    over_input += 1;
+                    assert!(
+                        changed.contains(&recent.as_str()),
+                        "`{recent}` is not tracked"
+                    );
+                    assert!(
+                        flags.iter().all(|first_only| *first_only),
+                        "a variant over Δ`{recent}` must run in the first iteration only"
+                    );
+                }
+            }
+            assert!(over_own >= 1 && over_input >= 2, "{source}: {variants:?}");
+        }
+    }
+
+    #[test]
+    fn delta_variants_read_own_leaves_as_stable_and_later_inputs_as_all() {
+        // `edge(x, z) and path(z, y)`: the own leaf ranks first although the
+        // rule names it second, so the variant over Δ`edge` joins it with
+        // the *stable* `path` and the own-recent variant reads *all* of
+        // `edge` — old rows and Δ together.
+        let compiled = parse(
+            "type edge(x: u32, y: u32)
+             rel path(x, y) = edge(x, y) or (edge(x, z) and path(z, y))",
+        )
+        .unwrap();
+        let changed = ["edge".to_string()].into_iter().collect();
+        let apm = compile_stratum_delta(
+            &compiled.ram.strata[0],
+            &compiled.ram,
+            &changed,
+            &RuntimeOptions::default(),
+        );
+        let loads: Vec<(&str, DbPart)> = apm
+            .program
+            .instructions
+            .iter()
+            .filter_map(|i| match i {
+                Instr::Load { relation, part, .. } => Some((relation.as_str(), *part)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            loads,
+            [
+                ("edge", DbPart::Recent),
+                ("edge", DbPart::All),
+                ("path", DbPart::Recent),
+                ("edge", DbPart::Recent),
+                ("path", DbPart::Stable),
+            ]
+        );
+        // `edge` does not change while the stratum iterates, so the index
+        // the own-recent variant probes is built once.
+        assert!(apm
+            .program
+            .instructions
+            .iter()
+            .any(|i| matches!(i, Instr::Build { static_: true, .. })));
     }
 }

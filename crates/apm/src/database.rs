@@ -275,20 +275,19 @@ impl<P: Provenance> SortedTable<P> {
         }
     }
 
-    /// The rows as decoded-value tuples paired with their tags (for result
-    /// extraction and tests).
-    pub fn decoded_rows(&self, schema: &RelationSchema) -> Vec<(Tuple, P::Tag)> {
-        (0..self.len())
-            .map(|row| {
-                let tuple: Tuple = schema
-                    .arg_types
-                    .iter()
-                    .enumerate()
-                    .map(|(c, ty)| Value::decode(self.columns[c][row], *ty))
-                    .collect();
-                (tuple, self.tags[row].clone())
-            })
-            .collect()
+    /// The index each row of `other` takes in
+    /// [`self.merge_disjoint(other)`](SortedTable::merge_disjoint), from the
+    /// comparison the merge itself makes — so a reader holding the rows of
+    /// `self` in stored order can splice in those of `other` without
+    /// looking at either table again.
+    pub fn merge_positions(&self, device: &Device, other: &SortedTable<P>) -> Vec<usize> {
+        kernels::merge_positions(
+            device,
+            &self.col_refs(),
+            self.len(),
+            &other.col_refs(),
+            other.len(),
+        )
     }
 }
 
@@ -459,45 +458,6 @@ fn decode_packed(device: &Device, codec: &Codec, relation: &str, packed: &[Colum
     wide
 }
 
-/// Scalar row extraction from a packed table: unpacks each group word and
-/// maps symbol ranks back to global ids. Used by [`Database::rows`], which
-/// has no [`Device`] at hand — extraction is a cold path.
-fn decoded_rows_packed<P: Provenance>(
-    table: &SortedTable<P>,
-    schema: &RelationSchema,
-    codec: &Codec,
-    relation: &str,
-) -> Vec<(Tuple, P::Tag)> {
-    let layout = codec.layout(relation);
-    (0..table.len())
-        .map(|row| {
-            let mut words = vec![0u64; layout.arity];
-            for (g, group) in layout.groups.iter().enumerate() {
-                let word = table.columns[g][row];
-                for (l, lane) in group.lanes.iter().enumerate() {
-                    let mut v = group.unpack(word, l);
-                    if lane.symbol {
-                        v = u64::from(
-                            codec
-                                .dict
-                                .global(v as u32)
-                                .expect("local rank out of dictionary range"),
-                        );
-                    }
-                    words[lane.column] = v;
-                }
-            }
-            let tuple: Tuple = schema
-                .arg_types
-                .iter()
-                .enumerate()
-                .map(|(c, ty)| Value::decode(words[c], *ty))
-                .collect();
-            (tuple, table.tags[row].clone())
-        })
-        .collect()
-}
-
 /// The bookkeeping for one relation: the semi-naive partitions plus staged
 /// delta candidates produced by `store` instructions during the current
 /// iteration.
@@ -511,7 +471,7 @@ fn decoded_rows_packed<P: Provenance>(
 /// newest run ([`RelationData::push_run`]) and merged into its older
 /// neighbour only while that neighbour is at most twice its size, so a row
 /// is rewritten O(log) times over a whole fix point instead of once per
-/// iteration. **At rest — outside `Executor::run_stratum_inner` — `runs` is
+/// iteration. **At rest — outside `Executor::run_stratum_from` — `runs` is
 /// empty** and `stable` is the whole partition as one sorted table, which is
 /// what every reader outside the executor relies on.
 #[derive(Debug, Clone)]
@@ -567,8 +527,16 @@ impl<P: Provenance> RelationData<P> {
     /// Adds `run` — sorted and disjoint from everything already stable — as
     /// the newest run, then restores the size invariant by merging it into
     /// its older neighbour while that neighbour is at most twice as long.
-    /// Returns the number of rows the merges wrote.
-    pub(crate) fn push_run(&mut self, device: &Device, run: SortedTable<P>) -> usize {
+    /// With `keep_stable` the cascade stops at the oldest run: a seeded run
+    /// entered with `stable` holding a materialized fix point, which must
+    /// come out as it went in, so the runs stay geometric among themselves
+    /// only. Returns the number of rows the merges wrote.
+    pub(crate) fn push_run(
+        &mut self,
+        device: &Device,
+        run: SortedTable<P>,
+        keep_stable: bool,
+    ) -> usize {
         if run.is_empty() {
             run.recycle(device);
             return 0;
@@ -583,7 +551,7 @@ impl<P: Provenance> RelationData<P> {
             let older = self.runs.pop().expect("checked non-empty");
             top = Self::merge_runs(device, older, top, &mut written);
         }
-        if self.runs.is_empty() && self.stable.len() <= 2 * top.len() {
+        if !keep_stable && self.runs.is_empty() && self.stable.len() <= 2 * top.len() {
             self.stable = Self::merge_runs(device, self.stable.take(), top, &mut written);
         } else {
             self.runs.push(top);
@@ -591,18 +559,29 @@ impl<P: Provenance> RelationData<P> {
         written
     }
 
-    /// Folds every run back into `stable`, newest first (the sizes grow
-    /// geometrically towards the old end, so the partial merges sum to at
-    /// most twice the result). Restores the at-rest invariant; returns the
-    /// number of rows the merges wrote.
-    pub(crate) fn compact(&mut self, device: &Device) -> usize {
-        let mut written = 0;
-        let Some(mut folded) = self.runs.pop() else {
-            return 0;
-        };
+    /// Takes the runs out, folded into one table newest first (the sizes
+    /// grow geometrically towards the old end, so the partial merges sum to
+    /// at most twice the result), adding the rows the merges write to
+    /// `written`. `stable` is not touched.
+    pub(crate) fn fold_runs(&mut self, device: &Device, written: &mut usize) -> SortedTable<P> {
+        let mut folded = self
+            .runs
+            .pop()
+            .unwrap_or_else(|| SortedTable::empty(self.stable.arity()));
         while let Some(older) = self.runs.pop() {
-            folded = Self::merge_runs(device, older, folded, &mut written);
+            folded = Self::merge_runs(device, older, folded, written);
         }
+        folded
+    }
+
+    /// Folds every run back into `stable`. Restores the at-rest invariant;
+    /// returns the number of rows the merges wrote.
+    pub(crate) fn compact(&mut self, device: &Device) -> usize {
+        if self.runs.is_empty() {
+            return 0;
+        }
+        let mut written = 0;
+        let folded = self.fold_runs(device, &mut written);
         self.stable = Self::merge_runs(device, self.stable.take(), folded, &mut written);
         written
     }
@@ -864,24 +843,98 @@ impl<P: Provenance> Database<P> {
     /// recent partitions. Encoded databases unpack and translate back to
     /// global symbol ids here, so callers see identical tuples either way.
     pub fn rows(&self, relation: &str) -> Vec<(Tuple, P::Tag)> {
-        let Some(schema) = self.schemas.get(relation) else {
-            return Vec::new();
-        };
+        self.decode_rows(relation, Clone::clone)
+    }
+
+    /// [`Database::rows`] with every tag mapped through `output` on the way
+    /// out — what a reader that wants probabilities, not tags, calls, so no
+    /// intermediate vector of cloned tags is built. The result is reserved
+    /// once, for the relation's row count.
+    pub fn decode_rows<T>(
+        &self,
+        relation: &str,
+        mut output: impl FnMut(&P::Tag) -> T,
+    ) -> Vec<(Tuple, T)> {
         let Some(data) = self.relations.get(relation) else {
             return Vec::new();
         };
         debug_assert!(data.runs.is_empty(), "`{relation}` read mid-stratum");
-        match self.codec.as_ref() {
-            Some(codec) if !codec.layout(relation).is_identity() => {
-                let mut rows = decoded_rows_packed(&data.stable, schema, codec, relation);
-                rows.extend(decoded_rows_packed(&data.recent, schema, codec, relation));
-                rows
+        let mut rows = Vec::with_capacity(data.len());
+        for table in [&data.stable, &data.recent] {
+            self.decode_into(relation, table, &mut output, &mut rows);
+        }
+        rows
+    }
+
+    /// Decodes `table` — rows of `relation` in this database's storage
+    /// encoding, such as the Δ a refresh reports — like
+    /// [`Database::decode_rows`] decodes the stored ones.
+    pub fn decode_table<T>(
+        &self,
+        relation: &str,
+        table: &SortedTable<P>,
+        mut output: impl FnMut(&P::Tag) -> T,
+    ) -> Vec<(Tuple, T)> {
+        let mut rows = Vec::with_capacity(table.len());
+        self.decode_into(relation, table, &mut output, &mut rows);
+        rows
+    }
+
+    /// The one decode walk: every row of `table` goes from stored words to
+    /// a full-width tuple — group words unpacked and symbol ranks mapped
+    /// back to global ids where the relation is stored packed — paired with
+    /// `output` of its tag. One scratch row serves the whole table; the only
+    /// allocation per row is its tuple. Scalar and host-side (no [`Device`]
+    /// at hand), which is a choice, not a sign that decode is cold: it is a
+    /// fifth of a `tc_chain` or `tc_dense` request.
+    fn decode_into<T>(
+        &self,
+        relation: &str,
+        table: &SortedTable<P>,
+        output: &mut impl FnMut(&P::Tag) -> T,
+        rows: &mut Vec<(Tuple, T)>,
+    ) {
+        if table.is_empty() {
+            return;
+        }
+        let schema = &self.schemas[relation];
+        let packed = self
+            .codec
+            .as_ref()
+            .map(|codec| (codec, codec.layout(relation)))
+            .filter(|(_, layout)| !layout.is_identity());
+        let mut words = vec![0u64; schema.arity()];
+        for (row, tag) in table.tags.iter().enumerate() {
+            match packed {
+                Some((codec, layout)) => {
+                    for (group, column) in layout.groups.iter().zip(&table.columns) {
+                        for (l, lane) in group.lanes.iter().enumerate() {
+                            let v = group.unpack(column[row], l);
+                            words[lane.column] = if lane.symbol {
+                                u64::from(
+                                    codec
+                                        .dict
+                                        .global(v as u32)
+                                        .expect("local rank out of dictionary range"),
+                                )
+                            } else {
+                                v
+                            };
+                        }
+                    }
+                }
+                None => {
+                    for (word, column) in words.iter_mut().zip(&table.columns) {
+                        *word = column[row];
+                    }
+                }
             }
-            _ => {
-                let mut rows = data.stable.decoded_rows(schema);
-                rows.extend(data.recent.decoded_rows(schema));
-                rows
-            }
+            let tuple: Tuple = words
+                .iter()
+                .zip(&schema.arg_types)
+                .map(|(word, ty)| Value::decode(*word, *ty))
+                .collect();
+            rows.push((tuple, output(tag)));
         }
     }
 
@@ -1091,7 +1144,7 @@ mod tests {
                     let tags: Vec<P::Tag> = rows.iter().map(|_| tag(&mut rng)).collect();
                     let run = table_of(&device, prov, rows, tags, packed);
                     fold = fold.merge_disjoint(&device, &run);
-                    written += data.push_run(&device, run);
+                    written += data.push_run(&device, run, false);
 
                     let sizes: Vec<usize> = data.stable_tables().map(SortedTable::len).collect();
                     assert!(
@@ -1139,6 +1192,62 @@ mod tests {
             let p = prob(rng);
             top1.input_tag(registry.register(Some(p), None), Some(p))
         });
+    }
+
+    #[test]
+    fn a_seeded_run_set_leaves_stable_as_it_found_it() {
+        // `keep_stable`: the table the run entered with is never merged
+        // into, however small it is beside the runs; the runs are geometric
+        // among themselves, membership still sees everything, and what
+        // `fold_runs` hands back is exactly what was pushed.
+        let device = Device::sequential();
+        let prov = Unit::new();
+        let mut rng = Rng(11);
+        let mut universe: Vec<(u64, u64)> =
+            (0..40).flat_map(|a| (0..40).map(move |b| (a, b))).collect();
+        for i in (1..universe.len()).rev() {
+            universe.swap(i, rng.below(i + 1));
+        }
+        let (old, new) = universe.split_at(30);
+        let entered = table_of(&device, &prov, old, vec![(); old.len()], true);
+        let mut data: RelationData<Unit> = RelationData::new(1);
+        data.stable = entered.clone();
+        let mut pushed_fold: SortedTable<Unit> = SortedTable::empty(1);
+        let mut pushed = 0;
+        while pushed < new.len() {
+            let rows = &new[pushed..(pushed + 1 + rng.below(200)).min(new.len())];
+            pushed += rows.len();
+            let run = table_of(&device, &prov, rows, vec![(); rows.len()], true);
+            pushed_fold = pushed_fold.merge_disjoint(&device, &run);
+            data.push_run(&device, run, true);
+
+            assert_eq!(data.stable.columns, entered.columns);
+            let sizes: Vec<usize> = data.runs.iter().map(SortedTable::len).collect();
+            assert!(
+                sizes.windows(2).all(|w| w[0] > 2 * w[1] && w[1] > 0),
+                "run sizes not geometric: {sizes:?}"
+            );
+            assert_eq!(data.len(), entered.len() + pushed_fold.len());
+            let known = entered.merge_disjoint(&device, &pushed_fold);
+            let picks: Vec<(u64, u64)> = (0..50)
+                .map(|_| universe[rng.below(universe.len())])
+                .collect();
+            let candidate = table_of(&device, &prov, &picks, vec![(); 50], true);
+            let want = known.difference_from(&device, &candidate);
+            assert_eq!(data.new_facts(&device, candidate).columns, want.columns);
+        }
+        assert!(
+            pushed_fold.len() > 2 * entered.len(),
+            "runs outgrew `stable`"
+        );
+        let mut written = 0;
+        let delta = data.fold_runs(&device, &mut written);
+        assert!(data.runs.is_empty());
+        assert_eq!(delta.columns, pushed_fold.columns);
+        assert_eq!(data.stable.columns, entered.columns);
+        // Nothing left to fold: an empty table, and `compact` has no work.
+        assert!(data.fold_runs(&device, &mut written).is_empty());
+        assert_eq!(data.compact(&device), 0);
     }
 
     fn sym_schemas() -> BTreeMap<String, RelationSchema> {
@@ -1190,6 +1299,39 @@ mod tests {
         assert_eq!(packed.storage_arity("edge"), 1);
         assert_eq!(wide.storage_arity("likes"), 2);
         assert!(packed.size_bytes() < wide.size_bytes());
+    }
+
+    #[test]
+    fn one_decode_walk_serves_rows_outputs_and_deltas() {
+        let device = Device::sequential();
+        let prov = AddMultProb::new();
+        let spec = EncodingSpec::default();
+        for mut db in [
+            Database::new(sym_schemas(), prov),
+            Database::new_encoded(sym_schemas(), prov, &spec),
+        ] {
+            for (i, (a, b)) in [(70u32, 3u32), (3, 70), (9, 9), (70, 70)]
+                .iter()
+                .enumerate()
+            {
+                let tag = 0.1 * (i + 1) as f64;
+                db.insert("likes", &[Value::Symbol(*a), Value::Symbol(*b)], tag);
+            }
+            db.seal(&device);
+            let rows = db.rows("likes");
+            assert_eq!(rows.len(), 4);
+            // The tag goes through the closure on the way out…
+            let doubled = db.decode_rows("likes", |tag| 2.0 * tag);
+            assert!(rows
+                .iter()
+                .zip(&doubled)
+                .all(|((t, tag), (d, twice))| t == d && 2.0 * tag == *twice));
+            // …a table handed in decodes like the stored one…
+            let stored = db.relation_data("likes").stable.clone();
+            assert_eq!(db.decode_table("likes", &stored, |tag| *tag), rows);
+            // …and an unknown relation has no rows.
+            assert!(db.decode_rows("ghost", |tag| *tag).is_empty());
+        }
     }
 
     #[test]

@@ -53,6 +53,19 @@ mod exec_sites {
 /// Cached "all" loads of relations not updated by the running stratum.
 type LoadCache<T> = HashMap<String, LoadedTable<T>>;
 
+/// What one run of a stratum keeps from iteration to iteration.
+struct StratumRun<P: Provenance> {
+    /// The run entered with the caller's stable/recent split instead of the
+    /// semi-naive preamble, and `stable` must leave as it came.
+    seeded: bool,
+    /// Registers that survive across iterations.
+    static_file: HashMap<RegId, RegValue<P>>,
+    /// Cached "all" loads of relations not updated by this stratum (the
+    /// buffer-reuse optimization: these buffers are identical every
+    /// iteration).
+    load_cache: LoadCache<P::Tag>,
+}
+
 /// Statistics describing one execution.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExecutionStats {
@@ -206,13 +219,18 @@ impl<P: Provenance> Executor<P> {
     /// Runs one compiled stratum as part of the run that began at
     /// `run_start`, which is what the `timeout_ms` budget is measured from.
     ///
-    /// With `preamble` false the semi-naive preamble is skipped: the caller
-    /// has already arranged every relation's stable/recent split — `stable`
-    /// holding the materialized fix point and `recent` seeded with newly
-    /// inserted rows (see
-    /// [`compile_stratum_delta`](crate::compile_stratum_delta)). The
-    /// iteration loop, update phase, and arena recycling are the same either
-    /// way.
+    /// With `preamble` false the run is *seeded*: the semi-naive preamble is
+    /// skipped because the caller has already arranged every relation's
+    /// stable/recent split — `stable` holding the materialized fix point and
+    /// `recent` seeded with newly inserted rows (see
+    /// [`compile_stratum_delta`](crate::compile_stratum_delta)) — and the
+    /// fix point is handed back the same way: each own relation leaves with
+    /// `stable` exactly as it came in and `recent` holding Δ, every frontier
+    /// the run pushed, merged among themselves. Nothing rewrites the old
+    /// table; folding the pair is the caller's, once, when no later stratum
+    /// needs the split. A seeded run that fails folds everything, like any
+    /// other. The iteration loop, update phase, and arena recycling are the
+    /// same either way.
     pub(crate) fn run_stratum_from(
         &self,
         db: &mut Database<P>,
@@ -220,6 +238,11 @@ impl<P: Provenance> Executor<P> {
         run_start: Instant,
         preamble: bool,
     ) -> Result<ExecutionStats, ExecError> {
+        let mut run = StratumRun {
+            seeded: !preamble,
+            static_file: HashMap::new(),
+            load_cache: HashMap::new(),
+        };
         let began = Instant::now();
         let kernels_before = self.device.stats().kernel_launches;
         let mut stats = ExecutionStats {
@@ -275,32 +298,31 @@ impl<P: Provenance> Executor<P> {
             owned
         });
         let compiled = rewritten.as_ref().unwrap_or(compiled);
-        // Registers that survive across iterations.
-        let mut static_file: HashMap<RegId, RegValue<P>> = HashMap::new();
-        // Cached "all" loads of relations not updated by this stratum (the
-        // buffer-reuse optimization: these buffers are identical every
-        // iteration).
-        let mut load_cache: LoadCache<P::Tag> = HashMap::new();
-
-        let outcome = self.iterate(
-            db,
-            compiled,
-            run_start,
-            &mut static_file,
-            &mut load_cache,
-            &mut stats,
-        );
+        let outcome = self.iterate(db, compiled, run_start, &mut run, &mut stats);
+        let StratumRun {
+            seeded,
+            static_file,
+            load_cache,
+        } = run;
 
         // Every way out of the stratum — fix point, iteration cap, timeout,
         // OOM, kernel error — restores the at-rest invariant: the runs fold
         // back into one sorted `stable`. A failed stratum folds its frontier
         // in as well, so the database holds exactly the facts of the
-        // completed iterations as one sorted, duplicate-free table.
+        // completed iterations as one sorted, duplicate-free table. The one
+        // exception is the fix point of a seeded run, whose runs are the Δ
+        // the caller is waiting for: they fold into `recent`, which the last
+        // iteration left empty.
         for rel in &compiled.relations {
             let data = db.relation_data_mut(rel);
+            if seeded && outcome.is_ok() {
+                debug_assert!(data.recent.is_empty(), "`{rel}` converged with a frontier");
+                data.recent = data.fold_runs(&self.device, &mut stats.update_rows_written);
+                continue;
+            }
             if outcome.is_err() {
                 let frontier = data.recent.take();
-                stats.update_rows_written += data.push_run(&self.device, frontier);
+                stats.update_rows_written += data.push_run(&self.device, frontier, seeded);
             }
             stats.update_rows_written += data.compact(&self.device);
         }
@@ -337,10 +359,10 @@ impl<P: Provenance> Executor<P> {
         db: &mut Database<P>,
         compiled: &CompiledStratum,
         start: Instant,
-        static_file: &mut HashMap<RegId, RegValue<P>>,
-        load_cache: &mut LoadCache<P::Tag>,
+        run: &mut StratumRun<P>,
         stats: &mut ExecutionStats,
     ) -> Result<(), ExecError> {
+        let seeded = run.seeded;
         // Pack lanes of the stratum's own relations (`None` = identity
         // layout or full-width database), resolved after any dictionary
         // extension so widths are final for the whole stratum.
@@ -364,11 +386,12 @@ impl<P: Provenance> Executor<P> {
                 }
             }
 
-            self.execute_iteration(db, compiled, static_file, load_cache, stats)?;
+            self.execute_iteration(db, compiled, run, stats)?;
 
             // Update phase: the finished frontier becomes the newest run of
             // the stable partition — merged into older runs only while they
-            // are at most twice its size, so the cost follows the frontier,
+            // are at most twice its size (and never into the `stable` a
+            // seeded run entered with), so the cost follows the frontier,
             // not everything derived so far — and the staged candidates are
             // filtered against all runs in one pass. Consumed tables are
             // recycled into the arena, which is what keeps the next
@@ -386,7 +409,7 @@ impl<P: Provenance> Executor<P> {
                     lanes.as_deref(),
                 );
                 let frontier = data.recent.take();
-                stats.update_rows_written += data.push_run(&self.device, frontier);
+                stats.update_rows_written += data.push_run(&self.device, frontier, seeded);
                 let delta = data.new_facts(&self.device, candidate);
                 stats.facts_produced += delta.len();
                 if !delta.is_empty() {
@@ -466,10 +489,15 @@ impl<P: Provenance> Executor<P> {
         &self,
         db: &mut Database<P>,
         compiled: &CompiledStratum,
-        static_file: &mut HashMap<RegId, RegValue<P>>,
-        load_cache: &mut LoadCache<P::Tag>,
+        run: &mut StratumRun<P>,
         stats: &mut ExecutionStats,
     ) -> Result<(), ExecError> {
+        let StratumRun {
+            seeded,
+            static_file,
+            load_cache,
+        } = run;
+        let seeded = *seeded;
         // The stratum's iteration counter is the number completed so far.
         let iteration = stats.iterations;
         let program = &compiled.program;
@@ -557,12 +585,27 @@ impl<P: Provenance> Executor<P> {
                             continue;
                         }
                     }
+                    // The compiler treats a single-partition load as sorted
+                    // (it may feed a merge join), so the runs are folded
+                    // into one table first: into `stable` itself, or — in a
+                    // seeded run, which must hand `stable` back as it got
+                    // it — among themselves and then, with `stable`, into a
+                    // table that lives for this load only.
+                    let mut merged_stable: Option<SortedTable<P>> = None;
                     if is_own && *part == DbPart::Stable {
-                        // The compiler treats a single-partition load as
-                        // sorted (it may feed a merge join), so the runs are
-                        // folded into one table first.
-                        stats.update_rows_written +=
-                            db.relation_data_mut(relation).compact(&self.device);
+                        let data = db.relation_data_mut(relation);
+                        if seeded {
+                            let delta =
+                                data.fold_runs(&self.device, &mut stats.update_rows_written);
+                            if !delta.is_empty() {
+                                stats.update_rows_written += data.stable.len() + delta.len();
+                                merged_stable =
+                                    Some(data.stable.merge_disjoint(&self.device, &delta));
+                            }
+                            data.push_run(&self.device, delta, true);
+                        } else {
+                            stats.update_rows_written += data.compact(&self.device);
+                        }
                     }
                     let arena = self.device.arena();
                     // Packed relations are unpacked into wide registers here
@@ -579,7 +622,7 @@ impl<P: Provenance> Executor<P> {
                     };
                     let data = db.relation_data(relation);
                     let single = match part {
-                        DbPart::Stable => Some(&data.stable),
+                        DbPart::Stable => Some(merged_stable.as_ref().unwrap_or(&data.stable)),
                         DbPart::Recent => Some(&data.recent),
                         DbPart::All => None,
                     };
@@ -628,6 +671,9 @@ impl<P: Provenance> Executor<P> {
                             (cols, Arc::new(t))
                         }
                     };
+                    if let Some(merged) = merged_stable {
+                        merged.recycle(&self.device);
+                    }
                     self.device.record_kernel();
                     for (reg, col) in columns.iter().zip(&cols) {
                         set(&mut regs, *reg, RegValue::Data(col.clone()));

@@ -36,5 +36,5 @@ pub use compiler::{compile_stratum_delta, compile_stratum_with_options, Compiled
 pub use config::{fnv1a, fnv1a_extend, RuntimeOptions};
 pub use database::{Database, EncodingSpec, SortedTable};
 pub use executor::{ExecError, ExecutionStats, Executor};
-pub use incremental::{refresh_database, EdbContent};
+pub use incremental::{refresh_database, EdbContent, Refresh, RelationChange};
 pub use isa::{ApmProgram, DbPart, Instr, RegId};

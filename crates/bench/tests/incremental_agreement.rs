@@ -10,7 +10,8 @@
 //! replayed.
 
 use lobster::{
-    Device, DeviceConfig, DynProgram, DynSession, FactSet, Lobster, ProvenanceKind, Value,
+    Device, DeviceConfig, DynProgram, DynSession, FactSet, Lobster, ProvenanceKind, RuntimeOptions,
+    Value,
 };
 use lobster_provenance::{InputFactId, Unit};
 use rand::rngs::StdRng;
@@ -52,8 +53,10 @@ fn assert_identical(got: &lobster::RunResult, want: &lobster::RunResult, what: &
 
 /// One random trace step applied to a session over a small node domain (so
 /// inserts collide with existing edges and retracts hit real support).
+/// `inputs` are the binary relations an insert picks from.
 fn random_step(
     session: &mut DynSession,
+    inputs: &[&str],
     live: &mut Vec<InputFactId>,
     rng: &mut StdRng,
     probabilistic: bool,
@@ -64,10 +67,11 @@ fn random_step(
         let count = rng.gen_range(1usize..4);
         let mut facts = FactSet::new();
         for _ in 0..count {
+            let relation = inputs[rng.gen_range(0..inputs.len())];
             let x = rng.gen_range(0u32..8);
             let y = rng.gen_range(0u32..8);
             let prob = probabilistic.then(|| rng.gen_range(0.05f64..1.0));
-            facts.add("edge", &[Value::U32(x), Value::U32(y)], prob);
+            facts.add(relation, &[Value::U32(x), Value::U32(y)], prob);
         }
         live.extend(session.insert_facts(&facts).unwrap());
     } else if roll < 0.85 {
@@ -86,7 +90,19 @@ fn random_step(
 }
 
 fn run_trace(kind: ProvenanceKind, parallelism: usize, seed: u64, steps: usize) {
-    let program = Lobster::builder(TC)
+    run_trace_over("TC", TC, &["edge"], kind, parallelism, seed, steps);
+}
+
+fn run_trace_over(
+    name: &str,
+    source: &str,
+    inputs: &[&str],
+    kind: ProvenanceKind,
+    parallelism: usize,
+    seed: u64,
+    steps: usize,
+) {
+    let program = Lobster::builder(source)
         .device(device(parallelism))
         .provenance(kind)
         .compile()
@@ -95,13 +111,14 @@ fn run_trace(kind: ProvenanceKind, parallelism: usize, seed: u64, steps: usize) 
     let mut live: Vec<InputFactId> = Vec::new();
     let mut rng = StdRng::seed_from_u64(seed);
     for step in 0..steps {
-        random_step(&mut session, &mut live, &mut rng, kind.is_probabilistic());
+        let probabilistic = kind.is_probabilistic();
+        random_step(&mut session, inputs, &mut live, &mut rng, probabilistic);
         let incremental = session.run_incremental().unwrap();
         let scratch = session.run().unwrap();
         assert_identical(
             &incremental,
             &scratch,
-            &format!("kind {kind}, parallelism {parallelism}, seed {seed:#x}, step {step}"),
+            &format!("{name}, kind {kind}, parallelism {parallelism}, seed {seed:#x}, step {step}"),
         );
     }
 }
@@ -160,6 +177,273 @@ fn insert_only_trace_grows_a_materialized_chain() {
                 incremental.stats.iterations
             );
         }
+    }
+}
+
+#[test]
+fn appending_an_edge_derives_each_new_path_once() {
+    // Counters, not clocks: the edge `n -> n+1` gives the chain `n + 1` new
+    // paths, all from the one join of Δ`edge` with the old `path` (and the
+    // base rule) in iteration 0; iteration 1 finds nothing to extend them
+    // with and stages nothing. Re-running the Δ`edge` variant there would
+    // stage all of them again — 2(n + 1) candidates for n + 1 facts. And
+    // the old table is rewritten once, by the fold that ends the refresh.
+    let program = Lobster::builder(TC).compile_typed::<Unit>().unwrap();
+    for n in [64u32, 512] {
+        let mut session = program.session();
+        session
+            .insert_facts(&facts_of((0..n).map(|i| ("edge", i, i + 1))))
+            .unwrap();
+        session.run_incremental().unwrap();
+        session
+            .insert_facts(&facts_of([("edge", n, n + 1)]))
+            .unwrap();
+        let stats = session.run_incremental().unwrap().stats;
+        let new_paths = n as usize + 1;
+        assert_eq!(stats.iterations, 2, "{n} edges");
+        assert_eq!(stats.facts_produced, new_paths, "{n} edges");
+        assert_eq!(stats.candidate_rows, new_paths, "{n} edges");
+        let (old_edges, old_paths) = (n as usize, (n * (n + 1) / 2) as usize);
+        assert_eq!(
+            stats.update_rows_written,
+            (old_edges + 1) + (old_paths + new_paths),
+            "{n} edges"
+        );
+    }
+}
+
+#[test]
+fn a_fact_inserted_into_a_non_recursive_relation_recomputes_its_stratum() {
+    // `both` is derived by a stratum that does not iterate, so it has no
+    // tuple-level tier — and at rest it keeps its rows in `recent`, where a
+    // seeded Δ would have to go. The insertion is a recompute.
+    let program = DynProgram::compile(
+        "type a(x: u32)
+         type b(x: u32)
+         rel both(x) = a(x), b(x)
+         rel reach(x) = both(x) or (reach(y) and a(y) and b(x))
+         query both
+         query reach",
+        ProvenanceKind::Unit,
+    )
+    .unwrap();
+    let mut session = program.session();
+    let mut facts = FactSet::new();
+    for x in 0..4u32 {
+        facts.add("a", &[Value::U32(x)], None);
+        facts.add("b", &[Value::U32(x + 2)], None);
+    }
+    session.insert_facts(&facts).unwrap();
+    session.run_incremental().unwrap();
+    let mut direct = FactSet::new();
+    direct.add("both", &[Value::U32(9)], None);
+    direct.add("a", &[Value::U32(9)], None);
+    session.insert_facts(&direct).unwrap();
+    let incremental = session.run_incremental().unwrap();
+    assert_identical(&incremental, &session.run().unwrap(), "direct insert");
+    assert!(incremental.contains("both", &[Value::U32(9)]));
+}
+
+// ---------------------------------------------------------------------------
+// Program shapes. The delta compile ranks a rule's own leaves before its
+// changed-input leaves and runs the input-`recent` variants once; whether
+// that is complete depends on where the changed input sits in the rule, how
+// many there are, and what else is recursive — so every shape below runs the
+// same differential, `unit` on the tuple-level tier and the other kinds on
+// the recompute tier.
+// ---------------------------------------------------------------------------
+
+/// One program shape: its source, the binary relations a random step inserts
+/// into, and a deep instance — base facts whose fix point needs many
+/// iterations, and a last insertion that a delta run settles in a few.
+struct Shape {
+    name: &'static str,
+    source: &'static str,
+    inputs: &'static [&'static str],
+    deep: fn() -> (FactSet, FactSet),
+}
+
+fn facts_of(rows: impl IntoIterator<Item = (&'static str, u32, u32)>) -> FactSet {
+    let mut facts = FactSet::new();
+    for (relation, x, y) in rows {
+        facts.add(relation, &[Value::U32(x), Value::U32(y)], None);
+    }
+    facts
+}
+
+/// A 40-edge chain of `edge`s from node 1, and the edge that extends it at
+/// the far end — or at the front, for a rule that recurses on the right of
+/// `edge`: either way the new edge's paths come from one join of Δ`edge`
+/// with the old fix point.
+fn chain_and_one_more(in_front: bool) -> (FactSet, FactSet) {
+    let one_more = if in_front { (0, 1) } else { (41, 42) };
+    (
+        facts_of((1..41).map(|i| ("edge", i, i + 1))),
+        facts_of([("edge", one_more.0, one_more.1)]),
+    )
+}
+
+const SHAPES: [Shape; 7] = [
+    Shape {
+        name: "left-leaf TC",
+        source: "type edge(x: u32, y: u32)
+            rel path(x, y) = edge(x, y) or (edge(x, z) and path(z, y))
+            query path",
+        inputs: &["edge"],
+        deep: || chain_and_one_more(true),
+    },
+    Shape {
+        name: "non-linear TC",
+        source: "type edge(x: u32, y: u32)
+            rel path(x, y) = edge(x, y) or (path(x, z) and path(z, y))
+            query path",
+        inputs: &["edge"],
+        // Path doubling closes 64 edges in nine iterations; the edge that
+        // extends the chain needs three.
+        deep: || {
+            (
+                facts_of((0..64).map(|i| ("edge", i, i + 1))),
+                facts_of([("edge", 64, 65)]),
+            )
+        },
+    },
+    Shape {
+        name: "two changed inputs in one rule",
+        source: "type a(x: u32, y: u32)
+            type b(x: u32, y: u32)
+            rel reach(x, y) = a(x, y) or (reach(x, z) and b(z, w) and a(w, y))
+            query reach",
+        inputs: &["a", "b"],
+        // a, b, a, b, … along a chain; the last step adds a `b` and an `a`
+        // together, and the new `reach` rows need both.
+        deep: || {
+            (
+                facts_of((0..40).map(|i| (if i % 2 == 0 { "a" } else { "b" }, i, i + 1))),
+                facts_of([("b", 39, 40), ("a", 40, 41)]),
+            )
+        },
+    },
+    Shape {
+        name: "mutual recursion",
+        source: "type edge(x: u32, y: u32)
+            rel odd(x, y) = edge(x, y) or (edge(x, z) and even(z, y))
+            rel even(x, y) = edge(x, z) and odd(z, y)
+            query odd
+            query even",
+        inputs: &["edge"],
+        deep: || chain_and_one_more(true),
+    },
+    Shape {
+        name: "same generation",
+        source: "type parent(p: u32, c: u32)
+            rel sg(x, y) = parent(p, x), parent(p, y), x != y
+            rel sg(x, y) = parent(a, x), parent(b, y), sg(a, b)
+            query sg",
+        inputs: &["parent"],
+        // A binary tree of six levels less its last leaf, then that leaf:
+        // it is of one generation with every other leaf.
+        deep: || {
+            (
+                facts_of((2..63).map(|c| ("parent", c / 2, c))),
+                facts_of([("parent", 31, 63)]),
+            )
+        },
+    },
+    Shape {
+        name: "facts inserted into an own relation",
+        source: "type edge(x: u32, y: u32)
+            rel path(x, y) = edge(x, y) or (path(x, z) and edge(z, y))
+            query path",
+        inputs: &["edge", "path"],
+        // A `path` fact no edge supports, near the end of the chain.
+        deep: || {
+            (
+                facts_of((0..40).map(|i| ("edge", i, i + 1))),
+                facts_of([("path", 100, 38)]),
+            )
+        },
+    },
+    Shape {
+        name: "a second recursive stratum reading the first's delta",
+        source: "type edge(x: u32, y: u32)
+            type hop(x: u32, y: u32)
+            rel path(x, y) = edge(x, y) or (path(x, z) and edge(z, y))
+            rel far(x, y) = path(x, y) or (far(x, z) and hop(z, w) and path(w, y))
+            query path
+            query far",
+        inputs: &["edge", "hop"],
+        deep: || {
+            let (mut base, one_more) = chain_and_one_more(false);
+            base.add("hop", &[Value::U32(20), Value::U32(1)], None);
+            (base, one_more)
+        },
+    },
+];
+
+#[test]
+fn every_program_shape_stays_bit_identical_on_both_tiers() {
+    for shape in &SHAPES {
+        for (kind, steps) in [(ProvenanceKind::Unit, 12)]
+            .into_iter()
+            .chain(KINDS.map(|kind| (kind, 8)))
+        {
+            for case in 0..3u64 {
+                let parallelism = PARALLELISM[case as usize % 2];
+                let seed = 0x5AA9E + case;
+                run_trace_over(
+                    shape.name,
+                    shape.source,
+                    shape.inputs,
+                    kind,
+                    parallelism,
+                    seed,
+                    steps,
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn every_program_shape_takes_the_tuple_level_tier_on_an_insert() {
+    // With and without the executor's two optimizations: a delta build makes
+    // the index over a changed input a static register and its `all` load a
+    // cached one, and neither may be what the result rests on.
+    let options = [RuntimeOptions::default(), RuntimeOptions::unoptimized()];
+    for (shape, options) in SHAPES
+        .iter()
+        .flat_map(|s| options.iter().map(move |o| (s, o)))
+    {
+        let program = Lobster::builder(shape.source)
+            .options(options.clone())
+            .provenance(ProvenanceKind::Unit)
+            .compile()
+            .unwrap();
+        let mut session = program.session();
+        let (base, next) = (shape.deep)();
+        session.insert_facts(&base).unwrap();
+        let before = session.run_incremental().unwrap();
+        session.insert_facts(&next).unwrap();
+        let incremental = session.run_incremental().unwrap();
+        let scratch = session.run().unwrap();
+        assert_identical(&incremental, &scratch, shape.name);
+        let rows = |result: &lobster::RunResult| -> usize {
+            result.relations().iter().map(|r| result.len(r)).sum()
+        };
+        assert!(
+            rows(&incremental) > rows(&before),
+            "{}: the insertion derived nothing",
+            shape.name
+        );
+        // Proof the tuple-level tier ran and the recompute tier did not: the
+        // fix point is deep, the delta's cone shallow.
+        assert!(
+            incremental.stats.iterations * 2 < scratch.stats.iterations,
+            "{}: delta took {} iterations, scratch {}",
+            shape.name,
+            incremental.stats.iterations,
+            scratch.stats.iterations
+        );
     }
 }
 

@@ -11,12 +11,14 @@
 
 use crate::error::LobsterError;
 use crate::program::Program;
-use lobster_apm::{refresh_database, Database, EdbContent, ExecutionStats, Executor};
-use lobster_gpu::Columns;
+use lobster_apm::{
+    refresh_database, Database, EdbContent, ExecutionStats, Executor, Refresh, RelationChange,
+};
+use lobster_gpu::{Columns, Device};
 use lobster_provenance::{InputFactId, InputFactRegistry, Output, Provenance, SessionProvenance};
 use lobster_ram::{SymbolTable, Tuple, Value};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// One raw fact of a [`FactSet`]: relation, tuple, optional probability,
 /// optional mutual-exclusion group.
@@ -80,6 +82,11 @@ impl FactSet {
     }
 }
 
+/// The decoded rows of every output relation, in stored order. The rows are
+/// behind an `Arc` so that a materialized session and the results it returns
+/// can share them.
+type OutputView = BTreeMap<String, Arc<Vec<(Tuple, Output)>>>;
+
 /// One registered input fact inside a session.
 #[derive(Debug, Clone)]
 struct RegisteredFact {
@@ -107,6 +114,15 @@ struct IncrementalState<P: Provenance> {
     /// last refresh, used to detect [`Session::set_fact_probability`] calls
     /// made between refreshes.
     probs: Vec<f64>,
+    /// `db`'s output relations, decoded: what the last
+    /// [`Session::run_incremental`] returned, and shares with that result.
+    /// A refresh brings it up to date from what [`refresh_database`] reports
+    /// instead of decoding `db` again — an insertion decodes its Δ rows and
+    /// merges them in, in place unless a caller still holds an earlier
+    /// result (then that relation's rows are copied first, so a result never
+    /// changes after it was returned); a relation the refresh left alone is
+    /// not looked at.
+    view: OutputView,
 }
 
 /// The result of one Lobster run: for every queried relation, the derived
@@ -119,7 +135,7 @@ struct IncrementalState<P: Provenance> {
 /// [`DynSession`]: crate::DynSession
 #[derive(Debug, Clone)]
 pub struct RunResult {
-    outputs: BTreeMap<String, Vec<(Tuple, Output)>>,
+    outputs: OutputView,
     /// Execution statistics (iterations, kernels, elapsed time).
     pub stats: ExecutionStats,
     symbols: SymbolTable,
@@ -133,7 +149,7 @@ impl RunResult {
 
     /// The derived tuples of a relation with their outputs.
     pub fn relation(&self, name: &str) -> &[(Tuple, Output)] {
-        self.outputs.get(name).map(Vec::as_slice).unwrap_or(&[])
+        self.outputs.get(name).map_or(&[], |rows| rows.as_slice())
     }
 
     /// Number of derived tuples in a relation.
@@ -192,7 +208,7 @@ impl RunResult {
     /// requests' facts).
     pub fn map_gradient_ids(&mut self, mut f: impl FnMut(InputFactId) -> Option<InputFactId>) {
         for rows in self.outputs.values_mut() {
-            for (_, output) in rows.iter_mut() {
+            for (_, output) in Arc::make_mut(rows).iter_mut() {
                 output.gradient = std::mem::take(&mut output.gradient)
                     .into_iter()
                     .filter_map(|(id, g)| f(id).map(|id| (id, g)))
@@ -415,22 +431,14 @@ impl<P: Provenance> Session<P> {
         self.facts.len()
     }
 
-    fn collect_outputs(
-        &self,
-        provenance: &P,
-        db: &Database<P>,
-        outputs_of: &[String],
-    ) -> BTreeMap<String, Vec<(Tuple, Output)>> {
-        let mut outputs = BTreeMap::new();
-        for relation in outputs_of {
-            let rows = db
-                .rows(relation)
-                .into_iter()
-                .map(|(tuple, tag)| (tuple, provenance.output(&tag)))
-                .collect();
-            outputs.insert(relation.clone(), rows);
-        }
-        outputs
+    fn collect_outputs(&self, db: &Database<P>, outputs_of: &[String]) -> OutputView {
+        outputs_of
+            .iter()
+            .map(|relation| {
+                let rows = db.decode_rows(relation, |tag| self.provenance.output(tag));
+                (relation.clone(), Arc::new(rows))
+            })
+            .collect()
     }
 
     /// Runs the program against this session's facts.
@@ -449,7 +457,7 @@ impl<P: Provenance> Session<P> {
         db.seal(&self.program.device);
         let stats = self.program.execute(&self.provenance, &mut db, ram)?;
         Ok(RunResult {
-            outputs: self.collect_outputs(&self.provenance, &db, &ram.outputs),
+            outputs: self.collect_outputs(&db, &ram.outputs),
             stats,
             symbols: self.program.artifact.compiled.symbols.clone(),
         })
@@ -547,9 +555,19 @@ impl<P: Provenance> Session<P> {
     /// same session. The returned statistics cover only the work of this
     /// call.
     ///
+    /// The result shares its rows with the session, which keeps them
+    /// current by delta: an insertion decodes only the rows it added and
+    /// merges them in, an output relation the change did not reach is not
+    /// decoded at all. A result never changes after it was returned — if
+    /// one is still alive when the next insertion arrives, the session
+    /// copies that relation's rows before it patches them — so dropping a
+    /// result before the next update is what keeps updates O(|Δ|).
+    ///
     /// # Errors
     ///
-    /// Returns a [`LobsterError::Execution`] on device OOM or timeout.
+    /// Returns a [`LobsterError::Execution`] on device OOM or timeout. The
+    /// materialized state is dropped then (the refresh stopped part-way),
+    /// and the next call materializes afresh.
     pub fn run_incremental(&mut self) -> Result<RunResult, LobsterError> {
         let Some(state) = self.incremental.as_ref() else {
             return self.materialize();
@@ -558,9 +576,11 @@ impl<P: Provenance> Session<P> {
         // Host-side dirty detection: retractions, probability updates, and
         // facts registered past the watermark.
         let mut rebuild: BTreeSet<String> = state.retracted.clone();
+        let mut reweighted = false;
         for (fact, old) in self.facts[..state.watermark].iter().zip(&state.probs) {
             if self.fact_prob(fact) != *old {
                 rebuild.insert(fact.relation.clone());
+                reweighted = true;
             }
         }
         let delta_ok = rebuild.is_empty() && self.provenance.delta_exact();
@@ -580,31 +600,77 @@ impl<P: Provenance> Session<P> {
             }
         }
 
-        if rebuild.is_empty() && inserted.is_empty() {
+        let stats = if rebuild.is_empty() && inserted.is_empty() {
             // Empty delta: serve straight from the materialized fix point —
-            // all checks above are host-side, so zero kernels launch.
-            let ram = self.program.ram();
-            return Ok(RunResult {
-                outputs: self.collect_outputs(&self.provenance, &state.db, &ram.outputs),
-                stats: ExecutionStats::default(),
-                symbols: self.program.artifact.compiled.symbols.clone(),
-            });
-        }
-
-        let refresh_stats = self.refresh(&inserted, &rebuild)?;
-        let probs: Vec<f64> = self.facts.iter().map(|f| self.fact_prob(f)).collect();
-        let watermark = self.facts.len();
-        let state = self.incremental.as_mut().expect("state checked above");
-        state.watermark = watermark;
-        state.probs = probs;
-        state.retracted.clear();
+            // all checks above are host-side, so zero kernels launch, and
+            // the view is current, so nothing is decoded.
+            ExecutionStats::default()
+        } else {
+            // A refresh that failed stopped part-way: drop the state, so the
+            // next call materializes afresh.
+            let refreshed = self.refresh(&inserted, &rebuild).map_err(|e| {
+                self.incremental = None;
+                e
+            })?;
+            let probs: Vec<f64> = self.facts.iter().map(|f| self.fact_prob(f)).collect();
+            let watermark = self.facts.len();
+            let state = self.incremental.as_mut().expect("state checked above");
+            state.watermark = watermark;
+            state.probs = probs;
+            state.retracted.clear();
+            let mut changes = refreshed.outputs;
+            if reweighted {
+                // A proof tag reads its facts' probabilities from the
+                // registry when it is decoded, so a row can decode
+                // differently although no table changed a bit.
+                for relation in &self.program.ram().outputs {
+                    changes.insert(relation.clone(), RelationChange::Rebuilt);
+                }
+            }
+            Self::patch_view(&self.provenance, &self.program.device, state, changes);
+            refreshed.stats
+        };
         let state = self.incremental.as_ref().expect("state checked above");
-        let ram = self.program.ram();
+        debug_assert!(
+            state.view == self.collect_outputs(&state.db, &self.program.ram().outputs),
+            "the view is not what the database decodes to"
+        );
         Ok(RunResult {
-            outputs: self.collect_outputs(&self.provenance, &state.db, &ram.outputs),
-            stats: refresh_stats,
+            outputs: state.view.clone(),
+            stats,
             symbols: self.program.artifact.compiled.symbols.clone(),
         })
+    }
+
+    /// Brings `state.view` up to date with `state.db` from what the refresh
+    /// reported about each output relation.
+    fn patch_view(
+        provenance: &P,
+        device: &Device,
+        state: &mut IncrementalState<P>,
+        changes: BTreeMap<String, RelationChange<P>>,
+    ) {
+        for (relation, change) in changes {
+            match change {
+                RelationChange::Inserted { rows, positions } => {
+                    let added = state
+                        .db
+                        .decode_table(&relation, &rows, |tag| provenance.output(tag));
+                    rows.recycle(device);
+                    let view = state.view.get_mut(&relation).expect("an output relation");
+                    splice_at(Arc::make_mut(view), added, &positions);
+                }
+                RelationChange::Rebuilt => {
+                    // The stale rows go first: unless a caller still holds
+                    // them they are freed before their replacement is built.
+                    state.view.remove(&relation);
+                    let rows = state
+                        .db
+                        .decode_rows(&relation, |tag| provenance.output(tag));
+                    state.view.insert(relation, Arc::new(rows));
+                }
+            }
+        }
     }
 
     /// First [`Session::run_incremental`] call: run from scratch and keep
@@ -619,7 +685,7 @@ impl<P: Provenance> Session<P> {
         }
         db.seal(&self.program.device);
         let stats = self.program.execute(&self.provenance, &mut db, ram)?;
-        let outputs = self.collect_outputs(&self.provenance, &db, &ram.outputs);
+        let view = self.collect_outputs(&db, &ram.outputs);
         let symbols = self.program.artifact.compiled.symbols.clone();
         let probs = self.facts.iter().map(|f| self.fact_prob(f)).collect();
         self.incremental = Some(IncrementalState {
@@ -627,9 +693,10 @@ impl<P: Provenance> Session<P> {
             watermark: self.facts.len(),
             retracted: BTreeSet::new(),
             probs,
+            view: view.clone(),
         });
         Ok(RunResult {
-            outputs,
+            outputs: view,
             stats,
             symbols,
         })
@@ -640,7 +707,7 @@ impl<P: Provenance> Session<P> {
         &mut self,
         inserted: &BTreeMap<String, EdbContent<P::Tag>>,
         rebuild: &BTreeSet<String>,
-    ) -> Result<ExecutionStats, LobsterError> {
+    ) -> Result<Refresh<P>, LobsterError> {
         let executor = Executor::new(
             self.program.device.clone(),
             self.provenance.clone(),
@@ -679,6 +746,30 @@ impl<P: Provenance> Session<P> {
             &edb,
         )?)
     }
+}
+
+/// Merges `added` into `rows` in place so that `added[i]` ends up at index
+/// `positions[i]` (ascending) of the result. Works from the back, so every
+/// old row after the first insertion point moves once and none before it
+/// moves at all; nothing is allocated beyond the growth of `rows` itself.
+fn splice_at<T: Default>(rows: &mut Vec<T>, mut added: Vec<T>, positions: &[usize]) {
+    debug_assert_eq!(added.len(), positions.len());
+    // `read..write` is the gap: default-valued slots between the old rows
+    // still to move and the part of the result already in place.
+    let mut read = rows.len();
+    rows.resize_with(read + added.len(), T::default);
+    let mut write = rows.len();
+    while let Some(row) = added.pop() {
+        let at = positions[added.len()];
+        while write - 1 > at {
+            write -= 1;
+            read -= 1;
+            rows.swap(write, read);
+        }
+        write -= 1;
+        rows[write] = row;
+    }
+    debug_assert_eq!(read, write, "positions do not describe a merge");
 }
 
 impl<P: SessionProvenance> Session<P> {
@@ -757,13 +848,12 @@ impl<P: SessionProvenance> Session<P> {
         let outcome = match self.program.execute(&provenance, &mut db, batched) {
             Ok(stats) => {
                 // Split the batched outputs back into per-sample results.
-                let mut per_sample: Vec<BTreeMap<String, Vec<(Tuple, Output)>>> =
-                    vec![BTreeMap::new(); samples.len()];
+                let mut per_sample: Vec<OutputView> = vec![BTreeMap::new(); samples.len()];
                 for relation in &batched.outputs {
                     for sample_outputs in per_sample.iter_mut() {
                         sample_outputs.entry(relation.clone()).or_default();
                     }
-                    for (tuple, tag) in db.rows(relation) {
+                    for (tuple, out) in db.decode_rows(relation, |tag| provenance.output(tag)) {
                         let Some(Value::U32(sample)) = tuple.first().copied() else {
                             continue;
                         };
@@ -773,10 +863,11 @@ impl<P: SessionProvenance> Session<P> {
                         }
                         let mut rest = tuple;
                         rest.remove(0);
-                        let out = provenance.output(&tag);
-                        per_sample[sample]
+                        let rows = per_sample[sample]
                             .get_mut(relation)
-                            .expect("entry initialized above")
+                            .expect("entry initialized above");
+                        Arc::get_mut(rows)
+                            .expect("nothing shares the rows yet")
                             .push((rest, out));
                     }
                 }
@@ -1081,5 +1172,109 @@ mod tests {
         let result = session.run().unwrap();
         assert_eq!(result.len("path"), 3);
         assert!((result.probability("path", &[Value::U32(0), Value::U32(2)]) - 0.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn splice_at_puts_every_added_row_where_it_is_told() {
+        // Every way of choosing which slots of the result are new.
+        for len in 0..7usize {
+            for mask in 0u32..1 << len {
+                let result: Vec<u32> = (0..len as u32).collect();
+                let is_new = |i: &usize| mask & (1 << i) != 0;
+                let positions: Vec<usize> = (0..len).filter(is_new).collect();
+                let added: Vec<u32> = positions.iter().map(|&i| result[i]).collect();
+                let mut rows: Vec<u32> =
+                    (0..len).filter(|i| !is_new(i)).map(|i| result[i]).collect();
+                splice_at(&mut rows, added, &positions);
+                assert_eq!(rows, result, "mask {mask:#b}");
+            }
+        }
+    }
+
+    fn edge(x: u32, y: u32) -> FactSet {
+        let mut facts = FactSet::new();
+        facts.add("edge", &[Value::U32(x), Value::U32(y)], None);
+        facts
+    }
+
+    #[test]
+    fn a_held_result_keeps_its_rows_across_an_insert() {
+        let program = Lobster::builder(TC).compile_typed::<Unit>().unwrap();
+        let mut session = program.session();
+        session.insert_facts(&edge(1, 2)).unwrap();
+        session.insert_facts(&edge(2, 3)).unwrap();
+        let held = session.run_incremental().unwrap();
+        let before = held.relation("path").to_vec();
+        assert_eq!(before.len(), 3);
+
+        // The session shares the rows with `held`, so the insert must copy
+        // them before it patches — and the empty-delta call after it hands
+        // out the patched rows, not a fresh decode.
+        session.insert_facts(&edge(0, 1)).unwrap();
+        let grown = session.run_incremental().unwrap();
+        assert_eq!(held.relation("path"), before);
+        assert_eq!(grown.len("path"), 6);
+        assert_eq!(
+            grown.relation("path"),
+            session.run().unwrap().relation("path")
+        );
+        let again = session.run_incremental().unwrap();
+        assert_eq!(again.stats.kernel_launches, 0);
+        assert!(std::ptr::eq(again.relation("path"), grown.relation("path")));
+    }
+
+    #[test]
+    fn a_cloned_session_patches_its_own_copy_of_the_view() {
+        let program = Lobster::builder(TC).compile_typed::<Unit>().unwrap();
+        let mut original = program.session();
+        original.insert_facts(&edge(1, 2)).unwrap();
+        original.run_incremental().unwrap();
+        let mut clone = original.clone();
+        clone.insert_facts(&edge(2, 3)).unwrap();
+        assert_eq!(clone.run_incremental().unwrap().len("path"), 3);
+        // The original neither sees the clone's rows nor lost its own.
+        assert_eq!(original.run_incremental().unwrap().len("path"), 1);
+        original.insert_facts(&edge(0, 1)).unwrap();
+        let result = original.run_incremental().unwrap();
+        assert_eq!(
+            result.relation("path"),
+            original.run().unwrap().relation("path")
+        );
+        assert_eq!(result.len("path"), 3);
+        assert!(!result.contains("path", &[Value::U32(2), Value::U32(3)]));
+    }
+
+    #[test]
+    fn a_failed_refresh_drops_the_materialized_state() {
+        // Four edges close in five iterations; the edge put in front of them
+        // needs a sixth to find that nothing follows its last path.
+        let program = Lobster::builder(TC)
+            .options(lobster_apm::RuntimeOptions {
+                max_iterations: 5,
+                ..lobster_apm::RuntimeOptions::default()
+            })
+            .compile_typed::<Unit>()
+            .unwrap();
+        let mut session = program.session();
+        for i in 1..5 {
+            session.insert_facts(&edge(i, i + 1)).unwrap();
+        }
+        assert_eq!(session.run_incremental().unwrap().len("path"), 10);
+        let front = session.insert_facts(&edge(0, 1)).unwrap();
+        assert!(matches!(
+            session.run_incremental(),
+            Err(LobsterError::Execution(_))
+        ));
+        // The database stopped part-way through the refresh, so it is gone:
+        // the next call starts over instead of refreshing a half-done state.
+        assert!(!session.is_materialized());
+        session.retract_facts(&front);
+        let result = session.run_incremental().unwrap();
+        assert!(session.is_materialized());
+        assert_eq!(
+            result.relation("path"),
+            session.run().unwrap().relation("path")
+        );
+        assert_eq!(result.len("path"), 10);
     }
 }

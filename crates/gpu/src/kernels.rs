@@ -1100,6 +1100,29 @@ fn bisect(mut lo: usize, mut hi: usize, less: impl Fn(usize) -> bool) -> usize {
     lo
 }
 
+/// Where each row of `b` lands in [`merge`]`(a, b)`: row `j` follows the `a`
+/// rows not greater than it (`a` wins ties there) and `j` rows of its own.
+/// One galloping cursor over `a`, so the cost follows `b` — which is the
+/// point: the caller has a small `b` and a reader of `a` to patch.
+pub fn merge_positions(
+    device: &Device,
+    a_cols: &[&[u64]],
+    a_len: usize,
+    b_cols: &[&[u64]],
+    b_len: usize,
+) -> Vec<usize> {
+    let _t = device.launch(KernelKind::Other);
+    let mut cursor = 0;
+    (0..b_len)
+        .map(|j| {
+            cursor = gallop(cursor, a_len, |i| {
+                cmp_rows(a_cols, i, b_cols, j) != Ordering::Greater
+            });
+            cursor + j
+        })
+        .collect()
+}
+
 /// `diff(ā, b̄)`: rows of sorted table `a` that do not occur in sorted table
 /// `b`, keeping `a`'s tags. This is the set difference required to keep
 /// semi-naive evaluation terminating (new delta facts must not already be
@@ -1808,6 +1831,30 @@ mod tests {
         let (cols, tags) = merge(&d, &refs(&a), &[10, 30, 50], &refs(&b), &[20, 31, 60]);
         assert_eq!(cols[0], vec![1, 2, 3, 3, 5, 6]);
         assert_eq!(tags, vec![10, 20, 30, 31, 50, 60]);
+    }
+
+    #[test]
+    fn merge_positions_are_where_merge_puts_the_rows() {
+        let d = dev();
+        // Two columns, a tie on (3, 1) — `a` first there — and `b` rows
+        // before, between and after everything in `a`.
+        let a = vec![vec![1u64, 3, 3, 5, 5, 5], vec![9u64, 0, 1, 2, 4, 6]];
+        let b = vec![vec![0u64, 3, 5, 5, 7, 8], vec![9u64, 1, 3, 5, 0, 0]];
+        let a_tags: Vec<u32> = (0..6).collect();
+        let b_tags: Vec<u32> = (100..106).collect();
+        let (_, merged) = merge(&d, &refs(&a), &a_tags, &refs(&b), &b_tags);
+        let positions = merge_positions(&d, &refs(&a), 6, &refs(&b), 6);
+        assert_eq!(positions, vec![0, 4, 6, 8, 10, 11]);
+        for (j, at) in positions.iter().enumerate() {
+            assert_eq!(merged[*at], b_tags[j]);
+        }
+        // Nothing to merge into, and nothing to merge.
+        let none: Vec<Column> = vec![Vec::new(), Vec::new()];
+        assert_eq!(
+            merge_positions(&d, &refs(&none), 0, &refs(&b), 6),
+            vec![0, 1, 2, 3, 4, 5]
+        );
+        assert!(merge_positions(&d, &refs(&a), 6, &refs(&none), 0).is_empty());
     }
 
     #[test]
