@@ -444,7 +444,8 @@ mod tests {
         let baseline = engine.run(&compiled.ram, &facts).unwrap();
 
         let program = Lobster::builder(TC)
-            .compile_typed::<lobster::Unit>()
+            .provenance(lobster::ProvenanceKind::Unit)
+            .compile()
             .unwrap();
         let mut session = program.session();
         for &(a, b) in &edges {

@@ -3,7 +3,7 @@
 //! Lobster versus the tuple-at-a-time Scallop baseline on the same input.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use lobster::{Lobster, Program, RuntimeOptions, Value};
+use lobster::{Lobster, Program, ProvenanceKind, RuntimeOptions, Value};
 use lobster_baselines::ScallopEngine;
 use lobster_provenance::Unit;
 use lobster_workloads::graphs;
@@ -16,14 +16,15 @@ fn chain_and_shortcut_edges(n: u32) -> Vec<(u32, u32)> {
     graphs::mesh(n, 3, &mut rng)
 }
 
-fn compile_tc(options: RuntimeOptions) -> Program<Unit> {
+fn compile_tc(options: RuntimeOptions) -> Program {
     Lobster::builder(graphs::TRANSITIVE_CLOSURE)
         .options(options)
-        .compile_typed()
+        .provenance(ProvenanceKind::Unit)
+        .compile()
         .expect("program compiles")
 }
 
-fn run_lobster_tc(program: &Program<Unit>, edges: &[(u32, u32)]) {
+fn run_lobster_tc(program: &Program, edges: &[(u32, u32)]) {
     let mut session = program.session();
     for &(a, b) in edges {
         session

@@ -6,7 +6,7 @@
 //! Run with `cargo run -p lobster-bench --release --bin fig10_scalability`
 //! (optionally pass `pacman` or `pathfinder` to run one sub-figure).
 
-use lobster::{Lobster, Program, RuntimeOptions};
+use lobster::{Lobster, Program, ProvenanceKind, RuntimeOptions};
 use lobster_bench::{print_header, quick_mode, run_lobster, run_scallop, scaled, scallop_facts};
 use lobster_provenance::{DiffTop1Proof, InputFactRegistry};
 use lobster_workloads::{pacman, pathfinder, WorkloadFacts};
@@ -44,12 +44,13 @@ fn run_sweep(
     );
     let mut rng = StdRng::seed_from_u64(10);
     // One compiled program per ablation configuration, reused across sizes.
-    let programs: Vec<Program<DiffTop1Proof>> = configurations()
+    let programs: Vec<Program> = configurations()
         .into_iter()
         .map(|(_, options)| {
             Lobster::builder(program)
                 .options(options)
-                .compile_typed()
+                .provenance(ProvenanceKind::DiffTop1Proof)
+                .compile()
                 .expect("program compiles")
         })
         .collect();

@@ -5,7 +5,7 @@
 //!
 //! Run with `cargo run -p lobster-bench --release --bin fig11_psa`.
 
-use lobster::{Lobster, MaxMinProb};
+use lobster::{Lobster, MaxMinProb, ProvenanceKind};
 use lobster_baselines::{BaselineError, ProblogEngine};
 use lobster_bench::{
     print_header, quick_mode, run_lobster, run_scallop, scallop_facts, time_it, Outcome,
@@ -29,7 +29,8 @@ fn main() {
         "program", "scallop (s)", "lobster (s)", "speedup", "paper", "problog"
     );
     let program = Lobster::builder(psa::PROGRAM)
-        .compile_typed::<MaxMinProb>()
+        .provenance(ProvenanceKind::MaxMinProb)
+        .compile()
         .expect("program compiles");
     for (i, (name, nodes, degree)) in psa::FIG11_PROGRAMS.iter().enumerate() {
         let nodes = if quick_mode() { nodes / 5 } else { *nodes };

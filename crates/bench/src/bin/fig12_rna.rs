@@ -5,7 +5,7 @@
 //!
 //! Run with `cargo run -p lobster-bench --release --bin fig12_rna`.
 
-use lobster::Lobster;
+use lobster::{Lobster, ProvenanceKind};
 use lobster_bench::{print_header, quick_mode, run_lobster, run_scallop, scallop_facts};
 use lobster_provenance::{InputFactRegistry, Top1Proof};
 use lobster_workloads::rna;
@@ -28,7 +28,8 @@ fn main() {
         "length", "pairs", "scallop (s)", "lobster (s)", "speedup"
     );
     let program = Lobster::builder(rna::PROGRAM)
-        .compile_typed::<Top1Proof>()
+        .provenance(ProvenanceKind::Top1Proof)
+        .compile()
         .expect("program compiles");
     for &length in &lengths {
         let sample = rna::generate(length, &mut rng);

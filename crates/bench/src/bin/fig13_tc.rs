@@ -3,7 +3,7 @@
 //!
 //! Run with `cargo run -p lobster-bench --release --bin fig13_tc`.
 
-use lobster::{Device, Lobster, Unit, Value};
+use lobster::{Device, Lobster, ProvenanceKind, Value};
 use lobster_baselines::FvlogEngine;
 use lobster_bench::{print_header, quick_mode, run_lobster, run_souffle, time_it, Outcome};
 use lobster_workloads::graphs::{self, NamedGraph};
@@ -26,7 +26,8 @@ fn main() {
     );
     let mut rng = StdRng::seed_from_u64(13);
     let program = Lobster::builder(graphs::TRANSITIVE_CLOSURE)
-        .compile_typed::<Unit>()
+        .provenance(ProvenanceKind::Unit)
+        .compile()
         .expect("program compiles");
     println!(
         "{:<16} {:>8} {:>12} {:>12} {:>12} {:>12} {:>12}",

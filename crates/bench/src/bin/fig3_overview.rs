@@ -4,7 +4,7 @@
 //!
 //! Run with `cargo run -p lobster-bench --release --bin fig3_overview`.
 
-use lobster::{DiffTop1Proof, Lobster};
+use lobster::{Lobster, ProvenanceKind};
 use lobster_bench::train::{pathfinder_task, run_training, Engine};
 use lobster_bench::{print_header, scaled};
 use lobster_neural::{Activation, Mlp};
@@ -43,7 +43,8 @@ fn neural_only_accuracy(samples: &[(lobster_workloads::WorkloadFacts, bool)]) ->
 /// the symbolic program over the predicted edges.
 fn neurosymbolic_accuracy(samples: &[(lobster_workloads::WorkloadFacts, bool)]) -> f64 {
     let program = Lobster::builder(pathfinder::PROGRAM)
-        .compile_typed::<DiffTop1Proof>()
+        .provenance(ProvenanceKind::DiffTop1Proof)
+        .compile()
         .expect("compiles");
     let correct = samples
         .iter()

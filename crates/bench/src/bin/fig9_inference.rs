@@ -4,7 +4,7 @@
 //!
 //! Run with `cargo run -p lobster-bench --release --bin fig9_inference`.
 
-use lobster::{DiffTop1Proof, Lobster};
+use lobster::{DiffTop1Proof, Lobster, ProvenanceKind};
 use lobster_bench::{
     print_header, quick_mode, run_lobster, run_scallop, scaled, scallop_facts, Outcome,
 };
@@ -81,7 +81,8 @@ fn main() {
     for task in &tasks {
         // One compiled program serves every sample of the task.
         let program = Lobster::builder(task.program)
-            .compile_typed::<DiffTop1Proof>()
+            .provenance(ProvenanceKind::DiffTop1Proof)
+            .compile()
             .expect("program compiles");
         let lobster_outcomes: Vec<Outcome> = task
             .samples

@@ -34,7 +34,7 @@
 //! The artifact stamps `quick_mode` and `cpus` like every other bench
 //! artifact, so a degraded regeneration is self-describing.
 
-use lobster::{FactSet, Lobster, Unit, Value};
+use lobster::{FactSet, Lobster, ProvenanceKind, Value};
 use lobster_bench::{print_header, quick_mode};
 use std::time::{Duration, Instant};
 
@@ -130,7 +130,8 @@ fn main() {
     );
 
     let program = Lobster::builder(TC)
-        .compile_typed::<Unit>()
+        .provenance(ProvenanceKind::Unit)
+        .compile()
         .expect("TC compiles");
 
     let mut rows: Vec<Row> = Vec::new();

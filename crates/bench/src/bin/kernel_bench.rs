@@ -35,10 +35,9 @@
 //! `skipped-single-cpu`), so a recorded run is self-describing: a missing
 //! speedup on a one-CPU runner is distinguishable from a regression.
 
-use lobster::{Lobster, SymbolTable, Value};
+use lobster::{Lobster, ProvenanceKind, SymbolTable, Value};
 use lobster_bench::{print_header, quick_mode};
 use lobster_gpu::{kernels, Device, DeviceConfig, HashIndex, KernelTime};
-use lobster_provenance::Unit;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::{Duration, Instant};
@@ -315,7 +314,8 @@ fn main() {
             });
             let program = Lobster::builder(tc_source)
                 .device(device)
-                .compile_typed::<Unit>()
+                .provenance(ProvenanceKind::Unit)
+                .compile()
                 .expect("TC compiles");
             let mut session = program.session();
             for i in 0..tc_edges as u32 {
@@ -361,7 +361,8 @@ fn main() {
             });
             let program = Lobster::builder(sym_source)
                 .device(device.clone())
-                .compile_typed::<Unit>()
+                .provenance(ProvenanceKind::Unit)
+                .compile()
                 .expect("symbol TC compiles");
             let mut session = program.session();
             for pair in ids.windows(2) {

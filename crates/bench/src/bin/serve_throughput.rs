@@ -12,16 +12,9 @@
 //!
 //! A `sharded` mode is also measured: the same scheduler with each pooled
 //! batch fanned out across shard devices (`SchedulerConfig::num_shards`,
-//! backed by the scheduler's persistent `DynShardedExecutor`), recorded
+//! backed by the scheduler's persistent `ShardedExecutor`), recorded
 //! next to its single-device counterpart so the cost/win of multi-device
 //! execution is visible.
-//!
-//! An `executor` pair isolates the persistent-runtime win itself: the same
-//! sharded batches driven through one long-lived `DynShardedExecutor`
-//! (`persistent-BxS`) versus a fresh executor constructed — shard threads
-//! spawned and joined — for every batch (`spawn-per-batch-BxS`, the pre-
-//! persistent-runtime behaviour). The delta is pure spawn/teardown and
-//! session-setup overhead; the fix-point work is identical.
 //!
 //! Run with `cargo run -p lobster-bench --release --bin serve_throughput`.
 //! Knobs:
@@ -38,10 +31,6 @@
 //!   machine with a single CPU the shards of a batch cannot overlap at all;
 //!   the gate is only enforced when at least 2 CPUs are available (the
 //!   factor is still measured and recorded either way).
-//! * `--assert-persistent-factor X` — exit non-zero unless the persistent
-//!   executor reaches `X ×` the spawn-per-batch throughput on the same
-//!   batches (the CI gate uses `1.0`: removing per-batch spawn/join must
-//!   never cost throughput).
 
 use lobster::ProvenanceKind;
 use lobster_bench::{degraded_overwrite_warning, print_header, quick_mode, scaled, ArtifactMode};
@@ -97,22 +86,21 @@ impl Measurement {
     }
 }
 
-/// A plain in-process loop — no scheduler, no threads, no dispatch. Not the
-/// baseline (a server cannot run this way), but recorded so the scheduler's
-/// own overhead is visible next to the batching win. `run_one` executes one
-/// request, so the same loop measures the `DynProgram` match-dispatch path
-/// (`direct-loop`) and the statically-typed `Program` path (`direct-typed`);
-/// the ratio of the two is the provenance-erasure overhead.
+/// A plain in-process loop — no scheduler, no threads. Not the baseline (a
+/// server cannot run this way), but recorded so the scheduler's own overhead
+/// is visible next to the batching win.
 fn run_direct(
     label: &str,
+    program: &lobster::Program,
     requests: &[lobster::FactSet],
-    run_one: &(dyn Fn(&lobster::FactSet) + '_),
 ) -> Measurement {
     let start = Instant::now();
     let mut latencies = Vec::with_capacity(requests.len());
     for request in requests {
         let t = Instant::now();
-        run_one(request);
+        program
+            .run_batch(std::slice::from_ref(request))
+            .expect("request runs");
         latencies.push(t.elapsed().as_secs_f64() * 1e3);
     }
     Measurement {
@@ -130,7 +118,7 @@ fn run_direct(
 /// would look) and awaited in submission order; each latency spans
 /// submit → result read.
 fn run_batched(
-    program: &std::sync::Arc<lobster::DynProgram>,
+    program: &std::sync::Arc<lobster::Program>,
     requests: &[lobster::FactSet],
     batch_size: usize,
     num_shards: usize,
@@ -183,58 +171,6 @@ fn run_batched(
     }
 }
 
-/// The same sharded batches driven either through one persistent
-/// `DynShardedExecutor` (constructed before the clock starts, shard workers
-/// reused by every batch) or through a fresh executor per batch (shard
-/// threads spawned and joined inside the loop — the per-call model the
-/// persistent runtime replaced). Batch payloads are cloned outside the
-/// timed region in both modes; each request's latency is its batch's
-/// execution time.
-fn run_executor(
-    program: &std::sync::Arc<lobster::DynProgram>,
-    requests: &[lobster::FactSet],
-    batch_size: usize,
-    num_shards: usize,
-    persistent: bool,
-) -> Measurement {
-    let config = lobster::ShardConfig::default().with_num_shards(num_shards);
-    let batches: Vec<Vec<lobster::FactSet>> = requests
-        .chunks(batch_size)
-        .map(<[lobster::FactSet]>::to_vec)
-        .collect();
-    let label = if persistent {
-        format!("persistent-{batch_size}x{num_shards}")
-    } else {
-        format!("spawn-per-batch-{batch_size}x{num_shards}")
-    };
-    let held = persistent.then(|| program.sharded_executor(config.clone()));
-    let mut latencies = Vec::with_capacity(requests.len());
-    let mut fixpoints = 0u64;
-    let start = Instant::now();
-    for batch in batches {
-        let t = Instant::now();
-        let n = batch.len();
-        let (_, stats) = match &held {
-            Some(executor) => executor.run_batch_owned(batch).expect("batch runs"),
-            None => program
-                .sharded_executor(config.clone())
-                .run_batch_owned(batch)
-                .expect("batch runs"),
-        };
-        fixpoints += stats.executed_chunks as u64;
-        let elapsed_ms = t.elapsed().as_secs_f64() * 1e3;
-        latencies.extend(std::iter::repeat(elapsed_ms).take(n));
-    }
-    Measurement {
-        label,
-        batch_size,
-        num_shards,
-        wall: start.elapsed(),
-        latencies_ms: latencies,
-        fixpoints,
-    }
-}
-
 fn arg_value(args: &[String], name: &str) -> Option<String> {
     args.iter()
         .position(|a| a == name)
@@ -264,11 +200,6 @@ fn main() {
         .map(|v| v.parse().expect("--assert-speedup takes a number"));
     let assert_sharded_factor: Option<f64> = arg_value(&args, "--assert-sharded-factor")
         .map(|v| v.parse().expect("--assert-sharded-factor takes a number"));
-    let assert_persistent_factor: Option<f64> =
-        arg_value(&args, "--assert-persistent-factor").map(|v| {
-            v.parse()
-                .expect("--assert-persistent-factor takes a number")
-        });
 
     print_header(
         "Serving throughput — batched scheduler vs one-request-at-a-time",
@@ -295,44 +226,22 @@ fn main() {
         ProvenanceKind::DiffTop1Proof
     );
 
-    // The statically-typed twin of the cached program: same source, same
-    // provenance, same options — the only difference is that every API call
-    // goes through zero-cost static dispatch instead of the `DynProgram`
-    // `match`. The throughput ratio of the two direct loops is therefore
-    // the match-dispatch overhead (ROADMAP: provenance-erased hot path).
-    let typed_program = lobster::Lobster::builder(clutrr::PROGRAM)
-        .compile_typed::<lobster_provenance::DiffTop1Proof>()
-        .expect("CLUTRR program compiles (typed)");
-
-    let run_dyn = |request: &lobster::FactSet| {
-        program
-            .run_batch(std::slice::from_ref(request))
-            .expect("request runs");
-    };
-    let run_typed = |request: &lobster::FactSet| {
-        typed_program
-            .run_batch(std::slice::from_ref(request))
-            .expect("request runs");
-    };
-
     // Warm up allocators and the simulated device so the sequential baseline
     // is not penalized for going first.
-    run_direct("warmup", &requests[..requests_n.min(4)], &run_dyn);
+    run_direct("warmup", &program, &requests[..requests_n.min(4)]);
     let kernel_time_before = program.device().stats().kernel_time;
 
     // Every configuration (the baseline included) is measured several times
     // and keeps its best run: wall times here are milliseconds, so a single
     // descheduling blip otherwise dominates the comparison. One selection
     // rule for every row — the CI gates compare like with like.
-    let best_of_n = |n: usize, run: &dyn Fn() -> Measurement| -> Measurement {
-        (0..n)
+    let best_of = |run: &dyn Fn() -> Measurement| -> Measurement {
+        (0..repeats)
             .map(|_| run())
             .max_by(|a, b| a.samples_per_sec().total_cmp(&b.samples_per_sec()))
             .expect("at least one repeat")
     };
-    let best_of = |run: &dyn Fn() -> Measurement| best_of_n(repeats, run);
-    let direct = best_of(&|| run_direct("direct-loop", &requests, &run_dyn));
-    let direct_typed = best_of(&|| run_direct("direct-typed", &requests, &run_typed));
+    let direct = best_of(&|| run_direct("direct-loop", &program, &requests));
     let sequential = best_of(&|| run_batched(&program, &requests, 1, 1));
     let batch_sizes: Vec<usize> = [4usize, 8, 16, 32]
         .iter()
@@ -351,30 +260,15 @@ fn main() {
         .iter()
         .map(|s| best_of(&|| run_batched(&program, &requests, largest_batch, *s)))
         .collect();
-    // The persistent-runtime pair: identical 2-way-sharded batches, with and
-    // without per-batch executor construction. A smallish batch size keeps
-    // the batch count high enough that per-batch spawn/join overhead is a
-    // visible slice of the wall time; extra repeats (these are the shortest
-    // walls measured here) keep the ≥ 1.0× CI gate off the noise floor.
-    let exec_batch = 8usize.min(requests_n);
-    let exec_repeats = repeats.max(5);
-    let spawn_per_batch = best_of_n(exec_repeats, &|| {
-        run_executor(&program, &requests, exec_batch, 2, false)
-    });
-    let persistent = best_of_n(exec_repeats, &|| {
-        run_executor(&program, &requests, exec_batch, 2, true)
-    });
-
     let seq_sps = sequential.samples_per_sec();
     println!(
         "{:<20} {:>10} {:>14} {:>10} {:>10} {:>10} {:>9}",
         "config", "fixpoints", "samples/sec", "p50 (ms)", "p99 (ms)", "wall (s)", "speedup"
     );
-    for m in [&direct, &direct_typed, &sequential]
+    for m in [&direct, &sequential]
         .into_iter()
         .chain(&batched)
         .chain(&sharded)
-        .chain([&spawn_per_batch, &persistent])
     {
         println!(
             "{:<20} {:>10} {:>14.1} {:>10.2} {:>10.2} {:>10.3} {:>8.2}x",
@@ -389,12 +283,6 @@ fn main() {
     }
 
     // BENCH_serve.json — machine-readable record, uploaded as a CI artifact.
-    let persistent_factor =
-        persistent.samples_per_sec() / spawn_per_batch.samples_per_sec().max(1e-12);
-    // Provenance-erasure cost: > 1.0 means the typed program out-ran the
-    // `DynProgram` `match`-dispatch path on identical work.
-    let dispatch_overhead_factor =
-        direct_typed.samples_per_sec() / direct.samples_per_sec().max(1e-12);
     // Where the (single-device) serving wall time went, per kernel bucket.
     // Sharded rows run on split shard devices and are attributed in
     // BENCH_kernels.json instead.
@@ -403,30 +291,21 @@ fn main() {
         .stats()
         .kernel_time
         .delta_since(&kernel_time_before);
-    println!(
-        "\ndispatch overhead (typed vs dyn direct loop): {dispatch_overhead_factor:.3}x \
-         — one match per batch API call"
-    );
     let json = format!(
         "{{\n  \"workload\": \"clutrr\",\n  \"provenance\": \"{}\",\n  \
          \"requests\": {},\n  \"chain_length\": {},\n  \"quick_mode\": {},\n  \
          \"cpus\": {},\n  \
-         \"direct_loop\": {},\n  \"direct_typed\": {},\n  \
-         \"dispatch_overhead_factor\": {:.3},\n  \
+         \"direct_loop\": {},\n  \
          \"kernel_time_ms\": {{\"sort_ms\": {:.3}, \"join_ms\": {:.3}, \
          \"unique_ms\": {:.3}, \"other_ms\": {:.3}}},\n  \
          \"sequential\": {},\n  \"batched\": [\n    {}\n  ],\n  \
-         \"sharded\": [\n    {}\n  ],\n  \
-         \"executor\": [\n    {},\n    {}\n  ],\n  \
-         \"persistent_vs_spawn_factor\": {:.3}\n}}\n",
+         \"sharded\": [\n    {}\n  ]\n}}\n",
         ProvenanceKind::DiffTop1Proof,
         requests_n,
         chain_length,
         quick_mode(),
         std::thread::available_parallelism().map_or(1, |n| n.get()),
         direct.json(seq_sps),
-        direct_typed.json(seq_sps),
-        dispatch_overhead_factor,
         kernel_time.sort_ns as f64 / 1e6,
         kernel_time.join_ns as f64 / 1e6,
         kernel_time.unique_ns as f64 / 1e6,
@@ -442,9 +321,6 @@ fn main() {
             .map(|m| m.json(seq_sps))
             .collect::<Vec<_>>()
             .join(",\n    "),
-        spawn_per_batch.json(seq_sps),
-        persistent.json(seq_sps),
-        persistent_factor,
     );
     // The artifact may carry an `overload` section written by the
     // `serve_load` load generator; a throughput rerun must not silently
@@ -519,23 +395,5 @@ fn main() {
                 largest.batch_size
             );
         }
-    }
-    if let Some(required) = assert_persistent_factor {
-        // The persistent executor runs the exact same chunks as the
-        // spawn-per-batch loop minus thread spawn/join and session setup, so
-        // it must never lose throughput (CI gates at 1.0).
-        if persistent_factor < required {
-            eprintln!(
-                "FAIL: persistent executor {:.1}/s is {persistent_factor:.2}x the \
-                 spawn-per-batch {:.1}/s at batch {exec_batch}, below required {required:.2}x",
-                persistent.samples_per_sec(),
-                spawn_per_batch.samples_per_sec(),
-            );
-            std::process::exit(1);
-        }
-        println!(
-            "persistent vs spawn-per-batch at batch {exec_batch}: \
-             {persistent_factor:.2}x (required ≥ {required:.2}x)"
-        );
     }
 }

@@ -3,7 +3,7 @@
 //!
 //! Run with `cargo run -p lobster-bench --release --bin table3_samegen`.
 
-use lobster::{Device, DeviceConfig, Lobster, Unit, Value};
+use lobster::{Device, DeviceConfig, Lobster, ProvenanceKind, Value};
 use lobster_baselines::FvlogEngine;
 use lobster_bench::{print_header, quick_mode, time_it, Outcome};
 use lobster_workloads::graphs::{self, NamedGraph};
@@ -54,7 +54,8 @@ fn main() {
         // Lobster with the full optimization set and a budgeted device.
         let program = Lobster::builder(graphs::SAME_GENERATION)
             .device(Device::new(device_config.clone()))
-            .compile_typed::<Unit>()
+            .provenance(ProvenanceKind::Unit)
+            .compile()
             .expect("program compiles");
         let mut session = program.session();
         facts.add_to_session(&mut session).expect("facts load");

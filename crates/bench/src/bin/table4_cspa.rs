@@ -3,7 +3,7 @@
 //!
 //! Run with `cargo run -p lobster-bench --release --bin table4_cspa`.
 
-use lobster::{Device, Lobster, Unit};
+use lobster::{Device, Lobster, ProvenanceKind};
 use lobster_baselines::FvlogEngine;
 use lobster_bench::{print_header, quick_mode, run_lobster, time_it, Outcome};
 use lobster_workloads::cspa;
@@ -22,7 +22,8 @@ fn main() {
     );
     let mut ratios = Vec::new();
     let program = Lobster::builder(cspa::PROGRAM)
-        .compile_typed::<Unit>()
+        .provenance(ProvenanceKind::Unit)
+        .compile()
         .expect("program compiles");
     for (name, vars, degree) in cspa::TABLE4_PROGRAMS {
         let vars = if quick_mode() { vars / 4 } else { vars };

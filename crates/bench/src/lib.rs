@@ -16,7 +16,7 @@
 
 pub mod train;
 
-use lobster::{Program, Provenance, SessionProvenance, Value};
+use lobster::{Program, Provenance, Value};
 use lobster_baselines::{BaselineError, ScallopEngine, SouffleEngine};
 use lobster_workloads::WorkloadFacts;
 use std::time::{Duration, Instant};
@@ -175,10 +175,7 @@ pub fn print_header(title: &str, paper_summary: &str) {
 /// # Panics
 ///
 /// Panics when a fact is malformed — bench workloads are trusted inputs.
-pub fn run_lobster<P: SessionProvenance>(
-    program: &Program<P>,
-    facts: &WorkloadFacts,
-) -> (Outcome, usize) {
+pub fn run_lobster(program: &Program, facts: &WorkloadFacts) -> (Outcome, usize) {
     let mut session = program.session();
     facts
         .add_to_session(&mut session)
@@ -334,7 +331,8 @@ mod tests {
             facts.push("edge", vec![Value::U32(i), Value::U32(i + 1)], None);
         }
         let program = lobster::Lobster::builder(graphs::TRANSITIVE_CLOSURE)
-            .compile_typed::<lobster::Unit>()
+            .provenance(lobster::ProvenanceKind::Unit)
+            .compile()
             .unwrap();
         let (outcome, derived) = run_lobster(&program, &facts);
         assert!(outcome.seconds().is_some());

@@ -10,7 +10,10 @@
 //! The harness runs the identical loop with Lobster or with the Scallop
 //! baseline as the symbolic engine, and reports the wall-clock time.
 
-use lobster::{DiffTop1Proof, InputFactId, InputFactRegistry, Lobster, Provenance, Session, Value};
+use lobster::{
+    DiffTop1Proof, InputFactId, InputFactRegistry, Lobster, Provenance, ProvenanceKind, Session,
+    Value,
+};
 use lobster_baselines::ScallopEngine;
 use lobster_neural::{bce_grad, bce_loss, Activation, Adam, Mlp};
 use lobster_workloads::{clutrr, hwf, pacman, pathfinder, WorkloadFacts};
@@ -183,11 +186,12 @@ pub fn run_training(task: &TrainingTask, engine: Engine, epochs: usize) -> Train
     // engine, and all sessions share the same compiled artifact).
     // A session per sample plus the (fact index, registered id) pairs of
     // its probabilistic facts.
-    type SampleSession = (Session<DiffTop1Proof>, Vec<(usize, InputFactId)>);
+    type SampleSession = (Session, Vec<(usize, InputFactId)>);
     let mut lobster_sessions: Vec<SampleSession> = Vec::new();
     if engine == Engine::Lobster {
         let program = Lobster::builder(task.program)
-            .compile_typed::<DiffTop1Proof>()
+            .provenance(ProvenanceKind::DiffTop1Proof)
+            .compile()
             .expect("training program compiles");
         for sample in &task.samples {
             let mut session = program.session();

@@ -1,13 +1,10 @@
 //! Cross-provenance agreement tests for the compile-once API:
 //! `Program::run_batch` over N samples must produce identical probabilities
-//! and gradients to N sequential single-sample `Session::run`s, and a
-//! `DynProgram` selected at run time from a string must match the
-//! statically-typed program bit for bit.
+//! and gradients to N sequential single-sample `Session::run`s, under every
+//! provenance kind. (That each kind runs the semiring it names is pinned in
+//! `lobster`'s own `engine` tests, against `lobster_apm` driven by hand.)
 
-use lobster::{
-    AddMultProb, DiffTop1Proof, FactSet, Lobster, Program, ProvenanceKind, SessionProvenance, Unit,
-    Value,
-};
+use lobster::{FactSet, Lobster, Program, ProvenanceKind, Value};
 use lobster_workloads::{pathfinder, WorkloadFacts};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -48,10 +45,7 @@ fn random_samples(n: usize, seed: u64) -> Vec<WorkloadFacts> {
 /// of samples 0..k — so a fact at position `i` of sample `k` has batch id
 /// `inline + offset_k + i` where `offset_k` is the total fact count of the
 /// preceding samples, while in a standalone session it has id `inline + i`.
-fn assert_batch_matches_sequential<P: SessionProvenance>(
-    program: &Program<P>,
-    samples: &[WorkloadFacts],
-) {
+fn assert_batch_matches_sequential(program: &Program, samples: &[WorkloadFacts]) {
     let fact_sets: Vec<FactSet> = samples.iter().map(WorkloadFacts::to_fact_set).collect();
     let batched = program.run_batch(&fact_sets).unwrap();
     assert_eq!(batched.len(), samples.len());
@@ -108,24 +102,35 @@ fn assert_batch_matches_sequential<P: SessionProvenance>(
     }
 }
 
+/// Batched TC against sequential TC for every kind `selected` picks.
+fn assert_tc_batches_match(selected: impl Fn(ProvenanceKind) -> bool, seed: u64) {
+    for kind in ProvenanceKind::ALL
+        .into_iter()
+        .filter(|kind| selected(*kind))
+    {
+        let program = Program::compile(TC, kind).unwrap();
+        assert_batch_matches_sequential(&program, &random_samples(5, seed));
+    }
+}
+
+// Between them the three tests below cover `ProvenanceKind::ALL`.
+
 #[test]
 fn batch_matches_sequential_for_discrete() {
-    let program = Lobster::builder(TC).compile_typed::<Unit>().unwrap();
-    assert_batch_matches_sequential(&program, &random_samples(5, 1));
+    assert_tc_batches_match(|kind| !kind.is_probabilistic(), 1);
 }
 
 #[test]
 fn batch_matches_sequential_for_addmultprob() {
-    let program = Lobster::builder(TC).compile_typed::<AddMultProb>().unwrap();
-    assert_batch_matches_sequential(&program, &random_samples(5, 2));
+    assert_tc_batches_match(
+        |kind| kind.is_probabilistic() && !kind.is_differentiable(),
+        2,
+    );
 }
 
 #[test]
 fn batch_matches_sequential_for_diff_top1() {
-    let program = Lobster::builder(TC)
-        .compile_typed::<DiffTop1Proof>()
-        .unwrap();
-    assert_batch_matches_sequential(&program, &random_samples(5, 3));
+    assert_tc_batches_match(ProvenanceKind::is_differentiable, 3);
 }
 
 #[test]
@@ -139,7 +144,8 @@ fn batch_matches_sequential_with_inline_program_facts() {
          rel path(x, y) = edge(x, y) or (path(x, z) and edge(z, y))
          query path",
     )
-    .compile_typed::<DiffTop1Proof>()
+    .provenance(ProvenanceKind::DiffTop1Proof)
+    .compile()
     .unwrap();
     assert_batch_matches_sequential(&program, &random_samples(3, 7));
 }
@@ -151,71 +157,8 @@ fn batch_matches_sequential_on_a_real_workload() {
         .map(|i| pathfinder::generate(4, i % 2 == 0, &mut rng).facts())
         .collect();
     let program = Lobster::builder(pathfinder::PROGRAM)
-        .compile_typed::<DiffTop1Proof>()
-        .unwrap();
-    assert_batch_matches_sequential(&program, &samples);
-}
-
-/// The acceptance test of the API redesign: a `DynProgram` whose provenance
-/// kind was parsed from a *string* must produce exactly the result of the
-/// statically-typed `Program` on the quickstart program.
-#[test]
-fn dyn_program_from_string_matches_statically_typed_result() {
-    let quickstart = "
-        type edge(x: u32, y: u32)
-        type is_endpoint(x: u32)
-        rel path(x, y) = edge(x, y) or (path(x, z) and edge(z, y))
-        rel endpoints_connected() = is_endpoint(x), is_endpoint(y), path(x, y), x != y
-        query path
-        query endpoints_connected
-    ";
-    let chain = [(0u32, 1u32, 0.95), (1, 2, 0.9), (2, 3, 0.8)];
-
-    // Statically typed.
-    let typed = Lobster::builder(quickstart)
-        .compile_typed::<DiffTop1Proof>()
-        .unwrap();
-    let mut typed_session = typed.session();
-    for (a, b, p) in chain {
-        typed_session
-            .add_fact("edge", &[Value::U32(a), Value::U32(b)], Some(p))
-            .unwrap();
-    }
-    typed_session
-        .add_fact("is_endpoint", &[Value::U32(0)], None)
-        .unwrap();
-    typed_session
-        .add_fact("is_endpoint", &[Value::U32(3)], None)
-        .unwrap();
-    let typed_result = typed_session.run().unwrap();
-
-    // Runtime-selected from a config string.
-    let kind: ProvenanceKind = "diff-top-1-proofs".parse().unwrap();
-    assert_eq!(kind, ProvenanceKind::DiffTop1Proof);
-    let dynamic = Lobster::builder(quickstart)
-        .provenance(kind)
+        .provenance(ProvenanceKind::DiffTop1Proof)
         .compile()
         .unwrap();
-    assert_eq!(dynamic.kind(), kind);
-    let mut dyn_session = dynamic.session();
-    for (a, b, p) in chain {
-        dyn_session
-            .add_fact("edge", &[Value::U32(a), Value::U32(b)], Some(p))
-            .unwrap();
-    }
-    dyn_session
-        .add_fact("is_endpoint", &[Value::U32(0)], None)
-        .unwrap();
-    dyn_session
-        .add_fact("is_endpoint", &[Value::U32(3)], None)
-        .unwrap();
-    let dyn_result = dyn_session.run().unwrap();
-
-    for rel in ["path", "endpoints_connected"] {
-        assert_eq!(typed_result.len(rel), dyn_result.len(rel));
-        for (tuple, out) in typed_result.relation(rel) {
-            assert_eq!(dyn_result.probability(rel, tuple), out.probability);
-            assert_eq!(dyn_result.gradient(rel, tuple), out.gradient);
-        }
-    }
+    assert_batch_matches_sequential(&program, &samples);
 }

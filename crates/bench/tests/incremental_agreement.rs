@@ -10,10 +10,9 @@
 //! replayed.
 
 use lobster::{
-    Device, DeviceConfig, DynProgram, DynSession, FactSet, Lobster, ProvenanceKind, RuntimeOptions,
-    Value,
+    Device, DeviceConfig, FactSet, Lobster, Program, ProvenanceKind, RuntimeOptions, Session, Value,
 };
-use lobster_provenance::{InputFactId, Unit};
+use lobster_provenance::InputFactId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -55,7 +54,7 @@ fn assert_identical(got: &lobster::RunResult, want: &lobster::RunResult, what: &
 /// inserts collide with existing edges and retracts hit real support).
 /// `inputs` are the binary relations an insert picks from.
 fn random_step(
-    session: &mut DynSession,
+    session: &mut Session,
     inputs: &[&str],
     live: &mut Vec<InputFactId>,
     rng: &mut StdRng,
@@ -150,7 +149,10 @@ fn unit_traces_exercise_the_tuple_level_delta_path() {
 fn insert_only_trace_grows_a_materialized_chain() {
     // A pure insertion stream on the delta path: every step extends a chain
     // by one edge, which must re-derive exactly the new paths.
-    let program = Lobster::builder(TC).compile_typed::<Unit>().unwrap();
+    let program = Lobster::builder(TC)
+        .provenance(ProvenanceKind::Unit)
+        .compile()
+        .unwrap();
     let mut session = program.session();
     for i in 0..16u32 {
         let mut facts = FactSet::new();
@@ -188,7 +190,10 @@ fn appending_an_edge_derives_each_new_path_once() {
     // with and stages nothing. Re-running the Δ`edge` variant there would
     // stage all of them again — 2(n + 1) candidates for n + 1 facts. And
     // the old table is rewritten once, by the fold that ends the refresh.
-    let program = Lobster::builder(TC).compile_typed::<Unit>().unwrap();
+    let program = Lobster::builder(TC)
+        .provenance(ProvenanceKind::Unit)
+        .compile()
+        .unwrap();
     for n in [64u32, 512] {
         let mut session = program.session();
         session
@@ -217,7 +222,7 @@ fn a_fact_inserted_into_a_non_recursive_relation_recomputes_its_stratum() {
     // `both` is derived by a stratum that does not iterate, so it has no
     // tuple-level tier — and at rest it keeps its rows in `recent`, where a
     // seeded Δ would have to go. The insertion is a recompute.
-    let program = DynProgram::compile(
+    let program = Program::compile(
         "type a(x: u32)
          type b(x: u32)
          rel both(x) = a(x), b(x)
@@ -454,7 +459,10 @@ fn every_program_shape_takes_the_tuple_level_tier_on_an_insert() {
 
 #[test]
 fn double_insert_is_idempotent() {
-    let program = Lobster::builder(TC).compile_typed::<Unit>().unwrap();
+    let program = Lobster::builder(TC)
+        .provenance(ProvenanceKind::Unit)
+        .compile()
+        .unwrap();
 
     let mut once = program.session();
     let mut edge = FactSet::new();
@@ -475,7 +483,7 @@ fn double_insert_is_idempotent() {
 
 #[test]
 fn retracting_a_nonexistent_fact_is_a_noop() {
-    let program = DynProgram::compile(TC, ProvenanceKind::AddMultProb).unwrap();
+    let program = Program::compile(TC, ProvenanceKind::AddMultProb).unwrap();
     let mut session = program.session();
     let mut facts = FactSet::new();
     facts.add("edge", &[Value::U32(0), Value::U32(1)], Some(0.5));
@@ -496,7 +504,7 @@ fn retracting_a_nonexistent_fact_is_a_noop() {
 
 #[test]
 fn retract_then_reinsert_restores_bit_identical_state() {
-    let program = DynProgram::compile(TC, ProvenanceKind::AddMultProb).unwrap();
+    let program = Program::compile(TC, ProvenanceKind::AddMultProb).unwrap();
     let mut session = program.session();
     let mut base = FactSet::new();
     base.add("edge", &[Value::U32(0), Value::U32(1)], Some(0.9));
@@ -521,7 +529,7 @@ fn retract_then_reinsert_restores_bit_identical_state() {
 #[test]
 fn empty_delta_launches_zero_kernels() {
     for kind in [ProvenanceKind::Unit, ProvenanceKind::DiffTop1Proof] {
-        let program = DynProgram::compile(TC, kind).unwrap();
+        let program = Program::compile(TC, kind).unwrap();
         let mut session = program.session();
         let mut facts = FactSet::new();
         for i in 0..6u32 {
@@ -547,7 +555,7 @@ fn empty_delta_launches_zero_kernels() {
 #[test]
 fn prob_update_refresh_matches_scratch_and_keeps_gradient_ids() {
     // The training-loop pattern: reweight inputs between incremental runs.
-    let program = DynProgram::compile(TC, ProvenanceKind::DiffTop1Proof).unwrap();
+    let program = Program::compile(TC, ProvenanceKind::DiffTop1Proof).unwrap();
     let mut session = program.session();
     let mut facts = FactSet::new();
     facts.add("edge", &[Value::U32(0), Value::U32(1)], Some(0.9));
@@ -574,7 +582,7 @@ fn prob_update_refresh_matches_scratch_and_keeps_gradient_ids() {
 fn reset_clears_materialized_state() {
     // Satellite regression: a recycled session must not leak a previous
     // request's deltas through the materialized fix point.
-    let program = DynProgram::compile(TC, ProvenanceKind::Unit).unwrap();
+    let program = Program::compile(TC, ProvenanceKind::Unit).unwrap();
     let pool = program.session_pool();
     {
         let mut session = pool.acquire();

@@ -4,9 +4,9 @@
 //! results, batching must equal per-sample execution, and provenance
 //! gradients must match finite differences through a whole program.
 
-use lobster::{Device, Lobster, RuntimeOptions, Value};
+use lobster::{Device, Lobster, ProvenanceKind, RuntimeOptions, Value};
 use lobster_baselines::{ScallopEngine, SouffleEngine};
-use lobster_provenance::{DiffTop1Proof, InputFactRegistry, MaxMinProb, Provenance, Unit};
+use lobster_provenance::MaxMinProb;
 use lobster_workloads::{clutrr, cspa, graphs, hwf, pacman, pathfinder, psa, rna, WorkloadFacts};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -16,7 +16,8 @@ use std::collections::BTreeSet;
 /// tuples per queried relation.
 fn lobster_discrete(program: &str, facts: &WorkloadFacts) -> BTreeSet<(String, Vec<u64>)> {
     let mut session = Lobster::builder(program)
-        .compile_typed::<Unit>()
+        .provenance(ProvenanceKind::Unit)
+        .compile()
         .unwrap()
         .session();
     facts.add_to_session(&mut session).unwrap();
@@ -99,7 +100,8 @@ fn probabilistic_benchmarks_agree_with_scallop_on_weights() {
     let sample = psa::generate("sunflow-core", 100, 3, &mut rng);
     // Lobster.
     let mut session = Lobster::builder(psa::PROGRAM)
-        .compile_typed::<MaxMinProb>()
+        .provenance(ProvenanceKind::MaxMinProb)
+        .compile()
         .unwrap()
         .session();
     sample.facts.add_to_session(&mut session).unwrap();
@@ -141,7 +143,8 @@ fn every_benchmark_program_runs_end_to_end() {
     // Differentiable tasks.
     let pf = pathfinder::generate(5, true, &mut rng);
     let mut session = Lobster::builder(pathfinder::PROGRAM)
-        .compile_typed::<DiffTop1Proof>()
+        .provenance(ProvenanceKind::DiffTop1Proof)
+        .compile()
         .unwrap()
         .session();
     pf.facts().add_to_session(&mut session).unwrap();
@@ -155,7 +158,8 @@ fn every_benchmark_program_runs_end_to_end() {
 
     let pm = pacman::generate(5, &mut rng);
     let mut session = Lobster::builder(pacman::PROGRAM)
-        .compile_typed::<DiffTop1Proof>()
+        .provenance(ProvenanceKind::DiffTop1Proof)
+        .compile()
         .unwrap()
         .session();
     pm.facts().add_to_session(&mut session).unwrap();
@@ -163,7 +167,8 @@ fn every_benchmark_program_runs_end_to_end() {
 
     let formula = hwf::generate(3, &mut rng);
     let mut session = Lobster::builder(hwf::PROGRAM)
-        .compile_typed::<DiffTop1Proof>()
+        .provenance(ProvenanceKind::DiffTop1Proof)
+        .compile()
         .unwrap()
         .session();
     formula.facts().add_to_session(&mut session).unwrap();
@@ -171,7 +176,8 @@ fn every_benchmark_program_runs_end_to_end() {
 
     let kin = clutrr::generate(3, &mut rng);
     let mut session = Lobster::builder(clutrr::PROGRAM)
-        .compile_typed::<DiffTop1Proof>()
+        .provenance(ProvenanceKind::DiffTop1Proof)
+        .compile()
         .unwrap()
         .session();
     kin.facts().add_to_session(&mut session).unwrap();
@@ -180,7 +186,8 @@ fn every_benchmark_program_runs_end_to_end() {
     // Probabilistic tasks.
     let seq = rna::generate(30, &mut rng);
     let mut session = Lobster::builder(rna::PROGRAM)
-        .compile_typed::<lobster::Top1Proof>()
+        .provenance(ProvenanceKind::Top1Proof)
+        .compile()
         .unwrap()
         .session();
     seq.facts().add_to_session(&mut session).unwrap();
@@ -206,7 +213,8 @@ fn optimization_toggles_preserve_results_on_a_real_workload() {
         let mut session = Lobster::builder(graphs::TRANSITIVE_CLOSURE)
             .options(options)
             .device(Device::sequential())
-            .compile_typed::<Unit>()
+            .provenance(ProvenanceKind::Unit)
+            .compile()
             .unwrap()
             .session();
         facts.add_to_session(&mut session).unwrap();
@@ -230,7 +238,8 @@ fn batched_execution_matches_per_sample_execution() {
         .map(|i| pathfinder::generate(4, i % 2 == 0, &mut rng))
         .collect();
     let program = Lobster::builder(pathfinder::PROGRAM)
-        .compile_typed::<Unit>()
+        .provenance(ProvenanceKind::Unit)
+        .compile()
         .unwrap();
     let fact_sets: Vec<_> = samples.iter().map(|s| s.facts().to_fact_set()).collect();
     let batched = program.run_batch(&fact_sets).unwrap();
@@ -249,12 +258,11 @@ fn batched_execution_matches_per_sample_execution() {
 #[test]
 fn gradients_match_finite_differences_through_a_whole_program() {
     // A 3-edge chain: P(connected) = p0 * p1 * p2 under diff-top-1-proofs.
-    let registry = InputFactRegistry::new();
-    let prov = DiffTop1Proof::new(registry.clone());
     let program = Lobster::builder(pathfinder::PROGRAM)
-        .compile_typed::<DiffTop1Proof>()
+        .provenance(ProvenanceKind::DiffTop1Proof)
+        .compile()
         .unwrap();
-    let mut session = program.session_with(prov.clone(), registry);
+    let mut session = program.session();
     let probs = [0.9, 0.6, 0.7];
     let mut ids = Vec::new();
     for (i, p) in probs.iter().enumerate() {
@@ -294,5 +302,4 @@ fn gradients_match_finite_differences_through_a_whole_program() {
             "gradient mismatch for fact {k}: analytic {analytic}, numeric {numeric}"
         );
     }
-    let _ = prov.name();
 }

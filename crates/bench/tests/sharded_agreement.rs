@@ -1,4 +1,4 @@
-//! Cross-shard differential suite: `run_batch_sharded` must be
+//! Cross-shard differential suite: `ShardedExecutor::run_batch` must be
 //! indistinguishable from single-device `run_batch` — same tuples, same
 //! probabilities, same gradients (and through them the proof supports) — for
 //! every shard count, provenance kind, skew shape, and memory-budget spill.
@@ -8,10 +8,9 @@
 //! print the case seed so the batch can be replayed.
 
 use lobster::{
-    Device, DeviceConfig, DynProgram, FactSet, Lobster, Program, ProvenanceKind, SessionProvenance,
-    ShardConfig, ShardedExecutor, Value,
+    Device, DeviceConfig, FactSet, Lobster, Program, ProvenanceKind, ShardConfig, ShardedExecutor,
+    Value,
 };
-use lobster_provenance::DiffTop1Proof;
 use lobster_workloads::clutrr;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -62,20 +61,30 @@ fn random_clutrr_batch(seed: u64) -> Vec<FactSet> {
         .collect()
 }
 
+fn sharded(program: &Program, shards: usize) -> ShardedExecutor {
+    ShardedExecutor::new(
+        program.clone(),
+        ShardConfig::default().with_num_shards(shards),
+    )
+}
+
 #[test]
 fn sharded_is_bit_identical_to_single_device_across_kinds_and_shard_counts() {
     for kind in KINDS {
-        let program = DynProgram::compile(clutrr::PROGRAM, kind).unwrap();
+        let program = Program::compile(clutrr::PROGRAM, kind).unwrap();
+        let executors = [1, 2, 3, 4].map(|shards| sharded(&program, shards));
         for case in 0..CASES {
             let seed = 0x5AAD + case;
             let samples = random_clutrr_batch(seed);
             let reference = program.run_batch(&samples).unwrap();
-            for shards in 1..=4 {
-                let sharded = program.run_batch_sharded(&samples, shards).unwrap();
+            for executor in &executors {
                 assert_batches_identical(
-                    &sharded,
+                    &executor.run_batch(&samples).unwrap(),
                     &reference,
-                    &format!("kind {kind}, seed {seed:#x}, shards {shards}"),
+                    &format!(
+                        "kind {kind}, seed {seed:#x}, shards {}",
+                        executor.num_shards()
+                    ),
                 );
             }
         }
@@ -90,8 +99,8 @@ fn a_persistent_executor_stays_bit_identical_across_many_reused_batches() {
     // differently-shaped random batches must agree bit-for-bit with the
     // single-device reference on every one of them.
     for kind in KINDS {
-        let program = DynProgram::compile(clutrr::PROGRAM, kind).unwrap();
-        let executor = program.sharded_executor(ShardConfig::default().with_num_shards(3));
+        let program = Program::compile(clutrr::PROGRAM, kind).unwrap();
+        let executor = sharded(&program, 3);
         for case in 0..CASES * 3 {
             let seed = 0xC0FFEE + case;
             let samples = random_clutrr_batch(seed);
@@ -108,19 +117,20 @@ fn a_persistent_executor_stays_bit_identical_across_many_reused_batches() {
 
 #[test]
 fn empty_batch_agrees_for_every_shard_count() {
-    let program = DynProgram::compile(clutrr::PROGRAM, ProvenanceKind::DiffTop1Proof).unwrap();
+    let program = Program::compile(clutrr::PROGRAM, ProvenanceKind::DiffTop1Proof).unwrap();
     let reference = program.run_batch(&[]).unwrap();
     assert!(reference.is_empty());
     for shards in 1..=4 {
-        let sharded = program.run_batch_sharded(&[], shards).unwrap();
-        assert!(sharded.is_empty(), "shards {shards}");
+        let results = sharded(&program, shards).run_batch(&[]).unwrap();
+        assert!(results.is_empty(), "shards {shards}");
     }
 }
 
 #[test]
 fn batch_smaller_than_shard_count_agrees_and_leaves_shards_idle() {
     let program = Lobster::builder(clutrr::PROGRAM)
-        .compile_typed::<DiffTop1Proof>()
+        .provenance(ProvenanceKind::DiffTop1Proof)
+        .compile()
         .unwrap();
     let mut rng = StdRng::seed_from_u64(0xBEEF);
     let samples: Vec<FactSet> = (0..2)
@@ -163,7 +173,8 @@ const TC: &str = "type edge(x: u32, y: u32)
 #[test]
 fn pathological_sample_is_carved_out_and_stolen_work_still_agrees() {
     let program = Lobster::builder(TC)
-        .compile_typed::<DiffTop1Proof>()
+        .provenance(ProvenanceKind::DiffTop1Proof)
+        .compile()
         .unwrap();
     // One sample holds 60 of ~74 facts — far beyond the skew threshold —
     // while seven small samples fill the rest of the batch.
@@ -193,10 +204,7 @@ fn pathological_sample_is_carved_out_and_stolen_work_still_agrees() {
 /// The smallest device budget (in bytes) at which `program.run_batch` over
 /// `samples` succeeds, found by bisection. Execution is deterministic, so
 /// the success/failure frontier is a single stable threshold.
-fn minimal_working_budget<P: SessionProvenance>(
-    program: &Program<P>,
-    samples: &[FactSet],
-) -> usize {
+fn minimal_working_budget(program: &Program, samples: &[FactSet]) -> usize {
     let fits = |budget: usize| {
         let device = Device::new(DeviceConfig {
             memory_limit: Some(budget),
@@ -222,7 +230,8 @@ fn minimal_working_budget<P: SessionProvenance>(
 #[test]
 fn shard_budget_forcing_a_spill_still_agrees_with_the_unsharded_path() {
     let program = Lobster::builder(TC)
-        .compile_typed::<DiffTop1Proof>()
+        .provenance(ProvenanceKind::DiffTop1Proof)
+        .compile()
         .unwrap();
     // Eight identically-shaped samples over disjoint node ranges: the
     // database cost is exactly additive, so a 4-sample chunk needs twice
@@ -260,7 +269,8 @@ fn shard_budget_forcing_a_spill_still_agrees_with_the_unsharded_path() {
 #[test]
 fn a_budget_no_split_can_satisfy_reports_the_oom() {
     let program = Lobster::builder(TC)
-        .compile_typed::<DiffTop1Proof>()
+        .provenance(ProvenanceKind::DiffTop1Proof)
+        .compile()
         .unwrap();
     let samples: Vec<FactSet> = (0..4).map(|k| tc_chain(12, 1000 * k)).collect();
     let tiny = Device::new(DeviceConfig {

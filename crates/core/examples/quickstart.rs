@@ -1,8 +1,10 @@
 //! Quickstart: compile a Datalog program once, open a session per request,
-//! and read back probabilities and gradients — including selecting the
-//! reasoning mode at run time from configuration.
+//! and read back probabilities and gradients. The reasoning mode comes from
+//! configuration, as a server would read it.
 //!
-//! Run with `cargo run -p lobster --example quickstart`.
+//! Run with `cargo run -p lobster --example quickstart`, or pick another
+//! semiring: `LOBSTER_PROVENANCE=addmultprob cargo run -p lobster --example
+//! quickstart`.
 //!
 //! Serving this at scale is the `lobster-serve` crate: a compiled-program
 //! cache plus a batching scheduler on a persistent runtime (long-lived
@@ -10,7 +12,7 @@
 //! `docs/ARCHITECTURE.md` for the request lifecycle and knobs, and the
 //! `serve` example in `lobster-serve` for the runnable version.
 
-use lobster::{DiffTop1Proof, DynProgram, Lobster, ProvenanceKind, Value};
+use lobster::{Lobster, ProvenanceKind, Value};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. The symbolic program: graph reachability (the paper's running
@@ -25,11 +27,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         query endpoints_connected
     ";
 
-    // 2. Compile ONCE. The reasoning mode is the provenance semiring;
-    //    `DiffTop1Proof` is the differentiable provenance used by the
-    //    paper's training benchmarks. The resulting `Program` is immutable
-    //    and Arc-shared: clone it freely across threads and requests.
-    let program = Lobster::builder(source).compile_typed::<DiffTop1Proof>()?;
+    // 2. Compile ONCE. The reasoning mode is the provenance semiring, picked
+    //    from the library by name — here from the environment, the way a
+    //    server reads it from its configuration instead of baking it into
+    //    the binary. The default, `diff-top-1-proofs`, is the differentiable
+    //    provenance used by the paper's training benchmarks. The resulting
+    //    `Program` is immutable and Arc-shared: clone it freely across
+    //    threads and requests.
+    let kind: ProvenanceKind = match std::env::var("LOBSTER_PROVENANCE") {
+        Ok(name) => name.parse()?,
+        Err(_) => ProvenanceKind::DiffTop1Proof,
+    };
+    let program = Lobster::builder(source).provenance(kind).compile()?;
 
     // 3. Open a cheap per-request session and add probabilistic input facts
     //    (these would be network outputs).
@@ -44,12 +53,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 4. Run the program on the (simulated) GPU.
     let result = session.run()?;
 
-    println!("derived {} path facts", result.len("path"));
+    println!("[{kind}] derived {} path facts", result.len("path"));
     let connected = result.probability("endpoints_connected", &[]);
     println!("P(endpoints connected) = {connected:.4}");
 
     // 5. Gradients with respect to every input fact let an upstream network
-    //    train end-to-end.
+    //    train end-to-end (empty unless the semiring is differentiable).
     for (fact, grad) in result.gradient("endpoints_connected", &[]) {
         println!("  d P / d Pr({fact}) = {grad:.4}");
     }
@@ -57,26 +66,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "symbolic execution: {} iterations, {} kernel launches, {:?}",
         result.stats.iterations, result.stats.kernel_launches, result.stats.elapsed
-    );
-
-    // 6. Runtime provenance selection: a server reads the reasoning mode
-    //    from configuration instead of baking it into the binary. Parsing a
-    //    `ProvenanceKind` from a string yields a provenance-erased
-    //    `DynProgram` with the same session API.
-    let config_provenance =
-        std::env::var("LOBSTER_PROVENANCE").unwrap_or_else(|_| "diff-top-1-proofs".to_string());
-    let kind: ProvenanceKind = config_provenance.parse()?;
-    let dyn_program: DynProgram = Lobster::builder(source).provenance(kind).compile()?;
-    let mut dyn_session = dyn_program.session();
-    for (a, b, p) in chain {
-        dyn_session.add_fact("edge", &[Value::U32(a), Value::U32(b)], Some(p))?;
-    }
-    dyn_session.add_fact("is_endpoint", &[Value::U32(0)], None)?;
-    dyn_session.add_fact("is_endpoint", &[Value::U32(3)], None)?;
-    let dyn_result = dyn_session.run()?;
-    println!(
-        "[{kind}] P(endpoints connected) = {:.4}  (selected at runtime via LOBSTER_PROVENANCE)",
-        dyn_result.probability("endpoints_connected", &[])
     );
     Ok(())
 }

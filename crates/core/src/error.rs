@@ -9,7 +9,8 @@ pub enum LobsterError {
     Frontend(lobster_datalog::DatalogError),
     /// Execution failed (device OOM, timeout, iteration cap).
     Execution(lobster_apm::ExecError),
-    /// A fact or query referenced an unknown relation or had the wrong arity.
+    /// A fact referenced an unknown relation, had the wrong arity, or held a
+    /// value that is not of its column's type.
     BadFact {
         /// Description of the problem.
         message: String,

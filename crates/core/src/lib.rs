@@ -14,17 +14,18 @@
 //!   the registry that issues their ids. Open one per sample/request with
 //!   [`Program::session`]; nothing a session does is visible to any other
 //!   session of the same program.
-//! * [`DynProgram`] — a provenance-erased program whose reasoning mode was
-//!   picked at *run time* from a [`ProvenanceKind`] (e.g. parsed from a
-//!   config file), for servers that must not hard-code the semiring.
 //!
-//! # Typed usage
+//! # Usage
 //!
-//! Pick the reasoning mode at compile time by choosing a provenance type:
+//! The reasoning mode is the provenance semiring, picked from the semiring
+//! library by [`ProvenanceKind`] — named in the code, or parsed from a
+//! config file or request field (`"diff-top-1-proofs".parse()`), so a
+//! server need not hard-code it. It is a property of the compiled program,
+//! not of its type: discrete, probabilistic and differentiable reasoning
+//! share one [`Program`] / [`Session`] API.
 //!
 //! ```
-//! use lobster::{Lobster, Value};
-//! use lobster_provenance::DiffTop1Proof;
+//! use lobster::{Lobster, ProvenanceKind, Value};
 //!
 //! // Compile once...
 //! let program = Lobster::builder(
@@ -32,7 +33,8 @@
 //!      rel path(x, y) = edge(x, y) or (path(x, z) and edge(z, y))
 //!      query path",
 //! )
-//! .compile_typed::<DiffTop1Proof>()
+//! .provenance(ProvenanceKind::DiffTop1Proof)
+//! .compile()
 //! .unwrap();
 //!
 //! // ...then open a cheap session per sample.
@@ -44,30 +46,6 @@
 //! assert!((p - 0.72).abs() < 1e-9);
 //! ```
 //!
-//! # Runtime provenance selection
-//!
-//! A server reading the reasoning mode from configuration parses a
-//! [`ProvenanceKind`] and gets a [`DynProgram`]; the rest of the API is
-//! identical:
-//!
-//! ```
-//! use lobster::{Lobster, ProvenanceKind, Value};
-//!
-//! let kind: ProvenanceKind = "addmultprob".parse().unwrap();
-//! let program = Lobster::builder(
-//!     "type edge(x: u32, y: u32)
-//!      rel path(x, y) = edge(x, y) or (path(x, z) and edge(z, y))
-//!      query path",
-//! )
-//! .provenance(kind)
-//! .compile()
-//! .unwrap();
-//! let mut session = program.session();
-//! session.add_fact("edge", &[Value::U32(0), Value::U32(1)], Some(0.5)).unwrap();
-//! let p = session.run().unwrap().probability("path", &[Value::U32(0), Value::U32(1)]);
-//! assert!((p - 0.5).abs() < 1e-9);
-//! ```
-//!
 //! # Batched execution
 //!
 //! [`Program::run_batch`] runs a whole mini-batch of independent samples in
@@ -75,15 +53,14 @@
 //! call — repeated batches never accumulate state:
 //!
 //! ```
-//! use lobster::{FactSet, Lobster, Value};
-//! use lobster_provenance::Unit;
+//! use lobster::{FactSet, Program, ProvenanceKind, Value};
 //!
-//! let program = Lobster::builder(
+//! let program = Program::compile(
 //!     "type edge(x: u32, y: u32)
 //!      rel path(x, y) = edge(x, y) or (path(x, z) and edge(z, y))
 //!      query path",
+//!     ProvenanceKind::Unit,
 //! )
-//! .compile_typed::<Unit>()
 //! .unwrap();
 //! let mut sample = FactSet::new();
 //! sample.add("edge", &[Value::U32(0), Value::U32(1)], None);
@@ -123,7 +100,7 @@
 //! queueing, and its share of a fix-point:
 //!
 //! * `ProgramCache` — a keyed cache `(source hash, provenance kind, options
-//!   fingerprint) → Arc<DynProgram>` with LRU eviction by compiled size, so
+//!   fingerprint) → Arc<Program>` with LRU eviction by compiled size, so
 //!   each distinct program compiles once per process no matter how many
 //!   threads race for it. The key ingredients live here:
 //!   [`Lobster::source_hash`] / [`Program::source_hash`] identify what was
@@ -134,7 +111,7 @@
 //!   `max_queue_delay` knobs, routing each result back to its caller.
 //!   Single-device batches run on sessions recycled through a
 //!   [`SessionPool`]; with `num_shards > 1` the scheduler holds **one**
-//!   long-lived [`DynShardedExecutor`] whose shard workers serve every
+//!   long-lived [`ShardedExecutor`] whose shard workers serve every
 //!   batch it ever runs.
 //!
 //! See `docs/ARCHITECTURE.md` for the full request lifecycle (diagram, knob
@@ -145,9 +122,8 @@
 //!
 //! Per-request state is recyclable: [`Session::reset`] returns a session to
 //! its freshly-opened state (inline facts only, original probabilities)
-//! while keeping its allocations, and [`SessionPool`] /
-//! [`DynSessionPool`] automate the borrow-reset-return cycle
-//! ([`Program::session_pool`], [`DynProgram::session_pool`]). Batched runs
+//! while keeping its allocations, and [`SessionPool`] automates the
+//! borrow-reset-return cycle ([`Program::session_pool`]). Batched runs
 //! recycle their fork registries the same way, so steady-state serving
 //! allocates no fresh registry per batch.
 //!
@@ -163,9 +139,6 @@
 //! [`Program::run_batch`]. The batching scheduler exposes the same knob as
 //! `SchedulerConfig::num_shards`, holding one executor for all its batches,
 //! so pooled batches fan out without any change to clients.
-//! [`Program::run_batch_sharded`] remains as a one-off convenience that
-//! builds and tears down a throwaway executor per call — hold an executor
-//! (or let a scheduler hold one) whenever more than one batch will run.
 //!
 //! *When to shard.* Sharding pays off when a single batch's fix-point is
 //! the bottleneck and spare devices (or cores — shard devices execute on
@@ -173,8 +146,7 @@
 //! the full-batch fix-point misses. For small batches the extra fix-points
 //! per batch cost more than the overlap wins — measure with the
 //! `serve_throughput` bench, which records sharded rows next to their
-//! single-device counterparts (and the persistent-executor vs.
-//! spawn-per-batch pair that isolates the worker-pool win itself).
+//! single-device counterparts.
 //!
 //! *Budget knobs.* Shard devices are derived with
 //! [`Device::split_shards`](lobster_gpu::Device::split_shards): the parent
@@ -197,19 +169,26 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod dynamic;
+mod engine;
 mod error;
 mod pool;
 mod program;
 mod session;
 mod sharded;
 
-pub use dynamic::{DynProgram, DynSession, DynShardedExecutor};
 pub use error::LobsterError;
-pub use pool::{DynSessionPool, PoolableProgram, PooledSession, SessionPool, SessionPoolStats};
+pub use pool::{PooledSession, SessionPool, SessionPoolStats};
 pub use program::{Lobster, LobsterBuilder, Program};
 pub use session::{FactSet, RunResult, Session};
 pub use sharded::{ShardConfig, ShardRunStats, ShardedExecutor};
+
+/// The name `benchmark/` still spells for [`Program`]; the next `benchmark`
+/// PR drops it (ROADMAP item 4).
+#[doc(hidden)]
+pub type DynProgram = Program;
+/// Likewise for [`Session`].
+#[doc(hidden)]
+pub type DynSession = Session;
 
 // Re-export the pieces users routinely need alongside the program/session.
 pub use lobster_apm::{ExecutionStats, RuntimeOptions};

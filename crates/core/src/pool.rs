@@ -1,4 +1,4 @@
-//! Session recycling: [`SessionPool`] and [`DynSessionPool`].
+//! Session recycling: [`SessionPool`].
 //!
 //! Opening a [`Session`] is cheap but not free: it allocates the session's
 //! fact vector and input-fact registry and re-registers the program's inline
@@ -18,15 +18,14 @@
 //!   session.
 //!
 //! ```
-//! use lobster::{Lobster, SessionPool, Value};
-//! use lobster_provenance::AddMultProb;
+//! use lobster::{Program, ProvenanceKind, Value};
 //!
-//! let program = Lobster::builder(
+//! let program = Program::compile(
 //!     "type edge(x: u32, y: u32)
 //!      rel path(x, y) = edge(x, y) or (path(x, z) and edge(z, y))
 //!      query path",
+//!     ProvenanceKind::AddMultProb,
 //! )
-//! .compile_typed::<AddMultProb>()
 //! .unwrap();
 //! let pool = program.session_pool();
 //! for i in 0..3u32 {
@@ -38,10 +37,8 @@
 //! assert_eq!(pool.stats().created, 1); // one session served all three requests
 //! ```
 
-use crate::dynamic::{DynProgram, DynSession};
 use crate::program::Program;
 use crate::session::Session;
-use lobster_provenance::SessionProvenance;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -49,46 +46,6 @@ use std::sync::Mutex;
 /// How many sessions a pool keeps idle by default. Enough for a scheduler's
 /// worker fleet; beyond it, released sessions are simply dropped.
 const DEFAULT_MAX_IDLE: usize = 16;
-
-/// A program whose sessions can be pooled: it knows how to open one and how
-/// to scrub one back to its freshly-opened state. Implemented by
-/// [`Program`] (typed sessions) and [`DynProgram`] (provenance-erased
-/// sessions); [`SessionPool`] is generic over it.
-pub trait PoolableProgram {
-    /// The session type this program opens.
-    type Session;
-
-    /// Opens a fresh session.
-    fn open_session(&self) -> Self::Session;
-
-    /// Returns a used session to its freshly-opened state, retaining its
-    /// allocations.
-    fn reset_session(session: &mut Self::Session);
-}
-
-impl<P: SessionProvenance> PoolableProgram for Program<P> {
-    type Session = Session<P>;
-
-    fn open_session(&self) -> Session<P> {
-        self.session()
-    }
-
-    fn reset_session(session: &mut Session<P>) {
-        session.reset();
-    }
-}
-
-impl PoolableProgram for DynProgram {
-    type Session = DynSession;
-
-    fn open_session(&self) -> DynSession {
-        self.session()
-    }
-
-    fn reset_session(session: &mut DynSession) {
-        session.reset();
-    }
-}
 
 /// Counters describing what a session pool has done.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -101,34 +58,27 @@ pub struct SessionPoolStats {
 
 /// A pool of reusable sessions over one compiled program.
 ///
-/// Generic over [`PoolableProgram`]: `SessionPool<Program<P>>` pools typed
-/// [`Session`]s, [`DynSessionPool`] (= `SessionPool<DynProgram>`) pools
-/// [`DynSession`]s. Construct with [`SessionPool::new`], or with the
-/// [`Program::session_pool`] / [`DynProgram::session_pool`] conveniences.
-/// See the module docs above for the usage pattern and the cleanliness
-/// guarantee.
+/// Construct with [`SessionPool::new`] or the [`Program::session_pool`]
+/// convenience. See the module docs above for the usage pattern and the
+/// cleanliness guarantee.
 #[derive(Debug)]
-pub struct SessionPool<Prog: PoolableProgram> {
-    program: Prog,
-    idle: Mutex<Vec<Prog::Session>>,
+pub struct SessionPool {
+    program: Program,
+    idle: Mutex<Vec<Session>>,
     max_idle: usize,
     created: AtomicU64,
     reused: AtomicU64,
 }
 
-/// A pool of [`DynSession`]s over a provenance-erased [`DynProgram`] — the
-/// variant a serving layer whose reasoning mode is chosen at run time uses.
-pub type DynSessionPool = SessionPool<DynProgram>;
-
-impl<Prog: PoolableProgram> SessionPool<Prog> {
+impl SessionPool {
     /// Creates a pool over `program` keeping up to 16 idle sessions.
-    pub fn new(program: Prog) -> Self {
+    pub fn new(program: Program) -> Self {
         Self::with_max_idle(program, DEFAULT_MAX_IDLE)
     }
 
     /// Creates a pool keeping at most `max_idle` idle sessions; sessions
     /// released beyond that are dropped instead of pooled.
-    pub fn with_max_idle(program: Prog, max_idle: usize) -> Self {
+    pub fn with_max_idle(program: Program, max_idle: usize) -> Self {
         SessionPool {
             program,
             idle: Mutex::new(Vec::new()),
@@ -139,13 +89,13 @@ impl<Prog: PoolableProgram> SessionPool<Prog> {
     }
 
     /// The program whose sessions this pool recycles.
-    pub fn program(&self) -> &Prog {
+    pub fn program(&self) -> &Program {
         &self.program
     }
 
     /// Takes an idle session (or opens a fresh one when none is idle) as a
     /// guard that returns — and resets — the session when dropped.
-    pub fn acquire(&self) -> PooledSession<'_, Prog> {
+    pub fn acquire(&self) -> PooledSession<'_> {
         let recycled = self.idle.lock().expect("session pool poisoned").pop();
         let session = match recycled {
             Some(session) => {
@@ -154,7 +104,7 @@ impl<Prog: PoolableProgram> SessionPool<Prog> {
             }
             None => {
                 self.created.fetch_add(1, Ordering::Relaxed);
-                self.program.open_session()
+                self.program.session()
             }
         };
         PooledSession {
@@ -180,34 +130,34 @@ impl<Prog: PoolableProgram> SessionPool<Prog> {
 /// A session on loan from a [`SessionPool`]; dereferences to the session
 /// and returns it — reset to its freshly-opened state — on drop.
 #[derive(Debug)]
-pub struct PooledSession<'a, Prog: PoolableProgram> {
-    pool: &'a SessionPool<Prog>,
-    session: Option<Prog::Session>,
+pub struct PooledSession<'a> {
+    pool: &'a SessionPool,
+    session: Option<Session>,
 }
 
-impl<Prog: PoolableProgram> PooledSession<'_, Prog> {
+impl PooledSession<'_> {
     /// Consumes the guard *without* returning the session to the pool — for
     /// the rare caller that wants to keep the session past the pool.
-    pub fn detach(mut self) -> Prog::Session {
+    pub fn detach(mut self) -> Session {
         self.session.take().expect("session present until drop")
     }
 }
 
-impl<Prog: PoolableProgram> Deref for PooledSession<'_, Prog> {
-    type Target = Prog::Session;
+impl Deref for PooledSession<'_> {
+    type Target = Session;
 
     fn deref(&self) -> &Self::Target {
         self.session.as_ref().expect("session present until drop")
     }
 }
 
-impl<Prog: PoolableProgram> DerefMut for PooledSession<'_, Prog> {
+impl DerefMut for PooledSession<'_> {
     fn deref_mut(&mut self) -> &mut Self::Target {
         self.session.as_mut().expect("session present until drop")
     }
 }
 
-impl<Prog: PoolableProgram> Drop for PooledSession<'_, Prog> {
+impl Drop for PooledSession<'_> {
     fn drop(&mut self) {
         let Some(mut session) = self.session.take() else {
             return;
@@ -223,7 +173,7 @@ impl<Prog: PoolableProgram> Drop for PooledSession<'_, Prog> {
         }
         // Reset *before* pooling: an idle session is always clean, so a
         // request can never observe a predecessor's facts.
-        Prog::reset_session(&mut session);
+        session.reset();
         let mut idle = self.pool.idle.lock().expect("session pool poisoned");
         if idle.len() < self.pool.max_idle {
             idle.push(session);
@@ -234,9 +184,8 @@ impl<Prog: PoolableProgram> Drop for PooledSession<'_, Prog> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::program::Lobster;
     use crate::session::FactSet;
-    use lobster_provenance::{AddMultProb, InputFactId, ProvenanceKind};
+    use lobster_provenance::{InputFactId, ProvenanceKind};
     use lobster_ram::Value;
 
     const TC: &str = "type edge(x: u32, y: u32)
@@ -250,8 +199,7 @@ mod tests {
 
     #[test]
     fn released_sessions_are_reused() {
-        let pool = Lobster::builder(TC)
-            .compile_typed::<AddMultProb>()
+        let pool = Program::compile(TC, ProvenanceKind::AddMultProb)
             .unwrap()
             .session_pool();
         for _ in 0..5 {
@@ -265,12 +213,20 @@ mod tests {
         assert_eq!(stats.created, 1);
         assert_eq!(stats.reused, 4);
         assert_eq!(pool.idle_len(), 1);
+        // Batched runs through a recycled session behave like fresh ones.
+        let session = pool.acquire();
+        assert_eq!(session.fact_count(), 0);
+        let mut sample = FactSet::new();
+        sample.add("edge", &[Value::U32(0), Value::U32(1)], Some(0.25));
+        let results = session.run_batch(std::slice::from_ref(&sample)).unwrap();
+        assert!(
+            (results[0].probability("path", &[Value::U32(0), Value::U32(1)]) - 0.25).abs() < 1e-9
+        );
     }
 
     #[test]
     fn recycled_sessions_come_back_clean() {
-        let pool = Lobster::builder(TC_INLINE)
-            .compile_typed::<AddMultProb>()
+        let pool = Program::compile(TC_INLINE, ProvenanceKind::AddMultProb)
             .unwrap()
             .session_pool();
         {
@@ -299,7 +255,7 @@ mod tests {
     #[test]
     fn pool_is_bounded_and_detach_leaks_nothing_back() {
         let pool = SessionPool::with_max_idle(
-            Lobster::builder(TC).compile_typed::<AddMultProb>().unwrap(),
+            Program::compile(TC, ProvenanceKind::AddMultProb).unwrap(),
             1,
         );
         let a = pool.acquire();
@@ -315,8 +271,7 @@ mod tests {
 
     #[test]
     fn sessions_held_during_a_panic_are_discarded_not_recycled() {
-        let pool = Lobster::builder(TC)
-            .compile_typed::<AddMultProb>()
+        let pool = Program::compile(TC, ProvenanceKind::AddMultProb)
             .unwrap()
             .session_pool();
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -341,8 +296,7 @@ mod tests {
     #[test]
     fn concurrent_acquire_release_stays_consistent() {
         let pool = std::sync::Arc::new(
-            Lobster::builder(TC)
-                .compile_typed::<AddMultProb>()
+            Program::compile(TC, ProvenanceKind::AddMultProb)
                 .unwrap()
                 .session_pool(),
         );
@@ -367,28 +321,5 @@ mod tests {
         let stats = pool.stats();
         assert_eq!(stats.created + stats.reused, 40);
         assert!(stats.created <= 4, "stats: {stats:?}");
-    }
-
-    #[test]
-    fn dyn_pools_recycle_dyn_sessions() {
-        let program = crate::DynProgram::compile(TC, ProvenanceKind::AddMultProb).unwrap();
-        let pool = program.session_pool();
-        {
-            let mut session = pool.acquire();
-            session
-                .add_fact("edge", &[Value::U32(3), Value::U32(4)], Some(0.5))
-                .unwrap();
-            session.run().unwrap();
-        }
-        let session = pool.acquire();
-        assert_eq!(session.fact_count(), 0);
-        assert_eq!(pool.stats().reused, 1);
-        // Batched runs through a pooled session behave like fresh ones.
-        let mut sample = FactSet::new();
-        sample.add("edge", &[Value::U32(0), Value::U32(1)], Some(0.25));
-        let results = session.run_batch(std::slice::from_ref(&sample)).unwrap();
-        assert!(
-            (results[0].probability("path", &[Value::U32(0), Value::U32(1)]) - 0.25).abs() < 1e-9
-        );
     }
 }

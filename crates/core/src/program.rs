@@ -4,22 +4,19 @@
 //! A [`Program`] is everything that can be computed *before* any facts
 //! arrive: the parsed and stratified Datalog program, its RAM compilation,
 //! the batch-transformed RAM variant used by [`Program::run_batch`], and the
-//! execution configuration (device, runtime options). All of it
-//! sits behind an [`Arc`], so cloning a `Program` — or sending clones to
-//! other threads to serve concurrent requests — costs a pointer copy.
-//! Per-request state lives in [`Session`](crate::Session).
+//! execution configuration (device, runtime options, provenance kind). The
+//! compiled part sits behind an [`Arc`], so cloning a `Program` — or sending
+//! clones to other threads to serve concurrent requests — costs a pointer
+//! copy. Per-request state lives in [`Session`](crate::Session).
 
 use crate::error::LobsterError;
 use crate::session::Session;
-use lobster_apm::{
-    batch_transform, Database, EncodingSpec, ExecutionStats, Executor, RuntimeOptions,
-};
+use lobster_apm::{batch_transform, RuntimeOptions};
 use lobster_datalog::CompiledProgram;
-use lobster_gpu::{Device, TransferDirection};
-use lobster_provenance::{InputFactRegistry, Provenance, ProvenanceKind, SessionProvenance};
+use lobster_gpu::Device;
+use lobster_provenance::ProvenanceKind;
 use lobster_ram::passes::{lint_program, validate_program, CostModel};
 use lobster_ram::{Diagnostic, RamProgram, Value};
-use std::marker::PhantomData;
 use std::sync::Arc;
 
 /// Entry point of the Lobster API: start a [`LobsterBuilder`] with
@@ -28,10 +25,7 @@ use std::sync::Arc;
 pub struct Lobster;
 
 impl Lobster {
-    /// Starts building a compiled [`Program`] (or [`DynProgram`]) from
-    /// Datalog source.
-    ///
-    /// [`DynProgram`]: crate::DynProgram
+    /// Starts building a compiled [`Program`] from Datalog source.
     pub fn builder(source: impl Into<String>) -> LobsterBuilder {
         LobsterBuilder {
             source: source.into(),
@@ -51,17 +45,10 @@ impl Lobster {
     }
 }
 
-/// Configures and compiles a Lobster program.
-///
-/// Two terminal methods exist:
-///
-/// * [`LobsterBuilder::compile_typed`] picks the provenance semiring at the
-///   type level and produces a [`Program<P>`] — zero-cost dispatch, for call
-///   sites that know their reasoning mode at compile time.
-/// * [`LobsterBuilder::compile`] picks it at *run time* from the
-///   [`ProvenanceKind`] set with [`LobsterBuilder::provenance`] and produces
-///   a [`DynProgram`](crate::DynProgram) — for servers that read the
-///   reasoning mode from a config file or request field.
+/// Configures and compiles a Lobster program: set the provenance semiring
+/// with [`LobsterBuilder::provenance`] — a [`ProvenanceKind`] named in the
+/// code or parsed from configuration — and finish with
+/// [`LobsterBuilder::compile`].
 #[derive(Debug, Clone)]
 pub struct LobsterBuilder {
     source: String,
@@ -83,61 +70,31 @@ impl LobsterBuilder {
         self
     }
 
-    /// Selects the provenance semiring for [`LobsterBuilder::compile`] at run
-    /// time — e.g. from configuration: `"diff-top-1-proofs".parse()?`.
+    /// Selects the provenance semiring the program's sessions reason in —
+    /// e.g. `ProvenanceKind::DiffTop1Proof`, or from configuration:
+    /// `"diff-top-1-proofs".parse()?`.
     pub fn provenance(mut self, kind: ProvenanceKind) -> Self {
         self.provenance = Some(kind);
         self
     }
 
-    /// Compiles into a provenance-erased [`DynProgram`](crate::DynProgram)
-    /// using the [`ProvenanceKind`] set with [`LobsterBuilder::provenance`].
+    /// Compiles into a [`Program`] over the [`ProvenanceKind`] set with
+    /// [`LobsterBuilder::provenance`].
     ///
     /// # Errors
     ///
-    /// Returns [`LobsterError::Config`] when no provenance kind was set, or a
-    /// [`LobsterError::Frontend`] when the program does not compile.
-    pub fn compile(self) -> Result<crate::DynProgram, LobsterError> {
+    /// Returns [`LobsterError::Config`] when no provenance kind was set, a
+    /// [`LobsterError::Frontend`] when the program does not parse or
+    /// compile, or [`LobsterError::BadFact`] when an inline fact is
+    /// malformed.
+    pub fn compile(self) -> Result<crate::Program, LobsterError> {
         let Some(kind) = self.provenance else {
             return Err(LobsterError::Config {
-                message: "no provenance selected: call `.provenance(kind)` before `.compile()`, \
-                          or use `.compile_typed::<P>()` for a statically-typed program"
+                message: "no provenance selected: call `.provenance(kind)` before `.compile()`"
                     .to_string(),
             });
         };
-        crate::DynProgram::from_builder(self, kind)
-    }
-
-    /// Compiles into a statically-typed [`Program<P>`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`LobsterError::Frontend`] when the program does not parse
-    /// or compile, or [`LobsterError::BadFact`] when an inline fact is
-    /// malformed.
-    pub fn compile_typed<P: SessionProvenance>(self) -> Result<Program<P>, LobsterError> {
         let compiled = lobster_datalog::parse(&self.source)?;
-        // Validate inline program facts once, here, so that opening a
-        // session is infallible and cheap.
-        for fact in &compiled.facts {
-            let schema =
-                compiled
-                    .ram
-                    .schema(&fact.relation)
-                    .ok_or_else(|| LobsterError::BadFact {
-                        message: format!("inline fact for unknown relation `{}`", fact.relation),
-                    })?;
-            if schema.arity() != fact.values.len() {
-                return Err(LobsterError::BadFact {
-                    message: format!(
-                        "inline fact for `{}` has arity {}, expected {}",
-                        fact.relation,
-                        fact.values.len(),
-                        schema.arity()
-                    ),
-                });
-            }
-        }
         // Full structural validation of the compiled RAM: the front-end is
         // expected to always produce valid IR, but a validator failure here
         // (with rule provenance) beats executor misbehaviour at request time.
@@ -156,8 +113,8 @@ impl LobsterBuilder {
         let cost_model = CostModel::analyze(&compiled.ram);
         let batched = batch_transform(&compiled.ram);
         let source_hash = Lobster::source_hash(&self.source);
-        Ok(Program {
-            artifact: Arc::new(ProgramArtifact {
+        let program = Program {
+            artifact: Arc::new(Artifact {
                 compiled,
                 batched,
                 source_hash,
@@ -166,14 +123,20 @@ impl LobsterBuilder {
             }),
             device: self.device,
             options: self.options,
-            _marker: PhantomData,
-        })
+            kind,
+        };
+        // Validate inline program facts once, here, so that opening a
+        // session is infallible and cheap.
+        for fact in &program.artifact.compiled.facts {
+            program.check_fact(&fact.relation, &fact.values)?;
+        }
+        Ok(program)
     }
 }
 
 /// The immutable compiled artifact shared by every [`Program`] clone.
 #[derive(Debug)]
-pub(crate) struct ProgramArtifact {
+pub(crate) struct Artifact {
     /// Parsed, stratified, RAM-compiled program.
     pub(crate) compiled: CompiledProgram,
     /// The batch-transformed RAM program (Section 4.3), computed once at
@@ -189,37 +152,48 @@ pub(crate) struct ProgramArtifact {
     pub(crate) cost_model: CostModel,
 }
 
-/// An immutable compiled Lobster program, generic over its provenance
-/// semiring.
+/// An immutable compiled Lobster program.
 ///
 /// A `Program` holds no fact state and no registry: it is safe to share one
 /// instance (or cheap clones of it) across threads and requests. Open a
 /// [`Session`] per request with [`Program::session`], or run a whole batch
 /// of independent samples in one fix-point with [`Program::run_batch`].
 ///
-/// Built with [`Lobster::builder`]; see the crate-level docs for the full
-/// workflow.
-#[derive(Debug)]
-pub struct Program<P: Provenance> {
-    pub(crate) artifact: Arc<ProgramArtifact>,
+/// The provenance semiring is a property of the program
+/// ([`Program::kind`]), not of its type: the compiled artifact is the same
+/// for every semiring, and a session binds the kind to its semiring when it
+/// is opened.
+///
+/// Built with [`Lobster::builder`] or the [`Program::compile`] shortcut; see
+/// the crate-level docs for the full workflow.
+#[derive(Debug, Clone)]
+pub struct Program {
+    pub(crate) artifact: Arc<Artifact>,
     pub(crate) device: Device,
     pub(crate) options: RuntimeOptions,
-    _marker: PhantomData<fn() -> P>,
+    kind: ProvenanceKind,
 }
 
-impl<P: Provenance> Clone for Program<P> {
-    fn clone(&self) -> Self {
-        Program {
-            artifact: Arc::clone(&self.artifact),
-            device: self.device.clone(),
-            options: self.options.clone(),
-            _marker: PhantomData,
-        }
+impl Program {
+    /// Compiles `source` for the given provenance kind with default device
+    /// and options. Use [`Lobster::builder`] for full control.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`LobsterError::Frontend`] when the program does not parse
+    /// or compile.
+    pub fn compile(source: &str, kind: ProvenanceKind) -> Result<Self, LobsterError> {
+        Lobster::builder(source).provenance(kind).compile()
     }
-}
 
-impl<P: Provenance> Program<P> {
-    /// The device used for execution.
+    /// The provenance kind this program's sessions reason in.
+    pub fn kind(&self) -> ProvenanceKind {
+        self.kind
+    }
+
+    /// The device this program's sessions execute on; its statistics
+    /// (kernel launches, per-kernel wall time) attribute serving cost to
+    /// individual kernels.
     pub fn device(&self) -> &Device {
         &self.device
     }
@@ -233,23 +207,16 @@ impl<P: Provenance> Program<P> {
     /// compiled artifact is shared (`Arc`), so this is how one compilation
     /// is fanned out across several devices — see
     /// [`ShardedExecutor`](crate::ShardedExecutor).
-    pub fn with_device(&self, device: Device) -> Program<P> {
+    pub fn with_device(&self, device: Device) -> Program {
         Program {
-            artifact: Arc::clone(&self.artifact),
             device,
-            options: self.options.clone(),
-            _marker: PhantomData,
+            ..self.clone()
         }
     }
 
     /// The compiled RAM program.
     pub fn ram(&self) -> &RamProgram {
         &self.artifact.compiled.ram
-    }
-
-    /// The batch-transformed RAM program used by [`Program::run_batch`].
-    pub fn batched_ram(&self) -> &RamProgram {
-        &self.artifact.batched
     }
 
     /// The relations named in `query` declarations.
@@ -292,11 +259,43 @@ impl<P: Provenance> Program<P> {
         Value::Symbol(self.artifact.compiled.symbols.intern(name))
     }
 
+    /// The one rule a fact must meet to enter this program, whichever way it
+    /// arrives (inline in the source, [`Session::add_fact`],
+    /// [`Session::insert_facts`], a batch sample): the relation exists, the
+    /// tuple has its arity, and every value has its column's type — a value
+    /// of another type would be stored as a different value, or not fit its
+    /// column's storage at all.
+    ///
+    /// [`Session::add_fact`]: crate::Session::add_fact
+    /// [`Session::insert_facts`]: crate::Session::insert_facts
+    pub(crate) fn check_fact(&self, relation: &str, values: &[Value]) -> Result<(), LobsterError> {
+        let bad = |message: String| Err(LobsterError::BadFact { message });
+        let Some(schema) = self.ram().schema(relation) else {
+            return bad(format!("unknown relation `{relation}`"));
+        };
+        if schema.arity() != values.len() {
+            return bad(format!(
+                "fact for `{relation}` has arity {}, expected {}",
+                values.len(),
+                schema.arity()
+            ));
+        }
+        for (column, (value, expected)) in values.iter().zip(&schema.arg_types).enumerate() {
+            let got = value.value_type();
+            if got != *expected {
+                return bad(format!(
+                    "fact for `{relation}` has a {got} value in column {column}, expected {expected}"
+                ));
+            }
+        }
+        Ok(())
+    }
+
     /// Checks every fact of `facts` against this program's relation schemas
-    /// — the same unknown-relation and arity rules [`Session::add_fact`] and
-    /// [`Program::run_batch`] enforce, exposed so a serving layer can reject
-    /// a malformed request at submission instead of failing the batch it
-    /// would have landed in.
+    /// — the same relation, arity and value-type rule [`Session::add_fact`]
+    /// and [`Program::run_batch`] enforce, exposed so a serving layer can
+    /// reject a malformed request at submission instead of failing the batch
+    /// it would have landed in.
     ///
     /// [`Session::add_fact`]: crate::Session::add_fact
     ///
@@ -304,94 +303,22 @@ impl<P: Provenance> Program<P> {
     ///
     /// Returns [`LobsterError::BadFact`] for the first offending fact.
     pub fn validate_facts(&self, facts: &crate::FactSet) -> Result<(), LobsterError> {
-        for (relation, values, _, _) in facts.facts() {
-            let schema = self
-                .ram()
-                .schema(relation)
-                .ok_or_else(|| LobsterError::BadFact {
-                    message: format!("unknown relation `{relation}`"),
-                })?;
-            if schema.arity() != values.len() {
-                return Err(LobsterError::BadFact {
-                    message: format!(
-                        "fact for `{relation}` has arity {}, expected {}",
-                        values.len(),
-                        schema.arity()
-                    ),
-                });
-            }
-        }
-        Ok(())
+        facts
+            .facts()
+            .try_for_each(|(relation, values, _, _)| self.check_fact(relation, values))
     }
 
-    /// Creates the database a run of `ram` executes against: narrow
-    /// dictionary-encoded storage when the program is eligible, full-width
-    /// otherwise.
-    ///
-    /// Eligibility: programs applying arithmetic to `Symbol`/`Bool` operands
-    /// (the `symbol-arithmetic` lint) treat raw interner ids as numbers, so
-    /// their results are not invariant under re-encoding — they get
-    /// full-width storage. Programs with `u32` arithmetic stay encoded but
-    /// keep `u32` lanes at word width (see
-    /// `lobster_ram::RelationLayout::plan`).
-    pub(crate) fn new_database(&self, provenance: P, ram: &RamProgram) -> Database<P> {
-        if ram.has_symbol_arithmetic() {
-            Database::new(ram.schemas.clone(), provenance)
-        } else {
-            let spec = EncodingSpec {
-                symbol_constants: ram.symbol_constants(),
-                widen_u32: ram.has_u32_arithmetic(),
-            };
-            Database::new_encoded(ram.schemas.clone(), provenance, &spec)
-        }
-    }
-
-    /// Runs `ram` against the sealed `db` with the given provenance
-    /// instance. The whole program runs on the device, so the run records
-    /// one host→device transfer of the input database and one device→host
-    /// transfer of the fix point (Section 5.3's placement, with nothing left
-    /// to place while there is a single executor).
-    pub(crate) fn execute(
-        &self,
-        provenance: &P,
-        db: &mut Database<P>,
-        ram: &RamProgram,
-    ) -> Result<ExecutionStats, LobsterError> {
-        let executor = Executor::new(
-            self.device.clone(),
-            provenance.clone(),
-            self.options.clone(),
-        );
-        self.device
-            .record_transfer(TransferDirection::HostToDevice, db.size_bytes());
-        let stats = executor.run_program(db, ram)?;
-        self.device
-            .record_transfer(TransferDirection::DeviceToHost, db.size_bytes());
-        Ok(stats)
-    }
-}
-
-impl<P: SessionProvenance> Program<P> {
     /// Opens a session: cheap per-request state holding this request's facts
     /// and its own input-fact registry. The program's inline facts are
     /// pre-registered.
-    pub fn session(&self) -> Session<P> {
-        let registry = InputFactRegistry::new();
-        let provenance = P::bind(registry.clone());
-        Session::new(self.clone(), provenance, registry)
-    }
-
-    /// Opens a session over an explicit provenance instance and registry —
-    /// for custom provenance configuration (e.g. a non-default proof-size
-    /// limit). The provenance must have been built over `registry`.
-    pub fn session_with(&self, provenance: P, registry: InputFactRegistry) -> Session<P> {
-        Session::new(self.clone(), provenance, registry)
+    pub fn session(&self) -> Session {
+        Session::new(self.clone())
     }
 
     /// A pool recycling this program's sessions across requests — acquired
     /// sessions are [`reset`](Session::reset) and returned on drop; see
     /// [`SessionPool`](crate::SessionPool).
-    pub fn session_pool(&self) -> crate::SessionPool<Program<P>> {
+    pub fn session_pool(&self) -> crate::SessionPool {
         crate::SessionPool::new(self.clone())
     }
 
@@ -412,78 +339,37 @@ impl<P: SessionProvenance> Program<P> {
     ) -> Result<Vec<crate::RunResult>, LobsterError> {
         self.session().run_batch(samples)
     }
-
-    /// Runs a batch partitioned across `num_shards` devices derived from
-    /// this program's device ([`lobster_gpu::Device::split_shards`]), each
-    /// shard paying its own fix-point over its slice of the samples.
-    /// Results are merged back into the caller's order and are identical to
-    /// [`Program::run_batch`] — same tuples, probabilities, and (globally
-    /// remapped) gradients.
-    ///
-    /// This is a one-off convenience: it builds a throwaway
-    /// [`ShardedExecutor`](crate::ShardedExecutor) — persistent worker pool
-    /// included — and tears it down before returning, so every call pays
-    /// shard-thread spawn and join. When more than one batch will run, hold
-    /// an executor (its workers then serve every batch) or tune skew/spill
-    /// knobs through [`ShardConfig`](crate::ShardConfig) on it directly.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`LobsterError`] on bad facts or execution failure.
-    pub fn run_batch_sharded(
-        &self,
-        samples: &[crate::FactSet],
-        num_shards: usize,
-    ) -> Result<Vec<crate::RunResult>, LobsterError> {
-        self.run_batch_sharded_with_stats(samples, num_shards)
-            .map(|(results, _)| results)
-    }
-
-    /// Like [`Program::run_batch_sharded`], additionally reporting how the
-    /// batch was partitioned and what each shard did
-    /// ([`ShardRunStats`](crate::ShardRunStats) — chunk counts, steals,
-    /// spills, per-shard device deltas).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`LobsterError`] on bad facts or execution failure.
-    pub fn run_batch_sharded_with_stats(
-        &self,
-        samples: &[crate::FactSet],
-        num_shards: usize,
-    ) -> Result<(Vec<crate::RunResult>, crate::ShardRunStats), LobsterError> {
-        crate::ShardedExecutor::new(
-            self.clone(),
-            crate::ShardConfig::default().with_num_shards(num_shards),
-        )
-        .run_batch_with_stats(samples)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lobster_provenance::Unit;
 
     const TC: &str = "type edge(x: u32, y: u32)
         rel path(x, y) = edge(x, y) or (path(x, z) and edge(z, y))
         query path";
 
+    fn unit(source: &str) -> Program {
+        Program::compile(source, ProvenanceKind::Unit).unwrap()
+    }
+
     #[test]
     fn programs_are_cheaply_cloneable_and_shareable() {
-        let program = Lobster::builder(TC).compile_typed::<Unit>().unwrap();
+        let program = unit(TC);
         let clone = program.clone();
         assert!(Arc::ptr_eq(&program.artifact, &clone.artifact));
-        // Program is Send + Sync: usable from worker threads.
-        fn assert_shareable<T: Send + Sync>(_: &T) {}
-        assert_shareable(&program);
+        // A clone on another device still shares the compiled artifact.
+        let moved = program.with_device(Device::sequential());
+        assert!(Arc::ptr_eq(&program.artifact, &moved.artifact));
+        assert_eq!(moved.device().parallelism(), 1);
+        assert_eq!(moved.kind(), program.kind());
     }
 
     #[test]
     fn batch_transform_happens_once_at_compile_time() {
-        let program = Lobster::builder(TC).compile_typed::<Unit>().unwrap();
+        let program = unit(TC);
         // The batched RAM has the sample column prepended: arity 3.
-        assert_eq!(program.batched_ram().schema("edge").unwrap().arity(), 3);
+        assert_eq!(program.artifact.batched.schema("edge").unwrap().arity(), 3);
         assert_eq!(program.ram().schema("edge").unwrap().arity(), 2);
     }
 
@@ -492,7 +378,8 @@ mod tests {
         let program = Lobster::builder(TC)
             .device(Device::sequential())
             .options(RuntimeOptions::unoptimized())
-            .compile_typed::<Unit>()
+            .provenance(ProvenanceKind::Unit)
+            .compile()
             .unwrap();
         assert_eq!(program.device().parallelism(), 1);
         assert_eq!(program.options(), &RuntimeOptions::unoptimized());
@@ -500,7 +387,7 @@ mod tests {
 
     #[test]
     fn source_hash_and_size_support_cache_keys() {
-        let program = Lobster::builder(TC).compile_typed::<Unit>().unwrap();
+        let program = unit(TC);
         assert_eq!(program.source_hash(), Lobster::source_hash(TC));
         // Different sources hash differently (the cache key discriminates).
         assert_ne!(
@@ -511,10 +398,7 @@ mod tests {
         // a sample column, so the combined estimate exceeds the plain RAM's.
         assert_eq!(
             program.compiled_size_bytes(),
-            Lobster::builder(TC)
-                .compile_typed::<Unit>()
-                .unwrap()
-                .compiled_size_bytes()
+            unit(TC).compiled_size_bytes()
         );
         assert!(program.compiled_size_bytes() > program.ram().size_estimate());
     }
@@ -527,21 +411,39 @@ mod tests {
     }
 
     #[test]
+    fn kind_parsed_from_a_string_selects_the_semiring() {
+        let kind: ProvenanceKind = "diff-top-1-proofs".parse().unwrap();
+        let program = Lobster::builder(TC).provenance(kind).compile().unwrap();
+        assert_eq!(program.kind(), ProvenanceKind::DiffTop1Proof);
+        let mut session = program.session();
+        let e01 = session
+            .add_fact("edge", &[Value::U32(0), Value::U32(1)], Some(0.9))
+            .unwrap();
+        session
+            .add_fact("edge", &[Value::U32(1), Value::U32(2)], Some(0.5))
+            .unwrap();
+        let result = session.run().unwrap();
+        let target = [Value::U32(0), Value::U32(2)];
+        assert!((result.probability("path", &target) - 0.45).abs() < 1e-9);
+        let grad = result.gradient("path", &target);
+        assert!(grad
+            .iter()
+            .any(|(id, g)| *id == e01 && (*g - 0.5).abs() < 1e-9));
+    }
+
+    #[test]
     fn diagnostics_ride_the_compiled_artifact() {
         // Linear transitive closure lints clean.
-        let program = Lobster::builder(TC).compile_typed::<Unit>().unwrap();
-        assert!(program.diagnostics().is_empty());
+        assert!(unit(TC).diagnostics().is_empty());
 
         // A declared-but-never-used relation surfaces as a warning, computed
         // once at compile time and shared by every clone of the artifact.
-        let noisy = Lobster::builder(
+        let noisy = unit(
             "type edge(x: u32, y: u32)
              type orphan(x: u32)
              rel path(x, y) = edge(x, y) or (path(x, z) and edge(z, y))
              query path",
-        )
-        .compile_typed::<Unit>()
-        .unwrap();
+        );
         assert!(noisy
             .diagnostics()
             .iter()
@@ -554,7 +456,7 @@ mod tests {
 
     #[test]
     fn cost_model_weights_join_heavy_relations_higher() {
-        let program = Lobster::builder(TC).compile_typed::<Unit>().unwrap();
+        let program = unit(TC);
         let model = program.cost_model();
         // `edge` feeds both the base rule and the recursive join; `path` only
         // the recursive side. Both outrank an unreferenced default.
@@ -566,8 +468,35 @@ mod tests {
     #[test]
     fn frontend_errors_surface() {
         assert!(matches!(
-            Lobster::builder("rel x(").compile_typed::<Unit>(),
+            Program::compile("rel x(", ProvenanceKind::Unit),
             Err(LobsterError::Frontend(_))
         ));
+    }
+
+    #[test]
+    fn a_fact_is_checked_against_relation_arity_and_column_types() {
+        let program = unit(TC);
+        let check = |relation: &str, values: &[Value]| {
+            program
+                .check_fact(relation, values)
+                .map_err(|e| e.to_string())
+        };
+        assert_eq!(check("edge", &[Value::U32(0), Value::U32(1)]), Ok(()));
+        assert!(check("ghost", &[Value::U32(0)])
+            .unwrap_err()
+            .contains("unknown relation `ghost`"));
+        assert!(check("edge", &[Value::U32(0)])
+            .unwrap_err()
+            .contains("arity 1, expected 2"));
+        // 2^40 does not fit a u32 column: unchecked, a release build stores
+        // its low bits (a different fact) and a debug build panics when the
+        // column is packed.
+        let wide = check("edge", &[Value::U32(1), Value::I64(1 << 40)]).unwrap_err();
+        for part in ["`edge`", "column 1", "i64", "u32"] {
+            assert!(wide.contains(part), "{wide}");
+        }
+        assert!(check("edge", &[Value::F64(0.5), Value::U32(1)]).is_err());
+        assert!(check("edge", &[Value::Bool(true), Value::U32(1)]).is_err());
+        assert!(check("edge", &[program.symbol("a"), Value::U32(1)]).is_err());
     }
 }

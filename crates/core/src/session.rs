@@ -9,13 +9,11 @@
 //! seed design where every batch leaked fresh fact ids into a shared,
 //! ever-growing registry.
 
+use crate::engine::{self, AnyEngine, SessionFacts};
 use crate::error::LobsterError;
 use crate::program::Program;
-use lobster_apm::{
-    refresh_database, Database, EdbContent, ExecutionStats, Executor, Refresh, RelationChange,
-};
-use lobster_gpu::{Columns, Device};
-use lobster_provenance::{InputFactId, InputFactRegistry, Output, Provenance, SessionProvenance};
+use lobster_apm::ExecutionStats;
+use lobster_provenance::{InputFactId, InputFactRegistry, Output};
 use lobster_ram::{SymbolTable, Tuple, Value};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
@@ -65,10 +63,6 @@ impl FactSet {
         self.facts.is_empty()
     }
 
-    pub(crate) fn iter(&self) -> impl Iterator<Item = &RawFact> {
-        self.facts.iter()
-    }
-
     /// The facts in insertion order:
     /// `(relation, values, probability, exclusion group)`. The position of a
     /// fact in this iteration is its request-local index — the id a serving
@@ -85,25 +79,22 @@ impl FactSet {
 /// The decoded rows of every output relation, in stored order. The rows are
 /// behind an `Arc` so that a materialized session and the results it returns
 /// can share them.
-type OutputView = BTreeMap<String, Arc<Vec<(Tuple, Output)>>>;
+pub(crate) type OutputView = BTreeMap<String, Arc<Vec<(Tuple, Output)>>>;
 
 /// One registered input fact inside a session.
 #[derive(Debug, Clone)]
-struct RegisteredFact {
-    relation: String,
-    values: Vec<Value>,
-    id: InputFactId,
-    probabilistic: bool,
+pub(crate) struct RegisteredFact {
+    pub(crate) relation: String,
+    pub(crate) values: Vec<Value>,
+    pub(crate) id: InputFactId,
+    pub(crate) probabilistic: bool,
 }
 
-/// The materialized state kept between [`Session::run_incremental`] calls:
-/// every relation's fix-point content plus enough bookkeeping to detect, at
-/// the next call, which relations changed and how.
+/// The bookkeeping kept between [`Session::run_incremental`] calls beside
+/// the materialized database (which the session's engine holds): enough to
+/// detect, at the next call, which relations changed and how.
 #[derive(Debug, Clone)]
-struct IncrementalState<P: Provenance> {
-    /// The materialized database — EDB facts plus every derived relation at
-    /// the fix point.
-    db: Database<P>,
+struct IncrementalState {
     /// `facts.len()` at the last refresh; facts registered past this
     /// watermark are pending insertions.
     watermark: usize,
@@ -114,14 +105,14 @@ struct IncrementalState<P: Provenance> {
     /// last refresh, used to detect [`Session::set_fact_probability`] calls
     /// made between refreshes.
     probs: Vec<f64>,
-    /// `db`'s output relations, decoded: what the last
+    /// The materialized database's output relations, decoded: what the last
     /// [`Session::run_incremental`] returned, and shares with that result.
-    /// A refresh brings it up to date from what [`refresh_database`] reports
-    /// instead of decoding `db` again — an insertion decodes its Δ rows and
-    /// merges them in, in place unless a caller still holds an earlier
-    /// result (then that relation's rows are copied first, so a result never
-    /// changes after it was returned); a relation the refresh left alone is
-    /// not looked at.
+    /// A refresh brings it up to date from what `refresh_database` reports
+    /// instead of decoding the database again — an insertion decodes its Δ
+    /// rows and merges them in, in place unless a caller still holds an
+    /// earlier result (then that relation's rows are copied first, so a
+    /// result never changes after it was returned); a relation the refresh
+    /// left alone is not looked at.
     view: OutputView,
 }
 
@@ -129,10 +120,7 @@ struct IncrementalState<P: Provenance> {
 /// tuples with their output probability and gradient.
 ///
 /// `RunResult` is provenance-erased — outputs are plain probabilities and
-/// sparse gradients whatever semiring produced them — so the same type is
-/// returned by typed sessions, batched runs, and [`DynSession`].
-///
-/// [`DynSession`]: crate::DynSession
+/// sparse gradients whatever semiring produced them.
 #[derive(Debug, Clone)]
 pub struct RunResult {
     outputs: OutputView,
@@ -218,6 +206,18 @@ impl RunResult {
     }
 }
 
+/// What the engine reads of a session. A field-by-field borrow, so that
+/// `engine` can be borrowed mutably beside it.
+macro_rules! session_facts {
+    ($session:expr) => {
+        SessionFacts {
+            program: &$session.program,
+            registry: &$session.registry,
+            facts: &$session.facts,
+        }
+    };
+}
+
 /// Cheap per-request state over a shared [`Program`]: this request's input
 /// facts and their registry.
 ///
@@ -227,9 +227,8 @@ impl RunResult {
 /// runs with [`Session::set_fact_probability`], which is how a training loop
 /// feeds new network outputs to the same symbolic program.
 #[derive(Debug)]
-pub struct Session<P: Provenance> {
-    pub(crate) program: Program<P>,
-    provenance: P,
+pub struct Session {
+    program: Program,
     registry: InputFactRegistry,
     facts: Vec<RegisteredFact>,
     /// `true` while `facts[..inline_count]` are exactly the program's inline
@@ -243,35 +242,40 @@ pub struct Session<P: Provenance> {
     /// than one slot) because `run_batch` takes `&self` and may run
     /// concurrently from several threads.
     batch_forks: Mutex<Vec<InputFactRegistry>>,
-    /// Materialized fix point kept across [`Session::run_incremental`]
+    /// The program's semiring bound to `registry` — the only part of a
+    /// session that knows which semiring it is — and, while `incremental`
+    /// is `Some`, the materialized database.
+    engine: Box<dyn AnyEngine>,
+    /// Change-detection state kept across [`Session::run_incremental`]
     /// calls; `None` until the first incremental run (and again after
     /// [`Session::reset`] / [`Session::clear_facts`]).
-    incremental: Option<IncrementalState<P>>,
+    incremental: Option<IncrementalState>,
 }
 
-impl<P: Provenance> Clone for Session<P> {
+impl Clone for Session {
     fn clone(&self) -> Self {
         Session {
             program: self.program.clone(),
-            provenance: self.provenance.clone(),
             registry: self.registry.clone(),
             facts: self.facts.clone(),
             inline_prefix_intact: self.inline_prefix_intact,
             // Scratch registries are per-instance recycling state, not
             // session state — the clone starts with none.
             batch_forks: Mutex::new(Vec::new()),
+            engine: self.engine.boxed_clone(),
             incremental: self.incremental.clone(),
         }
     }
 }
 
-impl<P: Provenance> Session<P> {
+impl Session {
     /// Creates a session and pre-registers the program's inline facts (which
     /// were validated at compile time).
-    pub(crate) fn new(program: Program<P>, provenance: P, registry: InputFactRegistry) -> Self {
+    pub(crate) fn new(program: Program) -> Self {
+        let registry = InputFactRegistry::new();
         let mut session = Session {
+            engine: engine::bind(program.kind(), &registry),
             program,
-            provenance,
             registry,
             facts: Vec::new(),
             inline_prefix_intact: true,
@@ -283,46 +287,36 @@ impl<P: Provenance> Session<P> {
     }
 
     fn register_inline_facts(&mut self) {
-        let inline: Vec<(String, Tuple, Option<f64>)> = self
-            .program
-            .artifact
-            .compiled
-            .facts
-            .iter()
-            .map(|f| (f.relation.clone(), f.values.clone(), f.probability))
-            .collect();
-        for (relation, values, probability) in inline {
-            let id = self.registry.register(probability, None);
+        for fact in &self.program.artifact.compiled.facts {
+            let id = self.registry.register(fact.probability, None);
             self.facts.push(RegisteredFact {
-                relation,
-                values,
+                relation: fact.relation.clone(),
+                values: fact.values.clone(),
                 id,
-                probabilistic: probability.is_some(),
+                probabilistic: fact.probability.is_some(),
             });
         }
     }
 
     /// The program this session runs.
-    pub fn program(&self) -> &Program<P> {
+    pub fn program(&self) -> &Program {
         &self.program
     }
 
-    /// The provenance instance bound to this session's registry.
-    pub fn provenance(&self) -> &P {
-        &self.provenance
-    }
-
-    /// This session's input-fact registry.
-    pub fn registry(&self) -> &InputFactRegistry {
-        &self.registry
+    fn result(&self, outputs: OutputView, stats: ExecutionStats) -> RunResult {
+        RunResult {
+            outputs,
+            stats,
+            symbols: self.program.artifact.compiled.symbols.clone(),
+        }
     }
 
     /// Registers an input fact.
     ///
     /// # Errors
     ///
-    /// Returns [`LobsterError::BadFact`] for unknown relations or arity
-    /// mismatches.
+    /// Returns [`LobsterError::BadFact`] for an unknown relation, an arity
+    /// mismatch, or a value that is not of its column's type.
     pub fn add_fact(
         &mut self,
         relation: &str,
@@ -336,8 +330,7 @@ impl<P: Provenance> Session<P> {
     ///
     /// # Errors
     ///
-    /// Returns [`LobsterError::BadFact`] for unknown relations or arity
-    /// mismatches.
+    /// See [`Session::add_fact`].
     pub fn add_fact_with_exclusion(
         &mut self,
         relation: &str,
@@ -345,22 +338,18 @@ impl<P: Provenance> Session<P> {
         prob: Option<f64>,
         exclusion: Option<u32>,
     ) -> Result<InputFactId, LobsterError> {
-        let schema = self
-            .program
-            .ram()
-            .schema(relation)
-            .ok_or_else(|| LobsterError::BadFact {
-                message: format!("unknown relation `{relation}`"),
-            })?;
-        if schema.arity() != values.len() {
-            return Err(LobsterError::BadFact {
-                message: format!(
-                    "fact for `{relation}` has arity {}, expected {}",
-                    values.len(),
-                    schema.arity()
-                ),
-            });
-        }
+        self.program.check_fact(relation, values)?;
+        Ok(self.register(relation, values, prob, exclusion))
+    }
+
+    /// Registers a fact that [`Program::check_fact`] accepted.
+    fn register(
+        &mut self,
+        relation: &str,
+        values: &[Value],
+        prob: Option<f64>,
+        exclusion: Option<u32>,
+    ) -> InputFactId {
         let id = self.registry.register(prob, exclusion);
         self.facts.push(RegisteredFact {
             relation: relation.to_string(),
@@ -368,7 +357,7 @@ impl<P: Provenance> Session<P> {
             id,
             probabilistic: prob.is_some(),
         });
-        Ok(id)
+        id
     }
 
     /// Updates the probability of an already registered fact (used between
@@ -377,13 +366,20 @@ impl<P: Provenance> Session<P> {
         self.registry.set_prob(id, prob);
     }
 
+    /// Drops the materialized fix point, if any: the next
+    /// [`Session::run_incremental`] starts over.
+    fn dematerialize(&mut self) {
+        self.incremental = None;
+        self.engine.dematerialize();
+    }
+
     /// Removes all registered facts (inline program facts included) and
     /// clears the registry. Any materialized incremental state is dropped.
     pub fn clear_facts(&mut self) {
         self.facts.clear();
         self.registry.clear();
         self.inline_prefix_intact = false;
-        self.incremental = None;
+        self.dematerialize();
     }
 
     /// Returns the session to its freshly-opened state — only the program's
@@ -404,7 +400,7 @@ impl<P: Provenance> Session<P> {
     /// retractions) is dropped, so a recycled pooled session can never leak
     /// a previous request's deltas.
     pub fn reset(&mut self) {
-        self.incremental = None;
+        self.dematerialize();
         let inline = self.program.artifact.compiled.facts.len();
         if self.inline_prefix_intact {
             // The inline facts are still the registration prefix: drop
@@ -431,36 +427,14 @@ impl<P: Provenance> Session<P> {
         self.facts.len()
     }
 
-    fn collect_outputs(&self, db: &Database<P>, outputs_of: &[String]) -> OutputView {
-        outputs_of
-            .iter()
-            .map(|relation| {
-                let rows = db.decode_rows(relation, |tag| self.provenance.output(tag));
-                (relation.clone(), Arc::new(rows))
-            })
-            .collect()
-    }
-
     /// Runs the program against this session's facts.
     ///
     /// # Errors
     ///
     /// Returns a [`LobsterError::Execution`] on device OOM or timeout.
     pub fn run(&self) -> Result<RunResult, LobsterError> {
-        let ram = self.program.ram();
-        let mut db = self.program.new_database(self.provenance.clone(), ram);
-        for fact in &self.facts {
-            let prob = fact.probabilistic.then(|| self.registry.prob(fact.id));
-            let tag = self.provenance.input_tag(fact.id, prob);
-            db.insert(&fact.relation, &fact.values, tag);
-        }
-        db.seal(&self.program.device);
-        let stats = self.program.execute(&self.provenance, &mut db, ram)?;
-        Ok(RunResult {
-            outputs: self.collect_outputs(&db, &ram.outputs),
-            stats,
-            symbols: self.program.artifact.compiled.symbols.clone(),
-        })
+        let (outputs, stats) = self.engine.run(session_facts!(self))?;
+        Ok(self.result(outputs, stats))
     }
 
     /// The effective probability of a registered fact (1.0 when the fact is
@@ -473,6 +447,10 @@ impl<P: Provenance> Session<P> {
         }
     }
 
+    fn fact_probs(&self) -> Vec<f64> {
+        self.facts.iter().map(|f| self.fact_prob(f)).collect()
+    }
+
     /// Registers every fact of `facts` as a pending insertion and returns
     /// their ids (in `facts` order). The whole set is validated before
     /// anything registers, so a bad fact never leaves a half-applied delta.
@@ -483,15 +461,16 @@ impl<P: Provenance> Session<P> {
     ///
     /// # Errors
     ///
-    /// Returns [`LobsterError::BadFact`] for unknown relations or arity
-    /// mismatches; no fact of the set is registered in that case.
+    /// Returns [`LobsterError::BadFact`] as [`Session::add_fact`] does; no
+    /// fact of the set is registered in that case.
     pub fn insert_facts(&mut self, facts: &FactSet) -> Result<Vec<InputFactId>, LobsterError> {
         self.program.validate_facts(facts)?;
-        let mut ids = Vec::with_capacity(facts.len());
-        for (relation, values, prob, exclusion) in facts.facts() {
-            ids.push(self.add_fact_with_exclusion(relation, values, prob, exclusion)?);
-        }
-        Ok(ids)
+        Ok(facts
+            .facts()
+            .map(|(relation, values, prob, exclusion)| {
+                self.register(relation, values, prob, exclusion)
+            })
+            .collect())
     }
 
     /// Removes previously registered facts by id and returns how many were
@@ -569,13 +548,13 @@ impl<P: Provenance> Session<P> {
     /// materialized state is dropped then (the refresh stopped part-way),
     /// and the next call materializes afresh.
     pub fn run_incremental(&mut self) -> Result<RunResult, LobsterError> {
-        let Some(state) = self.incremental.as_ref() else {
+        let Some(mut state) = self.incremental.take() else {
             return self.materialize();
         };
 
         // Host-side dirty detection: retractions, probability updates, and
         // facts registered past the watermark.
-        let mut rebuild: BTreeSet<String> = state.retracted.clone();
+        let mut rebuild = std::mem::take(&mut state.retracted);
         let mut reweighted = false;
         for (fact, old) in self.facts[..state.watermark].iter().zip(&state.probs) {
             if self.fact_prob(fact) != *old {
@@ -583,196 +562,49 @@ impl<P: Provenance> Session<P> {
                 reweighted = true;
             }
         }
-        let delta_ok = rebuild.is_empty() && self.provenance.delta_exact();
-        let mut inserted: BTreeMap<String, EdbContent<P::Tag>> = BTreeMap::new();
-        for fact in &self.facts[state.watermark..] {
-            if delta_ok {
-                let (columns, tags) = inserted
-                    .entry(fact.relation.clone())
-                    .or_insert_with(|| (vec![Vec::new(); fact.values.len()], Vec::new()));
-                for (col, value) in columns.iter_mut().zip(&fact.values) {
-                    col.push(value.encode());
-                }
-                let prob = fact.probabilistic.then(|| self.registry.prob(fact.id));
-                tags.push(self.provenance.input_tag(fact.id, prob));
-            } else {
-                rebuild.insert(fact.relation.clone());
-            }
-        }
 
-        let stats = if rebuild.is_empty() && inserted.is_empty() {
+        let stats = if rebuild.is_empty() && state.watermark == self.facts.len() {
             // Empty delta: serve straight from the materialized fix point —
             // all checks above are host-side, so zero kernels launch, and
             // the view is current, so nothing is decoded.
             ExecutionStats::default()
         } else {
-            // A refresh that failed stopped part-way: drop the state, so the
-            // next call materializes afresh.
-            let refreshed = self.refresh(&inserted, &rebuild).map_err(|e| {
-                self.incremental = None;
+            let refreshed = self.engine.refresh(
+                session_facts!(self),
+                state.watermark,
+                rebuild,
+                reweighted,
+                &mut state.view,
+            );
+            // A refresh that failed stopped part-way: `state` is not put
+            // back and the database goes with it, so the next call
+            // materializes afresh.
+            let stats = refreshed.map_err(|e| {
+                self.engine.dematerialize();
                 e
             })?;
-            let probs: Vec<f64> = self.facts.iter().map(|f| self.fact_prob(f)).collect();
-            let watermark = self.facts.len();
-            let state = self.incremental.as_mut().expect("state checked above");
-            state.watermark = watermark;
-            state.probs = probs;
-            state.retracted.clear();
-            let mut changes = refreshed.outputs;
-            if reweighted {
-                // A proof tag reads its facts' probabilities from the
-                // registry when it is decoded, so a row can decode
-                // differently although no table changed a bit.
-                for relation in &self.program.ram().outputs {
-                    changes.insert(relation.clone(), RelationChange::Rebuilt);
-                }
-            }
-            Self::patch_view(&self.provenance, &self.program.device, state, changes);
-            refreshed.stats
+            state.watermark = self.facts.len();
+            state.probs = self.fact_probs();
+            stats
         };
-        let state = self.incremental.as_ref().expect("state checked above");
-        debug_assert!(
-            state.view == self.collect_outputs(&state.db, &self.program.ram().outputs),
-            "the view is not what the database decodes to"
-        );
-        Ok(RunResult {
-            outputs: state.view.clone(),
-            stats,
-            symbols: self.program.artifact.compiled.symbols.clone(),
-        })
-    }
-
-    /// Brings `state.view` up to date with `state.db` from what the refresh
-    /// reported about each output relation.
-    fn patch_view(
-        provenance: &P,
-        device: &Device,
-        state: &mut IncrementalState<P>,
-        changes: BTreeMap<String, RelationChange<P>>,
-    ) {
-        for (relation, change) in changes {
-            match change {
-                RelationChange::Inserted { rows, positions } => {
-                    let added = state
-                        .db
-                        .decode_table(&relation, &rows, |tag| provenance.output(tag));
-                    rows.recycle(device);
-                    let view = state.view.get_mut(&relation).expect("an output relation");
-                    splice_at(Arc::make_mut(view), added, &positions);
-                }
-                RelationChange::Rebuilt => {
-                    // The stale rows go first: unless a caller still holds
-                    // them they are freed before their replacement is built.
-                    state.view.remove(&relation);
-                    let rows = state
-                        .db
-                        .decode_rows(&relation, |tag| provenance.output(tag));
-                    state.view.insert(relation, Arc::new(rows));
-                }
-            }
-        }
+        let result = self.result(state.view.clone(), stats);
+        self.incremental = Some(state);
+        Ok(result)
     }
 
     /// First [`Session::run_incremental`] call: run from scratch and keep
     /// the database.
     fn materialize(&mut self) -> Result<RunResult, LobsterError> {
-        let ram = self.program.ram();
-        let mut db = self.program.new_database(self.provenance.clone(), ram);
-        for fact in &self.facts {
-            let prob = fact.probabilistic.then(|| self.registry.prob(fact.id));
-            let tag = self.provenance.input_tag(fact.id, prob);
-            db.insert(&fact.relation, &fact.values, tag);
-        }
-        db.seal(&self.program.device);
-        let stats = self.program.execute(&self.provenance, &mut db, ram)?;
-        let view = self.collect_outputs(&db, &ram.outputs);
-        let symbols = self.program.artifact.compiled.symbols.clone();
-        let probs = self.facts.iter().map(|f| self.fact_prob(f)).collect();
+        let (view, stats) = self.engine.materialize(session_facts!(self))?;
         self.incremental = Some(IncrementalState {
-            db,
             watermark: self.facts.len(),
             retracted: BTreeSet::new(),
-            probs,
+            probs: self.fact_probs(),
             view: view.clone(),
         });
-        Ok(RunResult {
-            outputs: view,
-            stats,
-            symbols,
-        })
+        Ok(self.result(view, stats))
     }
 
-    /// Applies a non-empty delta to the materialized database.
-    fn refresh(
-        &mut self,
-        inserted: &BTreeMap<String, EdbContent<P::Tag>>,
-        rebuild: &BTreeSet<String>,
-    ) -> Result<Refresh<P>, LobsterError> {
-        let executor = Executor::new(
-            self.program.device.clone(),
-            self.provenance.clone(),
-            self.program.options.clone(),
-        );
-        let facts = &self.facts;
-        let registry = &self.registry;
-        let provenance = &self.provenance;
-        let ram = self.program.ram();
-        // Full EDB content of one relation in fact-registration order — the
-        // order `run` inserts facts, so a rebuilt table is bit-identical to
-        // a from-scratch seal.
-        let edb = |relation: &str| {
-            let arity = ram.schemas[relation].arity();
-            let mut columns: Columns = vec![Vec::new(); arity];
-            let mut tags = Vec::new();
-            for fact in facts {
-                if fact.relation != relation {
-                    continue;
-                }
-                for (col, value) in columns.iter_mut().zip(&fact.values) {
-                    col.push(value.encode());
-                }
-                let prob = fact.probabilistic.then(|| registry.prob(fact.id));
-                tags.push(provenance.input_tag(fact.id, prob));
-            }
-            (columns, tags)
-        };
-        let state = self.incremental.as_mut().expect("materialized");
-        Ok(refresh_database(
-            &executor,
-            &mut state.db,
-            ram,
-            inserted,
-            rebuild,
-            &edb,
-        )?)
-    }
-}
-
-/// Merges `added` into `rows` in place so that `added[i]` ends up at index
-/// `positions[i]` (ascending) of the result. Works from the back, so every
-/// old row after the first insertion point moves once and none before it
-/// moves at all; nothing is allocated beyond the growth of `rows` itself.
-fn splice_at<T: Default>(rows: &mut Vec<T>, mut added: Vec<T>, positions: &[usize]) {
-    debug_assert_eq!(added.len(), positions.len());
-    // `read..write` is the gap: default-valued slots between the old rows
-    // still to move and the part of the result already in place.
-    let mut read = rows.len();
-    rows.resize_with(read + added.len(), T::default);
-    let mut write = rows.len();
-    while let Some(row) = added.pop() {
-        let at = positions[added.len()];
-        while write - 1 > at {
-            write -= 1;
-            read -= 1;
-            rows.swap(write, read);
-        }
-        write -= 1;
-        rows[write] = row;
-    }
-    debug_assert_eq!(read, write, "positions do not describe a merge");
-}
-
-impl<P: SessionProvenance> Session<P> {
     /// Runs a whole batch of samples in a single execution using the batched
     /// evaluation of Section 4.3: a sample-id column is prepended to every
     /// relation so all samples share one database and one fix-point run.
@@ -792,9 +624,8 @@ impl<P: SessionProvenance> Session<P> {
     ///
     /// Returns a [`LobsterError`] on bad facts or execution failure.
     pub fn run_batch(&self, samples: &[FactSet]) -> Result<Vec<RunResult>, LobsterError> {
-        // Validate everything up front (one shared rule set with
-        // `Program::validate_facts` and `Session::add_fact`) so no sample
-        // registers anything for a batch that then aborts half-built.
+        // Validate everything up front so no sample registers anything for
+        // a batch that then aborts half-built.
         for facts in samples {
             self.program.validate_facts(facts)?;
         }
@@ -813,93 +644,63 @@ impl<P: SessionProvenance> Session<P> {
         &self,
         samples: &[&FactSet],
     ) -> Result<Vec<RunResult>, LobsterError> {
-        let batched = &self.program.artifact.batched;
         // Scope all registration to this run: per-sample facts go into a
-        // fork of the session registry, visible to a provenance instance
-        // rebound to that fork. The fork itself is recycled — a previous
-        // run's fork registry is reforked in place when one is idle — so
-        // steady-state batches allocate no fresh registry.
-        let registry = self
+        // fork of the session registry. The fork itself is recycled — a
+        // previous run's fork registry is reforked in place when one is
+        // idle — so steady-state batches allocate no fresh registry.
+        let fork = self
             .batch_forks
             .lock()
             .expect("session fork pool poisoned")
             .pop()
             .unwrap_or_default();
-        registry.refork_from(&self.registry);
-        let provenance = self.provenance.rebind(registry.clone());
-        let mut db = self.program.new_database(provenance.clone(), batched);
-        for (sample, facts) in samples.iter().enumerate() {
-            for fact in &self.facts {
-                let prob = fact.probabilistic.then(|| registry.prob(fact.id));
-                let tag = provenance.input_tag(fact.id, prob);
-                let mut row = vec![Value::U32(sample as u32)];
-                row.extend(fact.values.iter().copied());
-                db.insert(&fact.relation, &row, tag);
-            }
-            for (relation, values, prob, exclusion) in facts.iter() {
-                let id = registry.register(*prob, *exclusion);
-                let tag = provenance.input_tag(id, *prob);
-                let mut row = vec![Value::U32(sample as u32)];
-                row.extend(values.iter().copied());
-                db.insert(relation, &row, tag);
-            }
-        }
-        db.seal(&self.program.device);
-        let outcome = match self.program.execute(&provenance, &mut db, batched) {
-            Ok(stats) => {
-                // Split the batched outputs back into per-sample results.
-                let mut per_sample: Vec<OutputView> = vec![BTreeMap::new(); samples.len()];
-                for relation in &batched.outputs {
-                    for sample_outputs in per_sample.iter_mut() {
-                        sample_outputs.entry(relation.clone()).or_default();
-                    }
-                    for (tuple, out) in db.decode_rows(relation, |tag| provenance.output(tag)) {
-                        let Some(Value::U32(sample)) = tuple.first().copied() else {
-                            continue;
-                        };
-                        let sample = sample as usize;
-                        if sample >= per_sample.len() {
-                            continue;
-                        }
-                        let mut rest = tuple;
-                        rest.remove(0);
-                        let rows = per_sample[sample]
-                            .get_mut(relation)
-                            .expect("entry initialized above");
-                        Arc::get_mut(rows)
-                            .expect("nothing shares the rows yet")
-                            .push((rest, out));
-                    }
-                }
-                Ok(per_sample
-                    .into_iter()
-                    .map(|outputs| RunResult {
-                        outputs,
-                        stats: stats.clone(),
-                        symbols: self.program.artifact.compiled.symbols.clone(),
-                    })
-                    .collect())
-            }
-            Err(e) => Err(e),
-        };
+        fork.refork_from(&self.registry);
+        let outcome = self.engine.run_batch(session_facts!(self), &fork, samples);
         // Results are registry-free (plain probabilities and gradients), so
-        // once the database and the rebound provenance are gone the fork has
+        // with the run's database and rebound provenance gone the fork has
         // no other owner and can be recycled for the next batch.
-        drop(db);
-        drop(provenance);
         self.batch_forks
             .lock()
             .expect("session fork pool poisoned")
-            .push(registry);
-        outcome
+            .push(fork);
+        let (per_sample, stats) = outcome?;
+        Ok(per_sample
+            .into_iter()
+            .map(|outputs| self.result(outputs, stats.clone()))
+            .collect())
     }
+}
+
+/// Merges `added` into `rows` in place so that `added[i]` ends up at index
+/// `positions[i]` (ascending) of the result. Works from the back, so every
+/// old row after the first insertion point moves once and none before it
+/// moves at all; nothing is allocated beyond the growth of `rows` itself.
+pub(crate) fn splice_at<T: Default>(rows: &mut Vec<T>, mut added: Vec<T>, positions: &[usize]) {
+    debug_assert_eq!(added.len(), positions.len());
+    // `read..write` is the gap: default-valued slots between the old rows
+    // still to move and the part of the result already in place.
+    let mut read = rows.len();
+    rows.resize_with(read + added.len(), T::default);
+    let mut write = rows.len();
+    while let Some(row) = added.pop() {
+        let at = positions[added.len()];
+        while write - 1 > at {
+            write -= 1;
+            read -= 1;
+            rows.swap(write, read);
+        }
+        write -= 1;
+        rows[write] = row;
+    }
+    debug_assert_eq!(read, write, "positions do not describe a merge");
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::program::Lobster;
-    use lobster_provenance::{DiffTop1Proof, Unit};
+    use lobster_apm::Executor;
+    use lobster_provenance::{ProvenanceKind, Unit};
 
     const TC: &str = "type edge(x: u32, y: u32)
         rel path(x, y) = edge(x, y) or (path(x, z) and edge(z, y))
@@ -907,7 +708,7 @@ mod tests {
 
     #[test]
     fn one_program_serves_many_independent_sessions() {
-        let program = Lobster::builder(TC).compile_typed::<Unit>().unwrap();
+        let program = Program::compile(TC, ProvenanceKind::Unit).unwrap();
         let mut a = program.session();
         let mut b = program.session();
         a.add_fact("edge", &[Value::U32(0), Value::U32(1)], None)
@@ -921,33 +722,29 @@ mod tests {
         assert_eq!(ra.len("path"), 3);
         assert_eq!(rb.len("path"), 1);
         // Sessions do not share registries: both start their ids at 0.
-        assert_eq!(a.registry().len(), 2);
-        assert_eq!(b.registry().len(), 1);
+        assert_eq!(a.registry.len(), 2);
+        assert_eq!(b.registry.len(), 1);
     }
 
     #[test]
     fn repeated_batches_do_not_grow_the_session_registry() {
-        let program = Lobster::builder(TC)
-            .compile_typed::<DiffTop1Proof>()
-            .unwrap();
+        let program = Program::compile(TC, ProvenanceKind::DiffTop1Proof).unwrap();
         let session = program.session();
         let mut sample = FactSet::new();
         sample.add("edge", &[Value::U32(0), Value::U32(1)], Some(0.5));
-        let before = session.registry().len();
+        let before = session.registry.len();
         for _ in 0..10 {
             session.run_batch(std::slice::from_ref(&sample)).unwrap();
         }
         // The seed design registered one fresh id per sample per call into
         // the shared registry; the session-scoped design registers into a
         // per-call fork.
-        assert_eq!(session.registry().len(), before);
+        assert_eq!(session.registry.len(), before);
     }
 
     #[test]
     fn sessions_over_shared_programs_compute_gradients() {
-        let program = Lobster::builder(TC)
-            .compile_typed::<DiffTop1Proof>()
-            .unwrap();
+        let program = Program::compile(TC, ProvenanceKind::DiffTop1Proof).unwrap();
         let mut session = program.session();
         let e01 = session
             .add_fact("edge", &[Value::U32(0), Value::U32(1)], Some(0.9))
@@ -965,9 +762,7 @@ mod tests {
 
     #[test]
     fn probabilities_update_between_runs() {
-        let program = Lobster::builder(TC)
-            .compile_typed::<DiffTop1Proof>()
-            .unwrap();
+        let program = Program::compile(TC, ProvenanceKind::DiffTop1Proof).unwrap();
         let mut session = program.session();
         let e01 = session
             .add_fact("edge", &[Value::U32(0), Value::U32(1)], Some(0.5))
@@ -987,7 +782,7 @@ mod tests {
 
     #[test]
     fn sessions_can_run_concurrently_from_threads() {
-        let program = Lobster::builder(TC).compile_typed::<Unit>().unwrap();
+        let program = Program::compile(TC, ProvenanceKind::Unit).unwrap();
         let handles: Vec<_> = (0..4u32)
             .map(|i| {
                 let program = program.clone();
@@ -1007,7 +802,7 @@ mod tests {
 
     #[test]
     fn bad_facts_are_rejected() {
-        let program = Lobster::builder(TC).compile_typed::<Unit>().unwrap();
+        let program = Program::compile(TC, ProvenanceKind::Unit).unwrap();
         let mut session = program.session();
         assert!(matches!(
             session.add_fact("ghost", &[Value::U32(0)], None),
@@ -1020,8 +815,38 @@ mod tests {
     }
 
     #[test]
+    fn a_mistyped_value_is_refused_at_every_entry_point() {
+        // `edge` is `(u32, u32)`. Unchecked, 2^40 reaches the packed column
+        // store: a debug build panics there, a release build keeps the low
+        // 32 bits and derives `path(0, 1)` — a different fact.
+        let program = Program::compile(TC, ProvenanceKind::Unit).unwrap();
+        let wide = [Value::I64(1 << 40), Value::U32(1)];
+        let is_bad_fact = |e: LobsterError| matches!(e, LobsterError::BadFact { .. });
+
+        let mut session = program.session();
+        assert!(is_bad_fact(
+            session.add_fact("edge", &wide, None).unwrap_err()
+        ));
+        assert!(is_bad_fact(
+            session
+                .add_fact("edge", &[Value::F64(0.5), Value::U32(1)], None)
+                .unwrap_err()
+        ));
+        let mut facts = edge(0, 1);
+        facts.add("edge", &wide, None);
+        assert!(is_bad_fact(session.insert_facts(&facts).unwrap_err()));
+        // Nothing registered, the good fact ahead of the bad one included.
+        assert_eq!(session.fact_count(), 0);
+        assert!(is_bad_fact(
+            session.run_batch(&[edge(0, 1), facts.clone()]).unwrap_err()
+        ));
+        assert!(is_bad_fact(program.run_batch(&[facts]).unwrap_err()));
+        assert!(session.run().unwrap().is_empty("path"));
+    }
+
+    #[test]
     fn clear_facts_resets_the_session() {
-        let program = Lobster::builder(TC).compile_typed::<Unit>().unwrap();
+        let program = Program::compile(TC, ProvenanceKind::Unit).unwrap();
         let mut session = program.session();
         session
             .add_fact("edge", &[Value::U32(0), Value::U32(1)], None)
@@ -1040,7 +865,8 @@ mod tests {
              rel path(x, y) = edge(x, y) or (path(x, z) and edge(z, y))
              query path",
         )
-        .compile_typed::<lobster_provenance::AddMultProb>()
+        .provenance(ProvenanceKind::AddMultProb)
+        .compile()
         .unwrap();
         let mut session = program.session();
         // Dirty every axis reset must undo: extra facts, a changed inline
@@ -1051,7 +877,7 @@ mod tests {
         session.set_fact_probability(InputFactId(0), 0.125);
         session.reset();
         assert_eq!(session.fact_count(), 1);
-        assert_eq!(session.registry().len(), 1);
+        assert_eq!(session.registry.len(), 1);
         let result = session.run().unwrap();
         assert_eq!(result.len("path"), 1);
         assert!((result.probability("path", &[Value::U32(1), Value::U32(2)]) - 0.5).abs() < 1e-9);
@@ -1071,7 +897,8 @@ mod tests {
              rel path(x, y) = edge(x, y) or (path(x, z) and edge(z, y))
              query path",
         )
-        .compile_typed::<Unit>()
+        .provenance(ProvenanceKind::Unit)
+        .compile()
         .unwrap();
         let mut session = program.session();
         session.clear_facts();
@@ -1087,9 +914,7 @@ mod tests {
 
     #[test]
     fn concurrent_batches_on_one_session_each_get_their_own_fork() {
-        let program = Lobster::builder(TC)
-            .compile_typed::<DiffTop1Proof>()
-            .unwrap();
+        let program = Program::compile(TC, ProvenanceKind::DiffTop1Proof).unwrap();
         let session = std::sync::Arc::new(program.session());
         let handles: Vec<_> = (0..4u32)
             .map(|t| {
@@ -1109,7 +934,7 @@ mod tests {
             handle.join().unwrap();
         }
         // The recycled forks never leak registrations back into the session.
-        assert_eq!(session.registry().len(), 0);
+        assert_eq!(session.registry.len(), 0);
     }
 
     #[test]
@@ -1123,7 +948,8 @@ mod tests {
              query connected",
         )
         .device(lobster_gpu::Device::sequential())
-        .compile_typed::<Unit>()
+        .provenance(ProvenanceKind::Unit)
+        .compile()
         .unwrap();
         let facts: Vec<(&str, Vec<Value>)> = [(0u32, 1u32), (1, 2), (2, 3)]
             .iter()
@@ -1134,7 +960,7 @@ mod tests {
         // The same database built by hand: its size sealed, and at the fix
         // point, is what the run must report moving.
         let device = lobster_gpu::Device::sequential();
-        let mut db = program.new_database(Unit::new(), program.ram());
+        let mut db = engine::new_database(Unit::new(), program.ram());
         for (relation, values) in &facts {
             db.insert(relation, values, ());
         }
@@ -1165,7 +991,8 @@ mod tests {
              rel path(x, y) = edge(x, y) or (path(x, z) and edge(z, y))
              query path",
         )
-        .compile_typed::<lobster_provenance::AddMultProb>()
+        .provenance(ProvenanceKind::AddMultProb)
+        .compile()
         .unwrap();
         let session = program.session();
         assert_eq!(session.fact_count(), 2);
@@ -1199,7 +1026,7 @@ mod tests {
 
     #[test]
     fn a_held_result_keeps_its_rows_across_an_insert() {
-        let program = Lobster::builder(TC).compile_typed::<Unit>().unwrap();
+        let program = Program::compile(TC, ProvenanceKind::Unit).unwrap();
         let mut session = program.session();
         session.insert_facts(&edge(1, 2)).unwrap();
         session.insert_facts(&edge(2, 3)).unwrap();
@@ -1225,7 +1052,7 @@ mod tests {
 
     #[test]
     fn a_cloned_session_patches_its_own_copy_of_the_view() {
-        let program = Lobster::builder(TC).compile_typed::<Unit>().unwrap();
+        let program = Program::compile(TC, ProvenanceKind::Unit).unwrap();
         let mut original = program.session();
         original.insert_facts(&edge(1, 2)).unwrap();
         original.run_incremental().unwrap();
@@ -1253,7 +1080,8 @@ mod tests {
                 max_iterations: 5,
                 ..lobster_apm::RuntimeOptions::default()
             })
-            .compile_typed::<Unit>()
+            .provenance(ProvenanceKind::Unit)
+            .compile()
             .unwrap();
         let mut session = program.session();
         for i in 1..5 {

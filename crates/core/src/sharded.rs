@@ -48,15 +48,14 @@
 //! # Example: one executor, many batches
 //!
 //! ```
-//! use lobster::{FactSet, Lobster, ShardConfig, ShardedExecutor, Value};
-//! use lobster_provenance::AddMultProb;
+//! use lobster::{FactSet, Program, ProvenanceKind, ShardConfig, ShardedExecutor, Value};
 //!
-//! let program = Lobster::builder(
+//! let program = Program::compile(
 //!     "type edge(x: u32, y: u32)
 //!      rel path(x, y) = edge(x, y) or (path(x, z) and edge(z, y))
 //!      query path",
+//!     ProvenanceKind::AddMultProb,
 //! )
-//! .compile_typed::<AddMultProb>()
 //! .unwrap();
 //!
 //! // Spawns the two shard workers once...
@@ -83,7 +82,7 @@ use crate::program::Program;
 use crate::session::{FactSet, RunResult, Session};
 use lobster_apm::ExecError;
 use lobster_gpu::{Device, DeviceError, DeviceStats};
-use lobster_provenance::{InputFactId, SessionProvenance};
+use lobster_provenance::InputFactId;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -425,17 +424,13 @@ impl Drop for ChunkPanicGuard {
 /// shared queue, out-of-memory spills), and merges (caller order, global
 /// gradient ids) — see the "Multi-device sharding" section of the crate docs
 /// and the module docs above for a worked example. Dropping the executor
-/// joins the workers.
-///
-/// The convenience wrappers [`Program::run_batch_sharded`] and
-/// `DynProgram::run_batch_sharded` build a throwaway executor per call —
-/// pool spawn and teardown included — so hold an executor (or a
-/// `BatchScheduler` with `num_shards > 1`, which holds one for you) whenever
-/// more than one batch will run.
-pub struct ShardedExecutor<P: SessionProvenance> {
+/// joins the workers, so hold one executor (or a `BatchScheduler` with
+/// `num_shards > 1`, which holds one for you) for as long as batches keep
+/// coming.
+pub struct ShardedExecutor {
     /// The parent program (unsharded device) — used for validation and
     /// planning; workers hold their own shard-bound clones.
-    program: Program<P>,
+    program: Program,
     /// The shard devices, in worker order — retained for per-run stat deltas
     /// and [`ShardedExecutor::shard_devices`].
     shard_devices: Vec<Device>,
@@ -453,7 +448,7 @@ pub struct ShardedExecutor<P: SessionProvenance> {
     relation_weights: Arc<BTreeMap<String, u64>>,
 }
 
-impl<P: SessionProvenance> std::fmt::Debug for ShardedExecutor<P> {
+impl std::fmt::Debug for ShardedExecutor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedExecutor")
             .field("num_shards", &self.shard_devices.len())
@@ -462,10 +457,10 @@ impl<P: SessionProvenance> std::fmt::Debug for ShardedExecutor<P> {
     }
 }
 
-impl<P: SessionProvenance> ShardedExecutor<P> {
+impl ShardedExecutor {
     /// Creates an executor over `config.num_shards` devices derived from the
     /// program's device, spawning one persistent worker thread per shard.
-    pub fn new(program: Program<P>, config: ShardConfig) -> Self {
+    pub fn new(program: Program, config: ShardConfig) -> Self {
         let devices = program.device().split_shards(config.num_shards.max(1));
         Self::with_devices(program, devices, config)
     }
@@ -473,7 +468,7 @@ impl<P: SessionProvenance> ShardedExecutor<P> {
     /// Creates an executor over explicit shard devices (overriding
     /// [`Device::split_shards`]-derived budgets — e.g. heterogeneous
     /// devices). `config.num_shards` is ignored in favour of `devices.len()`.
-    pub fn with_devices(program: Program<P>, devices: Vec<Device>, config: ShardConfig) -> Self {
+    pub fn with_devices(program: Program, devices: Vec<Device>, config: ShardConfig) -> Self {
         assert!(!devices.is_empty(), "at least one shard device");
         // A fresh session pre-registers exactly the program's inline facts,
         // so their count comes straight off the compiled artifact — no need
@@ -572,6 +567,23 @@ impl<P: SessionProvenance> ShardedExecutor<P> {
         &self,
         samples: Vec<FactSet>,
     ) -> Result<(Vec<RunResult>, ShardRunStats), LobsterError> {
+        // Validate every sample up front — the same rule set as `run_batch`
+        // — so no shard starts a fix-point for a batch that is going to be
+        // rejected.
+        for facts in &samples {
+            self.program.validate_facts(facts)?;
+        }
+        self.submit_validated(samples)
+    }
+
+    /// Plans, queues and awaits a batch whose every fact
+    /// [`Program::validate_facts`] accepted. A fact it would have refused
+    /// panics the worker that meets it (the database layer's contract),
+    /// which fails this run — see [`ChunkPanicGuard`].
+    fn submit_validated(
+        &self,
+        samples: Vec<FactSet>,
+    ) -> Result<(Vec<RunResult>, ShardRunStats), LobsterError> {
         let num_shards = self.shard_devices.len();
         // Snapshot every shard's counters up front so the reported device
         // stats are this run's *deltas*, not the executor's lifetime
@@ -592,12 +604,6 @@ impl<P: SessionProvenance> ShardedExecutor<P> {
         if samples.is_empty() {
             stats.device_stats = device_deltas(&self.shard_devices);
             return Ok((Vec::new(), stats));
-        }
-        // Validate every sample up front — the same rule set as `run_batch`
-        // — so no shard starts a fix-point for a batch that is going to be
-        // rejected.
-        for facts in &samples {
-            self.program.validate_facts(facts)?;
         }
 
         // Global registration order: `run_batch` hands out ids inline facts
@@ -669,7 +675,7 @@ impl<P: SessionProvenance> ShardedExecutor<P> {
     }
 }
 
-impl<P: SessionProvenance> Drop for ShardedExecutor<P> {
+impl Drop for ShardedExecutor {
     fn drop(&mut self) {
         // `&mut self` proves no `run_batch` borrow is alive, so the queue is
         // empty: every chunk a run submitted was retired before that run
@@ -699,7 +705,7 @@ impl<P: SessionProvenance> Drop for ShardedExecutor<P> {
 /// Letting the unwind kill the thread instead would silently shrink a
 /// persistent executor until, with every worker dead, `run_batch` callers
 /// block forever on a queue nobody drains.
-fn worker_loop<P: SessionProvenance>(shard_idx: usize, program: &Program<P>, pool: &PoolShared) {
+fn worker_loop(shard_idx: usize, program: &Program, pool: &PoolShared) {
     let mut session = program.session();
     while let Some(item) = pool.take_item() {
         // `AssertUnwindSafe` is sound here: the only state crossing the
@@ -715,12 +721,7 @@ fn worker_loop<P: SessionProvenance>(shard_idx: usize, program: &Program<P>, poo
 }
 
 /// Executes (or retires) one queued chunk on this worker's shard.
-fn execute_item<P: SessionProvenance>(
-    shard_idx: usize,
-    session: &Session<P>,
-    item: WorkItem,
-    pool: &PoolShared,
-) {
+fn execute_item(shard_idx: usize, session: &Session, item: WorkItem, pool: &PoolShared) {
     let WorkItem { run, chunk } = item;
     // A failed run's remaining chunks are drained without executing, so the
     // submitter wakes as soon as every in-flight chunk has been retired.
@@ -869,7 +870,7 @@ fn remap_gradients(
 mod tests {
     use super::*;
     use crate::program::Lobster;
-    use lobster_provenance::{DiffAddMultProb, Unit};
+    use lobster_provenance::ProvenanceKind;
     use lobster_ram::Value;
 
     const TC: &str = "type edge(x: u32, y: u32)
@@ -934,9 +935,7 @@ mod tests {
 
     #[test]
     fn sharded_run_matches_unsharded_results() {
-        let program = Lobster::builder(TC)
-            .compile_typed::<DiffAddMultProb>()
-            .unwrap();
+        let program = Program::compile(TC, ProvenanceKind::DiffAddMultProb).unwrap();
         let samples: Vec<FactSet> = (0..7).map(|i| chain(2 + i % 3, i * 10)).collect();
         let reference = program.run_batch(&samples).unwrap();
         for shards in 1..=4 {
@@ -958,9 +957,7 @@ mod tests {
 
     #[test]
     fn owned_batches_match_borrowed_ones() {
-        let program = Lobster::builder(TC)
-            .compile_typed::<DiffAddMultProb>()
-            .unwrap();
+        let program = Program::compile(TC, ProvenanceKind::DiffAddMultProb).unwrap();
         let samples: Vec<FactSet> = (0..5).map(|i| chain(2, i * 10)).collect();
         let executor = ShardedExecutor::new(program, ShardConfig::default().with_num_shards(2));
         let borrowed = executor.run_batch(&samples).unwrap();
@@ -975,7 +972,7 @@ mod tests {
 
     #[test]
     fn empty_batch_is_an_empty_result() {
-        let program = Lobster::builder(TC).compile_typed::<Unit>().unwrap();
+        let program = Program::compile(TC, ProvenanceKind::Unit).unwrap();
         let executor = ShardedExecutor::new(program, ShardConfig::default().with_num_shards(3));
         let (results, stats) = executor.run_batch_with_stats(&[]).unwrap();
         assert!(results.is_empty());
@@ -985,12 +982,17 @@ mod tests {
 
     #[test]
     fn bad_facts_are_rejected_before_any_shard_runs() {
-        let program = Lobster::builder(TC).compile_typed::<Unit>().unwrap();
+        let program = Program::compile(TC, ProvenanceKind::Unit).unwrap();
         let executor = ShardedExecutor::new(program, ShardConfig::default().with_num_shards(2));
         let mut bad = FactSet::new();
         bad.add("ghost", &[Value::U32(0)], None);
         let err = executor.run_batch(&[chain(2, 0), bad]).unwrap_err();
         assert!(matches!(err, LobsterError::BadFact { .. }));
+        // So is a value that is not of its column's type.
+        let mut mistyped = FactSet::new();
+        mistyped.add("edge", &[Value::I64(1 << 40), Value::U32(1)], None);
+        let err = executor.run_batch(&[chain(2, 0), mistyped]).unwrap_err();
+        assert!(matches!(err, LobsterError::BadFact { .. }), "{err}");
         // No shard device saw any work.
         for device in executor.shard_devices() {
             assert_eq!(device.stats().kernel_launches, 0);
@@ -1012,7 +1014,8 @@ mod tests {
                 memory_limit: Some(32),
                 ..DeviceConfig::default()
             }))
-            .compile_typed::<Unit>()
+            .provenance(ProvenanceKind::Unit)
+            .compile()
             .unwrap();
         let samples: Vec<FactSet> = (0..3).map(|i| chain(3, i * 100)).collect();
         let executor = ShardedExecutor::new(program, ShardConfig::default().with_num_shards(2));
@@ -1023,8 +1026,43 @@ mod tests {
     }
 
     #[test]
+    fn a_panicking_chunk_fails_its_run_and_the_executor_keeps_serving() {
+        let program = Program::compile(TC, ProvenanceKind::DiffAddMultProb).unwrap();
+        let good: Vec<FactSet> = (0..4).map(|i| chain(2 + i % 2, i * 10)).collect();
+        let reference = program.run_batch(&good).unwrap();
+        let executor = ShardedExecutor::new(program, ShardConfig::default().with_num_shards(2));
+        // Submitted past validation, a fact for an unknown relation panics
+        // in the database layer, inside the worker that loads its chunk.
+        let mut ghost = FactSet::new();
+        ghost.add("ghost", &[Value::U32(0)], None);
+        for round in 0..20 {
+            let err = executor
+                .submit_validated(vec![chain(2, 0), ghost.clone()])
+                .unwrap_err();
+            assert!(
+                matches!(&err, LobsterError::Internal { message }
+                    if message.starts_with("shard worker panicked")),
+                "round {round}: {err}"
+            );
+            // The same executor serves the next batch, on rebuilt sessions,
+            // bit-identical to the unsharded path...
+            let results = executor.run_batch(&good).unwrap();
+            assert_eq!(results.len(), reference.len());
+            for (got, want) in results.iter().zip(&reference) {
+                assert_eq!(got.relations(), want.relations());
+                for rel in want.relations() {
+                    assert_eq!(got.relation(rel), want.relation(rel), "round {round}");
+                }
+            }
+            // ...and no worker thread died of the panic.
+            let alive = executor.workers.iter().filter(|w| !w.is_finished());
+            assert_eq!(alive.count(), 2, "round {round}");
+        }
+    }
+
+    #[test]
     fn reused_executors_report_per_run_device_stats_not_lifetime_totals() {
-        let program = Lobster::builder(TC).compile_typed::<Unit>().unwrap();
+        let program = Program::compile(TC, ProvenanceKind::Unit).unwrap();
         let executor = ShardedExecutor::new(program, ShardConfig::default().with_num_shards(2));
         let samples: Vec<FactSet> = (0..4).map(|i| chain(3, i * 10)).collect();
         let (_, first) = executor.run_batch_with_stats(&samples).unwrap();
@@ -1041,9 +1079,7 @@ mod tests {
 
     #[test]
     fn a_hundred_batches_reuse_the_same_workers_without_stat_creep() {
-        let program = Lobster::builder(TC)
-            .compile_typed::<DiffAddMultProb>()
-            .unwrap();
+        let program = Program::compile(TC, ProvenanceKind::DiffAddMultProb).unwrap();
         let reference = program.run_batch(&[chain(2, 0), chain(3, 10)]).unwrap();
         let executor = ShardedExecutor::new(program, ShardConfig::default().with_num_shards(2));
         let mut first_run_launches = None;
@@ -1069,9 +1105,7 @@ mod tests {
 
     #[test]
     fn concurrent_runs_on_one_executor_stay_isolated() {
-        let program = Lobster::builder(TC)
-            .compile_typed::<DiffAddMultProb>()
-            .unwrap();
+        let program = Program::compile(TC, ProvenanceKind::DiffAddMultProb).unwrap();
         let batches: Vec<Vec<FactSet>> = (0..4u32)
             .map(|t| {
                 (0..5)
@@ -1122,7 +1156,7 @@ mod tests {
 
     #[test]
     fn dropping_an_executor_joins_its_workers() {
-        let program = Lobster::builder(TC).compile_typed::<Unit>().unwrap();
+        let program = Program::compile(TC, ProvenanceKind::Unit).unwrap();
         // Never-used executors tear down cleanly...
         drop(ShardedExecutor::new(
             program.clone(),
@@ -1142,7 +1176,8 @@ mod tests {
                 memory_limit: Some(32),
                 ..DeviceConfig::default()
             }))
-            .compile_typed::<Unit>()
+            .provenance(ProvenanceKind::Unit)
+            .compile()
             .unwrap();
         let executor = ShardedExecutor::new(tiny, ShardConfig::default().with_num_shards(2));
         assert!(executor.run_batch(&[chain(3, 0)]).is_err());
@@ -1151,7 +1186,7 @@ mod tests {
 
     #[test]
     fn executor_reports_shard_devices_and_config() {
-        let program = Lobster::builder(TC).compile_typed::<Unit>().unwrap();
+        let program = Program::compile(TC, ProvenanceKind::Unit).unwrap();
         let executor = ShardedExecutor::new(
             program,
             ShardConfig::default()

@@ -1,6 +1,6 @@
 //! The Arc-shared compiled-program cache.
 
-use lobster::{DynProgram, Lobster, LobsterError, ProvenanceKind, RuntimeOptions};
+use lobster::{Lobster, LobsterError, Program, ProvenanceKind, RuntimeOptions};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -36,7 +36,7 @@ impl CacheKey {
 /// compiles twice.
 #[derive(Debug, Default)]
 struct Slot {
-    cell: OnceLock<Result<Arc<DynProgram>, LobsterError>>,
+    cell: OnceLock<Result<Arc<Program>, LobsterError>>,
 }
 
 #[derive(Debug)]
@@ -91,7 +91,7 @@ pub struct CacheStats {
 ///
 /// Each distinct `(source, provenance kind, runtime options)` combination is
 /// compiled exactly once per process, no matter how many threads request it
-/// concurrently; every caller shares the resulting [`Arc<DynProgram>`].
+/// concurrently; every caller shares the resulting [`Arc<Program>`].
 /// When a byte budget is set ([`ProgramCache::with_budget`]), least-recently
 /// used entries are evicted until the estimated resident size of the cached
 /// artifacts fits the budget. Evicted programs stay alive for as long as any
@@ -141,7 +141,7 @@ impl ProgramCache {
         &self,
         source: &str,
         kind: ProvenanceKind,
-    ) -> Result<Arc<DynProgram>, LobsterError> {
+    ) -> Result<Arc<Program>, LobsterError> {
         self.get_or_compile_with(source, kind, RuntimeOptions::default())
     }
 
@@ -158,7 +158,7 @@ impl ProgramCache {
         source: &str,
         kind: ProvenanceKind,
         options: RuntimeOptions,
-    ) -> Result<Arc<DynProgram>, LobsterError> {
+    ) -> Result<Arc<Program>, LobsterError> {
         let key = CacheKey::new(source, kind, &options);
         self.get_or_compile_keyed(key, source, kind, options)
     }
@@ -174,7 +174,7 @@ impl ProgramCache {
         source: &str,
         kind: ProvenanceKind,
         options: RuntimeOptions,
-    ) -> Result<Arc<DynProgram>, LobsterError> {
+    ) -> Result<Arc<Program>, LobsterError> {
         let slot = {
             let mut state = self.state.lock().expect("cache lock poisoned");
             state.tick += 1;

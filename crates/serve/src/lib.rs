@@ -10,10 +10,10 @@
 //! and its share of a fix-point:
 //!
 //! * [`ProgramCache`] — a keyed cache `(source hash, provenance kind,
-//!   options fingerprint) → Arc<DynProgram>` so each distinct program
+//!   options fingerprint) → Arc<Program>` so each distinct program
 //!   compiles **once per process** and every request/thread shares the
 //!   artifact. Eviction is LRU over the compiled artifact's estimated
-//!   resident size ([`DynProgram::compiled_size_bytes`]), bounded by a
+//!   resident size ([`Program::compiled_size_bytes`]), bounded by a
 //!   configurable byte budget. Concurrent requests for the same key are
 //!   coalesced: exactly one thread compiles, the rest block on the result.
 //! * [`BatchScheduler`] — accumulates per-request [`FactSet`]s into
@@ -23,10 +23,10 @@
 //!   [`SchedulerConfig::max_queue_delay`]; results are routed back to each
 //!   caller over a per-request channel. Plain `std` threads and `mpsc` —
 //!   no async runtime dependency. Single-device batches run on sessions
-//!   recycled through a [`DynSessionPool`] (registry and inline facts
+//!   recycled through a [`SessionPool`] (registry and inline facts
 //!   built once, reset between batches); with
 //!   [`SchedulerConfig::num_shards`] above 1 the scheduler holds **one**
-//!   persistent [`DynShardedExecutor`] — shard workers spawned at
+//!   persistent [`ShardedExecutor`] — shard workers spawned at
 //!   construction, fed every pooled batch over a work queue, joined on
 //!   drop — and every batch fans out across its shard devices with
 //!   identical results. See the "Multi-device sharding" section of the
@@ -96,9 +96,9 @@
 //! ```
 //!
 //! [`Program`]: lobster::Program
-//! [`DynProgram::compiled_size_bytes`]: lobster::DynProgram::compiled_size_bytes
-//! [`DynSessionPool`]: lobster::DynSessionPool
-//! [`DynShardedExecutor`]: lobster::DynShardedExecutor
+//! [`Program::compiled_size_bytes`]: lobster::Program::compiled_size_bytes
+//! [`SessionPool`]: lobster::SessionPool
+//! [`ShardedExecutor`]: lobster::ShardedExecutor
 //! [`FactSet`]: lobster::FactSet
 
 #![forbid(unsafe_code)]

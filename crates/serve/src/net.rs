@@ -30,7 +30,10 @@
 //! already-interned id) — and responses resolve interned symbols back to
 //! `{"sym": "text"}` where possible. Because compilation and the wire layer
 //! share one interner, ids in request facts agree with the ids symbol
-//! constants compiled to, across every pooled session on the server. A successful `run` answers
+//! constants compiled to, across every pooled session on the server. The
+//! tag is the value's type, and the scheduler checks it against the
+//! relation's schema with the rest of the fact: a `{"i64": ..}` in a `u32`
+//! column is a `bad-request`, not a truncation. A successful `run` answers
 //!
 //! ```json
 //! {"ok": true, "relations": {"path": [
@@ -66,7 +69,7 @@ use crate::cache::{CacheStats, ProgramCache};
 use crate::error::ServeError;
 use crate::json::{obj, parse, Json};
 use crate::scheduler::{BatchScheduler, SchedulerConfig};
-use lobster::{DynProgram, FactSet, LobsterError, RunResult, SymbolTable, Value};
+use lobster::{FactSet, LobsterError, Program, RunResult, SymbolTable, Value};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -165,7 +168,7 @@ impl Server {
     /// Propagates the bind failure.
     pub fn bind(
         addr: impl ToSocketAddrs,
-        program: Arc<DynProgram>,
+        program: Arc<Program>,
         keys: KeyStore,
         config: ServerConfig,
     ) -> std::io::Result<Server> {
@@ -1049,7 +1052,7 @@ mod tests {
 
     fn test_server(configure: impl FnOnce(ServerConfig) -> ServerConfig) -> Server {
         let program =
-            Arc::new(DynProgram::compile(TC, ProvenanceKind::AddMultProb).expect("compiles"));
+            Arc::new(Program::compile(TC, ProvenanceKind::AddMultProb).expect("compiles"));
         let keys = KeyStore::new();
         keys.add_key("test-key", Quota::unlimited());
         Server::bind(
@@ -1083,7 +1086,7 @@ mod tests {
     #[test]
     fn gradients_and_multi_hop_tuples_cross_the_wire() {
         let program =
-            Arc::new(DynProgram::compile(TC, ProvenanceKind::DiffTop1Proof).expect("compiles"));
+            Arc::new(Program::compile(TC, ProvenanceKind::DiffTop1Proof).expect("compiles"));
         let keys = KeyStore::new();
         keys.add_key("k", Quota::unlimited());
         let server =
@@ -1148,8 +1151,31 @@ mod tests {
             ]))
             .unwrap();
         assert_eq!(reply.code(), Some("bad-request"));
+        // A well-formed value of the wrong type for its column — 2^40 in
+        // `edge(u32, u32)` — rejected against the schema. Unchecked, a
+        // release build stores its low 32 bits and answers `path(0, 1)`.
+        let wide = obj([("i64", Json::from("1099511627776"))]);
+        let reply = client
+            .request(&obj([
+                ("op", Json::from("run")),
+                ("key", Json::from("test-key")),
+                (
+                    "facts",
+                    Json::Arr(vec![obj([
+                        ("rel", Json::from("edge")),
+                        (
+                            "values",
+                            Json::Arr(vec![wide, obj([("u32", Json::from(1u64))])]),
+                        ),
+                    ])]),
+                ),
+            ]))
+            .unwrap();
+        assert_eq!(reply.code(), Some("bad-request"), "{:?}", reply.json());
         // The connection survives rejections.
-        assert!(client.run(&edge_request(0, 1, 0.5)).unwrap().ok());
+        let reply = client.run(&edge_request(0, 1, 0.5)).unwrap();
+        assert!(reply.ok());
+        assert_eq!(reply.len("path"), 1);
         server.shutdown();
     }
 

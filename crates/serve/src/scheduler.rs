@@ -2,8 +2,8 @@
 
 use crate::error::ServeError;
 use lobster::{
-    DynProgram, DynSessionPool, DynShardedExecutor, FactSet, InputFactId, PooledSession, RunResult,
-    SessionPoolStats, ShardConfig,
+    FactSet, InputFactId, PooledSession, Program, RunResult, SessionPool, SessionPoolStats,
+    ShardConfig, ShardedExecutor,
 };
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -35,7 +35,7 @@ pub struct SchedulerConfig {
     pub workers: usize,
     /// Number of shard devices each batch is partitioned across. `1` (the
     /// default) runs every batch on the program's own device; above 1, the
-    /// scheduler holds **one** persistent [`DynShardedExecutor`] — shard
+    /// scheduler holds **one** persistent [`ShardedExecutor`] — shard
     /// worker threads spawned at construction and fed every pooled batch
     /// over its work queue — and batches fan out over devices derived with
     /// `Device::split_shards`, overlapping fix-points of *slices of the same
@@ -118,15 +118,15 @@ struct Request {
 }
 
 struct Shared {
-    program: Arc<DynProgram>,
+    program: Arc<Program>,
     /// Recycled sessions for single-device batches: each worker borrows a
     /// session per batch instead of re-building registry + inline facts.
-    sessions: DynSessionPool,
+    sessions: SessionPool,
     /// The persistent sharded executor (`num_shards > 1` only): shard worker
     /// threads are spawned once, here, and reused by every batch from every
     /// scheduler worker. Dropped — and its workers joined — with the
     /// scheduler.
-    executor: Option<DynShardedExecutor>,
+    executor: Option<ShardedExecutor>,
     /// Number of inline program facts a session pre-registers; batched
     /// execution hands out per-request fact ids starting after these.
     inline_facts: u32,
@@ -219,9 +219,9 @@ impl Ticket {
 /// evaluation, applied to serving).
 ///
 /// The execution state behind the batches is *persistent*: single-device
-/// batches run on sessions recycled through a [`DynSessionPool`], and with
+/// batches run on sessions recycled through a [`SessionPool`], and with
 /// [`SchedulerConfig::num_shards`] above 1 every batch is fed to one
-/// long-lived [`DynShardedExecutor`] whose shard worker threads are spawned
+/// long-lived [`ShardedExecutor`] whose shard worker threads are spawned
 /// when the scheduler is built — so a batch pays neither session setup nor
 /// thread spawn/join, the steady-state overheads that dominate at high
 /// request rates. See `docs/ARCHITECTURE.md` for the full request
@@ -232,7 +232,7 @@ impl Ticket {
 /// fills up ([`SchedulerConfig::max_batch_size`]) or the oldest queued
 /// request has waited [`SchedulerConfig::max_queue_delay`]. Derived tuples
 /// and probabilities are identical to running the same requests in one
-/// [`DynProgram::run_batch`] call: samples are isolated by the sample-id
+/// [`Program::run_batch`] call: samples are isolated by the sample-id
 /// column, whatever batch each request lands in. Gradient entries are
 /// rewritten to *request-local* fact ids — `InputFactId(i)` is the `i`-th
 /// fact added to the submitted [`FactSet`] — with entries for other
@@ -258,7 +258,7 @@ impl std::fmt::Debug for BatchScheduler {
 
 impl BatchScheduler {
     /// Spawns the worker threads for `program` with the given knobs.
-    pub fn new(program: Arc<DynProgram>, config: SchedulerConfig) -> Self {
+    pub fn new(program: Arc<Program>, config: SchedulerConfig) -> Self {
         let inline_facts = program.session().fact_count() as u32;
         // Build the per-scheduler execution state once, up front: a session
         // pool for single-device batches, and — when sharding — ONE
@@ -266,7 +266,8 @@ impl BatchScheduler {
         // scheduler will ever run (spawn/join is paid here, not per batch).
         let sessions = program.session_pool();
         let executor = (config.num_shards > 1).then(|| {
-            program.sharded_executor(ShardConfig::default().with_num_shards(config.num_shards))
+            let shards = ShardConfig::default().with_num_shards(config.num_shards);
+            ShardedExecutor::new(Program::clone(&program), shards)
         });
         let shared = Arc::new(Shared {
             program,
@@ -298,7 +299,7 @@ impl BatchScheduler {
     }
 
     /// The program this scheduler serves.
-    pub fn program(&self) -> &Arc<DynProgram> {
+    pub fn program(&self) -> &Arc<Program> {
         &self.shared.program
     }
 
@@ -375,7 +376,7 @@ impl BatchScheduler {
     /// batched one-shot requests around it. Dropping the guard resets the
     /// session — materialized fix point included — and returns it to the
     /// pool, so the next borrower cannot observe this request's deltas.
-    pub fn acquire_session(&self) -> PooledSession<'_, DynProgram> {
+    pub fn acquire_session(&self) -> PooledSession<'_> {
         self.shared.sessions.acquire()
     }
 
@@ -583,8 +584,8 @@ mod tests {
         facts
     }
 
-    fn program() -> Arc<DynProgram> {
-        Arc::new(DynProgram::compile(TC, ProvenanceKind::AddMultProb).unwrap())
+    fn program() -> Arc<Program> {
+        Arc::new(Program::compile(TC, ProvenanceKind::AddMultProb).unwrap())
     }
 
     #[test]

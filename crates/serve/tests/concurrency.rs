@@ -2,7 +2,7 @@
 //! thread contention, eviction within the byte budget, and batch/sequential
 //! result agreement across flush boundaries.
 
-use lobster::{DynProgram, FactSet, ProvenanceKind, RuntimeOptions, Value};
+use lobster::{FactSet, Program, ProvenanceKind, RuntimeOptions, Value};
 use lobster_serve::{BatchScheduler, ProgramCache, SchedulerConfig};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
@@ -40,7 +40,7 @@ fn eight_threads_same_source_compile_exactly_once() {
             })
         })
         .collect();
-    let programs: Vec<Arc<DynProgram>> = handles
+    let programs: Vec<Arc<Program>> = handles
         .into_iter()
         .map(|h| h.join().expect("thread"))
         .collect();
@@ -94,7 +94,7 @@ fn contended_threads_over_many_keys_compile_each_key_once() {
 #[test]
 fn eviction_respects_the_size_budget() {
     // Budget sized for roughly two compiled variants of the program.
-    let one = DynProgram::compile(&variant_source(0), ProvenanceKind::Unit)
+    let one = Program::compile(&variant_source(0), ProvenanceKind::Unit)
         .unwrap()
         .compiled_size_bytes();
     let budget = one * 2 + one / 2;
@@ -128,7 +128,7 @@ fn eviction_respects_the_size_budget() {
 
 #[test]
 fn recently_used_entries_survive_eviction_over_older_ones() {
-    let one = DynProgram::compile(&variant_source(0), ProvenanceKind::Unit)
+    let one = Program::compile(&variant_source(0), ProvenanceKind::Unit)
         .unwrap()
         .compiled_size_bytes();
     let cache = ProgramCache::with_budget(one * 2 + one / 2);
@@ -193,7 +193,7 @@ fn assert_same_outputs(a: &lobster::RunResult, b: &lobster::RunResult, what: &st
 /// every served result agrees with the whole set run as one `run_batch`
 /// fix-point.
 fn assert_flush_boundary_agreement(num_shards: usize) {
-    let program = Arc::new(DynProgram::compile(TC, ProvenanceKind::AddMultProb).unwrap());
+    let program = Arc::new(Program::compile(TC, ProvenanceKind::AddMultProb).unwrap());
     let requests: Vec<FactSet> = (0..10).map(request).collect();
 
     // Ground truth: the whole set in one fix-point on one device.
@@ -251,7 +251,7 @@ fn sharded_scheduler_gradients_stay_request_local() {
     // Requests with *different* fact counts forced into one sharded batch:
     // the gradient remap must hold whichever shard a request's sample lands
     // on.
-    let program = Arc::new(DynProgram::compile(TC, ProvenanceKind::DiffAddMultProb).unwrap());
+    let program = Arc::new(Program::compile(TC, ProvenanceKind::DiffAddMultProb).unwrap());
     let requests: Vec<FactSet> = (0..6).map(request).collect();
     let mut small = FactSet::new();
     small.add("edge", &[Value::U32(90), Value::U32(91)], Some(0.7));
@@ -295,7 +295,7 @@ fn sharded_scheduler_gradients_stay_request_local() {
 fn gradients_through_the_scheduler_use_request_local_fact_ids() {
     use lobster::InputFactId;
 
-    let program = Arc::new(DynProgram::compile(TC, ProvenanceKind::DiffAddMultProb).unwrap());
+    let program = Arc::new(Program::compile(TC, ProvenanceKind::DiffAddMultProb).unwrap());
     // Two requests with different fact counts, forced into one batch: the
     // second request's facts land at batch-relative ids 2.., so without
     // remapping its gradients would point into the first request's facts.
@@ -345,7 +345,7 @@ fn gradients_through_the_scheduler_use_request_local_fact_ids() {
 
 #[test]
 fn scheduler_agreement_holds_under_concurrent_submission() {
-    let program = Arc::new(DynProgram::compile(TC, ProvenanceKind::DiffAddMultProb).unwrap());
+    let program = Arc::new(Program::compile(TC, ProvenanceKind::DiffAddMultProb).unwrap());
     let requests: Vec<FactSet> = (0..16).map(request).collect();
     let reference = program.run_batch(&requests).unwrap();
 

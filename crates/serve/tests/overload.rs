@@ -7,7 +7,7 @@
 //! sees the request, graceful drain resolves every in-flight ticket, and a
 //! client vanishing mid-request harms nobody else.
 
-use lobster::{DynProgram, FactSet, ProvenanceKind, Value};
+use lobster::{FactSet, Program, ProvenanceKind, Value};
 use lobster_serve::{
     AdmissionConfig, Client, KeyStore, Quota, SchedulerConfig, Server, ServerConfig,
 };
@@ -20,8 +20,8 @@ const TC: &str = "type edge(x: u32, y: u32)
     rel path(x, y) = edge(x, y) or (path(x, z) and edge(z, y))
     query path";
 
-fn program() -> Arc<DynProgram> {
-    Arc::new(DynProgram::compile(TC, ProvenanceKind::AddMultProb).expect("compiles"))
+fn program() -> Arc<Program> {
+    Arc::new(Program::compile(TC, ProvenanceKind::AddMultProb).expect("compiles"))
 }
 
 fn edge_request(a: u32, b: u32) -> FactSet {

@@ -18,7 +18,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         sample.grid_size, sample.grid_size, sample.actor, sample.goal
     );
 
-    let program = Lobster::builder(pacman::PROGRAM).compile_typed::<lobster::DiffTop1Proof>()?;
+    let program = Lobster::builder(pacman::PROGRAM)
+        .provenance(lobster::ProvenanceKind::DiffTop1Proof)
+        .compile()?;
     let mut session = program.session();
     sample.facts().add_to_session(&mut session)?;
     let result = session.run()?;

@@ -13,8 +13,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rng = StdRng::seed_from_u64(2026);
     for (label, positive) in [("positive", true), ("negative", false)] {
         let sample = pathfinder::generate(8, positive, &mut rng);
-        let program =
-            Lobster::builder(pathfinder::PROGRAM).compile_typed::<lobster::DiffTop1Proof>()?;
+        let program = Lobster::builder(pathfinder::PROGRAM)
+            .provenance(lobster::ProvenanceKind::DiffTop1Proof)
+            .compile()?;
         let mut session = program.session();
         sample.facts().add_to_session(&mut session)?;
         let result = session.run()?;

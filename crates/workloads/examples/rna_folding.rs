@@ -18,7 +18,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         sample.pairings.len()
     );
 
-    let program = Lobster::builder(rna::PROGRAM).compile_typed::<lobster::Top1Proof>()?;
+    let program = Lobster::builder(rna::PROGRAM)
+        .provenance(lobster::ProvenanceKind::Top1Proof)
+        .compile()?;
     let mut session = program.session();
     sample.facts().add_to_session(&mut session)?;
     let result = session.run()?;

@@ -17,7 +17,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         sample.facts.len()
     );
 
-    let program = Lobster::builder(psa::PROGRAM).compile_typed::<lobster::MaxMinProb>()?;
+    let program = Lobster::builder(psa::PROGRAM)
+        .provenance(lobster::ProvenanceKind::MaxMinProb)
+        .compile()?;
     let mut session = program.session();
     sample.facts.add_to_session(&mut session)?;
     let result = session.run()?;

@@ -200,7 +200,8 @@ mod tests {
                 continue;
             };
             let program = Lobster::builder(PROGRAM)
-                .compile_typed::<lobster::DiffTop1Proof>()
+                .provenance(lobster::ProvenanceKind::DiffTop1Proof)
+                .compile()
                 .unwrap();
             let mut session = program.session();
             sample.facts().add_to_session(&mut session).unwrap();

@@ -90,7 +90,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(8);
         let sample = generate("httpd", 60, 2, &mut rng);
         let program = Lobster::builder(PROGRAM)
-            .compile_typed::<lobster::Unit>()
+            .provenance(lobster::ProvenanceKind::Unit)
+            .compile()
             .unwrap();
         let mut session = program.session();
         sample.facts.add_to_session(&mut session).unwrap();
@@ -103,7 +104,8 @@ mod tests {
     #[test]
     fn value_alias_is_symmetric() {
         let program = Lobster::builder(PROGRAM)
-            .compile_typed::<lobster::Unit>()
+            .provenance(lobster::ProvenanceKind::Unit)
+            .compile()
             .unwrap();
         let mut session = program.session();
         session

@@ -177,7 +177,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(6);
         let sample = generate(3, &mut rng);
         let program = Lobster::builder(PROGRAM)
-            .compile_typed::<lobster::DiffTop1Proof>()
+            .provenance(lobster::ProvenanceKind::DiffTop1Proof)
+            .compile()
             .unwrap();
         let mut session = program.session();
         sample.facts().add_to_session(&mut session).unwrap();

@@ -36,7 +36,7 @@ pub mod psa;
 pub mod rna;
 pub mod suite;
 
-use lobster::{FactSet, LobsterError, Provenance, Session, Value};
+use lobster::{FactSet, LobsterError, Session, Value};
 
 /// A set of generated facts in a neutral form usable by both Lobster and the
 /// baseline engines.
@@ -83,10 +83,7 @@ impl WorkloadFacts {
     /// # Errors
     ///
     /// Propagates [`LobsterError::BadFact`] for malformed facts.
-    pub fn add_to_session<P: Provenance>(
-        &self,
-        session: &mut Session<P>,
-    ) -> Result<(), LobsterError> {
+    pub fn add_to_session(&self, session: &mut Session) -> Result<(), LobsterError> {
         for (rel, values, prob) in &self.facts {
             session.add_fact(rel, values, *prob)?;
         }

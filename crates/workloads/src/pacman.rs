@@ -204,7 +204,8 @@ mod tests {
             "the corridor guarantees solvability"
         );
         let program = Lobster::builder(PROGRAM)
-            .compile_typed::<lobster::DiffTop1Proof>()
+            .provenance(lobster::ProvenanceKind::DiffTop1Proof)
+            .compile()
             .unwrap();
         let mut session = program.session();
         sample.facts().add_to_session(&mut session).unwrap();

@@ -157,7 +157,8 @@ mod tests {
         for positive in [true, false] {
             let sample = generate(5, positive, &mut rng);
             let program = Lobster::builder(PROGRAM)
-                .compile_typed::<lobster::DiffTop1Proof>()
+                .provenance(lobster::ProvenanceKind::DiffTop1Proof)
+                .compile()
                 .unwrap();
             let mut session = program.session();
             sample.facts().add_to_session(&mut session).unwrap();

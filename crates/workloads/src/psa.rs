@@ -145,7 +145,8 @@ mod tests {
         let sample = generate("sunflow-core", 120, 3, &mut rng);
         assert!(sample.facts.len() > 100);
         let program = Lobster::builder(PROGRAM)
-            .compile_typed::<lobster::MaxMinProb>()
+            .provenance(lobster::ProvenanceKind::MaxMinProb)
+            .compile()
             .unwrap();
         let mut session = program.session();
         sample.facts.add_to_session(&mut session).unwrap();
@@ -161,7 +162,8 @@ mod tests {
     #[test]
     fn alarm_severity_is_bounded_by_the_weakest_link() {
         let program = Lobster::builder(PROGRAM)
-            .compile_typed::<lobster::MaxMinProb>()
+            .provenance(lobster::ProvenanceKind::MaxMinProb)
+            .compile()
             .unwrap();
         let mut session = program.session();
         session

@@ -125,7 +125,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let sample = generate(28, &mut rng);
         let program = Lobster::builder(PROGRAM)
-            .compile_typed::<lobster::Top1Proof>()
+            .provenance(lobster::ProvenanceKind::Top1Proof)
+            .compile()
             .unwrap();
         let mut session = program.session();
         sample.facts().add_to_session(&mut session).unwrap();
