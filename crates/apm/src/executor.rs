@@ -25,7 +25,7 @@ use crate::config::RuntimeOptions;
 use crate::database::{recycle_columns, Database, SortedTable};
 use crate::isa::{DbPart, Instr, RegId};
 use lobster_gpu::kernels::PackLane;
-use lobster_gpu::{kernels, Column, Device, DeviceError, HashIndex, ProbePartition};
+use lobster_gpu::{kernels, Column, Device, DeviceError, HashIndex};
 use lobster_provenance::Provenance;
 use lobster_ram::RamProgram;
 use std::collections::HashMap;
@@ -502,11 +502,6 @@ impl<P: Provenance> Executor<P> {
         let iteration = stats.iterations;
         let program = &compiled.program;
         let mut regs: Vec<Option<RegValue<P>>> = vec![None; program.register_count as usize];
-        // Count radix-groups the probe side of a partitioned hash join; the
-        // compiler always emits Count → Scan → Join over the same (index,
-        // probe) pair, so the grouping is memoized here and reused by the
-        // matching Join instead of being recomputed.
-        let mut probe_memo: Option<(RegId, Vec<RegId>, ProbePartition)> = None;
 
         let set = |regs: &mut Vec<Option<RegValue<P>>>, reg: RegId, value: RegValue<P>| {
             regs[reg.0 as usize] = Some(value);
@@ -813,16 +808,7 @@ impl<P: Provenance> Executor<P> {
                     let probe_cols: Vec<Arc<Column>> =
                         probe_keys.iter().map(|r| data!(*r)).collect();
                     let probe_refs: Vec<&[u64]> = probe_cols.iter().map(|c| c.as_slice()).collect();
-                    let part = ProbePartition::build(&self.device, &idx, &probe_refs);
-                    let result =
-                        kernels::count_matches_with(&self.device, &idx, &probe_refs, part.as_ref());
-                    if let Some(part) = part {
-                        if let Some((_, _, old)) =
-                            probe_memo.replace((*index, probe_keys.clone(), part))
-                        {
-                            old.recycle(&self.device);
-                        }
-                    }
+                    let result = kernels::count_matches(&self.device, &idx, &probe_refs);
                     set(&mut regs, *counts, RegValue::Data(Arc::new(result)));
                 }
                 Instr::Scan { counts, offsets } => {
@@ -844,25 +830,14 @@ impl<P: Provenance> Executor<P> {
                     let probe_refs: Vec<&[u64]> = probe_cols.iter().map(|c| c.as_slice()).collect();
                     let count_vec = data!(*counts);
                     let offset_vec = data!(*offsets);
-                    let total: u64 = count_vec.iter().sum();
-                    let part = match &probe_memo {
-                        Some((ir, pr, _)) if ir == index && pr == probe_keys => {
-                            probe_memo.take().map(|(_, _, p)| p)
-                        }
-                        _ => None,
-                    };
-                    let (bi, pi) = kernels::hash_join_with(
+                    let (bi, pi) = kernels::hash_join(
                         &self.device,
                         &idx,
                         &probe_refs,
-                        part.as_ref(),
                         &count_vec,
                         &offset_vec,
-                        total,
+                        scan_total(&count_vec, &offset_vec),
                     );
-                    if let Some(part) = part {
-                        part.recycle(&self.device);
-                    }
                     set(&mut regs, *build_indices, RegValue::Data(Arc::new(bi)));
                     set(&mut regs, *probe_indices, RegValue::Data(Arc::new(pi)));
                 }
@@ -896,14 +871,13 @@ impl<P: Provenance> Executor<P> {
                     let probe_refs: Vec<&[u64]> = probe_cols.iter().map(|c| c.as_slice()).collect();
                     let count_vec = data!(*counts);
                     let offset_vec = data!(*offsets);
-                    let total: u64 = count_vec.iter().sum();
                     let (bi, pi) = kernels::merge_join(
                         &self.device,
                         &build_refs,
                         &probe_refs,
                         &count_vec,
                         &offset_vec,
-                        total,
+                        scan_total(&count_vec, &offset_vec),
                     );
                     set(&mut regs, *build_indices, RegValue::Data(Arc::new(bi)));
                     set(&mut regs, *probe_indices, RegValue::Data(Arc::new(pi)));
@@ -1006,9 +980,6 @@ impl<P: Provenance> Executor<P> {
             }
             release(&mut regs, pc);
         }
-        if let Some((_, _, part)) = probe_memo {
-            part.recycle(&self.device);
-        }
         // Register sweep: whatever outlived its last reader (registers of a
         // skipped instruction, a non-static index) dies with the iteration.
         for value in regs.into_iter().flatten() {
@@ -1036,6 +1007,15 @@ impl<P: Provenance> Executor<P> {
             }
             RegValue::Tags(_) => {}
         }
+    }
+}
+
+/// The match total a `Scan` computed over `counts`: an exclusive prefix sum
+/// ends one count short of it.
+fn scan_total(counts: &[u64], offsets: &[u64]) -> u64 {
+    match (offsets.last(), counts.last()) {
+        (Some(&offset), Some(&count)) => offset + count,
+        _ => 0,
     }
 }
 

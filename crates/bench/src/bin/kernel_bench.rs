@@ -4,7 +4,10 @@
 //! Each kernel row reports the best-of-N wall time at a given worker count
 //! over the *same* input data, so `speedup_vs_p1` isolates what the parallel
 //! decomposition (radix scatter, merge-path partitioning, partitioned hash
-//! builds, radix-grouped probes) actually buys on this machine. A
+//! builds, chunked probes) actually buys on this machine. The end-to-end
+//! chain-TC row publishes wall time only: its frontiers stay under
+//! `min_parallel_rows`, so every launch is sequential whatever the worker
+//! count and a factor against parallelism 1 could not move. A
 //! `kernel_time_ms` section breaks the device's accumulated chunk-execution
 //! (busy) time into the sort/join/unique buckets of
 //! [`lobster_gpu::KernelTime`], and `kernel_wall_ms` does the same for
@@ -53,15 +56,18 @@ struct Row {
 }
 
 impl Row {
-    fn json(&self, p1_wall: Duration) -> String {
+    /// The row as JSON, with `speedup_vs_p1` when a factor is given.
+    fn json(&self, speedup_vs_p1: Option<f64>) -> String {
+        let speedup = speedup_vs_p1.map_or(String::new(), |factor| {
+            format!(", \"speedup_vs_p1\": {factor:.3}")
+        });
         format!(
             "{{\"kernel\": \"{}\", \"parallelism\": {}, \"rows\": {}, \
-             \"wall_ms\": {:.3}, \"speedup_vs_p1\": {:.3}}}",
+             \"wall_ms\": {:.3}{speedup}}}",
             self.kernel,
             self.parallelism,
             self.rows,
             self.wall.as_secs_f64() * 1e3,
-            p1_wall.as_secs_f64() / self.wall.as_secs_f64().max(1e-12),
         )
     }
 }
@@ -154,20 +160,20 @@ fn main() {
                 .collect::<Vec<_>>(),
             &sorted_tags[..half],
         );
-        let index = HashIndex::build(&device, &refs(&build), 2);
         // The merge join's precondition — *both* sides sorted on the key —
         // is prepared outside the timings, exactly as the executor sees it
         // when sort-order inference picks the merge path (stable partitions
-        // are maintained sorted; the sort is never paid per join). The
-        // hash_join_with_build row runs over the same sorted inputs so the
-        // two rows compare the strategies the compiler actually chooses
-        // between.
+        // are maintained sorted; the sort is never paid per join). All three
+        // join rows run over these same sorted inputs, so they compare the
+        // strategies the compiler actually chooses between and
+        // `hash_build_join` − `hash_join` is the cost of the index build.
         let build_perm = kernels::sort_permutation(&device, &refs(&build));
         let (sorted_build, _) =
             kernels::apply_permutation(&device, &build_perm, &refs(&build), &tags);
         let probe_perm = kernels::sort_permutation(&device, &refs(&probe));
         let (sorted_probe, _) =
             kernels::apply_permutation(&device, &probe_perm, &refs(&probe), &tags);
+        let index = HashIndex::build(&device, &refs(&sorted_build), 2);
 
         let mut bench = |kernel: &'static str, f: &mut dyn FnMut()| {
             let wall = best_of(repeats, || {
@@ -246,18 +252,23 @@ fn main() {
             fresh.recycle(&device);
         });
         bench("hash_join", &mut || {
-            // Partitioned index (the default at this row count), so counting
-            // and joining run radix-grouped against cache-resident
-            // partitions.
-            let counts = kernels::count_matches(&device, &index, &refs(&probe));
+            // The static-register case: the index (partitioned at this row
+            // count) outlives the iteration; count, scan, join.
+            let counts = kernels::count_matches(&device, &index, &refs(&sorted_probe));
             let (offsets, total) = kernels::scan(&device, &counts);
-            let (bi, pi) =
-                kernels::hash_join(&device, &index, &refs(&probe), &counts, &offsets, total);
+            let (bi, pi) = kernels::hash_join(
+                &device,
+                &index,
+                &refs(&sorted_probe),
+                &counts,
+                &offsets,
+                total,
+            );
             for col in [counts, offsets, bi, pi] {
                 device.arena().recycle_shared(col);
             }
         });
-        bench("hash_join_with_build", &mut || {
+        bench("hash_build_join", &mut || {
             // The per-iteration cost when the index cannot be reused (the
             // non-static case): build, count, scan, join.
             let fresh = HashIndex::build(&device, &refs(&sorted_build), 2);
@@ -385,32 +396,36 @@ fn main() {
         .min()
         .expect("at least one repeat");
 
-    let p1_wall = |rows: &[Row], kernel: &str| {
-        rows.iter()
-            .find(|r| r.kernel == kernel && r.parallelism == 1)
-            .map(|r| r.wall)
-            .expect("parallelism-1 row measured")
+    // Wall seconds of one measured kernel row.
+    let wall_at = |kernel: &str, p: usize| {
+        rows_out
+            .iter()
+            .find(|r| r.kernel == kernel && r.parallelism == p)
+            .map(|r| r.wall.as_secs_f64())
+            .expect("row measured")
     };
+    let factor = |kernel: &str, p: usize| wall_at(kernel, 1) / wall_at(kernel, p).max(1e-12);
     println!(
         "{:<20} {:>12} {:>6} {:>12} {:>9}",
         "kernel", "rows", "par", "wall (ms)", "speedup"
     );
-    for r in rows_out.iter().chain(&e2e_rows) {
-        let base = p1_wall(
-            if r.kernel == "transitive_closure" {
-                &e2e_rows
-            } else {
-                &rows_out
-            },
-            r.kernel,
-        );
+    for r in &rows_out {
         println!(
             "{:<20} {:>12} {:>6} {:>12.3} {:>8.2}x",
             r.kernel,
             r.rows,
             r.parallelism,
             r.wall.as_secs_f64() * 1e3,
-            base.as_secs_f64() / r.wall.as_secs_f64().max(1e-12),
+            factor(r.kernel, r.parallelism),
+        );
+    }
+    for r in &e2e_rows {
+        println!(
+            "{:<20} {:>12} {:>6} {:>12.3}",
+            r.kernel,
+            r.rows,
+            r.parallelism,
+            r.wall.as_secs_f64() * 1e3,
         );
     }
 
@@ -423,28 +438,12 @@ fn main() {
         wide_bytes as f64 / 1e6,
     );
 
-    let factor = |kernel: &str, p: usize| {
-        let base = p1_wall(&rows_out, kernel).as_secs_f64();
-        let at = rows_out
-            .iter()
-            .find(|r| r.kernel == kernel && r.parallelism == p)
-            .map(|r| r.wall.as_secs_f64())
-            .expect("row measured");
-        base / at.max(1e-12)
-    };
     let sort_factor = factor("sort", 4);
     let unique_factor = factor("unique", 4);
     let hash_build_factor = factor("hash_build", 4);
-    let wall_at = |kernel: &str, p: usize| {
-        rows_out
-            .iter()
-            .find(|r| r.kernel == kernel && r.parallelism == p)
-            .map(|r| r.wall.as_secs_f64())
-            .expect("row measured")
-    };
     // How much the sorted-build merge path buys over paying a fresh hash
     // index every join, at the gate parallelism.
-    let merge_factor = wall_at("hash_join_with_build", 4) / wall_at("merge_join", 4).max(1e-12);
+    let merge_factor = wall_at("hash_build_join", 4) / wall_at("merge_join", 4).max(1e-12);
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     // Evaluate the gates *before* writing the JSON so each outcome is
@@ -499,12 +498,12 @@ fn main() {
     };
     let kernel_rows_json = rows_out
         .iter()
-        .map(|r| r.json(p1_wall(&rows_out, r.kernel)))
+        .map(|r| r.json(Some(factor(r.kernel, r.parallelism))))
         .collect::<Vec<_>>()
         .join(",\n    ");
     let e2e_json = e2e_rows
         .iter()
-        .map(|r| r.json(p1_wall(&e2e_rows, r.kernel)))
+        .map(|r| r.json(None))
         .collect::<Vec<_>>()
         .join(",\n    ");
     let time_buckets = |t: &KernelTime| {

@@ -4,8 +4,8 @@
 //! open addressing and linear probing, storing *indices back into the source
 //! table* rather than fact data, so the join's complexity is decoupled from
 //! the width of the input relations. This module reproduces that structure on
-//! the simulated device — sharded into hash **partitions** so that both the
-//! build and the probe side parallelize:
+//! the simulated device — sharded into hash **partitions** so that the
+//! build parallelizes while keeping matches in ascending build-row order:
 //!
 //! * [`HashIndex::build`] distributes rows over `P` partitions by the *top*
 //!   bits of the key hash (the slot within a partition uses the low bits, so
@@ -13,11 +13,11 @@
 //!   parallel on the device's worker pool. `P` is chosen from the row count
 //!   alone — never from the device parallelism — so the index *structure* is
 //!   identical whatever device built it.
-//! * [`ProbePartition`] radix-groups a probe column set by the same top
-//!   bits, so each probe chunk walks one cache-resident partition instead of
-//!   striding a monolithic table (see
-//!   [`kernels::count_matches`](crate::kernels::count_matches) /
-//!   [`kernels::hash_join`](crate::kernels::hash_join)).
+//! * The probe is the paper's: one hash per probe row, which picks the
+//!   partition and the slot, then one linear-probing walk
+//!   ([`kernels::count_matches`](crate::kernels::count_matches) /
+//!   [`kernels::hash_join`](crate::kernels::hash_join) chunk the probe rows
+//!   over the worker pool). There is no second probe algorithm.
 //!
 //! # Determinism
 //!
@@ -34,7 +34,7 @@
 
 use crate::device::KernelKind;
 use crate::kernels::sites;
-use crate::parallel::{chunks_for, map_chunks, par_map_into, run_chunks, split_by_ranges};
+use crate::parallel::{chunks_for, map_chunks, par_map_into, run_chunks};
 use crate::{Column, Device};
 use std::ops::Range;
 use std::time::Instant;
@@ -51,9 +51,6 @@ const PARTITION_TARGET_ROWS: usize = 8192;
 
 /// Hard cap on partitions, bounding per-chunk histogram size.
 const MAX_PARTITIONS: usize = 512;
-
-/// Probe sides below this row count are not worth radix-grouping.
-const PROBE_GROUP_MIN: usize = 4096;
 
 fn mix(h: u64, k: u64) -> u64 {
     (h ^ k.wrapping_mul(HASH_MULT))
@@ -129,10 +126,9 @@ impl HashIndex {
     }
 
     /// [`HashIndex::build`] with an explicit partition count (rounded up to
-    /// a power of two and clamped to an internal cap). `partitions: 1`
-    /// builds the monolithic single-table index — benchmarks use it to
-    /// measure the partitioned build and probe against the flat layout, and
-    /// the property suite uses it to pin the two bit-identical.
+    /// a power of two and clamped to an internal cap) — the lever tests use
+    /// to force a partition count on small inputs, the way they use
+    /// `min_parallel_rows`. `partitions: 1` builds the single-table index.
     pub fn build_partitioned(
         device: &Device,
         key_columns: &[&[u64]],
@@ -159,7 +155,7 @@ impl HashIndex {
             let start = Instant::now();
             let part = build_one_partition(
                 device,
-                (0..rows as u64).collect::<Vec<u64>>().as_slice(),
+                0..rows,
                 |row| hash_cols(key_columns, row),
                 expansion,
             );
@@ -228,7 +224,9 @@ impl HashIndex {
         let parts: Vec<Partition> = map_chunks(device, &part_ranges, |p, _| {
             build_one_partition(
                 device,
-                &grouped[part_bounds[p].clone()],
+                grouped[part_bounds[p].clone()]
+                    .iter()
+                    .map(|&row| row as usize),
                 |row| hashes[row],
                 expansion,
             )
@@ -291,7 +289,7 @@ impl HashIndex {
     }
 
     /// The partition hash `h` maps to.
-    pub(crate) fn part_of(&self, h: u64) -> usize {
+    fn part_of(&self, h: u64) -> usize {
         if self.shift >= 64 {
             0
         } else {
@@ -392,41 +390,6 @@ impl HashIndex {
             f,
         );
     }
-
-    /// [`HashIndex::for_each_match_cols`] with the hash (and its partition)
-    /// precomputed — the radix-grouped probe hot path, where a chunk stays
-    /// inside one partition.
-    pub(crate) fn for_each_match_grouped(
-        &self,
-        part: usize,
-        h: u64,
-        probe_cols: &[&[u64]],
-        probe_row: usize,
-        f: impl FnMut(usize),
-    ) {
-        if self.rows == 0 {
-            return;
-        }
-        self.probe_chain(
-            part,
-            h,
-            |row| self.row_matches_cols(row, probe_cols, probe_row),
-            f,
-        );
-    }
-
-    /// [`HashIndex::count_cols`] with the hash and partition precomputed.
-    pub(crate) fn count_grouped(
-        &self,
-        part: usize,
-        h: u64,
-        probe_cols: &[&[u64]],
-        probe_row: usize,
-    ) -> usize {
-        let mut n = 0;
-        self.for_each_match_grouped(part, h, probe_cols, probe_row, |_| n += 1);
-        n
-    }
 }
 
 /// Builds one partition's slot table over the given row ids (`row_hash`
@@ -435,7 +398,7 @@ impl HashIndex {
 /// matches oldest-first.
 fn build_one_partition(
     device: &Device,
-    row_ids: &[u64],
+    row_ids: impl ExactSizeIterator<Item = usize>,
     row_hash: impl Fn(usize) -> u64,
     expansion: usize,
 ) -> Partition {
@@ -443,142 +406,14 @@ fn build_one_partition(
     let capacity = (n.max(1) * expansion.max(1)).next_power_of_two().max(8);
     let mask = capacity as u64 - 1;
     let mut slots = device.arena().alloc_zeroed(sites::JOIN_INDEX, capacity);
-    for &row in row_ids {
-        let mut slot = (row_hash(row as usize) & mask) as usize;
+    for row in row_ids {
+        let mut slot = (row_hash(row) & mask) as usize;
         while slots[slot] != 0 {
             slot = (slot + 1) & mask as usize;
         }
-        slots[slot] = row + 1;
+        slots[slot] = row as u64 + 1;
     }
     Partition { slots, mask }
-}
-
-/// A radix-grouping of a probe column set against a partitioned
-/// [`HashIndex`]: probe rows reordered so that each index partition's rows
-/// are contiguous (ascending probe order within a partition), plus the maps
-/// needed to put per-row results back in original probe order.
-///
-/// Built once per probe side and shared between
-/// [`kernels::count_matches`](crate::kernels::count_matches) and
-/// [`kernels::hash_join`](crate::kernels::hash_join) via their `_with`
-/// variants — the executor memoizes it between the count and join
-/// instructions of one rule so the grouping is paid once.
-pub struct ProbePartition {
-    /// Probe row ids grouped by partition, ascending within each partition.
-    pub(crate) grouped: Column,
-    /// `dest[i]`: the grouped position of probe row `i` (the inverse of
-    /// `grouped`).
-    pub(crate) dest: Column,
-    /// Key hash per probe row, in original probe order.
-    pub(crate) hashes: Column,
-    /// The grouped range belonging to each index partition.
-    pub(crate) bounds: Vec<Range<usize>>,
-}
-
-impl ProbePartition {
-    /// Groups `probe_key_cols` by `index`'s partition function. Returns
-    /// `None` when grouping cannot pay for itself: a single-partition index,
-    /// or a probe side under an internal row threshold. The decision depends
-    /// only on the index structure and the probe length — never on device
-    /// parallelism — so whether the grouped or direct probe path runs is
-    /// itself deterministic.
-    pub fn build(
-        device: &Device,
-        index: &HashIndex,
-        probe_key_cols: &[&[u64]],
-    ) -> Option<ProbePartition> {
-        let len = probe_key_cols.first().map(|c| c.len()).unwrap_or(0);
-        let partitions = index.partitions();
-        if partitions <= 1 || len < PROBE_GROUP_MIN {
-            return None;
-        }
-        let _t = device.launch(KernelKind::Join);
-        let shift = index.shift;
-        let arena = device.arena();
-        let mut hashes = arena.alloc_zeroed(sites::JOIN_PROBE, len);
-        par_map_into(device, &mut hashes, |i| hash_cols(probe_key_cols, i));
-        let ranges = chunks_for(device, len);
-        let chunks = ranges.len();
-        let histograms: Vec<Vec<usize>> = map_chunks(device, &ranges, |_, range| {
-            let mut h = vec![0usize; partitions];
-            for &hv in &hashes[range] {
-                h[(hv >> shift) as usize] += 1;
-            }
-            h
-        });
-        // Base grouped position of every (partition, chunk) bucket, in
-        // destination order.
-        let mut bases = vec![0usize; partitions * chunks];
-        let mut bounds = Vec::with_capacity(partitions);
-        {
-            let mut acc = 0usize;
-            for p in 0..partitions {
-                let part_start = acc;
-                for (c, h) in histograms.iter().enumerate() {
-                    bases[p * chunks + c] = acc;
-                    acc += h[p];
-                }
-                bounds.push(part_start..acc);
-            }
-            debug_assert_eq!(acc, len);
-        }
-        let mut grouped = arena.alloc_zeroed(sites::JOIN_PROBE, len);
-        let mut dest = arena.alloc_zeroed(sites::JOIN_PROBE, len);
-        {
-            let mut per_chunk: Vec<Vec<&mut [u64]>> = (0..chunks)
-                .map(|_| Vec::with_capacity(partitions))
-                .collect();
-            let mut rest = grouped.as_mut_slice();
-            for p in 0..partitions {
-                for (c, h) in histograms.iter().enumerate() {
-                    let (head, tail) = rest.split_at_mut(h[p]);
-                    per_chunk[c].push(head);
-                    rest = tail;
-                }
-            }
-            debug_assert!(rest.is_empty());
-            let dest_slices = split_by_ranges(&mut dest, &ranges);
-            run_chunks(
-                device,
-                &ranges,
-                per_chunk.into_iter().zip(dest_slices).collect(),
-                |c, range, (mut slices, dest_slice): (Vec<&mut [u64]>, &mut [u64])| {
-                    let mut cursors = vec![0usize; partitions];
-                    for (d, i) in dest_slice.iter_mut().zip(range) {
-                        let p = (hashes[i] >> shift) as usize;
-                        slices[p][cursors[p]] = i as u64;
-                        *d = (bases[p * chunks + c] + cursors[p]) as u64;
-                        cursors[p] += 1;
-                    }
-                },
-            );
-        }
-        Some(ProbePartition {
-            grouped,
-            dest,
-            hashes,
-            bounds,
-        })
-    }
-
-    /// Number of probe rows grouped.
-    pub fn len(&self) -> usize {
-        self.grouped.len()
-    }
-
-    /// `true` when no probe rows were grouped (never produced by
-    /// [`ProbePartition::build`], which returns `None` instead).
-    pub fn is_empty(&self) -> bool {
-        self.grouped.is_empty()
-    }
-
-    /// Returns the grouping's buffers to the device arena.
-    pub fn recycle(self, device: &Device) {
-        let arena = device.arena();
-        arena.recycle(sites::JOIN_PROBE, self.grouped);
-        arena.recycle(sites::JOIN_PROBE, self.dest);
-        arena.recycle(sites::JOIN_PROBE, self.hashes);
-    }
 }
 
 #[cfg(test)]
@@ -647,15 +482,25 @@ mod tests {
     #[test]
     fn matches_enumerate_in_ascending_build_row_order() {
         // The merge-join path relies on this: both join paths must emit a
-        // probe row's matches in the same (ascending) build-row order.
+        // probe row's matches in the same (ascending) build-row order —
+        // whatever the partition count (duplicates of a key share a hash
+        // and hence a partition) and however many chunks scattered the rows.
         let mut col: Vec<u64> = (0..257u64).collect();
         col.extend([7u64; 40]); // duplicates scattered after distinct keys
         col.extend((300..400u64).rev().flat_map(|k| [k, 7]));
-        let idx = index_of(&[col.clone()]);
-        let mut hits = Vec::new();
-        idx.for_each_match(&[7], |r| hits.push(r));
-        assert!(hits.windows(2).all(|w| w[0] < w[1]), "{hits:?}");
-        assert_eq!(hits.len(), col.iter().filter(|&&k| k == 7).count());
+        let expected: Vec<usize> = (0..col.len()).filter(|&r| col[r] == 7).collect();
+        let dev = Device::new(crate::DeviceConfig {
+            parallelism: 3,
+            min_parallel_rows: 8,
+            ..crate::DeviceConfig::default()
+        });
+        for partitions in [1usize, 8] {
+            let idx = HashIndex::build_partitioned(&dev, &[&col], 2, partitions);
+            assert_eq!(idx.partitions(), partitions);
+            let mut hits = Vec::new();
+            idx.for_each_match(&[7], |r| hits.push(r));
+            assert_eq!(hits, expected, "partitions={partitions}");
+        }
     }
 
     #[test]
@@ -705,19 +550,18 @@ mod tests {
             ..crate::DeviceConfig::default()
         });
         let col = big_keys(20_000);
-        let baseline = HashIndex::build_partitioned(&seq, &[&col], 2, 1);
         for partitions in [1usize, 4, 32] {
             for dev in [&seq, &par] {
                 let idx = HashIndex::build_partitioned(dev, &[&col], 2, partitions);
-                // Every key must enumerate the exact same ascending match
-                // list whatever the partition count or device.
+                assert_eq!(idx.partitions(), partitions);
+                // Every key must enumerate the ascending list of rows that
+                // hold it, whatever the partition count or device.
                 for probe in [0u64, 1, 7, 1000, 6000] {
-                    let mut a = Vec::new();
-                    let mut b = Vec::new();
-                    baseline.for_each_match(&[probe], |r| a.push(r));
-                    idx.for_each_match(&[probe], |r| b.push(r));
-                    assert_eq!(a, b, "partitions={partitions} probe={probe}");
-                    assert!(b.windows(2).all(|w| w[0] < w[1]));
+                    let expected: Vec<usize> =
+                        (0..col.len()).filter(|&r| col[r] == probe).collect();
+                    let mut hits = Vec::new();
+                    idx.for_each_match(&[probe], |r| hits.push(r));
+                    assert_eq!(hits, expected, "partitions={partitions} probe={probe}");
                 }
             }
         }
@@ -742,55 +586,5 @@ mod tests {
             assert_eq!(pa.mask, pb.mask);
             assert_eq!(pa.slots, pb.slots);
         }
-    }
-
-    #[test]
-    fn probe_partition_is_a_consistent_permutation() {
-        let dev = Device::new(crate::DeviceConfig {
-            parallelism: 3,
-            min_parallel_rows: 8,
-            ..crate::DeviceConfig::default()
-        });
-        let col = big_keys(20_000);
-        let idx = HashIndex::build(&dev, &[&col], 2);
-        assert!(idx.partitions() > 1);
-        let probe = big_keys(8_000);
-        let pp = ProbePartition::build(&dev, &idx, &[&probe]).expect("grouping worthwhile");
-        assert_eq!(pp.len(), probe.len());
-        // bounds tile the grouped space, one range per partition.
-        assert_eq!(pp.bounds.len(), idx.partitions());
-        assert_eq!(pp.bounds.first().map(|r| r.start), Some(0));
-        assert_eq!(pp.bounds.last().map(|r| r.end), Some(probe.len()));
-        // grouped is a permutation; dest is its inverse; rows inside one
-        // partition range really map there and stay ascending.
-        let mut seen = vec![false; probe.len()];
-        for (p, range) in pp.bounds.iter().enumerate() {
-            let mut prev = None;
-            for g in range.clone() {
-                let row = pp.grouped[g] as usize;
-                assert!(!seen[row]);
-                seen[row] = true;
-                assert_eq!(pp.dest[row] as usize, g);
-                assert_eq!(idx.part_of(pp.hashes[row]), p);
-                if let Some(prev) = prev {
-                    assert!(prev < row, "ascending within partition");
-                }
-                prev = Some(row);
-            }
-        }
-        assert!(seen.iter().all(|&s| s));
-        pp.recycle(&dev);
-    }
-
-    #[test]
-    fn probe_partition_declines_small_or_monolithic_cases() {
-        let dev = Device::sequential();
-        let small = big_keys(100);
-        let idx_small = HashIndex::build(&dev, &[&small], 2);
-        assert!(ProbePartition::build(&dev, &idx_small, &[&small]).is_none());
-        let big = big_keys(20_000);
-        let idx_big = HashIndex::build(&dev, &[&big], 2);
-        // Large index, tiny probe side: still not worth grouping.
-        assert!(ProbePartition::build(&dev, &idx_big, &[&small]).is_none());
     }
 }

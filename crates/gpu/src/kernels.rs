@@ -18,9 +18,8 @@
 //!   radix sort, the parallel merge sort, the small-input comparison sort
 //!   and the one-word sort ([`sort_words`], whichever prefix of the words
 //!   it finds already in order) all produce the same bytes.
-//! * [`scan`] splits into per-chunk sums plus per-chunk rescan; `u64`
-//!   addition is associative, so the two-pass result equals the sequential
-//!   fold.
+//! * [`scan`] is one sequential fold at every size: a two-pass block scan
+//!   reads the counts twice and never beat it on any machine measured.
 //! * [`unique`] reduces each duplicate segment left-to-right (ascending row
 //!   index) — a segment belongs to the chunk it starts in, whole — so
 //!   non-commutative or order-sensitive tag disjunctions (e.g. float
@@ -34,18 +33,18 @@
 //! * [`eval`], the gathers, and [`hash_join`] write each output element as a
 //!   pure function of its input row(s) into disjoint, position-stable
 //!   output ranges.
-//! * [`count_matches`] and [`hash_join`] switch between the direct and the
-//!   radix-grouped probe path (see [`ProbePartition`]) on the probe length
-//!   and index structure alone — never on device parallelism — and the
-//!   grouped path scatters results back into original probe order, so both
-//!   paths produce the same bytes.
+//! * [`count_matches`] and [`hash_join`] probe the index once per probe row,
+//!   in probe-row order; a [`HashIndex`] enumerates a key's matches in
+//!   ascending build-row order whatever its partition count, so the output
+//!   is (probe row ascending, build row ascending within it) for every
+//!   index structure and parallelism.
 //!
 //! Parallel execution runs on the device's persistent worker pool
 //! ([`crate::pool`]); no kernel spawns threads per launch.
 
 use crate::device::KernelKind;
 use crate::parallel::{chunks_for, map_chunks, par_map_into, run_chunks, split_by_ranges};
-use crate::{Column, Columns, Device, HashIndex, ProbePartition};
+use crate::{Column, Columns, Device, HashIndex};
 use std::cmp::Ordering;
 use std::ops::Range;
 use std::time::Instant;
@@ -90,8 +89,6 @@ pub mod sites {
     pub const MERGE_JOIN_OUT: usize = 16;
     /// Partitioned hash-index build scratch (row hashes, grouped row ids).
     pub const JOIN_BUILD: usize = 17;
-    /// Radix-grouped probe scratch (probe hashes, grouping, grouped outputs).
-    pub const JOIN_PROBE: usize = 18;
     /// Pack-columns output (dictionary-encoded narrow words).
     pub const PACK_OUT: usize = 19;
     /// Unpack-columns output (full-width logical columns).
@@ -333,53 +330,17 @@ fn concat_pieces<T>(pieces: Vec<Vec<T>>, total: usize) -> Vec<T> {
     out
 }
 
-/// `scan(s)`: exclusive prefix sum (two-pass block scan). Returns the
-/// offsets and the total.
+/// `scan(s)`: exclusive prefix sum. Returns the offsets and the total.
 pub fn scan(device: &Device, counts: &[u64]) -> (Column, u64) {
     let _t = device.launch(KernelKind::Other);
-    scan_into(device, counts)
-}
-
-/// [`scan`] without recording its own launch — for kernels that scan
-/// internally inside an already-open launch (the grouped join path), so the
-/// work is attributed to the enclosing kernel instead of a nested `Other`
-/// launch.
-fn scan_into(device: &Device, counts: &[u64]) -> (Column, u64) {
-    let len = counts.len();
-    let mut offsets = device.arena().alloc_zeroed(sites::SCAN_OUT, len);
-    let ranges = chunks_for(device, len);
-    if ranges.len() <= 1 {
-        let start = Instant::now();
-        let mut acc = 0u64;
-        for (slot, &c) in offsets.iter_mut().zip(counts) {
-            *slot = acc;
-            acc += c;
-        }
-        device.record_busy(start.elapsed());
-        return (offsets, acc);
-    }
-    // Pass 1: per-chunk sums; tiny sequential scan of the sums.
-    let sums: Vec<u64> = map_chunks(device, &ranges, |_, range| counts[range].iter().sum());
-    let mut bases = Vec::with_capacity(sums.len());
+    let mut offsets = device.arena().alloc_zeroed(sites::SCAN_OUT, counts.len());
+    let start = Instant::now();
     let mut acc = 0u64;
-    for &s in &sums {
-        bases.push(acc);
-        acc += s;
+    for (slot, &c) in offsets.iter_mut().zip(counts) {
+        *slot = acc;
+        acc += c;
     }
-    // Pass 2: each chunk rescans from its base into its output slice.
-    let slices = split_by_ranges(&mut offsets, &ranges);
-    run_chunks(
-        device,
-        &ranges,
-        slices.into_iter().zip(bases).collect(),
-        |_, range, (slice, base): (&mut [u64], u64)| {
-            let mut acc = base;
-            for (slot, &c) in slice.iter_mut().zip(&counts[range]) {
-                *slot = acc;
-                acc += c;
-            }
-        },
-    );
+    device.record_busy(start.elapsed());
     (offsets, acc)
 }
 
@@ -1227,62 +1188,13 @@ pub fn difference_runs<T: Clone + Send + Sync>(
 /// `count(b̄, h, ā)`: for every probe row, the number of build rows with a
 /// matching key in the hash index. Probe keys are hashed straight from the
 /// probe columns — no per-row key buffer is materialized.
-///
-/// When the index is partitioned and the probe side is large, the probe is
-/// radix-grouped first (see [`ProbePartition`]) so each chunk walks one
-/// cache-resident partition; counts are scattered back into original probe
-/// order, so the output is byte-identical to the direct path. Callers that
-/// also run [`hash_join`] on the same probe side should build the grouping
-/// once and use [`count_matches_with`] / [`hash_join_with`].
 pub fn count_matches(device: &Device, index: &HashIndex, probe_key_cols: &[&[u64]]) -> Column {
-    let part = ProbePartition::build(device, index, probe_key_cols);
-    let out = count_matches_with(device, index, probe_key_cols, part.as_ref());
-    if let Some(part) = part {
-        part.recycle(device);
-    }
-    out
-}
-
-/// [`count_matches`] against a pre-built probe grouping (`None` runs the
-/// direct path). The grouping must come from [`ProbePartition::build`] with
-/// this `index` and these probe columns.
-pub fn count_matches_with(
-    device: &Device,
-    index: &HashIndex,
-    probe_key_cols: &[&[u64]],
-    part: Option<&ProbePartition>,
-) -> Column {
     let _t = device.launch(KernelKind::Join);
     let len = probe_key_cols.first().map(|c| c.len()).unwrap_or(0);
-    let arena = device.arena();
-    let mut out = arena.alloc_zeroed(sites::COUNT_OUT, len);
-    let Some(part) = part else {
-        par_map_into(device, &mut out, |i| {
-            index.count_cols(probe_key_cols, i) as u64
-        });
-        return out;
-    };
-    debug_assert_eq!(part.len(), len, "grouping built for another probe side");
-    // Count in grouped order — one partition per chunk, so every lookup of
-    // a chunk hits the same (cache-resident) slot table...
-    let mut grouped_counts = arena.alloc_zeroed(sites::JOIN_PROBE, len);
-    {
-        let slices = split_by_ranges(&mut grouped_counts, &part.bounds);
-        run_chunks(
-            device,
-            &part.bounds,
-            slices,
-            |p, range, slice: &mut [u64]| {
-                for (slot, g) in slice.iter_mut().zip(range) {
-                    let row = part.grouped[g] as usize;
-                    *slot = index.count_grouped(p, part.hashes[row], probe_key_cols, row) as u64;
-                }
-            },
-        );
-    }
-    // ...then gather back into original probe order.
-    par_map_into(device, &mut out, |i| grouped_counts[part.dest[i] as usize]);
-    arena.recycle(sites::JOIN_PROBE, grouped_counts);
+    let mut out = device.arena().alloc_zeroed(sites::COUNT_OUT, len);
+    par_map_into(device, &mut out, |i| {
+        index.count_cols(probe_key_cols, i) as u64
+    });
     out
 }
 
@@ -1294,42 +1206,10 @@ pub fn count_matches_with(
 /// (`offsets` is monotone), writing full-width `u64` indices directly — no
 /// per-row buffers and no packing, so row indices are never truncated
 /// however large the tables grow.
-///
-/// Like [`count_matches`], a large probe of a partitioned index runs
-/// radix-grouped: matches are emitted per partition and then copied back
-/// into the caller's `offsets` layout, byte-identical to the direct path.
 pub fn hash_join(
     device: &Device,
     index: &HashIndex,
     probe_key_cols: &[&[u64]],
-    counts: &[u64],
-    offsets: &[u64],
-    total: u64,
-) -> (Column, Column) {
-    let part = ProbePartition::build(device, index, probe_key_cols);
-    let out = hash_join_with(
-        device,
-        index,
-        probe_key_cols,
-        part.as_ref(),
-        counts,
-        offsets,
-        total,
-    );
-    if let Some(part) = part {
-        part.recycle(device);
-    }
-    out
-}
-
-/// [`hash_join`] against a pre-built probe grouping (`None` runs the direct
-/// path). The grouping must come from [`ProbePartition::build`] with this
-/// `index` and these probe columns.
-pub fn hash_join_with(
-    device: &Device,
-    index: &HashIndex,
-    probe_key_cols: &[&[u64]],
-    part: Option<&ProbePartition>,
     counts: &[u64],
     offsets: &[u64],
     total: u64,
@@ -1352,110 +1232,27 @@ pub fn hash_join_with(
             start..end
         })
         .collect();
-    let Some(part) = part else {
-        let build_slices = split_by_ranges(&mut build_out, &out_bounds);
-        let probe_slices = split_by_ranges(&mut probe_out, &out_bounds);
-        run_chunks(
-            device,
-            &ranges,
-            build_slices.into_iter().zip(probe_slices).collect(),
-            |_, range, (bs, ps): (&mut [u64], &mut [u64])| {
-                let mut k = 0;
-                for i in range {
-                    if counts[i] == 0 {
-                        continue;
-                    }
-                    index.for_each_match_cols(probe_key_cols, i, |build_row| {
-                        bs[k] = build_row as u64;
-                        ps[k] = i as u64;
-                        k += 1;
-                    });
+    let build_slices = split_by_ranges(&mut build_out, &out_bounds);
+    let probe_slices = split_by_ranges(&mut probe_out, &out_bounds);
+    run_chunks(
+        device,
+        &ranges,
+        build_slices.into_iter().zip(probe_slices).collect(),
+        |_, range, (bs, ps): (&mut [u64], &mut [u64])| {
+            let mut k = 0;
+            for i in range {
+                if counts[i] == 0 {
+                    continue;
                 }
-                debug_assert_eq!(k, bs.len(), "counts disagree with probe matches");
-            },
-        );
-        return (build_out, probe_out);
-    };
-    debug_assert_eq!(part.len(), len, "grouping built for another probe side");
-    // Grouped layout: per-row counts and offsets in grouped order, so each
-    // partition's matches land in one contiguous grouped output range.
-    let mut grouped_counts = arena.alloc_zeroed(sites::JOIN_PROBE, len);
-    par_map_into(device, &mut grouped_counts, |g| {
-        counts[part.grouped[g] as usize]
-    });
-    let (grouped_offsets, grouped_total) = scan_into(device, &grouped_counts);
-    debug_assert_eq!(grouped_total, total, "grouping changed the match count");
-    let mut grouped_build = arena.alloc_zeroed(sites::JOIN_PROBE, total as usize);
-    let mut grouped_probe = arena.alloc_zeroed(sites::JOIN_PROBE, total as usize);
-    {
-        // Probe partition by partition: every lookup of a chunk walks the
-        // same cache-resident slot table.
-        let grouped_out_bounds: Vec<Range<usize>> = part
-            .bounds
-            .iter()
-            .map(|r| {
-                let start = grouped_offsets.get(r.start).copied().unwrap_or(total) as usize;
-                let end = grouped_offsets.get(r.end).copied().unwrap_or(total) as usize;
-                start..end
-            })
-            .collect();
-        let build_slices = split_by_ranges(&mut grouped_build, &grouped_out_bounds);
-        let probe_slices = split_by_ranges(&mut grouped_probe, &grouped_out_bounds);
-        run_chunks(
-            device,
-            &part.bounds,
-            build_slices.into_iter().zip(probe_slices).collect(),
-            |p, range, (bs, ps): (&mut [u64], &mut [u64])| {
-                let mut k = 0;
-                for g in range {
-                    if grouped_counts[g] == 0 {
-                        continue;
-                    }
-                    let row = part.grouped[g] as usize;
-                    index.for_each_match_grouped(
-                        p,
-                        part.hashes[row],
-                        probe_key_cols,
-                        row,
-                        |build_row| {
-                            bs[k] = build_row as u64;
-                            ps[k] = row as u64;
-                            k += 1;
-                        },
-                    );
-                }
-                debug_assert_eq!(k, bs.len(), "counts disagree with probe matches");
-            },
-        );
-    }
-    // Copy each probe row's match run back into the caller's offsets
-    // layout — the bytes end up exactly where the direct path writes them.
-    {
-        let build_slices = split_by_ranges(&mut build_out, &out_bounds);
-        let probe_slices = split_by_ranges(&mut probe_out, &out_bounds);
-        run_chunks(
-            device,
-            &ranges,
-            build_slices.into_iter().zip(probe_slices).collect(),
-            |_, range, (bs, ps): (&mut [u64], &mut [u64])| {
-                let mut k = 0;
-                for i in range {
-                    let n = counts[i] as usize;
-                    if n == 0 {
-                        continue;
-                    }
-                    let src = grouped_offsets[part.dest[i] as usize] as usize;
-                    bs[k..k + n].copy_from_slice(&grouped_build[src..src + n]);
-                    ps[k..k + n].copy_from_slice(&grouped_probe[src..src + n]);
-                    k += n;
-                }
-            },
-        );
-    }
-    arena.recycle(sites::JOIN_PROBE, grouped_counts);
-    arena.recycle(sites::JOIN_PROBE, grouped_build);
-    arena.recycle(sites::JOIN_PROBE, grouped_probe);
-    arena.recycle(sites::SCAN_OUT, grouped_offsets);
+                index.for_each_match_cols(probe_key_cols, i, |build_row| {
+                    bs[k] = build_row as u64;
+                    ps[k] = i as u64;
+                    k += 1;
+                });
+            }
+            debug_assert_eq!(k, bs.len(), "counts disagree with probe matches");
+        },
+    );
     (build_out, probe_out)
 }
 

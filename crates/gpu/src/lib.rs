@@ -16,16 +16,15 @@
 //!
 //! * [`kernels::eval`] — per-row projection/selection (row-level parallelism),
 //! * [`kernels::gather`] / [`kernels::gather_mul_tags`] — index gathers,
-//! * [`kernels::scan`] — exclusive prefix sum (two-pass block scan),
+//! * [`kernels::scan`] — exclusive prefix sum,
 //! * [`kernels::sort_permutation`] (parallel LSD radix sort with a parallel
 //!   merge-sort fallback for wide rows), [`kernels::unique`],
 //!   [`kernels::merge`], [`kernels::difference`] — sorted-table maintenance
 //!   for semi-naive evaluation,
 //! * [`HashIndex`] with [`kernels::count_matches`] and [`kernels::hash_join`]
 //!   — the open-addressing, linear-probing hash join of Section 5.1,
-//!   partitioned over hash buckets so the index build parallelizes and
-//!   large probes run radix-grouped against cache-resident partitions
-//!   ([`ProbePartition`]).
+//!   partitioned over hash buckets so the index build parallelizes; every
+//!   probe row is hashed and probed once, directly.
 //!
 //! All kernels produce bit-identical output whatever the configured
 //! parallelism — see the [`kernels`] module docs for the determinism
@@ -57,7 +56,7 @@ pub use arena::{Arena, ArenaStats};
 pub use device::{
     Device, DeviceConfig, DeviceError, DeviceStats, KernelKind, KernelTime, TransferDirection,
 };
-pub use hash::{HashIndex, ProbePartition};
+pub use hash::HashIndex;
 pub use parallel::par_map_into;
 
 /// A column of a device-resident table: a flat vector of 64-bit words.

@@ -9,7 +9,7 @@
 //! each kernel is chunk-invariant, whole fix-points are.
 
 use lobster_gpu::kernels::PackLane;
-use lobster_gpu::{kernels, Device, DeviceConfig, HashIndex, ProbePartition};
+use lobster_gpu::{kernels, Device, DeviceConfig, HashIndex};
 
 /// Parallelism degrees exercised against the sequential baseline.
 const PARALLELISMS: [usize; 3] = [1, 3, 8];
@@ -375,37 +375,54 @@ fn merge_join_is_bit_identical_to_hash_join() {
     }
 }
 
+/// The join a hash index must reproduce, computed without one: every
+/// (build row, probe row) pair with equal keys, probe rows ascending and
+/// build rows ascending within a probe row. Returns `(counts, build
+/// indices, probe indices)`.
+fn nested_loop_join(build: &[&[u64]], probe: &[&[u64]]) -> (Vec<u64>, Vec<u64>, Vec<u64>) {
+    let probe_rows = probe.first().map_or(0, |c| c.len());
+    let (mut counts, mut bi, mut pi) = (Vec::new(), Vec::new(), Vec::new());
+    for i in 0..probe_rows {
+        let before = bi.len();
+        // A bare indexed loop whose first column rejects almost every build
+        // row: the 20 000 × 10 000 case has to stay affordable unoptimized.
+        let (first, key) = (build[0], probe[0][i]);
+        let mut row = 0;
+        while row < first.len() {
+            if first[row] == key && build.iter().zip(probe).all(|(b, p)| b[row] == p[i]) {
+                bi.push(row as u64);
+                pi.push(i as u64);
+            }
+            row += 1;
+        }
+        counts.push((bi.len() - before) as u64);
+    }
+    (counts, bi, pi)
+}
+
 /// Partitioning the hash index must be invisible: whatever the partition
 /// count and whatever the device parallelism (pooled workers vs sequential),
-/// `count_matches` and `hash_join` must return the same bytes as the
-/// monolithic single-partition index on the sequential device. Exercises
-/// both the direct probe path and the radix-grouped [`ProbePartition`] path
-/// explicitly, so the executor's choice between them can never show up in
-/// results.
+/// `count_matches` and `hash_join` must return the nested-loop join's bytes
+/// — probe rows ascending, build rows ascending within each.
 #[test]
 fn partitioned_hash_join_is_bit_identical_to_monolithic() {
-    let seq = Device::sequential();
-    // 20_000 rows crosses both the auto-partition threshold (16_384) and the
-    // grouped-probe minimum (4_096); the smaller regimes only partition when
-    // we force an explicit partition count.
+    // 20_000 rows crosses the auto-partition threshold (16_384); the smaller
+    // regimes only partition when we force an explicit partition count.
     for rows in [0usize, 37, 4099, 20_000] {
         for key_width in [1usize, 2] {
             let mut rng = Rng::new(rows as u64 * 29 + key_width as u64);
             let key_space = (rows as u64 / 7).max(3);
             let (build_cols, _) = random_table(&mut rng, rows, key_width, key_space);
             let (probe_cols, _) = random_table(&mut rng, rows.div_ceil(2), key_width, key_space);
-
-            let mono = HashIndex::build_partitioned(&seq, &refs(&build_cols), 2, 1);
-            let seq_counts = kernels::count_matches(&seq, &mono, &refs(&probe_cols));
-            let (seq_offsets, seq_total) = kernels::scan(&seq, &seq_counts);
-            let (seq_bi, seq_pi) = kernels::hash_join(
-                &seq,
-                &mono,
-                &refs(&probe_cols),
-                &seq_counts,
-                &seq_offsets,
-                seq_total,
-            );
+            let (want_counts, want_bi, want_pi) =
+                nested_loop_join(&refs(&build_cols), &refs(&probe_cols));
+            if rows == 20_000 {
+                // Non-vacuity: the default build really partitions here, and
+                // the join has duplicate keys to order.
+                let auto = HashIndex::build(&Device::sequential(), &refs(&build_cols), 2);
+                assert!(auto.partitions() > 1, "20 000 rows must auto-partition");
+                assert!(want_counts.iter().any(|&c| c > 1), "no duplicate matches");
+            }
 
             for parallelism in PARALLELISMS {
                 let par = parallel_device(parallelism);
@@ -414,10 +431,11 @@ fn partitioned_hash_join_is_bit_identical_to_monolithic() {
                         format!("rows {rows}, width {key_width}, p {parallelism}, P {partitions}");
                     let index =
                         HashIndex::build_partitioned(&par, &refs(&build_cols), 2, partitions);
-                    // Auto path: picks grouped probing on its own when it
-                    // applies.
+                    if rows > 0 {
+                        assert_eq!(index.partitions(), partitions, "{ctx}");
+                    }
                     let counts = kernels::count_matches(&par, &index, &refs(&probe_cols));
-                    assert_eq!(counts, seq_counts, "count_matches auto: {ctx}");
+                    assert_eq!(counts, want_counts, "count_matches: {ctx}");
                     let (offsets, total) = kernels::scan(&par, &counts);
                     let (bi, pi) = kernels::hash_join(
                         &par,
@@ -427,36 +445,8 @@ fn partitioned_hash_join_is_bit_identical_to_monolithic() {
                         &offsets,
                         total,
                     );
-                    assert_eq!(bi, seq_bi, "hash_join auto build indices: {ctx}");
-                    assert_eq!(pi, seq_pi, "hash_join auto probe indices: {ctx}");
-
-                    // Explicit grouped path (the executor's memoized route),
-                    // and explicit direct path, must both match.
-                    let part = ProbePartition::build(&par, &index, &refs(&probe_cols));
-                    let grouped = kernels::count_matches_with(
-                        &par,
-                        &index,
-                        &refs(&probe_cols),
-                        part.as_ref(),
-                    );
-                    assert_eq!(grouped, seq_counts, "count_matches grouped: {ctx}");
-                    let direct =
-                        kernels::count_matches_with(&par, &index, &refs(&probe_cols), None);
-                    assert_eq!(direct, seq_counts, "count_matches direct: {ctx}");
-                    let (gbi, gpi) = kernels::hash_join_with(
-                        &par,
-                        &index,
-                        &refs(&probe_cols),
-                        part.as_ref(),
-                        &counts,
-                        &offsets,
-                        total,
-                    );
-                    assert_eq!(gbi, seq_bi, "hash_join grouped build indices: {ctx}");
-                    assert_eq!(gpi, seq_pi, "hash_join grouped probe indices: {ctx}");
-                    if let Some(part) = part {
-                        part.recycle(&par);
-                    }
+                    assert_eq!(bi, want_bi, "hash_join build indices: {ctx}");
+                    assert_eq!(pi, want_pi, "hash_join probe indices: {ctx}");
                     index.recycle(&par);
                 }
             }
