@@ -577,30 +577,3 @@ fn prob_update_refresh_matches_scratch_and_keeps_gradient_ids() {
         .iter()
         .any(|(id, g)| *id == ids[1] && (*g - 0.9).abs() < 1e-12));
 }
-
-#[test]
-fn reset_clears_materialized_state() {
-    // Satellite regression: a recycled session must not leak a previous
-    // request's deltas through the materialized fix point.
-    let program = Program::compile(TC, ProvenanceKind::Unit).unwrap();
-    let pool = program.session_pool();
-    {
-        let mut session = pool.acquire();
-        let mut facts = FactSet::new();
-        facts.add("edge", &[Value::U32(0), Value::U32(1)], None);
-        session.insert_facts(&facts).unwrap();
-        assert_eq!(session.run_incremental().unwrap().len("path"), 1);
-        assert!(session.is_materialized());
-    } // released: Drop resets the session
-    {
-        let mut session = pool.acquire();
-        assert!(
-            !session.is_materialized(),
-            "recycled session kept a materialized fix point"
-        );
-        assert!(
-            session.run_incremental().unwrap().is_empty("path"),
-            "recycled session leaked the previous request's facts"
-        );
-    }
-}

@@ -480,7 +480,6 @@ mod tests {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<Program>();
         assert_send_sync::<crate::Session>();
-        assert_send_sync::<crate::SessionPool>();
         assert_send_sync::<crate::ShardedExecutor>();
     }
 

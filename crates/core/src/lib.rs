@@ -109,23 +109,23 @@
 //! * `BatchScheduler` — accumulates per-request [`FactSet`]s into
 //!   mini-batches (one fix-point per batch) with `max_batch_size` /
 //!   `max_queue_delay` knobs, routing each result back to its caller.
-//!   Single-device batches run on sessions recycled through a
-//!   [`SessionPool`]; with `num_shards > 1` the scheduler holds **one**
-//!   long-lived [`ShardedExecutor`] whose shard workers serve every
-//!   batch it ever runs.
+//!   Each scheduler worker opens one [`Session`] for its life and runs
+//!   every single-device batch on it; with `num_shards > 1` the scheduler
+//!   holds **one** long-lived [`ShardedExecutor`] whose shard workers serve
+//!   every batch it ever runs.
 //!
 //! See `docs/ARCHITECTURE.md` for the full request lifecycle (diagram, knob
 //! reference, shard-vs-batch guidance) and the `serve` example in
 //! `lobster-serve` for the end-to-end flow.
 //!
-//! ## Session pooling
+//! ## Session lifetime
 //!
-//! Per-request state is recyclable: [`Session::reset`] returns a session to
-//! its freshly-opened state (inline facts only, original probabilities)
-//! while keeping its allocations, and [`SessionPool`] automates the
-//! borrow-reset-return cycle ([`Program::session_pool`]). Batched runs
-//! recycle their fork registries the same way, so steady-state serving
-//! allocates no fresh registry per batch.
+//! Opening a session costs about 90 ns ([`Program::session`]), so a
+//! one-off request opens its own and drops it. [`Session::run_batch`] takes
+//! `&self` and registers the samples' facts on a *fork* of the session
+//! registry, so a long-lived session — a scheduler worker's, a shard
+//! worker's — serves any number of batches unchanged; the forks are
+//! recycled, so steady-state serving allocates no fresh registry per batch.
 //!
 //! ## Multi-device sharding
 //!
@@ -138,7 +138,7 @@
 //! probabilities, and gradients identical to the single-device
 //! [`Program::run_batch`]. The batching scheduler exposes the same knob as
 //! `SchedulerConfig::num_shards`, holding one executor for all its batches,
-//! so pooled batches fan out without any change to clients.
+//! so scheduled batches fan out without any change to clients.
 //!
 //! *When to shard.* Sharding pays off when a single batch's fix-point is
 //! the bottleneck and spare devices (or cores — shard devices execute on
@@ -171,13 +171,11 @@
 
 mod engine;
 mod error;
-mod pool;
 mod program;
 mod session;
 mod sharded;
 
 pub use error::LobsterError;
-pub use pool::{PooledSession, SessionPool, SessionPoolStats};
 pub use program::{Lobster, LobsterBuilder, Program};
 pub use session::{FactSet, RunResult, Session};
 pub use sharded::{ShardConfig, ShardRunStats, ShardedExecutor};

@@ -315,13 +315,6 @@ impl Program {
         Session::new(self.clone())
     }
 
-    /// A pool recycling this program's sessions across requests — acquired
-    /// sessions are [`reset`](Session::reset) and returned on drop; see
-    /// [`SessionPool`](crate::SessionPool).
-    pub fn session_pool(&self) -> crate::SessionPool {
-        crate::SessionPool::new(self.clone())
-    }
-
     /// Runs a whole batch of independent samples in a single fix-point using
     /// the batched evaluation of Section 4.3 (a sample-id column is prepended
     /// to every relation so all samples share one database and one run).

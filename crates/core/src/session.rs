@@ -231,11 +231,6 @@ pub struct Session {
     program: Program,
     registry: InputFactRegistry,
     facts: Vec<RegisteredFact>,
-    /// `true` while `facts[..inline_count]` are exactly the program's inline
-    /// facts in registration order — the invariant [`Session::reset`] relies
-    /// on to reset by truncation instead of re-registration. Only
-    /// [`Session::clear_facts`] breaks it.
-    inline_prefix_intact: bool,
     /// Recycled fork registries for [`Session::run_batch`]: each batched run
     /// forks the session registry, and reusing a previous run's fork turns
     /// that per-batch allocation into an in-place copy. A small pool (rather
@@ -247,8 +242,7 @@ pub struct Session {
     /// is `Some`, the materialized database.
     engine: Box<dyn AnyEngine>,
     /// Change-detection state kept across [`Session::run_incremental`]
-    /// calls; `None` until the first incremental run (and again after
-    /// [`Session::reset`] / [`Session::clear_facts`]).
+    /// calls; `None` until the first incremental run.
     incremental: Option<IncrementalState>,
 }
 
@@ -258,7 +252,6 @@ impl Clone for Session {
             program: self.program.clone(),
             registry: self.registry.clone(),
             facts: self.facts.clone(),
-            inline_prefix_intact: self.inline_prefix_intact,
             // Scratch registries are per-instance recycling state, not
             // session state — the clone starts with none.
             batch_forks: Mutex::new(Vec::new()),
@@ -273,28 +266,25 @@ impl Session {
     /// were validated at compile time).
     pub(crate) fn new(program: Program) -> Self {
         let registry = InputFactRegistry::new();
-        let mut session = Session {
+        let facts = program
+            .artifact
+            .compiled
+            .facts
+            .iter()
+            .map(|fact| RegisteredFact {
+                relation: fact.relation.clone(),
+                values: fact.values.clone(),
+                id: registry.register(fact.probability, None),
+                probabilistic: fact.probability.is_some(),
+            })
+            .collect();
+        Session {
             engine: engine::bind(program.kind(), &registry),
             program,
             registry,
-            facts: Vec::new(),
-            inline_prefix_intact: true,
+            facts,
             batch_forks: Mutex::new(Vec::new()),
             incremental: None,
-        };
-        session.register_inline_facts();
-        session
-    }
-
-    fn register_inline_facts(&mut self) {
-        for fact in &self.program.artifact.compiled.facts {
-            let id = self.registry.register(fact.probability, None);
-            self.facts.push(RegisteredFact {
-                relation: fact.relation.clone(),
-                values: fact.values.clone(),
-                id,
-                probabilistic: fact.probability.is_some(),
-            });
         }
     }
 
@@ -366,62 +356,6 @@ impl Session {
         self.registry.set_prob(id, prob);
     }
 
-    /// Drops the materialized fix point, if any: the next
-    /// [`Session::run_incremental`] starts over.
-    fn dematerialize(&mut self) {
-        self.incremental = None;
-        self.engine.dematerialize();
-    }
-
-    /// Removes all registered facts (inline program facts included) and
-    /// clears the registry. Any materialized incremental state is dropped.
-    pub fn clear_facts(&mut self) {
-        self.facts.clear();
-        self.registry.clear();
-        self.inline_prefix_intact = false;
-        self.dematerialize();
-    }
-
-    /// Returns the session to its freshly-opened state — only the program's
-    /// inline facts registered, at their original probabilities — while
-    /// keeping the allocations (fact vector, registry storage, batch-fork
-    /// scratch) for reuse.
-    ///
-    /// This is what makes a recycled session indistinguishable from
-    /// [`Program::session`]'s output: facts added with [`Session::add_fact`]
-    /// are dropped, probabilities changed with
-    /// [`Session::set_fact_probability`] are restored, and ids issued to a
-    /// previous request are re-issued from the same starting point. Used by
-    /// [`SessionPool`](crate::SessionPool) on release; callers running a
-    /// session per request in a hand-rolled loop can call it directly.
-    ///
-    /// Incremental state is part of that reset: any fix point materialized
-    /// by [`Session::run_incremental`] (and any pending insertions or
-    /// retractions) is dropped, so a recycled pooled session can never leak
-    /// a previous request's deltas.
-    pub fn reset(&mut self) {
-        self.dematerialize();
-        let inline = self.program.artifact.compiled.facts.len();
-        if self.inline_prefix_intact {
-            // The inline facts are still the registration prefix: drop
-            // everything after them in place and restore their original
-            // probabilities (set_fact_probability may have changed them).
-            self.facts.truncate(inline);
-            self.registry.truncate(inline);
-            for (i, fact) in self.program.artifact.compiled.facts.iter().enumerate() {
-                self.registry
-                    .set_prob(InputFactId(i as u32), fact.probability.unwrap_or(1.0));
-            }
-        } else {
-            // `clear_facts` wiped the inline prefix; rebuild it. The vectors
-            // keep their capacity, so this still avoids fresh allocations.
-            self.facts.clear();
-            self.registry.clear();
-            self.register_inline_facts();
-            self.inline_prefix_intact = true;
-        }
-    }
-
     /// Number of registered facts.
     pub fn fact_count(&self) -> usize {
         self.facts.len()
@@ -483,7 +417,6 @@ impl Session {
     /// the next run; [`Session::run_incremental`] re-derives the affected
     /// strata from the surviving support (delete/re-derive).
     pub fn retract_facts(&mut self, ids: &[InputFactId]) -> usize {
-        let inline = self.program.artifact.compiled.facts.len();
         let mut removed = 0;
         for id in ids {
             let Some(pos) = self.facts.iter().position(|f| f.id == *id) else {
@@ -491,9 +424,6 @@ impl Session {
             };
             let fact = self.facts.remove(pos);
             removed += 1;
-            if self.inline_prefix_intact && pos < inline {
-                self.inline_prefix_intact = false;
-            }
             if let Some(state) = self.incremental.as_mut() {
                 state.retracted.insert(fact.relation);
                 if pos < state.watermark {
@@ -842,74 +772,6 @@ mod tests {
         ));
         assert!(is_bad_fact(program.run_batch(&[facts]).unwrap_err()));
         assert!(session.run().unwrap().is_empty("path"));
-    }
-
-    #[test]
-    fn clear_facts_resets_the_session() {
-        let program = Program::compile(TC, ProvenanceKind::Unit).unwrap();
-        let mut session = program.session();
-        session
-            .add_fact("edge", &[Value::U32(0), Value::U32(1)], None)
-            .unwrap();
-        session.clear_facts();
-        assert_eq!(session.fact_count(), 0);
-        let result = session.run().unwrap();
-        assert!(result.is_empty("path"));
-    }
-
-    #[test]
-    fn reset_restores_the_freshly_opened_state() {
-        let program = Lobster::builder(
-            "type edge(x: u32, y: u32)
-             rel edge = {0.5::(1, 2)}
-             rel path(x, y) = edge(x, y) or (path(x, z) and edge(z, y))
-             query path",
-        )
-        .provenance(ProvenanceKind::AddMultProb)
-        .compile()
-        .unwrap();
-        let mut session = program.session();
-        // Dirty every axis reset must undo: extra facts, a changed inline
-        // probability.
-        session
-            .add_fact("edge", &[Value::U32(7), Value::U32(8)], Some(0.9))
-            .unwrap();
-        session.set_fact_probability(InputFactId(0), 0.125);
-        session.reset();
-        assert_eq!(session.fact_count(), 1);
-        assert_eq!(session.registry.len(), 1);
-        let result = session.run().unwrap();
-        assert_eq!(result.len("path"), 1);
-        assert!((result.probability("path", &[Value::U32(1), Value::U32(2)]) - 0.5).abs() < 1e-9);
-        // Ids are re-issued from the same starting point a fresh session
-        // would use.
-        let id = session
-            .add_fact("edge", &[Value::U32(3), Value::U32(4)], None)
-            .unwrap();
-        assert_eq!(id, InputFactId(1));
-    }
-
-    #[test]
-    fn reset_after_clear_facts_rebuilds_the_inline_facts() {
-        let program = Lobster::builder(
-            "type edge(x: u32, y: u32)
-             rel edge = {(0, 1)}
-             rel path(x, y) = edge(x, y) or (path(x, z) and edge(z, y))
-             query path",
-        )
-        .provenance(ProvenanceKind::Unit)
-        .compile()
-        .unwrap();
-        let mut session = program.session();
-        session.clear_facts();
-        session
-            .add_fact("edge", &[Value::U32(5), Value::U32(6)], None)
-            .unwrap();
-        session.reset();
-        assert_eq!(session.fact_count(), 1);
-        let result = session.run().unwrap();
-        assert!(result.contains("path", &[Value::U32(0), Value::U32(1)]));
-        assert!(!result.contains("path", &[Value::U32(5), Value::U32(6)]));
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub struct CompiledProgram {
 pub fn compile(items: &[Item]) -> Result<CompiledProgram, DatalogError> {
     let inferred = infer_schemas(items)?;
     // Intern through the process-wide table: every compiled program agrees
-    // on symbol ids, so pooled sessions, incremental delta sessions, and TCP
+    // on symbol ids, so long-lived sessions, incremental delta sessions, and TCP
     // connections can exchange encoded facts without re-interning.
     let symbols = SymbolTable::global();
 

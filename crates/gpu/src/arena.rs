@@ -76,7 +76,7 @@ pub struct ArenaStats {
 /// Default ceiling on pooled capacity per arena (bytes). Generous enough
 /// that a steady-state fix-point never hits it, small enough that one
 /// pathological batch does not pin the process at its high-water mark
-/// forever. Override with [`Arena::set_pool_budget`].
+/// forever.
 const DEFAULT_POOL_BUDGET: usize = 256 << 20;
 
 #[derive(Debug, Default)]
@@ -218,18 +218,6 @@ impl Arena {
     pub fn set_reuse(&self, reuse: bool) {
         if self.reuse.swap(reuse, Ordering::Relaxed) && !reuse {
             self.lock().drop_pools();
-        }
-    }
-
-    /// Caps the total capacity (bytes) the pools may retain; recycles beyond
-    /// the cap drop their buffer. Defaults to 256 MiB — steady-state
-    /// fix-points stay far below it, while one pathological batch cannot pin
-    /// the process at its high-water mark forever.
-    pub fn set_pool_budget(&self, bytes: usize) {
-        let mut inner = self.lock();
-        inner.pool_budget = bytes;
-        if inner.pooled_bytes > bytes {
-            inner.drop_pools();
         }
     }
 
@@ -409,15 +397,13 @@ mod tests {
     #[test]
     fn pool_budget_bounds_retained_bytes() {
         let arena = Arena::new(true);
-        arena.set_pool_budget(64);
+        // 256 MiB in production; shrunk here so the cap is reachable.
+        arena.lock().pool_budget = 64;
         arena.recycle_shared(arena.alloc_zeroed(0, 100)); // 800 bytes > budget
         assert_eq!(arena.pooled_buffers(), 0, "over-budget recycle dropped");
         arena.recycle_shared(arena.alloc_zeroed(0, 4)); // 32 bytes fits
         assert_eq!(arena.pooled_buffers(), 1);
         assert!(arena.stats().pooled_bytes <= 64);
-        // Shrinking the budget below the pooled bytes drops the pools.
-        arena.set_pool_budget(8);
-        assert_eq!(arena.pooled_buffers(), 0);
     }
 
     #[test]

@@ -497,17 +497,6 @@ impl Device {
             .expect("device stats poisoned")
             .clone()
     }
-
-    /// Resets all statistics (but not live-memory accounting).
-    pub fn reset_stats(&self) {
-        let live = self.live_bytes();
-        let mut stats = self.inner.stats.lock().expect("device stats poisoned");
-        *stats = DeviceStats {
-            live_bytes: live,
-            peak_bytes: live,
-            ..DeviceStats::default()
-        };
-    }
 }
 
 /// Guard for one timed kernel launch; see [`Device::launch`].
@@ -715,16 +704,5 @@ mod tests {
         // Clones share one pool rather than spawning their own.
         let clone = dev.clone();
         assert_eq!(clone.pool_workers(), 4);
-    }
-
-    #[test]
-    fn reset_stats_preserves_live_bytes() {
-        let dev = Device::sequential();
-        dev.try_alloc(64).unwrap();
-        dev.record_kernel();
-        dev.reset_stats();
-        let stats = dev.stats();
-        assert_eq!(stats.kernel_launches, 0);
-        assert_eq!(stats.live_bytes, 64);
     }
 }

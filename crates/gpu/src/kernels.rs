@@ -1427,18 +1427,6 @@ pub fn append(device: &Device, tables: &[&[&[u64]]]) -> Columns {
     out
 }
 
-/// Tag variant of [`append`].
-pub fn append_tags<T: Clone>(device: &Device, tag_sets: &[&[T]]) -> Vec<T> {
-    let _t = device.launch(KernelKind::Other);
-    let start = Instant::now();
-    let mut out = Vec::with_capacity(tag_sets.iter().map(|t| t.len()).sum());
-    for tags in tag_sets {
-        out.extend_from_slice(tags);
-    }
-    device.record_busy(start.elapsed());
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1701,8 +1689,6 @@ mod tests {
         let out = append(&d, &[&refs(&a), &refs(&b)]);
         assert_eq!(out[0], vec![1, 3, 4]);
         assert_eq!(out[1], vec![2, 5, 6]);
-        let tags = append_tags(&d, &[&[1.0f64], &[2.0, 3.0]]);
-        assert_eq!(tags, vec![1.0, 2.0, 3.0]);
     }
 
     #[test]

@@ -122,24 +122,6 @@ impl InputFactRegistry {
         }
     }
 
-    /// Removes every registered fact. Used when re-running a program on a
-    /// fresh sample.
-    pub fn clear(&self) {
-        let mut inner = self.inner.write().expect("fact registry poisoned");
-        inner.probs.clear();
-        inner.exclusions.clear();
-    }
-
-    /// Drops every fact with id `len` or above, keeping the first `len`
-    /// registrations (and the backing allocations) intact. A session pool
-    /// uses this to return a recycled session to its freshly-opened state
-    /// without reallocating the registry.
-    pub fn truncate(&self, len: usize) {
-        let mut inner = self.inner.write().expect("fact registry poisoned");
-        inner.probs.truncate(len);
-        inner.exclusions.truncate(len);
-    }
-
     /// Overwrites this registry's contents with a fork of `parent` — the
     /// same observable state [`InputFactRegistry::fork`] produces, but
     /// written into `self`'s existing allocations instead of fresh ones.
@@ -219,21 +201,6 @@ mod tests {
     }
 
     #[test]
-    fn truncate_keeps_the_leading_facts() {
-        let reg = InputFactRegistry::new();
-        let a = reg.register(Some(0.4), Some(1));
-        let b = reg.register(Some(0.9), None);
-        reg.truncate(1);
-        assert_eq!(reg.len(), 1);
-        assert_eq!(reg.prob(a), 0.4);
-        assert_eq!(reg.exclusion(a), Some(1));
-        // The truncated fact is gone: its id reads as unknown.
-        assert_eq!(reg.prob(b), 1.0);
-        // Re-registering reuses the freed id.
-        assert_eq!(reg.register(Some(0.7), None), b);
-    }
-
-    #[test]
     fn refork_from_matches_fork_and_reuses_the_target() {
         let parent = InputFactRegistry::new();
         let a = parent.register(Some(0.4), Some(2));
@@ -268,7 +235,7 @@ mod tests {
         let clone = reg.clone();
         let a = reg.register(Some(0.4), None);
         assert_eq!(clone.prob(a), 0.4);
-        clone.clear();
-        assert!(reg.is_empty());
+        clone.set_prob(a, 0.9);
+        assert_eq!(reg.prob(a), 0.9);
     }
 }

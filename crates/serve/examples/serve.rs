@@ -1,14 +1,14 @@
 //! A miniature model server: one process-wide [`ProgramCache`], one
 //! [`BatchScheduler`] per hot program, many concurrent request threads —
 //! including the persistent sharded runtime (`num_shards > 1`: one
-//! long-lived shard worker pool serving every batch) and direct session-pool
-//! reuse. This is the executable version of the request lifecycle described
-//! in `docs/ARCHITECTURE.md`.
+//! long-lived shard worker pool serving every batch) and one-off requests on
+//! their own sessions. This is the executable version of the request
+//! lifecycle described in `docs/ARCHITECTURE.md`.
 //!
 //! Run with `cargo run -p lobster-serve --example serve`. The example prints
 //! the cache behaviour (miss → compile, hits, coalesced concurrent
-//! requests), the scheduler's batching statistics, and the session-pool
-//! reuse counters, so it doubles as a quick tour of the serving knobs.
+//! requests) and the scheduler's batching statistics, so it doubles as a
+//! quick tour of the serving knobs.
 
 use lobster::{FactSet, ProvenanceKind, Value};
 use lobster_serve::{BatchScheduler, ProgramCache, SchedulerConfig};
@@ -102,23 +102,16 @@ fn main() {
         "every batch fanned out across the persistent shard workers"
     );
 
-    // --- The session pool: per-request state, recycled. -------------------
-    // A handler that runs one-off (unbatched) requests borrows a session
-    // instead of building one: the pool resets it on return, so request
-    // state never leaks while the registry/fact allocations are reused.
-    let pool = scheduler.program().session_pool();
+    // --- One-off requests: a session each. --------------------------------
+    // A handler that runs one-off (unbatched) requests opens a session per
+    // request (about 90 ns) and drops it, so request state never leaks.
     for i in 0..32u32 {
-        let mut session = pool.acquire();
+        let mut session = scheduler.program().session();
         session
             .add_fact("edge", &[Value::U32(i), Value::U32(i + 1)], Some(0.5))
             .expect("well-formed fact");
         let result = session.run().expect("request runs");
-        assert_eq!(result.len("path"), 1, "a recycled session starts clean");
+        assert_eq!(result.len("path"), 1, "a fresh session starts clean");
     }
-    let pool_stats = pool.stats();
-    println!(
-        "session pool: 32 one-off requests served by {} session(s) ({} reuses)",
-        pool_stats.created, pool_stats.reused
-    );
-    assert_eq!(pool_stats.created, 1);
+    println!("one-off sessions: 32 requests, each on its own session");
 }

@@ -5,8 +5,8 @@
 //! samples (Section 4.3); the PR 1 API split made the compiled [`Program`]
 //! an immutable, `Arc`-shareable artifact. This crate turns those two
 //! properties into a server runtime in which everything structural is built
-//! once and recycled — compiled programs, scheduler threads, shard worker
-//! threads, sessions — so a warm request pays only validation, queueing,
+//! once and kept — compiled programs, scheduler threads, shard worker
+//! threads, their sessions — so a warm request pays only validation, queueing,
 //! and its share of a fix-point:
 //!
 //! * [`ProgramCache`] — a keyed cache `(source hash, provenance kind,
@@ -22,12 +22,12 @@
 //!   [`SchedulerConfig::max_batch_size`] and
 //!   [`SchedulerConfig::max_queue_delay`]; results are routed back to each
 //!   caller over a per-request channel. Plain `std` threads and `mpsc` —
-//!   no async runtime dependency. Single-device batches run on sessions
-//!   recycled through a [`SessionPool`] (registry and inline facts
-//!   built once, reset between batches); with
-//!   [`SchedulerConfig::num_shards`] above 1 the scheduler holds **one**
-//!   persistent [`ShardedExecutor`] — shard workers spawned at
-//!   construction, fed every pooled batch over a work queue, joined on
+//!   no async runtime dependency. Each scheduler worker opens one
+//!   session for its life and runs every single-device batch on it (a
+//!   batch registers its facts on a fork, so the session never changes);
+//!   with [`SchedulerConfig::num_shards`] above 1 the scheduler holds
+//!   **one** persistent [`ShardedExecutor`] — shard workers spawned at
+//!   construction, fed every batch over a work queue, joined on
 //!   drop — and every batch fans out across its shard devices with
 //!   identical results. See the "Multi-device sharding" section of the
 //!   `lobster` crate docs and `docs/ARCHITECTURE.md` for the full request
@@ -43,8 +43,8 @@
 //!
 //! # Example
 //!
-//! The whole serving path — cache, persistent sharded scheduler, session
-//! pool — in one place (`examples/serve.rs` is the narrated version):
+//! The whole serving path — cache, persistent sharded scheduler, one-off
+//! session — in one place (`examples/serve.rs` is the narrated version):
 //!
 //! ```
 //! use lobster::{FactSet, ProvenanceKind, Value};
@@ -82,22 +82,18 @@
 //!     assert!((p - 0.9).abs() < 1e-9);
 //! }
 //!
-//! // One-off (unbatched) requests borrow recycled sessions from a pool;
-//! // the pool resets each session on return, so no facts leak between
-//! // requests.
-//! let pool = scheduler.program().session_pool();
+//! // A one-off (unbatched) request opens its own session (about 90 ns)
+//! // and drops it, so no facts leak between requests.
 //! for i in 0..3u32 {
-//!     let mut session = pool.acquire();
+//!     let mut session = scheduler.program().session();
 //!     session.add_fact("edge", &[Value::U32(i), Value::U32(i + 1)], Some(0.5)).unwrap();
 //!     assert_eq!(session.run().unwrap().len("path"), 1); // clean every time
 //! }
-//! assert_eq!(pool.stats().created, 1);
 //! # drop(again);
 //! ```
 //!
 //! [`Program`]: lobster::Program
 //! [`Program::compiled_size_bytes`]: lobster::Program::compiled_size_bytes
-//! [`SessionPool`]: lobster::SessionPool
 //! [`ShardedExecutor`]: lobster::ShardedExecutor
 //! [`FactSet`]: lobster::FactSet
 

@@ -30,7 +30,7 @@
 //! already-interned id) — and responses resolve interned symbols back to
 //! `{"sym": "text"}` where possible. Because compilation and the wire layer
 //! share one interner, ids in request facts agree with the ids symbol
-//! constants compiled to, across every pooled session on the server. The
+//! constants compiled to, across every session on the server. The
 //! tag is the value's type, and the scheduler checks it against the
 //! relation's schema with the rest of the fact: a `{"i64": ..}` in a `u32`
 //! column is a `bad-request`, not a truncation. A successful `run` answers
@@ -69,7 +69,9 @@ use crate::cache::{CacheStats, ProgramCache};
 use crate::error::ServeError;
 use crate::json::{obj, parse, Json};
 use crate::scheduler::{BatchScheduler, SchedulerConfig};
-use lobster::{FactSet, LobsterError, Program, RunResult, SymbolTable, Value};
+use lobster::{
+    ArenaStats, DeviceStats, FactSet, LobsterError, Program, RunResult, SymbolTable, Value,
+};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -751,16 +753,25 @@ fn cache_stats_json(stats: &CacheStats) -> Json {
 }
 
 /// The `metrics` document: every stats surface the serving stack already
-/// collects, serialized in one place — scheduler, admission, auth,
-/// sessions, device (kernel-time buckets and arena), connections, and the
-/// program cache when the server was given one.
+/// collects, serialized in one place — scheduler, admission, auth, device
+/// (kernel-time buckets and arena, summed over the devices that execute
+/// batches), connections, and the program cache when the server was given
+/// one.
 fn metrics_json(shared: &ServerShared) -> Json {
     let scheduler = shared.scheduler.stats();
     let admission = shared.admission.stats();
     let auth = shared.keys.stats();
-    let sessions = shared.scheduler.session_pool_stats();
-    let device = shared.scheduler.program().device().stats();
-    let arena = shared.scheduler.program().device().arena().stats();
+    let mut device = DeviceStats::default();
+    let mut arena = ArenaStats::default();
+    for executing in shared.scheduler.devices() {
+        device.merge(&executing.stats());
+        let stats = executing.arena().stats();
+        arena.fresh_columns += stats.fresh_columns;
+        arena.reused_columns += stats.reused_columns;
+        arena.recycled_columns += stats.recycled_columns;
+        arena.pooled_buffers += stats.pooled_buffers;
+        arena.pooled_bytes += stats.pooled_bytes;
+    }
     let mut metrics = obj([
         ("ok", Json::Bool(true)),
         (
@@ -798,13 +809,6 @@ fn metrics_json(shared: &ServerShared) -> Json {
                 ("unauthorized", Json::from(auth.unauthorized)),
                 ("quota_rejected", Json::from(auth.quota_rejected)),
                 ("keys", Json::from(shared.keys.len())),
-            ]),
-        ),
-        (
-            "sessions",
-            obj([
-                ("created", Json::from(sessions.created)),
-                ("reused", Json::from(sessions.reused)),
             ]),
         ),
         (
@@ -1219,7 +1223,7 @@ mod tests {
                 .and_then(Json::as_u64),
             Some(1)
         );
-        for surface in ["auth", "sessions", "connections", "device"] {
+        for surface in ["auth", "connections", "device"] {
             assert!(doc.get(surface).is_some(), "metrics missing {surface}");
         }
         assert!(
@@ -1230,6 +1234,28 @@ mod tests {
                 .is_some(),
             "kernel-time buckets missing"
         );
+        server.shutdown();
+    }
+
+    #[test]
+    fn sharded_metrics_report_the_shard_devices_work() {
+        // The program's own device runs nothing once it is split into
+        // shards; the document must count the devices that do.
+        let server = test_server(|mut c| {
+            c.scheduler = c.scheduler.with_num_shards(2);
+            c
+        });
+        let mut client = Client::connect(server.local_addr(), "test-key").unwrap();
+        assert!(client.run(&edge_request(0, 1, 0.5)).unwrap().ok());
+        let metrics = client.metrics().unwrap();
+        let device = metrics.json().get("device").expect("device block");
+        let launches = device.get("kernel_launches").and_then(Json::as_u64);
+        assert!(launches > Some(0), "kernel_launches: {launches:?}");
+        let fresh = device
+            .get("arena")
+            .and_then(|a| a.get("fresh_columns"))
+            .and_then(Json::as_u64);
+        assert!(fresh > Some(0), "arena.fresh_columns: {fresh:?}");
         server.shutdown();
     }
 

@@ -1,10 +1,7 @@
 //! The batching request scheduler.
 
 use crate::error::ServeError;
-use lobster::{
-    FactSet, InputFactId, PooledSession, Program, RunResult, SessionPool, SessionPoolStats,
-    ShardConfig, ShardedExecutor,
-};
+use lobster::{Device, FactSet, InputFactId, Program, RunResult, ShardConfig, ShardedExecutor};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
@@ -36,7 +33,7 @@ pub struct SchedulerConfig {
     /// Number of shard devices each batch is partitioned across. `1` (the
     /// default) runs every batch on the program's own device; above 1, the
     /// scheduler holds **one** persistent [`ShardedExecutor`] — shard
-    /// worker threads spawned at construction and fed every pooled batch
+    /// worker threads spawned at construction and fed every batch
     /// over its work queue — and batches fan out over devices derived with
     /// `Device::split_shards`, overlapping fix-points of *slices of the same
     /// batch*. Results — tuples, probabilities, request-local gradient ids —
@@ -119,17 +116,11 @@ struct Request {
 
 struct Shared {
     program: Arc<Program>,
-    /// Recycled sessions for single-device batches: each worker borrows a
-    /// session per batch instead of re-building registry + inline facts.
-    sessions: SessionPool,
     /// The persistent sharded executor (`num_shards > 1` only): shard worker
     /// threads are spawned once, here, and reused by every batch from every
     /// scheduler worker. Dropped — and its workers joined — with the
     /// scheduler.
     executor: Option<ShardedExecutor>,
-    /// Number of inline program facts a session pre-registers; batched
-    /// execution hands out per-request fact ids starting after these.
-    inline_facts: u32,
     config: SchedulerConfig,
     queue: Mutex<VecDeque<Request>>,
     /// Signalled on submit and on shutdown.
@@ -197,11 +188,6 @@ impl Ticket {
         }
     }
 
-    /// Non-blocking probe: `Some(result)` once the batch has run.
-    pub fn try_wait(&self) -> Option<Result<RunResult, ServeError>> {
-        self.rx.try_recv().ok()
-    }
-
     /// The reply sender vanished without sending: a clean shutdown only if
     /// the scheduler actually was (or is gone entirely — its `Drop` drains
     /// before releasing the allocation, so an unreachable `Shared` implies
@@ -218,13 +204,13 @@ impl Ticket {
 /// batch in one fix-point instead of one per request (the paper's batched
 /// evaluation, applied to serving).
 ///
-/// The execution state behind the batches is *persistent*: single-device
-/// batches run on sessions recycled through a [`SessionPool`], and with
-/// [`SchedulerConfig::num_shards`] above 1 every batch is fed to one
-/// long-lived [`ShardedExecutor`] whose shard worker threads are spawned
-/// when the scheduler is built — so a batch pays neither session setup nor
-/// thread spawn/join, the steady-state overheads that dominate at high
-/// request rates. See `docs/ARCHITECTURE.md` for the full request
+/// The execution state behind the batches is *persistent*: each scheduler
+/// worker opens one session for its life and runs every single-device batch
+/// on it, and with [`SchedulerConfig::num_shards`] above 1 every batch is
+/// fed to one long-lived [`ShardedExecutor`] whose shard worker threads are
+/// spawned when the scheduler is built — so a batch pays neither session
+/// setup nor thread spawn/join, the steady-state overheads that dominate at
+/// high request rates. See `docs/ARCHITECTURE.md` for the full request
 /// lifecycle.
 ///
 /// Requests are submitted with [`BatchScheduler::submit`], which returns a
@@ -259,21 +245,16 @@ impl std::fmt::Debug for BatchScheduler {
 impl BatchScheduler {
     /// Spawns the worker threads for `program` with the given knobs.
     pub fn new(program: Arc<Program>, config: SchedulerConfig) -> Self {
-        let inline_facts = program.session().fact_count() as u32;
-        // Build the per-scheduler execution state once, up front: a session
-        // pool for single-device batches, and — when sharding — ONE
-        // persistent executor whose shard workers serve every batch this
-        // scheduler will ever run (spawn/join is paid here, not per batch).
-        let sessions = program.session_pool();
+        // When sharding, build ONE persistent executor up front: its shard
+        // workers serve every batch this scheduler will ever run (spawn/join
+        // is paid here, not per batch).
         let executor = (config.num_shards > 1).then(|| {
             let shards = ShardConfig::default().with_num_shards(config.num_shards);
             ShardedExecutor::new(Program::clone(&program), shards)
         });
         let shared = Arc::new(Shared {
             program,
-            sessions,
             executor,
-            inline_facts,
             config: config.clone(),
             queue: Mutex::new(VecDeque::new()),
             arrivals: Condvar::new(),
@@ -363,21 +344,14 @@ impl BatchScheduler {
         executing + self.queued()
     }
 
-    /// A snapshot of the scheduler's session-pool counters (single-device
-    /// batches borrow their sessions here).
-    pub fn session_pool_stats(&self) -> SessionPoolStats {
-        self.shared.sessions.stats()
-    }
-
-    /// Borrows a session from the scheduler's pool for *incremental*
-    /// serving: a long-lived request can hold it across many
-    /// `insert_facts` / `retract_facts` / `run_incremental` steps,
-    /// re-evaluating only its deltas while the scheduler keeps serving
-    /// batched one-shot requests around it. Dropping the guard resets the
-    /// session — materialized fix point included — and returns it to the
-    /// pool, so the next borrower cannot observe this request's deltas.
-    pub fn acquire_session(&self) -> PooledSession<'_> {
-        self.shared.sessions.acquire()
+    /// The devices this scheduler's batches execute on: the program's own
+    /// when unsharded, the executor's shard devices otherwise (the program's
+    /// device then runs nothing — `Device::split_shards`).
+    pub fn devices(&self) -> Vec<&Device> {
+        match &self.shared.executor {
+            Some(executor) => executor.shard_devices(),
+            None => vec![self.shared.program.device()],
+        }
     }
 
     /// Convenience: submit one request and block for its result.
@@ -496,6 +470,13 @@ impl Drop for ExecutingGuard<'_> {
 }
 
 fn worker_loop(shared: &Shared) {
+    // One session for the life of the thread, as a shard worker holds:
+    // `run_batch` registers a batch's facts on a fork of the session's
+    // registry, so no batch leaves a trace on it. Its fact count is the
+    // number of inline program facts; batched execution hands out
+    // per-request fact ids starting after these.
+    let session = shared.program.session();
+    let inline_facts = session.fact_count() as u32;
     while let Some(batch) = next_batch(shared) {
         let _executing = ExecutingGuard {
             shared,
@@ -523,8 +504,8 @@ fn worker_loop(shared: &Shared) {
         // long-lived shard workers fan the batch out across shard devices
         // and merge results back into submission order with the same global
         // fact-id layout, so the request-local gradient remap below is
-        // shard-agnostic. Single-device batches run on a pooled session, so
-        // steady-state batches rebuild neither registry nor inline facts.
+        // shard-agnostic. Single-device batches run on this worker's
+        // session.
         let outcome = if let Some(executor) = &shared.executor {
             executor.run_batch_owned(facts).map(|(results, stats)| {
                 shared
@@ -533,7 +514,7 @@ fn worker_loop(shared: &Shared) {
                 results
             })
         } else {
-            shared.sessions.acquire().run_batch(&facts)
+            session.run_batch(&facts)
         };
         match outcome {
             Ok(mut results) => {
@@ -544,7 +525,7 @@ fn worker_loop(shared: &Shared) {
                 // submitted `FactSet` — and drop entries pointing at other
                 // requests' or inline facts, so a client's gradients mean
                 // the same thing whatever batch its request landed in.
-                let mut next_id = shared.inline_facts;
+                let mut next_id = inline_facts;
                 for (result, len) in results.iter_mut().zip(&request_lens) {
                     let start = next_id;
                     let len = *len;
@@ -682,14 +663,14 @@ mod tests {
     }
 
     #[test]
-    fn single_device_batches_recycle_pooled_sessions_without_fact_leakage() {
+    fn batches_on_a_workers_long_lived_session_leak_no_facts_or_probabilities() {
         let scheduler = BatchScheduler::new(
             program(),
             SchedulerConfig::default()
                 .with_max_batch_size(1)
                 .with_max_queue_delay(Duration::from_millis(1)),
         );
-        // Sequential single-request batches all flow through one recycled
+        // Sequential single-request batches all run on the one worker's
         // session; a fact leaking between batches would surface as an extra
         // `path` tuple or a wrong probability in a later request.
         for i in 0..30u32 {
@@ -704,31 +685,48 @@ mod tests {
             );
             assert_eq!(result.len("path"), 1, "batch {i}: leaked facts");
         }
-    }
 
-    #[test]
-    fn acquired_incremental_sessions_reset_on_return_to_the_pool() {
-        let scheduler = BatchScheduler::new(program(), SchedulerConfig::default());
-        {
-            let mut session = scheduler.acquire_session();
-            session.insert_facts(&edge_request(0, 1, 0.5)).unwrap();
-            let result = session.run_incremental().unwrap();
-            assert!(
-                (result.probability("path", &[Value::U32(0), Value::U32(1)]) - 0.5).abs() < 1e-9
-            );
-            assert!(session.is_materialized());
-            // Grow the fix-point in place: the second call is a delta update
-            // against the materialized state, not a from-scratch run.
-            session.insert_facts(&edge_request(1, 2, 0.5)).unwrap();
-            let result = session.run_incremental().unwrap();
-            assert_eq!(result.len("path"), 3);
-        } // guard drop returns the session to the pool, resetting it
-        let mut session = scheduler.acquire_session();
-        assert!(!session.is_materialized(), "recycled session leaked deltas");
-        session.insert_facts(&edge_request(7, 8, 0.25)).unwrap();
-        let result = session.run_incremental().unwrap();
-        assert_eq!(result.len("path"), 1, "recycled session leaked facts");
-        assert!((result.probability("path", &[Value::U32(7), Value::U32(8)]) - 0.25).abs() < 1e-9);
+        // A probabilistic inline fact is the state a batch could disturb (its
+        // registry entry is shared by every batch the session runs). Two
+        // workers, so both sessions serve: batch 1 and batch 30 must be
+        // bit-identical to `Program::run_batch` on the same request, with
+        // gradient ids request-local (the inline fact's entry dropped).
+        let program = Arc::new(
+            Program::compile(
+                "type edge(x: u32, y: u32)
+                 rel edge = {0.5::(1, 2)}
+                 rel path(x, y) = edge(x, y) or (path(x, z) and edge(z, y))
+                 query path",
+                ProvenanceKind::DiffTop1Proof,
+            )
+            .unwrap(),
+        );
+        let rows = |result: &RunResult| -> Vec<_> {
+            let path = result.relation("path").iter();
+            path.map(|(tuple, out)| {
+                let gradient = out.gradient.iter().map(|(id, g)| (id.0, g.to_bits()));
+                let gradient: Vec<_> = gradient.collect();
+                (tuple.clone(), out.probability.to_bits(), gradient)
+            })
+            .collect()
+        };
+        let request = edge_request(2, 3, 0.25);
+        let mut reference = program.run_batch(std::slice::from_ref(&request)).unwrap();
+        reference[0].map_gradient_ids(|id| id.0.checked_sub(1).map(InputFactId));
+        let reference = rows(&reference[0]);
+        assert_eq!(reference.len(), 3, "edge(1, 2), edge(2, 3) and their join");
+        assert!(reference.iter().any(|row| !row.2.is_empty()), "no gradient");
+        let scheduler = BatchScheduler::new(
+            Arc::clone(&program),
+            SchedulerConfig::default()
+                .with_max_batch_size(1)
+                .with_max_queue_delay(Duration::from_millis(1))
+                .with_workers(2),
+        );
+        for i in 1..=30 {
+            let result = scheduler.run_one(request.clone()).unwrap();
+            assert_eq!(rows(&result), reference, "batch {i}");
+        }
     }
 
     #[test]
