@@ -7,15 +7,17 @@
 //!   recent / all partitions of the database, so only the frontier of newly
 //!   derived facts drives each iteration (Section 3.4);
 //! * lowers project and select to `eval` (row-level parallelism), joins to
-//!   the `build`/`count`/`scan`/`join`/`gather` sequence of Figure 6, unions
-//!   to `append`, and products to a dedicated instruction;
+//!   the `build`/`count`/`scan`/`join` sequence of Figure 6 — the `join`
+//!   writes the output columns itself, and a column permutation directly
+//!   over a join is folded into that list — unions to `append`, and products
+//!   to a dedicated instruction;
 //! * marks hash indices whose build side is iteration-invariant as *static
 //!   registers* so they are built once and reused (Section 4.2) — the
 //!   "linear recursion" case that covers nearly all programs in the paper's
 //!   evaluation.
 
 use crate::config::RuntimeOptions;
-use crate::isa::{ApmProgram, DbPart, Instr, RegId};
+use crate::isa::{ApmProgram, DbPart, Instr, JoinSource, JoinWrite, RegId};
 use lobster_ram::passes::{join_strategy, projection_sorted_prefix, JoinStrategy};
 use lobster_ram::{RamExpr, RamProgram, RamRule, RowProjection, ScalarExpr, Stratum};
 use std::collections::BTreeSet;
@@ -198,6 +200,23 @@ impl<'a> Compiler<'a> {
                 }
             }
             RamExpr::Project { input, proj } => {
+                // A pure column permutation directly over a join is the
+                // join's own output list: the columns it drops are never
+                // written.
+                if let (Some(select), Some((left, right, width))) =
+                    (proj.permutation.as_deref(), self.as_join(input))
+                {
+                    let mut joined = self.compile_join(
+                        left,
+                        right,
+                        width,
+                        Some(select),
+                        parts,
+                        next_recursive_leaf,
+                    );
+                    joined.sorted_prefix = projection_sorted_prefix(proj, joined.sorted_prefix);
+                    return joined;
+                }
                 let input = self.compile_expr(input, parts, next_recursive_leaf);
                 let outputs = self.fresh_n(proj.output_arity());
                 let output_tags = self.fresh();
@@ -237,14 +256,9 @@ impl<'a> Compiler<'a> {
                     sorted_prefix: input.sorted_prefix,
                 }
             }
-            RamExpr::Join { left, right, width } => {
-                self.compile_join(left, right, *width, parts, next_recursive_leaf)
-            }
-            RamExpr::Intersect(left, right) => {
-                // a ∩ b is a join on every column followed by keeping the
-                // left row (which the join output convention already does).
-                let width = self.arity(left);
-                self.compile_join(left, right, width, parts, next_recursive_leaf)
+            RamExpr::Join { .. } | RamExpr::Intersect(..) => {
+                let (left, right, width) = self.as_join(expr).expect("a join");
+                self.compile_join(left, right, width, None, parts, next_recursive_leaf)
             }
             RamExpr::Union(left, right) => {
                 let l = self.compile_expr(left, parts, next_recursive_leaf);
@@ -284,17 +298,32 @@ impl<'a> Compiler<'a> {
         }
     }
 
+    /// The operands of a join expression: `left ⊲⊳_w right`, or `a ∩ b` —
+    /// a join on every column that keeps the left row, which the join
+    /// output convention already does.
+    fn as_join<'e>(&self, expr: &'e RamExpr) -> Option<(&'e RamExpr, &'e RamExpr, usize)> {
+        match expr {
+            RamExpr::Join { left, right, width } => Some((left, right, *width)),
+            RamExpr::Intersect(left, right) => Some((left, right, self.arity(left))),
+            _ => None,
+        }
+    }
+
     /// Compiles `left ⊲⊳_w right`. When sort-order inference proves both
     /// inputs sorted on the key prefix, emits the merge-path sequence
     /// `mergecount`/`scan`/`mergejoin` — no hash index is built at all.
     /// Otherwise emits the hash-join sequence of Figure 6. The two paths
-    /// produce bit-identical index pairs, so the choice is invisible
-    /// downstream.
+    /// write bit-identical tables, so the choice is invisible downstream.
+    ///
+    /// The join's table is the full left row, then the non-key columns of
+    /// the right row; `select` (a permutation folded in from the projection
+    /// above) picks and orders the columns of it that are actually written.
     fn compile_join(
         &mut self,
         left: &RamExpr,
         right: &RamExpr,
         width: usize,
+        select: Option<&[usize]>,
         parts: &[DbPart],
         next_recursive_leaf: &mut usize,
     ) -> Compiled {
@@ -307,17 +336,27 @@ impl<'a> Compiler<'a> {
         // (the linear-recursion optimization of Section 4.2).
         let left_recursive = self.is_recursive_expr(left);
         let right_recursive = self.is_recursive_expr(right);
-        let build_left = !left_recursive && right_recursive;
-        let static_ = if build_left {
+        let build_is_left = !left_recursive && right_recursive;
+        let static_ = if build_is_left {
             !left_recursive
         } else {
             !right_recursive
         };
 
-        let (build_cols, build_tags, probe_cols, probe_tags) = if build_left {
-            (&l.columns, l.tags, &r.columns, r.tags)
-        } else {
-            (&r.columns, r.tags, &l.columns, l.tags)
+        let (build, probe) = if build_is_left { (&l, &r) } else { (&r, &l) };
+        let source = |is_left: bool, reg: RegId| {
+            if is_left == build_is_left {
+                JoinSource::Build(reg)
+            } else {
+                JoinSource::Probe(reg)
+            }
+        };
+        let left_row = l.columns.iter().map(|&reg| source(true, reg));
+        let right_rest = r.columns[width..].iter().map(|&reg| source(false, reg));
+        let table: Vec<JoinSource> = left_row.chain(right_rest).collect();
+        let sources: Vec<JoinSource> = match select {
+            Some(select) => select.iter().map(|&column| table[column]).collect(),
+            None => table,
         };
 
         let strategy = if self.hash_only {
@@ -328,25 +367,30 @@ impl<'a> Compiler<'a> {
 
         let counts = self.fresh();
         let offsets = self.fresh();
-        let build_indices = self.fresh();
-        let probe_indices = self.fresh();
+        let outputs = self.fresh_n(sources.len());
+        let output_tags = self.fresh();
+        let build_keys = build.columns[..width].to_vec();
+        let write = JoinWrite {
+            probe_keys: probe.columns[..width].to_vec(),
+            counts,
+            offsets,
+            sources,
+            build_tags: build.tags,
+            probe_tags: probe.tags,
+            build_is_left,
+            outputs: outputs.clone(),
+            output_tags,
+        };
         match strategy {
             JoinStrategy::Merge => {
                 self.merge_joins += 1;
                 self.emit(Instr::MergeCount {
-                    build_keys: build_cols[..width].to_vec(),
-                    probe_keys: probe_cols[..width].to_vec(),
+                    build_keys: build_keys.clone(),
+                    probe_keys: write.probe_keys.clone(),
                     counts,
                 });
                 self.emit(Instr::Scan { counts, offsets });
-                self.emit(Instr::MergeJoin {
-                    build_keys: build_cols[..width].to_vec(),
-                    probe_keys: probe_cols[..width].to_vec(),
-                    counts,
-                    offsets,
-                    build_indices,
-                    probe_indices,
-                });
+                self.emit(Instr::MergeJoin { build_keys, write });
             }
             JoinStrategy::Hash => {
                 self.hash_joins += 1;
@@ -355,59 +399,19 @@ impl<'a> Compiler<'a> {
                     self.static_registers.push(index);
                 }
                 self.emit(Instr::Build {
-                    keys: build_cols[..width].to_vec(),
+                    keys: build_keys,
                     index,
                     static_,
                 });
                 self.emit(Instr::Count {
                     index,
-                    probe_keys: probe_cols[..width].to_vec(),
+                    probe_keys: write.probe_keys.clone(),
                     counts,
                 });
                 self.emit(Instr::Scan { counts, offsets });
-                self.emit(Instr::Join {
-                    index,
-                    probe_keys: probe_cols[..width].to_vec(),
-                    counts,
-                    offsets,
-                    build_indices,
-                    probe_indices,
-                });
+                self.emit(Instr::Join { index, write });
             }
         }
-
-        // Gather the output table: the full left row, then the non-key
-        // columns of the right row.
-        let (left_indices, right_indices) = if build_left {
-            (build_indices, probe_indices)
-        } else {
-            (probe_indices, build_indices)
-        };
-        let out_left = self.fresh_n(l.columns.len());
-        self.emit(Instr::Gather {
-            indices: left_indices,
-            sources: l.columns.clone(),
-            destinations: out_left.clone(),
-        });
-        let out_right = self.fresh_n(r.columns.len() - width);
-        if !out_right.is_empty() {
-            self.emit(Instr::Gather {
-                indices: right_indices,
-                sources: r.columns[width..].to_vec(),
-                destinations: out_right.clone(),
-            });
-        }
-        let output_tags = self.fresh();
-        self.emit(Instr::GatherMulTags {
-            left_indices,
-            right_indices,
-            left_tags: if build_left { build_tags } else { probe_tags },
-            right_tags: if build_left { probe_tags } else { build_tags },
-            output: output_tags,
-        });
-
-        let mut outputs = out_left;
-        outputs.extend(out_right);
         Compiled {
             columns: outputs,
             tags: output_tags,
@@ -647,16 +651,7 @@ mod tests {
             .iter()
             .map(Instr::mnemonic)
             .collect();
-        for expected in [
-            "load",
-            "store",
-            "build",
-            "count",
-            "scan",
-            "join",
-            "gather",
-            "gather_mul",
-        ] {
+        for expected in ["load", "store", "build", "count", "scan", "join"] {
             assert!(
                 mnemonics.contains(&expected),
                 "missing `{expected}` in {mnemonics:?}"
@@ -664,6 +659,71 @@ mod tests {
         }
         assert!(compiled.program.register_count > 0);
         assert!(!compiled.program.listing().is_empty());
+    }
+
+    #[test]
+    fn a_join_writes_the_columns_the_rule_keeps_and_nothing_is_gathered() {
+        // The three gated programs. The CLUTRR and CSPA sources are those of
+        // `lobster-workloads`, which this crate cannot depend on.
+        let clutrr = "type kinship(r: u32, a: u32, b: u32)
+             type composition(r1: u32, r2: u32, r3: u32)
+             type target(a: u32, b: u32)
+             rel derived(r, a, b) = kinship(r, a, b)
+             rel derived(r3, a, c) = derived(r1, a, b), kinship(r2, b, c), composition(r1, r2, r3)
+             rel answer(r) = target(a, b), derived(r, a, b)";
+        let cspa = "type assign(dst: u32, src: u32)
+             type dereference(p: u32, v: u32)
+             rel value_flow(x, y) = assign(y, x)
+             rel value_flow(x, y) = assign(x, z), memory_alias(z, y)
+             rel value_flow(x, y) = value_flow(x, z), value_flow(z, y)
+             rel memory_alias(x, w) = dereference(y, x), value_alias(y, z), dereference(z, w)
+             rel value_alias(x, y) = value_flow(z, x), value_flow(z, y)
+             rel value_alias(x, y) = value_flow(z, x), memory_alias(z, w), value_flow(w, y)
+             rel value_flow(x, x) = assign(x, y)
+             rel value_flow(x, x) = assign(y, x)
+             rel memory_alias(x, x) = assign(y, x)
+             rel memory_alias(x, x) = assign(x, y)";
+        let (tc_ram, _) = transitive_closure();
+        for ram in [
+            tc_ram.clone(),
+            parse(clutrr).unwrap().ram,
+            parse(cspa).unwrap().ram,
+        ] {
+            let mut joins = 0;
+            for stratum in &ram.strata {
+                for instr in &compile(stratum, &ram).program.instructions {
+                    assert!(!instr.mnemonic().contains("gather"), "{instr}");
+                    if let Instr::Join { write, .. } | Instr::MergeJoin { write, .. } = instr {
+                        joins += 1;
+                        assert_eq!(write.sources.len(), write.outputs.len());
+                    }
+                }
+            }
+            assert!(joins > 0);
+        }
+        // TC: `path(x, z) ⋈ edge(z, y)` probes with the frontier and keeps
+        // (x, y) — the key column `z` the projection above the join drops is
+        // not among the columns written, and no `eval` stands between the
+        // join and its `store`.
+        let tc = compile(&tc_ram.strata[0], &tc_ram).program;
+        let at = tc
+            .instructions
+            .iter()
+            .position(|i| matches!(i, Instr::Join { .. }))
+            .expect("TC joins");
+        let Instr::Join { write, .. } = &tc.instructions[at] else {
+            unreachable!()
+        };
+        assert!(matches!(
+            write.sources[..],
+            [JoinSource::Probe(x), JoinSource::Build(_)] if !write.probe_keys.contains(&x)
+        ));
+        assert!(!write.build_is_left);
+        assert!(matches!(
+            &tc.instructions[at + 1],
+            Instr::Store { columns, tags, .. }
+                if *columns == write.outputs && *tags == write.output_tags
+        ));
     }
 
     #[test]

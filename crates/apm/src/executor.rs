@@ -23,8 +23,8 @@
 use crate::compiler::{compile_stratum_with_options, CompiledStratum};
 use crate::config::RuntimeOptions;
 use crate::database::{recycle_columns, Database, SortedTable};
-use crate::isa::{DbPart, Instr, RegId};
-use lobster_gpu::kernels::PackLane;
+use crate::isa::{DbPart, Instr, JoinSource, JoinWrite, RegId};
+use lobster_gpu::kernels::{JoinBuild, JoinColumn, PackLane};
 use lobster_gpu::{kernels, Column, Device, DeviceError, HashIndex};
 use lobster_provenance::Provenance;
 use lobster_ram::RamProgram;
@@ -146,6 +146,42 @@ enum RegValue<P: Provenance> {
     Data(Arc<Column>),
     Tags(Arc<Vec<P::Tag>>),
     Index(Arc<HashIndex>),
+}
+
+impl<P: Provenance> RegValue<P> {
+    fn data(&self) -> &Arc<Column> {
+        match self {
+            RegValue::Data(column) => column,
+            other => panic!("expected data register, found {other:?}"),
+        }
+    }
+
+    fn tags(&self) -> &Arc<Vec<P::Tag>> {
+        match self {
+            RegValue::Tags(tags) => tags,
+            other => panic!("expected tag register, found {other:?}"),
+        }
+    }
+
+    fn index(&self) -> &HashIndex {
+        match self {
+            RegValue::Index(index) => index,
+            other => panic!("expected index register, found {other:?}"),
+        }
+    }
+}
+
+/// Reads a register: the iteration's own file first, then the registers that
+/// survive across iterations.
+fn get<'a, P: Provenance>(
+    regs: &'a [Option<RegValue<P>>],
+    static_file: &'a HashMap<RegId, RegValue<P>>,
+    reg: RegId,
+) -> &'a RegValue<P> {
+    regs[reg.0 as usize]
+        .as_ref()
+        .or_else(|| static_file.get(&reg))
+        .expect("register read before write")
 }
 
 /// The APM executor.
@@ -484,6 +520,148 @@ impl<P: Provenance> Executor<P> {
         SortedTable::from_unsorted(device, prov, columns, tags)
     }
 
+    /// `load⟨ρ⟩`: one partition of `relation` in columnar form, unpacked to
+    /// full-width registers if it is stored packed. `own` says the running
+    /// stratum updates the relation, `seeded` that the run must hand its
+    /// `stable` back as it got it.
+    fn load(
+        &self,
+        db: &mut Database<P>,
+        relation: &str,
+        part: DbPart,
+        own: bool,
+        seeded: bool,
+        stats: &mut ExecutionStats,
+    ) -> LoadedTable<P::Tag> {
+        let arity = db.schema(relation).expect("loaded relation").arity();
+        // The compiler treats a single-partition load as sorted (it may feed
+        // a merge join), so the runs are folded into one table first: into
+        // `stable` itself, or — in a seeded run, which must hand `stable`
+        // back as it got it — among themselves and then, with `stable`, into
+        // a table that lives for this load only.
+        let mut merged_stable: Option<SortedTable<P>> = None;
+        if own && part == DbPart::Stable {
+            let data = db.relation_data_mut(relation);
+            if seeded {
+                let delta = data.fold_runs(&self.device, &mut stats.update_rows_written);
+                if !delta.is_empty() {
+                    stats.update_rows_written += data.stable.len() + delta.len();
+                    merged_stable = Some(data.stable.merge_disjoint(&self.device, &delta));
+                }
+                data.push_run(&self.device, delta, true);
+            } else {
+                stats.update_rows_written += data.compact(&self.device);
+            }
+        }
+        let arena = self.device.arena();
+        // Packed relations are unpacked into wide registers here (values
+        // stay in *local* symbol space); full-width relations and identity
+        // layouts copy straight through.
+        let lanes = db.codec().and_then(|c| c.lanes(relation));
+        let unpack = |packed: &[Column]| -> Vec<Arc<Column>> {
+            let lanes = lanes.expect("lanes present");
+            let refs: Vec<&[u64]> = packed.iter().map(|c| c.as_slice()).collect();
+            kernels::unpack_columns(&self.device, &refs, lanes, arity)
+                .into_iter()
+                .map(Arc::new)
+                .collect()
+        };
+        let data = db.relation_data(relation);
+        let single = match part {
+            DbPart::Stable => Some(merged_stable.as_ref().unwrap_or(&data.stable)),
+            DbPart::Recent => Some(&data.recent),
+            DbPart::All => None,
+        };
+        let (cols, tag_vec): (Vec<Arc<Column>>, Arc<Vec<P::Tag>>) = match single {
+            Some(table) => (
+                if lanes.is_some() {
+                    unpack(&table.columns)
+                } else {
+                    table
+                        .columns
+                        .iter()
+                        .map(|c| Arc::new(arena.alloc_copy(exec_sites::LOAD, c)))
+                        .collect()
+                },
+                Arc::new(table.tags.clone()),
+            ),
+            None => {
+                // `all` is compiled as unsorted, so the runs and the
+                // frontier are simply concatenated — the (narrow) stored
+                // columns first, then one unpack: moving packed bytes is
+                // cheaper than moving unpacked ones.
+                let tables = || data.stable_tables().chain(std::iter::once(&data.recent));
+                let rows: usize = tables().map(SortedTable::len).sum();
+                let merged_cols: Vec<Column> = (0..data.stable.columns.len())
+                    .map(|c| {
+                        let mut merged = arena.alloc_empty(exec_sites::LOAD, rows);
+                        for table in tables() {
+                            merged.extend_from_slice(&table.columns[c]);
+                        }
+                        merged
+                    })
+                    .collect();
+                let cols = if lanes.is_some() {
+                    let wide = unpack(&merged_cols);
+                    recycle_columns(&self.device, merged_cols);
+                    wide
+                } else {
+                    merged_cols.into_iter().map(Arc::new).collect()
+                };
+                let mut t = Vec::with_capacity(rows);
+                for table in tables() {
+                    t.extend(table.tags.iter().cloned());
+                }
+                (cols, Arc::new(t))
+            }
+        };
+        if let Some(merged) = merged_stable {
+            merged.recycle(&self.device);
+        }
+        self.device.record_kernel();
+        (cols, tag_vec)
+    }
+
+    /// `join⟨W⟩` / `mergejoin⟨W⟩`: the write pass of a join over `build`,
+    /// reading its operands straight out of the register file. Tags are
+    /// `left ⊗ right`, whichever side was built on.
+    fn join(
+        &self,
+        regs: &[Option<RegValue<P>>],
+        static_file: &HashMap<RegId, RegValue<P>>,
+        build: JoinBuild<'_>,
+        write: &JoinWrite,
+    ) -> (Vec<Column>, Vec<P::Tag>) {
+        let data = |reg: RegId| get(regs, static_file, reg).data().as_slice();
+        let tags = |reg: RegId| get(regs, static_file, reg).tags().as_slice();
+        let probe_keys = columns_of(regs, static_file, &write.probe_keys);
+        let columns: Vec<JoinColumn<'_>> = write
+            .sources
+            .iter()
+            .map(|source| match *source {
+                JoinSource::Build(reg) => JoinColumn::Build(data(reg)),
+                JoinSource::Probe(reg) => JoinColumn::Probe(data(reg)),
+            })
+            .collect();
+        let operands = kernels::JoinWrite {
+            counts: data(write.counts),
+            offsets: data(write.offsets),
+            columns: &columns,
+            build_tags: tags(write.build_tags),
+            probe_tags: tags(write.probe_tags),
+        };
+        let prov = &self.provenance;
+        if write.build_is_left {
+            kernels::join_write(&self.device, build, &probe_keys, &operands, |b, p| {
+                prov.mul(b, p)
+            })
+        } else {
+            kernels::join_write(&self.device, build, &probe_keys, &operands, |b, p| {
+                prov.mul(p, b)
+            })
+        }
+    }
+
     #[allow(clippy::too_many_lines)]
     fn execute_iteration(
         &self,
@@ -506,50 +684,16 @@ impl<P: Provenance> Executor<P> {
         let set = |regs: &mut Vec<Option<RegValue<P>>>, reg: RegId, value: RegValue<P>| {
             regs[reg.0 as usize] = Some(value);
         };
-        fn get<'a, P: Provenance>(
-            regs: &'a [Option<RegValue<P>>],
-            static_file: &'a HashMap<RegId, RegValue<P>>,
-            reg: RegId,
-        ) -> &'a RegValue<P> {
-            regs[reg.0 as usize]
-                .as_ref()
-                .or_else(|| static_file.get(&reg))
-                .expect("register read before write")
-        }
         macro_rules! data {
             ($reg:expr) => {
-                match get(&regs, static_file, $reg) {
-                    RegValue::Data(c) => c.clone(),
-                    other => panic!("expected data register, found {other:?}"),
-                }
+                get(&regs, static_file, $reg).data().clone()
             };
         }
         macro_rules! tags {
             ($reg:expr) => {
-                match get(&regs, static_file, $reg) {
-                    RegValue::Tags(t) => t.clone(),
-                    other => panic!("expected tag register, found {other:?}"),
-                }
+                get(&regs, static_file, $reg).tags().clone()
             };
         }
-        macro_rules! index {
-            ($reg:expr) => {
-                match get(&regs, static_file, $reg) {
-                    RegValue::Index(h) => h.clone(),
-                    other => panic!("expected index register, found {other:?}"),
-                }
-            };
-        }
-
-        // Drops the registers nothing reads after instruction `pc`; a column
-        // this was the last owner of goes back to the arena there and then.
-        let release = |regs: &mut Vec<Option<RegValue<P>>>, pc: usize| {
-            for reg in program.last_reads(pc) {
-                if let Some(value) = regs[reg.0 as usize].take() {
-                    Self::recycle_register(&self.device, value);
-                }
-            }
-        };
 
         for (pc, instr) in program.instructions.iter().enumerate() {
             if iteration > 0
@@ -570,112 +714,20 @@ impl<P: Provenance> Executor<P> {
                 } => {
                     let is_own = compiled.relations.contains(relation);
                     let cacheable = self.options.buffer_reuse && !is_own && *part == DbPart::All;
-                    if cacheable {
-                        if let Some((cols, t)) = load_cache.get(relation) {
-                            for (reg, col) in columns.iter().zip(cols) {
-                                set(&mut regs, *reg, RegValue::Data(col.clone()));
-                            }
-                            set(&mut regs, *tags, RegValue::Tags(t.clone()));
-                            release(&mut regs, pc);
-                            continue;
-                        }
-                    }
-                    // The compiler treats a single-partition load as sorted
-                    // (it may feed a merge join), so the runs are folded
-                    // into one table first: into `stable` itself, or — in a
-                    // seeded run, which must hand `stable` back as it got
-                    // it — among themselves and then, with `stable`, into a
-                    // table that lives for this load only.
-                    let mut merged_stable: Option<SortedTable<P>> = None;
-                    if is_own && *part == DbPart::Stable {
-                        let data = db.relation_data_mut(relation);
-                        if seeded {
-                            let delta =
-                                data.fold_runs(&self.device, &mut stats.update_rows_written);
-                            if !delta.is_empty() {
-                                stats.update_rows_written += data.stable.len() + delta.len();
-                                merged_stable =
-                                    Some(data.stable.merge_disjoint(&self.device, &delta));
-                            }
-                            data.push_run(&self.device, delta, true);
-                        } else {
-                            stats.update_rows_written += data.compact(&self.device);
-                        }
-                    }
-                    let arena = self.device.arena();
-                    // Packed relations are unpacked into wide registers here
-                    // (values stay in *local* symbol space); full-width
-                    // relations and identity layouts copy straight through.
-                    let lanes = db.codec().and_then(|c| c.lanes(relation));
-                    let unpack = |packed: &[Column]| -> Vec<Arc<Column>> {
-                        let lanes = lanes.expect("lanes present");
-                        let refs: Vec<&[u64]> = packed.iter().map(|c| c.as_slice()).collect();
-                        kernels::unpack_columns(&self.device, &refs, lanes, columns.len())
-                            .into_iter()
-                            .map(Arc::new)
-                            .collect()
-                    };
-                    let data = db.relation_data(relation);
-                    let single = match part {
-                        DbPart::Stable => Some(merged_stable.as_ref().unwrap_or(&data.stable)),
-                        DbPart::Recent => Some(&data.recent),
-                        DbPart::All => None,
-                    };
-                    let (cols, tag_vec): (Vec<Arc<Column>>, Arc<Vec<P::Tag>>) = match single {
-                        Some(table) => (
-                            if lanes.is_some() {
-                                unpack(&table.columns)
-                            } else {
-                                table
-                                    .columns
-                                    .iter()
-                                    .map(|c| Arc::new(arena.alloc_copy(exec_sites::LOAD, c)))
-                                    .collect()
-                            },
-                            Arc::new(table.tags.clone()),
-                        ),
+                    let cached = load_cache.get(relation).filter(|_| cacheable);
+                    let mut loaded = None;
+                    let (cols, tag_vec) = match cached {
+                        Some(hit) => hit,
                         None => {
-                            // `all` is compiled as unsorted, so the runs and
-                            // the frontier are simply concatenated — the
-                            // (narrow) stored columns first, then one
-                            // unpack: moving packed bytes is cheaper than
-                            // moving unpacked ones.
-                            let tables =
-                                || data.stable_tables().chain(std::iter::once(&data.recent));
-                            let rows: usize = tables().map(SortedTable::len).sum();
-                            let merged_cols: Vec<Column> = (0..data.stable.columns.len())
-                                .map(|c| {
-                                    let mut merged = arena.alloc_empty(exec_sites::LOAD, rows);
-                                    for table in tables() {
-                                        merged.extend_from_slice(&table.columns[c]);
-                                    }
-                                    merged
-                                })
-                                .collect();
-                            let cols = if lanes.is_some() {
-                                let wide = unpack(&merged_cols);
-                                recycle_columns(&self.device, merged_cols);
-                                wide
-                            } else {
-                                merged_cols.into_iter().map(Arc::new).collect()
-                            };
-                            let mut t = Vec::with_capacity(rows);
-                            for table in tables() {
-                                t.extend(table.tags.iter().cloned());
-                            }
-                            (cols, Arc::new(t))
+                            &*loaded.insert(self.load(db, relation, *part, is_own, seeded, stats))
                         }
                     };
-                    if let Some(merged) = merged_stable {
-                        merged.recycle(&self.device);
-                    }
-                    self.device.record_kernel();
-                    for (reg, col) in columns.iter().zip(&cols) {
+                    for (reg, col) in columns.iter().zip(cols) {
                         set(&mut regs, *reg, RegValue::Data(col.clone()));
                     }
                     set(&mut regs, *tags, RegValue::Tags(tag_vec.clone()));
-                    if cacheable {
-                        load_cache.insert(relation.clone(), (cols, tag_vec));
+                    if let Some(loaded) = loaded.filter(|_| cacheable) {
+                        load_cache.insert(relation.clone(), loaded);
                     }
                 }
                 Instr::Store {
@@ -683,14 +735,24 @@ impl<P: Provenance> Executor<P> {
                     columns,
                     tags,
                 } => {
-                    let cols: Vec<Arc<Column>> = columns.iter().map(|r| data!(*r)).collect();
-                    let tag_vec = tags!(*tags);
-                    // The registers this store is the last to read die
-                    // before the rows are staged, so a buffer nothing else
-                    // holds is staged as it is. One that is still shared —
-                    // a cached load, a register a columnar copy aliased, a
+                    // The registers this store is the last to read leave the
+                    // file as they are read, so a buffer nothing else holds
+                    // is staged as it is. One that is still shared — a
+                    // cached load, a register a columnar copy aliased, a
                     // later store — is copied.
-                    release(&mut regs, pc);
+                    let last = program.last_reads(pc);
+                    let mut take = |reg: RegId| {
+                        let slot = &mut regs[reg.0 as usize];
+                        let value = if last.contains(&reg) {
+                            slot.take()
+                        } else {
+                            slot.clone()
+                        };
+                        value.expect("register read before write")
+                    };
+                    let cols: Vec<Arc<Column>> =
+                        columns.iter().map(|r| take(*r).data().clone()).collect();
+                    let tag_vec = take(*tags).tags().clone();
                     let arena = self.device.arena();
                     let staged = if tag_vec.iter().all(|t| self.provenance.accept(t)) {
                         let cols = cols
@@ -779,24 +841,24 @@ impl<P: Provenance> Executor<P> {
                     static_,
                 } => {
                     let use_static = *static_ && self.options.static_registers;
-                    if use_static && static_file.contains_key(index) {
-                        release(&mut regs, pc);
-                        continue;
-                    }
-                    let key_cols: Vec<Arc<Column>> = keys.iter().map(|r| data!(*r)).collect();
-                    let key_refs: Vec<&[u64]> = key_cols.iter().map(|c| c.as_slice()).collect();
-                    let built = HashIndex::build(
-                        &self.device,
-                        &key_refs,
-                        self.device.config().hash_table_expansion,
-                    );
-                    self.device.try_alloc(built.size_bytes())?;
-                    self.device.free(built.size_bytes());
-                    let value = RegValue::Index(Arc::new(built));
-                    if use_static {
-                        static_file.insert(*index, value);
-                    } else {
-                        set(&mut regs, *index, value);
+                    if !(use_static && static_file.contains_key(index)) {
+                        let key_refs: Vec<&[u64]> = keys
+                            .iter()
+                            .map(|r| get(&regs, static_file, *r).data().as_slice())
+                            .collect();
+                        let built = HashIndex::build(
+                            &self.device,
+                            &key_refs,
+                            self.device.config().hash_table_expansion,
+                        );
+                        self.device.try_alloc(built.size_bytes())?;
+                        self.device.free(built.size_bytes());
+                        let value = RegValue::Index(Arc::new(built));
+                        if use_static {
+                            static_file.insert(*index, value);
+                        } else {
+                            set(&mut regs, *index, value);
+                        }
                     }
                 }
                 Instr::Count {
@@ -804,11 +866,9 @@ impl<P: Provenance> Executor<P> {
                     probe_keys,
                     counts,
                 } => {
-                    let idx = index!(*index);
-                    let probe_cols: Vec<Arc<Column>> =
-                        probe_keys.iter().map(|r| data!(*r)).collect();
-                    let probe_refs: Vec<&[u64]> = probe_cols.iter().map(|c| c.as_slice()).collect();
-                    let result = kernels::count_matches(&self.device, &idx, &probe_refs);
+                    let idx = get(&regs, static_file, *index).index();
+                    let probe_refs = columns_of(&regs, static_file, probe_keys);
+                    let result = kernels::count_matches(&self.device, idx, &probe_refs);
                     set(&mut regs, *counts, RegValue::Data(Arc::new(result)));
                 }
                 Instr::Scan { counts, offsets } => {
@@ -816,101 +876,26 @@ impl<P: Provenance> Executor<P> {
                     let (result, _total) = kernels::scan(&self.device, &input);
                     set(&mut regs, *offsets, RegValue::Data(Arc::new(result)));
                 }
-                Instr::Join {
-                    index,
-                    probe_keys,
-                    counts,
-                    offsets,
-                    build_indices,
-                    probe_indices,
-                } => {
-                    let idx = index!(*index);
-                    let probe_cols: Vec<Arc<Column>> =
-                        probe_keys.iter().map(|r| data!(*r)).collect();
-                    let probe_refs: Vec<&[u64]> = probe_cols.iter().map(|c| c.as_slice()).collect();
-                    let count_vec = data!(*counts);
-                    let offset_vec = data!(*offsets);
-                    let (bi, pi) = kernels::hash_join(
-                        &self.device,
-                        &idx,
-                        &probe_refs,
-                        &count_vec,
-                        &offset_vec,
-                        scan_total(&count_vec, &offset_vec),
-                    );
-                    set(&mut regs, *build_indices, RegValue::Data(Arc::new(bi)));
-                    set(&mut regs, *probe_indices, RegValue::Data(Arc::new(pi)));
+                Instr::Join { index, write } => {
+                    let build = JoinBuild::Hash(get(&regs, static_file, *index).index());
+                    let (cols, tag_vec) = self.join(&regs, static_file, build, write);
+                    set_table(&mut regs, &write.outputs, cols, write.output_tags, tag_vec);
                 }
                 Instr::MergeCount {
                     build_keys,
                     probe_keys,
                     counts,
                 } => {
-                    let build_cols: Vec<Arc<Column>> =
-                        build_keys.iter().map(|r| data!(*r)).collect();
-                    let build_refs: Vec<&[u64]> = build_cols.iter().map(|c| c.as_slice()).collect();
-                    let probe_cols: Vec<Arc<Column>> =
-                        probe_keys.iter().map(|r| data!(*r)).collect();
-                    let probe_refs: Vec<&[u64]> = probe_cols.iter().map(|c| c.as_slice()).collect();
+                    let build_refs = columns_of(&regs, static_file, build_keys);
+                    let probe_refs = columns_of(&regs, static_file, probe_keys);
                     let result = kernels::merge_count(&self.device, &build_refs, &probe_refs);
                     set(&mut regs, *counts, RegValue::Data(Arc::new(result)));
                 }
-                Instr::MergeJoin {
-                    build_keys,
-                    probe_keys,
-                    counts,
-                    offsets,
-                    build_indices,
-                    probe_indices,
-                } => {
-                    let build_cols: Vec<Arc<Column>> =
-                        build_keys.iter().map(|r| data!(*r)).collect();
-                    let build_refs: Vec<&[u64]> = build_cols.iter().map(|c| c.as_slice()).collect();
-                    let probe_cols: Vec<Arc<Column>> =
-                        probe_keys.iter().map(|r| data!(*r)).collect();
-                    let probe_refs: Vec<&[u64]> = probe_cols.iter().map(|c| c.as_slice()).collect();
-                    let count_vec = data!(*counts);
-                    let offset_vec = data!(*offsets);
-                    let (bi, pi) = kernels::merge_join(
-                        &self.device,
-                        &build_refs,
-                        &probe_refs,
-                        &count_vec,
-                        &offset_vec,
-                        scan_total(&count_vec, &offset_vec),
-                    );
-                    set(&mut regs, *build_indices, RegValue::Data(Arc::new(bi)));
-                    set(&mut regs, *probe_indices, RegValue::Data(Arc::new(pi)));
-                }
-                Instr::Gather {
-                    indices,
-                    sources,
-                    destinations,
-                } => {
-                    let idx = data!(*indices);
-                    for (src, dst) in sources.iter().zip(destinations) {
-                        let source = data!(*src);
-                        let gathered = kernels::gather(&self.device, &idx, &source);
-                        set(&mut regs, *dst, RegValue::Data(Arc::new(gathered)));
-                    }
-                }
-                Instr::GatherMulTags {
-                    left_indices,
-                    right_indices,
-                    left_tags,
-                    right_tags,
-                    output,
-                } => {
-                    let li = data!(*left_indices);
-                    let ri = data!(*right_indices);
-                    let lt = tags!(*left_tags);
-                    let rt = tags!(*right_tags);
-                    let prov = self.provenance.clone();
-                    let result =
-                        kernels::gather_mul_tags(&self.device, &li, &ri, &lt, &rt, |a, b| {
-                            prov.mul(a, b)
-                        });
-                    set(&mut regs, *output, RegValue::Tags(Arc::new(result)));
+                Instr::MergeJoin { build_keys, write } => {
+                    let build_refs = columns_of(&regs, static_file, build_keys);
+                    let build = JoinBuild::Sorted(&build_refs);
+                    let (cols, tag_vec) = self.join(&regs, static_file, build, write);
+                    set_table(&mut regs, &write.outputs, cols, write.output_tags, tag_vec);
                 }
                 Instr::Product {
                     left,
@@ -978,7 +963,15 @@ impl<P: Provenance> Executor<P> {
                     set(&mut regs, *output_tags, RegValue::Tags(Arc::new(out_tags)));
                 }
             }
-            release(&mut regs, pc);
+            // The registers nothing reads after this instruction die here —
+            // the one place they do, with every handle the arm took on them
+            // already dropped — and a column this was the last owner of goes
+            // back to the arena there and then.
+            for reg in program.last_reads(pc) {
+                if let Some(value) = regs[reg.0 as usize].take() {
+                    Self::recycle_register(&self.device, value);
+                }
+            }
         }
         // Register sweep: whatever outlived its last reader (registers of a
         // skipped instruction, a non-static index) dies with the iteration.
@@ -1010,13 +1003,30 @@ impl<P: Provenance> Executor<P> {
     }
 }
 
-/// The match total a `Scan` computed over `counts`: an exclusive prefix sum
-/// ends one count short of it.
-fn scan_total(counts: &[u64], offsets: &[u64]) -> u64 {
-    match (offsets.last(), counts.last()) {
-        (Some(&offset), Some(&count)) => offset + count,
-        _ => 0,
+/// The columns a list of data registers holds.
+fn columns_of<'a, P: Provenance>(
+    regs: &'a [Option<RegValue<P>>],
+    static_file: &'a HashMap<RegId, RegValue<P>>,
+    columns: &[RegId],
+) -> Vec<&'a [u64]> {
+    columns
+        .iter()
+        .map(|reg| get(regs, static_file, *reg).data().as_slice())
+        .collect()
+}
+
+/// Writes a table an instruction produced into its destination registers.
+fn set_table<P: Provenance>(
+    regs: &mut [Option<RegValue<P>>],
+    outputs: &[RegId],
+    columns: Vec<Column>,
+    output_tags: RegId,
+    tags: Vec<P::Tag>,
+) {
+    for (reg, column) in outputs.iter().zip(columns) {
+        regs[reg.0 as usize] = Some(RegValue::Data(Arc::new(column)));
     }
+    regs[output_tags.0 as usize] = Some(RegValue::Tags(Arc::new(tags)));
 }
 
 #[cfg(test)]
@@ -1212,6 +1222,54 @@ mod tests {
         );
         // Ablation sanity: without reuse, allocations scale with iterations.
         assert!(fresh(160, false) > fresh(80, false) + 80);
+
+        // Iteration by iteration, with the fused join: a run capped at k + 1
+        // iterations differs from one capped at k by iteration k alone. On a
+        // cycle every frontier is as long as the first, so from the fourth
+        // iteration on — once `stable`, a frontier and a candidate all
+        // exist — an iteration allocates nothing fresh, except the
+        // O(log iterations) ones that add a live run, which pin exactly its
+        // two columns. A register freed instead of recycled (one released
+        // while its instruction still held a handle on it) would show as a
+        // fresh column in every iteration.
+        fn fresh_by_cap<Q: Provenance>(prov: &Q, tag: impl Fn(u32) -> Q::Tag) -> Vec<usize> {
+            let compiled = parse(LINEAR_TC).unwrap();
+            let nodes = 120u32;
+            (1..=40)
+                .map(|cap| {
+                    let device = Device::sequential();
+                    let mut db = Database::new(compiled.ram.schemas.clone(), prov.clone());
+                    for i in 0..nodes {
+                        let edge = [Value::U32(i), Value::U32((i + 1) % nodes)];
+                        db.insert("edge", &edge, tag(i));
+                    }
+                    db.seal(&device);
+                    let options = RuntimeOptions {
+                        max_iterations: cap,
+                        ..RuntimeOptions::default()
+                    };
+                    let exec = Executor::new(device.clone(), prov.clone(), options);
+                    let outcome = exec.run_program(&mut db, &compiled.ram);
+                    assert_eq!(outcome, Err(ExecError::IterationLimit { limit: cap }));
+                    device.arena().stats().fresh_columns
+                })
+                .collect()
+        }
+        let unit = fresh_by_cap(&Unit::new(), |_| ());
+        let minmax = fresh_by_cap(&MaxMinProb::new(), |i| 0.2 + f64::from(i % 7) / 10.0);
+        for by_cap in [unit, minmax] {
+            let steady: Vec<usize> = by_cap[3..].windows(2).map(|w| w[1] - w[0]).collect();
+            assert!(
+                steady.iter().all(|&delta| delta == 0 || delta == 2),
+                "fresh columns per steady-state iteration: {steady:?}"
+            );
+            let new_runs = steady.iter().filter(|&&delta| delta == 2).count();
+            assert!(
+                new_runs <= 1 + steady.len().ilog2() as usize,
+                "{new_runs} iterations of {} allocated fresh columns: {steady:?}",
+                steady.len()
+            );
+        }
     }
 
     const LINEAR_TC: &str = "type edge(x: u32, y: u32)

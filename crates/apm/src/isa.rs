@@ -44,6 +44,78 @@ impl fmt::Display for DbPart {
     }
 }
 
+/// One output column of a join: a column register of the build or of the
+/// probe side, read at the matching row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum JoinSource {
+    /// A build-side column register.
+    Build(RegId),
+    /// A probe-side column register.
+    Probe(RegId),
+}
+
+impl JoinSource {
+    /// The column register read.
+    pub fn register(self) -> RegId {
+        match self {
+            JoinSource::Build(reg) | JoinSource::Probe(reg) => reg,
+        }
+    }
+}
+
+/// The operands `join` and `mergejoin` share: what the write pass reads
+/// besides the build side, and what it writes. The output table is
+/// `sources` column by column — the compiler lists exactly the columns
+/// something downstream reads, so a join key that the next projection drops
+/// is never written — tagged `left ⊗ right`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct JoinWrite {
+    /// Probe key column registers.
+    pub probe_keys: Vec<RegId>,
+    /// Counts register (from `count` / `mergecount`).
+    pub counts: RegId,
+    /// Offsets register (from `scan`).
+    pub offsets: RegId,
+    /// Where each output column comes from, in output order.
+    pub sources: Vec<JoinSource>,
+    /// Build-side tag register.
+    pub build_tags: RegId,
+    /// Probe-side tag register.
+    pub probe_tags: RegId,
+    /// Whether the build side is the join's *left* input: an output tag is
+    /// `build ⊗ probe` when set, `probe ⊗ build` otherwise.
+    pub build_is_left: bool,
+    /// Destination column registers, one per source.
+    pub outputs: Vec<RegId>,
+    /// Destination tag register.
+    pub output_tags: RegId,
+}
+
+impl JoinWrite {
+    fn defs(&self) -> Vec<RegId> {
+        let mut regs = self.outputs.clone();
+        regs.push(self.output_tags);
+        regs
+    }
+
+    fn for_each_register(&self, f: impl FnMut(RegId)) {
+        let sources = self.sources.iter().map(|source| source.register());
+        self.probe_keys
+            .iter()
+            .copied()
+            .chain(sources)
+            .chain(self.outputs.iter().copied())
+            .chain([
+                self.counts,
+                self.offsets,
+                self.build_tags,
+                self.probe_tags,
+                self.output_tags,
+            ])
+            .for_each(f);
+    }
+}
+
 /// One APM instruction.
 ///
 /// Register operands are written `Vec<RegId>` when the instruction operates
@@ -115,20 +187,13 @@ pub enum Instr {
         /// Destination offsets register.
         offsets: RegId,
     },
-    /// `[i_l, i_r] ← join⟨W⟩(b̄, ā, h, c, o)`: emit matching index pairs.
+    /// `[d̄, d_t] ← join⟨W⟩(b̄, ā, h, c, o)`: the write pass of a hash join —
+    /// emits the output columns and the ⊗-ed tags of every match directly.
     Join {
         /// Register holding the hash index (build side).
         index: RegId,
-        /// Probe key column registers.
-        probe_keys: Vec<RegId>,
-        /// Counts register (from `count`).
-        counts: RegId,
-        /// Offsets register (from `scan`).
-        offsets: RegId,
-        /// Destination register for build-side row indices.
-        build_indices: RegId,
-        /// Destination register for probe-side row indices.
-        probe_indices: RegId,
+        /// What to write (shared with `mergejoin`).
+        write: JoinWrite,
     },
     /// `c ← mergecount(b̄, ā)`: per-probe-row match counts by binary search
     /// over a *sorted* build side — the merge-path counterpart of `count`.
@@ -143,45 +208,14 @@ pub enum Instr {
         /// Destination register for the counts.
         counts: RegId,
     },
-    /// `[i_l, i_r] ← mergejoin⟨W⟩(b̄, ā, c, o)`: emit matching index pairs
-    /// of a sort-merge join. Bit-identical output to `join` (same pairs,
-    /// same order, same positions).
+    /// `[d̄, d_t] ← mergejoin⟨W⟩(b̄, ā, c, o)`: the write pass of a
+    /// sort-merge join. Bit-identical output to `join` (same rows, same
+    /// order, same tags).
     MergeJoin {
         /// Build-side key column registers (lexicographically sorted).
         build_keys: Vec<RegId>,
-        /// Probe key column registers.
-        probe_keys: Vec<RegId>,
-        /// Counts register (from `mergecount`).
-        counts: RegId,
-        /// Offsets register (from `scan`).
-        offsets: RegId,
-        /// Destination register for build-side row indices.
-        build_indices: RegId,
-        /// Destination register for probe-side row indices.
-        probe_indices: RegId,
-    },
-    /// `d̄ ← gather(i, s̄)`: gather rows of the source columns by index.
-    Gather {
-        /// Index register.
-        indices: RegId,
-        /// Source column registers.
-        sources: Vec<RegId>,
-        /// Destination column registers.
-        destinations: Vec<RegId>,
-    },
-    /// `d_t ← gather⟨⊗⟩([i_l, i_r], [t_l, t_r])`: gather one tag from each
-    /// side of a join and combine them with the semiring conjunction.
-    GatherMulTags {
-        /// Build-side index register.
-        left_indices: RegId,
-        /// Probe-side index register.
-        right_indices: RegId,
-        /// Build-side tag register.
-        left_tags: RegId,
-        /// Probe-side tag register.
-        right_tags: RegId,
-        /// Destination tag register.
-        output: RegId,
+        /// What to write (shared with `join`).
+        write: JoinWrite,
     },
     /// Cartesian product of two tables (used when a rule joins relations with
     /// no shared variables).
@@ -225,8 +259,6 @@ impl Instr {
             Instr::Join { .. } => "join",
             Instr::MergeCount { .. } => "mergecount",
             Instr::MergeJoin { .. } => "mergejoin",
-            Instr::Gather { .. } => "gather",
-            Instr::GatherMulTags { .. } => "gather_mul",
             Instr::Product { .. } => "product",
             Instr::Append { .. } => "append",
         }
@@ -253,23 +285,8 @@ impl Instr {
             Instr::Build { index, .. } => vec![*index],
             Instr::Count { counts, .. } => vec![*counts],
             Instr::Scan { offsets, .. } => vec![*offsets],
-            Instr::Join {
-                build_indices,
-                probe_indices,
-                ..
-            } => {
-                vec![*build_indices, *probe_indices]
-            }
             Instr::MergeCount { counts, .. } => vec![*counts],
-            Instr::MergeJoin {
-                build_indices,
-                probe_indices,
-                ..
-            } => {
-                vec![*build_indices, *probe_indices]
-            }
-            Instr::Gather { destinations, .. } => destinations.clone(),
-            Instr::GatherMulTags { output, .. } => vec![*output],
+            Instr::Join { write, .. } | Instr::MergeJoin { write, .. } => write.defs(),
             Instr::Product {
                 outputs,
                 output_tags,
@@ -326,16 +343,9 @@ impl Instr {
                 all(&[*index, *counts]);
             }
             Instr::Scan { counts, offsets } => all(&[*counts, *offsets]),
-            Instr::Join {
-                index,
-                probe_keys,
-                counts,
-                offsets,
-                build_indices,
-                probe_indices,
-            } => {
-                all(probe_keys);
-                all(&[*index, *counts, *offsets, *build_indices, *probe_indices]);
+            Instr::Join { index, write } => {
+                all(&[*index]);
+                write.for_each_register(f);
             }
             Instr::MergeCount {
                 build_keys,
@@ -346,40 +356,10 @@ impl Instr {
                 all(probe_keys);
                 all(&[*counts]);
             }
-            Instr::MergeJoin {
-                build_keys,
-                probe_keys,
-                counts,
-                offsets,
-                build_indices,
-                probe_indices,
-            } => {
+            Instr::MergeJoin { build_keys, write } => {
                 all(build_keys);
-                all(probe_keys);
-                all(&[*counts, *offsets, *build_indices, *probe_indices]);
+                write.for_each_register(f);
             }
-            Instr::Gather {
-                indices,
-                sources,
-                destinations,
-            } => {
-                all(sources);
-                all(destinations);
-                all(&[*indices]);
-            }
-            Instr::GatherMulTags {
-                left_indices,
-                right_indices,
-                left_tags,
-                right_tags,
-                output,
-            } => all(&[
-                *left_indices,
-                *right_indices,
-                *left_tags,
-                *right_tags,
-                *output,
-            ]),
             Instr::Product {
                 left,
                 left_tags,
@@ -529,18 +509,37 @@ impl ApmProgram {
 mod tests {
     use super::*;
 
+    /// `r1 ⋈ r4` keyed on the probe column `r1`, writing (probe `r1`, build
+    /// `r5`) into `r8, r9` and the tags into `r10`.
+    fn join_write() -> JoinWrite {
+        JoinWrite {
+            probe_keys: vec![RegId(1)],
+            counts: RegId(2),
+            offsets: RegId(3),
+            sources: vec![JoinSource::Probe(RegId(1)), JoinSource::Build(RegId(5))],
+            build_tags: RegId(6),
+            probe_tags: RegId(7),
+            build_is_left: false,
+            outputs: vec![RegId(8), RegId(9)],
+            output_tags: RegId(10),
+        }
+    }
+
     #[test]
     fn defs_cover_written_registers() {
         let instr = Instr::Join {
             index: RegId(0),
-            probe_keys: vec![RegId(1)],
-            counts: RegId(2),
-            offsets: RegId(3),
-            build_indices: RegId(4),
-            probe_indices: RegId(5),
+            write: join_write(),
         };
-        assert_eq!(instr.defs(), vec![RegId(4), RegId(5)]);
+        assert_eq!(instr.defs(), vec![RegId(8), RegId(9), RegId(10)]);
         assert_eq!(instr.mnemonic(), "join");
+        // Liveness sees every operand: the index, the keys, both sides'
+        // source columns and tags, and what is written.
+        let mut mentioned = Vec::new();
+        instr.for_each_register(|reg| mentioned.push(reg.0));
+        mentioned.sort_unstable();
+        mentioned.dedup();
+        assert_eq!(mentioned, [0, 1, 2, 3, 5, 6, 7, 8, 9, 10]);
     }
 
     #[test]
@@ -553,15 +552,14 @@ mod tests {
         assert_eq!(count.defs(), vec![RegId(2)]);
         assert_eq!(count.mnemonic(), "mergecount");
         let join = Instr::MergeJoin {
-            build_keys: vec![RegId(0)],
-            probe_keys: vec![RegId(1)],
-            counts: RegId(2),
-            offsets: RegId(3),
-            build_indices: RegId(4),
-            probe_indices: RegId(5),
+            build_keys: vec![RegId(4)],
+            write: join_write(),
         };
-        assert_eq!(join.defs(), vec![RegId(4), RegId(5)]);
+        assert_eq!(join.defs(), vec![RegId(8), RegId(9), RegId(10)]);
         assert_eq!(join.mnemonic(), "mergejoin");
+        let mut mentioned = Vec::new();
+        join.for_each_register(|reg| mentioned.push(reg.0));
+        assert!(mentioned.contains(&4) && mentioned.contains(&5));
     }
 
     #[test]

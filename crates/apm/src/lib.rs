@@ -37,4 +37,4 @@ pub use config::{fnv1a, fnv1a_extend, RuntimeOptions};
 pub use database::{Database, EncodingSpec, SortedTable};
 pub use executor::{ExecError, ExecutionStats, Executor};
 pub use incremental::{refresh_database, EdbContent, Refresh, RelationChange};
-pub use isa::{ApmProgram, DbPart, Instr, RegId};
+pub use isa::{ApmProgram, DbPart, Instr, JoinSource, JoinWrite, RegId};

@@ -1,31 +1,54 @@
-//! The partitioned open-addressing hash index used for joins.
+//! The partitioned, key-grouped hash index used for joins.
 //!
 //! Section 5.1 of the paper: the join kernel relies on a GPU hash table with
 //! open addressing and linear probing, storing *indices back into the source
 //! table* rather than fact data, so the join's complexity is decoupled from
 //! the width of the input relations. This module reproduces that structure on
-//! the simulated device — sharded into hash **partitions** so that the
-//! build parallelizes while keeping matches in ascending build-row order:
+//! the simulated device with one refinement: the table holds one slot per
+//! distinct **key**, not per build row, and a slot names a contiguous range
+//! of a row-id array grouped by key. A probe therefore ends at the first
+//! slot whose key matches — it never walks a cluster of duplicates — and a
+//! key's matches are one slice. A partition of the index is one device
+//! buffer holding four arrays back to back:
+//!
+//! ```text
+//! slots     open addressing over the low hash bits: group + 1, 0 = empty
+//! starts    starts[g]..starts[g + 1] is group g's range of row_ids
+//! row_ids   the partition's build rows grouped by key, ascending in a group
+//! keys      column c of group g's key, column after column
+//! ```
+//!
+//! The build is the join's own count → scan → fill shape applied to the
+//! build side ([`group_partition`]): one pass finds or opens each row's
+//! group and counts it, a prefix sum turns the counts into range starts,
+//! and a second pass over the rows — in ascending order — drops every row
+//! id at its group's cursor. One buffer per partition means a small table,
+//! rebuilt in every iteration of a stratum whose build side changes, costs
+//! one arena round trip.
+//!
+//! The slot space is sharded into hash **partitions** so that the build
+//! parallelizes:
 //!
 //! * [`HashIndex::build`] distributes rows over `P` partitions by the *top*
 //!   bits of the key hash (the slot within a partition uses the low bits, so
-//!   the two never alias), then builds every partition's slot table in
+//!   the two never alias), then allocates and groups every partition in
 //!   parallel on the device's worker pool. `P` is chosen from the row count
-//!   alone — never from the device parallelism — so the index *structure* is
-//!   identical whatever device built it.
-//! * The probe is the paper's: one hash per probe row, which picks the
-//!   partition and the slot, then one linear-probing walk
-//!   ([`kernels::count_matches`](crate::kernels::count_matches) /
-//!   [`kernels::hash_join`](crate::kernels::hash_join) chunk the probe rows
-//!   over the worker pool). There is no second probe algorithm.
+//!   alone — never from the device parallelism — so the index *structure*
+//!   is identical whatever device built it.
+//! * The probe is one hash per probe row, which picks the partition and the
+//!   slot, then one linear-probing walk over *distinct keys* to the matching
+//!   group ([`kernels::count_matches`](crate::kernels::count_matches) /
+//!   [`kernels::join_write`](crate::kernels::join_write) chunk the probe
+//!   rows over the worker pool). There is no second probe algorithm.
 //!
 //! # Determinism
 //!
-//! A row's partition and slot depend only on its key hash and the row count,
-//! and rows are inserted into each partition in ascending global row order,
-//! so every probe still enumerates matches in **ascending build-row order**
-//! (the invariant the merge-join path and provenance folding rely on) and
-//! the whole index is bit-identical across device parallelism.
+//! A row's partition and group depend only on the keys and the row count,
+//! groups are numbered in order of their first row, and the fill pass visits
+//! rows in ascending global order, so every probe enumerates matches in
+//! **ascending build-row order** by construction (the invariant the
+//! merge-join path and provenance folding rely on) and the whole index is
+//! bit-identical across device parallelism.
 //!
 //! The partition function uses the top bits of the same multiplicative mix
 //! hash the slots use, *not* `lobster_apm::fnv1a` — the apm crate depends on
@@ -51,6 +74,12 @@ const PARTITION_TARGET_ROWS: usize = 8192;
 
 /// Hard cap on partitions, bounding per-chunk histogram size.
 const MAX_PARTITIONS: usize = 512;
+
+/// Rows up to which a partition's build keeps its per-row scratch on the
+/// stack: the tables a stratum rebuilds an index over in every iteration
+/// are mostly this small, and a second arena round trip would be a fifth of
+/// their build.
+const STACK_SCRATCH_ROWS: usize = 64;
 
 fn mix(h: u64, k: u64) -> u64 {
     (h ^ k.wrapping_mul(HASH_MULT))
@@ -82,26 +111,50 @@ fn default_partitions(rows: usize) -> usize {
     }
 }
 
-/// One hash partition: an open-addressing slot table over the rows whose
-/// hash tops map here. Slots store `row_index + 1` (0 means empty).
-#[derive(Debug, Clone)]
+/// One hash partition: the rows whose hash tops map here, grouped by key,
+/// in one buffer — `slots`, `starts`, `row_ids`, `keys` back to back (see
+/// the module docs). Groups are numbered within the partition; row ids are
+/// rows of the whole build side.
+#[derive(Debug, Clone, PartialEq)]
 struct Partition {
-    slots: Column,
-    mask: u64,
+    table: Column,
+    /// Slots in the open-addressing table, a power of two.
+    capacity: usize,
+    /// Build rows in this partition.
+    rows: usize,
+}
+
+impl Partition {
+    fn slots(&self) -> &[u64] {
+        &self.table[..self.capacity]
+    }
+
+    /// The row ids of group `group`, ascending.
+    fn group_rows(&self, group: usize) -> &[u64] {
+        let starts = &self.table[self.capacity..][..self.rows + 1];
+        let row_ids = &self.table[self.capacity + self.rows + 1..][..self.rows];
+        &row_ids[starts[group] as usize..starts[group + 1] as usize]
+    }
+
+    /// Column `column` of group `group`'s key.
+    fn key(&self, column: usize, group: usize) -> u64 {
+        self.table[self.capacity + (2 + column) * self.rows + 1 + group]
+    }
 }
 
 /// A hash index over the first `w` columns of a build-side table.
 ///
-/// Slots store `row_index + 1` (0 means empty). Duplicate keys occupy
-/// separate slots along the probe chain, so a probe enumerates *all* matching
-/// build rows — exactly what a relational join needs.
+/// One slot per distinct key; a slot names the key's *group*, whose build
+/// rows are one slice of row ids in ascending order — exactly what a
+/// relational join needs, found without walking the duplicates (see the
+/// module docs for the layout).
 ///
-/// The index owns a copy of the key columns it was built from, which is what
-/// allows it to be stored in a *static register* (Section 4.2) and reused
-/// across fix-point iterations even though the transient registers of the
-/// previous iteration have been discarded.
+/// The index owns a copy of every distinct key it was built from, which is
+/// what allows it to be stored in a *static register* (Section 4.2) and
+/// reused across fix-point iterations even though the transient registers of
+/// the previous iteration have been discarded.
 ///
-/// The slot space is split over hash partitions (see the module docs); use
+/// The slot space is split over hash partitions; use
 /// [`HashIndex::partitions`] to observe the partition count.
 #[derive(Debug, Clone)]
 pub struct HashIndex {
@@ -109,7 +162,7 @@ pub struct HashIndex {
     /// Partition of hash `h` is `h >> shift`; `shift == 64` means a single
     /// partition (shifts of 64 are not evaluated — see [`HashIndex::part_of`]).
     shift: u32,
-    keys: Vec<Column>,
+    key_width: usize,
     rows: usize,
 }
 
@@ -145,98 +198,51 @@ impl HashIndex {
             .clamp(1, MAX_PARTITIONS)
             .next_power_of_two()
             .min(MAX_PARTITIONS);
-        let arena = device.arena();
-        let keys: Vec<Column> = key_columns
-            .iter()
-            .map(|c| arena.alloc_copy(sites::JOIN_INDEX, c))
-            .collect();
-        let shift = 64 - partitions.trailing_zeros();
-        if partitions == 1 || rows == 0 {
+        let (parts, shift) = if partitions == 1 || rows == 0 {
             let start = Instant::now();
-            let part = build_one_partition(
+            let part = group_partition(
                 device,
                 0..rows,
                 |row| hash_cols(key_columns, row),
+                key_columns,
                 expansion,
             );
             device.record_busy(start.elapsed());
-            return HashIndex {
-                parts: vec![part],
-                shift: 64,
-                keys,
-                rows,
-            };
-        }
-        // Pass 1: hash every row once.
-        let mut hashes = arena.alloc_zeroed(sites::JOIN_BUILD, rows);
-        par_map_into(device, &mut hashes, |row| hash_cols(key_columns, row));
-        // Pass 2: stable scatter of row ids grouped by partition — ascending
-        // global row order within each partition, which is what preserves
-        // the ascending-match invariant.
-        let ranges = chunks_for(device, rows);
-        let chunks = ranges.len();
-        let histograms: Vec<Vec<usize>> = map_chunks(device, &ranges, |_, range| {
-            let mut h = vec![0usize; partitions];
-            for &hv in &hashes[range] {
-                h[(hv >> shift) as usize] += 1;
-            }
-            h
-        });
-        let mut grouped = arena.alloc_zeroed(sites::JOIN_BUILD, rows);
-        let mut part_bounds = Vec::with_capacity(partitions);
-        {
-            // Carve `grouped` into (partition, chunk) buckets in destination
-            // order and regroup per chunk, exactly like the radix-sort
-            // scatter in `kernels::radix_pass`.
-            let mut per_chunk: Vec<Vec<&mut [u64]>> = (0..chunks)
-                .map(|_| Vec::with_capacity(partitions))
-                .collect();
-            let mut rest = grouped.as_mut_slice();
-            let mut consumed = 0usize;
-            for p in 0..partitions {
-                let part_start = consumed;
-                for (c, h) in histograms.iter().enumerate() {
-                    let (head, tail) = rest.split_at_mut(h[p]);
-                    per_chunk[c].push(head);
-                    rest = tail;
-                    consumed += h[p];
-                }
-                part_bounds.push(part_start..consumed);
-            }
-            debug_assert!(rest.is_empty());
-            run_chunks(
-                device,
-                &ranges,
-                per_chunk,
-                |_, range, mut slices: Vec<&mut [u64]>| {
-                    let mut cursors = vec![0usize; partitions];
-                    for i in range {
-                        let p = (hashes[i] >> shift) as usize;
-                        slices[p][cursors[p]] = i as u64;
-                        cursors[p] += 1;
-                    }
-                },
-            );
-        }
-        // Pass 3: build every partition's slot table in parallel — one pool
-        // task per partition, so partitions of uneven size self-balance.
-        let part_ranges: Vec<Range<usize>> = (0..partitions).map(|p| p..p + 1).collect();
-        let parts: Vec<Partition> = map_chunks(device, &part_ranges, |p, _| {
-            build_one_partition(
-                device,
-                grouped[part_bounds[p].clone()]
-                    .iter()
-                    .map(|&row| row as usize),
-                |row| hashes[row],
-                expansion,
-            )
-        });
-        arena.recycle(sites::JOIN_BUILD, hashes);
-        arena.recycle(sites::JOIN_BUILD, grouped);
+            (vec![part], 64)
+        } else {
+            let shift = 64 - partitions.trailing_zeros();
+            let arena = device.arena();
+            // Pass 1: hash every row once.
+            let mut hashes = arena.alloc_zeroed(sites::JOIN_BUILD, rows);
+            par_map_into(device, &mut hashes, |row| hash_cols(key_columns, row));
+            // Pass 2: stable scatter of row ids grouped by partition —
+            // ascending global row order within each partition, which is
+            // the order the grouping below visits them in.
+            let (by_partition, part_bounds) =
+                scatter_by_partition(device, &hashes, shift, partitions);
+            // Pass 3: allocate and group every partition in parallel — one
+            // pool task per partition, so partitions of uneven size
+            // self-balance.
+            let part_ranges: Vec<Range<usize>> = (0..partitions).map(|p| p..p + 1).collect();
+            let parts: Vec<Partition> = map_chunks(device, &part_ranges, |p, _| {
+                group_partition(
+                    device,
+                    by_partition[part_bounds[p].clone()]
+                        .iter()
+                        .map(|&row| row as usize),
+                    |row| hashes[row],
+                    key_columns,
+                    expansion,
+                )
+            });
+            arena.recycle(sites::JOIN_BUILD, hashes);
+            arena.recycle(sites::JOIN_BUILD, by_partition);
+            (parts, shift)
+        };
         HashIndex {
             parts,
             shift,
-            keys,
+            key_width: key_columns.len(),
             rows,
         }
     }
@@ -253,7 +259,7 @@ impl HashIndex {
 
     /// Number of slots in the table, summed over partitions.
     pub fn capacity(&self) -> usize {
-        self.parts.iter().map(|p| p.slots.len()).sum()
+        self.parts.iter().map(|p| p.capacity).sum()
     }
 
     /// Number of hash partitions the slot space is split into.
@@ -263,28 +269,21 @@ impl HashIndex {
 
     /// Width of the join key in columns.
     pub fn key_width(&self) -> usize {
-        self.keys.len()
+        self.key_width
     }
 
-    /// Approximate number of bytes the index occupies on the device.
+    /// Approximate number of bytes the index occupies on the device: the
+    /// slot tables, the range starts, the row ids and the group keys.
     pub fn size_bytes(&self) -> usize {
-        (self.capacity() + self.keys.len() * self.rows) * std::mem::size_of::<u64>()
+        let words: usize = self.parts.iter().map(|p| p.table.len()).sum();
+        words * std::mem::size_of::<u64>()
     }
 
-    /// Returns the index's buffers (slot tables and owned key copies) to the
-    /// device arena; call when the index is dead so the next build reuses
-    /// them.
+    /// Returns the index's buffers to the device arena; call when the index
+    /// is dead so the next build reuses them.
     pub fn recycle(self, device: &Device) {
-        let arena = device.arena();
         for part in self.parts {
-            if part.slots.capacity() > 0 {
-                arena.recycle(sites::JOIN_INDEX, part.slots);
-            }
-        }
-        for key in self.keys {
-            if key.capacity() > 0 {
-                arena.recycle(sites::JOIN_INDEX, key);
-            }
+            device.arena().recycle(sites::JOIN_INDEX, part.table);
         }
     }
 
@@ -297,123 +296,219 @@ impl HashIndex {
         }
     }
 
-    fn row_matches(&self, row: usize, key: &[u64]) -> bool {
-        self.keys.iter().zip(key).all(|(col, &k)| col[row] == k)
-    }
-
-    fn row_matches_cols(&self, row: usize, probe_cols: &[&[u64]], probe_row: usize) -> bool {
-        self.keys
-            .iter()
-            .zip(probe_cols)
-            .all(|(col, probe)| col[row] == probe[probe_row])
-    }
-
-    /// Walks the probe chain of hash `h` inside `part`, calling `f` on every
-    /// stored row that passes `matches`.
-    fn probe_chain(
-        &self,
-        part: usize,
-        h: u64,
-        matches: impl Fn(usize) -> bool,
-        mut f: impl FnMut(usize),
-    ) {
-        let part = &self.parts[part];
-        if part.slots.is_empty() {
-            return;
-        }
-        let mut slot = (h & part.mask) as usize;
+    /// The one probe walk: the row ids of the group whose key has hash `h`
+    /// and whose key columns `key_is` accepts (called with a column number
+    /// and that column of a candidate group's key), found by linear probing
+    /// over distinct keys from the slot `h` names; empty when an empty slot
+    /// comes first.
+    fn probe(&self, h: u64, key_is: impl Fn(usize, u64) -> bool) -> &[u64] {
+        let part = &self.parts[self.part_of(h)];
+        let slots = part.slots();
+        let mask = slots.len() - 1;
+        let mut slot = h as usize & mask;
         loop {
-            let entry = part.slots[slot];
+            let entry = slots[slot];
             if entry == 0 {
-                return;
+                return &[];
             }
-            let row = (entry - 1) as usize;
-            if matches(row) {
-                f(row);
+            let group = (entry - 1) as usize;
+            if (0..self.key_width).all(|column| key_is(column, part.key(column, group))) {
+                return part.group_rows(group);
             }
-            slot = (slot + 1) & part.mask as usize;
+            slot = (slot + 1) & mask;
         }
     }
 
-    /// Counts the build rows whose key equals `key`.
-    pub fn count(&self, key: &[u64]) -> usize {
-        let mut n = 0;
-        self.for_each_match(key, |_| n += 1);
-        n
-    }
-
-    /// Counts the build rows matching row `probe_row` of the probe key
-    /// columns — the probe-side hot path; no key buffer is materialized.
-    pub fn count_cols(&self, probe_cols: &[&[u64]], probe_row: usize) -> usize {
-        let mut n = 0;
-        self.for_each_match_cols(probe_cols, probe_row, |_| n += 1);
-        n
-    }
-
-    /// Invokes `f` with the index of every build row whose key equals `key`,
-    /// in **ascending build-row order**.
+    /// The build rows whose key equals `key`, in **ascending build-row
+    /// order**.
     ///
-    /// This is an invariant, not an accident: [`HashIndex::build`] inserts
-    /// each partition's rows in ascending global row order with linear
-    /// probing and nothing is ever deleted, so a later duplicate of a key
-    /// always lands strictly further along the probe chain than an earlier
-    /// one (duplicates share a hash, hence a partition), and the probe walk
-    /// visits them oldest-first. The merge-path join
+    /// This is an invariant, and it holds by construction: the build's fill
+    /// pass visits rows in ascending global order and appends each to its
+    /// group's range (duplicates of a key share a hash, hence a partition
+    /// and a group), and nothing is ever deleted. The merge-path join
     /// ([`kernels::merge_join`](crate::kernels::merge_join)) emits matches
     /// of a sorted build side in the same ascending order, which is what
     /// makes the two join paths bit-identical downstream — provenance tag
     /// combination during dedup folds duplicates in candidate-row order.
+    pub fn matches(&self, key: &[u64]) -> &[u64] {
+        debug_assert_eq!(key.len(), self.key_width);
+        self.probe(hash_key(key), |column, k| key[column] == k)
+    }
+
+    /// [`HashIndex::matches`] keyed by row `probe_row` of the probe columns,
+    /// hashing and comparing straight from column storage — the probe-side
+    /// hot path; no key buffer is materialized.
+    pub fn matches_cols(&self, probe_cols: &[&[u64]], probe_row: usize) -> &[u64] {
+        debug_assert_eq!(probe_cols.len(), self.key_width);
+        self.probe(hash_cols(probe_cols, probe_row), |column, k| {
+            probe_cols[column][probe_row] == k
+        })
+    }
+
+    /// Counts the build rows whose key equals `key`.
+    pub fn count(&self, key: &[u64]) -> usize {
+        self.matches(key).len()
+    }
+
+    /// Counts the build rows matching row `probe_row` of the probe key
+    /// columns: one slot lookup, no row id is read.
+    pub fn count_cols(&self, probe_cols: &[&[u64]], probe_row: usize) -> usize {
+        self.matches_cols(probe_cols, probe_row).len()
+    }
+
+    /// Invokes `f` with the index of every build row whose key equals `key`,
+    /// in ascending build-row order: a walk of [`HashIndex::matches`].
     pub fn for_each_match(&self, key: &[u64], f: impl FnMut(usize)) {
-        if self.rows == 0 {
-            return;
-        }
-        let h = hash_key(key);
-        self.probe_chain(self.part_of(h), h, |row| self.row_matches(row, key), f);
+        self.matches(key)
+            .iter()
+            .map(|&row| row as usize)
+            .for_each(f);
     }
 
     /// [`HashIndex::for_each_match`] keyed by row `probe_row` of the probe
-    /// columns, hashing and comparing straight from column storage.
+    /// columns: a walk of [`HashIndex::matches_cols`].
     pub fn for_each_match_cols(
         &self,
         probe_cols: &[&[u64]],
         probe_row: usize,
         f: impl FnMut(usize),
     ) {
-        if self.rows == 0 {
-            return;
-        }
-        let h = hash_cols(probe_cols, probe_row);
-        self.probe_chain(
-            self.part_of(h),
-            h,
-            |row| self.row_matches_cols(row, probe_cols, probe_row),
-            f,
-        );
+        self.matches_cols(probe_cols, probe_row)
+            .iter()
+            .map(|&row| row as usize)
+            .for_each(f);
     }
 }
 
-/// Builds one partition's slot table over the given row ids (`row_hash`
-/// recomputes or looks up a row's full hash). Rows must arrive in ascending
-/// order — the caller's scatter guarantees it — so probe chains enumerate
-/// matches oldest-first.
-fn build_one_partition(
+/// Stable scatter of `0..hashes.len()` by partition (`hash >> shift`): the
+/// row ids grouped by partition, ascending inside each, and every
+/// partition's range of them. Carves the output into (partition, chunk)
+/// buckets in destination order and regroups per chunk, exactly like the
+/// radix-sort scatter in `kernels::radix_pass`.
+fn scatter_by_partition(
     device: &Device,
-    row_ids: impl ExactSizeIterator<Item = usize>,
+    hashes: &[u64],
+    shift: u32,
+    partitions: usize,
+) -> (Column, Vec<Range<usize>>) {
+    let rows = hashes.len();
+    let ranges = chunks_for(device, rows);
+    let histograms: Vec<Vec<usize>> = map_chunks(device, &ranges, |_, range| {
+        let mut h = vec![0usize; partitions];
+        for &hv in &hashes[range] {
+            h[(hv >> shift) as usize] += 1;
+        }
+        h
+    });
+    let mut grouped = device.arena().alloc_zeroed(sites::JOIN_BUILD, rows);
+    let mut part_bounds = Vec::with_capacity(partitions);
+    let mut per_chunk: Vec<Vec<&mut [u64]>> = (0..ranges.len())
+        .map(|_| Vec::with_capacity(partitions))
+        .collect();
+    let mut rest = grouped.as_mut_slice();
+    let mut consumed = 0usize;
+    for p in 0..partitions {
+        let part_start = consumed;
+        for (c, h) in histograms.iter().enumerate() {
+            let (head, tail) = rest.split_at_mut(h[p]);
+            per_chunk[c].push(head);
+            rest = tail;
+            consumed += h[p];
+        }
+        part_bounds.push(part_start..consumed);
+    }
+    debug_assert!(rest.is_empty());
+    run_chunks(
+        device,
+        &ranges,
+        per_chunk,
+        |_, range, mut slices: Vec<&mut [u64]>| {
+            let mut cursors = vec![0usize; partitions];
+            for i in range {
+                let p = (hashes[i] >> shift) as usize;
+                slices[p][cursors[p]] = i as u64;
+                cursors[p] += 1;
+            }
+        },
+    );
+    (grouped, part_bounds)
+}
+
+/// Builds one partition: groups `rows` — its row ids in ascending order —
+/// by key into a buffer of its own, count → scan → fill. `row_hash`
+/// recomputes or looks up a row's full hash.
+fn group_partition(
+    device: &Device,
+    rows: impl ExactSizeIterator<Item = usize> + Clone,
     row_hash: impl Fn(usize) -> u64,
+    key_columns: &[&[u64]],
     expansion: usize,
 ) -> Partition {
-    let n = row_ids.len();
+    let n = rows.len();
     let capacity = (n.max(1) * expansion.max(1)).next_power_of_two().max(8);
-    let mask = capacity as u64 - 1;
-    let mut slots = device.arena().alloc_zeroed(sites::JOIN_INDEX, capacity);
-    for row in row_ids {
-        let mut slot = (row_hash(row) & mask) as usize;
-        while slots[slot] != 0 {
-            slot = (slot + 1) & mask as usize;
-        }
-        slots[slot] = row as u64 + 1;
+    let arena = device.arena();
+    let mut table = arena.alloc_zeroed(
+        sites::JOIN_INDEX,
+        capacity + (2 + key_columns.len()) * n + 1,
+    );
+    let (slots, rest) = table.split_at_mut(capacity);
+    let (starts, rest) = rest.split_at_mut(n + 1);
+    let (row_ids, keys) = rest.split_at_mut(n);
+    // `ends[g]` is `starts[g + 1]`: group `g`'s count, then its start, then
+    // its end, as the three steps go by.
+    let ends = &mut starts[1..];
+    // Every row's group, between the two passes over the rows.
+    let mut on_stack = [0; STACK_SCRATCH_ROWS];
+    let mut pooled = None;
+    let group_of = match on_stack.get_mut(..n) {
+        Some(scratch) => scratch,
+        None => pooled.insert(arena.alloc_zeroed(sites::JOIN_BUILD, n)),
+    };
+    // Count: a row joins the group its key already has or opens the next
+    // one, so groups are numbered by first row.
+    let mask = capacity - 1;
+    let mut groups = 0;
+    for (row, group_of_row) in rows.clone().zip(group_of.iter_mut()) {
+        let mut slot = row_hash(row) as usize & mask;
+        let group = loop {
+            let entry = slots[slot] as usize;
+            if entry == 0 {
+                slots[slot] = groups as u64 + 1;
+                for (c, key) in key_columns.iter().enumerate() {
+                    keys[c * n + groups] = key[row];
+                }
+                groups += 1;
+                break groups - 1;
+            }
+            let same_key = |(c, key): (usize, &&[u64])| keys[c * n + entry - 1] == key[row];
+            if key_columns.iter().enumerate().all(same_key) {
+                break entry - 1;
+            }
+            slot = (slot + 1) & mask;
+        };
+        ends[group] += 1;
+        *group_of_row = group as u64;
     }
-    Partition { slots, mask }
+    // Scan: `ends[g]` becomes the start of group `g`'s range …
+    let mut start = 0;
+    for end in &mut ends[..groups] {
+        start += std::mem::replace(end, start);
+    }
+    // … and fill moves it to the range's end: rows arrive ascending, so
+    // every group's row ids do.
+    for (row, &group) in rows.zip(group_of.iter()) {
+        let cursor = &mut ends[group as usize];
+        row_ids[*cursor as usize] = row as u64;
+        *cursor += 1;
+    }
+    if let Some(scratch) = pooled {
+        arena.recycle(sites::JOIN_BUILD, scratch);
+    }
+    Partition {
+        table,
+        capacity,
+        rows: n,
+    }
 }
 
 #[cfg(test)]
@@ -569,9 +664,9 @@ mod tests {
 
     #[test]
     fn identical_devices_build_identical_partition_tables() {
-        // Stronger than match-equivalence: the slot tables themselves are a
-        // pure function of (rows, expansion, partitions), never of device
-        // parallelism.
+        // Stronger than match-equivalence: the slot tables and the group
+        // arrays themselves are a pure function of (rows, expansion,
+        // partitions), never of device parallelism.
         let seq = Device::sequential();
         let par = Device::new(crate::DeviceConfig {
             parallelism: 5,
@@ -582,9 +677,6 @@ mod tests {
         let a = HashIndex::build(&seq, &[&col], 2);
         let b = HashIndex::build(&par, &[&col], 2);
         assert_eq!(a.partitions(), b.partitions());
-        for (pa, pb) in a.parts.iter().zip(&b.parts) {
-            assert_eq!(pa.mask, pb.mask);
-            assert_eq!(pa.slots, pb.slots);
-        }
+        assert_eq!(a.parts, b.parts);
     }
 }

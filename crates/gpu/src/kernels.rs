@@ -30,14 +30,15 @@
 //!   concatenated output equals the sequential walk. Where
 //!   [`difference_runs`] gallops through a long run it lands on the same
 //!   lower bounds the walk would have reached.
-//! * [`eval`], the gathers, and [`hash_join`] write each output element as a
-//!   pure function of its input row(s) into disjoint, position-stable
+//! * [`eval`], the gathers, and [`join_write`] write each output element as
+//!   a pure function of its input row(s) into disjoint, position-stable
 //!   output ranges.
-//! * [`count_matches`] and [`hash_join`] probe the index once per probe row,
-//!   in probe-row order; a [`HashIndex`] enumerates a key's matches in
-//!   ascending build-row order whatever its partition count, so the output
-//!   is (probe row ascending, build row ascending within it) for every
-//!   index structure and parallelism.
+//! * [`count_matches`] and [`join_write`] probe the index once per probe
+//!   row, in probe-row order; a [`HashIndex`] holds a key's matches as one
+//!   range of row ids in ascending build-row order whatever its partition
+//!   count — the order a sorted build side's run has — so the output is
+//!   (probe row ascending, build row ascending within it) for every index
+//!   structure, join strategy and parallelism.
 //!
 //! Parallel execution runs on the device's persistent worker pool
 //! ([`crate::pool`]); no kernel spawns threads per launch.
@@ -75,19 +76,20 @@ pub mod sites {
     pub const EVAL_OUT: usize = 9;
     /// Gather output columns.
     pub const GATHER_OUT: usize = 10;
-    /// Hash-join output index columns.
+    /// Hash-join output columns.
     pub const JOIN_OUT: usize = 11;
     /// Append output columns.
     pub const APPEND_OUT: usize = 12;
     /// Count-matches output column.
     pub const COUNT_OUT: usize = 13;
-    /// Hash-index slot tables and owned key copies.
+    /// Hash-index slot tables, group keys, range starts and row ids.
     pub const JOIN_INDEX: usize = 14;
     /// Merge-join count output column.
     pub const MERGE_COUNT_OUT: usize = 15;
-    /// Merge-join output index columns.
+    /// Merge-join output columns.
     pub const MERGE_JOIN_OUT: usize = 16;
-    /// Partitioned hash-index build scratch (row hashes, grouped row ids).
+    /// Hash-index build scratch (every row's group; row hashes and row ids
+    /// by partition when there are several).
     pub const JOIN_BUILD: usize = 17;
     /// Pack-columns output (dictionary-encoded narrow words).
     pub const PACK_OUT: usize = 19;
@@ -288,35 +290,6 @@ fn gather_tags_inner<T: Clone + Send + Sync>(
             .collect()
     });
     concat_pieces(pieces, indices.len())
-}
-
-/// `gather⟨⊗⟩([i_l, i_r], [t_l, t_r])`: gathers a tag from each side of a
-/// join and combines them with the semiring conjunction.
-pub fn gather_mul_tags<T, F>(
-    device: &Device,
-    left_indices: &[u64],
-    right_indices: &[u64],
-    left_tags: &[T],
-    right_tags: &[T],
-    mul: F,
-) -> Vec<T>
-where
-    T: Clone + Send + Sync,
-    F: Fn(&T, &T) -> T + Sync,
-{
-    let _t = device.launch(KernelKind::Other);
-    debug_assert_eq!(left_indices.len(), right_indices.len());
-    let ranges = chunks_for(device, left_indices.len());
-    let pieces: Vec<Vec<T>> = map_chunks(device, &ranges, |_, range| {
-        range
-            .map(|k| {
-                let l = &left_tags[left_indices[k] as usize];
-                let r = &right_tags[right_indices[k] as usize];
-                mul(l, r)
-            })
-            .collect()
-    });
-    concat_pieces(pieces, left_indices.len())
 }
 
 fn concat_pieces<T>(pieces: Vec<Vec<T>>, total: usize) -> Vec<T> {
@@ -1198,14 +1171,93 @@ pub fn count_matches(device: &Device, index: &HashIndex, probe_key_cols: &[&[u64
     out
 }
 
-/// `join⟨W⟩(b̄, ā, h, c, o)`: produces the matching index pairs of a hash
-/// join. Returns `(build_indices, probe_indices)`, where output rows for
-/// probe row `i` occupy positions `offsets[i] .. offsets[i] + counts[i]`.
+/// Where one output column of a join's write pass comes from. A join
+/// output row is a (build row, probe row) pair; a column of it is a column
+/// of either side read at that row, or the row index itself.
+#[derive(Debug, Clone, Copy)]
+pub enum JoinColumn<'a> {
+    /// `out[k] = column[build row of k]`.
+    Build(&'a [u64]),
+    /// `out[k] = column[probe row of k]`.
+    Probe(&'a [u64]),
+    /// `out[k] = build row of k` — what [`hash_join`] / [`merge_join`]
+    /// return first.
+    BuildRow,
+    /// `out[k] = probe row of k` — what they return second.
+    ProbeRow,
+}
+
+/// The build side of a join, which is also what finds a probe row's matches
+/// for the write pass: the two *range providers* of [`join_write`].
+#[derive(Debug, Clone, Copy)]
+pub enum JoinBuild<'a> {
+    /// A hash index over the build key columns: a probe row's matches are a
+    /// slice of the index's row ids ([`HashIndex::matches_cols`]).
+    Hash(&'a HashIndex),
+    /// The build key columns themselves, lexicographically sorted: a probe
+    /// row's matches are the run `lo..lo + count` of build rows, `lo` found
+    /// by galloping from the previous probe row's.
+    Sorted(&'a [&'a [u64]]),
+}
+
+/// What the write pass of a join emits, after `count` and `scan` have sized
+/// it: output rows for probe row `i` occupy positions
+/// `offsets[i]..offsets[i] + counts[i]`, each one `columns` wide and tagged
+/// with the conjunction of its build row's and its probe row's tag.
+#[derive(Debug)]
+pub struct JoinWrite<'a, T> {
+    /// Per-probe-row match counts ([`count_matches`] / [`merge_count`]).
+    pub counts: &'a [u64],
+    /// Their exclusive prefix sum ([`scan`]).
+    pub offsets: &'a [u64],
+    /// The output columns, in output order.
+    pub columns: &'a [JoinColumn<'a>],
+    /// Tags of the build side, by build row.
+    pub build_tags: &'a [T],
+    /// Tags of the probe side, by probe row.
+    pub probe_tags: &'a [T],
+}
+
+/// `join⟨W⟩(b̄, ā, h, c, o)`: the write pass of a join, hash or merge. Emits
+/// the output *columns* and `mul(build tag, probe tag)` of every matching
+/// (build row, probe row) pair directly — no index pairs are materialized
+/// and nothing is gathered afterwards, so a column nobody asked for is
+/// never written. Returns the columns in `write.columns` order and the
+/// tags.
 ///
-/// Each worker owns the contiguous output range its probe rows map to
-/// (`offsets` is monotone), writing full-width `u64` indices directly — no
-/// per-row buffers and no packing, so row indices are never truncated
-/// however large the tables grow.
+/// Output rows are in probe-row order with a probe row's matches in
+/// ascending build-row order, for both [`JoinBuild`]s: downstream sorting,
+/// provenance tag combination and dedup see byte-identical inputs whichever
+/// one ran.
+pub fn join_write<T, F>(
+    device: &Device,
+    build: JoinBuild<'_>,
+    probe_key_cols: &[&[u64]],
+    write: &JoinWrite<'_, T>,
+    mul: F,
+) -> (Columns, Vec<T>)
+where
+    T: Send + Sync,
+    F: Fn(&T, &T) -> T + Sync,
+{
+    let _t = device.launch(KernelKind::Join);
+    write_matches(
+        device,
+        build,
+        probe_key_cols,
+        write.counts,
+        write.offsets,
+        write.columns,
+        |build_row, probe_row| mul(&write.build_tags[build_row], &write.probe_tags[probe_row]),
+    )
+}
+
+/// The matching index pairs of a hash join: `(build_indices,
+/// probe_indices)`, output rows for probe row `i` at positions
+/// `offsets[i] .. offsets[i] + counts[i]`. The pair-writing instantiation of
+/// [`join_write`]'s loop — its two columns are the row indices themselves,
+/// written as full-width `u64`s, so they are never truncated however large
+/// the tables grow.
 pub fn hash_join(
     device: &Device,
     index: &HashIndex,
@@ -1215,45 +1267,173 @@ pub fn hash_join(
     total: u64,
 ) -> (Column, Column) {
     let _t = device.launch(KernelKind::Join);
+    write_pairs(
+        device,
+        JoinBuild::Hash(index),
+        probe_key_cols,
+        counts,
+        offsets,
+        total,
+    )
+}
+
+/// [`hash_join`] / [`merge_join`] inside their launch.
+fn write_pairs(
+    device: &Device,
+    build: JoinBuild<'_>,
+    probe_key_cols: &[&[u64]],
+    counts: &[u64],
+    offsets: &[u64],
+    total: u64,
+) -> (Column, Column) {
+    debug_assert_eq!(total as usize, scan_total(counts, offsets));
+    let columns = [JoinColumn::BuildRow, JoinColumn::ProbeRow];
+    let (pairs, _) = write_matches(
+        device,
+        build,
+        probe_key_cols,
+        counts,
+        offsets,
+        &columns,
+        |_, _| (),
+    );
+    let [build_out, probe_out]: [Column; 2] = pairs.try_into().expect("two columns asked for");
+    (build_out, probe_out)
+}
+
+/// The match total a [`scan`] computed over `counts`: an exclusive prefix
+/// sum ends one count short of it.
+fn scan_total(counts: &[u64], offsets: &[u64]) -> usize {
+    match (offsets.last(), counts.last()) {
+        (Some(&offset), Some(&count)) => (offset + count) as usize,
+        _ => 0,
+    }
+}
+
+/// The one join write loop. Each worker owns the contiguous output range its
+/// probe rows map to (`offsets` is monotone); per probe row with matches it
+/// asks the build side for their range, then fills the probe-side columns,
+/// gathers the build-side ones through the range and folds the tags over it.
+/// `tag(build row, probe row)` makes one output tag.
+fn write_matches<T, F>(
+    device: &Device,
+    build: JoinBuild<'_>,
+    probe_key_cols: &[&[u64]],
+    counts: &[u64],
+    offsets: &[u64],
+    columns: &[JoinColumn<'_>],
+    tag: F,
+) -> (Columns, Vec<T>)
+where
+    T: Send,
+    F: Fn(usize, usize) -> T + Sync,
+{
     let len = probe_key_cols.first().map(|c| c.len()).unwrap_or(0);
     debug_assert_eq!(counts.len(), len);
     debug_assert_eq!(offsets.len(), len);
+    let total = scan_total(counts, offsets);
+    let site = match build {
+        JoinBuild::Hash(_) => sites::JOIN_OUT,
+        JoinBuild::Sorted(_) => sites::MERGE_JOIN_OUT,
+    };
     let arena = device.arena();
-    let mut build_out = arena.alloc_zeroed(sites::JOIN_OUT, total as usize);
-    let mut probe_out = arena.alloc_zeroed(sites::JOIN_OUT, total as usize);
+    let mut out_cols: Columns = columns
+        .iter()
+        .map(|_| arena.alloc_zeroed(site, total))
+        .collect();
     let ranges = chunks_for(device, len);
     // A chunk of probe rows owns the contiguous output range
     // `offsets[start] .. offsets[end]`.
     let out_bounds: Vec<Range<usize>> = ranges
         .iter()
         .map(|r| {
-            let start = offsets.get(r.start).copied().unwrap_or(total) as usize;
-            let end = offsets.get(r.end).copied().unwrap_or(total) as usize;
-            start..end
+            let at = |i: usize| offsets.get(i).map_or(total, |&o| o as usize);
+            at(r.start)..at(r.end)
         })
         .collect();
-    let build_slices = split_by_ranges(&mut build_out, &out_bounds);
-    let probe_slices = split_by_ranges(&mut probe_out, &out_bounds);
-    run_chunks(
+    let col_slices = columns_chunked(&mut out_cols, &out_bounds);
+    let pieces: Vec<Vec<T>> = run_chunks(
         device,
         &ranges,
-        build_slices.into_iter().zip(probe_slices).collect(),
-        |_, range, (bs, ps): (&mut [u64], &mut [u64])| {
-            let mut k = 0;
-            for i in range {
-                if counts[i] == 0 {
-                    continue;
+        col_slices,
+        |c, range, outs: Vec<&mut [u64]>| {
+            let tags = Vec::with_capacity(out_bounds[c].len());
+            match build {
+                JoinBuild::Hash(index) => {
+                    write_chunk(range, counts, columns, outs, tags, &tag, |i, _| {
+                        let rows = index.matches_cols(probe_key_cols, i);
+                        rows.iter().map(|&row| row as usize)
+                    })
                 }
-                index.for_each_match_cols(probe_key_cols, i, |build_row| {
-                    bs[k] = build_row as u64;
-                    ps[k] = i as u64;
-                    k += 1;
-                });
+                JoinBuild::Sorted(build_key_cols) => {
+                    // The cursor carries the previous lower bound forward:
+                    // over a sorted probe side the searches degrade into an
+                    // amortized linear merge.
+                    let mut cursor = 0;
+                    write_chunk(range, counts, columns, outs, tags, &tag, |i, n| {
+                        cursor = merge_lower_bound(build_key_cols, probe_key_cols, i, cursor);
+                        debug_assert!(
+                            (cursor..cursor + n).all(|row| cmp_rows(
+                                build_key_cols,
+                                row,
+                                probe_key_cols,
+                                i
+                            ) == Ordering::Equal),
+                            "merge join counts disagree with sorted build run"
+                        );
+                        cursor..cursor + n
+                    })
+                }
             }
-            debug_assert_eq!(k, bs.len(), "counts disagree with probe matches");
         },
     );
-    (build_out, probe_out)
+    (out_cols, concat_pieces(pieces, total))
+}
+
+/// [`write_matches`] over one chunk of probe rows: `matches(i, n)` yields
+/// the `n` build rows matching probe row `i`, ascending.
+fn write_chunk<T, R>(
+    range: Range<usize>,
+    counts: &[u64],
+    columns: &[JoinColumn<'_>],
+    mut outs: Vec<&mut [u64]>,
+    mut tags: Vec<T>,
+    tag: &impl Fn(usize, usize) -> T,
+    mut matches: impl FnMut(usize, usize) -> R,
+) -> Vec<T>
+where
+    R: Iterator<Item = usize> + Clone,
+{
+    let mut k = 0;
+    for i in range {
+        let n = counts[i] as usize;
+        if n == 0 {
+            continue;
+        }
+        let rows = matches(i, n);
+        for (out, column) in outs.iter_mut().zip(columns) {
+            let out = &mut out[k..k + n];
+            match column {
+                JoinColumn::Probe(col) => out.fill(col[i]),
+                JoinColumn::ProbeRow => out.fill(i as u64),
+                JoinColumn::Build(col) => {
+                    for (slot, row) in out.iter_mut().zip(rows.clone()) {
+                        *slot = col[row];
+                    }
+                }
+                JoinColumn::BuildRow => {
+                    for (slot, row) in out.iter_mut().zip(rows.clone()) {
+                        *slot = row as u64;
+                    }
+                }
+            }
+        }
+        tags.extend(rows.map(|row| tag(row, i)));
+        k += n;
+    }
+    debug_assert_eq!(k, tags.len(), "counts disagree with probe matches");
+    debug_assert!(outs.iter().all(|out| out.len() == k));
+    tags
 }
 
 /// First build row whose key is not less than probe row `i`'s key, found by
@@ -1329,17 +1509,10 @@ pub fn merge_count(
 }
 
 /// `mergejoin⟨W⟩(b̄, ā, c, o)`: the matching index pairs of a sort-merge
-/// join over a lexicographically sorted build side. Returns
-/// `(build_indices, probe_indices)` with output rows for probe row `i` at
-/// positions `offsets[i] .. offsets[i] + counts[i]`, exactly like
-/// [`hash_join`].
-///
-/// **Bit-compatibility:** for each probe row the build matches are emitted
-/// in ascending build-row order — the same order [`hash_join`] produces
-/// (linear probing with ascending insertion preserves insertion order, see
-/// `HashIndex::for_each_match_cols`) — so downstream gathers, provenance
-/// tag combination, and dedup see byte-identical inputs whichever join
-/// path ran.
+/// join over a lexicographically sorted build side, laid out exactly like
+/// [`hash_join`]'s and bit-identical to them: the same write loop, asking
+/// the sorted build side for each probe row's run instead of a hash index
+/// for its slice, both in ascending build-row order.
 pub fn merge_join(
     device: &Device,
     build_key_cols: &[&[u64]],
@@ -1349,52 +1522,14 @@ pub fn merge_join(
     total: u64,
 ) -> (Column, Column) {
     let _t = device.launch(KernelKind::Join);
-    let len = probe_key_cols.first().map(|c| c.len()).unwrap_or(0);
-    debug_assert_eq!(counts.len(), len);
-    debug_assert_eq!(offsets.len(), len);
-    let arena = device.arena();
-    let mut build_out = arena.alloc_zeroed(sites::MERGE_JOIN_OUT, total as usize);
-    let mut probe_out = arena.alloc_zeroed(sites::MERGE_JOIN_OUT, total as usize);
-    let ranges = chunks_for(device, len);
-    let out_bounds: Vec<Range<usize>> = ranges
-        .iter()
-        .map(|r| {
-            let start = offsets.get(r.start).copied().unwrap_or(total) as usize;
-            let end = offsets.get(r.end).copied().unwrap_or(total) as usize;
-            start..end
-        })
-        .collect();
-    let build_slices = split_by_ranges(&mut build_out, &out_bounds);
-    let probe_slices = split_by_ranges(&mut probe_out, &out_bounds);
-    run_chunks(
+    write_pairs(
         device,
-        &ranges,
-        build_slices.into_iter().zip(probe_slices).collect(),
-        |_, range, (bs, ps): (&mut [u64], &mut [u64])| {
-            let mut k = 0;
-            let mut cursor = 0;
-            for i in range {
-                let n = counts[i] as usize;
-                if n == 0 {
-                    continue;
-                }
-                let lo = merge_lower_bound(build_key_cols, probe_key_cols, i, cursor);
-                cursor = lo;
-                for build_row in lo..lo + n {
-                    debug_assert_eq!(
-                        cmp_rows(build_key_cols, build_row, probe_key_cols, i),
-                        Ordering::Equal,
-                        "merge_join counts disagree with sorted build run"
-                    );
-                    bs[k] = build_row as u64;
-                    ps[k] = i as u64;
-                    k += 1;
-                }
-            }
-            debug_assert_eq!(k, bs.len(), "counts disagree with probe matches");
-        },
-    );
-    (build_out, probe_out)
+        JoinBuild::Sorted(build_key_cols),
+        probe_key_cols,
+        counts,
+        offsets,
+        total,
+    )
 }
 
 /// Debug check that rows are lexicographically non-decreasing.
@@ -1530,15 +1665,6 @@ mod tests {
         let tags = vec!["a", "b", "c"];
         assert_eq!(gather(&d, &[2, 0, 0], &col), vec![30, 10, 10]);
         assert_eq!(gather_tags(&d, &[1, 1, 2], &tags), vec!["b", "b", "c"]);
-    }
-
-    #[test]
-    fn gather_mul_tags_combines_sides() {
-        let d = dev();
-        let left = vec![2.0f64, 3.0];
-        let right = vec![10.0f64, 100.0];
-        let out = gather_mul_tags(&d, &[0, 1], &[1, 0], &left, &right, |a, b| a * b);
-        assert_eq!(out, vec![200.0, 30.0]);
     }
 
     #[test]
@@ -1679,6 +1805,36 @@ mod tests {
         let mut pairs: Vec<(u64, u64)> = bi.iter().copied().zip(pi.iter().copied()).collect();
         pairs.sort_unstable();
         assert_eq!(pairs, vec![(0, 0), (0, 1), (1, 0), (1, 1)]);
+    }
+
+    #[test]
+    fn join_write_emits_columns_and_multiplied_tags() {
+        let d = dev();
+        // path(x, z) probes edge(z, y) and keeps (x, y): the key column is
+        // not among the columns written.
+        let (edge_z, edge_y) = (vec![1u64, 1, 2], vec![10u64, 11, 12]);
+        let (path_x, path_z) = (vec![0u64, 5, 6], vec![1u64, 3, 2]);
+        let (edge_tags, path_tags) = (vec![2.0f64, 3.0, 5.0], vec![10.0f64, 100.0, 1000.0]);
+        let index = HashIndex::build(&d, &[&edge_z], 2);
+        let counts = count_matches(&d, &index, &[&path_z]);
+        let (offsets, _) = scan(&d, &counts);
+        let write = JoinWrite {
+            counts: &counts,
+            offsets: &offsets,
+            columns: &[JoinColumn::Probe(&path_x), JoinColumn::Build(&edge_y)],
+            build_tags: &edge_tags,
+            probe_tags: &path_tags,
+        };
+        let want_cols = vec![vec![0, 0, 6], vec![10, 11, 12]];
+        // `mul(build tag, probe tag)`, operands in that order.
+        let want_tags = vec![2.0 - 10.0, 3.0 - 10.0, 5.0 - 1000.0];
+        let sub = |b: &f64, p: &f64| b - p;
+        let hash = join_write(&d, JoinBuild::Hash(&index), &[&path_z], &write, sub);
+        assert_eq!(hash, (want_cols.clone(), want_tags.clone()));
+        // The build side is sorted on the key, so the merge path applies.
+        assert_eq!(merge_count(&d, &[&edge_z], &[&path_z]), counts);
+        let merge = join_write(&d, JoinBuild::Sorted(&[&edge_z]), &[&path_z], &write, sub);
+        assert_eq!(merge, (want_cols, want_tags));
     }
 
     #[test]

@@ -15,16 +15,21 @@
 //! The kernel library mirrors the APM instruction set of Table 1:
 //!
 //! * [`kernels::eval`] — per-row projection/selection (row-level parallelism),
-//! * [`kernels::gather`] / [`kernels::gather_mul_tags`] — index gathers,
+//! * [`kernels::gather`] / [`kernels::gather_tags`] — index gathers,
 //! * [`kernels::scan`] — exclusive prefix sum,
 //! * [`kernels::sort_permutation`] (parallel LSD radix sort with a parallel
 //!   merge-sort fallback for wide rows), [`kernels::unique`],
 //!   [`kernels::merge`], [`kernels::difference`] — sorted-table maintenance
 //!   for semi-naive evaluation,
-//! * [`HashIndex`] with [`kernels::count_matches`] and [`kernels::hash_join`]
-//!   — the open-addressing, linear-probing hash join of Section 5.1,
+//! * [`HashIndex`] with [`kernels::count_matches`] and
+//!   [`kernels::join_write`] — the open-addressing, linear-probing hash join
+//!   of Section 5.1: one slot per distinct key over row ids grouped by key,
 //!   partitioned over hash buckets so the index build parallelizes; every
-//!   probe row is hashed and probed once, directly.
+//!   probe row is hashed and probed once and finds its matches as one
+//!   contiguous range. The write pass emits output columns and ⊗-ed tags
+//!   directly; after [`kernels::merge_count`] the same loop runs over a
+//!   sorted build side with no index at all, and [`kernels::hash_join`] /
+//!   [`kernels::merge_join`] are its pair-writing instantiation.
 //!
 //! All kernels produce bit-identical output whatever the configured
 //! parallelism — see the [`kernels`] module docs for the determinism

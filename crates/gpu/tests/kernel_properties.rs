@@ -245,9 +245,6 @@ fn scan_eval_gathers_agree_with_sequential() {
         let (seq_eval_cols, seq_eval_src) = kernels::eval(&seq, rows, 2, eval_fn);
         let seq_gather = kernels::gather(&seq, &indices, &data);
         let seq_gtags = kernels::gather_tags(&seq, &indices, &tags);
-        let seq_mul = kernels::gather_mul_tags(&seq, &indices, &indices, &tags, &tags, |a, b| {
-            a.mul_add(*b, 1.0)
-        });
 
         for parallelism in PARALLELISMS {
             let par = parallel_device(parallelism);
@@ -267,13 +264,6 @@ fn scan_eval_gathers_agree_with_sequential() {
                 &kernels::gather_tags(&par, &indices, &tags),
                 &seq_gtags,
                 &format!("gather_tags: {ctx}"),
-            );
-            assert_bits(
-                &kernels::gather_mul_tags(&par, &indices, &indices, &tags, &tags, |a, b| {
-                    a.mul_add(*b, 1.0)
-                }),
-                &seq_mul,
-                &format!("gather_mul_tags: {ctx}"),
             );
         }
     }
@@ -448,6 +438,244 @@ fn partitioned_hash_join_is_bit_identical_to_monolithic() {
                     assert_eq!(bi, want_bi, "hash_join build indices: {ctx}");
                     assert_eq!(pi, want_pi, "hash_join probe indices: {ctx}");
                     index.recycle(&par);
+                }
+            }
+        }
+    }
+}
+
+/// The test-local index of a build side: for every key, the rows holding it
+/// in ascending order, found by one walk over the rows.
+type RowsOfKey = std::collections::BTreeMap<Vec<u64>, Vec<usize>>;
+
+/// A build side whose keys each occur 1 to 64 times, the occurrences
+/// scattered over the table: `keys` distinct keys of `width` columns, with
+/// its [`RowsOfKey`].
+fn duplicated_keys(rng: &mut Rng, keys: usize, width: usize) -> (Vec<Vec<u64>>, RowsOfKey) {
+    let mut rows: Vec<Vec<u64>> = Vec::new();
+    for k in 0..keys as u64 {
+        // Distinct in the first column alone, so the second one is free to
+        // collide across keys.
+        let key: Vec<u64> = (0..width as u64)
+            .map(|c| if c == 0 { k * 7 + 3 } else { rng.below(4) })
+            .collect();
+        // Every count from 1 to 64 occurs, the two ends first.
+        let copies = match k {
+            0 => 1,
+            1 => 64,
+            _ => 1 + rng.below(64),
+        };
+        rows.extend((0..copies).map(|_| key.clone()));
+    }
+    for i in (1..rows.len()).rev() {
+        rows.swap(i, rng.below(i as u64 + 1) as usize);
+    }
+    let mut rows_of_key = RowsOfKey::new();
+    for (row, key) in rows.iter().enumerate() {
+        rows_of_key.entry(key.clone()).or_default().push(row);
+    }
+    let cols = (0..width)
+        .map(|c| rows.iter().map(|key| key[c]).collect())
+        .collect();
+    (cols, rows_of_key)
+}
+
+/// One slot per distinct key over row ids grouped by key: whatever the
+/// number of duplicates, the partition count and the parallelism of the
+/// build, a probe must walk exactly the rows that hold its key, ascending —
+/// the order the oracle's walk over the rows found them in — and count them
+/// without walking.
+#[test]
+fn grouped_index_enumerates_the_oracles_ascending_rows() {
+    for width in [1usize, 2] {
+        let mut rng = Rng::new(0x600d + width as u64);
+        let (build_cols, rows_of_key) = duplicated_keys(&mut rng, 150, width);
+        let build_rows = build_cols[0].len();
+        assert!(rows_of_key.values().any(|rows| rows.len() == 1));
+        assert!(rows_of_key.values().any(|rows| rows.len() == 64));
+        // Probe every key there is, and as many that are absent — some of
+        // them differing from a present key in the last column only.
+        let mut probe_keys: Vec<Vec<u64>> = rows_of_key.keys().cloned().collect();
+        for key in rows_of_key.keys() {
+            let mut absent = key.clone();
+            *absent.last_mut().expect("width > 0") += 1000;
+            probe_keys.push(absent);
+        }
+        let probe_cols: Vec<Vec<u64>> = (0..width)
+            .map(|c| probe_keys.iter().map(|key| key[c]).collect())
+            .collect();
+        for parallelism in [1usize, 4] {
+            let device = parallel_device(parallelism);
+            for partitions in [1usize, 2, 8] {
+                let ctx = format!("width {width}, p {parallelism}, P {partitions}");
+                let index =
+                    HashIndex::build_partitioned(&device, &refs(&build_cols), 2, partitions);
+                assert_eq!(index.partitions(), partitions, "{ctx}");
+                assert_eq!(index.len(), build_rows, "{ctx}");
+                for (i, key) in probe_keys.iter().enumerate() {
+                    let want = rows_of_key.get(key).cloned().unwrap_or_default();
+                    let mut got = Vec::new();
+                    index.for_each_match_cols(&refs(&probe_cols), i, |row| got.push(row));
+                    assert_eq!(got, want, "for_each_match_cols of {key:?}: {ctx}");
+                    assert_eq!(
+                        index.count_cols(&refs(&probe_cols), i),
+                        want.len(),
+                        "count_cols of {key:?}: {ctx}"
+                    );
+                    let mut by_key = Vec::new();
+                    index.for_each_match(key, |row| by_key.push(row));
+                    assert_eq!(by_key, want, "for_each_match of {key:?}: {ctx}");
+                    assert_eq!(index.count(key), want.len(), "count of {key:?}: {ctx}");
+                }
+                index.recycle(&device);
+            }
+        }
+    }
+}
+
+/// A tag conjunction that is neither commutative nor associative, so a
+/// swapped operand or a reordered match shows in the bits.
+fn tag_mul(build: &f64, probe: &f64) -> f64 {
+    build.mul_add(3.0, *probe * 0.5)
+}
+
+/// The fused write pass must emit what the unfused pipeline did — index
+/// pairs, a gather per column, a `mul` over the gathered tags — computed
+/// here from the nested-loop oracle with plain indexing: same columns, same
+/// tags, same order, bit for bit. On the hash path over a build side with 1
+/// to 64 scattered duplicates per key at partitions 1 / 2 / 8, and on both
+/// paths over the same table sorted, at parallelism 1 / 4. The pair-returning
+/// kernels are the same loop and must return the oracle's pairs.
+#[test]
+fn fused_join_write_equals_pairs_gather_mul_from_the_oracle() {
+    use kernels::{JoinBuild, JoinColumn, JoinWrite};
+    let seq = Device::sequential();
+    for width in [1usize, 2] {
+        let mut rng = Rng::new(0xf00d + width as u64);
+        let (scattered_keys, rows_of_key) = duplicated_keys(&mut rng, 60, width);
+        let build_rows = scattered_keys[0].len();
+        let (payload, build_tags) = random_table(&mut rng, build_rows, 2, 1 << 40);
+        // The same rows sorted by key for the merge path (payload and tags
+        // travel with their row).
+        let mut order: Vec<usize> = (0..build_rows).collect();
+        order.sort_by_key(|&row| scattered_keys.iter().map(|c| c[row]).collect::<Vec<u64>>());
+        let permuted = |cols: &[Vec<u64>]| -> Vec<Vec<u64>> {
+            cols.iter()
+                .map(|c| order.iter().map(|&row| c[row]).collect())
+                .collect()
+        };
+        let sorted_keys = permuted(&scattered_keys);
+        let sorted_payload = permuted(&payload);
+        let sorted_tags: Vec<f64> = order.iter().map(|&row| build_tags[row]).collect();
+
+        // Probe rows: present keys several times over, in no order, and
+        // absent ones between them.
+        let present: Vec<&Vec<u64>> = rows_of_key.keys().collect();
+        let probe_rows = 400;
+        let probe_key_rows: Vec<Vec<u64>> = (0..probe_rows)
+            .map(|_| {
+                let mut key = present[rng.below(present.len() as u64) as usize].clone();
+                if rng.below(4) == 0 {
+                    key[width - 1] += 1000;
+                }
+                key
+            })
+            .collect();
+        let probe_keys: Vec<Vec<u64>> = (0..width)
+            .map(|c| probe_key_rows.iter().map(|key| key[c]).collect())
+            .collect();
+        let (probe_payload, probe_tags) = random_table(&mut rng, probe_rows, 1, 1 << 40);
+
+        let cases = [
+            ("scattered", &scattered_keys, &payload, &build_tags, false),
+            ("sorted", &sorted_keys, &sorted_payload, &sorted_tags, true),
+        ];
+        for (shape, build_keys, build_payload, build_tags, sorted) in cases {
+            let (want_counts, want_bi, want_pi) =
+                nested_loop_join(&refs(build_keys), &refs(&probe_keys));
+            assert!(want_counts.contains(&0) && want_counts.iter().any(|&c| c > 32));
+            let (want_offsets, want_total) = kernels::scan(&seq, &want_counts);
+            assert_eq!(want_total as usize, want_bi.len());
+            // pairs → gather → mul, by hand.
+            let gather = |col: &[u64], indices: &[u64]| -> Vec<u64> {
+                indices.iter().map(|&i| col[i as usize]).collect()
+            };
+            let want_cols = vec![
+                gather(&probe_payload[0], &want_pi),
+                gather(&build_payload[1], &want_bi),
+                gather(&probe_keys[0], &want_pi),
+                gather(&build_payload[0], &want_bi),
+                want_bi.clone(),
+                want_pi.clone(),
+            ];
+            let want_tags: Vec<f64> = want_bi
+                .iter()
+                .zip(&want_pi)
+                .map(|(&b, &p)| tag_mul(&build_tags[b as usize], &probe_tags[p as usize]))
+                .collect();
+            let columns = [
+                JoinColumn::Probe(&probe_payload[0]),
+                JoinColumn::Build(&build_payload[1]),
+                JoinColumn::Probe(&probe_keys[0]),
+                JoinColumn::Build(&build_payload[0]),
+                JoinColumn::BuildRow,
+                JoinColumn::ProbeRow,
+            ];
+
+            for parallelism in [1usize, 4] {
+                let device = parallel_device(parallelism);
+                let check = |path: &str, build: JoinBuild<'_>, counts: Vec<u64>| {
+                    let ctx = format!("{path}, {shape}, width {width}, p {parallelism}");
+                    assert_eq!(counts, want_counts, "counts: {ctx}");
+                    let (offsets, total) = kernels::scan(&device, &counts);
+                    assert_eq!(offsets, want_offsets, "offsets: {ctx}");
+                    let write = JoinWrite {
+                        counts: &counts,
+                        offsets: &offsets,
+                        columns: &columns,
+                        build_tags,
+                        probe_tags: &probe_tags,
+                    };
+                    let (cols, tags) =
+                        kernels::join_write(&device, build, &refs(&probe_keys), &write, tag_mul);
+                    assert_eq!(cols, want_cols, "fused columns: {ctx}");
+                    assert_bits(&tags, &want_tags, &format!("fused tags: {ctx}"));
+                    let (bi, pi) = match build {
+                        JoinBuild::Hash(index) => kernels::hash_join(
+                            &device,
+                            index,
+                            &refs(&probe_keys),
+                            &counts,
+                            &offsets,
+                            total,
+                        ),
+                        JoinBuild::Sorted(build_key_cols) => kernels::merge_join(
+                            &device,
+                            build_key_cols,
+                            &refs(&probe_keys),
+                            &counts,
+                            &offsets,
+                            total,
+                        ),
+                    };
+                    assert_eq!(bi, want_bi, "pair build indices: {ctx}");
+                    assert_eq!(pi, want_pi, "pair probe indices: {ctx}");
+                };
+                for partitions in [1usize, 2, 8] {
+                    let index =
+                        HashIndex::build_partitioned(&device, &refs(build_keys), 2, partitions);
+                    let counts = kernels::count_matches(&device, &index, &refs(&probe_keys));
+                    check(
+                        &format!("hash P {partitions}"),
+                        JoinBuild::Hash(&index),
+                        counts,
+                    );
+                    index.recycle(&device);
+                }
+                if sorted {
+                    let counts =
+                        kernels::merge_count(&device, &refs(build_keys), &refs(&probe_keys));
+                    check("merge", JoinBuild::Sorted(&refs(build_keys)), counts);
                 }
             }
         }
