@@ -96,8 +96,28 @@ impl<P: Provenance> SortedTable<P> {
     /// input columns and every sorting intermediate are recycled into the
     /// device arena.
     pub fn from_unsorted(device: &Device, prov: &P, columns: Columns, tags: Vec<P::Tag>) -> Self {
+        Self::from_unsorted_minus(device, prov, columns, tags, &[])
+    }
+
+    /// [`SortedTable::from_unsorted`] less the rows present in any of the
+    /// `known` tables (all of the rows' arity): the tags of duplicate rows
+    /// fold first, in input order, and the filter applies to the folded
+    /// rows. A one-word table is one kernel launch
+    /// ([`kernels::sort_unique_words`]): its sorted, duplicate-free or
+    /// filtered intermediates are never written. A wider one sorts a
+    /// permutation, gathers its columns and tags through it, deduplicates
+    /// ([`kernels::unique`]) and filters ([`kernels::difference_runs`]).
+    pub(crate) fn from_unsorted_minus(
+        device: &Device,
+        prov: &P,
+        columns: Columns,
+        tags: Vec<P::Tag>,
+        known: &[&SortedTable<P>],
+    ) -> Self {
         let arity = columns.len();
-        if tags.is_empty() {
+        let known: Vec<&SortedTable<P>> = known.iter().copied().filter(|t| !t.is_empty()).collect();
+        if tags.is_empty() || (arity == 0 && !known.is_empty()) {
+            // No rows, or a nullary fact that already exists.
             recycle_columns(device, columns);
             return Self::empty(arity);
         }
@@ -112,32 +132,44 @@ impl<P: Provenance> SortedTable<P> {
                 arity,
             };
         }
-        // A one-word table is sorted by moving the words themselves, so only
-        // the tags are left to gather; wider tables sort a permutation and
-        // gather every column through it.
-        let (sorted_cols, perm) = if let [words] = columns.as_slice() {
-            let (sorted, perm) = kernels::sort_words(device, words);
-            (vec![sorted], perm)
+        let or = |a: &P::Tag, b: &P::Tag| prov.add(a, b);
+        let (out_columns, out_tags) = if let [words] = columns.as_slice() {
+            let runs: Vec<&[u64]> = known.iter().map(|t| t.columns[0].as_slice()).collect();
+            let (words, tags) = kernels::sort_unique_words(device, words, &tags, or, &runs);
+            (vec![words], tags)
         } else {
             let refs: Vec<&[u64]> = columns.iter().map(|c| c.as_slice()).collect();
             let perm = kernels::sort_permutation(device, &refs);
-            let sorted = refs
+            let sorted: Columns = refs
                 .iter()
                 .map(|col| kernels::gather(device, &perm, col))
                 .collect();
-            (sorted, perm)
+            let sorted_tags = kernels::gather_tags(device, &perm, &tags);
+            device.arena().recycle_shared(perm);
+            let sorted_refs: Vec<&[u64]> = sorted.iter().map(|c| c.as_slice()).collect();
+            let (unique, unique_tags) = kernels::unique(device, &sorted_refs, &sorted_tags, or);
+            drop(sorted_refs);
+            recycle_columns(device, sorted);
+            if known.is_empty() {
+                (unique, unique_tags)
+            } else {
+                let cols: Vec<&[u64]> = known.iter().flat_map(|t| t.col_refs()).collect();
+                let runs: Vec<(&[&[u64]], usize)> = cols
+                    .chunks(arity)
+                    .zip(&known)
+                    .map(|(cols, table)| (cols, table.len()))
+                    .collect();
+                let unique_refs: Vec<&[u64]> = unique.iter().map(|c| c.as_slice()).collect();
+                let new = kernels::difference_runs(device, &unique_refs, &unique_tags, &runs);
+                drop(unique_refs);
+                recycle_columns(device, unique);
+                new
+            }
         };
-        let sorted_tags = kernels::gather_tags(device, &perm, &tags);
-        device.arena().recycle_shared(perm);
         recycle_columns(device, columns);
-        let sorted_refs: Vec<&[u64]> = sorted_cols.iter().map(|c| c.as_slice()).collect();
-        let (unique_cols, unique_tags) =
-            kernels::unique(device, &sorted_refs, &sorted_tags, |a, b| prov.add(a, b));
-        drop(sorted_refs);
-        recycle_columns(device, sorted_cols);
         SortedTable {
-            columns: unique_cols,
-            tags: unique_tags,
+            columns: out_columns,
+            tags: out_tags,
             arity,
         }
     }
@@ -202,53 +234,6 @@ impl<P: Provenance> SortedTable<P> {
             columns,
             tags,
             arity: self.arity,
-        }
-    }
-
-    /// Consuming [`SortedTable::difference_from`]: an empty `self` passes
-    /// `candidate` through untouched (no copy), and a consumed `candidate`
-    /// is recycled into the device arena.
-    pub fn difference_from_owned(&self, device: &Device, candidate: SortedTable<P>) -> Self {
-        Self::difference_from_all_owned(device, std::iter::once(self), candidate)
-    }
-
-    /// Rows of `candidate` present in **none** of the `known` tables (all of
-    /// the candidate's arity), in one pass over the candidate
-    /// ([`kernels::difference_runs`]). Nothing to compare against passes
-    /// `candidate` through untouched (no copy); a consumed `candidate` is
-    /// recycled into the device arena.
-    pub(crate) fn difference_from_all_owned<'a>(
-        device: &Device,
-        known: impl Iterator<Item = &'a SortedTable<P>>,
-        candidate: SortedTable<P>,
-    ) -> Self {
-        let known: Vec<&SortedTable<P>> = known.filter(|t| !t.is_empty()).collect();
-        if candidate.is_empty() || known.is_empty() {
-            return candidate;
-        }
-        let arity = candidate.arity;
-        if arity == 0 {
-            // The fact already exists; nothing is new.
-            candidate.recycle(device);
-            return SortedTable::empty(0);
-        }
-        // One flat list of column slices, cut per table.
-        let cols: Vec<&[u64]> = known
-            .iter()
-            .flat_map(|table| table.columns.iter().map(|c| c.as_slice()))
-            .collect();
-        let runs: Vec<(&[&[u64]], usize)> = cols
-            .chunks(arity)
-            .zip(&known)
-            .map(|(cols, table)| (cols, table.len()))
-            .collect();
-        let (columns, tags) =
-            kernels::difference_runs(device, &candidate.col_refs(), &candidate.tags, &runs);
-        candidate.recycle(device);
-        SortedTable {
-            columns,
-            tags,
-            arity,
         }
     }
 
@@ -586,9 +571,18 @@ impl<P: Provenance> RelationData<P> {
         written
     }
 
-    /// The rows of `candidate` that are in no run of the stable partition.
-    pub(crate) fn new_facts(&self, device: &Device, candidate: SortedTable<P>) -> SortedTable<P> {
-        SortedTable::difference_from_all_owned(device, self.stable_tables(), candidate)
+    /// The next frontier from an iteration's unsorted candidate rows (in
+    /// storage encoding): the distinct rows, their duplicate tags folded,
+    /// that are in no run of the stable partition.
+    pub(crate) fn new_facts(
+        &self,
+        device: &Device,
+        prov: &P,
+        columns: Columns,
+        tags: Vec<P::Tag>,
+    ) -> SortedTable<P> {
+        let known: Vec<&SortedTable<P>> = self.stable_tables().collect();
+        SortedTable::from_unsorted_minus(device, prov, columns, tags, &known)
     }
 }
 
@@ -730,9 +724,8 @@ impl<P: Provenance> Database<P> {
     }
 
     /// Builds a sorted table in this database's storage encoding from
-    /// full-width columns carrying global symbol ids: extends the dictionary
-    /// over the columns' symbol values, packs, then sorts/deduplicates. On a
-    /// full-width database this is plain [`SortedTable::from_unsorted`].
+    /// full-width columns carrying global symbol ids. On a full-width
+    /// database this is plain [`SortedTable::from_unsorted`].
     pub(crate) fn encoded_from_unsorted(
         &mut self,
         device: &Device,
@@ -740,9 +733,30 @@ impl<P: Provenance> Database<P> {
         columns: Columns,
         tags: Vec<P::Tag>,
     ) -> SortedTable<P> {
-        let prov = self.provenance.clone();
+        let columns = self.encode(device, relation, columns);
+        SortedTable::from_unsorted(device, &self.provenance, columns, tags)
+    }
+
+    /// [`Database::encoded_from_unsorted`] less the rows the relation's
+    /// `stable` partition already holds.
+    pub(crate) fn new_stable_rows(
+        &mut self,
+        device: &Device,
+        relation: &str,
+        columns: Columns,
+        tags: Vec<P::Tag>,
+    ) -> SortedTable<P> {
+        let columns = self.encode(device, relation, columns);
+        let stable = &self.relations[relation].stable;
+        SortedTable::from_unsorted_minus(device, &self.provenance, columns, tags, &[stable])
+    }
+
+    /// Full-width columns carrying global symbol ids in this database's
+    /// storage encoding: extends the dictionary over the columns' symbol
+    /// values, then packs. A full-width database keeps them as they are.
+    fn encode(&mut self, device: &Device, relation: &str, columns: Columns) -> Columns {
         if self.codec.is_none() {
-            return SortedTable::from_unsorted(device, &prov, columns, tags);
+            return columns;
         }
         let mut syms: Vec<u32> = Vec::new();
         for (c, ty) in self.schemas[relation].arg_types.iter().enumerate() {
@@ -752,8 +766,7 @@ impl<P: Provenance> Database<P> {
         }
         self.ensure_symbols(device, syms);
         let codec = self.codec.as_ref().expect("codec present");
-        let packed = encode_wide(device, codec, relation, &self.schemas[relation], columns);
-        SortedTable::from_unsorted(device, &prov, packed, tags)
+        encode_wide(device, codec, relation, &self.schemas[relation], columns)
     }
 
     /// The provenance context used by this database.
@@ -814,9 +827,8 @@ impl<P: Provenance> Database<P> {
             }
             let columns = std::mem::replace(columns, vec![Vec::new(); arity]);
             let tags = std::mem::take(tags);
-            let table = self.encoded_from_unsorted(device, &name, columns, tags);
+            let new_rows = self.new_stable_rows(device, &name, columns, tags);
             let data = self.relations.get_mut(&name).expect("relation exists");
-            let new_rows = data.stable.difference_from_owned(device, table);
             data.stable = SortedTable::merge_disjoint_owned(device, data.stable.take(), new_rows);
         }
     }
@@ -1088,8 +1100,20 @@ mod tests {
         }
     }
 
-    /// Builds a sorted table over the given `(a, b)` rows: one packed word
-    /// per row, or two full-width columns.
+    /// The given `(a, b)` rows as columns: one packed word per row, or two
+    /// full-width columns.
+    fn columns_of(rows: &[(u64, u64)], packed: bool) -> Columns {
+        if packed {
+            vec![rows.iter().map(|(a, b)| (a << 32) | b).collect()]
+        } else {
+            vec![
+                rows.iter().map(|(a, _)| *a).collect(),
+                rows.iter().map(|(_, b)| *b).collect(),
+            ]
+        }
+    }
+
+    /// Builds a sorted table over the given `(a, b)` rows.
     fn table_of<P: Provenance>(
         device: &Device,
         prov: &P,
@@ -1097,23 +1121,16 @@ mod tests {
         tags: Vec<P::Tag>,
         packed: bool,
     ) -> SortedTable<P> {
-        let columns = if packed {
-            vec![rows.iter().map(|(a, b)| (a << 32) | b).collect()]
-        } else {
-            vec![
-                rows.iter().map(|(a, _)| *a).collect(),
-                rows.iter().map(|(_, b)| *b).collect(),
-            ]
-        };
-        SortedTable::from_unsorted(device, prov, columns, tags)
+        SortedTable::from_unsorted(device, prov, columns_of(rows, packed), tags)
     }
 
     /// Random sequences of disjoint sorted pushes against the fold of
     /// `merge_disjoint` over the same tables: after every push the run sizes
-    /// are geometric, the multi-run difference of a random candidate equals
-    /// `difference_from` the fold, and a compaction equals the fold bit for
-    /// bit — which is why the final tables of a fix point cannot depend on
-    /// how its frontiers happened to be merged.
+    /// are geometric, the new facts of random unsorted candidate rows equal
+    /// `difference_from` the fold of the candidate's sorted table, and a
+    /// compaction equals the fold bit for bit — which is why the final
+    /// tables of a fix point cannot depend on how its frontiers happened to
+    /// be merged.
     fn check_run_set<P: Provenance>(prov: &P, mut tag: impl FnMut(&mut Rng) -> P::Tag) {
         let device = Device::sequential();
         for packed in [false, true] {
@@ -1157,9 +1174,9 @@ mod tests {
                         .map(|_| universe[rng.below(universe.len())])
                         .collect();
                     let tags: Vec<P::Tag> = picks.iter().map(|_| tag(&mut rng)).collect();
-                    let candidate = table_of(&device, prov, &picks, tags, packed);
+                    let candidate = table_of(&device, prov, &picks, tags.clone(), packed);
                     let want = fold.difference_from(&device, &candidate);
-                    let got = data.new_facts(&device, candidate);
+                    let got = data.new_facts(&device, prov, columns_of(&picks, packed), tags);
                     assert_eq!(got.columns, want.columns, "seed {seed}, packed {packed}");
                     assert_eq!(got.tags, want.tags, "seed {seed}, packed {packed}");
 
@@ -1234,7 +1251,8 @@ mod tests {
                 .collect();
             let candidate = table_of(&device, &prov, &picks, vec![(); 50], true);
             let want = known.difference_from(&device, &candidate);
-            assert_eq!(data.new_facts(&device, candidate).columns, want.columns);
+            let got = data.new_facts(&device, &prov, columns_of(&picks, true), vec![(); 50]);
+            assert_eq!(got.columns, want.columns);
         }
         assert!(
             pushed_fold.len() > 2 * entered.len(),

@@ -25,7 +25,7 @@ use crate::config::RuntimeOptions;
 use crate::database::{recycle_columns, Database, SortedTable};
 use crate::isa::{DbPart, Instr, JoinSource, JoinWrite, RegId};
 use lobster_gpu::kernels::{JoinBuild, JoinColumn, PackLane};
-use lobster_gpu::{kernels, Column, Device, DeviceError, HashIndex};
+use lobster_gpu::{kernels, Column, Columns, Device, DeviceError, HashIndex};
 use lobster_provenance::Provenance;
 use lobster_ram::RamProgram;
 use std::collections::HashMap;
@@ -428,25 +428,25 @@ impl<P: Provenance> Executor<P> {
             // the stable partition — merged into older runs only while they
             // are at most twice its size (and never into the `stable` a
             // seeded run entered with), so the cost follows the frontier,
-            // not everything derived so far — and the staged candidates are
-            // filtered against all runs in one pass. Consumed tables are
-            // recycled into the arena, which is what keeps the next
-            // iteration allocation-free.
+            // not everything derived so far — and the staged candidate rows
+            // become the next frontier in one call: sorted, deduplicated and
+            // filtered against all runs. Consumed tables are recycled into
+            // the arena, which is what keeps the next iteration
+            // allocation-free.
             let mut changed = false;
             for (rel, lanes) in compiled.relations.iter().zip(&stratum_lanes) {
                 let data = db.relation_data_mut(rel);
                 let staged = std::mem::take(&mut data.staged);
                 stats.candidate_rows += staged.iter().map(|(_, t)| t.len()).sum::<usize>();
-                let candidate = Self::collect_staged(
+                let (columns, tags) = Self::collect_staged(
                     &self.device,
-                    &self.provenance,
                     staged,
                     data.recent.arity(),
                     lanes.as_deref(),
                 );
                 let frontier = data.recent.take();
                 stats.update_rows_written += data.push_run(&self.device, frontier, seeded);
-                let delta = data.new_facts(&self.device, candidate);
+                let delta = data.new_facts(&self.device, &self.provenance, columns, tags);
                 stats.facts_produced += delta.len();
                 if !delta.is_empty() {
                     changed = true;
@@ -474,26 +474,25 @@ impl<P: Provenance> Executor<P> {
     }
 
     /// Turns the staged (columns, tags) chunks produced by `store` into one
-    /// sorted, deduplicated candidate table, consuming the chunks (dead
-    /// buffers go back to the arena).
+    /// unsorted candidate table in storage encoding, consuming the chunks
+    /// (dead buffers go back to the arena).
     ///
     /// When `lanes` is given the relation is stored packed: the logical
     /// columns of every chunk are fused into group words straight into one
-    /// buffer — concatenation and packing are one pass — so the sort, dedup,
-    /// merge, and difference downstream all run over `packed_arity` columns
+    /// buffer — concatenation and packing are one pass — so the sort, dedup
+    /// and difference downstream all run over `packed_arity` columns
     /// instead of the logical arity. A full-width relation keeps its first
     /// chunk as it is and appends the others to it, so the usual single
     /// chunk is not copied at all. `storage_arity` is the stored column
     /// count (`packed_arity` when packed, logical arity otherwise).
     fn collect_staged(
         device: &Device,
-        prov: &P,
         staged: Vec<(Vec<Column>, Vec<P::Tag>)>,
         storage_arity: usize,
         lanes: Option<&[Vec<PackLane>]>,
-    ) -> SortedTable<P> {
+    ) -> (Columns, Vec<P::Tag>) {
         if staged.is_empty() {
-            return SortedTable::empty(storage_arity);
+            return (vec![Vec::new(); storage_arity], Vec::new());
         }
         let packed = lanes.map(|lanes| {
             let tables: Vec<Vec<&[u64]>> = staged
@@ -517,7 +516,7 @@ impl<P: Provenance> Executor<P> {
         if let Some(packed) = packed {
             recycle_columns(device, std::mem::replace(&mut columns, packed));
         }
-        SortedTable::from_unsorted(device, prov, columns, tags)
+        (columns, tags)
     }
 
     /// `load⟨ρ⟩`: one partition of `relation` in columnar form, unpacked to
@@ -1229,19 +1228,35 @@ mod tests {
         // iteration on — once `stable`, a frontier and a candidate all
         // exist — an iteration allocates nothing fresh, except the
         // O(log iterations) ones that add a live run, which pin exactly its
-        // two columns. A register freed instead of recycled (one released
-        // while its instruction still held a handle on it) would show as a
-        // fresh column in every iteration.
-        fn fresh_by_cap<Q: Provenance>(prov: &Q, tag: impl Fn(u32) -> Q::Tag) -> Vec<usize> {
+        // columns: two full-width, one packed word encoded. A register
+        // freed instead of recycled (one released while its instruction
+        // still held a handle on it) would show as a fresh column in every
+        // iteration. The encoded database is the one-word path: candidate
+        // rows to frontier in one `sort_unique_words` launch, whose
+        // direct-address table and segment scratch come from the arena. A
+        // cycle's candidate is one row per source, already in order, so a
+        // cycle of layers joined layer to next layer by every edge between
+        // them is run too: each source's 16 candidate rows hold 4 words 4
+        // times over, out of order in the low 2 bits — the dense path.
+        fn fresh_by_cap<Q: Provenance>(
+            prov: &Q,
+            encoded: bool,
+            edges: &[(u32, u32)],
+            tag: impl Fn(u32) -> Q::Tag,
+        ) -> Vec<usize> {
             let compiled = parse(LINEAR_TC).unwrap();
-            let nodes = 120u32;
             (1..=40)
                 .map(|cap| {
                     let device = Device::sequential();
-                    let mut db = Database::new(compiled.ram.schemas.clone(), prov.clone());
-                    for i in 0..nodes {
-                        let edge = [Value::U32(i), Value::U32((i + 1) % nodes)];
-                        db.insert("edge", &edge, tag(i));
+                    let schemas = compiled.ram.schemas.clone();
+                    let mut db = if encoded {
+                        let spec = crate::EncodingSpec::default();
+                        Database::new_encoded(schemas, prov.clone(), &spec)
+                    } else {
+                        Database::new(schemas, prov.clone())
+                    };
+                    for (i, (from, to)) in (0..).zip(edges) {
+                        db.insert("edge", &[Value::U32(*from), Value::U32(*to)], tag(i));
                     }
                     db.seal(&device);
                     let options = RuntimeOptions {
@@ -1255,20 +1270,34 @@ mod tests {
                 })
                 .collect()
         }
-        let unit = fresh_by_cap(&Unit::new(), |_| ());
-        let minmax = fresh_by_cap(&MaxMinProb::new(), |i| 0.2 + f64::from(i % 7) / 10.0);
-        for by_cap in [unit, minmax] {
-            let steady: Vec<usize> = by_cap[3..].windows(2).map(|w| w[1] - w[0]).collect();
-            assert!(
-                steady.iter().all(|&delta| delta == 0 || delta == 2),
-                "fresh columns per steady-state iteration: {steady:?}"
-            );
-            let new_runs = steady.iter().filter(|&&delta| delta == 2).count();
-            assert!(
-                new_runs <= 1 + steady.len().ilog2() as usize,
-                "{new_runs} iterations of {} allocated fresh columns: {steady:?}",
-                steady.len()
-            );
+        let cycle: Vec<(u32, u32)> = (0..120).map(|i| (i, (i + 1) % 120)).collect();
+        let (layers, width) = (48, 4);
+        let layered: Vec<(u32, u32)> = (0..layers * width * width)
+            .map(|e| {
+                let (layer, from, to) = (e / (width * width), e / width % width, e % width);
+                (layer * width + from, (layer + 1) % layers * width + to)
+            })
+            .collect();
+        let minmax_tag = |i: u32| 0.2 + f64::from(i % 7) / 10.0;
+        for (encoded, edges) in [(false, &cycle), (true, &cycle), (true, &layered)] {
+            let run_columns = if encoded { 1 } else { 2 };
+            let unit = fresh_by_cap(&Unit::new(), encoded, edges, |_| ());
+            let minmax = fresh_by_cap(&MaxMinProb::new(), encoded, edges, minmax_tag);
+            for by_cap in [unit, minmax] {
+                let steady: Vec<usize> = by_cap[3..].windows(2).map(|w| w[1] - w[0]).collect();
+                assert!(
+                    steady
+                        .iter()
+                        .all(|&delta| delta == 0 || delta == run_columns),
+                    "fresh columns per steady-state iteration, encoded {encoded}: {steady:?}"
+                );
+                let new_runs = steady.iter().filter(|&&delta| delta == run_columns).count();
+                assert!(
+                    new_runs <= 1 + steady.len().ilog2() as usize,
+                    "{new_runs} iterations of {} allocated fresh columns: {steady:?}",
+                    steady.len()
+                );
+            }
         }
     }
 

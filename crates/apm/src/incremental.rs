@@ -148,12 +148,11 @@ pub fn refresh_database<P: Provenance>(
             changed.insert(rel.clone());
             continue;
         }
-        let table = db.encoded_from_unsorted(&device, rel, cols.clone(), tags.clone());
-        let data = db.relation_data_mut(rel);
-        let delta = data.stable.difference_from_owned(&device, table);
+        let delta = db.new_stable_rows(&device, rel, cols.clone(), tags.clone());
         if delta.is_empty() {
             continue;
         }
+        let data = db.relation_data_mut(rel);
         debug_assert!(
             data.recent.is_empty(),
             "relation `{rel}` already has a live frontier"

@@ -12,9 +12,15 @@
 //! (busy) time into the sort/join/unique buckets of
 //! [`lobster_gpu::KernelTime`], and `kernel_wall_ms` does the same for
 //! enqueue-to-completion wall time — busy exceeding wall means pool lanes
-//! overlapped; wall far above busy/lanes means the pool queued. This is what
-//! lets serving-layer numbers (`BENCH_serve.json`) be attributed to
-//! individual kernels; `docs/PERFORMANCE.md` walks through reading both.
+//! overlapped; wall far above busy/lanes means the pool queued. Busy time is
+//! published only up to one lane per CPU: past that it is `null`, with the
+//! reason, because a chunk's busy time is a wall-clock interval that counts
+//! the time its lane sat descheduled. The `sort_unique` row runs
+//! [`kernels::sort_unique_words`] over a 2 M-row candidate shaped like
+//! `tc_dense`'s against a 250 k-row known run (a quarter of each in quick
+//! mode). This is what lets serving-layer numbers (`BENCH_serve.json`) be
+//! attributed to individual kernels; `docs/PERFORMANCE.md` walks through
+//! reading both.
 //!
 //! Run with `cargo run -p lobster-bench --release --bin kernel_bench`.
 //! Knobs:
@@ -144,6 +150,22 @@ fn main() {
     let build = random_cols(&mut rng, rows, 1, (rows as u64 / 4).max(4));
     let probe = random_cols(&mut rng, rows, 1, (rows as u64 / 4).max(4));
     let half = rows / 2;
+    // A fix-point candidate shaped like `tc_dense`'s: packed `(x, y)` words
+    // whose leading lane comes in runs of 1 000 rows (a join emits in probe
+    // order) with 9 varying low bits, and a sorted run of known words — 125
+    // of the 512 `y`s of every `x`.
+    let sources = scale(2_000, 500) as u64;
+    let candidate: Vec<u64> = (0..sources * 1000)
+        .map(|i| (i / 1000) << 32 | rng.gen_range(0..512))
+        .collect();
+    let candidate_tags: Vec<f64> = candidate.iter().map(|_| rng.gen_range(0.0..1.0)).collect();
+    let known: Vec<u64> = (0..sources)
+        .flat_map(|x| {
+            let mut ys: Vec<u64> = (0..125).map(|k| (x * 7 + 4 * k) % 512).collect();
+            ys.sort_unstable();
+            ys.into_iter().map(move |y| x << 32 | y)
+        })
+        .collect();
 
     let mut rows_out: Vec<Row> = Vec::new();
     let mut times_out: Vec<(usize, KernelTime, KernelTime)> = Vec::new();
@@ -175,7 +197,7 @@ fn main() {
             kernels::apply_permutation(&device, &probe_perm, &refs(&probe), &tags);
         let index = HashIndex::build(&device, &refs(&sorted_build), 2);
 
-        let mut bench = |kernel: &'static str, f: &mut dyn FnMut()| {
+        let mut bench = |kernel: &'static str, rows: usize, f: &mut dyn FnMut()| {
             let wall = best_of(repeats, || {
                 let start = Instant::now();
                 f();
@@ -189,22 +211,35 @@ fn main() {
             });
         };
 
-        bench("sort", &mut || {
+        bench("sort", rows, &mut || {
             let perm = kernels::sort_permutation(&device, &refs(&table));
             device.arena().recycle_shared(perm);
         });
-        bench("unique", &mut || {
+        bench("unique", rows, &mut || {
             let (cols, _tags) =
                 kernels::unique(&device, &refs(&sorted), &sorted_tags, |a, b| a + b);
             for col in cols {
                 device.arena().recycle_shared(col);
             }
         });
-        bench("scan", &mut || {
+        bench("sort_unique", candidate.len(), &mut || {
+            // Candidate rows to new frontier in one launch: sort, fold the
+            // tags of duplicates (max, as min-max probability does), drop
+            // what the known run holds.
+            let (words, _tags) = kernels::sort_unique_words(
+                &device,
+                &candidate,
+                &candidate_tags,
+                |a, b| a.max(*b),
+                &[&known],
+            );
+            device.arena().recycle_shared(words);
+        });
+        bench("scan", rows, &mut || {
             let (offsets, _) = kernels::scan(&device, &counts);
             device.arena().recycle_shared(offsets);
         });
-        bench("merge", &mut || {
+        bench("merge", rows, &mut || {
             let (cols, _tags) = kernels::merge(
                 &device,
                 &refs(&sorted),
@@ -216,14 +251,14 @@ fn main() {
                 device.arena().recycle_shared(col);
             }
         });
-        bench("difference", &mut || {
+        bench("difference", rows, &mut || {
             let (cols, _tags) =
                 kernels::difference(&device, &refs(&sorted), &sorted_tags, &refs(&a_half), half);
             for col in cols {
                 device.arena().recycle_shared(col);
             }
         });
-        bench("eval", &mut || {
+        bench("eval", rows, &mut || {
             let col0 = &sorted[0];
             let col1 = &sorted[1];
             let (cols, src) = kernels::eval(&device, rows, 2, |range, sink| {
@@ -241,17 +276,17 @@ fn main() {
             }
             device.arena().recycle_shared(src);
         });
-        bench("gather", &mut || {
+        bench("gather", rows, &mut || {
             let out = kernels::gather(&device, &indices, &sorted[0]);
             device.arena().recycle_shared(out);
         });
-        bench("hash_build", &mut || {
+        bench("hash_build", rows, &mut || {
             // The partitioned index build: hash once, radix-scatter row ids
             // by partition, build the per-partition slot tables in parallel.
             let fresh = HashIndex::build(&device, &refs(&build), 2);
             fresh.recycle(&device);
         });
-        bench("hash_join", &mut || {
+        bench("hash_join", rows, &mut || {
             // The static-register case: the index (partitioned at this row
             // count) outlives the iteration; count, scan, join.
             let counts = kernels::count_matches(&device, &index, &refs(&sorted_probe));
@@ -268,7 +303,7 @@ fn main() {
                 device.arena().recycle_shared(col);
             }
         });
-        bench("hash_build_join", &mut || {
+        bench("hash_build_join", rows, &mut || {
             // The per-iteration cost when the index cannot be reused (the
             // non-static case): build, count, scan, join.
             let fresh = HashIndex::build(&device, &refs(&sorted_build), 2);
@@ -286,7 +321,7 @@ fn main() {
                 device.arena().recycle_shared(col);
             }
         });
-        bench("merge_join", &mut || {
+        bench("merge_join", rows, &mut || {
             // The index-free path `JoinStrategy::Merge` compiles to: binary
             // searches over the sorted build side, no build step at all.
             let counts = kernels::merge_count(&device, &refs(&sorted_build), &refs(&sorted_probe));
@@ -515,9 +550,23 @@ fn main() {
             t.other_ns as f64 / 1e6,
         )
     };
+    // A chunk's busy time is a wall-clock interval on its worker, so with
+    // more lanes than CPUs it also counts the time a lane sat descheduled:
+    // those buckets are not published.
     let times_json = times_out
         .iter()
-        .map(|(p, busy, _)| format!("{{\"parallelism\": {p}, {}}}", time_buckets(busy)))
+        .map(|(p, busy, _)| {
+            if *p > cpus {
+                format!(
+                    "{{\"parallelism\": {p}, \"sort_ms\": null, \"join_ms\": null, \
+                     \"unique_ms\": null, \"other_ms\": null, \"reason\": \"{p} lanes on \
+                     {cpus} CPUs: busy time per chunk is a wall-clock interval and would \
+                     count the time a lane sits descheduled\"}}"
+                )
+            } else {
+                format!("{{\"parallelism\": {p}, {}}}", time_buckets(busy))
+            }
+        })
         .collect::<Vec<_>>()
         .join(",\n    ");
     let walls_json = times_out

@@ -63,7 +63,7 @@ impl Default for DeviceConfig {
 /// gathers, loads) is `Other`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelKind {
-    /// Row sorting (`sort_permutation`).
+    /// Row sorting (`sort_permutation`, `sort_unique_words`).
     Sort,
     /// Hash-join family (`HashIndex::build`, `count_matches`, `hash_join`).
     Join,

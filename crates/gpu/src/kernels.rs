@@ -16,14 +16,22 @@
 //! * [`sort_permutation`] returns the unique permutation that orders rows by
 //!   `(row content, original index)` — a total order, so the stable LSD
 //!   radix sort, the parallel merge sort, the small-input comparison sort
-//!   and the one-word sort ([`sort_words`], whichever prefix of the words
-//!   it finds already in order) all produce the same bytes.
+//!   and the one-word sort (whichever prefix of the words it finds already
+//!   in order) all produce the same bytes.
 //! * [`scan`] is one sequential fold at every size: a two-pass block scan
 //!   reads the counts twice and never beat it on any machine measured.
 //! * [`unique`] reduces each duplicate segment left-to-right (ascending row
 //!   index) — a segment belongs to the chunk it starts in, whole — so
 //!   non-commutative or order-sensitive tag disjunctions (e.g. float
 //!   addition) fold in exactly one order.
+//! * [`sort_unique_words`] folds the same order without sorting first: all
+//!   rows of one word lie in one segment, segments go to the workers whole,
+//!   and each of its three paths — fold as the rows come, fold each row into
+//!   its direct-address slot as the rows come, a stable segment sort — visits
+//!   a word's rows in input order, which is the order the stable sort puts
+//!   them in for [`unique`]. The known-fact filter runs after the
+//!   fold, on each distinct word, like [`difference_runs`] after
+//!   [`unique`].
 //! * [`merge`] / [`difference`] cut both inputs at *partition points*
 //!   (binary searches on the data), and each worker runs the sequential
 //!   two-pointer walk on its cut; the cuts are data-determined, so the
@@ -95,7 +103,8 @@ pub mod sites {
     pub const PACK_OUT: usize = 19;
     /// Unpack-columns output (full-width logical columns).
     pub const UNPACK_OUT: usize = 20;
-    /// Sorted words of a one-word sort.
+    /// Sorted words of a one-word sort, and the words one chunk of
+    /// [`sort_unique_words`](super::sort_unique_words) emits.
     pub const SORT_KEYS: usize = 21;
 }
 
@@ -336,7 +345,8 @@ const SMALL_SEGMENT: usize = 32;
 ///
 /// The permutation is the unique one ordering rows by `(row content,
 /// original index)`; equal rows keep their input order. A one-column table
-/// is sorted by [`sort_words`]. Narrow tables (at most `RADIX_PASS_BUDGET`
+/// is sorted by moving its words, segment by segment (`sort_words_into`).
+/// Narrow tables (at most `RADIX_PASS_BUDGET`
 /// (16) non-constant bytes across all columns, the common case once
 /// dictionary-encoded values stay small) are sorted with a parallel
 /// least-significant-digit radix sort — per-chunk digit histograms, a scan
@@ -473,85 +483,390 @@ fn radix_pass(device: &Device, col: &[u64], shift: u32, src: &Column, dst: &mut 
 }
 
 /// `sort(s)` of a one-word table — every relation whose row packs into one
-/// 8-byte word: returns the sorted words and the permutation that sorts
-/// them, `sorted[k] == words[perm[k]]`, equal words in input order (the
-/// permutation [`sort_permutation`] returns for the same column).
+/// 8-byte word — inside an already-open launch: returns the sorted words and
+/// the permutation that sorts them, `sorted[k] == words[perm[k]]`, equal
+/// words in input order (the permutation [`sort_permutation`] returns for
+/// the same column).
 ///
 /// The words themselves are moved, with the row id as payload, so no pass
-/// reads a column through the permutation and the sorted table needs no
-/// gather. One pass over the input finds which bytes vary at all and the
-/// shortest suffix of low bits that is out of order: the bits above it are
-/// already non-decreasing (a join emits in probe order, so the leading lane
-/// of its output usually is), and the table falls into *segments* — runs of
-/// equal prefix — that only need sorting inside. Each segment is sorted by
-/// an LSD radix sort over its varying low bytes, with all its digit
-/// histograms taken in one pass over the segment; segments are spread over
-/// the workers whole, and one that fits the cache is sorted without touching
-/// memory twice. A table in no order at all is one segment; a sorted one is
-/// copied through.
-pub fn sort_words(device: &Device, words: &[u64]) -> (Column, Column) {
-    let _t = device.launch(KernelKind::Sort);
-    sort_words_into(device, words)
-}
-
-/// [`sort_words`] inside an already-open launch.
+/// reads a column through the permutation. The table falls into
+/// [`Segments`] that only need sorting inside; each is sorted by an LSD
+/// radix sort over its varying low bytes, with all its digit histograms
+/// taken in one pass over the segment, and one that fits the cache is
+/// sorted without touching memory twice. A table in no order at all is one
+/// segment; a sorted one is copied through.
 fn sort_words_into(device: &Device, words: &[u64]) -> (Column, Column) {
     let len = words.len();
     let arena = device.arena();
     let mut keys = arena.alloc_zeroed(sites::SORT_KEYS, len);
     let mut ids = arena.alloc_zeroed(sites::SORT_OUT, len);
-    let (varying, descents) = word_order(device, words);
-    // Every descent between neighbours lies below bit `low`, so `w >> low`
-    // is non-decreasing and only the bytes below it take part in the sort.
-    let low = 64 - descents.leading_zeros();
-    let prefix = |w: u64| w.checked_shr(low).unwrap_or(0);
-    let digits: Vec<u32> = varying_digits(varying)
-        .take_while(|&shift| shift < low)
-        .collect();
-    // Chunk boundaries move right to the next segment start.
-    let mut ranges = Vec::new();
-    let mut start = 0;
-    for range in chunks_for(device, len) {
-        let mut end = range.end.max(start);
-        while 0 < end && end < len && prefix(words[end]) == prefix(words[end - 1]) {
-            end += 1;
-        }
-        ranges.push(start..end);
-        start = end;
-    }
-    let key_slices = split_by_ranges(&mut keys, &ranges);
-    let id_slices = split_by_ranges(&mut ids, &ranges);
+    let segments = Segments::of(device, words);
+    let key_slices = split_by_ranges(&mut keys, &segments.ranges);
+    let id_slices = split_by_ranges(&mut ids, &segments.ranges);
     run_chunks(
         device,
-        &ranges,
+        &segments.ranges,
         key_slices.into_iter().zip(id_slices).collect(),
         |_, range, (keys, ids): (&mut [u64], &mut [u64])| {
             let mut scratch = None;
-            let mut s = range.start;
-            while s < range.end {
-                let p = prefix(words[s]);
-                let mut e = s + 1;
-                while e < range.end && prefix(words[e]) == p {
-                    e += 1;
-                }
-                let out = s - range.start..e - range.start;
+            segments.for_each(words, range.clone(), |segment, _| {
+                let out = segment.start - range.start..segment.end - range.start;
                 sort_segment(
                     device,
-                    &words[s..e],
-                    s as u64,
-                    &digits,
+                    &words[segment.clone()],
+                    segment.start as u64,
+                    &segments.digits,
                     &mut keys[out.clone()],
                     &mut ids[out],
                     &mut scratch,
                 );
-                s = e;
-            }
+            });
             if let Some(scratch) = scratch {
                 scratch.recycle(device);
             }
         },
     );
     (keys, ids)
+}
+
+/// A one-word column cut into *segments*, runs of rows whose words agree
+/// above bit `low`. One pass over the column finds which bytes vary at all
+/// and the shortest suffix of low bits that is out of order: every descent
+/// between neighbours lies below `low`, so the prefixes `w >> low` are
+/// already non-decreasing (a join emits in probe order, so the leading lane
+/// of its output usually is) and a segment only needs ordering inside.
+struct Segments {
+    low: u32,
+    /// The bits above `low`.
+    prefix: u64,
+    /// Shifts of the bytes below `low` that vary anywhere in the column,
+    /// least significant first.
+    digits: Vec<u32>,
+    /// The launch's chunks, each boundary moved right to the next segment
+    /// start, so segments are spread over the workers whole.
+    ranges: Vec<Range<usize>>,
+}
+
+impl Segments {
+    fn of(device: &Device, words: &[u64]) -> Segments {
+        let len = words.len();
+        let (varying, descents) = word_order(device, words);
+        let low = 64 - descents.leading_zeros();
+        let mut segments = Segments {
+            low,
+            prefix: u64::MAX.checked_shl(low).unwrap_or(0),
+            digits: varying_digits(varying)
+                .take_while(|&shift| shift < low)
+                .collect(),
+            ranges: Vec::new(),
+        };
+        let mut start = 0;
+        for range in chunks_for(device, len) {
+            let mut end = range.end.max(start);
+            while 0 < end && end < len && segments.same(words[end - 1], words[end]) {
+                end += 1;
+            }
+            segments.ranges.push(start..end);
+            start = end;
+        }
+        segments
+    }
+
+    /// The smallest word with `w`'s prefix: `w` with its low `low` bits
+    /// cleared.
+    fn floor(&self, w: u64) -> u64 {
+        w & self.prefix
+    }
+
+    /// Whether two words lie in one segment.
+    fn same(&self, a: u64, b: u64) -> bool {
+        self.floor(a) == self.floor(b)
+    }
+
+    /// Calls `f(segment, in_order)` for the segments of `words[range]` in
+    /// order (`range` must start at a segment start); `in_order` says no
+    /// word of the segment is less than the one before it.
+    fn for_each(&self, words: &[u64], range: Range<usize>, mut f: impl FnMut(Range<usize>, bool)) {
+        let mut s = range.start;
+        while s < range.end {
+            let floor = self.floor(words[s]);
+            let mut e = s + 1;
+            let mut in_order = true;
+            while e < range.end && self.floor(words[e]) == floor {
+                in_order &= words[e - 1] <= words[e];
+                e += 1;
+            }
+            f(s..e, in_order);
+            s = e;
+        }
+    }
+}
+
+/// A segment at most `2^DENSE_SEGMENT_BITS` words wide that holds at least
+/// one row per two of them is deduplicated by direct addressing in
+/// [`sort_unique_words`] rather than sorted: a table that small stays in
+/// the cache, and walking it costs at most two steps per row.
+const DENSE_SEGMENT_BITS: u32 = 16;
+
+/// `diff(unique⟨⊕⟩(sort(s)), known…)` of a one-word table in one launch: the
+/// distinct words of `words`, ascending, each with the fold of its rows'
+/// tags under `or` in input order, keeping only the words that occur in
+/// none of the sorted `known` runs — the new frontier of a fix-point
+/// iteration straight from its unsorted candidate rows. With no runs it is
+/// the sorted, duplicate-free table.
+///
+/// One pass finds the lowest bit `low` above which the words are already
+/// non-decreasing, as [`sort_permutation`]'s one-word sort does, and the
+/// words fall into *segments*, runs of rows that agree above it. Each
+/// segment goes one of three ways. One already in order (or a single row)
+/// folds its runs of equal words as they come. A *dense* one —
+/// `low ≤ DENSE_SEGMENT_BITS` (16) and `2^low ≤ 2·n` for its `n` rows — is
+/// deduplicated by direct addressing: each row's tag is folded into the slot
+/// of a `2^low`-slot table that its low bits name, in input order, and
+/// walking the table in slot order emits the segment sorted. Any other is
+/// sorted into worker-local scratch as [`sort_permutation`] sorts a
+/// one-word table and then folded. Every distinct word is checked against
+/// the runs with one cursor per run carried across the chunk, galloping
+/// through a run at least 8× longer than the candidate (`GALLOP_RATIO`) as
+/// [`difference_runs`] does; in a multi-chunk launch each cursor starts at
+/// its bisected position. So no full-length sorted column, permutation,
+/// permuted tag vector, distinct table or kept-row index is ever written.
+///
+/// The fold is the one the stable sort and [`unique`] produce — equal words
+/// are only ever in one segment, and every path visits them in input order
+/// — and the filter applies after it, so the output is the bytes of
+/// `sort_permutation` → `gather_tags` → `unique` → `difference_runs`
+/// whatever the parallelism.
+pub fn sort_unique_words<T, F>(
+    device: &Device,
+    words: &[u64],
+    tags: &[T],
+    or: F,
+    known: &[&[u64]],
+) -> (Column, Vec<T>)
+where
+    T: Clone + Send + Sync,
+    F: Fn(&T, &T) -> T + Sync,
+{
+    let _t = device.launch(KernelKind::Sort);
+    debug_assert_eq!(words.len(), tags.len());
+    debug_assert!(known.iter().all(|run| is_sorted(&[run])));
+    let segments = Segments::of(device, words);
+    let low = segments.low;
+    let arena = device.arena();
+    let pieces: Vec<Frontier<'_, T>> = map_chunks(device, &segments.ranges, |_, range| {
+        let floor = words.get(range.start).map_or(0, |&w| segments.floor(w));
+        let mut out = Frontier {
+            known,
+            cursors: known
+                .iter()
+                .map(|run| {
+                    let start = bisect(0, run.len(), |j| run[j] < floor);
+                    (run.len() / GALLOP_RATIO >= words.len(), start)
+                })
+                .collect(),
+            words: arena.alloc_empty(sites::SORT_KEYS, range.len()),
+            tags: Vec::new(),
+        };
+        let mut scratch = DedupScratch::default();
+        // A dense segment's folded tags, one per distinct word. Tags are not
+        // words, so they cannot come from the arena; the vector lives as
+        // long as the worker's launch and grows to the most distinct words
+        // a segment holds.
+        let mut folds = Vec::new();
+        segments.for_each(words, range, |segment, in_order| {
+            let n = segment.len();
+            let base = segment.start;
+            if in_order {
+                fold_sorted(&words[segment], |k| base + k, tags, &or, &mut out);
+            } else if low <= DENSE_SEGMENT_BITS && 1 << low <= 2 * n {
+                let table = scratch.table(device, 1 << low);
+                let (words, tags) = (&words[segment.clone()], &tags[segment]);
+                fold_dense(words, tags, &or, table, &mut folds, &mut out);
+            } else {
+                let (sorted, rows) = scratch.sort(device, &words[segment], base, &segments.digits);
+                fold_sorted(sorted, |k| rows[k] as usize, tags, &or, &mut out);
+            }
+        });
+        scratch.recycle(device);
+        out
+    });
+    // The chunks' words are copied into one exactly sized column, so a
+    // table that outlives the launch holds no spare capacity.
+    let total = pieces.iter().map(|piece| piece.tags.len()).sum();
+    let mut out = arena.alloc_empty(sites::UNIQUE_OUT, total);
+    let mut tag_pieces = Vec::with_capacity(pieces.len());
+    for piece in pieces {
+        out.extend_from_slice(&piece.words);
+        arena.recycle(sites::SORT_KEYS, piece.words);
+        tag_pieces.push(piece.tags);
+    }
+    (out, concat_pieces(tag_pieces, total))
+}
+
+/// What one chunk of [`sort_unique_words`] emits: the distinct words it is
+/// handed in ascending order, with their folded tags, less those a known
+/// run holds.
+struct Frontier<'a, T> {
+    known: &'a [&'a [u64]],
+    /// Per known run: whether it is galloped, and the first position not
+    /// yet passed.
+    cursors: Vec<(bool, usize)>,
+    words: Column,
+    tags: Vec<T>,
+}
+
+impl<T> Frontier<'_, T> {
+    fn push(&mut self, word: u64, tag: T) {
+        for (run, (gallops, cursor)) in self.known.iter().zip(&mut self.cursors) {
+            let less = |j: usize| run[j] < word;
+            if *gallops {
+                *cursor = gallop(*cursor, run.len(), less);
+            } else {
+                while *cursor < run.len() && less(*cursor) {
+                    *cursor += 1;
+                }
+            }
+            if run.get(*cursor) == Some(&word) {
+                return;
+            }
+        }
+        self.words.push(word);
+        self.tags.push(tag);
+    }
+}
+
+/// Folds every run of equal words of `sorted` into one row for `out`; the
+/// tag of `sorted[k]` is `tags[row(k)]`.
+fn fold_sorted<T: Clone>(
+    sorted: &[u64],
+    row: impl Fn(usize) -> usize,
+    tags: &[T],
+    or: &impl Fn(&T, &T) -> T,
+    out: &mut Frontier<'_, T>,
+) {
+    let mut k = 0;
+    while k < sorted.len() {
+        let word = sorted[k];
+        let mut folded = tags[row(k)].clone();
+        k += 1;
+        while k < sorted.len() && sorted[k] == word {
+            folded = or(&folded, &tags[row(k)]);
+            k += 1;
+        }
+        out.push(word, folded);
+    }
+}
+
+/// Direct-addressed dedup of one dense segment: `words`, with `tags`, differ
+/// in their low `log2(table.len())` bits only. A slot of `table` is 0 or
+/// names, counting from 1, the entry of `folds` that its word's tags fold
+/// into: each row's tag is folded into its slot's entry as the rows come, so
+/// a word's tags fold in input order — the order a stable sort would have
+/// left them in — and walking the slots in order emits the segment sorted.
+/// `table` must be all zeros and `folds` empty, and both are left so.
+fn fold_dense<T: Clone>(
+    words: &[u64],
+    tags: &[T],
+    or: &impl Fn(&T, &T) -> T,
+    table: &mut [u64],
+    folds: &mut Vec<Option<T>>,
+    out: &mut Frontier<'_, T>,
+) {
+    let mask = table.len() as u64 - 1;
+    for (&word, tag) in words.iter().zip(tags) {
+        let slot = &mut table[(word & mask) as usize];
+        if *slot == 0 {
+            folds.push(Some(tag.clone()));
+            *slot = folds.len() as u64;
+        } else {
+            let folded = folds[*slot as usize - 1]
+                .as_mut()
+                .expect("a slot's fold is taken once, by the walk");
+            *folded = or(folded, tag);
+        }
+    }
+    let high = words[0] & !mask;
+    for (slot, entry) in table.iter_mut().enumerate() {
+        if *entry != 0 {
+            let folded = folds[std::mem::take(entry) as usize - 1]
+                .take()
+                .expect("every slot names its own fold");
+            out.push(high | slot as u64, folded);
+        }
+    }
+    folds.clear();
+}
+
+/// Per-worker scratch of [`sort_unique_words`], taken from the arena's sort
+/// scratch when a segment first needs it and returned when the chunk is
+/// done: the direct-address table, the sorted words of a segment and their
+/// row ids, and [`sort_segment`]'s own.
+#[derive(Default)]
+struct DedupScratch {
+    table: Column,
+    sorted: Column,
+    rows: Column,
+    segment: Option<SegmentScratch>,
+}
+
+impl DedupScratch {
+    /// The all-zero direct-address table of `slots` slots.
+    fn table(&mut self, device: &Device, slots: usize) -> &mut [u64] {
+        reserve_scratch(device, &mut self.table, slots);
+        &mut self.table[..slots]
+    }
+
+    /// `words` (rows `base..`) sorted by [`sort_segment`], and the row of
+    /// each sorted word.
+    fn sort(
+        &mut self,
+        device: &Device,
+        words: &[u64],
+        base: usize,
+        digits: &[u32],
+    ) -> (&[u64], &[u64]) {
+        let n = words.len();
+        reserve_scratch(device, &mut self.sorted, n);
+        reserve_scratch(device, &mut self.rows, n);
+        let (sorted, rows) = (&mut self.sorted[..n], &mut self.rows[..n]);
+        sort_segment(
+            device,
+            words,
+            base as u64,
+            digits,
+            sorted,
+            rows,
+            &mut self.segment,
+        );
+        (sorted, rows)
+    }
+
+    fn recycle(self, device: &Device) {
+        for buffer in [self.table, self.sorted, self.rows] {
+            if buffer.capacity() > 0 {
+                device.arena().recycle(sites::SORT_SCRATCH, buffer);
+            }
+        }
+        if let Some(segment) = self.segment {
+            segment.recycle(device);
+        }
+    }
+}
+
+/// Grows `buffer` to at least `len` zeroed words from the arena's sort
+/// scratch — at least doubling, so a worker regrows O(log) times per launch
+/// — and recycles the buffer it replaces.
+fn reserve_scratch(device: &Device, buffer: &mut Column, len: usize) {
+    if buffer.len() >= len {
+        return;
+    }
+    let arena = device.arena();
+    let grown = arena.alloc_zeroed(sites::SORT_SCRATCH, len.max(2 * buffer.len()));
+    let old = std::mem::replace(buffer, grown);
+    if old.capacity() > 0 {
+        arena.recycle(sites::SORT_SCRATCH, old);
+    }
 }
 
 /// One pass over a word column: the bits in which any two words differ, and
@@ -662,15 +977,9 @@ fn sort_segment(
         }
         return;
     };
-    if count > 1 && scratch.keys.len() < n {
-        let arena = device.arena();
-        let grown = n.max(2 * scratch.keys.len());
-        for buffer in [&mut scratch.keys, &mut scratch.ids] {
-            let old = std::mem::replace(buffer, arena.alloc_zeroed(sites::SORT_SCRATCH, grown));
-            if old.capacity() > 0 {
-                arena.recycle(sites::SORT_SCRATCH, old);
-            }
-        }
+    if count > 1 {
+        reserve_scratch(device, &mut scratch.keys, n);
+        reserve_scratch(device, &mut scratch.ids, n);
     }
     // The passes alternate between the output and the scratch; the first
     // one is aimed so that the last lands in the output.
@@ -803,38 +1112,15 @@ pub fn apply_permutation<T: Clone + Send + Sync>(
 /// that start in it, writing each segment's row and the left-to-right fold
 /// of its tags as it goes — the order the sequential loop uses, so
 /// order-sensitive disjunctions (float addition) produce identical bits
-/// wherever the chunk boundaries fall. A one-column table compares words
-/// directly instead of rows column by column.
+/// wherever the chunk boundaries fall. (A one-word table goes from unsorted
+/// rows to duplicate-free ones in [`sort_unique_words`] instead.)
 pub fn unique<T, F>(device: &Device, columns: &[&[u64]], tags: &[T], or: F) -> (Columns, Vec<T>)
 where
     T: Clone + Send + Sync,
     F: Fn(&T, &T) -> T + Sync,
 {
     let _t = device.launch(KernelKind::Unique);
-    if let [words] = columns {
-        unique_by(device, columns, tags, or, |i| {
-            i == 0 || words[i] != words[i - 1]
-        })
-    } else {
-        unique_by(device, columns, tags, or, |i| {
-            i == 0 || cmp_rows(columns, i - 1, columns, i) != Ordering::Equal
-        })
-    }
-}
-
-/// [`unique`] with the segment-start test given.
-fn unique_by<T, F, S>(
-    device: &Device,
-    columns: &[&[u64]],
-    tags: &[T],
-    or: F,
-    is_start: S,
-) -> (Columns, Vec<T>)
-where
-    T: Clone + Send + Sync,
-    F: Fn(&T, &T) -> T + Sync,
-    S: Fn(usize) -> bool + Sync,
-{
+    let is_start = |i: usize| i == 0 || cmp_rows(columns, i - 1, columns, i) != Ordering::Equal;
     let len = columns.first().map(|c| c.len()).unwrap_or(0);
     let arena = device.arena();
     // A chunk owns the segments that start in it: it skips the tail of one

@@ -21,6 +21,10 @@
 //!   merge-sort fallback for wide rows), [`kernels::unique`],
 //!   [`kernels::merge`], [`kernels::difference`] — sorted-table maintenance
 //!   for semi-naive evaluation,
+//! * [`kernels::sort_unique_words`] — `sort`, `unique⟨⊕⟩` and `diff` of a
+//!   one-word table in one launch: unsorted candidate rows to the new
+//!   frontier, deduplicating dense sorted-prefix segments by direct
+//!   addressing and dropping known facts in the same walk,
 //! * [`HashIndex`] with [`kernels::count_matches`] and
 //!   [`kernels::join_write`] — the open-addressing, linear-probing hash join
 //!   of Section 5.1: one slot per distinct key over row ids grouped by key,

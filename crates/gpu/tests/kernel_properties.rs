@@ -854,13 +854,12 @@ fn laned_words(
         .collect()
 }
 
-/// The one-word sort — taken by [`kernels::sort_words`] and by
-/// `sort_permutation` of a single column — must return exactly the
-/// permutation a stable comparison sort returns, whichever way it gets
-/// there: a table in no order (one segment), a sorted one (copied through),
-/// a non-decreasing leading lane (sorted inside runs of equal prefix, by
-/// comparison when a run is short and by radix passes when it is long), and
-/// the shapes in between.
+/// The one-word sort — `sort_permutation` of a single column — must return
+/// exactly the permutation a stable comparison sort returns, whichever way
+/// it gets there: a table in no order (one segment), a sorted one (copied
+/// through), a non-decreasing leading lane (sorted inside runs of equal
+/// prefix, by comparison when a run is short and by radix passes when it is
+/// long), and the shapes in between.
 #[test]
 fn one_word_sort_is_the_stable_comparison_sort() {
     let seq = Device::sequential();
@@ -904,7 +903,6 @@ fn one_word_sort_is_the_stable_comparison_sort() {
                 for (shape, words) in &tables {
                     let mut want: Vec<u64> = (0..rows as u64).collect();
                     want.sort_by_key(|&i| words[i as usize]);
-                    let want_words: Vec<u64> = want.iter().map(|&i| words[i as usize]).collect();
                     for parallelism in PARALLELISMS {
                         let par = parallel_device(parallelism);
                         for device in [&seq, &par] {
@@ -917,9 +915,6 @@ fn one_word_sort_is_the_stable_comparison_sort() {
                                 want,
                                 "sort_permutation: {ctx}"
                             );
-                            let (got_words, got_perm) = kernels::sort_words(device, words);
-                            assert_eq!(got_perm, want, "sort_words permutation: {ctx}");
-                            assert_eq!(got_words, want_words, "sort_words words: {ctx}");
                         }
                     }
                 }
@@ -963,6 +958,135 @@ fn one_word_unique_folds_tags_left_to_right() {
             let ctx = format!("rows {rows}, keys {key_space}, p {parallelism}");
             assert_eq!(got_words, vec![want_words.clone()], "words: {ctx}");
             assert_eq!(got_tags, want_tags, "tags: {ctx}");
+        }
+    }
+}
+
+/// A tag disjunction that is neither commutative nor associative, so a fold
+/// in any order but left to right shows in the bits.
+fn ordered_or(a: &u64, b: &u64) -> u64 {
+    a.wrapping_mul(31).wrapping_add(*b) ^ (a >> 7)
+}
+
+/// A one-word table cut into one segment per entry of `runs`: the bits
+/// above `bits` count the runs up, and the low `bits` bits of each of the
+/// run's rows are drawn at random. Every `sorted_every`-th run is sorted, so
+/// some segments arrive in order inside an unsorted table.
+fn segmented_words(rng: &mut Rng, bits: u32, runs: &[usize], sorted_every: usize) -> Vec<u64> {
+    let mut words = Vec::new();
+    for (r, &n) in runs.iter().enumerate() {
+        let start = words.len();
+        words.extend((0..n).map(|_| (r as u64 + 1) << bits | rng.below(1 << bits)));
+        if r % sorted_every == 0 {
+            words[start..].sort_unstable();
+        }
+    }
+    words
+}
+
+/// Known runs for a candidate: sorted, duplicate-free, and drawn partly
+/// from the candidate's own words. `None`; one run holding every other
+/// distinct word together with the smallest and the largest (so the run
+/// starts and ends on candidate words); and several runs splitting three
+/// quarters of the distinct words, each holding words no other run does —
+/// joined, for a candidate small enough, by a run ≥ 8× the candidate of
+/// mostly other words spread over the same range, which is galloped.
+fn known_runs(rng: &mut Rng, words: &[u64]) -> Vec<(&'static str, Vec<Vec<u64>>)> {
+    let mut distinct = words.to_vec();
+    distinct.sort_unstable();
+    distinct.dedup();
+    let mut sets: Vec<(&'static str, Vec<Vec<u64>>)> = vec![("no runs", Vec::new())];
+    let (Some(&first), Some(&last)) = (distinct.first(), distinct.last()) else {
+        return sets;
+    };
+    let mut one: Vec<u64> = distinct.iter().step_by(2).copied().collect();
+    one.push(last);
+    one.dedup();
+    sets.push(("one run", vec![one]));
+    let mut several = vec![Vec::new(), Vec::new(), Vec::new()];
+    for (i, &word) in distinct.iter().enumerate() {
+        if rng.below(4) != 0 {
+            several[i % 3].push(word);
+        }
+    }
+    if words.len() <= 8192 {
+        let span = last - first;
+        let mut long: Vec<u64> = (0..8 * words.len() + 1)
+            .map(|_| first + rng.below(span.max(1)))
+            .chain(distinct.iter().step_by(5).copied())
+            .collect();
+        long.sort_unstable();
+        long.dedup();
+        several.insert(1, long);
+    }
+    sets.push(("several runs", several));
+    sets
+}
+
+/// `sort_unique_words` against an oracle that shares no code with it: a
+/// `BTreeMap` folding each word's tags in input order, less a `HashSet` of
+/// every known run's words — words, tags and order, bit for bit. The shapes
+/// put segments on both sides of the direct-addressing lines (`2^low ≤ 2·n`
+/// and `low ≤ 16`), take in single rows, segments of at most 32 rows,
+/// segments already in order and tables in order or in none; the known runs
+/// are none, one and several, one of them galloped; parallelism 1 / 3 / 8.
+#[test]
+fn sort_unique_words_is_fold_then_filter() {
+    use std::collections::{BTreeMap, HashSet};
+    let mut rng = Rng::new(0x5e9);
+    let mut random =
+        |n: usize, space: u64| -> Vec<u64> { (0..n).map(|_| rng.below(space)).collect() };
+    let mut sorted = random(3000, 700);
+    sorted.sort_unstable();
+    let mut tables: Vec<(&str, Vec<u64>)> = vec![
+        ("empty", Vec::new()),
+        ("one row", random(1, 9)),
+        ("sorted", sorted),
+        ("one sparse segment", random(3000, u64::MAX)),
+        ("one dense segment", random(3000, 1 << 11)),
+    ];
+    let mut rng = Rng::new(0xde5);
+    // Around 2^9 ≤ 2·n: 256 rows is dense, 255 is not; single rows,
+    // segments up to 32 rows, and segments in order between them.
+    let around_half = [256, 255, 1, 1, 257, 5, 1, 32, 33, 300, 511, 1, 512, 2];
+    tables.push(("9 low bits", segmented_words(&mut rng, 9, &around_half, 4)));
+    // At the `low ≤ 16` line: 2^16 slots for 2^15 rows is dense, one row
+    // fewer is not; 17 low bits are never dense, however many rows.
+    tables.push((
+        "16 low bits",
+        segmented_words(&mut rng, 16, &[32_768, 32_767, 3, 40_000], 5),
+    ));
+    tables.push((
+        "17 low bits",
+        segmented_words(&mut rng, 17, &[65_536, 70_000], 5),
+    ));
+    for (shape, words) in &tables {
+        let tags: Vec<u64> = (0..words.len()).map(|_| rng.next()).collect();
+        let mut folded: BTreeMap<u64, u64> = BTreeMap::new();
+        for (word, tag) in words.iter().zip(&tags) {
+            folded
+                .entry(*word)
+                .and_modify(|acc| *acc = ordered_or(acc, tag))
+                .or_insert(*tag);
+        }
+        for (known_shape, runs) in known_runs(&mut rng, words) {
+            let known: HashSet<u64> = runs.iter().flatten().copied().collect();
+            let (want_words, want_tags): (Vec<u64>, Vec<u64>) = folded
+                .iter()
+                .filter(|(word, _)| !known.contains(word))
+                .unzip();
+            if !runs.is_empty() && !words.is_empty() {
+                assert!(want_words.len() < folded.len(), "{shape}: no known word");
+            }
+            let run_refs: Vec<&[u64]> = runs.iter().map(|run| run.as_slice()).collect();
+            for parallelism in PARALLELISMS {
+                let device = parallel_device(parallelism);
+                let ctx = format!("{shape}, {known_shape}, p {parallelism}");
+                let (got_words, got_tags) =
+                    kernels::sort_unique_words(&device, words, &tags, ordered_or, &run_refs);
+                assert_eq!(got_words, want_words, "words: {ctx}");
+                assert_eq!(got_tags, want_tags, "tags: {ctx}");
+            }
         }
     }
 }
