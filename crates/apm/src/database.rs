@@ -724,31 +724,22 @@ impl<P: Provenance> Database<P> {
     }
 
     /// Builds a sorted table in this database's storage encoding from
-    /// full-width columns carrying global symbol ids. On a full-width
-    /// database this is plain [`SortedTable::from_unsorted`].
+    /// full-width columns carrying global symbol ids, less the rows the
+    /// relation's `stable` partition already holds when `minus_stable` is
+    /// set. On a full-width database with `minus_stable` unset this is plain
+    /// [`SortedTable::from_unsorted`].
     pub(crate) fn encoded_from_unsorted(
         &mut self,
         device: &Device,
         relation: &str,
         columns: Columns,
         tags: Vec<P::Tag>,
-    ) -> SortedTable<P> {
-        let columns = self.encode(device, relation, columns);
-        SortedTable::from_unsorted(device, &self.provenance, columns, tags)
-    }
-
-    /// [`Database::encoded_from_unsorted`] less the rows the relation's
-    /// `stable` partition already holds.
-    pub(crate) fn new_stable_rows(
-        &mut self,
-        device: &Device,
-        relation: &str,
-        columns: Columns,
-        tags: Vec<P::Tag>,
+        minus_stable: bool,
     ) -> SortedTable<P> {
         let columns = self.encode(device, relation, columns);
         let stable = &self.relations[relation].stable;
-        SortedTable::from_unsorted_minus(device, &self.provenance, columns, tags, &[stable])
+        let known: &[&SortedTable<P>] = if minus_stable { &[stable] } else { &[] };
+        SortedTable::from_unsorted_minus(device, &self.provenance, columns, tags, known)
     }
 
     /// Full-width columns carrying global symbol ids in this database's
@@ -827,7 +818,7 @@ impl<P: Provenance> Database<P> {
             }
             let columns = std::mem::replace(columns, vec![Vec::new(); arity]);
             let tags = std::mem::take(tags);
-            let new_rows = self.new_stable_rows(device, &name, columns, tags);
+            let new_rows = self.encoded_from_unsorted(device, &name, columns, tags, true);
             let data = self.relations.get_mut(&name).expect("relation exists");
             data.stable = SortedTable::merge_disjoint_owned(device, data.stable.take(), new_rows);
         }

@@ -148,7 +148,7 @@ pub fn refresh_database<P: Provenance>(
             changed.insert(rel.clone());
             continue;
         }
-        let delta = db.new_stable_rows(&device, rel, cols.clone(), tags.clone());
+        let delta = db.encoded_from_unsorted(&device, rel, cols.clone(), tags.clone(), true);
         if delta.is_empty() {
             continue;
         }
@@ -172,7 +172,7 @@ pub fn refresh_database<P: Provenance>(
             continue;
         }
         let (cols, tags) = edb(rel);
-        let new = db.encoded_from_unsorted(&device, rel, cols, tags);
+        let new = db.encoded_from_unsorted(&device, rel, cols, tags, false);
         let data = db.relation_data_mut(rel);
         debug_assert!(
             data.recent.is_empty(),
@@ -245,7 +245,7 @@ pub fn refresh_database<P: Provenance>(
                 .iter()
                 .map(|rel| {
                     let (cols, tags) = edb(rel);
-                    let new = db.encoded_from_unsorted(&device, rel, cols, tags);
+                    let new = db.encoded_from_unsorted(&device, rel, cols, tags, false);
                     // A pending EDB seed on this relation is subsumed by the
                     // full rebuild.
                     split.remove(rel);

@@ -15,10 +15,10 @@
 //! overlapped; wall far above busy/lanes means the pool queued. Busy time is
 //! published only up to one lane per CPU: past that it is `null`, with the
 //! reason, because a chunk's busy time is a wall-clock interval that counts
-//! the time its lane sat descheduled. The `sort_unique` row runs
-//! [`kernels::sort_unique_words`] over a 2 M-row candidate shaped like
-//! `tc_dense`'s against a 250 k-row known run (a quarter of each in quick
-//! mode). This is what lets serving-layer numbers (`BENCH_serve.json`) be
+//! the time its lane sat descheduled. The `sort_unique` row, measured last
+//! at every lane count, runs [`kernels::sort_unique_words`] over a 2 M-row
+//! candidate shaped like `tc_dense`'s against a 250 k-row known run (a
+//! quarter of each in quick mode). This is what lets serving-layer numbers (`BENCH_serve.json`) be
 //! attributed to individual kernels; `docs/PERFORMANCE.md` walks through
 //! reading both.
 //!
@@ -222,19 +222,6 @@ fn main() {
                 device.arena().recycle_shared(col);
             }
         });
-        bench("sort_unique", candidate.len(), &mut || {
-            // Candidate rows to new frontier in one launch: sort, fold the
-            // tags of duplicates (max, as min-max probability does), drop
-            // what the known run holds.
-            let (words, _tags) = kernels::sort_unique_words(
-                &device,
-                &candidate,
-                &candidate_tags,
-                |a, b| a.max(*b),
-                &[&known],
-            );
-            device.arena().recycle_shared(words);
-        });
         bench("scan", rows, &mut || {
             let (offsets, _) = kernels::scan(&device, &counts);
             device.arena().recycle_shared(offsets);
@@ -337,6 +324,21 @@ fn main() {
             for col in [counts, offsets, bi, pi] {
                 device.arena().recycle_shared(col);
             }
+        });
+        bench("sort_unique", candidate.len(), &mut || {
+            // Candidate rows to new frontier in one launch: sort, fold the
+            // tags of duplicates (max, as min-max probability does), drop
+            // what the known run holds. Last, because its 2 M-row launch
+            // leaves buffers in the arena pools that change what the rows
+            // after it read (`eval` at one lane ran 2x faster behind it).
+            let (words, _tags) = kernels::sort_unique_words(
+                &device,
+                &candidate,
+                &candidate_tags,
+                |a, b| a.max(*b),
+                &[&known],
+            );
+            device.arena().recycle_shared(words);
         });
 
         let stats = device.stats();

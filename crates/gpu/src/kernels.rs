@@ -15,9 +15,8 @@
 //!
 //! * [`sort_permutation`] returns the unique permutation that orders rows by
 //!   `(row content, original index)` — a total order, so the stable LSD
-//!   radix sort, the parallel merge sort, the small-input comparison sort
-//!   and the one-word sort (whichever prefix of the words it finds already
-//!   in order) all produce the same bytes.
+//!   radix sort, the parallel merge sort and the small-input comparison
+//!   sort all produce the same bytes.
 //! * [`scan`] is one sequential fold at every size: a two-pass block scan
 //!   reads the counts twice and never beat it on any machine measured.
 //! * [`unique`] reduces each duplicate segment left-to-right (ascending row
@@ -103,7 +102,7 @@ pub mod sites {
     pub const PACK_OUT: usize = 19;
     /// Unpack-columns output (full-width logical columns).
     pub const UNPACK_OUT: usize = 20;
-    /// Sorted words of a one-word sort, and the words one chunk of
+    /// The words one chunk of
     /// [`sort_unique_words`](super::sort_unique_words) emits.
     pub const SORT_KEYS: usize = 21;
 }
@@ -336,18 +335,17 @@ const RADIX_PASS_BUDGET: usize = 16;
 /// chunking and radix machinery only pay off in bulk.
 const SMALL_SORT: usize = 64;
 
-/// A segment of a one-word sort of at most this many rows is insertion-sorted
-/// in place: cheaper than zeroing and scanning a histogram per digit.
+/// A segment ([`Segments`]) of at most this many rows is insertion-sorted in
+/// place: cheaper than zeroing and scanning a histogram per digit.
 const SMALL_SEGMENT: usize = 32;
 
 /// `sort(s̄)`: returns the permutation that lexicographically sorts the rows
 /// of the table formed by `columns`.
 ///
 /// The permutation is the unique one ordering rows by `(row content,
-/// original index)`; equal rows keep their input order. A one-column table
-/// is sorted by moving its words, segment by segment (`sort_words_into`).
-/// Narrow tables (at most `RADIX_PASS_BUDGET`
-/// (16) non-constant bytes across all columns, the common case once
+/// original index)`; equal rows keep their input order. Narrow tables (at
+/// most `RADIX_PASS_BUDGET` (16) non-constant bytes across all columns,
+/// every one-column table among them, and the common case once
 /// dictionary-encoded values stay small) are sorted with a parallel
 /// least-significant-digit radix sort — per-chunk digit histograms, a scan
 /// over `(digit, chunk)` buckets, and a scatter into per-bucket output
@@ -355,14 +353,8 @@ const SMALL_SEGMENT: usize = 32;
 /// chunks, pairwise merged). All are stable, so all produce the same bytes.
 pub fn sort_permutation(device: &Device, columns: &[&[u64]]) -> Column {
     let _t = device.launch(KernelKind::Sort);
-    let arena = device.arena();
-    if let [words] = columns {
-        let (sorted, perm) = sort_words_into(device, words);
-        arena.recycle(sites::SORT_KEYS, sorted);
-        return perm;
-    }
     let len = columns.first().map(|c| c.len()).unwrap_or(0);
-    let mut perm = arena.alloc_zeroed(sites::SORT_OUT, len);
+    let mut perm = device.arena().alloc_zeroed(sites::SORT_OUT, len);
     par_map_into(device, &mut perm, |i| i as u64);
     if len <= 1 || columns.is_empty() {
         return perm;
@@ -482,53 +474,6 @@ fn radix_pass(device: &Device, col: &[u64], shift: u32, src: &Column, dst: &mut 
     );
 }
 
-/// `sort(s)` of a one-word table — every relation whose row packs into one
-/// 8-byte word — inside an already-open launch: returns the sorted words and
-/// the permutation that sorts them, `sorted[k] == words[perm[k]]`, equal
-/// words in input order (the permutation [`sort_permutation`] returns for
-/// the same column).
-///
-/// The words themselves are moved, with the row id as payload, so no pass
-/// reads a column through the permutation. The table falls into
-/// [`Segments`] that only need sorting inside; each is sorted by an LSD
-/// radix sort over its varying low bytes, with all its digit histograms
-/// taken in one pass over the segment, and one that fits the cache is
-/// sorted without touching memory twice. A table in no order at all is one
-/// segment; a sorted one is copied through.
-fn sort_words_into(device: &Device, words: &[u64]) -> (Column, Column) {
-    let len = words.len();
-    let arena = device.arena();
-    let mut keys = arena.alloc_zeroed(sites::SORT_KEYS, len);
-    let mut ids = arena.alloc_zeroed(sites::SORT_OUT, len);
-    let segments = Segments::of(device, words);
-    let key_slices = split_by_ranges(&mut keys, &segments.ranges);
-    let id_slices = split_by_ranges(&mut ids, &segments.ranges);
-    run_chunks(
-        device,
-        &segments.ranges,
-        key_slices.into_iter().zip(id_slices).collect(),
-        |_, range, (keys, ids): (&mut [u64], &mut [u64])| {
-            let mut scratch = None;
-            segments.for_each(words, range.clone(), |segment, _| {
-                let out = segment.start - range.start..segment.end - range.start;
-                sort_segment(
-                    device,
-                    &words[segment.clone()],
-                    segment.start as u64,
-                    &segments.digits,
-                    &mut keys[out.clone()],
-                    &mut ids[out],
-                    &mut scratch,
-                );
-            });
-            if let Some(scratch) = scratch {
-                scratch.recycle(device);
-            }
-        },
-    );
-    (keys, ids)
-}
-
 /// A one-word column cut into *segments*, runs of rows whose words agree
 /// above bit `low`. One pass over the column finds which bytes vary at all
 /// and the shortest suffix of low bits that is out of order: every descent
@@ -616,21 +561,22 @@ const DENSE_SEGMENT_BITS: u32 = 16;
 /// the sorted, duplicate-free table.
 ///
 /// One pass finds the lowest bit `low` above which the words are already
-/// non-decreasing, as [`sort_permutation`]'s one-word sort does, and the
-/// words fall into *segments*, runs of rows that agree above it. Each
-/// segment goes one of three ways. One already in order (or a single row)
-/// folds its runs of equal words as they come. A *dense* one —
-/// `low ≤ DENSE_SEGMENT_BITS` (16) and `2^low ≤ 2·n` for its `n` rows — is
-/// deduplicated by direct addressing: each row's tag is folded into the slot
-/// of a `2^low`-slot table that its low bits name, in input order, and
+/// non-decreasing, and the words fall into *segments*, runs of rows that
+/// agree above it. Each segment goes one of three ways. One already in order
+/// (or a single row) folds its runs of equal words as they come. A *dense*
+/// one — `low ≤ DENSE_SEGMENT_BITS` (16) and `2^low ≤ 2·n` for its `n` rows
+/// — is deduplicated by direct addressing: each row's tag is folded into the
+/// slot of a `2^low`-slot table that its low bits name, in input order, and
 /// walking the table in slot order emits the segment sorted. Any other is
-/// sorted into worker-local scratch as [`sort_permutation`] sorts a
-/// one-word table and then folded. Every distinct word is checked against
-/// the runs with one cursor per run carried across the chunk, galloping
-/// through a run at least 8× longer than the candidate (`GALLOP_RATIO`) as
-/// [`difference_runs`] does; in a multi-chunk launch each cursor starts at
-/// its bisected position. So no full-length sorted column, permutation,
-/// permuted tag vector, distinct table or kept-row index is ever written.
+/// sorted into worker-local scratch by a stable LSD radix sort over its
+/// varying low bytes and then folded. Every distinct word is checked
+/// against the runs with one cursor per run carried across the chunk, which
+/// steps linearly and gallops once a word lies more than `GALLOP_RATIO` (8)
+/// positions ahead; in a multi-chunk launch each cursor starts at its
+/// bisected position. So no full-length sorted column, permutation,
+/// permuted tag vector, distinct table or kept-row index is ever written:
+/// a chunk's output buffer has room for all its rows, but only the words
+/// it emits are written to it.
 ///
 /// The fold is the one the stable sort and [`unique`] produce — equal words
 /// are only ever in one segment, and every path visits them in input order
@@ -660,11 +606,13 @@ where
             known,
             cursors: known
                 .iter()
-                .map(|run| {
-                    let start = bisect(0, run.len(), |j| run[j] < floor);
-                    (run.len() / GALLOP_RATIO >= words.len(), start)
-                })
+                .map(|run| bisect(0, run.len(), |j| run[j] < floor))
                 .collect(),
+            // Room for every row of the chunk, of which only the emitted
+            // words are written. A buffer grown on demand instead takes
+            // whatever the pools hand out first, which saves a little peak
+            // memory on average but makes it vary from run to run
+            // (docs/PERFORMANCE.md, "Candidate rows to frontier").
             words: arena.alloc_empty(sites::SORT_KEYS, range.len()),
             tags: Vec::new(),
         };
@@ -709,24 +657,16 @@ where
 /// run holds.
 struct Frontier<'a, T> {
     known: &'a [&'a [u64]],
-    /// Per known run: whether it is galloped, and the first position not
-    /// yet passed.
-    cursors: Vec<(bool, usize)>,
+    /// Per known run, the first position not yet passed.
+    cursors: Vec<usize>,
     words: Column,
     tags: Vec<T>,
 }
 
 impl<T> Frontier<'_, T> {
     fn push(&mut self, word: u64, tag: T) {
-        for (run, (gallops, cursor)) in self.known.iter().zip(&mut self.cursors) {
-            let less = |j: usize| run[j] < word;
-            if *gallops {
-                *cursor = gallop(*cursor, run.len(), less);
-            } else {
-                while *cursor < run.len() && less(*cursor) {
-                    *cursor += 1;
-                }
-            }
+        for (run, cursor) in self.known.iter().zip(&mut self.cursors) {
+            *cursor = seek(run, *cursor, word);
             if run.get(*cursor) == Some(&word) {
                 return;
             }
@@ -1288,8 +1228,23 @@ fn columns_chunked<'a>(cols: &'a mut Columns, ranges: &[Range<usize>]) -> Vec<Ve
 /// A run at least this many times longer than the candidate is probed by
 /// galloping instead of a linear two-pointer walk: per candidate row the
 /// gallop costs about `2·log2(ratio)` comparisons against the walk's
-/// `ratio`, which crosses over near 8.
+/// `ratio`, which crosses over near 8. [`seek`] reads it as a distance
+/// instead: the number of linear steps it takes before galloping.
 const GALLOP_RATIO: usize = 8;
+
+/// First position of sorted `run` from `from` on whose word is not less
+/// than `word`: linear steps while that stays within `GALLOP_RATIO`
+/// positions of `from`, a gallop past them. So a carried cursor costs what
+/// the two-pointer walk costs where the run is about as dense as the words
+/// looked up, and what a gallop costs where it is much denser, with no count
+/// of the distinct words needed up front.
+fn seek(run: &[u64], from: usize, word: u64) -> usize {
+    let near = run.len().min(from + GALLOP_RATIO);
+    match (from..near).find(|&j| run[j] >= word) {
+        Some(j) => j,
+        None => gallop(near, run.len(), |j| run[j] < word),
+    }
+}
 
 /// First index in `from..len` at which `less` turns false, found by doubling
 /// steps from `from` and a bisection of the last step. `less` must be

@@ -77,7 +77,7 @@ fn sorted_on(device: &Device, cols: &[Vec<u64>], tags: &[f64]) -> (Vec<Vec<u64>>
     kernels::apply_permutation(device, &perm, &refs(cols), tags)
 }
 
-/// Table shapes: (arity, key space). One column takes the one-word sort;
+/// Table shapes: (arity, key space). One column is the one-word table shape;
 /// small key spaces force heavy duplication and few varying radix bytes; the
 /// huge key space forces full-width radix passes — 16 of them at arity 2,
 /// the whole budget — and at arity 3 blows the budget and lands on the
@@ -854,12 +854,11 @@ fn laned_words(
         .collect()
 }
 
-/// The one-word sort — `sort_permutation` of a single column — must return
-/// exactly the permutation a stable comparison sort returns, whichever way
-/// it gets there: a table in no order (one segment), a sorted one (copied
-/// through), a non-decreasing leading lane (sorted inside runs of equal
-/// prefix, by comparison when a run is short and by radix passes when it is
-/// long), and the shapes in between.
+/// `sort_permutation` of a single packed-word column must return exactly
+/// the permutation a stable comparison sort returns, on the shapes a
+/// one-word table takes: a table in no order, a sorted one, a
+/// non-decreasing leading lane in short and long runs of equal prefix, and
+/// the shapes in between.
 #[test]
 fn one_word_sort_is_the_stable_comparison_sort() {
     let seq = Device::sequential();
@@ -990,7 +989,7 @@ fn segmented_words(rng: &mut Rng, bits: u32, runs: &[usize], sorted_every: usize
 /// starts and ends on candidate words); and several runs splitting three
 /// quarters of the distinct words, each holding words no other run does —
 /// joined, for a candidate small enough, by a run ≥ 8× the candidate of
-/// mostly other words spread over the same range, which is galloped.
+/// mostly other words spread over the same range, whose cursor gallops.
 fn known_runs(rng: &mut Rng, words: &[u64]) -> Vec<(&'static str, Vec<Vec<u64>>)> {
     let mut distinct = words.to_vec();
     distinct.sort_unstable();
