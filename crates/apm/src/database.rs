@@ -260,6 +260,41 @@ impl<P: Provenance> SortedTable<P> {
         }
     }
 
+    /// Removes `rows` — sorted, and every one of them a row of `self` — in
+    /// place: each is found by galloping, one keep flag per row is written,
+    /// and every column and the tags are compacted by it, the rows after the
+    /// first removed one moving up once.
+    pub(crate) fn remove_rows(&mut self, device: &Device, rows: &SortedTable<P>) {
+        if rows.is_empty() {
+            return;
+        }
+        // The place a row of `rows` takes in a merge with `self`, which
+        // puts it after its equal, less the rows of `rows` before it and
+        // that equal, is where the equal is.
+        let mut doomed = self
+            .merge_positions(device, rows)
+            .into_iter()
+            .enumerate()
+            .map(|(j, merged)| merged - j - 1);
+        let mut next = doomed.next();
+        let mut keep = Vec::with_capacity(self.len());
+        for row in 0..self.len() {
+            let removed = next == Some(row);
+            if removed {
+                next = doomed.next();
+            }
+            keep.push(!removed);
+        }
+        debug_assert!(next.is_none(), "a row to remove is not in the table");
+        for column in &mut self.columns {
+            let mut kept = keep.iter();
+            column.retain(|_| *kept.next().expect("one flag per row"));
+        }
+        let mut kept = keep.iter();
+        self.tags
+            .retain(|_| *kept.next().expect("one flag per row"));
+    }
+
     /// The index each row of `other` takes in
     /// [`self.merge_disjoint(other)`](SortedTable::merge_disjoint), from the
     /// comparison the merge itself makes — so a reader holding the rows of
@@ -304,27 +339,26 @@ pub(crate) struct Codec {
 
 impl Codec {
     fn new(schemas: &BTreeMap<String, RelationSchema>, dict: SymbolDict, widen_u32: bool) -> Codec {
-        let sym_bytes = dict.width_bytes();
-        let u32_bytes = if widen_u32 { 8 } else { 4 };
-        let layouts: BTreeMap<String, RelationLayout> = schemas
-            .iter()
-            .map(|(name, schema)| {
-                (
-                    name.clone(),
-                    RelationLayout::plan(&schema.arg_types, sym_bytes, u32_bytes),
-                )
-            })
-            .collect();
-        let lanes = layouts
-            .iter()
-            .map(|(name, layout)| (name.clone(), Self::pack_lanes(layout)))
-            .collect();
-        Codec {
+        let mut codec = Codec {
             dict,
             widen_u32,
-            layouts,
-            lanes,
+            layouts: BTreeMap::new(),
+            lanes: BTreeMap::new(),
+        };
+        for (name, schema) in schemas {
+            codec.plan(name, &schema.arg_types);
         }
+        codec
+    }
+
+    /// Plans the layout of a relation with the given column types under the
+    /// current dictionary, with its pack lanes.
+    fn plan(&mut self, name: &str, arg_types: &[ValueType]) {
+        let u32_bytes = if self.widen_u32 { 8 } else { 4 };
+        let layout = RelationLayout::plan(arg_types, self.dict.width_bytes(), u32_bytes);
+        self.lanes
+            .insert(name.to_string(), Self::pack_lanes(&layout));
+        self.layouts.insert(name.to_string(), layout);
     }
 
     /// Converts a layout's groups into the gpu kernel's lane spec.
@@ -760,6 +794,53 @@ impl<P: Provenance> Database<P> {
         encode_wide(device, codec, relation, &self.schemas[relation], columns)
     }
 
+    /// The rows of `table`, stored as rows of `relation`, as full-width
+    /// columns carrying global symbol ids: what [`Database::encode`] takes.
+    pub(crate) fn wide_columns(
+        &self,
+        device: &Device,
+        relation: &str,
+        table: &SortedTable<P>,
+    ) -> Columns {
+        match self.codec.as_ref() {
+            Some(codec) => decode_packed(device, codec, relation, &table.columns),
+            None => table.columns.clone(),
+        }
+    }
+
+    /// Adds an empty relation with the given column types, stored in the
+    /// layout those types plan under the live dictionary — the layout of
+    /// every other relation of the same types. A refresh derives its scratch
+    /// relations here, beside the materialized ones, and removes them with
+    /// [`Database::remove_relation`].
+    pub(crate) fn add_relation(&mut self, name: &str, arg_types: Vec<ValueType>) {
+        let arity = match self.codec.as_mut() {
+            Some(codec) => {
+                codec.plan(name, &arg_types);
+                codec.layout(name).packed_arity()
+            }
+            None => arg_types.len(),
+        };
+        self.relations
+            .insert(name.to_string(), RelationData::new(arity));
+        self.schemas
+            .insert(name.to_string(), RelationSchema::new(name, arg_types));
+    }
+
+    /// Drops a relation [`Database::add_relation`] added, recycling its
+    /// tables.
+    pub(crate) fn remove_relation(&mut self, device: &Device, name: &str) {
+        self.schemas.remove(name);
+        if let Some(codec) = self.codec.as_mut() {
+            codec.layouts.remove(name);
+            codec.lanes.remove(name);
+        }
+        if let Some(data) = self.relations.remove(name) {
+            data.stable.recycle(device);
+            data.recent.recycle(device);
+        }
+    }
+
     /// The provenance context used by this database.
     pub fn provenance(&self) -> &P {
         &self.provenance
@@ -1072,6 +1153,27 @@ mod tests {
         let merged = a.merge_disjoint(&device, &new);
         assert_eq!(merged.len(), 3);
         assert_eq!(merged.columns[0], vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn removing_rows_in_place_leaves_the_difference() {
+        let device = Device::sequential();
+        let prov = Unit::new();
+        for packed in [false, true] {
+            let all: Vec<(u64, u64)> = (0..6).flat_map(|a| (0..4).map(move |b| (a, b))).collect();
+            for stride in 1..5 {
+                let gone: Vec<(u64, u64)> = all.iter().copied().step_by(stride).collect();
+                let mut table = table_of(&device, &prov, &all, vec![(); all.len()], packed);
+                let rows = table_of(&device, &prov, &gone, vec![(); gone.len()], packed);
+                let want = rows.difference_from(&device, &table);
+                table.remove_rows(&device, &rows);
+                assert_eq!(
+                    table.columns, want.columns,
+                    "stride {stride}, packed {packed}"
+                );
+                assert_eq!(table.len(), all.len() - gone.len());
+            }
+        }
     }
 
     /// splitmix64: the seeded generator of the property test below.

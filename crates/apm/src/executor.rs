@@ -88,6 +88,12 @@ pub struct ExecutionStats {
     /// nothing). A deterministic measure of what folding frontiers into the
     /// stable partition costs, independent of the machine.
     pub update_rows_written: usize,
+    /// Derived rows a retraction over-deleted: every row with a derivation
+    /// through a retracted fact or through another over-deleted row (see
+    /// [`refresh_database`](crate::refresh_database)).
+    pub facts_over_deleted: usize,
+    /// Over-deleted rows the same refresh derived again from what survived.
+    pub facts_rederived: usize,
 }
 
 impl ExecutionStats {
@@ -100,6 +106,8 @@ impl ExecutionStats {
         self.elapsed += other.elapsed;
         self.strata += other.strata;
         self.update_rows_written += other.update_rows_written;
+        self.facts_over_deleted += other.facts_over_deleted;
+        self.facts_rederived += other.facts_rederived;
     }
 }
 

@@ -18,9 +18,13 @@
 //!   is paid once per doubling of the relation, not per update;
 //!   `delta1_first_ms` is the same `|Δ|=1` update made as the very first one,
 //!   so its price stays visible.
-//! * `retract1_ms` — retracting one edge, which takes the stratum-level
-//!   delete/re-derive path and is expected to cost about a from-scratch run;
-//!   it is recorded so the fallback's price is visible, not hidden.
+//! * `retract1_ms` — retracting the chain's first edge, which takes the
+//!   tuple-level delete/re-derive path: it over-deletes the `edges` paths
+//!   that start at node 0, derives none of them again, and patches the view
+//!   by removal. That cone is as deep as the chain, so the over-deletion
+//!   iterates once per edge, like a from-scratch run; what it saves is the
+//!   rest of the table. `scratch_over_retract1` records the factor beside
+//!   `scratch_over_delta1`.
 //!
 //! Run with `cargo run -p lobster-bench --release --bin incremental_bench`.
 //! Knobs:
@@ -64,12 +68,16 @@ impl Row {
         self.from_scratch.as_secs_f64() / self.delta1.as_secs_f64().max(1e-9)
     }
 
+    fn scratch_over_retract1(&self) -> f64 {
+        self.from_scratch.as_secs_f64() / self.retract1.as_secs_f64().max(1e-9)
+    }
+
     fn json(&self) -> String {
         format!(
             "{{\"edges\": {}, \"path_tuples\": {}, \"from_scratch_ms\": {:.3}, \
              \"scratch_iterations\": {}, \"delta1_ms\": {:.3}, \"delta1_iterations\": {}, \
              \"delta1_first_ms\": {:.3}, \"delta16_ms\": {:.3}, \"retract1_ms\": {:.3}, \
-             \"scratch_over_delta1\": {:.3}}}",
+             \"scratch_over_delta1\": {:.3}, \"scratch_over_retract1\": {:.3}}}",
             self.edges,
             self.path_tuples,
             self.from_scratch.as_secs_f64() * 1e3,
@@ -80,6 +88,7 @@ impl Row {
             self.delta16.as_secs_f64() * 1e3,
             self.retract1.as_secs_f64() * 1e3,
             self.scratch_over_delta1(),
+            self.scratch_over_retract1(),
         )
     }
 }
@@ -219,12 +228,20 @@ fn main() {
     }
 
     println!(
-        "{:>8} {:>12} {:>12} {:>10} {:>10} {:>10} {:>10} {:>9}",
-        "edges", "paths", "scratch(ms)", "Δ=1(ms)", "first Δ=1", "Δ=16(ms)", "retract", "factor"
+        "{:>8} {:>12} {:>12} {:>10} {:>10} {:>10} {:>10} {:>9} {:>9}",
+        "edges",
+        "paths",
+        "scratch(ms)",
+        "Δ=1(ms)",
+        "first Δ=1",
+        "Δ=16(ms)",
+        "retract",
+        "factor",
+        "r.factor"
     );
     for r in &rows {
         println!(
-            "{:>8} {:>12} {:>12.3} {:>10.3} {:>10.3} {:>10.3} {:>10.3} {:>8.1}x",
+            "{:>8} {:>12} {:>12.3} {:>10.3} {:>10.3} {:>10.3} {:>10.3} {:>8.1}x {:>8.1}x",
             r.edges,
             r.path_tuples,
             r.from_scratch.as_secs_f64() * 1e3,
@@ -233,6 +250,7 @@ fn main() {
             r.delta16.as_secs_f64() * 1e3,
             r.retract1.as_secs_f64() * 1e3,
             r.scratch_over_delta1(),
+            r.scratch_over_retract1(),
         );
     }
 

@@ -135,9 +135,9 @@ fn random_traces_stay_bit_identical_across_kinds_and_parallelism() {
 
 #[test]
 fn unit_traces_exercise_the_tuple_level_delta_path() {
-    // Insert-only Unit refreshes take the semi-naive tuple-level path
-    // (delta-exact provenance); mixed traces fall back per step. Both must
-    // agree with from-scratch.
+    // Unit is delta-exact, so every step takes the tuple-level tier: an
+    // insert the semi-naive delta path, a retraction delete/re-derive, a
+    // mixed step both in one refresh. Each must agree with from-scratch.
     for parallelism in PARALLELISM {
         for case in 0..3u64 {
             run_trace(ProvenanceKind::Unit, parallelism, 0x0DD + case, 12);
@@ -576,4 +576,182 @@ fn prob_update_refresh_matches_scratch_and_keeps_gradient_ids() {
     assert!(grad
         .iter()
         .any(|(id, g)| *id == ids[1] && (*g - 0.9).abs() < 1e-12));
+}
+
+// ---------------------------------------------------------------------------
+// Retraction at tuple level (delete/re-derive). Each case retracts under
+// `unit` and must equal a from-scratch run bit for bit; the counters say
+// the over-deletion and re-derivation ran, and how much they touched.
+// ---------------------------------------------------------------------------
+
+/// Materializes `source` over `base`, applies `change` and refreshes; returns
+/// the refresh's statistics after checking it against a from-scratch run.
+fn refresh_after(
+    source: &str,
+    base: &FactSet,
+    change: impl FnOnce(&mut Session, &[InputFactId]),
+) -> lobster::ExecutionStats {
+    let program = Lobster::builder(source)
+        .provenance(ProvenanceKind::Unit)
+        .compile()
+        .unwrap();
+    let mut session = program.session();
+    let ids = session.insert_facts(base).unwrap();
+    session.run_incremental().unwrap();
+    change(&mut session, &ids);
+    let incremental = session.run_incremental().unwrap();
+    assert_identical(&incremental, &session.run().unwrap(), source);
+    incremental.stats
+}
+
+#[test]
+fn a_cycle_fed_by_a_retracted_edge_loses_the_paths_only_the_edge_supported() {
+    // 0 -> 1 feeds the cycle 1 <-> 2. Without it, `path(0, 1)` and
+    // `path(0, 2)` still derive each other around the cycle — support with
+    // no base, which over-deletion removes and re-derivation cannot bring
+    // back.
+    let base = facts_of([("edge", 0, 1), ("edge", 1, 2), ("edge", 2, 1)]);
+    let stats = refresh_after(TC, &base, |session, ids| {
+        assert_eq!(session.retract_facts(&ids[..1]), 1);
+    });
+    assert_eq!(stats.facts_over_deleted, 2);
+    assert_eq!(stats.facts_rederived, 0);
+}
+
+#[test]
+fn a_diamond_re_derives_what_its_other_side_supports() {
+    // 0 -> {1, 2} -> 3 -> 4. Without 1 -> 3, node 1 reaches neither 3 nor
+    // 4, while 0 still reaches both through 2.
+    let base = facts_of([
+        ("edge", 0, 1),
+        ("edge", 1, 3),
+        ("edge", 0, 2),
+        ("edge", 2, 3),
+        ("edge", 3, 4),
+    ]);
+    let stats = refresh_after(TC, &base, |session, ids| {
+        assert_eq!(session.retract_facts(&ids[1..2]), 1);
+    });
+    assert_eq!(stats.facts_over_deleted, 4, "(1, 3) (1, 4) (0, 3) (0, 4)");
+    assert_eq!(stats.facts_rederived, 2, "(0, 3) (0, 4)");
+}
+
+#[test]
+fn a_tuple_asserted_twice_survives_the_retraction_of_one_copy() {
+    let base = facts_of([("edge", 0, 1), ("edge", 1, 2), ("edge", 0, 1)]);
+    let stats = refresh_after(TC, &base, |session, ids| {
+        assert_eq!(session.retract_facts(&ids[2..]), 1);
+    });
+    assert_eq!(stats, lobster::ExecutionStats::default(), "nothing changed");
+}
+
+#[test]
+fn a_tuple_both_asserted_and_derived_keeps_whichever_support_is_left() {
+    let base = facts_of([("edge", 0, 1), ("edge", 1, 2), ("path", 0, 2)]);
+    // The edges go: the asserted `path(0, 2)` stays, over-deleted first.
+    let stats = refresh_after(TC, &base, |session, ids| {
+        assert_eq!(session.retract_facts(&ids[1..2]), 1);
+    });
+    assert_eq!(stats.facts_over_deleted, 2, "(1, 2) (0, 2)");
+    assert_eq!(stats.facts_rederived, 1, "(0, 2)");
+    // The assertion goes: the edges still derive `path(0, 2)`.
+    let stats = refresh_after(TC, &base, |session, ids| {
+        assert_eq!(session.retract_facts(&ids[2..]), 1);
+    });
+    assert_eq!(stats.facts_over_deleted, 1);
+    assert_eq!(stats.facts_rederived, 1);
+}
+
+#[test]
+fn an_insert_and_a_retract_in_one_refresh() {
+    let base = facts_of((0..6).map(|i| ("edge", i, i + 1)));
+    let stats = refresh_after(TC, &base, |session, ids| {
+        assert_eq!(session.retract_facts(&ids[2..3]), 1);
+        session.insert_facts(&facts_of([("edge", 6, 7)])).unwrap();
+    });
+    // 2 -> 3 carried the paths from {0, 1, 2} to {3, …, 6}.
+    assert_eq!(stats.facts_over_deleted, 12);
+    assert_eq!(stats.facts_rederived, 0);
+    // Over-deletion, re-derivation, and one seeded run that takes 6 -> 7
+    // to the survivors: no recompute.
+    assert_eq!(stats.strata, 3);
+}
+
+#[test]
+fn a_second_recursive_stratum_over_the_retracted_relation() {
+    let shape = SHAPES
+        .iter()
+        .find(|s| s.name.starts_with("a second recursive stratum"))
+        .unwrap();
+    let (mut base, _) = (shape.deep)();
+    base.add("hop", &[Value::U32(30), Value::U32(10)], None);
+    // `far` reads `path` twice, `hop` once: drop an edge mid-chain, then a
+    // hop.
+    let stats = refresh_after(shape.source, &base, |session, ids| {
+        assert_eq!(session.retract_facts(&ids[25..26]), 1);
+    });
+    assert!(stats.facts_over_deleted > 0 && stats.facts_rederived > 0);
+    let stats = refresh_after(shape.source, &base, |session, ids| {
+        assert_eq!(session.retract_facts(&ids[ids.len() - 1..]), 1);
+    });
+    assert!(stats.facts_over_deleted > 0);
+}
+
+/// The forest of the repo benchmark's `incr_updates` workload, unshuffled:
+/// 30 chains of 66 nodes with a skip edge `i -> i + 2` at every fourth node,
+/// and 8 links, each from the tail of one chain to the node 6 from the end
+/// of another, no chain used twice.
+fn forest() -> (FactSet, Vec<FactSet>) {
+    const CHAINS: u32 = 30;
+    const LEN: u32 = 66;
+    let node = |chain: u32, pos: u32| chain * LEN + pos;
+    let mut edges = Vec::new();
+    for chain in 0..CHAINS {
+        for pos in 0..LEN - 1 {
+            edges.push(("edge", node(chain, pos), node(chain, pos + 1)));
+            if pos % 4 == 0 && pos + 2 < LEN {
+                edges.push(("edge", node(chain, pos), node(chain, pos + 2)));
+            }
+        }
+    }
+    let links = (0..8)
+        .map(|k| facts_of([("edge", node(2 * k, LEN - 1), node(2 * k + 1, LEN - 6))]))
+        .collect();
+    (facts_of(edges), links)
+}
+
+#[test]
+fn retracting_the_forest_links_touches_only_their_cone() {
+    // Counters, not clocks. Each link gave every node of its source chain a
+    // path to the last six nodes of its target: 66 × 6 rows, which is what
+    // over-deletion must remove — all of them, nothing else — and nothing
+    // comes back. The deletion's fix point follows the six nodes down the
+    // target chain; one pass re-derives. A recompute of the stratum would
+    // take ~50 iterations and stage more candidate rows than `path` holds.
+    let program = Lobster::builder(TC)
+        .provenance(ProvenanceKind::Unit)
+        .compile()
+        .unwrap();
+    let mut session = program.session();
+    let (base, links) = forest();
+    session.insert_facts(&base).unwrap();
+    let paths = session.run_incremental().unwrap().len("path");
+    let mut ids = Vec::new();
+    for link in &links {
+        ids.extend(session.insert_facts(link).unwrap());
+        session.run_incremental().unwrap();
+    }
+    assert_eq!(session.retract_facts(&ids), links.len());
+    let retracted = session.run_incremental().unwrap();
+    assert_identical(&retracted, &session.run().unwrap(), "forest");
+    assert_eq!(retracted.len("path"), paths);
+    let stats = &retracted.stats;
+    assert_eq!(stats.facts_over_deleted, 8 * 66 * 6);
+    assert_eq!(stats.facts_rederived, 0);
+    assert!(stats.iterations <= 8, "{} iterations", stats.iterations);
+    assert!(
+        stats.candidate_rows < paths,
+        "{} candidate rows against {paths} paths",
+        stats.candidate_rows
+    );
 }

@@ -15,11 +15,12 @@
 
 use crate::error::LobsterError;
 use crate::program::Program;
-use crate::session::{splice_at, FactSet, OutputView, RegisteredFact};
+use crate::session::{remove_at, splice_at, FactSet, OutputView, RegisteredFact};
 use lobster_apm::{
-    refresh_database, Database, EdbContent, EncodingSpec, ExecutionStats, Executor, RelationChange,
+    refresh_database, Database, EdbChanges, EdbContent, EncodingSpec, ExecutionStats, Executor,
+    RelationChange,
 };
-use lobster_gpu::{Columns, Device, TransferDirection};
+use lobster_gpu::{Device, TransferDirection};
 use lobster_provenance::{
     AddMultProb, Boolean, DiffAddMultProb, DiffMaxMinProb, DiffTop1Proof, InputFactRegistry,
     MaxMinProb, Provenance, ProvenanceKind, SessionProvenance, Top1Proof, Unit,
@@ -87,16 +88,17 @@ pub(crate) trait AnyEngine: std::fmt::Debug + Send + Sync {
     ) -> Result<(OutputView, ExecutionStats), LobsterError>;
 
     /// Brings the kept database and `view`, its decoded outputs, up to date:
-    /// `session.facts[watermark..]` are new since the last refresh, the
-    /// relations in `rebuild` lost a fact or had one reweighted
-    /// (`reweighted`) — not both empty. After an error the database is
+    /// `session.facts[watermark..]` are new since the last refresh,
+    /// `retracted` are the facts the database holds that were retracted
+    /// since, and the relations in `reweighted` had a fact's probability
+    /// changed — not all three empty. After an error the database is
     /// part-way through the refresh and must be dropped.
     fn refresh(
         &mut self,
         session: SessionFacts<'_>,
         watermark: usize,
-        rebuild: BTreeSet<String>,
-        reweighted: bool,
+        retracted: &[RegisteredFact],
+        reweighted: BTreeSet<String>,
         view: &mut OutputView,
     ) -> Result<ExecutionStats, LobsterError>;
 
@@ -248,6 +250,10 @@ fn patch_view<P: Provenance>(
                 let rows = view.get_mut(&relation).expect("an output relation");
                 splice_at(Arc::make_mut(rows), added, &positions);
             }
+            RelationChange::Removed { positions } => {
+                let rows = view.get_mut(&relation).expect("an output relation");
+                remove_at(Arc::make_mut(rows), &positions);
+            }
             RelationChange::Rebuilt => {
                 // The stale rows go first: unless a caller still holds
                 // them they are freed before their replacement is built.
@@ -288,8 +294,8 @@ impl<P: SessionProvenance> AnyEngine for Engine<P> {
         &mut self,
         session: SessionFacts<'_>,
         watermark: usize,
-        mut rebuild: BTreeSet<String>,
-        reweighted: bool,
+        retracted: &[RegisteredFact],
+        reweighted: BTreeSet<String>,
         view: &mut OutputView,
     ) -> Result<ExecutionStats, LobsterError> {
         let SessionFacts {
@@ -298,58 +304,52 @@ impl<P: SessionProvenance> AnyEngine for Engine<P> {
             facts,
         } = session;
         let provenance = &self.provenance;
-        let delta_ok = rebuild.is_empty() && provenance.delta_exact();
-        let mut inserted: BTreeMap<String, EdbContent<P::Tag>> = BTreeMap::new();
-        for fact in &facts[watermark..] {
-            if delta_ok {
-                let (columns, tags) = inserted
+        let ram = program.ram();
+        // The rows of `facts` per relation, in the given order — for the
+        // whole session, the order `run` inserts facts, so a rebuilt table
+        // is bit-identical to a from-scratch seal.
+        let rows_of = |facts: &mut dyn Iterator<Item = &RegisteredFact>| {
+            let mut rows: BTreeMap<String, EdbContent<P::Tag>> = BTreeMap::new();
+            for fact in facts {
+                let (columns, tags) = rows
                     .entry(fact.relation.clone())
                     .or_insert_with(|| (vec![Vec::new(); fact.values.len()], Vec::new()));
                 for (col, value) in columns.iter_mut().zip(&fact.values) {
                     col.push(value.encode());
                 }
                 tags.push(input_tag(provenance, registry, fact));
-            } else {
-                rebuild.insert(fact.relation.clone());
             }
-        }
+            rows
+        };
+        let content = |relation: &str| {
+            rows_of(&mut facts.iter().filter(|fact| fact.relation == relation))
+                .remove(relation)
+                .unwrap_or_else(|| (vec![Vec::new(); ram.schemas[relation].arity()], Vec::new()))
+        };
+        let changes = EdbChanges {
+            inserted: rows_of(&mut facts[watermark..].iter()),
+            retracted: rows_of(&mut retracted.iter()),
+            reweighted,
+            content: &content,
+        };
 
         let executor = Executor::new(
             program.device.clone(),
             provenance.clone(),
             program.options.clone(),
         );
-        let ram = program.ram();
-        // Full EDB content of one relation in fact-registration order — the
-        // order `run` inserts facts, so a rebuilt table is bit-identical to
-        // a from-scratch seal.
-        let edb = |relation: &str| {
-            let arity = ram.schemas[relation].arity();
-            let mut columns: Columns = vec![Vec::new(); arity];
-            let mut tags = Vec::new();
-            for fact in facts {
-                if fact.relation != relation {
-                    continue;
-                }
-                for (col, value) in columns.iter_mut().zip(&fact.values) {
-                    col.push(value.encode());
-                }
-                tags.push(input_tag(provenance, registry, fact));
-            }
-            (columns, tags)
-        };
         let db = self.db.as_mut().expect("materialized");
-        let refreshed = refresh_database(&executor, db, ram, &inserted, &rebuild, &edb)?;
-        let mut changes = refreshed.outputs;
-        if reweighted {
-            // A proof tag reads its facts' probabilities from the
-            // registry when it is decoded, so a row can decode
-            // differently although no table changed a bit.
+        let refreshed = refresh_database(&executor, db, ram, &changes)?;
+        let mut outputs = refreshed.outputs;
+        if !changes.reweighted.is_empty() && !provenance.delta_exact() {
+            // A proof tag reads its facts' probabilities from the registry
+            // when it is decoded, so a row can decode differently although
+            // no table changed a bit. A delta-exact tag reads nothing.
             for relation in &ram.outputs {
-                changes.insert(relation.clone(), RelationChange::Rebuilt);
+                outputs.insert(relation.clone(), RelationChange::Rebuilt);
             }
         }
-        patch_view(provenance, &program.device, db, view, changes);
+        patch_view(provenance, &program.device, db, view, outputs);
         debug_assert!(
             *view == decode(provenance, db, &ram.outputs),
             "the view is not what the database decodes to"

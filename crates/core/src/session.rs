@@ -15,7 +15,7 @@ use crate::program::Program;
 use lobster_apm::ExecutionStats;
 use lobster_provenance::{InputFactId, InputFactRegistry, Output};
 use lobster_ram::{SymbolTable, Tuple, Value};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::sync::{Arc, Mutex};
 
 /// One raw fact of a [`FactSet`]: relation, tuple, optional probability,
@@ -98,9 +98,9 @@ struct IncrementalState {
     /// `facts.len()` at the last refresh; facts registered past this
     /// watermark are pending insertions.
     watermark: usize,
-    /// Relations touched by [`Session::retract_facts`] since the last
-    /// refresh.
-    retracted: BTreeSet<String>,
+    /// The facts below the watermark that [`Session::retract_facts`] removed
+    /// since the last refresh: the rows the database holds and must lose.
+    retracted: Vec<RegisteredFact>,
     /// Effective probability of each fact in `facts[..watermark]` at the
     /// last refresh, used to detect [`Session::set_fact_probability`] calls
     /// made between refreshes.
@@ -109,10 +109,11 @@ struct IncrementalState {
     /// [`Session::run_incremental`] returned, and shares with that result.
     /// A refresh brings it up to date from what `refresh_database` reports
     /// instead of decoding the database again — an insertion decodes its Δ
-    /// rows and merges them in, in place unless a caller still holds an
-    /// earlier result (then that relation's rows are copied first, so a
-    /// result never changes after it was returned); a relation the refresh
-    /// left alone is not looked at.
+    /// rows and merges them in, a removal drops the rows at the places
+    /// reported, in place unless a caller still holds an earlier result
+    /// (then that relation's rows are copied first, so a result never
+    /// changes after it was returned); a relation the refresh left alone is
+    /// not looked at.
     view: OutputView,
 }
 
@@ -414,25 +415,32 @@ impl Session {
     /// The registry is left untouched: retracted ids are never reused, so
     /// the ids (and therefore the gradients and proofs) of surviving facts
     /// keep their meaning across retractions. The removal takes effect at
-    /// the next run; [`Session::run_incremental`] re-derives the affected
-    /// strata from the surviving support (delete/re-derive).
+    /// the next run; [`Session::run_incremental`] removes what the facts
+    /// supported and keeps what other support still derives.
     pub fn retract_facts(&mut self, ids: &[InputFactId]) -> usize {
-        let mut removed = 0;
-        for id in ids {
-            let Some(pos) = self.facts.iter().position(|f| f.id == *id) else {
-                continue;
-            };
-            let fact = self.facts.remove(pos);
-            removed += 1;
-            if let Some(state) = self.incremental.as_mut() {
-                state.retracted.insert(fact.relation);
-                if pos < state.watermark {
-                    state.watermark -= 1;
-                    state.probs.remove(pos);
-                }
+        let doomed: HashSet<InputFactId> = ids.iter().copied().collect();
+        let before = self.facts.len();
+        let watermark = self.incremental.as_ref().map_or(0, |state| state.watermark);
+        // Positions below the watermark that go, and the facts there: the
+        // materialized database holds them.
+        let mut materialized = Vec::new();
+        let mut retracted = Vec::new();
+        let mut position = 0;
+        self.facts.retain(|fact| {
+            let keep = !doomed.contains(&fact.id);
+            if !keep && position < watermark {
+                materialized.push(position);
+                retracted.push(fact.clone());
             }
+            position += 1;
+            keep
+        });
+        if let Some(state) = self.incremental.as_mut() {
+            state.watermark -= materialized.len();
+            remove_at(&mut state.probs, &materialized);
+            state.retracted.extend(retracted);
         }
-        removed
+        before - self.facts.len()
     }
 
     /// `true` when the session holds a materialized fix point from a
@@ -455,9 +463,15 @@ impl Session {
     ///   provenance — recursive strata propagate the new rows tuple-level
     ///   with semi-naive delta rules, so cost scales with |Δ| and its
     ///   derivation cone, not |DB|;
-    /// * retractions, probability updates, or richer provenances — the
-    ///   affected strata (and only those) are re-derived from the surviving
-    ///   EDB support, replaying exactly what a from-scratch run would do.
+    /// * retractions under the same provenance — recursive strata
+    ///   over-delete every row derived through a retracted fact, keep the
+    ///   rest, and derive again only the over-deleted rows that other
+    ///   support still yields (delete/re-derive), so cost scales with the
+    ///   retraction's cone too;
+    /// * probability updates or richer provenances, and strata derived in a
+    ///   single pass — the affected strata (and only those) are recomputed
+    ///   from the surviving EDB support, replaying exactly what a
+    ///   from-scratch run would do.
     ///
     /// In every case the resulting state — tuples *and* tags, including
     /// proofs and gradients — is bit-identical to [`Session::run`] on the
@@ -466,11 +480,12 @@ impl Session {
     ///
     /// The result shares its rows with the session, which keeps them
     /// current by delta: an insertion decodes only the rows it added and
-    /// merges them in, an output relation the change did not reach is not
-    /// decoded at all. A result never changes after it was returned — if
-    /// one is still alive when the next insertion arrives, the session
-    /// copies that relation's rows before it patches them — so dropping a
-    /// result before the next update is what keeps updates O(|Δ|).
+    /// merges them in, a retraction drops the rows it removed, an output
+    /// relation the change did not reach is not decoded at all. A result
+    /// never changes after it was returned — if one is still alive when the
+    /// next update arrives, the session copies that relation's rows before
+    /// it patches them — so dropping a result before the next update is
+    /// what keeps updates O(|Δ|).
     ///
     /// # Errors
     ///
@@ -484,16 +499,16 @@ impl Session {
 
         // Host-side dirty detection: retractions, probability updates, and
         // facts registered past the watermark.
-        let mut rebuild = std::mem::take(&mut state.retracted);
-        let mut reweighted = false;
+        let retracted = std::mem::take(&mut state.retracted);
+        let mut reweighted = BTreeSet::new();
         for (fact, old) in self.facts[..state.watermark].iter().zip(&state.probs) {
             if self.fact_prob(fact) != *old {
-                rebuild.insert(fact.relation.clone());
-                reweighted = true;
+                reweighted.insert(fact.relation.clone());
             }
         }
 
-        let stats = if rebuild.is_empty() && state.watermark == self.facts.len() {
+        let unchanged = retracted.is_empty() && reweighted.is_empty();
+        let stats = if unchanged && state.watermark == self.facts.len() {
             // Empty delta: serve straight from the materialized fix point —
             // all checks above are host-side, so zero kernels launch, and
             // the view is current, so nothing is decoded.
@@ -502,7 +517,7 @@ impl Session {
             let refreshed = self.engine.refresh(
                 session_facts!(self),
                 state.watermark,
-                rebuild,
+                &retracted,
                 reweighted,
                 &mut state.view,
             );
@@ -528,7 +543,7 @@ impl Session {
         let (view, stats) = self.engine.materialize(session_facts!(self))?;
         self.incremental = Some(IncrementalState {
             watermark: self.facts.len(),
-            retracted: BTreeSet::new(),
+            retracted: Vec::new(),
             probs: self.fact_probs(),
             view: view.clone(),
         });
@@ -599,6 +614,20 @@ impl Session {
             .map(|outputs| self.result(outputs, stats.clone()))
             .collect())
     }
+}
+
+/// Removes the rows at `positions` (ascending) from `rows` in place: every
+/// row after the first removed one moves once, towards the front, and
+/// nothing is allocated.
+pub(crate) fn remove_at<T>(rows: &mut Vec<T>, positions: &[usize]) {
+    let mut doomed = positions.iter().copied().peekable();
+    let mut index = 0;
+    rows.retain(|_| {
+        let removed = doomed.next_if_eq(&index).is_some();
+        index += 1;
+        !removed
+    });
+    debug_assert!(doomed.next().is_none(), "a position past the last row");
 }
 
 /// Merges `added` into `rows` in place so that `added[i]` ends up at index
@@ -878,6 +907,84 @@ mod tests {
                 assert_eq!(rows, result, "mask {mask:#b}");
             }
         }
+    }
+
+    #[test]
+    fn remove_at_drops_every_row_it_is_told_to() {
+        // Every way of choosing which rows go.
+        for len in 0..7usize {
+            for mask in 0u32..1 << len {
+                let goes = |i: &usize| mask & (1 << i) != 0;
+                let positions: Vec<usize> = (0..len).filter(goes).collect();
+                let mut rows: Vec<u32> = (0..len as u32).collect();
+                remove_at(&mut rows, &positions);
+                let kept: Vec<u32> = (0..len).filter(|i| !goes(i)).map(|i| i as u32).collect();
+                assert_eq!(rows, kept, "mask {mask:#b}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_retraction_on_both_sides_of_the_watermark_keeps_the_bookkeeping_aligned() {
+        let program = Program::compile(TC, ProvenanceKind::DiffTop1Proof).unwrap();
+        let mut session = program.session();
+        let mut base = FactSet::new();
+        for i in 0..4u32 {
+            base.add("edge", &[Value::U32(i), Value::U32(i + 1)], Some(0.5));
+        }
+        let materialized = session.insert_facts(&base).unwrap();
+        session.run_incremental().unwrap();
+        let pending = session.insert_facts(&edge(4, 5)).unwrap();
+        let mut more = FactSet::new();
+        more.add("edge", &[Value::U32(5), Value::U32(6)], Some(0.5));
+        let kept = session.insert_facts(&more).unwrap();
+
+        // One id below the watermark, one above, one twice, one unknown.
+        let ids = [
+            materialized[1],
+            pending[0],
+            materialized[1],
+            InputFactId(99),
+        ];
+        assert_eq!(session.retract_facts(&ids), 2);
+        let state = session.incremental.as_ref().unwrap();
+        assert_eq!(state.watermark, 3);
+        assert_eq!(state.probs.len(), 3);
+        let retracted: Vec<InputFactId> = state.retracted.iter().map(|f| f.id).collect();
+        assert_eq!(retracted, [materialized[1]], "only what the database holds");
+        let left: Vec<InputFactId> = session.facts.iter().map(|f| f.id).collect();
+        assert_eq!(
+            left,
+            [materialized[0], materialized[2], materialized[3], kept[0]]
+        );
+
+        // A reweight of a fact past the removed one is still seen as one.
+        session.set_fact_probability(materialized[3], 0.25);
+        let result = session.run_incremental().unwrap();
+        assert_eq!(
+            result.relation("path"),
+            session.run().unwrap().relation("path")
+        );
+        assert!(
+            (result.probability("path", &[Value::U32(2), Value::U32(4)]) - 0.125).abs() < 1e-12
+        );
+    }
+
+    #[test]
+    fn a_reweight_under_unit_leaves_the_view_alone() {
+        let program = Program::compile(TC, ProvenanceKind::Unit).unwrap();
+        let mut session = program.session();
+        let mut facts = FactSet::new();
+        facts.add("edge", &[Value::U32(0), Value::U32(1)], Some(0.5));
+        facts.add("edge", &[Value::U32(1), Value::U32(2)], Some(0.5));
+        let ids = session.insert_facts(&facts).unwrap();
+        let before = session.run_incremental().unwrap();
+        session.set_fact_probability(ids[0], 0.25);
+        let after = session.run_incremental().unwrap();
+        // A unit tag reads no probability: nothing runs and nothing is
+        // decoded again, so the rows are the very ones shared before.
+        assert_eq!(after.stats, ExecutionStats::default());
+        assert!(Arc::ptr_eq(&before.outputs["path"], &after.outputs["path"]));
     }
 
     fn edge(x: u32, y: u32) -> FactSet {

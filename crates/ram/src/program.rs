@@ -129,6 +129,41 @@ impl RamExpr {
         }
     }
 
+    /// The expression with every relation leaf replaced by `f` of its name,
+    /// the leaves met in the order [`RamExpr::referenced_relations`] lists
+    /// them.
+    pub fn map_leaves(&self, f: &mut impl FnMut(&str) -> RamExpr) -> RamExpr {
+        let mut pair = |left: &RamExpr, right: &RamExpr| {
+            let left = Box::new(left.map_leaves(f));
+            (left, Box::new(right.map_leaves(f)))
+        };
+        match self {
+            RamExpr::Relation(name) => f(name),
+            RamExpr::Project { input, proj } => input.map_leaves(f).project(proj.clone()),
+            RamExpr::Select { input, cond } => input.map_leaves(f).select(cond.clone()),
+            RamExpr::Join { left, right, width } => {
+                let (left, right) = pair(left, right);
+                RamExpr::Join {
+                    left,
+                    right,
+                    width: *width,
+                }
+            }
+            RamExpr::Union(left, right) => {
+                let (left, right) = pair(left, right);
+                RamExpr::Union(left, right)
+            }
+            RamExpr::Product(left, right) => {
+                let (left, right) = pair(left, right);
+                RamExpr::Product(left, right)
+            }
+            RamExpr::Intersect(left, right) => {
+                let (left, right) = pair(left, right);
+                RamExpr::Intersect(left, right)
+            }
+        }
+    }
+
     /// Number of operator nodes in the expression tree.
     pub fn node_count(&self) -> usize {
         let mut count = 0;
