@@ -14,9 +14,14 @@
 //! * marks hash indices whose build side is iteration-invariant as *static
 //!   registers* so they are built once and reused (Section 4.2) — the
 //!   "linear recursion" case that covers nearly all programs in the paper's
-//!   evaluation.
+//!   evaluation;
+//! * in the compiles a refresh makes ([`compile_stratum_delta`] and the
+//!   passes of a retraction), reads only the matching rows of a stored leaf
+//!   that a join meets with a Δ (`lookup`), where the leaf's table or one of
+//!   the [`secondary_orders`] the database keeps is sorted on the join key.
 
 use crate::config::RuntimeOptions;
+use crate::database::SecondaryOrder;
 use crate::isa::{ApmProgram, DbPart, Instr, JoinSource, JoinWrite, RegId};
 use lobster_ram::passes::{join_strategy, projection_sorted_prefix, JoinStrategy};
 use lobster_ram::{RamExpr, RamProgram, RamRule, RowProjection, ScalarExpr, Stratum};
@@ -55,8 +60,45 @@ struct Compiler<'a> {
     /// Set only by [`compile_stratum_hash_only`]: ignore sort-order
     /// inference and send every join through the hash path.
     hash_only: bool,
+    /// Set only by the compiles a refresh makes: where a join may look up
+    /// a stored leaf's rows instead of reading it whole.
+    keyed: Option<Keyed<'a>>,
     merge_joins: usize,
     hash_joins: usize,
+}
+
+/// What a refresh's compile knows that a from-scratch one does not: which
+/// leaves hold a Δ, and which stored tables are sorted on which keys.
+struct Keyed<'a> {
+    /// Relations every leaf of which holds a Δ: the scratch relations of a
+    /// retraction's passes. (A tracked leaf's `recent` holds one too.)
+    driving: &'a BTreeSet<String>,
+    /// The secondary orders the database keeps.
+    orders: &'a [SecondaryOrder],
+}
+
+/// A relation leaf, or a column permutation of one, that is one side of a
+/// join on `width` columns: the relation, and the relation columns the
+/// side's first `width` columns copy — the key the join reads it on.
+fn leaf_key(expr: &RamExpr, width: usize) -> Option<(&str, Vec<usize>)> {
+    let (name, permutation) = match expr {
+        RamExpr::Relation(name) => (name, None),
+        RamExpr::Project { input, proj } => match (&**input, &proj.permutation) {
+            (RamExpr::Relation(name), Some(permutation)) => (name, Some(permutation)),
+            _ => return None,
+        },
+        _ => return None,
+    };
+    let key = (0..width)
+        .map(|c| permutation.map_or(c, |p| p[c]))
+        .collect();
+    Some((name, key))
+}
+
+/// Whether `key` is the first `key.len()` columns, in order: a table stored
+/// sorted is sorted on it.
+fn is_prefix(key: &[usize]) -> bool {
+    key.iter().copied().eq(0..key.len())
 }
 
 /// The value flowing out of [`Compiler::compile_expr`]: the registers of a
@@ -80,6 +122,7 @@ impl<'a> Compiler<'a> {
             next_reg: 0,
             current_first_only: false,
             hash_only: false,
+            keyed: None,
             merge_joins: 0,
             hash_joins: 0,
         }
@@ -218,20 +261,7 @@ impl<'a> Compiler<'a> {
                     return joined;
                 }
                 let input = self.compile_expr(input, parts, next_recursive_leaf);
-                let outputs = self.fresh_n(proj.output_arity());
-                let output_tags = self.fresh();
-                self.emit(Instr::Eval {
-                    inputs: input.columns,
-                    input_tags: input.tags,
-                    projection: proj.clone(),
-                    outputs: outputs.clone(),
-                    output_tags,
-                });
-                Compiled {
-                    columns: outputs,
-                    tags: output_tags,
-                    sorted_prefix: projection_sorted_prefix(proj, input.sorted_prefix),
-                }
+                self.project(input, proj)
             }
             RamExpr::Select { input, cond } => {
                 let arity = self.arity(input);
@@ -298,6 +328,24 @@ impl<'a> Compiler<'a> {
         }
     }
 
+    /// `proj` over a compiled table.
+    fn project(&mut self, input: Compiled, proj: &RowProjection) -> Compiled {
+        let outputs = self.fresh_n(proj.output_arity());
+        let output_tags = self.fresh();
+        self.emit(Instr::Eval {
+            inputs: input.columns,
+            input_tags: input.tags,
+            projection: proj.clone(),
+            outputs: outputs.clone(),
+            output_tags,
+        });
+        Compiled {
+            columns: outputs,
+            tags: output_tags,
+            sorted_prefix: projection_sorted_prefix(proj, input.sorted_prefix),
+        }
+    }
+
     /// The operands of a join expression: `left ⊲⊳_w right`, or `a ∩ b` —
     /// a join on every column that keeps the left row, which the join
     /// output convention already does.
@@ -318,6 +366,13 @@ impl<'a> Compiler<'a> {
     /// The join's table is the full left row, then the non-key columns of
     /// the right row; `select` (a permutation folded in from the projection
     /// above) picks and orders the columns of it that are actually written.
+    ///
+    /// In a refresh's compile, a join of a side that holds a Δ with a
+    /// stored leaf the Δ side's key can look up in ([`Compiler::keyed_read`])
+    /// compiles the Δ side first and reads only the leaf's matching rows
+    /// (`lookup`). Those come out sorted on the key, so the join is a merge
+    /// with them on the build side: no index is built, and each Δ row's
+    /// matches are found by a search of the few rows looked up.
     fn compile_join(
         &mut self,
         left: &RamExpr,
@@ -327,6 +382,54 @@ impl<'a> Compiler<'a> {
         parts: &[DbPart],
         next_recursive_leaf: &mut usize,
     ) -> Compiled {
+        let start = *next_recursive_leaf;
+        let right_start = start + self.tracked_leaves(left).len();
+        let lookup = if self.holds_delta(left, parts, start) {
+            self.keyed_read(right, width, parts, right_start)
+                .map(|read| (false, read))
+        } else if self.holds_delta(right, parts, right_start) {
+            self.keyed_read(left, width, parts, start)
+                .map(|read| (true, read))
+        } else {
+            None
+        };
+        if let Some((stored_is_left, (relation, part, key))) = lookup {
+            let (stored, delta) = if stored_is_left {
+                (left, right)
+            } else {
+                (right, left)
+            };
+            let mut at = if stored_is_left { right_start } else { start };
+            let delta = self.compile_expr(delta, parts, &mut at);
+            *next_recursive_leaf = right_start + self.tracked_leaves(right).len();
+            let arity = self.ram.arity(&relation).expect("relation arity");
+            let columns = self.fresh_n(arity);
+            let tags = self.fresh();
+            self.emit(Instr::Lookup {
+                relation,
+                part,
+                key,
+                probes: delta.columns[..width].to_vec(),
+                columns: columns.clone(),
+                tags,
+            });
+            let mut found = Compiled {
+                columns,
+                tags,
+                sorted_prefix: 0,
+            };
+            if let RamExpr::Project { proj, .. } = stored {
+                found = self.project(found, proj);
+            }
+            let (l, r) = if stored_is_left {
+                (found, delta)
+            } else {
+                (delta, found)
+            };
+            let merge = JoinStrategy::Merge;
+            return self.emit_join(l, r, width, select, stored_is_left, merge, false);
+        }
+
         let l = self.compile_expr(left, parts, next_recursive_leaf);
         let r = self.compile_expr(right, parts, next_recursive_leaf);
 
@@ -342,7 +445,85 @@ impl<'a> Compiler<'a> {
         } else {
             !right_recursive
         };
+        let strategy = if self.hash_only {
+            JoinStrategy::Hash
+        } else {
+            join_strategy(l.sorted_prefix, r.sorted_prefix, width)
+        };
+        self.emit_join(l, r, width, select, build_is_left, strategy, static_)
+    }
 
+    /// Whether a relation leaf of `expr` holds a Δ, in a refresh's compile:
+    /// a leaf over a driving relation, or a tracked leaf's `recent`.
+    /// `expr`'s tracked leaves read `parts[at..]`.
+    fn holds_delta(&self, expr: &RamExpr, parts: &[DbPart], at: usize) -> bool {
+        let Some(keyed) = &self.keyed else {
+            return false;
+        };
+        let mut at = at;
+        let mut delta = false;
+        expr.visit(&mut |e| {
+            if let RamExpr::Relation(name) = e {
+                let recent = self.tracked.contains(name) && {
+                    at += 1;
+                    parts[at - 1] == DbPart::Recent
+                };
+                delta |= recent || keyed.driving.contains(name);
+            }
+        });
+        delta
+    }
+
+    /// How a refresh's compile can look up the rows of `expr`, one side of
+    /// a join on `width` columns whose other side holds a Δ: the relation,
+    /// partition and key, when `expr` is a stored leaf (or a column
+    /// permutation of one) whose partition is sorted on the key where it is
+    /// stored. That is the case when the key is a prefix of the relation's
+    /// columns, or when the database keeps a secondary order on it and the
+    /// partition is `stable` alone (an untracked relation at rest holds
+    /// nothing else). A leaf of the stratum's own relation qualifies only
+    /// in a first-iteration variant reading `stable`: the table the seeded
+    /// run entered with, before any frontier was pushed to it.
+    fn keyed_read(
+        &self,
+        expr: &RamExpr,
+        width: usize,
+        parts: &[DbPart],
+        at: usize,
+    ) -> Option<(String, DbPart, Vec<usize>)> {
+        let keyed = self.keyed.as_ref()?;
+        let (relation, key) = leaf_key(expr, width).filter(|_| width > 0)?;
+        let tracked = self.tracked.contains(relation);
+        let part = if tracked { parts[at] } else { DbPart::All };
+        let own = tracked && !self.changed_inputs.contains(relation);
+        if keyed.driving.contains(relation)
+            || part == DbPart::Recent
+            || (own && !(part == DbPart::Stable && self.current_first_only))
+        {
+            return None;
+        }
+        let ordered = || {
+            let mut orders = keyed.orders.iter();
+            (part == DbPart::Stable || !tracked)
+                && orders.any(|order| order.relation == relation && order.key == key)
+        };
+        (is_prefix(&key) || ordered()).then(|| (relation.to_string(), part, key))
+    }
+
+    /// Emits the join of two compiled sides by `strategy`, built on the
+    /// left when `build_is_left`; a hash index is kept across iterations
+    /// when `static_`.
+    #[allow(clippy::too_many_arguments)]
+    fn emit_join(
+        &mut self,
+        l: Compiled,
+        r: Compiled,
+        width: usize,
+        select: Option<&[usize]>,
+        build_is_left: bool,
+        strategy: JoinStrategy,
+        static_: bool,
+    ) -> Compiled {
         let (build, probe) = if build_is_left { (&l, &r) } else { (&r, &l) };
         let source = |is_left: bool, reg: RegId| {
             if is_left == build_is_left {
@@ -357,12 +538,6 @@ impl<'a> Compiler<'a> {
         let sources: Vec<JoinSource> = match select {
             Some(select) => select.iter().map(|&column| table[column]).collect(),
             None => table,
-        };
-
-        let strategy = if self.hash_only {
-            JoinStrategy::Hash
-        } else {
-            join_strategy(l.sorted_prefix, r.sorted_prefix, width)
         };
 
         let counts = self.fresh();
@@ -507,17 +682,31 @@ impl<'a> Compiler<'a> {
 /// caller-managed splits of the changed input relations untouched — which is
 /// also why a hash index over a changed input is a static register.
 ///
+/// **Keyed reads.** Wherever a variant joins a side that holds a Δ — a
+/// leaf's `recent` — with a stored leaf whose table is sorted on the join
+/// key, or one of whose `orders` is, the stored leaf is not loaded: a
+/// `lookup` reads only the rows the Δ side's keys name. So the
+/// first-iteration variants no longer read the old table of an own
+/// relation whole, and the own-`recent` variants read only the rows of a
+/// changed input their frontier joins.
+///
 /// `options` are the options of the executor that will run the result, as
 /// for [`compile_stratum_with_options`].
 pub fn compile_stratum_delta(
     stratum: &Stratum,
     ram: &RamProgram,
     changed_inputs: &BTreeSet<String>,
+    orders: &[SecondaryOrder],
     _options: &RuntimeOptions,
 ) -> CompiledStratum {
     let mut tracked: BTreeSet<String> = stratum.relations.iter().cloned().collect();
     tracked.extend(changed_inputs.iter().cloned());
     let mut compiler = Compiler::new(ram, tracked);
+    static NONE: BTreeSet<String> = BTreeSet::new();
+    compiler.keyed = Some(Keyed {
+        driving: &NONE,
+        orders,
+    });
     compiler.changed_inputs = changed_inputs
         .iter()
         .filter(|r| !stratum.relations.contains(r))
@@ -559,7 +748,7 @@ pub fn compile_stratum_with_options(
     ram: &RamProgram,
     _options: &RuntimeOptions,
 ) -> CompiledStratum {
-    compile_from_scratch(stratum, ram, false)
+    compile_from_scratch(stratum, ram, false, None)
 }
 
 /// Test hook: [`compile_stratum_with_options`] with sort-order inference
@@ -569,10 +758,31 @@ pub fn compile_stratum_with_options(
 /// non-test code calls it and no option, builder or cache key leads here.
 #[doc(hidden)]
 pub fn compile_stratum_hash_only(stratum: &Stratum, ram: &RamProgram) -> CompiledStratum {
-    compile_from_scratch(stratum, ram, true)
+    compile_from_scratch(stratum, ram, true, None)
 }
 
-fn compile_from_scratch(stratum: &Stratum, ram: &RamProgram, hash_only: bool) -> CompiledStratum {
+/// Compiles one pass of a retraction's delete/re-derive
+/// ([`refresh_database`](crate::refresh_database)) — a stratum over the
+/// refresh's scratch relations — as [`compile_stratum_with_options`] does,
+/// with the keyed reads of [`compile_stratum_delta`]: every leaf over a
+/// `driving` relation holds a Δ, so a join of one with a stored leaf looks
+/// up the leaf's matching rows, in its table or in one of `orders`.
+pub(crate) fn compile_refresh_pass(
+    stratum: &Stratum,
+    ram: &RamProgram,
+    driving: &BTreeSet<String>,
+    orders: &[SecondaryOrder],
+) -> CompiledStratum {
+    let keyed = Keyed { driving, orders };
+    compile_from_scratch(stratum, ram, false, Some(keyed))
+}
+
+fn compile_from_scratch<'a>(
+    stratum: &Stratum,
+    ram: &'a RamProgram,
+    hash_only: bool,
+    keyed: Option<Keyed<'a>>,
+) -> CompiledStratum {
     #[cfg(debug_assertions)]
     if let Err(errors) = lobster_ram::passes::validate_program(ram) {
         let rendered: Vec<String> = errors.iter().map(ToString::to_string).collect();
@@ -584,10 +794,55 @@ fn compile_from_scratch(stratum: &Stratum, ram: &RamProgram, hash_only: bool) ->
     let own_relations = stratum.relations.iter().cloned().collect();
     let mut compiler = Compiler::new(ram, own_relations);
     compiler.hash_only = hash_only;
+    compiler.keyed = keyed;
     for rule in &stratum.rules {
         compiler.compile_rule(rule, stratum.recursive);
     }
     compiler.finish(stratum, stratum.recursive)
+}
+
+/// The secondary orders a materialized database keeps for `ram`: one per
+/// (relation, key) that a join of a recursive stratum — one a refresh can
+/// take tuple by tuple — reads on a key that is not a prefix of the
+/// relation's columns. A relation some non-recursive stratum derives gets
+/// none: it rests in `stable` and `recent` both, and an order mirrors
+/// `stable`.
+pub fn secondary_orders(ram: &RamProgram) -> Vec<SecondaryOrder> {
+    let single_pass: BTreeSet<&String> = ram
+        .strata
+        .iter()
+        .filter(|s| !s.recursive)
+        .flat_map(|s| &s.relations)
+        .collect();
+    let arity = |name: &str| ram.arity(name);
+    let mut orders = BTreeSet::new();
+    for rule in ram
+        .strata
+        .iter()
+        .filter(|s| s.recursive)
+        .flat_map(|s| &s.rules)
+    {
+        rule.expr.visit(&mut |expr| {
+            let (left, right, width) = match expr {
+                RamExpr::Join { left, right, width } => (left, right, *width),
+                RamExpr::Intersect(left, right) => {
+                    (left, right, left.arity(&arity).expect("known relations"))
+                }
+                _ => return,
+            };
+            for side in [left, right] {
+                if let Some((relation, key)) = leaf_key(side, width) {
+                    if !is_prefix(&key) && !single_pass.contains(&relation.to_string()) {
+                        orders.insert(SecondaryOrder {
+                            relation: relation.to_string(),
+                            key,
+                        });
+                    }
+                }
+            }
+        });
+    }
+    orders.into_iter().collect()
 }
 
 #[cfg(test)]
@@ -661,17 +916,17 @@ mod tests {
         assert!(!compiled.program.listing().is_empty());
     }
 
-    #[test]
-    fn a_join_writes_the_columns_the_rule_keeps_and_nothing_is_gathered() {
-        // The three gated programs. The CLUTRR and CSPA sources are those of
-        // `lobster-workloads`, which this crate cannot depend on.
-        let clutrr = "type kinship(r: u32, a: u32, b: u32)
+    /// The CLUTRR program of `lobster-workloads`, which this crate cannot
+    /// depend on.
+    const CLUTRR: &str = "type kinship(r: u32, a: u32, b: u32)
              type composition(r1: u32, r2: u32, r3: u32)
              type target(a: u32, b: u32)
              rel derived(r, a, b) = kinship(r, a, b)
              rel derived(r3, a, c) = derived(r1, a, b), kinship(r2, b, c), composition(r1, r2, r3)
              rel answer(r) = target(a, b), derived(r, a, b)";
-        let cspa = "type assign(dst: u32, src: u32)
+
+    /// The CSPA program of `lobster-workloads`.
+    const CSPA: &str = "type assign(dst: u32, src: u32)
              type dereference(p: u32, v: u32)
              rel value_flow(x, y) = assign(y, x)
              rel value_flow(x, y) = assign(x, z), memory_alias(z, y)
@@ -683,11 +938,15 @@ mod tests {
              rel value_flow(x, x) = assign(y, x)
              rel memory_alias(x, x) = assign(y, x)
              rel memory_alias(x, x) = assign(x, y)";
+
+    #[test]
+    fn a_join_writes_the_columns_the_rule_keeps_and_nothing_is_gathered() {
+        // The three gated programs.
         let (tc_ram, _) = transitive_closure();
         for ram in [
             tc_ram.clone(),
-            parse(clutrr).unwrap().ram,
-            parse(cspa).unwrap().ram,
+            parse(CLUTRR).unwrap().ram,
+            parse(CSPA).unwrap().ram,
         ] {
             let mut joins = 0;
             for stratum in &ram.strata {
@@ -845,8 +1104,9 @@ mod tests {
             .find(|s| s.recursive)
             .expect("a recursive stratum");
         let changed = changed.iter().map(|r| r.to_string()).collect();
-        let apm =
-            compile_stratum_delta(stratum, &compiled.ram, &changed, &RuntimeOptions::default());
+        let orders = secondary_orders(&compiled.ram);
+        let options = RuntimeOptions::default();
+        let apm = compile_stratum_delta(stratum, &compiled.ram, &changed, &orders, &options);
         let program = &apm.program;
         let mut variants = Vec::new();
         let (mut recent, mut flags) = (Vec::new(), Vec::new());
@@ -942,25 +1202,31 @@ mod tests {
             &compiled.ram.strata[0],
             &compiled.ram,
             &changed,
+            &[],
             &RuntimeOptions::default(),
         );
-        let loads: Vec<(&str, DbPart)> = apm
+        let reads: Vec<(&str, &str, DbPart)> = apm
             .program
             .instructions
             .iter()
             .filter_map(|i| match i {
-                Instr::Load { relation, part, .. } => Some((relation.as_str(), *part)),
+                Instr::Load { relation, part, .. } | Instr::Lookup { relation, part, .. } => {
+                    Some((i.mnemonic(), relation.as_str(), *part))
+                }
                 _ => None,
             })
             .collect();
+        // With no secondary order on `edge`'s second column the own-recent
+        // variant loads `edge` whole; the variant over Δ`edge` looks up the
+        // `path` rows its keys name, `path` being sorted on its first column.
         assert_eq!(
-            loads,
+            reads,
             [
-                ("edge", DbPart::Recent),
-                ("edge", DbPart::All),
-                ("path", DbPart::Recent),
-                ("edge", DbPart::Recent),
-                ("path", DbPart::Stable),
+                ("load", "edge", DbPart::Recent),
+                ("load", "edge", DbPart::All),
+                ("load", "path", DbPart::Recent),
+                ("load", "edge", DbPart::Recent),
+                ("lookup", "path", DbPart::Stable),
             ]
         );
         // `edge` does not change while the stratum iterates, so the index
@@ -970,5 +1236,50 @@ mod tests {
             .instructions
             .iter()
             .any(|i| matches!(i, Instr::Build { static_: true, .. })));
+    }
+
+    #[test]
+    fn from_scratch_compiles_emit_what_they_did_before_keyed_reads() {
+        // Lookups and secondary orders belong to a refresh's compiles: the
+        // program a from-scratch run executes is, instruction for
+        // instruction, the one emitted before they existed. The constants
+        // hash the `Debug` form of every stratum's program as it was then.
+        let (tc_ram, _) = transitive_closure();
+        for (name, ram, want) in [
+            ("TC", tc_ram, 0x5714_e0e6_3226_e02d_u64),
+            ("CLUTRR", parse(CLUTRR).unwrap().ram, 0x4851_940d_57b9_e8ef),
+            ("CSPA", parse(CSPA).unwrap().ram, 0x4237_bab0_b2a7_a6d1),
+        ] {
+            let programs: String = ram
+                .strata
+                .iter()
+                .map(|stratum| format!("{:?}", compile(stratum, &ram).program))
+                .collect();
+            assert_eq!(crate::fnv1a(programs.as_bytes()), want, "{name}");
+            assert!(!programs.contains("Lookup"), "{name}");
+        }
+    }
+
+    #[test]
+    fn the_planner_orders_a_relation_on_each_key_a_recursive_join_reads_past_its_prefix() {
+        let order = |relation: &str, key: &[usize]| SecondaryOrder {
+            relation: relation.to_string(),
+            key: key.to_vec(),
+        };
+        // TC reads `edge` on its first column and `path` on its second.
+        let (tc_ram, _) = transitive_closure();
+        assert_eq!(secondary_orders(&tc_ram), [order("path", &[1])]);
+        // CLUTRR: `derived(r1, a, b), kinship(r2, b, c)` joins on `b`, the
+        // last column of one and the second of the other.
+        assert_eq!(
+            secondary_orders(&parse(CLUTRR).unwrap().ram),
+            [order("derived", &[2]), order("kinship", &[1])]
+        );
+        // CSPA: `assign(x, z), memory_alias(z, y)` and `value_flow(x, z),
+        // value_flow(z, y)`; `dereference` is read on its first column.
+        assert_eq!(
+            secondary_orders(&parse(CSPA).unwrap().ram),
+            [order("assign", &[1]), order("value_flow", &[1])]
+        );
     }
 }

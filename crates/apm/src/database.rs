@@ -19,8 +19,18 @@
 //! mention symbols the dictionary has not seen, [`Database::ensure_symbols`]
 //! extends it — monotonically, so existing tables re-encode by a cheap
 //! decode/re-pack without re-sorting.
+//!
+//! # Secondary orders
+//!
+//! A materialized database may keep, beside a relation, a copy of its rows
+//! with some key columns brought to the front and sorted on them
+//! ([`SecondaryOrder`], [`Database::build_orders`]): what a join that reads
+//! the relation on a key that is not a prefix of its columns looks rows up
+//! in. An order is not a relation — no name lists it — but it is part of the
+//! relation's storage, in the layout its permuted column types plan, and
+//! every pass that rewrites the relation's table rewrites it too.
 
-use lobster_gpu::kernels::PackLane;
+use lobster_gpu::kernels::{KeyLane, PackLane};
 use lobster_gpu::{kernels, par_map_into, Column, Columns, Device};
 use lobster_provenance::Provenance;
 use lobster_ram::{RelationLayout, RelationSchema, SymbolDict, Tuple, Value, ValueType};
@@ -29,6 +39,10 @@ use std::collections::BTreeMap;
 /// Arena allocation site for codec scratch (symbol-mapped columns built
 /// while encoding); distinct from the executor's sites (100–104).
 const CODEC_SITE: usize = 105;
+
+/// What a secondary order's layout is planned under: its relation's name,
+/// this, and its key. No source name can spell it.
+const ORDER: &str = "⇅";
 
 /// Returns dead columns to the device arena (capacity-less vectors are
 /// dropped — there is nothing to reuse).
@@ -237,6 +251,34 @@ impl<P: Provenance> SortedTable<P> {
         }
     }
 
+    /// [`SortedTable::merge_disjoint`] when the place of each row of
+    /// `other` in the result is known already —
+    /// [`SortedTable::merge_positions`]`(other)`: the rows of `self` between
+    /// them are copied whole, and no row is compared.
+    pub(crate) fn merge_disjoint_at(
+        &self,
+        device: &Device,
+        other: &SortedTable<P>,
+        places: &[usize],
+    ) -> SortedTable<P> {
+        if self.is_empty() || other.is_empty() || self.arity == 0 {
+            return self.merge_disjoint(device, other);
+        }
+        let (columns, tags) = kernels::merge_at(
+            device,
+            &self.col_refs(),
+            &self.tags,
+            &other.col_refs(),
+            &other.tags,
+            places,
+        );
+        SortedTable {
+            columns,
+            tags,
+            arity: self.arity,
+        }
+    }
+
     /// Rows of `candidate` (sorted) that are not present in `self`.
     pub fn difference_from(&self, device: &Device, candidate: &SortedTable<P>) -> SortedTable<P> {
         if candidate.is_empty() || self.is_empty() {
@@ -261,38 +303,17 @@ impl<P: Provenance> SortedTable<P> {
     }
 
     /// Removes `rows` — sorted, and every one of them a row of `self` — in
-    /// place: each is found by galloping, one keep flag per row is written,
-    /// and every column and the tags are compacted by it, the rows after the
-    /// first removed one moving up once.
+    /// place ([`kernels::remove_sorted`]): each is found by galloping, and
+    /// the rows after the first removed one move up once.
     pub(crate) fn remove_rows(&mut self, device: &Device, rows: &SortedTable<P>) {
         if rows.is_empty() {
             return;
         }
-        // The place a row of `rows` takes in a merge with `self`, which
-        // puts it after its equal, less the rows of `rows` before it and
-        // that equal, is where the equal is.
-        let mut doomed = self
-            .merge_positions(device, rows)
-            .into_iter()
-            .enumerate()
-            .map(|(j, merged)| merged - j - 1);
-        let mut next = doomed.next();
-        let mut keep = Vec::with_capacity(self.len());
-        for row in 0..self.len() {
-            let removed = next == Some(row);
-            if removed {
-                next = doomed.next();
-            }
-            keep.push(!removed);
+        if self.arity == 0 {
+            self.tags.clear();
+            return;
         }
-        debug_assert!(next.is_none(), "a row to remove is not in the table");
-        for column in &mut self.columns {
-            let mut kept = keep.iter();
-            column.retain(|_| *kept.next().expect("one flag per row"));
-        }
-        let mut kept = keep.iter();
-        self.tags
-            .retain(|_| *kept.next().expect("one flag per row"));
+        kernels::remove_sorted(device, &mut self.columns, &mut self.tags, &rows.col_refs());
     }
 
     /// The index each row of `other` takes in
@@ -381,6 +402,21 @@ impl Codec {
 
     pub(crate) fn layout(&self, relation: &str) -> &RelationLayout {
         &self.layouts[relation]
+    }
+
+    /// Where the first `width` logical columns of `relation`'s stored rows
+    /// sit in its group words: the first `width` lanes, since a layout
+    /// packs the columns in order.
+    fn key_lanes(&self, relation: &str, width: usize) -> Vec<KeyLane> {
+        let groups = self.layouts[relation].groups.iter().enumerate();
+        let lanes = groups.flat_map(|(g, group)| {
+            group.lanes.iter().map(move |lane| KeyLane {
+                column: g,
+                shift: lane.shift,
+                mask: lane.mask(),
+            })
+        });
+        lanes.take(width).collect()
     }
 
     /// The pack lanes of a relation, or `None` when its layout is the
@@ -493,12 +529,16 @@ fn decode_packed(device: &Device, codec: &Codec, relation: &str, packed: &[Colum
 /// iteration. **At rest — outside `Executor::run_stratum_from` — `runs` is
 /// empty** and `stable` is the whole partition as one sorted table, which is
 /// what every reader outside the executor relies on.
+///
+/// `orders` are the relation's secondary orders: each holds exactly the
+/// rows of `stable`, whenever the relation is at rest.
 #[derive(Debug, Clone)]
 pub(crate) struct RelationData<P: Provenance> {
     pub(crate) stable: SortedTable<P>,
     pub(crate) runs: Vec<SortedTable<P>>,
     pub(crate) recent: SortedTable<P>,
     pub(crate) staged: Vec<(Columns, Vec<P::Tag>)>,
+    pub(crate) orders: Vec<Order<P>>,
 }
 
 impl<P: Provenance> RelationData<P> {
@@ -508,6 +548,7 @@ impl<P: Provenance> RelationData<P> {
             runs: Vec::new(),
             recent: SortedTable::empty(arity),
             staged: Vec::new(),
+            orders: Vec::new(),
         }
     }
 
@@ -516,12 +557,20 @@ impl<P: Provenance> RelationData<P> {
         self.stable_tables().map(SortedTable::len).sum::<usize>() + self.recent.len()
     }
 
-    /// Approximate device bytes occupied by every partition and run.
+    /// Approximate device bytes occupied by every partition, run and
+    /// secondary order.
     fn size_bytes(&self) -> usize {
+        let orders = self.orders.iter().map(|order| &order.table);
         self.stable_tables()
+            .chain(orders)
             .map(SortedTable::size_bytes)
             .sum::<usize>()
             + self.recent.size_bytes()
+    }
+
+    /// The secondary order keyed on `key`, if the relation keeps one.
+    pub(crate) fn order(&self, key: &[usize]) -> Option<&Order<P>> {
+        self.orders.iter().find(|order| order.key == key)
     }
 
     /// The tables making up the stable partition, oldest first.
@@ -618,6 +667,52 @@ impl<P: Provenance> RelationData<P> {
         let known: Vec<&SortedTable<P>> = self.stable_tables().collect();
         SortedTable::from_unsorted_minus(device, prov, columns, tags, &known)
     }
+}
+
+/// A secondary order a database keeps beside a relation: the relation's
+/// rows with the `key` columns brought to the front, sorted on them. A join
+/// that reads the relation on `key` can then look up the rows it needs
+/// (`Instr::Lookup`) instead of reading the whole table.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct SecondaryOrder {
+    /// The relation.
+    pub relation: String,
+    /// The key: relation columns, in key order.
+    pub key: Vec<usize>,
+}
+
+/// One secondary order with its rows.
+#[derive(Debug, Clone)]
+pub(crate) struct Order<P: Provenance> {
+    /// The key, as in [`SecondaryOrder::key`].
+    pub(crate) key: Vec<usize>,
+    /// `columns[i]` is the relation column stored as column `i` of the
+    /// order: the key, then the other columns ascending.
+    pub(crate) columns: Vec<usize>,
+    /// The order's column types under a name no relation can have, which
+    /// is what its layout is planned under.
+    schema: RelationSchema,
+    /// The rows, sorted.
+    pub(crate) table: SortedTable<P>,
+}
+
+impl<P: Provenance> Order<P> {
+    /// The name the order's layout is planned under.
+    pub(crate) fn layout_name(&self) -> &str {
+        &self.schema.name
+    }
+}
+
+/// How a relation's `stable` partition just changed — what its secondary
+/// orders must follow ([`Database::update_orders`]).
+#[derive(Clone, Copy)]
+pub(crate) enum Stable<'a, P: Provenance> {
+    /// These rows, in the relation's stored layout, were merged into it.
+    Gained(&'a SortedTable<P>),
+    /// These rows were removed from it.
+    Lost(&'a SortedTable<P>),
+    /// It was rebuilt from scratch.
+    Rebuilt,
 }
 
 /// The tagged, columnar database: every relation's facts plus the semi-naive
@@ -729,21 +824,16 @@ impl<P: Provenance> Database<P> {
             return;
         }
         let (dict, _remap) = codec.dict.extend(missing);
-        let next = Codec::new(&self.schemas, dict, codec.widen_u32);
+        let mut next = Codec::new(&self.schemas, dict, codec.widen_u32);
         let old = self.codec.take().expect("codec present");
-        for (name, data) in self.relations.iter_mut() {
-            debug_assert!(
-                data.staged.is_empty() && data.runs.is_empty(),
-                "dictionary extension mid-stratum in `{name}`"
-            );
-            let schema = &self.schemas[name];
-            let packed_arity = next.layout(name).packed_arity();
-            for table in [&mut data.stable, &mut data.recent] {
+        let reencode =
+            |next: &Codec, name: &str, schema: &RelationSchema, table: &mut SortedTable<P>| {
+                let packed_arity = next.layout(name).packed_arity();
                 let re = if table.is_empty() {
                     SortedTable::empty(packed_arity)
                 } else {
                     let wide = decode_packed(device, &old, name, &table.columns);
-                    let packed = encode_wide(device, &next, name, schema, wide);
+                    let packed = encode_wide(device, next, name, schema, wide);
                     SortedTable {
                         columns: packed,
                         tags: std::mem::take(&mut table.tags),
@@ -752,6 +842,19 @@ impl<P: Provenance> Database<P> {
                 };
                 let dead = std::mem::replace(table, re);
                 dead.recycle(device);
+            };
+        for (name, data) in self.relations.iter_mut() {
+            debug_assert!(
+                data.staged.is_empty() && data.runs.is_empty(),
+                "dictionary extension mid-stratum in `{name}`"
+            );
+            let schema = &self.schemas[name];
+            reencode(&next, name, schema, &mut data.stable);
+            reencode(&next, name, schema, &mut data.recent);
+            for order in &mut data.orders {
+                let schema = &order.schema;
+                next.plan(&schema.name, &schema.arg_types);
+                reencode(&next, &schema.name, schema, &mut order.table);
             }
         }
         self.codec = Some(next);
@@ -839,6 +942,166 @@ impl<P: Provenance> Database<P> {
             data.stable.recycle(device);
             data.recent.recycle(device);
         }
+    }
+
+    /// Keeps each of `orders` from now on: built here from its relation's
+    /// `stable` partition, which is all of the relation wherever the
+    /// planner ([`secondary_orders`](crate::secondary_orders)) names one —
+    /// an EDB relation, or one a recursive stratum derives, at rest. A
+    /// refresh rewrites an order wherever it rewrites its relation.
+    pub fn build_orders(&mut self, device: &Device, orders: &[SecondaryOrder]) {
+        for SecondaryOrder { relation, key } in orders {
+            let schema = &self.schemas[relation];
+            let mut columns = key.clone();
+            columns.extend((0..schema.arity()).filter(|c| !key.contains(c)));
+            let types = columns.iter().map(|&c| schema.arg_types[c]).collect();
+            let schema = RelationSchema::new(format!("{relation}{ORDER}{key:?}"), types);
+            if let Some(codec) = self.codec.as_mut() {
+                codec.plan(&schema.name, &schema.arg_types);
+            }
+            let mut order = Order {
+                key: key.clone(),
+                columns,
+                schema,
+                table: SortedTable::empty(0),
+            };
+            order.table =
+                self.reordered(device, relation, &order, &self.relations[relation].stable);
+            self.relation_data_mut(relation).orders.push(order);
+        }
+    }
+
+    /// The secondary orders this database keeps.
+    pub(crate) fn orders(&self) -> Vec<SecondaryOrder> {
+        let mut orders = Vec::new();
+        for (relation, data) in &self.relations {
+            orders.extend(data.orders.iter().map(|order| SecondaryOrder {
+                relation: relation.clone(),
+                key: order.key.clone(),
+            }));
+        }
+        orders
+    }
+
+    /// The rows of `table` — rows of `relation` in its stored layout — as
+    /// rows of `order`, sorted.
+    fn reordered(
+        &self,
+        device: &Device,
+        relation: &str,
+        order: &Order<P>,
+        table: &SortedTable<P>,
+    ) -> SortedTable<P> {
+        let mut logical: Vec<Option<Column>> = self
+            .unpacked(device, relation, &table.columns)
+            .into_iter()
+            .map(Some)
+            .collect();
+        let permuted = order
+            .columns
+            .iter()
+            .map(|&c| logical[c].take().expect("each column once"))
+            .collect();
+        let columns = self.packed(device, &order.schema.name, permuted);
+        SortedTable::from_unsorted(device, &self.provenance, columns, table.tags.clone())
+    }
+
+    /// Brings each order of `relation` in step with its `stable` partition
+    /// after `change`.
+    pub(crate) fn update_orders(&mut self, device: &Device, relation: &str, change: Stable<'_, P>) {
+        let data = &self.relations[relation];
+        let rows = match change {
+            Stable::Gained(rows) | Stable::Lost(rows) => rows,
+            Stable::Rebuilt => &data.stable,
+        };
+        let laid_out: Vec<SortedTable<P>> = data
+            .orders
+            .iter()
+            .map(|order| self.reordered(device, relation, order, rows))
+            .collect();
+        let data = self.relations.get_mut(relation).expect("relation exists");
+        for (order, rows) in data.orders.iter_mut().zip(laid_out) {
+            let table = &mut order.table;
+            match change {
+                Stable::Gained(_) => {
+                    *table = SortedTable::merge_disjoint_owned(device, table.take(), rows);
+                }
+                Stable::Lost(_) => {
+                    table.remove_rows(device, &rows);
+                    rows.recycle(device);
+                }
+                Stable::Rebuilt => std::mem::replace(table, rows).recycle(device),
+            }
+        }
+    }
+
+    /// The orders that do not hold exactly their relation's `stable` rows
+    /// re-sorted key-first, bit for bit — none, whenever the database is
+    /// at rest.
+    pub(crate) fn stale_orders(&self, device: &Device) -> Vec<SecondaryOrder> {
+        let mut stale = Vec::new();
+        for (relation, data) in &self.relations {
+            for order in &data.orders {
+                let want = self.reordered(device, relation, order, &data.stable);
+                if want.columns != order.table.columns || want.tags != order.table.tags {
+                    stale.push(SecondaryOrder {
+                        relation: relation.clone(),
+                        key: order.key.clone(),
+                    });
+                }
+                want.recycle(device);
+            }
+        }
+        stale
+    }
+
+    /// How to read the first `width` logical columns of rows stored in
+    /// layout `name` (a relation's, or an order's) in place.
+    pub(crate) fn key_lanes(&self, name: &str, width: usize) -> Vec<KeyLane> {
+        match self.codec.as_ref() {
+            Some(codec) => codec.key_lanes(name, width),
+            None => (0..width)
+                .map(|column| KeyLane {
+                    column,
+                    shift: 0,
+                    mask: u64::MAX,
+                })
+                .collect(),
+        }
+    }
+
+    /// Columns stored in layout `name` as logical columns, in the local
+    /// symbol space registers hold: fresh arena columns.
+    pub(crate) fn unpacked(&self, device: &Device, name: &str, stored: &[Column]) -> Columns {
+        let refs: Vec<&[u64]> = stored.iter().map(|c| c.as_slice()).collect();
+        match self.codec.as_ref().and_then(|codec| codec.lanes(name)) {
+            Some(lanes) => {
+                let arity = self
+                    .codec
+                    .as_ref()
+                    .expect("codec present")
+                    .layout(name)
+                    .arity;
+                kernels::unpack_columns(device, &refs, lanes, arity)
+            }
+            None => refs
+                .iter()
+                .map(|c| device.arena().alloc_copy(CODEC_SITE, c))
+                .collect(),
+        }
+    }
+
+    /// Logical columns in local symbol space packed into layout `name`,
+    /// consuming them.
+    fn packed(&self, device: &Device, name: &str, logical: Columns) -> Columns {
+        let Some(lanes) = self.codec.as_ref().and_then(|codec| codec.lanes(name)) else {
+            return logical;
+        };
+        let refs: Vec<&[u64]> = logical.iter().map(|c| c.as_slice()).collect();
+        let packed = kernels::pack_columns(device, &refs, lanes);
+        drop(refs);
+        recycle_columns(device, logical);
+        packed
     }
 
     /// The provenance context used by this database.

@@ -94,6 +94,10 @@ pub struct ExecutionStats {
     pub facts_over_deleted: usize,
     /// Over-deleted rows the same refresh derived again from what survived.
     pub facts_rederived: usize,
+    /// Rows a `load` or `lookup` wrote into registers: what was read out of
+    /// stored tables. A cached load counts once, when it is made. Exact and
+    /// repeatable, like `candidate_rows`.
+    pub rows_loaded: usize,
 }
 
 impl ExecutionStats {
@@ -108,6 +112,7 @@ impl ExecutionStats {
         self.update_rows_written += other.update_rows_written;
         self.facts_over_deleted += other.facts_over_deleted;
         self.facts_rederived += other.facts_rederived;
+        self.rows_loaded += other.rows_loaded;
     }
 }
 
@@ -626,7 +631,88 @@ impl<P: Provenance> Executor<P> {
             merged.recycle(&self.device);
         }
         self.device.record_kernel();
+        stats.rows_loaded += tag_vec.len();
         (cols, tag_vec)
+    }
+
+    /// `load⟨ρ⟩ ⋉ k̄`: the rows of one partition of `relation` whose `key`
+    /// columns equal a row of `probes`, unpacked into full-width registers
+    /// as `load` unpacks them, sorted on the key. Each table of the
+    /// partition is searched where it is sorted on the key: as it is stored
+    /// when the key is a prefix of its columns — the matches of `stable` and
+    /// `recent` are then merged — else in the relation's secondary order on
+    /// the key, which mirrors `stable` alone. A partition of the stratum's
+    /// own relation is read only before the run has pushed to it — in the
+    /// first iteration of a seeded run, whose `stable` is the table it
+    /// entered with.
+    fn lookup(
+        &self,
+        db: &Database<P>,
+        relation: &str,
+        part: DbPart,
+        key: &[usize],
+        probes: &[&[u64]],
+        stats: &mut ExecutionStats,
+    ) -> (Columns, Vec<P::Tag>) {
+        let device = &self.device;
+        let data = db.relation_data(relation);
+        // The matching rows of `table`, stored in layout `name`.
+        let found = |name: &str, table: &SortedTable<P>| {
+            let lanes = db.key_lanes(name, key.len());
+            let columns: Vec<&[u64]> = table.columns.iter().map(|c| c.as_slice()).collect();
+            kernels::lookup(device, &columns, &table.tags, &lanes, probes)
+        };
+        // Stored words unpacked into registers.
+        let unpack = |name: &str, packed: Columns| {
+            if db.codec().and_then(|codec| codec.lanes(name)).is_none() {
+                return packed;
+            }
+            let wide = db.unpacked(device, name, &packed);
+            recycle_columns(device, packed);
+            wide
+        };
+        debug_assert!(part != DbPart::Recent, "a lookup reads a stored table");
+        let (columns, tags) = if key.iter().copied().eq(0..key.len()) {
+            let (packed, tags) = if part == DbPart::Stable || data.recent.is_empty() {
+                found(relation, &data.stable)
+            } else {
+                let (stable, stable_tags) = found(relation, &data.stable);
+                let (recent, recent_tags) = found(relation, &data.recent);
+                fn refs(columns: &[Column]) -> Vec<&[u64]> {
+                    columns.iter().map(|c| c.as_slice()).collect()
+                }
+                let (stable_refs, recent_refs) = (refs(&stable), refs(&recent));
+                let merged = kernels::merge(
+                    device,
+                    &stable_refs,
+                    &stable_tags,
+                    &recent_refs,
+                    &recent_tags,
+                );
+                drop((stable_refs, recent_refs));
+                recycle_columns(device, stable);
+                recycle_columns(device, recent);
+                merged
+            };
+            (unpack(relation, packed), tags)
+        } else {
+            let order = data.order(key).expect("a secondary order on the key");
+            debug_assert!(
+                part == DbPart::Stable || data.recent.is_empty(),
+                "the order of `{relation}` on {key:?} mirrors `stable` alone"
+            );
+            let (packed, tags) = found(order.layout_name(), &order.table);
+            let found = unpack(order.layout_name(), packed);
+            // Column `i` of the order is column `order.columns[i]` of the
+            // relation.
+            let mut columns = vec![Vec::new(); found.len()];
+            for (&column, values) in order.columns.iter().zip(found) {
+                columns[column] = values;
+            }
+            (columns, tags)
+        };
+        stats.rows_loaded += tags.len();
+        (columns, tags)
     }
 
     /// `join⟨W⟩` / `mergejoin⟨W⟩`: the write pass of a join over `build`,
@@ -736,6 +822,24 @@ impl<P: Provenance> Executor<P> {
                     if let Some(loaded) = loaded.filter(|_| cacheable) {
                         load_cache.insert(relation.clone(), loaded);
                     }
+                }
+                Instr::Lookup {
+                    relation,
+                    part,
+                    key,
+                    probes,
+                    columns,
+                    tags,
+                } => {
+                    debug_assert!(
+                        !compiled.relations.contains(relation)
+                            || (*part == DbPart::Stable
+                                && db.relation_data(relation).runs.is_empty()),
+                        "`{relation}` looked up after its stratum pushed to it"
+                    );
+                    let probes = columns_of(&regs, static_file, probes);
+                    let (found, found_tags) = self.lookup(db, relation, *part, key, &probes, stats);
+                    set_table(&mut regs, columns, found, *tags, found_tags);
                 }
                 Instr::Store {
                     relation,

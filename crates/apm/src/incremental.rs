@@ -16,28 +16,31 @@
 //!     own frontier; and the seeded run hands its own relations back as the
 //!     same kind of split (`Executor::run_stratum_from`: the frontiers it
 //!     pushed, merged among themselves, *are* Δ), for the strata downstream.
+//!     Where a Δ meets an old table, only the table's rows the Δ's keys name
+//!     are read (`lookup`), in the table or in one of its secondary orders.
 //!     One `merge` per split relation at the very end is the only pass that
-//!     rewrites an old table, so an insert costs O(|Δ| + its derivation
-//!     cone) plus one scan of each old table it joins and that one fold.
+//!     rewrites an old table — and its orders — so an insert costs
+//!     O(|Δ| + its derivation cone) plus that one fold, a block copy.
 //!   - *Retraction* is delete/re-derive (DRed), in passes over the whole
-//!     program that are strata of their own, compiled by
-//!     [`compile_stratum_with_options`] and run by the executor as it runs
-//!     any other. They live in scratch relations stored beside the
-//!     materialized ones, in their layouts, and removed before the refresh
-//!     returns. (1) An EDB relation's lost rows Δ⁻ are its old table less
-//!     its rebuilt one. For every rule and every body leaf over a relation
-//!     that may lose rows, a *deletion rule* `h⁻ :- …, b⁻, …` reads that
-//!     leaf's losses and the other leaves' old tables; the rules' joint fix
-//!     point D is every derived row with a derivation through a lost one.
-//!     (2) Each derived relation keeps the survivors S = old \ D. (3) One
-//!     non-recursive pass evaluates the rules of D's relations over S, each
-//!     head column restricted by a semijoin with the values D holds there,
-//!     pushed down to the leaf column it copies: a rule instance whose head
-//!     is in D passes every one, and a big leaf is scanned once against a
-//!     small filter instead of joined whole. What the pass derives outside
-//!     S, with the relation's own asserted rows outside S, is R₀. (4) R₀
-//!     seeds the insertion machinery above, beside any rows the refresh
-//!     inserts.
+//!     program that are strata of their own, compiled as from scratch but
+//!     with an insert's lookups — their scratch relations are the Δs — and
+//!     run by the executor as it runs any other. The passes live in
+//!     scratch relations stored beside the materialized ones, in their
+//!     layouts, and removed before the refresh returns. (1) An EDB
+//!     relation's lost rows Δ⁻ are its old table less its rebuilt one. For
+//!     every rule and every body leaf over a relation that may lose rows, a
+//!     *deletion rule* `h⁻ :- …, b⁻, …` reads that leaf's losses and the
+//!     other leaves' old tables; the rules' joint fix point D is every
+//!     derived row with a derivation through a lost one. (2) Each derived
+//!     relation keeps the survivors S = old \ D. (3) One non-recursive pass
+//!     evaluates the rules of D's relations over S, each head column
+//!     restricted by a semijoin with the values D holds there, pushed down
+//!     to the leaf column it copies: a rule instance whose head is in D
+//!     passes every one, and a big leaf's rows are looked up by the few
+//!     values of a filter instead of joined whole. What the pass derives
+//!     outside S, with the relation's own asserted rows outside S, is R₀.
+//!     (4) R₀ seeds the insertion machinery above, beside any rows the
+//!     refresh inserts.
 //! * **Stratum-level recompute** for everything else — provenances whose
 //!   tags fold information across derivations in rank order (where dropping
 //!   re-derivations of existing rows would diverge from a from-scratch run),
@@ -55,8 +58,8 @@
 //! them ([`Refresh::outputs`]): per output relation, the rows added and
 //! where they went, the places of the rows removed, or "rebuilt".
 
-use crate::compiler::{compile_stratum_delta, compile_stratum_with_options};
-use crate::database::{Database, SortedTable};
+use crate::compiler::{compile_refresh_pass, compile_stratum_delta, compile_stratum_with_options};
+use crate::database::{Database, SecondaryOrder, SortedTable, Stable};
 use crate::executor::{ExecError, ExecutionStats, Executor};
 use lobster_gpu::{Columns, Device};
 use lobster_provenance::Provenance;
@@ -181,18 +184,25 @@ impl Scratch {
 }
 
 /// Folds a relation's temporary stable/recent split back into a single
-/// stable table and returns its Δ half — what `recent` held, which is never
-/// empty for a split — with the number of rows the merge wrote.
+/// stable table, and its Δ half into the relation's secondary orders, and
+/// returns that Δ — what `recent` held, which is never empty for a split —
+/// with the number of rows the merge of the relation's table wrote.
+/// `places`, where known, are `merge_positions` of Δ in the old table.
 fn fold_split<P: Provenance>(
     device: &Device,
     db: &mut Database<P>,
     rel: &str,
+    places: Option<&[usize]>,
 ) -> (SortedTable<P>, usize) {
     let data = db.relation_data_mut(rel);
     let (stable, delta) = (data.stable.take(), data.recent.take());
-    data.stable = stable.merge_disjoint(device, &delta);
+    data.stable = match places {
+        Some(places) => stable.merge_disjoint_at(device, &delta, places),
+        None => stable.merge_disjoint(device, &delta),
+    };
     let written = data.stable.len();
     stable.recycle(device);
+    db.update_orders(device, rel, Stable::Gained(&delta));
     (delta, written)
 }
 
@@ -262,19 +272,6 @@ fn program_of<P: Provenance>(db: &Database<P>, stratum: Stratum) -> RamProgram {
     }
 }
 
-/// Compiles `stratum` with the from-scratch entry and runs it to its fix
-/// point, as part of the refresh that began at `run_start`.
-fn run_pass<P: Provenance>(
-    executor: &Executor<P>,
-    db: &mut Database<P>,
-    stratum: Stratum,
-    run_start: Instant,
-) -> Result<ExecutionStats, ExecError> {
-    let program = program_of(db, stratum);
-    let compiled = compile_stratum_with_options(&program.strata[0], &program, executor.options());
-    executor.run_stratum_from(db, &compiled, run_start, true)
-}
-
 /// `expr` restricted to the rows whose column `column` is a row of the
 /// one-column relation `keys`. The semijoin goes down to the leaf the
 /// column copies — through projections that copy it, selections, joins,
@@ -338,18 +335,14 @@ fn restrict(
 }
 
 /// `expr ⋉ keys` on column `column` of `expr`, in `expr`'s column order: a
-/// join on the key column brought to the front, and back. On the first
-/// column of a stored relation both sides are sorted, so the join is a
-/// merge, and the keys go on the left: the merge walks the few keys and
-/// gallops through the relation rather than the other way round. Anywhere
-/// else the keys go on the right, where the hash index is built.
+/// join on the key column brought to the front, and back. The key table is
+/// a scratch relation, so the pass's compile looks up a stored relation's
+/// matching rows (`lookup`) where it, or one of its secondary orders, is
+/// sorted on the column.
 fn semijoin(expr: RamExpr, column: usize, arity: usize, keys: &str) -> RamExpr {
     let keys = RamExpr::relation(keys);
     if column == 0 {
-        return match expr {
-            RamExpr::Relation(_) => keys.join(expr, 1),
-            _ => expr.join(keys, 1),
-        };
+        return expr.join(keys, 1);
     }
     let columns = |order: Vec<usize>| {
         RowProjection::new(order.into_iter().map(ScalarExpr::Col).collect(), None)
@@ -386,6 +379,9 @@ struct Refreshing<'a, P: Provenance> {
     run_start: Instant,
     stats: ExecutionStats,
     scratch: Scratch,
+    /// The secondary orders the database keeps, which the refresh's
+    /// compiles may look rows up in.
+    orders: Vec<SecondaryOrder>,
     /// Relations whose content differs from the materialized state.
     changed: BTreeSet<String>,
     /// Relations holding a (stable = old content, recent = Δ) split that
@@ -442,6 +438,7 @@ pub fn refresh_database<P: Provenance>(
         run_start: Instant::now(),
         stats: ExecutionStats::default(),
         scratch: Scratch::default(),
+        orders: db.orders(),
         changed: BTreeSet::new(),
         split: BTreeSet::new(),
         deleted: BTreeSet::new(),
@@ -462,6 +459,19 @@ pub fn refresh_database<P: Provenance>(
 }
 
 impl<P: Provenance> Refreshing<'_, P> {
+    /// Compiles one pass of a retraction — every scratch relation drives
+    /// the joins it is in — and runs it to its fix point.
+    fn run_pass(&mut self, db: &mut Database<P>, stratum: Stratum) -> Result<(), ExecError> {
+        let program = program_of(db, stratum);
+        let stratum = &program.strata[0];
+        let compiled = compile_refresh_pass(stratum, &program, &self.scratch.0, &self.orders);
+        let ran = self
+            .executor
+            .run_stratum_from(db, &compiled, self.run_start, true)?;
+        self.stats.merge(&ran);
+        Ok(())
+    }
+
     /// Rebuilds every changed EDB relation from its current content — the
     /// recompute tier's entry. Pure EDB relations whose rebuilt content is
     /// bitwise unchanged (e.g. a retract-then-reinsert of the same fact) are
@@ -623,8 +633,7 @@ impl<P: Provenance> Refreshing<'_, P> {
             }
         }
         if !deletion.relations.is_empty() {
-            let ran = run_pass(self.executor, db, deletion, self.run_start)?;
-            self.stats.merge(&ran);
+            self.run_pass(db, deletion)?;
         }
         let derived: BTreeSet<&String> =
             self.ram.strata.iter().flat_map(|s| &s.relations).collect();
@@ -637,9 +646,12 @@ impl<P: Provenance> Refreshing<'_, P> {
             if derived.contains(rel) {
                 self.stats.facts_over_deleted += lost;
             }
-            let mut survivors = db.relation_data_mut(rel).stable.take();
-            survivors.remove_rows(&self.device, &db.relation_data(&lost_name).stable);
-            db.relation_data_mut(rel).stable = survivors;
+            let lost = db.relation_data_mut(&lost_name).stable.take();
+            db.relation_data_mut(rel)
+                .stable
+                .remove_rows(&self.device, &lost);
+            db.update_orders(&self.device, rel, Stable::Lost(&lost));
+            db.relation_data_mut(&lost_name).stable = lost;
             self.deleted.insert(rel.clone());
             self.changed.insert(rel.clone());
         }
@@ -720,8 +732,7 @@ impl<P: Provenance> Refreshing<'_, P> {
             }
         }
         if !pass.relations.is_empty() {
-            let ran = run_pass(self.executor, db, pass, self.run_start)?;
-            self.stats.merge(&ran);
+            self.run_pass(db, pass)?;
         }
         Ok(())
     }
@@ -827,7 +838,13 @@ impl<P: Provenance> Refreshing<'_, P> {
                 || stratum.relations.iter().any(|r| self.split.contains(r))
             {
                 let options = self.executor.options();
-                let compiled = compile_stratum_delta(stratum, self.ram, &changed_inputs, options);
+                let compiled = compile_stratum_delta(
+                    stratum,
+                    self.ram,
+                    &changed_inputs,
+                    &self.orders,
+                    options,
+                );
                 let ran = self
                     .executor
                     .run_stratum_from(db, &compiled, self.run_start, false)?;
@@ -855,7 +872,7 @@ impl<P: Provenance> Refreshing<'_, P> {
             if self.split.remove(rel.as_str()) {
                 // Loads assume single sorted partitions; fold the split. What
                 // the relation gained or lost is no longer reported.
-                let (delta, written) = fold_split(&device, db, rel);
+                let (delta, written) = fold_split(&device, db, rel, None);
                 self.stats.update_rows_written += written;
                 delta.recycle(&device);
                 self.deleted.remove(rel.as_str());
@@ -887,6 +904,7 @@ impl<P: Provenance> Refreshing<'_, P> {
                 && data.recent.columns == old_recent.columns
                 && data.recent.tags == old_recent.tags;
             if !same {
+                db.update_orders(&device, &rel, Stable::Rebuilt);
                 self.changed.insert(rel);
             }
             old_stable.recycle(&device);
@@ -911,7 +929,7 @@ impl<P: Provenance> Refreshing<'_, P> {
                 let data = db.relation_data(rel);
                 data.stable.merge_positions(&device, &data.recent)
             });
-            let (rows, written) = fold_split(&device, db, rel);
+            let (rows, written) = fold_split(&device, db, rel, positions.as_deref());
             self.stats.update_rows_written += written;
             match positions {
                 Some(positions) => {
@@ -937,6 +955,11 @@ impl<P: Provenance> Refreshing<'_, P> {
             }
         }
         self.scratch.remove_all(db, &device);
+        debug_assert!(
+            db.stale_orders(&device).is_empty(),
+            "secondary orders out of step with their relations: {:?}",
+            db.stale_orders(&device)
+        );
         Refresh {
             stats: self.stats,
             outputs,
@@ -1137,5 +1160,129 @@ mod tests {
         let refresh = refresh_database(&executor, &mut db, &ram, &changes).unwrap();
         assert!(refresh.outputs.is_empty());
         assert_eq!(refresh.stats.strata, 0);
+    }
+
+    /// Symbol-keyed TC beside a relation a single-pass stratum derives and
+    /// `path` reads: a change to `hop` rebuilds `link`, which sends `path`'s
+    /// stratum to the recompute tier.
+    const SYMBOL_TC: &str = "type edge(x: symbol, y: symbol)
+         type hop(x: symbol, y: symbol)
+         rel link(x, y) = hop(x, y)
+         rel path(x, y) = edge(x, y) or link(x, y) or (path(x, z) and edge(z, y))
+         query path";
+
+    /// One fact: its relation and its two symbol ids.
+    type Fact = (&'static str, [u32; 2]);
+
+    /// The EDB content of `rel` among `facts`, in registration order.
+    fn content_of(facts: &[Fact], rel: &str) -> EdbContent<()> {
+        let rows: Vec<&[u32; 2]> = facts.iter().filter(|f| f.0 == rel).map(|f| &f.1).collect();
+        let column = |c: usize| rows.iter().map(|row| u64::from(row[c])).collect();
+        (vec![column(0), column(1)], vec![(); rows.len()])
+    }
+
+    /// `facts` per relation, as a refresh takes inserted or retracted rows.
+    fn rows_by_relation(facts: &[Fact]) -> BTreeMap<String, EdbContent<()>> {
+        let relations: BTreeSet<&str> = facts.iter().map(|f| f.0).collect();
+        relations
+            .into_iter()
+            .map(|rel| (rel.to_string(), content_of(facts, rel)))
+            .collect()
+    }
+
+    /// A database over `facts` at its fix point, keeping the orders the
+    /// planner names for `ram`.
+    fn materialized_symbols(ram: &RamProgram, device: &Device, facts: &[Fact]) -> Database<Unit> {
+        let spec = crate::EncodingSpec::default();
+        let mut db = Database::new_encoded(ram.schemas.clone(), Unit::new(), &spec);
+        for (rel, [x, y]) in facts {
+            db.insert(rel, &[Value::Symbol(*x), Value::Symbol(*y)], ());
+        }
+        db.seal(device);
+        let executor = Executor::new(device.clone(), Unit::new(), RuntimeOptions::default());
+        executor.run_program(&mut db, ram).unwrap();
+        db.build_orders(device, &crate::secondary_orders(ram));
+        db
+    }
+
+    #[test]
+    fn secondary_orders_follow_their_relations_through_random_traces() {
+        // After every step of a random insert / retract / reweight trace,
+        // the order equals its relation re-sorted key-first, bit for bit,
+        // and the relations decode to what a from-scratch run derives. Steps
+        // that change `hop` take the recompute tier; inserts bring new
+        // symbols, so the dictionary grows and every table is re-encoded,
+        // once past the width of one byte.
+        let ram = parse(SYMBOL_TC).unwrap().ram;
+        let path_on_z = SecondaryOrder {
+            relation: "path".to_string(),
+            key: vec![1],
+        };
+        assert_eq!(crate::secondary_orders(&ram), [path_on_z]);
+        let device = Device::sequential();
+        let executor = Executor::new(device.clone(), Unit::new(), RuntimeOptions::default());
+        for seed in 1..5u64 {
+            let mut state = seed;
+            let mut below = |bound: u32| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state % u64::from(bound)) as u32
+            };
+            let mut facts: Vec<Fact> = (0..12).map(|i| ("edge", [i, i + 1])).collect();
+            let mut db = materialized_symbols(&ram, &device, &facts);
+            let mut symbols = 13;
+            for step in 0..24 {
+                let (mut inserted, mut retracted, mut reweighted) =
+                    (Vec::new(), Vec::new(), BTreeSet::new());
+                let rel = if step % 5 == 3 { "hop" } else { "edge" };
+                match below(4) {
+                    _ if step == 10 => {
+                        // 250 new symbols, in edges of their own.
+                        let pair = |i: u32| ("edge", [symbols + 2 * i, symbols + 2 * i + 1]);
+                        inserted.extend((0..125).map(pair));
+                        symbols += 250;
+                    }
+                    0 | 1 => {
+                        for _ in 0..1 + below(3) {
+                            let mut node = || match below(3) {
+                                0 => {
+                                    symbols += 1;
+                                    symbols
+                                }
+                                _ => below(symbols),
+                            };
+                            inserted.push((rel, [node(), node()]));
+                        }
+                    }
+                    2 if !facts.is_empty() => {
+                        for _ in 0..1 + below(2) {
+                            if let Some(at) = (!facts.is_empty()).then(|| below(facts.len() as u32))
+                            {
+                                retracted.push(facts.remove(at as usize));
+                            }
+                        }
+                    }
+                    _ => {
+                        reweighted.insert(rel.to_string());
+                    }
+                }
+                facts.extend(inserted.iter().copied());
+                let content = |rel: &str| content_of(&facts, rel);
+                let changes = EdbChanges {
+                    inserted: rows_by_relation(&inserted),
+                    retracted: rows_by_relation(&retracted),
+                    reweighted,
+                    content: &content,
+                };
+                refresh_database(&executor, &mut db, &ram, &changes).unwrap();
+                let ctx = format!("seed {seed}, step {step}");
+                assert_eq!(db.stale_orders(&device), [], "{ctx}");
+                let scratch = materialized_symbols(&ram, &device, &facts);
+                for rel in ["edge", "hop", "link", "path"] {
+                    assert_eq!(tuples(&db, rel), tuples(&scratch, rel), "`{rel}`, {ctx}");
+                }
+            }
+        }
     }
 }

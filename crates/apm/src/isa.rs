@@ -135,6 +135,27 @@ pub enum Instr {
         /// Destination tag register.
         tags: RegId,
     },
+    /// `[s̄, s_t] = load⟨ρ⟩() ⋉ k̄`: the rows of a relation partition whose
+    /// `key` columns equal some row of the probe key registers, sorted on
+    /// the key, each once, loaded into registers as `load` loads the whole
+    /// partition. It is searched where it is sorted on the key — its own
+    /// table when `key` is a prefix of the relation's columns, else the
+    /// relation's secondary order on `key` — so the rows it does not return
+    /// are never read.
+    Lookup {
+        /// Relation name.
+        relation: String,
+        /// Partition to read.
+        part: DbPart,
+        /// The key: relation columns, in key order.
+        key: Vec<usize>,
+        /// Probe key column registers, one per key column.
+        probes: Vec<RegId>,
+        /// Destination column registers, in the relation's column order.
+        columns: Vec<RegId>,
+        /// Destination tag register.
+        tags: RegId,
+    },
     /// `store⟨ρ⟩(s̄, s_t)`: stage the rows of a table as candidate delta
     /// facts for a relation. Staged facts are deduplicated and folded into
     /// the database by the end-of-iteration update sequence.
@@ -251,6 +272,7 @@ impl Instr {
     pub fn mnemonic(&self) -> &'static str {
         match self {
             Instr::Load { .. } => "load",
+            Instr::Lookup { .. } => "lookup",
             Instr::Store { .. } => "store",
             Instr::Eval { .. } => "eval",
             Instr::Build { .. } => "build",
@@ -267,7 +289,7 @@ impl Instr {
     /// Registers written by this instruction.
     pub fn defs(&self) -> Vec<RegId> {
         match self {
-            Instr::Load { columns, tags, .. } => {
+            Instr::Load { columns, tags, .. } | Instr::Lookup { columns, tags, .. } => {
                 let mut regs = columns.clone();
                 regs.push(*tags);
                 regs
@@ -316,6 +338,16 @@ impl Instr {
         let mut all = |regs: &[RegId]| regs.iter().copied().for_each(&mut f);
         match self {
             Instr::Load { columns, tags, .. } | Instr::Store { columns, tags, .. } => {
+                all(columns);
+                all(&[*tags]);
+            }
+            Instr::Lookup {
+                probes,
+                columns,
+                tags,
+                ..
+            } => {
+                all(probes);
                 all(columns);
                 all(&[*tags]);
             }
@@ -399,6 +431,19 @@ impl fmt::Display for Instr {
                 tags,
             } => {
                 write!(f, "{:?},{tags} <- load<{relation}:{part}>()", columns)
+            }
+            Instr::Lookup {
+                relation,
+                part,
+                key,
+                probes,
+                columns,
+                tags,
+            } => {
+                write!(
+                    f,
+                    "{columns:?},{tags} <- lookup<{relation}:{part} on {key:?}>({probes:?})"
+                )
             }
             Instr::Store {
                 relation,

@@ -32,9 +32,11 @@ mod isa;
 pub use batch::batch_transform;
 #[doc(hidden)]
 pub use compiler::compile_stratum_hash_only;
-pub use compiler::{compile_stratum_delta, compile_stratum_with_options, CompiledStratum};
+pub use compiler::{
+    compile_stratum_delta, compile_stratum_with_options, secondary_orders, CompiledStratum,
+};
 pub use config::{fnv1a, fnv1a_extend, RuntimeOptions};
-pub use database::{Database, EncodingSpec, SortedTable};
+pub use database::{Database, EncodingSpec, SecondaryOrder, SortedTable};
 pub use executor::{ExecError, ExecutionStats, Executor};
 pub use incremental::{refresh_database, EdbChanges, EdbContent, Refresh, RelationChange};
 pub use isa::{ApmProgram, DbPart, Instr, JoinSource, JoinWrite, RegId};

@@ -17,7 +17,15 @@
 //!   vector sized exactly at materialisation — has grown. That reallocation
 //!   is paid once per doubling of the relation, not per update;
 //!   `delta1_first_ms` is the same `|Δ|=1` update made as the very first one,
-//!   so its price stays visible.
+//!   so its price stays visible. `delta1_rows_loaded` counts the rows that
+//!   update read out of stored tables (`ExecutionStats::rows_loaded`): the
+//!   paths into the chain's end, looked up in `path`'s order on its second
+//!   column, and the new paths as the frontier extends them.
+//! * `delta1_growth` — `delta1_ms` on the largest workload over the one
+//!   before it (1,024 edges over 512 in full mode): how far a `|Δ|=1` update
+//!   still follows the table. Recorded, not gated: the fold of Δ into the
+//!   table and its order, and the splice of the decoded view, are still
+//!   linear in it.
 //! * `retract1_ms` — retracting the chain's first edge, which takes the
 //!   tuple-level delete/re-derive path: it over-deletes the `edges` paths
 //!   that start at node 0, derives none of them again, and patches the view
@@ -58,6 +66,7 @@ struct Row {
     scratch_iterations: usize,
     delta1: Duration,
     delta1_iterations: usize,
+    delta1_rows_loaded: usize,
     delta1_first: Duration,
     delta16: Duration,
     retract1: Duration,
@@ -76,7 +85,8 @@ impl Row {
         format!(
             "{{\"edges\": {}, \"path_tuples\": {}, \"from_scratch_ms\": {:.3}, \
              \"scratch_iterations\": {}, \"delta1_ms\": {:.3}, \"delta1_iterations\": {}, \
-             \"delta1_first_ms\": {:.3}, \"delta16_ms\": {:.3}, \"retract1_ms\": {:.3}, \
+             \"delta1_rows_loaded\": {}, \"delta1_first_ms\": {:.3}, \"delta16_ms\": {:.3}, \
+             \"retract1_ms\": {:.3}, \
              \"scratch_over_delta1\": {:.3}, \"scratch_over_retract1\": {:.3}}}",
             self.edges,
             self.path_tuples,
@@ -84,6 +94,7 @@ impl Row {
             self.scratch_iterations,
             self.delta1.as_secs_f64() * 1e3,
             self.delta1_iterations,
+            self.delta1_rows_loaded,
             self.delta1_first.as_secs_f64() * 1e3,
             self.delta16.as_secs_f64() * 1e3,
             self.retract1.as_secs_f64() * 1e3,
@@ -179,7 +190,7 @@ fn main() {
         };
 
         let measure_insert = |delta: usize, warm: bool| {
-            let mut iterations = 0;
+            let (mut iterations, mut rows_loaded) = (0, 0);
             let wall = best_of(repeats, || {
                 let (mut session, _) = materialized(warm);
                 session
@@ -194,13 +205,14 @@ fn main() {
                     grown * (grown + 1) / 2 + usize::from(warm)
                 );
                 iterations = result.stats.iterations;
+                rows_loaded = result.stats.rows_loaded;
                 elapsed
             });
-            (wall, iterations)
+            (wall, iterations, rows_loaded)
         };
-        let (delta1, delta1_iterations) = measure_insert(1, true);
-        let (delta1_first, _) = measure_insert(1, false);
-        let (delta16, _) = measure_insert(16, true);
+        let (delta1, delta1_iterations, delta1_rows_loaded) = measure_insert(1, true);
+        let (delta1_first, ..) = measure_insert(1, false);
+        let (delta16, ..) = measure_insert(16, true);
 
         let retract1 = best_of(repeats, || {
             let (mut session, ids) = materialized(false);
@@ -221,6 +233,7 @@ fn main() {
             scratch_iterations,
             delta1,
             delta1_iterations,
+            delta1_rows_loaded,
             delta1_first,
             delta16,
             retract1,
@@ -256,6 +269,17 @@ fn main() {
 
     let largest = rows.last().expect("at least one size");
     let largest_factor = largest.scratch_over_delta1();
+    let delta1_growth = match rows.as_slice() {
+        [.., before, last] => {
+            let growth = last.delta1.as_secs_f64() / before.delta1.as_secs_f64().max(1e-9);
+            println!(
+                "|Δ|=1 on {} edges against {}: {growth:.2}x the time",
+                last.edges, before.edges
+            );
+            growth
+        }
+        _ => 1.0,
+    };
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     let delta_gate = match assert_delta_factor {
@@ -288,6 +312,7 @@ fn main() {
          \"quick_mode\": {quick},\n  \"cpus\": {cpus},\n  \"repeats\": {repeats},\n  \
          \"sizes\": [\n    {rows_json}\n  ],\n  \
          \"largest_scratch_over_delta1\": {largest_factor:.3},\n  \
+         \"delta1_growth\": {delta1_growth:.3},\n  \
          \"delta_factor_gate\": \"{delta_gate}\"\n}}\n",
     );
     let json = match lobster_bench::degraded_overwrite_warning(

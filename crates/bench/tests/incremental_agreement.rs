@@ -702,11 +702,15 @@ fn a_second_recursive_stratum_over_the_retracted_relation() {
 /// and 8 links, each from the tail of one chain to the node 6 from the end
 /// of another, no chain used twice.
 fn forest() -> (FactSet, Vec<FactSet>) {
-    const CHAINS: u32 = 30;
+    forest_of(30)
+}
+
+/// [`forest`] with `chains` chains and the same 8 links.
+fn forest_of(chains: u32) -> (FactSet, Vec<FactSet>) {
     const LEN: u32 = 66;
     let node = |chain: u32, pos: u32| chain * LEN + pos;
     let mut edges = Vec::new();
-    for chain in 0..CHAINS {
+    for chain in 0..chains {
         for pos in 0..LEN - 1 {
             edges.push(("edge", node(chain, pos), node(chain, pos + 1)));
             if pos % 4 == 0 && pos + 2 < LEN {
@@ -754,4 +758,45 @@ fn retracting_the_forest_links_touches_only_their_cone() {
         "{} candidate rows against {paths} paths",
         stats.candidate_rows
     );
+}
+
+#[test]
+fn an_insert_reads_no_more_rows_from_a_forest_twice_the_size() {
+    // Counters, not clocks. Each link joins one new edge with the old
+    // `path`: in the first iteration the rows ending at the link's source
+    // are looked up in `path`'s order on its second column, and from then
+    // on the frontier looks up the edges leaving its nodes. Neither read
+    // depends on how many other chains the forest holds, so the same eight
+    // inserts into 30 and into 60 chains read the same rows and stage the
+    // same candidates — where loading `path` whole read all of it.
+    let program = Lobster::builder(TC)
+        .provenance(ProvenanceKind::Unit)
+        .compile()
+        .unwrap();
+    let inserts = |chains: u32| {
+        let mut session = program.session();
+        let (base, links) = forest_of(chains);
+        session.insert_facts(&base).unwrap();
+        let paths = session.run_incremental().unwrap().len("path");
+        let stats: Vec<(usize, usize)> = links
+            .iter()
+            .map(|link| {
+                session.insert_facts(link).unwrap();
+                let stats = session.run_incremental().unwrap().stats;
+                (stats.rows_loaded, stats.candidate_rows)
+            })
+            .collect();
+        (paths, stats)
+    };
+    let (small_paths, small) = inserts(30);
+    let (big_paths, big) = inserts(60);
+    assert_eq!(big_paths, 2 * small_paths);
+    assert_eq!(small, big, "(rows loaded, candidate rows) per insert");
+    for (loaded, candidates) in small {
+        // One chain's worth of rows: the 65 paths into the link's source,
+        // its 66 × 6 new paths as they are derived, and the edges they
+        // meet.
+        assert!(candidates > 66 * 6, "{candidates} candidate rows");
+        assert!(loaded < 1_000, "{loaded} rows loaded of {small_paths}");
+    }
 }

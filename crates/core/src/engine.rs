@@ -17,8 +17,8 @@ use crate::error::LobsterError;
 use crate::program::Program;
 use crate::session::{remove_at, splice_at, FactSet, OutputView, RegisteredFact};
 use lobster_apm::{
-    refresh_database, Database, EdbChanges, EdbContent, EncodingSpec, ExecutionStats, Executor,
-    RelationChange,
+    refresh_database, secondary_orders, Database, EdbChanges, EdbContent, EncodingSpec,
+    ExecutionStats, Executor, RelationChange,
 };
 use lobster_gpu::{Device, TransferDirection};
 use lobster_provenance::{
@@ -280,8 +280,13 @@ impl<P: SessionProvenance> AnyEngine for Engine<P> {
         &mut self,
         session: SessionFacts<'_>,
     ) -> Result<(OutputView, ExecutionStats), LobsterError> {
-        let (db, stats) = self.fix_point(session)?;
-        let view = decode(&self.provenance, &db, &session.program.ram().outputs);
+        let (mut db, stats) = self.fix_point(session)?;
+        let ram = session.program.ram();
+        if self.provenance.delta_exact() {
+            // Only the tuple-level tier looks rows up by key.
+            db.build_orders(&session.program.device, &secondary_orders(ram));
+        }
+        let view = decode(&self.provenance, &db, &ram.outputs);
         self.db = Some(db);
         Ok((view, stats))
     }

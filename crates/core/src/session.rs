@@ -502,7 +502,8 @@ impl Session {
         let retracted = std::mem::take(&mut state.retracted);
         let mut reweighted = BTreeSet::new();
         for (fact, old) in self.facts[..state.watermark].iter().zip(&state.probs) {
-            if self.fact_prob(fact) != *old {
+            // By bits: a NaN probability is unequal to itself as a float.
+            if self.fact_prob(fact).to_bits() != old.to_bits() {
                 reweighted.insert(fact.relation.clone());
             }
         }
@@ -983,6 +984,25 @@ mod tests {
         let after = session.run_incremental().unwrap();
         // A unit tag reads no probability: nothing runs and nothing is
         // decoded again, so the rows are the very ones shared before.
+        assert_eq!(after.stats, ExecutionStats::default());
+        assert!(Arc::ptr_eq(&before.outputs["path"], &after.outputs["path"]));
+    }
+
+    #[test]
+    fn a_nan_probability_is_not_a_change_every_time() {
+        // NaN != NaN as floats: compared that way, an untouched NaN fact
+        // read as reweighted on every call, and each call recomputed the
+        // stratum and decoded every output again.
+        let program = Program::compile(TC, ProvenanceKind::MaxMinProb).unwrap();
+        let mut session = program.session();
+        let mut facts = FactSet::new();
+        facts.add("edge", &[Value::U32(0), Value::U32(1)], Some(f64::NAN));
+        facts.add("edge", &[Value::U32(1), Value::U32(2)], Some(0.5));
+        session.insert_facts(&facts).unwrap();
+        let before = session.run_incremental().unwrap();
+        let launches = program.device().stats().kernel_launches;
+        let after = session.run_incremental().unwrap();
+        assert_eq!(program.device().stats().kernel_launches, launches);
         assert_eq!(after.stats, ExecutionStats::default());
         assert!(Arc::ptr_eq(&before.outputs["path"], &after.outputs["path"]));
     }

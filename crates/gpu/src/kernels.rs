@@ -34,9 +34,14 @@
 //! * [`merge`] / [`difference`] cut both inputs at *partition points*
 //!   (binary searches on the data), and each worker runs the sequential
 //!   two-pointer walk on its cut; the cuts are data-determined, so the
-//!   concatenated output equals the sequential walk. Where
+//!   concatenated output equals the sequential walk. A merge of a table at
+//!   least `GALLOP_RATIO` times the other's length is one sequential walk
+//!   that gallops the short side's places and copies the long side's
+//!   stretches between them: the same rows in the same order. Where
 //!   [`difference_runs`] gallops through a long run it lands on the same
 //!   lower bounds the walk would have reached.
+//! * [`lookup`] is one sequential cursor over the stored table, driven by
+//!   the distinct probe keys in key order.
 //! * [`eval`], the gathers, and [`join_write`] write each output element as
 //!   a pure function of its input row(s) into disjoint, position-stable
 //!   output ranges.
@@ -105,6 +110,10 @@ pub mod sites {
     /// The words one chunk of
     /// [`sort_unique_words`](super::sort_unique_words) emits.
     pub const SORT_KEYS: usize = 21;
+    /// [`lookup`](super::lookup)'s distinct probe rows, in key order.
+    pub const LOOKUP_KEYS: usize = 22;
+    /// [`lookup`](super::lookup) output columns.
+    pub const LOOKUP_OUT: usize = 23;
 }
 
 /// Compares row `i` of `a` with row `j` of `b` lexicographically by column.
@@ -1137,6 +1146,11 @@ fn merge_split(a: &[&[u64]], la: usize, b: &[&[u64]], lb: usize, t: usize) -> us
 /// Parallelism comes from merge-path partitioning: the output is cut into
 /// equal diagonals, each worker binary-searches its input split and runs the
 /// sequential two-pointer merge on its own disjoint output slice.
+///
+/// When one side is at least `GALLOP_RATIO` times as long as the other —
+/// the fold of a small Δ into a big table — no row of the long side is
+/// compared: the short side's places are galloped, and the long side's
+/// stretches between them are copied whole ([`merge_at`]).
 pub fn merge<T: Clone + Send + Sync>(
     device: &Device,
     a_cols: &[&[u64]],
@@ -1151,6 +1165,14 @@ pub fn merge<T: Clone + Send + Sync>(
         "merging tables of different arity"
     );
     let (la, lb) = (a_tags.len(), b_tags.len());
+    if lb > 0 && la / GALLOP_RATIO >= lb {
+        let mut before = landing(a_cols, la, b_cols, false);
+        return splice(device, a_cols, a_tags, b_cols, b_tags, &mut before);
+    }
+    if la > 0 && lb / GALLOP_RATIO >= la {
+        let mut before = landing(b_cols, lb, a_cols, true);
+        return splice(device, b_cols, b_tags, a_cols, a_tags, &mut before);
+    }
     let total = la + lb;
     let arena = device.arena();
     let ranges = chunks_for(device, total);
@@ -1287,15 +1309,222 @@ pub fn merge_positions(
     b_len: usize,
 ) -> Vec<usize> {
     let _t = device.launch(KernelKind::Other);
+    let mut before = landing(a_cols, a_len, b_cols, false);
+    (0..b_len).map(|j| before(j) + j).collect()
+}
+
+/// For the rows of the sorted `short` table, in order, the number of rows
+/// of the sorted `long` table (`long_len` of them) that precede each in
+/// their merge: those less than it — and, unless `short_first`, those equal
+/// to it. One galloping cursor over `long`, carried from row to row.
+fn landing<'a>(
+    long: &'a [&'a [u64]],
+    long_len: usize,
+    short: &'a [&'a [u64]],
+    short_first: bool,
+) -> impl FnMut(usize) -> usize + 'a {
     let mut cursor = 0;
-    (0..b_len)
-        .map(|j| {
-            cursor = gallop(cursor, a_len, |i| {
-                cmp_rows(a_cols, i, b_cols, j) != Ordering::Greater
-            });
-            cursor + j
+    move |j| {
+        cursor = gallop(cursor, long_len, |i| match cmp_rows(long, i, short, j) {
+            Ordering::Less => true,
+            Ordering::Equal => !short_first,
+            Ordering::Greater => false,
+        });
+        cursor
+    }
+}
+
+/// [`merge`]`(a, b)` where `b_places` says where each row of `b` lands —
+/// [`merge_positions`]`(a, b)`, which a caller that reports those places
+/// has already computed: the stretches of `a` between them are copied
+/// whole, and no row is compared.
+pub fn merge_at<T: Clone>(
+    device: &Device,
+    a_cols: &[&[u64]],
+    a_tags: &[T],
+    b_cols: &[&[u64]],
+    b_tags: &[T],
+    b_places: &[usize],
+) -> (Columns, Vec<T>) {
+    let _t = device.launch(KernelKind::Other);
+    let mut before = |j: usize| b_places[j] - j;
+    splice(device, a_cols, a_tags, b_cols, b_tags, &mut before)
+}
+
+/// The merge of `long` and `short`, where `before(j)` — asked once per row
+/// of `short`, in order — is how many rows of `long` precede `short[j]`:
+/// front to back, each stretch of `long` copied whole, into arena buffers
+/// that are never zeroed.
+fn splice<T: Clone>(
+    device: &Device,
+    long: &[&[u64]],
+    long_tags: &[T],
+    short: &[&[u64]],
+    short_tags: &[T],
+    before: &mut dyn FnMut(usize) -> usize,
+) -> (Columns, Vec<T>) {
+    let start = Instant::now();
+    let total = long_tags.len() + short_tags.len();
+    let arena = device.arena();
+    let mut columns: Columns = long
+        .iter()
+        .map(|_| arena.alloc_empty(sites::MERGE_OUT, total))
+        .collect();
+    let mut tags = Vec::with_capacity(total);
+    let mut from = 0;
+    for (j, tag) in short_tags.iter().enumerate() {
+        let upto = before(j);
+        for ((out, long), short) in columns.iter_mut().zip(long).zip(short) {
+            out.extend_from_slice(&long[from..upto]);
+            out.push(short[j]);
+        }
+        tags.extend_from_slice(&long_tags[from..upto]);
+        tags.push(tag.clone());
+        from = upto;
+    }
+    for (out, long) in columns.iter_mut().zip(long) {
+        out.extend_from_slice(&long[from..]);
+    }
+    tags.extend_from_slice(&long_tags[from..]);
+    device.record_busy(start.elapsed());
+    (columns, tags)
+}
+
+/// Removes `rows` — sorted, and every one of them a row of the sorted
+/// table `columns` / `tags` — in place: each is found by galloping from
+/// the last, and the stretches between them move up, once each, the rows
+/// after the first removed one. Nothing is allocated.
+pub fn remove_sorted<T>(
+    device: &Device,
+    columns: &mut [Column],
+    tags: &mut Vec<T>,
+    rows: &[&[u64]],
+) {
+    let _t = device.launch(KernelKind::Other);
+    let start = Instant::now();
+    let len = tags.len();
+    let versus = |columns: &[Column], i: usize, j: usize| {
+        for (column, row) in columns.iter().zip(rows) {
+            match column[i].cmp(&row[j]) {
+                Ordering::Equal => continue,
+                other => return other,
+            }
+        }
+        Ordering::Equal
+    };
+    // `read..` is what is left to keep or drop; `..write` what is kept.
+    let (mut read, mut write) = (0, 0);
+    for j in 0..rows.first().map_or(0, |c| c.len()) {
+        let at = gallop(read, len, |i| versus(columns, i, j) == Ordering::Less);
+        debug_assert!(
+            at < len && versus(columns, at, j) == Ordering::Equal,
+            "a row to remove is not in the table"
+        );
+        for column in columns.iter_mut() {
+            column.copy_within(read..at, write);
+        }
+        for i in read..at {
+            tags.swap(write + i - read, i);
+        }
+        write += at - read;
+        read = at + 1;
+    }
+    for column in columns.iter_mut() {
+        column.copy_within(read..len, write);
+        column.truncate(write + len - read);
+    }
+    for i in read..len {
+        tags.swap(write + i - read, i);
+    }
+    tags.truncate(write + len - read);
+    device.record_busy(start.elapsed());
+}
+
+/// One key column of a stored table, read where it is stored: the `mask`
+/// bits at `shift` of physical column `column` — a lane of a packed group
+/// word, or (`shift` 0, `mask` all ones) a full-width column.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KeyLane {
+    /// The physical column holding the key column.
+    pub column: usize,
+    /// Bit offset of the key column within it.
+    pub shift: u32,
+    /// Mask of the key column's bits, before shifting.
+    pub mask: u64,
+}
+
+/// `lookup(s̄, k̄)`: the rows of a stored table whose key equals some row of
+/// `probes` — in stored order, each once, with their tags. The table must
+/// be sorted on its key: `key` names the key columns in key order, read
+/// from the stored words by [`KeyLane`], so a packed table is searched
+/// without being unpacked; `probes` holds one column per key column, as
+/// plain values.
+///
+/// The probe rows are sorted and deduplicated, then one cursor gallops
+/// through the table from key to key, so the cost is
+/// O(|probes| · log(|table| / |probes|) + matches), not O(|table|).
+pub fn lookup<T: Clone>(
+    device: &Device,
+    stored: &[&[u64]],
+    tags: &[T],
+    key: &[KeyLane],
+    probes: &[&[u64]],
+) -> (Columns, Vec<T>) {
+    let _t = device.launch(KernelKind::Join);
+    let start = Instant::now();
+    debug_assert_eq!(key.len(), probes.len());
+    let arena = device.arena();
+    let probe_rows = probes.first().map_or(0, |c| c.len());
+    let mut distinct = arena.alloc_empty(sites::LOOKUP_KEYS, probe_rows);
+    distinct.extend(0..probe_rows as u64);
+    let probe_order = |a: &u64, b: &u64| cmp_rows(probes, *a as usize, probes, *b as usize);
+    distinct.sort_unstable_by(probe_order);
+    distinct.dedup_by(|a, b| probe_order(a, b) == Ordering::Equal);
+    // Row `row`'s key against probe row `p`.
+    let versus = |row: usize, p: usize| {
+        for (lane, probe) in key.iter().zip(probes) {
+            let stored_key = (stored[lane.column][row] >> lane.shift) & lane.mask;
+            match stored_key.cmp(&probe[p]) {
+                Ordering::Equal => continue,
+                other => return other,
+            }
+        }
+        Ordering::Equal
+    };
+    // The stretch of rows each distinct probe key matches, as `(start,
+    // end)` pairs, ascending.
+    let len = tags.len();
+    let mut cursor = 0;
+    let mut total = 0;
+    let mut bounds = arena.alloc_empty(sites::LOOKUP_KEYS, 2 * distinct.len());
+    for &p in &distinct {
+        let p = p as usize;
+        let lo = gallop(cursor, len, |row| versus(row, p) == Ordering::Less);
+        cursor = gallop(lo, len, |row| versus(row, p) != Ordering::Greater);
+        if cursor > lo {
+            bounds.extend([lo as u64, cursor as u64]);
+            total += cursor - lo;
+        }
+    }
+    arena.recycle(sites::LOOKUP_KEYS, distinct);
+    let stretches = || bounds.chunks(2).map(|b| b[0] as usize..b[1] as usize);
+    let columns = stored
+        .iter()
+        .map(|column| {
+            let mut out = arena.alloc_empty(sites::LOOKUP_OUT, total);
+            for stretch in stretches() {
+                out.extend_from_slice(&column[stretch]);
+            }
+            out
         })
-        .collect()
+        .collect();
+    let mut out_tags = Vec::with_capacity(total);
+    for stretch in stretches() {
+        out_tags.extend_from_slice(&tags[stretch]);
+    }
+    arena.recycle(sites::LOOKUP_KEYS, bounds);
+    device.record_busy(start.elapsed());
+    (columns, out_tags)
 }
 
 /// `diff(ā, b̄)`: rows of sorted table `a` that do not occur in sorted table

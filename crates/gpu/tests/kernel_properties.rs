@@ -1089,3 +1089,190 @@ fn sort_unique_words_is_fold_then_filter() {
         }
     }
 }
+
+/// The rows of a table as tuples, for the oracles below.
+fn row_of(cols: &[Vec<u64>], r: usize) -> Vec<u64> {
+    cols.iter().map(|c| c[r]).collect()
+}
+
+/// `lookup` against a filter that keeps every row whose key is among the
+/// probe rows, in table order. Two layouts: one word per row holding the
+/// key in its upper 32-bit lane, and two words per row whose key is all of
+/// the first word and the top 16 bits of the second. The probe keys are
+/// absent ones, duplicates, the first row's and the last row's key, or
+/// none at all.
+#[test]
+fn lookup_keeps_exactly_the_rows_a_filter_oracle_keeps() {
+    use kernels::KeyLane;
+    use std::collections::BTreeSet;
+    let one_word = [KeyLane {
+        column: 0,
+        shift: 32,
+        mask: u32::MAX as u64,
+    }];
+    let two_words = [
+        KeyLane {
+            column: 0,
+            shift: 0,
+            mask: u64::MAX,
+        },
+        KeyLane {
+            column: 1,
+            shift: 48,
+            mask: 0xFFFF,
+        },
+    ];
+    let key_of = |key: &[KeyLane], cols: &[Vec<u64>], r: usize| -> Vec<u64> {
+        key.iter()
+            .map(|lane| (cols[lane.column][r] >> lane.shift) & lane.mask)
+            .collect()
+    };
+    let seq = Device::sequential();
+    for (layout, key, arity) in [("one word", &one_word[..], 1), ("two words", &two_words, 2)] {
+        for rows in [0usize, 1, 37, 4099] {
+            let mut rng = Rng::new(rows as u64 * 5 + arity as u64);
+            // Few distinct keys, so that each matches a stretch of rows.
+            let (noise, tags) = random_table(&mut rng, rows, arity, u64::MAX);
+            let drawn: Vec<u64> = (0..rows).map(|_| rng.below(rows as u64 / 8 + 2)).collect();
+            let with_key = |noise: &[u64], word: fn(u64, u64) -> u64| {
+                drawn.iter().zip(noise).map(|(&k, &n)| word(k, n)).collect()
+            };
+            let cols: Vec<Vec<u64>> = match arity {
+                1 => vec![with_key(&noise[0], |k, n| {
+                    (k << 32) | (n & u32::MAX as u64)
+                })],
+                _ => vec![
+                    with_key(&noise[0], |k, _| k % 3),
+                    with_key(&noise[1], |k, n| (k << 48) | (n >> 16)),
+                ],
+            };
+            let (sorted, stags) = sorted_on(&seq, &cols, &tags);
+            let keys: Vec<Vec<u64>> = (0..rows).map(|r| key_of(key, &sorted, r)).collect();
+            let absent = vec![u32::MAX as u64 - 1; key.len()];
+            let mut probe_sets: Vec<(&str, Vec<Vec<u64>>)> = vec![
+                ("no keys", Vec::new()),
+                ("an absent key", vec![absent.clone()]),
+            ];
+            if rows > 0 {
+                let some: Vec<Vec<u64>> = (0..7)
+                    .map(|_| keys[rng.below(rows as u64) as usize].clone())
+                    .collect();
+                let mut twice = some.clone();
+                twice.extend(some.iter().rev().cloned());
+                twice.push(absent.clone());
+                probe_sets.extend([
+                    ("the first row's key", vec![keys[0].clone()]),
+                    ("the last row's key", vec![keys[rows - 1].clone()]),
+                    ("keys drawn from the table", some),
+                    ("duplicated and absent keys", twice),
+                    ("every row's key", keys.clone()),
+                ]);
+            }
+            for (what, probe_rows) in &probe_sets {
+                let wanted: BTreeSet<&Vec<u64>> = probe_rows.iter().collect();
+                let kept: Vec<usize> = (0..rows).filter(|&r| wanted.contains(&keys[r])).collect();
+                let want_cols: Vec<Vec<u64>> = sorted
+                    .iter()
+                    .map(|c| kept.iter().map(|&r| c[r]).collect())
+                    .collect();
+                let want_tags: Vec<f64> = kept.iter().map(|&r| stags[r]).collect();
+                let probes: Vec<Vec<u64>> = (0..key.len())
+                    .map(|c| probe_rows.iter().map(|k| k[c]).collect())
+                    .collect();
+                for parallelism in PARALLELISMS {
+                    let par = parallel_device(parallelism);
+                    let ctx = format!("{layout}, rows {rows}, {what}, p {parallelism}");
+                    let (got, got_tags) =
+                        kernels::lookup(&par, &refs(&sorted), &stags, key, &refs(&probes));
+                    assert_eq!(got, want_cols, "lookup rows: {ctx}");
+                    assert_bits(&got_tags, &want_tags, &format!("lookup tags: {ctx}"));
+                }
+            }
+        }
+    }
+}
+
+/// The merge every other kernel is checked against: two pointers, `a`'s
+/// row first on a tie.
+fn two_pointer_merge(
+    a: &[Vec<u64>],
+    a_tags: &[f64],
+    b: &[Vec<u64>],
+    b_tags: &[f64],
+) -> (Vec<Vec<u64>>, Vec<f64>) {
+    let (mut i, mut j) = (0, 0);
+    let mut cols = vec![Vec::new(); a.len()];
+    let mut tags = Vec::new();
+    while i < a_tags.len() || j < b_tags.len() {
+        let take_a = j == b_tags.len() || (i < a_tags.len() && row_of(a, i) <= row_of(b, j));
+        let (table, table_tags, r) = if take_a {
+            (a, a_tags, i)
+        } else {
+            (b, b_tags, j)
+        };
+        for (out, col) in cols.iter_mut().zip(table) {
+            out.push(col[r]);
+        }
+        tags.push(table_tags[r]);
+        if take_a {
+            i += 1;
+        } else {
+            j += 1;
+        }
+    }
+    (cols, tags)
+}
+
+/// `merge` of a long table and a short one — the short one on either side,
+/// at length ratios on both sides of the one where `merge` stops comparing
+/// the long side's rows and copies its stretches instead — and `merge_at`
+/// given `merge_positions`, against the two-pointer merge. The key space is
+/// small, so rows of `a` and `b` tie and `a`'s must come first.
+#[test]
+fn merge_by_block_copy_equals_the_two_pointer_merge() {
+    let seq = Device::sequential();
+    for arity in [1usize, 2] {
+        for long in [0usize, 1, 640, 4099] {
+            for ratio in [1usize, 2, 7, 8, 9, 64] {
+                let short = long / ratio + usize::from(ratio == 64);
+                let mut rng = Rng::new((long * 97 + ratio * 7 + arity) as u64);
+                let table = |rng: &mut Rng, rows: usize| {
+                    let (cols, tags) = random_table(rng, rows, arity, 13);
+                    sorted_on(&seq, &cols, &tags)
+                };
+                let (long_cols, long_tags) = table(&mut rng, long);
+                let (short_cols, short_tags) = table(&mut rng, short);
+                for short_first in [false, true] {
+                    let ((a, a_tags), (b, b_tags)) = if short_first {
+                        ((&short_cols, &short_tags), (&long_cols, &long_tags))
+                    } else {
+                        ((&long_cols, &long_tags), (&short_cols, &short_tags))
+                    };
+                    let (want, want_tags) = two_pointer_merge(a, a_tags, b, b_tags);
+                    for parallelism in PARALLELISMS {
+                        let par = parallel_device(parallelism);
+                        let ctx = format!(
+                            "arity {arity}, long {long}, ratio {ratio}, short first \
+                             {short_first}, p {parallelism}"
+                        );
+                        let (got, got_tags) =
+                            kernels::merge(&par, &refs(a), a_tags, &refs(b), b_tags);
+                        assert_eq!(got, want, "merge rows: {ctx}");
+                        assert_bits(&got_tags, &want_tags, &format!("merge tags: {ctx}"));
+                        let places = kernels::merge_positions(
+                            &par,
+                            &refs(a),
+                            a_tags.len(),
+                            &refs(b),
+                            b_tags.len(),
+                        );
+                        let (got, got_tags) =
+                            kernels::merge_at(&par, &refs(a), a_tags, &refs(b), b_tags, &places);
+                        assert_eq!(got, want, "merge_at rows: {ctx}");
+                        assert_bits(&got_tags, &want_tags, &format!("merge_at tags: {ctx}"));
+                    }
+                }
+            }
+        }
+    }
+}
