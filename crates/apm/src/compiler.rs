@@ -393,7 +393,7 @@ impl<'a> Compiler<'a> {
         } else {
             None
         };
-        if let Some((stored_is_left, (relation, part, key))) = lookup {
+        if let Some((stored_is_left, (relation, part, key, in_order))) = lookup {
             let (stored, delta) = if stored_is_left {
                 (left, right)
             } else {
@@ -409,6 +409,7 @@ impl<'a> Compiler<'a> {
                 relation,
                 part,
                 key,
+                in_order,
                 probes: delta.columns[..width].to_vec(),
                 columns: columns.clone(),
                 tags,
@@ -476,21 +477,22 @@ impl<'a> Compiler<'a> {
 
     /// How a refresh's compile can look up the rows of `expr`, one side of
     /// a join on `width` columns whose other side holds a Δ: the relation,
-    /// partition and key, when `expr` is a stored leaf (or a column
-    /// permutation of one) whose partition is sorted on the key where it is
-    /// stored. That is the case when the key is a prefix of the relation's
-    /// columns, or when the database keeps a secondary order on it and the
-    /// partition is `stable` alone (an untracked relation at rest holds
-    /// nothing else). A leaf of the stratum's own relation qualifies only
-    /// in a first-iteration variant reading `stable`: the table the seeded
-    /// run entered with, before any frontier was pushed to it.
+    /// partition and key, and whether it is searched in a secondary order,
+    /// when `expr` is a stored leaf (or a column permutation of one) whose
+    /// partition is sorted on the key where it is stored. That is the case
+    /// when the key is a prefix of the relation's columns, or when the
+    /// database keeps a secondary order on it and the partition is `stable`
+    /// alone (an untracked relation at rest holds nothing else). A leaf of
+    /// the stratum's own relation qualifies only in a first-iteration
+    /// variant reading `stable`: the table the seeded run entered with,
+    /// before any frontier was pushed to it.
     fn keyed_read(
         &self,
         expr: &RamExpr,
         width: usize,
         parts: &[DbPart],
         at: usize,
-    ) -> Option<(String, DbPart, Vec<usize>)> {
+    ) -> Option<(String, DbPart, Vec<usize>, bool)> {
         let keyed = self.keyed.as_ref()?;
         let (relation, key) = leaf_key(expr, width).filter(|_| width > 0)?;
         let tracked = self.tracked.contains(relation);
@@ -502,12 +504,13 @@ impl<'a> Compiler<'a> {
         {
             return None;
         }
+        let in_order = !is_prefix(&key);
         let ordered = || {
             let mut orders = keyed.orders.iter();
             (part == DbPart::Stable || !tracked)
                 && orders.any(|order| order.relation == relation && order.key == key)
         };
-        (is_prefix(&key) || ordered()).then(|| (relation.to_string(), part, key))
+        (!in_order || ordered()).then(|| (relation.to_string(), part, key, in_order))
     }
 
     /// Emits the join of two compiled sides by `strategy`, built on the

@@ -251,34 +251,6 @@ impl<P: Provenance> SortedTable<P> {
         }
     }
 
-    /// [`SortedTable::merge_disjoint`] when the place of each row of
-    /// `other` in the result is known already —
-    /// [`SortedTable::merge_positions`]`(other)`: the rows of `self` between
-    /// them are copied whole, and no row is compared.
-    pub(crate) fn merge_disjoint_at(
-        &self,
-        device: &Device,
-        other: &SortedTable<P>,
-        places: &[usize],
-    ) -> SortedTable<P> {
-        if self.is_empty() || other.is_empty() || self.arity == 0 {
-            return self.merge_disjoint(device, other);
-        }
-        let (columns, tags) = kernels::merge_at(
-            device,
-            &self.col_refs(),
-            &self.tags,
-            &other.col_refs(),
-            &other.tags,
-            places,
-        );
-        SortedTable {
-            columns,
-            tags,
-            arity: self.arity,
-        }
-    }
-
     /// Rows of `candidate` (sorted) that are not present in `self`.
     pub fn difference_from(&self, device: &Device, candidate: &SortedTable<P>) -> SortedTable<P> {
         if candidate.is_empty() || self.is_empty() {

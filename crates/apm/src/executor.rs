@@ -637,22 +637,21 @@ impl<P: Provenance> Executor<P> {
 
     /// `load⟨ρ⟩ ⋉ k̄`: the rows of one partition of `relation` whose `key`
     /// columns equal a row of `probes`, unpacked into full-width registers
-    /// as `load` unpacks them, sorted on the key. Each table of the
-    /// partition is searched where it is sorted on the key: as it is stored
-    /// when the key is a prefix of its columns — the matches of `stable` and
-    /// `recent` are then merged — else in the relation's secondary order on
-    /// the key, which mirrors `stable` alone. A partition of the stratum's
-    /// own relation is read only before the run has pushed to it — in the
-    /// first iteration of a seeded run, whose `stable` is the table it
-    /// entered with.
+    /// as `load` unpacks them, sorted on the key. The partition is searched
+    /// as it is stored — the matches of `stable` and `recent` are then
+    /// merged — or, `in_order`, in the relation's secondary order on the
+    /// key, which mirrors `stable` alone. A partition of the stratum's own
+    /// relation is read only before the run has pushed to it — in the first
+    /// iteration of a seeded run, whose `stable` is the table it entered
+    /// with.
     fn lookup(
         &self,
         db: &Database<P>,
         relation: &str,
         part: DbPart,
         key: &[usize],
+        in_order: bool,
         probes: &[&[u64]],
-        stats: &mut ExecutionStats,
     ) -> (Columns, Vec<P::Tag>) {
         let device = &self.device;
         let data = db.relation_data(relation);
@@ -672,7 +671,7 @@ impl<P: Provenance> Executor<P> {
             wide
         };
         debug_assert!(part != DbPart::Recent, "a lookup reads a stored table");
-        let (columns, tags) = if key.iter().copied().eq(0..key.len()) {
+        if !in_order {
             let (packed, tags) = if part == DbPart::Stable || data.recent.is_empty() {
                 found(relation, &data.stable)
             } else {
@@ -694,24 +693,21 @@ impl<P: Provenance> Executor<P> {
                 recycle_columns(device, recent);
                 merged
             };
-            (unpack(relation, packed), tags)
-        } else {
-            let order = data.order(key).expect("a secondary order on the key");
-            debug_assert!(
-                part == DbPart::Stable || data.recent.is_empty(),
-                "the order of `{relation}` on {key:?} mirrors `stable` alone"
-            );
-            let (packed, tags) = found(order.layout_name(), &order.table);
-            let found = unpack(order.layout_name(), packed);
-            // Column `i` of the order is column `order.columns[i]` of the
-            // relation.
-            let mut columns = vec![Vec::new(); found.len()];
-            for (&column, values) in order.columns.iter().zip(found) {
-                columns[column] = values;
-            }
-            (columns, tags)
-        };
-        stats.rows_loaded += tags.len();
+            return (unpack(relation, packed), tags);
+        }
+        let order = data.order(key).expect("a secondary order on the key");
+        debug_assert!(
+            part == DbPart::Stable || data.recent.is_empty(),
+            "the order of `{relation}` on {key:?} mirrors `stable` alone"
+        );
+        let (packed, tags) = found(order.layout_name(), &order.table);
+        let found = unpack(order.layout_name(), packed);
+        // Column `i` of the order is column `order.columns[i]` of the
+        // relation.
+        let mut columns = vec![Vec::new(); found.len()];
+        for (&column, values) in order.columns.iter().zip(found) {
+            columns[column] = values;
+        }
         (columns, tags)
     }
 
@@ -827,6 +823,7 @@ impl<P: Provenance> Executor<P> {
                     relation,
                     part,
                     key,
+                    in_order,
                     probes,
                     columns,
                     tags,
@@ -838,7 +835,9 @@ impl<P: Provenance> Executor<P> {
                         "`{relation}` looked up after its stratum pushed to it"
                     );
                     let probes = columns_of(&regs, static_file, probes);
-                    let (found, found_tags) = self.lookup(db, relation, *part, key, &probes, stats);
+                    let (found, found_tags) =
+                        self.lookup(db, relation, *part, key, *in_order, &probes);
+                    stats.rows_loaded += found_tags.len();
                     set_table(&mut regs, columns, found, *tags, found_tags);
                 }
                 Instr::Store {

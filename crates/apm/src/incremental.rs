@@ -187,19 +187,14 @@ impl Scratch {
 /// stable table, and its Δ half into the relation's secondary orders, and
 /// returns that Δ — what `recent` held, which is never empty for a split —
 /// with the number of rows the merge of the relation's table wrote.
-/// `places`, where known, are `merge_positions` of Δ in the old table.
 fn fold_split<P: Provenance>(
     device: &Device,
     db: &mut Database<P>,
     rel: &str,
-    places: Option<&[usize]>,
 ) -> (SortedTable<P>, usize) {
     let data = db.relation_data_mut(rel);
     let (stable, delta) = (data.stable.take(), data.recent.take());
-    data.stable = match places {
-        Some(places) => stable.merge_disjoint_at(device, &delta, places),
-        None => stable.merge_disjoint(device, &delta),
-    };
+    data.stable = stable.merge_disjoint(device, &delta);
     let written = data.stable.len();
     stable.recycle(device);
     db.update_orders(device, rel, Stable::Gained(&delta));
@@ -872,7 +867,7 @@ impl<P: Provenance> Refreshing<'_, P> {
             if self.split.remove(rel.as_str()) {
                 // Loads assume single sorted partitions; fold the split. What
                 // the relation gained or lost is no longer reported.
-                let (delta, written) = fold_split(&device, db, rel, None);
+                let (delta, written) = fold_split(&device, db, rel);
                 self.stats.update_rows_written += written;
                 delta.recycle(&device);
                 self.deleted.remove(rel.as_str());
@@ -929,7 +924,7 @@ impl<P: Provenance> Refreshing<'_, P> {
                 let data = db.relation_data(rel);
                 data.stable.merge_positions(&device, &data.recent)
             });
-            let (rows, written) = fold_split(&device, db, rel, positions.as_deref());
+            let (rows, written) = fold_split(&device, db, rel);
             self.stats.update_rows_written += written;
             match positions {
                 Some(positions) => {

@@ -149,6 +149,9 @@ pub enum Instr {
         part: DbPart,
         /// The key: relation columns, in key order.
         key: Vec<usize>,
+        /// Search the relation's secondary order on `key` rather than its
+        /// own table: the key is not a prefix of its columns.
+        in_order: bool,
         /// Probe key column registers, one per key column.
         probes: Vec<RegId>,
         /// Destination column registers, in the relation's column order.
@@ -436,13 +439,15 @@ impl fmt::Display for Instr {
                 relation,
                 part,
                 key,
+                in_order,
                 probes,
                 columns,
                 tags,
             } => {
+                let order = if *in_order { " in order" } else { "" };
                 write!(
                     f,
-                    "{columns:?},{tags} <- lookup<{relation}:{part} on {key:?}>({probes:?})"
+                    "{columns:?},{tags} <- lookup<{relation}:{part} on {key:?}{order}>({probes:?})"
                 )
             }
             Instr::Store {

@@ -1150,7 +1150,7 @@ fn merge_split(a: &[&[u64]], la: usize, b: &[&[u64]], lb: usize, t: usize) -> us
 /// When one side is at least `GALLOP_RATIO` times as long as the other —
 /// the fold of a small Δ into a big table — no row of the long side is
 /// compared: the short side's places are galloped, and the long side's
-/// stretches between them are copied whole ([`merge_at`]).
+/// stretches between them are copied whole.
 pub fn merge<T: Clone + Send + Sync>(
     device: &Device,
     a_cols: &[&[u64]],
@@ -1166,12 +1166,12 @@ pub fn merge<T: Clone + Send + Sync>(
     );
     let (la, lb) = (a_tags.len(), b_tags.len());
     if lb > 0 && la / GALLOP_RATIO >= lb {
-        let mut before = landing(a_cols, la, b_cols, false);
-        return splice(device, a_cols, a_tags, b_cols, b_tags, &mut before);
+        let before = landing(a_cols, la, b_cols, false);
+        return splice(device, a_cols, a_tags, b_cols, b_tags, before);
     }
     if la > 0 && lb / GALLOP_RATIO >= la {
-        let mut before = landing(b_cols, lb, a_cols, true);
-        return splice(device, b_cols, b_tags, a_cols, a_tags, &mut before);
+        let before = landing(b_cols, lb, a_cols, true);
+        return splice(device, b_cols, b_tags, a_cols, a_tags, before);
     }
     let total = la + lb;
     let arena = device.arena();
@@ -1334,23 +1334,6 @@ fn landing<'a>(
     }
 }
 
-/// [`merge`]`(a, b)` where `b_places` says where each row of `b` lands —
-/// [`merge_positions`]`(a, b)`, which a caller that reports those places
-/// has already computed: the stretches of `a` between them are copied
-/// whole, and no row is compared.
-pub fn merge_at<T: Clone>(
-    device: &Device,
-    a_cols: &[&[u64]],
-    a_tags: &[T],
-    b_cols: &[&[u64]],
-    b_tags: &[T],
-    b_places: &[usize],
-) -> (Columns, Vec<T>) {
-    let _t = device.launch(KernelKind::Other);
-    let mut before = |j: usize| b_places[j] - j;
-    splice(device, a_cols, a_tags, b_cols, b_tags, &mut before)
-}
-
 /// The merge of `long` and `short`, where `before(j)` — asked once per row
 /// of `short`, in order — is how many rows of `long` precede `short[j]`:
 /// front to back, each stretch of `long` copied whole, into arena buffers
@@ -1361,7 +1344,7 @@ fn splice<T: Clone>(
     long_tags: &[T],
     short: &[&[u64]],
     short_tags: &[T],
-    before: &mut dyn FnMut(usize) -> usize,
+    mut before: impl FnMut(usize) -> usize,
 ) -> (Columns, Vec<T>) {
     let start = Instant::now();
     let total = long_tags.len() + short_tags.len();

@@ -1225,9 +1225,9 @@ fn two_pointer_merge(
 
 /// `merge` of a long table and a short one — the short one on either side,
 /// at length ratios on both sides of the one where `merge` stops comparing
-/// the long side's rows and copies its stretches instead — and `merge_at`
-/// given `merge_positions`, against the two-pointer merge. The key space is
-/// small, so rows of `a` and `b` tie and `a`'s must come first.
+/// the long side's rows and copies its stretches instead — against the
+/// two-pointer merge. The key space is small, so rows of `a` and `b` tie
+/// and `a`'s must come first.
 #[test]
 fn merge_by_block_copy_equals_the_two_pointer_merge() {
     let seq = Device::sequential();
@@ -1259,17 +1259,6 @@ fn merge_by_block_copy_equals_the_two_pointer_merge() {
                             kernels::merge(&par, &refs(a), a_tags, &refs(b), b_tags);
                         assert_eq!(got, want, "merge rows: {ctx}");
                         assert_bits(&got_tags, &want_tags, &format!("merge tags: {ctx}"));
-                        let places = kernels::merge_positions(
-                            &par,
-                            &refs(a),
-                            a_tags.len(),
-                            &refs(b),
-                            b_tags.len(),
-                        );
-                        let (got, got_tags) =
-                            kernels::merge_at(&par, &refs(a), a_tags, &refs(b), b_tags, &places);
-                        assert_eq!(got, want, "merge_at rows: {ctx}");
-                        assert_bits(&got_tags, &want_tags, &format!("merge_at tags: {ctx}"));
                     }
                 }
             }
