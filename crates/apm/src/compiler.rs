@@ -28,7 +28,7 @@ use lobster_ram::{RamExpr, RamProgram, RamRule, RowProjection, ScalarExpr, Strat
 use std::collections::BTreeSet;
 
 /// The result of compiling one stratum.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompiledStratum {
     /// The APM program executed each iteration.
     pub program: ApmProgram,
@@ -41,6 +41,15 @@ pub struct CompiledStratum {
     pub merge_joins: usize,
     /// Join sites compiled to the hash build+probe path.
     pub hash_joins: usize,
+}
+
+impl CompiledStratum {
+    /// A deterministic estimate of the compiled stratum's resident size in
+    /// bytes (see [`ApmProgram::size_estimate`]).
+    pub fn size_estimate(&self) -> usize {
+        let names: usize = self.relations.iter().map(|r| 24 + r.len()).sum();
+        self.program.size_estimate() + names
+    }
 }
 
 struct Compiler<'a> {
@@ -727,9 +736,10 @@ pub fn compile_stratum_delta(
 }
 
 /// Compiles a RAM stratum into the APM program a from-scratch run executes:
-/// the one from-scratch compile entry, called by [`Executor::run_program`]
-/// and by the recompute path of [`refresh_database`], each with the
-/// executor's own options.
+/// the one from-scratch compile entry. A compiled `Program` calls it once
+/// per stratum, with its own options, and keeps the result for every run
+/// and for the recompute path of [`refresh_database`];
+/// [`Executor::run_program`] calls it per run, with the executor's.
 ///
 /// No field of `options` changes the emitted program today — static
 /// registers and buffer reuse are honoured by the executor, instruction by

@@ -51,9 +51,11 @@ pub struct RuntimeOptions {
     pub max_iterations: usize,
     /// Optional wall-clock budget in milliseconds for one whole run — every
     /// stratum of a from-scratch run or of an incremental refresh draws on
-    /// the same budget, compilation included. The executor aborts with an
-    /// error when it is exceeded (used to reproduce the paper's
-    /// 2-hour-timeout entries at laptop scale).
+    /// the same budget. A from-scratch run's strata are compiled before the
+    /// budget starts (a `Program` compiles them once, with itself); the
+    /// strata a refresh compiles on the way count against it. The executor
+    /// aborts with an error when it is exceeded (used to reproduce the
+    /// paper's 2-hour-timeout entries at laptop scale).
     pub timeout_ms: Option<u64>,
 }
 

@@ -33,8 +33,11 @@
 use lobster_gpu::kernels::{KeyLane, PackLane};
 use lobster_gpu::{kernels, par_map_into, Column, Columns, Device};
 use lobster_provenance::Provenance;
-use lobster_ram::{RelationLayout, RelationSchema, SymbolDict, Tuple, Value, ValueType};
+use lobster_ram::{
+    RamProgram, RelationLayout, RelationSchema, SymbolDict, Tuple, Value, ValueType,
+};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Arena allocation site for codec scratch (symbol-mapped columns built
 /// while encoding); distinct from the executor's sites (100–104).
@@ -318,6 +321,70 @@ pub struct EncodingSpec {
     /// `true` when the program applies `+ - * / %` or negation at `u32`
     /// type anywhere.
     pub widen_u32: bool,
+}
+
+/// How a database stores its relations, decided from the program alone:
+/// the relation schemas and, for narrow dictionary-encoded storage, the
+/// initial codec — the symbol dictionary seeded with the program's
+/// constants, and every relation's layout and pack lanes planned under it.
+///
+/// A plan is built once per program and shared: every database a run
+/// starts from it ([`Database::from_plan`]) shares its schemas and codec
+/// by `Arc`, and copies them only when it changes them — when new symbols
+/// extend the dictionary and re-plan the layouts, or a refresh adds a
+/// scratch relation.
+#[derive(Debug, Clone)]
+pub struct StoragePlan {
+    schemas: Arc<BTreeMap<String, RelationSchema>>,
+    codec: Option<Arc<Codec>>,
+}
+
+impl StoragePlan {
+    /// The storage a run of `ram` uses: narrow dictionary-encoded storage
+    /// when the program is eligible, full-width otherwise.
+    ///
+    /// Eligibility: programs applying arithmetic to `Symbol`/`Bool`
+    /// operands (the `symbol-arithmetic` lint) treat raw interner ids as
+    /// numbers, so their results are not invariant under re-encoding — they
+    /// get full-width storage. Programs with `u32` arithmetic stay encoded
+    /// but keep `u32` lanes at word width (see
+    /// `lobster_ram::RelationLayout::plan`).
+    pub fn for_program(ram: &RamProgram) -> StoragePlan {
+        if ram.has_symbol_arithmetic() {
+            StoragePlan::full_width(ram.schemas.clone())
+        } else {
+            let spec = EncodingSpec {
+                symbol_constants: ram.symbol_constants(),
+                widen_u32: ram.has_u32_arithmetic(),
+            };
+            StoragePlan::encoded(ram.schemas.clone(), &spec)
+        }
+    }
+
+    /// Full-width storage: every logical column one `u64` column, values
+    /// in global encoding.
+    pub fn full_width(schemas: BTreeMap<String, RelationSchema>) -> StoragePlan {
+        StoragePlan {
+            schemas: Arc::new(schemas),
+            codec: None,
+        }
+    }
+
+    /// Packed group columns under a dictionary seeded with the symbol
+    /// constants of `spec`.
+    pub fn encoded(schemas: BTreeMap<String, RelationSchema>, spec: &EncodingSpec) -> StoragePlan {
+        let dict = SymbolDict::from_globals(spec.symbol_constants.clone());
+        let codec = Codec::new(&schemas, dict, spec.widen_u32);
+        StoragePlan {
+            schemas: Arc::new(schemas),
+            codec: Some(Arc::new(codec)),
+        }
+    }
+
+    /// `true` when relations are stored in packed, dictionary-encoded form.
+    pub fn is_encoded(&self) -> bool {
+        self.codec.is_some()
+    }
 }
 
 /// The live encoding state of an encoded database: the symbol dictionary
@@ -697,31 +764,17 @@ pub(crate) enum Stable<'a, P: Provenance> {
 /// [`Database::rows`] returns the same tuples in the same order either way.
 #[derive(Debug, Clone)]
 pub struct Database<P: Provenance> {
-    schemas: BTreeMap<String, RelationSchema>,
+    schemas: Arc<BTreeMap<String, RelationSchema>>,
     relations: BTreeMap<String, RelationData<P>>,
     pending: BTreeMap<String, (Columns, Vec<P::Tag>)>,
     provenance: P,
-    codec: Option<Codec>,
+    codec: Option<Arc<Codec>>,
 }
 
 impl<P: Provenance> Database<P> {
     /// Creates an empty full-width database for the given schemas.
     pub fn new(schemas: BTreeMap<String, RelationSchema>, provenance: P) -> Self {
-        let relations = schemas
-            .iter()
-            .map(|(name, schema)| (name.clone(), RelationData::new(schema.arity())))
-            .collect();
-        let pending = schemas
-            .iter()
-            .map(|(name, schema)| (name.clone(), (vec![Vec::new(); schema.arity()], Vec::new())))
-            .collect();
-        Database {
-            schemas,
-            relations,
-            pending,
-            provenance,
-            codec: None,
-        }
+        Self::from_plan(&StoragePlan::full_width(schemas), provenance)
     }
 
     /// Creates an empty *encoded* database: relations are stored as packed
@@ -733,33 +786,38 @@ impl<P: Provenance> Database<P> {
         provenance: P,
         spec: &EncodingSpec,
     ) -> Self {
-        let dict = SymbolDict::from_globals(spec.symbol_constants.clone());
-        let codec = Codec::new(&schemas, dict, spec.widen_u32);
-        let relations = schemas
-            .keys()
-            .map(|name| {
-                (
-                    name.clone(),
-                    RelationData::new(codec.layout(name).packed_arity()),
-                )
+        Self::from_plan(&StoragePlan::encoded(schemas, spec), provenance)
+    }
+
+    /// Creates an empty database stored as `plan` says, sharing the plan's
+    /// schemas and codec.
+    pub fn from_plan(plan: &StoragePlan, provenance: P) -> Self {
+        let codec = plan.codec.as_deref();
+        let relations = plan
+            .schemas
+            .iter()
+            .map(|(name, schema)| {
+                let arity = codec.map_or(schema.arity(), |c| c.layout(name).packed_arity());
+                (name.clone(), RelationData::new(arity))
             })
             .collect();
-        let pending = schemas
+        let pending = plan
+            .schemas
             .iter()
             .map(|(name, schema)| (name.clone(), (vec![Vec::new(); schema.arity()], Vec::new())))
             .collect();
         Database {
-            schemas,
+            schemas: Arc::clone(&plan.schemas),
             relations,
             pending,
             provenance,
-            codec: Some(codec),
+            codec: plan.codec.clone(),
         }
     }
 
     /// The active codec, if this database is encoded.
     pub(crate) fn codec(&self) -> Option<&Codec> {
-        self.codec.as_ref()
+        self.codec.as_deref()
     }
 
     /// `true` when relations are stored in packed, dictionary-encoded form.
@@ -771,7 +829,7 @@ impl<P: Provenance> Database<P> {
     /// group count when encoded, the logical arity otherwise.
     #[cfg(test)]
     pub(crate) fn storage_arity(&self, relation: &str) -> usize {
-        match self.codec.as_ref() {
+        match self.codec.as_deref() {
             Some(codec) => codec.layout(relation).packed_arity(),
             None => self.schemas[relation].arity(),
         }
@@ -785,7 +843,7 @@ impl<P: Provenance> Database<P> {
     /// ([`SymbolDict::extend`]), so local rank order — and therefore packed
     /// row order — is unchanged by the remap.
     pub fn ensure_symbols(&mut self, device: &Device, globals: impl IntoIterator<Item = u32>) {
-        let Some(codec) = self.codec.as_ref() else {
+        let Some(codec) = self.codec.as_deref() else {
             return;
         };
         let missing: Vec<u32> = globals
@@ -829,7 +887,7 @@ impl<P: Provenance> Database<P> {
                 reencode(&next, &schema.name, schema, &mut order.table);
             }
         }
-        self.codec = Some(next);
+        self.codec = Some(Arc::new(next));
     }
 
     /// Builds a sorted table in this database's storage encoding from
@@ -865,7 +923,7 @@ impl<P: Provenance> Database<P> {
             }
         }
         self.ensure_symbols(device, syms);
-        let codec = self.codec.as_ref().expect("codec present");
+        let codec = self.codec.as_deref().expect("codec present");
         encode_wide(device, codec, relation, &self.schemas[relation], columns)
     }
 
@@ -877,7 +935,7 @@ impl<P: Provenance> Database<P> {
         relation: &str,
         table: &SortedTable<P>,
     ) -> Columns {
-        match self.codec.as_ref() {
+        match self.codec.as_deref() {
             Some(codec) => decode_packed(device, codec, relation, &table.columns),
             None => table.columns.clone(),
         }
@@ -889,7 +947,7 @@ impl<P: Provenance> Database<P> {
     /// relations here, beside the materialized ones, and removes them with
     /// [`Database::remove_relation`].
     pub(crate) fn add_relation(&mut self, name: &str, arg_types: Vec<ValueType>) {
-        let arity = match self.codec.as_mut() {
+        let arity = match self.codec.as_mut().map(Arc::make_mut) {
             Some(codec) => {
                 codec.plan(name, &arg_types);
                 codec.layout(name).packed_arity()
@@ -898,15 +956,15 @@ impl<P: Provenance> Database<P> {
         };
         self.relations
             .insert(name.to_string(), RelationData::new(arity));
-        self.schemas
+        Arc::make_mut(&mut self.schemas)
             .insert(name.to_string(), RelationSchema::new(name, arg_types));
     }
 
     /// Drops a relation [`Database::add_relation`] added, recycling its
     /// tables.
     pub(crate) fn remove_relation(&mut self, device: &Device, name: &str) {
-        self.schemas.remove(name);
-        if let Some(codec) = self.codec.as_mut() {
+        Arc::make_mut(&mut self.schemas).remove(name);
+        if let Some(codec) = self.codec.as_mut().map(Arc::make_mut) {
             codec.layouts.remove(name);
             codec.lanes.remove(name);
         }
@@ -928,7 +986,7 @@ impl<P: Provenance> Database<P> {
             columns.extend((0..schema.arity()).filter(|c| !key.contains(c)));
             let types = columns.iter().map(|&c| schema.arg_types[c]).collect();
             let schema = RelationSchema::new(format!("{relation}{ORDER}{key:?}"), types);
-            if let Some(codec) = self.codec.as_mut() {
+            if let Some(codec) = self.codec.as_mut().map(Arc::make_mut) {
                 codec.plan(&schema.name, &schema.arg_types);
             }
             let mut order = Order {

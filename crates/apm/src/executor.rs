@@ -98,6 +98,11 @@ pub struct ExecutionStats {
     /// stored tables. A cached load counts once, when it is made. Exact and
     /// repeatable, like `candidate_rows`.
     pub rows_loaded: usize,
+    /// Strata compiled to APM on the way: one per stratum by
+    /// [`Executor::run_program`], one per delta stratum or retraction pass
+    /// by [`refresh_database`](crate::refresh_database). A run over strata
+    /// compiled ahead of time ([`Executor::run_strata`]) compiles none.
+    pub strata_compiled: usize,
 }
 
 impl ExecutionStats {
@@ -113,6 +118,7 @@ impl ExecutionStats {
         self.facts_over_deleted += other.facts_over_deleted;
         self.facts_rederived += other.facts_rederived;
         self.rows_loaded += other.rows_loaded;
+        self.strata_compiled += other.strata_compiled;
     }
 }
 
@@ -228,9 +234,10 @@ impl<P: Provenance> Executor<P> {
         &self.options
     }
 
-    /// Compiles and runs every stratum of a RAM program against the
-    /// database: the one from-scratch loop over strata. The `timeout_ms`
-    /// budget starts here and covers the whole run.
+    /// Compiles every stratum of a RAM program with this executor's options
+    /// ([`compile_stratum_with_options`]), then runs them as
+    /// [`Executor::run_strata`] does. The `timeout_ms` budget starts once
+    /// the strata are compiled.
     ///
     /// # Errors
     ///
@@ -241,11 +248,33 @@ impl<P: Provenance> Executor<P> {
         db: &mut Database<P>,
         ram: &RamProgram,
     ) -> Result<ExecutionStats, ExecError> {
+        let strata: Vec<CompiledStratum> = ram
+            .strata
+            .iter()
+            .map(|stratum| compile_stratum_with_options(stratum, ram, &self.options))
+            .collect();
+        let mut stats = self.run_strata(db, &strata)?;
+        stats.strata_compiled += strata.len();
+        Ok(stats)
+    }
+
+    /// Runs compiled strata — every stratum of a program, in order — against
+    /// the database: the one from-scratch loop over strata. The `timeout_ms`
+    /// budget starts here and covers the whole run.
+    ///
+    /// # Errors
+    ///
+    /// Returns an [`ExecError`] on device OOM, timeout, or a hit iteration
+    /// cap.
+    pub fn run_strata(
+        &self,
+        db: &mut Database<P>,
+        strata: &[CompiledStratum],
+    ) -> Result<ExecutionStats, ExecError> {
         let mut total = ExecutionStats::default();
         let start = Instant::now();
-        for stratum in &ram.strata {
-            let compiled = compile_stratum_with_options(stratum, ram, &self.options);
-            total.merge(&self.run_stratum_from(db, &compiled, start, true)?);
+        for compiled in strata {
+            total.merge(&self.run_stratum_from(db, compiled, start, true)?);
         }
         Ok(total)
     }

@@ -46,10 +46,10 @@
 //!   re-derivations of existing rows would diverge from a from-scratch run),
 //!   strata derived in a single pass (whose rows rest in `recent`, where no
 //!   Δ can go), and the strata downstream of those. Affected strata are
-//!   recomputed exactly as `Executor::run_program` would — same compile
-//!   entry, same options, same stratum run — so the result is bit-identical
-//!   by construction; unaffected strata are skipped entirely and launch zero
-//!   kernels.
+//!   recomputed exactly as a from-scratch run recomputes them — the same
+//!   compiled strata the caller runs with `Executor::run_strata`, the same
+//!   stratum run — so the result is bit-identical by construction;
+//!   unaffected strata are skipped entirely and launch zero kernels.
 //!
 //! Dirtiness propagates along the stratum order: a recomputed relation whose
 //! content is bitwise unchanged, or a delta-updated one whose Δ came out
@@ -58,7 +58,7 @@
 //! them ([`Refresh::outputs`]): per output relation, the rows added and
 //! where they went, the places of the rows removed, or "rebuilt".
 
-use crate::compiler::{compile_refresh_pass, compile_stratum_delta, compile_stratum_with_options};
+use crate::compiler::{compile_refresh_pass, compile_stratum_delta, CompiledStratum};
 use crate::database::{Database, SecondaryOrder, SortedTable, Stable};
 use crate::executor::{ExecError, ExecutionStats, Executor};
 use lobster_gpu::{Columns, Device};
@@ -400,6 +400,12 @@ struct Refreshing<'a, P: Provenance> {
 /// derives in a single pass — every relation with a change is rebuilt from
 /// `changes.content` and its stratum recomputed.
 ///
+/// `strata` are `ram`'s strata compiled as a from-scratch run compiles them
+/// ([`compile_stratum_with_options`](crate::compile_stratum_with_options)
+/// with the executor's options), one per stratum and in order: the
+/// recompute tier runs them as they are. What the tuple-level tier compiles
+/// is counted in [`ExecutionStats::strata_compiled`].
+///
 /// Returns what ran and what it did to the program's output relations. The
 /// executor's `timeout_ms` budget covers the whole refresh.
 ///
@@ -413,8 +419,10 @@ pub fn refresh_database<P: Provenance>(
     executor: &Executor<P>,
     db: &mut Database<P>,
     ram: &RamProgram,
+    strata: &[CompiledStratum],
     changes: &EdbChanges<'_, P::Tag>,
 ) -> Result<Refresh<P>, ExecError> {
+    debug_assert_eq!(strata.len(), ram.strata.len(), "one compiled stratum each");
     let delta_exact = db.provenance().delta_exact();
     let mut edb_changed: BTreeSet<&str> = changes
         .inserted
@@ -447,8 +455,8 @@ pub fn refresh_database<P: Provenance>(
     } else {
         refresh.rebuild_edb(db, changes, &edb_changed);
     }
-    for (stratum, &planned) in ram.strata.iter().zip(&plan) {
-        refresh.refresh_stratum(db, changes, stratum, planned, delta_exact)?;
+    for ((stratum, compiled), &planned) in ram.strata.iter().zip(strata).zip(&plan) {
+        refresh.refresh_stratum(db, changes, stratum, compiled, planned, delta_exact)?;
     }
     Ok(refresh.finish(db))
 }
@@ -460,6 +468,7 @@ impl<P: Provenance> Refreshing<'_, P> {
         let program = program_of(db, stratum);
         let stratum = &program.strata[0];
         let compiled = compile_refresh_pass(stratum, &program, &self.scratch.0, &self.orders);
+        self.stats.strata_compiled += 1;
         let ran = self
             .executor
             .run_stratum_from(db, &compiled, self.run_start, true)?;
@@ -793,12 +802,14 @@ impl<P: Provenance> Refreshing<'_, P> {
         db.relation_data_mut(&lost_name).stable = gone;
     }
 
-    /// Brings one stratum up to date, on the tier its changes allow.
+    /// Brings one stratum up to date, on the tier its changes allow;
+    /// `compiled` is the stratum as a from-scratch run compiles it.
     fn refresh_stratum(
         &mut self,
         db: &mut Database<P>,
         changes: &EdbChanges<'_, P::Tag>,
         stratum: &Stratum,
+        compiled: &CompiledStratum,
         planned: bool,
         delta_exact: bool,
     ) -> Result<(), ExecError> {
@@ -840,6 +851,7 @@ impl<P: Provenance> Refreshing<'_, P> {
                     &self.orders,
                     options,
                 );
+                self.stats.strata_compiled += 1;
                 let ran = self
                     .executor
                     .run_stratum_from(db, &compiled, self.run_start, false)?;
@@ -887,10 +899,9 @@ impl<P: Provenance> Refreshing<'_, P> {
                 (rel.clone(), old_stable, data.recent.take())
             })
             .collect();
-        let compiled = compile_stratum_with_options(stratum, self.ram, self.executor.options());
         let ran = self
             .executor
-            .run_stratum_from(db, &compiled, self.run_start, true)?;
+            .run_stratum_from(db, compiled, self.run_start, true)?;
         self.stats.merge(&ran);
         for (rel, old_stable, old_recent) in old_tables {
             let data = db.relation_data(&rel);
@@ -1010,6 +1021,13 @@ mod tests {
         materialized_with(Unit::new(), (), edges)
     }
 
+    /// `ram`'s strata as a from-scratch run compiles them.
+    fn strata(ram: &RamProgram) -> Vec<CompiledStratum> {
+        let options = RuntimeOptions::default();
+        let compile = |stratum| crate::compile_stratum_with_options(stratum, ram, &options);
+        ram.strata.iter().map(compile).collect()
+    }
+
     fn tuples<P: Provenance>(db: &Database<P>, relation: &str) -> Vec<Tuple> {
         db.rows(relation).into_iter().map(|(t, _)| t).collect()
     }
@@ -1059,8 +1077,12 @@ mod tests {
         // four old ones.
         let unread = |_: &str| unreachable!("an insertion reads no EDB content");
         let changes = edge_changes(&[(3, 4)], &[], (), &unread);
-        let refresh = refresh_database(&executor, &mut db, &ram, &changes).unwrap();
+        let refresh = refresh_database(&executor, &mut db, &ram, &strata(&ram), &changes).unwrap();
         assert_eq!(refresh.stats.facts_produced, 6);
+        assert_eq!(
+            refresh.stats.strata_compiled, 1,
+            "the delta stratum of `path`"
+        );
         assert_eq!(
             refresh.outputs.keys().collect::<Vec<_>>(),
             ["edge", "path"],
@@ -1085,7 +1107,7 @@ mod tests {
         assert_scratch_equal(&db, &[(4, 5), (1, 2), (2, 3), (3, 4)]);
 
         // The same fact again changes nothing and reports nothing.
-        let again = refresh_database(&executor, &mut db, &ram, &changes).unwrap();
+        let again = refresh_database(&executor, &mut db, &ram, &strata(&ram), &changes).unwrap();
         assert!(again.outputs.is_empty());
         assert_eq!(again.stats, ExecutionStats::default());
     }
@@ -1105,7 +1127,7 @@ mod tests {
             _ => (vec![Vec::new(); 2], Vec::new()),
         };
         let changes = edge_changes(&[], &[(2, 4)], (), &content);
-        let refresh = refresh_database(&executor, &mut db, &ram, &changes).unwrap();
+        let refresh = refresh_database(&executor, &mut db, &ram, &strata(&ram), &changes).unwrap();
         assert_eq!(
             refresh.stats.facts_over_deleted, 4,
             "(2, 4) (2, 5) (1, 4) (1, 5)"
@@ -1143,8 +1165,13 @@ mod tests {
             _ => (vec![Vec::new(); 2], Vec::new()),
         };
         let changes = edge_changes(&[], &[(3, 4)], 0.5, &survivors);
-        let refresh = refresh_database(&executor, &mut db, &ram, &changes).unwrap();
+        let refresh = refresh_database(&executor, &mut db, &ram, &strata(&ram), &changes).unwrap();
         assert_eq!(refresh.outputs.keys().collect::<Vec<_>>(), ["edge", "path"]);
+        assert!(refresh.stats.strata > 0);
+        assert_eq!(
+            refresh.stats.strata_compiled, 0,
+            "a recompute compiles nothing"
+        );
         assert!(refresh
             .outputs
             .values()
@@ -1152,7 +1179,7 @@ mod tests {
         assert_eq!(tuples(&db, "path").len(), 3);
 
         // Rebuilding to the same content is not a change.
-        let refresh = refresh_database(&executor, &mut db, &ram, &changes).unwrap();
+        let refresh = refresh_database(&executor, &mut db, &ram, &strata(&ram), &changes).unwrap();
         assert!(refresh.outputs.is_empty());
         assert_eq!(refresh.stats.strata, 0);
     }
@@ -1270,7 +1297,7 @@ mod tests {
                     reweighted,
                     content: &content,
                 };
-                refresh_database(&executor, &mut db, &ram, &changes).unwrap();
+                refresh_database(&executor, &mut db, &ram, &strata(&ram), &changes).unwrap();
                 let ctx = format!("seed {seed}, step {step}");
                 assert_eq!(db.stale_orders(&device), [], "{ctx}");
                 let scratch = materialized_symbols(&ram, &device, &facts);

@@ -464,7 +464,7 @@ impl fmt::Display for Instr {
 
 /// A compiled APM program for one stratum: the instruction body executed once
 /// per fix-point iteration plus metadata about the registers it uses.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ApmProgram {
     /// Instructions executed, in order, each iteration.
     pub instructions: Vec<Instr>,
@@ -528,6 +528,22 @@ impl ApmProgram {
     /// listed.
     pub fn last_reads(&self, pc: usize) -> &[RegId] {
         &self.dead[self.died_after[pc + 1]..self.died_after[pc]]
+    }
+
+    /// A deterministic estimate of the program's resident size in bytes:
+    /// every instruction with the registers it names, the liveness tables,
+    /// and the names of the relations it stores.
+    pub fn size_estimate(&self) -> usize {
+        let reg = std::mem::size_of::<RegId>();
+        let mut mentions = 0;
+        for instr in &self.instructions {
+            instr.for_each_register(|_| mentions += 1);
+        }
+        let names: usize = self.stored_relations.iter().map(|r| 24 + r.len()).sum();
+        self.instructions.len() * (std::mem::size_of::<Instr>() + 1)
+            + (mentions + self.static_registers.len() + self.dead.len()) * reg
+            + self.died_after.len() * std::mem::size_of::<usize>()
+            + names
     }
 
     /// Number of instructions in the program body.

@@ -36,7 +36,7 @@ pub use compiler::{
     compile_stratum_delta, compile_stratum_with_options, secondary_orders, CompiledStratum,
 };
 pub use config::{fnv1a, fnv1a_extend, RuntimeOptions};
-pub use database::{Database, EncodingSpec, SecondaryOrder, SortedTable};
+pub use database::{Database, EncodingSpec, SecondaryOrder, SortedTable, StoragePlan};
 pub use executor::{ExecError, ExecutionStats, Executor};
 pub use incremental::{refresh_database, EdbChanges, EdbContent, Refresh, RelationChange};
 pub use isa::{ApmProgram, DbPart, Instr, JoinSource, JoinWrite, RegId};

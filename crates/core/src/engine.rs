@@ -14,18 +14,18 @@
 //! [`bind`] is the one place the eight kinds are enumerated.
 
 use crate::error::LobsterError;
-use crate::program::Program;
+use crate::program::{Program, RunPlan};
 use crate::session::{remove_at, splice_at, FactSet, OutputView, RegisteredFact};
 use lobster_apm::{
-    refresh_database, secondary_orders, Database, EdbChanges, EdbContent, EncodingSpec,
-    ExecutionStats, Executor, RelationChange,
+    refresh_database, secondary_orders, Database, EdbChanges, EdbContent, ExecutionStats, Executor,
+    RelationChange,
 };
 use lobster_gpu::{Device, TransferDirection};
 use lobster_provenance::{
     AddMultProb, Boolean, DiffAddMultProb, DiffMaxMinProb, DiffTop1Proof, InputFactRegistry,
     MaxMinProb, Provenance, ProvenanceKind, SessionProvenance, Top1Proof, Unit,
 };
-use lobster_ram::{RamProgram, Value};
+use lobster_ram::Value;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -116,38 +116,17 @@ struct Engine<P: SessionProvenance> {
     db: Option<Database<P>>,
 }
 
-/// Creates the database a run of `ram` executes against: narrow
-/// dictionary-encoded storage when the program is eligible, full-width
-/// otherwise.
-///
-/// Eligibility: programs applying arithmetic to `Symbol`/`Bool` operands
-/// (the `symbol-arithmetic` lint) treat raw interner ids as numbers, so
-/// their results are not invariant under re-encoding — they get
-/// full-width storage. Programs with `u32` arithmetic stay encoded but
-/// keep `u32` lanes at word width (see
-/// `lobster_ram::RelationLayout::plan`).
-pub(crate) fn new_database<P: Provenance>(provenance: P, ram: &RamProgram) -> Database<P> {
-    if ram.has_symbol_arithmetic() {
-        Database::new(ram.schemas.clone(), provenance)
-    } else {
-        let spec = EncodingSpec {
-            symbol_constants: ram.symbol_constants(),
-            widen_u32: ram.has_u32_arithmetic(),
-        };
-        Database::new_encoded(ram.schemas.clone(), provenance, &spec)
-    }
-}
-
-/// Runs `ram` against the sealed `db` with the given provenance
-/// instance. The whole program runs on the device, so the run records
-/// one host→device transfer of the input database and one device→host
-/// transfer of the fix point (Section 5.3's placement, with nothing left
-/// to place while there is a single executor).
+/// Runs the compiled strata of `plan` against the sealed `db` — a database
+/// started from `plan`'s storage — with the given provenance instance. The
+/// whole program runs on the device, so the run records one host→device
+/// transfer of the input database and one device→host transfer of the fix
+/// point (Section 5.3's placement, with nothing left to place while there
+/// is a single executor).
 fn execute<P: Provenance>(
     program: &Program,
     provenance: &P,
     db: &mut Database<P>,
-    ram: &RamProgram,
+    plan: &RunPlan,
 ) -> Result<ExecutionStats, LobsterError> {
     let executor = Executor::new(
         program.device.clone(),
@@ -157,7 +136,7 @@ fn execute<P: Provenance>(
     program
         .device
         .record_transfer(TransferDirection::HostToDevice, db.size_bytes());
-    let stats = executor.run_program(db, ram)?;
+    let stats = executor.run_strata(db, &plan.strata)?;
     program
         .device
         .record_transfer(TransferDirection::DeviceToHost, db.size_bytes());
@@ -224,11 +203,11 @@ impl<P: SessionProvenance> Engine<P> {
             registry,
             facts,
         } = session;
-        let ram = program.ram();
-        let mut db = new_database(self.provenance.clone(), ram);
+        let plan = &program.artifact.plan;
+        let mut db = Database::from_plan(&plan.storage, self.provenance.clone());
         load(&mut db, &self.provenance, registry, facts, None);
         db.seal(&program.device);
-        let stats = execute(program, &self.provenance, &mut db, ram)?;
+        let stats = execute(program, &self.provenance, &mut db, plan)?;
         Ok((db, stats))
     }
 }
@@ -344,7 +323,8 @@ impl<P: SessionProvenance> AnyEngine for Engine<P> {
             program.options.clone(),
         );
         let db = self.db.as_mut().expect("materialized");
-        let refreshed = refresh_database(&executor, db, ram, &changes)?;
+        let strata = &program.artifact.plan.strata;
+        let refreshed = refresh_database(&executor, db, ram, strata, &changes)?;
         let mut outputs = refreshed.outputs;
         if !changes.reweighted.is_empty() && !provenance.delta_exact() {
             // A proof tag reads its facts' probabilities from the registry
@@ -369,11 +349,11 @@ impl<P: SessionProvenance> AnyEngine for Engine<P> {
         samples: &[&FactSet],
     ) -> Result<(Vec<OutputView>, ExecutionStats), LobsterError> {
         let SessionFacts { program, facts, .. } = session;
-        let batched = &program.artifact.batched;
+        let (batched, plan) = (&program.artifact.batched, &program.artifact.batched_plan);
         // Per-sample facts register on the fork, visible to a provenance
         // instance rebound to it — the session registry never sees them.
         let provenance = self.provenance.rebind(fork.clone());
-        let mut db = new_database(provenance.clone(), batched);
+        let mut db = Database::from_plan(&plan.storage, provenance.clone());
         let mut row = Vec::new();
         for (sample, sample_facts) in samples.iter().enumerate() {
             let sample = sample as u32;
@@ -385,7 +365,7 @@ impl<P: SessionProvenance> AnyEngine for Engine<P> {
             }
         }
         db.seal(&program.device);
-        let stats = execute(program, &provenance, &mut db, batched)?;
+        let stats = execute(program, &provenance, &mut db, plan)?;
         // Split the batched outputs back into per-sample results.
         let mut per_sample: Vec<OutputView> = vec![BTreeMap::new(); samples.len()];
         for relation in &batched.outputs {
@@ -418,9 +398,9 @@ impl<P: SessionProvenance> AnyEngine for Engine<P> {
 mod tests {
     use super::*;
     use crate::program::Lobster;
-    use lobster_apm::RuntimeOptions;
+    use lobster_apm::{EncodingSpec, RuntimeOptions};
     use lobster_provenance::Output;
-    use lobster_ram::Tuple;
+    use lobster_ram::{RamProgram, Tuple};
 
     /// A diamond `0 → {1, 2} → 3` whose two routes a semiring family weighs
     /// differently, and an edge of probability zero behind it:

@@ -84,10 +84,11 @@
 //! program does arithmetic over symbols. Every entry point —
 //! [`Session::run`], [`Session::run_batch`], [`Session::run_incremental`],
 //! the shard workers — reaches its fix point the same way:
-//! `lobster_apm::Executor::run_program` (`lobster_apm::refresh_database`
-//! for an incremental refresh) under the program's options, with one
-//! host→device transfer recorded before a from-scratch run and one
-//! device→host transfer after it.
+//! `lobster_apm::Executor::run_strata` over the strata compiled with the
+//! [`Program`] under its options (`lobster_apm::refresh_database` for an
+//! incremental refresh), with one host→device transfer recorded before a
+//! from-scratch run and one device→host transfer after it. Options are
+//! fixed before `compile()`, so a warm request compiles nothing.
 //!
 //! # Serving
 //!

@@ -3,15 +3,19 @@
 //!
 //! A [`Program`] is everything that can be computed *before* any facts
 //! arrive: the parsed and stratified Datalog program, its RAM compilation,
-//! the batch-transformed RAM variant used by [`Program::run_batch`], and the
-//! execution configuration (device, runtime options, provenance kind). The
-//! compiled part sits behind an [`Arc`], so cloning a `Program` — or sending
-//! clones to other threads to serve concurrent requests — costs a pointer
-//! copy. Per-request state lives in [`Session`](crate::Session).
+//! the batch-transformed RAM variant used by [`Program::run_batch`], the APM
+//! compilation of every stratum of both and the storage plan of both (a
+//! `RunPlan` each), and the execution configuration (device, runtime options,
+//! provenance kind). The compiled part sits behind an [`Arc`], so cloning a
+//! `Program` — or sending clones to other threads to serve concurrent
+//! requests — costs a pointer copy. Per-request state lives in
+//! [`Session`](crate::Session).
 
 use crate::error::LobsterError;
 use crate::session::Session;
-use lobster_apm::{batch_transform, RuntimeOptions};
+use lobster_apm::{
+    batch_transform, compile_stratum_with_options, CompiledStratum, RuntimeOptions, StoragePlan,
+};
 use lobster_datalog::CompiledProgram;
 use lobster_gpu::Device;
 use lobster_provenance::ProvenanceKind;
@@ -115,6 +119,8 @@ impl LobsterBuilder {
         let source_hash = Lobster::source_hash(&self.source);
         let program = Program {
             artifact: Arc::new(Artifact {
+                plan: RunPlan::new(&compiled.ram, &self.options),
+                batched_plan: RunPlan::new(&batched, &self.options),
                 compiled,
                 batched,
                 source_hash,
@@ -150,6 +156,38 @@ pub(crate) struct Artifact {
     pub(crate) diagnostics: Vec<Diagnostic>,
     /// Static per-relation cost weights for batch planners.
     pub(crate) cost_model: CostModel,
+    /// What a run of `compiled.ram` needs beyond its facts.
+    pub(crate) plan: RunPlan,
+    /// What a run of `batched` needs beyond its facts.
+    pub(crate) batched_plan: RunPlan,
+}
+
+/// Everything a run of one RAM program derives from the program alone,
+/// built once when the [`Program`] is compiled: every stratum compiled to
+/// APM with the program's [`RuntimeOptions`] (which are fixed before
+/// `compile()`), and the storage plan its databases start from. A run then
+/// pays only for its facts — plus, in a program with symbol constants, the
+/// rewrite of those constants into the run's dictionary at stratum entry.
+#[derive(Debug)]
+pub(crate) struct RunPlan {
+    /// One per stratum of the RAM program, in order.
+    pub(crate) strata: Vec<CompiledStratum>,
+    /// The storage every database of a run starts from.
+    pub(crate) storage: StoragePlan,
+}
+
+impl RunPlan {
+    fn new(ram: &RamProgram, options: &RuntimeOptions) -> RunPlan {
+        let compile = |stratum| compile_stratum_with_options(stratum, ram, options);
+        RunPlan {
+            strata: ram.strata.iter().map(compile).collect(),
+            storage: StoragePlan::for_program(ram),
+        }
+    }
+
+    fn size_estimate(&self) -> usize {
+        self.strata.iter().map(CompiledStratum::size_estimate).sum()
+    }
 }
 
 /// An immutable compiled Lobster program.
@@ -219,6 +257,14 @@ impl Program {
         &self.artifact.compiled.ram
     }
 
+    /// The APM compilation of every stratum of [`Program::ram`], in order:
+    /// made once, with the program's [`RuntimeOptions`], when the program
+    /// was compiled, and run as it is by every from-scratch run and by the
+    /// recompute tier of an incremental one.
+    pub fn compiled_strata(&self) -> &[CompiledStratum] {
+        &self.artifact.plan.strata
+    }
+
     /// The relations named in `query` declarations.
     pub fn queries(&self) -> &[String] {
         &self.artifact.compiled.queries
@@ -246,10 +292,15 @@ impl Program {
     }
 
     /// A deterministic estimate of the compiled artifact's resident size in
-    /// bytes (the plain RAM program plus its batch-transformed variant).
-    /// Serving-layer caches use this as the eviction weight.
+    /// bytes (the plain RAM program plus its batch-transformed variant, and
+    /// the compiled strata of both). Serving-layer caches use this as the
+    /// eviction weight.
     pub fn compiled_size_bytes(&self) -> usize {
-        self.artifact.compiled.ram.size_estimate() + self.artifact.batched.size_estimate()
+        let artifact = &self.artifact;
+        artifact.compiled.ram.size_estimate()
+            + artifact.batched.size_estimate()
+            + artifact.plan.size_estimate()
+            + artifact.batched_plan.size_estimate()
     }
 
     /// Interns a string constant, producing a `Value::Symbol` usable in
@@ -367,6 +418,26 @@ mod tests {
     }
 
     #[test]
+    fn both_plans_hold_what_the_compiler_emits() {
+        for options in [RuntimeOptions::default(), RuntimeOptions::unoptimized()] {
+            let program = Lobster::builder(TC)
+                .options(options.clone())
+                .provenance(ProvenanceKind::Unit)
+                .compile()
+                .unwrap();
+            for (ram, plan) in [
+                (program.ram(), &program.artifact.plan),
+                (&program.artifact.batched, &program.artifact.batched_plan),
+            ] {
+                let compile = |stratum| compile_stratum_with_options(stratum, ram, &options);
+                let emitted: Vec<CompiledStratum> = ram.strata.iter().map(compile).collect();
+                assert_eq!(plan.strata, emitted);
+                assert!(plan.storage.is_encoded());
+            }
+        }
+    }
+
+    #[test]
     fn builder_configures_device_options_and_scheduling() {
         let program = Lobster::builder(TC)
             .device(Device::sequential())
@@ -394,6 +465,9 @@ mod tests {
             unit(TC).compiled_size_bytes()
         );
         assert!(program.compiled_size_bytes() > program.ram().size_estimate());
+        // The compiled strata weigh in too.
+        let rams = program.ram().size_estimate() + program.artifact.batched.size_estimate();
+        assert!(program.compiled_size_bytes() > rams);
     }
 
     #[test]

@@ -852,7 +852,8 @@ mod tests {
         // The same database built by hand: its size sealed, and at the fix
         // point, is what the run must report moving.
         let device = lobster_gpu::Device::sequential();
-        let mut db = engine::new_database(Unit::new(), program.ram());
+        let storage = lobster_apm::StoragePlan::for_program(program.ram());
+        let mut db = lobster_apm::Database::from_plan(&storage, Unit::new());
         for (relation, values) in &facts {
             db.insert(relation, values, ());
         }
@@ -873,6 +874,32 @@ mod tests {
         assert_eq!(moved.transfers, 2);
         assert_eq!(moved.bytes_to_device, sealed_bytes);
         assert_eq!(moved.bytes_to_host, fix_point_bytes);
+    }
+
+    #[test]
+    fn a_sequential_fix_point_is_busy_for_its_wall_time() {
+        // Every launch on a sequential device runs inline, so its busy time
+        // is its wall time, recorded in the same update.
+        let program = Lobster::builder(
+            "type edge(x: u32, y: u32)
+             rel path(x, y) = edge(x, y) or (path(x, z) and edge(z, y))
+             query path",
+        )
+        .device(lobster_gpu::Device::sequential())
+        .provenance(ProvenanceKind::Unit)
+        .compile()
+        .unwrap();
+        let mut session = program.session();
+        for i in 0..40u32 {
+            session
+                .add_fact("edge", &[Value::U32(i), Value::U32(i + 1)], None)
+                .unwrap();
+        }
+        assert_eq!(session.run().unwrap().len("path"), 40 * 41 / 2);
+        let stats = program.device().stats();
+        assert!(stats.kernel_launches > 40);
+        assert!(stats.kernel_wall.sort_ns > 0 && stats.kernel_wall.join_ns > 0);
+        assert_eq!(stats.kernel_time, stats.kernel_wall);
     }
 
     #[test]

@@ -152,8 +152,9 @@ pub struct ShardRunStats {
     /// counters at run start, so reusing the executor across batches does
     /// not accumulate; `live_bytes`/`peak_bytes` are the device's current
     /// and high-water gauges), indexed by shard. Includes the per-kernel
-    /// time breakdown — `DeviceStats::kernel_time` is summed chunk-execution
-    /// (busy) time across the shard's kernel pool lanes, and
+    /// time breakdown — `DeviceStats::kernel_time` is busy time (launch wall
+    /// time, with pooled chunks summed across the shard's kernel pool
+    /// lanes), and
     /// `DeviceStats::kernel_wall` is enqueue-to-completion wall time — so a
     /// serving layer can attribute a batch's cost to sort/join/unique work
     /// per shard and spot pool contention (wall ≫ busy / lanes).

@@ -13,7 +13,7 @@ use std::cell::Cell;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Direction of a simulated host↔device transfer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -129,18 +129,24 @@ pub struct DeviceStats {
     /// Number of kernel launches.
     pub kernel_launches: usize,
     /// **Busy** time inside kernels, attributed per [`KernelKind`] bucket:
-    /// the summed chunk-execution time across every thread that worked on a
-    /// launch. Pool idle and queue wait are *not* counted here — with a
-    /// persistent worker pool, enqueue-to-completion time (see
-    /// [`DeviceStats::kernel_wall`]) includes waiting for a free worker,
-    /// which is not kernel work.
+    /// the work view. What a launch runs on its own thread counts at its
+    /// wall time; what it hands to the device's worker pool counts as the
+    /// chunks' summed execution time across every thread that ran one, in
+    /// place of the wall time the launcher spent waiting for them — so pool
+    /// idle and queue wait are *not* counted, and overlapping chunks count
+    /// once each. A launch that never reaches the pool (every launch on a
+    /// sequential device, and every launch over fewer than
+    /// [`DeviceConfig::min_parallel_rows`] rows) reads exactly its
+    /// [`DeviceStats::kernel_wall`]. Pool work a kernel starts outside any
+    /// launch lands in [`KernelKind::Other`].
     pub kernel_time: KernelTime,
     /// **Enqueue-to-completion** wall time per launch, attributed per
     /// [`KernelKind`] bucket — what a caller of the kernel observed,
     /// including any pool queue wait. `kernel_wall` is the latency view;
     /// [`DeviceStats::kernel_time`] is the work view. On a sequential device
-    /// the two agree (up to launch bookkeeping); on a parallel device busy
-    /// time exceeds wall time whenever chunks overlap.
+    /// the two are equal bucket by bucket; on a parallel device busy time
+    /// exceeds wall time whenever chunks overlap. A launch nested in another
+    /// counts in both.
     pub kernel_wall: KernelTime,
     /// Number of device allocations.
     pub allocations: usize,
@@ -236,14 +242,27 @@ struct DeviceInner {
     pool: WorkerPool,
 }
 
+/// The innermost active launch on a thread: its bucket, and how far the
+/// busy time of the chunks it handed to the worker pool exceeds the wall
+/// time it spent waiting for them (negative while workers sat idle).
+#[derive(Clone, Copy)]
+struct ActiveLaunch {
+    kind: KernelKind,
+    pooled_excess_ns: i64,
+}
+
 thread_local! {
-    /// The [`KernelKind`] of the innermost active launch *on this thread*:
-    /// set by [`Device::launch`], restored when the guard drops. Busy time
-    /// recorded from pool worker threads lands in `Other` unless the chunk
-    /// task itself runs under a launch guard — which it never does; workers
-    /// report busy time back through the launcher (`WorkerPool::run`), so
-    /// attribution happens on the launching thread where the guard is live.
-    static ACTIVE_KIND: Cell<KernelKind> = const { Cell::new(KernelKind::Other) };
+    /// The innermost active launch *on this thread*: set by
+    /// [`Device::launch`], restored when the guard drops. Pool workers never
+    /// run under a launch guard; they report busy time back through the
+    /// launcher (`WorkerPool::run`), so attribution happens on the
+    /// launching thread, where the guard is live.
+    static ACTIVE: Cell<Option<ActiveLaunch>> = const { Cell::new(None) };
+}
+
+/// A duration in whole nanoseconds, saturating.
+fn nanos(elapsed: Duration) -> u64 {
+    u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// A handle to the simulated device.
@@ -389,29 +408,40 @@ impl Device {
             .kernel_launches += 1;
     }
 
-    /// Records a kernel launch together with its enqueue-to-completion wall
-    /// time ([`DeviceStats::kernel_wall`]), in the given attribution bucket.
-    /// Busy time is recorded separately by the chunk executor (see
-    /// `Device::record_busy`).
-    pub fn record_kernel_timed(&self, kind: KernelKind, elapsed: Duration) {
+    /// Records one finished launch in one stats update: its wall time
+    /// ([`DeviceStats::kernel_wall`]), and its busy time
+    /// ([`DeviceStats::kernel_time`]) — the wall time corrected by what its
+    /// pooled chunks reported.
+    fn record_launch(&self, launch: ActiveLaunch, wall: Duration) {
+        let wall = nanos(wall);
+        let busy = wall.saturating_add_signed(launch.pooled_excess_ns);
         let mut stats = self.inner.stats.lock().expect("device stats poisoned");
         stats.kernel_launches += 1;
-        *stats.kernel_wall.bucket_mut(kind) +=
-            u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
+        *stats.kernel_wall.bucket_mut(launch.kind) += wall;
+        *stats.kernel_time.bucket_mut(launch.kind) += busy;
     }
 
-    /// Records chunk-execution (busy) time into [`DeviceStats::kernel_time`],
-    /// attributed to the innermost active launch on this thread — pool idle
-    /// and queue wait never pass through here, which keeps the busy
-    /// breakdown honest.
-    pub(crate) fn record_busy(&self, elapsed: Duration) {
-        if elapsed.is_zero() {
-            return;
+    /// Reports chunks that ran on the worker pool: `busy` summed over the
+    /// threads that ran them, `wall` the time the launcher waited for them.
+    /// Inside a launch the difference corrects the innermost launch's busy
+    /// time, recorded when it ends; outside any launch `busy` is recorded
+    /// now, as [`KernelKind::Other`].
+    pub(crate) fn record_pooled(&self, busy: Duration, wall: Duration) {
+        let (busy, wall) = (nanos(busy), nanos(wall));
+        let in_launch = ACTIVE.with(|cell| match cell.get() {
+            Some(mut launch) => {
+                let excess = i64::try_from(busy).unwrap_or(i64::MAX)
+                    - i64::try_from(wall).unwrap_or(i64::MAX);
+                launch.pooled_excess_ns = launch.pooled_excess_ns.saturating_add(excess);
+                cell.set(Some(launch));
+                true
+            }
+            None => false,
+        });
+        if !in_launch {
+            let mut stats = self.inner.stats.lock().expect("device stats poisoned");
+            stats.kernel_time.other_ns += busy;
         }
-        let kind = ACTIVE_KIND.with(Cell::get);
-        let mut stats = self.inner.stats.lock().expect("device stats poisoned");
-        *stats.kernel_time.bucket_mut(kind) +=
-            u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
     }
 
     /// The buffer pool kernel outputs and scratch columns are allocated
@@ -421,18 +451,21 @@ impl Device {
         &self.inner.arena
     }
 
-    /// Starts a timed kernel launch: the returned guard records the launch
-    /// and its enqueue-to-completion wall time in the given bucket when
-    /// dropped, and marks `kind` as the active attribution bucket for busy
-    /// time recorded on this thread while the guard is live (nested
-    /// launches restore the outer kind on drop).
+    /// Starts a timed kernel launch: the returned guard records the launch,
+    /// its wall time and its busy time in the given bucket when dropped —
+    /// one clock read here, one there, one stats update — and makes it the
+    /// launch that pooled chunks reported on this thread correct (nested
+    /// launches restore the outer one on drop).
     pub(crate) fn launch(&self, kind: KernelKind) -> LaunchTimer<'_> {
-        let prev = ACTIVE_KIND.with(|cell| cell.replace(kind));
+        let launch = ActiveLaunch {
+            kind,
+            pooled_excess_ns: 0,
+        };
+        let prev = ACTIVE.with(|cell| cell.replace(Some(launch)));
         LaunchTimer {
             device: self,
-            kind,
             prev,
-            start: std::time::Instant::now(),
+            start: Instant::now(),
         }
     }
 
@@ -502,16 +535,16 @@ impl Device {
 /// Guard for one timed kernel launch; see [`Device::launch`].
 pub(crate) struct LaunchTimer<'a> {
     device: &'a Device,
-    kind: KernelKind,
-    prev: KernelKind,
-    start: std::time::Instant,
+    prev: Option<ActiveLaunch>,
+    start: Instant,
 }
 
 impl Drop for LaunchTimer<'_> {
     fn drop(&mut self) {
-        ACTIVE_KIND.with(|cell| cell.set(self.prev));
+        let wall = self.start.elapsed();
+        let launch = ACTIVE.with(|cell| cell.replace(self.prev));
         self.device
-            .record_kernel_timed(self.kind, self.start.elapsed());
+            .record_launch(launch.expect("a launch is active"), wall);
     }
 }
 
@@ -659,20 +692,38 @@ mod tests {
 
     #[test]
     fn launch_records_wall_and_busy_separately() {
+        // An inline launch is busy for exactly its wall time.
         let dev = Device::sequential();
         {
             let _t = dev.launch(KernelKind::Sort);
-            dev.record_busy(Duration::from_nanos(500));
             std::thread::sleep(Duration::from_millis(1));
         }
         let stats = dev.stats();
         assert_eq!(stats.kernel_launches, 1);
-        // Busy time is exactly what the chunk executor reported.
-        assert_eq!(stats.kernel_time.sort_ns, 500);
-        // Wall time covers the whole launch, including the sleep the busy
-        // counter never saw.
         assert!(stats.kernel_wall.sort_ns >= 1_000_000);
-        assert_eq!(stats.kernel_wall.join_ns, 0);
+        assert_eq!(stats.kernel_time, stats.kernel_wall);
+
+        // Chunks on the pool replace the wall time the launcher waited for
+        // them with their own summed busy time: here 3 ms of chunk work
+        // overlapped into a 1 ms wait, and the wait (1 ms of the wall time)
+        // counts as the 3 ms.
+        let dev = Device::sequential();
+        {
+            let _t = dev.launch(KernelKind::Join);
+            dev.record_pooled(Duration::from_millis(3), Duration::from_millis(1));
+        }
+        let stats = dev.stats();
+        let (busy, wall) = (stats.kernel_time.join_ns, stats.kernel_wall.join_ns);
+        assert_eq!(busy, wall + 2_000_000);
+        assert_eq!(stats.kernel_wall.sort_ns, 0);
+
+        // Pooled work outside any launch is busy time with no launch.
+        let dev = Device::sequential();
+        dev.record_pooled(Duration::from_nanos(700), Duration::from_nanos(300));
+        let stats = dev.stats();
+        assert_eq!(stats.kernel_launches, 0);
+        assert_eq!(stats.kernel_time.other_ns, 700);
+        assert_eq!(stats.kernel_wall.total_ns(), 0);
     }
 
     #[test]
@@ -682,14 +733,21 @@ mod tests {
             let _outer = dev.launch(KernelKind::Join);
             {
                 let _inner = dev.launch(KernelKind::Sort);
-                dev.record_busy(Duration::from_nanos(100));
+                dev.record_pooled(Duration::from_nanos(150), Duration::from_nanos(50));
             }
             // Back under the outer guard after the inner one dropped.
-            dev.record_busy(Duration::from_nanos(40));
+            dev.record_pooled(Duration::from_nanos(90), Duration::from_nanos(50));
         }
         let stats = dev.stats();
-        assert_eq!(stats.kernel_time.sort_ns, 100);
-        assert_eq!(stats.kernel_time.join_ns, 40);
+        let excess = |busy: u64, wall: u64| busy - wall;
+        assert_eq!(
+            excess(stats.kernel_time.sort_ns, stats.kernel_wall.sort_ns),
+            100
+        );
+        assert_eq!(
+            excess(stats.kernel_time.join_ns, stats.kernel_wall.join_ns),
+            40
+        );
         assert_eq!(stats.kernel_launches, 2);
     }
 

@@ -57,10 +57,9 @@
 
 use crate::device::KernelKind;
 use crate::kernels::sites;
-use crate::parallel::{chunks_for, map_chunks, par_map_into, run_chunks};
+use crate::parallel::{chunks_for, map_chunks, par_map_into, run_chunks, PerChunk};
 use crate::{Column, Device};
 use std::ops::Range;
-use std::time::Instant;
 
 /// Multiplicative hashing constant (the 64-bit golden ratio).
 const HASH_MULT: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -199,7 +198,6 @@ impl HashIndex {
             .next_power_of_two()
             .min(MAX_PARTITIONS);
         let (parts, shift) = if partitions == 1 || rows == 0 {
-            let start = Instant::now();
             let part = group_partition(
                 device,
                 0..rows,
@@ -207,7 +205,6 @@ impl HashIndex {
                 key_columns,
                 expansion,
             );
-            device.record_busy(start.elapsed());
             (vec![part], 64)
         } else {
             let shift = 64 - partitions.trailing_zeros();
@@ -224,7 +221,7 @@ impl HashIndex {
             // pool task per partition, so partitions of uneven size
             // self-balance.
             let part_ranges: Vec<Range<usize>> = (0..partitions).map(|p| p..p + 1).collect();
-            let parts: Vec<Partition> = map_chunks(device, &part_ranges, |p, _| {
+            let parts = map_chunks(device, &part_ranges, |p, _| {
                 group_partition(
                     device,
                     by_partition[part_bounds[p].clone()]
@@ -237,7 +234,7 @@ impl HashIndex {
             });
             arena.recycle(sites::JOIN_BUILD, hashes);
             arena.recycle(sites::JOIN_BUILD, by_partition);
-            (parts, shift)
+            (parts.into_vec(), shift)
         };
         HashIndex {
             parts,
@@ -393,7 +390,7 @@ fn scatter_by_partition(
 ) -> (Column, Vec<Range<usize>>) {
     let rows = hashes.len();
     let ranges = chunks_for(device, rows);
-    let histograms: Vec<Vec<usize>> = map_chunks(device, &ranges, |_, range| {
+    let histograms: PerChunk<Vec<usize>> = map_chunks(device, &ranges, |_, range| {
         let mut h = vec![0usize; partitions];
         for &hv in &hashes[range] {
             h[(hv >> shift) as usize] += 1;

@@ -56,11 +56,12 @@
 //! ([`crate::pool`]); no kernel spawns threads per launch.
 
 use crate::device::KernelKind;
-use crate::parallel::{chunks_for, map_chunks, par_map_into, run_chunks, split_by_ranges};
+use crate::parallel::{
+    chunks_for, map_chunks, par_map_into, run_chunks, split_by_ranges, PerChunk,
+};
 use crate::{Column, Columns, Device, HashIndex};
 use std::cmp::Ordering;
 use std::ops::Range;
-use std::time::Instant;
 
 /// Allocation-site ids for kernel outputs and scratch buffers (see
 /// [`Arena`](crate::Arena)): every column a kernel allocates is tagged with
@@ -173,7 +174,7 @@ where
 {
     let _t = device.launch(KernelKind::Other);
     let ranges = chunks_for(device, len);
-    let sinks: Vec<EvalSink> = map_chunks(device, &ranges, |_, range| {
+    let sinks: PerChunk<EvalSink> = map_chunks(device, &ranges, |_, range| {
         let mut sink = EvalSink::new(out_arity);
         f(range, &mut sink);
         sink
@@ -300,7 +301,7 @@ fn gather_tags_inner<T: Clone + Send + Sync>(
     tags: &[T],
 ) -> Vec<T> {
     let ranges = chunks_for(device, indices.len());
-    let pieces: Vec<Vec<T>> = map_chunks(device, &ranges, |_, range| {
+    let pieces: PerChunk<Vec<T>> = map_chunks(device, &ranges, |_, range| {
         indices[range]
             .iter()
             .map(|&k| tags[k as usize].clone())
@@ -309,28 +310,28 @@ fn gather_tags_inner<T: Clone + Send + Sync>(
     concat_pieces(pieces, indices.len())
 }
 
-fn concat_pieces<T>(pieces: Vec<Vec<T>>, total: usize) -> Vec<T> {
-    if pieces.len() == 1 {
-        return pieces.into_iter().next().expect("one piece");
+fn concat_pieces<T>(pieces: PerChunk<Vec<T>>, total: usize) -> Vec<T> {
+    match pieces {
+        PerChunk::One([piece]) => piece,
+        PerChunk::Many(pieces) => {
+            let mut out = Vec::with_capacity(total);
+            for piece in pieces {
+                out.extend(piece);
+            }
+            out
+        }
     }
-    let mut out = Vec::with_capacity(total);
-    for piece in pieces {
-        out.extend(piece);
-    }
-    out
 }
 
 /// `scan(s)`: exclusive prefix sum. Returns the offsets and the total.
 pub fn scan(device: &Device, counts: &[u64]) -> (Column, u64) {
     let _t = device.launch(KernelKind::Other);
     let mut offsets = device.arena().alloc_zeroed(sites::SCAN_OUT, counts.len());
-    let start = Instant::now();
     let mut acc = 0u64;
     for (slot, &c) in offsets.iter_mut().zip(counts) {
         *slot = acc;
         acc += c;
     }
-    device.record_busy(start.elapsed());
     (offsets, acc)
 }
 
@@ -369,11 +370,9 @@ pub fn sort_permutation(device: &Device, columns: &[&[u64]]) -> Column {
         return perm;
     }
     if len <= SMALL_SORT {
-        let start = Instant::now();
         perm.sort_unstable_by(|&i, &j| {
             cmp_rows(columns, i as usize, columns, j as usize).then(i.cmp(&j))
         });
-        device.record_busy(start.elapsed());
         return perm;
     }
     match radix_digits(device, columns) {
@@ -443,7 +442,7 @@ fn radix_pass(device: &Device, col: &[u64], shift: u32, src: &Column, dst: &mut 
     let ranges = chunks_for(device, len);
     let digit = |v: u64| ((col[v as usize] >> shift) & 0xFF) as usize;
     // Per-chunk digit histograms.
-    let histograms: Vec<[usize; 256]> = map_chunks(device, &ranges, |_, range| {
+    let histograms: PerChunk<[usize; 256]> = map_chunks(device, &ranges, |_, range| {
         let mut h = [0usize; 256];
         for &v in &src[range] {
             h[digit(v)] += 1;
@@ -609,7 +608,7 @@ where
     let segments = Segments::of(device, words);
     let low = segments.low;
     let arena = device.arena();
-    let pieces: Vec<Frontier<'_, T>> = map_chunks(device, &segments.ranges, |_, range| {
+    let pieces: PerChunk<Frontier<'_, T>> = map_chunks(device, &segments.ranges, |_, range| {
         let floor = words.get(range.start).map_or(0, |&w| segments.floor(w));
         let mut out = Frontier {
             known,
@@ -652,12 +651,14 @@ where
     // table that outlives the launch holds no spare capacity.
     let total = pieces.iter().map(|piece| piece.tags.len()).sum();
     let mut out = arena.alloc_empty(sites::UNIQUE_OUT, total);
-    let mut tag_pieces = Vec::with_capacity(pieces.len());
-    for piece in pieces {
-        out.extend_from_slice(&piece.words);
-        arena.recycle(sites::SORT_KEYS, piece.words);
-        tag_pieces.push(piece.tags);
-    }
+    let tag_pieces = pieces
+        .into_iter()
+        .map(|piece| {
+            out.extend_from_slice(&piece.words);
+            arena.recycle(sites::SORT_KEYS, piece.words);
+            piece.tags
+        })
+        .collect();
     (out, concat_pieces(tag_pieces, total))
 }
 
@@ -990,7 +991,7 @@ fn merge_sort(device: &Device, columns: &[&[u64]], perm: &mut Column) {
     let arena = device.arena();
     let mut cur = std::mem::take(perm);
     let mut buf = arena.alloc_zeroed(sites::SORT_SCRATCH, len);
-    let mut runs: Vec<Range<usize>> = ranges;
+    let mut runs: Vec<Range<usize>> = ranges.into_vec();
     while runs.len() > 1 {
         let mut merged: Vec<Range<usize>> = Vec::with_capacity(runs.len().div_ceil(2));
         let mut pairs: Vec<(Range<usize>, Option<Range<usize>>)> =
@@ -1009,7 +1010,7 @@ fn merge_sort(device: &Device, columns: &[&[u64]], perm: &mut Column) {
             run_chunks(
                 device,
                 &merged,
-                pairs.into_iter().zip(out_slices).collect(),
+                pairs.into_iter().zip(out_slices),
                 |_, _, ((a, b), out): MergeUnit<'_>| match b {
                     None => out.copy_from_slice(&cur[a]),
                     Some(b) => {
@@ -1075,7 +1076,7 @@ where
     // A chunk owns the segments that start in it: it skips the tail of one
     // begun earlier and follows its own last one past its end.
     let ranges = chunks_for(device, len);
-    let counts: Vec<usize> = map_chunks(device, &ranges, |_, range| {
+    let counts: PerChunk<usize> = map_chunks(device, &ranges, |_, range| {
         range.filter(|&i| is_start(i)).count()
     });
     let total: usize = counts.iter().sum();
@@ -1090,7 +1091,7 @@ where
         .map(|_| arena.alloc_zeroed(sites::UNIQUE_OUT, total))
         .collect();
     let col_slices = columns_chunked(&mut out_cols, &bounds);
-    let pieces: Vec<Vec<T>> = run_chunks(
+    let pieces: PerChunk<Vec<T>> = run_chunks(
         device,
         &ranges,
         col_slices,
@@ -1186,7 +1187,7 @@ pub fn merge<T: Clone + Send + Sync>(
         .map(|_| arena.alloc_zeroed(sites::MERGE_OUT, total))
         .collect();
     let col_slices = columns_chunked(&mut out_cols, &ranges);
-    let pieces: Vec<Vec<T>> = run_chunks(
+    let pieces: PerChunk<Vec<T>> = run_chunks(
         device,
         &ranges,
         col_slices,
@@ -1346,7 +1347,6 @@ fn splice<T: Clone>(
     short_tags: &[T],
     mut before: impl FnMut(usize) -> usize,
 ) -> (Columns, Vec<T>) {
-    let start = Instant::now();
     let total = long_tags.len() + short_tags.len();
     let arena = device.arena();
     let mut columns: Columns = long
@@ -1369,7 +1369,6 @@ fn splice<T: Clone>(
         out.extend_from_slice(&long[from..]);
     }
     tags.extend_from_slice(&long_tags[from..]);
-    device.record_busy(start.elapsed());
     (columns, tags)
 }
 
@@ -1384,7 +1383,6 @@ pub fn remove_sorted<T>(
     rows: &[&[u64]],
 ) {
     let _t = device.launch(KernelKind::Other);
-    let start = Instant::now();
     let len = tags.len();
     let versus = |columns: &[Column], i: usize, j: usize| {
         for (column, row) in columns.iter().zip(rows) {
@@ -1420,7 +1418,6 @@ pub fn remove_sorted<T>(
         tags.swap(write + i - read, i);
     }
     tags.truncate(write + len - read);
-    device.record_busy(start.elapsed());
 }
 
 /// One key column of a stored table, read where it is stored: the `mask`
@@ -1454,7 +1451,6 @@ pub fn lookup<T: Clone>(
     probes: &[&[u64]],
 ) -> (Columns, Vec<T>) {
     let _t = device.launch(KernelKind::Join);
-    let start = Instant::now();
     debug_assert_eq!(key.len(), probes.len());
     let arena = device.arena();
     let probe_rows = probes.first().map_or(0, |c| c.len());
@@ -1506,7 +1502,6 @@ pub fn lookup<T: Clone>(
         out_tags.extend_from_slice(&tags[stretch]);
     }
     arena.recycle(sites::LOOKUP_KEYS, bounds);
-    device.record_busy(start.elapsed());
     (columns, out_tags)
 }
 
@@ -1551,49 +1546,50 @@ pub fn difference_runs<T: Clone + Send + Sync>(
     // of `kept`; the prefixes are closed up afterwards.
     let mut kept = arena.alloc_zeroed(sites::DIFF_KEPT, a_len);
     let slices = split_by_ranges(&mut kept, &ranges);
-    let counts: Vec<usize> = run_chunks(device, &ranges, slices, |_, range, slice: &mut [u64]| {
-        // Per run: whether to gallop, and the cursor — starting at the first
-        // row not less than the chunk's first a-row, where the walk of this
-        // chunk must begin.
-        let mut cursors: Vec<(bool, usize)> = runs
-            .iter()
-            .map(|(b_cols, b_len)| {
-                let start = if range.is_empty() {
-                    0
-                } else {
-                    bisect(0, *b_len, |j| {
-                        cmp_rows(b_cols, j, a_cols, range.start) == Ordering::Less
-                    })
-                };
-                (*b_len / GALLOP_RATIO >= a_len, start)
-            })
-            .collect();
-        let mut k = 0;
-        for i in range {
-            let mut present = false;
-            for ((b_cols, b_len), (gallop_run, cursor)) in runs.iter().zip(cursors.iter_mut()) {
-                let less = |j: usize| cmp_rows(b_cols, j, a_cols, i) == Ordering::Less;
-                let mut j = *cursor;
-                if *gallop_run {
-                    j = gallop(j, *b_len, less);
-                } else {
-                    while j < *b_len && less(j) {
-                        j += 1;
+    let counts: PerChunk<usize> =
+        run_chunks(device, &ranges, slices, |_, range, slice: &mut [u64]| {
+            // Per run: whether to gallop, and the cursor — starting at the first
+            // row not less than the chunk's first a-row, where the walk of this
+            // chunk must begin.
+            let mut cursors: Vec<(bool, usize)> = runs
+                .iter()
+                .map(|(b_cols, b_len)| {
+                    let start = if range.is_empty() {
+                        0
+                    } else {
+                        bisect(0, *b_len, |j| {
+                            cmp_rows(b_cols, j, a_cols, range.start) == Ordering::Less
+                        })
+                    };
+                    (*b_len / GALLOP_RATIO >= a_len, start)
+                })
+                .collect();
+            let mut k = 0;
+            for i in range {
+                let mut present = false;
+                for ((b_cols, b_len), (gallop_run, cursor)) in runs.iter().zip(cursors.iter_mut()) {
+                    let less = |j: usize| cmp_rows(b_cols, j, a_cols, i) == Ordering::Less;
+                    let mut j = *cursor;
+                    if *gallop_run {
+                        j = gallop(j, *b_len, less);
+                    } else {
+                        while j < *b_len && less(j) {
+                            j += 1;
+                        }
+                    }
+                    *cursor = j;
+                    if j < *b_len && cmp_rows(b_cols, j, a_cols, i) == Ordering::Equal {
+                        present = true;
+                        break;
                     }
                 }
-                *cursor = j;
-                if j < *b_len && cmp_rows(b_cols, j, a_cols, i) == Ordering::Equal {
-                    present = true;
-                    break;
+                if !present {
+                    slice[k] = i as u64;
+                    k += 1;
                 }
             }
-            if !present {
-                slice[k] = i as u64;
-                k += 1;
-            }
-        }
-        k
-    });
+            k
+        });
     let mut total = 0;
     for (range, count) in ranges.iter().zip(&counts) {
         kept.copy_within(range.start..range.start + count, total);
@@ -1805,7 +1801,7 @@ where
         })
         .collect();
     let col_slices = columns_chunked(&mut out_cols, &out_bounds);
-    let pieces: Vec<Vec<T>> = run_chunks(
+    let pieces: PerChunk<Vec<T>> = run_chunks(
         device,
         &ranges,
         col_slices,
@@ -1994,7 +1990,6 @@ fn is_sorted(cols: &[&[u64]]) -> bool {
 /// `copy(s̄)` / `append`: concatenates columns row-wise.
 pub fn append(device: &Device, tables: &[&[&[u64]]]) -> Columns {
     let _t = device.launch(KernelKind::Other);
-    let start = Instant::now();
     let arity = tables.iter().map(|t| t.len()).max().unwrap_or(0);
     let arena = device.arena();
     let mut out: Columns = (0..arity)
@@ -2011,7 +2006,6 @@ pub fn append(device: &Device, tables: &[&[&[u64]]]) -> Columns {
             out[c].extend_from_slice(col);
         }
     }
-    device.record_busy(start.elapsed());
     out
 }
 

@@ -42,9 +42,10 @@
 //! partitioning). Kernel outputs and scratch are allocated through the
 //! per-device [`Arena`] pool, so once a fix-point reaches its steady state
 //! an iteration performs zero fresh column allocations (Section 4.1);
-//! [`DeviceStats::kernel_time`] attributes chunk-execution (busy) time and
-//! [`DeviceStats::kernel_wall`] enqueue-to-completion time to
-//! sort/join/unique buckets. See `docs/PERFORMANCE.md` in the repository
+//! [`DeviceStats::kernel_time`] attributes busy time (a launch's wall time,
+//! with the chunks it hands to the worker pool counted at their summed
+//! execution time) and [`DeviceStats::kernel_wall`] enqueue-to-completion
+//! time to sort/join/unique buckets. See `docs/PERFORMANCE.md` in the repository
 //! for how to tune the pool and read the benchmark artifacts.
 //!
 //! The crate is `unsafe`-free except for the single lifetime-erasure the

@@ -11,68 +11,156 @@
 //! computes an element, never what the element is, and results are
 //! reassembled strictly in chunk-index order.
 //!
-//! All helpers also feed chunk-execution time into the device's busy-time
-//! counter ([`crate::DeviceStats::kernel_time`]), attributed to the active
-//! launch on the calling thread.
+//! Chunks that run on the pool report their execution time to the device's
+//! busy-time counter ([`crate::DeviceStats::kernel_time`]), attributed to the
+//! active launch on the calling thread; chunks that run inline are part of
+//! that launch's own wall time and are not timed apart.
 
 use crate::Device;
-use std::ops::Range;
+use std::ops::{Deref, Range};
 use std::sync::Mutex;
 use std::time::Instant;
+
+/// One value per chunk of a launch, in chunk order: held inline for the one
+/// chunk of every launch below the parallel threshold, so such a launch
+/// builds no list of ranges, states or results on the heap.
+#[derive(Debug)]
+pub(crate) enum PerChunk<T> {
+    One([T; 1]),
+    Many(Vec<T>),
+}
+
+impl<T> PerChunk<T> {
+    /// The values as a `Vec`, for a caller that keeps them.
+    pub(crate) fn into_vec(self) -> Vec<T> {
+        match self {
+            PerChunk::One(one) => one.into(),
+            PerChunk::Many(many) => many,
+        }
+    }
+}
+
+impl<T> Deref for PerChunk<T> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        match self {
+            PerChunk::One(one) => one,
+            PerChunk::Many(many) => many,
+        }
+    }
+}
+
+impl<T> FromIterator<T> for PerChunk<T> {
+    fn from_iter<I: IntoIterator<Item = T>>(values: I) -> Self {
+        let mut values = values.into_iter();
+        match (values.next(), values.next()) {
+            (Some(only), None) => PerChunk::One([only]),
+            (first, second) => {
+                PerChunk::Many(first.into_iter().chain(second).chain(values).collect())
+            }
+        }
+    }
+}
+
+impl<T> IntoIterator for PerChunk<T> {
+    type Item = T;
+    type IntoIter = PerChunkIter<T>;
+
+    fn into_iter(self) -> PerChunkIter<T> {
+        match self {
+            PerChunk::One(one) => PerChunkIter::One(one.into_iter()),
+            PerChunk::Many(many) => PerChunkIter::Many(many.into_iter()),
+        }
+    }
+}
+
+impl<'a, T> IntoIterator for &'a PerChunk<T> {
+    type Item = &'a T;
+    type IntoIter = std::slice::Iter<'a, T>;
+
+    fn into_iter(self) -> std::slice::Iter<'a, T> {
+        self.iter()
+    }
+}
+
+/// The by-value iterator of a [`PerChunk`].
+pub(crate) enum PerChunkIter<T> {
+    One(std::array::IntoIter<T, 1>),
+    Many(std::vec::IntoIter<T>),
+}
+
+impl<T> Iterator for PerChunkIter<T> {
+    type Item = T;
+
+    fn next(&mut self) -> Option<T> {
+        match self {
+            PerChunkIter::One(one) => one.next(),
+            PerChunkIter::Many(many) => many.next(),
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        match self {
+            PerChunkIter::One(one) => one.size_hint(),
+            PerChunkIter::Many(many) => many.size_hint(),
+        }
+    }
+}
 
 /// The chunking a kernel launch uses: `0..len` split into at most
 /// [`Device::parallelism`] disjoint ranges, or a single range when the input
 /// is below [`Device::min_parallel_rows`] (or the device is sequential).
-pub(crate) fn chunks_for(device: &Device, len: usize) -> Vec<Range<usize>> {
+pub(crate) fn chunks_for(device: &Device, len: usize) -> PerChunk<Range<usize>> {
     let workers = device.parallelism();
     if workers <= 1 || len < device.min_parallel_rows() {
-        // One chunk covering everything (a Vec *of* one range, not the
-        // range's elements — hence no vec![] literal).
-        return std::iter::once(0..len).collect();
+        // One chunk covering everything (an array *of* one range, not the
+        // range's elements — hence no `[0..len]` literal).
+        return PerChunk::One([Range { start: 0, end: len }]);
     }
     let chunk = len.div_ceil(workers);
-    let mut ranges = Vec::with_capacity(workers);
-    let mut start = 0;
-    while start < len {
-        let end = (start + chunk).min(len);
-        ranges.push(start..end);
-        start = end;
-    }
-    ranges
+    let starts = (0..len).step_by(chunk);
+    PerChunk::Many(
+        starts
+            .map(|start| start..(start + chunk).min(len))
+            .collect(),
+    )
 }
 
 /// Runs `f(chunk_index, range, state)` for every chunk — on `device`'s
-/// worker pool when there is more than one chunk — collecting the return
-/// values in chunk order. `states` carries per-chunk resources (typically
-/// disjoint `&mut` views of an output buffer) into the workers. Chunk
-/// execution time is recorded as device busy time.
+/// worker pool when there is more than one chunk and the device has pool
+/// workers, inline otherwise — collecting the return values in chunk order.
+/// `states` carries per-chunk resources (typically disjoint `&mut` views of
+/// an output buffer) into the workers, one per range. Pooled chunks report
+/// their summed execution time as device busy time
+/// ([`Device::record_pooled`]).
 pub(crate) fn run_chunks<S, R, F>(
     device: &Device,
     ranges: &[Range<usize>],
-    states: Vec<S>,
+    states: impl IntoIterator<Item = S>,
     f: F,
-) -> Vec<R>
+) -> PerChunk<R>
 where
     S: Send,
     R: Send,
     F: Fn(usize, Range<usize>, S) -> R + Sync,
 {
-    debug_assert_eq!(ranges.len(), states.len());
-    if ranges.len() <= 1 {
-        let start = Instant::now();
-        let out = states
-            .into_iter()
+    let states = states.into_iter();
+    if ranges.len() <= 1 || device.pool_workers() == 0 {
+        let out: PerChunk<R> = states
             .enumerate()
             .map(|(c, state)| f(c, ranges[c].clone(), state))
             .collect();
-        device.record_busy(start.elapsed());
+        debug_assert_eq!(ranges.len(), out.len());
         return out;
     }
     // Per-chunk cells hand each state to exactly one worker and collect each
     // result under its chunk index, so the output order is deterministic no
     // matter which pool thread ran which chunk.
-    let states: Vec<Mutex<Option<S>>> = states.into_iter().map(|s| Mutex::new(Some(s))).collect();
+    let states: Vec<Mutex<Option<S>>> = states.map(|s| Mutex::new(Some(s))).collect();
+    debug_assert_eq!(ranges.len(), states.len());
     let results: Vec<Mutex<Option<R>>> = ranges.iter().map(|_| Mutex::new(None)).collect();
+    let start = Instant::now();
     let busy = device.pool().run(ranges.len(), &|c| {
         let state = states[c]
             .lock()
@@ -82,7 +170,7 @@ where
         let result = f(c, ranges[c].clone(), state);
         *results[c].lock().expect("chunk result poisoned") = Some(result);
     });
-    device.record_busy(busy);
+    device.record_pooled(busy, start.elapsed());
     results
         .into_iter()
         .map(|cell| {
@@ -94,14 +182,13 @@ where
 }
 
 /// [`run_chunks`] without per-chunk state.
-pub(crate) fn map_chunks<R, F>(device: &Device, ranges: &[Range<usize>], f: F) -> Vec<R>
+pub(crate) fn map_chunks<R, F>(device: &Device, ranges: &[Range<usize>], f: F) -> PerChunk<R>
 where
     R: Send,
     F: Fn(usize, Range<usize>) -> R + Sync,
 {
-    run_chunks(device, ranges, vec![(); ranges.len()], |c, range, ()| {
-        f(c, range)
-    })
+    let states = std::iter::repeat(()).take(ranges.len());
+    run_chunks(device, ranges, states, |c, range, ()| f(c, range))
 }
 
 /// Splits `slice` into one sub-slice per entry of `bounds`, where `bounds`
@@ -110,16 +197,18 @@ where
 pub(crate) fn split_by_ranges<'a, T>(
     mut slice: &'a mut [T],
     bounds: &[Range<usize>],
-) -> Vec<&'a mut [T]> {
-    let mut out = Vec::with_capacity(bounds.len());
+) -> PerChunk<&'a mut [T]> {
     let mut consumed = 0;
-    for range in bounds {
-        debug_assert_eq!(range.start, consumed, "bounds must tile the slice");
-        let (head, rest) = slice.split_at_mut(range.end - range.start);
-        out.push(head);
-        slice = rest;
-        consumed = range.end;
-    }
+    let out = bounds
+        .iter()
+        .map(|range| {
+            debug_assert_eq!(range.start, consumed, "bounds must tile the slice");
+            let (head, rest) = std::mem::take(&mut slice).split_at_mut(range.end - range.start);
+            slice = rest;
+            consumed = range.end;
+            head
+        })
+        .collect();
     debug_assert!(slice.is_empty(), "bounds must cover the slice");
     out
 }
@@ -207,18 +296,34 @@ mod tests {
         let out = run_chunks(&par, &ranges, vec![10usize, 20, 30], |c, range, s| {
             s + range.len() + c
         });
-        assert_eq!(out, vec![12, 24, 33]);
+        assert_eq!(*out, [12, 24, 33]);
     }
 
     #[test]
     fn run_chunks_records_busy_time() {
-        let par = par_device(3);
+        let par = par_device(4);
         let ranges = chunks_for(&par, 3_000);
+        assert_eq!(ranges.len(), 4);
         let before = par.stats().kernel_time.total_ns();
         let _sums = map_chunks(&par, &ranges, |_, range| {
+            std::thread::sleep(std::time::Duration::from_millis(1));
             range.map(|i| i as u64).sum::<u64>()
         });
-        assert!(par.stats().kernel_time.total_ns() >= before);
+        // Pooled chunks outside a launch report their own busy time: four
+        // chunks of at least 1 ms each.
+        assert!(par.stats().kernel_time.total_ns() >= before + 4_000_000);
+    }
+
+    #[test]
+    fn one_chunk_is_held_inline() {
+        let seq = Device::sequential();
+        let ranges = chunks_for(&seq, 10);
+        assert!(matches!(ranges, PerChunk::One(_)));
+        let out = map_chunks(&seq, &ranges, |_, range| range.len());
+        assert!(matches!(out, PerChunk::One([10])));
+        let many: PerChunk<usize> = (0..3).collect();
+        assert_eq!(&*many, [0, 1, 2]);
+        assert_eq!(many.into_iter().count(), 3);
     }
 
     #[test]

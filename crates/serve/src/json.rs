@@ -12,7 +12,7 @@
 //! above that lose precision and are therefore transported as strings by the
 //! protocol layer, not by this module.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A parsed JSON value. Object keys keep their insertion order, so a
 /// parse → modify → write round trip preserves the document layout.
@@ -433,7 +433,7 @@ fn write_escaped(s: &str, out: &mut String) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                write!(out, "\\u{:04x}", c as u32).expect("writing to a String");
             }
             c => out.push(c),
         }
@@ -442,23 +442,27 @@ fn write_escaped(s: &str, out: &mut String) {
 }
 
 fn write_number(n: f64, out: &mut String) {
-    if n.fract() == 0.0 && n.abs() < 2f64.powi(53) {
-        out.push_str(&format!("{}", n as i64));
+    let written = if n.fract() == 0.0 && n.abs() < 2f64.powi(53) {
+        write!(out, "{}", n as i64)
     } else {
-        out.push_str(&format!("{n}"));
+        write!(out, "{n}")
+    };
+    written.expect("writing to a String");
+}
+
+/// Before an item or a closing bracket at nesting `level`: in pretty output
+/// a newline and the level's indentation, in compact output nothing.
+fn write_pad(out: &mut String, indent: Option<usize>, level: usize) {
+    if let Some(width) = indent {
+        out.push('\n');
+        out.extend(std::iter::repeat(' ').take(width * level));
     }
 }
 
+/// Writes `value` straight into `out`: no intermediate string per value,
+/// separator or number.
 fn write_value(value: &Json, out: &mut String, indent: Option<usize>, level: usize) {
-    let (open_pad, close_pad, item_sep, kv_sep) = match indent {
-        Some(width) => (
-            format!("\n{}", " ".repeat(width * (level + 1))),
-            format!("\n{}", " ".repeat(width * level)),
-            ",".to_string(),
-            ": ",
-        ),
-        None => (String::new(), String::new(), ", ".to_string(), ": "),
-    };
+    let item_sep = if indent.is_some() { "," } else { ", " };
     match value {
         Json::Null => out.push_str("null"),
         Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -472,12 +476,12 @@ fn write_value(value: &Json, out: &mut String, indent: Option<usize>, level: usi
             out.push('[');
             for (i, item) in items.iter().enumerate() {
                 if i > 0 {
-                    out.push_str(&item_sep);
+                    out.push_str(item_sep);
                 }
-                out.push_str(&open_pad);
+                write_pad(out, indent, level + 1);
                 write_value(item, out, indent, level + 1);
             }
-            out.push_str(&close_pad);
+            write_pad(out, indent, level);
             out.push(']');
         }
         Json::Obj(pairs) => {
@@ -488,14 +492,14 @@ fn write_value(value: &Json, out: &mut String, indent: Option<usize>, level: usi
             out.push('{');
             for (i, (key, item)) in pairs.iter().enumerate() {
                 if i > 0 {
-                    out.push_str(&item_sep);
+                    out.push_str(item_sep);
                 }
-                out.push_str(&open_pad);
+                write_pad(out, indent, level + 1);
                 write_escaped(key, out);
-                out.push_str(kv_sep);
+                out.push_str(": ");
                 write_value(item, out, indent, level + 1);
             }
-            out.push_str(&close_pad);
+            write_pad(out, indent, level);
             out.push('}');
         }
     }
@@ -634,6 +638,111 @@ mod tests {
         assert_eq!(Json::Num(i64::MIN as f64).as_i64(), None);
         assert_eq!(Json::from(-1i64).as_u64(), None);
         assert_eq!(Json::Num(1.5).as_i64(), None);
+    }
+
+    /// Nesting, empty containers, escapes, integers at and inside ±2^53,
+    /// negative zero and non-integers.
+    fn pinned_document() -> Json {
+        let num = Json::Num;
+        let two53 = 2f64.powi(53);
+        let key = |k: &str| k.to_string();
+        Json::Obj(vec![
+            (
+                key("nested"),
+                Json::Arr(vec![
+                    Json::Obj(vec![(
+                        key("a"),
+                        Json::Arr(vec![num(1.0), Json::Arr(vec![])]),
+                    )]),
+                    Json::Obj(vec![]),
+                ]),
+            ),
+            (
+                key("empty"),
+                Json::Arr(vec![Json::Obj(vec![]), Json::Arr(vec![])]),
+            ),
+            (
+                key("esc\"aped"),
+                Json::Str("q\" b\\ n\n r\r t\t c\u{1} d\u{1f} \u{1F980}".into()),
+            ),
+            (
+                key("integers"),
+                Json::Arr(vec![
+                    num(two53),
+                    num(-two53),
+                    num(two53 - 1.0),
+                    num(-(two53 - 1.0)),
+                    num(0.0),
+                    num(-0.0),
+                ]),
+            ),
+            (
+                key("fractions"),
+                Json::Arr(vec![
+                    num(2.5),
+                    num(-0.125),
+                    num(1.5e-7),
+                    num(two53 + 2.0),
+                    num(1e21),
+                ]),
+            ),
+            (
+                key("flags"),
+                Json::Arr(vec![Json::Bool(true), Json::Bool(false), Json::Null]),
+            ),
+        ])
+    }
+
+    #[test]
+    fn the_writer_emits_pinned_bytes() {
+        let doc = pinned_document();
+        let compact = concat!(
+            r#"{"nested": [{"a": [1, []]}, {}], "empty": [{}, []], "#,
+            r#""esc\"aped": "q\" b\\ n\n r\r t\t c\u0001 d\u001f 🦀", "#,
+            r#""integers": [9007199254740992, -9007199254740992, 9007199254740991, "#,
+            r#"-9007199254740991, 0, 0], "#,
+            r#""fractions": [2.5, -0.125, 0.00000015, 9007199254740994, "#,
+            r#"1000000000000000000000], "flags": [true, false, null]}"#,
+        );
+        assert_eq!(doc.to_compact(), compact);
+        let pretty = r#"{
+  "nested": [
+    {
+      "a": [
+        1,
+        []
+      ]
+    },
+    {}
+  ],
+  "empty": [
+    {},
+    []
+  ],
+  "esc\"aped": "q\" b\\ n\n r\r t\t c\u0001 d\u001f 🦀",
+  "integers": [
+    9007199254740992,
+    -9007199254740992,
+    9007199254740991,
+    -9007199254740991,
+    0,
+    0
+  ],
+  "fractions": [
+    2.5,
+    -0.125,
+    0.00000015,
+    9007199254740994,
+    1000000000000000000000
+  ],
+  "flags": [
+    true,
+    false,
+    null
+  ]
+}
+"#;
+        assert_eq!(doc.to_pretty(), pretty);
     }
 
     #[test]

@@ -515,7 +515,8 @@ fn handle_request(payload: &[u8], shared: &ServerShared) -> Json {
                 ));
             }
             // Stage 3: the scheduler.
-            let facts = match facts_from_json(request.get("facts")) {
+            let program = shared.scheduler.program();
+            let facts = match facts_from_json(request.get("facts"), program) {
                 Ok(facts) => facts,
                 Err(message) => return rejected(reject("bad-request", &message, None)),
             };
@@ -576,7 +577,35 @@ fn value_to_json(value: &Value, result: Option<&RunResult>) -> Json {
     }
 }
 
-fn value_from_json(json: &Json) -> Result<Value, String> {
+/// A value of a `run` frame as the wire states it: a `sym` text stays text
+/// until [`facts_from_json`] has checked the whole frame, so a rejected frame
+/// interns nothing into the process-global symbol table.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum WireValue<'a> {
+    Value(Value),
+    Text(&'a str),
+}
+
+impl WireValue<'_> {
+    /// The value, with a text interned into the global symbol table.
+    fn intern(self) -> Value {
+        match self {
+            WireValue::Value(value) => value,
+            WireValue::Text(text) => Value::Symbol(SymbolTable::global().intern(text)),
+        }
+    }
+
+    /// The value, with a text standing as a symbol that is not interned:
+    /// what type checks of the frame read.
+    fn unresolved(self) -> Value {
+        match self {
+            WireValue::Value(value) => value,
+            WireValue::Text(_) => Value::Symbol(u32::MAX),
+        }
+    }
+}
+
+fn value_from_json(json: &Json) -> Result<WireValue<'_>, String> {
     let Json::Obj(pairs) = json else {
         return Err(format!(
             "value must be a tagged object, got {}",
@@ -586,7 +615,13 @@ fn value_from_json(json: &Json) -> Result<Value, String> {
     let [(tag, inner)] = pairs.as_slice() else {
         return Err("value object must have exactly one tag".to_string());
     };
-    match tag.as_str() {
+    if tag == "sym" {
+        return inner
+            .as_str()
+            .map(WireValue::Text)
+            .ok_or_else(|| format!("bad sym: {}", inner.to_compact()));
+    }
+    let value = match tag.as_str() {
         "u32" => inner
             .as_u64()
             .and_then(|n| u32::try_from(n).ok())
@@ -610,17 +645,14 @@ fn value_from_json(json: &Json) -> Result<Value, String> {
             .as_bool()
             .map(Value::Bool)
             .ok_or_else(|| format!("bad bool: {}", inner.to_compact())),
-        "sym" => inner
-            .as_str()
-            .map(|text| Value::Symbol(SymbolTable::global().intern(text)))
-            .ok_or_else(|| format!("bad sym: {}", inner.to_compact())),
         "sym_id" => inner
             .as_u64()
             .and_then(|n| u32::try_from(n).ok())
             .map(Value::Symbol)
             .ok_or_else(|| format!("bad sym_id: {}", inner.to_compact())),
         other => Err(format!("unknown value tag `{other}`")),
-    }
+    };
+    value.map(WireValue::Value)
 }
 
 /// Builds the wire form of one fact for a `run` request (the [`Client`]
@@ -647,39 +679,80 @@ fn fact_to_json(
     fact
 }
 
-fn facts_from_json(json: Option<&Json>) -> Result<FactSet, String> {
+/// One fact of a `run` frame, parsed.
+struct WireFact<'a> {
+    relation: &'a str,
+    values: Vec<WireValue<'a>>,
+    prob: Option<f64>,
+    exclusion: Option<u32>,
+}
+
+fn fact_from_json(item: &Json) -> Result<WireFact<'_>, String> {
+    let relation = item
+        .get("rel")
+        .and_then(Json::as_str)
+        .ok_or("fact is missing `rel`")?;
+    let values = item
+        .get("values")
+        .and_then(Json::as_arr)
+        .ok_or("fact is missing `values`")?
+        .iter()
+        .map(value_from_json)
+        .collect::<Result<Vec<_>, String>>()?;
+    let prob = item.get("prob").and_then(Json::as_f64);
+    if let Some(p) = prob {
+        if !(0.0..=1.0).contains(&p) {
+            return Err(format!("probability {p} outside [0, 1]"));
+        }
+    }
+    let exclusion = item
+        .get("exclusion")
+        .and_then(Json::as_u64)
+        .and_then(|n| u32::try_from(n).ok());
+    Ok(WireFact {
+        relation,
+        values,
+        prob,
+        exclusion,
+    })
+}
+
+/// The facts of a `run` frame. The whole frame is parsed first and, when it
+/// names symbols by text, checked against `program`'s relations, arities
+/// and column types; only then are the texts interned, so a frame rejected
+/// for any reason leaves the process-global symbol table as it was.
+fn facts_from_json(json: Option<&Json>, program: &Program) -> Result<FactSet, String> {
     let Some(items) = json.and_then(Json::as_arr) else {
         return Err("`facts` must be an array".to_string());
     };
-    let mut facts = FactSet::new();
-    for item in items {
-        let relation = item
-            .get("rel")
-            .and_then(Json::as_str)
-            .ok_or("fact is missing `rel`")?;
-        let values = item
-            .get("values")
-            .and_then(Json::as_arr)
-            .ok_or("fact is missing `values`")?
-            .iter()
-            .map(value_from_json)
-            .collect::<Result<Vec<Value>, String>>()?;
-        let prob = item.get("prob").and_then(Json::as_f64);
-        if let Some(p) = prob {
-            if !(0.0..=1.0).contains(&p) {
-                return Err(format!("probability {p} outside [0, 1]"));
+    let parsed = items
+        .iter()
+        .map(fact_from_json)
+        .collect::<Result<Vec<_>, String>>()?;
+    let build = |intern: bool| {
+        let mut facts = FactSet::new();
+        let mut row = Vec::new();
+        for fact in &parsed {
+            row.clear();
+            let value = |&v: &WireValue<'_>| if intern { v.intern() } else { v.unresolved() };
+            row.extend(fact.values.iter().map(value));
+            match fact.exclusion {
+                Some(group) => facts.add_with_exclusion(fact.relation, &row, fact.prob, group),
+                None => facts.add(fact.relation, &row, fact.prob),
             }
         }
-        let exclusion = item
-            .get("exclusion")
-            .and_then(Json::as_u64)
-            .and_then(|n| u32::try_from(n).ok());
-        match exclusion {
-            Some(group) => facts.add_with_exclusion(relation, &values, prob, group),
-            None => facts.add(relation, &values, prob),
-        }
+        facts
+    };
+    let texts = parsed
+        .iter()
+        .flat_map(|fact| &fact.values)
+        .any(|v| matches!(v, WireValue::Text(_)));
+    if texts {
+        program
+            .validate_facts(&build(false))
+            .map_err(|e| e.to_string())?;
     }
-    Ok(facts)
+    Ok(build(true))
 }
 
 fn result_to_json(result: &RunResult) -> Json {
@@ -1290,7 +1363,7 @@ mod tests {
             Value::Symbol(7),
         ] {
             let encoded = value_to_json(&value, None);
-            let decoded = value_from_json(&encoded).expect("decodes");
+            let decoded = value_from_json(&encoded).expect("decodes").intern();
             assert_eq!(value, decoded, "via {}", encoded.to_compact());
         }
     }
@@ -1298,13 +1371,81 @@ mod tests {
     #[test]
     fn sym_text_values_intern_through_the_shared_table() {
         let json = obj([("sym", Json::from("net-shared-intern"))]);
-        let decoded = value_from_json(&json).expect("decodes");
+        let decoded = value_from_json(&json).expect("decodes").intern();
         let expected = SymbolTable::global().intern("net-shared-intern");
         assert_eq!(decoded, Value::Symbol(expected));
         // A second decode agrees with the first: the id is stable.
-        assert_eq!(value_from_json(&json).unwrap(), Value::Symbol(expected));
+        let again = value_from_json(&json).unwrap().intern();
+        assert_eq!(again, Value::Symbol(expected));
         // Non-string payloads are rejected, not silently coerced.
         let bad = obj([("sym", Json::from(3u64))]);
         assert!(value_from_json(&bad).is_err());
+    }
+
+    #[test]
+    fn a_rejected_frame_interns_nothing() {
+        let program = Program::compile(
+            "type named(x: symbol)
+             rel seen(x) = named(x)
+             query seen",
+            ProvenanceKind::Unit,
+        )
+        .expect("compiles");
+        let keys = KeyStore::new();
+        keys.add_key("k", Quota::unlimited());
+        let server = Server::bind(
+            ("127.0.0.1", 0),
+            Arc::new(program),
+            keys,
+            ServerConfig::default(),
+        )
+        .unwrap();
+        let mut client = Client::connect(server.local_addr(), "k").unwrap();
+        let frame = |facts: Vec<Json>| {
+            obj([
+                ("op", Json::from("run")),
+                ("key", Json::from("k")),
+                ("facts", Json::Arr(facts)),
+            ])
+        };
+        let fact = |rel: &str, text: &str| {
+            obj([
+                ("rel", Json::from(rel)),
+                ("values", Json::Arr(vec![obj([("sym", Json::from(text))])])),
+            ])
+        };
+        let global = SymbolTable::global();
+
+        // A fresh text beside a fact for an undeclared relation: the frame
+        // is refused and the text never reaches the table.
+        let fresh = "net-rejected-frame-text";
+        let reply = client
+            .request(&frame(vec![fact("named", fresh), fact("ghost", "x")]))
+            .unwrap();
+        assert_eq!(reply.code(), Some("bad-request"), "{:?}", reply.json());
+        assert_eq!(global.lookup(fresh), None);
+        // Nor does a text whose own fact has the wrong arity.
+        let wide = obj([
+            ("rel", Json::from("named")),
+            (
+                "values",
+                Json::Arr(vec![
+                    obj([("sym", Json::from(fresh))]),
+                    obj([("u32", Json::from(1u64))]),
+                ]),
+            ),
+        ]);
+        let reply = client.request(&frame(vec![wide])).unwrap();
+        assert_eq!(reply.code(), Some("bad-request"), "{:?}", reply.json());
+        assert_eq!(global.lookup(fresh), None);
+
+        // A valid frame still interns its texts, and answers with them.
+        let kept = "net-accepted-frame-text";
+        let reply = client.request(&frame(vec![fact("named", kept)])).unwrap();
+        assert!(reply.ok(), "{:?}", reply.json());
+        assert!(global.lookup(kept).is_some());
+        assert_eq!(reply.len("seen"), 1);
+        assert!(reply.json().to_compact().contains(kept));
+        server.shutdown();
     }
 }
