@@ -28,10 +28,10 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 ///
 /// These are the only execution knobs. Everything else the engine decides
 /// from the program itself: joins take the merge path exactly where
-/// sort-order inference proves both inputs sorted on the key, relations are
-/// stored in packed dictionary-encoded columns unless the program does
-/// arithmetic over symbols (`RamProgram::has_symbol_arithmetic`), and dead
-/// rules are reported by the lint, never pruned behind the caller's back.
+/// sort-order inference proves both inputs sorted on the key, every
+/// program's relations are stored in one packed dictionary-encoded layout
+/// (`StoragePlan::for_program`), and dead rules are reported by the lint,
+/// never pruned behind the caller's back.
 ///
 /// `RuntimeOptions` has structural equality and hashing, and a stable
 /// [`fingerprint`](RuntimeOptions::fingerprint), so it can key caches of

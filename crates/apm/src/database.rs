@@ -307,24 +307,23 @@ impl<P: Provenance> SortedTable<P> {
     }
 }
 
-/// What a program contributes to a database's encoding decision: the symbol
-/// constants its expressions mention (seeded into the dictionary so constant
-/// rewriting always finds a local rank) and whether any expression performs
-/// arithmetic at `u32` operand type (which forces `u32` lanes to stay 8
-/// bytes wide — the expression machine computes `u32` arithmetic at full
-/// word width, so narrowing would change stored bits).
+/// What a program contributes to a database's encoding: the symbol constants
+/// its expressions mention, seeded into the dictionary so constant rewriting
+/// always finds a local rank.
 #[derive(Debug, Clone, Default)]
 pub struct EncodingSpec {
     /// Global interner ids of every symbol constant in the program (see
     /// `RamProgram::symbol_constants`).
     pub symbol_constants: Vec<u32>,
-    /// `true` when the program applies `+ - * / %` or negation at `u32`
-    /// type anywhere.
+    /// A field `benchmark/` still sets, and ignored: every program stores
+    /// `u32` lanes 4 bytes wide. The next change to `benchmark/` drops it
+    /// (ROADMAP item 4).
+    #[doc(hidden)]
     pub widen_u32: bool,
 }
 
 /// How a database stores its relations, decided from the program alone:
-/// the relation schemas and, for narrow dictionary-encoded storage, the
+/// the relation schemas and, for packed dictionary-encoded storage, the
 /// initial codec — the symbol dictionary seeded with the program's
 /// constants, and every relation's layout and pack lanes planned under it.
 ///
@@ -340,29 +339,20 @@ pub struct StoragePlan {
 }
 
 impl StoragePlan {
-    /// The storage a run of `ram` uses: narrow dictionary-encoded storage
-    /// when the program is eligible, full-width otherwise.
+    /// The storage every run of `ram` uses: packed group columns under a
+    /// dictionary seeded with the program's symbol constants.
     ///
-    /// Eligibility: programs applying arithmetic to `Symbol`/`Bool`
-    /// operands (the `symbol-arithmetic` lint) treat raw interner ids as
-    /// numbers, so their results are not invariant under re-encoding — they
-    /// get full-width storage. Programs with `u32` arithmetic stay encoded
-    /// but keep `u32` lanes at word width (see
-    /// `lobster_ram::RelationLayout::plan`).
+    /// There is one layout per column type list, whatever the program's
+    /// rules compute: `u32` arithmetic wraps at 32 bits and the validator
+    /// rejects arithmetic over symbols, so no column ever holds a word its
+    /// lane cannot, and no result depends on how symbols are numbered.
     pub fn for_program(ram: &RamProgram) -> StoragePlan {
-        if ram.has_symbol_arithmetic() {
-            StoragePlan::full_width(ram.schemas.clone())
-        } else {
-            let spec = EncodingSpec {
-                symbol_constants: ram.symbol_constants(),
-                widen_u32: ram.has_u32_arithmetic(),
-            };
-            StoragePlan::encoded(ram.schemas.clone(), &spec)
-        }
+        StoragePlan::encoded(ram.schemas.clone(), ram.symbol_constants())
     }
 
     /// Full-width storage: every logical column one `u64` column, values
-    /// in global encoding.
+    /// in global encoding — the reference the differential suites compare
+    /// packed storage against.
     pub fn full_width(schemas: BTreeMap<String, RelationSchema>) -> StoragePlan {
         StoragePlan {
             schemas: Arc::new(schemas),
@@ -370,20 +360,20 @@ impl StoragePlan {
         }
     }
 
-    /// Packed group columns under a dictionary seeded with the symbol
-    /// constants of `spec`.
-    pub fn encoded(schemas: BTreeMap<String, RelationSchema>, spec: &EncodingSpec) -> StoragePlan {
-        let dict = SymbolDict::from_globals(spec.symbol_constants.clone());
-        let codec = Codec::new(&schemas, dict, spec.widen_u32);
+    /// Packed group columns under a dictionary seeded with
+    /// `symbol_constants`.
+    fn encoded(schemas: BTreeMap<String, RelationSchema>, symbol_constants: Vec<u32>) -> Self {
+        let codec = Codec::new(&schemas, SymbolDict::from_globals(symbol_constants));
         StoragePlan {
             schemas: Arc::new(schemas),
             codec: Some(Arc::new(codec)),
         }
     }
 
-    /// `true` when relations are stored in packed, dictionary-encoded form.
-    pub fn is_encoded(&self) -> bool {
-        self.codec.is_some()
+    /// The layout `relation` is stored in, or `None` at full width (or for
+    /// an unknown relation).
+    pub fn layout(&self, relation: &str) -> Option<&RelationLayout> {
+        self.codec.as_deref()?.layouts.get(relation)
     }
 }
 
@@ -392,16 +382,14 @@ impl StoragePlan {
 #[derive(Debug, Clone)]
 pub(crate) struct Codec {
     pub(crate) dict: SymbolDict,
-    widen_u32: bool,
     layouts: BTreeMap<String, RelationLayout>,
     lanes: BTreeMap<String, Vec<Vec<PackLane>>>,
 }
 
 impl Codec {
-    fn new(schemas: &BTreeMap<String, RelationSchema>, dict: SymbolDict, widen_u32: bool) -> Codec {
+    fn new(schemas: &BTreeMap<String, RelationSchema>, dict: SymbolDict) -> Codec {
         let mut codec = Codec {
             dict,
-            widen_u32,
             layouts: BTreeMap::new(),
             lanes: BTreeMap::new(),
         };
@@ -414,8 +402,7 @@ impl Codec {
     /// Plans the layout of a relation with the given column types under the
     /// current dictionary, with its pack lanes.
     fn plan(&mut self, name: &str, arg_types: &[ValueType]) {
-        let u32_bytes = if self.widen_u32 { 8 } else { 4 };
-        let layout = RelationLayout::plan(arg_types, self.dict.width_bytes(), u32_bytes);
+        let layout = RelationLayout::plan(arg_types, self.dict.width_bytes());
         self.lanes
             .insert(name.to_string(), Self::pack_lanes(&layout));
         self.layouts.insert(name.to_string(), layout);
@@ -786,7 +773,8 @@ impl<P: Provenance> Database<P> {
         provenance: P,
         spec: &EncodingSpec,
     ) -> Self {
-        Self::from_plan(&StoragePlan::encoded(schemas, spec), provenance)
+        let plan = StoragePlan::encoded(schemas, spec.symbol_constants.clone());
+        Self::from_plan(&plan, provenance)
     }
 
     /// Creates an empty database stored as `plan` says, sharing the plan's
@@ -854,7 +842,7 @@ impl<P: Provenance> Database<P> {
             return;
         }
         let (dict, _remap) = codec.dict.extend(missing);
-        let mut next = Codec::new(&self.schemas, dict, codec.widen_u32);
+        let mut next = Codec::new(&self.schemas, dict);
         let old = self.codec.take().expect("codec present");
         let reencode =
             |next: &Codec, name: &str, schema: &RelationSchema, table: &mut SortedTable<P>| {
@@ -1672,7 +1660,7 @@ mod tests {
         let device = Device::sequential();
         let spec = EncodingSpec {
             symbol_constants: vec![900],
-            widen_u32: false,
+            ..EncodingSpec::default()
         };
         let mut wide = Database::new(sym_schemas(), Unit::new());
         let mut packed = Database::new_encoded(sym_schemas(), Unit::new(), &spec);
@@ -1763,20 +1751,6 @@ mod tests {
         db.insert("likes", &[Value::Symbol(50), Value::Symbol(10)], ());
         db.seal(&device);
         assert_eq!(db.relation_len("likes"), 3);
-    }
-
-    #[test]
-    fn widened_u32_lanes_stay_full_width() {
-        let spec = EncodingSpec {
-            symbol_constants: Vec::new(),
-            widen_u32: true,
-        };
-        let db: Database<Unit> = Database::new_encoded(sym_schemas(), Unit::new(), &spec);
-        // With u32 arithmetic in play, u32 lanes cannot narrow: `edge`
-        // stays two full-width columns.
-        assert_eq!(db.storage_arity("edge"), 2);
-        // Symbol columns still narrow.
-        assert_eq!(db.storage_arity("likes"), 1);
     }
 
     #[test]

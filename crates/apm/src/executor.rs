@@ -1602,7 +1602,7 @@ mod tests {
 
     #[test]
     fn encoded_execution_is_bit_identical_to_full_width() {
-        use crate::database::EncodingSpec;
+        use crate::database::StoragePlan;
         use lobster_gpu::DeviceConfig;
 
         // Symbol-typed TC with a symbol constant in a rule body, so the
@@ -1619,10 +1619,7 @@ mod tests {
         let names: Vec<u32> = (0..60)
             .map(|i| symbols.intern(&format!("n{i:03}")))
             .collect();
-        let spec = EncodingSpec {
-            symbol_constants: compiled.ram.symbol_constants(),
-            widen_u32: compiled.ram.has_u32_arithmetic(),
-        };
+        let plan = StoragePlan::for_program(&compiled.ram);
         for parallelism in [1, 3] {
             let device = Device::new(DeviceConfig {
                 parallelism,
@@ -1631,7 +1628,7 @@ mod tests {
             });
             let prov = AddMultProb::new();
             let mut wide = Database::new(compiled.ram.schemas.clone(), prov);
-            let mut packed = Database::new_encoded(compiled.ram.schemas.clone(), prov, &spec);
+            let mut packed = Database::from_plan(&plan, prov);
             for db in [&mut wide, &mut packed] {
                 for (i, w) in names.windows(2).enumerate() {
                     let p = 0.5 + (i as f64) / 200.0;
@@ -1754,7 +1751,7 @@ mod tests {
 
     #[test]
     fn one_word_candidates_are_bit_identical_to_full_width_ones() {
-        use crate::database::EncodingSpec;
+        use crate::database::StoragePlan;
 
         // A dense random digraph under `addmultprob`: a path is derived many
         // times per iteration and float addition is order-sensitive, so the
@@ -1776,10 +1773,7 @@ mod tests {
                 ((i % nodes) as u32, (next() % nodes) as u32, p)
             })
             .collect();
-        let spec = EncodingSpec {
-            symbol_constants: compiled.ram.symbol_constants(),
-            widen_u32: compiled.ram.has_u32_arithmetic(),
-        };
+        let plan = StoragePlan::for_program(&compiled.ram);
         for parallelism in [1, 4] {
             let device = Device::new(DeviceConfig {
                 parallelism,
@@ -1788,7 +1782,7 @@ mod tests {
             });
             let prov = AddMultProb::new();
             let mut wide = Database::new(compiled.ram.schemas.clone(), prov);
-            let mut packed = Database::new_encoded(compiled.ram.schemas.clone(), prov, &spec);
+            let mut packed = Database::from_plan(&plan, prov);
             assert_eq!(packed.storage_arity("path"), 1);
             assert_eq!(wide.storage_arity("path"), 2);
             let exec = Executor::new(device.clone(), prov, RuntimeOptions::default());

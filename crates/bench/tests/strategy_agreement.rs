@@ -4,8 +4,9 @@
 //! * **join strategy** — a join compiles to the merge path where sort-order
 //!   inference proves both inputs sorted on the key, and to the hash
 //!   build+probe path everywhere else;
-//! * **storage width** — relations are stored in packed, dictionary-encoded
-//!   columns unless the program does arithmetic over symbols.
+//! * **storage width** — every program's relations are stored in packed,
+//!   dictionary-encoded columns, `u32` lanes 4 bytes wide; full-width
+//!   storage survives only as the reference side here.
 //!
 //! Each must be invisible in the results: with identical seeded inputs the
 //! planned build and the hash-only build, and the encoded and the full-width
@@ -14,7 +15,7 @@
 //! across provenance kinds and device parallelism levels.
 //!
 //! There is no knob to flip, so both sides of each comparison are built here
-//! from `lobster_apm`'s parts: `Database::new` / `Database::new_encoded`,
+//! from `lobster_apm`'s parts: `Database::new` / `Database::from_plan`,
 //! the planned compile entry or the hidden `compile_stratum_hash_only` hook,
 //! and `Executor::run_stratum` per stratum, over the batch-transformed
 //! program with the facts as sample 0 — what `run_batch` executes.
@@ -30,8 +31,8 @@
 
 use lobster::{Device, DeviceConfig, FactSet, Output, SymbolTable, Value};
 use lobster_apm::{
-    batch_transform, compile_stratum_hash_only, compile_stratum_with_options, Database,
-    EncodingSpec, Executor, RuntimeOptions,
+    batch_transform, compile_stratum_hash_only, compile_stratum_with_options, Database, Executor,
+    RuntimeOptions, StoragePlan,
 };
 use lobster_provenance::{
     AddMultProb, DiffTop1Proof, InputFactRegistry, MaxMinProb, SessionProvenance, Unit,
@@ -93,14 +94,7 @@ fn fix_point<P: SessionProvenance>(
     let provenance = P::bind(registry.clone());
     let mut db = match storage {
         Storage::FullWidth => Database::new(ram.schemas.clone(), provenance.clone()),
-        Storage::Encoded => {
-            assert!(!ram.has_symbol_arithmetic(), "not eligible for encoding");
-            let spec = EncodingSpec {
-                symbol_constants: ram.symbol_constants(),
-                widen_u32: ram.has_u32_arithmetic(),
-            };
-            Database::new_encoded(ram.schemas.clone(), provenance.clone(), &spec)
-        }
+        Storage::Encoded => Database::from_plan(&StoragePlan::for_program(ram), provenance.clone()),
     };
     let mut row = Vec::new();
     for (relation, values, prob, exclusion) in facts.facts() {
@@ -341,6 +335,112 @@ fn clutrr_encoded_is_bit_identical() {
 #[test]
 fn cspa_encoded_is_bit_identical() {
     storage_differential("cspa", lobster_workloads::cspa::PROGRAM, &cspa_facts(23));
+}
+
+/// RNA SSP: `u32` arithmetic in a recursive stratum (`i2 == i + 1`), with
+/// the spans it computes stored in 4-byte lanes.
+#[test]
+fn rna_encoded_is_bit_identical() {
+    let mut rng = StdRng::seed_from_u64(25);
+    let sample = lobster_workloads::rna::generate(24, &mut rng);
+    let facts = sample.facts().to_fact_set();
+    storage_differential("rna-ssp", lobster_workloads::rna::PROGRAM, &facts);
+}
+
+/// PacMan: `u32` arithmetic over grid coordinates, and the arity-4 `move`
+/// relation that packs into two words.
+#[test]
+fn pacman_encoded_is_bit_identical() {
+    let mut rng = StdRng::seed_from_u64(26);
+    let sample = lobster_workloads::pacman::generate(6, &mut rng);
+    let facts = sample.facts().to_fact_set();
+    storage_differential("pacman", lobster_workloads::pacman::PROGRAM, &facts);
+}
+
+/// `u32` arithmetic that overflows — sums past 2³², differences below 0,
+/// products of two 2¹⁶ values — over random values near both ends of the
+/// range: every result wraps at 32 bits, so it fits its 4-byte lane and
+/// meets the facts of the same value.
+#[test]
+fn overflowing_u32_arithmetic_encoded_is_bit_identical() {
+    let source = "type a(y: u32)
+        type r(x: u32)
+        type p(x: u32, y: u32)
+        rel r(x) = a(y), x == y + 4294967295
+        rel r(x) = a(y), x == y - 1
+        rel r(x) = r(y), x == y * 65536
+        rel zero(x, y) = p(x, y), x * y == 0
+        query r
+        query zero";
+    let mut rng = StdRng::seed_from_u64(27);
+    let value = |rng: &mut StdRng| match rng.gen_range(0..3) {
+        0 => rng.gen_range(0..8),
+        1 => u32::MAX - rng.gen_range(0..8),
+        _ => rng.gen_range(1..5) << 16,
+    };
+    let mut facts = FactSet::new();
+    for _ in 0..40 {
+        let (a, r) = (value(&mut rng), value(&mut rng));
+        facts.add("a", &[Value::U32(a)], Some(rng.gen_range(0.3..1.0)));
+        facts.add("r", &[Value::U32(r)], Some(rng.gen_range(0.3..1.0)));
+        let (x, y) = (value(&mut rng), value(&mut rng));
+        facts.add("p", &[Value::U32(x), Value::U32(y)], Some(0.5));
+    }
+    storage_differential("overflowing-u32", source, &facts);
+}
+
+/// The storage words of the nine suite programs' plain (unbatched)
+/// relations: every program is planned the same way, `u32` lanes 4 bytes
+/// wide whether or not its rules do `u32` arithmetic (PacMan, HWF and RNA
+/// SSP do).
+#[test]
+fn suite_storage_words_are_pinned() {
+    let expected = [
+        ("Pathfinder", 3),
+        ("PacMan-Maze", 8),
+        ("HWF", 7),
+        ("CLUTRR", 8),
+        ("Prob. Static Analysis", 12),
+        ("RNA SSP", 3),
+        ("Transitive Closure", 2),
+        ("Same Generation", 2),
+        ("CSPA", 5),
+    ];
+    let suite = lobster_workloads::suite::table2();
+    assert_eq!(suite.len(), expected.len());
+    let mut one_word = 0;
+    for (info, (name, want)) in suite.iter().zip(expected) {
+        assert_eq!(info.name, name);
+        let ram = lobster_datalog::parse(info.program).unwrap().ram;
+        let plan = StoragePlan::for_program(&ram);
+        let words: Vec<usize> = ram
+            .schemas
+            .keys()
+            .map(|relation| plan.layout(relation).unwrap().packed_arity())
+            .collect();
+        assert_eq!(words.iter().sum::<usize>(), want, "{name}");
+        one_word += words.iter().filter(|&&w| w == 1).count();
+    }
+    assert_eq!(one_word, 38);
+
+    // Lane bytes per group of two programs without arithmetic, as they
+    // always were: TC's two `u32`s share a word, CLUTRR's three take two.
+    let lanes = |source: &str, relation: &str| -> Vec<Vec<usize>> {
+        let ram = lobster_datalog::parse(source).unwrap().ram;
+        let plan = StoragePlan::for_program(&ram);
+        let groups = &plan.layout(relation).unwrap().groups;
+        groups
+            .iter()
+            .map(|g| g.lanes.iter().map(|l| l.bytes).collect())
+            .collect()
+    };
+    let tc = lobster_workloads::graphs::TRANSITIVE_CLOSURE;
+    assert_eq!(lanes(tc, "path"), [vec![4, 4]]);
+    assert_eq!(lanes(tc, "edge"), [vec![4, 4]]);
+    let clutrr = lobster_workloads::clutrr::PROGRAM;
+    for relation in ["kinship", "composition", "derived"] {
+        assert_eq!(lanes(clutrr, relation), [vec![4, 4], vec![4]], "{relation}");
+    }
 }
 
 /// Symbol-keyed reachability with a symbol constant in a rule body: the

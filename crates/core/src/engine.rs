@@ -398,7 +398,7 @@ impl<P: SessionProvenance> AnyEngine for Engine<P> {
 mod tests {
     use super::*;
     use crate::program::Lobster;
-    use lobster_apm::{EncodingSpec, RuntimeOptions};
+    use lobster_apm::{RuntimeOptions, StoragePlan};
     use lobster_provenance::Output;
     use lobster_ram::{RamProgram, Tuple};
 
@@ -427,11 +427,7 @@ mod tests {
     fn by_hand<P: SessionProvenance>(ram: &RamProgram) -> Rows {
         let registry = InputFactRegistry::new();
         let provenance = P::bind(registry.clone());
-        let spec = EncodingSpec {
-            symbol_constants: ram.symbol_constants(),
-            widen_u32: ram.has_u32_arithmetic(),
-        };
-        let mut db = Database::new_encoded(ram.schemas.clone(), provenance.clone(), &spec);
+        let mut db = Database::from_plan(&StoragePlan::for_program(ram), provenance.clone());
         for (x, y, p) in EDGES {
             let id = registry.register(Some(p), None);
             let tag = provenance.input_tag(id, Some(p));

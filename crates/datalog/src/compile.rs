@@ -150,6 +150,9 @@ pub fn compile(items: &[Item]) -> Result<CompiledProgram, DatalogError> {
 }
 
 /// Evaluates a constant expression into a [`Value`] of the expected type.
+/// A literal must be of a kind that fits the type: an integer fits `u32`
+/// (when in range), `i64` and `f64`; a float `f64`; a bool `bool`; a string
+/// `symbol`. Anything else is a semantic error, never a coercion.
 fn const_value(
     expr: &Expr,
     expected: ValueType,
@@ -167,9 +170,13 @@ fn const_value(
         (Expr::Int(v), ValueType::I64) => Value::I64(*v),
         (Expr::Int(v), ValueType::F64) => Value::F64(*v as f64),
         (Expr::Float(v), ValueType::F64) => Value::F64(*v),
-        (Expr::Float(v), _) => Value::F64(*v),
-        (Expr::Bool(v), _) => Value::Bool(*v),
-        (Expr::Str(s), _) => Value::Symbol(symbols.intern(s)),
+        (Expr::Bool(v), ValueType::Bool) => Value::Bool(*v),
+        (Expr::Str(s), ValueType::Symbol) => Value::Symbol(symbols.intern(s)),
+        (Expr::Int(_) | Expr::Float(_) | Expr::Bool(_) | Expr::Str(_), _) => {
+            return Err(DatalogError::semantic(format!(
+                "constant {expr:?} does not fit a `{expected}` column"
+            )))
+        }
         (Expr::Neg(inner), ValueType::I64) => {
             let v = const_value(inner, ValueType::I64, symbols)?;
             match v {
@@ -193,7 +200,6 @@ fn const_value(
                 }
             })
         }
-        (Expr::Int(v), _) => Value::U32(u32::try_from(*v).unwrap_or(0)),
         other => {
             return Err(DatalogError::semantic(format!(
                 "unsupported constant expression {other:?}"

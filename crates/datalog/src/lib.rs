@@ -23,6 +23,21 @@
 //! (`z == x + 1`). Negation and aggregation are not supported (none of the
 //! paper's benchmarks require them).
 //!
+//! # Semantics of values
+//!
+//! * `u32` arithmetic wraps at 32 bits: `y - 1` at `y = 0` is 4294967295,
+//!   and `x * y` at 65536 × 65536 is 0. `i64` wraps at 64 bits, and `f64`
+//!   follows IEEE 754.
+//! * Integer `/` and `%` by zero give 0.
+//! * `+ - * / %` and negation apply to `u32`, `i64` and `f64` only.
+//!   Arithmetic over `symbol` or `bool` operands is a compile error: a
+//!   symbol is a name, not a number.
+//! * A literal must be of a kind its column type holds. An integer fits
+//!   `u32` (when in range), `i64` and `f64`; a float fits `f64`; `true` /
+//!   `false` fit `bool`; a string fits `symbol`. Anything else, such as
+//!   `r(5)` with `r(x: symbol)` or `r(true)` with `r(x: u32)`, is a compile
+//!   error, never a coercion.
+//!
 //! # Example
 //!
 //! ```

@@ -181,16 +181,11 @@ pub struct RelationLayout {
 
 impl RelationLayout {
     /// Plans the layout for a column type list, narrowing `Symbol` columns
-    /// to `sym_bytes` (the dictionary width) and `U32` columns to
-    /// `u32_bytes`.
-    ///
-    /// `u32_bytes` is 4 normally, but callers must pass 8 when the program
-    /// performs arithmetic at `u32` operand type: the expression machine
-    /// computes `u32` arithmetic at full word width without masking, so the
-    /// full-width path can legitimately store >32-bit words in a `u32`
-    /// column — narrowing those would change dedup/join behavior and break
-    /// bit-identity with the unencoded path.
-    pub fn plan(types: &[ValueType], sym_bytes: usize, u32_bytes: usize) -> RelationLayout {
+    /// to `sym_bytes` (the dictionary width) and every other column to its
+    /// [`ValueType::physical_width`]. A `u32` lane is 4 bytes in every
+    /// program: `u32` arithmetic wraps at 32 bits, so no column holds a
+    /// wider word.
+    pub fn plan(types: &[ValueType], sym_bytes: usize) -> RelationLayout {
         let mut groups: Vec<Group> = Vec::new();
         let mut current: Vec<(usize, usize, bool)> = Vec::new(); // (column, bytes, symbol)
         let mut used = 0usize;
@@ -216,10 +211,10 @@ impl RelationLayout {
         };
         for (column, ty) in types.iter().enumerate() {
             let symbol = *ty == ValueType::Symbol;
-            let bytes = match ty {
-                ValueType::Symbol => sym_bytes,
-                ValueType::U32 => u32_bytes,
-                _ => ty.physical_width(),
+            let bytes = if symbol {
+                sym_bytes
+            } else {
+                ty.physical_width()
             };
             if used + bytes > 8 {
                 flush(&mut current, &mut groups);
@@ -311,7 +306,7 @@ mod tests {
     #[test]
     fn layout_packs_greedily_and_preserves_order() {
         // u32, u32 → one group with lanes at shifts 32 and 0.
-        let layout = RelationLayout::plan(&[ValueType::U32, ValueType::U32], 4, 4);
+        let layout = RelationLayout::plan(&[ValueType::U32, ValueType::U32], 4);
         assert_eq!(layout.packed_arity(), 1);
         let g = &layout.groups[0];
         assert_eq!(g.lanes[0].shift, 32);
@@ -335,7 +330,6 @@ mod tests {
                 ValueType::Symbol,
             ],
             1,
-            4,
         );
         assert_eq!(layout.packed_arity(), 2);
         assert_eq!(layout.groups[0].lanes.len(), 1);
@@ -348,7 +342,7 @@ mod tests {
 
     #[test]
     fn full_width_layout_is_identity() {
-        let layout = RelationLayout::plan(&[ValueType::F64, ValueType::I64], 4, 4);
+        let layout = RelationLayout::plan(&[ValueType::F64, ValueType::I64], 4);
         assert_eq!(layout.packed_arity(), 2);
         assert!(layout.is_identity());
         assert!(!layout.has_symbols());
@@ -356,7 +350,7 @@ mod tests {
 
     #[test]
     fn empty_schema_packs_to_nothing() {
-        let layout = RelationLayout::plan(&[], 4, 4);
+        let layout = RelationLayout::plan(&[], 4);
         assert_eq!(layout.packed_arity(), 0);
         assert!(layout.is_identity());
     }

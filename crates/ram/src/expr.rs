@@ -48,6 +48,15 @@ impl BinaryOp {
             BinaryOp::Eq | BinaryOp::Ne | BinaryOp::Lt | BinaryOp::Le | BinaryOp::Gt | BinaryOp::Ge
         )
     }
+
+    /// Whether the operator computes a number from its operands' magnitudes
+    /// (`+ - * / %`), as opposed to comparing or combining truth values.
+    pub(crate) fn is_arithmetic(self) -> bool {
+        matches!(
+            self,
+            BinaryOp::Add | BinaryOp::Sub | BinaryOp::Mul | BinaryOp::Div | BinaryOp::Rem
+        )
+    }
 }
 
 /// Unary operators usable in expressions.
@@ -155,40 +164,6 @@ impl ScalarExpr {
                 rhs.symbol_consts(out);
             }
             ScalarExpr::Unary { expr, .. } => expr.symbol_consts(out),
-        }
-    }
-
-    /// `true` when the expression applies an arithmetic operator (add, sub,
-    /// mul, div, rem, or negation) at `Symbol` or `Bool` operand type —
-    /// which silently treats interned ids / truth values as machine words.
-    pub fn has_symbol_arithmetic(&self) -> bool {
-        match self {
-            ScalarExpr::Col(_) | ScalarExpr::Const(_) => false,
-            ScalarExpr::Binary { op, ty, lhs, rhs } => {
-                (is_arithmetic_op(*op) && is_id_type(*ty))
-                    || lhs.has_symbol_arithmetic()
-                    || rhs.has_symbol_arithmetic()
-            }
-            ScalarExpr::Unary { op, ty, expr } => {
-                (*op == UnaryOp::Neg && is_id_type(*ty)) || expr.has_symbol_arithmetic()
-            }
-        }
-    }
-
-    /// `true` when the expression applies an arithmetic operator at `u32`
-    /// operand type (computed at unmasked 64-bit width — see
-    /// [`ExprProgram::has_u32_arithmetic`]).
-    pub fn has_u32_arithmetic(&self) -> bool {
-        match self {
-            ScalarExpr::Col(_) | ScalarExpr::Const(_) => false,
-            ScalarExpr::Binary { op, ty, lhs, rhs } => {
-                (is_arithmetic_op(*op) && *ty == ValueType::U32)
-                    || lhs.has_u32_arithmetic()
-                    || rhs.has_u32_arithmetic()
-            }
-            ScalarExpr::Unary { op, ty, expr } => {
-                (*op == UnaryOp::Neg && *ty == ValueType::U32) || expr.has_u32_arithmetic()
-            }
         }
     }
 
@@ -302,16 +277,6 @@ impl ExprProgram {
             .any(|op| matches!(op, ByteOp::PushSymConst(_)))
     }
 
-    /// The compiled-bytecode variant of
-    /// [`ScalarExpr::has_symbol_arithmetic`].
-    pub fn has_symbol_arithmetic(&self) -> bool {
-        self.ops.iter().any(|op| match op {
-            ByteOp::Binary(op, ty) => is_arithmetic_op(*op) && is_id_type(*ty),
-            ByteOp::Unary(UnaryOp::Neg, ty) => is_id_type(*ty),
-            _ => false,
-        })
-    }
-
     /// The global ids of every symbol constant in the program.
     pub fn symbol_consts(&self, out: &mut Vec<u32>) {
         for op in &self.ops {
@@ -319,19 +284,6 @@ impl ExprProgram {
                 out.push(*id);
             }
         }
-    }
-
-    /// `true` when the program applies an arithmetic operator at `u32`
-    /// operand type. Such operations compute at full 64-bit word width
-    /// without masking (overflow wraps at 64, not 32, bits), so storage must
-    /// not narrow `u32` columns while any rule can feed them arithmetic
-    /// results — see `RelationLayout::plan`.
-    pub fn has_u32_arithmetic(&self) -> bool {
-        self.ops.iter().any(|op| match op {
-            ByteOp::Binary(op, ValueType::U32) => is_arithmetic_op(*op),
-            ByteOp::Unary(UnaryOp::Neg, ValueType::U32) => true,
-            _ => false,
-        })
     }
 
     /// Number of instructions.
@@ -343,20 +295,6 @@ impl ExprProgram {
     pub fn is_empty(&self) -> bool {
         self.ops.is_empty()
     }
-}
-
-/// Operators whose result depends on the numeric magnitude of the operands
-/// (as opposed to comparisons, which only need a consistent ordering).
-fn is_arithmetic_op(op: BinaryOp) -> bool {
-    matches!(
-        op,
-        BinaryOp::Add | BinaryOp::Sub | BinaryOp::Mul | BinaryOp::Div | BinaryOp::Rem
-    )
-}
-
-/// Types whose words are identifiers or truth values, not numbers.
-fn is_id_type(ty: ValueType) -> bool {
-    matches!(ty, ValueType::Symbol | ValueType::Bool)
 }
 
 fn apply_binary(op: BinaryOp, ty: ValueType, a: u64, b: u64) -> u64 {
@@ -398,13 +336,16 @@ fn apply_binary(op: BinaryOp, ty: ValueType, a: u64, b: u64) -> u64 {
                 Or => u64::from(x != 0 || y != 0),
             }
         }
-        // U32, Symbol, and Bool all use unsigned word semantics.
+        // U32, Symbol, and Bool are 32-bit words: arithmetic wraps at 32
+        // bits, so no result is a word its column type cannot hold. (The
+        // validator rejects arithmetic over symbols and bools; the mask
+        // keeps even a hand-built program inside the type.)
         _ => match op {
-            Add => a.wrapping_add(b),
-            Sub => a.wrapping_sub(b),
-            Mul => a.wrapping_mul(b),
-            Div => a.checked_div(b).unwrap_or(0),
-            Rem => a.checked_rem(b).unwrap_or(0),
+            Add => u64::from((a as u32).wrapping_add(b as u32)),
+            Sub => u64::from((a as u32).wrapping_sub(b as u32)),
+            Mul => u64::from((a as u32).wrapping_mul(b as u32)),
+            Div => u64::from((a as u32).checked_div(b as u32).unwrap_or(0)),
+            Rem => u64::from((a as u32).checked_rem(b as u32).unwrap_or(0)),
             Eq => u64::from(a == b),
             Ne => u64::from(a != b),
             Lt => u64::from(a < b),
@@ -421,7 +362,7 @@ fn apply_unary(op: UnaryOp, ty: ValueType, a: u64) -> u64 {
     match (op, ty) {
         (UnaryOp::Neg, ValueType::F64) => (-f64::from_bits(a)).to_bits(),
         (UnaryOp::Neg, ValueType::I64) => (a as i64).wrapping_neg() as u64,
-        (UnaryOp::Neg, _) => a.wrapping_neg(),
+        (UnaryOp::Neg, _) => u64::from((a as u32).wrapping_neg()),
         (UnaryOp::Not, _) => u64::from(a == 0),
     }
 }
@@ -519,27 +460,6 @@ impl RowProjection {
         }
     }
 
-    /// `true` when any output expression or the filter applies arithmetic at
-    /// `Symbol` or `Bool` operand type (see
-    /// [`ScalarExpr::has_symbol_arithmetic`]).
-    pub fn has_symbol_arithmetic(&self) -> bool {
-        self.programs.iter().any(ExprProgram::has_symbol_arithmetic)
-            || self
-                .filter
-                .as_ref()
-                .is_some_and(ExprProgram::has_symbol_arithmetic)
-    }
-
-    /// `true` when any output expression or the filter applies arithmetic at
-    /// `u32` operand type (see [`ExprProgram::has_u32_arithmetic`]).
-    pub fn has_u32_arithmetic(&self) -> bool {
-        self.programs.iter().any(ExprProgram::has_u32_arithmetic)
-            || self
-                .filter
-                .as_ref()
-                .is_some_and(ExprProgram::has_u32_arithmetic)
-    }
-
     /// A copy of the projection with every symbol constant rewritten through
     /// `f` (see [`ExprProgram::map_symbol_consts`]).
     pub fn map_symbol_consts(&self, f: &dyn Fn(u32) -> u64) -> RowProjection {
@@ -568,6 +488,18 @@ mod tests {
             ScalarExpr::Const(Value::U32(5)),
         );
         assert_eq!(e.compile().eval(&[10]), 15);
+        // Every `u32` result wraps at 32 bits, never at the 64-bit word.
+        let max = u64::from(u32::MAX);
+        assert_eq!(e.compile().eval(&[max]), 4);
+        let at = |op, a, b| {
+            let e = ScalarExpr::binary(op, ValueType::U32, ScalarExpr::Col(0), ScalarExpr::Col(1));
+            e.compile().eval(&[a, b])
+        };
+        assert_eq!(at(BinaryOp::Sub, 0, 1), max);
+        assert_eq!(at(BinaryOp::Mul, 65_536, 65_536), 0);
+        assert_eq!(at(BinaryOp::Add, 1, max), 0);
+        let neg = ScalarExpr::unary(UnaryOp::Neg, ValueType::U32, ScalarExpr::Col(0));
+        assert_eq!(neg.compile().eval(&[1]), max);
     }
 
     #[test]

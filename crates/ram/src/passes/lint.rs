@@ -13,12 +13,6 @@
 //!   returns: facts inserted there are dead weight;
 //! * `constant-false-filter` — a selection or projection filter that
 //!   references no columns and evaluates to false, making the rule a no-op;
-//! * `symbol-arithmetic` — an expression applies `+ - * / %` or negation at
-//!   `symbol` or `bool` operand type, silently treating interned ids (or
-//!   truth values) as machine words; besides being almost certainly a
-//!   front-end mistake, it pins the program to full-width execution because
-//!   dictionary-encoded symbol ranks are only order-preserving, not
-//!   magnitude-preserving;
 //! * `dead-rule` — a rule that cannot reach any declared output (see
 //!   [`super::liveness`]).
 
@@ -112,20 +106,15 @@ pub fn lint_program(ram: &RamProgram) -> Vec<Diagnostic> {
                     rule: Some(at()),
                     message: "width-0 join is a cartesian product".into(),
                 }),
-                RamExpr::Select { cond, .. } => {
-                    if is_constant_false(cond) {
-                        report.push(Diagnostic {
-                            severity: Severity::Warning,
-                            code: "constant-false-filter",
-                            rule: Some(at()),
-                            message: "selection condition is constant false; \
-                                      the rule derives nothing"
-                                .into(),
-                        });
-                    }
-                    if cond.has_symbol_arithmetic() {
-                        report.push(symbol_arithmetic(at(), "selection condition"));
-                    }
+                RamExpr::Select { cond, .. } if is_constant_false(cond) => {
+                    report.push(Diagnostic {
+                        severity: Severity::Warning,
+                        code: "constant-false-filter",
+                        rule: Some(at()),
+                        message: "selection condition is constant false; \
+                                  the rule derives nothing"
+                            .into(),
+                    });
                 }
                 RamExpr::Project { proj, .. } => {
                     if let Some(filter) = &proj.filter {
@@ -139,9 +128,6 @@ pub fn lint_program(ram: &RamProgram) -> Vec<Diagnostic> {
                                     .into(),
                             });
                         }
-                    }
-                    if proj.has_symbol_arithmetic() {
-                        report.push(symbol_arithmetic(at(), "projection"));
                     }
                 }
                 _ => {}
@@ -181,21 +167,6 @@ pub fn lint_program(ram: &RamProgram) -> Vec<Diagnostic> {
         });
     }
     report
-}
-
-/// Builds the `symbol-arithmetic` diagnostic for one offending site.
-fn symbol_arithmetic(rule: RuleRef, site: &str) -> Diagnostic {
-    Diagnostic {
-        severity: Severity::Warning,
-        code: "symbol-arithmetic",
-        rule: Some(rule),
-        message: format!(
-            "{site} applies arithmetic to `symbol`/`bool` operands, \
-             treating interned ids as machine words; the result is \
-             id-assignment dependent and the program falls back to \
-             full-width (unencoded) columnar execution"
-        ),
-    }
 }
 
 /// A condition with no column references that evaluates to false.
@@ -365,15 +336,17 @@ mod tests {
             }],
             outputs: vec!["out".into()],
         };
+        // Arithmetic over symbols is an IR error, reported once per site
+        // with the rule it is in.
         let report = lint_program(&ram);
-        let hits: Vec<&Diagnostic> = report
+        assert_eq!(report.len(), 2, "{report:?}");
+        assert!(report
             .iter()
-            .filter(|d| d.code == "symbol-arithmetic")
-            .collect();
-        assert_eq!(hits.len(), 2, "{report:?}");
-        assert!(hits.iter().all(|d| d.severity == Severity::Warning));
-        assert!(hits[0].message.contains("selection condition"));
-        assert!(hits[1].message.contains("projection"));
+            .all(|d| d.code == "invalid-ir" && d.severity == Severity::Error));
+        assert!(report[0].message.contains("in selection predicate"));
+        assert_eq!(report[0].rule.as_ref().unwrap().rule, 0);
+        assert!(report[1].message.contains("in output column 0"));
+        assert_eq!(report[1].rule.as_ref().unwrap().rule, 1);
 
         // Pure comparisons over symbols are order-preserving and stay clean.
         let clean = RamProgram {
@@ -404,9 +377,7 @@ mod tests {
             }],
             outputs: vec!["out".into()],
         };
-        assert!(lint_program(&clean)
-            .iter()
-            .all(|d| d.code != "symbol-arithmetic"));
+        assert!(lint_program(&clean).is_empty());
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! coarse structural errors (unknown relations, rule-vs-target arity, join
 //! width). This pass goes further: it checks every column reference of every
 //! projection and selection against the arity of its input, type-checks
-//! scalar expressions against the relation schemas, and verifies that join
+//! scalar expressions against the relation schemas (arithmetic over symbols
+//! or bools is an error), and verifies that join
 //! keys and union/intersect sides agree column-by-column. Errors carry rule
 //! provenance, so a malformed rewrite is reported as "stratum 2, rule 1
 //! (`value_alias`): …" instead of surfacing as executor misbehaviour at
@@ -12,7 +13,8 @@
 
 use super::RuleRef;
 use crate::{
-    BinaryOp, ByteOp, ExprProgram, RamExpr, RamProgram, RowProjection, ScalarExpr, ValueType,
+    BinaryOp, ByteOp, ExprProgram, RamExpr, RamProgram, RowProjection, ScalarExpr, UnaryOp,
+    ValueType,
 };
 use std::fmt;
 
@@ -61,6 +63,15 @@ pub enum IrErrorKind {
         /// The type found instead.
         found: ValueType,
     },
+    /// `+ - * / %` or negation at `symbol` or `bool` operand type. A symbol
+    /// is a name and a bool a truth value: the result would read an interned
+    /// id, which depends on interning order, as a number.
+    NonNumericArithmetic {
+        /// Where the operator was found.
+        context: String,
+        /// The operand type it was applied at.
+        ty: ValueType,
+    },
 }
 
 impl fmt::Display for IrErrorKind {
@@ -85,6 +96,11 @@ impl fmt::Display for IrErrorKind {
                 expected,
                 found,
             } => write!(f, "type mismatch in {context}: {expected} vs {found}"),
+            IrErrorKind::NonNumericArithmetic { context, ty } => write!(
+                f,
+                "arithmetic over `{ty}` operands in {context}: \
+                 only u32, i64 and f64 are numbers"
+            ),
         }
     }
 }
@@ -303,12 +319,14 @@ fn check_program(
                 for operand in [a, b].into_iter().flatten() {
                     check_operand(operand, *ty, context, push);
                 }
+                check_arithmetic(op.is_arithmetic(), *ty, context, push);
                 stack.push(Some(result_type(Some(*op), *ty)));
             }
-            ByteOp::Unary(_, ty) => {
+            ByteOp::Unary(op, ty) => {
                 if let Some(operand) = stack.pop().flatten() {
                     check_operand(operand, *ty, context, push);
                 }
+                check_arithmetic(*op == UnaryOp::Neg, *ty, context, push);
                 stack.push(Some(*ty));
             }
         }
@@ -342,14 +360,32 @@ fn check_scalar(
                     check_operand(t, *ty, "selection predicate", push);
                 }
             }
+            check_arithmetic(op.is_arithmetic(), *ty, "selection predicate", push);
             Some(result_type(Some(*op), *ty))
         }
-        ScalarExpr::Unary { ty, expr, .. } => {
+        ScalarExpr::Unary { op, ty, expr } => {
             if let Some(t) = check_scalar(expr, input_types, push) {
                 check_operand(t, *ty, "selection predicate", push);
             }
+            check_arithmetic(*op == UnaryOp::Neg, *ty, "selection predicate", push);
             Some(*ty)
         }
+    }
+}
+
+/// Rejects an arithmetic operator (`arithmetic` set) annotated with a type
+/// that is not a number.
+fn check_arithmetic(
+    arithmetic: bool,
+    ty: ValueType,
+    context: &str,
+    push: &mut impl FnMut(IrErrorKind),
+) {
+    if arithmetic && matches!(ty, ValueType::Symbol | ValueType::Bool) {
+        push(IrErrorKind::NonNumericArithmetic {
+            context: context.to_string(),
+            ty,
+        });
     }
 }
 

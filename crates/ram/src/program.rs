@@ -296,44 +296,19 @@ impl RamProgram {
         ids
     }
 
-    /// `true` when any rule applies arithmetic at `Symbol`/`Bool` operand
-    /// type (the `symbol-arithmetic` lint). Dictionary-encoding runtimes
-    /// must fall back to full-width storage for such programs: arithmetic
-    /// over raw interner ids is not invariant under re-encoding.
+    /// A name `benchmark/` still spells; always `false`, because the
+    /// validator rejects arithmetic over symbols. The next change to
+    /// `benchmark/` drops it (ROADMAP item 4).
+    #[doc(hidden)]
     pub fn has_symbol_arithmetic(&self) -> bool {
-        self.any_rule_expr(|node| match node {
-            RamExpr::Select { cond, .. } => cond.has_symbol_arithmetic(),
-            RamExpr::Project { proj, .. } => proj.has_symbol_arithmetic(),
-            _ => false,
-        })
+        false
     }
 
-    /// `true` when any rule applies arithmetic at `u32` operand type. Such
-    /// arithmetic is computed at unmasked 64-bit width, so encoded storage
-    /// must keep `u32` lanes 8 bytes wide (see
-    /// `lobster_ram::RelationLayout::plan`).
+    /// Likewise: storage no longer depends on `u32` arithmetic, so this is
+    /// always `false`.
+    #[doc(hidden)]
     pub fn has_u32_arithmetic(&self) -> bool {
-        self.any_rule_expr(|node| match node {
-            RamExpr::Select { cond, .. } => cond.has_u32_arithmetic(),
-            RamExpr::Project { proj, .. } => proj.has_u32_arithmetic(),
-            _ => false,
-        })
-    }
-
-    /// Visits every rule expression node, returning `true` as soon as
-    /// `pred` matches one.
-    fn any_rule_expr(&self, pred: impl Fn(&RamExpr) -> bool) -> bool {
-        let mut found = false;
-        for stratum in &self.strata {
-            for rule in &stratum.rules {
-                rule.expr.visit(&mut |node| {
-                    if pred(node) {
-                        found = true;
-                    }
-                });
-            }
-        }
-        found
+        false
     }
 
     /// The arity of a relation, if declared.
