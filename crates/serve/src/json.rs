@@ -7,11 +7,19 @@
 //! preserves object key order, a strict parser, and a writer whose output
 //! round-trips through the parser.
 //!
-//! Numbers are held as `f64`. Every integer the protocol carries (u32
-//! values, counters, fact ids) fits `f64` exactly up to 2^53; 64-bit values
-//! above that lose precision and are therefore transported as strings by the
-//! protocol layer, not by this module.
+//! Both halves are built on crate-private pieces the wire path uses
+//! directly: one pull tokenizer, which [`parse`] drives to build a tree and
+//! the server drives to decode a `run` request straight into facts, and one
+//! set of writer primitives, through which the tree writer and the wire
+//! encoder write the same bytes for the same values.
+//!
+//! Numbers follow RFC 8259 §6 (no leading zeros, no bare `.`, a digit on
+//! each side of the point) and are held as `f64`. Every integer the
+//! protocol carries (u32 values, counters, fact ids) fits `f64` exactly up
+//! to 2^53; 64-bit values above that lose precision and are therefore
+//! transported as strings by the protocol layer, not by this module.
 
+use std::borrow::Cow;
 use std::fmt::{self, Write as _};
 
 /// A parsed JSON value. Object keys keep their insertion order, so a
@@ -104,8 +112,13 @@ impl Json {
     /// Serializes the value on one line.
     pub fn to_compact(&self) -> String {
         let mut out = String::new();
-        write_value(self, &mut out, None, 0);
+        self.write_compact(&mut out);
         out
+    }
+
+    /// Appends the value's [`Json::to_compact`] form to `out`.
+    pub(crate) fn write_compact(&self, out: &mut String) {
+        write_value(self, out, None, 0);
     }
 
     /// Serializes the value with 2-space indentation.
@@ -182,45 +195,60 @@ impl std::error::Error for JsonError {}
 ///
 /// Returns a [`JsonError`] pointing at the first offending byte.
 pub fn parse(input: &str) -> Result<Json, JsonError> {
-    parse_bytes(input.as_bytes())
+    let mut tokens = Tokens::new(input);
+    tokens.skip_ws();
+    let value = tokens.value(0)?;
+    tokens.finish()?;
+    Ok(value)
 }
 
 /// Parses a complete JSON document from raw bytes, as read off a socket.
 ///
-/// Structure is ASCII, so validation happens where non-ASCII bytes can
-/// legally appear: invalid UTF-8 inside a string literal is reported at that
-/// string, and a stray non-ASCII byte anywhere else fails as an unexpected
-/// character — either way the connection thread gets a [`JsonError`] instead
-/// of a panic.
+/// Bytes that are not UTF-8 are reported where they start, so the
+/// connection thread gets a [`JsonError`] instead of a panic.
 ///
 /// # Errors
 ///
 /// Returns a [`JsonError`] pointing at the first offending byte.
 pub fn parse_bytes(input: &[u8]) -> Result<Json, JsonError> {
-    let mut parser = Parser {
-        bytes: input,
-        pos: 0,
-    };
-    parser.skip_ws();
-    let value = parser.value(0)?;
-    parser.skip_ws();
-    if parser.pos != parser.bytes.len() {
-        return Err(parser.err("trailing characters after the document"));
-    }
-    Ok(value)
+    let text = std::str::from_utf8(input).map_err(|e| JsonError {
+        at: e.valid_up_to(),
+        message: "invalid UTF-8".to_string(),
+    })?;
+    parse(text)
 }
 
 /// Nesting ceiling: the protocol's documents are a few levels deep; a
 /// recursion bomb in a request must not overflow the connection thread's
 /// stack.
-const MAX_DEPTH: usize = 64;
+pub(crate) const MAX_DEPTH: usize = 64;
 
-struct Parser<'a> {
+/// Integers of up to this many digits are accumulated exactly (they are
+/// below 2^53) instead of going through `f64::from_str`.
+const EXACT_DIGITS: usize = 15;
+
+/// The one JSON tokenizer: a cursor over a document that reads it piece by
+/// piece. [`parse`] builds a [`Json`] tree with it; the wire decoder walks a
+/// request with the same calls and builds no tree, so both accept and
+/// reject the same bytes at the same offsets.
+///
+/// The cursor stops only on ASCII bytes, so every slice it hands out falls
+/// on `char` boundaries.
+pub(crate) struct Tokens<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
 
-impl<'a> Parser<'a> {
+impl<'a> Tokens<'a> {
+    pub(crate) fn new(text: &'a str) -> Self {
+        Tokens {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+        }
+    }
+
     fn err(&self, message: &str) -> JsonError {
         JsonError {
             at: self.pos,
@@ -228,17 +256,27 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn skip_ws(&mut self) {
+    pub(crate) fn skip_ws(&mut self) {
         while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.bytes.get(self.pos) {
             self.pos += 1;
         }
     }
 
-    fn peek(&self) -> Option<u8> {
+    /// After the document: only whitespace may follow.
+    pub(crate) fn finish(&mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        if self.pos == self.bytes.len() {
+            Ok(())
+        } else {
+            Err(self.err("trailing characters after the document"))
+        }
+    }
+
+    pub(crate) fn peek(&self) -> Option<u8> {
         self.bytes.get(self.pos).copied()
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), JsonError> {
+    fn eat(&mut self, b: u8) -> Result<(), JsonError> {
         if self.peek() == Some(b) {
             self.pos += 1;
             Ok(())
@@ -247,19 +285,133 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self, depth: usize) -> Result<Json, JsonError> {
+    /// Refuses a value at nesting `depth` past [`MAX_DEPTH`].
+    pub(crate) fn enter(&self, depth: usize) -> Result<(), JsonError> {
         if depth > MAX_DEPTH {
-            return Err(self.err("document nests too deep"));
+            Err(self.err("document nests too deep"))
+        } else {
+            Ok(())
         }
+    }
+
+    /// Opens the object at the cursor; `true` when a member follows.
+    pub(crate) fn begin_object(&mut self) -> Result<bool, JsonError> {
+        self.eat(b'{')?;
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(false);
+        }
+        Ok(true)
+    }
+
+    /// A member's key and its `:`, leaving the cursor at the value.
+    pub(crate) fn key(&mut self) -> Result<Cow<'a, str>, JsonError> {
+        self.skip_ws();
+        let key = self.string()?;
+        self.skip_ws();
+        self.eat(b':')?;
+        self.skip_ws();
+        Ok(key)
+    }
+
+    /// After a member's value: `true` when another member follows, `false`
+    /// once the object is closed.
+    pub(crate) fn next_member(&mut self) -> Result<bool, JsonError> {
+        self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(depth),
-            Some(b'[') => self.array(depth),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
+            Some(b',') => {
+                self.pos += 1;
+                Ok(true)
+            }
+            Some(b'}') => {
+                self.pos += 1;
+                Ok(false)
+            }
+            _ => Err(self.err("expected `,` or `}`")),
+        }
+    }
+
+    /// Opens the array at the cursor; `true` when an item follows, with the
+    /// cursor at it.
+    pub(crate) fn begin_array(&mut self) -> Result<bool, JsonError> {
+        self.eat(b'[')?;
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(false);
+        }
+        Ok(true)
+    }
+
+    /// After an item: `true` when another follows (the cursor is at it),
+    /// `false` once the array is closed.
+    pub(crate) fn next_item(&mut self) -> Result<bool, JsonError> {
+        self.skip_ws();
+        match self.peek() {
+            Some(b',') => {
+                self.pos += 1;
+                self.skip_ws();
+                Ok(true)
+            }
+            Some(b']') => {
+                self.pos += 1;
+                Ok(false)
+            }
+            _ => Err(self.err("expected `,` or `]`")),
+        }
+    }
+
+    /// The value at the cursor as a tree. A number, `true`, `false` or
+    /// `null` allocates nothing.
+    pub(crate) fn value(&mut self, depth: usize) -> Result<Json, JsonError> {
+        self.enter(depth)?;
+        match self.peek() {
+            Some(b'{') => {
+                let mut pairs = Vec::new();
+                if self.begin_object()? {
+                    loop {
+                        let key = self.key()?.into_owned();
+                        pairs.push((key, self.value(depth + 1)?));
+                        if !self.next_member()? {
+                            break;
+                        }
+                    }
+                }
+                Ok(Json::Obj(pairs))
+            }
+            Some(b'[') => {
+                let mut items = Vec::new();
+                if self.begin_array()? {
+                    loop {
+                        items.push(self.value(depth + 1)?);
+                        if !self.next_item()? {
+                            break;
+                        }
+                    }
+                }
+                Ok(Json::Arr(items))
+            }
+            Some(b'"') => Ok(Json::Str(self.string()?.into_owned())),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'n') => self.literal("null", Json::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
+            Some(b'-' | b'0'..=b'9') => self.number().map(Json::Num),
             _ => Err(self.err("expected a value")),
+        }
+    }
+
+    /// The string at the cursor, borrowed from the document unless it holds
+    /// escapes; anything else there is returned as its tree.
+    pub(crate) fn string_or_tree(
+        &mut self,
+        depth: usize,
+    ) -> Result<Result<Cow<'a, str>, Json>, JsonError> {
+        if self.peek() == Some(b'"') {
+            self.enter(depth)?;
+            self.string().map(Ok)
+        } else {
+            self.value(depth).map(Err)
         }
     }
 
@@ -272,15 +424,47 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn number(&mut self) -> Result<Json, JsonError> {
+    /// A number as RFC 8259 §6 spells it:
+    /// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`.
+    fn number(&mut self) -> Result<f64, JsonError> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        let negative = self.peek() == Some(b'-');
+        if negative {
             self.pos += 1;
         }
-        while let Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-') = self.peek() {
-            self.pos += 1;
+        let int_start = self.pos;
+        match self.peek() {
+            Some(b'0') => {
+                self.pos += 1;
+                if let Some(b'0'..=b'9') = self.peek() {
+                    return Err(self.err("leading zero in a number"));
+                }
+            }
+            Some(b'1'..=b'9') => self.digits()?,
+            _ => return Err(self.err("expected a digit")),
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii digits");
+        let int_end = self.pos;
+        let mut integral = true;
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            self.digits()?;
+            integral = false;
+        }
+        if let Some(b'e' | b'E') = self.peek() {
+            self.pos += 1;
+            if let Some(b'+' | b'-') = self.peek() {
+                self.pos += 1;
+            }
+            self.digits()?;
+            integral = false;
+        }
+        if integral && int_end - int_start <= EXACT_DIGITS {
+            let n = self.bytes[int_start..int_end]
+                .iter()
+                .fold(0u64, |n, d| n * 10 + u64::from(d - b'0')) as f64;
+            return Ok(if negative { -n } else { n });
+        }
+        let text = &self.text[start..self.pos];
         let n: f64 = text.parse().map_err(|_| JsonError {
             at: start,
             message: format!("malformed number `{text}`"),
@@ -291,29 +475,45 @@ impl<'a> Parser<'a> {
                 message: "number out of range".to_string(),
             });
         }
-        Ok(Json::Num(n))
+        Ok(n)
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let start = self.pos;
-            // Fast path: a run of plain bytes copied as one str slice.
-            while let Some(b) = self.peek() {
-                if b == b'"' || b == b'\\' || b < 0x20 {
-                    break;
-                }
-                self.pos += 1;
+    /// One or more ASCII digits.
+    fn digits(&mut self) -> Result<(), JsonError> {
+        let start = self.pos;
+        while let Some(b'0'..=b'9') = self.peek() {
+            self.pos += 1;
+        }
+        if self.pos == start {
+            return Err(self.err("expected a digit"));
+        }
+        Ok(())
+    }
+
+    /// Moves past bytes that stand for themselves inside a string.
+    fn plain_run(&mut self) {
+        while let Some(&b) = self.bytes.get(self.pos) {
+            if b == b'"' || b == b'\\' || b < 0x20 {
+                break;
             }
-            out.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| self.err("invalid UTF-8 in string"))?,
-            );
+            self.pos += 1;
+        }
+    }
+
+    fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
+        self.eat(b'"')?;
+        let start = self.pos;
+        self.plain_run();
+        if self.peek() == Some(b'"') {
+            self.pos += 1;
+            return Ok(Cow::Borrowed(&self.text[start..self.pos - 1]));
+        }
+        let mut out = String::from(&self.text[start..self.pos]);
+        loop {
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(Cow::Owned(out));
                 }
                 Some(b'\\') => {
                     self.pos += 1;
@@ -335,7 +535,7 @@ impl<'a> Parser<'a> {
                                 // surrogate escape.
                                 if self.peek() == Some(b'\\') {
                                     self.pos += 1;
-                                    self.expect(b'u')?;
+                                    self.eat(b'u')?;
                                     let low = self.hex4()?;
                                     if !(0xDC00..0xE000).contains(&low) {
                                         return Err(self.err("unpaired surrogate"));
@@ -355,6 +555,9 @@ impl<'a> Parser<'a> {
                 }
                 _ => return Err(self.err("unterminated string")),
             }
+            let run = self.pos;
+            self.plain_run();
+            out.push_str(&self.text[run..self.pos]);
         }
     }
 
@@ -370,84 +573,72 @@ impl<'a> Parser<'a> {
         }
         Ok(code)
     }
-
-    fn array(&mut self, depth: usize) -> Result<Json, JsonError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value(depth + 1)?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err("expected `,` or `]`")),
-            }
-        }
-    }
-
-    fn object(&mut self, depth: usize) -> Result<Json, JsonError> {
-        self.expect(b'{')?;
-        let mut pairs = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(pairs));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value(depth + 1)?;
-            pairs.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(pairs));
-                }
-                _ => return Err(self.err("expected `,` or `}`")),
-            }
-        }
-    }
 }
 
-fn write_escaped(s: &str, out: &mut String) {
+// ---------------------------------------------------------------------------
+// Writer primitives: the tree writer below and the wire encoder both write
+// through these, so a frame written straight from rows is the same bytes as
+// its tree's `to_compact`.
+
+/// Writes `s` as a JSON string literal.
+pub(crate) fn write_str(s: &str, out: &mut String) {
+    const HEX: [char; 16] = [
+        '0', '1', '2', '3', '4', '5', '6', '7', '8', '9', 'a', 'b', 'c', 'd', 'e', 'f',
+    ];
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                write!(out, "\\u{:04x}", c as u32).expect("writing to a String");
-            }
-            c => out.push(c),
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b != b'"' && b != b'\\' && b >= 0x20 {
+            continue;
         }
+        // `i` is at an ASCII byte, so the slice ends on a char boundary.
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(HEX[usize::from(b >> 4)]);
+                out.push(HEX[usize::from(b & 0xf)]);
+            }
+        }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
-fn write_number(n: f64, out: &mut String) {
-    let written = if n.fract() == 0.0 && n.abs() < 2f64.powi(53) {
-        write!(out, "{}", n as i64)
+/// Writes an integer in decimal.
+pub(crate) fn write_int(n: i64, out: &mut String) {
+    if n < 0 {
+        out.push('-');
+    }
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    let mut rest = n.unsigned_abs();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    out.extend(digits[start..].iter().map(|&d| char::from(d)));
+}
+
+/// Writes a number: a whole number below 2^53 as an integer, anything else
+/// in Rust's shortest round-trip form, which parses back to the same bits.
+pub(crate) fn write_number(n: f64, out: &mut String) {
+    if n.fract() == 0.0 && n.abs() < 2f64.powi(53) {
+        write_int(n as i64, out);
     } else {
-        write!(out, "{n}")
-    };
-    written.expect("writing to a String");
+        // cannot fail: writing to a `String` only grows it.
+        write!(out, "{n}").expect("writing to a String");
+    }
 }
 
 /// Before an item or a closing bracket at nesting `level`: in pretty output
@@ -467,7 +658,7 @@ fn write_value(value: &Json, out: &mut String, indent: Option<usize>, level: usi
         Json::Null => out.push_str("null"),
         Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
         Json::Num(n) => write_number(*n, out),
-        Json::Str(s) => write_escaped(s, out),
+        Json::Str(s) => write_str(s, out),
         Json::Arr(items) => {
             if items.is_empty() {
                 out.push_str("[]");
@@ -495,7 +686,7 @@ fn write_value(value: &Json, out: &mut String, indent: Option<usize>, level: usi
                     out.push_str(item_sep);
                 }
                 write_pad(out, indent, level + 1);
-                write_escaped(key, out);
+                write_str(key, out);
                 out.push_str(": ");
                 write_value(item, out, indent, level + 1);
             }
@@ -576,6 +767,48 @@ mod tests {
         ] {
             assert!(parse(doc).is_err(), "accepted: {doc}");
         }
+    }
+
+    #[test]
+    fn numbers_outside_rfc_8259_are_rejected_with_positions() {
+        for (doc, at) in [
+            ("01", 1),
+            ("00.1", 1),
+            ("1.", 2),
+            ("-.5", 1),
+            ("1.e3", 2),
+            ("-", 1),
+            ("1e", 2),
+            ("1e+", 3),
+            ("+1", 0),
+            (".5", 0),
+            ("[1, -01]", 6),
+        ] {
+            let err = parse(doc).expect_err(doc);
+            assert_eq!(err.at, at, "{doc}: {err}");
+        }
+        // What the grammar allows still parses, to the same bits as
+        // `f64::from_str`, on both sides of the exact-integer fast path.
+        for doc in [
+            "0",
+            "-0",
+            "10",
+            "999999999999999",
+            "9999999999999999",
+            "-123456789012345",
+            "18446744073709551616",
+            "0.5",
+            "-0.0",
+            "1e3",
+            "1E+3",
+            "2.5e-3",
+            "1e300",
+        ] {
+            let n = parse(doc).ok().and_then(|v| v.as_f64());
+            let want: f64 = doc.parse().unwrap();
+            assert_eq!(n.map(f64::to_bits), Some(want.to_bits()), "{doc}");
+        }
+        assert!(parse("1e400").is_err());
     }
 
     #[test]

@@ -13,8 +13,11 @@
 //! # Protocol
 //!
 //! Every message — both directions — is one *frame*: a 4-byte big-endian
-//! payload length followed by that many bytes of UTF-8 JSON. Frames above
-//! [`ServerConfig::max_frame_bytes`] are rejected without being read.
+//! payload length followed by that many bytes of UTF-8 JSON, sent in one
+//! write. Frames above [`ServerConfig::max_frame_bytes`] are rejected
+//! without being read. A `run` request is decoded straight into a
+//! [`FactSet`] and its reply written straight from the [`RunResult`] rows:
+//! no JSON tree on either side, and the bytes the tree would give.
 //! Requests are objects with an `"op"`:
 //!
 //! ```json
@@ -26,8 +29,9 @@
 //!
 //! Values are tagged objects — `{"u32": n}`, `{"i64": n}` (as a string when
 //! outside ±2^53), `{"f64": x}`, `{"bool": b}`, `{"sym": "text"}` (interned
-//! into the process-wide symbol table on receipt), `{"sym_id": n}` (a raw
-//! already-interned id) — and responses resolve interned symbols back to
+//! into the process-wide symbol table once the whole frame has been
+//! checked), `{"sym_id": n}` (a raw id the process has interned; any other
+//! is a `bad-request`) — and responses resolve interned symbols back to
 //! `{"sym": "text"}` where possible. Because compilation and the wire layer
 //! share one interner, ids in request facts agree with the ids symbol
 //! constants compiled to, across every session on the server. The
@@ -67,11 +71,12 @@ use crate::admission::{AdmissionConfig, AdmissionController, AdmissionStats};
 use crate::auth::{AuthError, AuthStats, KeyStore};
 use crate::cache::{CacheStats, ProgramCache};
 use crate::error::ServeError;
-use crate::json::{obj, parse, Json};
+use crate::json::{self, obj, parse, write_int, write_number, write_str, Json, JsonError, Tokens};
 use crate::scheduler::{BatchScheduler, SchedulerConfig};
 use lobster::{
     ArenaStats, DeviceStats, FactSet, LobsterError, Program, RunResult, SymbolTable, Value,
 };
+use std::borrow::Cow;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -196,8 +201,7 @@ impl Server {
             let connections = Arc::clone(&connections);
             std::thread::Builder::new()
                 .name("lobster-accept".to_string())
-                .spawn(move || accept_loop(&listener, &shared, &connections))
-                .expect("spawn accept thread")
+                .spawn(move || accept_loop(&listener, &shared, &connections))?
         };
         Ok(Server {
             shared,
@@ -301,19 +305,42 @@ fn accept_loop(
             return;
         }
         let Ok(stream) = stream else { continue };
-        shared.connections_accepted.fetch_add(1, Ordering::Relaxed);
-        shared.open_connections.fetch_add(1, Ordering::Relaxed);
-        let shared = Arc::clone(shared);
-        let handle = std::thread::Builder::new()
+        let open = OpenConnection::new(shared);
+        let spawned = std::thread::Builder::new()
             .name("lobster-conn".to_string())
-            .spawn(move || {
-                connection_loop(stream, &shared);
-                shared.open_connections.fetch_sub(1, Ordering::Relaxed);
-            })
-            .expect("spawn connection thread");
-        let mut handles = connections.lock().unwrap_or_else(PoisonError::into_inner);
-        handles.retain(|h| !h.is_finished());
-        handles.push(handle);
+            .spawn(move || connection_loop(stream, &open.0));
+        match spawned {
+            Ok(handle) => {
+                shared.connections_accepted.fetch_add(1, Ordering::Relaxed);
+                let mut handles = connections.lock().unwrap_or_else(PoisonError::into_inner);
+                handles.retain(|h| !h.is_finished());
+                handles.push(handle);
+            }
+            // The thread never started: its closure, and with it the stream
+            // and its open count, is dropped, so the client sees the
+            // connection close and the server keeps accepting.
+            Err(_) => {
+                shared.connections_refused.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    }
+}
+
+/// One open connection, counted for as long as its thread holds this: a
+/// thread that panics is uncounted as it unwinds, and one that never
+/// started is uncounted when its closure is dropped.
+struct OpenConnection(Arc<ServerShared>);
+
+impl OpenConnection {
+    fn new(shared: &Arc<ServerShared>) -> Self {
+        shared.open_connections.fetch_add(1, Ordering::Relaxed);
+        OpenConnection(Arc::clone(shared))
+    }
+}
+
+impl Drop for OpenConnection {
+    fn drop(&mut self) {
+        self.0.open_connections.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -322,24 +349,29 @@ const READ_POLL: Duration = Duration::from_millis(100);
 /// How long a drain waits for a half-read frame to finish arriving before
 /// dropping the connection.
 const DRAIN_GRACE: Duration = Duration::from_secs(2);
+/// Capacity a connection's frame buffers keep between frames; a larger
+/// frame's buffer is given back once it has been handled.
+const KEEP_BYTES: usize = 64 << 10;
 
-/// One frame read with drain awareness. `Ok(Some(payload))` is a complete
-/// frame; `Ok(None)` means the connection should close (clean EOF, or the
-/// server is draining and no frame was in progress).
+/// One frame read with drain awareness into `payload`, whose allocation is
+/// reused from frame to frame. `Ok(true)` is a complete frame; `Ok(false)`
+/// means the connection should close (clean EOF, or the server is draining
+/// and no frame was in progress).
 fn read_frame(
     stream: &mut TcpStream,
     max_bytes: usize,
     draining: &AtomicBool,
-) -> std::io::Result<Option<Vec<u8>>> {
+    payload: &mut Vec<u8>,
+) -> std::io::Result<bool> {
     let mut header = [0u8; 4];
-    let mut buf: Option<(Vec<u8>, usize)> = None; // (payload, filled)
     let mut header_filled = 0usize;
+    // `Some(filled)` once the header has been read.
+    let mut filled: Option<usize> = None;
     let mut drain_seen: Option<Instant> = None;
     loop {
-        let mid_frame = header_filled > 0 || buf.is_some();
         if draining.load(Ordering::SeqCst) {
-            if !mid_frame {
-                return Ok(None);
+            if header_filled == 0 && filled.is_none() {
+                return Ok(false);
             }
             // Give a half-sent frame a grace period, then cut the cord —
             // a stalled client must not hold the drain hostage.
@@ -351,36 +383,30 @@ fn read_frame(
                 ));
             }
         }
-        let read = if let Some((payload, filled)) = &mut buf {
-            match stream.read(&mut payload[*filled..]) {
-                Ok(0) => {
-                    return Err(std::io::Error::new(
-                        ErrorKind::UnexpectedEof,
-                        "eof mid-frame",
-                    ))
-                }
-                Ok(n) => {
+        let read = match filled {
+            Some(filled) => stream.read(&mut payload[filled..]),
+            None => stream.read(&mut header[header_filled..]),
+        };
+        match read {
+            Ok(0) if header_filled == 0 && filled.is_none() => return Ok(false),
+            Ok(0) => {
+                return Err(std::io::Error::new(
+                    ErrorKind::UnexpectedEof,
+                    if filled.is_some() {
+                        "eof mid-frame"
+                    } else {
+                        "eof mid-header"
+                    },
+                ))
+            }
+            Ok(n) => match &mut filled {
+                Some(filled) => {
                     *filled += n;
                     if *filled == payload.len() {
-                        let (payload, _) = buf.take().expect("frame in progress");
-                        return Ok(Some(payload));
+                        return Ok(true);
                     }
-                    continue;
                 }
-                Err(e) => Err(e),
-            }
-        } else {
-            match stream.read(&mut header[header_filled..]) {
-                Ok(0) => {
-                    if header_filled == 0 {
-                        return Ok(None);
-                    }
-                    return Err(std::io::Error::new(
-                        ErrorKind::UnexpectedEof,
-                        "eof mid-header",
-                    ));
-                }
-                Ok(n) => {
+                None => {
                     header_filled += n;
                     if header_filled == 4 {
                         let len = u32::from_be_bytes(header) as usize;
@@ -391,37 +417,52 @@ fn read_frame(
                             ));
                         }
                         header_filled = 0;
+                        payload.clear();
+                        payload.resize(len, 0);
                         if len == 0 {
-                            return Ok(Some(Vec::new()));
+                            return Ok(true);
                         }
-                        buf = Some((vec![0u8; len], 0));
+                        filled = Some(0);
                     }
-                    continue;
                 }
-                Err(e) => Err(e),
-            }
-        };
-        match read {
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => continue,
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            },
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
+                ) => {}
             Err(e) => return Err(e),
-            Ok(()) => unreachable!(),
         }
     }
 }
 
-/// Writes one length-prefixed frame.
-fn write_frame(stream: &mut TcpStream, payload: &[u8]) -> std::io::Result<()> {
-    let len = u32::try_from(payload.len()).map_err(|_| {
-        std::io::Error::new(ErrorKind::InvalidData, "frame payload exceeds u32 length")
-    })?;
-    stream.write_all(&len.to_be_bytes())?;
-    stream.write_all(payload)?;
-    stream.flush()
-}
-
-fn send(stream: &mut TcpStream, response: &Json) -> std::io::Result<()> {
-    write_frame(stream, response.to_compact().as_bytes())
+/// Sends one frame in one `write_all`: `build` writes the payload into
+/// `out` behind four reserved bytes, which then take the big-endian length.
+/// `out` is left empty, its allocation kept for the next frame.
+fn send_frame(
+    stream: &mut impl Write,
+    out: &mut String,
+    build: impl FnOnce(&mut String),
+) -> std::io::Result<()> {
+    out.clear();
+    out.push_str("\0\0\0\0");
+    build(out);
+    let mut frame = std::mem::take(out).into_bytes();
+    let sent = match u32::try_from(frame.len() - 4) {
+        Ok(len) => {
+            frame[..4].copy_from_slice(&len.to_be_bytes());
+            stream.write_all(&frame)
+        }
+        Err(_) => Err(std::io::Error::new(
+            ErrorKind::InvalidData,
+            "frame payload exceeds u32 length",
+        )),
+    };
+    frame.clear();
+    frame.shrink_to(KEEP_BYTES);
+    // An empty buffer is UTF-8, so the allocation comes back as it went.
+    *out = String::from_utf8(frame).unwrap_or_default();
+    sent
 }
 
 fn reject(code: &str, message: &str, retry_after: Option<Duration>) -> Json {
@@ -441,30 +482,38 @@ fn reject(code: &str, message: &str, retry_after: Option<Duration>) -> Json {
 fn connection_loop(mut stream: TcpStream, shared: &ServerShared) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(READ_POLL));
+    let mut payload = Vec::new();
+    let mut out = String::new();
     loop {
-        let payload = match read_frame(&mut stream, shared.config.max_frame_bytes, &shared.draining)
-        {
-            Ok(Some(payload)) => payload,
-            Ok(None) => {
+        match read_frame(
+            &mut stream,
+            shared.config.max_frame_bytes,
+            &shared.draining,
+            &mut payload,
+        ) {
+            Ok(true) => {}
+            Ok(false) => {
                 // Clean close — or a drain with no frame in progress, which
                 // deserves a parting `shutdown` so the client knows to go
                 // elsewhere rather than retry here.
                 if shared.draining.load(Ordering::SeqCst) {
-                    let _ = send(
-                        &mut stream,
-                        &reject("shutdown", "server is draining; connection closed", None),
-                    );
+                    let shutdown =
+                        reject("shutdown", "server is draining; connection closed", None);
+                    let _ = send_frame(&mut stream, &mut out, |out| shutdown.write_compact(out));
                 }
                 return;
             }
             Err(e) if e.kind() == ErrorKind::InvalidData => {
-                let _ = send(&mut stream, &reject("bad-frame", &e.to_string(), None));
+                let bad = reject("bad-frame", &e.to_string(), None);
+                let _ = send_frame(&mut stream, &mut out, |out| bad.write_compact(out));
                 return;
             }
             Err(_) => return,
-        };
-        let response = handle_request(&payload, shared);
-        if send(&mut stream, &response).is_err() {
+        }
+        let answer = handle_request(&payload, shared);
+        payload.clear();
+        payload.shrink_to(KEEP_BYTES);
+        if send_frame(&mut stream, &mut out, |out| answer.write(out)).is_err() {
             // The client went away mid-response; the request (if any) has
             // already run — nothing to unwind.
             return;
@@ -472,26 +521,40 @@ fn connection_loop(mut stream: TcpStream, shared: &ServerShared) {
     }
 }
 
-fn handle_request(payload: &[u8], shared: &ServerShared) -> Json {
+/// What a request is answered with: a document, or a `run`'s result, whose
+/// rows are written straight into the frame.
+enum Answer {
+    Doc(Json),
+    Rows(RunResult),
+}
+
+impl Answer {
+    fn write(&self, out: &mut String) {
+        match self {
+            Answer::Doc(json) => json.write_compact(out),
+            Answer::Rows(result) => write_run_reply(result, out),
+        }
+    }
+}
+
+fn handle_request(payload: &[u8], shared: &ServerShared) -> Answer {
     let rejected = |response: Json| {
         shared.requests_rejected.fetch_add(1, Ordering::Relaxed);
-        response
+        Answer::Doc(response)
     };
     let Ok(text) = std::str::from_utf8(payload) else {
         return rejected(reject("bad-request", "payload is not UTF-8", None));
     };
-    let request = match parse(text) {
+    let Request { op, key, facts } = match decode_request(text) {
         Ok(request) => request,
         Err(e) => return rejected(reject("bad-request", &e.to_string(), None)),
     };
-    let op = request.get("op").and_then(Json::as_str).unwrap_or("");
-    match op {
-        "ping" => obj([("ok", Json::Bool(true)), ("pong", Json::Bool(true))]),
+    match &*op {
+        "ping" => Answer::Doc(obj([("ok", Json::Bool(true)), ("pong", Json::Bool(true))])),
         "metrics" | "run" => {
             // Stage 1: auth. The key is checked (and, for `run`, a quota
             // token spent) before anything else happens.
-            let key = request.get("key").and_then(Json::as_str).unwrap_or("");
-            if let Err(e) = shared.keys.check(key) {
+            if let Err(e) = shared.keys.check(&key) {
                 return rejected(match e {
                     AuthError::Unauthorized => {
                         reject("unauthorized", "unknown or missing API key", None)
@@ -502,7 +565,7 @@ fn handle_request(payload: &[u8], shared: &ServerShared) -> Json {
                 });
             }
             if op == "metrics" {
-                return metrics_json(shared);
+                return Answer::Doc(metrics_json(shared));
             }
             // Stage 2: admission. The scheduler's live depth decides;
             // shedding here is what keeps the queue — and the p99 of
@@ -516,7 +579,7 @@ fn handle_request(payload: &[u8], shared: &ServerShared) -> Json {
             }
             // Stage 3: the scheduler.
             let program = shared.scheduler.program();
-            let facts = match facts_from_json(request.get("facts"), program) {
+            let facts = match facts.and_then(|facts| facts.intern(program)) {
                 Ok(facts) => facts,
                 Err(message) => return rejected(reject("bad-request", &message, None)),
             };
@@ -526,7 +589,7 @@ fn handle_request(payload: &[u8], shared: &ServerShared) -> Json {
                 Ok(result) => {
                     shared.admission.observe(submitted.elapsed());
                     shared.requests_served.fetch_add(1, Ordering::Relaxed);
-                    result_to_json(&result)
+                    Answer::Rows(result)
                 }
                 Err(ServeError::Lobster(LobsterError::BadFact { message })) => {
                     rejected(reject("bad-request", &message, None))
@@ -556,251 +619,417 @@ fn handle_request(payload: &[u8], shared: &ServerShared) -> Json {
 }
 
 // ---------------------------------------------------------------------------
-// Wire encoding of facts and results.
+// Wire encoding of facts and results: requests are decoded and replies
+// written without a JSON tree, to the bytes the tree would give.
 
-fn value_to_json(value: &Value, result: Option<&RunResult>) -> Json {
-    match value {
-        Value::U32(n) => obj([("u32", Json::from(u64::from(*n)))]),
-        Value::I64(n) => {
-            if n.unsigned_abs() <= 1 << 53 {
-                obj([("i64", Json::Num(*n as f64))])
-            } else {
-                obj([("i64", Json::from(n.to_string().as_str()))])
+/// A request frame, decoded: the first `op` and `key` (empty unless a
+/// string) and, for a `run`, its facts — or the first reason they are
+/// refused, which the pipeline reports after auth and admission.
+struct Request<'a> {
+    op: Cow<'a, str>,
+    key: Cow<'a, str>,
+    facts: Result<WireFacts<'a>, String>,
+}
+
+/// Decodes a request frame in one pass. A syntax error anywhere refuses the
+/// frame with the error [`json::parse`] gives; facts that are malformed are
+/// read on to the end of the frame, so a later syntax error still wins. The
+/// first of duplicate keys counts; unknown keys are checked and skipped.
+fn decode_request(text: &str) -> Result<Request<'_>, JsonError> {
+    let mut tokens = Tokens::new(text);
+    tokens.skip_ws();
+    let (mut op, mut key, mut facts) = (None, None, None);
+    if tokens.peek() == Some(b'{') {
+        if tokens.begin_object()? {
+            loop {
+                match &*tokens.key()? {
+                    "op" if op.is_none() => op = Some(tokens.string_or_tree(1)?.ok()),
+                    "key" if key.is_none() => key = Some(tokens.string_or_tree(1)?.ok()),
+                    "facts" if facts.is_none() => facts = Some(FactDecoder::decode(&mut tokens)?),
+                    _ => drop(tokens.value(1)?),
+                }
+                if !tokens.next_member()? {
+                    break;
+                }
             }
         }
-        Value::F64(x) => obj([("f64", Json::Num(*x))]),
-        Value::Bool(b) => obj([("bool", Json::Bool(*b))]),
-        Value::Symbol(id) => match result.and_then(|r| r.resolve_symbol(value)) {
-            Some(text) => obj([("sym", Json::from(&*text))]),
-            None => obj([("sym_id", Json::from(u64::from(*id)))]),
-        },
+    } else {
+        tokens.value(0)?;
     }
-}
-
-/// A value of a `run` frame as the wire states it: a `sym` text stays text
-/// until [`facts_from_json`] has checked the whole frame, so a rejected frame
-/// interns nothing into the process-global symbol table.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum WireValue<'a> {
-    Value(Value),
-    Text(&'a str),
-}
-
-impl WireValue<'_> {
-    /// The value, with a text interned into the global symbol table.
-    fn intern(self) -> Value {
-        match self {
-            WireValue::Value(value) => value,
-            WireValue::Text(text) => Value::Symbol(SymbolTable::global().intern(text)),
-        }
-    }
-
-    /// The value, with a text standing as a symbol that is not interned:
-    /// what type checks of the frame read.
-    fn unresolved(self) -> Value {
-        match self {
-            WireValue::Value(value) => value,
-            WireValue::Text(_) => Value::Symbol(u32::MAX),
-        }
-    }
-}
-
-fn value_from_json(json: &Json) -> Result<WireValue<'_>, String> {
-    let Json::Obj(pairs) = json else {
-        return Err(format!(
-            "value must be a tagged object, got {}",
-            json.to_compact()
-        ));
-    };
-    let [(tag, inner)] = pairs.as_slice() else {
-        return Err("value object must have exactly one tag".to_string());
-    };
-    if tag == "sym" {
-        return inner
-            .as_str()
-            .map(WireValue::Text)
-            .ok_or_else(|| format!("bad sym: {}", inner.to_compact()));
-    }
-    let value = match tag.as_str() {
-        "u32" => inner
-            .as_u64()
-            .and_then(|n| u32::try_from(n).ok())
-            .map(Value::U32)
-            .ok_or_else(|| format!("bad u32: {}", inner.to_compact())),
-        "i64" => match inner {
-            Json::Num(n) if n.fract() == 0.0 && n.abs() <= 2f64.powi(53) => {
-                Ok(Value::I64(*n as i64))
-            }
-            Json::Str(s) => s
-                .parse()
-                .map(Value::I64)
-                .map_err(|_| format!("bad i64 string: {s:?}")),
-            _ => Err(format!("bad i64: {}", inner.to_compact())),
-        },
-        "f64" => inner
-            .as_f64()
-            .map(Value::F64)
-            .ok_or_else(|| format!("bad f64: {}", inner.to_compact())),
-        "bool" => inner
-            .as_bool()
-            .map(Value::Bool)
-            .ok_or_else(|| format!("bad bool: {}", inner.to_compact())),
-        "sym_id" => inner
-            .as_u64()
-            .and_then(|n| u32::try_from(n).ok())
-            .map(Value::Symbol)
-            .ok_or_else(|| format!("bad sym_id: {}", inner.to_compact())),
-        other => Err(format!("unknown value tag `{other}`")),
-    };
-    value.map(WireValue::Value)
-}
-
-/// Builds the wire form of one fact for a `run` request (the [`Client`]
-/// uses this; servers parse the inverse).
-fn fact_to_json(
-    relation: &str,
-    values: &[Value],
-    prob: Option<f64>,
-    exclusion: Option<u32>,
-) -> Json {
-    let mut fact = obj([
-        ("rel", Json::from(relation)),
-        (
-            "values",
-            Json::Arr(values.iter().map(|v| value_to_json(v, None)).collect()),
-        ),
-    ]);
-    if let Some(p) = prob {
-        fact.set("prob", Json::Num(p));
-    }
-    if let Some(x) = exclusion {
-        fact.set("exclusion", Json::from(u64::from(x)));
-    }
-    fact
-}
-
-/// One fact of a `run` frame, parsed.
-struct WireFact<'a> {
-    relation: &'a str,
-    values: Vec<WireValue<'a>>,
-    prob: Option<f64>,
-    exclusion: Option<u32>,
-}
-
-fn fact_from_json(item: &Json) -> Result<WireFact<'_>, String> {
-    let relation = item
-        .get("rel")
-        .and_then(Json::as_str)
-        .ok_or("fact is missing `rel`")?;
-    let values = item
-        .get("values")
-        .and_then(Json::as_arr)
-        .ok_or("fact is missing `values`")?
-        .iter()
-        .map(value_from_json)
-        .collect::<Result<Vec<_>, String>>()?;
-    let prob = item.get("prob").and_then(Json::as_f64);
-    if let Some(p) = prob {
-        if !(0.0..=1.0).contains(&p) {
-            return Err(format!("probability {p} outside [0, 1]"));
-        }
-    }
-    let exclusion = item
-        .get("exclusion")
-        .and_then(Json::as_u64)
-        .and_then(|n| u32::try_from(n).ok());
-    Ok(WireFact {
-        relation,
-        values,
-        prob,
-        exclusion,
+    tokens.finish()?;
+    Ok(Request {
+        op: op.flatten().unwrap_or_default(),
+        key: key.flatten().unwrap_or_default(),
+        facts: facts.unwrap_or_else(|| Err("`facts` must be an array".to_string())),
     })
 }
 
-/// The facts of a `run` frame. The whole frame is parsed first and, when it
-/// names symbols by text, checked against `program`'s relations, arities
-/// and column types; only then are the texts interned, so a frame rejected
-/// for any reason leaves the process-global symbol table as it was.
-fn facts_from_json(json: Option<&Json>, program: &Program) -> Result<FactSet, String> {
-    let Some(items) = json.and_then(Json::as_arr) else {
-        return Err("`facts` must be an array".to_string());
-    };
-    let parsed = items
-        .iter()
-        .map(fact_from_json)
-        .collect::<Result<Vec<_>, String>>()?;
-    let build = |intern: bool| {
-        let mut facts = FactSet::new();
-        let mut row = Vec::new();
-        for fact in &parsed {
-            row.clear();
-            let value = |&v: &WireValue<'_>| if intern { v.intern() } else { v.unresolved() };
-            row.extend(fact.values.iter().map(value));
-            match fact.exclusion {
-                Some(group) => facts.add_with_exclusion(fact.relation, &row, fact.prob, group),
-                None => facts.add(fact.relation, &row, fact.prob),
-            }
-        }
-        facts
-    };
-    let texts = parsed
-        .iter()
-        .flat_map(|fact| &fact.values)
-        .any(|v| matches!(v, WireValue::Text(_)));
-    if texts {
-        program
-            .validate_facts(&build(false))
-            .map_err(|e| e.to_string())?;
-    }
-    Ok(build(true))
+/// The facts of a `run` frame. A `sym` text stands as an unresolved symbol
+/// until [`WireFacts::intern`], so a frame rejected for any reason leaves
+/// the process-global symbol table as it was.
+struct WireFacts<'a> {
+    facts: FactSet,
+    /// Each `sym` text, with the place of its value among all the frame's
+    /// values, in order.
+    texts: Vec<(usize, Cow<'a, str>)>,
 }
 
-fn result_to_json(result: &RunResult) -> Json {
-    let relations = result
-        .relations()
-        .into_iter()
-        .map(|name| {
-            let rows = result
-                .relation(name)
-                .iter()
-                .map(|(tuple, output)| {
-                    let mut row = obj([
-                        (
-                            "tuple",
-                            Json::Arr(
-                                tuple
-                                    .iter()
-                                    .map(|v| value_to_json(v, Some(result)))
-                                    .collect(),
-                            ),
-                        ),
-                        ("prob", Json::Num(output.probability)),
-                    ]);
-                    if !output.gradient.is_empty() {
-                        row.set(
-                            "grad",
-                            Json::Arr(
-                                output
-                                    .gradient
-                                    .iter()
-                                    .map(|(id, g)| {
-                                        Json::Arr(vec![Json::from(u64::from(id.0)), Json::Num(*g)])
-                                    })
-                                    .collect(),
-                            ),
-                        );
+impl WireFacts<'_> {
+    /// The facts with their texts interned. A frame that names symbols by
+    /// text is first checked against `program`'s relations, arities and
+    /// column types.
+    fn intern(self, program: &Program) -> Result<FactSet, String> {
+        if self.texts.is_empty() {
+            return Ok(self.facts);
+        }
+        program
+            .validate_facts(&self.facts)
+            .map_err(|e| e.to_string())?;
+        let symbols = SymbolTable::global();
+        let mut texts = self.texts.iter().peekable();
+        let mut interned = FactSet::new();
+        let mut row = Vec::new();
+        let mut at = 0;
+        for (relation, values, prob, exclusion) in self.facts.facts() {
+            row.clear();
+            for &value in values {
+                row.push(match texts.next_if(|(place, _)| *place == at) {
+                    Some((_, text)) => Value::Symbol(symbols.intern(text)),
+                    None => value,
+                });
+                at += 1;
+            }
+            match exclusion {
+                Some(group) => interned.add_with_exclusion(relation, &row, prob, group),
+                None => interned.add(relation, &row, prob),
+            }
+        }
+        Ok(interned)
+    }
+}
+
+/// Reads a `facts` array into a [`FactSet`]. Each method returns the
+/// syntax error that refuses the frame, or else the first error of the
+/// facts it read — the same message as the tree walk it replaces.
+struct FactDecoder<'a> {
+    facts: FactSet,
+    texts: Vec<(usize, Cow<'a, str>)>,
+    /// The values of the fact being read.
+    row: Vec<Value>,
+    /// Values in the facts already added.
+    values: usize,
+    symbols: SymbolTable,
+}
+
+type Decoded<T> = Result<Result<T, String>, JsonError>;
+
+/// The array at the cursor, item by item through `item` until one is
+/// refused; the items after it are only syntax-checked. Anything but an
+/// array is refused with `not_array`.
+fn items<'a>(
+    tokens: &mut Tokens<'a>,
+    depth: usize,
+    not_array: &str,
+    mut item: impl FnMut(&mut Tokens<'a>) -> Decoded<()>,
+) -> Decoded<()> {
+    if tokens.peek() != Some(b'[') {
+        tokens.value(depth)?;
+        return Ok(Err(not_array.to_string()));
+    }
+    tokens.enter(depth)?;
+    let mut refused = None;
+    if tokens.begin_array()? {
+        loop {
+            if refused.is_some() {
+                tokens.value(depth + 1)?;
+            } else if let Err(e) = item(tokens)? {
+                refused = Some(e);
+            }
+            if !tokens.next_item()? {
+                break;
+            }
+        }
+    }
+    Ok(refused.map_or(Ok(()), Err))
+}
+
+impl<'a> FactDecoder<'a> {
+    /// The `facts` member's value, at depth 1.
+    fn decode(tokens: &mut Tokens<'a>) -> Decoded<WireFacts<'a>> {
+        let mut decoder = FactDecoder {
+            facts: FactSet::new(),
+            texts: Vec::new(),
+            row: Vec::new(),
+            values: 0,
+            symbols: SymbolTable::global(),
+        };
+        let read = items(tokens, 1, "`facts` must be an array", |tokens| {
+            decoder.fact(tokens, 2)
+        })?;
+        Ok(read.map(|()| WireFacts {
+            facts: decoder.facts,
+            texts: decoder.texts,
+        }))
+    }
+
+    /// One fact object. Its fields are judged in the order `rel`, `values`,
+    /// `prob`, whatever order the frame gives them in; a `prob` or an
+    /// `exclusion` that is not a number in range is ignored.
+    fn fact(&mut self, tokens: &mut Tokens<'a>, depth: usize) -> Decoded<()> {
+        const NO_REL: &str = "fact is missing `rel`";
+        const NO_VALUES: &str = "fact is missing `values`";
+        if tokens.peek() != Some(b'{') {
+            tokens.value(depth)?;
+            return Ok(Err(NO_REL.to_string()));
+        }
+        tokens.enter(depth)?;
+        self.row.clear();
+        let (mut rel, mut values, mut prob, mut exclusion) = (None, None, None, None);
+        if tokens.begin_object()? {
+            loop {
+                match &*tokens.key()? {
+                    "rel" if rel.is_none() => rel = Some(tokens.string_or_tree(depth + 1)?.ok()),
+                    "values" if values.is_none() => {
+                        let read = items(tokens, depth + 1, NO_VALUES, |tokens| {
+                            let value = self.value(tokens, depth + 2)?;
+                            Ok(value.map(|value| self.row.push(value)))
+                        })?;
+                        values = Some(read);
                     }
-                    row
-                })
-                .collect();
-            (name.to_string(), Json::Arr(rows))
-        })
-        .collect();
-    obj([
-        ("ok", Json::Bool(true)),
-        ("relations", Json::Obj(relations)),
-        ("iterations", Json::from(result.stats.iterations)),
-    ])
+                    "prob" if prob.is_none() => prob = Some(tokens.value(depth + 1)?),
+                    "exclusion" if exclusion.is_none() => {
+                        exclusion = Some(tokens.value(depth + 1)?);
+                    }
+                    _ => drop(tokens.value(depth + 1)?),
+                }
+                if !tokens.next_member()? {
+                    break;
+                }
+            }
+        }
+        let Some(Some(relation)) = rel else {
+            return Ok(Err(NO_REL.to_string()));
+        };
+        if let Err(e) = values.unwrap_or_else(|| Err(NO_VALUES.to_string())) {
+            return Ok(Err(e));
+        }
+        let prob = prob.as_ref().and_then(Json::as_f64);
+        if let Some(p) = prob {
+            if !(0.0..=1.0).contains(&p) {
+                return Ok(Err(format!("probability {p} outside [0, 1]")));
+            }
+        }
+        let exclusion = exclusion
+            .as_ref()
+            .and_then(Json::as_u64)
+            .and_then(|n| u32::try_from(n).ok());
+        match exclusion {
+            Some(group) => self
+                .facts
+                .add_with_exclusion(relation, &self.row, prob, group),
+            None => self.facts.add(relation, &self.row, prob),
+        }
+        self.values += self.row.len();
+        Ok(Ok(()))
+    }
+
+    /// One tagged value. A `sym` text is recorded in `self.texts` and
+    /// stands as `Value::Symbol(u32::MAX)`, which type checks read as a
+    /// symbol; a `sym_id` must name a symbol the process has interned.
+    fn value(&mut self, tokens: &mut Tokens<'a>, depth: usize) -> Decoded<Value> {
+        const ONE_TAG: &str = "value object must have exactly one tag";
+        if tokens.peek() != Some(b'{') {
+            let other = tokens.value(depth)?;
+            return Ok(Err(format!(
+                "value must be a tagged object, got {}",
+                other.to_compact()
+            )));
+        }
+        tokens.enter(depth)?;
+        if !tokens.begin_object()? {
+            return Ok(Err(ONE_TAG.to_string()));
+        }
+        let tag = tokens.key()?;
+        let value = match &*tag {
+            "sym" => match tokens.string_or_tree(depth + 1)? {
+                Ok(text) => {
+                    self.texts.push((self.values + self.row.len(), text));
+                    Ok(Value::Symbol(u32::MAX))
+                }
+                Err(other) => Err(format!("bad sym: {}", other.to_compact())),
+            },
+            "i64" => match tokens.string_or_tree(depth + 1)? {
+                Ok(text) => text
+                    .parse()
+                    .map(Value::I64)
+                    .map_err(|_| format!("bad i64 string: {text:?}")),
+                Err(Json::Num(n)) if n.fract() == 0.0 && n.abs() <= 2f64.powi(53) => {
+                    Ok(Value::I64(n as i64))
+                }
+                Err(other) => Err(format!("bad i64: {}", other.to_compact())),
+            },
+            tag => {
+                let inner = tokens.value(depth + 1)?;
+                self.scalar(tag, &inner)
+            }
+        };
+        if tokens.next_member()? {
+            loop {
+                tokens.key()?;
+                tokens.value(depth + 1)?;
+                if !tokens.next_member()? {
+                    break;
+                }
+            }
+            return Ok(Err(ONE_TAG.to_string()));
+        }
+        Ok(value)
+    }
+
+    /// A value whose tag is neither `sym` nor `i64`.
+    fn scalar(&self, tag: &str, inner: &Json) -> Result<Value, String> {
+        let id = || inner.as_u64().and_then(|n| u32::try_from(n).ok());
+        match tag {
+            "u32" => id()
+                .map(Value::U32)
+                .ok_or_else(|| format!("bad u32: {}", inner.to_compact())),
+            "f64" => inner
+                .as_f64()
+                .map(Value::F64)
+                .ok_or_else(|| format!("bad f64: {}", inner.to_compact())),
+            "bool" => inner
+                .as_bool()
+                .map(Value::Bool)
+                .ok_or_else(|| format!("bad bool: {}", inner.to_compact())),
+            "sym_id" => match id() {
+                Some(id) if self.symbols.resolve(id).is_some() => Ok(Value::Symbol(id)),
+                Some(id) => Err(format!("unknown sym_id {id}: no symbol has that id")),
+                None => Err(format!("bad sym_id: {}", inner.to_compact())),
+            },
+            other => Err(format!("unknown value tag `{other}`")),
+        }
+    }
+}
+
+/// Writes a value as the wire tags it: `{"u32": n}`, `{"i64": n}` (a
+/// string beyond ±2^53), `{"f64": x}`, `{"bool": b}`, and a symbol as
+/// `{"sym": "text"}` when `result` resolves it, else `{"sym_id": n}`.
+fn write_value(value: &Value, result: Option<&RunResult>, out: &mut String) {
+    match value {
+        Value::U32(n) => {
+            out.push_str("{\"u32\": ");
+            write_int(i64::from(*n), out);
+        }
+        Value::I64(n) if n.unsigned_abs() <= 1 << 53 => {
+            out.push_str("{\"i64\": ");
+            write_int(*n, out);
+        }
+        Value::I64(n) => {
+            out.push_str("{\"i64\": \"");
+            write_int(*n, out);
+            out.push('"');
+        }
+        Value::F64(x) => {
+            out.push_str("{\"f64\": ");
+            write_number(*x, out);
+        }
+        Value::Bool(b) => out.push_str(if *b {
+            "{\"bool\": true"
+        } else {
+            "{\"bool\": false"
+        }),
+        Value::Symbol(id) => match result.and_then(|r| r.resolve_symbol(value)) {
+            Some(text) => {
+                out.push_str("{\"sym\": ");
+                write_str(&text, out);
+            }
+            None => {
+                out.push_str("{\"sym_id\": ");
+                write_int(i64::from(*id), out);
+            }
+        },
+    }
+    out.push('}');
+}
+
+/// Writes `values` as a wire array.
+fn write_tuple(values: &[Value], result: Option<&RunResult>, out: &mut String) {
+    out.push('[');
+    for (i, value) in values.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        write_value(value, result, out);
+    }
+    out.push(']');
+}
+
+/// Writes the `run` request for `facts`:
+/// `{"op": "run", "key": .., "facts": [{"rel": .., "values": [..], "prob": p?, "exclusion": n?}, ..]}`.
+fn write_run_request(key: &str, facts: &FactSet, out: &mut String) {
+    out.push_str("{\"op\": \"run\", \"key\": ");
+    write_str(key, out);
+    out.push_str(", \"facts\": [");
+    for (i, (relation, values, prob, exclusion)) in facts.facts().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        out.push_str("{\"rel\": ");
+        write_str(relation, out);
+        out.push_str(", \"values\": ");
+        write_tuple(values, None, out);
+        if let Some(p) = prob {
+            out.push_str(", \"prob\": ");
+            write_number(p, out);
+        }
+        if let Some(group) = exclusion {
+            out.push_str(", \"exclusion\": ");
+            write_int(i64::from(group), out);
+        }
+        out.push('}');
+    }
+    out.push_str("]}");
+}
+
+/// Writes a successful `run` reply:
+/// `{"ok": true, "relations": {name: [{"tuple": [..], "prob": p, "grad": [[id, g], ..]?}, ..]}, "iterations": n}`.
+fn write_run_reply(result: &RunResult, out: &mut String) {
+    out.push_str("{\"ok\": true, \"relations\": {");
+    for (i, name) in result.relations().into_iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        write_str(name, out);
+        out.push_str(": [");
+        for (j, (tuple, output)) in result.relation(name).iter().enumerate() {
+            if j > 0 {
+                out.push_str(", ");
+            }
+            out.push_str("{\"tuple\": ");
+            write_tuple(tuple, Some(result), out);
+            out.push_str(", \"prob\": ");
+            write_number(output.probability, out);
+            if !output.gradient.is_empty() {
+                out.push_str(", \"grad\": [");
+                for (k, (id, g)) in output.gradient.iter().enumerate() {
+                    if k > 0 {
+                        out.push_str(", ");
+                    }
+                    out.push('[');
+                    write_int(i64::from(id.0), out);
+                    out.push_str(", ");
+                    write_number(*g, out);
+                    out.push(']');
+                }
+                out.push(']');
+            }
+            out.push('}');
+        }
+        out.push(']');
+    }
+    out.push_str("}, \"iterations\": ");
+    write_number(result.stats.iterations as f64, out);
+    out.push('}');
 }
 
 fn kernel_time_json(time: &lobster::KernelTime) -> Json {
@@ -995,15 +1224,14 @@ impl Reply {
     /// The probability of a derived tuple in a successful `run` reply
     /// (`0.0` when not derived).
     pub fn probability(&self, relation: &str, tuple: &[Value]) -> f64 {
-        let want: Vec<Json> = tuple.iter().map(|v| value_to_json(v, None)).collect();
+        let mut text = String::new();
+        write_tuple(tuple, None, &mut text);
+        let want = parse(&text).ok();
         self.json
             .get("relations")
             .and_then(|r| r.get(relation))
             .and_then(Json::as_arr)
-            .and_then(|rows| {
-                rows.iter()
-                    .find(|row| row.get("tuple").and_then(Json::as_arr) == Some(want.as_slice()))
-            })
+            .and_then(|rows| rows.iter().find(|row| row.get("tuple") == want.as_ref()))
             .and_then(|row| row.get("prob"))
             .and_then(Json::as_f64)
             .unwrap_or(0.0)
@@ -1036,6 +1264,10 @@ impl Reply {
 pub struct Client {
     stream: TcpStream,
     key: String,
+    /// The outgoing frame, built in place; kept between requests.
+    out: String,
+    /// The reply frame's payload; kept between requests.
+    payload: Vec<u8>,
 }
 
 impl Client {
@@ -1054,24 +1286,37 @@ impl Client {
         Ok(Client {
             stream,
             key: key.into(),
+            out: String::new(),
+            payload: Vec::new(),
         })
     }
 
-    fn request(&mut self, request: &Json) -> Result<Reply, ClientError> {
-        write_frame(&mut self.stream, request.to_compact().as_bytes())?;
+    /// Sends the request `build` writes (it is handed the API key) and
+    /// parses the reply.
+    fn exchange(&mut self, build: impl FnOnce(&str, &mut String)) -> Result<Reply, ClientError> {
+        let Client {
+            stream,
+            key,
+            out,
+            payload,
+        } = self;
+        send_frame(stream, out, |out| build(key, out))?;
         // The client never drains; a dummy flag keeps `read_frame` shared.
         static NEVER: AtomicBool = AtomicBool::new(false);
-        let payload =
-            read_frame(&mut self.stream, u32::MAX as usize, &NEVER)?.ok_or_else(|| {
-                ClientError::Io(std::io::Error::new(
-                    ErrorKind::UnexpectedEof,
-                    "server closed the connection",
-                ))
-            })?;
-        let text = std::str::from_utf8(&payload)
-            .map_err(|_| ClientError::Protocol("response is not UTF-8".to_string()))?;
-        let json = parse(text).map_err(|e| ClientError::Protocol(e.to_string()))?;
-        Ok(Reply { json })
+        if !read_frame(stream, u32::MAX as usize, &NEVER, payload)? {
+            return Err(ClientError::Io(std::io::Error::new(
+                ErrorKind::UnexpectedEof,
+                "server closed the connection",
+            )));
+        }
+        let json = json::parse_bytes(payload).map_err(|e| ClientError::Protocol(e.to_string()));
+        payload.clear();
+        payload.shrink_to(KEEP_BYTES);
+        Ok(Reply { json: json? })
+    }
+
+    fn request(&mut self, request: &Json) -> Result<Reply, ClientError> {
+        self.exchange(|_, out| request.write_compact(out))
     }
 
     /// Health check.
@@ -1084,24 +1329,14 @@ impl Client {
     }
 
     /// Submits one `run` request and blocks for the reply (success or
-    /// structured rejection).
+    /// structured rejection). The request is written straight from `facts`.
     ///
     /// # Errors
     ///
     /// Transport failures only; rejections are `Ok` replies with
     /// [`Reply::ok`] false.
     pub fn run(&mut self, facts: &FactSet) -> Result<Reply, ClientError> {
-        let wire_facts: Vec<Json> = facts
-            .facts()
-            .map(|(relation, values, prob, exclusion)| {
-                fact_to_json(relation, values, prob, exclusion)
-            })
-            .collect();
-        self.request(&obj([
-            ("op", Json::from("run")),
-            ("key", Json::from(self.key.as_str())),
-            ("facts", Json::Arr(wire_facts)),
-        ]))
+        self.exchange(|key, out| write_run_request(key, facts, out))
     }
 
     /// Fetches the server's metrics document.
@@ -1110,12 +1345,14 @@ impl Client {
     ///
     /// Transport failures only.
     pub fn metrics(&mut self) -> Result<Reply, ClientError> {
-        self.request(&obj([
-            ("op", Json::from("metrics")),
-            ("key", Json::from(self.key.as_str())),
-        ]))
+        self.exchange(|key, out| {
+            obj([("op", Json::from("metrics")), ("key", Json::from(key))]).write_compact(out);
+        })
     }
 }
+
+#[cfg(test)]
+mod wire_tests;
 
 #[cfg(test)]
 mod tests {
@@ -1343,16 +1580,32 @@ mod tests {
         stream.flush().unwrap();
         let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
         static NEVER: AtomicBool = AtomicBool::new(false);
-        let reply = read_frame(&mut stream, u32::MAX as usize, &NEVER)
-            .unwrap()
-            .expect("a bad-frame reply");
-        let json = parse(std::str::from_utf8(&reply).unwrap()).unwrap();
+        let mut reply = Vec::new();
+        assert!(
+            read_frame(&mut stream, u32::MAX as usize, &NEVER, &mut reply).unwrap(),
+            "a bad-frame reply"
+        );
+        let json = json::parse_bytes(&reply).unwrap();
         assert_eq!(json.get("code").and_then(Json::as_str), Some("bad-frame"));
         server.shutdown();
     }
 
+    /// The values of the one fact of a `run` frame, decoded and interned
+    /// against `program`.
+    fn decode_values(frame: &str, program: &Program) -> Result<Vec<Value>, String> {
+        let facts = decode_request(frame)
+            .map_err(|e| e.to_string())?
+            .facts?
+            .intern(program)?;
+        let (_, values, _, _) = facts.facts().next().ok_or("no fact")?;
+        Ok(values.to_vec())
+    }
+
     #[test]
     fn value_encoding_round_trips_every_type() {
+        let program = Program::compile(TC, ProvenanceKind::Unit).expect("compiles");
+        // A `sym_id` must name a symbol the process has interned.
+        let symbol = SymbolTable::global().intern("net-value-encoding");
         for value in [
             Value::U32(0),
             Value::U32(u32::MAX),
@@ -1360,37 +1613,50 @@ mod tests {
             Value::I64(i64::MAX),
             Value::F64(2.5),
             Value::Bool(true),
-            Value::Symbol(7),
+            Value::Symbol(symbol),
         ] {
-            let encoded = value_to_json(&value, None);
-            let decoded = value_from_json(&encoded).expect("decodes").intern();
-            assert_eq!(value, decoded, "via {}", encoded.to_compact());
+            let mut facts = FactSet::new();
+            facts.add("r", &[value], None);
+            let mut frame = String::new();
+            write_run_request("k", &facts, &mut frame);
+            assert_eq!(
+                decode_values(&frame, &program),
+                Ok(vec![value]),
+                "via {frame}"
+            );
         }
     }
 
-    #[test]
-    fn sym_text_values_intern_through_the_shared_table() {
-        let json = obj([("sym", Json::from("net-shared-intern"))]);
-        let decoded = value_from_json(&json).expect("decodes").intern();
-        let expected = SymbolTable::global().intern("net-shared-intern");
-        assert_eq!(decoded, Value::Symbol(expected));
-        // A second decode agrees with the first: the id is stable.
-        let again = value_from_json(&json).unwrap().intern();
-        assert_eq!(again, Value::Symbol(expected));
-        // Non-string payloads are rejected, not silently coerced.
-        let bad = obj([("sym", Json::from(3u64))]);
-        assert!(value_from_json(&bad).is_err());
-    }
-
-    #[test]
-    fn a_rejected_frame_interns_nothing() {
-        let program = Program::compile(
+    fn symbol_program() -> Program {
+        Program::compile(
             "type named(x: symbol)
              rel seen(x) = named(x)
              query seen",
             ProvenanceKind::Unit,
         )
-        .expect("compiles");
+        .expect("compiles")
+    }
+
+    #[test]
+    fn sym_text_values_intern_through_the_shared_table() {
+        let program = symbol_program();
+        let decode = |value: &str| {
+            let frame =
+                format!(r#"{{"op": "run", "facts": [{{"rel": "named", "values": [{value}]}}]}}"#);
+            decode_values(&frame, &program)
+        };
+        let decoded = decode(r#"{"sym": "net-shared-intern"}"#);
+        let expected = SymbolTable::global().intern("net-shared-intern");
+        assert_eq!(decoded, Ok(vec![Value::Symbol(expected)]));
+        // A second decode agrees with the first: the id is stable.
+        assert_eq!(decode(r#"{"sym": "net-shared-intern"}"#), decoded);
+        // Non-string payloads are rejected, not silently coerced.
+        assert!(decode(r#"{"sym": 3}"#).is_err());
+    }
+
+    #[test]
+    fn a_rejected_frame_interns_nothing() {
+        let program = symbol_program();
         let keys = KeyStore::new();
         keys.add_key("k", Quota::unlimited());
         let server = Server::bind(
@@ -1447,5 +1713,110 @@ mod tests {
         assert_eq!(reply.len("seen"), 1);
         assert!(reply.json().to_compact().contains(kept));
         server.shutdown();
+    }
+
+    #[test]
+    fn unknown_sym_ids_are_refused_before_anything_is_interned() {
+        let keys = KeyStore::new();
+        keys.add_key("k", Quota::unlimited());
+        let server = Server::bind(
+            ("127.0.0.1", 0),
+            Arc::new(symbol_program()),
+            keys,
+            ServerConfig::default(),
+        )
+        .unwrap();
+        let mut client = Client::connect(server.local_addr(), "k").unwrap();
+        let global = SymbolTable::global();
+        let known = global.intern("net-known-sym-id");
+        let unknown = u32::MAX - 1;
+        assert_eq!(global.resolve(unknown), None);
+        let frame = |values: &str| {
+            format!(
+                r#"{{"op": "run", "key": "k", "facts": [{{"rel": "named", "values": [{{"sym": "net-sym-id-frame-text"}}]}}, {{"rel": "named", "values": [{values}]}}]}}"#
+            )
+        };
+        let send = |client: &mut Client, text: String| {
+            client.exchange(|_, out| out.push_str(&text)).unwrap()
+        };
+        // An id nobody was issued refuses the frame, and the text beside it
+        // is never interned.
+        let reply = send(&mut client, frame(&format!(r#"{{"sym_id": {unknown}}}"#)));
+        assert_eq!(reply.code(), Some("bad-request"), "{:?}", reply.json());
+        let error = reply.json().get("error").and_then(Json::as_str);
+        assert!(error.is_some_and(|e| e.contains("sym_id")), "{error:?}");
+        assert_eq!(global.lookup("net-sym-id-frame-text"), None);
+        // An issued id is accepted and answered by its text.
+        let reply = send(&mut client, frame(&format!(r#"{{"sym_id": {known}}}"#)));
+        assert!(reply.ok(), "{:?}", reply.json());
+        assert_eq!(reply.len("seen"), 2);
+        assert!(reply.json().to_compact().contains("net-known-sym-id"));
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_connection_thread_that_panics_is_no_longer_counted_open() {
+        let server = test_server(|c| c);
+        let shared = Arc::clone(&server.shared);
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _open = OpenConnection::new(&shared);
+            assert_eq!(shared.open_connections.load(Ordering::Relaxed), 1);
+            panic!("a connection thread panics mid-request");
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(server.stats().open_connections, 0);
+        // The drain's zero-open-connections check still holds afterwards.
+        let mut client = Client::connect(server.local_addr(), "test-key").unwrap();
+        assert!(client.run(&edge_request(0, 1, 0.5)).unwrap().ok());
+        drop(client);
+        let settle = Instant::now();
+        while server.stats().open_connections > 0 && settle.elapsed() < Duration::from_secs(5) {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(server.stats().open_connections, 0);
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_frame_leaves_in_one_write() {
+        /// Counts the `write` calls a frame takes.
+        #[derive(Default)]
+        struct Writes {
+            calls: usize,
+            bytes: Vec<u8>,
+        }
+        impl Write for Writes {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.calls += 1;
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut sink = Writes::default();
+        let mut out = String::new();
+        let facts = edge_request(0, 1, 0.5);
+        for _ in 0..2 {
+            sink.bytes.clear();
+            sink.calls = 0;
+            send_frame(&mut sink, &mut out, |out| {
+                write_run_request("k", &facts, out)
+            })
+            .unwrap();
+            assert_eq!(sink.calls, 1);
+            let (len, payload) = sink.bytes.split_at(4);
+            assert_eq!(
+                u32::from_be_bytes(len.try_into().unwrap()) as usize,
+                payload.len()
+            );
+            assert_eq!(
+                std::str::from_utf8(payload).unwrap(),
+                r#"{"op": "run", "key": "k", "facts": [{"rel": "edge", "values": [{"u32": 0}, {"u32": 1}], "prob": 0.5}]}"#
+            );
+            // The buffer is empty again and keeps its allocation.
+            assert!(out.is_empty() && out.capacity() >= payload.len() + 4);
+        }
     }
 }
