@@ -10,12 +10,6 @@
 //! itself is visible. Reported per configuration: wall time, samples/sec,
 //! and p50/p99 request latency.
 //!
-//! A `sharded` mode is also measured: the same scheduler with each pooled
-//! batch fanned out across shard devices (`SchedulerConfig::num_shards`,
-//! backed by the scheduler's persistent `ShardedExecutor`), recorded
-//! next to its single-device counterpart so the cost/win of multi-device
-//! execution is visible.
-//!
 //! Run with `cargo run -p lobster-bench --release --bin serve_throughput`.
 //! Knobs:
 //!
@@ -25,12 +19,6 @@
 //!   size reaches at least the sequential throughput (the CI gate).
 //! * `--assert-speedup X` — exit non-zero unless the largest batch size
 //!   reaches `X ×` the sequential throughput.
-//! * `--assert-sharded-factor X` — exit non-zero unless 2-way sharding
-//!   reaches `X ×` the single-device throughput at the same batch size
-//!   (the CI gate uses `0.9`). Shard devices execute on threads, so on a
-//!   machine with a single CPU the shards of a batch cannot overlap at all;
-//!   the gate is only enforced when at least 2 CPUs are available (the
-//!   factor is still measured and recorded either way).
 
 use lobster::ProvenanceKind;
 use lobster_bench::{degraded_overwrite_warning, print_header, quick_mode, scaled, ArtifactMode};
@@ -45,8 +33,6 @@ use std::time::{Duration, Instant};
 struct Measurement {
     label: String,
     batch_size: usize,
-    /// Shard devices each batch fans out across (1 = single device).
-    num_shards: usize,
     wall: Duration,
     latencies_ms: Vec<f64>,
     fixpoints: u64,
@@ -69,13 +55,11 @@ impl Measurement {
 
     fn json(&self, sequential_sps: f64) -> String {
         format!(
-            "{{\"label\": \"{}\", \"batch_size\": {}, \"num_shards\": {}, \
-             \"wall_s\": {:.6}, \
+            "{{\"label\": \"{}\", \"batch_size\": {}, \"wall_s\": {:.6}, \
              \"samples_per_sec\": {:.3}, \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \
              \"fixpoints\": {}, \"speedup_vs_sequential\": {:.3}}}",
             self.label,
             self.batch_size,
-            self.num_shards,
             self.wall.as_secs_f64(),
             self.samples_per_sec(),
             self.percentile_ms(50.0),
@@ -106,14 +90,13 @@ fn run_direct(
     Measurement {
         label: label.to_string(),
         batch_size: 1,
-        num_shards: 1,
         wall: start.elapsed(),
         latencies_ms: latencies,
         fixpoints: requests.len() as u64,
     }
 }
 
-/// The batching scheduler at a given `max_batch_size` and shard count:
+/// The batching scheduler at a given `max_batch_size`:
 /// requests are submitted open-loop (all at once, as a loaded server's queue
 /// would look) and awaited in submission order; each latency spans
 /// submit → result read.
@@ -121,18 +104,14 @@ fn run_batched(
     program: &std::sync::Arc<lobster::Program>,
     requests: &[lobster::FactSet],
     batch_size: usize,
-    num_shards: usize,
 ) -> Measurement {
     let scheduler = BatchScheduler::new(
         std::sync::Arc::clone(program),
         SchedulerConfig::default()
             .with_max_batch_size(batch_size)
-            .with_max_queue_delay(Duration::from_millis(2))
-            .with_num_shards(num_shards),
+            .with_max_queue_delay(Duration::from_millis(2)),
     );
-    let label = if num_shards > 1 {
-        format!("sharded-{batch_size}x{num_shards}")
-    } else if batch_size == 1 {
+    let label = if batch_size == 1 {
         "sequential".to_string()
     } else {
         format!("batched-{batch_size}")
@@ -152,22 +131,12 @@ fn run_batched(
             submitted.elapsed().as_secs_f64() * 1e3
         })
         .collect();
-    let wall = start.elapsed();
-    // A sharded batch pays one fix-point per *chunk*; the scheduler counts
-    // the chunks its sharded batches actually executed (spills included).
-    let stats = scheduler.stats();
-    let fixpoints = if num_shards > 1 {
-        stats.sharded_chunks
-    } else {
-        stats.batches
-    };
     Measurement {
         label,
         batch_size,
-        num_shards,
-        wall,
+        wall: start.elapsed(),
         latencies_ms: latencies,
-        fixpoints,
+        fixpoints: scheduler.stats().batches,
     }
 }
 
@@ -198,8 +167,6 @@ fn main() {
     let assert_not_slower = args.iter().any(|a| a == "--assert-batched-not-slower");
     let assert_speedup: Option<f64> = arg_value(&args, "--assert-speedup")
         .map(|v| v.parse().expect("--assert-speedup takes a number"));
-    let assert_sharded_factor: Option<f64> = arg_value(&args, "--assert-sharded-factor")
-        .map(|v| v.parse().expect("--assert-sharded-factor takes a number"));
 
     print_header(
         "Serving throughput — batched scheduler vs one-request-at-a-time",
@@ -242,7 +209,7 @@ fn main() {
             .expect("at least one repeat")
     };
     let direct = best_of(&|| run_direct("direct-loop", &program, &requests));
-    let sequential = best_of(&|| run_batched(&program, &requests, 1, 1));
+    let sequential = best_of(&|| run_batched(&program, &requests, 1));
     let batch_sizes: Vec<usize> = [4usize, 8, 16, 32]
         .iter()
         .copied()
@@ -250,26 +217,14 @@ fn main() {
         .collect();
     let batched: Vec<Measurement> = batch_sizes
         .iter()
-        .map(|b| best_of(&|| run_batched(&program, &requests, *b, 1)))
-        .collect();
-    // Sharded serving at the largest batch size: every pooled batch fans out
-    // across 2 and 4 shard devices. Compared against the single-device run
-    // of the same batch size (its "single-device counterpart").
-    let largest_batch = *batch_sizes.last().expect("at least one batch size");
-    let sharded: Vec<Measurement> = [2usize, 4]
-        .iter()
-        .map(|s| best_of(&|| run_batched(&program, &requests, largest_batch, *s)))
+        .map(|b| best_of(&|| run_batched(&program, &requests, *b)))
         .collect();
     let seq_sps = sequential.samples_per_sec();
     println!(
         "{:<20} {:>10} {:>14} {:>10} {:>10} {:>10} {:>9}",
         "config", "fixpoints", "samples/sec", "p50 (ms)", "p99 (ms)", "wall (s)", "speedup"
     );
-    for m in [&direct, &sequential]
-        .into_iter()
-        .chain(&batched)
-        .chain(&sharded)
-    {
+    for m in [&direct, &sequential].into_iter().chain(&batched) {
         println!(
             "{:<20} {:>10} {:>14.1} {:>10.2} {:>10.2} {:>10.3} {:>8.2}x",
             m.label,
@@ -283,9 +238,7 @@ fn main() {
     }
 
     // BENCH_serve.json — machine-readable record, uploaded as a CI artifact.
-    // Where the (single-device) serving wall time went, per kernel bucket.
-    // Sharded rows run on split shard devices and are attributed in
-    // BENCH_kernels.json instead.
+    // Where the serving wall time went, per kernel bucket.
     let kernel_time = program
         .device()
         .stats()
@@ -298,8 +251,7 @@ fn main() {
          \"direct_loop\": {},\n  \
          \"kernel_time_ms\": {{\"sort_ms\": {:.3}, \"join_ms\": {:.3}, \
          \"unique_ms\": {:.3}, \"other_ms\": {:.3}}},\n  \
-         \"sequential\": {},\n  \"batched\": [\n    {}\n  ],\n  \
-         \"sharded\": [\n    {}\n  ]\n}}\n",
+         \"sequential\": {},\n  \"batched\": [\n    {}\n  ]\n}}\n",
         ProvenanceKind::DiffTop1Proof,
         requests_n,
         chain_length,
@@ -312,11 +264,6 @@ fn main() {
         kernel_time.other_ns as f64 / 1e6,
         sequential.json(seq_sps),
         batched
-            .iter()
-            .map(|m| m.json(seq_sps))
-            .collect::<Vec<_>>()
-            .join(",\n    "),
-        sharded
             .iter()
             .map(|m| m.json(seq_sps))
             .collect::<Vec<_>>()
@@ -359,41 +306,6 @@ fn main() {
                 largest.batch_size,
             );
             std::process::exit(1);
-        }
-    }
-    if let Some(required) = assert_sharded_factor {
-        // Gate on 2-way sharding against its single-device counterpart (the
-        // same batch size, one device): sharding must not tax throughput by
-        // more than the allowed factor, and ideally wins.
-        let two_way = sharded
-            .iter()
-            .find(|m| m.num_shards == 2)
-            .expect("2-way sharded configuration measured");
-        let factor = two_way.samples_per_sec() / largest.samples_per_sec().max(1e-12);
-        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-        if cpus < 2 {
-            // Shards run on threads: with one CPU the two halves of every
-            // batch serialize, so the factor only reflects the machine, not
-            // the executor. Record it, but don't gate on it.
-            println!(
-                "sharded(2) vs single-device at batch {}: {factor:.2}x — gate skipped \
-                 ({cpus} CPU available, shards cannot overlap)",
-                largest.batch_size
-            );
-        } else if factor < required {
-            eprintln!(
-                "FAIL: sharded(2) throughput {:.1}/s is {factor:.2}x single-device \
-                 {:.1}/s at batch {}, below required {required:.2}x",
-                two_way.samples_per_sec(),
-                largest.samples_per_sec(),
-                largest.batch_size,
-            );
-            std::process::exit(1);
-        } else {
-            println!(
-                "sharded(2) vs single-device at batch {}: {factor:.2}x (required ≥ {required:.2}x)",
-                largest.batch_size
-            );
         }
     }
 }

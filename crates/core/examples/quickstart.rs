@@ -7,8 +7,8 @@
 //! quickstart`.
 //!
 //! Serving this at scale is the `lobster-serve` crate: a compiled-program
-//! cache plus a batching scheduler on a persistent runtime (long-lived
-//! shard workers, recycled sessions — nothing is rebuilt per batch). See
+//! cache plus a batching scheduler on a persistent runtime (one long-lived
+//! session per scheduler worker — nothing is rebuilt per batch). See
 //! `docs/ARCHITECTURE.md` for the request lifecycle and knobs, and the
 //! `serve` example in `lobster-serve` for the runnable version.
 

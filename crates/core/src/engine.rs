@@ -2,8 +2,8 @@
 //!
 //! [`Program`] and [`Session`](crate::Session) are plain types: the semiring
 //! is a [`ProvenanceKind`] the program carries, not a type parameter.
-//! Everything above this module — facts, registry, change detection, pools,
-//! shard workers — is the same code for every semiring. A semiring is
+//! Everything above this module — facts, registry, change detection, pools
+//! — is the same code for every semiring. A semiring is
 //! *used* in exactly three calls — a from-scratch run, a batched run, an
 //! incremental run — and those three go through the [`AnyEngine`] a session
 //! owns: one dynamic dispatch per call into an [`Engine<P>`] that holds the
@@ -77,7 +77,7 @@ pub(crate) trait AnyEngine: std::fmt::Debug + Send + Sync {
         &self,
         session: SessionFacts<'_>,
         fork: &InputFactRegistry,
-        samples: &[&FactSet],
+        samples: &[FactSet],
     ) -> Result<(Vec<OutputView>, ExecutionStats), LobsterError>;
 
     /// Runs from scratch like [`AnyEngine::run`] and keeps the database for
@@ -346,7 +346,7 @@ impl<P: SessionProvenance> AnyEngine for Engine<P> {
         &self,
         session: SessionFacts<'_>,
         fork: &InputFactRegistry,
-        samples: &[&FactSet],
+        samples: &[FactSet],
     ) -> Result<(Vec<OutputView>, ExecutionStats), LobsterError> {
         let SessionFacts { program, facts, .. } = session;
         let (batched, plan) = (&program.artifact.batched, &program.artifact.batched_plan);
@@ -461,7 +461,6 @@ mod tests {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<Program>();
         assert_send_sync::<crate::Session>();
-        assert_send_sync::<crate::ShardedExecutor>();
     }
 
     #[test]

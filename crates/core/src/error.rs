@@ -21,12 +21,6 @@ pub enum LobsterError {
         /// Description of the problem.
         message: String,
     },
-    /// A runtime invariant broke — e.g. a shard worker thread died while
-    /// executing part of a batch. Not produced by well-formed programs.
-    Internal {
-        /// Description of the problem.
-        message: String,
-    },
 }
 
 impl fmt::Display for LobsterError {
@@ -36,7 +30,6 @@ impl fmt::Display for LobsterError {
             LobsterError::Execution(e) => write!(f, "{e}"),
             LobsterError::BadFact { message } => write!(f, "{message}"),
             LobsterError::Config { message } => write!(f, "{message}"),
-            LobsterError::Internal { message } => write!(f, "{message}"),
         }
     }
 }

@@ -83,8 +83,8 @@
 //! and every program's relations are stored packed and dictionary-encoded,
 //! `u32` columns in 4-byte lanes (`u32` arithmetic wraps at 32 bits, and
 //! arithmetic over symbols does not compile). Every entry point —
-//! [`Session::run`], [`Session::run_batch`], [`Session::run_incremental`],
-//! the shard workers — reaches its fix point the same way:
+//! [`Session::run`], [`Session::run_batch`], [`Session::run_incremental`]
+//! — reaches its fix point the same way:
 //! `lobster_apm::Executor::run_strata` over the strata compiled with the
 //! [`Program`] under its options (`lobster_apm::refresh_database` for an
 //! incremental refresh), with one host→device transfer recorded before a
@@ -112,61 +112,29 @@
 //!   mini-batches (one fix-point per batch) with `max_batch_size` /
 //!   `max_queue_delay` knobs, routing each result back to its caller.
 //!   Each scheduler worker opens one [`Session`] for its life and runs
-//!   every single-device batch on it; with `num_shards > 1` the scheduler
-//!   holds **one** long-lived [`ShardedExecutor`] whose shard workers serve
-//!   every batch it ever runs.
+//!   every batch on it with [`Session::run_batch`]: one batch, one fix
+//!   point, one device.
 //!
 //! See `docs/ARCHITECTURE.md` for the full request lifecycle (diagram, knob
-//! reference, shard-vs-batch guidance) and the `serve` example in
-//! `lobster-serve` for the end-to-end flow.
+//! reference) and the `serve` example in `lobster-serve` for the end-to-end
+//! flow.
 //!
 //! ## Session lifetime
 //!
 //! Opening a session costs about 90 ns ([`Program::session`]), so a
 //! one-off request opens its own and drops it. [`Session::run_batch`] takes
 //! `&self` and registers the samples' facts on a *fork* of the session
-//! registry, so a long-lived session — a scheduler worker's, a shard
-//! worker's — serves any number of batches unchanged; the forks are
-//! recycled, so steady-state serving allocates no fresh registry per batch.
+//! registry, so a long-lived session — a scheduler worker's — serves any
+//! number of batches unchanged; the forks are recycled, so steady-state
+//! serving allocates no fresh registry per batch.
 //!
-//! ## Multi-device sharding
+//! ## One device per batch
 //!
-//! Because the sample-id column isolates every sample of a batch, a batch
-//! can also be partitioned *across devices*: a [`ShardedExecutor`] spawns
-//! one persistent worker thread per shard device (derived from the
-//! program's device) at construction, feeds every batch to those workers
-//! over a shared queue, runs one fix-point per shard slice, and merges the
-//! per-shard results back into the caller's order — with tuples,
-//! probabilities, and gradients identical to the single-device
-//! [`Program::run_batch`]. The batching scheduler exposes the same knob as
-//! `SchedulerConfig::num_shards`, holding one executor for all its batches,
-//! so scheduled batches fan out without any change to clients.
-//!
-//! *When to shard.* Sharding pays off when a single batch's fix-point is
-//! the bottleneck and spare devices (or cores — shard devices execute on
-//! threads) are idle: large batches, deep recursions, or a latency target
-//! the full-batch fix-point misses. For small batches the extra fix-points
-//! per batch cost more than the overlap wins — measure with the
-//! `serve_throughput` bench, which records sharded rows next to their
-//! single-device counterparts.
-//!
-//! *Budget knobs.* Shard devices are derived with
-//! [`Device::split_shards`](lobster_gpu::Device::split_shards): the parent
-//! memory budget and kernel workers are divided `N` ways, so an `N`-shard
-//! executor stays within its program's memory envelope, and within its
-//! worker envelope as long as `N` does not exceed the device's parallelism
-//! (each shard keeps at least one worker, so more shards than workers
-//! oversubscribes). Because the executor is persistent and shared, that
-//! envelope spans every concurrent `run_batch` caller. A chunk that
-//! overflows its shard's budget is split in half and retried
-//! ([`ShardConfig::max_spill_depth`] bounds how often), so batches that fit
-//! the aggregate budget still complete.
-//!
-//! *Skew behavior.* Samples are bin-packed over shards by fact count
-//! (largest first). A pathologically large sample — beyond
-//! [`ShardConfig::skew_factor`] × the ideal per-shard share — becomes its
-//! own work unit, and idle shards steal pending work units, so one monster
-//! sample delays only itself, not the whole batch.
+//! A batch runs as one fix point on the program's [`Device`], with the
+//! sample id as a leading key; parallelism inside it comes from the
+//! device's kernel lanes. A batch whose working set exceeds the device's
+//! `memory_limit` fails as a whole with [`LobsterError::Execution`]
+//! (`DeviceError::OutOfMemory`); nothing is split and retried.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -175,12 +143,10 @@ mod engine;
 mod error;
 mod program;
 mod session;
-mod sharded;
 
 pub use error::LobsterError;
 pub use program::{Lobster, LobsterBuilder, Program};
 pub use session::{FactSet, RunResult, Session};
-pub use sharded::{ShardConfig, ShardRunStats, ShardedExecutor};
 
 /// The name `benchmark/` still spells for [`Program`]; the next `benchmark`
 /// PR drops it (ROADMAP item 4).

@@ -19,7 +19,7 @@ use lobster_apm::{
 use lobster_datalog::CompiledProgram;
 use lobster_gpu::Device;
 use lobster_provenance::ProvenanceKind;
-use lobster_ram::passes::{lint_program, validate_program, CostModel};
+use lobster_ram::passes::{lint_program, validate_program};
 use lobster_ram::{Diagnostic, RamProgram, Value};
 use std::sync::Arc;
 
@@ -114,7 +114,6 @@ impl LobsterBuilder {
             ));
         }
         let diagnostics = lint_program(&compiled.ram);
-        let cost_model = CostModel::analyze(&compiled.ram);
         let batched = batch_transform(&compiled.ram);
         let source_hash = Lobster::source_hash(&self.source);
         let program = Program {
@@ -125,7 +124,6 @@ impl LobsterBuilder {
                 batched,
                 source_hash,
                 diagnostics,
-                cost_model,
             }),
             device: self.device,
             options: self.options,
@@ -154,8 +152,6 @@ pub(crate) struct Artifact {
     /// shared by every clone (and cached alongside the program in
     /// `ProgramCache`).
     pub(crate) diagnostics: Vec<Diagnostic>,
-    /// Static per-relation cost weights for batch planners.
-    pub(crate) cost_model: CostModel,
     /// What a run of `compiled.ram` needs beyond its facts.
     pub(crate) plan: RunPlan,
     /// What a run of `batched` needs beyond its facts.
@@ -241,17 +237,6 @@ impl Program {
         &self.options
     }
 
-    /// A clone of this program bound to a different execution device. The
-    /// compiled artifact is shared (`Arc`), so this is how one compilation
-    /// is fanned out across several devices — see
-    /// [`ShardedExecutor`](crate::ShardedExecutor).
-    pub fn with_device(&self, device: Device) -> Program {
-        Program {
-            device,
-            ..self.clone()
-        }
-    }
-
     /// The compiled RAM program.
     pub fn ram(&self) -> &RamProgram {
         &self.artifact.compiled.ram
@@ -283,12 +268,6 @@ impl Program {
     /// Computed once at compile time; cloning the program shares the report.
     pub fn diagnostics(&self) -> &[Diagnostic] {
         &self.artifact.diagnostics
-    }
-
-    /// The static cost model (per-relation weights) the sharded batch
-    /// planner uses to refine fact-count costs.
-    pub(crate) fn cost_model(&self) -> &CostModel {
-        &self.artifact.cost_model
     }
 
     /// A deterministic estimate of the compiled artifact's resident size in
@@ -402,11 +381,7 @@ mod tests {
         let program = unit(TC);
         let clone = program.clone();
         assert!(Arc::ptr_eq(&program.artifact, &clone.artifact));
-        // A clone on another device still shares the compiled artifact.
-        let moved = program.with_device(Device::sequential());
-        assert!(Arc::ptr_eq(&program.artifact, &moved.artifact));
-        assert_eq!(moved.device().parallelism(), 1);
-        assert_eq!(moved.kind(), program.kind());
+        assert_eq!(clone.kind(), program.kind());
     }
 
     #[test]
@@ -519,17 +494,6 @@ mod tests {
             .diagnostics()
             .iter()
             .all(|d| d.severity == crate::Severity::Warning));
-    }
-
-    #[test]
-    fn cost_model_weights_join_heavy_relations_higher() {
-        let program = unit(TC);
-        let model = program.cost_model();
-        // `edge` feeds both the base rule and the recursive join; `path` only
-        // the recursive side. Both outrank an unreferenced default.
-        assert!(model.relation_weight("edge") > model.relation_weight("path"));
-        assert!(model.relation_weight("path") > 1);
-        assert_eq!(model.relation_weight("no_such_relation"), 1);
     }
 
     #[test]

@@ -16,7 +16,7 @@ use lobster_apm::ExecutionStats;
 use lobster_provenance::{InputFactId, InputFactRegistry, Output};
 use lobster_ram::{SymbolTable, Tuple, Value};
 use std::collections::{BTreeMap, BTreeSet, HashSet};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// One raw fact of a [`FactSet`]: relation, tuple, optional probability,
 /// optional mutual-exclusion group.
@@ -575,29 +575,16 @@ impl Session {
         for facts in samples {
             self.program.validate_facts(facts)?;
         }
-        self.run_batch_refs_prevalidated(&samples.iter().collect::<Vec<_>>())
-    }
-
-    /// [`Session::run_batch`] over borrowed, **already validated** samples —
-    /// lets the sharded executor, which validates the whole batch once up
-    /// front, run each (possibly non-contiguous, possibly retried) chunk
-    /// without cloning any fact set or re-walking the schema checks.
-    ///
-    /// Unknown relations or arity mismatches in `samples` panic inside the
-    /// database layer instead of surfacing as [`LobsterError::BadFact`]; the
-    /// caller owns the validation.
-    pub(crate) fn run_batch_refs_prevalidated(
-        &self,
-        samples: &[&FactSet],
-    ) -> Result<Vec<RunResult>, LobsterError> {
         // Scope all registration to this run: per-sample facts go into a
         // fork of the session registry. The fork itself is recycled — a
         // previous run's fork registry is reforked in place when one is
-        // idle — so steady-state batches allocate no fresh registry.
+        // idle — so steady-state batches allocate no fresh registry. The
+        // pool is a `Vec` of idle forks, valid whatever a panicking holder
+        // of its lock was doing, so a poisoned lock is simply taken over.
         let fork = self
             .batch_forks
             .lock()
-            .expect("session fork pool poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .pop()
             .unwrap_or_default();
         fork.refork_from(&self.registry);
@@ -607,7 +594,7 @@ impl Session {
         // no other owner and can be recycled for the next batch.
         self.batch_forks
             .lock()
-            .expect("session fork pool poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .push(fork);
         let (per_sample, stats) = outcome?;
         Ok(per_sample
@@ -700,6 +687,32 @@ mod tests {
         // the shared registry; the session-scoped design registers into a
         // per-call fork.
         assert_eq!(session.registry.len(), before);
+    }
+
+    #[test]
+    fn an_empty_batch_is_an_empty_result() {
+        let program = Program::compile(TC, ProvenanceKind::Unit).unwrap();
+        assert!(program.session().run_batch(&[]).unwrap().is_empty());
+    }
+
+    #[test]
+    fn a_poisoned_fork_pool_still_serves_batches() {
+        let program = Program::compile(TC, ProvenanceKind::Unit).unwrap();
+        let session = program.session();
+        std::thread::scope(|scope| {
+            let holder = scope.spawn(|| {
+                let _held = session.batch_forks.lock().unwrap();
+                panic!("a holder of the fork pool panics");
+            });
+            assert!(holder.join().is_err());
+        });
+        assert!(session.batch_forks.is_poisoned());
+        let mut sample = FactSet::new();
+        sample.add("edge", &[Value::U32(0), Value::U32(1)], None);
+        for _ in 0..2 {
+            let results = session.run_batch(std::slice::from_ref(&sample)).unwrap();
+            assert_eq!(results[0].len("path"), 1);
+        }
     }
 
     #[test]

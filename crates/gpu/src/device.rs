@@ -5,7 +5,7 @@
 //! long-lived `lobster-kernel-N` threads; see [`crate::pool`]); dropping the
 //! last clone of the device joins them. Kernel execution never spawns
 //! threads per launch. See `docs/PERFORMANCE.md` for how the pool knobs
-//! interact with shard-level parallelism.
+//! interact with the serving layer's threads.
 
 use crate::arena::Arena;
 use crate::pool::{LiveWorkers, WorkerPool};
@@ -113,14 +113,6 @@ impl KernelTime {
             other_ns: self.other_ns.saturating_sub(earlier.other_ns),
         }
     }
-
-    /// Accumulates another record bucket-wise.
-    pub fn merge(&mut self, other: &KernelTime) {
-        self.sort_ns += other.sort_ns;
-        self.join_ns += other.join_ns;
-        self.unique_ns += other.unique_ns;
-        self.other_ns += other.other_ns;
-    }
 }
 
 /// Counters describing the work a device has performed.
@@ -183,23 +175,6 @@ impl DeviceStats {
             transfers: self.transfers.saturating_sub(earlier.transfers),
         }
     }
-
-    /// Accumulates another device's counters into this one — used to report
-    /// one aggregate record for a set of shard devices. `live_bytes` and
-    /// `peak_bytes` are summed, so the aggregate peak is the (pessimistic)
-    /// sum of the per-shard peaks rather than the true peak of the union.
-    pub fn merge(&mut self, other: &DeviceStats) {
-        self.kernel_launches += other.kernel_launches;
-        self.kernel_time.merge(&other.kernel_time);
-        self.kernel_wall.merge(&other.kernel_wall);
-        self.allocations += other.allocations;
-        self.allocated_bytes += other.allocated_bytes;
-        self.live_bytes += other.live_bytes;
-        self.peak_bytes += other.peak_bytes;
-        self.bytes_to_device += other.bytes_to_device;
-        self.bytes_to_host += other.bytes_to_host;
-        self.transfers += other.transfers;
-    }
 }
 
 /// Errors produced by the simulated device.
@@ -234,8 +209,7 @@ struct DeviceInner {
     stats: Mutex<DeviceStats>,
     live_bytes: AtomicUsize,
     /// The buffer pool every kernel output and scratch column is routed
-    /// through (Section 4.1). Shared by all clones of the device; shard
-    /// devices derived with [`Device::split_shards`] get their own.
+    /// through (Section 4.1). Shared by all clones of the device.
     arena: Arena,
     /// The persistent kernel worker pool: spawned once here, shared by all
     /// clones of the device, joined when the last clone drops.
@@ -313,60 +287,6 @@ impl Device {
     /// The device configuration.
     pub fn config(&self) -> &DeviceConfig {
         &self.config
-    }
-
-    /// Derives `n` independent shard devices from this device's
-    /// configuration, for partitioning one logical accelerator across
-    /// several executors (multi-device sharded batch execution).
-    ///
-    /// Each shard is a *fresh* device — its own statistics, its own
-    /// live-memory accounting, its own arenas once an executor runs on it,
-    /// and its own kernel worker pool (spawned at shard construction, joined
-    /// when the shard's last clone drops; the parent's pool is neither
-    /// shared nor resized) — with the parent's resources divided evenly:
-    ///
-    /// * `memory_limit` is split `n` ways (the first shards absorb the
-    ///   remainder, so the budgets sum exactly to the parent's budget);
-    /// * `parallelism` is split `n` ways (remainder likewise to the leading
-    ///   shards, so the workers sum exactly to the parent's), meaning `n`
-    ///   shards running concurrently use no more kernel workers than the
-    ///   parent would — as long as `n` does not exceed the parent's
-    ///   parallelism. Each shard always keeps at least one worker, so asking
-    ///   for more shards than parent workers oversubscribes by the ratio of
-    ///   the two;
-    /// * `hash_table_expansion` and `min_parallel_rows` are inherited.
-    ///
-    /// The parent device is untouched: shard work is not reflected in its
-    /// statistics. Aggregate shard counters with [`DeviceStats::merge`].
-    ///
-    /// Shard devices are plain [`Device`] handles with no tie to the parent,
-    /// so they can — and, under a persistent sharded executor, do — outlive
-    /// any individual batch: a serving layer derives them once and runs
-    /// every batch against the same shard devices. Their counters are
-    /// monotone over that whole lifetime; per-batch attribution is a
-    /// [`DeviceStats::delta_since`] between snapshots, not a counter reset.
-    pub fn split_shards(&self, n: usize) -> Vec<Device> {
-        let n = n.max(1);
-        (0..n)
-            .map(|i| {
-                // Distribute both remainders over the leading shards, so the
-                // shard budgets sum exactly to the parent budget and no
-                // kernel worker is silently dropped.
-                let memory_limit = self
-                    .config
-                    .memory_limit
-                    .map(|limit| limit / n + usize::from(i < limit % n));
-                let parallelism = (self.config.parallelism / n
-                    + usize::from(i < self.config.parallelism % n))
-                .max(1);
-                Device::new(DeviceConfig {
-                    parallelism,
-                    memory_limit,
-                    hash_table_expansion: self.config.hash_table_expansion,
-                    min_parallel_rows: self.config.min_parallel_rows,
-                })
-            })
-            .collect()
     }
 
     /// Number of kernel execution lanes (pooled workers plus the launching
@@ -608,50 +528,6 @@ mod tests {
     }
 
     #[test]
-    fn split_shards_divides_budget_and_parallelism() {
-        let dev = Device::new(DeviceConfig {
-            parallelism: 8,
-            memory_limit: Some(1001),
-            hash_table_expansion: 3,
-            min_parallel_rows: 128,
-        });
-        let shards = dev.split_shards(3);
-        assert_eq!(shards.len(), 3);
-        // Budgets sum exactly to the parent budget; the remainder (1001 =
-        // 3 * 333 + 2) lands on the leading shards.
-        let budgets: Vec<usize> = shards
-            .iter()
-            .map(|s| s.config().memory_limit.unwrap())
-            .collect();
-        assert_eq!(budgets, vec![334, 334, 333]);
-        // Workers sum exactly to the parent's too (8 = 3 + 3 + 2).
-        let workers: Vec<usize> = shards.iter().map(Device::parallelism).collect();
-        assert_eq!(workers, vec![3, 3, 2]);
-        for shard in &shards {
-            assert_eq!(shard.config().hash_table_expansion, 3);
-            assert_eq!(shard.config().min_parallel_rows, 128);
-        }
-    }
-
-    #[test]
-    fn split_shards_never_produces_zero_parallelism_and_are_independent() {
-        let dev = Device::sequential();
-        let shards = dev.split_shards(4);
-        for shard in &shards {
-            assert_eq!(shard.parallelism(), 1);
-            assert_eq!(shard.config().memory_limit, None);
-        }
-        // Shards have independent statistics — work on one is invisible to
-        // its siblings and to the parent.
-        shards[0].record_kernel();
-        shards[0].try_alloc(64).unwrap();
-        assert_eq!(shards[0].stats().kernel_launches, 1);
-        assert_eq!(shards[1].stats().kernel_launches, 0);
-        assert_eq!(dev.stats().kernel_launches, 0);
-        assert_eq!(shards[1].live_bytes(), 0);
-    }
-
-    #[test]
     fn stats_delta_since_isolates_one_interval() {
         let dev = Device::sequential();
         dev.record_kernel();
@@ -668,26 +544,6 @@ mod tests {
         // Gauges keep the current values rather than subtracting.
         assert_eq!(delta.live_bytes, 100);
         assert_eq!(delta.peak_bytes, 100);
-    }
-
-    #[test]
-    fn stats_merge_aggregates_counters() {
-        let a = Device::sequential();
-        let b = Device::sequential();
-        a.record_kernel();
-        a.try_alloc(100).unwrap();
-        b.try_alloc(60).unwrap();
-        b.free(60);
-        b.record_transfer(TransferDirection::HostToDevice, 32);
-        let mut merged = a.stats();
-        merged.merge(&b.stats());
-        assert_eq!(merged.kernel_launches, 1);
-        assert_eq!(merged.allocations, 2);
-        assert_eq!(merged.allocated_bytes, 160);
-        assert_eq!(merged.live_bytes, 100);
-        assert_eq!(merged.peak_bytes, 160);
-        assert_eq!(merged.bytes_to_device, 32);
-        assert_eq!(merged.transfers, 1);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! radix sort, wide rows → parallel merge sort).
 //!
 //! This is the contract the executor's differential suites
-//! (`batch_agreement`, `sharded_agreement`, cross-provenance) lean on: if
+//! (`batch_agreement`, `strategy_agreement`, cross-provenance) lean on: if
 //! each kernel is chunk-invariant, whole fix-points are.
 
 use lobster_gpu::kernels::PackLane;

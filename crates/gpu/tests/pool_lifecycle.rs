@@ -1,8 +1,7 @@
 //! Lifecycle tests for the persistent kernel worker pool: pool threads are
 //! spawned at [`Device`] construction, survive for the device's whole life,
 //! and are joined when the last handle drops — repeated create/drop cycles
-//! must not leak OS threads, a panicking kernel must not kill the pool, and
-//! shard devices must each get their own correctly sized pool.
+//! must not leak OS threads, and a panicking kernel must not kill the pool.
 //!
 //! Thread liveness is read from the pool's own count
 //! ([`Device::live_pool_workers`], decremented as each `lobster-kernel-N`
@@ -68,32 +67,6 @@ fn clones_share_one_pool_and_drop_joins_only_the_last() {
         0,
         "pool threads outlived the last device handle"
     );
-}
-
-#[test]
-fn split_shards_gives_each_shard_its_own_pool() {
-    let parent = device(8);
-    let shards = parent.split_shards(3);
-    // Parallelism 8 over 3 shards: 3 + 3 + 2 lanes; workers are lanes - 1.
-    let workers: Vec<usize> = shards.iter().map(Device::pool_workers).collect();
-    assert_eq!(workers, vec![2, 2, 1]);
-    for shard in &shards {
-        exercise(shard);
-    }
-    // Dropping the parent joins its own pool and leaves the shard pools
-    // untouched.
-    let parent_live = parent.live_pool_workers();
-    assert_eq!(parent_live.get(), 7);
-    drop(parent);
-    assert_eq!(parent_live.get(), 0);
-    let live: Vec<usize> = shards
-        .iter()
-        .map(|shard| shard.live_pool_workers().get())
-        .collect();
-    assert_eq!(live, vec![2, 2, 1]);
-    for shard in &shards {
-        exercise(shard);
-    }
 }
 
 #[test]

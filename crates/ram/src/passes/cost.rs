@@ -1,10 +1,8 @@
-//! Static cost model: per-relation and per-stratum weights for schedulers.
+//! Static cost model: per-relation and per-stratum weights.
 //!
-//! The sharded batch planner balances samples across shard databases with
-//! an LPT heuristic whose item cost was simply the sample's fact count —
-//! which treats a fact feeding three recursive joins the same as one that a
-//! single non-recursive rule copies through. This pass derives a cheap
-//! static weight per relation from the program structure:
+//! A sample's fact count treats a fact feeding three recursive joins the
+//! same as one that a single non-recursive rule copies through. This pass
+//! derives a cheap static weight per relation from the program structure:
 //!
 //! ```text
 //! weight(R) = 1 + joins(R) + 2 × recursive_refs(R)
@@ -14,8 +12,8 @@
 //! rules, and `recursive_refs(R)` counts references to `R` from rules of
 //! recursive strata (facts feeding a fix point are amortised over every
 //! iteration). The weights are intentionally coarse — they refine relative
-//! ordering between samples, not absolute time — and they are computed once
-//! per compiled program, so the planner's hot path only does map lookups.
+//! ordering between samples, not absolute time. `lobster-lint` reports the
+//! per-stratum summary for every workload program.
 
 use crate::analysis::StratumAnalysis;
 use crate::{RamExpr, RamProgram};

@@ -19,8 +19,8 @@
 //!   that can never contribute to any queried result (prunable behind a
 //!   runtime option).
 //! * [`CostModel`] — a static cost model: per-relation and per-stratum
-//!   weights (join participation, recursion, arity) that refine the
-//!   fact-count costs used by the sharded batch planner.
+//!   weights (join participation, recursion, arity), reported per program
+//!   by `lobster-lint`.
 //! * [`lint_program`] — the diagnostics report: validator errors plus
 //!   warnings (cartesian products, non-linear recursion, unused inputs,
 //!   constant-false filters, dead rules), each carrying rule provenance.

@@ -1,8 +1,8 @@
 //! A miniature model server: one process-wide [`ProgramCache`], one
 //! [`BatchScheduler`] per hot program, many concurrent request threads —
-//! including the persistent sharded runtime (`num_shards > 1`: one
-//! long-lived shard worker pool serving every batch) and one-off requests on
-//! their own sessions. This is the executable version of the request
+//! batched on the scheduler's persistent runtime (one long-lived session
+//! per worker serving every batch) — and one-off requests on their own
+//! sessions. This is the executable version of the request
 //! lifecycle described in `docs/ARCHITECTURE.md`.
 //!
 //! Run with `cargo run -p lobster-serve --example serve`. The example prints
@@ -56,15 +56,14 @@ fn main() {
     // --- runtime. ---------------------------------------------------------
     // `max_batch_size` caps how many requests share a fix-point;
     // `max_queue_delay` bounds how long the first request of a batch can
-    // wait for company. With `num_shards` = 2 the scheduler spawns its
-    // two shard workers ONCE, here — every batch below is fed to those same
-    // threads over a work queue, paying no per-batch spawn/join.
+    // wait for company. The scheduler spawns its worker ONCE, here, and the
+    // worker opens one session for its life — every batch below runs on it
+    // as one fix point, paying no per-batch spawn/join or session setup.
     let scheduler = BatchScheduler::new(
         program,
         SchedulerConfig::default()
             .with_max_batch_size(16)
-            .with_max_queue_delay(Duration::from_millis(2))
-            .with_num_shards(2),
+            .with_max_queue_delay(Duration::from_millis(2)),
     );
 
     // Sixty-four independent requests, submitted as fast as possible.
@@ -84,22 +83,13 @@ fn main() {
     }
     let stats = scheduler.stats();
     println!(
-        "scheduler: {} requests in {} batch(es) over 2 persistent shard workers \
-         (largest {}, {} full / {} timer flushes, {} shard chunks)",
-        stats.samples,
-        stats.batches,
-        stats.largest_batch,
-        stats.full_flushes,
-        stats.timer_flushes,
-        stats.sharded_chunks,
+        "scheduler: {} requests in {} batch(es) on one persistent session \
+         (largest {}, {} full / {} timer flushes)",
+        stats.samples, stats.batches, stats.largest_batch, stats.full_flushes, stats.timer_flushes,
     );
     assert!(
         stats.batches < stats.samples,
         "batching amortized at least one fix-point"
-    );
-    assert!(
-        stats.sharded_chunks >= stats.batches,
-        "every batch fanned out across the persistent shard workers"
     );
 
     // --- One-off requests: a session each. --------------------------------

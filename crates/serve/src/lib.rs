@@ -5,9 +5,9 @@
 //! samples (Section 4.3); the PR 1 API split made the compiled [`Program`]
 //! an immutable, `Arc`-shareable artifact. This crate turns those two
 //! properties into a server runtime in which everything structural is built
-//! once and kept — compiled programs, scheduler threads, shard worker
-//! threads, their sessions — so a warm request pays only validation, queueing,
-//! and its share of a fix-point:
+//! once and kept — compiled programs, scheduler threads, their sessions —
+//! so a warm request pays only validation, queueing, and its share of a
+//! fix-point:
 //!
 //! * [`ProgramCache`] — a keyed cache `(source hash, provenance kind,
 //!   options fingerprint) → Arc<Program>` so each distinct program
@@ -23,15 +23,10 @@
 //!   [`SchedulerConfig::max_queue_delay`]; results are routed back to each
 //!   caller over a per-request channel. Plain `std` threads and `mpsc` —
 //!   no async runtime dependency. Each scheduler worker opens one
-//!   session for its life and runs every single-device batch on it (a
-//!   batch registers its facts on a fork, so the session never changes);
-//!   with [`SchedulerConfig::num_shards`] above 1 the scheduler holds
-//!   **one** persistent [`ShardedExecutor`] — shard workers spawned at
-//!   construction, fed every batch over a work queue, joined on
-//!   drop — and every batch fans out across its shard devices with
-//!   identical results. See the "Multi-device sharding" section of the
-//!   `lobster` crate docs and `docs/ARCHITECTURE.md` for the full request
-//!   lifecycle, knob reference, and shard-vs-batch guidance.
+//!   session for its life and runs every batch on it as one fix point on
+//!   the program's device (a batch registers its facts on a fork, so the
+//!   session never changes). See `docs/ARCHITECTURE.md` for the full
+//!   request lifecycle and knob reference.
 //! * [`Server`] — the network front end: a std-TCP, length-prefixed JSON
 //!   protocol over the scheduler, with per-key token-bucket quotas
 //!   ([`KeyStore`]), queue-depth admission control that sheds overload
@@ -43,8 +38,8 @@
 //!
 //! # Example
 //!
-//! The whole serving path — cache, persistent sharded scheduler, one-off
-//! session — in one place (`examples/serve.rs` is the narrated version):
+//! The whole serving path — cache, persistent scheduler, one-off session —
+//! in one place (`examples/serve.rs` is the narrated version):
 //!
 //! ```
 //! use lobster::{FactSet, ProvenanceKind, Value};
@@ -64,15 +59,12 @@
 //! assert_eq!(cache.stats().hits, 1);
 //!
 //! // Serve requests through a batching scheduler: one fix-point per batch,
-//! // fanned out across 2 shard devices by the scheduler's persistent
-//! // executor (its two shard workers are spawned HERE, once — not per
-//! // batch).
+//! // run on a session its worker opened HERE, once — not per batch.
 //! let scheduler = BatchScheduler::new(
 //!     program,
 //!     SchedulerConfig::default()
 //!         .with_max_batch_size(8)
-//!         .with_max_queue_delay(Duration::from_millis(1))
-//!         .with_num_shards(2),
+//!         .with_max_queue_delay(Duration::from_millis(1)),
 //! );
 //! for round in 0..4u32 {
 //!     let mut request = FactSet::new();
@@ -94,7 +86,6 @@
 //!
 //! [`Program`]: lobster::Program
 //! [`Program::compiled_size_bytes`]: lobster::Program::compiled_size_bytes
-//! [`ShardedExecutor`]: lobster::ShardedExecutor
 //! [`FactSet`]: lobster::FactSet
 
 #![forbid(unsafe_code)]

@@ -73,9 +73,7 @@ use crate::cache::{CacheStats, ProgramCache};
 use crate::error::ServeError;
 use crate::json::{self, obj, parse, write_int, write_number, write_str, Json, JsonError, Tokens};
 use crate::scheduler::{BatchScheduler, SchedulerConfig};
-use lobster::{
-    ArenaStats, DeviceStats, FactSet, LobsterError, Program, RunResult, SymbolTable, Value,
-};
+use lobster::{FactSet, LobsterError, Program, RunResult, SymbolTable, Value};
 use std::borrow::Cow;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -87,7 +85,7 @@ use std::time::{Duration, Instant};
 /// Knobs of the [`Server`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Scheduler knobs (batching, workers, shards).
+    /// Scheduler knobs (batching, workers).
     pub scheduler: SchedulerConfig,
     /// Admission-control knobs (pending cap, retry-after window).
     pub admission: AdmissionConfig,
@@ -1056,24 +1054,16 @@ fn cache_stats_json(stats: &CacheStats) -> Json {
 
 /// The `metrics` document: every stats surface the serving stack already
 /// collects, serialized in one place — scheduler, admission, auth, device
-/// (kernel-time buckets and arena, summed over the devices that execute
-/// batches), connections, and the program cache when the server was given
+/// (kernel-time buckets and arena of the program's device, which runs every
+/// batch), connections, and the program cache when the server was given
 /// one.
 fn metrics_json(shared: &ServerShared) -> Json {
     let scheduler = shared.scheduler.stats();
     let admission = shared.admission.stats();
     let auth = shared.keys.stats();
-    let mut device = DeviceStats::default();
-    let mut arena = ArenaStats::default();
-    for executing in shared.scheduler.devices() {
-        device.merge(&executing.stats());
-        let stats = executing.arena().stats();
-        arena.fresh_columns += stats.fresh_columns;
-        arena.reused_columns += stats.reused_columns;
-        arena.recycled_columns += stats.recycled_columns;
-        arena.pooled_buffers += stats.pooled_buffers;
-        arena.pooled_bytes += stats.pooled_bytes;
-    }
+    let program_device = shared.scheduler.program().device();
+    let device = program_device.stats();
+    let arena = program_device.arena().stats();
     let mut metrics = obj([
         ("ok", Json::Bool(true)),
         (
@@ -1084,7 +1074,6 @@ fn metrics_json(shared: &ServerShared) -> Json {
             "scheduler",
             obj([
                 ("batches", Json::from(scheduler.batches)),
-                ("sharded_chunks", Json::from(scheduler.sharded_chunks)),
                 ("samples", Json::from(scheduler.samples)),
                 ("full_flushes", Json::from(scheduler.full_flushes)),
                 ("timer_flushes", Json::from(scheduler.timer_flushes)),
@@ -1544,21 +1533,8 @@ mod tests {
                 .is_some(),
             "kernel-time buckets missing"
         );
-        server.shutdown();
-    }
-
-    #[test]
-    fn sharded_metrics_report_the_shard_devices_work() {
-        // The program's own device runs nothing once it is split into
-        // shards; the document must count the devices that do.
-        let server = test_server(|mut c| {
-            c.scheduler = c.scheduler.with_num_shards(2);
-            c
-        });
-        let mut client = Client::connect(server.local_addr(), "test-key").unwrap();
-        assert!(client.run(&edge_request(0, 1, 0.5)).unwrap().ok());
-        let metrics = client.metrics().unwrap();
-        let device = metrics.json().get("device").expect("device block");
+        // The device block counts the work of the device that ran the batch.
+        let device = doc.get("device").expect("device block");
         let launches = device.get("kernel_launches").and_then(Json::as_u64);
         assert!(launches > Some(0), "kernel_launches: {launches:?}");
         let fresh = device
@@ -1566,6 +1542,58 @@ mod tests {
             .and_then(|a| a.get("fresh_columns"))
             .and_then(Json::as_u64);
         assert!(fresh > Some(0), "arena.fresh_columns: {fresh:?}");
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_batch_over_the_device_budget_is_an_execution_reply_and_the_server_keeps_serving() {
+        // Nothing is split and retried: a batch whose working set overflows
+        // the device's memory budget answers each of its requests with a
+        // typed `execution` error, and the connection and server carry on.
+        let program = lobster::Lobster::builder(TC)
+            .device(lobster::Device::new(lobster::DeviceConfig {
+                parallelism: 1,
+                memory_limit: Some(8),
+                ..lobster::DeviceConfig::default()
+            }))
+            .provenance(ProvenanceKind::AddMultProb)
+            .compile()
+            .expect("compiles");
+        let keys = KeyStore::new();
+        keys.add_key("k", Quota::unlimited());
+        let server = Server::bind(
+            ("127.0.0.1", 0),
+            Arc::new(program),
+            keys,
+            ServerConfig::default(),
+        )
+        .expect("bind");
+        let mut client = Client::connect(server.local_addr(), "k").unwrap();
+        let reply = client.run(&edge_request(0, 1, 0.5)).unwrap();
+        assert!(!reply.ok());
+        assert_eq!(reply.code(), Some("execution"), "{:?}", reply.json());
+        let error = reply.json().get("error").and_then(Json::as_str);
+        assert!(
+            error.is_some_and(|e| e.contains("out of memory")),
+            "{error:?}"
+        );
+        // The same connection still answers.
+        assert!(client.ping().unwrap().ok());
+        let metrics = client.metrics().unwrap();
+        assert!(metrics.ok());
+        let open = metrics
+            .json()
+            .get("connections")
+            .and_then(|c| c.get("open"))
+            .and_then(Json::as_u64);
+        assert_eq!(open, Some(1));
+        assert_eq!(server.stats().open_connections, 1);
+        drop(client);
+        let settle = Instant::now();
+        while server.stats().open_connections > 0 && settle.elapsed() < Duration::from_secs(5) {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(server.stats().open_connections, 0);
         server.shutdown();
     }
 

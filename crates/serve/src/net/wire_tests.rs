@@ -782,8 +782,7 @@ fn a_clutrr_request_and_its_reply_keep_their_bytes() {
     let config = ServerConfig {
         scheduler: SchedulerConfig::default()
             .with_max_batch_size(1)
-            .with_workers(1)
-            .with_num_shards(1),
+            .with_workers(1),
         ..ServerConfig::default()
     };
     let server = Server::bind(("127.0.0.1", 0), program, keys, config).unwrap();

@@ -1,7 +1,7 @@
 //! The batching request scheduler.
 
 use crate::error::ServeError;
-use lobster::{Device, FactSet, InputFactId, Program, RunResult, ShardConfig, ShardedExecutor};
+use lobster::{FactSet, InputFactId, Program, RunResult};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
@@ -30,22 +30,6 @@ pub struct SchedulerConfig {
     /// Number of worker threads draining the queue. Each worker runs whole
     /// batches, so more workers overlap fix-points of *different* batches.
     pub workers: usize,
-    /// Number of shard devices each batch is partitioned across. `1` (the
-    /// default) runs every batch on the program's own device; above 1, the
-    /// scheduler holds **one** persistent [`ShardedExecutor`] — shard
-    /// worker threads spawned at construction and fed every batch
-    /// over its work queue — and batches fan out over devices derived with
-    /// `Device::split_shards`, overlapping fix-points of *slices of the same
-    /// batch*. Results — tuples, probabilities, request-local gradient ids —
-    /// are identical either way.
-    ///
-    /// Because the executor (and its budget split) is shared by all
-    /// scheduler workers, the shard devices' memory budgets sum to the
-    /// program device's `memory_limit` *however many batches execute
-    /// concurrently* — the envelope spans the scheduler, not one batch. A
-    /// chunk that overflows its shard's budget spills (splits and retries)
-    /// rather than failing outright.
-    pub num_shards: usize,
 }
 
 impl Default for SchedulerConfig {
@@ -54,7 +38,6 @@ impl Default for SchedulerConfig {
             max_batch_size: 32,
             max_queue_delay: Duration::from_millis(2),
             workers: 1,
-            num_shards: 1,
         }
     }
 }
@@ -78,9 +61,12 @@ impl SchedulerConfig {
         self
     }
 
-    /// Builder-style setter for [`SchedulerConfig::num_shards`].
-    pub fn with_num_shards(mut self, n: usize) -> Self {
-        self.num_shards = n.max(1);
+    /// Returns `self` unchanged: every batch runs as one fix point on the
+    /// program's device. Kept only for the one call `benchmark/`'s CLUTRR
+    /// workload still makes; ROADMAP item 4's housekeeping deletes it
+    /// together with the `Dyn*` aliases.
+    #[doc(hidden)]
+    pub fn with_num_shards(self, _n: usize) -> Self {
         self
     }
 }
@@ -88,13 +74,8 @@ impl SchedulerConfig {
 /// Counters describing the batches a scheduler has run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SchedulerStats {
-    /// Batches executed. Without sharding every batch costs one fix-point;
-    /// with [`SchedulerConfig::num_shards`] above 1 see
-    /// [`SchedulerStats::sharded_chunks`] for the fix-points actually paid.
+    /// Batches executed; each costs one fix-point.
     pub batches: u64,
-    /// Shard chunks executed across all sharded batches — each chunk is one
-    /// fix-point (spills included). `0` when `num_shards` is 1.
-    pub sharded_chunks: u64,
     /// Requests served across all batches.
     pub samples: u64,
     /// Batches flushed because they reached `max_batch_size`.
@@ -116,11 +97,6 @@ struct Request {
 
 struct Shared {
     program: Arc<Program>,
-    /// The persistent sharded executor (`num_shards > 1` only): shard worker
-    /// threads are spawned once, here, and reused by every batch from every
-    /// scheduler worker. Dropped — and its workers joined — with the
-    /// scheduler.
-    executor: Option<ShardedExecutor>,
     config: SchedulerConfig,
     queue: Mutex<VecDeque<Request>>,
     /// Signalled on submit and on shutdown.
@@ -131,7 +107,6 @@ struct Shared {
     /// an admission controller caps.
     executing: AtomicUsize,
     batches: AtomicU64,
-    sharded_chunks: AtomicU64,
     samples: AtomicU64,
     full_flushes: AtomicU64,
     timer_flushes: AtomicU64,
@@ -145,7 +120,7 @@ pub struct Ticket {
     rx: mpsc::Receiver<Result<RunResult, ServeError>>,
     /// Back-reference for telling a clean shutdown apart from a worker that
     /// died without responding. `Weak`: a stray ticket must not keep the
-    /// scheduler's program/executor alive.
+    /// scheduler's program alive.
     shared: Weak<Shared>,
 }
 
@@ -205,13 +180,11 @@ impl Ticket {
 /// evaluation, applied to serving).
 ///
 /// The execution state behind the batches is *persistent*: each scheduler
-/// worker opens one session for its life and runs every single-device batch
-/// on it, and with [`SchedulerConfig::num_shards`] above 1 every batch is
-/// fed to one long-lived [`ShardedExecutor`] whose shard worker threads are
-/// spawned when the scheduler is built — so a batch pays neither session
-/// setup nor thread spawn/join, the steady-state overheads that dominate at
-/// high request rates. See `docs/ARCHITECTURE.md` for the full request
-/// lifecycle.
+/// worker opens one session for its life and runs every batch on it with
+/// [`Session::run_batch`](lobster::Session::run_batch) — so a batch pays
+/// neither session setup nor thread spawn/join, the steady-state overheads
+/// that dominate at high request rates. See `docs/ARCHITECTURE.md` for the
+/// full request lifecycle.
 ///
 /// Requests are submitted with [`BatchScheduler::submit`], which returns a
 /// [`Ticket`] immediately; worker threads flush the queue whenever a batch
@@ -226,8 +199,7 @@ impl Ticket {
 /// of batch placement.
 ///
 /// Dropping the scheduler drains the queue (every queued request still
-/// runs), joins the scheduler workers, and tears down the persistent
-/// executor's shard workers.
+/// runs) and joins the scheduler workers.
 pub struct BatchScheduler {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
@@ -245,23 +217,14 @@ impl std::fmt::Debug for BatchScheduler {
 impl BatchScheduler {
     /// Spawns the worker threads for `program` with the given knobs.
     pub fn new(program: Arc<Program>, config: SchedulerConfig) -> Self {
-        // When sharding, build ONE persistent executor up front: its shard
-        // workers serve every batch this scheduler will ever run (spawn/join
-        // is paid here, not per batch).
-        let executor = (config.num_shards > 1).then(|| {
-            let shards = ShardConfig::default().with_num_shards(config.num_shards);
-            ShardedExecutor::new(Program::clone(&program), shards)
-        });
         let shared = Arc::new(Shared {
             program,
-            executor,
             config: config.clone(),
             queue: Mutex::new(VecDeque::new()),
             arrivals: Condvar::new(),
             shutdown: AtomicBool::new(false),
             executing: AtomicUsize::new(0),
             batches: AtomicU64::new(0),
-            sharded_chunks: AtomicU64::new(0),
             samples: AtomicU64::new(0),
             full_flushes: AtomicU64::new(0),
             timer_flushes: AtomicU64::new(0),
@@ -344,16 +307,6 @@ impl BatchScheduler {
         executing + self.queued()
     }
 
-    /// The devices this scheduler's batches execute on: the program's own
-    /// when unsharded, the executor's shard devices otherwise (the program's
-    /// device then runs nothing — `Device::split_shards`).
-    pub fn devices(&self) -> Vec<&Device> {
-        match &self.shared.executor {
-            Some(executor) => executor.shard_devices(),
-            None => vec![self.shared.program.device()],
-        }
-    }
-
     /// Convenience: submit one request and block for its result.
     ///
     /// # Errors
@@ -367,7 +320,6 @@ impl BatchScheduler {
     pub fn stats(&self) -> SchedulerStats {
         SchedulerStats {
             batches: self.shared.batches.load(Ordering::Relaxed),
-            sharded_chunks: self.shared.sharded_chunks.load(Ordering::Relaxed),
             samples: self.shared.samples.load(Ordering::Relaxed),
             full_flushes: self.shared.full_flushes.load(Ordering::Relaxed),
             timer_flushes: self.shared.timer_flushes.load(Ordering::Relaxed),
@@ -470,11 +422,10 @@ impl Drop for ExecutingGuard<'_> {
 }
 
 fn worker_loop(shared: &Shared) {
-    // One session for the life of the thread, as a shard worker holds:
-    // `run_batch` registers a batch's facts on a fork of the session's
-    // registry, so no batch leaves a trace on it. Its fact count is the
-    // number of inline program facts; batched execution hands out
-    // per-request fact ids starting after these.
+    // One session for the life of the thread: `run_batch` registers a
+    // batch's facts on a fork of the session's registry, so no batch leaves
+    // a trace on it. Its fact count is the number of inline program facts;
+    // batched execution hands out per-request fact ids starting after these.
     let session = shared.program.session();
     let inline_facts = session.fact_count() as u32;
     while let Some(batch) = next_batch(shared) {
@@ -496,27 +447,7 @@ fn worker_loop(shared: &Shared) {
         shared
             .largest_batch
             .fetch_max(facts.len(), Ordering::Relaxed);
-        // The gradient remap below needs each request's fact count; snapshot
-        // them before the sharded path takes ownership of the payloads.
-        let request_lens: Vec<u32> = facts.iter().map(|f| f.len() as u32).collect();
-        // With `num_shards > 1` the batch is handed — without copying a
-        // fact — to the scheduler's persistent sharded executor: its
-        // long-lived shard workers fan the batch out across shard devices
-        // and merge results back into submission order with the same global
-        // fact-id layout, so the request-local gradient remap below is
-        // shard-agnostic. Single-device batches run on this worker's
-        // session.
-        let outcome = if let Some(executor) = &shared.executor {
-            executor.run_batch_owned(facts).map(|(results, stats)| {
-                shared
-                    .sharded_chunks
-                    .fetch_add(stats.executed_chunks as u64, Ordering::Relaxed);
-                results
-            })
-        } else {
-            session.run_batch(&facts)
-        };
-        match outcome {
+        match session.run_batch(&facts) {
             Ok(mut results) => {
                 // Raw gradient ids are batch-relative (all samples share one
                 // forked registry, ids handed out in batch order after the
@@ -526,9 +457,9 @@ fn worker_loop(shared: &Shared) {
                 // requests' or inline facts, so a client's gradients mean
                 // the same thing whatever batch its request landed in.
                 let mut next_id = inline_facts;
-                for (result, len) in results.iter_mut().zip(&request_lens) {
+                for (result, request) in results.iter_mut().zip(&facts) {
                     let start = next_id;
-                    let len = *len;
+                    let len = request.len() as u32;
                     next_id += len;
                     result.map_gradient_ids(|id| {
                         id.0.checked_sub(start)
@@ -598,68 +529,6 @@ mod tests {
             );
         }
         assert!(scheduler.stats().full_flushes >= 1);
-    }
-
-    #[test]
-    fn sharded_batches_round_trip_with_correct_results() {
-        let scheduler = BatchScheduler::new(
-            program(),
-            SchedulerConfig::default()
-                .with_max_batch_size(4)
-                .with_max_queue_delay(Duration::from_secs(30))
-                .with_num_shards(2),
-        );
-        let tickets: Vec<Ticket> = (0..4)
-            .map(|i| scheduler.submit(edge_request(i * 10, i * 10 + 1, 0.25 + 0.1 * f64::from(i))))
-            .collect();
-        for (i, ticket) in tickets.into_iter().enumerate() {
-            let result = ticket.wait().unwrap();
-            let (a, b) = (i as u32 * 10, i as u32 * 10 + 1);
-            let expected = 0.25 + 0.1 * i as f64;
-            assert!(
-                (result.probability("path", &[Value::U32(a), Value::U32(b)]) - expected).abs()
-                    < 1e-9
-            );
-        }
-        let stats = scheduler.stats();
-        assert_eq!(stats.samples, 4);
-        // One full batch of 4 over 2 shards executes exactly 2 chunks (one
-        // fix-point each) — the counter measures, it does not model.
-        assert_eq!(stats.batches, 1);
-        assert_eq!(stats.sharded_chunks, 2);
-    }
-
-    #[test]
-    fn the_persistent_executor_serves_many_batches_and_tears_down_cleanly() {
-        let scheduler = BatchScheduler::new(
-            program(),
-            SchedulerConfig::default()
-                .with_max_batch_size(2)
-                .with_max_queue_delay(Duration::from_secs(30))
-                .with_num_shards(2),
-        );
-        // 40 full batches through the same two shard workers. Every result
-        // must be correct and every batch must pay its chunks — reuse may
-        // not corrupt, leak, or accumulate.
-        for round in 0..40u32 {
-            let a = scheduler.submit(edge_request(round * 10, round * 10 + 1, 0.5));
-            let b = scheduler.submit(edge_request(round * 10 + 2, round * 10 + 3, 0.5));
-            for (ticket, x) in [(a, round * 10), (b, round * 10 + 2)] {
-                let result = ticket.wait().unwrap();
-                assert!(
-                    (result.probability("path", &[Value::U32(x), Value::U32(x + 1)]) - 0.5).abs()
-                        < 1e-9,
-                    "round {round}"
-                );
-            }
-        }
-        let stats = scheduler.stats();
-        assert_eq!(stats.samples, 80);
-        assert_eq!(stats.batches, 40);
-        // Two single-request chunks per batch, no spills: measured, not
-        // modeled — a leak across batches would show up here.
-        assert_eq!(stats.sharded_chunks, 80);
-        drop(scheduler); // joins scheduler workers AND shard workers
     }
 
     #[test]

@@ -189,10 +189,10 @@ fn assert_same_outputs(a: &lobster::RunResult, b: &lobster::RunResult, what: &st
 }
 
 /// Serves 10 requests through a scheduler cutting the set at several flush
-/// boundaries (max_batch_size 4) with the given shard count, and asserts
-/// every served result agrees with the whole set run as one `run_batch`
-/// fix-point.
-fn assert_flush_boundary_agreement(num_shards: usize) {
+/// boundaries (max_batch_size 4), and asserts every served result agrees
+/// with the whole set run as one `run_batch` fix-point.
+#[test]
+fn scheduler_results_agree_with_one_shot_run_batch_across_flush_boundaries() {
     let program = Arc::new(Program::compile(TC, ProvenanceKind::AddMultProb).unwrap());
     let requests: Vec<FactSet> = (0..10).map(request).collect();
 
@@ -200,15 +200,12 @@ fn assert_flush_boundary_agreement(num_shards: usize) {
     let reference = program.run_batch(&requests).unwrap();
 
     // The scheduler must split these 10 requests across at least 3 batches
-    // (max_batch_size 4), so several flush boundaries cut the set — and with
-    // `num_shards > 1` each of those batches is additionally cut across
-    // shard devices.
+    // (max_batch_size 4), so several flush boundaries cut the set.
     let scheduler = BatchScheduler::new(
         Arc::clone(&program),
         SchedulerConfig::default()
             .with_max_batch_size(4)
-            .with_max_queue_delay(Duration::from_millis(1))
-            .with_num_shards(num_shards),
+            .with_max_queue_delay(Duration::from_millis(1)),
     );
     let tickets: Vec<_> = requests
         .iter()
@@ -223,34 +220,17 @@ fn assert_flush_boundary_agreement(num_shards: usize) {
     assert!(stats.batches >= 3, "stats: {stats:?}");
 
     for (i, (batched, one_shot)) in served.iter().zip(&reference).enumerate() {
-        assert_same_outputs(
-            batched,
-            one_shot,
-            &format!("request {i} (shards {num_shards})"),
-        );
+        assert_same_outputs(batched, one_shot, &format!("request {i}"));
     }
 }
 
 #[test]
-fn scheduler_results_agree_with_one_shot_run_batch_across_flush_boundaries() {
-    assert_flush_boundary_agreement(1);
-}
-
-#[test]
-fn sharded_scheduler_results_agree_with_one_shot_run_batch_across_flush_boundaries() {
-    // Every pooled batch additionally fans out across 2 and 3 shard devices;
-    // flush boundaries and shard boundaries together must stay invisible.
-    assert_flush_boundary_agreement(2);
-    assert_flush_boundary_agreement(3);
-}
-
-#[test]
-fn sharded_scheduler_gradients_stay_request_local() {
+fn uneven_requests_in_one_batch_keep_request_local_gradients() {
     use lobster::InputFactId;
 
-    // Requests with *different* fact counts forced into one sharded batch:
-    // the gradient remap must hold whichever shard a request's sample lands
-    // on.
+    // Seven requests with *different* fact counts forced into one batch:
+    // the gradient remap must hold wherever in the batch a request's sample
+    // lands.
     let program = Arc::new(Program::compile(TC, ProvenanceKind::DiffAddMultProb).unwrap());
     let requests: Vec<FactSet> = (0..6).map(request).collect();
     let mut small = FactSet::new();
@@ -260,8 +240,7 @@ fn sharded_scheduler_gradients_stay_request_local() {
         Arc::clone(&program),
         SchedulerConfig::default()
             .with_max_batch_size(7)
-            .with_max_queue_delay(Duration::from_secs(30))
-            .with_num_shards(3),
+            .with_max_queue_delay(Duration::from_secs(30)),
     );
     let tickets: Vec<_> = requests
         .iter()

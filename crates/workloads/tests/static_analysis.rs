@@ -1,7 +1,7 @@
 //! The `lobster_ram::passes` pipeline against the real compiled workload
 //! programs — the suite the paper evaluates, not synthetic fixtures. These
 //! pin the analysis facts the compiler's join-strategy selection and the
-//! sharded planner rely on.
+//! cost model report.
 
 use lobster_ram::passes::{lint_program, merge_eligible_joins, validate_program, CostModel};
 use lobster_ram::Severity;
@@ -85,7 +85,7 @@ fn cspa_cost_model_counts_recursive_joins_and_sort_orders() {
     // value_flow.
     let diagnostics = lint_program(&compiled.ram);
     assert!(diagnostics.iter().any(|d| d.code == "non-linear-recursion"));
-    // The EDB relations feed the recursive stratum, so the planner weights
+    // The EDB relations feed the recursive stratum, so the model weights
     // their facts above derived-only relations' default.
     assert!(cost.relation_weight("assign") > 1);
     assert!(cost.relation_weight("dereference") > 1);
