@@ -119,11 +119,9 @@ impl<P: Provenance> SortedTable<P> {
     /// [`SortedTable::from_unsorted`] less the rows present in any of the
     /// `known` tables (all of the rows' arity): the tags of duplicate rows
     /// fold first, in input order, and the filter applies to the folded
-    /// rows. A one-word table is one kernel launch
-    /// ([`kernels::sort_unique_words`]): its sorted, duplicate-free or
-    /// filtered intermediates are never written. A wider one sorts a
-    /// permutation, gathers its columns and tags through it, deduplicates
-    /// ([`kernels::unique`]) and filters ([`kernels::difference_runs`]).
+    /// rows. Every width but the nullary one is one kernel launch
+    /// ([`kernels::sort_unique`]): its sorted, duplicate-free or filtered
+    /// intermediates are never written.
     pub(crate) fn from_unsorted_minus(
         device: &Device,
         prov: &P,
@@ -149,40 +147,15 @@ impl<P: Provenance> SortedTable<P> {
                 arity,
             };
         }
+        // The candidate's columns, then every known table's.
+        let refs: Vec<&[u64]> = std::iter::once(&columns)
+            .chain(known.iter().map(|t| &t.columns))
+            .flatten()
+            .map(Vec::as_slice)
+            .collect();
+        let (candidate, known) = refs.split_at(arity);
         let or = |a: &P::Tag, b: &P::Tag| prov.add(a, b);
-        let (out_columns, out_tags) = if let [words] = columns.as_slice() {
-            let runs: Vec<&[u64]> = known.iter().map(|t| t.columns[0].as_slice()).collect();
-            let (words, tags) = kernels::sort_unique_words(device, words, &tags, or, &runs);
-            (vec![words], tags)
-        } else {
-            let refs: Vec<&[u64]> = columns.iter().map(|c| c.as_slice()).collect();
-            let perm = kernels::sort_permutation(device, &refs);
-            let sorted: Columns = refs
-                .iter()
-                .map(|col| kernels::gather(device, &perm, col))
-                .collect();
-            let sorted_tags = kernels::gather_tags(device, &perm, &tags);
-            device.arena().recycle_shared(perm);
-            let sorted_refs: Vec<&[u64]> = sorted.iter().map(|c| c.as_slice()).collect();
-            let (unique, unique_tags) = kernels::unique(device, &sorted_refs, &sorted_tags, or);
-            drop(sorted_refs);
-            recycle_columns(device, sorted);
-            if known.is_empty() {
-                (unique, unique_tags)
-            } else {
-                let cols: Vec<&[u64]> = known.iter().flat_map(|t| t.col_refs()).collect();
-                let runs: Vec<(&[&[u64]], usize)> = cols
-                    .chunks(arity)
-                    .zip(&known)
-                    .map(|(cols, table)| (cols, table.len()))
-                    .collect();
-                let unique_refs: Vec<&[u64]> = unique.iter().map(|c| c.as_slice()).collect();
-                let new = kernels::difference_runs(device, &unique_refs, &unique_tags, &runs);
-                drop(unique_refs);
-                recycle_columns(device, unique);
-                new
-            }
-        };
+        let (out_columns, out_tags) = kernels::sort_unique(device, candidate, &tags, or, known);
         recycle_columns(device, columns);
         SortedTable {
             columns: out_columns,
@@ -1434,6 +1407,24 @@ mod tests {
         let merged = a.merge_disjoint(&device, &new);
         assert_eq!(merged.len(), 3);
         assert_eq!(merged.columns[0], vec![1, 2, 3]);
+    }
+
+    /// A two-word candidate goes to its frontier in one kernel launch: the
+    /// sort, the fold of duplicate rows and the known-row filter all happen
+    /// inside it.
+    #[test]
+    fn a_two_word_frontier_is_one_kernel_launch() {
+        let device = Device::sequential();
+        let prov = AddMultProb::new();
+        let known = vec![vec![1, 2], vec![10, 20]];
+        let known = SortedTable::from_unsorted(&device, &prov, known, vec![0.5, 0.5]);
+        let candidate = vec![vec![3, 1, 3, 2], vec![30, 10, 30, 25]];
+        let tags = vec![0.25, 0.5, 0.5, 0.125];
+        let before = device.stats().kernel_launches;
+        let new = SortedTable::from_unsorted_minus(&device, &prov, candidate, tags, &[&known]);
+        assert_eq!(device.stats().kernel_launches - before, 1);
+        assert_eq!(new.columns, vec![vec![2, 3], vec![25, 30]]);
+        assert_eq!(new.tags, vec![0.125, 0.75]);
     }
 
     #[test]

@@ -1371,8 +1371,8 @@ mod tests {
         // columns: two full-width, one packed word encoded. A register
         // freed instead of recycled (one released while its instruction
         // still held a handle on it) would show as a fresh column in every
-        // iteration. The encoded database is the one-word path: candidate
-        // rows to frontier in one `sort_unique_words` launch, whose
+        // iteration. Candidate rows go to their frontier in one `sort_unique`
+        // launch, one word per row encoded and two full-width, whose
         // direct-address table and segment scratch come from the arena. A
         // cycle's candidate is one row per source, already in order, so a
         // cycle of layers joined layer to next layer by every edge between

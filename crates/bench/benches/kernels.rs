@@ -50,31 +50,23 @@ fn bench_sort_unique(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(rows), &rows, |b, _| {
             b.iter(|| {
                 let refs: Vec<&[u64]> = cols.iter().map(|c| c.as_slice()).collect();
-                let perm = kernels::sort_permutation(&device, &refs);
-                let (sorted, stags) = kernels::apply_permutation(&device, &perm, &refs, &tags);
-                let sorted_refs: Vec<&[u64]> = sorted.iter().map(|c| c.as_slice()).collect();
-                kernels::unique(&device, &sorted_refs, &stags, |_, _| ())
+                kernels::sort_unique(&device, &refs, &tags, |_, _| (), &[])
             });
         });
     }
     group.finish();
 }
 
-fn bench_scan_and_gather(c: &mut Criterion) {
+fn bench_scan(c: &mut Criterion) {
     let device = Device::default();
-    let mut group = c.benchmark_group("scan_gather");
+    let mut group = c.benchmark_group("scan");
     group
         .measurement_time(Duration::from_secs(2))
         .sample_size(10);
     let rows = 100_000usize;
     let mut rng = StdRng::seed_from_u64(1);
     let counts: Vec<u64> = (0..rows).map(|_| rng.gen_range(0..4)).collect();
-    let data: Vec<u64> = (0..rows as u64).collect();
-    let indices: Vec<u64> = (0..rows).map(|_| rng.gen_range(0..rows as u64)).collect();
     group.bench_function("scan_100k", |b| b.iter(|| kernels::scan(&device, &counts)));
-    group.bench_function("gather_100k", |b| {
-        b.iter(|| kernels::gather(&device, &indices, &data))
-    });
     group.finish();
 }
 
@@ -82,6 +74,6 @@ criterion_group!(
     kernels_benches,
     bench_hash_join,
     bench_sort_unique,
-    bench_scan_and_gather
+    bench_scan
 );
 criterion_main!(kernels_benches);

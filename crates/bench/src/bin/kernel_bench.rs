@@ -15,10 +15,13 @@
 //! overlapped; wall far above busy/lanes means the pool queued. Busy time is
 //! published only up to one lane per CPU: past that it is `null`, with the
 //! reason, because a chunk's busy time is a wall-clock interval that counts
-//! the time its lane sat descheduled. The `sort_unique` row, measured last
-//! at every lane count, runs [`kernels::sort_unique_words`] over a 2 M-row
-//! candidate shaped like `tc_dense`'s against a 250 k-row known run (a
-//! quarter of each in quick mode). This is what lets serving-layer numbers (`BENCH_serve.json`) be
+//! the time its lane sat descheduled. The `sort_unique` row, measured after
+//! the others at every lane count, runs [`kernels::sort_unique`] over a 2
+//! M-row candidate of one-word rows shaped like `tc_dense`'s against a 250
+//! k-row known run (a quarter of each in quick mode); the
+//! `sort_unique_two_word` row, measured last, runs it over the same rows
+//! with `x` and `y` in two words each, as a batched relation's sample-id
+//! column keeps them. This is what lets serving-layer numbers (`BENCH_serve.json`) be
 //! attributed to individual kernels; `docs/PERFORMANCE.md` walks through
 //! reading both.
 //!
@@ -97,6 +100,17 @@ fn refs(cols: &[Vec<u64>]) -> Vec<&[u64]> {
     cols.iter().map(|c| c.as_slice()).collect()
 }
 
+/// The rows of `cols` in the order of `device`'s sort, and their tags: the
+/// sorted inputs some kernels require, prepared outside the timings.
+fn sorted_on(device: &Device, cols: &[Vec<u64>], tags: &[f64]) -> (Vec<Vec<u64>>, Vec<f64>) {
+    let perm = kernels::sort_permutation(device, &refs(cols));
+    let sorted = cols
+        .iter()
+        .map(|col| perm.iter().map(|&i| col[i as usize]).collect())
+        .collect();
+    (sorted, kernels::gather_tags(device, &perm, tags))
+}
+
 fn random_cols(rng: &mut StdRng, rows: usize, arity: usize, key_space: u64) -> Vec<Vec<u64>> {
     (0..arity)
         .map(|_| (0..rows).map(|_| rng.gen_range(0..key_space)).collect())
@@ -146,7 +160,6 @@ fn main() {
         .map(|_| rng.gen_range(0..1 << 20) as f64 * 0.5)
         .collect();
     let counts: Vec<u64> = (0..rows).map(|_| rng.gen_range(0..4)).collect();
-    let indices: Vec<u64> = (0..rows).map(|_| rng.gen_range(0..rows as u64)).collect();
     let build = random_cols(&mut rng, rows, 1, (rows as u64 / 4).max(4));
     let probe = random_cols(&mut rng, rows, 1, (rows as u64 / 4).max(4));
     let half = rows / 2;
@@ -166,15 +179,19 @@ fn main() {
             ys.into_iter().map(move |y| x << 32 | y)
         })
         .collect();
+    // The same rows and known run with `x` and `y` in a word each.
+    let split = |words: &[u64]| -> Vec<Vec<u64>> {
+        let column = |shift: u32| words.iter().map(|w| w >> shift & 0xFFFF_FFFF).collect();
+        vec![column(32), column(0)]
+    };
+    let (candidate_2w, known_2w) = (split(&candidate), split(&known));
 
     let mut rows_out: Vec<Row> = Vec::new();
     let mut times_out: Vec<(usize, KernelTime, KernelTime)> = Vec::new();
     for &p in &PARALLELISMS {
         let device = device_with(p);
         // Inputs that must be pre-sorted are prepared outside the timings.
-        let perm = kernels::sort_permutation(&device, &refs(&table));
-        let (sorted, sorted_tags) =
-            kernels::apply_permutation(&device, &perm, &refs(&table), &tags);
+        let (sorted, sorted_tags) = sorted_on(&device, &table, &tags);
         let (a_half, at_half) = (
             sorted
                 .iter()
@@ -189,12 +206,8 @@ fn main() {
         // join rows run over these same sorted inputs, so they compare the
         // strategies the compiler actually chooses between and
         // `hash_build_join` − `hash_join` is the cost of the index build.
-        let build_perm = kernels::sort_permutation(&device, &refs(&build));
-        let (sorted_build, _) =
-            kernels::apply_permutation(&device, &build_perm, &refs(&build), &tags);
-        let probe_perm = kernels::sort_permutation(&device, &refs(&probe));
-        let (sorted_probe, _) =
-            kernels::apply_permutation(&device, &probe_perm, &refs(&probe), &tags);
+        let (sorted_build, _) = sorted_on(&device, &build, &tags);
+        let (sorted_probe, _) = sorted_on(&device, &probe, &tags);
         let index = HashIndex::build(&device, &refs(&sorted_build), 2);
 
         let mut bench = |kernel: &'static str, rows: usize, f: &mut dyn FnMut()| {
@@ -263,10 +276,6 @@ fn main() {
             }
             device.arena().recycle_shared(src);
         });
-        bench("gather", rows, &mut || {
-            let out = kernels::gather(&device, &indices, &sorted[0]);
-            device.arena().recycle_shared(out);
-        });
         bench("hash_build", rows, &mut || {
             // The partitioned index build: hash once, radix-scatter row ids
             // by partition, build the per-partition slot tables in parallel.
@@ -325,21 +334,27 @@ fn main() {
                 device.arena().recycle_shared(col);
             }
         });
-        bench("sort_unique", candidate.len(), &mut || {
-            // Candidate rows to new frontier in one launch: sort, fold the
-            // tags of duplicates (max, as min-max probability does), drop
-            // what the known run holds. Last, because its 2 M-row launch
-            // leaves buffers in the arena pools that change what the rows
-            // after it read (`eval` at one lane ran 2x faster behind it).
-            let (words, _tags) = kernels::sort_unique_words(
-                &device,
-                &candidate,
-                &candidate_tags,
-                |a, b| a.max(*b),
-                &[&known],
-            );
-            device.arena().recycle_shared(words);
-        });
+        // Candidate rows to new frontier in one launch: sort, fold the tags
+        // of duplicates (max, as min-max probability does), drop what the
+        // known run holds — over one-word rows, then over the same rows in
+        // two words, whose segments are one `x` each and take the
+        // direct-address path. Last, because a 2 M-row launch leaves buffers
+        // in the arena pools that change what the rows after it read (`eval`
+        // at one lane ran 2x faster behind it).
+        let one_word = (vec![candidate.as_slice()], vec![known.as_slice()]);
+        let two_words = (refs(&candidate_2w), refs(&known_2w));
+        for (kernel, (rows, known)) in [
+            ("sort_unique", &one_word),
+            ("sort_unique_two_word", &two_words),
+        ] {
+            bench(kernel, candidate.len(), &mut || {
+                let or = |a: &f64, b: &f64| a.max(*b);
+                let (cols, _) = kernels::sort_unique(&device, rows, &candidate_tags, or, known);
+                for col in cols {
+                    device.arena().recycle_shared(col);
+                }
+            });
+        }
 
         let stats = device.stats();
         times_out.push((p, stats.kernel_time, stats.kernel_wall));

@@ -226,10 +226,12 @@ fn patch_view<P: Provenance>(
             RelationChange::Inserted { rows, positions } => {
                 let added = db.decode_table(&relation, &rows, |tag| provenance.output(tag));
                 rows.recycle(device);
+                // cannot fail: a refresh names output relations only; the view has all.
                 let rows = view.get_mut(&relation).expect("an output relation");
                 splice_at(Arc::make_mut(rows), added, &positions);
             }
             RelationChange::Removed { positions } => {
+                // cannot fail: a refresh names output relations only; the view has all.
                 let rows = view.get_mut(&relation).expect("an output relation");
                 remove_at(Arc::make_mut(rows), &positions);
             }
@@ -322,6 +324,10 @@ impl<P: SessionProvenance> AnyEngine for Engine<P> {
             provenance.clone(),
             program.options.clone(),
         );
+        // A session calls `refresh` only while it holds the state a
+        // `materialize` left, and drops that state whenever the database
+        // goes (a clone copies both).
+        // cannot fail: the database is kept for as long as that state.
         let db = self.db.as_mut().expect("materialized");
         let strata = &program.artifact.plan.strata;
         let refreshed = refresh_database(&executor, db, ram, strata, &changes)?;
@@ -369,25 +375,19 @@ impl<P: SessionProvenance> AnyEngine for Engine<P> {
         // Split the batched outputs back into per-sample results.
         let mut per_sample: Vec<OutputView> = vec![BTreeMap::new(); samples.len()];
         for relation in &batched.outputs {
-            for sample_outputs in per_sample.iter_mut() {
-                sample_outputs.entry(relation.clone()).or_default();
-            }
-            for (tuple, out) in db.decode_rows(relation, |tag| provenance.output(tag)) {
+            let mut rows = vec![Vec::new(); samples.len()];
+            for (mut tuple, out) in db.decode_rows(relation, |tag| provenance.output(tag)) {
                 let Some(Value::U32(sample)) = tuple.first().copied() else {
                     continue;
                 };
-                let sample = sample as usize;
-                if sample >= per_sample.len() {
+                let Some(sample_rows) = rows.get_mut(sample as usize) else {
                     continue;
-                }
-                let mut rest = tuple;
-                rest.remove(0);
-                let rows = per_sample[sample]
-                    .get_mut(relation)
-                    .expect("entry initialized above");
-                Arc::get_mut(rows)
-                    .expect("nothing shares the rows yet")
-                    .push((rest, out));
+                };
+                tuple.remove(0);
+                sample_rows.push((tuple, out));
+            }
+            for (sample_outputs, rows) in per_sample.iter_mut().zip(rows) {
+                sample_outputs.insert(relation.clone(), Arc::new(rows));
             }
         }
         Ok((per_sample, stats))

@@ -58,16 +58,19 @@ impl Default for DeviceConfig {
 /// The accounting bucket a kernel launch is attributed to, for the
 /// per-kernel time breakdowns in [`DeviceStats::kernel_time`] (busy) and
 /// [`DeviceStats::kernel_wall`] (enqueue-to-completion). Sort, join, and
-/// unique dominate fix-point cost (the paper's Table 1 hot set), so they get
-/// their own buckets; everything else (scan, merge, difference, eval,
+/// unique are the paper's Table 1 hot set, so they get their own buckets —
+/// the one-launch frontier update, which sorts, deduplicates and filters, is
+/// sort; everything else (scan, merge, difference, eval,
 /// gathers, loads) is `Other`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelKind {
-    /// Row sorting (`sort_permutation`, `sort_unique_words`).
+    /// Row sorting (`sort_permutation`, and `sort_unique`, which builds every
+    /// fix-point frontier).
     Sort,
     /// Hash-join family (`HashIndex::build`, `count_matches`, `hash_join`).
     Join,
-    /// Sorted-run deduplication (`unique`).
+    /// Sorted-run deduplication by the standalone `unique` kernel, which the
+    /// engine does not call: a frontier's deduplication is `Sort` time.
     Unique,
     /// Every other kernel.
     Other,

@@ -23,14 +23,13 @@
 //!   index) — a segment belongs to the chunk it starts in, whole — so
 //!   non-commutative or order-sensitive tag disjunctions (e.g. float
 //!   addition) fold in exactly one order.
-//! * [`sort_unique_words`] folds the same order without sorting first: all
-//!   rows of one word lie in one segment, segments go to the workers whole,
-//!   and each of its three paths — fold as the rows come, fold each row into
-//!   its direct-address slot as the rows come, a stable segment sort — visits
-//!   a word's rows in input order, which is the order the stable sort puts
-//!   them in for [`unique`]. The known-fact filter runs after the
-//!   fold, on each distinct word, like [`difference_runs`] after
-//!   [`unique`].
+//! * [`sort_unique`] folds the same order without sorting first: all rows
+//!   equal to one another lie in one segment, segments go to the workers
+//!   whole, and each of its three paths — fold as the rows come, fold each
+//!   row into its direct-address slot as the rows come, a stable segment
+//!   sort — visits equal rows in input order, which is the order the stable
+//!   sort puts them in for [`unique`]. The known-fact filter runs after the
+//!   fold, on each distinct row, like [`difference`] after [`unique`].
 //! * [`merge`] / [`difference`] cut both inputs at *partition points*
 //!   (binary searches on the data), and each worker runs the sequential
 //!   two-pointer walk on its cut; the cuts are data-determined, so the
@@ -38,11 +37,11 @@
 //!   least `GALLOP_RATIO` times the other's length is one sequential walk
 //!   that gallops the short side's places and copies the long side's
 //!   stretches between them: the same rows in the same order. Where
-//!   [`difference_runs`] gallops through a long run it lands on the same
-//!   lower bounds the walk would have reached.
+//!   [`difference`] or [`sort_unique`] gallops through a long run it lands
+//!   on the same lower bounds the walk would have reached.
 //! * [`lookup`] is one sequential cursor over the stored table, driven by
 //!   the distinct probe keys in key order.
-//! * [`eval`], the gathers, and [`join_write`] write each output element as
+//! * [`eval`], [`gather_tags`] and [`join_write`] write each output element as
 //!   a pure function of its input row(s) into disjoint, position-stable
 //!   output ranges.
 //! * [`count_matches`] and [`join_write`] probe the index once per probe
@@ -87,12 +86,8 @@ pub mod sites {
     pub const DIFF_OUT: usize = 8;
     /// Eval output columns (data plus source indices).
     pub const EVAL_OUT: usize = 9;
-    /// Gather output columns.
-    pub const GATHER_OUT: usize = 10;
     /// Hash-join output columns.
     pub const JOIN_OUT: usize = 11;
-    /// Append output columns.
-    pub const APPEND_OUT: usize = 12;
     /// Count-matches output column.
     pub const COUNT_OUT: usize = 13;
     /// Hash-index slot tables, group keys, range starts and row ids.
@@ -108,8 +103,7 @@ pub mod sites {
     pub const PACK_OUT: usize = 19;
     /// Unpack-columns output (full-width logical columns).
     pub const UNPACK_OUT: usize = 20;
-    /// The words one chunk of
-    /// [`sort_unique_words`](super::sort_unique_words) emits.
+    /// The rows one chunk of [`sort_unique`](super::sort_unique) emits.
     pub const SORT_KEYS: usize = 21;
     /// [`lookup`](super::lookup)'s distinct probe rows, in key order.
     pub const LOOKUP_KEYS: usize = 22;
@@ -118,6 +112,7 @@ pub mod sites {
 }
 
 /// Compares row `i` of `a` with row `j` of `b` lexicographically by column.
+#[inline]
 pub fn cmp_rows(a: &[&[u64]], i: usize, b: &[&[u64]], j: usize) -> Ordering {
     for (ca, cb) in a.iter().zip(b.iter()) {
         match ca[i].cmp(&cb[j]) {
@@ -278,18 +273,9 @@ pub fn unpack_columns(
     out
 }
 
-/// `gather(i, s)`: `out[k] = column[indices[k]]`.
-pub fn gather(device: &Device, indices: &[u64], column: &[u64]) -> Column {
-    let _t = device.launch(KernelKind::Other);
-    let mut out = device
-        .arena()
-        .alloc_zeroed(sites::GATHER_OUT, indices.len());
-    par_map_into(device, &mut out, |k| column[indices[k] as usize]);
-    out
-}
-
-/// Tag variant of [`gather`]. Tags are cloned chunk-by-chunk into exact-size
-/// buffers (no `Option` holes, no second pass).
+/// `gather(i, t)` of tags: `out[k] = tags[indices[k]]`. Tags are cloned
+/// chunk-by-chunk into exact-size buffers (no `Option` holes, no second
+/// pass).
 pub fn gather_tags<T: Clone + Send + Sync>(device: &Device, indices: &[u64], tags: &[T]) -> Vec<T> {
     let _t = device.launch(KernelKind::Other);
     gather_tags_inner(device, indices, tags)
@@ -361,6 +347,10 @@ const SMALL_SEGMENT: usize = 32;
 /// over `(digit, chunk)` buckets, and a scatter into per-bucket output
 /// slices. Wider tables fall back to a parallel stable merge sort (sorted
 /// chunks, pairwise merged). All are stable, so all produce the same bytes.
+///
+/// The engine does not call it: a fix-point iteration sorts its candidate
+/// rows inside [`sort_unique`]. It stays as the reference the tests hold
+/// that kernel to and as a layer the repository benchmark measures.
 pub fn sort_permutation(device: &Device, columns: &[&[u64]]) -> Column {
     let _t = device.launch(KernelKind::Sort);
     let len = columns.first().map(|c| c.len()).unwrap_or(0);
@@ -482,8 +472,8 @@ fn radix_pass(device: &Device, col: &[u64], shift: u32, src: &Column, dst: &mut 
     );
 }
 
-/// A one-word column cut into *segments*, runs of rows whose words agree
-/// above bit `low`. One pass over the column finds which bytes vary at all
+/// A table cut into *segments*, runs of rows whose leading words agree above
+/// bit `low`. One pass over the leading column finds which bytes vary at all
 /// and the shortest suffix of low bits that is out of order: every descent
 /// between neighbours lies below `low`, so the prefixes `w >> low` are
 /// already non-decreasing (a join emits in probe order, so the leading lane
@@ -492,31 +482,39 @@ struct Segments {
     low: u32,
     /// The bits above `low`.
     prefix: u64,
-    /// Shifts of the bytes below `low` that vary anywhere in the column,
-    /// least significant first.
-    digits: Vec<u32>,
+    /// The bytes that can differ inside a segment, as `(column, shift)` in
+    /// the order an LSD radix sort takes them: every varying byte of the
+    /// later columns, last column first, then the varying bytes of the
+    /// leading column below `low`, each column's least significant first.
+    digits: Vec<(usize, u32)>,
     /// The launch's chunks, each boundary moved right to the next segment
     /// start, so segments are spread over the workers whole.
     ranges: Vec<Range<usize>>,
 }
 
 impl Segments {
-    fn of(device: &Device, words: &[u64]) -> Segments {
+    fn of(device: &Device, columns: &[&[u64]]) -> Segments {
+        let words = columns[0];
         let len = words.len();
         let (varying, descents) = word_order(device, words);
         let low = 64 - descents.leading_zeros();
+        let later = (1..columns.len()).rev().flat_map(|c| {
+            varying_digits(varying_bits(device, columns[c])).map(move |shift| (c, shift))
+        });
+        let leading = varying_digits(varying).take_while(|&shift| shift < low);
         let mut segments = Segments {
             low,
             prefix: u64::MAX.checked_shl(low).unwrap_or(0),
-            digits: varying_digits(varying)
-                .take_while(|&shift| shift < low)
-                .collect(),
+            digits: later.chain(leading.map(|shift| (0, shift))).collect(),
             ranges: Vec::new(),
         };
         let mut start = 0;
         for range in chunks_for(device, len) {
             let mut end = range.end.max(start);
-            while 0 < end && end < len && segments.same(words[end - 1], words[end]) {
+            while 0 < end
+                && end < len
+                && segments.floor(words[end - 1]) == segments.floor(words[end])
+            {
                 end += 1;
             }
             segments.ranges.push(start..end);
@@ -531,15 +529,16 @@ impl Segments {
         w & self.prefix
     }
 
-    /// Whether two words lie in one segment.
-    fn same(&self, a: u64, b: u64) -> bool {
-        self.floor(a) == self.floor(b)
-    }
-
-    /// Calls `f(segment, in_order)` for the segments of `words[range]` in
-    /// order (`range` must start at a segment start); `in_order` says no
-    /// word of the segment is less than the one before it.
-    fn for_each(&self, words: &[u64], range: Range<usize>, mut f: impl FnMut(Range<usize>, bool)) {
+    /// Calls `f(segment, in_order)` for the segments of rows `range` of
+    /// `columns` in order (`range` must start at a segment start);
+    /// `in_order` says no row of the segment is less than the one before it.
+    fn for_each(
+        &self,
+        columns: &[&[u64]],
+        range: Range<usize>,
+        mut f: impl FnMut(Range<usize>, bool),
+    ) {
+        let (words, rest) = (columns[0], &columns[1..]);
         let mut s = range.start;
         while s < range.end {
             let floor = self.floor(words[s]);
@@ -549,257 +548,322 @@ impl Segments {
                 in_order &= words[e - 1] <= words[e];
                 e += 1;
             }
+            // Rows whose leading words tie are in order when the rest of
+            // them are.
+            in_order &= rest.is_empty()
+                || (s + 1..e)
+                    .all(|i| words[i - 1] < words[i] || cmp_rows(rest, i - 1, rest, i).is_le());
             f(s..e, in_order);
             s = e;
         }
     }
 }
 
-/// A segment at most `2^DENSE_SEGMENT_BITS` words wide that holds at least
-/// one row per two of them is deduplicated by direct addressing in
-/// [`sort_unique_words`] rather than sorted: a table that small stays in
-/// the cache, and walking it costs at most two steps per row.
+/// A segment whose rows differ only in the low `bits` bits of their last
+/// word, with `2^bits ≤ 2^DENSE_SEGMENT_BITS` and at least one row per two
+/// of those values, is deduplicated by direct addressing in [`sort_unique`]
+/// rather than sorted: a table that small stays in the cache, and walking it
+/// costs at most two steps per row.
 const DENSE_SEGMENT_BITS: u32 = 16;
 
-/// `diff(unique⟨⊕⟩(sort(s)), known…)` of a one-word table in one launch: the
-/// distinct words of `words`, ascending, each with the fold of its rows'
-/// tags under `or` in input order, keeping only the words that occur in
-/// none of the sorted `known` runs — the new frontier of a fix-point
-/// iteration straight from its unsorted candidate rows. With no runs it is
-/// the sorted, duplicate-free table.
+/// The number of low bits of the last word in which the rows of `segment`
+/// differ, when no other word differs in it: `low` itself for one-word rows,
+/// whose segments agree above it.
+fn slot_bits(columns: &[&[u64]], segment: Range<usize>, low: u32) -> Option<u32> {
+    let varying = |column: &[u64]| {
+        let rows = &column[segment.clone()];
+        rows.iter().fold(0, |acc, &w| acc | (w ^ rows[0]))
+    };
+    match columns.split_last()? {
+        (_, []) => Some(low),
+        (last, fixed) => (fixed.iter().all(|column| varying(column) == 0))
+            .then(|| 64 - varying(last).leading_zeros()),
+    }
+}
+
+/// `diff(unique⟨⊕⟩(sort(s̄)), known…)` in one launch, for rows of k ≥ 1
+/// words (`columns` holds k columns): the distinct rows, ascending, each with
+/// the fold of its rows' tags under `or` in input order, less the rows any of
+/// the sorted `known` runs holds — the new frontier of a fix-point iteration
+/// straight from its unsorted candidate rows. `known` lists the runs'
+/// columns one run after another, k to a run.
 ///
-/// One pass finds the lowest bit `low` above which the words are already
-/// non-decreasing, and the words fall into *segments*, runs of rows that
-/// agree above it. Each segment goes one of three ways. One already in order
-/// (or a single row) folds its runs of equal words as they come. A *dense*
-/// one — `low ≤ DENSE_SEGMENT_BITS` (16) and `2^low ≤ 2·n` for its `n` rows
-/// — is deduplicated by direct addressing: each row's tag is folded into the
-/// slot of a `2^low`-slot table that its low bits name, in input order, and
-/// walking the table in slot order emits the segment sorted. Any other is
-/// sorted into worker-local scratch by a stable LSD radix sort over its
-/// varying low bytes and then folded. Every distinct word is checked
-/// against the runs with one cursor per run carried across the chunk, which
-/// steps linearly and gallops once a word lies more than `GALLOP_RATIO` (8)
-/// positions ahead; in a multi-chunk launch each cursor starts at its
-/// bisected position. So no full-length sorted column, permutation,
-/// permuted tag vector, distinct table or kept-row index is ever written:
-/// a chunk's output buffer has room for all its rows, but only the words
-/// it emits are written to it.
+/// One pass over the leading column finds the lowest bit `low` above which
+/// its words are non-decreasing; the rows fall into *segments*, runs whose
+/// leading words agree above it, and each segment goes one of three ways.
+/// One in order folds its runs of equal rows as they come. A *dense* one —
+/// its rows differ only in the low `b` bits of the last word (`b` is `low`
+/// for one-word rows), `b ≤ DENSE_SEGMENT_BITS` and `2^b ≤ 2·n` — folds each
+/// row's tag into the slot of a `2^b`-slot table those bits name, and
+/// walking the slots emits it sorted. Any other is radix-sorted in
+/// worker-local scratch over the bytes of every word that vary, then folded.
+/// Each distinct row is checked against the runs with one cursor per run
+/// carried across the chunk, linear steps then a gallop past `GALLOP_RATIO`
+/// positions. No sorted column, permutation, distinct table or kept-row
+/// index is ever written, only the rows emitted.
 ///
-/// The fold is the one the stable sort and [`unique`] produce — equal words
-/// are only ever in one segment, and every path visits them in input order
-/// — and the filter applies after it, so the output is the bytes of
-/// `sort_permutation` → `gather_tags` → `unique` → `difference_runs`
-/// whatever the parallelism.
-pub fn sort_unique_words<T, F>(
+/// Equal rows lie in one segment and every path visits them in input order,
+/// and the filter applies after the fold, so the output is the bytes of
+/// `sort_permutation` → gathers → [`unique`] → [`difference`] against each
+/// run, whatever the parallelism.
+pub fn sort_unique<T, F>(
     device: &Device,
-    words: &[u64],
+    columns: &[&[u64]],
     tags: &[T],
     or: F,
     known: &[&[u64]],
-) -> (Column, Vec<T>)
+) -> (Columns, Vec<T>)
 where
     T: Clone + Send + Sync,
     F: Fn(&T, &T) -> T + Sync,
 {
     let _t = device.launch(KernelKind::Sort);
-    debug_assert_eq!(words.len(), tags.len());
-    debug_assert!(known.iter().all(|run| is_sorted(&[run])));
-    let segments = Segments::of(device, words);
-    let low = segments.low;
+    debug_assert!(columns.iter().all(|column| column.len() == tags.len()));
+    debug_assert!(known.chunks(columns.len()).all(is_sorted));
+    let segments = Segments::of(device, columns);
     let arena = device.arena();
     let pieces: PerChunk<Frontier<'_, T>> = map_chunks(device, &segments.ranges, |_, range| {
-        let floor = words.get(range.start).map_or(0, |&w| segments.floor(w));
-        let mut out = Frontier {
-            known,
-            cursors: known
-                .iter()
-                .map(|run| bisect(0, run.len(), |j| run[j] < floor))
-                .collect(),
-            // Room for every row of the chunk, of which only the emitted
-            // words are written. A buffer grown on demand instead takes
-            // whatever the pools hand out first, which saves a little peak
-            // memory on average but makes it vary from run to run
-            // (docs/PERFORMANCE.md, "Candidate rows to frontier").
-            words: arena.alloc_empty(sites::SORT_KEYS, range.len()),
-            tags: Vec::new(),
-        };
-        let mut scratch = DedupScratch::default();
-        // A dense segment's folded tags, one per distinct word. Tags are not
-        // words, so they cannot come from the arena; the vector lives as
-        // long as the worker's launch and grows to the most distinct words
-        // a segment holds.
-        let mut folds = Vec::new();
-        segments.for_each(words, range, |segment, in_order| {
-            let n = segment.len();
-            let base = segment.start;
-            if in_order {
-                fold_sorted(&words[segment], |k| base + k, tags, &or, &mut out);
-            } else if low <= DENSE_SEGMENT_BITS && 1 << low <= 2 * n {
-                let table = scratch.table(device, 1 << low);
-                let (words, tags) = (&words[segment.clone()], &tags[segment]);
-                fold_dense(words, tags, &or, table, &mut folds, &mut out);
-            } else {
-                let (sorted, rows) = scratch.sort(device, &words[segment], base, &segments.digits);
-                fold_sorted(sorted, |k| rows[k] as usize, tags, &or, &mut out);
-            }
-        });
-        scratch.recycle(device);
-        out
+        // One-word rows compile to loops over words alone: with `WIDE`
+        // false, every look at the words after the leading one is compiled
+        // out.
+        if columns.len() == 1 {
+            frontier::<T, false>(device, &segments, columns, tags, &or, known, range)
+        } else {
+            frontier::<T, true>(device, &segments, columns, tags, &or, known, range)
+        }
     });
-    // The chunks' words are copied into one exactly sized column, so a
-    // table that outlives the launch holds no spare capacity.
+    // The chunks' rows are copied into exactly sized columns, so a table
+    // that outlives the launch holds no spare capacity.
     let total = pieces.iter().map(|piece| piece.tags.len()).sum();
-    let mut out = arena.alloc_empty(sites::UNIQUE_OUT, total);
+    let mut out: Columns = columns
+        .iter()
+        .map(|_| arena.alloc_empty(sites::UNIQUE_OUT, total))
+        .collect();
     let tag_pieces = pieces
         .into_iter()
         .map(|piece| {
-            out.extend_from_slice(&piece.words);
-            arena.recycle(sites::SORT_KEYS, piece.words);
+            let rows = std::iter::once(piece.words).chain(piece.rest_words);
+            for (out, rows) in out.iter_mut().zip(rows) {
+                out.extend_from_slice(&rows);
+                arena.recycle(sites::SORT_KEYS, rows);
+            }
             piece.tags
         })
         .collect();
     (out, concat_pieces(tag_pieces, total))
 }
 
-/// What one chunk of [`sort_unique_words`] emits: the distinct words it is
-/// handed in ascending order, with their folded tags, less those a known
-/// run holds.
+/// The frontier [`sort_unique`] makes of the rows `range` of `columns`,
+/// whose words after the leading one it looks at only when `WIDE`.
+fn frontier<'a, T: Clone, const WIDE: bool>(
+    device: &Device,
+    segments: &Segments,
+    columns: &'a [&'a [u64]],
+    tags: &[T],
+    or: &impl Fn(&T, &T) -> T,
+    known: &'a [&'a [u64]],
+    range: Range<usize>,
+) -> Frontier<'a, T> {
+    let (words, arena) = (columns[0], device.arena());
+    let floor = words.get(range.start).map_or(0, |&w| segments.floor(w));
+    let mut out = Frontier {
+        rest: &columns[1..],
+        known,
+        cursors: known
+            .iter()
+            .step_by(columns.len())
+            .map(|first| bisect(0, first.len(), |j| first[j] < floor))
+            .collect(),
+        // Room for every row of the chunk, of which only the emitted
+        // rows are written. A buffer grown on demand instead takes
+        // whatever the pools hand out first, which saves a little peak
+        // memory on average but makes it vary from run to run
+        // (docs/PERFORMANCE.md, "Candidate rows to frontier").
+        words: arena.alloc_empty(sites::SORT_KEYS, range.len()),
+        rest_words: columns[1..]
+            .iter()
+            .map(|_| arena.alloc_empty(sites::SORT_KEYS, range.len()))
+            .collect(),
+        tags: Vec::new(),
+    };
+    let mut scratch = Scratch::default();
+    // A dense segment's first row and folded tag per distinct row. Tags are
+    // not words, so they cannot come from the arena; the vector lives as
+    // long as the worker's launch and grows to the most distinct rows a
+    // segment holds.
+    let mut folds = Vec::new();
+    segments.for_each(columns, range, |segment, in_order| {
+        let n = segment.len();
+        let base = segment.start;
+        let dense = |bits: &u32| *bits <= DENSE_SEGMENT_BITS && 1 << bits <= 2 * n;
+        if in_order {
+            fold_sorted::<T, WIDE>(&words[segment], |k| base + k, tags, or, &mut out);
+        } else if let Some(bits) = slot_bits(columns, segment.clone(), segments.low).filter(dense) {
+            let table = scratch.table(device, 1 << bits);
+            fold_dense::<T, WIDE>(columns, segment, tags, or, table, &mut folds, &mut out);
+        } else {
+            sort_segment::<WIDE>(device, columns, segment, &segments.digits, &mut scratch);
+            let (keys, ids) = (&scratch.keys[..n], &scratch.ids);
+            fold_sorted::<T, WIDE>(keys, |k| ids[k] as usize, tags, or, &mut out);
+        }
+    });
+    scratch.recycle(device);
+    out
+}
+
+/// What one chunk of [`sort_unique`] emits: the distinct rows it is handed
+/// in ascending order, with their folded tags, less those a known run holds.
 struct Frontier<'a, T> {
+    /// The launch's input columns after the first, which a row's later words
+    /// are read from.
+    rest: &'a [&'a [u64]],
+    /// The known runs' columns, one run after another.
     known: &'a [&'a [u64]],
     /// Per known run, the first position not yet passed.
     cursors: Vec<usize>,
+    /// The emitted rows' leading words, and their later words.
     words: Column,
+    rest_words: Columns,
     tags: Vec<T>,
 }
 
 impl<T> Frontier<'_, T> {
-    fn push(&mut self, word: u64, tag: T) {
-        for (run, cursor) in self.known.iter().zip(&mut self.cursors) {
-            *cursor = seek(run, *cursor, word);
-            if run.get(*cursor) == Some(&word) {
+    /// Emits input row `row`, whose leading word is `lead`, with `tag` —
+    /// unless a known run holds it. Its later words count only when `WIDE`.
+    fn push<const WIDE: bool>(&mut self, lead: u64, row: usize, tag: T) {
+        let rest = self.rest;
+        let tail_cmp = |run: &[&[u64]], j: usize| cmp_rows(&run[1..], j, rest, row);
+        let width = if WIDE { rest.len() + 1 } else { 1 };
+        let runs = self.known.chunks_exact(width);
+        for (run, cursor) in runs.zip(&mut self.cursors) {
+            let first = run[0];
+            let less =
+                |j: usize| first[j] < lead || WIDE && first[j] == lead && tail_cmp(run, j).is_lt();
+            *cursor = seek(*cursor, first.len(), less);
+            if first.get(*cursor) == Some(&lead) && (!WIDE || tail_cmp(run, *cursor).is_eq()) {
                 return;
             }
         }
-        self.words.push(word);
+        self.words.push(lead);
+        if WIDE {
+            for (out, column) in self.rest_words.iter_mut().zip(rest) {
+                out.push(column[row]);
+            }
+        }
         self.tags.push(tag);
     }
 }
 
-/// Folds every run of equal words of `sorted` into one row for `out`; the
-/// tag of `sorted[k]` is `tags[row(k)]`.
-fn fold_sorted<T: Clone>(
+/// Folds every run of equal rows into one row for `out`: `sorted` holds the
+/// rows' leading words in order, and the `k`-th is input row `row(k)`.
+fn fold_sorted<T: Clone, const WIDE: bool>(
     sorted: &[u64],
     row: impl Fn(usize) -> usize,
     tags: &[T],
     or: &impl Fn(&T, &T) -> T,
     out: &mut Frontier<'_, T>,
 ) {
-    let mut k = 0;
+    let (mut k, rest) = (0, out.rest);
     while k < sorted.len() {
-        let word = sorted[k];
-        let mut folded = tags[row(k)].clone();
+        let (word, first) = (sorted[k], row(k));
+        let mut folded = tags[first].clone();
         k += 1;
-        while k < sorted.len() && sorted[k] == word {
+        let same =
+            |k: usize| sorted[k] == word && (!WIDE || cmp_rows(rest, first, rest, row(k)).is_eq());
+        while k < sorted.len() && same(k) {
             folded = or(&folded, &tags[row(k)]);
             k += 1;
         }
-        out.push(word, folded);
+        out.push::<WIDE>(word, first, folded);
     }
 }
 
-/// Direct-addressed dedup of one dense segment: `words`, with `tags`, differ
-/// in their low `log2(table.len())` bits only. A slot of `table` is 0 or
-/// names, counting from 1, the entry of `folds` that its word's tags fold
-/// into: each row's tag is folded into its slot's entry as the rows come, so
-/// a word's tags fold in input order — the order a stable sort would have
-/// left them in — and walking the slots in order emits the segment sorted.
-/// `table` must be all zeros and `folds` empty, and both are left so.
-fn fold_dense<T: Clone>(
-    words: &[u64],
+/// Direct-addressed dedup of one dense segment, whose rows differ in the low
+/// `log2(table.len())` bits of their last word only. A slot of `table` is 0
+/// or names, counting from 1, the entry of `folds` — the first row and the
+/// fold — that its row's tags fold into: each row's tag is folded into its
+/// slot's entry as the rows come, so a row's tags fold in input order — the
+/// order a stable sort would have left them in — and walking the slots in
+/// order emits the segment sorted. `table` must be all zeros and `folds`
+/// empty, and both are left so.
+fn fold_dense<T: Clone, const WIDE: bool>(
+    columns: &[&[u64]],
+    segment: Range<usize>,
     tags: &[T],
     or: &impl Fn(&T, &T) -> T,
     table: &mut [u64],
-    folds: &mut Vec<Option<T>>,
+    folds: &mut Vec<(usize, Option<T>)>,
     out: &mut Frontier<'_, T>,
 ) {
     let mask = table.len() as u64 - 1;
-    for (&word, tag) in words.iter().zip(tags) {
+    let last = &columns[columns.len() - 1][segment.clone()];
+    // The leading word of a slot's row: the segment's when a later word
+    // varies, the segment's high bits and the slot when it is the only word.
+    let (high, low) = if WIDE {
+        (columns[0][segment.start], 0)
+    } else {
+        (last[0] & !mask, mask)
+    };
+    let rows = segment.clone().zip(last).zip(&tags[segment.clone()]);
+    for ((row, &word), tag) in rows {
         let slot = &mut table[(word & mask) as usize];
         if *slot == 0 {
-            folds.push(Some(tag.clone()));
+            folds.push((row, Some(tag.clone())));
             *slot = folds.len() as u64;
         } else {
             let folded = folds[*slot as usize - 1]
+                .1
                 .as_mut()
                 .expect("a slot's fold is taken once, by the walk");
             *folded = or(folded, tag);
         }
     }
-    let high = words[0] & !mask;
     for (slot, entry) in table.iter_mut().enumerate() {
         if *entry != 0 {
-            let folded = folds[std::mem::take(entry) as usize - 1]
-                .take()
-                .expect("every slot names its own fold");
-            out.push(high | slot as u64, folded);
+            let (row, folded) = &mut folds[std::mem::take(entry) as usize - 1];
+            let folded = folded.take().expect("every slot names its own fold");
+            out.push::<WIDE>(high | (slot as u64 & low), *row, folded);
         }
     }
     folds.clear();
 }
 
-/// Per-worker scratch of [`sort_unique_words`], taken from the arena's sort
+/// Per-worker scratch of [`sort_unique`], taken from the arena's sort
 /// scratch when a segment first needs it and returned when the chunk is
-/// done: the direct-address table, the sorted words of a segment and their
-/// row ids, and [`sort_segment`]'s own.
+/// done: the direct-address table; [`sort_segment`]'s output — a segment's
+/// sorted leading words and the row of each — and the other buffers of its
+/// radix ping-pong, as long as the longest segment seen so far; and one
+/// 256-bucket histogram per digit.
 #[derive(Default)]
-struct DedupScratch {
+struct Scratch {
     table: Column,
-    sorted: Column,
-    rows: Column,
-    segment: Option<SegmentScratch>,
+    keys: Column,
+    ids: Column,
+    spare_keys: Column,
+    spare_ids: Column,
+    histograms: Column,
 }
 
-impl DedupScratch {
+impl Scratch {
     /// The all-zero direct-address table of `slots` slots.
     fn table(&mut self, device: &Device, slots: usize) -> &mut [u64] {
         reserve_scratch(device, &mut self.table, slots);
         &mut self.table[..slots]
     }
 
-    /// `words` (rows `base..`) sorted by [`sort_segment`], and the row of
-    /// each sorted word.
-    fn sort(
-        &mut self,
-        device: &Device,
-        words: &[u64],
-        base: usize,
-        digits: &[u32],
-    ) -> (&[u64], &[u64]) {
-        let n = words.len();
-        reserve_scratch(device, &mut self.sorted, n);
-        reserve_scratch(device, &mut self.rows, n);
-        let (sorted, rows) = (&mut self.sorted[..n], &mut self.rows[..n]);
-        sort_segment(
-            device,
-            words,
-            base as u64,
-            digits,
-            sorted,
-            rows,
-            &mut self.segment,
-        );
-        (sorted, rows)
-    }
-
     fn recycle(self, device: &Device) {
-        for buffer in [self.table, self.sorted, self.rows] {
+        let buffers = [
+            self.table,
+            self.keys,
+            self.ids,
+            self.spare_keys,
+            self.spare_ids,
+            self.histograms,
+        ];
+        for buffer in buffers {
             if buffer.capacity() > 0 {
                 device.arena().recycle(sites::SORT_SCRATCH, buffer);
             }
-        }
-        if let Some(segment) = self.segment {
-            segment.recycle(device);
         }
     }
 }
@@ -842,51 +906,35 @@ fn word_order(device: &Device, words: &[u64]) -> (u64, u64) {
     .fold((0, 0), |(v, d), (cv, cd)| (v | cv, d | cd))
 }
 
-/// Per-worker scratch of [`sort_segment`], made when the first segment
-/// needs a radix pass: the second buffer of the radix ping-pong, as long as
-/// the longest segment seen so far, and one histogram per digit.
-struct SegmentScratch {
-    keys: Column,
-    ids: Column,
-    histograms: [[usize; 256]; 8],
-}
-
-impl Default for SegmentScratch {
-    fn default() -> Self {
-        SegmentScratch {
-            keys: Vec::new(),
-            ids: Vec::new(),
-            histograms: [[0; 256]; 8],
-        }
-    }
-}
-
-impl SegmentScratch {
-    fn recycle(self, device: &Device) {
-        for buffer in [self.keys, self.ids] {
-            if buffer.capacity() > 0 {
-                device.arena().recycle(sites::SORT_SCRATCH, buffer);
-            }
-        }
-    }
-}
-
-/// Stable sort of one segment of a one-word table into `keys` / `ids`
-/// (the input row of `words[i]` is `base + i`), by the bytes at `digits`:
-/// the only ones that can differ inside the segment.
-fn sort_segment(
+/// Stable sort of the rows `segment` of `columns` into the front of
+/// `scratch.keys` / `scratch.ids` — each row's leading word and its row — by
+/// the bytes at `digits` ([`Segments`]): the only ones that can differ
+/// inside the segment.
+fn sort_segment<const WIDE: bool>(
     device: &Device,
-    words: &[u64],
-    base: u64,
-    digits: &[u32],
-    keys: &mut [u64],
-    ids: &mut [u64],
-    scratch: &mut Option<SegmentScratch>,
+    columns: &[&[u64]],
+    segment: Range<usize>,
+    digits: &[(usize, u32)],
+    scratch: &mut Scratch,
 ) {
-    let n = words.len();
+    let (words, rest) = (&columns[0][segment.clone()], &columns[1..]);
+    let (n, base) = (words.len(), segment.start);
+    let Scratch {
+        keys,
+        ids,
+        spare_keys,
+        spare_ids,
+        histograms,
+        ..
+    } = scratch;
+    reserve_scratch(device, keys, n);
+    reserve_scratch(device, ids, n);
+    let (keys, ids) = (&mut keys[..n], &mut ids[..n]);
     if n <= SMALL_SEGMENT {
-        // Insertion sort straight into the output; a word only moves past
-        // strictly greater ones, so equal words keep their input order.
+        // Insertion sort straight into the output by leading word; a row
+        // only moves past strictly greater ones, so equal words keep their
+        // input order. Then each run of equal leading words is ordered by
+        // the words after them, ties by row: still the stable order.
         for (i, &w) in words.iter().enumerate() {
             let mut slot = i;
             while slot > 0 && keys[slot - 1] > w {
@@ -895,69 +943,89 @@ fn sort_segment(
                 slot -= 1;
             }
             keys[slot] = w;
-            ids[slot] = base + i as u64;
+            ids[slot] = (base + i) as u64;
+        }
+        let mut start = 0;
+        while WIDE && start < n {
+            let end = (start + 1..n)
+                .find(|&i| keys[i] != keys[start])
+                .unwrap_or(n);
+            ids[start..end].sort_unstable_by(|&a, &b| {
+                cmp_rows(rest, a as usize, rest, b as usize).then(a.cmp(&b))
+            });
+            start = end;
         }
         return;
     }
     // Every digit's histogram in one pass: a histogram does not depend on
     // the order the earlier passes leave the segment in.
-    let scratch = scratch.get_or_insert_with(SegmentScratch::default);
-    let histograms = &mut scratch.histograms[..digits.len()];
-    for h in histograms.iter_mut() {
-        h.fill(0);
-    }
-    for &w in words {
-        for (h, &shift) in histograms.iter_mut().zip(digits) {
-            h[(w >> shift) as usize & 0xFF] += 1;
+    reserve_scratch(device, histograms, 256 * digits.len());
+    let histograms = &mut histograms[..256 * digits.len()];
+    histograms.fill(0);
+    for (row, &w) in segment.clone().zip(words) {
+        for (h, &(c, shift)) in histograms.chunks_exact_mut(256).zip(digits) {
+            let v = if WIDE && c > 0 { columns[c][row] } else { w };
+            h[(v >> shift) as usize & 0xFF] += 1;
         }
     }
     // A digit that is constant within the segment moves nothing.
-    let mut passes = [0usize; 8];
-    let mut count = 0;
-    for (d, (h, &shift)) in histograms.iter().zip(digits).enumerate() {
-        if h[(words[0] >> shift) as usize & 0xFF] != n {
-            passes[count] = d;
-            count += 1;
-        }
-    }
-    let Some((&first, rest)) = passes[..count].split_first() else {
+    let moves = |h: &[u64], (c, shift): (usize, u32)| {
+        h[(columns[c][base] >> shift) as usize & 0xFF] != n as u64
+    };
+    let passes = (histograms.chunks_exact(256).zip(digits))
+        .filter(|&(h, &digit)| moves(h, digit))
+        .count();
+    if passes == 0 {
         keys.copy_from_slice(words);
         for (i, id) in ids.iter_mut().enumerate() {
-            *id = base + i as u64;
+            *id = (base + i) as u64;
         }
         return;
-    };
-    if count > 1 {
-        reserve_scratch(device, &mut scratch.keys, n);
-        reserve_scratch(device, &mut scratch.ids, n);
     }
-    // The passes alternate between the output and the scratch; the first
-    // one is aimed so that the last lands in the output.
-    let spare = n.min(scratch.keys.len());
+    if passes > 1 {
+        reserve_scratch(device, spare_keys, n);
+        reserve_scratch(device, spare_ids, n);
+    }
+    // The passes alternate between the output and the spares; the first
+    // one, from the input, is aimed so that the last lands in the output.
+    let spare = n.min(spare_keys.len());
     let mut dst = (keys, ids);
-    let mut src = (&mut scratch.keys[..spare], &mut scratch.ids[..spare]);
-    if count % 2 == 0 {
+    let mut src = (&mut spare_keys[..spare], &mut spare_ids[..spare]);
+    if passes % 2 == 0 {
         std::mem::swap(&mut dst, &mut src);
     }
-    let offsets = bucket_offsets(&mut histograms[first]);
-    for (i, &w) in words.iter().enumerate() {
-        let slot = &mut offsets[(w >> digits[first]) as usize & 0xFF];
-        (dst.0[*slot], dst.1[*slot]) = (w, base + i as u64);
-        *slot += 1;
-    }
-    for &d in rest {
-        std::mem::swap(&mut dst, &mut src);
-        let offsets = bucket_offsets(&mut histograms[d]);
-        for (&w, &id) in src.0.iter().zip(src.1.iter()) {
-            let slot = &mut offsets[(w >> digits[d]) as usize & 0xFF];
-            (dst.0[*slot], dst.1[*slot]) = (w, id);
-            *slot += 1;
+    let mut from_input = true;
+    for (h, &(c, shift)) in histograms.chunks_exact_mut(256).zip(digits) {
+        if !moves(h, (c, shift)) {
+            continue;
+        }
+        let offsets = bucket_offsets(h);
+        if from_input {
+            from_input = false;
+            for (row, &w) in segment.clone().zip(words) {
+                let v = if WIDE && c > 0 { columns[c][row] } else { w };
+                let slot = &mut offsets[(v >> shift) as usize & 0xFF];
+                (dst.0[*slot as usize], dst.1[*slot as usize]) = (w, row as u64);
+                *slot += 1;
+            }
+        } else {
+            std::mem::swap(&mut dst, &mut src);
+            for (&w, &id) in src.0.iter().zip(src.1.iter()) {
+                let v = if WIDE && c > 0 {
+                    columns[c][id as usize]
+                } else {
+                    w
+                };
+                let slot = &mut offsets[(v >> shift) as usize & 0xFF];
+                (dst.0[*slot as usize], dst.1[*slot as usize]) = (w, id);
+                *slot += 1;
+            }
         }
     }
 }
 
 /// Turns a digit histogram into the start offset of every bucket, in place.
-fn bucket_offsets(histogram: &mut [usize; 256]) -> &mut [usize; 256] {
+fn bucket_offsets(histogram: &mut [u64]) -> &mut [u64] {
     let mut acc = 0;
     for slot in histogram.iter_mut() {
         acc += std::mem::replace(slot, acc);
@@ -1042,18 +1110,6 @@ fn merge_sort(device: &Device, columns: &[&[u64]], perm: &mut Column) {
     arena.recycle(sites::SORT_SCRATCH, buf);
 }
 
-/// Applies a sort permutation to a set of columns and their tags.
-pub fn apply_permutation<T: Clone + Send + Sync>(
-    device: &Device,
-    perm: &[u64],
-    columns: &[&[u64]],
-    tags: &[T],
-) -> (Columns, Vec<T>) {
-    let cols = columns.iter().map(|c| gather(device, perm, c)).collect();
-    let tags = gather_tags(device, perm, tags);
-    (cols, tags)
-}
-
 /// `unique⟨⊕⟩(s̄)`: merges adjacent duplicate rows of a sorted table,
 /// combining their tags with the semiring disjunction.
 ///
@@ -1062,8 +1118,12 @@ pub fn apply_permutation<T: Clone + Send + Sync>(
 /// that start in it, writing each segment's row and the left-to-right fold
 /// of its tags as it goes — the order the sequential loop uses, so
 /// order-sensitive disjunctions (float addition) produce identical bits
-/// wherever the chunk boundaries fall. (A one-word table goes from unsorted
-/// rows to duplicate-free ones in [`sort_unique_words`] instead.)
+/// wherever the chunk boundaries fall.
+///
+/// The engine does not call it: a fix-point iteration goes from unsorted
+/// candidate rows to its frontier in [`sort_unique`]. It stays as the
+/// reference the tests hold [`sort_unique`] to, as a row of the kernel
+/// bench's parallel gate, and as a layer the repository benchmark measures.
 pub fn unique<T, F>(device: &Device, columns: &[&[u64]], tags: &[T], or: F) -> (Columns, Vec<T>)
 where
     T: Clone + Send + Sync,
@@ -1255,17 +1315,17 @@ fn columns_chunked<'a>(cols: &'a mut Columns, ranges: &[Range<usize>]) -> Vec<Ve
 /// instead: the number of linear steps it takes before galloping.
 const GALLOP_RATIO: usize = 8;
 
-/// First position of sorted `run` from `from` on whose word is not less
-/// than `word`: linear steps while that stays within `GALLOP_RATIO`
-/// positions of `from`, a gallop past them. So a carried cursor costs what
-/// the two-pointer walk costs where the run is about as dense as the words
-/// looked up, and what a gallop costs where it is much denser, with no count
-/// of the distinct words needed up front.
-fn seek(run: &[u64], from: usize, word: u64) -> usize {
-    let near = run.len().min(from + GALLOP_RATIO);
-    match (from..near).find(|&j| run[j] >= word) {
+/// First position in `from..len` at which the monotone `less` turns false:
+/// linear steps while that stays within `GALLOP_RATIO` positions of `from`,
+/// a gallop past them. So a carried cursor costs what the two-pointer walk
+/// costs where the run is about as dense as the rows looked up, and what a
+/// gallop costs where it is much denser, with no count of the distinct rows
+/// needed up front.
+fn seek(from: usize, len: usize, less: impl Fn(usize) -> bool) -> usize {
+    let near = len.min(from + GALLOP_RATIO);
+    match (from..near).find(|&j| !less(j)) {
         Some(j) => j,
-        None => gallop(near, run.len(), |j| run[j] < word),
+        None => gallop(near, len, less),
     }
 }
 
@@ -1506,9 +1566,16 @@ pub fn lookup<T: Clone>(
 }
 
 /// `diff(ā, b̄)`: rows of sorted table `a` that do not occur in sorted table
-/// `b`, keeping `a`'s tags. This is the set difference required to keep
-/// semi-naive evaluation terminating (new delta facts must not already be
-/// known). The single-run case of [`difference_runs`].
+/// `b`, keeping `a`'s tags. (The update phase filters its candidate rows
+/// inside [`sort_unique`] instead.)
+///
+/// `a` is cut into chunks; each worker binary-searches its start position in
+/// `b` and walks its chunk **once**, writing the rows it keeps at the front
+/// of its own slice of a kept-row index, so the kept-row set is
+/// chunk-independent. A `b` at least 8× longer than `a` (`GALLOP_RATIO`)
+/// advances its cursor by galloping — the cost then follows `a`, not `b`;
+/// otherwise the cursor takes the linear two-pointer step. The choice reads
+/// the two lengths only.
 pub fn difference<T: Clone + Send + Sync>(
     device: &Device,
     a_cols: &[&[u64]],
@@ -1516,74 +1583,34 @@ pub fn difference<T: Clone + Send + Sync>(
     b_cols: &[&[u64]],
     b_len: usize,
 ) -> (Columns, Vec<T>) {
-    difference_runs(device, a_cols, a_tags, &[(b_cols, b_len)])
-}
-
-/// Rows of sorted table `a` that occur in **none** of the sorted `runs`
-/// (each a `(columns, row count)` pair), keeping `a`'s tags: the new-fact
-/// filter of a fix-point iteration whose known facts are held as several
-/// sorted runs.
-///
-/// `a` is cut into chunks; each worker binary-searches its start position in
-/// every run and walks its chunk **once**, carrying one cursor per run, so
-/// the kept-row set is chunk-independent and no intermediate table is built
-/// per run. A run at least 8× longer than `a` (`GALLOP_RATIO`) advances its
-/// cursor by galloping — the cost of an iteration then follows the
-/// candidate, not the accumulated runs; runs of comparable length keep the
-/// linear two-pointer step. The choice reads the two lengths only.
-pub fn difference_runs<T: Clone + Send + Sync>(
-    device: &Device,
-    a_cols: &[&[u64]],
-    a_tags: &[T],
-    runs: &[(&[&[u64]], usize)],
-) -> (Columns, Vec<T>) {
     let _t = device.launch(KernelKind::Other);
-    let arity = a_cols.len();
     let a_len = a_tags.len();
     let arena = device.arena();
     let ranges = chunks_for(device, a_len);
-    // Every chunk writes the indices it keeps at the front of its own slice
-    // of `kept`; the prefixes are closed up afterwards.
+    let gallops = b_len / GALLOP_RATIO >= a_len;
     let mut kept = arena.alloc_zeroed(sites::DIFF_KEPT, a_len);
     let slices = split_by_ranges(&mut kept, &ranges);
     let counts: PerChunk<usize> =
         run_chunks(device, &ranges, slices, |_, range, slice: &mut [u64]| {
-            // Per run: whether to gallop, and the cursor — starting at the first
-            // row not less than the chunk's first a-row, where the walk of this
-            // chunk must begin.
-            let mut cursors: Vec<(bool, usize)> = runs
-                .iter()
-                .map(|(b_cols, b_len)| {
-                    let start = if range.is_empty() {
-                        0
-                    } else {
-                        bisect(0, *b_len, |j| {
-                            cmp_rows(b_cols, j, a_cols, range.start) == Ordering::Less
-                        })
-                    };
-                    (*b_len / GALLOP_RATIO >= a_len, start)
-                })
-                .collect();
+            // The walk of the chunk begins at the first b-row not less than
+            // its first a-row.
+            let less = |j: usize, i: usize| cmp_rows(b_cols, j, a_cols, i).is_lt();
+            let start = range.start;
+            let mut j = if range.is_empty() {
+                0
+            } else {
+                bisect(0, b_len, |j| less(j, start))
+            };
             let mut k = 0;
             for i in range {
-                let mut present = false;
-                for ((b_cols, b_len), (gallop_run, cursor)) in runs.iter().zip(cursors.iter_mut()) {
-                    let less = |j: usize| cmp_rows(b_cols, j, a_cols, i) == Ordering::Less;
-                    let mut j = *cursor;
-                    if *gallop_run {
-                        j = gallop(j, *b_len, less);
-                    } else {
-                        while j < *b_len && less(j) {
-                            j += 1;
-                        }
-                    }
-                    *cursor = j;
-                    if j < *b_len && cmp_rows(b_cols, j, a_cols, i) == Ordering::Equal {
-                        present = true;
-                        break;
+                if gallops {
+                    j = gallop(j, b_len, |j| less(j, i));
+                } else {
+                    while j < b_len && less(j, i) {
+                        j += 1;
                     }
                 }
-                if !present {
+                if j == b_len || cmp_rows(b_cols, j, a_cols, i).is_ne() {
                     slice[k] = i as u64;
                     k += 1;
                 }
@@ -1596,7 +1623,7 @@ pub fn difference_runs<T: Clone + Send + Sync>(
         total += count;
     }
     kept.truncate(total);
-    let mut out_cols: Columns = Vec::with_capacity(arity);
+    let mut out_cols: Columns = Vec::with_capacity(a_cols.len());
     for col in a_cols {
         let mut out = arena.alloc_zeroed(sites::DIFF_OUT, total);
         par_map_into(device, &mut out, |k| col[kept[k] as usize]);
@@ -1987,28 +2014,6 @@ fn is_sorted(cols: &[&[u64]]) -> bool {
     (1..len).all(|i| cmp_rows(cols, i - 1, cols, i) != Ordering::Greater)
 }
 
-/// `copy(s̄)` / `append`: concatenates columns row-wise.
-pub fn append(device: &Device, tables: &[&[&[u64]]]) -> Columns {
-    let _t = device.launch(KernelKind::Other);
-    let arity = tables.iter().map(|t| t.len()).max().unwrap_or(0);
-    let arena = device.arena();
-    let mut out: Columns = (0..arity)
-        .map(|c| {
-            let rows = tables
-                .iter()
-                .map(|t| t.get(c).map(|col| col.len()).unwrap_or(0))
-                .sum();
-            arena.alloc_empty(sites::APPEND_OUT, rows)
-        })
-        .collect();
-    for table in tables {
-        for (c, col) in table.iter().enumerate() {
-            out[c].extend_from_slice(col);
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2106,11 +2111,9 @@ mod tests {
     }
 
     #[test]
-    fn gather_and_gather_tags_follow_indices() {
+    fn gather_tags_follow_indices() {
         let d = dev();
-        let col = vec![10u64, 20, 30];
         let tags = vec!["a", "b", "c"];
-        assert_eq!(gather(&d, &[2, 0, 0], &col), vec![30, 10, 10]);
         assert_eq!(gather_tags(&d, &[1, 1, 2], &tags), vec!["b", "b", "c"]);
     }
 
@@ -2131,7 +2134,11 @@ mod tests {
         let cols = vec![vec![2u64, 1, 2, 1], vec![7u64, 5, 7, 6]];
         let tags = vec![1.0f64, 2.0, 3.0, 4.0];
         let perm = sort_permutation(&d, &refs(&cols));
-        let (sorted, stags) = apply_permutation(&d, &perm, &refs(&cols), &tags);
+        let sorted: Vec<Column> = cols
+            .iter()
+            .map(|col| perm.iter().map(|&i| col[i as usize]).collect())
+            .collect();
+        let stags = gather_tags(&d, &perm, &tags);
         assert_eq!(sorted[0], vec![1, 1, 2, 2]);
         assert_eq!(sorted[1], vec![5, 6, 7, 7]);
         let (uniq, utags) = unique(&d, &refs(&sorted), &stags, |a, b| a.max(*b));
@@ -2282,16 +2289,6 @@ mod tests {
         assert_eq!(merge_count(&d, &[&edge_z], &[&path_z]), counts);
         let merge = join_write(&d, JoinBuild::Sorted(&[&edge_z]), &[&path_z], &write, sub);
         assert_eq!(merge, (want_cols, want_tags));
-    }
-
-    #[test]
-    fn append_concatenates_tables() {
-        let d = dev();
-        let a = vec![vec![1u64], vec![2u64]];
-        let b = vec![vec![3u64, 4], vec![5u64, 6]];
-        let out = append(&d, &[&refs(&a), &refs(&b)]);
-        assert_eq!(out[0], vec![1, 3, 4]);
-        assert_eq!(out[1], vec![2, 5, 6]);
     }
 
     #[test]

@@ -15,16 +15,18 @@
 //! The kernel library mirrors the APM instruction set of Table 1:
 //!
 //! * [`kernels::eval`] — per-row projection/selection (row-level parallelism),
-//! * [`kernels::gather`] / [`kernels::gather_tags`] — index gathers,
+//! * [`kernels::gather_tags`] — an index gather of tags,
 //! * [`kernels::scan`] — exclusive prefix sum,
+//! * [`kernels::sort_unique`] — `sort`, `unique⟨⊕⟩` and `diff` of rows of
+//!   any width in one launch: unsorted candidate rows to the new frontier,
+//!   deduplicating dense sorted-prefix segments by direct addressing and
+//!   dropping known facts in the same walk — the whole semi-naive update,
+//! * [`kernels::merge`], [`kernels::difference`] — sorted-table maintenance,
 //! * [`kernels::sort_permutation`] (parallel LSD radix sort with a parallel
-//!   merge-sort fallback for wide rows), [`kernels::unique`],
-//!   [`kernels::merge`], [`kernels::difference`] — sorted-table maintenance
-//!   for semi-naive evaluation,
-//! * [`kernels::sort_unique_words`] — `sort`, `unique⟨⊕⟩` and `diff` of a
-//!   one-word table in one launch: unsorted candidate rows to the new
-//!   frontier, deduplicating dense sorted-prefix segments by direct
-//!   addressing and dropping known facts in the same walk,
+//!   merge-sort fallback for wide rows) and [`kernels::unique`] — the
+//!   separate `sort` and `unique⟨⊕⟩` steps, which the engine no longer
+//!   calls: they stay as the reference the tests hold
+//!   [`kernels::sort_unique`] to, and as measured layers,
 //! * [`HashIndex`] with [`kernels::count_matches`] and
 //!   [`kernels::join_write`] — the open-addressing, linear-probing hash join
 //!   of Section 5.1: one slot per distinct key over row ids grouped by key,

@@ -74,7 +74,11 @@ fn refs(cols: &[Vec<u64>]) -> Vec<&[u64]> {
 /// given device.
 fn sorted_on(device: &Device, cols: &[Vec<u64>], tags: &[f64]) -> (Vec<Vec<u64>>, Vec<f64>) {
     let perm = kernels::sort_permutation(device, &refs(cols));
-    kernels::apply_permutation(device, &perm, &refs(cols), tags)
+    let sorted = cols
+        .iter()
+        .map(|col| perm.iter().map(|&i| col[i as usize]).collect())
+        .collect();
+    (sorted, kernels::gather_tags(device, &perm, tags))
 }
 
 /// Table shapes: (arity, key space). One column is the one-word table shape;
@@ -128,12 +132,8 @@ fn sort_unique_merge_difference_agree_with_sequential() {
                     "sort: {ctx}"
                 );
                 let (sorted, stags) = sorted_on(&par, &cols, &tags);
-                assert_eq!(sorted, seq_sorted, "apply_permutation cols: {ctx}");
-                assert_bits(
-                    &stags,
-                    &seq_stags,
-                    &format!("apply_permutation tags: {ctx}"),
-                );
+                assert_eq!(sorted, seq_sorted, "sorted cols: {ctx}");
+                assert_bits(&stags, &seq_stags, &format!("sorted tags: {ctx}"));
                 let (uniq, utags) = kernels::unique(&par, &refs(&sorted), &stags, |a, b| a + b);
                 assert_eq!(uniq, seq_uniq, "unique cols: {ctx}");
                 assert_bits(&utags, &seq_utags, &format!("unique tags: {ctx}"));
@@ -155,11 +155,12 @@ fn sort_unique_merge_difference_agree_with_sequential() {
     }
 }
 
-/// `difference_runs` against a host-side oracle (a set of every run's rows),
-/// with run lengths on both sides of the galloping threshold: the longest
-/// run is ≥ 8× the candidate (galloped), the shortest is shorter than it
-/// (walked), and the kept set must not depend on which happened or on the
-/// chunking.
+/// The known-row filter of `sort_unique` over several runs against a
+/// host-side oracle (a set of every run's rows), with run lengths on both
+/// sides of the galloping threshold: the longest run is ≥ 8× the candidate
+/// (galloped), the shortest is shorter than it (walked), and the kept set
+/// must not depend on which happened, on the chunking, or on whether the
+/// distinct candidate rows arrive in order or reversed.
 #[test]
 fn difference_over_many_runs_agrees_with_a_set_oracle() {
     use std::collections::BTreeSet;
@@ -192,19 +193,24 @@ fn difference_over_many_runs_agrees_with_a_set_oracle() {
                 .collect();
             let want_tags: Vec<f64> = kept.iter().map(|&r| cand_tags[r]).collect();
 
-            let run_refs: Vec<Vec<&[u64]>> = runs.iter().map(|(cols, _)| refs(cols)).collect();
-            let run_args: Vec<(&[&[u64]], usize)> = run_refs
+            let known: Vec<&[u64]> = runs.iter().flat_map(|(cols, _)| refs(cols)).collect();
+            let reversed: Vec<Vec<u64>> = cand
                 .iter()
-                .zip(&runs)
-                .map(|(r, (_, tags))| (r.as_slice(), tags.len()))
+                .map(|c| c.iter().rev().copied().collect())
                 .collect();
+            let reversed_tags: Vec<f64> = cand_tags.iter().rev().copied().collect();
             for parallelism in PARALLELISMS {
                 let par = parallel_device(parallelism);
                 let ctx = format!("arity {arity}, keys {key_space}, rows {rows}, p {parallelism}");
-                let (cols, tags) =
-                    kernels::difference_runs(&par, &refs(&cand), &cand_tags, &run_args);
-                assert_eq!(cols, want_cols, "difference_runs cols: {ctx}");
-                assert_bits(&tags, &want_tags, &format!("difference_runs tags: {ctx}"));
+                let first = |a: &f64, _: &f64| *a;
+                for (order, cols, tags) in [
+                    ("in order", &cand, &cand_tags),
+                    ("reversed", &reversed, &reversed_tags),
+                ] {
+                    let (cols, tags) = kernels::sort_unique(&par, &refs(cols), tags, first, &known);
+                    assert_eq!(cols, want_cols, "filtered cols, {order}: {ctx}");
+                    assert_bits(&tags, &want_tags, &format!("filtered tags, {order}: {ctx}"));
+                }
             }
         }
     }
@@ -243,7 +249,6 @@ fn scan_eval_gathers_agree_with_sequential() {
             }
         };
         let (seq_eval_cols, seq_eval_src) = kernels::eval(&seq, rows, 2, eval_fn);
-        let seq_gather = kernels::gather(&seq, &indices, &data);
         let seq_gtags = kernels::gather_tags(&seq, &indices, &tags);
 
         for parallelism in PARALLELISMS {
@@ -255,11 +260,6 @@ fn scan_eval_gathers_agree_with_sequential() {
             let (eval_cols, eval_src) = kernels::eval(&par, rows, 2, eval_fn);
             assert_eq!(eval_cols, seq_eval_cols, "eval cols: {ctx}");
             assert_eq!(eval_src, seq_eval_src, "eval sources: {ctx}");
-            assert_eq!(
-                kernels::gather(&par, &indices, &data),
-                seq_gather,
-                "gather: {ctx}"
-            );
             assert_bits(
                 &kernels::gather_tags(&par, &indices, &tags),
                 &seq_gtags,
@@ -270,7 +270,7 @@ fn scan_eval_gathers_agree_with_sequential() {
 }
 
 #[test]
-fn joins_and_append_agree_with_sequential() {
+fn joins_agree_with_sequential() {
     let seq = Device::sequential();
     for rows in ROW_COUNTS {
         for key_width in [1usize, 2] {
@@ -290,7 +290,6 @@ fn joins_and_append_agree_with_sequential() {
                 &seq_offsets,
                 seq_total,
             );
-            let seq_append = kernels::append(&seq, &[&refs(&build_cols), &refs(&probe_cols)]);
 
             for parallelism in PARALLELISMS {
                 let par = parallel_device(parallelism);
@@ -303,11 +302,6 @@ fn joins_and_append_agree_with_sequential() {
                     kernels::hash_join(&par, &index, &refs(&probe_cols), &counts, &offsets, total);
                 assert_eq!(bi, seq_bi, "hash_join build indices: {ctx}");
                 assert_eq!(pi, seq_pi, "hash_join probe indices: {ctx}");
-                assert_eq!(
-                    kernels::append(&par, &[&refs(&build_cols), &refs(&probe_cols)]),
-                    seq_append,
-                    "append: {ctx}"
-                );
             }
         }
     }
@@ -971,7 +965,7 @@ fn ordered_or(a: &u64, b: &u64) -> u64 {
 /// above `bits` count the runs up, and the low `bits` bits of each of the
 /// run's rows are drawn at random. Every `sorted_every`-th run is sorted, so
 /// some segments arrive in order inside an unsorted table.
-fn segmented_words(rng: &mut Rng, bits: u32, runs: &[usize], sorted_every: usize) -> Vec<u64> {
+fn segmented_words(rng: &mut Rng, bits: u32, runs: &[usize], sorted_every: usize) -> Vec<Vec<u64>> {
     let mut words = Vec::new();
     for (r, &n) in runs.iter().enumerate() {
         let start = words.len();
@@ -980,39 +974,71 @@ fn segmented_words(rng: &mut Rng, bits: u32, runs: &[usize], sorted_every: usize
             words[start..].sort_unstable();
         }
     }
-    words
+    words.into_iter().map(|word| vec![word]).collect()
 }
 
-/// Known runs for a candidate: sorted, duplicate-free, and drawn partly
-/// from the candidate's own words. `None`; one run holding every other
-/// distinct word together with the smallest and the largest (so the run
-/// starts and ends on candidate words); and several runs splitting three
-/// quarters of the distinct words, each holding words no other run does —
+/// Rows of `k ≥ 2` words cut into one segment per entry of `runs`: the
+/// leading word holds the run's number above bit 8 and `lead_bits` random
+/// bits below it (none: it is constant in the segment), each middle word is
+/// drawn from `0..middle` (1: constant), and the last word's low `bits` bits
+/// at random. Every `sorted_every`-th run is sorted.
+fn segmented_rows(
+    rng: &mut Rng,
+    k: usize,
+    (lead_bits, middle, bits): (u32, u64, u32),
+    runs: &[usize],
+    sorted_every: usize,
+) -> Vec<Vec<u64>> {
+    let mut rows = Vec::new();
+    for (r, &n) in runs.iter().enumerate() {
+        let start = rows.len();
+        rows.extend((0..n).map(|_| {
+            let mut row = vec![(r as u64 + 1) << 8 | rng.below(1 << lead_bits)];
+            row.extend((2..k).map(|_| rng.below(middle)));
+            row.push(rng.below(1 << bits));
+            row
+        }));
+        if r % sorted_every == 0 {
+            rows[start..].sort_unstable();
+        }
+    }
+    rows
+}
+
+/// Known runs for candidate `rows`: sorted, duplicate-free, and drawn partly
+/// from the candidate's own rows. `None`; one run holding every other
+/// distinct row together with the smallest and the largest (so the run
+/// starts and ends on candidate rows); and several runs splitting three
+/// quarters of the distinct rows, each holding rows no other run does —
 /// joined, for a candidate small enough, by a run ≥ 8× the candidate of
-/// mostly other words spread over the same range, whose cursor gallops.
-fn known_runs(rng: &mut Rng, words: &[u64]) -> Vec<(&'static str, Vec<Vec<u64>>)> {
-    let mut distinct = words.to_vec();
+/// mostly other rows spread over the same range, whose cursor gallops.
+fn known_runs(rng: &mut Rng, rows: &[Vec<u64>]) -> Vec<(&'static str, Vec<Vec<Vec<u64>>>)> {
+    let mut distinct = rows.to_vec();
     distinct.sort_unstable();
     distinct.dedup();
-    let mut sets: Vec<(&'static str, Vec<Vec<u64>>)> = vec![("no runs", Vec::new())];
-    let (Some(&first), Some(&last)) = (distinct.first(), distinct.last()) else {
+    let mut sets: Vec<(&'static str, Vec<Vec<Vec<u64>>>)> = vec![("no runs", Vec::new())];
+    let (Some(first), Some(last)) = (distinct.first(), distinct.last()) else {
         return sets;
     };
-    let mut one: Vec<u64> = distinct.iter().step_by(2).copied().collect();
-    one.push(last);
+    let mut one: Vec<Vec<u64>> = distinct.iter().step_by(2).cloned().collect();
+    one.push(last.clone());
     one.dedup();
     sets.push(("one run", vec![one]));
     let mut several = vec![Vec::new(), Vec::new(), Vec::new()];
-    for (i, &word) in distinct.iter().enumerate() {
+    for (i, row) in distinct.iter().enumerate() {
         if rng.below(4) != 0 {
-            several[i % 3].push(word);
+            several[i % 3].push(row.clone());
         }
     }
-    if words.len() <= 8192 {
-        let span = last - first;
-        let mut long: Vec<u64> = (0..8 * words.len() + 1)
-            .map(|_| first + rng.below(span.max(1)))
-            .chain(distinct.iter().step_by(5).copied())
+    if rows.len() <= 8192 {
+        let span = last[0] - first[0];
+        let mut long: Vec<Vec<u64>> = (0..8 * rows.len() + 1)
+            .map(|_| {
+                let mut row = distinct[rng.below(distinct.len() as u64) as usize].clone();
+                row[0] = first[0] + rng.below(span.max(1));
+                row
+            })
+            .chain(distinct.iter().step_by(5).cloned())
             .collect();
         long.sort_unstable();
         long.dedup();
@@ -1022,68 +1048,111 @@ fn known_runs(rng: &mut Rng, words: &[u64]) -> Vec<(&'static str, Vec<Vec<u64>>)
     sets
 }
 
-/// `sort_unique_words` against an oracle that shares no code with it: a
-/// `BTreeMap` folding each word's tags in input order, less a `HashSet` of
-/// every known run's words — words, tags and order, bit for bit. The shapes
-/// put segments on both sides of the direct-addressing lines (`2^low ≤ 2·n`
-/// and `low ≤ 16`), take in single rows, segments of at most 32 rows,
-/// segments already in order and tables in order or in none; the known runs
-/// are none, one and several, one of them galloped; parallelism 1 / 3 / 8.
+/// `rows` of `k` words as `k` columns.
+fn columns_of(rows: &[Vec<u64>], k: usize) -> Vec<Vec<u64>> {
+    (0..k)
+        .map(|c| rows.iter().map(|row| row[c]).collect())
+        .collect()
+}
+
+/// `sort_unique` against an oracle that shares no code with it: a
+/// `BTreeMap` folding each row's tags in input order, less a `HashSet` of
+/// every known run's rows — rows, tags and order, bit for bit. One-word
+/// rows put segments on both sides of the direct-addressing lines
+/// (`2^low ≤ 2·n` and `low ≤ 16`), take in single rows, segments of at most
+/// 32 rows, segments already in order and tables in order or in none. Rows
+/// of two and three words take the same paths: segments in which only the
+/// last word varies on both sides of the dense lines, segments whose middle
+/// words vary and segments whose leading words descend (both sorted), whole
+/// tables in order, at random over a narrow and over the full 64-bit range.
+/// The known runs are none, one and several, one of them galloped;
+/// parallelism 1 / 3 / 8.
 #[test]
-fn sort_unique_words_is_fold_then_filter() {
+fn sort_unique_is_fold_then_filter() {
     use std::collections::{BTreeMap, HashSet};
     let mut rng = Rng::new(0x5e9);
-    let mut random =
-        |n: usize, space: u64| -> Vec<u64> { (0..n).map(|_| rng.below(space)).collect() };
-    let mut sorted = random(3000, 700);
-    sorted.sort_unstable();
-    let mut tables: Vec<(&str, Vec<u64>)> = vec![
-        ("empty", Vec::new()),
-        ("one row", random(1, 9)),
-        ("sorted", sorted),
-        ("one sparse segment", random(3000, u64::MAX)),
-        ("one dense segment", random(3000, 1 << 11)),
-    ];
+    let mut random = |n: usize, k: usize, space: u64| -> Vec<Vec<u64>> {
+        (0..n)
+            .map(|_| (0..k).map(|_| rng.below(space)).collect())
+            .collect()
+    };
+    let mut tables: Vec<(String, usize, Vec<Vec<u64>>)> = Vec::new();
+    for k in 1..=3 {
+        let mut sorted = random(3000, k, 700 >> (3 * (k - 1)));
+        sorted.sort_unstable();
+        tables.extend([
+            (format!("k {k}, empty"), k, Vec::new()),
+            (format!("k {k}, one row"), k, random(1, k, 9)),
+            (format!("k {k}, sorted"), k, sorted),
+            (format!("k {k}, sparse"), k, random(3000, k, u64::MAX)),
+            (format!("k {k}, narrow"), k, random(3000, k, 4)),
+        ]);
+    }
+    tables.push(("k 1, one dense segment".into(), 1, random(3000, 1, 1 << 11)));
     let mut rng = Rng::new(0xde5);
     // Around 2^9 ≤ 2·n: 256 rows is dense, 255 is not; single rows,
     // segments up to 32 rows, and segments in order between them.
     let around_half = [256, 255, 1, 1, 257, 5, 1, 32, 33, 300, 511, 1, 512, 2];
-    tables.push(("9 low bits", segmented_words(&mut rng, 9, &around_half, 4)));
     // At the `low ≤ 16` line: 2^16 slots for 2^15 rows is dense, one row
     // fewer is not; 17 low bits are never dense, however many rows.
-    tables.push((
-        "16 low bits",
-        segmented_words(&mut rng, 16, &[32_768, 32_767, 3, 40_000], 5),
-    ));
-    tables.push((
-        "17 low bits",
-        segmented_words(&mut rng, 17, &[65_536, 70_000], 5),
-    ));
-    for (shape, words) in &tables {
-        let tags: Vec<u64> = (0..words.len()).map(|_| rng.next()).collect();
-        let mut folded: BTreeMap<u64, u64> = BTreeMap::new();
-        for (word, tag) in words.iter().zip(&tags) {
+    let shapes: [(&str, u32, &[usize], usize); 3] = [
+        ("9 low bits", 9, &around_half, 4),
+        ("16 low bits", 16, &[32_768, 32_767, 3, 40_000], 5),
+        ("17 low bits", 17, &[65_536, 70_000], 5),
+    ];
+    for k in 1..=3 {
+        for (shape, bits, runs, sorted_every) in shapes {
+            let rows = if k == 1 {
+                segmented_words(&mut rng, bits, runs, sorted_every)
+            } else {
+                segmented_rows(&mut rng, k, (0, 1, bits), runs, sorted_every)
+            };
+            tables.push((format!("k {k}, {shape}"), k, rows));
+        }
+    }
+    for k in 2..=3 {
+        let runs = [300, 40, 1000, 1, 33];
+        let middle = segmented_rows(&mut rng, k, (0, 5, 9), &runs, 3);
+        tables.push((format!("k {k}, middle words vary"), k, middle));
+        let descents = segmented_rows(&mut rng, k, (4, 3, 6), &runs, 3);
+        tables.push((format!("k {k}, leading words descend"), k, descents));
+    }
+    for (shape, k, rows) in &tables {
+        let columns = columns_of(rows, *k);
+        let tags: Vec<u64> = (0..rows.len()).map(|_| rng.next()).collect();
+        let mut folded: BTreeMap<&[u64], u64> = BTreeMap::new();
+        for (row, tag) in rows.iter().zip(&tags) {
             folded
-                .entry(*word)
+                .entry(row)
                 .and_modify(|acc| *acc = ordered_or(acc, tag))
                 .or_insert(*tag);
         }
-        for (known_shape, runs) in known_runs(&mut rng, words) {
-            let known: HashSet<u64> = runs.iter().flatten().copied().collect();
-            let (want_words, want_tags): (Vec<u64>, Vec<u64>) = folded
+        for (known_shape, runs) in known_runs(&mut rng, rows) {
+            let known: HashSet<&[u64]> = runs.iter().flatten().map(Vec::as_slice).collect();
+            let (want_rows, want_tags): (Vec<&[u64]>, Vec<u64>) = folded
                 .iter()
-                .filter(|(word, _)| !known.contains(word))
+                .filter(|(row, _)| !known.contains(*row))
                 .unzip();
-            if !runs.is_empty() && !words.is_empty() {
-                assert!(want_words.len() < folded.len(), "{shape}: no known word");
+            if !runs.is_empty() && !rows.is_empty() {
+                assert!(want_rows.len() < folded.len(), "{shape}: no known row");
             }
-            let run_refs: Vec<&[u64]> = runs.iter().map(|run| run.as_slice()).collect();
+            let want_rows: Vec<Vec<u64>> = want_rows.iter().map(|row| row.to_vec()).collect();
+            let want_columns = columns_of(&want_rows, *k);
+            // Every run's columns, one run after another.
+            let known_columns: Vec<Vec<u64>> =
+                runs.iter().flat_map(|run| columns_of(run, *k)).collect();
+            let known_columns = refs(&known_columns);
             for parallelism in PARALLELISMS {
                 let device = parallel_device(parallelism);
                 let ctx = format!("{shape}, {known_shape}, p {parallelism}");
-                let (got_words, got_tags) =
-                    kernels::sort_unique_words(&device, words, &tags, ordered_or, &run_refs);
-                assert_eq!(got_words, want_words, "words: {ctx}");
+                let (got_columns, got_tags) = kernels::sort_unique(
+                    &device,
+                    &refs(&columns),
+                    &tags,
+                    ordered_or,
+                    &known_columns,
+                );
+                assert_eq!(got_columns, want_columns, "rows: {ctx}");
                 assert_eq!(got_tags, want_tags, "tags: {ctx}");
             }
         }

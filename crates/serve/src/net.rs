@@ -1056,7 +1056,10 @@ fn cache_stats_json(stats: &CacheStats) -> Json {
 /// collects, serialized in one place — scheduler, admission, auth, device
 /// (kernel-time buckets and arena of the program's device, which runs every
 /// batch), connections, and the program cache when the server was given
-/// one.
+/// one. In the kernel-time buckets, the engine's frontier updates (candidate
+/// rows sorted, deduplicated and filtered in one launch) count in
+/// `sort_ms`; `unique_ms` counts only the standalone `unique` kernel, which
+/// the engine does not call.
 fn metrics_json(shared: &ServerShared) -> Json {
     let scheduler = shared.scheduler.stats();
     let admission = shared.admission.stats();
