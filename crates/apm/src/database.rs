@@ -1420,9 +1420,9 @@ mod tests {
         let known = SortedTable::from_unsorted(&device, &prov, known, vec![0.5, 0.5]);
         let candidate = vec![vec![3, 1, 3, 2], vec![30, 10, 30, 25]];
         let tags = vec![0.25, 0.5, 0.5, 0.125];
-        let before = device.stats().kernel_launches;
+        let before = device.metrics().get("kernel_launches").unwrap();
         let new = SortedTable::from_unsorted_minus(&device, &prov, candidate, tags, &[&known]);
-        assert_eq!(device.stats().kernel_launches - before, 1);
+        assert_eq!(device.metrics().get("kernel_launches"), Some(before + 1));
         assert_eq!(new.columns, vec![vec![2, 3], vec![25, 30]]);
         assert_eq!(new.tags, vec![0.125, 0.75]);
     }

@@ -322,7 +322,7 @@ impl<P: Provenance> Executor<P> {
             load_cache: HashMap::new(),
         };
         let began = Instant::now();
-        let kernels_before = self.device.stats().kernel_launches;
+        let kernels_before = lobster_gpu::thread_kernel_launches();
         let mut stats = ExecutionStats {
             strata: 1,
             ..ExecutionStats::default()
@@ -423,7 +423,8 @@ impl<P: Provenance> Executor<P> {
         }
 
         outcome?;
-        stats.kernel_launches = self.device.stats().kernel_launches - kernels_before;
+        // Counted on this thread: other runs on the device are not this one's.
+        stats.kernel_launches = (lobster_gpu::thread_kernel_launches() - kernels_before) as usize;
         stats.elapsed = began.elapsed();
         Ok(stats)
     }
@@ -1339,7 +1340,7 @@ mod tests {
             );
             let stats = exec.run_program(&mut db, &compiled.ram).unwrap();
             assert!(stats.iterations > n as usize / 2, "fix-point actually ran");
-            device.arena().stats().fresh_columns
+            device.arena().metrics().get("fresh_columns").unwrap()
         };
         // Every run crosses every size threshold from iteration 0 (the first
         // candidate stages n ≥ 64 rows), so the instruction-level allocation
@@ -1383,7 +1384,7 @@ mod tests {
             encoded: bool,
             edges: &[(u32, u32)],
             tag: impl Fn(u32) -> Q::Tag,
-        ) -> Vec<usize> {
+        ) -> Vec<u64> {
             let compiled = parse(LINEAR_TC).unwrap();
             (1..=40)
                 .map(|cap| {
@@ -1406,7 +1407,7 @@ mod tests {
                     let exec = Executor::new(device.clone(), prov.clone(), options);
                     let outcome = exec.run_program(&mut db, &compiled.ram);
                     assert_eq!(outcome, Err(ExecError::IterationLimit { limit: cap }));
-                    device.arena().stats().fresh_columns
+                    device.arena().metrics().get("fresh_columns").unwrap()
                 })
                 .collect()
         }
@@ -1424,7 +1425,7 @@ mod tests {
             let unit = fresh_by_cap(&Unit::new(), encoded, edges, |_| ());
             let minmax = fresh_by_cap(&MaxMinProb::new(), encoded, edges, minmax_tag);
             for by_cap in [unit, minmax] {
-                let steady: Vec<usize> = by_cap[3..].windows(2).map(|w| w[1] - w[0]).collect();
+                let steady: Vec<u64> = by_cap[3..].windows(2).map(|w| w[1] - w[0]).collect();
                 assert!(
                     steady
                         .iter()

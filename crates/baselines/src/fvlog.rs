@@ -153,7 +153,7 @@ mod tests {
         // Count build kernels: FVLog rebuilds per iteration, so there must be
         // roughly one build per iteration; Lobster with static registers
         // builds once per join.
-        let fvlog_kernels = fvlog_device.stats().kernel_launches;
+        let fvlog_kernels = fvlog_device.metrics().get("kernel_launches").unwrap();
         let lobster_device = Device::sequential();
         let mut db = Database::new(compiled.ram.schemas.clone(), Unit::new());
         for (rel, row) in &facts {
@@ -166,7 +166,7 @@ mod tests {
             RuntimeOptions::optimized(),
         );
         exec.run_program(&mut db, &compiled.ram).unwrap();
-        let lobster_kernels = lobster_device.stats().kernel_launches;
+        let lobster_kernels = lobster_device.metrics().get("kernel_launches").unwrap();
         assert!(
             lobster_kernels < fvlog_kernels,
             "optimized run should launch fewer kernels ({lobster_kernels} vs {fvlog_kernels})"

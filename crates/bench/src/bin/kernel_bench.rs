@@ -9,9 +9,9 @@
 //! `min_parallel_rows`, so every launch is sequential whatever the worker
 //! count and a factor against parallelism 1 could not move. A
 //! `kernel_time_ms` section breaks the device's accumulated chunk-execution
-//! (busy) time into the sort/join/unique buckets of
-//! [`lobster_gpu::KernelTime`], and `kernel_wall_ms` does the same for
-//! enqueue-to-completion wall time — busy exceeding wall means pool lanes
+//! (busy) time into the sort/join/unique buckets of its metrics
+//! ([`Device::metrics`]' `kernel_time`), and `kernel_wall_ms` does the same
+//! for enqueue-to-completion wall time — busy exceeding wall means pool lanes
 //! overlapped; wall far above busy/lanes means the pool queued. Busy time is
 //! published only up to one lane per CPU: past that it is `null`, with the
 //! reason, because a chunk's busy time is a wall-clock interval that counts
@@ -49,7 +49,7 @@
 
 use lobster::{Lobster, ProvenanceKind, SymbolTable, Value};
 use lobster_bench::{print_header, quick_mode};
-use lobster_gpu::{kernels, Device, DeviceConfig, HashIndex, KernelTime};
+use lobster_gpu::{kernels, Device, DeviceConfig, HashIndex, Snapshot};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::{Duration, Instant};
@@ -187,7 +187,7 @@ fn main() {
     let (candidate_2w, known_2w) = (split(&candidate), split(&known));
 
     let mut rows_out: Vec<Row> = Vec::new();
-    let mut times_out: Vec<(usize, KernelTime, KernelTime)> = Vec::new();
+    let mut times_out: Vec<(usize, Snapshot)> = Vec::new();
     for &p in &PARALLELISMS {
         let device = device_with(p);
         // Inputs that must be pre-sorted are prepared outside the timings.
@@ -356,8 +356,7 @@ fn main() {
             });
         }
 
-        let stats = device.stats();
-        times_out.push((p, stats.kernel_time, stats.kernel_wall));
+        times_out.push((p, device.metrics()));
     }
 
     // End-to-end: the canonical transitive-closure fix-point, whose cost is
@@ -437,13 +436,14 @@ fn main() {
                     )
                     .expect("edge fact");
             }
-            let before = device.stats();
+            let before = device.metrics();
             let start = Instant::now();
             let result = session.run().expect("symbol TC runs");
             let wall = start.elapsed();
-            let moved = device.stats().delta_since(&before);
+            let moved = device.metrics().delta_since(&before);
             assert!(result.len("path") > sym_edges);
-            (wall, moved.bytes_to_device + moved.bytes_to_host)
+            let bytes = |direction| moved.get(direction).unwrap_or(0);
+            (wall, bytes("bytes_to_device") + bytes("bytes_to_host"))
         })
         .min()
         .expect("at least one repeat");
@@ -558,21 +558,19 @@ fn main() {
         .map(|r| r.json(None))
         .collect::<Vec<_>>()
         .join(",\n    ");
-    let time_buckets = |t: &KernelTime| {
-        format!(
-            "\"sort_ms\": {:.3}, \"join_ms\": {:.3}, \"unique_ms\": {:.3}, \"other_ms\": {:.3}",
-            t.sort_ns as f64 / 1e6,
-            t.join_ns as f64 / 1e6,
-            t.unique_ns as f64 / 1e6,
-            t.other_ns as f64 / 1e6,
-        )
+    let time_buckets = |metrics: &Snapshot, group: &str| {
+        let ms = |bucket: &str| {
+            let ns = metrics.get(&format!("{group}.{bucket}_ns")).unwrap_or(0);
+            format!("\"{bucket}_ms\": {:.3}", ns as f64 / 1e6)
+        };
+        [ms("sort"), ms("join"), ms("unique"), ms("other")].join(", ")
     };
     // A chunk's busy time is a wall-clock interval on its worker, so with
     // more lanes than CPUs it also counts the time a lane sat descheduled:
     // those buckets are not published.
     let times_json = times_out
         .iter()
-        .map(|(p, busy, _)| {
+        .map(|(p, metrics)| {
             if *p > cpus {
                 format!(
                     "{{\"parallelism\": {p}, \"sort_ms\": null, \"join_ms\": null, \
@@ -581,14 +579,18 @@ fn main() {
                      count the time a lane sits descheduled\"}}"
                 )
             } else {
-                format!("{{\"parallelism\": {p}, {}}}", time_buckets(busy))
+                let buckets = time_buckets(metrics, "kernel_time");
+                format!("{{\"parallelism\": {p}, {buckets}}}")
             }
         })
         .collect::<Vec<_>>()
         .join(",\n    ");
     let walls_json = times_out
         .iter()
-        .map(|(p, _, wall)| format!("{{\"parallelism\": {p}, {}}}", time_buckets(wall)))
+        .map(|(p, metrics)| {
+            let buckets = time_buckets(metrics, "kernel_wall");
+            format!("{{\"parallelism\": {p}, {buckets}}}")
+        })
         .collect::<Vec<_>>()
         .join(",\n    ");
     let wide_json = format!(

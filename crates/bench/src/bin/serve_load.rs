@@ -288,19 +288,22 @@ fn main() {
     // connections (their threads observed the EOFs), then shut down with
     // every accepted ticket resolved — `shutdown` joining is that proof.
     let settle = Instant::now();
-    while server.stats().open_connections > 0 && settle.elapsed() < Duration::from_secs(5) {
+    let open = |server: &Server| server.metrics().get("connections.open").unwrap_or(0);
+    while open(&server) > 0 && settle.elapsed() < Duration::from_secs(5) {
         std::thread::sleep(Duration::from_millis(10));
     }
-    let open_after = server.stats().open_connections;
-    let server_stats = server.stats();
-    let admission_stats = server.admission_stats();
+    let metrics = server.metrics();
+    let get = |name: &str| metrics.get(name).unwrap_or(0);
+    let open_after = get("connections.open");
     server.shutdown();
     println!(
         "drained: {} connections served {} requests, {} open after the run",
-        server_stats.connections_accepted, server_stats.requests_served, open_after
+        get("connections.accepted"),
+        get("connections.served"),
+        open_after
     );
 
-    let hung = overload.transport_errors + calibration.transport_errors + open_after as u64;
+    let hung = overload.transport_errors + calibration.transport_errors + open_after;
     let hints_missing = overload.shed - overload.shed_with_hint;
     let zero_hung_gate = if !assert_zero_hung {
         "not-requested"
@@ -337,8 +340,8 @@ fn main() {
         ("accepted_p50_ms", Json::Num(p50)),
         ("accepted_p99_ms", Json::Num(p99)),
         ("accepted_max_ms", Json::Num(max_ms)),
-        ("admitted_total", Json::from(admission_stats.admitted)),
-        ("shed_total", Json::from(admission_stats.shed)),
+        ("admitted_total", Json::from(get("admission.admitted"))),
+        ("shed_total", Json::from(get("admission.shed"))),
         ("open_connections_after", Json::from(open_after)),
         ("drained", Json::Bool(true)),
         ("zero_hung_gate", Json::from(zero_hung_gate)),

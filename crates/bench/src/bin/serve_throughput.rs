@@ -136,7 +136,7 @@ fn run_batched(
         batch_size,
         wall: start.elapsed(),
         latencies_ms: latencies,
-        fixpoints: scheduler.stats().batches,
+        fixpoints: scheduler.metrics().get("batches").unwrap_or(0),
     }
 }
 
@@ -178,7 +178,7 @@ fn main() {
     let program = cache
         .get_or_compile(clutrr::PROGRAM, ProvenanceKind::DiffTop1Proof)
         .expect("CLUTRR program compiles");
-    assert_eq!(cache.stats().compiles, 1);
+    assert_eq!(cache.metrics().get("compiles"), Some(1));
 
     let mut rng = StdRng::seed_from_u64(42);
     let requests: Vec<lobster::FactSet> = (0..requests_n)
@@ -196,7 +196,7 @@ fn main() {
     // Warm up allocators and the simulated device so the sequential baseline
     // is not penalized for going first.
     run_direct("warmup", &program, &requests[..requests_n.min(4)]);
-    let kernel_time_before = program.device().stats().kernel_time;
+    let device_before = program.device().metrics();
 
     // Every configuration (the baseline included) is measured several times
     // and keeps its best run: wall times here are milliseconds, so a single
@@ -239,11 +239,11 @@ fn main() {
 
     // BENCH_serve.json — machine-readable record, uploaded as a CI artifact.
     // Where the serving wall time went, per kernel bucket.
-    let kernel_time = program
-        .device()
-        .stats()
-        .kernel_time
-        .delta_since(&kernel_time_before);
+    let moved = program.device().metrics().delta_since(&device_before);
+    let kernel_ms = |bucket: &str| {
+        let ns = moved.get(&format!("kernel_time.{bucket}_ns"));
+        ns.unwrap_or(0) as f64 / 1e6
+    };
     let json = format!(
         "{{\n  \"workload\": \"clutrr\",\n  \"provenance\": \"{}\",\n  \
          \"requests\": {},\n  \"chain_length\": {},\n  \"quick_mode\": {},\n  \
@@ -258,10 +258,10 @@ fn main() {
         quick_mode(),
         std::thread::available_parallelism().map_or(1, |n| n.get()),
         direct.json(seq_sps),
-        kernel_time.sort_ns as f64 / 1e6,
-        kernel_time.join_ns as f64 / 1e6,
-        kernel_time.unique_ns as f64 / 1e6,
-        kernel_time.other_ns as f64 / 1e6,
+        kernel_ms("sort"),
+        kernel_ms("join"),
+        kernel_ms("unique"),
+        kernel_ms("other"),
         sequential.json(seq_sps),
         batched
             .iter()

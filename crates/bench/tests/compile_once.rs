@@ -167,3 +167,37 @@ fn one_program_serves_many_threads_bit_identically() {
         }
     }
 }
+
+#[test]
+fn a_run_counts_only_its_own_kernel_launches() {
+    // Every session of a `Program` shares its device, so a run that read the
+    // device-wide launch count would also count what other threads launched
+    // meanwhile.
+    let program = Arc::new(compile(TC, ProvenanceKind::Unit, RuntimeOptions::default()));
+    let mut chain = FactSet::new();
+    for i in 0..64u32 {
+        chain.add("edge", &[Value::U32(i), Value::U32(i + 1)], None);
+    }
+    let launches = |program: &Program, facts: &FactSet| {
+        let mut session = program.session();
+        session.insert_facts(facts).unwrap();
+        session.run().unwrap().stats.kernel_launches
+    };
+    let alone = launches(&program, &chain);
+    assert!(alone > 0);
+
+    let chain = Arc::new(chain);
+    let threads: Vec<_> = (0..4)
+        .map(|_| {
+            let (program, chain) = (Arc::clone(&program), Arc::clone(&chain));
+            std::thread::spawn(move || {
+                (0..10)
+                    .map(|_| launches(&program, &chain))
+                    .collect::<Vec<_>>()
+            })
+        })
+        .collect();
+    for thread in threads {
+        assert_eq!(thread.join().unwrap(), vec![alone; 10]);
+    }
+}

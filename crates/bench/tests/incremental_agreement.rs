@@ -543,9 +543,9 @@ fn empty_delta_launches_zero_kernels() {
         let first = session.run_incremental().unwrap();
         assert!(first.stats.kernel_launches > 0, "materializing run works");
 
-        let before = program.device().stats().kernel_launches;
+        let before = program.device().metrics().get("kernel_launches");
         let cached = session.run_incremental().unwrap();
-        let after = program.device().stats().kernel_launches;
+        let after = program.device().metrics().get("kernel_launches");
         assert_eq!(after, before, "kind {kind}: empty delta launched kernels");
         assert_eq!(cached.stats.kernel_launches, 0);
         assert_identical(&cached, &first, "kind {kind}: cached result");

@@ -158,7 +158,7 @@ pub type DynSession = Session;
 
 // Re-export the pieces users routinely need alongside the program/session.
 pub use lobster_apm::{ExecutionStats, RuntimeOptions};
-pub use lobster_gpu::{Arena, ArenaStats, Device, DeviceConfig, DeviceStats, KernelTime};
+pub use lobster_gpu::{metrics, Arena, Device, DeviceConfig, Metrics, Snapshot};
 pub use lobster_provenance::{
     AddMultProb, Boolean, DiffAddMultProb, DiffMaxMinProb, DiffTop1Proof, InputFactId,
     InputFactRegistry, MaxMinProb, Output, Provenance, ProvenanceKind, SessionProvenance,

@@ -883,10 +883,10 @@ mod tests {
             session.add_fact(relation, values, None).unwrap();
         }
         assert_eq!(session.run().unwrap().len("connected"), 1);
-        let moved = program.device().stats();
-        assert_eq!(moved.transfers, 2);
-        assert_eq!(moved.bytes_to_device, sealed_bytes);
-        assert_eq!(moved.bytes_to_host, fix_point_bytes);
+        let moved = program.device().metrics();
+        assert_eq!(moved.get("transfers"), Some(2));
+        assert_eq!(moved.get("bytes_to_device"), Some(sealed_bytes as u64));
+        assert_eq!(moved.get("bytes_to_host"), Some(fix_point_bytes as u64));
     }
 
     #[test]
@@ -909,10 +909,47 @@ mod tests {
                 .unwrap();
         }
         assert_eq!(session.run().unwrap().len("path"), 40 * 41 / 2);
-        let stats = program.device().stats();
-        assert!(stats.kernel_launches > 40);
-        assert!(stats.kernel_wall.sort_ns > 0 && stats.kernel_wall.join_ns > 0);
-        assert_eq!(stats.kernel_time, stats.kernel_wall);
+        let metrics = program.device().metrics();
+        assert!(metrics.get("kernel_launches") > Some(40));
+        assert!(metrics.get("kernel_wall.sort_ns") > Some(0));
+        assert!(metrics.get("kernel_wall.join_ns") > Some(0));
+        for bucket in ["sort_ns", "join_ns", "unique_ns", "other_ns"] {
+            let busy = metrics.get(&format!("kernel_time.{bucket}"));
+            assert_eq!(busy, metrics.get(&format!("kernel_wall.{bucket}")));
+        }
+    }
+
+    #[test]
+    fn a_run_makes_every_launch_on_its_own_thread() {
+        // Chunks go to the pool, but launches stay on the running thread:
+        // what the thread counted is everything the device counted.
+        let program = Lobster::builder(
+            "type edge(x: u32, y: u32)
+             rel path(x, y) = edge(x, y) or (path(x, z) and edge(z, y))
+             query path",
+        )
+        .device(lobster_gpu::Device::new(lobster_gpu::DeviceConfig {
+            parallelism: 4,
+            min_parallel_rows: 1,
+            ..lobster_gpu::DeviceConfig::default()
+        }))
+        .provenance(ProvenanceKind::Unit)
+        .compile()
+        .unwrap();
+        let mut session = program.session();
+        for i in 0..40u32 {
+            session
+                .add_fact("edge", &[Value::U32(i), Value::U32(i + 1)], None)
+                .unwrap();
+        }
+        let device_before = program.device().metrics();
+        let thread_before = lobster_gpu::thread_kernel_launches();
+        let result = session.run().unwrap();
+        let on_thread = lobster_gpu::thread_kernel_launches() - thread_before;
+        let moved = program.device().metrics().delta_since(&device_before);
+        assert_eq!(moved.get("kernel_launches"), Some(on_thread));
+        assert!(result.stats.kernel_launches > 0);
+        assert!(result.stats.kernel_launches as u64 <= on_thread);
     }
 
     #[test]
@@ -1040,9 +1077,9 @@ mod tests {
         facts.add("edge", &[Value::U32(1), Value::U32(2)], Some(0.5));
         session.insert_facts(&facts).unwrap();
         let before = session.run_incremental().unwrap();
-        let launches = program.device().stats().kernel_launches;
+        let launches = program.device().metrics().get("kernel_launches");
         let after = session.run_incremental().unwrap();
-        assert_eq!(program.device().stats().kernel_launches, launches);
+        assert_eq!(program.device().metrics().get("kernel_launches"), launches);
         assert_eq!(after.stats, ExecutionStats::default());
         assert!(Arc::ptr_eq(&before.outputs["path"], &after.outputs["path"]));
     }

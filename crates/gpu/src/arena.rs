@@ -48,30 +48,32 @@
 //! The arena is internally synchronized (`&self` everywhere) so a device
 //! shared by concurrent kernel launches needs no external locking.
 
+use crate::metrics::{Kind, Metrics, Snapshot};
 use crate::Column;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
-/// Counters describing the allocator's behaviour. Obtained from
-/// [`Arena::stats`]; the difference between two snapshots isolates one
-/// interval (all fields are monotone except `pooled_buffers`/`pooled_bytes`,
-/// which are point-in-time gauges).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ArenaStats {
-    /// Columns created fresh because no pooled buffer was available (or
-    /// reuse is disabled). A steady-state fix-point iteration with reuse
-    /// enabled performs zero of these.
-    pub fresh_columns: usize,
-    /// Columns served from a pool.
-    pub reused_columns: usize,
-    /// Columns returned to a pool.
-    pub recycled_columns: usize,
-    /// Buffers currently waiting in the pools.
-    pub pooled_buffers: usize,
-    /// Total capacity (bytes) of the pooled buffers.
-    pub pooled_bytes: usize,
-}
+/// The arena's registry entries; the constants below index them.
+const ENTRIES: &[(&str, Kind)] = &[
+    // Columns created fresh because no pooled buffer was available (or
+    // reuse is disabled). A steady-state fix-point iteration with reuse
+    // enabled performs zero of these.
+    ("fresh_columns", Kind::Counter),
+    // Columns served from a pool.
+    ("reused_columns", Kind::Counter),
+    // Columns returned to a pool.
+    ("recycled_columns", Kind::Counter),
+    // Buffers waiting in the pools, and their total capacity in bytes: read
+    // from the pools, under their lock, when a snapshot is taken.
+    ("pooled_buffers", Kind::Gauge),
+    ("pooled_bytes", Kind::Gauge),
+];
+const FRESH_COLUMNS: usize = 0;
+const REUSED_COLUMNS: usize = 1;
+const RECYCLED_COLUMNS: usize = 2;
+const POOLED_BUFFERS: usize = 3;
+const POOLED_BYTES: usize = 4;
 
 /// Default ceiling on pooled capacity per arena (bytes). Generous enough
 /// that a steady-state fix-point never hits it, small enough that one
@@ -93,9 +95,6 @@ struct ArenaInner {
     /// this count or displaces a pooled buffer, so
     /// `pooled buffers <= fresh_columns` always.
     lent: usize,
-    fresh_columns: usize,
-    reused_columns: usize,
-    recycled_columns: usize,
 }
 
 impl ArenaInner {
@@ -142,7 +141,6 @@ impl ArenaInner {
             return false;
         }
         self.pooled_bytes += bytes;
-        self.recycled_columns += 1;
         true
     }
 
@@ -181,6 +179,7 @@ pub struct Arena {
     /// ablation toggle.
     reuse: AtomicBool,
     inner: Mutex<ArenaInner>,
+    metrics: Metrics,
 }
 
 impl Default for Arena {
@@ -200,6 +199,7 @@ impl Arena {
                 pool_budget: DEFAULT_POOL_BUDGET,
                 ..ArenaInner::default()
             }),
+            metrics: Metrics::new(ENTRIES),
         }
     }
 
@@ -232,16 +232,14 @@ impl Arena {
             let mut inner = self.lock();
             inner.lent += 1;
             if let Some(mut buf) = inner.pop(site, len) {
-                inner.reused_columns += 1;
                 drop(inner);
+                self.metrics.add(REUSED_COLUMNS, 1);
                 buf.clear();
                 buf.resize(len, 0);
                 return buf;
             }
-            inner.fresh_columns += 1;
-        } else {
-            self.lock().fresh_columns += 1;
         }
+        self.metrics.add(FRESH_COLUMNS, 1);
         vec![0u64; len]
     }
 
@@ -252,16 +250,14 @@ impl Arena {
             let mut inner = self.lock();
             inner.lent += 1;
             if let Some(mut buf) = inner.pop(site, capacity) {
-                inner.reused_columns += 1;
                 drop(inner);
+                self.metrics.add(REUSED_COLUMNS, 1);
                 buf.clear();
                 buf.reserve(capacity);
                 return buf;
             }
-            inner.fresh_columns += 1;
-        } else {
-            self.lock().fresh_columns += 1;
         }
+        self.metrics.add(FRESH_COLUMNS, 1);
         Vec::with_capacity(capacity)
     }
 
@@ -282,6 +278,7 @@ impl Arena {
         let mut inner = self.lock();
         if inner.admit(&buffer) {
             inner.site.entry(site).or_default().push(buffer);
+            self.metrics.add(RECYCLED_COLUMNS, 1);
         }
     }
 
@@ -295,6 +292,7 @@ impl Arena {
         let mut inner = self.lock();
         if inner.admit(&buffer) {
             inner.shared.push(buffer);
+            self.metrics.add(RECYCLED_COLUMNS, 1);
         }
     }
 
@@ -303,22 +301,15 @@ impl Arena {
         self.lock().drop_pools();
     }
 
-    /// A snapshot of the allocator counters.
-    pub fn stats(&self) -> ArenaStats {
+    /// The allocator's metrics: columns made fresh, reused and recycled,
+    /// and what the pools hold now.
+    pub fn metrics(&self) -> Snapshot {
         let inner = self.lock();
         let pooled_buffers = inner.site.values().map(Vec::len).sum::<usize>() + inner.shared.len();
-        ArenaStats {
-            fresh_columns: inner.fresh_columns,
-            reused_columns: inner.reused_columns,
-            recycled_columns: inner.recycled_columns,
-            pooled_buffers,
-            pooled_bytes: inner.pooled_bytes,
-        }
-    }
-
-    /// Number of buffers waiting in the pools.
-    pub fn pooled_buffers(&self) -> usize {
-        self.stats().pooled_buffers
+        self.metrics.set(POOLED_BUFFERS, pooled_buffers as u64);
+        self.metrics.set(POOLED_BYTES, inner.pooled_bytes as u64);
+        drop(inner);
+        self.metrics.snapshot()
     }
 }
 
@@ -326,20 +317,24 @@ impl Arena {
 mod tests {
     use super::*;
 
+    fn pooled(arena: &Arena) -> u64 {
+        arena.metrics().get("pooled_buffers").unwrap()
+    }
+
     #[test]
     fn recycled_buffers_are_reused_per_site() {
         let arena = Arena::new(true);
         let a = arena.alloc_zeroed(7, 10);
         arena.recycle(7, a);
-        assert_eq!(arena.pooled_buffers(), 1);
+        assert_eq!(pooled(&arena), 1);
         let b = arena.alloc_zeroed(7, 20);
         assert_eq!(b.len(), 20);
         assert!(b.iter().all(|&w| w == 0));
-        assert_eq!(arena.pooled_buffers(), 0);
-        let stats = arena.stats();
-        assert_eq!(stats.fresh_columns, 1);
-        assert_eq!(stats.reused_columns, 1);
-        assert_eq!(stats.recycled_columns, 1);
+        assert_eq!(pooled(&arena), 0);
+        let metrics = arena.metrics();
+        assert_eq!(metrics.get("fresh_columns"), Some(1));
+        assert_eq!(metrics.get("reused_columns"), Some(1));
+        assert_eq!(metrics.get("recycled_columns"), Some(1));
     }
 
     #[test]
@@ -352,7 +347,7 @@ mod tests {
         let b = arena.alloc_zeroed(2, 50);
         assert_eq!(b.len(), 50);
         assert!(b.capacity() >= 100, "shared buffer keeps its capacity");
-        assert_eq!(arena.stats().fresh_columns, 1);
+        assert_eq!(arena.metrics().get("fresh_columns"), Some(1));
     }
 
     #[test]
@@ -366,12 +361,12 @@ mod tests {
                                      // that already fits, so no hidden grow-reallocation happens.
         let buf = arena.alloc_zeroed(9, 900);
         assert!(buf.capacity() >= 1000, "picked the fitting buffer");
-        assert_eq!(arena.pooled_buffers(), 1, "small buffer stays pooled");
+        assert_eq!(pooled(&arena), 1, "small buffer stays pooled");
         // With nothing fitting, the largest available is grown (one realloc
         // instead of stranding a right-sized buffer for later).
         let buf2 = arena.alloc_zeroed(9, 64);
         assert!(buf2.capacity() >= 4);
-        assert_eq!(arena.pooled_buffers(), 0);
+        assert_eq!(pooled(&arena), 0);
     }
 
     #[test]
@@ -379,19 +374,19 @@ mod tests {
         let arena = Arena::new(true);
         // Nothing is on loan: a foreign buffer has no place to take.
         arena.recycle_shared(vec![0u64; 8]);
-        assert_eq!(arena.pooled_buffers(), 0);
+        assert_eq!(pooled(&arena), 0);
         // One loan that never comes home makes room for exactly one.
         drop(arena.alloc_zeroed(0, 8));
         arena.recycle_shared(vec![0u64; 8]);
         arena.recycle_shared(vec![0u64; 8]);
-        assert_eq!(arena.pooled_buffers(), 1);
+        assert_eq!(pooled(&arena), 1);
         // A larger one displaces the pooled one; a smaller one is dropped.
         arena.recycle_shared(vec![0u64; 64]);
         arena.recycle_shared(vec![0u64; 16]);
-        let stats = arena.stats();
-        assert_eq!(stats.pooled_buffers, 1);
-        assert!(stats.pooled_bytes >= 64 * 8);
-        assert!(stats.pooled_buffers <= stats.fresh_columns);
+        let metrics = arena.metrics();
+        assert_eq!(metrics.get("pooled_buffers"), Some(1));
+        assert!(metrics.get("pooled_bytes") >= Some(64 * 8));
+        assert!(metrics.get("pooled_buffers") <= metrics.get("fresh_columns"));
     }
 
     #[test]
@@ -400,10 +395,10 @@ mod tests {
         // 256 MiB in production; shrunk here so the cap is reachable.
         arena.lock().pool_budget = 64;
         arena.recycle_shared(arena.alloc_zeroed(0, 100)); // 800 bytes > budget
-        assert_eq!(arena.pooled_buffers(), 0, "over-budget recycle dropped");
+        assert_eq!(pooled(&arena), 0, "over-budget recycle dropped");
         arena.recycle_shared(arena.alloc_zeroed(0, 4)); // 32 bytes fits
-        assert_eq!(arena.pooled_buffers(), 1);
-        assert!(arena.stats().pooled_bytes <= 64);
+        assert_eq!(pooled(&arena), 1);
+        assert!(arena.metrics().get("pooled_bytes") <= Some(64));
     }
 
     #[test]
@@ -412,9 +407,9 @@ mod tests {
         arena.recycle_shared(arena.alloc_zeroed(0, 10));
         // Re-asserting the current value must not disturb the pools.
         arena.set_reuse(true);
-        assert_eq!(arena.pooled_buffers(), 1);
+        assert_eq!(pooled(&arena), 1);
         arena.set_reuse(false);
-        assert_eq!(arena.pooled_buffers(), 0);
+        assert_eq!(pooled(&arena), 0);
     }
 
     #[test]
@@ -426,7 +421,7 @@ mod tests {
         arena.recycle_shared(copy);
         let again = arena.alloc_copy(0, &[9, 8]);
         assert_eq!(again, vec![9, 8]);
-        assert_eq!(arena.stats().fresh_columns, 1);
+        assert_eq!(arena.metrics().get("fresh_columns"), Some(1));
     }
 
     #[test]
@@ -435,19 +430,19 @@ mod tests {
         let a = arena.alloc_zeroed(0, 10);
         arena.recycle(0, a);
         arena.recycle_shared(arena.alloc_empty(0, 4));
-        assert_eq!(arena.pooled_buffers(), 0);
+        assert_eq!(pooled(&arena), 0);
         assert!(!arena.reuse_enabled());
-        assert_eq!(arena.stats().fresh_columns, 2);
-        assert_eq!(arena.stats().reused_columns, 0);
+        assert_eq!(arena.metrics().get("fresh_columns"), Some(2));
+        assert_eq!(arena.metrics().get("reused_columns"), Some(0));
     }
 
     #[test]
     fn disabling_reuse_drops_pools() {
         let arena = Arena::new(true);
         arena.recycle_shared(arena.alloc_zeroed(0, 10));
-        assert_eq!(arena.pooled_buffers(), 1);
+        assert_eq!(pooled(&arena), 1);
         arena.set_reuse(false);
-        assert_eq!(arena.pooled_buffers(), 0);
+        assert_eq!(pooled(&arena), 0);
         arena.set_reuse(true);
         assert_eq!(arena.alloc_zeroed(0, 5).len(), 5);
     }
@@ -456,6 +451,6 @@ mod tests {
     fn stats_report_pooled_bytes() {
         let arena = Arena::new(true);
         arena.recycle_shared(arena.alloc_zeroed(0, 16));
-        assert!(arena.stats().pooled_bytes >= 16 * 8);
+        assert!(arena.metrics().get("pooled_bytes") >= Some(16 * 8));
     }
 }

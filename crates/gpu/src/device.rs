@@ -1,4 +1,4 @@
-//! The simulated device: configuration, memory accounting, statistics, and
+//! The simulated device: configuration, memory accounting, metrics, and
 //! the persistent kernel worker pool.
 //!
 //! Constructing a [`Device`] spawns its worker pool (`parallelism - 1`
@@ -8,11 +8,11 @@
 //! interact with the serving layer's threads.
 
 use crate::arena::Arena;
+use crate::metrics::{Kind, Metrics, Snapshot};
 use crate::pool::{LiveWorkers, WorkerPool};
 use std::cell::Cell;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Direction of a simulated host↔device transfer.
@@ -56,12 +56,12 @@ impl Default for DeviceConfig {
 }
 
 /// The accounting bucket a kernel launch is attributed to, for the
-/// per-kernel time breakdowns in [`DeviceStats::kernel_time`] (busy) and
-/// [`DeviceStats::kernel_wall`] (enqueue-to-completion). Sort, join, and
-/// unique are the paper's Table 1 hot set, so they get their own buckets —
-/// the one-launch frontier update, which sorts, deduplicates and filters, is
-/// sort; everything else (scan, merge, difference, eval,
-/// gathers, loads) is `Other`.
+/// per-kernel busy-time (`kernel_time.*`) and wall-time (`kernel_wall.*`)
+/// entries of [`Device::metrics`]. Sort, join, and unique are the paper's
+/// Table 1 hot set, so they get their own buckets — the one-launch frontier
+/// update, which sorts, deduplicates and filters, is sort; everything else
+/// (scan, merge, difference, eval, gathers, loads) is `Other`. Declared in
+/// the order of the buckets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelKind {
     /// Row sorting (`sort_permutation`, and `sort_unique`, which builds every
@@ -76,109 +76,59 @@ pub enum KernelKind {
     Other,
 }
 
-/// Time spent inside kernels, broken down by [`KernelKind`]. Times are
-/// summed across concurrent launches (and, for busy time, across the worker
-/// threads of one launch), so on a parallel device the total can exceed
-/// wall-clock time.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct KernelTime {
-    /// Nanoseconds spent in sort kernels.
-    pub sort_ns: u64,
-    /// Nanoseconds spent in join kernels (index build + probe).
-    pub join_ns: u64,
-    /// Nanoseconds spent in unique kernels.
-    pub unique_ns: u64,
-    /// Nanoseconds spent in every other kernel.
-    pub other_ns: u64,
-}
-
-impl KernelTime {
-    fn bucket_mut(&mut self, kind: KernelKind) -> &mut u64 {
-        match kind {
-            KernelKind::Sort => &mut self.sort_ns,
-            KernelKind::Join => &mut self.join_ns,
-            KernelKind::Unique => &mut self.unique_ns,
-            KernelKind::Other => &mut self.other_ns,
-        }
-    }
-
-    /// Nanoseconds across all buckets.
-    pub fn total_ns(&self) -> u64 {
-        self.sort_ns + self.join_ns + self.unique_ns + self.other_ns
-    }
-
-    /// The bucket-wise difference from an earlier snapshot.
-    pub fn delta_since(&self, earlier: &KernelTime) -> KernelTime {
-        KernelTime {
-            sort_ns: self.sort_ns.saturating_sub(earlier.sort_ns),
-            join_ns: self.join_ns.saturating_sub(earlier.join_ns),
-            unique_ns: self.unique_ns.saturating_sub(earlier.unique_ns),
-            other_ns: self.other_ns.saturating_sub(earlier.other_ns),
-        }
-    }
-}
-
-/// Counters describing the work a device has performed.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DeviceStats {
-    /// Number of kernel launches.
-    pub kernel_launches: usize,
-    /// **Busy** time inside kernels, attributed per [`KernelKind`] bucket:
-    /// the work view. What a launch runs on its own thread counts at its
-    /// wall time; what it hands to the device's worker pool counts as the
-    /// chunks' summed execution time across every thread that ran one, in
-    /// place of the wall time the launcher spent waiting for them — so pool
-    /// idle and queue wait are *not* counted, and overlapping chunks count
-    /// once each. A launch that never reaches the pool (every launch on a
-    /// sequential device, and every launch over fewer than
-    /// [`DeviceConfig::min_parallel_rows`] rows) reads exactly its
-    /// [`DeviceStats::kernel_wall`]. Pool work a kernel starts outside any
-    /// launch lands in [`KernelKind::Other`].
-    pub kernel_time: KernelTime,
-    /// **Enqueue-to-completion** wall time per launch, attributed per
-    /// [`KernelKind`] bucket — what a caller of the kernel observed,
-    /// including any pool queue wait. `kernel_wall` is the latency view;
-    /// [`DeviceStats::kernel_time`] is the work view. On a sequential device
-    /// the two are equal bucket by bucket; on a parallel device busy time
-    /// exceeds wall time whenever chunks overlap. A launch nested in another
-    /// counts in both.
-    pub kernel_wall: KernelTime,
-    /// Number of device allocations.
-    pub allocations: usize,
-    /// Total bytes ever allocated on the device.
-    pub allocated_bytes: usize,
-    /// Bytes currently allocated.
-    pub live_bytes: usize,
-    /// High-water mark of live bytes.
-    pub peak_bytes: usize,
-    /// Bytes copied host → device.
-    pub bytes_to_device: usize,
-    /// Bytes copied device → host.
-    pub bytes_to_host: usize,
-    /// Number of host↔device transfer operations.
-    pub transfers: usize,
-}
-
-impl DeviceStats {
-    /// The change in counters from `earlier` (an older snapshot of the same
-    /// device) to `self` — what the device did *between* the two snapshots.
-    /// Monotone counters subtract; `live_bytes` and `peak_bytes` are
-    /// point-in-time / high-water gauges and keep `self`'s values.
-    pub fn delta_since(&self, earlier: &DeviceStats) -> DeviceStats {
-        DeviceStats {
-            kernel_launches: self.kernel_launches.saturating_sub(earlier.kernel_launches),
-            kernel_time: self.kernel_time.delta_since(&earlier.kernel_time),
-            kernel_wall: self.kernel_wall.delta_since(&earlier.kernel_wall),
-            allocations: self.allocations.saturating_sub(earlier.allocations),
-            allocated_bytes: self.allocated_bytes.saturating_sub(earlier.allocated_bytes),
-            live_bytes: self.live_bytes,
-            peak_bytes: self.peak_bytes,
-            bytes_to_device: self.bytes_to_device.saturating_sub(earlier.bytes_to_device),
-            bytes_to_host: self.bytes_to_host.saturating_sub(earlier.bytes_to_host),
-            transfers: self.transfers.saturating_sub(earlier.transfers),
-        }
-    }
-}
+/// The device's registry entries; the constants below index them. Times
+/// are summed across concurrent launches (and, for busy time, across the
+/// worker threads of one launch), so on a parallel device a total can
+/// exceed wall-clock time.
+const ENTRIES: &[(&str, Kind)] = &[
+    // Kernel launches, on every thread.
+    ("kernel_launches", Kind::Counter),
+    // **Busy** time inside kernels per [`KernelKind`]: the work view. What a
+    // launch runs on its own thread counts at its wall time; what it hands
+    // to the worker pool counts as the chunks' summed execution time across
+    // every thread that ran one, in place of the wall time the launcher
+    // spent waiting for them — so pool idle and queue wait are *not*
+    // counted, and overlapping chunks count once each. A launch that never
+    // reaches the pool (every launch on a sequential device, and every
+    // launch over fewer than [`DeviceConfig::min_parallel_rows`] rows) reads
+    // exactly its wall time. Pool work a kernel starts outside any launch
+    // lands in `other`.
+    ("kernel_time.sort_ns", Kind::Nanos),
+    ("kernel_time.join_ns", Kind::Nanos),
+    ("kernel_time.unique_ns", Kind::Nanos),
+    ("kernel_time.other_ns", Kind::Nanos),
+    // **Enqueue-to-completion** wall time per launch and [`KernelKind`] —
+    // what a caller of the kernel observed, including any pool queue wait:
+    // the latency view. On a sequential device busy and wall time are equal
+    // bucket by bucket; on a parallel device busy time exceeds wall time
+    // whenever chunks overlap. A launch nested in another counts in both.
+    ("kernel_wall.sort_ns", Kind::Nanos),
+    ("kernel_wall.join_ns", Kind::Nanos),
+    ("kernel_wall.unique_ns", Kind::Nanos),
+    ("kernel_wall.other_ns", Kind::Nanos),
+    // Device allocations, the bytes live now and their high-water mark.
+    ("allocations", Kind::Counter),
+    ("live_bytes", Kind::Gauge),
+    ("peak_bytes", Kind::Peak),
+    // Bytes ever allocated.
+    ("allocated_bytes", Kind::Counter),
+    // Host↔device transfers and the bytes they moved each way.
+    ("bytes_to_device", Kind::Counter),
+    ("bytes_to_host", Kind::Counter),
+    ("transfers", Kind::Counter),
+];
+const KERNEL_LAUNCHES: usize = 0;
+/// The first busy-time bucket; [`KernelKind`] numbers the four.
+const KERNEL_TIME: usize = 1;
+/// The first wall-time bucket.
+const KERNEL_WALL: usize = 5;
+const ALLOCATIONS: usize = 9;
+const LIVE_BYTES: usize = 10;
+const PEAK_BYTES: usize = 11;
+const ALLOCATED_BYTES: usize = 12;
+const BYTES_TO_DEVICE: usize = 13;
+const BYTES_TO_HOST: usize = 14;
+const TRANSFERS: usize = 15;
 
 /// Errors produced by the simulated device.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -209,8 +159,7 @@ impl std::error::Error for DeviceError {}
 
 #[derive(Debug)]
 struct DeviceInner {
-    stats: Mutex<DeviceStats>,
-    live_bytes: AtomicUsize,
+    metrics: Metrics,
     /// The buffer pool every kernel output and scratch column is routed
     /// through (Section 4.1). Shared by all clones of the device.
     arena: Arena,
@@ -235,6 +184,16 @@ thread_local! {
     /// launcher (`WorkerPool::run`), so attribution happens on the
     /// launching thread, where the guard is live.
     static ACTIVE: Cell<Option<ActiveLaunch>> = const { Cell::new(None) };
+    /// Kernel launches recorded on this thread, on any device.
+    static LAUNCHES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Kernel launches recorded on the calling thread so far, on any device. A
+/// launch is recorded on the thread that makes it, so the difference across
+/// a run on one thread is that run's own count, whatever other threads
+/// launch meanwhile on a shared device.
+pub fn thread_kernel_launches() -> u64 {
+    LAUNCHES.with(Cell::get)
 }
 
 /// A duration in whole nanoseconds, saturating.
@@ -244,7 +203,7 @@ fn nanos(elapsed: Duration) -> u64 {
 
 /// A handle to the simulated device.
 ///
-/// The device is cheap to clone (clones share statistics and the memory
+/// The device is cheap to clone (clones share metrics and the memory
 /// budget) and is `Send + Sync`, so a single device can back many concurrent
 /// kernel launches.
 #[derive(Debug, Clone)]
@@ -270,8 +229,7 @@ impl Device {
         Device {
             config,
             inner: Arc::new(DeviceInner {
-                stats: Mutex::new(DeviceStats::default()),
-                live_bytes: AtomicUsize::new(0),
+                metrics: Metrics::new(ENTRIES),
                 arena: Arena::default(),
                 pool: WorkerPool::new(workers),
             }),
@@ -324,24 +282,20 @@ impl Device {
 
     /// Records a kernel launch (used by every kernel in [`crate::kernels`]).
     pub fn record_kernel(&self) {
-        self.inner
-            .stats
-            .lock()
-            .expect("device stats poisoned")
-            .kernel_launches += 1;
+        self.inner.metrics.add(KERNEL_LAUNCHES, 1);
+        LAUNCHES.with(|n| n.set(n.get() + 1));
     }
 
-    /// Records one finished launch in one stats update: its wall time
-    /// ([`DeviceStats::kernel_wall`]), and its busy time
-    /// ([`DeviceStats::kernel_time`]) — the wall time corrected by what its
+    /// Records one finished launch: its wall time (`kernel_wall.*`), and
+    /// its busy time (`kernel_time.*`) — the wall time corrected by what its
     /// pooled chunks reported.
     fn record_launch(&self, launch: ActiveLaunch, wall: Duration) {
         let wall = nanos(wall);
         let busy = wall.saturating_add_signed(launch.pooled_excess_ns);
-        let mut stats = self.inner.stats.lock().expect("device stats poisoned");
-        stats.kernel_launches += 1;
-        *stats.kernel_wall.bucket_mut(launch.kind) += wall;
-        *stats.kernel_time.bucket_mut(launch.kind) += busy;
+        self.record_kernel();
+        let bucket = launch.kind as usize;
+        self.inner.metrics.add(KERNEL_WALL + bucket, wall);
+        self.inner.metrics.add(KERNEL_TIME + bucket, busy);
     }
 
     /// Reports chunks that ran on the worker pool: `busy` summed over the
@@ -362,8 +316,8 @@ impl Device {
             None => false,
         });
         if !in_launch {
-            let mut stats = self.inner.stats.lock().expect("device stats poisoned");
-            stats.kernel_time.other_ns += busy;
+            let other = KERNEL_TIME + KernelKind::Other as usize;
+            self.inner.metrics.add(other, busy);
         }
     }
 
@@ -376,7 +330,7 @@ impl Device {
 
     /// Starts a timed kernel launch: the returned guard records the launch,
     /// its wall time and its busy time in the given bucket when dropped —
-    /// one clock read here, one there, one stats update — and makes it the
+    /// one clock read here, one there, three atomic adds — and makes it the
     /// launch that pooled chunks reported on this thread correct (nested
     /// launches restore the outer one on drop).
     pub(crate) fn launch(&self, kind: KernelKind) -> LaunchTimer<'_> {
@@ -400,10 +354,13 @@ impl Device {
     /// Returns [`DeviceError::OutOfMemory`] when a memory budget is configured
     /// and the allocation would exceed it.
     pub fn try_alloc(&self, bytes: usize) -> Result<(), DeviceError> {
-        let live = self.inner.live_bytes.fetch_add(bytes, Ordering::SeqCst) + bytes;
+        let metrics = &self.inner.metrics;
+        // A relaxed add suffices: the budget reads only this entry, and the
+        // read-modify-writes of one atomic are totally ordered.
+        let live = metrics.add(LIVE_BYTES, bytes as u64) as usize + bytes;
         if let Some(limit) = self.config.memory_limit {
             if live > limit {
-                self.inner.live_bytes.fetch_sub(bytes, Ordering::SeqCst);
+                metrics.sub(LIVE_BYTES, bytes as u64);
                 return Err(DeviceError::OutOfMemory {
                     requested: bytes,
                     live: live - bytes,
@@ -411,47 +368,35 @@ impl Device {
                 });
             }
         }
-        let mut stats = self.inner.stats.lock().expect("device stats poisoned");
-        stats.allocations += 1;
-        stats.allocated_bytes += bytes;
-        stats.live_bytes = live;
-        stats.peak_bytes = stats.peak_bytes.max(live);
+        metrics.add(ALLOCATIONS, 1);
+        metrics.add(ALLOCATED_BYTES, bytes as u64);
+        metrics.max(PEAK_BYTES, live as u64);
         Ok(())
     }
 
     /// Releases `bytes` previously accounted with [`Device::try_alloc`].
     pub fn free(&self, bytes: usize) {
-        let prev = self.inner.live_bytes.fetch_sub(bytes, Ordering::SeqCst);
-        let live = prev.saturating_sub(bytes);
-        self.inner
-            .stats
-            .lock()
-            .expect("device stats poisoned")
-            .live_bytes = live;
-    }
-
-    /// Bytes currently accounted as live on the device.
-    pub fn live_bytes(&self) -> usize {
-        self.inner.live_bytes.load(Ordering::SeqCst)
+        self.inner.metrics.sub(LIVE_BYTES, bytes as u64);
     }
 
     /// Records a host↔device transfer of `bytes`.
     pub fn record_transfer(&self, direction: TransferDirection, bytes: usize) {
-        let mut stats = self.inner.stats.lock().expect("device stats poisoned");
-        stats.transfers += 1;
-        match direction {
-            TransferDirection::HostToDevice => stats.bytes_to_device += bytes,
-            TransferDirection::DeviceToHost => stats.bytes_to_host += bytes,
-        }
+        let moved = match direction {
+            TransferDirection::HostToDevice => BYTES_TO_DEVICE,
+            TransferDirection::DeviceToHost => BYTES_TO_HOST,
+        };
+        self.inner.metrics.add(moved, bytes as u64);
+        self.inner.metrics.add(TRANSFERS, 1);
     }
 
-    /// A snapshot of the device statistics.
-    pub fn stats(&self) -> DeviceStats {
+    /// The device's metrics (see the entry table in this module's source:
+    /// launches, busy and wall time per [`KernelKind`], memory and
+    /// transfers), with its arena's under `arena`.
+    pub fn metrics(&self) -> Snapshot {
         self.inner
-            .stats
-            .lock()
-            .expect("device stats poisoned")
-            .clone()
+            .metrics
+            .snapshot()
+            .nest("arena", self.inner.arena.metrics())
     }
 }
 
@@ -466,8 +411,9 @@ impl Drop for LaunchTimer<'_> {
     fn drop(&mut self) {
         let wall = self.start.elapsed();
         let launch = ACTIVE.with(|cell| cell.replace(self.prev));
-        self.device
-            .record_launch(launch.expect("a launch is active"), wall);
+        // cannot fail: this guard's launch is active until it drops.
+        let launch = launch.expect("a launch is active");
+        self.device.record_launch(launch, wall);
     }
 }
 
@@ -481,11 +427,11 @@ mod tests {
         dev.try_alloc(100).unwrap();
         dev.try_alloc(50).unwrap();
         dev.free(100);
-        let stats = dev.stats();
-        assert_eq!(stats.allocations, 2);
-        assert_eq!(stats.allocated_bytes, 150);
-        assert_eq!(stats.peak_bytes, 150);
-        assert_eq!(dev.live_bytes(), 50);
+        let metrics = dev.metrics();
+        assert_eq!(metrics.get("allocations"), Some(2));
+        assert_eq!(metrics.get("allocated_bytes"), Some(150));
+        assert_eq!(metrics.get("peak_bytes"), Some(150));
+        assert_eq!(metrics.get("live_bytes"), Some(50));
     }
 
     #[test]
@@ -508,7 +454,7 @@ mod tests {
             }
         }
         // The failed allocation must not leak accounting.
-        assert_eq!(dev.live_bytes(), 100);
+        assert_eq!(dev.metrics().get("live_bytes"), Some(100));
     }
 
     #[test]
@@ -516,10 +462,10 @@ mod tests {
         let dev = Device::sequential();
         dev.record_transfer(TransferDirection::HostToDevice, 64);
         dev.record_transfer(TransferDirection::DeviceToHost, 16);
-        let stats = dev.stats();
-        assert_eq!(stats.transfers, 2);
-        assert_eq!(stats.bytes_to_device, 64);
-        assert_eq!(stats.bytes_to_host, 16);
+        let metrics = dev.metrics();
+        assert_eq!(metrics.get("transfers"), Some(2));
+        assert_eq!(metrics.get("bytes_to_device"), Some(64));
+        assert_eq!(metrics.get("bytes_to_host"), Some(16));
     }
 
     #[test]
@@ -527,26 +473,24 @@ mod tests {
         let dev = Device::sequential();
         let clone = dev.clone();
         clone.record_kernel();
-        assert_eq!(dev.stats().kernel_launches, 1);
+        assert_eq!(dev.metrics().get("kernel_launches"), Some(1));
     }
 
     #[test]
-    fn stats_delta_since_isolates_one_interval() {
+    fn each_thread_counts_its_own_launches() {
         let dev = Device::sequential();
+        let before = thread_kernel_launches();
         dev.record_kernel();
-        dev.try_alloc(100).unwrap();
-        let snapshot = dev.stats();
-        dev.record_kernel();
-        dev.record_kernel();
-        dev.record_transfer(TransferDirection::DeviceToHost, 16);
-        let delta = dev.stats().delta_since(&snapshot);
-        assert_eq!(delta.kernel_launches, 2);
-        assert_eq!(delta.allocations, 0);
-        assert_eq!(delta.transfers, 1);
-        assert_eq!(delta.bytes_to_host, 16);
-        // Gauges keep the current values rather than subtracting.
-        assert_eq!(delta.live_bytes, 100);
-        assert_eq!(delta.peak_bytes, 100);
+        let other = dev.clone();
+        std::thread::spawn(move || {
+            other.record_kernel();
+            other.record_kernel();
+            assert_eq!(thread_kernel_launches(), 2);
+        })
+        .join()
+        .unwrap();
+        assert_eq!(thread_kernel_launches() - before, 1);
+        assert_eq!(dev.metrics().get("kernel_launches"), Some(3));
     }
 
     #[test]
@@ -557,10 +501,13 @@ mod tests {
             let _t = dev.launch(KernelKind::Sort);
             std::thread::sleep(Duration::from_millis(1));
         }
-        let stats = dev.stats();
-        assert_eq!(stats.kernel_launches, 1);
-        assert!(stats.kernel_wall.sort_ns >= 1_000_000);
-        assert_eq!(stats.kernel_time, stats.kernel_wall);
+        let metrics = dev.metrics();
+        assert_eq!(metrics.get("kernel_launches"), Some(1));
+        assert!(metrics.get("kernel_wall.sort_ns") >= Some(1_000_000));
+        for bucket in ["sort_ns", "join_ns", "unique_ns", "other_ns"] {
+            let busy = metrics.get(&format!("kernel_time.{bucket}"));
+            assert_eq!(busy, metrics.get(&format!("kernel_wall.{bucket}")));
+        }
 
         // Chunks on the pool replace the wall time the launcher waited for
         // them with their own summed busy time: here 3 ms of chunk work
@@ -571,18 +518,21 @@ mod tests {
             let _t = dev.launch(KernelKind::Join);
             dev.record_pooled(Duration::from_millis(3), Duration::from_millis(1));
         }
-        let stats = dev.stats();
-        let (busy, wall) = (stats.kernel_time.join_ns, stats.kernel_wall.join_ns);
+        let metrics = dev.metrics();
+        let busy = metrics.get("kernel_time.join_ns").unwrap();
+        let wall = metrics.get("kernel_wall.join_ns").unwrap();
         assert_eq!(busy, wall + 2_000_000);
-        assert_eq!(stats.kernel_wall.sort_ns, 0);
+        assert_eq!(metrics.get("kernel_wall.sort_ns"), Some(0));
 
         // Pooled work outside any launch is busy time with no launch.
         let dev = Device::sequential();
         dev.record_pooled(Duration::from_nanos(700), Duration::from_nanos(300));
-        let stats = dev.stats();
-        assert_eq!(stats.kernel_launches, 0);
-        assert_eq!(stats.kernel_time.other_ns, 700);
-        assert_eq!(stats.kernel_wall.total_ns(), 0);
+        let metrics = dev.metrics();
+        assert_eq!(metrics.get("kernel_launches"), Some(0));
+        assert_eq!(metrics.get("kernel_time.other_ns"), Some(700));
+        for bucket in ["sort_ns", "join_ns", "unique_ns", "other_ns"] {
+            assert_eq!(metrics.get(&format!("kernel_wall.{bucket}")), Some(0));
+        }
     }
 
     #[test]
@@ -597,17 +547,14 @@ mod tests {
             // Back under the outer guard after the inner one dropped.
             dev.record_pooled(Duration::from_nanos(90), Duration::from_nanos(50));
         }
-        let stats = dev.stats();
-        let excess = |busy: u64, wall: u64| busy - wall;
-        assert_eq!(
-            excess(stats.kernel_time.sort_ns, stats.kernel_wall.sort_ns),
-            100
-        );
-        assert_eq!(
-            excess(stats.kernel_time.join_ns, stats.kernel_wall.join_ns),
-            40
-        );
-        assert_eq!(stats.kernel_launches, 2);
+        let metrics = dev.metrics();
+        let excess = |bucket: &str| {
+            let busy = metrics.get(&format!("kernel_time.{bucket}")).unwrap();
+            busy - metrics.get(&format!("kernel_wall.{bucket}")).unwrap()
+        };
+        assert_eq!(excess("sort_ns"), 100);
+        assert_eq!(excess("join_ns"), 40);
+        assert_eq!(metrics.get("kernel_launches"), Some(2));
     }
 
     #[test]

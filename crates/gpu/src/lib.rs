@@ -7,8 +7,8 @@
 //! executed on the device's **persistent worker pool** (long-lived threads
 //! spawned at [`Device`] construction and joined when its last clone drops —
 //! see [`pool`]; no kernel ever spawns threads per launch), and the device
-//! tracks the statistics a real GPU runtime would care about — kernel
-//! launches, allocated bytes, peak memory, and host↔device transfer volume.
+//! counts what a real GPU runtime would care about — kernel launches,
+//! allocated bytes, peak memory, and host↔device transfer volume ([`metrics`]).
 //! A configurable memory budget reproduces the out-of-memory behaviour
 //! reported in the paper's Table 3.
 //!
@@ -44,11 +44,10 @@
 //! partitioning). Kernel outputs and scratch are allocated through the
 //! per-device [`Arena`] pool, so once a fix-point reaches its steady state
 //! an iteration performs zero fresh column allocations (Section 4.1);
-//! [`DeviceStats::kernel_time`] attributes busy time (a launch's wall time,
-//! with the chunks it hands to the worker pool counted at their summed
-//! execution time) and [`DeviceStats::kernel_wall`] enqueue-to-completion
-//! time to sort/join/unique buckets. See `docs/PERFORMANCE.md` in the repository
-//! for how to tune the pool and read the benchmark artifacts.
+//! [`Device::metrics`] attributes busy time (`kernel_time`: a launch's wall
+//! time, with its pooled chunks at their summed execution time) and
+//! enqueue-to-completion time (`kernel_wall`) to sort/join/unique buckets.
+//! See `docs/PERFORMANCE.md` for how to tune the pool and read the artifacts.
 //!
 //! The crate is `unsafe`-free except for the single lifetime-erasure the
 //! worker pool needs to run borrowed chunk closures on persistent threads;
@@ -61,14 +60,16 @@ mod arena;
 mod device;
 mod hash;
 pub mod kernels;
+pub mod metrics;
 mod parallel;
 pub mod pool;
 
-pub use arena::{Arena, ArenaStats};
+pub use arena::Arena;
 pub use device::{
-    Device, DeviceConfig, DeviceError, DeviceStats, KernelKind, KernelTime, TransferDirection,
+    thread_kernel_launches, Device, DeviceConfig, DeviceError, KernelKind, TransferDirection,
 };
 pub use hash::HashIndex;
+pub use metrics::{Metrics, Snapshot};
 pub use parallel::par_map_into;
 
 /// A column of a device-resident table: a flat vector of 64-bit words.

@@ -12,9 +12,9 @@
 //! reassembled strictly in chunk-index order.
 //!
 //! Chunks that run on the pool report their execution time to the device's
-//! busy-time counter ([`crate::DeviceStats::kernel_time`]), attributed to the
-//! active launch on the calling thread; chunks that run inline are part of
-//! that launch's own wall time and are not timed apart.
+//! busy-time buckets (`kernel_time.*` of [`Device::metrics`]), attributed to
+//! the active launch on the calling thread; chunks that run inline are part
+//! of that launch's own wall time and are not timed apart.
 
 use crate::Device;
 use std::ops::{Deref, Range};
@@ -304,14 +304,15 @@ mod tests {
         let par = par_device(4);
         let ranges = chunks_for(&par, 3_000);
         assert_eq!(ranges.len(), 4);
-        let before = par.stats().kernel_time.total_ns();
+        let busy = |device: &Device| device.metrics().get("kernel_time.other_ns").unwrap();
+        let before = busy(&par);
         let _sums = map_chunks(&par, &ranges, |_, range| {
             std::thread::sleep(std::time::Duration::from_millis(1));
             range.map(|i| i as u64).sum::<u64>()
         });
         // Pooled chunks outside a launch report their own busy time: four
         // chunks of at least 1 ms each.
-        assert!(par.stats().kernel_time.total_ns() >= before + 4_000_000);
+        assert!(busy(&par) >= before + 4_000_000);
     }
 
     #[test]

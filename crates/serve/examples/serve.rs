@@ -35,22 +35,24 @@ fn main() {
             })
         })
         .collect();
-    let program = handles
+    // Join every handler, so the counters below count all eight requests.
+    let programs: Vec<_> = handles
         .into_iter()
         .map(|h| h.join().expect("handler thread"))
+        .collect();
+    let program = programs
+        .into_iter()
         .next_back()
         .expect("eight handlers ran");
-    let stats = cache.stats();
-    println!(
-        "cache: {} compile(s) for 8 concurrent requests \
-         ({} miss, {} coalesced, {} hit)",
-        stats.compiles, stats.misses, stats.coalesced, stats.hits
-    );
+    let mut json = String::new();
+    cache.metrics().write_json(&mut json);
+    println!("cache after 8 concurrent requests: {json}");
     // Re-requesting is now a pure hit.
     cache
         .get_or_compile(REACHABILITY, ProvenanceKind::AddMultProb)
         .expect("cached");
-    println!("cache: re-request hits ({} total hits)", cache.stats().hits);
+    let hits = cache.metrics().get("hits").unwrap_or(0);
+    println!("cache: re-request hits ({hits} total hits)");
 
     // --- The scheduler: one fix-point per mini-batch, on a persistent ----
     // --- runtime. ---------------------------------------------------------
@@ -81,14 +83,12 @@ fn main() {
         let p = result.probability("path", &[Value::U32(i), Value::U32(i + 2)]);
         assert!((p - 0.81).abs() < 1e-9, "request {i}: {p}");
     }
-    let stats = scheduler.stats();
-    println!(
-        "scheduler: {} requests in {} batch(es) on one persistent session \
-         (largest {}, {} full / {} timer flushes)",
-        stats.samples, stats.batches, stats.largest_batch, stats.full_flushes, stats.timer_flushes,
-    );
+    let metrics = scheduler.metrics();
+    let mut json = String::new();
+    metrics.write_json(&mut json);
+    println!("scheduler, one persistent session: {json}");
     assert!(
-        stats.batches < stats.samples,
+        metrics.get("batches") < metrics.get("samples"),
         "batching amortized at least one fix-point"
     );
 

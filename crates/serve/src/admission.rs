@@ -16,7 +16,7 @@
 //! [`AdmissionConfig::max_retry`]) — its job is to spread retries out, not
 //! to promise a slot.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use lobster::metrics::{Kind, Metrics, Snapshot};
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -50,14 +50,18 @@ impl AdmissionConfig {
     }
 }
 
-/// Counters describing an [`AdmissionController`]'s decisions.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AdmissionStats {
-    /// Requests admitted to the scheduler queue.
-    pub admitted: u64,
-    /// Requests shed at the door with a retry-after.
-    pub shed: u64,
-}
+/// The controller's registry entries; the constants below index them.
+const ENTRIES: &[(&str, Kind)] = &[
+    // Requests admitted to the scheduler queue.
+    ("admitted", Kind::Counter),
+    // Requests shed at the door with a retry-after.
+    ("shed", Kind::Counter),
+    // The configured cap on pending requests.
+    ("max_pending", Kind::Gauge),
+];
+const ADMITTED: usize = 0;
+const SHED: usize = 1;
+const MAX_PENDING: usize = 2;
 
 /// Decides, per request, whether the scheduler may take one more.
 ///
@@ -68,8 +72,7 @@ pub struct AdmissionStats {
 #[derive(Debug)]
 pub struct AdmissionController {
     config: AdmissionConfig,
-    admitted: AtomicU64,
-    shed: AtomicU64,
+    metrics: Metrics,
     /// EWMA of per-request service time (submit → resolve), in nanoseconds;
     /// `0` until the first observation.
     ewma_service_ns: Mutex<f64>,
@@ -78,10 +81,11 @@ pub struct AdmissionController {
 impl AdmissionController {
     /// A controller with the given knobs.
     pub fn new(config: AdmissionConfig) -> Self {
+        let metrics = Metrics::new(ENTRIES);
+        metrics.set(MAX_PENDING, config.max_pending as u64);
         AdmissionController {
             config,
-            admitted: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
+            metrics,
             ewma_service_ns: Mutex::new(0.0),
         }
     }
@@ -99,10 +103,10 @@ impl AdmissionController {
     /// Returns the retry-after hint when the request must be shed.
     pub fn admit(&self, pending: usize) -> Result<(), Duration> {
         if pending < self.config.max_pending {
-            self.admitted.fetch_add(1, Ordering::Relaxed);
+            self.metrics.add(ADMITTED, 1);
             Ok(())
         } else {
-            self.shed.fetch_add(1, Ordering::Relaxed);
+            self.metrics.add(SHED, 1);
             Err(self.retry_after(pending))
         }
     }
@@ -143,12 +147,9 @@ impl AdmissionController {
         estimate.clamp(self.config.min_retry, self.config.max_retry)
     }
 
-    /// A snapshot of the decision counters.
-    pub fn stats(&self) -> AdmissionStats {
-        AdmissionStats {
-            admitted: self.admitted.load(Ordering::Relaxed),
-            shed: self.shed.load(Ordering::Relaxed),
-        }
+    /// The decision counters and the configured cap.
+    pub fn metrics(&self) -> Snapshot {
+        self.metrics.snapshot()
     }
 }
 
@@ -163,8 +164,10 @@ mod tests {
         assert!(controller.admit(1).is_ok());
         let retry = controller.admit(2).expect_err("at the cap");
         assert!(retry >= controller.config().min_retry);
-        let stats = controller.stats();
-        assert_eq!((stats.admitted, stats.shed), (2, 1));
+        let metrics = controller.metrics();
+        assert_eq!(metrics.get("admitted"), Some(2));
+        assert_eq!(metrics.get("shed"), Some(1));
+        assert_eq!(metrics.get("max_pending"), Some(2));
     }
 
     #[test]

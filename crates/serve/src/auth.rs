@@ -13,6 +13,7 @@
 //! client-visible `retry_after_ms` — so well-behaved clients back off with
 //! precision instead of hammering.
 
+use lobster::metrics::{Kind, Metrics, Snapshot};
 use std::collections::HashMap;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -53,10 +54,6 @@ struct Bucket {
     tokens: f64,
     /// When `tokens` was last refilled.
     refilled: Instant,
-    /// Requests this key has had admitted.
-    admitted: u64,
-    /// Requests this key has had rejected over quota.
-    rejected: u64,
 }
 
 impl Bucket {
@@ -80,16 +77,22 @@ pub enum AuthError {
     },
 }
 
-/// Counters describing a [`KeyStore`]'s decisions.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AuthStats {
-    /// Requests admitted (a token was spent).
-    pub admitted: u64,
-    /// Requests presenting an unknown key.
-    pub unauthorized: u64,
-    /// Requests rejected because their key's bucket was empty.
-    pub quota_rejected: u64,
-}
+/// The store's registry entries; the constants below index them. The
+/// counters are the store's, not a key's: removing a key keeps its history.
+const ENTRIES: &[(&str, Kind)] = &[
+    // Requests admitted (a token was spent).
+    ("admitted", Kind::Counter),
+    // Requests presenting an unknown key.
+    ("unauthorized", Kind::Counter),
+    // Requests rejected because their key's bucket was empty.
+    ("quota_rejected", Kind::Counter),
+    // Keys registered.
+    ("keys", Kind::Gauge),
+];
+const ADMITTED: usize = 0;
+const UNAUTHORIZED: usize = 1;
+const QUOTA_REJECTED: usize = 2;
+const KEYS: usize = 3;
 
 /// A map from API key to token-bucket quota, shared by every connection
 /// thread of a server.
@@ -97,10 +100,19 @@ pub struct AuthStats {
 /// All methods take `&self`; the store is `Sync`. Keys are compared as
 /// whole strings via hash-map lookup. An empty store rejects everything —
 /// a server is closed by default and opened key by key.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct KeyStore {
     buckets: Mutex<HashMap<String, Bucket>>,
-    unauthorized: Mutex<u64>,
+    metrics: Metrics,
+}
+
+impl Default for KeyStore {
+    fn default() -> Self {
+        KeyStore {
+            buckets: Mutex::default(),
+            metrics: Metrics::new(ENTRIES),
+        }
+    }
 }
 
 impl KeyStore {
@@ -111,28 +123,25 @@ impl KeyStore {
     }
 
     /// Adds (or replaces) a key with the given quota. Replacing an existing
-    /// key resets its bucket to full and keeps its counters.
+    /// key resets its bucket to full.
     pub fn add_key(&self, key: impl Into<String>, quota: Quota) {
         let mut buckets = self.lock_buckets();
-        let key = key.into();
-        let (admitted, rejected) = buckets
-            .get(&key)
-            .map_or((0, 0), |b| (b.admitted, b.rejected));
         buckets.insert(
-            key,
+            key.into(),
             Bucket {
                 quota,
                 tokens: quota.burst as f64,
                 refilled: Instant::now(),
-                admitted,
-                rejected,
             },
         );
+        self.metrics.set(KEYS, buckets.len() as u64);
     }
 
     /// Removes a key; subsequent requests with it are unauthorized.
     pub fn remove_key(&self, key: &str) {
-        self.lock_buckets().remove(key);
+        let mut buckets = self.lock_buckets();
+        buckets.remove(key);
+        self.metrics.set(KEYS, buckets.len() as u64);
     }
 
     /// Checks `key` and spends one quota token on success.
@@ -146,42 +155,31 @@ impl KeyStore {
         let now = Instant::now();
         let mut buckets = self.lock_buckets();
         let Some(bucket) = buckets.get_mut(key) else {
-            drop(buckets);
-            *self
-                .unauthorized
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner) += 1;
+            self.metrics.add(UNAUTHORIZED, 1);
             return Err(AuthError::Unauthorized);
         };
         bucket.refill(now);
         if bucket.tokens >= 1.0 {
             bucket.tokens -= 1.0;
-            bucket.admitted += 1;
+            self.metrics.add(ADMITTED, 1);
             Ok(())
         } else {
-            bucket.rejected += 1;
+            self.metrics.add(QUOTA_REJECTED, 1);
             let missing = 1.0 - bucket.tokens;
             let retry_after = Duration::from_secs_f64(missing / bucket.quota.per_second);
             Err(AuthError::QuotaExceeded { retry_after })
         }
     }
 
-    /// A snapshot of the store's counters, summed over all keys.
-    pub fn stats(&self) -> AuthStats {
-        let buckets = self.lock_buckets();
-        AuthStats {
-            admitted: buckets.values().map(|b| b.admitted).sum(),
-            quota_rejected: buckets.values().map(|b| b.rejected).sum(),
-            unauthorized: *self
-                .unauthorized
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner),
-        }
+    /// The store's decision counters, over every key it has held, and the
+    /// number of keys it holds.
+    pub fn metrics(&self) -> Snapshot {
+        self.metrics.snapshot()
     }
 
     /// Number of registered keys.
     pub fn len(&self) -> usize {
-        self.lock_buckets().len()
+        self.metrics.get(KEYS) as usize
     }
 
     /// `true` when no keys are registered.
@@ -209,8 +207,9 @@ mod tests {
         store.add_key("real", Quota::unlimited());
         assert_eq!(store.check("ghost"), Err(AuthError::Unauthorized));
         assert!(store.check("real").is_ok());
-        let stats = store.stats();
-        assert_eq!((stats.admitted, stats.unauthorized), (1, 2));
+        let metrics = store.metrics();
+        assert_eq!(metrics.get("admitted"), Some(1));
+        assert_eq!(metrics.get("unauthorized"), Some(2));
     }
 
     #[test]
@@ -226,8 +225,9 @@ mod tests {
             }
             other => panic!("expected quota rejection, got {other:?}"),
         }
-        let stats = store.stats();
-        assert_eq!((stats.admitted, stats.quota_rejected), (2, 1));
+        let metrics = store.metrics();
+        assert_eq!(metrics.get("admitted"), Some(2));
+        assert_eq!(metrics.get("quota_rejected"), Some(1));
     }
 
     #[test]
@@ -248,5 +248,19 @@ mod tests {
         assert!(store.check("k").is_ok());
         store.remove_key("k");
         assert_eq!(store.check("k"), Err(AuthError::Unauthorized));
+    }
+
+    #[test]
+    fn counters_survive_a_removed_key() {
+        let store = KeyStore::new();
+        store.add_key("k", Quota::per_second(1.0 / 3600.0, 2));
+        assert!(store.check("k").is_ok());
+        assert!(store.check("k").is_ok());
+        assert!(store.check("k").is_err());
+        store.remove_key("k");
+        let metrics = store.metrics();
+        assert_eq!(metrics.get("admitted"), Some(2));
+        assert_eq!(metrics.get("quota_rejected"), Some(1));
+        assert_eq!(metrics.get("keys"), Some(0));
     }
 }

@@ -1,9 +1,9 @@
 //! The Arc-shared compiled-program cache.
 
+use lobster::metrics::{Kind, Metrics, Snapshot};
 use lobster::{Lobster, LobsterError, Program, ProvenanceKind, RuntimeOptions};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// The identity of a compiled program: what it was compiled from (source
 /// hash), which semiring it reasons in, and which runtime options shape its
@@ -64,28 +64,36 @@ struct CacheState {
     resident_bytes: usize,
 }
 
-/// Counters describing the cache's behaviour since construction.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Requests served by an already-compiled entry.
-    pub hits: u64,
-    /// Requests that created a new entry (and triggered a compile).
-    pub misses: u64,
-    /// Requests that found an entry still compiling and blocked on it
-    /// instead of compiling again.
-    pub coalesced: u64,
-    /// Number of compilations actually performed.
-    pub compiles: u64,
-    /// Entries evicted to stay within the byte budget.
-    pub evictions: u64,
-    /// Requests whose key collided with a different source (served by an
-    /// uncached compile instead of the wrong artifact).
-    pub collisions: u64,
-    /// Estimated resident bytes of all cached artifacts.
-    pub resident_bytes: usize,
-    /// Number of cached (compiled) programs.
-    pub resident_programs: usize,
-}
+/// The cache's registry entries; the constants below index them.
+const ENTRIES: &[(&str, Kind)] = &[
+    // Requests served by an already-compiled entry.
+    ("hits", Kind::Counter),
+    // Requests that created a new entry (and triggered a compile).
+    ("misses", Kind::Counter),
+    // Requests that found an entry still compiling and blocked on it
+    // instead of compiling again.
+    ("coalesced", Kind::Counter),
+    // Compilations actually performed.
+    ("compiles", Kind::Counter),
+    // Entries evicted to stay within the byte budget.
+    ("evictions", Kind::Counter),
+    // Requests whose key collided with a different source (served by an
+    // uncached compile instead of the wrong artifact).
+    ("collisions", Kind::Counter),
+    // Estimated resident bytes of the cached artifacts, and how many
+    // (compiled) programs they are: read from the map, under its lock,
+    // when a snapshot is taken.
+    ("resident_bytes", Kind::Gauge),
+    ("resident_programs", Kind::Gauge),
+];
+const HITS: usize = 0;
+const MISSES: usize = 1;
+const COALESCED: usize = 2;
+const COMPILES: usize = 3;
+const EVICTIONS: usize = 4;
+const COLLISIONS: usize = 5;
+const RESIDENT_BYTES: usize = 6;
+const RESIDENT_PROGRAMS: usize = 7;
 
 /// A process-wide cache of compiled programs keyed by [`CacheKey`].
 ///
@@ -99,23 +107,35 @@ pub struct CacheStats {
 ///
 /// All methods take `&self`; the cache is `Sync` and meant to be shared
 /// (e.g. in an `Arc`) across request-handling threads.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct ProgramCache {
     state: Mutex<CacheState>,
     /// Byte budget for resident artifacts; `None` is unbounded.
     budget: Option<usize>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    coalesced: AtomicU64,
-    compiles: AtomicU64,
-    evictions: AtomicU64,
-    collisions: AtomicU64,
+    metrics: Metrics,
+}
+
+impl Default for ProgramCache {
+    fn default() -> Self {
+        ProgramCache {
+            state: Mutex::default(),
+            budget: None,
+            metrics: Metrics::new(ENTRIES),
+        }
+    }
 }
 
 impl ProgramCache {
     /// An unbounded cache: nothing is ever evicted.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The map, whatever a thread that panicked holding it was doing: no
+    /// caller code runs under the lock (compiles run in `get_or_init`,
+    /// outside it), and every update under it leaves the map usable.
+    fn lock_state(&self) -> MutexGuard<'_, CacheState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// A cache that evicts least-recently-used entries once the estimated
@@ -176,16 +196,16 @@ impl ProgramCache {
         options: RuntimeOptions,
     ) -> Result<Arc<Program>, LobsterError> {
         let slot = {
-            let mut state = self.state.lock().expect("cache lock poisoned");
+            let mut state = self.lock_state();
             state.tick += 1;
             let tick = state.tick;
             match state.entries.get_mut(&key) {
                 Some(entry) if entry.source == source && entry.options == options => {
                     entry.last_used = tick;
                     if entry.slot.cell.get().is_some() {
-                        self.hits.fetch_add(1, Ordering::Relaxed);
+                        self.metrics.add(HITS, 1);
                     } else {
-                        self.coalesced.fetch_add(1, Ordering::Relaxed);
+                        self.metrics.add(COALESCED, 1);
                     }
                     Arc::clone(&entry.slot)
                 }
@@ -195,8 +215,8 @@ impl ProgramCache {
                     // compile — correct, if slower — rather than evicting
                     // the resident program or returning the wrong artifact.
                     drop(state);
-                    self.collisions.fetch_add(1, Ordering::Relaxed);
-                    self.compiles.fetch_add(1, Ordering::Relaxed);
+                    self.metrics.add(COLLISIONS, 1);
+                    self.metrics.add(COMPILES, 1);
                     return Lobster::builder(source)
                         .options(options)
                         .provenance(kind)
@@ -204,7 +224,7 @@ impl ProgramCache {
                         .map(Arc::new);
                 }
                 None => {
-                    self.misses.fetch_add(1, Ordering::Relaxed);
+                    self.metrics.add(MISSES, 1);
                     let slot = Arc::new(Slot::default());
                     state.entries.insert(
                         key,
@@ -228,7 +248,7 @@ impl ProgramCache {
         let mut compiled_here = false;
         let outcome = slot.cell.get_or_init(|| {
             compiled_here = true;
-            self.compiles.fetch_add(1, Ordering::Relaxed);
+            self.metrics.add(COMPILES, 1);
             Lobster::builder(source)
                 .options(options.clone())
                 .provenance(kind)
@@ -245,7 +265,7 @@ impl ProgramCache {
             Ok(program) => {
                 if compiled_here {
                     let cost = program.compiled_size_bytes().max(1);
-                    let mut state = self.state.lock().expect("cache lock poisoned");
+                    let mut state = self.lock_state();
                     if let Some(entry) = state.entries.get_mut(&key) {
                         if Arc::ptr_eq(&entry.slot, &slot) {
                             entry.cost = cost;
@@ -258,7 +278,7 @@ impl ProgramCache {
             }
             Err(e) => {
                 if compiled_here {
-                    let mut state = self.state.lock().expect("cache lock poisoned");
+                    let mut state = self.lock_state();
                     if state
                         .entries
                         .get(&key)
@@ -287,7 +307,7 @@ impl ProgramCache {
             let Some(victim) = victim else { break };
             if let Some(entry) = state.entries.remove(&victim) {
                 state.resident_bytes -= entry.cost;
-                self.evictions.fetch_add(1, Ordering::Relaxed);
+                self.metrics.add(EVICTIONS, 1);
             }
         }
     }
@@ -296,7 +316,7 @@ impl ProgramCache {
     /// resident (compiled and not evicted).
     pub fn contains(&self, source: &str, kind: ProvenanceKind, options: &RuntimeOptions) -> bool {
         let key = CacheKey::new(source, kind, options);
-        let state = self.state.lock().expect("cache lock poisoned");
+        let state = self.lock_state();
         state.entries.get(&key).is_some_and(|e| {
             e.source == source && e.options == *options && e.slot.cell.get().is_some()
         })
@@ -304,11 +324,7 @@ impl ProgramCache {
 
     /// Number of cached (compiled or in-flight) programs.
     pub fn len(&self) -> usize {
-        self.state
-            .lock()
-            .expect("cache lock poisoned")
-            .entries
-            .len()
+        self.lock_state().entries.len()
     }
 
     /// `true` when the cache holds no programs.
@@ -318,24 +334,20 @@ impl ProgramCache {
 
     /// Drops every cached artifact (outstanding `Arc`s stay alive).
     pub fn clear(&self) {
-        let mut state = self.state.lock().expect("cache lock poisoned");
+        let mut state = self.lock_state();
         state.entries.clear();
         state.resident_bytes = 0;
     }
 
-    /// A snapshot of the cache counters.
-    pub fn stats(&self) -> CacheStats {
-        let state = self.state.lock().expect("cache lock poisoned");
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            coalesced: self.coalesced.load(Ordering::Relaxed),
-            compiles: self.compiles.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            collisions: self.collisions.load(Ordering::Relaxed),
-            resident_bytes: state.resident_bytes,
-            resident_programs: state.entries.values().filter(|e| e.cost > 0).count(),
-        }
+    /// The cache's counters since construction, and what it holds now.
+    pub fn metrics(&self) -> Snapshot {
+        let state = self.lock_state();
+        let programs = state.entries.values().filter(|e| e.cost > 0).count();
+        self.metrics
+            .set(RESIDENT_BYTES, state.resident_bytes as u64);
+        self.metrics.set(RESIDENT_PROGRAMS, programs as u64);
+        drop(state);
+        self.metrics.snapshot()
     }
 }
 
@@ -353,8 +365,10 @@ mod tests {
         let a = cache.get_or_compile(TC, ProvenanceKind::Unit).unwrap();
         let b = cache.get_or_compile(TC, ProvenanceKind::Unit).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
-        let stats = cache.stats();
-        assert_eq!((stats.compiles, stats.misses, stats.hits), (1, 1, 1));
+        let metrics = cache.metrics();
+        assert_eq!(metrics.get("compiles"), Some(1));
+        assert_eq!(metrics.get("misses"), Some(1));
+        assert_eq!(metrics.get("hits"), Some(1));
     }
 
     #[test]
@@ -367,7 +381,7 @@ mod tests {
         cache
             .get_or_compile_with(TC, ProvenanceKind::Unit, RuntimeOptions::unoptimized())
             .unwrap();
-        assert_eq!(cache.stats().compiles, 3);
+        assert_eq!(cache.metrics().get("compiles"), Some(3));
         assert_eq!(cache.len(), 3);
     }
 
@@ -389,7 +403,7 @@ mod tests {
         let second = cache.get_or_compile(NOISY, ProvenanceKind::Unit).unwrap();
         assert!(Arc::ptr_eq(&first, &second));
         assert_eq!(first.diagnostics().len(), second.diagnostics().len());
-        assert_eq!(cache.stats().compiles, 1);
+        assert_eq!(cache.metrics().get("compiles"), Some(1));
     }
 
     #[test]
@@ -404,7 +418,7 @@ mod tests {
         assert!(cache
             .get_or_compile("rel x(", ProvenanceKind::Unit)
             .is_err());
-        assert_eq!(cache.stats().compiles, 2);
+        assert_eq!(cache.metrics().get("compiles"), Some(2));
     }
 
     #[test]
@@ -429,9 +443,9 @@ mod tests {
         // The mismatch was detected and served by an uncached compile: the
         // collision stat ticks, a second compile happened, and the caller
         // got OTHER's semantics, not the resident artifact.
-        let stats = cache.stats();
-        assert_eq!(stats.collisions, 1, "stats: {stats:?}");
-        assert_eq!(stats.compiles, 2);
+        let metrics = cache.metrics();
+        assert_eq!(metrics.get("collisions"), Some(1), "{metrics:?}");
+        assert_eq!(metrics.get("compiles"), Some(2));
         assert!(!Arc::ptr_eq(&original, &collided));
         let mut chain = lobster::FactSet::new();
         chain.add(
@@ -458,10 +472,14 @@ mod tests {
             again.run_batch(std::slice::from_ref(&chain)).unwrap()[0].len("path"),
             3
         );
-        let stats = cache.stats();
-        assert_eq!(stats.hits, 1, "stats: {stats:?}");
-        assert_eq!(stats.compiles, 2, "the hit must not recompile");
-        assert_eq!(stats.resident_programs, 1);
+        let metrics = cache.metrics();
+        assert_eq!(metrics.get("hits"), Some(1), "{metrics:?}");
+        assert_eq!(
+            metrics.get("compiles"),
+            Some(2),
+            "the hit must not recompile"
+        );
+        assert_eq!(metrics.get("resident_programs"), Some(1));
     }
 
     #[test]

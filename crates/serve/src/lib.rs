@@ -31,7 +31,7 @@
 //!   protocol over the scheduler, with per-key token-bucket quotas
 //!   ([`KeyStore`]), queue-depth admission control that sheds overload
 //!   with a structured retry-after ([`AdmissionController`]), a `metrics`
-//!   op serializing every stats surface above, and graceful drain —
+//!   op writing the metrics of every layer above, and graceful drain —
 //!   in-flight requests resolve, new connections are refused. Plain
 //!   `std::net` and threads, matching the scheduler's no-async stance.
 //!   [`Client`] is the reference protocol implementation.
@@ -53,10 +53,10 @@
 //! // Compile once per process, share everywhere.
 //! let cache = ProgramCache::new();
 //! let program = cache.get_or_compile(SRC, ProvenanceKind::AddMultProb).unwrap();
-//! assert_eq!(cache.stats().compiles, 1);
+//! assert_eq!(cache.metrics().get("compiles"), Some(1));
 //! // A second request for the same program is a cache hit.
 //! let again = cache.get_or_compile(SRC, ProvenanceKind::AddMultProb).unwrap();
-//! assert_eq!(cache.stats().hits, 1);
+//! assert_eq!(cache.metrics().get("hits"), Some(1));
 //!
 //! // Serve requests through a batching scheduler: one fix-point per batch,
 //! // run on a session its worker opened HERE, once — not per batch.
@@ -99,9 +99,9 @@ pub mod json;
 mod net;
 mod scheduler;
 
-pub use admission::{AdmissionConfig, AdmissionController, AdmissionStats};
-pub use auth::{AuthError, AuthStats, KeyStore, Quota};
-pub use cache::{CacheKey, CacheStats, ProgramCache};
+pub use admission::{AdmissionConfig, AdmissionController};
+pub use auth::{AuthError, KeyStore, Quota};
+pub use cache::{CacheKey, ProgramCache};
 pub use error::ServeError;
-pub use net::{Client, ClientError, Reply, Server, ServerConfig, ServerStats};
-pub use scheduler::{BatchScheduler, SchedulerConfig, SchedulerStats, Ticket};
+pub use net::{Client, ClientError, Reply, Server, ServerConfig};
+pub use scheduler::{BatchScheduler, SchedulerConfig, Ticket};

@@ -67,17 +67,18 @@
 //! that response first — in-flight tickets resolve, because dropping the
 //! scheduler drains its queue before the workers exit.
 
-use crate::admission::{AdmissionConfig, AdmissionController, AdmissionStats};
-use crate::auth::{AuthError, AuthStats, KeyStore};
-use crate::cache::{CacheStats, ProgramCache};
+use crate::admission::{AdmissionConfig, AdmissionController};
+use crate::auth::{AuthError, KeyStore};
+use crate::cache::ProgramCache;
 use crate::error::ServeError;
 use crate::json::{self, obj, parse, write_int, write_number, write_str, Json, JsonError, Tokens};
 use crate::scheduler::{BatchScheduler, SchedulerConfig};
+use lobster::metrics::{Kind, Metrics, Snapshot};
 use lobster::{FactSet, LobsterError, Program, RunResult, SymbolTable, Value};
 use std::borrow::Cow;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -112,20 +113,25 @@ impl Default for ServerConfig {
     }
 }
 
-/// Counters describing a [`Server`]'s connections and requests.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServerStats {
-    /// Connections accepted.
-    pub connections_accepted: u64,
-    /// Connections refused because the server was draining.
-    pub connections_refused: u64,
-    /// Connections currently open.
-    pub open_connections: usize,
-    /// `run` requests answered successfully.
-    pub requests_served: u64,
-    /// Requests rejected at any stage (auth, quota, admission, parse).
-    pub requests_rejected: u64,
-}
+/// The server's own registry entries, the `connections` section of its
+/// metrics; the constants below index them.
+const ENTRIES: &[(&str, Kind)] = &[
+    // Connections accepted.
+    ("accepted", Kind::Counter),
+    // Connections refused because the server was draining.
+    ("refused", Kind::Counter),
+    // Connections open now.
+    ("open", Kind::Gauge),
+    // `run` requests answered successfully.
+    ("served", Kind::Counter),
+    // Requests rejected at any stage (auth, quota, admission, parse).
+    ("rejected", Kind::Counter),
+];
+const ACCEPTED: usize = 0;
+const REFUSED: usize = 1;
+const OPEN: usize = 2;
+const SERVED: usize = 3;
+const REJECTED: usize = 4;
 
 struct ServerShared {
     scheduler: BatchScheduler,
@@ -135,11 +141,7 @@ struct ServerShared {
     addr: SocketAddr,
     started: Instant,
     draining: AtomicBool,
-    connections_accepted: AtomicU64,
-    connections_refused: AtomicU64,
-    open_connections: AtomicUsize,
-    requests_served: AtomicU64,
-    requests_rejected: AtomicU64,
+    metrics: Metrics,
 }
 
 /// The TCP front end: accept loop, per-connection threads, and the
@@ -187,11 +189,7 @@ impl Server {
             addr: local_addr,
             started: Instant::now(),
             draining: AtomicBool::new(false),
-            connections_accepted: AtomicU64::new(0),
-            connections_refused: AtomicU64::new(0),
-            open_connections: AtomicUsize::new(0),
-            requests_served: AtomicU64::new(0),
-            requests_rejected: AtomicU64::new(0),
+            metrics: Metrics::new(ENTRIES),
         });
         let connections = Arc::new(Mutex::new(Vec::new()));
         let accept_thread = {
@@ -223,31 +221,15 @@ impl Server {
         &self.shared.scheduler
     }
 
-    /// A snapshot of the connection/request counters.
-    pub fn stats(&self) -> ServerStats {
-        ServerStats {
-            connections_accepted: self.shared.connections_accepted.load(Ordering::Relaxed),
-            connections_refused: self.shared.connections_refused.load(Ordering::Relaxed),
-            open_connections: self.shared.open_connections.load(Ordering::Relaxed),
-            requests_served: self.shared.requests_served.load(Ordering::Relaxed),
-            requests_rejected: self.shared.requests_rejected.load(Ordering::Relaxed),
-        }
-    }
-
-    /// A snapshot of the admission-control counters.
-    pub fn admission_stats(&self) -> AdmissionStats {
-        self.shared.admission.stats()
-    }
-
-    /// A snapshot of the auth counters.
-    pub fn auth_stats(&self) -> AuthStats {
-        self.shared.keys.stats()
-    }
-
-    /// The metrics document served by the `metrics` op, as JSON (what an
-    /// in-process caller scrapes instead of opening a socket).
-    pub fn metrics_json(&self) -> Json {
-        metrics_json(&self.shared)
+    /// Every section of the `metrics` document, each under its name
+    /// (`connections.open`, `admission.admitted`, …): what an in-process
+    /// caller reads instead of opening a socket.
+    pub fn metrics(&self) -> Snapshot {
+        sections(&self.shared)
+            .into_iter()
+            .fold(Snapshot::default(), |all, (name, section)| {
+                all.nest(name, section)
+            })
     }
 
     /// Graceful drain: refuse new connections, let every connection finish
@@ -298,7 +280,7 @@ fn accept_loop(
             // The wake-up connection (and any racer) is refused by closing
             // without a frame; clients see EOF.
             if stream.is_ok() {
-                shared.connections_refused.fetch_add(1, Ordering::Relaxed);
+                shared.metrics.add(REFUSED, 1);
             }
             return;
         }
@@ -309,7 +291,7 @@ fn accept_loop(
             .spawn(move || connection_loop(stream, &open.0));
         match spawned {
             Ok(handle) => {
-                shared.connections_accepted.fetch_add(1, Ordering::Relaxed);
+                shared.metrics.add(ACCEPTED, 1);
                 let mut handles = connections.lock().unwrap_or_else(PoisonError::into_inner);
                 handles.retain(|h| !h.is_finished());
                 handles.push(handle);
@@ -318,7 +300,7 @@ fn accept_loop(
             // and its open count, is dropped, so the client sees the
             // connection close and the server keeps accepting.
             Err(_) => {
-                shared.connections_refused.fetch_add(1, Ordering::Relaxed);
+                shared.metrics.add(REFUSED, 1);
             }
         }
     }
@@ -331,14 +313,14 @@ struct OpenConnection(Arc<ServerShared>);
 
 impl OpenConnection {
     fn new(shared: &Arc<ServerShared>) -> Self {
-        shared.open_connections.fetch_add(1, Ordering::Relaxed);
+        shared.metrics.add(OPEN, 1);
         OpenConnection(Arc::clone(shared))
     }
 }
 
 impl Drop for OpenConnection {
     fn drop(&mut self) {
-        self.0.open_connections.fetch_sub(1, Ordering::Relaxed);
+        self.0.metrics.sub(OPEN, 1);
     }
 }
 
@@ -519,10 +501,12 @@ fn connection_loop(mut stream: TcpStream, shared: &ServerShared) {
     }
 }
 
-/// What a request is answered with: a document, or a `run`'s result, whose
-/// rows are written straight into the frame.
+/// What a request is answered with: a document, the `metrics` document as
+/// written, or a `run`'s result, whose rows are written straight into the
+/// frame.
 enum Answer {
     Doc(Json),
+    Metrics(String),
     Rows(RunResult),
 }
 
@@ -530,6 +514,7 @@ impl Answer {
     fn write(&self, out: &mut String) {
         match self {
             Answer::Doc(json) => json.write_compact(out),
+            Answer::Metrics(text) => out.push_str(text),
             Answer::Rows(result) => write_run_reply(result, out),
         }
     }
@@ -537,7 +522,7 @@ impl Answer {
 
 fn handle_request(payload: &[u8], shared: &ServerShared) -> Answer {
     let rejected = |response: Json| {
-        shared.requests_rejected.fetch_add(1, Ordering::Relaxed);
+        shared.metrics.add(REJECTED, 1);
         Answer::Doc(response)
     };
     let Ok(text) = std::str::from_utf8(payload) else {
@@ -563,7 +548,7 @@ fn handle_request(payload: &[u8], shared: &ServerShared) -> Answer {
                 });
             }
             if op == "metrics" {
-                return Answer::Doc(metrics_json(shared));
+                return Answer::Metrics(metrics_json(shared));
             }
             // Stage 2: admission. The scheduler's live depth decides;
             // shedding here is what keeps the queue — and the p99 of
@@ -586,7 +571,7 @@ fn handle_request(payload: &[u8], shared: &ServerShared) -> Answer {
             match ticket.wait_timeout(shared.config.request_timeout) {
                 Ok(result) => {
                     shared.admission.observe(submitted.elapsed());
-                    shared.requests_served.fetch_add(1, Ordering::Relaxed);
+                    shared.metrics.add(SERVED, 1);
                     Answer::Rows(result)
                 }
                 Err(ServeError::Lobster(LobsterError::BadFact { message })) => {
@@ -1030,132 +1015,40 @@ fn write_run_reply(result: &RunResult, out: &mut String) {
     out.push('}');
 }
 
-fn kernel_time_json(time: &lobster::KernelTime) -> Json {
-    obj([
-        ("sort_ms", Json::Num(time.sort_ns as f64 / 1e6)),
-        ("join_ms", Json::Num(time.join_ns as f64 / 1e6)),
-        ("unique_ms", Json::Num(time.unique_ns as f64 / 1e6)),
-        ("other_ms", Json::Num(time.other_ns as f64 / 1e6)),
-    ])
-}
-
-fn cache_stats_json(stats: &CacheStats) -> Json {
-    obj([
-        ("hits", Json::from(stats.hits)),
-        ("misses", Json::from(stats.misses)),
-        ("coalesced", Json::from(stats.coalesced)),
-        ("compiles", Json::from(stats.compiles)),
-        ("evictions", Json::from(stats.evictions)),
-        ("collisions", Json::from(stats.collisions)),
-        ("resident_bytes", Json::from(stats.resident_bytes)),
-        ("resident_programs", Json::from(stats.resident_programs)),
-    ])
-}
-
-/// The `metrics` document: every stats surface the serving stack already
-/// collects, serialized in one place — scheduler, admission, auth, device
-/// (kernel-time buckets and arena of the program's device, which runs every
-/// batch), connections, and the program cache when the server was given
+/// The sections of the `metrics` document, in order: scheduler, admission,
+/// auth, connections, the device that runs every batch (kernel-time buckets
+/// and arena included), and the program cache when the server was given
 /// one. In the kernel-time buckets, the engine's frontier updates (candidate
 /// rows sorted, deduplicated and filtered in one launch) count in
 /// `sort_ms`; `unique_ms` counts only the standalone `unique` kernel, which
 /// the engine does not call.
-fn metrics_json(shared: &ServerShared) -> Json {
-    let scheduler = shared.scheduler.stats();
-    let admission = shared.admission.stats();
-    let auth = shared.keys.stats();
-    let program_device = shared.scheduler.program().device();
-    let device = program_device.stats();
-    let arena = program_device.arena().stats();
-    let mut metrics = obj([
-        ("ok", Json::Bool(true)),
-        (
-            "uptime_s",
-            Json::Num(shared.started.elapsed().as_secs_f64()),
-        ),
-        (
-            "scheduler",
-            obj([
-                ("batches", Json::from(scheduler.batches)),
-                ("samples", Json::from(scheduler.samples)),
-                ("full_flushes", Json::from(scheduler.full_flushes)),
-                ("timer_flushes", Json::from(scheduler.timer_flushes)),
-                ("largest_batch", Json::from(scheduler.largest_batch)),
-                ("queued", Json::from(shared.scheduler.queued())),
-                ("executing", Json::from(shared.scheduler.executing())),
-            ]),
-        ),
-        (
-            "admission",
-            obj([
-                ("admitted", Json::from(admission.admitted)),
-                ("shed", Json::from(admission.shed)),
-                (
-                    "max_pending",
-                    Json::from(shared.config.admission.max_pending),
-                ),
-            ]),
-        ),
-        (
-            "auth",
-            obj([
-                ("admitted", Json::from(auth.admitted)),
-                ("unauthorized", Json::from(auth.unauthorized)),
-                ("quota_rejected", Json::from(auth.quota_rejected)),
-                ("keys", Json::from(shared.keys.len())),
-            ]),
-        ),
-        (
-            "connections",
-            obj([
-                (
-                    "accepted",
-                    Json::from(shared.connections_accepted.load(Ordering::Relaxed)),
-                ),
-                (
-                    "refused",
-                    Json::from(shared.connections_refused.load(Ordering::Relaxed)),
-                ),
-                (
-                    "open",
-                    Json::from(shared.open_connections.load(Ordering::Relaxed)),
-                ),
-                (
-                    "served",
-                    Json::from(shared.requests_served.load(Ordering::Relaxed)),
-                ),
-                (
-                    "rejected",
-                    Json::from(shared.requests_rejected.load(Ordering::Relaxed)),
-                ),
-            ]),
-        ),
-        (
-            "device",
-            obj([
-                ("kernel_launches", Json::from(device.kernel_launches)),
-                ("kernel_time", kernel_time_json(&device.kernel_time)),
-                ("kernel_wall", kernel_time_json(&device.kernel_wall)),
-                ("allocations", Json::from(device.allocations)),
-                ("live_bytes", Json::from(device.live_bytes)),
-                ("peak_bytes", Json::from(device.peak_bytes)),
-                (
-                    "arena",
-                    obj([
-                        ("fresh_columns", Json::from(arena.fresh_columns)),
-                        ("reused_columns", Json::from(arena.reused_columns)),
-                        ("recycled_columns", Json::from(arena.recycled_columns)),
-                        ("pooled_buffers", Json::from(arena.pooled_buffers)),
-                        ("pooled_bytes", Json::from(arena.pooled_bytes)),
-                    ]),
-                ),
-            ]),
-        ),
-    ]);
+fn sections(shared: &ServerShared) -> Vec<(&'static str, Snapshot)> {
+    let mut sections = vec![
+        ("scheduler", shared.scheduler.metrics()),
+        ("admission", shared.admission.metrics()),
+        ("auth", shared.keys.metrics()),
+        ("connections", shared.metrics.snapshot()),
+        ("device", shared.scheduler.program().device().metrics()),
+    ];
     if let Some(cache) = &shared.config.cache {
-        metrics.set("cache", cache_stats_json(&cache.stats()));
+        sections.push(("cache", cache.metrics()));
     }
-    metrics
+    sections
+}
+
+/// The `metrics` document: `ok`, the uptime, and each section's snapshot
+/// under its name.
+fn metrics_json(shared: &ServerShared) -> String {
+    let mut out = String::from("{\"ok\": true, \"uptime_s\": ");
+    write_number(shared.started.elapsed().as_secs_f64(), &mut out);
+    for (name, section) in sections(shared) {
+        out.push_str(", ");
+        write_str(name, &mut out);
+        out.push_str(": ");
+        section.write_json(&mut out);
+    }
+    out.push('}');
+    out
 }
 
 // ---------------------------------------------------------------------------
@@ -1376,6 +1269,10 @@ mod tests {
         facts
     }
 
+    fn open(server: &Server) -> u64 {
+        server.metrics().get("connections.open").unwrap()
+    }
+
     #[test]
     fn run_round_trips_over_tcp() {
         let server = test_server(|c| c);
@@ -1429,7 +1326,7 @@ mod tests {
             .request(&obj([("op", Json::from("explode"))]))
             .unwrap();
         assert_eq!(reply.code(), Some("bad-request"));
-        assert_eq!(server.stats().requests_rejected, 2);
+        assert_eq!(server.metrics().get("connections.rejected"), Some(2));
         server.shutdown();
     }
 
@@ -1503,48 +1400,139 @@ mod tests {
             },
         )
         .unwrap();
+        // A scripted sequence: two runs, a metrics request under an unknown
+        // key, a ping, then the metrics request that is inspected.
         let mut client = Client::connect(server.local_addr(), "k").unwrap();
         assert!(client.run(&edge_request(0, 1, 0.5)).unwrap().ok());
+        assert!(client.run(&edge_request(1, 2, 0.5)).unwrap().ok());
+        let mut stranger = Client::connect(server.local_addr(), "nobody").unwrap();
+        assert!(!stranger.metrics().unwrap().ok());
+        assert!(client.ping().unwrap().ok());
         let metrics = client.metrics().unwrap();
         assert!(metrics.ok());
         let doc = metrics.json();
-        let samples = doc
-            .get("scheduler")
-            .and_then(|s| s.get("samples"))
-            .and_then(Json::as_u64);
-        assert_eq!(samples, Some(1));
-        assert_eq!(
-            doc.get("admission")
-                .and_then(|a| a.get("admitted"))
-                .and_then(Json::as_u64),
-            Some(1)
-        );
-        assert_eq!(
-            doc.get("cache")
-                .and_then(|c| c.get("compiles"))
-                .and_then(Json::as_u64),
-            Some(1)
-        );
-        for surface in ["auth", "connections", "device"] {
-            assert!(doc.get(surface).is_some(), "metrics missing {surface}");
+
+        // Every key path of the document, each a number (times in ms).
+        fn leaves(doc: &Json, prefix: &str, out: &mut Vec<String>) {
+            let Json::Obj(pairs) = doc else {
+                panic!("{prefix} is not an object")
+            };
+            for (key, value) in pairs {
+                let path = format!("{prefix}{key}");
+                match value {
+                    Json::Obj(_) => leaves(value, &format!("{path}."), out),
+                    _ => out.push(path),
+                }
+            }
         }
-        assert!(
-            doc.get("device")
-                .and_then(|d| d.get("kernel_time"))
-                .and_then(|t| t.get("join_ms"))
-                .and_then(Json::as_f64)
-                .is_some(),
-            "kernel-time buckets missing"
-        );
+        let mut paths = Vec::new();
+        leaves(doc, "", &mut paths);
+        let buckets = ["sort_ms", "join_ms", "unique_ms", "other_ms"];
+        let mut expected: Vec<String> = [
+            "ok",
+            "uptime_s",
+            "scheduler.batches",
+            "scheduler.samples",
+            "scheduler.full_flushes",
+            "scheduler.timer_flushes",
+            "scheduler.largest_batch",
+            "scheduler.queued",
+            "scheduler.executing",
+            "admission.admitted",
+            "admission.shed",
+            "admission.max_pending",
+            "auth.admitted",
+            "auth.unauthorized",
+            "auth.quota_rejected",
+            "auth.keys",
+            "connections.accepted",
+            "connections.refused",
+            "connections.open",
+            "connections.served",
+            "connections.rejected",
+            "device.kernel_launches",
+            "device.allocations",
+            "device.live_bytes",
+            "device.peak_bytes",
+            "device.arena.fresh_columns",
+            "device.arena.reused_columns",
+            "device.arena.recycled_columns",
+            "device.arena.pooled_buffers",
+            "device.arena.pooled_bytes",
+            "cache.hits",
+            "cache.misses",
+            "cache.coalesced",
+            "cache.compiles",
+            "cache.evictions",
+            "cache.collisions",
+            "cache.resident_bytes",
+            "cache.resident_programs",
+        ]
+        .iter()
+        .map(|path| path.to_string())
+        .collect();
+        for group in ["device.kernel_time", "device.kernel_wall"] {
+            expected.extend(buckets.iter().map(|bucket| format!("{group}.{bucket}")));
+        }
+        for path in &expected {
+            assert!(paths.contains(path), "metrics missing {path}: {paths:?}");
+        }
+        let sections: Vec<&str> = paths.iter().map(|p| p.split('.').next().unwrap()).collect();
+        for section in &sections {
+            assert!(
+                expected
+                    .iter()
+                    .any(|p| p.split('.').next() == Some(section)),
+                "unexpected section {section}"
+            );
+        }
+        let at = |path: &str| {
+            path.split('.')
+                .try_fold(doc, |node, key| node.get(key))
+                .unwrap_or_else(|| panic!("no {path}"))
+        };
+        assert_eq!(at("ok").as_bool(), Some(true));
+        for path in paths.iter().filter(|p| *p != "ok") {
+            assert!(at(path).as_f64().is_some(), "{path} is not a number");
+        }
+
+        // Exact counts for the sequence: each run its own timer-flushed
+        // batch, the metrics requests admitted by auth but not by admission,
+        // and the one program compiled once through the cache.
+        let exact = [
+            ("scheduler.batches", 2),
+            ("scheduler.samples", 2),
+            ("scheduler.full_flushes", 0),
+            ("scheduler.timer_flushes", 2),
+            ("scheduler.largest_batch", 1),
+            ("scheduler.queued", 0),
+            ("admission.admitted", 2),
+            ("admission.shed", 0),
+            ("admission.max_pending", 256),
+            ("auth.admitted", 3),
+            ("auth.unauthorized", 1),
+            ("auth.quota_rejected", 0),
+            ("auth.keys", 1),
+            ("connections.refused", 0),
+            ("connections.served", 2),
+            ("connections.rejected", 1),
+            ("cache.hits", 0),
+            ("cache.misses", 1),
+            ("cache.coalesced", 0),
+            ("cache.compiles", 1),
+            ("cache.evictions", 0),
+            ("cache.collisions", 0),
+            ("cache.resident_programs", 1),
+        ];
+        for (path, count) in exact {
+            assert_eq!(at(path).as_u64(), Some(count), "{path}");
+        }
+        assert!(at("cache.resident_bytes").as_u64() > Some(0));
         // The device block counts the work of the device that ran the batch.
-        let device = doc.get("device").expect("device block");
-        let launches = device.get("kernel_launches").and_then(Json::as_u64);
-        assert!(launches > Some(0), "kernel_launches: {launches:?}");
-        let fresh = device
-            .get("arena")
-            .and_then(|a| a.get("fresh_columns"))
-            .and_then(Json::as_u64);
-        assert!(fresh > Some(0), "arena.fresh_columns: {fresh:?}");
+        assert!(at("device.kernel_launches").as_u64() > Some(0));
+        assert!(at("device.arena.fresh_columns").as_u64() > Some(0));
+        assert!(at("device.peak_bytes").as_u64() >= at("device.live_bytes").as_u64());
+        assert!(at("device.kernel_wall.join_ms").as_f64() > Some(0.0));
         server.shutdown();
     }
 
@@ -1584,19 +1572,19 @@ mod tests {
         assert!(client.ping().unwrap().ok());
         let metrics = client.metrics().unwrap();
         assert!(metrics.ok());
-        let open = metrics
+        let on_the_wire = metrics
             .json()
             .get("connections")
             .and_then(|c| c.get("open"))
             .and_then(Json::as_u64);
-        assert_eq!(open, Some(1));
-        assert_eq!(server.stats().open_connections, 1);
+        assert_eq!(on_the_wire, Some(1));
+        assert_eq!(open(&server), 1);
         drop(client);
         let settle = Instant::now();
-        while server.stats().open_connections > 0 && settle.elapsed() < Duration::from_secs(5) {
+        while open(&server) > 0 && settle.elapsed() < Duration::from_secs(5) {
             std::thread::sleep(Duration::from_millis(5));
         }
-        assert_eq!(server.stats().open_connections, 0);
+        assert_eq!(open(&server), 0);
         server.shutdown();
     }
 
@@ -1791,20 +1779,20 @@ mod tests {
         let shared = Arc::clone(&server.shared);
         let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _open = OpenConnection::new(&shared);
-            assert_eq!(shared.open_connections.load(Ordering::Relaxed), 1);
+            assert_eq!(shared.metrics.get(OPEN), 1);
             panic!("a connection thread panics mid-request");
         }));
         assert!(unwound.is_err());
-        assert_eq!(server.stats().open_connections, 0);
+        assert_eq!(open(&server), 0);
         // The drain's zero-open-connections check still holds afterwards.
         let mut client = Client::connect(server.local_addr(), "test-key").unwrap();
         assert!(client.run(&edge_request(0, 1, 0.5)).unwrap().ok());
         drop(client);
         let settle = Instant::now();
-        while server.stats().open_connections > 0 && settle.elapsed() < Duration::from_secs(5) {
+        while open(&server) > 0 && settle.elapsed() < Duration::from_secs(5) {
             std::thread::sleep(Duration::from_millis(5));
         }
-        assert_eq!(server.stats().open_connections, 0);
+        assert_eq!(open(&server), 0);
         server.shutdown();
     }
 

@@ -1,9 +1,10 @@
 //! The batching request scheduler.
 
 use crate::error::ServeError;
+use lobster::metrics::{Kind, Metrics, Snapshot};
 use lobster::{FactSet, InputFactId, Program, RunResult};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -71,20 +72,33 @@ impl SchedulerConfig {
     }
 }
 
-/// Counters describing the batches a scheduler has run.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SchedulerStats {
-    /// Batches executed; each costs one fix-point.
-    pub batches: u64,
-    /// Requests served across all batches.
-    pub samples: u64,
-    /// Batches flushed because they reached `max_batch_size`.
-    pub full_flushes: u64,
-    /// Batches flushed by the `max_queue_delay` timer (or shutdown drain).
-    pub timer_flushes: u64,
-    /// Largest batch executed so far.
-    pub largest_batch: usize,
-}
+/// The scheduler's registry entries; the constants below index them.
+const ENTRIES: &[(&str, Kind)] = &[
+    // Batches executed; each costs one fix-point.
+    ("batches", Kind::Counter),
+    // Requests served across all batches.
+    ("samples", Kind::Counter),
+    // Batches flushed because they reached `max_batch_size`.
+    ("full_flushes", Kind::Counter),
+    // Batches flushed by the `max_queue_delay` timer (or shutdown drain).
+    ("timer_flushes", Kind::Counter),
+    // Largest batch executed so far.
+    ("largest_batch", Kind::Peak),
+    // Requests waiting in the queue: read from the queue, under its lock,
+    // when a snapshot is taken.
+    ("queued", Kind::Gauge),
+    // Requests drained into a batch that has not finished replying yet.
+    // `queued + executing` is the scheduler's *pending* count — the depth
+    // an admission controller caps.
+    ("executing", Kind::Gauge),
+];
+const BATCHES: usize = 0;
+const SAMPLES: usize = 1;
+const FULL_FLUSHES: usize = 2;
+const TIMER_FLUSHES: usize = 3;
+const LARGEST_BATCH: usize = 4;
+const QUEUED: usize = 5;
+const EXECUTING: usize = 6;
 
 struct Request {
     facts: FactSet,
@@ -102,15 +116,7 @@ struct Shared {
     /// Signalled on submit and on shutdown.
     arrivals: Condvar,
     shutdown: AtomicBool,
-    /// Requests drained into a batch that has not finished replying yet.
-    /// `queued + executing` is the scheduler's *pending* count — the depth
-    /// an admission controller caps.
-    executing: AtomicUsize,
-    batches: AtomicU64,
-    samples: AtomicU64,
-    full_flushes: AtomicU64,
-    timer_flushes: AtomicU64,
-    largest_batch: AtomicUsize,
+    metrics: Metrics,
 }
 
 /// A pending request's handle: redeem it with [`Ticket::wait`] (or
@@ -223,12 +229,7 @@ impl BatchScheduler {
             queue: Mutex::new(VecDeque::new()),
             arrivals: Condvar::new(),
             shutdown: AtomicBool::new(false),
-            executing: AtomicUsize::new(0),
-            batches: AtomicU64::new(0),
-            samples: AtomicU64::new(0),
-            full_flushes: AtomicU64::new(0),
-            timer_flushes: AtomicU64::new(0),
-            largest_batch: AtomicUsize::new(0),
+            metrics: Metrics::new(ENTRIES),
         });
         let workers = (0..config.workers.max(1))
             .map(|i| {
@@ -293,18 +294,20 @@ impl BatchScheduler {
 
     /// Requests drained into batches that have not finished replying.
     pub fn executing(&self) -> usize {
-        self.shared.executing.load(Ordering::Relaxed)
+        self.shared.metrics.get(EXECUTING) as usize
     }
 
     /// Requests the scheduler currently holds: queued plus executing. This
     /// is the depth an [`AdmissionController`](crate::AdmissionController)
     /// caps — everything a newly accepted request could wait behind.
     pub fn pending(&self) -> usize {
-        // Read `executing` first: a request moving queue → batch between
-        // the two reads is then counted twice (transiently high), never
-        // missed — admission control must over-count, not under-count.
-        let executing = self.executing();
-        executing + self.queued()
+        // Read the queue first: a batch is counted as executing before it
+        // leaves the queue, under the queue lock, so a queue read after the
+        // move sees `executing` already raised. A request moving between
+        // the two reads is counted twice (transiently high), never missed —
+        // admission control must over-count, not under-count.
+        let queued = self.queued();
+        queued + self.executing()
     }
 
     /// Convenience: submit one request and block for its result.
@@ -316,15 +319,10 @@ impl BatchScheduler {
         self.submit(facts).wait()
     }
 
-    /// A snapshot of the scheduler counters.
-    pub fn stats(&self) -> SchedulerStats {
-        SchedulerStats {
-            batches: self.shared.batches.load(Ordering::Relaxed),
-            samples: self.shared.samples.load(Ordering::Relaxed),
-            full_flushes: self.shared.full_flushes.load(Ordering::Relaxed),
-            timer_flushes: self.shared.timer_flushes.load(Ordering::Relaxed),
-            largest_batch: self.shared.largest_batch.load(Ordering::Relaxed),
-        }
+    /// The batches run so far, and the requests queued and executing now.
+    pub fn metrics(&self) -> Snapshot {
+        self.shared.metrics.set(QUEUED, self.queued() as u64);
+        self.shared.metrics.snapshot()
     }
 }
 
@@ -393,16 +391,16 @@ fn next_batch(shared: &Shared) -> Option<Vec<Request>> {
             continue 'restart;
         }
         if queue.len() >= config.max_batch_size {
-            shared.full_flushes.fetch_add(1, Ordering::Relaxed);
+            shared.metrics.add(FULL_FLUSHES, 1);
         } else {
             // Timer expiry or shutdown drain.
             debug_assert!(timed_out || shared.shutdown.load(Ordering::SeqCst));
-            shared.timer_flushes.fetch_add(1, Ordering::Relaxed);
+            shared.metrics.add(TIMER_FLUSHES, 1);
         }
         let n = queue.len().min(config.max_batch_size);
         // Move the requests from "queued" to "executing" under the queue
         // lock, so `pending()` never observes them in neither state.
-        shared.executing.fetch_add(n, Ordering::Relaxed);
+        shared.metrics.add(EXECUTING, n as u64);
         return Some(queue.drain(..n).collect());
     }
 }
@@ -417,7 +415,7 @@ struct ExecutingGuard<'a> {
 
 impl Drop for ExecutingGuard<'_> {
     fn drop(&mut self) {
-        self.shared.executing.fetch_sub(self.n, Ordering::Relaxed);
+        self.shared.metrics.sub(EXECUTING, self.n as u64);
     }
 }
 
@@ -440,13 +438,9 @@ fn worker_loop(shared: &Shared) {
         // request payloads are in the hot path of every batch.
         let (facts, replies): (Vec<FactSet>, Vec<_>) =
             batch.into_iter().map(|r| (r.facts, r.reply)).unzip();
-        shared.batches.fetch_add(1, Ordering::Relaxed);
-        shared
-            .samples
-            .fetch_add(facts.len() as u64, Ordering::Relaxed);
-        shared
-            .largest_batch
-            .fetch_max(facts.len(), Ordering::Relaxed);
+        shared.metrics.add(BATCHES, 1);
+        shared.metrics.add(SAMPLES, facts.len() as u64);
+        shared.metrics.max(LARGEST_BATCH, facts.len() as u64);
         match session.run_batch(&facts) {
             Ok(mut results) => {
                 // Raw gradient ids are batch-relative (all samples share one
@@ -505,8 +499,9 @@ mod tests {
         let scheduler = BatchScheduler::new(program(), SchedulerConfig::default());
         let result = scheduler.run_one(edge_request(0, 1, 0.75)).unwrap();
         assert!((result.probability("path", &[Value::U32(0), Value::U32(1)]) - 0.75).abs() < 1e-9);
-        let stats = scheduler.stats();
-        assert_eq!((stats.batches, stats.samples), (1, 1));
+        let metrics = scheduler.metrics();
+        assert_eq!(metrics.get("batches"), Some(1));
+        assert_eq!(metrics.get("samples"), Some(1));
     }
 
     #[test]
@@ -528,7 +523,7 @@ mod tests {
                 (result.probability("path", &[Value::U32(a), Value::U32(b)]) - 0.5).abs() < 1e-9
             );
         }
-        assert!(scheduler.stats().full_flushes >= 1);
+        assert!(scheduler.metrics().get("full_flushes") >= Some(1));
     }
 
     #[test]
@@ -637,11 +632,12 @@ mod tests {
         for ticket in tickets {
             assert!(ticket.wait().is_ok());
         }
-        let stats = scheduler.stats();
-        assert_eq!(stats.samples, 20);
+        let metrics = scheduler.metrics();
+        let get = |name: &str| metrics.get(name).unwrap();
+        assert_eq!(get("samples"), 20);
         // Every counted flush carried at least one request.
-        assert!(stats.batches <= 20, "stats: {stats:?}");
-        assert_eq!(stats.full_flushes + stats.timer_flushes, stats.batches);
+        assert!(get("batches") <= 20, "{metrics:?}");
+        assert_eq!(get("full_flushes") + get("timer_flushes"), get("batches"));
     }
 
     #[test]

@@ -47,10 +47,11 @@ fn eight_threads_same_source_compile_exactly_once() {
 
     // Exactly one compilation happened, and every thread got the same
     // artifact (pointer-equal Arc), not a private copy.
-    let stats = cache.stats();
-    assert_eq!(stats.compiles, 1, "stats: {stats:?}");
-    assert_eq!(stats.hits + stats.misses + stats.coalesced, 8);
-    assert_eq!(stats.misses, 1);
+    let metrics = cache.metrics();
+    let get = |name: &str| metrics.get(name).unwrap();
+    assert_eq!(get("compiles"), 1, "{metrics:?}");
+    assert_eq!(get("hits") + get("misses") + get("coalesced"), 8);
+    assert_eq!(get("misses"), 1);
     for program in &programs[1..] {
         assert!(Arc::ptr_eq(&programs[0], program));
     }
@@ -87,7 +88,7 @@ fn contended_threads_over_many_keys_compile_each_key_once() {
     for handle in handles {
         handle.join().expect("thread");
     }
-    assert_eq!(cache.stats().compiles, 4);
+    assert_eq!(cache.metrics().get("compiles"), Some(4));
     assert_eq!(cache.len(), 4);
 }
 
@@ -104,16 +105,17 @@ fn eviction_respects_the_size_budget() {
         cache
             .get_or_compile(&variant_source(i), ProvenanceKind::Unit)
             .unwrap();
+        let resident = cache.metrics().get("resident_bytes").unwrap();
         assert!(
-            cache.stats().resident_bytes <= budget,
-            "after insert {i}: {} resident > {budget} budget",
-            cache.stats().resident_bytes
+            resident <= budget as u64,
+            "after insert {i}: {resident} resident > {budget} budget"
         );
     }
-    let stats = cache.stats();
-    assert_eq!(stats.compiles, 6);
-    assert!(stats.evictions >= 4, "stats: {stats:?}");
-    assert!(stats.resident_programs <= 2);
+    let metrics = cache.metrics();
+    let get = |name: &str| metrics.get(name).unwrap();
+    assert_eq!(get("compiles"), 6);
+    assert!(get("evictions") >= 4, "{metrics:?}");
+    assert!(get("resident_programs") <= 2);
 
     // LRU order: the most recently inserted program survived…
     let options = RuntimeOptions::default();
@@ -123,7 +125,7 @@ fn eviction_respects_the_size_budget() {
     cache
         .get_or_compile(&variant_source(0), ProvenanceKind::Unit)
         .unwrap();
-    assert_eq!(cache.stats().compiles, 7);
+    assert_eq!(cache.metrics().get("compiles"), Some(7));
 }
 
 #[test]
@@ -215,9 +217,9 @@ fn scheduler_results_agree_with_one_shot_run_batch_across_flush_boundaries() {
         .into_iter()
         .map(|t| t.wait().expect("request served"))
         .collect();
-    let stats = scheduler.stats();
-    assert_eq!(stats.samples, 10);
-    assert!(stats.batches >= 3, "stats: {stats:?}");
+    let metrics = scheduler.metrics();
+    assert_eq!(metrics.get("samples"), Some(10));
+    assert!(metrics.get("batches") >= Some(3), "{metrics:?}");
 
     for (i, (batched, one_shot)) in served.iter().zip(&reference).enumerate() {
         assert_same_outputs(batched, one_shot, &format!("request {i}"));
@@ -267,7 +269,11 @@ fn uneven_requests_in_one_batch_keep_request_local_gradients() {
     let grad = result.gradient("path", &[Value::U32(90), Value::U32(91)]);
     assert_eq!(grad.len(), 1);
     assert_eq!(grad[0].0, InputFactId(0));
-    assert_eq!(scheduler.stats().batches, 1, "requests must share a batch");
+    assert_eq!(
+        scheduler.metrics().get("batches"),
+        Some(1),
+        "requests must share a batch"
+    );
 }
 
 #[test]
@@ -294,7 +300,11 @@ fn gradients_through_the_scheduler_use_request_local_fact_ids() {
     let t_second = scheduler.submit(second.clone());
     let r_first = t_first.wait().unwrap();
     let r_second = t_second.wait().unwrap();
-    assert_eq!(scheduler.stats().batches, 1, "requests must share a batch");
+    assert_eq!(
+        scheduler.metrics().get("batches"),
+        Some(1),
+        "requests must share a batch"
+    );
 
     // Reference: each request alone in its own run_batch, where ids are
     // request-local by construction (no inline facts, single sample).
@@ -356,5 +366,5 @@ fn scheduler_agreement_holds_under_concurrent_submission() {
             assert_same_outputs(&result, &reference[i], &format!("request {i}"));
         }
     }
-    assert_eq!(scheduler.stats().samples, 16);
+    assert_eq!(scheduler.metrics().get("samples"), Some(16));
 }

@@ -82,9 +82,9 @@ fn overload_is_shed_with_a_retry_after_and_admitted_requests_still_serve() {
         let retry = reply.retry_after().expect("shed replies carry retry-after");
         assert!(retry > Duration::ZERO);
     }
-    let stats = server.admission_stats();
-    assert_eq!(stats.admitted as usize, ok.len());
-    assert_eq!(stats.shed as usize, shed.len());
+    let metrics = server.metrics();
+    assert_eq!(metrics.get("admission.admitted"), Some(ok.len() as u64));
+    assert_eq!(metrics.get("admission.shed"), Some(shed.len() as u64));
     server.shutdown();
 }
 
@@ -105,9 +105,10 @@ fn quota_exhaustion_rejects_before_the_scheduler_sees_the_request() {
     // "Before enqueue": the scheduler served exactly the two admitted
     // requests; the rejected one never became a sample, and admission
     // control never even voted on it.
-    assert_eq!(server.scheduler().stats().samples, 2);
-    assert_eq!(server.admission_stats().admitted, 2);
-    assert_eq!(server.auth_stats().quota_rejected, 1);
+    let metrics = server.metrics();
+    assert_eq!(metrics.get("scheduler.samples"), Some(2));
+    assert_eq!(metrics.get("admission.admitted"), Some(2));
+    assert_eq!(metrics.get("auth.quota_rejected"), Some(1));
     server.shutdown();
 }
 
