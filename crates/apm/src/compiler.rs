@@ -28,7 +28,7 @@ use lobster_ram::{RamExpr, RamProgram, RamRule, RowProjection, ScalarExpr, Strat
 use std::collections::BTreeSet;
 
 /// The result of compiling one stratum.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct CompiledStratum {
     /// The APM program executed each iteration.
     pub program: ApmProgram,

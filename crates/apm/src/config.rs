@@ -29,7 +29,7 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 /// These are the only execution knobs. Everything else the engine decides
 /// from the program itself: joins take the merge path exactly where
 /// sort-order inference proves both inputs sorted on the key, every
-/// program's relations are stored in one packed dictionary-encoded layout
+/// program's relations are stored in one packed layout
 /// (`StoragePlan::for_program`), and dead rules are reported by the lint,
 /// never pruned behind the caller's back.
 ///

@@ -1,24 +1,21 @@
 //! The tagged, columnar database held on the (simulated) device.
 //!
-//! # Narrow, dictionary-encoded storage
+//! # Narrow, packed storage
 //!
-//! A database built with [`Database::new_encoded`] stores every relation in
-//! *packed* form: a per-database [`SymbolDict`] maps the process-global
-//! symbol ids a run actually touches down to dense local ranks, a
-//! [`RelationLayout`] fuses adjacent narrow columns (bools, `u32`s, narrowed
-//! symbol ids) into shared `u64` group words, and every [`SortedTable`]
-//! holds the group columns instead of one full-width column per logical
-//! column. Both mappings are order-preserving, so packed tables sort, merge,
-//! difference, and deduplicate into exactly the same row order as their
-//! full-width equivalents — the kernels never know the difference, they just
-//! see fewer columns with fewer significant bytes.
+//! A database built from a [`StoragePlan`] stores every relation in
+//! *packed* form: a [`RelationLayout`] fuses adjacent narrow columns (bools,
+//! `u32`s, symbols — each symbol as its interner id in a 4-byte lane) into
+//! shared `u64` group words, and every [`SortedTable`] holds the group
+//! columns instead of one full-width column per logical column. Packing is
+//! order-preserving, so packed tables sort, merge, difference, and
+//! deduplicate into exactly the same row order as their full-width
+//! equivalents — the kernels never know the difference, they just see fewer
+//! columns with fewer significant bytes.
 //!
-//! Facts still enter ([`Database::insert`]) and leave ([`Database::rows`])
-//! in full-width global encoding; the translation happens at
-//! [`Database::seal`] / extraction time. When new facts or a new program
-//! mention symbols the dictionary has not seen, [`Database::ensure_symbols`]
-//! extends it — monotonically, so existing tables re-encode by a cheap
-//! decode/re-pack without re-sorting.
+//! A relation's layout depends on its column types alone, so the plan fixes
+//! it once for the program. Facts enter ([`Database::insert`]) and leave
+//! ([`Database::rows`]) one word per column; they are packed at
+//! [`Database::seal`] and unpacked at extraction.
 //!
 //! # Secondary orders
 //!
@@ -31,16 +28,14 @@
 //! every pass that rewrites the relation's table rewrites it too.
 
 use lobster_gpu::kernels::{KeyLane, PackLane};
-use lobster_gpu::{kernels, par_map_into, Column, Columns, Device};
+use lobster_gpu::{kernels, Column, Columns, Device};
 use lobster_provenance::Provenance;
-use lobster_ram::{
-    RamProgram, RelationLayout, RelationSchema, SymbolDict, Tuple, Value, ValueType,
-};
+use lobster_ram::{RamProgram, RelationLayout, RelationSchema, Tuple, Value, ValueType};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Arena allocation site for codec scratch (symbol-mapped columns built
-/// while encoding); distinct from the executor's sites (100–104).
+/// Arena allocation site for codec scratch (stored columns copied out
+/// unpacked); distinct from the executor's sites (100–104).
 const CODEC_SITE: usize = 105;
 
 /// What a secondary order's layout is planned under: its relation's name,
@@ -280,31 +275,28 @@ impl<P: Provenance> SortedTable<P> {
     }
 }
 
-/// What a program contributes to a database's encoding: the symbol constants
-/// its expressions mention, seeded into the dictionary so constant rewriting
-/// always finds a local rank.
+/// What `benchmark/` still hands [`Database::new_encoded`], and ignored:
+/// a layout depends on the column types alone. The next change to
+/// `benchmark/` drops it (ROADMAP item 4).
 #[derive(Debug, Clone, Default)]
 pub struct EncodingSpec {
-    /// Global interner ids of every symbol constant in the program (see
-    /// `RamProgram::symbol_constants`).
+    /// Ignored: a symbol is stored as its interner id, so no program
+    /// constant needs a place in the storage.
+    #[doc(hidden)]
     pub symbol_constants: Vec<u32>,
-    /// A field `benchmark/` still sets, and ignored: every program stores
-    /// `u32` lanes 4 bytes wide. The next change to `benchmark/` drops it
-    /// (ROADMAP item 4).
+    /// Ignored: every program stores `u32` lanes 4 bytes wide.
     #[doc(hidden)]
     pub widen_u32: bool,
 }
 
-/// How a database stores its relations, decided from the program alone:
-/// the relation schemas and, for packed dictionary-encoded storage, the
-/// initial codec — the symbol dictionary seeded with the program's
-/// constants, and every relation's layout and pack lanes planned under it.
+/// How a database stores its relations, decided from the program's schemas
+/// alone: the relation schemas and, for packed storage, every relation's
+/// layout and pack lanes.
 ///
 /// A plan is built once per program and shared: every database a run
 /// starts from it ([`Database::from_plan`]) shares its schemas and codec
-/// by `Arc`, and copies them only when it changes them — when new symbols
-/// extend the dictionary and re-plan the layouts, or a refresh adds a
-/// scratch relation.
+/// by `Arc`, and copies them only when a refresh adds a scratch relation
+/// or a materialized database plans a secondary order.
 #[derive(Debug, Clone)]
 pub struct StoragePlan {
     schemas: Arc<BTreeMap<String, RelationSchema>>,
@@ -312,20 +304,19 @@ pub struct StoragePlan {
 }
 
 impl StoragePlan {
-    /// The storage every run of `ram` uses: packed group columns under a
-    /// dictionary seeded with the program's symbol constants.
+    /// The storage every run of `ram` uses: packed group columns, planned
+    /// from the schemas alone.
     ///
     /// There is one layout per column type list, whatever the program's
     /// rules compute: `u32` arithmetic wraps at 32 bits and the validator
     /// rejects arithmetic over symbols, so no column ever holds a word its
-    /// lane cannot, and no result depends on how symbols are numbered.
+    /// lane cannot.
     pub fn for_program(ram: &RamProgram) -> StoragePlan {
-        StoragePlan::encoded(ram.schemas.clone(), ram.symbol_constants())
+        StoragePlan::encoded(ram.schemas.clone())
     }
 
-    /// Full-width storage: every logical column one `u64` column, values
-    /// in global encoding — the reference the differential suites compare
-    /// packed storage against.
+    /// Full-width storage: every logical column one `u64` column — the
+    /// reference the differential suites compare packed storage against.
     pub fn full_width(schemas: BTreeMap<String, RelationSchema>) -> StoragePlan {
         StoragePlan {
             schemas: Arc::new(schemas),
@@ -333,10 +324,9 @@ impl StoragePlan {
         }
     }
 
-    /// Packed group columns under a dictionary seeded with
-    /// `symbol_constants`.
-    fn encoded(schemas: BTreeMap<String, RelationSchema>, symbol_constants: Vec<u32>) -> Self {
-        let codec = Codec::new(&schemas, SymbolDict::from_globals(symbol_constants));
+    /// Packed group columns.
+    fn encoded(schemas: BTreeMap<String, RelationSchema>) -> Self {
+        let codec = Codec::new(&schemas);
         StoragePlan {
             schemas: Arc::new(schemas),
             codec: Some(Arc::new(codec)),
@@ -350,19 +340,17 @@ impl StoragePlan {
     }
 }
 
-/// The live encoding state of an encoded database: the symbol dictionary
-/// plus one planned layout (and its precomputed pack lanes) per relation.
+/// The layouts of an encoded database: one per relation and per secondary
+/// order, each with its precomputed pack lanes.
 #[derive(Debug, Clone)]
 pub(crate) struct Codec {
-    pub(crate) dict: SymbolDict,
     layouts: BTreeMap<String, RelationLayout>,
     lanes: BTreeMap<String, Vec<Vec<PackLane>>>,
 }
 
 impl Codec {
-    fn new(schemas: &BTreeMap<String, RelationSchema>, dict: SymbolDict) -> Codec {
+    fn new(schemas: &BTreeMap<String, RelationSchema>) -> Codec {
         let mut codec = Codec {
-            dict,
             layouts: BTreeMap::new(),
             lanes: BTreeMap::new(),
         };
@@ -372,10 +360,10 @@ impl Codec {
         codec
     }
 
-    /// Plans the layout of a relation with the given column types under the
-    /// current dictionary, with its pack lanes.
+    /// Plans the layout of a relation with the given column types, with its
+    /// pack lanes.
     fn plan(&mut self, name: &str, arg_types: &[ValueType]) {
-        let layout = RelationLayout::plan(arg_types, self.dict.width_bytes());
+        let layout = RelationLayout::plan(arg_types);
         self.lanes
             .insert(name.to_string(), Self::pack_lanes(&layout));
         self.layouts.insert(name.to_string(), layout);
@@ -427,89 +415,6 @@ impl Codec {
             Some(&self.lanes[relation])
         }
     }
-
-    /// Maps a program symbol constant to its local rank.
-    pub(crate) fn local_const(&self, global: u32) -> u64 {
-        u64::from(
-            self.dict
-                .local(global)
-                .expect("program symbol constant missing from dictionary"),
-        )
-    }
-}
-
-/// Packs full-width columns carrying **global** symbol ids into a
-/// relation's group columns with local ranks. Consumes (recycles) the wide
-/// input. Identity layouts pass the columns through untouched.
-fn encode_wide(
-    device: &Device,
-    codec: &Codec,
-    relation: &str,
-    schema: &RelationSchema,
-    columns: Columns,
-) -> Columns {
-    let layout = codec.layout(relation);
-    if layout.is_identity() {
-        return columns;
-    }
-    let arena = device.arena();
-    // Rewrite symbol columns global → local before packing; other columns
-    // pack straight from the input.
-    let mut locals: Vec<Option<Column>> = Vec::with_capacity(columns.len());
-    for (c, col) in columns.iter().enumerate() {
-        if schema.arg_types[c] == ValueType::Symbol {
-            let mut local = arena.alloc_zeroed(CODEC_SITE, col.len());
-            let dict = &codec.dict;
-            par_map_into(device, &mut local, |k| {
-                u64::from(
-                    dict.local(col[k] as u32)
-                        .expect("symbol value missing from dictionary"),
-                )
-            });
-            locals.push(Some(local));
-        } else {
-            locals.push(None);
-        }
-    }
-    let refs: Vec<&[u64]> = locals
-        .iter()
-        .zip(columns.iter())
-        .map(|(local, col)| local.as_deref().unwrap_or(col.as_slice()))
-        .collect();
-    let lanes = codec.lanes(relation).expect("non-identity layout");
-    let packed = kernels::pack_columns(device, &refs, lanes);
-    drop(refs);
-    recycle_columns(device, locals.into_iter().flatten().collect());
-    recycle_columns(device, columns);
-    packed
-}
-
-/// Inverse of [`encode_wide`]: unpacks a relation's group columns back to
-/// full-width columns carrying **global** symbol ids. The packed input is
-/// borrowed; the output is fresh.
-fn decode_packed(device: &Device, codec: &Codec, relation: &str, packed: &[Column]) -> Columns {
-    let layout = codec.layout(relation);
-    if layout.is_identity() {
-        return packed.to_vec();
-    }
-    let refs: Vec<&[u64]> = packed.iter().map(|c| c.as_slice()).collect();
-    let lanes = codec.lanes(relation).expect("non-identity layout");
-    let mut wide = kernels::unpack_columns(device, &refs, lanes, layout.arity);
-    for group in &layout.groups {
-        for lane in &group.lanes {
-            if lane.symbol {
-                for v in wide[lane.column].iter_mut() {
-                    *v = u64::from(
-                        codec
-                            .dict
-                            .global(*v as u32)
-                            .expect("local rank out of dictionary range"),
-                    );
-                }
-            }
-        }
-    }
-    wide
 }
 
 /// The bookkeeping for one relation: the semi-naive partitions plus staged
@@ -718,10 +623,10 @@ pub(crate) enum Stable<'a, P: Provenance> {
 /// partitions used during fix-point execution.
 ///
 /// A database is either *full-width* ([`Database::new`]; every logical
-/// column is one `u64` column, values are stored in global encoding) or
-/// *encoded* ([`Database::new_encoded`]; relations hold packed group columns
-/// under a shared [`SymbolDict`]). The two are observationally identical:
-/// [`Database::rows`] returns the same tuples in the same order either way.
+/// column is one `u64` column) or *encoded* ([`Database::from_plan`] with
+/// [`StoragePlan::for_program`]; relations hold packed group columns). The
+/// two are observationally identical: [`Database::rows`] returns the same
+/// tuples in the same order either way.
 #[derive(Debug, Clone)]
 pub struct Database<P: Provenance> {
     schemas: Arc<BTreeMap<String, RelationSchema>>,
@@ -738,16 +643,14 @@ impl<P: Provenance> Database<P> {
     }
 
     /// Creates an empty *encoded* database: relations are stored as packed
-    /// group columns under a dictionary seeded with the program's symbol
-    /// constants. Facts still go in and come out in full-width global
-    /// encoding; see the module docs.
+    /// group columns. Facts still go in and come out one word per column;
+    /// see the module docs. `spec` is ignored ([`EncodingSpec`]).
     pub fn new_encoded(
         schemas: BTreeMap<String, RelationSchema>,
         provenance: P,
-        spec: &EncodingSpec,
+        _spec: &EncodingSpec,
     ) -> Self {
-        let plan = StoragePlan::encoded(schemas, spec.symbol_constants.clone());
-        Self::from_plan(&plan, provenance)
+        Self::from_plan(&StoragePlan::encoded(schemas), provenance)
     }
 
     /// Creates an empty database stored as `plan` says, sharing the plan's
@@ -781,7 +684,7 @@ impl<P: Provenance> Database<P> {
         self.codec.as_deref()
     }
 
-    /// `true` when relations are stored in packed, dictionary-encoded form.
+    /// `true` when relations are stored in packed form.
     pub fn is_encoded(&self) -> bool {
         self.codec.is_some()
     }
@@ -796,115 +699,27 @@ impl<P: Provenance> Database<P> {
         }
     }
 
-    /// Extends the dictionary to cover `globals`, re-encoding every stored
-    /// table under the extended dictionary. No-op for full-width databases
-    /// or when everything is already covered.
-    ///
-    /// Re-encoding never re-sorts: dictionary extension is monotone
-    /// ([`SymbolDict::extend`]), so local rank order — and therefore packed
-    /// row order — is unchanged by the remap.
-    pub fn ensure_symbols(&mut self, device: &Device, globals: impl IntoIterator<Item = u32>) {
-        let Some(codec) = self.codec.as_deref() else {
-            return;
-        };
-        let missing: Vec<u32> = globals
-            .into_iter()
-            .filter(|g| codec.dict.local(*g).is_none())
-            .collect();
-        if missing.is_empty() {
-            return;
-        }
-        let (dict, _remap) = codec.dict.extend(missing);
-        let mut next = Codec::new(&self.schemas, dict);
-        let old = self.codec.take().expect("codec present");
-        let reencode =
-            |next: &Codec, name: &str, schema: &RelationSchema, table: &mut SortedTable<P>| {
-                let packed_arity = next.layout(name).packed_arity();
-                let re = if table.is_empty() {
-                    SortedTable::empty(packed_arity)
-                } else {
-                    let wide = decode_packed(device, &old, name, &table.columns);
-                    let packed = encode_wide(device, next, name, schema, wide);
-                    SortedTable {
-                        columns: packed,
-                        tags: std::mem::take(&mut table.tags),
-                        arity: packed_arity,
-                    }
-                };
-                let dead = std::mem::replace(table, re);
-                dead.recycle(device);
-            };
-        for (name, data) in self.relations.iter_mut() {
-            debug_assert!(
-                data.staged.is_empty() && data.runs.is_empty(),
-                "dictionary extension mid-stratum in `{name}`"
-            );
-            let schema = &self.schemas[name];
-            reencode(&next, name, schema, &mut data.stable);
-            reencode(&next, name, schema, &mut data.recent);
-            for order in &mut data.orders {
-                let schema = &order.schema;
-                next.plan(&schema.name, &schema.arg_types);
-                reencode(&next, &schema.name, schema, &mut order.table);
-            }
-        }
-        self.codec = Some(Arc::new(next));
-    }
-
     /// Builds a sorted table in this database's storage encoding from
-    /// full-width columns carrying global symbol ids, less the rows the
-    /// relation's `stable` partition already holds when `minus_stable` is
-    /// set. On a full-width database with `minus_stable` unset this is plain
-    /// [`SortedTable::from_unsorted`].
+    /// logical columns, less the rows the relation's `stable` partition
+    /// already holds when `minus_stable` is set. On a full-width database
+    /// with `minus_stable` unset this is plain [`SortedTable::from_unsorted`].
     pub(crate) fn encoded_from_unsorted(
-        &mut self,
+        &self,
         device: &Device,
         relation: &str,
         columns: Columns,
         tags: Vec<P::Tag>,
         minus_stable: bool,
     ) -> SortedTable<P> {
-        let columns = self.encode(device, relation, columns);
+        let columns = self.packed(device, relation, columns);
         let stable = &self.relations[relation].stable;
         let known: &[&SortedTable<P>] = if minus_stable { &[stable] } else { &[] };
         SortedTable::from_unsorted_minus(device, &self.provenance, columns, tags, known)
     }
 
-    /// Full-width columns carrying global symbol ids in this database's
-    /// storage encoding: extends the dictionary over the columns' symbol
-    /// values, then packs. A full-width database keeps them as they are.
-    fn encode(&mut self, device: &Device, relation: &str, columns: Columns) -> Columns {
-        if self.codec.is_none() {
-            return columns;
-        }
-        let mut syms: Vec<u32> = Vec::new();
-        for (c, ty) in self.schemas[relation].arg_types.iter().enumerate() {
-            if *ty == ValueType::Symbol {
-                syms.extend(columns[c].iter().map(|v| *v as u32));
-            }
-        }
-        self.ensure_symbols(device, syms);
-        let codec = self.codec.as_deref().expect("codec present");
-        encode_wide(device, codec, relation, &self.schemas[relation], columns)
-    }
-
-    /// The rows of `table`, stored as rows of `relation`, as full-width
-    /// columns carrying global symbol ids: what [`Database::encode`] takes.
-    pub(crate) fn wide_columns(
-        &self,
-        device: &Device,
-        relation: &str,
-        table: &SortedTable<P>,
-    ) -> Columns {
-        match self.codec.as_deref() {
-            Some(codec) => decode_packed(device, codec, relation, &table.columns),
-            None => table.columns.clone(),
-        }
-    }
-
     /// Adds an empty relation with the given column types, stored in the
-    /// layout those types plan under the live dictionary — the layout of
-    /// every other relation of the same types. A refresh derives its scratch
+    /// layout those types plan — the layout of every other relation of the
+    /// same types. A refresh derives its scratch
     /// relations here, beside the materialized ones, and removes them with
     /// [`Database::remove_relation`].
     pub(crate) fn add_relation(&mut self, name: &str, arg_types: Vec<ValueType>) {
@@ -1061,8 +876,8 @@ impl<P: Provenance> Database<P> {
         }
     }
 
-    /// Columns stored in layout `name` as logical columns, in the local
-    /// symbol space registers hold: fresh arena columns.
+    /// Columns stored in layout `name` as logical columns, one word per
+    /// column as registers hold them: fresh arena columns.
     pub(crate) fn unpacked(&self, device: &Device, name: &str, stored: &[Column]) -> Columns {
         let refs: Vec<&[u64]> = stored.iter().map(|c| c.as_slice()).collect();
         match self.codec.as_ref().and_then(|codec| codec.lanes(name)) {
@@ -1082,8 +897,8 @@ impl<P: Provenance> Database<P> {
         }
     }
 
-    /// Logical columns in local symbol space packed into layout `name`,
-    /// consuming them.
+    /// Logical columns packed into layout `name`, consuming them. A
+    /// full-width database or an identity layout keeps them as they are.
     fn packed(&self, device: &Device, name: &str, logical: Columns) -> Columns {
         let Some(lanes) = self.codec.as_ref().and_then(|codec| codec.lanes(name)) else {
             return logical;
@@ -1140,9 +955,8 @@ impl<P: Provenance> Database<P> {
     }
 
     /// Folds all pending inserts into the stable partitions. Pending facts
-    /// arrive in full-width global encoding; on an encoded database they are
-    /// packed here (extending the dictionary first if they mention new
-    /// symbols).
+    /// arrive one word per column; on an encoded database they are packed
+    /// here.
     pub fn seal(&mut self, device: &Device) {
         let names: Vec<String> = self.pending.keys().cloned().collect();
         for name in names {
@@ -1178,8 +992,8 @@ impl<P: Provenance> Database<P> {
     }
 
     /// The decoded rows (with tags) of a relation, combining stable and
-    /// recent partitions. Encoded databases unpack and translate back to
-    /// global symbol ids here, so callers see identical tuples either way.
+    /// recent partitions. Encoded databases unpack here, so callers see
+    /// identical tuples either way.
     pub fn rows(&self, relation: &str) -> Vec<(Tuple, P::Tag)> {
         self.decode_rows(relation, Clone::clone)
     }
@@ -1219,9 +1033,8 @@ impl<P: Provenance> Database<P> {
     }
 
     /// The one decode walk: every row of `table` goes from stored words to
-    /// a full-width tuple — group words unpacked and symbol ranks mapped
-    /// back to global ids where the relation is stored packed — paired with
-    /// `output` of its tag. One scratch row serves the whole table; the only
+    /// a full-width tuple — group words unpacked where the relation is
+    /// stored packed — paired with `output` of its tag. One scratch row serves the whole table; the only
     /// allocation per row is its tuple. Scalar and host-side (no [`Device`]
     /// at hand), which is a choice, not a sign that decode is cold: it is a
     /// fifth of a `tc_chain` or `tc_dense` request.
@@ -1239,25 +1052,15 @@ impl<P: Provenance> Database<P> {
         let packed = self
             .codec
             .as_ref()
-            .map(|codec| (codec, codec.layout(relation)))
-            .filter(|(_, layout)| !layout.is_identity());
+            .map(|codec| codec.layout(relation))
+            .filter(|layout| !layout.is_identity());
         let mut words = vec![0u64; schema.arity()];
         for (row, tag) in table.tags.iter().enumerate() {
             match packed {
-                Some((codec, layout)) => {
+                Some(layout) => {
                     for (group, column) in layout.groups.iter().zip(&table.columns) {
                         for (l, lane) in group.lanes.iter().enumerate() {
-                            let v = group.unpack(column[row], l);
-                            words[lane.column] = if lane.symbol {
-                                u64::from(
-                                    codec
-                                        .dict
-                                        .global(v as u32)
-                                        .expect("local rank out of dictionary range"),
-                                )
-                            } else {
-                                v
-                            };
+                            words[lane.column] = group.unpack(column[row], l);
                         }
                     }
                 }
@@ -1284,22 +1087,6 @@ impl<P: Provenance> Database<P> {
     /// Internal mutable access for the executor.
     pub(crate) fn relation_data_mut(&mut self, relation: &str) -> &mut RelationData<P> {
         self.relations.get_mut(relation).expect("relation exists")
-    }
-
-    /// Clears all facts (schemas — and the dictionary, which only grows —
-    /// are kept). Used between samples.
-    pub fn clear_facts(&mut self) {
-        for (name, data) in self.relations.iter_mut() {
-            let arity = match self.codec.as_ref() {
-                Some(codec) => codec.layout(name).packed_arity(),
-                None => self.schemas[name].arity(),
-            };
-            *data = RelationData::new(arity);
-        }
-        for (name, (columns, tags)) in self.pending.iter_mut() {
-            *columns = vec![Vec::new(); self.schemas[name].arity()];
-            tags.clear();
-        }
     }
 }
 
@@ -1372,17 +1159,6 @@ mod tests {
         let rows = db.rows("flag");
         assert_eq!(rows.len(), 1);
         assert!((rows[0].1 - 0.75).abs() < 1e-9);
-    }
-
-    #[test]
-    fn clear_facts_resets_everything() {
-        let device = Device::sequential();
-        let mut db = Database::new(schemas(), Unit::new());
-        db.insert("edge", &[Value::U32(1), Value::U32(2)], ());
-        db.seal(&device);
-        db.clear_facts();
-        assert_eq!(db.total_facts(), 0);
-        assert!(db.rows("edge").is_empty());
     }
 
     #[test]
@@ -1649,16 +1425,13 @@ mod tests {
     #[test]
     fn encoded_database_matches_full_width_rows() {
         let device = Device::sequential();
-        let spec = EncodingSpec {
-            symbol_constants: vec![900],
-            ..EncodingSpec::default()
-        };
+        let spec = EncodingSpec::default();
         let mut wide = Database::new(sym_schemas(), Unit::new());
         let mut packed = Database::new_encoded(sym_schemas(), Unit::new(), &spec);
         assert!(packed.is_encoded());
         assert!(!wide.is_encoded());
-        // Global ids deliberately large and sparse: the dictionary narrows
-        // them to ranks regardless of magnitude.
+        // Ids deliberately large and sparse: a symbol lane holds any
+        // interner id.
         let facts = [
             (1_000_000u32, 5u32),
             (5, 1_000_000),
@@ -1676,7 +1449,7 @@ mod tests {
         // Bit-identical extraction: same tuples in the same order.
         assert_eq!(wide.rows("likes"), packed.rows("likes"));
         assert_eq!(wide.rows("edge"), packed.rows("edge"));
-        // Two symbol columns (1 byte each) pack into one physical column;
+        // Two symbol columns (4 bytes each) pack into one physical column;
         // two u32 columns share one word.
         assert_eq!(packed.storage_arity("likes"), 1);
         assert_eq!(packed.storage_arity("edge"), 1);
@@ -1718,14 +1491,14 @@ mod tests {
     }
 
     #[test]
-    fn dictionary_extension_reencodes_without_resorting() {
+    fn later_seals_place_new_symbols_in_row_order() {
         let device = Device::sequential();
         let spec = EncodingSpec::default();
         let mut db = Database::new_encoded(sym_schemas(), Unit::new(), &spec);
         db.insert("likes", &[Value::Symbol(50), Value::Symbol(10)], ());
         db.seal(&device);
-        // Second seal brings symbols below and above the existing ids: every
-        // stored rank shifts, but row order must be preserved.
+        // Second seal brings symbols below and above the existing ids: they
+        // land among the stored rows in id order.
         db.insert("likes", &[Value::Symbol(5), Value::Symbol(99)], ());
         db.insert("likes", &[Value::Symbol(50), Value::Symbol(5)], ());
         db.seal(&device);
@@ -1738,22 +1511,41 @@ mod tests {
                 vec![Value::Symbol(50), Value::Symbol(10)],
             ]
         );
-        // Sealing the same fact again after extension still deduplicates.
+        // Sealing the same fact again still deduplicates.
         db.insert("likes", &[Value::Symbol(50), Value::Symbol(10)], ());
         db.seal(&device);
         assert_eq!(db.relation_len("likes"), 3);
     }
 
+    /// A symbol is stored as its interner id, in a lane whose width the
+    /// column type alone fixes: however many distinct symbols a database
+    /// holds, its layout is the one the program's plan made.
     #[test]
-    fn encoded_clear_facts_keeps_packed_arity() {
+    fn symbols_are_stored_as_interner_ids_in_the_planned_layout() {
         let device = Device::sequential();
-        let mut db = Database::new_encoded(sym_schemas(), Unit::new(), &EncodingSpec::default());
-        db.insert("likes", &[Value::Symbol(3), Value::Symbol(4)], ());
+        let ram = lobster_datalog::parse("type t(a: symbol, b: u32)\nquery t")
+            .unwrap()
+            .ram;
+        let plan = StoragePlan::for_program(&ram);
+        let mut db = Database::from_plan(&plan, Unit::new());
+        let symbols = lobster_ram::SymbolTable::new();
+        let names: Vec<u32> = (0..600).map(|i| symbols.intern(&format!("s{i}"))).collect();
+        // Every other id, in a scrambled order: 300 distinct symbols, and no
+        // id is its rank among them.
+        let ids: Vec<u32> = (0..300).map(|k| names[2 * (k * 7 % 300) + 1]).collect();
+        for (k, id) in ids.iter().enumerate() {
+            db.insert("t", &[Value::Symbol(*id), Value::U32(k as u32)], ());
+        }
         db.seal(&device);
-        db.clear_facts();
-        assert_eq!(db.total_facts(), 0);
-        db.insert("likes", &[Value::Symbol(3), Value::Symbol(4)], ());
-        db.seal(&device);
-        assert_eq!(db.rows("likes").len(), 1);
+        let layout = plan.layout("t").unwrap();
+        assert_eq!(db.codec().unwrap().layout("t"), layout);
+        assert_eq!(layout.groups[0].lanes[0].bytes, 4);
+        let stored: Vec<u64> = db.relation_data("t").stable.columns[0]
+            .iter()
+            .map(|word| layout.groups[0].unpack(*word, 0))
+            .collect();
+        let mut want: Vec<u64> = ids.iter().map(|id| u64::from(*id)).collect();
+        want.sort_unstable();
+        assert_eq!(stored, want);
     }
 }

@@ -344,38 +344,6 @@ impl<P: Provenance> Executor<P> {
             data.staged.clear();
         }
 
-        // Dictionary-encoded databases execute in *local* symbol space:
-        // loads unpack to local ranks, so the program's symbol constants
-        // (global interner ids) must be rewritten to ranks too. Extend the
-        // dictionary first — a constant no fact mentions still needs a rank
-        // (extension re-encodes stored tables, which is why it happens once,
-        // up front, never mid-stratum).
-        let consts: Option<Vec<u32>> = db.codec().and_then(|_| {
-            let mut consts: Vec<u32> = Vec::new();
-            for instr in &compiled.program.instructions {
-                if let Instr::Eval { projection, .. } = instr {
-                    projection.symbol_consts(&mut consts);
-                }
-            }
-            if consts.is_empty() {
-                return None;
-            }
-            Some(consts)
-        });
-        let rewritten: Option<CompiledStratum> = consts.map(|consts| {
-            db.ensure_symbols(&self.device, consts);
-            let codec = db.codec().expect("codec present");
-            let mut owned = compiled.clone();
-            for instr in &mut owned.program.instructions {
-                if let Instr::Eval { projection, .. } = instr {
-                    if projection.has_symbol_consts() {
-                        *projection = projection.map_symbol_consts(&|g| codec.local_const(g));
-                    }
-                }
-            }
-            owned
-        });
-        let compiled = rewritten.as_ref().unwrap_or(compiled);
         let outcome = self.iterate(db, compiled, run_start, &mut run, &mut stats);
         let StratumRun {
             seeded,
@@ -443,8 +411,8 @@ impl<P: Provenance> Executor<P> {
     ) -> Result<(), ExecError> {
         let seeded = run.seeded;
         // Pack lanes of the stratum's own relations (`None` = identity
-        // layout or full-width database), resolved after any dictionary
-        // extension so widths are final for the whole stratum.
+        // layout or full-width database), copied out once so the loop can
+        // hold them beside `&mut db`.
         let stratum_lanes: Vec<Option<Vec<Vec<PackLane>>>> = compiled
             .relations
             .iter()
@@ -596,9 +564,8 @@ impl<P: Provenance> Executor<P> {
             }
         }
         let arena = self.device.arena();
-        // Packed relations are unpacked into wide registers here (values
-        // stay in *local* symbol space); full-width relations and identity
-        // layouts copy straight through.
+        // Packed relations are unpacked into wide registers here;
+        // full-width relations and identity layouts copy straight through.
         let lanes = db.codec().and_then(|c| c.lanes(relation));
         let unpack = |packed: &[Column]| -> Vec<Arc<Column>> {
             let lanes = lanes.expect("lanes present");
@@ -1607,8 +1574,8 @@ mod tests {
         use lobster_gpu::DeviceConfig;
 
         // Symbol-typed TC with a symbol constant in a rule body, so the
-        // encoded run exercises constant rewriting, dictionary-encoded
-        // loads/stores, and packed sort/merge/difference.
+        // encoded run exercises a constant compared against packed symbol
+        // lanes, packed loads/stores, and packed sort/merge/difference.
         let compiled = parse(
             r#"type edge(x: symbol, y: symbol)
              rel path(x, y) = edge(x, y) or (path(x, z) and edge(z, y))

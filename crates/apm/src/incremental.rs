@@ -668,7 +668,7 @@ impl<P: Provenance> Refreshing<'_, P> {
     fn column_keys(&mut self, db: &mut Database<P>, rel: &str) -> Vec<String> {
         let lost_name = format!("{rel}{LOST}");
         let lost = &db.relation_data(&lost_name).stable;
-        let wide = db.wide_columns(&self.device, &lost_name, lost);
+        let wide = db.unpacked(&self.device, &lost_name, &lost.columns);
         let tags = lost.tags.clone();
         let types = db.schema(rel).expect("known relation").arg_types.clone();
         wide.into_iter()
@@ -1232,9 +1232,8 @@ mod tests {
         // After every step of a random insert / retract / reweight trace,
         // the order equals its relation re-sorted key-first, bit for bit,
         // and the relations decode to what a from-scratch run derives. Steps
-        // that change `hop` take the recompute tier; inserts bring new
-        // symbols, so the dictionary grows and every table is re-encoded,
-        // once past the width of one byte.
+        // that change `hop` take the recompute tier; inserts bring symbols
+        // the database has not seen.
         let ram = parse(SYMBOL_TC).unwrap().ram;
         let path_on_z = SecondaryOrder {
             relation: "path".to_string(),

@@ -399,12 +399,11 @@ fn main() {
     }
 
     // Wide-string workload: the same transitive closure, but over *symbol*
-    // keys — long entity names interned to ids — in the dictionary-encoded
-    // storage every eligible program gets: the two symbol columns of every
-    // table pack into a single narrow word column. `bytes_per_fixpoint` is
-    // the host↔device transfer volume the run records (the sealed input in,
-    // the whole fix-point database out), which is deterministic for a given
-    // workload; wall time rides along for context. That full-width storage
+    // keys — long entity names interned to ids — in the packed storage
+    // every program gets: the two 4-byte symbol lanes of every table pack
+    // into a single word column. `bytes_per_fixpoint` is the host↔device
+    // transfer volume the run records (the sealed input in, the whole
+    // fix-point database out), which is deterministic for a given workload; wall time rides along for context. That full-width storage
     // would move at least 1.2× the bytes is asserted in tier-1
     // (`strategy_agreement.rs`), not measured here.
     let sym_source = "type edge(x: symbol, y: symbol)

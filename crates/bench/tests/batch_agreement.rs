@@ -4,7 +4,7 @@
 //! provenance kind. (That each kind runs the semiring it names is pinned in
 //! `lobster`'s own `engine` tests, against `lobster_apm` driven by hand.)
 
-use lobster::{FactSet, Lobster, Program, ProvenanceKind, Value};
+use lobster::{FactSet, Lobster, Program, ProvenanceKind, SymbolTable, Value};
 use lobster_workloads::{pathfinder, WorkloadFacts};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -160,5 +160,55 @@ fn batch_matches_sequential_on_a_real_workload() {
         .provenance(ProvenanceKind::DiffTop1Proof)
         .compile()
         .unwrap();
+    assert_batch_matches_sequential(&program, &samples);
+}
+
+#[test]
+fn batch_matches_sequential_when_each_sample_brings_its_own_symbols() {
+    // Symbol-keyed TC with a symbol constant. Every sample's nodes are
+    // names no other sample and no program constant mentions, interned
+    // last sample first, so ids run against the samples' order; the edge
+    // into each chain comes from the constant `hub`.
+    let program = Lobster::builder(
+        "type edge(x: symbol, y: symbol)
+         rel path(x, y) = edge(x, y) or (path(x, z) and edge(z, y))
+         rel from_hub(y) = path(\"batch-hub\", y)
+         query path
+         query from_hub",
+    )
+    .provenance(ProvenanceKind::DiffTop1Proof)
+    .compile()
+    .unwrap();
+    let symbols = SymbolTable::global();
+    let hub = symbols.intern("batch-hub");
+    let mut rng = StdRng::seed_from_u64(9);
+    let names: Vec<Vec<u32>> = (0..4)
+        .rev()
+        .map(|k| {
+            (0..5)
+                .map(|i| symbols.intern(&format!("batch-{k}-node-{i}")))
+                .collect()
+        })
+        .collect();
+    let samples: Vec<WorkloadFacts> = names
+        .iter()
+        .rev()
+        .map(|nodes| {
+            let mut facts = WorkloadFacts::new();
+            facts.push(
+                "edge",
+                vec![Value::Symbol(hub), Value::Symbol(nodes[0])],
+                None,
+            );
+            for pair in nodes.windows(2) {
+                facts.push(
+                    "edge",
+                    vec![Value::Symbol(pair[0]), Value::Symbol(pair[1])],
+                    Some(rng.gen_range(0.2..0.95)),
+                );
+            }
+            facts
+        })
+        .collect();
     assert_batch_matches_sequential(&program, &samples);
 }

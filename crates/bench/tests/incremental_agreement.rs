@@ -10,11 +10,13 @@
 //! replayed.
 
 use lobster::{
-    Device, DeviceConfig, FactSet, Lobster, Program, ProvenanceKind, RuntimeOptions, Session, Value,
+    Device, DeviceConfig, FactSet, Lobster, Program, ProvenanceKind, RuntimeOptions, Session,
+    SymbolTable, Value,
 };
 use lobster_provenance::InputFactId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::OnceLock;
 
 const TC: &str = "type edge(x: u32, y: u32)
     rel path(x, y) = edge(x, y) or (path(x, z) and edge(z, y))
@@ -52,10 +54,12 @@ fn assert_identical(got: &lobster::RunResult, want: &lobster::RunResult, what: &
 
 /// One random trace step applied to a session over a small node domain (so
 /// inserts collide with existing edges and retracts hit real support).
-/// `inputs` are the binary relations an insert picks from.
+/// `inputs` are the binary relations an insert picks from, `node` the value
+/// a node number is stored as.
 fn random_step(
     session: &mut Session,
     inputs: &[&str],
+    node: fn(u32) -> Value,
     live: &mut Vec<InputFactId>,
     rng: &mut StdRng,
     probabilistic: bool,
@@ -70,7 +74,7 @@ fn random_step(
             let x = rng.gen_range(0u32..8);
             let y = rng.gen_range(0u32..8);
             let prob = probabilistic.then(|| rng.gen_range(0.05f64..1.0));
-            facts.add(relation, &[Value::U32(x), Value::U32(y)], prob);
+            facts.add(relation, &[node(x), node(y)], prob);
         }
         live.extend(session.insert_facts(&facts).unwrap());
     } else if roll < 0.85 {
@@ -89,18 +93,30 @@ fn random_step(
 }
 
 fn run_trace(kind: ProvenanceKind, parallelism: usize, seed: u64, steps: usize) {
-    run_trace_over("TC", TC, &["edge"], kind, parallelism, seed, steps);
+    let tc = Shape {
+        name: "TC",
+        source: TC,
+        inputs: &["edge"],
+        node: Value::U32,
+        deep: || chain_and_one_more(false),
+    };
+    run_trace_over(&tc, kind, parallelism, seed, steps);
 }
 
 fn run_trace_over(
-    name: &str,
-    source: &str,
-    inputs: &[&str],
+    shape: &Shape,
     kind: ProvenanceKind,
     parallelism: usize,
     seed: u64,
     steps: usize,
 ) {
+    let Shape {
+        name,
+        source,
+        inputs,
+        node,
+        ..
+    } = *shape;
     let program = Lobster::builder(source)
         .device(device(parallelism))
         .provenance(kind)
@@ -111,7 +127,14 @@ fn run_trace_over(
     let mut rng = StdRng::seed_from_u64(seed);
     for step in 0..steps {
         let probabilistic = kind.is_probabilistic();
-        random_step(&mut session, inputs, &mut live, &mut rng, probabilistic);
+        random_step(
+            &mut session,
+            inputs,
+            node,
+            &mut live,
+            &mut rng,
+            probabilistic,
+        );
         let incremental = session.run_incremental().unwrap();
         let scratch = session.run().unwrap();
         assert_identical(
@@ -259,12 +282,14 @@ fn a_fact_inserted_into_a_non_recursive_relation_recomputes_its_stratum() {
 // ---------------------------------------------------------------------------
 
 /// One program shape: its source, the binary relations a random step inserts
-/// into, and a deep instance — base facts whose fix point needs many
-/// iterations, and a last insertion that a delta run settles in a few.
+/// into, the value a node number is stored as, and a deep instance — base
+/// facts whose fix point needs many iterations, and a last insertion that a
+/// delta run settles in a few.
 struct Shape {
     name: &'static str,
     source: &'static str,
     inputs: &'static [&'static str],
+    node: fn(u32) -> Value,
     deep: fn() -> (FactSet, FactSet),
 }
 
@@ -288,13 +313,44 @@ fn chain_and_one_more(in_front: bool) -> (FactSet, FactSet) {
     )
 }
 
-const SHAPES: [Shape; 7] = [
+/// Node `i` of the symbol-keyed shape: the interned name `sym-node-{i}`. The
+/// first call interns all 64 names in a scrambled order, so no node's id
+/// follows its number, and a trace brings symbols to the session in the
+/// order its random steps draw them.
+fn sym_node(i: u32) -> Value {
+    static IDS: OnceLock<Vec<u32>> = OnceLock::new();
+    let ids = IDS.get_or_init(|| {
+        let symbols = SymbolTable::global();
+        let mut ids = vec![0; 64];
+        for k in 0..64 {
+            let i = (k * 37 + 11) % 64;
+            ids[i] = symbols.intern(&format!("sym-node-{i:02}"));
+        }
+        ids
+    });
+    Value::Symbol(ids[i as usize])
+}
+
+/// [`chain_and_one_more`] over symbol nodes, extended at the far end.
+fn symbol_chain_and_one_more() -> (FactSet, FactSet) {
+    let edges = |from: std::ops::Range<u32>| {
+        let mut facts = FactSet::new();
+        for i in from {
+            facts.add("edge", &[sym_node(i), sym_node(i + 1)], None);
+        }
+        facts
+    };
+    (edges(1..41), edges(41..42))
+}
+
+const SHAPES: [Shape; 8] = [
     Shape {
         name: "left-leaf TC",
         source: "type edge(x: u32, y: u32)
             rel path(x, y) = edge(x, y) or (edge(x, z) and path(z, y))
             query path",
         inputs: &["edge"],
+        node: Value::U32,
         deep: || chain_and_one_more(true),
     },
     Shape {
@@ -303,6 +359,7 @@ const SHAPES: [Shape; 7] = [
             rel path(x, y) = edge(x, y) or (path(x, z) and path(z, y))
             query path",
         inputs: &["edge"],
+        node: Value::U32,
         // Path doubling closes 64 edges in nine iterations; the edge that
         // extends the chain needs three.
         deep: || {
@@ -319,6 +376,7 @@ const SHAPES: [Shape; 7] = [
             rel reach(x, y) = a(x, y) or (reach(x, z) and b(z, w) and a(w, y))
             query reach",
         inputs: &["a", "b"],
+        node: Value::U32,
         // a, b, a, b, … along a chain; the last step adds a `b` and an `a`
         // together, and the new `reach` rows need both.
         deep: || {
@@ -336,6 +394,7 @@ const SHAPES: [Shape; 7] = [
             query odd
             query even",
         inputs: &["edge"],
+        node: Value::U32,
         deep: || chain_and_one_more(true),
     },
     Shape {
@@ -345,6 +404,7 @@ const SHAPES: [Shape; 7] = [
             rel sg(x, y) = parent(a, x), parent(b, y), sg(a, b)
             query sg",
         inputs: &["parent"],
+        node: Value::U32,
         // A binary tree of six levels less its last leaf, then that leaf:
         // it is of one generation with every other leaf.
         deep: || {
@@ -360,6 +420,7 @@ const SHAPES: [Shape; 7] = [
             rel path(x, y) = edge(x, y) or (path(x, z) and edge(z, y))
             query path",
         inputs: &["edge", "path"],
+        node: Value::U32,
         // A `path` fact no edge supports, near the end of the chain.
         deep: || {
             (
@@ -377,11 +438,23 @@ const SHAPES: [Shape; 7] = [
             query path
             query far",
         inputs: &["edge", "hop"],
+        node: Value::U32,
         deep: || {
             let (mut base, one_more) = chain_and_one_more(false);
             base.add("hop", &[Value::U32(20), Value::U32(1)], None);
             (base, one_more)
         },
+    },
+    Shape {
+        name: "symbol-keyed TC with a symbol constant",
+        source: "type edge(x: symbol, y: symbol)
+            rel path(x, y) = edge(x, y) or (path(x, z) and edge(z, y))
+            rel from_hub(y) = path(\"sym-node-03\", y)
+            query path
+            query from_hub",
+        inputs: &["edge"],
+        node: sym_node,
+        deep: symbol_chain_and_one_more,
     },
 ];
 
@@ -395,15 +468,7 @@ fn every_program_shape_stays_bit_identical_on_both_tiers() {
             for case in 0..3u64 {
                 let parallelism = PARALLELISM[case as usize % 2];
                 let seed = 0x5AA9E + case;
-                run_trace_over(
-                    shape.name,
-                    shape.source,
-                    shape.inputs,
-                    kind,
-                    parallelism,
-                    seed,
-                    steps,
-                );
+                run_trace_over(shape, kind, parallelism, seed, steps);
             }
         }
     }

@@ -157,7 +157,7 @@ fn arithmetic_over_symbols_or_bools_does_not_compile() {
 }
 
 /// Coerced, each of these would misbehave at run time: an integer read as a
-/// symbol id past the dictionary, a float's bits packed into a `u32` lane, a
+/// symbol id no interner handed out, a float's bits packed into a `u32` lane, a
 /// constant matching whichever symbol was interned first, 2³² truncated to
 /// `false`, and `true` stored as the number 1. So each is a compile error.
 #[test]

@@ -4,9 +4,10 @@
 //! * **join strategy** — a join compiles to the merge path where sort-order
 //!   inference proves both inputs sorted on the key, and to the hash
 //!   build+probe path everywhere else;
-//! * **storage width** — every program's relations are stored in packed,
-//!   dictionary-encoded columns, `u32` lanes 4 bytes wide; full-width
-//!   storage survives only as the reference side here.
+//! * **storage width** — every program's relations are stored in packed
+//!   columns, `u32` and `symbol` lanes 4 bytes wide (a symbol as its
+//!   interner id); full-width storage survives only as the reference side
+//!   here.
 //!
 //! Each must be invisible in the results: with identical seeded inputs the
 //! planned build and the hash-only build, and the encoded and the full-width
@@ -23,9 +24,8 @@
 //! The join guarantee rests on the hash index's ascending-build-row match
 //! order (documented on `HashIndex::for_each_match`): a merge join emits the
 //! same (build, probe) pairs in the same order. The storage guarantee rests
-//! on two order-preservation facts: local symbol ids are ranks in the sorted
-//! used-set (local order = global order), and packed group words place the
-//! first logical column in the most-significant lane (word order =
+//! on one order-preservation fact: packed group words place the first
+//! logical column in the most-significant lane (word order =
 //! column-lexicographic order). Incremental delta sessions run through the
 //! same encoded seal/refresh path and are pinned by `incremental_agreement`.
 
@@ -443,12 +443,11 @@ fn suite_storage_words_are_pinned() {
     }
 }
 
-/// Symbol-keyed reachability with a symbol constant in a rule body: the
-/// dictionary path proper — global ids are sparse interner ids, local ids
-/// are 1-byte ranks, and the constant must be rewritten into local space at
-/// stratum entry. Input facts arrive in id order unrelated to
-/// interning order, so the dictionary's rank assignment is exercised on a
-/// genuinely shuffled used-set.
+/// Symbol-keyed reachability with a symbol constant in a rule body: ids are
+/// sparse interner ids stored in 4-byte lanes, two to a word, and the
+/// constant, an interner id too, is compared against them as compiled.
+/// Input facts arrive in an order unrelated to interning order, so packed
+/// sorts and merges see a genuinely shuffled set of ids.
 #[test]
 fn symbol_reachability_encoded_is_bit_identical() {
     let source = "type edge(x: symbol, y: symbol)

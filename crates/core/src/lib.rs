@@ -80,8 +80,8 @@
 //! per stratum, and `timeout_ms`, one wall-clock budget for a whole run.
 //! Join strategy and storage width are not options: a join takes the merge
 //! path where sort-order inference proves both inputs sorted on the key,
-//! and every program's relations are stored packed and dictionary-encoded,
-//! `u32` columns in 4-byte lanes (`u32` arithmetic wraps at 32 bits, and
+//! and every program's relations are stored packed, `u32` and `symbol`
+//! columns in 4-byte lanes (`u32` arithmetic wraps at 32 bits, and
 //! arithmetic over symbols does not compile). Every entry point —
 //! [`Session::run`], [`Session::run_batch`], [`Session::run_incremental`]
 //! — reaches its fix point the same way:

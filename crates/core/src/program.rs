@@ -162,8 +162,7 @@ pub(crate) struct Artifact {
 /// built once when the [`Program`] is compiled: every stratum compiled to
 /// APM with the program's [`RuntimeOptions`] (which are fixed before
 /// `compile()`), and the storage plan its databases start from. A run then
-/// pays only for its facts — plus, in a program with symbol constants, the
-/// rewrite of those constants into the run's dictionary at stratum entry.
+/// pays only for its facts.
 #[derive(Debug)]
 pub(crate) struct RunPlan {
     /// One per stratum of the RAM program, in order.

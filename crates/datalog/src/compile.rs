@@ -389,6 +389,7 @@ impl<'a> RuleBuilder<'a> {
                     let left_order: Vec<usize> = shared
                         .iter()
                         .chain(&left_rest)
+                        // cannot fail: every name here comes from `self.bound`.
                         .map(|v| self.column_of(v).expect("bound variable"))
                         .collect();
                     let right_order: Vec<usize> = shared
@@ -398,6 +399,7 @@ impl<'a> RuleBuilder<'a> {
                             atom_var_names
                                 .iter()
                                 .position(|a| a == v)
+                                // cannot fail: every name here comes from `atom_var_names`.
                                 .expect("atom variable")
                         })
                         .collect();
@@ -598,6 +600,7 @@ fn compile_conjunct(
     let expr = builder
         .expr
         .take()
+        // cannot fail: an atom-less body returned above; constraints only wrap the expression.
         .expect("expression present after atoms")
         .project(RowProjection::new(outputs, None));
 

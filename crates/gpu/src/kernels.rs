@@ -99,7 +99,7 @@ pub mod sites {
     /// Hash-index build scratch (every row's group; row hashes and row ids
     /// by partition when there are several).
     pub const JOIN_BUILD: usize = 17;
-    /// Pack-columns output (dictionary-encoded narrow words).
+    /// Pack-columns output (narrow words).
     pub const PACK_OUT: usize = 19;
     /// Unpack-columns output (full-width logical columns).
     pub const UNPACK_OUT: usize = 20;
@@ -218,7 +218,7 @@ pub fn pack_columns(device: &Device, columns: &[&[u64]], groups: &[Vec<PackLane>
 ///
 /// Every input value must fit its lane (`value & !mask == 0`) — the caller's
 /// layout planner guarantees this by sizing lanes from the column's logical
-/// type and dictionary cardinality. Debug builds assert it.
+/// type. Debug builds assert it.
 pub fn pack_tables(device: &Device, tables: &[&[&[u64]]], groups: &[Vec<PackLane>]) -> Columns {
     let _t = device.launch(KernelKind::Other);
     let rows_of = |columns: &[&[u64]]| columns.first().map_or(0, |c| c.len());
@@ -341,8 +341,8 @@ const SMALL_SEGMENT: usize = 32;
 /// The permutation is the unique one ordering rows by `(row content,
 /// original index)`; equal rows keep their input order. Narrow tables (at
 /// most `RADIX_PASS_BUDGET` (16) non-constant bytes across all columns,
-/// every one-column table among them, and the common case once
-/// dictionary-encoded values stay small) are sorted with a parallel
+/// every one-column table among them, and the common case once packed
+/// values stay small) are sorted with a parallel
 /// least-significant-digit radix sort — per-chunk digit histograms, a scan
 /// over `(digit, chunk)` buckets, and a scatter into per-bucket output
 /// slices. Wider tables fall back to a parallel stable merge sort (sorted

@@ -711,8 +711,9 @@ fn pooled_device_reuse_is_stable_across_repeated_launches() {
     }
 }
 
-/// Narrow encoded rows: for every physical lane width the dictionary layer
-/// can emit (1, 2, 4, 8 bytes), packing logical columns into group words and
+/// Narrow encoded rows: for every lane width a pack lane may have (1, 2, 4,
+/// 8 bytes; layouts plan 1 for `bool`, 4 for `u32` and `symbol`, 8 for the
+/// 64-bit types), packing logical columns into group words and
 /// unpacking them back must be the identity, must be chunk-invariant across
 /// parallelism degrees, and — the property the encoded storage layer leans
 /// on — sorting the packed words must order rows exactly like sorting the

@@ -1,108 +1,17 @@
-//! Narrow, dictionary-encoded columnar layouts.
+//! Narrow columnar layouts.
 //!
 //! Every cell travels the kernels as a full 64-bit word, but most logical
-//! types need far fewer bytes: booleans one, `u32`s four, and interned
-//! symbols only as many as the number of *distinct* symbols a database
-//! actually touches. This module defines the two pieces that let storage
-//! exploit that:
-//!
-//! * [`SymbolDict`] — an **order-preserving** per-database dictionary
-//!   mapping the process-global symbol ids that appear in a run down to a
-//!   dense range `0..n`. Local ids are the *rank* of the global id in the
-//!   sorted used-set, so `local(a) < local(b) ⇔ a < b`: sorting, merging,
-//!   deduplicating, and comparing encoded columns produces exactly the same
-//!   row order as the full-width path, which is what keeps encoded
-//!   execution bit-identical.
-//! * [`RelationLayout`] — a packing of a relation's logical columns into
-//!   ≤ 8-byte *groups*, each stored as one physical `u64` column. Column 0
-//!   of a group occupies the most-significant lane, so comparing packed
-//!   words as plain `u64`s is the same as comparing the underlying columns
-//!   left-to-right — the kernels need no layout knowledge at all, they just
-//!   see fewer columns with fewer significant bytes.
+//! types need far fewer bytes: booleans one, `u32`s and symbols four (a
+//! symbol is stored as its process-wide interner id), the 64-bit types
+//! eight. A [`RelationLayout`] packs a relation's logical columns into
+//! ≤ 8-byte *groups*, each stored as one physical `u64` column. Column 0 of
+//! a group occupies the most-significant lane, so comparing packed words as
+//! plain `u64`s is the same as comparing the underlying columns
+//! left-to-right — the kernels need no layout knowledge at all, they just
+//! see fewer columns with fewer significant bytes. A layout depends on the
+//! column types alone.
 
 use crate::ValueType;
-
-/// An order-preserving dictionary over process-global symbol ids.
-///
-/// Built from the set of global ids a database touches (fact values plus
-/// program constants); the local id of a global id is its rank in the sorted
-/// set. Extending the dictionary with new ids shifts ranks *monotonically*
-/// (see [`SymbolDict::extend`]), so already-sorted encoded tables stay
-/// sorted after remapping.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SymbolDict {
-    /// Sorted global ids; the local id of `globals[i]` is `i`.
-    globals: Vec<u32>,
-}
-
-impl SymbolDict {
-    /// Builds a dictionary from an arbitrary collection of global ids
-    /// (duplicates are fine).
-    pub fn from_globals(mut globals: Vec<u32>) -> Self {
-        globals.sort_unstable();
-        globals.dedup();
-        SymbolDict { globals }
-    }
-
-    /// Number of distinct symbols in the dictionary.
-    pub fn len(&self) -> usize {
-        self.globals.len()
-    }
-
-    /// `true` when the dictionary is empty.
-    pub fn is_empty(&self) -> bool {
-        self.globals.is_empty()
-    }
-
-    /// The local id (rank) of a global id, if present.
-    pub fn local(&self, global: u32) -> Option<u32> {
-        self.globals.binary_search(&global).ok().map(|i| i as u32)
-    }
-
-    /// The global id behind a local id, if in range.
-    pub fn global(&self, local: u32) -> Option<u32> {
-        self.globals.get(local as usize).copied()
-    }
-
-    /// `true` when every id in `globals` is already present.
-    pub fn covers(&self, globals: impl IntoIterator<Item = u32>) -> bool {
-        globals.into_iter().all(|g| self.local(g).is_some())
-    }
-
-    /// The physical width in bytes of a local id: the smallest of {1, 2, 4}
-    /// that fits every rank.
-    pub fn width_bytes(&self) -> usize {
-        if self.globals.len() <= 1 << 8 {
-            1
-        } else if self.globals.len() <= 1 << 16 {
-            2
-        } else {
-            4
-        }
-    }
-
-    /// Extends the dictionary with additional global ids, returning the new
-    /// dictionary plus the monotone remap table `old local id → new local
-    /// id`. Monotonicity (ranks only shift upward, preserving relative
-    /// order) is what lets callers remap sorted encoded columns in place
-    /// without re-sorting.
-    pub fn extend(&self, new_globals: impl IntoIterator<Item = u32>) -> (SymbolDict, Vec<u32>) {
-        let mut globals = self.globals.clone();
-        globals.extend(new_globals);
-        let extended = SymbolDict::from_globals(globals);
-        let remap = self
-            .globals
-            .iter()
-            .map(|g| extended.local(*g).expect("extension keeps old ids"))
-            .collect();
-        (extended, remap)
-    }
-
-    /// The sorted global ids (local id = position).
-    pub fn globals(&self) -> &[u32] {
-        &self.globals
-    }
-}
 
 /// One lane of a packed group: a logical column's position inside the
 /// group's `u64` word.
@@ -112,10 +21,8 @@ pub struct Lane {
     pub column: usize,
     /// Bit offset of the lane's least-significant bit within the word.
     pub shift: u32,
-    /// Lane width in bytes (1, 2, 4, or 8).
+    /// Lane width in bytes (1, 4, or 8).
     pub bytes: usize,
-    /// Whether the lane holds dictionary-encoded symbol ids.
-    pub symbol: bool,
 }
 
 impl Lane {
@@ -180,47 +87,40 @@ pub struct RelationLayout {
 }
 
 impl RelationLayout {
-    /// Plans the layout for a column type list, narrowing `Symbol` columns
-    /// to `sym_bytes` (the dictionary width) and every other column to its
-    /// [`ValueType::physical_width`]. A `u32` lane is 4 bytes in every
+    /// Plans the layout for a column type list, every column as wide as
+    /// its [`ValueType::physical_width`]. A `u32` lane is 4 bytes in every
     /// program: `u32` arithmetic wraps at 32 bits, so no column holds a
     /// wider word.
-    pub fn plan(types: &[ValueType], sym_bytes: usize) -> RelationLayout {
+    pub fn plan(types: &[ValueType]) -> RelationLayout {
         let mut groups: Vec<Group> = Vec::new();
-        let mut current: Vec<(usize, usize, bool)> = Vec::new(); // (column, bytes, symbol)
+        let mut current: Vec<(usize, usize)> = Vec::new(); // (column, bytes)
         let mut used = 0usize;
-        let flush = |current: &mut Vec<(usize, usize, bool)>, groups: &mut Vec<Group>| {
+        let flush = |current: &mut Vec<(usize, usize)>, groups: &mut Vec<Group>| {
             if current.is_empty() {
                 return;
             }
-            let total: usize = current.iter().map(|(_, b, _)| b).sum();
+            let total: usize = current.iter().map(|(_, b)| b).sum();
             let mut remaining = total;
             let lanes = current
                 .drain(..)
-                .map(|(column, bytes, symbol)| {
+                .map(|(column, bytes)| {
                     remaining -= bytes;
                     Lane {
                         column,
                         shift: (remaining * 8) as u32,
                         bytes,
-                        symbol,
                     }
                 })
                 .collect();
             groups.push(Group { lanes });
         };
         for (column, ty) in types.iter().enumerate() {
-            let symbol = *ty == ValueType::Symbol;
-            let bytes = if symbol {
-                sym_bytes
-            } else {
-                ty.physical_width()
-            };
+            let bytes = ty.physical_width();
             if used + bytes > 8 {
                 flush(&mut current, &mut groups);
                 used = 0;
             }
-            current.push((column, bytes, symbol));
+            current.push((column, bytes));
             used += bytes;
         }
         flush(&mut current, &mut groups);
@@ -242,11 +142,6 @@ impl RelationLayout {
             .iter()
             .all(|g| g.lanes.len() == 1 && g.lanes[0].bytes == 8)
     }
-
-    /// `true` when any lane stores dictionary-encoded symbols.
-    pub fn has_symbols(&self) -> bool {
-        self.groups.iter().any(|g| g.lanes.iter().any(|l| l.symbol))
-    }
 }
 
 #[cfg(test)]
@@ -254,59 +149,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn dict_ranks_preserve_order() {
-        let dict = SymbolDict::from_globals(vec![42, 7, 19, 7]);
-        assert_eq!(dict.len(), 3);
-        assert_eq!(dict.local(7), Some(0));
-        assert_eq!(dict.local(19), Some(1));
-        assert_eq!(dict.local(42), Some(2));
-        assert_eq!(dict.local(8), None);
-        assert_eq!(dict.global(1), Some(19));
-        assert_eq!(dict.global(9), None);
-        assert!(dict.covers([7, 42]));
-        assert!(!dict.covers([7, 8]));
-    }
-
-    #[test]
-    fn dict_width_tracks_cardinality() {
-        assert_eq!(SymbolDict::default().width_bytes(), 1);
-        assert_eq!(
-            SymbolDict::from_globals((0..256).collect()).width_bytes(),
-            1
-        );
-        assert_eq!(
-            SymbolDict::from_globals((0..257).collect()).width_bytes(),
-            2
-        );
-        assert_eq!(
-            SymbolDict::from_globals((0..65_536).collect()).width_bytes(),
-            2
-        );
-        // Width depends on cardinality, not on the magnitude of global ids.
-        assert_eq!(
-            SymbolDict::from_globals((0..70_000).collect()).width_bytes(),
-            4
-        );
-        assert_eq!(
-            SymbolDict::from_globals((0..100).map(|i| i * 1_000_000).collect()).width_bytes(),
-            1
-        );
-    }
-
-    #[test]
-    fn dict_extension_is_monotone() {
-        let dict = SymbolDict::from_globals(vec![10, 20, 30]);
-        let (extended, remap) = dict.extend([5, 25, 20]);
-        assert_eq!(extended.globals(), &[5, 10, 20, 25, 30]);
-        // Old locals 0,1,2 (for 10,20,30) map to 1,2,4 — strictly increasing.
-        assert_eq!(remap, vec![1, 2, 4]);
-        assert!(remap.windows(2).all(|w| w[0] < w[1]));
-    }
-
-    #[test]
     fn layout_packs_greedily_and_preserves_order() {
         // u32, u32 → one group with lanes at shifts 32 and 0.
-        let layout = RelationLayout::plan(&[ValueType::U32, ValueType::U32], 4);
+        let layout = RelationLayout::plan(&[ValueType::U32, ValueType::U32]);
         assert_eq!(layout.packed_arity(), 1);
         let g = &layout.groups[0];
         assert_eq!(g.lanes[0].shift, 32);
@@ -321,36 +166,33 @@ mod tests {
 
     #[test]
     fn layout_splits_when_full() {
-        // i64 takes the whole word; u32+bool+sym(1) fit the next one.
-        let layout = RelationLayout::plan(
-            &[
-                ValueType::I64,
-                ValueType::U32,
-                ValueType::Bool,
-                ValueType::Symbol,
-            ],
-            1,
-        );
-        assert_eq!(layout.packed_arity(), 2);
+        // i64 takes the whole word; u32+bool fit the next one, and the
+        // symbol, 4 bytes like a u32, does not fit beside them.
+        let layout = RelationLayout::plan(&[
+            ValueType::I64,
+            ValueType::U32,
+            ValueType::Bool,
+            ValueType::Symbol,
+        ]);
+        assert_eq!(layout.packed_arity(), 3);
         assert_eq!(layout.groups[0].lanes.len(), 1);
         assert_eq!(layout.groups[0].lanes[0].bytes, 8);
-        assert_eq!(layout.groups[1].lanes.len(), 3);
-        assert_eq!(layout.groups[1].used_bytes(), 6);
-        assert!(layout.has_symbols());
+        assert_eq!(layout.groups[1].lanes.len(), 2);
+        assert_eq!(layout.groups[1].used_bytes(), 5);
+        assert_eq!(layout.groups[2].lanes[0].bytes, 4);
         assert!(!layout.is_identity());
     }
 
     #[test]
     fn full_width_layout_is_identity() {
-        let layout = RelationLayout::plan(&[ValueType::F64, ValueType::I64], 4);
+        let layout = RelationLayout::plan(&[ValueType::F64, ValueType::I64]);
         assert_eq!(layout.packed_arity(), 2);
         assert!(layout.is_identity());
-        assert!(!layout.has_symbols());
     }
 
     #[test]
     fn empty_schema_packs_to_nothing() {
-        let layout = RelationLayout::plan(&[], 4);
+        let layout = RelationLayout::plan(&[]);
         assert_eq!(layout.packed_arity(), 0);
         assert!(layout.is_identity());
     }

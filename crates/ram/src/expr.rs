@@ -128,9 +128,9 @@ impl ScalarExpr {
     fn emit(&self, ops: &mut Vec<ByteOp>) {
         match self {
             ScalarExpr::Col(i) => ops.push(ByteOp::PushCol(*i)),
-            // Symbol constants keep their identity in the bytecode so a
-            // dictionary-encoding executor can rewrite them to local ids at
-            // run time; they evaluate to the same word as `PushConst` would.
+            // Symbol constants keep their identity in the bytecode, so
+            // `RamProgram::symbol_constants` can list them; they evaluate to
+            // the same word as `PushConst` would.
             ScalarExpr::Const(Value::Symbol(id)) => ops.push(ByteOp::PushSymConst(*id)),
             ScalarExpr::Const(v) => ops.push(ByteOp::PushConst(v.encode())),
             ScalarExpr::Binary { op, ty, lhs, rhs } => {
@@ -153,7 +153,7 @@ impl ScalarExpr {
         }
     }
 
-    /// Collects the global ids of every `Value::Symbol` constant in the
+    /// Collects the interner ids of every `Value::Symbol` constant in the
     /// expression tree.
     pub fn symbol_consts(&self, out: &mut Vec<u32>) {
         match self {
@@ -188,10 +188,9 @@ pub enum ByteOp {
     PushCol(usize),
     /// Push an encoded constant.
     PushConst(u64),
-    /// Push a symbol constant by its global interner id. Identical to
-    /// `PushConst(id as u64)` under full-width execution; kept distinct so
-    /// dictionary-encoded execution can rewrite the id to the database's
-    /// local rank ([`RowProjection::map_symbol_consts`]).
+    /// Push a symbol constant by its interner id. Evaluates like
+    /// `PushConst(id as u64)`; kept distinct so the program's symbol
+    /// constants can be listed ([`ExprProgram::symbol_consts`]).
     PushSymConst(u32),
     /// Pop two operands, apply a typed binary operator, push the result.
     Binary(BinaryOp, ValueType),
@@ -253,31 +252,7 @@ impl ExprProgram {
         self.eval(row) != 0
     }
 
-    /// A copy of the program with every symbol constant replaced by
-    /// `f(global id)` — the hook dictionary-encoded execution uses to turn
-    /// global interner ids into per-database local ranks. Programs without
-    /// symbol constants are returned unchanged (cheap clone of the op list).
-    pub fn map_symbol_consts(&self, f: &dyn Fn(u32) -> u64) -> ExprProgram {
-        ExprProgram {
-            ops: self
-                .ops
-                .iter()
-                .map(|op| match op {
-                    ByteOp::PushSymConst(id) => ByteOp::PushConst(f(*id)),
-                    other => *other,
-                })
-                .collect(),
-        }
-    }
-
-    /// `true` when the program contains a symbol constant.
-    pub fn has_symbol_consts(&self) -> bool {
-        self.ops
-            .iter()
-            .any(|op| matches!(op, ByteOp::PushSymConst(_)))
-    }
-
-    /// The global ids of every symbol constant in the program.
+    /// The interner ids of every symbol constant in the program.
     pub fn symbol_consts(&self, out: &mut Vec<u32>) {
         for op in &self.ops {
             if let ByteOp::PushSymConst(id) = op {
@@ -440,37 +415,13 @@ impl RowProjection {
         self.permutation.is_some()
     }
 
-    /// `true` when any output expression or the filter contains a symbol
-    /// constant.
-    pub fn has_symbol_consts(&self) -> bool {
-        self.programs.iter().any(ExprProgram::has_symbol_consts)
-            || self
-                .filter
-                .as_ref()
-                .is_some_and(ExprProgram::has_symbol_consts)
-    }
-
-    /// Collects the global ids of every symbol constant in the projection.
+    /// Collects the interner ids of every symbol constant in the projection.
     pub fn symbol_consts(&self, out: &mut Vec<u32>) {
         for program in &self.programs {
             program.symbol_consts(out);
         }
         if let Some(filter) = &self.filter {
             filter.symbol_consts(out);
-        }
-    }
-
-    /// A copy of the projection with every symbol constant rewritten through
-    /// `f` (see [`ExprProgram::map_symbol_consts`]).
-    pub fn map_symbol_consts(&self, f: &dyn Fn(u32) -> u64) -> RowProjection {
-        RowProjection {
-            programs: self
-                .programs
-                .iter()
-                .map(|p| p.map_symbol_consts(f))
-                .collect(),
-            permutation: self.permutation.clone(),
-            filter: self.filter.as_ref().map(|p| p.map_symbol_consts(f)),
         }
     }
 }
@@ -575,7 +526,7 @@ mod tests {
     }
 
     #[test]
-    fn symbol_consts_are_typed_and_rewritable() {
+    fn symbol_consts_are_listed_and_evaluate_to_their_id() {
         let e = ScalarExpr::binary(
             BinaryOp::Eq,
             ValueType::Symbol,
@@ -583,27 +534,19 @@ mod tests {
             ScalarExpr::Const(Value::Symbol(40)),
         );
         let program = e.compile();
-        assert!(program.has_symbol_consts());
         let mut ids = Vec::new();
         program.symbol_consts(&mut ids);
         assert_eq!(ids, vec![40]);
-        // Untouched, the constant evaluates to its global id.
+        // The constant evaluates to its interner id.
         assert_eq!(program.eval(&[40]), 1);
         assert_eq!(program.eval(&[41]), 0);
-        // Rewritten, it evaluates to whatever the dictionary says.
-        let local = program.map_symbol_consts(&|id| u64::from(id) - 37);
-        assert!(!local.has_symbol_consts());
-        assert_eq!(local.eval(&[3]), 1);
-        assert_eq!(local.eval(&[40]), 0);
 
         let proj = RowProjection::new(vec![ScalarExpr::Col(0)], Some(e));
-        assert!(proj.has_symbol_consts());
         let mut ids = Vec::new();
         proj.symbol_consts(&mut ids);
         assert_eq!(ids, vec![40]);
-        let mapped = proj.map_symbol_consts(&|_| 7);
-        assert_eq!(mapped.eval(&[7]), Some(vec![7]));
-        assert_eq!(mapped.eval(&[40]), None);
+        assert_eq!(proj.eval(&[40]), Some(vec![40]));
+        assert_eq!(proj.eval(&[7]), None);
     }
 
     #[test]

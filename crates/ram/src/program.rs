@@ -275,11 +275,9 @@ impl RamProgram {
         self.schemas.get(name)
     }
 
-    /// The global interner ids of every symbol constant appearing in any
-    /// rule expression, sorted and deduplicated. A dictionary-encoding
-    /// runtime seeds its per-database dictionary with these so constant
-    /// rewriting always finds a local rank, even for symbols no fact
-    /// mentions.
+    /// The interner ids of every symbol constant appearing in any rule
+    /// expression, sorted and deduplicated. Introspection only: storage
+    /// keeps a symbol as its interner id, so no runtime needs the list.
     pub fn symbol_constants(&self) -> Vec<u32> {
         let mut ids = Vec::new();
         for stratum in &self.strata {

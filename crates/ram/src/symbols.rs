@@ -37,9 +37,8 @@ impl SymbolTable {
     /// sessions, incremental delta sessions, and TCP connections all agree
     /// on symbol ids without re-interning, and cached outputs stay stable
     /// across session recycling. Ids are dense and append-only for the
-    /// lifetime of the process; per-database *dictionaries* (see
-    /// [`crate::SymbolDict`]) re-densify the subset a given run actually
-    /// touches.
+    /// lifetime of the process, and a database stores a symbol as its id,
+    /// in a 4-byte lane like a `u32`.
     pub fn global() -> SymbolTable {
         static GLOBAL: OnceLock<SymbolTable> = OnceLock::new();
         GLOBAL.get_or_init(SymbolTable::new).clone()

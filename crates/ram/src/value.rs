@@ -18,11 +18,10 @@ pub enum ValueType {
 }
 
 impl ValueType {
-    /// The physical width in bytes a column of this type needs on the
-    /// device, before dictionary encoding: booleans fit a byte, `u32`s four,
-    /// and the 64-bit types the full word. `Symbol` reports its *ceiling*
-    /// width — a per-database dictionary can narrow symbol columns further
-    /// (see [`crate::SymbolDict::width_bytes`]).
+    /// The physical width in bytes a column of this type takes on the
+    /// device: booleans a byte, `u32`s four, symbols four (a symbol is
+    /// stored as its [`crate::SymbolTable`] id), and the 64-bit types the
+    /// full word.
     pub fn physical_width(self) -> usize {
         match self {
             ValueType::Bool => 1,
