@@ -2,15 +2,16 @@
 //!
 //! # Narrow, packed storage
 //!
-//! A database built from a [`StoragePlan`] stores every relation in
-//! *packed* form: a [`RelationLayout`] fuses adjacent narrow columns (bools,
-//! `u32`s, symbols — each symbol as its interner id in a 4-byte lane) into
-//! shared `u64` group words, and every [`SortedTable`] holds the group
-//! columns instead of one full-width column per logical column. Packing is
-//! order-preserving, so packed tables sort, merge, difference, and
-//! deduplicate into exactly the same row order as their full-width
-//! equivalents — the kernels never know the difference, they just see fewer
-//! columns with fewer significant bytes.
+//! Every database is built from a [`StoragePlan`] and stores every relation
+//! in *packed* form: a [`RelationLayout`] fuses adjacent narrow columns
+//! (bools, `u32`s, symbols — each symbol as its interner id in a 4-byte
+//! lane) into shared `u64` group words, and every [`SortedTable`] holds the
+//! group columns instead of one word per logical column. Packing is
+//! order-preserving — the first column takes the most-significant lane — so
+//! a packed table's rows ascend in logical lexicographic order, and the
+//! kernels sort, merge, difference and deduplicate group words without
+//! knowing the layout. A layout of 8-byte columns only is the identity:
+//! its tables skip the pack and unpack kernels.
 //!
 //! A relation's layout depends on its column types alone, so the plan fixes
 //! it once for the program. Facts enter ([`Database::insert`]) and leave
@@ -134,6 +135,7 @@ impl<P: Provenance> SortedTable<P> {
         if arity == 0 {
             // A nullary relation holds at most one fact; fold all tags.
             let mut iter = tags.into_iter();
+            // cannot fail: `tags` is not empty, checked above.
             let first = iter.next().expect("non-empty tags");
             let folded = iter.fold(first, |acc, t| prov.add(&acc, &t));
             return SortedTable {
@@ -290,8 +292,7 @@ pub struct EncodingSpec {
 }
 
 /// How a database stores its relations, decided from the program's schemas
-/// alone: the relation schemas and, for packed storage, every relation's
-/// layout and pack lanes.
+/// alone: the relation schemas and every relation's layout and pack lanes.
 ///
 /// A plan is built once per program and shared: every database a run
 /// starts from it ([`Database::from_plan`]) shares its schemas and codec
@@ -300,7 +301,7 @@ pub struct EncodingSpec {
 #[derive(Debug, Clone)]
 pub struct StoragePlan {
     schemas: Arc<BTreeMap<String, RelationSchema>>,
-    codec: Option<Arc<Codec>>,
+    codec: Arc<Codec>,
 }
 
 impl StoragePlan {
@@ -312,36 +313,27 @@ impl StoragePlan {
     /// rejects arithmetic over symbols, so no column ever holds a word its
     /// lane cannot.
     pub fn for_program(ram: &RamProgram) -> StoragePlan {
-        StoragePlan::encoded(ram.schemas.clone())
+        StoragePlan::new(ram.schemas.clone())
     }
 
-    /// Full-width storage: every logical column one `u64` column — the
-    /// reference the differential suites compare packed storage against.
-    pub fn full_width(schemas: BTreeMap<String, RelationSchema>) -> StoragePlan {
-        StoragePlan {
-            schemas: Arc::new(schemas),
-            codec: None,
-        }
-    }
-
-    /// Packed group columns.
-    fn encoded(schemas: BTreeMap<String, RelationSchema>) -> Self {
+    /// The storage of relations with these schemas.
+    fn new(schemas: BTreeMap<String, RelationSchema>) -> Self {
         let codec = Codec::new(&schemas);
         StoragePlan {
             schemas: Arc::new(schemas),
-            codec: Some(Arc::new(codec)),
+            codec: Arc::new(codec),
         }
     }
 
-    /// The layout `relation` is stored in, or `None` at full width (or for
-    /// an unknown relation).
+    /// The layout `relation` is stored in, or `None` for an unknown
+    /// relation.
     pub fn layout(&self, relation: &str) -> Option<&RelationLayout> {
-        self.codec.as_deref()?.layouts.get(relation)
+        self.codec.layouts.get(relation)
     }
 }
 
-/// The layouts of an encoded database: one per relation and per secondary
-/// order, each with its precomputed pack lanes.
+/// The layouts of a database: one per relation and per secondary order,
+/// each with its precomputed pack lanes.
 #[derive(Debug, Clone)]
 pub(crate) struct Codec {
     layouts: BTreeMap<String, RelationLayout>,
@@ -515,12 +507,11 @@ impl<P: Provenance> RelationData<P> {
         }
         let mut written = 0;
         let mut top = run;
-        while self
-            .runs
-            .last()
-            .is_some_and(|older| older.len() <= 2 * top.len())
-        {
-            let older = self.runs.pop().expect("checked non-empty");
+        while let Some(older) = self.runs.pop() {
+            if older.len() > 2 * top.len() {
+                self.runs.push(older);
+                break;
+            }
             top = Self::merge_runs(device, older, top, &mut written);
         }
         if !keep_stable && self.runs.is_empty() && self.stable.len() <= 2 * top.len() {
@@ -622,46 +613,43 @@ pub(crate) enum Stable<'a, P: Provenance> {
 /// The tagged, columnar database: every relation's facts plus the semi-naive
 /// partitions used during fix-point execution.
 ///
-/// A database is either *full-width* ([`Database::new`]; every logical
-/// column is one `u64` column) or *encoded* ([`Database::from_plan`] with
-/// [`StoragePlan::for_program`]; relations hold packed group columns). The
-/// two are observationally identical: [`Database::rows`] returns the same
-/// tuples in the same order either way.
+/// Relations hold packed group columns in the layouts of the
+/// [`StoragePlan`] the database was built from; facts go in and come out
+/// one word per logical column (see the module docs).
 #[derive(Debug, Clone)]
 pub struct Database<P: Provenance> {
     schemas: Arc<BTreeMap<String, RelationSchema>>,
     relations: BTreeMap<String, RelationData<P>>,
     pending: BTreeMap<String, (Columns, Vec<P::Tag>)>,
     provenance: P,
-    codec: Option<Arc<Codec>>,
+    codec: Arc<Codec>,
 }
 
 impl<P: Provenance> Database<P> {
-    /// Creates an empty full-width database for the given schemas.
+    /// Creates an empty database for the given schemas, stored in the
+    /// layouts their column types plan — as [`Database::from_plan`] with
+    /// the plan of a program with these schemas.
     pub fn new(schemas: BTreeMap<String, RelationSchema>, provenance: P) -> Self {
-        Self::from_plan(&StoragePlan::full_width(schemas), provenance)
+        Self::from_plan(&StoragePlan::new(schemas), provenance)
     }
 
-    /// Creates an empty *encoded* database: relations are stored as packed
-    /// group columns. Facts still go in and come out one word per column;
-    /// see the module docs. `spec` is ignored ([`EncodingSpec`]).
+    /// [`Database::new`]; `spec` is ignored ([`EncodingSpec`]).
     pub fn new_encoded(
         schemas: BTreeMap<String, RelationSchema>,
         provenance: P,
         _spec: &EncodingSpec,
     ) -> Self {
-        Self::from_plan(&StoragePlan::encoded(schemas), provenance)
+        Self::new(schemas, provenance)
     }
 
     /// Creates an empty database stored as `plan` says, sharing the plan's
     /// schemas and codec.
     pub fn from_plan(plan: &StoragePlan, provenance: P) -> Self {
-        let codec = plan.codec.as_deref();
         let relations = plan
             .schemas
-            .iter()
-            .map(|(name, schema)| {
-                let arity = codec.map_or(schema.arity(), |c| c.layout(name).packed_arity());
+            .keys()
+            .map(|name| {
+                let arity = plan.codec.layout(name).packed_arity();
                 (name.clone(), RelationData::new(arity))
             })
             .collect();
@@ -679,30 +667,14 @@ impl<P: Provenance> Database<P> {
         }
     }
 
-    /// The active codec, if this database is encoded.
-    pub(crate) fn codec(&self) -> Option<&Codec> {
-        self.codec.as_deref()
-    }
-
-    /// `true` when relations are stored in packed form.
-    pub fn is_encoded(&self) -> bool {
-        self.codec.is_some()
-    }
-
-    /// The number of physical (stored) columns of a relation: the packed
-    /// group count when encoded, the logical arity otherwise.
-    #[cfg(test)]
-    pub(crate) fn storage_arity(&self, relation: &str) -> usize {
-        match self.codec.as_deref() {
-            Some(codec) => codec.layout(relation).packed_arity(),
-            None => self.schemas[relation].arity(),
-        }
+    /// The database's layouts.
+    pub(crate) fn codec(&self) -> &Codec {
+        &self.codec
     }
 
     /// Builds a sorted table in this database's storage encoding from
     /// logical columns, less the rows the relation's `stable` partition
-    /// already holds when `minus_stable` is set. On a full-width database
-    /// with `minus_stable` unset this is plain [`SortedTable::from_unsorted`].
+    /// already holds when `minus_stable` is set.
     pub(crate) fn encoded_from_unsorted(
         &self,
         device: &Device,
@@ -723,13 +695,9 @@ impl<P: Provenance> Database<P> {
     /// relations here, beside the materialized ones, and removes them with
     /// [`Database::remove_relation`].
     pub(crate) fn add_relation(&mut self, name: &str, arg_types: Vec<ValueType>) {
-        let arity = match self.codec.as_mut().map(Arc::make_mut) {
-            Some(codec) => {
-                codec.plan(name, &arg_types);
-                codec.layout(name).packed_arity()
-            }
-            None => arg_types.len(),
-        };
+        let codec = Arc::make_mut(&mut self.codec);
+        codec.plan(name, &arg_types);
+        let arity = codec.layout(name).packed_arity();
         self.relations
             .insert(name.to_string(), RelationData::new(arity));
         Arc::make_mut(&mut self.schemas)
@@ -740,10 +708,9 @@ impl<P: Provenance> Database<P> {
     /// tables.
     pub(crate) fn remove_relation(&mut self, device: &Device, name: &str) {
         Arc::make_mut(&mut self.schemas).remove(name);
-        if let Some(codec) = self.codec.as_mut().map(Arc::make_mut) {
-            codec.layouts.remove(name);
-            codec.lanes.remove(name);
-        }
+        let codec = Arc::make_mut(&mut self.codec);
+        codec.layouts.remove(name);
+        codec.lanes.remove(name);
         if let Some(data) = self.relations.remove(name) {
             data.stable.recycle(device);
             data.recent.recycle(device);
@@ -762,9 +729,7 @@ impl<P: Provenance> Database<P> {
             columns.extend((0..schema.arity()).filter(|c| !key.contains(c)));
             let types = columns.iter().map(|&c| schema.arg_types[c]).collect();
             let schema = RelationSchema::new(format!("{relation}{ORDER}{key:?}"), types);
-            if let Some(codec) = self.codec.as_mut().map(Arc::make_mut) {
-                codec.plan(&schema.name, &schema.arg_types);
-            }
+            Arc::make_mut(&mut self.codec).plan(&schema.name, &schema.arg_types);
             let mut order = Order {
                 key: key.clone(),
                 columns,
@@ -806,6 +771,7 @@ impl<P: Provenance> Database<P> {
         let permuted = order
             .columns
             .iter()
+            // cannot fail: `order.columns` is a permutation of the columns.
             .map(|&c| logical[c].take().expect("each column once"))
             .collect();
         let columns = self.packed(device, &order.schema.name, permuted);
@@ -825,7 +791,7 @@ impl<P: Provenance> Database<P> {
             .iter()
             .map(|order| self.reordered(device, relation, order, rows))
             .collect();
-        let data = self.relations.get_mut(relation).expect("relation exists");
+        let data = self.relation_data_mut(relation);
         for (order, rows) in data.orders.iter_mut().zip(laid_out) {
             let table = &mut order.table;
             match change {
@@ -864,31 +830,16 @@ impl<P: Provenance> Database<P> {
     /// How to read the first `width` logical columns of rows stored in
     /// layout `name` (a relation's, or an order's) in place.
     pub(crate) fn key_lanes(&self, name: &str, width: usize) -> Vec<KeyLane> {
-        match self.codec.as_ref() {
-            Some(codec) => codec.key_lanes(name, width),
-            None => (0..width)
-                .map(|column| KeyLane {
-                    column,
-                    shift: 0,
-                    mask: u64::MAX,
-                })
-                .collect(),
-        }
+        self.codec.key_lanes(name, width)
     }
 
     /// Columns stored in layout `name` as logical columns, one word per
     /// column as registers hold them: fresh arena columns.
     pub(crate) fn unpacked(&self, device: &Device, name: &str, stored: &[Column]) -> Columns {
         let refs: Vec<&[u64]> = stored.iter().map(|c| c.as_slice()).collect();
-        match self.codec.as_ref().and_then(|codec| codec.lanes(name)) {
+        match self.codec.lanes(name) {
             Some(lanes) => {
-                let arity = self
-                    .codec
-                    .as_ref()
-                    .expect("codec present")
-                    .layout(name)
-                    .arity;
-                kernels::unpack_columns(device, &refs, lanes, arity)
+                kernels::unpack_columns(device, &refs, lanes, self.codec.layout(name).arity)
             }
             None => refs
                 .iter()
@@ -897,10 +848,10 @@ impl<P: Provenance> Database<P> {
         }
     }
 
-    /// Logical columns packed into layout `name`, consuming them. A
-    /// full-width database or an identity layout keeps them as they are.
+    /// Logical columns packed into layout `name`, consuming them. An
+    /// identity layout keeps them as they are.
     fn packed(&self, device: &Device, name: &str, logical: Columns) -> Columns {
-        let Some(lanes) = self.codec.as_ref().and_then(|codec| codec.lanes(name)) else {
+        let Some(lanes) = self.codec.lanes(name) else {
             return logical;
         };
         let refs: Vec<&[u64]> = logical.iter().map(|c| c.as_slice()).collect();
@@ -955,22 +906,20 @@ impl<P: Provenance> Database<P> {
     }
 
     /// Folds all pending inserts into the stable partitions. Pending facts
-    /// arrive one word per column; on an encoded database they are packed
-    /// here.
+    /// arrive one word per column and are packed here.
     pub fn seal(&mut self, device: &Device) {
-        let names: Vec<String> = self.pending.keys().cloned().collect();
-        for name in names {
-            let arity = self.schemas[&name].arity();
-            let (columns, tags) = self.pending.get_mut(&name).expect("relation exists");
+        let mut pending = std::mem::take(&mut self.pending);
+        for (name, (columns, tags)) in &mut pending {
             if tags.is_empty() {
                 continue;
             }
-            let columns = std::mem::replace(columns, vec![Vec::new(); arity]);
+            let columns = std::mem::replace(columns, vec![Vec::new(); columns.len()]);
             let tags = std::mem::take(tags);
-            let new_rows = self.encoded_from_unsorted(device, &name, columns, tags, true);
-            let data = self.relations.get_mut(&name).expect("relation exists");
+            let new_rows = self.encoded_from_unsorted(device, name, columns, tags, true);
+            let data = self.relation_data_mut(name);
             data.stable = SortedTable::merge_disjoint_owned(device, data.stable.take(), new_rows);
         }
+        self.pending = pending;
     }
 
     /// Number of facts currently stored for a relation.
@@ -992,8 +941,7 @@ impl<P: Provenance> Database<P> {
     }
 
     /// The decoded rows (with tags) of a relation, combining stable and
-    /// recent partitions. Encoded databases unpack here, so callers see
-    /// identical tuples either way.
+    /// recent partitions, unpacked into one value per logical column.
     pub fn rows(&self, relation: &str) -> Vec<(Tuple, P::Tag)> {
         self.decode_rows(relation, Clone::clone)
     }
@@ -1032,12 +980,12 @@ impl<P: Provenance> Database<P> {
         rows
     }
 
-    /// The one decode walk: every row of `table` goes from stored words to
-    /// a full-width tuple — group words unpacked where the relation is
-    /// stored packed — paired with `output` of its tag. One scratch row serves the whole table; the only
-    /// allocation per row is its tuple. Scalar and host-side (no [`Device`]
-    /// at hand), which is a choice, not a sign that decode is cold: it is a
-    /// fifth of a `tc_chain` or `tc_dense` request.
+    /// The one decode walk: every row of `table` goes from stored group
+    /// words to a tuple, lane by lane (an identity layout's lanes are whole
+    /// words), paired with `output` of its tag. One scratch row serves the
+    /// whole table; the only allocation per row is its tuple. Scalar and
+    /// host-side (no [`Device`] at hand), which is a choice, not a sign that
+    /// decode is cold: it is a fifth of a `tc_chain` or `tc_dense` request.
     fn decode_into<T>(
         &self,
         relation: &str,
@@ -1049,25 +997,12 @@ impl<P: Provenance> Database<P> {
             return;
         }
         let schema = &self.schemas[relation];
-        let packed = self
-            .codec
-            .as_ref()
-            .map(|codec| codec.layout(relation))
-            .filter(|layout| !layout.is_identity());
+        let layout = self.codec.layout(relation);
         let mut words = vec![0u64; schema.arity()];
         for (row, tag) in table.tags.iter().enumerate() {
-            match packed {
-                Some(layout) => {
-                    for (group, column) in layout.groups.iter().zip(&table.columns) {
-                        for (l, lane) in group.lanes.iter().enumerate() {
-                            words[lane.column] = group.unpack(column[row], l);
-                        }
-                    }
-                }
-                None => {
-                    for (word, column) in words.iter_mut().zip(&table.columns) {
-                        *word = column[row];
-                    }
+            for (group, column) in layout.groups.iter().zip(&table.columns) {
+                for (l, lane) in group.lanes.iter().enumerate() {
+                    words[lane.column] = group.unpack(column[row], l);
                 }
             }
             let tuple: Tuple = words
@@ -1086,6 +1021,8 @@ impl<P: Provenance> Database<P> {
 
     /// Internal mutable access for the executor.
     pub(crate) fn relation_data_mut(&mut self, relation: &str) -> &mut RelationData<P> {
+        // The executor refuses a stratum naming another (`UnknownRelation`).
+        // cannot fail: every caller names a relation of this database.
         self.relations.get_mut(relation).expect("relation exists")
     }
 }
@@ -1423,78 +1360,37 @@ mod tests {
     }
 
     #[test]
-    fn encoded_database_matches_full_width_rows() {
-        let device = Device::sequential();
-        let spec = EncodingSpec::default();
-        let mut wide = Database::new(sym_schemas(), Unit::new());
-        let mut packed = Database::new_encoded(sym_schemas(), Unit::new(), &spec);
-        assert!(packed.is_encoded());
-        assert!(!wide.is_encoded());
-        // Ids deliberately large and sparse: a symbol lane holds any
-        // interner id.
-        let facts = [
-            (1_000_000u32, 5u32),
-            (5, 1_000_000),
-            (900, 900),
-            (5, 5),
-            (1_000_000, 900),
-        ];
-        for db in [&mut wide, &mut packed] {
-            for (a, b) in facts {
-                db.insert("likes", &[Value::Symbol(a), Value::Symbol(b)], ());
-            }
-            db.insert("edge", &[Value::U32(7), Value::U32(8)], ());
-            db.seal(&device);
-        }
-        // Bit-identical extraction: same tuples in the same order.
-        assert_eq!(wide.rows("likes"), packed.rows("likes"));
-        assert_eq!(wide.rows("edge"), packed.rows("edge"));
-        // Two symbol columns (4 bytes each) pack into one physical column;
-        // two u32 columns share one word.
-        assert_eq!(packed.storage_arity("likes"), 1);
-        assert_eq!(packed.storage_arity("edge"), 1);
-        assert_eq!(wide.storage_arity("likes"), 2);
-        assert!(packed.size_bytes() < wide.size_bytes());
-    }
-
-    #[test]
     fn one_decode_walk_serves_rows_outputs_and_deltas() {
         let device = Device::sequential();
         let prov = AddMultProb::new();
-        let spec = EncodingSpec::default();
-        for mut db in [
-            Database::new(sym_schemas(), prov),
-            Database::new_encoded(sym_schemas(), prov, &spec),
-        ] {
-            for (i, (a, b)) in [(70u32, 3u32), (3, 70), (9, 9), (70, 70)]
-                .iter()
-                .enumerate()
-            {
-                let tag = 0.1 * (i + 1) as f64;
-                db.insert("likes", &[Value::Symbol(*a), Value::Symbol(*b)], tag);
-            }
-            db.seal(&device);
-            let rows = db.rows("likes");
-            assert_eq!(rows.len(), 4);
-            // The tag goes through the closure on the way out…
-            let doubled = db.decode_rows("likes", |tag| 2.0 * tag);
-            assert!(rows
-                .iter()
-                .zip(&doubled)
-                .all(|((t, tag), (d, twice))| t == d && 2.0 * tag == *twice));
-            // …a table handed in decodes like the stored one…
-            let stored = db.relation_data("likes").stable.clone();
-            assert_eq!(db.decode_table("likes", &stored, |tag| *tag), rows);
-            // …and an unknown relation has no rows.
-            assert!(db.decode_rows("ghost", |tag| *tag).is_empty());
+        let mut db = Database::new(sym_schemas(), prov);
+        for (i, (a, b)) in [(70u32, 3u32), (3, 70), (9, 9), (70, 70)]
+            .iter()
+            .enumerate()
+        {
+            let tag = 0.1 * (i + 1) as f64;
+            db.insert("likes", &[Value::Symbol(*a), Value::Symbol(*b)], tag);
         }
+        db.seal(&device);
+        let rows = db.rows("likes");
+        assert_eq!(rows.len(), 4);
+        // The tag goes through the closure on the way out…
+        let doubled = db.decode_rows("likes", |tag| 2.0 * tag);
+        assert!(rows
+            .iter()
+            .zip(&doubled)
+            .all(|((t, tag), (d, twice))| t == d && 2.0 * tag == *twice));
+        // …a table handed in decodes like the stored one…
+        let stored = db.relation_data("likes").stable.clone();
+        assert_eq!(db.decode_table("likes", &stored, |tag| *tag), rows);
+        // …and an unknown relation has no rows.
+        assert!(db.decode_rows("ghost", |tag| *tag).is_empty());
     }
 
     #[test]
     fn later_seals_place_new_symbols_in_row_order() {
         let device = Device::sequential();
-        let spec = EncodingSpec::default();
-        let mut db = Database::new_encoded(sym_schemas(), Unit::new(), &spec);
+        let mut db = Database::new(sym_schemas(), Unit::new());
         db.insert("likes", &[Value::Symbol(50), Value::Symbol(10)], ());
         db.seal(&device);
         // Second seal brings symbols below and above the existing ids: they
@@ -1538,7 +1434,7 @@ mod tests {
         }
         db.seal(&device);
         let layout = plan.layout("t").unwrap();
-        assert_eq!(db.codec().unwrap().layout("t"), layout);
+        assert_eq!(db.codec().layout("t"), layout);
         assert_eq!(layout.groups[0].lanes[0].bytes, 4);
         let stored: Vec<u64> = db.relation_data("t").stable.columns[0]
             .iter()

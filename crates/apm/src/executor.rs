@@ -137,6 +137,12 @@ pub enum ExecError {
         /// The configured cap.
         limit: usize,
     },
+    /// A stratum names a relation the database does not hold: it was
+    /// compiled for another program.
+    UnknownRelation {
+        /// The relation.
+        relation: String,
+    },
 }
 
 impl fmt::Display for ExecError {
@@ -146,6 +152,9 @@ impl fmt::Display for ExecError {
             ExecError::Timeout { elapsed } => write!(f, "timed out after {elapsed:?}"),
             ExecError::IterationLimit { limit } => {
                 write!(f, "exceeded the iteration limit of {limit}")
+            }
+            ExecError::UnknownRelation { relation } => {
+                write!(f, "the database holds no relation `{relation}`")
             }
         }
     }
@@ -316,6 +325,27 @@ impl<P: Provenance> Executor<P> {
         run_start: Instant,
         preamble: bool,
     ) -> Result<ExecutionStats, ExecError> {
+        // A stratum compiled for another program may name a relation this
+        // database does not hold: refused before anything runs.
+        let read = compiled
+            .program
+            .instructions
+            .iter()
+            .filter_map(|instr| match instr {
+                Instr::Load { relation, .. }
+                | Instr::Lookup { relation, .. }
+                | Instr::Store { relation, .. } => Some(relation),
+                _ => None,
+            });
+        if let Some(relation) = compiled
+            .relations
+            .iter()
+            .chain(read)
+            .find(|relation| db.schema(relation).is_none())
+        {
+            let relation = relation.clone();
+            return Err(ExecError::UnknownRelation { relation });
+        }
         let mut run = StratumRun {
             seeded: !preamble,
             static_file: HashMap::new(),
@@ -411,12 +441,12 @@ impl<P: Provenance> Executor<P> {
     ) -> Result<(), ExecError> {
         let seeded = run.seeded;
         // Pack lanes of the stratum's own relations (`None` = identity
-        // layout or full-width database), copied out once so the loop can
-        // hold them beside `&mut db`.
+        // layout), copied out once so the loop can hold them beside
+        // `&mut db`.
         let stratum_lanes: Vec<Option<Vec<Vec<PackLane>>>> = compiled
             .relations
             .iter()
-            .map(|rel| db.codec().and_then(|c| c.lanes(rel).cloned()))
+            .map(|rel| db.codec().lanes(rel).cloned())
             .collect();
 
         loop {
@@ -488,14 +518,13 @@ impl<P: Provenance> Executor<P> {
     /// unsorted candidate table in storage encoding, consuming the chunks
     /// (dead buffers go back to the arena).
     ///
-    /// When `lanes` is given the relation is stored packed: the logical
-    /// columns of every chunk are fused into group words straight into one
-    /// buffer — concatenation and packing are one pass — so the sort, dedup
-    /// and difference downstream all run over `packed_arity` columns
-    /// instead of the logical arity. A full-width relation keeps its first
-    /// chunk as it is and appends the others to it, so the usual single
-    /// chunk is not copied at all. `storage_arity` is the stored column
-    /// count (`packed_arity` when packed, logical arity otherwise).
+    /// When `lanes` is given the logical columns of every chunk are fused
+    /// into group words straight into one buffer — concatenation and
+    /// packing are one pass — so the sort, dedup and difference downstream
+    /// all run over `packed_arity` columns instead of the logical arity. A
+    /// relation of an identity layout keeps its first chunk as it is and
+    /// appends the others to it, so the usual single chunk is not copied at
+    /// all. `storage_arity` is the relation's `packed_arity`.
     fn collect_staged(
         device: &Device,
         staged: Vec<(Vec<Column>, Vec<P::Tag>)>,
@@ -531,7 +560,7 @@ impl<P: Provenance> Executor<P> {
     }
 
     /// `load⟨ρ⟩`: one partition of `relation` in columnar form, unpacked to
-    /// full-width registers if it is stored packed. `own` says the running
+    /// one register word per logical column. `own` says the running
     /// stratum updates the relation, `seeded` that the run must hand its
     /// `stable` back as it got it.
     fn load(
@@ -564,9 +593,9 @@ impl<P: Provenance> Executor<P> {
             }
         }
         let arena = self.device.arena();
-        // Packed relations are unpacked into wide registers here;
-        // full-width relations and identity layouts copy straight through.
-        let lanes = db.codec().and_then(|c| c.lanes(relation));
+        // Packed relations are unpacked into wide registers here; identity
+        // layouts copy straight through.
+        let lanes = db.codec().lanes(relation);
         let unpack = |packed: &[Column]| -> Vec<Arc<Column>> {
             let lanes = lanes.expect("lanes present");
             let refs: Vec<&[u64]> = packed.iter().map(|c| c.as_slice()).collect();
@@ -633,8 +662,8 @@ impl<P: Provenance> Executor<P> {
     }
 
     /// `load⟨ρ⟩ ⋉ k̄`: the rows of one partition of `relation` whose `key`
-    /// columns equal a row of `probes`, unpacked into full-width registers
-    /// as `load` unpacks them, sorted on the key. The partition is searched
+    /// columns equal a row of `probes`, unpacked into registers as `load`
+    /// unpacks them, sorted on the key. The partition is searched
     /// as it is stored — the matches of `stable` and `recent` are then
     /// merged — or, `in_order`, in the relation's secondary order on the
     /// key, which mirrors `stable` alone. A partition of the stratum's own
@@ -660,7 +689,7 @@ impl<P: Provenance> Executor<P> {
         };
         // Stored words unpacked into registers.
         let unpack = |name: &str, packed: Columns| {
-            if db.codec().and_then(|codec| codec.lanes(name)).is_none() {
+            if db.codec().lanes(name).is_none() {
                 return packed;
             }
             let wide = db.unpacked(device, name, &packed);
@@ -1312,7 +1341,8 @@ mod tests {
         // Every run crosses every size threshold from iteration 0 (the first
         // candidate stages n ≥ 64 rows), so the instruction-level allocation
         // structure is identical; the longer chains just iterate more. One
-        // more run is one more buffer per stored column (two here).
+        // more run is one more buffer per stored column (one here: `path`
+        // packs into one word).
         // A register goes back to the arena at its last read, so it funds
         // the instructions after it in the same iteration (43 when registers
         // were only swept at the end of an iteration).
@@ -1336,19 +1366,18 @@ mod tests {
         // iteration on — once `stable`, a frontier and a candidate all
         // exist — an iteration allocates nothing fresh, except the
         // O(log iterations) ones that add a live run, which pin exactly its
-        // columns: two full-width, one packed word encoded. A register
-        // freed instead of recycled (one released while its instruction
-        // still held a handle on it) would show as a fresh column in every
-        // iteration. Candidate rows go to their frontier in one `sort_unique`
-        // launch, one word per row encoded and two full-width, whose
-        // direct-address table and segment scratch come from the arena. A
+        // one packed column. A register freed instead of recycled (one
+        // released while its instruction still held a handle on it) would
+        // show as a fresh column in every iteration. Candidate rows go to
+        // their frontier in one `sort_unique` launch, one word per row,
+        // whose direct-address table and segment scratch come from the
+        // arena. A
         // cycle's candidate is one row per source, already in order, so a
         // cycle of layers joined layer to next layer by every edge between
         // them is run too: each source's 16 candidate rows hold 4 words 4
         // times over, out of order in the low 2 bits — the dense path.
         fn fresh_by_cap<Q: Provenance>(
             prov: &Q,
-            encoded: bool,
             edges: &[(u32, u32)],
             tag: impl Fn(u32) -> Q::Tag,
         ) -> Vec<u64> {
@@ -1356,13 +1385,7 @@ mod tests {
             (1..=40)
                 .map(|cap| {
                     let device = Device::sequential();
-                    let schemas = compiled.ram.schemas.clone();
-                    let mut db = if encoded {
-                        let spec = crate::EncodingSpec::default();
-                        Database::new_encoded(schemas, prov.clone(), &spec)
-                    } else {
-                        Database::new(schemas, prov.clone())
-                    };
+                    let mut db = Database::new(compiled.ram.schemas.clone(), prov.clone());
                     for (i, (from, to)) in (0..).zip(edges) {
                         db.insert("edge", &[Value::U32(*from), Value::U32(*to)], tag(i));
                     }
@@ -1387,19 +1410,16 @@ mod tests {
             })
             .collect();
         let minmax_tag = |i: u32| 0.2 + f64::from(i % 7) / 10.0;
-        for (encoded, edges) in [(false, &cycle), (true, &cycle), (true, &layered)] {
-            let run_columns = if encoded { 1 } else { 2 };
-            let unit = fresh_by_cap(&Unit::new(), encoded, edges, |_| ());
-            let minmax = fresh_by_cap(&MaxMinProb::new(), encoded, edges, minmax_tag);
+        for edges in [&cycle, &layered] {
+            let unit = fresh_by_cap(&Unit::new(), edges, |_| ());
+            let minmax = fresh_by_cap(&MaxMinProb::new(), edges, minmax_tag);
             for by_cap in [unit, minmax] {
                 let steady: Vec<u64> = by_cap[3..].windows(2).map(|w| w[1] - w[0]).collect();
                 assert!(
-                    steady
-                        .iter()
-                        .all(|&delta| delta == 0 || delta == run_columns),
-                    "fresh columns per steady-state iteration, encoded {encoded}: {steady:?}"
+                    steady.iter().all(|&delta| delta <= 1),
+                    "fresh columns per steady-state iteration: {steady:?}"
                 );
-                let new_runs = steady.iter().filter(|&&delta| delta == run_columns).count();
+                let new_runs = steady.iter().filter(|&&delta| delta == 1).count();
                 assert!(
                     new_runs <= 1 + steady.len().ilog2() as usize,
                     "{new_runs} iterations of {} allocated fresh columns: {steady:?}",
@@ -1547,6 +1567,26 @@ mod tests {
     }
 
     #[test]
+    fn a_stratum_of_another_program_is_refused() {
+        let compiled = parse(LINEAR_TC).unwrap();
+        let other = parse("type edge(x: u32, y: u32)\nrel hop(x, y) = edge(x, y)").unwrap();
+        let device = Device::sequential();
+        let mut db = Database::new(other.ram.schemas.clone(), Unit::new());
+        db.insert("edge", &[Value::U32(0), Value::U32(1)], ());
+        db.seal(&device);
+        let exec = Executor::new(device, Unit::new(), RuntimeOptions::default());
+        let stratum = compile_stratum_with_options(
+            &compiled.ram.strata[0],
+            &compiled.ram,
+            &RuntimeOptions::default(),
+        );
+        let err = exec.run_stratum(&mut db, &stratum).unwrap_err();
+        let relation = "path".to_string();
+        assert_eq!(err, ExecError::UnknownRelation { relation });
+        assert_eq!(db.rows("edge").len(), 1, "nothing ran");
+    }
+
+    #[test]
     fn timeout_is_reported() {
         let compiled = parse(
             "type edge(x: u32, y: u32)
@@ -1566,69 +1606,6 @@ mod tests {
         );
         let err = exec.run_program(&mut db, &compiled.ram).unwrap_err();
         assert!(matches!(err, ExecError::Timeout { .. }));
-    }
-
-    #[test]
-    fn encoded_execution_is_bit_identical_to_full_width() {
-        use crate::database::StoragePlan;
-        use lobster_gpu::DeviceConfig;
-
-        // Symbol-typed TC with a symbol constant in a rule body, so the
-        // encoded run exercises a constant compared against packed symbol
-        // lanes, packed loads/stores, and packed sort/merge/difference.
-        let compiled = parse(
-            r#"type edge(x: symbol, y: symbol)
-             rel path(x, y) = edge(x, y) or (path(x, z) and edge(z, y))
-             rel from_root(y) = path("n000", y)
-             query from_root"#,
-        )
-        .unwrap();
-        let symbols = compiled.symbols.clone();
-        let names: Vec<u32> = (0..60)
-            .map(|i| symbols.intern(&format!("n{i:03}")))
-            .collect();
-        let plan = StoragePlan::for_program(&compiled.ram);
-        for parallelism in [1, 3] {
-            let device = Device::new(DeviceConfig {
-                parallelism,
-                min_parallel_rows: 1,
-                ..DeviceConfig::default()
-            });
-            let prov = AddMultProb::new();
-            let mut wide = Database::new(compiled.ram.schemas.clone(), prov);
-            let mut packed = Database::from_plan(&plan, prov);
-            for db in [&mut wide, &mut packed] {
-                for (i, w) in names.windows(2).enumerate() {
-                    let p = 0.5 + (i as f64) / 200.0;
-                    db.insert(
-                        "edge",
-                        &[Value::Symbol(w[0]), Value::Symbol(w[1])],
-                        prov.input_tag(InputFactId(i as u32), Some(p)),
-                    );
-                }
-                db.seal(&device);
-            }
-            let exec = Executor::new(device, prov, RuntimeOptions::default());
-            exec.run_program(&mut wide, &compiled.ram).unwrap();
-            exec.run_program(&mut packed, &compiled.ram).unwrap();
-            for rel in ["edge", "path", "from_root"] {
-                let w = wide.rows(rel);
-                let p = packed.rows(rel);
-                assert_eq!(w.len(), p.len(), "{rel} row count at par {parallelism}");
-                for ((wt, wtag), (pt, ptag)) in w.iter().zip(&p) {
-                    assert_eq!(wt, pt, "{rel} tuples at par {parallelism}");
-                    assert_eq!(
-                        wtag.to_bits(),
-                        ptag.to_bits(),
-                        "{rel} tags bit-identical at par {parallelism}"
-                    );
-                }
-            }
-            assert!(
-                packed.size_bytes() < wide.size_bytes(),
-                "encoded database should be smaller"
-            );
-        }
     }
 
     #[test]
@@ -1715,72 +1692,6 @@ mod tests {
             .collect();
         swapped.sort_by_key(|(t, _)| (t[0].as_u32(), t[1].as_u32()));
         assert_eq!(db.rows("swapped"), swapped);
-    }
-
-    #[test]
-    fn one_word_candidates_are_bit_identical_to_full_width_ones() {
-        use crate::database::StoragePlan;
-
-        // A dense random digraph under `addmultprob`: a path is derived many
-        // times per iteration and float addition is order-sensitive, so the
-        // tags agree to the bit only if the one-word sort (packed `path`)
-        // and the multi-column permutation sort (full-width `path`) put
-        // duplicate candidates in the same order before `unique` folds them.
-        let compiled = parse(LINEAR_TC).unwrap();
-        let (nodes, degree) = (60u64, 4u64);
-        let mut state = 7u64;
-        let mut next = move || {
-            state = state
-                .wrapping_mul(6_364_136_223_846_793_005)
-                .wrapping_add(1_442_695_040_888_963_407);
-            state >> 33
-        };
-        let edges: Vec<(u32, u32, f64)> = (0..nodes * degree)
-            .map(|i| {
-                let p = 0.01 + (next() % 1000) as f64 / 25_000.0;
-                ((i % nodes) as u32, (next() % nodes) as u32, p)
-            })
-            .collect();
-        let plan = StoragePlan::for_program(&compiled.ram);
-        for parallelism in [1, 4] {
-            let device = Device::new(DeviceConfig {
-                parallelism,
-                min_parallel_rows: 16,
-                ..DeviceConfig::default()
-            });
-            let prov = AddMultProb::new();
-            let mut wide = Database::new(compiled.ram.schemas.clone(), prov);
-            let mut packed = Database::from_plan(&plan, prov);
-            assert_eq!(packed.storage_arity("path"), 1);
-            assert_eq!(wide.storage_arity("path"), 2);
-            let exec = Executor::new(device.clone(), prov, RuntimeOptions::default());
-            let mut stats = Vec::new();
-            for db in [&mut wide, &mut packed] {
-                for (i, &(a, b, p)) in edges.iter().enumerate() {
-                    let tag = prov.input_tag(InputFactId(i as u32), Some(p));
-                    db.insert("edge", &[Value::U32(a), Value::U32(b)], tag);
-                }
-                db.seal(&device);
-                stats.push(exec.run_program(db, &compiled.ram).unwrap());
-            }
-            assert_eq!(stats[0].candidate_rows, stats[1].candidate_rows);
-            assert!(stats[0].candidate_rows > 3 * stats[0].facts_produced);
-            let (w, p) = (wide.rows("path"), packed.rows("path"));
-            assert!(w.len() > 3000, "the closure is dense: {} paths", w.len());
-            assert_eq!(w.len(), p.len());
-            for ((wt, wtag), (pt, ptag)) in w.iter().zip(&p) {
-                assert_eq!(wt, pt, "tuples at parallelism {parallelism}");
-                assert!(
-                    *wtag < 1.0,
-                    "an unsaturated sum keeps its order-sensitivity"
-                );
-                assert_eq!(
-                    wtag.to_bits(),
-                    ptag.to_bits(),
-                    "tag of {wt:?} at parallelism {parallelism}"
-                );
-            }
-        }
     }
 
     #[test]

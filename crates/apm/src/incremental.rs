@@ -1215,8 +1215,7 @@ mod tests {
     /// A database over `facts` at its fix point, keeping the orders the
     /// planner names for `ram`.
     fn materialized_symbols(ram: &RamProgram, device: &Device, facts: &[Fact]) -> Database<Unit> {
-        let spec = crate::EncodingSpec::default();
-        let mut db = Database::new_encoded(ram.schemas.clone(), Unit::new(), &spec);
+        let mut db = Database::new(ram.schemas.clone(), Unit::new());
         for (rel, [x, y]) in facts {
             db.insert(rel, &[Value::Symbol(*x), Value::Symbol(*y)], ());
         }

@@ -11,7 +11,8 @@ use std::collections::BTreeMap;
 pub type FvlogDatabase = BTreeMap<String, Vec<Vec<u64>>>;
 
 /// A discrete-only, GPU (simulated) columnar Datalog engine standing in for
-/// FVLog. It shares Lobster's device and kernels but, like FVLog, has no
+/// FVLog. It shares Lobster's device, kernels and packed storage but, like
+/// FVLog, has no
 /// intermediate representation to optimize over: hash indices are rebuilt on
 /// every fix-point iteration, per-iteration buffers are not reused, and no
 /// provenance is supported.

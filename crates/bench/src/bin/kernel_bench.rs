@@ -403,8 +403,9 @@ fn main() {
     // every program gets: the two 4-byte symbol lanes of every table pack
     // into a single word column. `bytes_per_fixpoint` is the host↔device
     // transfer volume the run records (the sealed input in, the whole
-    // fix-point database out), which is deterministic for a given workload; wall time rides along for context. That full-width storage
-    // would move at least 1.2× the bytes is asserted in tier-1
+    // fix-point database out), which is deterministic for a given
+    // workload; wall time rides along for context. That one word per
+    // column would move at least 1.2× the bytes is asserted in tier-1
     // (`strategy_agreement.rs`), not measured here.
     let sym_source = "type edge(x: symbol, y: symbol)
         rel path(x, y) = edge(x, y) or (path(x, z) and edge(z, y))

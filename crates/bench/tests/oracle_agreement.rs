@@ -1,0 +1,814 @@
+//! Random programs against a deliberately dumb oracle.
+//!
+//! A seeded generator draws small positive Datalog programs: 2–4 input
+//! relations and 1–3 derived ones, each of arity 1–3 over `u32` and
+//! `symbol` columns; rules of 1–4 atoms in shuffled order with shared
+//! variables and constants, `==` / `!=` constraints and `+ 1` between bound
+//! `u32` variables; left-linear, right-linear, non-linear and mutual
+//! recursion. The constant domain has eight values, among them `0` and
+//! `4294967295`, so `+ 1` wraps. Every fact gets a random probability.
+//!
+//! The generator emits both its rule structs and the program's source text.
+//! The engine parses the text; the oracle evaluates the structs bottom-up
+//! by brute force, with `wrapping_add` for `+ 1`. The two share no code,
+//! not even the parser.
+//!
+//! Per draw:
+//! * for every provenance kind, the tuples of `Session::run` equal the
+//!   oracle's;
+//! * under `unit` and `bool` the tags do too (under `bool` a fact of
+//!   probability 0 is absent, so a second run drops some facts that way);
+//! * `Program::run_batch` over three samples and `Session::run_incremental`
+//!   over a random order of inserts and retractions equal `Session::run`
+//!   bit for bit — under `unit`, `bool` and one probabilistic kind, a
+//!   different one from draw to draw.
+//!
+//! A failure prints the draw's seed and program text. Two tests of `DRAWS`
+//! draws each: 150 draws, about 7 s in a debug build on two cores.
+
+use lobster::{FactSet, Lobster, Program, ProvenanceKind, RunResult, Value};
+use lobster_provenance::InputFactId;
+use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Write as _;
+use std::panic::{self, AssertUnwindSafe};
+
+/// Draws per test.
+const DRAWS: u64 = 75;
+
+/// Steps of each draw's insert/retract trace.
+const TRACE_STEPS: usize = 8;
+
+/// The `u32` constants: a `+ 1` chain that wraps from the top to `0`.
+const U32S: [u32; 5] = [0, 1, 2, 4_294_967_294, u32::MAX];
+
+/// The symbol constants; a symbol is its index here.
+const SYMBOLS: [&str; 3] = ["ann", "bob", "cy"];
+
+/// splitmix64 (Steele, Lea & Flood).
+struct SplitMix64(u64);
+
+impl SplitMix64 {
+    fn new(seed: u64) -> Self {
+        let mut rng = SplitMix64(seed);
+        rng.next_u64();
+        rng
+    }
+
+    fn next_u64(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next_u64() % n as u64) as usize
+    }
+
+    /// `true` with probability `num / den`.
+    fn chance(&mut self, num: usize, den: usize) -> bool {
+        self.below(den) < num
+    }
+
+    fn pick<T: Copy>(&mut self, items: &[T]) -> T {
+        items[self.below(items.len())]
+    }
+
+    fn shuffle<T>(&mut self, items: &mut [T]) {
+        for i in (1..items.len()).rev() {
+            items.swap(i, self.below(i + 1));
+        }
+    }
+}
+
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Ty {
+    U32,
+    Symbol,
+}
+
+impl Ty {
+    /// The constants of the type, as the oracle stores them.
+    fn domain(self) -> Vec<u32> {
+        match self {
+            Ty::U32 => U32S.to_vec(),
+            Ty::Symbol => (0..SYMBOLS.len() as u32).collect(),
+        }
+    }
+}
+
+#[derive(Clone, Copy, Debug)]
+enum Term {
+    Var(usize),
+    Const(u32),
+}
+
+struct Atom {
+    relation: usize,
+    args: Vec<Term>,
+}
+
+enum Constraint {
+    Eq(usize, Term),
+    Ne(usize, Term),
+    /// `x == y + 1`, wrapping.
+    Succ(usize, usize),
+}
+
+struct Rule {
+    head: usize,
+    head_args: Vec<Term>,
+    body: Vec<Atom>,
+    constraints: Vec<Constraint>,
+}
+
+struct Fact {
+    relation: usize,
+    tuple: Vec<u32>,
+    prob: f64,
+}
+
+/// One generated program with its facts.
+struct Draw {
+    /// Relation column types; the first `inputs` are input relations.
+    relations: Vec<Vec<Ty>>,
+    inputs: usize,
+    rules: Vec<Rule>,
+    facts: Vec<Fact>,
+    source: String,
+}
+
+/// Tuples per derived relation, by relation index.
+type Model = BTreeMap<usize, BTreeSet<Vec<u32>>>;
+
+fn relation_name(draw: &Draw, relation: usize) -> String {
+    if relation < draw.inputs {
+        format!("e{relation}")
+    } else {
+        format!("p{}", relation - draw.inputs)
+    }
+}
+
+impl Draw {
+    fn new(seed: u64) -> Draw {
+        let mut rng = SplitMix64::new(seed);
+        let inputs = 2 + rng.below(3);
+        let derived = 1 + rng.below(3);
+        // Most columns of one type, so that most columns can join.
+        let (main, other) = if rng.chance(1, 2) {
+            (Ty::U32, Ty::Symbol)
+        } else {
+            (Ty::Symbol, Ty::U32)
+        };
+        let relations: Vec<Vec<Ty>> = (0..inputs + derived)
+            .map(|_| {
+                let arity = rng.pick(&[1, 2, 2, 3]);
+                let ty = |rng: &mut SplitMix64| if rng.chance(3, 4) { main } else { other };
+                (0..arity).map(|_| ty(&mut rng)).collect()
+            })
+            .collect();
+        let mut draw = Draw {
+            relations,
+            inputs,
+            rules: Vec::new(),
+            facts: Vec::new(),
+            source: String::new(),
+        };
+        for head in inputs..inputs + derived {
+            // The first rule reads input relations only, so every derived
+            // relation can start somewhere; the others mix in derived ones.
+            for k in 0..1 + rng.below(3) {
+                let chain = if k > 0 && rng.chance(2, 3) {
+                    draw.chain_rule(&mut rng, head)
+                } else {
+                    None
+                };
+                let rule = chain.unwrap_or_else(|| draw.rule(&mut rng, head, k == 0));
+                draw.rules.push(rule);
+            }
+        }
+        for relation in 0..inputs {
+            let types = draw.relations[relation].clone();
+            for _ in 0..3 + rng.below(8) {
+                let tuple = types.iter().map(|ty| rng.pick(&ty.domain())).collect();
+                let prob = (1 + rng.below(1000)) as f64 / 1000.0;
+                draw.facts.push(Fact {
+                    relation,
+                    tuple,
+                    prob,
+                });
+            }
+        }
+        draw.source = draw.source_text();
+        draw
+    }
+
+    /// A chain `h(x, …, y) = a(x, …, z), b(z, …, y)` in either atom order,
+    /// where one of `a`, `b` is a derived relation — `h` itself (linear
+    /// recursion, left or right), another one (mutual recursion), or both
+    /// (non-linear) — and the other an input or derived relation. `None`
+    /// when no pair of relations has the column types it needs.
+    fn chain_rule(&self, rng: &mut SplitMix64, head: usize) -> Option<Rule> {
+        let types = &self.relations;
+        let (first, last) = (types[head][0], *types[head].last()?);
+        let mut pairs = Vec::new();
+        for a in 0..types.len() {
+            for b in 0..types.len() {
+                let fits = types[a][0] == first
+                    && types[a].last() == types[b].first()
+                    && types[b].last() == Some(&last);
+                if fits && (a >= self.inputs || b >= self.inputs) {
+                    // The head itself three times as often as any other.
+                    let weight = if a == head || b == head { 3 } else { 1 };
+                    pairs.extend(std::iter::repeat((a, b)).take(weight));
+                }
+            }
+        }
+        if pairs.is_empty() {
+            return None;
+        }
+        let (a, b) = rng.pick(&pairs);
+        // `a`'s columns are v0.., its last the bridge; `b` starts with the
+        // bridge and goes on with fresh variables.
+        let a_args: Vec<Term> = (0..types[a].len()).map(Term::Var).collect();
+        let bridge = types[a].len() - 1;
+        let b_args: Vec<Term> = std::iter::once(Term::Var(bridge))
+            .chain((1..types[b].len()).map(|c| Term::Var(bridge + c)))
+            .collect();
+        let y = bridge + types[b].len() - 1;
+        let arity = types[head].len();
+        let head_args = (0..arity)
+            .map(|c| match c {
+                0 => Term::Var(0),
+                c if c == arity - 1 => Term::Var(y),
+                _ => Term::Const(rng.pick(&types[head][c].domain())),
+            })
+            .collect();
+        let mut body = vec![
+            Atom {
+                relation: a,
+                args: a_args,
+            },
+            Atom {
+                relation: b,
+                args: b_args,
+            },
+        ];
+        rng.shuffle(&mut body);
+        Some(Rule {
+            head,
+            head_args,
+            body,
+            constraints: Vec::new(),
+        })
+    }
+
+    fn rule(&self, rng: &mut SplitMix64, head: usize, base: bool) -> Rule {
+        let mut vars: Vec<Ty> = Vec::new();
+        let mut body = Vec::new();
+        let derived = self.inputs..self.relations.len();
+        // A first rule is one atom half the time, so that most derived
+        // relations have rows to recurse over.
+        let atoms = if base && rng.chance(1, 2) {
+            1
+        } else {
+            1 + rng.below(4)
+        };
+        for k in 0..atoms {
+            // A rule past the first reads a derived relation, its own head
+            // two times in three, so recursion is common, mutual or not.
+            let relation = if base {
+                rng.below(self.inputs)
+            } else if k == 0 && rng.chance(2, 3) {
+                head
+            } else if k == 0 || rng.chance(1, 3) {
+                derived.start + rng.below(derived.len())
+            } else {
+                rng.below(self.inputs)
+            };
+            let types = &self.relations[relation];
+            // Every atom after the first shares a variable with the atoms
+            // before it where a column type allows one, which keeps bodies
+            // connected; now and then it shares more, or repeats one of
+            // its own.
+            let before = vars.len();
+            let mut must_share = k > 0;
+            let mut args = Vec::new();
+            for (column, &ty) in types.iter().enumerate() {
+                let of_ty = |vars: &[Ty]| -> Vec<usize> {
+                    (0..vars.len()).filter(|&v| vars[v] == ty).collect()
+                };
+                let earlier = of_ty(&vars[..before]);
+                let own: Vec<usize> = of_ty(&vars).into_iter().filter(|&v| v >= before).collect();
+                let rest = &types[column + 1..];
+                let last_chance = must_share && !rest.iter().any(|t| vars[..before].contains(t));
+                let arg = if !earlier.is_empty()
+                    && (last_chance || rng.chance(1, if must_share { 2 } else { 4 }))
+                {
+                    must_share = false;
+                    Term::Var(rng.pick(&earlier))
+                } else if !own.is_empty() && rng.chance(1, 12) {
+                    Term::Var(rng.pick(&own))
+                } else if rng.chance(1, 8) {
+                    Term::Const(rng.pick(&ty.domain()))
+                } else {
+                    vars.push(ty);
+                    Term::Var(vars.len() - 1)
+                };
+                args.push(arg);
+            }
+            body.push(Atom { relation, args });
+        }
+        rng.shuffle(&mut body);
+        // Every variable is bound by an atom, so constraints may use any.
+        let of_type =
+            |ty: Ty| -> Vec<usize> { (0..vars.len()).filter(|&v| vars[v] == ty).collect() };
+        let mut constraints = Vec::new();
+        for _ in 0..if vars.is_empty() {
+            0
+        } else {
+            rng.pick(&[0, 0, 1, 2])
+        } {
+            let x = rng.below(vars.len());
+            let peers: Vec<usize> = of_type(vars[x]).into_iter().filter(|&v| v != x).collect();
+            let other = if !peers.is_empty() && rng.chance(3, 4) {
+                Term::Var(rng.pick(&peers))
+            } else {
+                Term::Const(rng.pick(&vars[x].domain()))
+            };
+            constraints.push(match rng.below(3) {
+                0 => Constraint::Eq(x, other),
+                1 => Constraint::Ne(x, other),
+                _ => match (vars[x], other) {
+                    (Ty::U32, Term::Var(y)) => Constraint::Succ(x, y),
+                    _ => Constraint::Ne(x, other),
+                },
+            });
+        }
+        // The head prefers variables no join uses and no other head column
+        // takes: the ends of a chain, as in `p(x, y) = e(x, z), p(z, y)`.
+        let uses = |v: usize| -> usize {
+            let terms = body.iter().flat_map(|atom| &atom.args);
+            terms
+                .filter(|t| matches!(t, Term::Var(w) if *w == v))
+                .count()
+        };
+        let mut taken = Vec::new();
+        let head_args = self.relations[head]
+            .iter()
+            .map(|&ty| {
+                let all = of_type(ty);
+                let free: Vec<usize> = all.iter().copied().filter(|v| !taken.contains(v)).collect();
+                let ends: Vec<usize> = free.iter().copied().filter(|&v| uses(v) == 1).collect();
+                let candidates = [ends, free, all].into_iter().find(|c| !c.is_empty());
+                match candidates {
+                    Some(candidates) if rng.chance(7, 8) => {
+                        let v = rng.pick(&candidates);
+                        taken.push(v);
+                        Term::Var(v)
+                    }
+                    _ => Term::Const(rng.pick(&ty.domain())),
+                }
+            })
+            .collect();
+        Rule {
+            head,
+            head_args,
+            body,
+            constraints,
+        }
+    }
+
+    fn term_text(&self, ty: Ty, term: Term) -> String {
+        match (term, ty) {
+            (Term::Var(v), _) => format!("v{v}"),
+            (Term::Const(c), Ty::U32) => c.to_string(),
+            (Term::Const(c), Ty::Symbol) => format!("\"{}\"", SYMBOLS[c as usize]),
+        }
+    }
+
+    fn source_text(&self) -> String {
+        let mut text = String::new();
+        for (relation, types) in self.relations.iter().enumerate() {
+            let columns: Vec<String> = types
+                .iter()
+                .enumerate()
+                .map(|(c, ty)| {
+                    let ty = if *ty == Ty::U32 { "u32" } else { "symbol" };
+                    format!("c{c}: {ty}")
+                })
+                .collect();
+            let name = relation_name(self, relation);
+            writeln!(text, "type {name}({})", columns.join(", ")).unwrap();
+        }
+        for rule in &self.rules {
+            let head_types = &self.relations[rule.head];
+            let args: Vec<String> = head_types
+                .iter()
+                .zip(&rule.head_args)
+                .map(|(ty, term)| self.term_text(*ty, *term))
+                .collect();
+            let mut body: Vec<String> = rule
+                .body
+                .iter()
+                .map(|atom| {
+                    let types = &self.relations[atom.relation];
+                    let args: Vec<String> = types
+                        .iter()
+                        .zip(&atom.args)
+                        .map(|(ty, term)| self.term_text(*ty, *term))
+                        .collect();
+                    format!(
+                        "{}({})",
+                        relation_name(self, atom.relation),
+                        args.join(", ")
+                    )
+                })
+                .collect();
+            let var_ty = |v: usize| -> Ty {
+                for atom in &rule.body {
+                    for (ty, term) in self.relations[atom.relation].iter().zip(&atom.args) {
+                        if matches!(term, Term::Var(w) if *w == v) {
+                            return *ty;
+                        }
+                    }
+                }
+                unreachable!("constraint variables are bound by atoms")
+            };
+            for constraint in &rule.constraints {
+                body.push(match constraint {
+                    Constraint::Eq(x, t) => format!("v{x} == {}", self.term_text(var_ty(*x), *t)),
+                    Constraint::Ne(x, t) => format!("v{x} != {}", self.term_text(var_ty(*x), *t)),
+                    Constraint::Succ(x, y) => format!("v{x} == v{y} + 1"),
+                });
+            }
+            let head = relation_name(self, rule.head);
+            writeln!(
+                text,
+                "rel {head}({}) = {}",
+                args.join(", "),
+                body.join(", ")
+            )
+            .unwrap();
+        }
+        for relation in self.inputs..self.relations.len() {
+            writeln!(text, "query {}", relation_name(self, relation)).unwrap();
+        }
+        text
+    }
+
+    /// The oracle: naive bottom-up evaluation of the rules over `facts`
+    /// until nothing new is derived.
+    fn oracle<'a>(&self, facts: impl IntoIterator<Item = &'a Fact>) -> Model {
+        let mut db: Vec<BTreeSet<Vec<u32>>> = vec![BTreeSet::new(); self.relations.len()];
+        for fact in facts {
+            db[fact.relation].insert(fact.tuple.clone());
+        }
+        loop {
+            let mut derived = Vec::new();
+            for rule in &self.rules {
+                let mut env = BTreeMap::new();
+                Self::join(&db, rule, 0, &mut env, &mut derived);
+            }
+            let mut changed = false;
+            for (relation, tuple) in derived {
+                changed |= db[relation].insert(tuple);
+            }
+            if !changed {
+                break;
+            }
+        }
+        (self.inputs..self.relations.len())
+            .map(|relation| (relation, std::mem::take(&mut db[relation])))
+            .collect()
+    }
+
+    /// Every way to match `rule.body[k..]` under `env`, each checked against
+    /// the constraints and projected onto the head.
+    fn join(
+        db: &[BTreeSet<Vec<u32>>],
+        rule: &Rule,
+        k: usize,
+        env: &mut BTreeMap<usize, u32>,
+        out: &mut Vec<(usize, Vec<u32>)>,
+    ) {
+        let value = |env: &BTreeMap<usize, u32>, term: Term| match term {
+            Term::Var(v) => env[&v],
+            Term::Const(c) => c,
+        };
+        let Some(atom) = rule.body.get(k) else {
+            let holds = rule.constraints.iter().all(|constraint| match *constraint {
+                Constraint::Eq(x, t) => env[&x] == value(env, t),
+                Constraint::Ne(x, t) => env[&x] != value(env, t),
+                Constraint::Succ(x, y) => env[&x] == env[&y].wrapping_add(1),
+            });
+            if holds {
+                let head = rule.head_args.iter().map(|t| value(env, *t)).collect();
+                out.push((rule.head, head));
+            }
+            return;
+        };
+        for tuple in &db[atom.relation] {
+            let mut bound = Vec::new();
+            let fits = atom
+                .args
+                .iter()
+                .zip(tuple)
+                .all(|(term, &word)| match *term {
+                    Term::Const(c) => c == word,
+                    Term::Var(v) => match env.get(&v) {
+                        Some(&w) => w == word,
+                        None => {
+                            env.insert(v, word);
+                            bound.push(v);
+                            true
+                        }
+                    },
+                });
+            if fits {
+                Self::join(db, rule, k + 1, env, out);
+            }
+            for v in bound {
+                env.remove(&v);
+            }
+        }
+    }
+
+    /// The facts at `picks` as the engine takes them, each with its
+    /// probability from `prob`.
+    fn fact_set(
+        &self,
+        program: &Program,
+        picks: impl IntoIterator<Item = usize>,
+        prob: impl Fn(usize) -> f64,
+    ) -> FactSet {
+        let mut set = FactSet::new();
+        for pick in picks {
+            let fact = &self.facts[pick];
+            let values: Vec<Value> = self.relations[fact.relation]
+                .iter()
+                .zip(&fact.tuple)
+                .map(|(ty, &word)| match ty {
+                    Ty::U32 => Value::U32(word),
+                    Ty::Symbol => program.symbol(SYMBOLS[word as usize]),
+                })
+                .collect();
+            set.add(
+                relation_name(self, fact.relation),
+                &values,
+                Some(prob(pick)),
+            );
+        }
+        set
+    }
+
+    /// The derived tuples of `result`, as the oracle stores them.
+    fn model(&self, result: &RunResult) -> Model {
+        let word = |value: &Value| match value {
+            Value::U32(v) => *v,
+            Value::Symbol(_) => {
+                let name = result.resolve_symbol(value).expect("an interned symbol");
+                SYMBOLS
+                    .iter()
+                    .position(|s| **s == *name)
+                    .expect("a known symbol") as u32
+            }
+            other => panic!("unexpected value {other:?}"),
+        };
+        (self.inputs..self.relations.len())
+            .map(|relation| {
+                let rows = result.relation(&relation_name(self, relation));
+                let tuples = rows.iter().map(|(t, _)| t.iter().map(word).collect());
+                (relation, tuples.collect())
+            })
+            .collect()
+    }
+}
+
+/// Bit-for-bit agreement: the same relations, the same rows in the same
+/// order, the same probabilities and gradients.
+fn assert_identical(got: &RunResult, want: &RunResult, what: &str) {
+    assert_eq!(got.relations(), want.relations(), "{what}: relation sets");
+    for rel in want.relations() {
+        let (got, want) = (got.relation(rel), want.relation(rel));
+        assert_eq!(got.len(), want.len(), "{what}: `{rel}` row counts");
+        for ((gt, go), (wt, wo)) in got.iter().zip(want) {
+            assert_eq!(gt, wt, "{what}: `{rel}` tuples");
+            assert_eq!(
+                go.probability.to_bits(),
+                wo.probability.to_bits(),
+                "{what}: `{rel}` probability of {wt:?}"
+            );
+            let bits = |o: &lobster::Output| -> Vec<(u32, u64)> {
+                o.gradient
+                    .iter()
+                    .map(|(id, g)| (id.0, g.to_bits()))
+                    .collect()
+            };
+            assert_eq!(bits(go), bits(wo), "{what}: `{rel}` gradient of {wt:?}");
+        }
+    }
+}
+
+/// Every output a unit tag: probability 1, no gradient.
+fn assert_unit_tags(result: &RunResult, what: &str) {
+    for rel in result.relations() {
+        for (tuple, output) in result.relation(rel) {
+            assert_eq!(output.probability, 1.0, "{what}: `{rel}` tag of {tuple:?}");
+            assert!(output.gradient.is_empty(), "{what}: `{rel}` {tuple:?}");
+        }
+    }
+}
+
+/// One step of an incremental trace: insert these facts, or retract the
+/// live facts at these places.
+enum Step {
+    Insert(Vec<usize>),
+    Retract(Vec<usize>),
+}
+
+/// A random trace over `draw`'s facts: the facts it starts from, its
+/// steps, and the oracle's model before the first step and after each.
+fn trace(draw: &Draw, rng: &mut SplitMix64) -> (Vec<usize>, Vec<Step>, Vec<Model>) {
+    let facts = |live: &[usize]| draw.oracle(live.iter().map(|&f| &draw.facts[f]));
+    // Start from about a quarter of the facts, then insert facts not yet
+    // in — mostly of one relation, which chain more often, and now and then
+    // one that is in already — or retract live ones.
+    let mut live: Vec<usize> = (0..draw.facts.len()).filter(|_| rng.chance(1, 4)).collect();
+    let initial = live.clone();
+    let mut steps = Vec::new();
+    let mut models = vec![facts(&live)];
+    for _ in 0..TRACE_STEPS {
+        let mut out: Vec<usize> = (0..draw.facts.len())
+            .filter(|f| !live.contains(f))
+            .collect();
+        let step = if live.is_empty() || (!out.is_empty() && rng.chance(2, 3)) {
+            if rng.chance(3, 4) {
+                let relation = draw.facts[rng.pick(&out)].relation;
+                out.retain(|&f| draw.facts[f].relation == relation);
+            }
+            rng.shuffle(&mut out);
+            out.truncate(1 + rng.below(4));
+            if !live.is_empty() && rng.chance(1, 4) {
+                out.push(rng.pick(&live));
+            }
+            live.extend(&out);
+            Step::Insert(out)
+        } else {
+            let mut places: Vec<usize> = (0..1 + rng.below(2))
+                .map(|_| rng.below(live.len()))
+                .collect();
+            places.sort_unstable();
+            places.dedup();
+            for &place in places.iter().rev() {
+                live.remove(place);
+            }
+            Step::Retract(places)
+        };
+        models.push(facts(&live));
+        steps.push(step);
+    }
+    (initial, steps, models)
+}
+
+fn check(draw: &Draw, seed: u64) {
+    let mut rng = SplitMix64::new(seed ^ 0x5eed);
+    let everything = draw.oracle(&draw.facts);
+    let samples: Vec<Vec<usize>> = (0..3)
+        .map(|_| (0..draw.facts.len()).filter(|_| rng.chance(1, 2)).collect())
+        .collect();
+    let (initial, steps, models) = trace(draw, &mut rng);
+    // Facts of probability 0 are absent under `bool`.
+    let absent: Vec<bool> = draw.facts.iter().map(|_| rng.chance(1, 4)).collect();
+    let present = draw.oracle(
+        draw.facts
+            .iter()
+            .zip(&absent)
+            .filter(|(_, a)| !**a)
+            .map(|(f, _)| f),
+    );
+    let prob = |f: usize| draw.facts[f].prob;
+    // The batch and the trace run under `unit` and `bool` and one of the
+    // other kinds, a different one from draw to draw.
+    let probabilistic: Vec<ProvenanceKind> = ProvenanceKind::ALL
+        .into_iter()
+        .filter(|kind| kind.is_probabilistic())
+        .collect();
+    let rotating = probabilistic[seed as usize % probabilistic.len()];
+
+    for kind in ProvenanceKind::ALL {
+        let program = Lobster::builder(draw.source.as_str())
+            .provenance(kind)
+            .compile()
+            .unwrap_or_else(|e| panic!("{kind}: the program does not compile: {e}"));
+        let what = |s: &str| format!("{kind}, {s}");
+
+        let mut session = program.session();
+        session
+            .insert_facts(&draw.fact_set(&program, 0..draw.facts.len(), prob))
+            .unwrap();
+        let full = session.run().unwrap();
+        assert_eq!(draw.model(&full), everything, "{}", what("run vs oracle"));
+        if !kind.is_probabilistic() {
+            assert_unit_tags(&full, &what("run"));
+        }
+        if kind.is_probabilistic() && kind != rotating {
+            continue;
+        }
+
+        let sets: Vec<FactSet> = samples
+            .iter()
+            .map(|sample| draw.fact_set(&program, sample.iter().copied(), prob))
+            .collect();
+        let mut batch = program.run_batch(&sets).unwrap();
+        let mut offset = 0;
+        for (k, (got, set)) in batch.iter_mut().zip(&sets).enumerate() {
+            let mut alone = program.session();
+            alone.insert_facts(set).unwrap();
+            let want = alone.run().unwrap();
+            // A sample's facts are registered after the earlier samples'.
+            let len = set.len() as u32;
+            got.map_gradient_ids(|id| {
+                Some(if (offset..offset + len).contains(&id.0) {
+                    InputFactId(id.0 - offset)
+                } else {
+                    InputFactId(u32::MAX)
+                })
+            });
+            offset += len;
+            assert_identical(got, &want, &what(&format!("run_batch sample {k}")));
+        }
+
+        let mut session = program.session();
+        let mut ids: Vec<InputFactId> = session
+            .insert_facts(&draw.fact_set(&program, initial.iter().copied(), prob))
+            .unwrap();
+        for (step, model) in std::iter::once(None)
+            .chain(steps.iter().map(Some))
+            .zip(&models)
+        {
+            match step {
+                None => {}
+                Some(Step::Insert(picks)) => {
+                    let set = draw.fact_set(&program, picks.iter().copied(), prob);
+                    ids.extend(session.insert_facts(&set).unwrap());
+                }
+                Some(Step::Retract(places)) => {
+                    let gone: Vec<InputFactId> = places
+                        .iter()
+                        .rev()
+                        .map(|&place| ids.remove(place))
+                        .collect();
+                    assert_eq!(session.retract_facts(&gone), gone.len());
+                }
+            }
+            let incremental = session.run_incremental().unwrap();
+            let scratch = session.run().unwrap();
+            assert_identical(&incremental, &scratch, &what("run_incremental vs run"));
+            assert_eq!(&draw.model(&scratch), model, "{}", what("trace vs oracle"));
+        }
+
+        if kind == ProvenanceKind::Boolean {
+            let mut session = program.session();
+            let set = draw.fact_set(&program, 0..draw.facts.len(), |f| {
+                if absent[f] {
+                    0.0
+                } else {
+                    prob(f)
+                }
+            });
+            session.insert_facts(&set).unwrap();
+            let result = session.run().unwrap();
+            assert_eq!(
+                draw.model(&result),
+                present,
+                "bool with absent facts vs oracle"
+            );
+            assert_unit_tags(&result, "bool with absent facts");
+        }
+    }
+}
+
+fn fuzz(seeds: std::ops::Range<u64>) {
+    for seed in seeds {
+        let draw = Draw::new(seed);
+        if let Err(panic) = panic::catch_unwind(AssertUnwindSafe(|| check(&draw, seed))) {
+            eprintln!(
+                "oracle disagreement at seed {seed:#x}; the program:\n{}",
+                draw.source
+            );
+            panic::resume_unwind(panic);
+        }
+    }
+}
+
+#[test]
+fn random_programs_agree_with_the_oracle() {
+    fuzz(0..DRAWS);
+}
+
+#[test]
+fn more_random_programs_agree_with_the_oracle() {
+    fuzz(0x1000..0x1000 + DRAWS);
+}

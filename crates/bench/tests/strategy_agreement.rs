@@ -1,45 +1,51 @@
-//! Differential tests for the two execution strategies the engine picks
-//! from the program alone, with no option to select them:
+//! Differential tests for the join strategy the engine picks from the
+//! program alone, with no option to select it, and the invariants of the
+//! one storage layout every program gets.
 //!
 //! * **join strategy** — a join compiles to the merge path where sort-order
 //!   inference proves both inputs sorted on the key, and to the hash
-//!   build+probe path everywhere else;
-//! * **storage width** — every program's relations are stored in packed
-//!   columns, `u32` and `symbol` lanes 4 bytes wide (a symbol as its
-//!   interner id); full-width storage survives only as the reference side
-//!   here.
+//!   build+probe path everywhere else. It must be invisible in the results:
+//!   with identical seeded inputs the planned build and the hash-only build
+//!   reach *bit-identical* fix points — same tuples in the same stored
+//!   order, same probability bits, same gradients, for every relation —
+//!   across provenance kinds and device parallelism levels.
+//! * **packed storage** — every relation is stored in packed columns, `u32`
+//!   and `symbol` lanes 4 bytes wide (a symbol as its interner id). On seven
+//!   workloads, under four kinds: the fix point at parallelism 1 equals the
+//!   one at parallelism 4 bit for bit; every relation's rows strictly ascend
+//!   in logical lexicographic order, the order one word per column would
+//!   sort into; and the `unit` tuple set equals `ScallopEngine`'s, which
+//!   keeps whole tuples in `BTreeMap`s — a storage reference that shares
+//!   nothing with the packed layout. (`oracle_agreement` checks random
+//!   programs against an oracle that shares no code with the engine.)
 //!
-//! Each must be invisible in the results: with identical seeded inputs the
-//! planned build and the hash-only build, and the encoded and the full-width
-//! database, reach *bit-identical* fix points — same tuples in the same
-//! stored order, same probability bits, same gradients, for every relation —
-//! across provenance kinds and device parallelism levels.
-//!
-//! There is no knob to flip, so both sides of each comparison are built here
-//! from `lobster_apm`'s parts: `Database::new` / `Database::from_plan`,
-//! the planned compile entry or the hidden `compile_stratum_hash_only` hook,
-//! and `Executor::run_stratum` per stratum, over the batch-transformed
-//! program with the facts as sample 0 — what `run_batch` executes.
+//! There is no knob to flip, so each run is built here from `lobster_apm`'s
+//! parts: `Database::from_plan`, the planned compile entry or the hidden
+//! `compile_stratum_hash_only` hook, and `Executor::run_stratum` per
+//! stratum, over the batch-transformed program with the facts as sample 0 —
+//! what `run_batch` executes.
 //!
 //! The join guarantee rests on the hash index's ascending-build-row match
 //! order (documented on `HashIndex::for_each_match`): a merge join emits the
-//! same (build, probe) pairs in the same order. The storage guarantee rests
-//! on one order-preservation fact: packed group words place the first
-//! logical column in the most-significant lane (word order =
-//! column-lexicographic order). Incremental delta sessions run through the
-//! same encoded seal/refresh path and are pinned by `incremental_agreement`.
+//! same (build, probe) pairs in the same order. The stored order rests on
+//! one order-preservation fact: packed group words place the first logical
+//! column in the most-significant lane (word order = column-lexicographic
+//! order). Incremental delta sessions run through the same seal/refresh
+//! path and are pinned by `incremental_agreement`.
 
 use lobster::{Device, DeviceConfig, FactSet, Output, SymbolTable, Value};
 use lobster_apm::{
     batch_transform, compile_stratum_hash_only, compile_stratum_with_options, Database, Executor,
     RuntimeOptions, StoragePlan,
 };
+use lobster_baselines::ScallopEngine;
 use lobster_provenance::{
-    AddMultProb, DiffTop1Proof, InputFactRegistry, MaxMinProb, SessionProvenance, Unit,
+    AddMultProb, DiffTop1Proof, InputFactRegistry, MaxMinProb, Provenance, SessionProvenance, Unit,
 };
 use lobster_ram::RamProgram;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeSet;
 
 const PARALLELISMS: [usize; 2] = [1, 4];
 
@@ -59,12 +65,6 @@ enum Joins {
     Planned,
     /// Every join through the hash path (the hidden test hook).
     HashOnly,
-}
-
-#[derive(Clone, Copy)]
-enum Storage {
-    Encoded,
-    FullWidth,
 }
 
 /// A relation's rows in stored order, tags rendered as outputs.
@@ -87,15 +87,11 @@ fn fix_point<P: SessionProvenance>(
     sample: Option<u32>,
     parallelism: usize,
     joins: Joins,
-    storage: Storage,
 ) -> FixPoint {
     let device = device_with(parallelism);
     let registry = InputFactRegistry::new();
     let provenance = P::bind(registry.clone());
-    let mut db = match storage {
-        Storage::FullWidth => Database::new(ram.schemas.clone(), provenance.clone()),
-        Storage::Encoded => Database::from_plan(&StoragePlan::for_program(ram), provenance.clone()),
-    };
+    let mut db = Database::from_plan(&StoragePlan::for_program(ram), provenance.clone());
     let mut row = Vec::new();
     for (relation, values, prob, exclusion) in facts.facts() {
         let tag = provenance.input_tag(registry.register(prob, exclusion), prob);
@@ -175,8 +171,7 @@ fn batched(source: &str) -> RamProgram {
     batch_transform(&compiled.ram)
 }
 
-/// Planned joins against hash-only joins, both on the encoded database a
-/// session would use. `expect_merge` says whether the program has a
+/// Planned joins against hash-only joins. `expect_merge` says whether the program has a
 /// merge-eligible join at all — asserted, so the comparison cannot quietly
 /// become one build against itself.
 fn join_differential_for<P: SessionProvenance>(
@@ -187,8 +182,8 @@ fn join_differential_for<P: SessionProvenance>(
 ) {
     for p in PARALLELISMS {
         let context = format!("{name} ({}, parallelism {p})", std::any::type_name::<P>());
-        let plan = fix_point::<P>(ram, facts, Some(0), p, Joins::Planned, Storage::Encoded);
-        let hash = fix_point::<P>(ram, facts, Some(0), p, Joins::HashOnly, Storage::Encoded);
+        let plan = fix_point::<P>(ram, facts, Some(0), p, Joins::Planned);
+        let hash = fix_point::<P>(ram, facts, Some(0), p, Joins::HashOnly);
         assert_eq!(hash.merge_joins, 0, "{context}: hash-only build merged");
         assert_eq!(
             plan.merge_joins > 0,
@@ -213,29 +208,69 @@ fn join_differential(name: &str, source: &str, facts: &FactSet, expect_merge: bo
     join_differential_for::<DiffTop1Proof>(name, &ram, facts, expect_merge);
 }
 
-/// The encoded database against the full-width one, both under the planned
-/// build.
-fn storage_differential_for<P: SessionProvenance>(name: &str, ram: &RamProgram, facts: &FactSet) {
-    for p in PARALLELISMS {
-        let context = format!("{name} ({}, parallelism {p})", std::any::type_name::<P>());
-        let packed = fix_point::<P>(ram, facts, Some(0), p, Joins::Planned, Storage::Encoded);
-        let wide = fix_point::<P>(ram, facts, Some(0), p, Joins::Planned, Storage::FullWidth);
-        assert!(
-            packed.size_bytes < wide.size_bytes,
-            "{context}: encoded {} bytes, full width {}",
-            packed.size_bytes,
-            wide.size_bytes
-        );
-        assert_bit_identical(&packed, &wide, &context);
+/// The packed-storage invariants of one kind, under the planned build: the
+/// fix points at every parallelism are bit-identical, and every relation's
+/// rows strictly ascend in logical lexicographic order. Returns the fix
+/// point.
+fn storage_invariants_for<P: SessionProvenance>(
+    name: &str,
+    ram: &RamProgram,
+    facts: &FactSet,
+) -> FixPoint {
+    let context = format!("{name} ({})", std::any::type_name::<P>());
+    let [first, rest @ ..] =
+        PARALLELISMS.map(|p| fix_point::<P>(ram, facts, Some(0), p, Joins::Planned));
+    for (p, other) in PARALLELISMS[1..].iter().zip(&rest) {
+        let context = format!("{context}, parallelism {} vs {p}", PARALLELISMS[0]);
+        assert_bit_identical(&first, other, &context);
     }
+    for (relation, rows) in &first.relations {
+        let words = |(tuple, _): &(Vec<Value>, Output)| -> Vec<u64> {
+            tuple.iter().map(Value::encode).collect()
+        };
+        let words: Vec<Vec<u64>> = rows.iter().map(words).collect();
+        if let Some(i) = words.windows(2).position(|pair| pair[0] >= pair[1]) {
+            panic!(
+                "{context}: `{relation}` rows {i} and {} out of order: {:?} then {:?}",
+                i + 1,
+                rows[i].0,
+                rows[i + 1].0
+            );
+        }
+    }
+    first
 }
 
-fn storage_differential(name: &str, source: &str, facts: &FactSet) {
+/// [`storage_invariants_for`] under four kinds, and the `unit` tuple set
+/// against `ScallopEngine`'s.
+fn storage_invariants(name: &str, source: &str, facts: &FactSet) {
     let ram = batched(source);
-    storage_differential_for::<Unit>(name, &ram, facts);
-    storage_differential_for::<AddMultProb>(name, &ram, facts);
-    storage_differential_for::<MaxMinProb>(name, &ram, facts);
-    storage_differential_for::<DiffTop1Proof>(name, &ram, facts);
+    let unit = storage_invariants_for::<Unit>(name, &ram, facts);
+    storage_invariants_for::<AddMultProb>(name, &ram, facts);
+    storage_invariants_for::<MaxMinProb>(name, &ram, facts);
+    storage_invariants_for::<DiffTop1Proof>(name, &ram, facts);
+
+    let rows: Vec<(String, Vec<u64>, ())> = facts
+        .facts()
+        .map(|(relation, values, _, _)| {
+            let row = std::iter::once(0).chain(values.iter().map(Value::encode));
+            (relation.to_string(), row.collect(), ())
+        })
+        .collect();
+    let scallop = ScallopEngine::new(Unit::new())
+        .run(&ram, &rows)
+        .expect("the tuple-at-a-time engine runs");
+    for (relation, rows) in &unit.relations {
+        let ours: BTreeSet<Vec<u64>> = rows
+            .iter()
+            .map(|(tuple, _)| tuple.iter().map(Value::encode).collect())
+            .collect();
+        let theirs: BTreeSet<Vec<u64>> = scallop
+            .get(relation)
+            .map(|tuples| tuples.keys().cloned().collect())
+            .unwrap_or_default();
+        assert_eq!(ours, theirs, "{name}: `{relation}` against ScallopEngine");
+    }
 }
 
 /// `count` random probabilistic binary facts over `0..nodes`.
@@ -312,7 +347,7 @@ fn transitive_closure_encoded_is_bit_identical() {
     let mut rng = StdRng::seed_from_u64(21);
     let mut facts = FactSet::new();
     random_pairs(&mut facts, &mut rng, "edge", 160, 40);
-    storage_differential(
+    storage_invariants(
         "transitive-closure",
         lobster_workloads::graphs::TRANSITIVE_CLOSURE,
         &facts,
@@ -327,14 +362,14 @@ fn clutrr_encoded_is_bit_identical() {
     let mut rng = StdRng::seed_from_u64(22);
     let sample = lobster_workloads::clutrr::generate(6, &mut rng);
     let facts = sample.facts().to_fact_set();
-    storage_differential("clutrr", lobster_workloads::clutrr::PROGRAM, &facts);
+    storage_invariants("clutrr", lobster_workloads::clutrr::PROGRAM, &facts);
 }
 
 /// CSPA: non-linear mutual recursion over seven join sites; the join-heavy
 /// stress case of Table 4, here exercising packed keys on every join.
 #[test]
 fn cspa_encoded_is_bit_identical() {
-    storage_differential("cspa", lobster_workloads::cspa::PROGRAM, &cspa_facts(23));
+    storage_invariants("cspa", lobster_workloads::cspa::PROGRAM, &cspa_facts(23));
 }
 
 /// RNA SSP: `u32` arithmetic in a recursive stratum (`i2 == i + 1`), with
@@ -344,7 +379,7 @@ fn rna_encoded_is_bit_identical() {
     let mut rng = StdRng::seed_from_u64(25);
     let sample = lobster_workloads::rna::generate(24, &mut rng);
     let facts = sample.facts().to_fact_set();
-    storage_differential("rna-ssp", lobster_workloads::rna::PROGRAM, &facts);
+    storage_invariants("rna-ssp", lobster_workloads::rna::PROGRAM, &facts);
 }
 
 /// PacMan: `u32` arithmetic over grid coordinates, and the arity-4 `move`
@@ -354,7 +389,7 @@ fn pacman_encoded_is_bit_identical() {
     let mut rng = StdRng::seed_from_u64(26);
     let sample = lobster_workloads::pacman::generate(6, &mut rng);
     let facts = sample.facts().to_fact_set();
-    storage_differential("pacman", lobster_workloads::pacman::PROGRAM, &facts);
+    storage_invariants("pacman", lobster_workloads::pacman::PROGRAM, &facts);
 }
 
 /// `u32` arithmetic that overflows — sums past 2³², differences below 0,
@@ -386,7 +421,7 @@ fn overflowing_u32_arithmetic_encoded_is_bit_identical() {
         let (x, y) = (value(&mut rng), value(&mut rng));
         facts.add("p", &[Value::U32(x), Value::U32(y)], Some(0.5));
     }
-    storage_differential("overflowing-u32", source, &facts);
+    storage_invariants("overflowing-u32", source, &facts);
 }
 
 /// The storage words of the nine suite programs' plain (unbatched)
@@ -469,14 +504,15 @@ fn symbol_reachability_encoded_is_bit_identical() {
             Some(rng.gen_range(0.3..1.0)),
         );
     }
-    storage_differential("symbol-reachability", source, &facts);
+    storage_invariants("symbol-reachability", source, &facts);
 }
 
 /// The wide-string workload of `kernel_bench` (`wide_string[encoded]`): a
 /// symbol-keyed transitive closure over a chain of long entity names. The
 /// fix-point database — what a run copies back to the host — must be at
-/// least 1.2× smaller encoded than at full width. Byte counts are exact, so
-/// this holds or fails the same way on every machine.
+/// least 1.2× smaller packed than one word per column would be: each row's
+/// arity × 8 bytes plus its tag, what full-width storage held. Byte counts
+/// are exact, so this holds or fails the same way on every machine.
 #[test]
 fn encoded_symbol_closure_is_at_least_1_2x_smaller() {
     let source = "type edge(x: symbol, y: symbol)
@@ -495,14 +531,19 @@ fn encoded_symbol_closure_is_at_least_1_2x_smaller() {
             None,
         );
     }
-    let packed = fix_point::<Unit>(&ram, &facts, None, 4, Joins::Planned, Storage::Encoded);
-    let wide = fix_point::<Unit>(&ram, &facts, None, 4, Joins::Planned, Storage::FullWidth);
-    assert_bit_identical(&packed, &wide, "wide-string closure");
-    let factor = wide.size_bytes as f64 / packed.size_bytes as f64;
+    let packed = fix_point::<Unit>(&ram, &facts, None, 4, Joins::Planned);
+    let tag = std::mem::size_of::<<Unit as Provenance>::Tag>();
+    let full_width: usize = packed
+        .relations
+        .iter()
+        .map(|(relation, rows)| rows.len() * (ram.schemas[relation].arity() * 8 + tag))
+        .sum();
+    // What `size_bytes` measured of the same fix point stored full width.
+    assert_eq!(full_width, 118_080);
+    let factor = full_width as f64 / packed.size_bytes as f64;
     assert!(
         factor >= 1.2,
-        "full width {} bytes ÷ encoded {} bytes = {factor:.2}, below 1.2",
-        wide.size_bytes,
+        "full width {full_width} bytes ÷ packed {} bytes = {factor:.2}, below 1.2",
         packed.size_bytes
     );
 }
