@@ -29,7 +29,7 @@
 //! every pass that rewrites the relation's table rewrites it too.
 
 use lobster_gpu::kernels::{KeyLane, PackLane};
-use lobster_gpu::{kernels, Column, Columns, Device};
+use lobster_gpu::{kernels, Column, Columns, Device, KnownSketch};
 use lobster_provenance::Provenance;
 use lobster_ram::{RamProgram, RelationLayout, RelationSchema, Tuple, Value, ValueType};
 use std::collections::BTreeMap;
@@ -109,7 +109,7 @@ impl<P: Provenance> SortedTable<P> {
     /// input columns and every sorting intermediate are recycled into the
     /// device arena.
     pub fn from_unsorted(device: &Device, prov: &P, columns: Columns, tags: Vec<P::Tag>) -> Self {
-        Self::from_unsorted_minus(device, prov, columns, tags, &[])
+        Self::from_unsorted_minus(device, prov, columns, tags, &[], None).0
     }
 
     /// [`SortedTable::from_unsorted`] less the rows present in any of the
@@ -117,20 +117,22 @@ impl<P: Provenance> SortedTable<P> {
     /// fold first, in input order, and the filter applies to the folded
     /// rows. Every width but the nullary one is one kernel launch
     /// ([`kernels::sort_unique`]): its sorted, duplicate-free or filtered
-    /// intermediates are never written.
+    /// intermediates are never written. `sketch`, if given, holds every
+    /// known row. Also returns the distinct rows searched in `known`.
     pub(crate) fn from_unsorted_minus(
         device: &Device,
         prov: &P,
         columns: Columns,
         tags: Vec<P::Tag>,
         known: &[&SortedTable<P>],
-    ) -> Self {
+        sketch: Option<&KnownSketch>,
+    ) -> (Self, usize) {
         let arity = columns.len();
         let known: Vec<&SortedTable<P>> = known.iter().copied().filter(|t| !t.is_empty()).collect();
         if tags.is_empty() || (arity == 0 && !known.is_empty()) {
             // No rows, or a nullary fact that already exists.
             recycle_columns(device, columns);
-            return Self::empty(arity);
+            return (Self::empty(arity), 0);
         }
         if arity == 0 {
             // A nullary relation holds at most one fact; fold all tags.
@@ -138,11 +140,12 @@ impl<P: Provenance> SortedTable<P> {
             // cannot fail: `tags` is not empty, checked above.
             let first = iter.next().expect("non-empty tags");
             let folded = iter.fold(first, |acc, t| prov.add(&acc, &t));
-            return SortedTable {
+            let table = SortedTable {
                 columns: Vec::new(),
                 tags: vec![folded],
                 arity,
             };
+            return (table, 0);
         }
         // The candidate's columns, then every known table's.
         let refs: Vec<&[u64]> = std::iter::once(&columns)
@@ -152,13 +155,15 @@ impl<P: Provenance> SortedTable<P> {
             .collect();
         let (candidate, known) = refs.split_at(arity);
         let or = |a: &P::Tag, b: &P::Tag| prov.add(a, b);
-        let (out_columns, out_tags) = kernels::sort_unique(device, candidate, &tags, or, known);
+        let (out_columns, out_tags, searched) =
+            kernels::sort_unique(device, candidate, &tags, or, known, sketch);
         recycle_columns(device, columns);
-        SortedTable {
+        let table = SortedTable {
             columns: out_columns,
             tags: out_tags,
             arity,
-        }
+        };
+        (table, searched)
     }
 
     /// Returns the table's columns to the device arena. Call when the table
@@ -428,6 +433,26 @@ impl Codec {
 ///
 /// `orders` are the relation's secondary orders: each holds exactly the
 /// rows of `stable`, whenever the relation is at rest.
+///
+/// # The known-row sketch
+///
+/// `sketch`, when the running stratum keeps one, is a [`KnownSketch`] of
+/// every row of the stable partition's runs and of `recent` — every row the
+/// next update diffs against — at 16 or more bits per row, in words from
+/// the device arena. [`RelationData::new_facts`] hands it to
+/// [`kernels::sort_unique`], which emits a candidate row the sketch rules
+/// out without searching the runs for it. The update phase builds it
+/// ([`RelationData::build_sketch`]) at the first iteration where the run
+/// has derived at least the rows it entered with and
+/// [`GALLOP_RATIO`](kernels::GALLOP_RATIO)× the iteration's candidate rows,
+/// the runs hold at least `min_parallel_rows` rows, and the previous update
+/// found at least half of its distinct candidate rows new (the first one
+/// counts as new). The build hashes each known row once — at most two per
+/// row the run has derived — every later frontier is hashed once more as it
+/// goes in ([`RelationData::sketch_recent`]), and growing 4× at a time
+/// re-hashes at most 4/3 of the rows the sketch ends up holding. **At rest
+/// `sketch` is `None`**: it is recycled when the stratum ends, however it
+/// ends.
 #[derive(Debug, Clone)]
 pub(crate) struct RelationData<P: Provenance> {
     pub(crate) stable: SortedTable<P>,
@@ -435,6 +460,9 @@ pub(crate) struct RelationData<P: Provenance> {
     pub(crate) recent: SortedTable<P>,
     pub(crate) staged: Vec<(Columns, Vec<P::Tag>)>,
     pub(crate) orders: Vec<Order<P>>,
+    /// Boxed: every relation of every `Database` carries the field, and
+    /// only a long fix point fills it.
+    pub(crate) sketch: Option<Box<KnownSketch>>,
 }
 
 impl<P: Provenance> RelationData<P> {
@@ -445,6 +473,7 @@ impl<P: Provenance> RelationData<P> {
             recent: SortedTable::empty(arity),
             staged: Vec::new(),
             orders: Vec::new(),
+            sketch: None,
         }
     }
 
@@ -454,7 +483,7 @@ impl<P: Provenance> RelationData<P> {
     }
 
     /// Approximate device bytes occupied by every partition, run and
-    /// secondary order.
+    /// secondary order, and the known-row sketch.
     fn size_bytes(&self) -> usize {
         let orders = self.orders.iter().map(|order| &order.table);
         self.stable_tables()
@@ -462,6 +491,7 @@ impl<P: Provenance> RelationData<P> {
             .map(SortedTable::size_bytes)
             .sum::<usize>()
             + self.recent.size_bytes()
+            + self.sketch.as_ref().map_or(0, |sketch| sketch.size_bytes())
     }
 
     /// The secondary order keyed on `key`, if the relation keeps one.
@@ -551,16 +581,53 @@ impl<P: Provenance> RelationData<P> {
 
     /// The next frontier from an iteration's unsorted candidate rows (in
     /// storage encoding): the distinct rows, their duplicate tags folded,
-    /// that are in no run of the stable partition.
+    /// that are in no run of the stable partition — and the number of
+    /// distinct rows searched in those runs, which the sketch, if there is
+    /// one, keeps down to the rows it cannot rule out.
     pub(crate) fn new_facts(
         &self,
         device: &Device,
         prov: &P,
         columns: Columns,
         tags: Vec<P::Tag>,
-    ) -> SortedTable<P> {
+    ) -> (SortedTable<P>, usize) {
         let known: Vec<&SortedTable<P>> = self.stable_tables().collect();
-        SortedTable::from_unsorted_minus(device, prov, columns, tags, &known)
+        let sketch = self.sketch.as_deref();
+        SortedTable::from_unsorted_minus(device, prov, columns, tags, &known, sketch)
+    }
+
+    /// Builds the known-row sketch over every row of the stable partition
+    /// and `recent` (see the type's docs for when), and recycles the one it
+    /// replaces, if any — after the build, so the build cannot pop its
+    /// smaller words.
+    pub(crate) fn build_sketch(&mut self, device: &Device) {
+        let tables: Vec<&[Column]> = self
+            .stable_tables()
+            .chain(std::iter::once(&self.recent))
+            .map(|table| table.columns.as_slice())
+            .collect();
+        let sketch = Box::new(KnownSketch::build(device, &tables));
+        if let Some(old) = self.sketch.replace(sketch) {
+            old.recycle(device);
+        }
+    }
+
+    /// Adds the rows of `recent`, a frontier just made, to the sketch if the
+    /// relation keeps one, rebuilding it 4× larger when it is full.
+    pub(crate) fn sketch_recent(&mut self, device: &Device) {
+        let Some(sketch) = &mut self.sketch else {
+            return;
+        };
+        if !sketch.insert(&self.recent.columns) {
+            self.build_sketch(device);
+        }
+    }
+
+    /// Returns the sketch's words to the arena: the stratum is over.
+    pub(crate) fn recycle_sketch(&mut self, device: &Device) {
+        if let Some(sketch) = self.sketch.take() {
+            sketch.recycle(device);
+        }
     }
 }
 
@@ -686,7 +753,7 @@ impl<P: Provenance> Database<P> {
         let columns = self.packed(device, relation, columns);
         let stable = &self.relations[relation].stable;
         let known: &[&SortedTable<P>] = if minus_stable { &[stable] } else { &[] };
-        SortedTable::from_unsorted_minus(device, &self.provenance, columns, tags, known)
+        SortedTable::from_unsorted_minus(device, &self.provenance, columns, tags, known, None).0
     }
 
     /// Adds an empty relation with the given column types, stored in the
@@ -887,6 +954,9 @@ impl<P: Provenance> Database<P> {
         let (columns, tags) = self
             .pending
             .get_mut(relation)
+            // A session refuses a fact of an unknown relation or arity when
+            // it is added (`LobsterError::BadFact`).
+            // cannot fail: a direct caller is held to `# Panics` above.
             .unwrap_or_else(|| panic!("unknown relation `{relation}`"));
         assert_eq!(
             columns.len(),
@@ -1134,7 +1204,8 @@ mod tests {
         let candidate = vec![vec![3, 1, 3, 2], vec![30, 10, 30, 25]];
         let tags = vec![0.25, 0.5, 0.5, 0.125];
         let before = device.metrics().get("kernel_launches").unwrap();
-        let new = SortedTable::from_unsorted_minus(&device, &prov, candidate, tags, &[&known]);
+        let (new, _) =
+            SortedTable::from_unsorted_minus(&device, &prov, candidate, tags, &[&known], None);
         assert_eq!(device.metrics().get("kernel_launches"), Some(before + 1));
         assert_eq!(new.columns, vec![vec![2, 3], vec![25, 30]]);
         assert_eq!(new.tags, vec![0.125, 0.75]);
@@ -1254,7 +1325,7 @@ mod tests {
                     let tags: Vec<P::Tag> = picks.iter().map(|_| tag(&mut rng)).collect();
                     let candidate = table_of(&device, prov, &picks, tags.clone(), packed);
                     let want = fold.difference_from(&device, &candidate);
-                    let got = data.new_facts(&device, prov, columns_of(&picks, packed), tags);
+                    let (got, _) = data.new_facts(&device, prov, columns_of(&picks, packed), tags);
                     assert_eq!(got.columns, want.columns, "seed {seed}, packed {packed}");
                     assert_eq!(got.tags, want.tags, "seed {seed}, packed {packed}");
 
@@ -1329,7 +1400,7 @@ mod tests {
                 .collect();
             let candidate = table_of(&device, &prov, &picks, vec![(); 50], true);
             let want = known.difference_from(&device, &candidate);
-            let got = data.new_facts(&device, &prov, columns_of(&picks, true), vec![(); 50]);
+            let (got, _) = data.new_facts(&device, &prov, columns_of(&picks, true), vec![(); 50]);
             assert_eq!(got.columns, want.columns);
         }
         assert!(

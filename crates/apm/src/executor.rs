@@ -66,6 +66,36 @@ struct StratumRun<P: Provenance> {
     load_cache: LoadCache<P::Tag>,
 }
 
+/// When a relation of a running stratum starts keeping a known-row sketch
+/// (`RelationData`'s docs): the update phase builds one at the first
+/// iteration where searching the known runs for every distinct candidate
+/// row would cost more than the sketch, and keeps it to the stratum's end.
+struct SketchRule {
+    /// The relation's rows when the run began.
+    entered: usize,
+    /// The rows the run has derived since.
+    derived: usize,
+    /// The last update phase found at least half of its distinct candidate
+    /// rows new; the first counts as new.
+    mostly_new: bool,
+}
+
+impl SketchRule {
+    /// Whether a sketch pays for an update of `batch` candidate rows against
+    /// `known` rows: the run has derived at least the rows it entered with
+    /// (so the build hashes at most two rows per derived row) and
+    /// `GALLOP_RATIO`× the batch, which is not empty (so the runs are long
+    /// next to it), the runs hold at least `floor` rows, and most candidates
+    /// have been new (a known row passes the sketch and is searched anyway).
+    fn pays(&self, batch: usize, known: usize, floor: usize) -> bool {
+        self.derived >= self.entered
+            && batch > 0
+            && self.derived >= kernels::GALLOP_RATIO * batch
+            && known >= floor
+            && self.mostly_new
+    }
+}
+
 /// Statistics describing one execution.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExecutionStats {
@@ -77,6 +107,11 @@ pub struct ExecutionStats {
     /// summed over iterations: what was sorted and deduplicated to yield
     /// `facts_produced`. Exact and repeatable, like `update_rows_written`.
     pub candidate_rows: usize,
+    /// Distinct candidate rows the update phase searched for in the known
+    /// runs, summed over iterations: every distinct candidate row but those
+    /// the known-row sketch ruled out (see `kernels::sort_unique`). Exact
+    /// and repeatable, like `candidate_rows`.
+    pub rows_searched: usize,
     /// Kernel launches on the device.
     pub kernel_launches: usize,
     /// Wall-clock time spent in symbolic execution.
@@ -111,6 +146,7 @@ impl ExecutionStats {
         self.iterations += other.iterations;
         self.facts_produced += other.facts_produced;
         self.candidate_rows += other.candidate_rows;
+        self.rows_searched += other.rows_searched;
         self.kernel_launches += other.kernel_launches;
         self.elapsed += other.elapsed;
         self.strata += other.strata;
@@ -169,6 +205,13 @@ impl From<DeviceError> for ExecError {
 }
 
 /// A register value during execution.
+///
+/// Every program reaches the executor from the compiler
+/// (`compile_stratum*`), the only way a Datalog string or a wire frame
+/// becomes one, and the compiler writes every register before an
+/// instruction reads it and reads it as the kind its writer defines
+/// (`Instr::defs`). The reads below rely on that; a hand-assembled program
+/// that breaks it panics ([`Executor::run_stratum`]).
 #[derive(Debug, Clone)]
 enum RegValue<P: Provenance> {
     Data(Arc<Column>),
@@ -180,6 +223,7 @@ impl<P: Provenance> RegValue<P> {
     fn data(&self) -> &Arc<Column> {
         match self {
             RegValue::Data(column) => column,
+            // cannot fail: a register is read as its writer's kind (above).
             other => panic!("expected data register, found {other:?}"),
         }
     }
@@ -187,6 +231,7 @@ impl<P: Provenance> RegValue<P> {
     fn tags(&self) -> &Arc<Vec<P::Tag>> {
         match self {
             RegValue::Tags(tags) => tags,
+            // cannot fail: a register is read as its writer's kind (above).
             other => panic!("expected tag register, found {other:?}"),
         }
     }
@@ -194,6 +239,7 @@ impl<P: Provenance> RegValue<P> {
     fn index(&self) -> &HashIndex {
         match self {
             RegValue::Index(index) => index,
+            // cannot fail: a register is read as its writer's kind (above).
             other => panic!("expected index register, found {other:?}"),
         }
     }
@@ -209,6 +255,7 @@ fn get<'a, P: Provenance>(
     regs[reg.0 as usize]
         .as_ref()
         .or_else(|| static_file.get(&reg))
+        // cannot fail: a register is written before it is read (`RegValue`).
         .expect("register read before write")
 }
 
@@ -295,6 +342,12 @@ impl<P: Provenance> Executor<P> {
     ///
     /// Returns an [`ExecError`] on device OOM, timeout, or a hit iteration
     /// cap.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a hand-assembled stratum whose program reads a register
+    /// before any instruction writes it, or as another kind than the one
+    /// written — which no program from the compiler does.
     pub fn run_stratum(
         &self,
         db: &mut Database<P>,
@@ -364,8 +417,8 @@ impl<P: Provenance> Executor<P> {
         for rel in &compiled.relations {
             let data = db.relation_data_mut(rel);
             debug_assert!(
-                data.runs.is_empty(),
-                "`{rel}` entered a stratum with live runs"
+                data.runs.is_empty() && data.sketch.is_none(),
+                "`{rel}` entered a stratum with live runs or a sketch"
             );
             if preamble {
                 let (stable, recent) = (data.stable.take(), data.recent.take());
@@ -382,15 +435,16 @@ impl<P: Provenance> Executor<P> {
         } = run;
 
         // Every way out of the stratum — fix point, iteration cap, timeout,
-        // OOM, kernel error — restores the at-rest invariant: the runs fold
-        // back into one sorted `stable`. A failed stratum folds its frontier
-        // in as well, so the database holds exactly the facts of the
-        // completed iterations as one sorted, duplicate-free table. The one
-        // exception is the fix point of a seeded run, whose runs are the Δ
-        // the caller is waiting for: they fold into `recent`, which the last
-        // iteration left empty.
+        // OOM, kernel error — restores the at-rest invariant: the sketch
+        // goes back to the arena and the runs fold back into one sorted
+        // `stable`. A failed stratum folds its frontier in as well, so the
+        // database holds exactly the facts of the completed iterations as
+        // one sorted, duplicate-free table. The one exception is the fix
+        // point of a seeded run, whose runs are the Δ the caller is waiting
+        // for: they fold into `recent`, which the last iteration left empty.
         for rel in &compiled.relations {
             let data = db.relation_data_mut(rel);
+            data.recycle_sketch(&self.device);
             if seeded && outcome.is_ok() {
                 debug_assert!(data.recent.is_empty(), "`{rel}` converged with a frontier");
                 data.recent = data.fold_runs(&self.device, &mut stats.update_rows_written);
@@ -448,6 +502,19 @@ impl<P: Provenance> Executor<P> {
             .iter()
             .map(|rel| db.codec().lanes(rel).cloned())
             .collect();
+        // A stratum that is not recursive runs one iteration, in which no
+        // sketch can pay: it keeps no rules.
+        let mut rules: Vec<SketchRule> = compiled
+            .relations
+            .iter()
+            .filter(|_| compiled.recursive)
+            .map(|rel| SketchRule {
+                entered: db.relation_data(rel).len(),
+                derived: 0,
+                mostly_new: true,
+            })
+            .collect();
+        let floor = self.device.min_parallel_rows();
 
         loop {
             if stats.iterations >= self.options.max_iterations {
@@ -473,12 +540,16 @@ impl<P: Provenance> Executor<P> {
             // become the next frontier in one call: sorted, deduplicated and
             // filtered against all runs. Consumed tables are recycled into
             // the arena, which is what keeps the next iteration
-            // allocation-free.
+            // allocation-free. Once the runs are long next to the candidate
+            // batch and few candidates are known, a sketch of the known rows
+            // saves most of the filter's searches (`SketchRule`).
             let mut changed = false;
-            for (rel, lanes) in compiled.relations.iter().zip(&stratum_lanes) {
+            let relations = compiled.relations.iter().zip(&stratum_lanes);
+            for (i, (rel, lanes)) in relations.enumerate() {
                 let data = db.relation_data_mut(rel);
                 let staged = std::mem::take(&mut data.staged);
-                stats.candidate_rows += staged.iter().map(|(_, t)| t.len()).sum::<usize>();
+                let batch = staged.iter().map(|(_, t)| t.len()).sum::<usize>();
+                stats.candidate_rows += batch;
                 let (columns, tags) = Self::collect_staged(
                     &self.device,
                     staged,
@@ -487,12 +558,26 @@ impl<P: Provenance> Executor<P> {
                 );
                 let frontier = data.recent.take();
                 stats.update_rows_written += data.push_run(&self.device, frontier, seeded);
-                let delta = data.new_facts(&self.device, &self.provenance, columns, tags);
+                let rule = rules.get_mut(i);
+                let known = data.stable_tables().map(SortedTable::len).sum();
+                let pays = rule.as_ref().is_some_and(|r| r.pays(batch, known, floor));
+                if pays && data.sketch.is_none() {
+                    data.build_sketch(&self.device);
+                }
+                let (delta, searched) =
+                    data.new_facts(&self.device, &self.provenance, columns, tags);
+                stats.rows_searched += searched;
                 stats.facts_produced += delta.len();
+                if let Some(rule) = rule {
+                    // Without a sketch every distinct candidate is searched.
+                    rule.mostly_new = 2 * delta.len() >= searched;
+                    rule.derived += delta.len();
+                }
                 if !delta.is_empty() {
                     changed = true;
                 }
                 data.recent = delta;
+                data.sketch_recent(&self.device);
             }
 
             // Device memory budget check (reproduces OOM behaviour).
@@ -543,6 +628,7 @@ impl<P: Provenance> Executor<P> {
             kernels::pack_tables(device, &tables, lanes)
         });
         let mut chunks = staged.into_iter();
+        // cannot fail: `staged` is not empty, checked above.
         let (mut columns, mut tags) = chunks.next().expect("checked non-empty");
         for (cols, t) in chunks {
             if packed.is_none() {
@@ -572,6 +658,9 @@ impl<P: Provenance> Executor<P> {
         seeded: bool,
         stats: &mut ExecutionStats,
     ) -> LoadedTable<P::Tag> {
+        // `run_stratum_from` refuses a stratum that names a relation the
+        // database does not hold (`UnknownRelation`).
+        // cannot fail: `relation` is one the stratum names.
         let arity = db.schema(relation).expect("loaded relation").arity();
         // The compiler treats a single-partition load as sorted (it may feed
         // a merge join), so the runs are folded into one table first: into
@@ -597,6 +686,7 @@ impl<P: Provenance> Executor<P> {
         // layouts copy straight through.
         let lanes = db.codec().lanes(relation);
         let unpack = |packed: &[Column]| -> Vec<Arc<Column>> {
+            // cannot fail: called below only when `lanes` is `Some`.
             let lanes = lanes.expect("lanes present");
             let refs: Vec<&[u64]> = packed.iter().map(|c| c.as_slice()).collect();
             kernels::unpack_columns(&self.device, &refs, lanes, arity)
@@ -721,6 +811,10 @@ impl<P: Provenance> Executor<P> {
             };
             return (unpack(relation, packed), tags);
         }
+        // A lookup is compiled `in_order` only on the key of an order the
+        // database keeps (`Database::orders`, read by the refresh that
+        // compiles it).
+        // cannot fail: `key` is such a key.
         let order = data.order(key).expect("a secondary order on the key");
         debug_assert!(
             part == DbPart::Stable || data.recent.is_empty(),
@@ -884,6 +978,7 @@ impl<P: Provenance> Executor<P> {
                         } else {
                             slot.clone()
                         };
+                        // cannot fail: a register is written before it is read.
                         value.expect("register read before write")
                     };
                     let cols: Vec<Arc<Column>> =
@@ -1541,6 +1636,69 @@ mod tests {
             );
         }
     }
+
+    #[test]
+    fn a_chain_derives_each_path_once_and_loads_each_frontier_once() {
+        // The base rule runs in the first iteration only, so each iteration
+        // joins just the last frontier: the 64-edge chain's 2,080 paths are
+        // each a candidate once, in 64 iterations and one that finds
+        // nothing, and the loads read the edges once (a cached load) and
+        // every frontier once — the arithmetic of the 512-edge chain's
+        // 131,328 / 513 / 131,840.
+        let (outcome, rows) = run_chain(LINEAR_TC, 64, RuntimeOptions::default());
+        let stats = outcome.unwrap();
+        assert_eq!(rows.len(), 64 * 65 / 2);
+        assert_eq!(stats.candidate_rows, 2_080);
+        assert_eq!(stats.facts_produced, 2_080);
+        assert_eq!(stats.iterations, 65);
+        assert_eq!(stats.rows_loaded, 2_144);
+    }
+
+    #[test]
+    fn a_known_row_sketch_spares_a_chain_its_searches() {
+        // No candidate of a chain is known. Once the run has derived 8×
+        // its candidate batch and 4,096 rows, the sketch rules out almost
+        // every candidate, and only the rows of the iterations before it
+        // and its false positives are searched.
+        let (outcome, rows) = run_chain(LINEAR_TC, 512, RuntimeOptions::default());
+        let stats = outcome.unwrap();
+        assert_eq!(rows, chain_paths(512, 512));
+        assert_eq!(stats.facts_produced, 131_328);
+        assert_eq!(stats.candidate_rows, 131_328);
+        assert_eq!(stats.rows_searched, ROWS_SEARCHED_ON_THE_CHAIN);
+        assert!(stats.rows_searched * 20 <= stats.facts_produced);
+
+        // Where the candidate batches are as large as what the run knows
+        // and many candidates are known, no sketch is built and every
+        // distinct candidate is searched: the counts of the same run
+        // without a sketch.
+        let searched: Vec<usize> = [32, 128]
+            .into_iter()
+            .map(|nodes| {
+                let compiled = parse(LINEAR_TC).unwrap();
+                let device = Device::sequential();
+                let prov = MaxMinProb::new();
+                let mut db = Database::new(compiled.ram.schemas.clone(), prov);
+                for (i, from) in (0..nodes).enumerate() {
+                    for k in 0..8 {
+                        let to = (from * 5 + k * k * 3 + 1) % nodes;
+                        let p = 0.5 + (i % 5) as f64 / 10.0;
+                        db.insert("edge", &[Value::U32(from), Value::U32(to)], p);
+                    }
+                }
+                db.seal(&device);
+                let exec = Executor::new(device, prov, RuntimeOptions::default());
+                let stats = exec.run_program(&mut db, &compiled.ram).unwrap();
+                stats.rows_searched
+            })
+            .collect();
+        assert_eq!(searched, [2_736, 46_152]);
+    }
+
+    /// The distinct candidate rows the 512-edge chain searches for: the
+    /// 4,572 of its first 9 iterations, before the sketch, and 43 false
+    /// positives after. Without the sketch it searches all 131,328.
+    const ROWS_SEARCHED_ON_THE_CHAIN: usize = 4_615;
 
     #[test]
     fn memory_budget_produces_oom_error() {

@@ -50,7 +50,7 @@ fn bench_sort_unique(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(rows), &rows, |b, _| {
             b.iter(|| {
                 let refs: Vec<&[u64]> = cols.iter().map(|c| c.as_slice()).collect();
-                kernels::sort_unique(&device, &refs, &tags, |_, _| (), &[])
+                kernels::sort_unique(&device, &refs, &tags, |_, _| (), &[], None)
             });
         });
     }

@@ -5,9 +5,14 @@
 //! over the *same* input data, so `speedup_vs_p1` isolates what the parallel
 //! decomposition (radix scatter, merge-path partitioning, partitioned hash
 //! builds, chunked probes) actually buys on this machine. The end-to-end
-//! chain-TC row publishes wall time only: its frontiers stay under
+//! chain-TC row publishes no factor: its frontiers stay under
 //! `min_parallel_rows`, so every launch is sequential whatever the worker
-//! count and a factor against parallelism 1 could not move. A
+//! count and a factor against parallelism 1 could not move. Beside its wall
+//! time it records two work counters that repeat exactly, so they read the
+//! same on a machine too noisy for wall time: `candidate_rows`, the rows the
+//! update phase was handed, and `rows_searched`, the distinct ones it
+//! searched for in the known runs — all of them but those the known-row
+//! sketch ruled out. A
 //! `kernel_time_ms` section breaks the device's accumulated chunk-execution
 //! (busy) time into the sort/join/unique buckets of its metrics
 //! ([`Device::metrics`]' `kernel_time`), and `kernel_wall_ms` does the same
@@ -62,6 +67,9 @@ struct Row {
     parallelism: usize,
     rows: usize,
     wall: Duration,
+    /// An `e2e` row's work counters, which repeat exactly:
+    /// `ExecutionStats::rows_searched` and `candidate_rows`.
+    work: Option<(usize, usize)>,
 }
 
 impl Row {
@@ -70,9 +78,12 @@ impl Row {
         let speedup = speedup_vs_p1.map_or(String::new(), |factor| {
             format!(", \"speedup_vs_p1\": {factor:.3}")
         });
+        let work = self.work.map_or(String::new(), |(searched, candidates)| {
+            format!(", \"rows_searched\": {searched}, \"candidate_rows\": {candidates}")
+        });
         format!(
             "{{\"kernel\": \"{}\", \"parallelism\": {}, \"rows\": {}, \
-             \"wall_ms\": {:.3}{speedup}}}",
+             \"wall_ms\": {:.3}{work}{speedup}}}",
             self.kernel,
             self.parallelism,
             self.rows,
@@ -221,6 +232,7 @@ fn main() {
                 parallelism: p,
                 rows,
                 wall,
+                work: None,
             });
         };
 
@@ -349,7 +361,8 @@ fn main() {
         ] {
             bench(kernel, candidate.len(), &mut || {
                 let or = |a: &f64, b: &f64| a.max(*b);
-                let (cols, _) = kernels::sort_unique(&device, rows, &candidate_tags, or, known);
+                let (cols, _, _) =
+                    kernels::sort_unique(&device, rows, &candidate_tags, or, known, None);
                 for col in cols {
                     device.arena().recycle_shared(col);
                 }
@@ -366,6 +379,7 @@ fn main() {
         query path";
     let mut e2e_rows: Vec<Row> = Vec::new();
     for &p in &PARALLELISMS {
+        let mut work = (0, 0);
         let wall = best_of(repeats, || {
             // The e2e row uses the production chunking threshold: small
             // fix-point iterations stay sequential, exactly as served
@@ -387,14 +401,17 @@ fn main() {
             }
             let start = Instant::now();
             let result = session.run().expect("TC runs");
+            let elapsed = start.elapsed();
             assert!(result.len("path") > tc_edges);
-            start.elapsed()
+            work = (result.stats.rows_searched, result.stats.candidate_rows);
+            elapsed
         });
         e2e_rows.push(Row {
             kernel: "transitive_closure",
             parallelism: p,
             rows: tc_edges,
             wall,
+            work: Some(work),
         });
     }
 

@@ -58,7 +58,8 @@ use crate::device::KernelKind;
 use crate::parallel::{
     chunks_for, map_chunks, par_map_into, run_chunks, split_by_ranges, PerChunk,
 };
-use crate::{Column, Columns, Device, HashIndex};
+use crate::sketch::row_hash;
+use crate::{Column, Columns, Device, HashIndex, KnownSketch};
 use std::cmp::Ordering;
 use std::ops::Range;
 
@@ -109,6 +110,8 @@ pub mod sites {
     pub const LOOKUP_KEYS: usize = 22;
     /// [`lookup`](super::lookup) output columns.
     pub const LOOKUP_OUT: usize = 23;
+    /// The words of a [`KnownSketch`](crate::KnownSketch).
+    pub const SKETCH: usize = 24;
 }
 
 /// Compares row `i` of `a` with row `j` of `b` lexicographically by column.
@@ -599,20 +602,33 @@ fn slot_bits(columns: &[&[u64]], segment: Range<usize>, low: u32) -> Option<u32>
 /// worker-local scratch over the bytes of every word that vary, then folded.
 /// Each distinct row is checked against the runs with one cursor per run
 /// carried across the chunk, linear steps then a gallop past `GALLOP_RATIO`
-/// positions. No sorted column, permutation, distinct table or kept-row
-/// index is ever written, only the rows emitted.
+/// positions — unless `sketch`, a [`KnownSketch`] holding every row of the
+/// runs, rules it out: such a row is certainly new and is emitted without
+/// a search, and a cursor it leaves behind gallops past it with the next
+/// row that is searched. No sorted column, permutation, distinct table or
+/// kept-row index is ever written, only the rows emitted. The third value
+/// returned is the number of distinct rows searched: every distinct row,
+/// less those the sketch ruled out. The executor keeps one sketch per
+/// relation of a running stratum, from the first iteration in which its
+/// runs are long next to the candidate batch and its candidates mostly
+/// new, to the stratum's end: its build hashes at most two rows per row
+/// the run has derived, each later frontier row is hashed once, growth
+/// re-hashes at most 4/3 of the rows it ends up holding, and a look-up is
+/// one hash and one word.
 ///
 /// Equal rows lie in one segment and every path visits them in input order,
 /// and the filter applies after the fold, so the output is the bytes of
 /// `sort_permutation` → gathers → [`unique`] → [`difference`] against each
-/// run, whatever the parallelism.
+/// run, whatever the parallelism and whatever sketch: a row the sketch
+/// passes is searched exactly as it is without one.
 pub fn sort_unique<T, F>(
     device: &Device,
     columns: &[&[u64]],
     tags: &[T],
     or: F,
     known: &[&[u64]],
-) -> (Columns, Vec<T>)
+    sketch: Option<&KnownSketch>,
+) -> (Columns, Vec<T>, usize)
 where
     T: Clone + Send + Sync,
     F: Fn(&T, &T) -> T + Sync,
@@ -626,12 +642,14 @@ where
         // One-word rows compile to loops over words alone: with `WIDE`
         // false, every look at the words after the leading one is compiled
         // out.
+        let known = (known, sketch);
         if columns.len() == 1 {
             frontier::<T, false>(device, &segments, columns, tags, &or, known, range)
         } else {
             frontier::<T, true>(device, &segments, columns, tags, &or, known, range)
         }
     });
+    let searched = pieces.iter().map(|piece| piece.searched).sum();
     // The chunks' rows are copied into exactly sized columns, so a table
     // that outlives the launch holds no spare capacity.
     let total = pieces.iter().map(|piece| piece.tags.len()).sum();
@@ -650,18 +668,19 @@ where
             piece.tags
         })
         .collect();
-    (out, concat_pieces(tag_pieces, total))
+    (out, concat_pieces(tag_pieces, total), searched)
 }
 
 /// The frontier [`sort_unique`] makes of the rows `range` of `columns`,
-/// whose words after the leading one it looks at only when `WIDE`.
+/// whose words after the leading one it looks at only when `WIDE`, against
+/// the known runs and their sketch.
 fn frontier<'a, T: Clone, const WIDE: bool>(
     device: &Device,
     segments: &Segments,
     columns: &'a [&'a [u64]],
     tags: &[T],
     or: &impl Fn(&T, &T) -> T,
-    known: &'a [&'a [u64]],
+    (known, sketch): (&'a [&'a [u64]], Option<&'a KnownSketch>),
     range: Range<usize>,
 ) -> Frontier<'a, T> {
     let (words, arena) = (columns[0], device.arena());
@@ -669,6 +688,8 @@ fn frontier<'a, T: Clone, const WIDE: bool>(
     let mut out = Frontier {
         rest: &columns[1..],
         known,
+        sketch,
+        searched: 0,
         cursors: known
             .iter()
             .step_by(columns.len())
@@ -713,12 +734,27 @@ fn frontier<'a, T: Clone, const WIDE: bool>(
 
 /// What one chunk of [`sort_unique`] emits: the distinct rows it is handed
 /// in ascending order, with their folded tags, less those a known run holds.
+/// A row the sketch rules out is emitted unsearched; any other row is
+/// searched in every run, one carried cursor per run.
+///
+/// The sketch is the executor's ([`KnownSketch`]), one per relation of a
+/// running stratum: built by the update phase once the run has derived at
+/// least the rows it entered with and `GALLOP_RATIO`× its candidate batch,
+/// the runs hold at least `min_parallel_rows` rows, and the last update
+/// found at least half of its distinct candidates new; fed each frontier as
+/// it is made, and recycled when the stratum ends. Its build hashes at most
+/// two rows per row the run has derived, each frontier is hashed once more
+/// as it goes in, and a look-up is one hash and one word per distinct row.
 struct Frontier<'a, T> {
     /// The launch's input columns after the first, which a row's later words
     /// are read from.
     rest: &'a [&'a [u64]],
     /// The known runs' columns, one run after another.
     known: &'a [&'a [u64]],
+    /// A sketch of every row of the known runs, if the caller keeps one.
+    sketch: Option<&'a KnownSketch>,
+    /// The distinct rows searched in the runs.
+    searched: usize,
     /// Per known run, the first position not yet passed.
     cursors: Vec<usize>,
     /// The emitted rows' leading words, and their later words.
@@ -732,16 +768,24 @@ impl<T> Frontier<'_, T> {
     /// unless a known run holds it. Its later words count only when `WIDE`.
     fn push<const WIDE: bool>(&mut self, lead: u64, row: usize, tag: T) {
         let rest = self.rest;
-        let tail_cmp = |run: &[&[u64]], j: usize| cmp_rows(&run[1..], j, rest, row);
-        let width = if WIDE { rest.len() + 1 } else { 1 };
-        let runs = self.known.chunks_exact(width);
-        for (run, cursor) in runs.zip(&mut self.cursors) {
-            let first = run[0];
-            let less =
-                |j: usize| first[j] < lead || WIDE && first[j] == lead && tail_cmp(run, j).is_lt();
-            *cursor = seek(*cursor, first.len(), less);
-            if first.get(*cursor) == Some(&lead) && (!WIDE || tail_cmp(run, *cursor).is_eq()) {
-                return;
+        let searched = match self.sketch {
+            Some(sketch) => sketch.may_hold(row_hash(lead, if WIDE { rest } else { &[] }, row)),
+            None => true,
+        };
+        if searched {
+            self.searched += 1;
+            let tail_cmp = |run: &[&[u64]], j: usize| cmp_rows(&run[1..], j, rest, row);
+            let width = if WIDE { rest.len() + 1 } else { 1 };
+            let runs = self.known.chunks_exact(width);
+            for (run, cursor) in runs.zip(&mut self.cursors) {
+                let first = run[0];
+                let less = |j: usize| {
+                    first[j] < lead || WIDE && first[j] == lead && tail_cmp(run, j).is_lt()
+                };
+                *cursor = seek(*cursor, first.len(), less);
+                if first.get(*cursor) == Some(&lead) && (!WIDE || tail_cmp(run, *cursor).is_eq()) {
+                    return;
+                }
             }
         }
         self.words.push(lead);
@@ -1311,9 +1355,12 @@ fn columns_chunked<'a>(cols: &'a mut Columns, ranges: &[Range<usize>]) -> Vec<Ve
 /// A run at least this many times longer than the candidate is probed by
 /// galloping instead of a linear two-pointer walk: per candidate row the
 /// gallop costs about `2·log2(ratio)` comparisons against the walk's
-/// `ratio`, which crosses over near 8. [`seek`] reads it as a distance
-/// instead: the number of linear steps it takes before galloping.
-const GALLOP_RATIO: usize = 8;
+/// `ratio`, which crosses over near 8. `seek` reads it as a distance
+/// instead: the number of linear steps it takes before galloping. The
+/// executor reads it as the point where the known runs of [`sort_unique`]
+/// are long enough next to its candidate batch that searching them costs
+/// more than keeping a [`KnownSketch`] of them.
+pub const GALLOP_RATIO: usize = 8;
 
 /// First position in `from..len` at which the monotone `less` turns false:
 /// linear steps while that stays within `GALLOP_RATIO` positions of `from`,

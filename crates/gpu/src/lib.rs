@@ -20,7 +20,9 @@
 //! * [`kernels::sort_unique`] — `sort`, `unique⟨⊕⟩` and `diff` of rows of
 //!   any width in one launch: unsorted candidate rows to the new frontier,
 //!   deduplicating dense sorted-prefix segments by direct addressing and
-//!   dropping known facts in the same walk — the whole semi-naive update,
+//!   dropping known facts in the same walk — the whole semi-naive update;
+//!   a [`KnownSketch`] of the known facts lets it emit a row it rules out
+//!   without searching for it,
 //! * [`kernels::merge`], [`kernels::difference`] — sorted-table maintenance,
 //! * [`kernels::sort_permutation`] (parallel LSD radix sort with a parallel
 //!   merge-sort fallback for wide rows) and [`kernels::unique`] — the
@@ -63,6 +65,7 @@ pub mod kernels;
 pub mod metrics;
 mod parallel;
 pub mod pool;
+mod sketch;
 
 pub use arena::Arena;
 pub use device::{
@@ -71,6 +74,7 @@ pub use device::{
 pub use hash::HashIndex;
 pub use metrics::{Metrics, Snapshot};
 pub use parallel::par_map_into;
+pub use sketch::KnownSketch;
 
 /// A column of a device-resident table: a flat vector of 64-bit words.
 ///

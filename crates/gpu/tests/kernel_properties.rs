@@ -9,7 +9,7 @@
 //! each kernel is chunk-invariant, whole fix-points are.
 
 use lobster_gpu::kernels::PackLane;
-use lobster_gpu::{kernels, Device, DeviceConfig, HashIndex};
+use lobster_gpu::{kernels, Device, DeviceConfig, HashIndex, KnownSketch};
 
 /// Parallelism degrees exercised against the sequential baseline.
 const PARALLELISMS: [usize; 3] = [1, 3, 8];
@@ -207,7 +207,8 @@ fn difference_over_many_runs_agrees_with_a_set_oracle() {
                     ("in order", &cand, &cand_tags),
                     ("reversed", &reversed, &reversed_tags),
                 ] {
-                    let (cols, tags) = kernels::sort_unique(&par, &refs(cols), tags, first, &known);
+                    let (cols, tags, _) =
+                        kernels::sort_unique(&par, &refs(cols), tags, first, &known, None);
                     assert_eq!(cols, want_cols, "filtered cols, {order}: {ctx}");
                     assert_bits(&tags, &want_tags, &format!("filtered tags, {order}: {ctx}"));
                 }
@@ -1146,12 +1147,13 @@ fn sort_unique_is_fold_then_filter() {
             for parallelism in PARALLELISMS {
                 let device = parallel_device(parallelism);
                 let ctx = format!("{shape}, {known_shape}, p {parallelism}");
-                let (got_columns, got_tags) = kernels::sort_unique(
+                let (got_columns, got_tags, _) = kernels::sort_unique(
                     &device,
                     &refs(&columns),
                     &tags,
                     ordered_or,
                     &known_columns,
+                    None,
                 );
                 assert_eq!(got_columns, want_columns, "rows: {ctx}");
                 assert_eq!(got_tags, want_tags, "tags: {ctx}");
@@ -1332,6 +1334,142 @@ fn merge_by_block_copy_equals_the_two_pointer_merge() {
                     }
                 }
             }
+        }
+    }
+}
+
+/// `sort_unique` with a known-row sketch returns the bytes it returns
+/// without one: a row the sketch rules out is certainly not known, and one
+/// it passes is searched as before. Rows of one to three words, at
+/// parallelism 1 and 4, against three sketches of the known runs: exact
+/// (their rows alone), saturated (every row of the domain, so every row is
+/// searched) and one over a random superset of their rows. Without a
+/// sketch, and with the saturated one, every distinct row is searched; with
+/// the others at most that many, and at least the known ones.
+#[test]
+fn sort_unique_with_a_sketch_returns_the_same_bytes() {
+    use std::collections::BTreeSet;
+    let mut rng = Rng::new(0x5ce7c4);
+    for k in 1..=3usize {
+        // A domain of 4,096 rows, so the saturated sketch can hold all.
+        let space: u64 = [4096, 64, 16][k - 1];
+        let domain: Vec<Vec<u64>> = (0..4096u64)
+            .map(|i| {
+                (0..k)
+                    .rev()
+                    .map(|c| i / space.pow(c as u32) % space)
+                    .collect()
+            })
+            .collect();
+        let draw = |rng: &mut Rng, n: usize| -> Vec<Vec<u64>> {
+            (0..n)
+                .map(|_| domain[rng.below(domain.len() as u64) as usize].clone())
+                .collect()
+        };
+        let rows = draw(&mut rng, 3000);
+        let tags: Vec<u64> = (0..rows.len()).map(|_| rng.next()).collect();
+        let distinct: BTreeSet<&[u64]> = rows.iter().map(Vec::as_slice).collect();
+        // Three known runs, sorted and disjoint.
+        let mut known_rows: Vec<Vec<u64>> = draw(&mut rng, 1500);
+        known_rows.sort_unstable();
+        known_rows.dedup();
+        let runs: Vec<Vec<Vec<u64>>> = (0..3)
+            .map(|r| known_rows.iter().skip(r).step_by(3).cloned().collect())
+            .collect();
+        let run_columns: Vec<Vec<Vec<u64>>> = runs.iter().map(|run| columns_of(run, k)).collect();
+        let known: Vec<&[u64]> = run_columns.iter().flat_map(|run| refs(run)).collect();
+        let hits = distinct
+            .iter()
+            .filter(|row| known_rows.binary_search(&row.to_vec()).is_ok())
+            .count();
+        let mut superset = known_rows.clone();
+        superset.extend(draw(&mut rng, 700));
+        let sketch_of = |device: &Device, tables: &[Vec<Vec<u64>>]| {
+            let columns: Vec<Vec<Vec<u64>>> = tables.iter().map(|t| columns_of(t, k)).collect();
+            let tables: Vec<&[Vec<u64>]> = columns.iter().map(Vec::as_slice).collect();
+            KnownSketch::build(device, &tables)
+        };
+        let columns = columns_of(&rows, k);
+        for parallelism in [1, 4] {
+            let device = parallel_device(parallelism);
+            let run = |sketch: Option<&KnownSketch>| {
+                kernels::sort_unique(&device, &refs(&columns), &tags, ordered_or, &known, sketch)
+            };
+            let (want_columns, want_tags, searched) = run(None);
+            assert_eq!(searched, distinct.len(), "k {k}, p {parallelism}");
+            let sketches = [
+                ("exact", sketch_of(&device, &runs)),
+                (
+                    "saturated",
+                    sketch_of(&device, std::slice::from_ref(&domain)),
+                ),
+                (
+                    "superset",
+                    sketch_of(&device, std::slice::from_ref(&superset)),
+                ),
+            ];
+            for (name, sketch) in sketches {
+                let ctx = format!("k {k}, p {parallelism}, {name} sketch");
+                let (got_columns, got_tags, searched) = run(Some(&sketch));
+                assert_eq!(got_columns, want_columns, "rows: {ctx}");
+                assert_eq!(got_tags, want_tags, "tags: {ctx}");
+                assert!(hits <= searched && searched <= distinct.len(), "{ctx}");
+                if name == "saturated" {
+                    assert_eq!(searched, distinct.len(), "{ctx}");
+                } else {
+                    assert!(searched < distinct.len(), "{ctx}: nothing ruled out");
+                }
+                sketch.recycle(&device);
+            }
+        }
+    }
+}
+
+/// A known-row sketch has no false negatives: after any sequence of
+/// inserts, some of which grow it by rebuilding, every row inserted so far
+/// reads "maybe" — for rows of one to three words, batches of random sizes
+/// (empty ones among them) and a start from no rows at all.
+#[test]
+fn a_known_row_sketch_has_no_false_negatives() {
+    let device = Device::sequential();
+    let mut rng = Rng::new(0xb100);
+    for k in 1..=3usize {
+        for start in [0, 1, 500] {
+            let mut batches: Vec<Vec<Vec<u64>>> = vec![(0..start)
+                .map(|_| (0..k).map(|_| rng.next()).collect())
+                .collect()];
+            let first = columns_of(&batches[0], k);
+            let mut sketch = KnownSketch::build(&device, &[&first]);
+            let mut sizes = vec![sketch.size_bytes()];
+            for _ in 0..40 {
+                let n = [0, 1, 7, 100, 900][rng.below(5) as usize];
+                batches.push(
+                    (0..n)
+                        .map(|_| (0..k).map(|_| rng.below(1 << 20)).collect())
+                        .collect(),
+                );
+                let columns: Vec<Vec<Vec<u64>>> =
+                    batches.iter().map(|batch| columns_of(batch, k)).collect();
+                if !sketch.insert(&columns[columns.len() - 1]) {
+                    let all: Vec<&[Vec<u64>]> = columns.iter().map(Vec::as_slice).collect();
+                    let grown = KnownSketch::build(&device, &all);
+                    std::mem::replace(&mut sketch, grown).recycle(&device);
+                }
+                sizes.push(sketch.size_bytes());
+                let held: usize = batches.iter().map(Vec::len).sum();
+                assert_eq!(sketch.rows(), held, "k {k}, start {start}");
+                for row in batches.iter().flatten() {
+                    assert!(
+                        sketch.may_contain(row),
+                        "k {k}, start {start}: {row:?} lost"
+                    );
+                }
+            }
+            assert!(
+                sizes.windows(2).any(|w| w[1] > w[0]),
+                "k {k}, start {start}: never grew: {sizes:?}"
+            );
+            sketch.recycle(&device);
         }
     }
 }
