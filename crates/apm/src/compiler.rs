@@ -210,9 +210,10 @@ impl<'a> Compiler<'a> {
     /// `lobster_ram::passes::expr_sorted_prefix`, but with exact per-variant
     /// partition knowledge): a single-partition load is fully sorted because
     /// tables are stored sorted, and a full (`all`) load of a relation this
-    /// stratum does *not* update is fully sorted too — its recent half is
-    /// empty once the defining stratum reached its fix point, so the
-    /// concatenation is just the sorted stable half.
+    /// stratum does *not* update is fully sorted too — every relation rests
+    /// as one sorted `stable` table with `recent` empty once its defining
+    /// stratum has run, recursive or not, so the concatenation is just the
+    /// sorted stable half.
     fn compile_expr(
         &mut self,
         expr: &RamExpr,
@@ -701,15 +702,11 @@ impl<'a> Compiler<'a> {
 /// first-iteration variants no longer read the old table of an own
 /// relation whole, and the own-`recent` variants read only the rows of a
 /// changed input their frontier joins.
-///
-/// `options` are the options of the executor that will run the result, as
-/// for [`compile_stratum_with_options`].
 pub fn compile_stratum_delta(
     stratum: &Stratum,
     ram: &RamProgram,
     changed_inputs: &BTreeSet<String>,
     orders: &[SecondaryOrder],
-    _options: &RuntimeOptions,
 ) -> CompiledStratum {
     let mut tracked: BTreeSet<String> = stratum.relations.iter().cloned().collect();
     tracked.extend(changed_inputs.iter().cloned());
@@ -815,18 +812,12 @@ fn compile_from_scratch<'a>(
 }
 
 /// The secondary orders a materialized database keeps for `ram`: one per
-/// (relation, key) that a join of a recursive stratum — one a refresh can
-/// take tuple by tuple — reads on a key that is not a prefix of the
-/// relation's columns. A relation some non-recursive stratum derives gets
-/// none: it rests in `stable` and `recent` both, and an order mirrors
-/// `stable`.
+/// (relation, key) that a join of a recursive stratum — one whose delta run
+/// iterates, reading its inputs again in every iteration — reads on a key
+/// that is not a prefix of the relation's columns. Every relation rests as
+/// one sorted `stable` table, which is what an order mirrors, whichever
+/// stratum derives it.
 pub fn secondary_orders(ram: &RamProgram) -> Vec<SecondaryOrder> {
-    let single_pass: BTreeSet<&String> = ram
-        .strata
-        .iter()
-        .filter(|s| !s.recursive)
-        .flat_map(|s| &s.relations)
-        .collect();
     let arity = |name: &str| ram.arity(name);
     let mut orders = BTreeSet::new();
     for rule in ram
@@ -845,7 +836,7 @@ pub fn secondary_orders(ram: &RamProgram) -> Vec<SecondaryOrder> {
             };
             for side in [left, right] {
                 if let Some((relation, key)) = leaf_key(side, width) {
-                    if !is_prefix(&key) && !single_pass.contains(&relation.to_string()) {
+                    if !is_prefix(&key) {
                         orders.insert(SecondaryOrder {
                             relation: relation.to_string(),
                             key,
@@ -1118,8 +1109,7 @@ mod tests {
             .expect("a recursive stratum");
         let changed = changed.iter().map(|r| r.to_string()).collect();
         let orders = secondary_orders(&compiled.ram);
-        let options = RuntimeOptions::default();
-        let apm = compile_stratum_delta(stratum, &compiled.ram, &changed, &orders, &options);
+        let apm = compile_stratum_delta(stratum, &compiled.ram, &changed, &orders);
         let program = &apm.program;
         let mut variants = Vec::new();
         let (mut recent, mut flags) = (Vec::new(), Vec::new());
@@ -1211,13 +1201,7 @@ mod tests {
         )
         .unwrap();
         let changed = ["edge".to_string()].into_iter().collect();
-        let apm = compile_stratum_delta(
-            &compiled.ram.strata[0],
-            &compiled.ram,
-            &changed,
-            &[],
-            &RuntimeOptions::default(),
-        );
+        let apm = compile_stratum_delta(&compiled.ram.strata[0], &compiled.ram, &changed, &[]);
         let reads: Vec<(&str, &str, DbPart)> = apm
             .program
             .instructions

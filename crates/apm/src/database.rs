@@ -427,9 +427,14 @@ impl Codec {
 /// newest run ([`RelationData::push_run`]) and merged into its older
 /// neighbour only while that neighbour is at most twice its size, so a row
 /// is rewritten O(log) times over a whole fix point instead of once per
-/// iteration. **At rest — outside `Executor::run_stratum_from` — `runs` is
-/// empty** and `stable` is the whole partition as one sorted table, which is
-/// what every reader outside the executor relies on.
+/// iteration. **At rest — outside `Executor::run_stratum_from` and a
+/// refresh — `runs` and `recent` are empty** and `stable` is the whole
+/// relation as one sorted table, whichever stratum derived it, recursive or
+/// not. Every reader outside the executor relies on that, and so does the
+/// join planner, which takes an `all` load of a relation the running
+/// stratum does not update as sorted. Only a refresh holds a relation split
+/// between two strata (`stable` the old table, `recent` its Δ), and it folds
+/// every split before it returns.
 ///
 /// `orders` are the relation's secondary orders: each holds exactly the
 /// rows of `stable`, whenever the relation is at rest.
@@ -673,8 +678,6 @@ pub(crate) enum Stable<'a, P: Provenance> {
     Gained(&'a SortedTable<P>),
     /// These rows were removed from it.
     Lost(&'a SortedTable<P>),
-    /// It was rebuilt from scratch.
-    Rebuilt,
 }
 
 /// The tagged, columnar database: every relation's facts plus the semi-naive
@@ -787,8 +790,10 @@ impl<P: Provenance> Database<P> {
     /// Keeps each of `orders` from now on: built here from its relation's
     /// `stable` partition, which is all of the relation wherever the
     /// planner ([`secondary_orders`](crate::secondary_orders)) names one —
-    /// an EDB relation, or one a recursive stratum derives, at rest. A
-    /// refresh rewrites an order wherever it rewrites its relation.
+    /// every relation, at rest. A refresh under a
+    /// [`delta_exact`](lobster_provenance::Provenance::delta_exact)
+    /// provenance rewrites an order wherever it rewrites its relation; one
+    /// under any other provenance recomputes tables and keeps no orders.
     pub fn build_orders(&mut self, device: &Device, orders: &[SecondaryOrder]) {
         for SecondaryOrder { relation, key } in orders {
             let schema = &self.schemas[relation];
@@ -849,10 +854,7 @@ impl<P: Provenance> Database<P> {
     /// after `change`.
     pub(crate) fn update_orders(&mut self, device: &Device, relation: &str, change: Stable<'_, P>) {
         let data = &self.relations[relation];
-        let rows = match change {
-            Stable::Gained(rows) | Stable::Lost(rows) => rows,
-            Stable::Rebuilt => &data.stable,
-        };
+        let (Stable::Gained(rows) | Stable::Lost(rows)) = change;
         let laid_out: Vec<SortedTable<P>> = data
             .orders
             .iter()
@@ -869,7 +871,6 @@ impl<P: Provenance> Database<P> {
                     table.remove_rows(device, &rows);
                     rows.recycle(device);
                 }
-                Stable::Rebuilt => std::mem::replace(table, rows).recycle(device),
             }
         }
     }
@@ -1010,8 +1011,8 @@ impl<P: Provenance> Database<P> {
         self.relations.values().map(RelationData::size_bytes).sum()
     }
 
-    /// The decoded rows (with tags) of a relation, combining stable and
-    /// recent partitions, unpacked into one value per logical column.
+    /// The decoded rows (with tags) of a relation at rest, in stored order,
+    /// unpacked into one value per logical column.
     pub fn rows(&self, relation: &str) -> Vec<(Tuple, P::Tag)> {
         self.decode_rows(relation, Clone::clone)
     }
@@ -1028,11 +1029,12 @@ impl<P: Provenance> Database<P> {
         let Some(data) = self.relations.get(relation) else {
             return Vec::new();
         };
-        debug_assert!(data.runs.is_empty(), "`{relation}` read mid-stratum");
-        let mut rows = Vec::with_capacity(data.len());
-        for table in [&data.stable, &data.recent] {
-            self.decode_into(relation, table, &mut output, &mut rows);
-        }
+        debug_assert!(
+            data.runs.is_empty() && data.recent.is_empty(),
+            "`{relation}` read while not at rest"
+        );
+        let mut rows = Vec::with_capacity(data.stable.len());
+        self.decode_into(relation, &data.stable, &mut output, &mut rows);
         rows
     }
 

@@ -368,9 +368,11 @@ impl<P: Provenance> Executor<P> {
     /// `stable` exactly as it came in and `recent` holding Δ, every frontier
     /// the run pushed, merged among themselves. Nothing rewrites the old
     /// table; folding the pair is the caller's, once, when no later stratum
-    /// needs the split. A seeded run that fails folds everything, like any
-    /// other. The iteration loop, update phase, and arena recycling are the
-    /// same either way.
+    /// needs the split. Every other exit — any exit of a run with the
+    /// preamble, recursive or not, and a seeded run that fails — leaves each
+    /// own relation at rest: one sorted `stable`, `recent` empty. The
+    /// iteration loop, update phase, and arena recycling are the same either
+    /// way.
     pub(crate) fn run_stratum_from(
         &self,
         db: &mut Database<P>,
@@ -434,27 +436,25 @@ impl<P: Provenance> Executor<P> {
             load_cache,
         } = run;
 
-        // Every way out of the stratum — fix point, iteration cap, timeout,
-        // OOM, kernel error — restores the at-rest invariant: the sketch
-        // goes back to the arena and the runs fold back into one sorted
-        // `stable`. A failed stratum folds its frontier in as well, so the
-        // database holds exactly the facts of the completed iterations as
-        // one sorted, duplicate-free table. The one exception is the fix
-        // point of a seeded run, whose runs are the Δ the caller is waiting
-        // for: they fold into `recent`, which the last iteration left empty.
+        // Every way out of the stratum — fix point, single pass, iteration
+        // cap, timeout, OOM, kernel error — restores the at-rest invariant:
+        // the sketch goes back to the arena, and the frontier left in
+        // `recent` (empty once a recursive stratum converges) and the runs
+        // fold into one sorted `stable`, so the database holds exactly the
+        // facts of the completed iterations as one sorted, duplicate-free
+        // table. The one exception is the fix point of a seeded run, whose
+        // runs and frontier are the Δ the caller is waiting for: they fold
+        // into `recent`, and `stable` leaves as it came.
         for rel in &compiled.relations {
             let data = db.relation_data_mut(rel);
             data.recycle_sketch(&self.device);
+            let frontier = data.recent.take();
+            stats.update_rows_written += data.push_run(&self.device, frontier, seeded);
             if seeded && outcome.is_ok() {
-                debug_assert!(data.recent.is_empty(), "`{rel}` converged with a frontier");
                 data.recent = data.fold_runs(&self.device, &mut stats.update_rows_written);
-                continue;
+            } else {
+                stats.update_rows_written += data.compact(&self.device);
             }
-            if outcome.is_err() {
-                let frontier = data.recent.take();
-                stats.update_rows_written += data.push_run(&self.device, frontier, seeded);
-            }
-            stats.update_rows_written += data.compact(&self.device);
         }
 
         // The stratum is done: cached loads and static registers die here,
@@ -714,10 +714,13 @@ impl<P: Provenance> Executor<P> {
                 Arc::new(table.tags.clone()),
             ),
             None => {
-                // `all` is compiled as unsorted, so the runs and the
-                // frontier are simply concatenated — the (narrow) stored
-                // columns first, then one unpack: moving packed bytes is
-                // cheaper than moving unpacked ones.
+                // `all` of a relation the stratum updates, or of a changed
+                // input a delta run tracks, is compiled as unsorted, so the
+                // runs and the frontier are simply concatenated — the
+                // (narrow) stored columns first, then one unpack: moving
+                // packed bytes is cheaper than moving unpacked ones. Any
+                // other relation is at rest, one sorted `stable` table, and
+                // is compiled as sorted.
                 let tables = || data.stable_tables().chain(std::iter::once(&data.recent));
                 let rows: usize = tables().map(SortedTable::len).sum();
                 let merged_cols: Vec<Column> = (0..data.stable.columns.len())

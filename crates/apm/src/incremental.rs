@@ -1,11 +1,19 @@
 //! Incremental (delta) maintenance of a materialized fix point.
 //!
 //! After a full run, a session can keep its [`Database`] — every relation at
-//! its fix point, as one sorted table — and re-evaluate only what a batch of
-//! fact insertions, retractions, or probability updates can actually affect.
-//! [`refresh_database`] implements the refresh in two tiers:
+//! its fix point — and re-evaluate only what a batch of fact insertions,
+//! retractions, or probability updates can actually affect.
 //!
-//! * **Tuple level**, for recursive strata under a provenance that is
+//! **At rest, every relation is one sorted `stable` table with `recent`
+//! empty**, whether a recursive stratum derived it, a single-pass one, or
+//! no stratum at all: `Executor::run_stratum_from` folds the frontier and
+//! runs of every own relation into `stable` on every exit but a seeded fix
+//! point. A refresh splits a relation only while it runs and folds every
+//! split before it returns. So a stratum's kind never decides how it is
+//! refreshed. [`refresh_database`] picks the tier from the provenance
+//! alone, and applies it to every stratum the change reaches:
+//!
+//! * **Tuple level**, under a provenance that is
 //!   [`delta_exact`](lobster_provenance::Provenance::delta_exact).
 //!   - *Insertion.* A relation that gained rows is held as a split —
 //!     `stable` the old table, `recent` its Δ — from the moment it changes
@@ -41,15 +49,14 @@
 //!     outside S, with the relation's own asserted rows outside S, is R₀.
 //!     (4) R₀ seeds the insertion machinery above, beside any rows the
 //!     refresh inserts.
-//! * **Stratum-level recompute** for everything else — provenances whose
-//!   tags fold information across derivations in rank order (where dropping
-//!   re-derivations of existing rows would diverge from a from-scratch run),
-//!   strata derived in a single pass (whose rows rest in `recent`, where no
-//!   Δ can go), and the strata downstream of those. Affected strata are
-//!   recomputed exactly as a from-scratch run recomputes them — the same
-//!   compiled strata the caller runs with `Executor::run_strata`, the same
-//!   stratum run — so the result is bit-identical by construction;
-//!   unaffected strata are skipped entirely and launch zero kernels.
+//! * **Stratum-level recompute** under every other provenance — one whose
+//!   tags fold information across derivations in rank order, where dropping
+//!   re-derivations of existing rows would diverge from a from-scratch run.
+//!   Affected strata are recomputed exactly as a from-scratch run recomputes
+//!   them — the same compiled strata the caller runs with
+//!   `Executor::run_strata`, the same stratum run — so the result is
+//!   bit-identical by construction; unaffected strata are skipped entirely
+//!   and launch zero kernels.
 //!
 //! Dirtiness propagates along the stratum order: a recomputed relation whose
 //! content is bitwise unchanged, or a delta-updated one whose Δ came out
@@ -210,44 +217,6 @@ fn reads(stratum: &Stratum) -> Vec<String> {
     referenced
 }
 
-/// Which strata may take the tuple-level tier, decided before anything
-/// runs from which relations have EDB changes: under a delta-exact
-/// provenance, every recursive stratum that reads no relation rebuilt
-/// without a tuple-level Δ — one derived in a single pass, or by a stratum
-/// that is itself recomputed. Strata the changes cannot reach are `false`.
-fn tuple_tier(ram: &RamProgram, edb_changed: &BTreeSet<&str>, delta_exact: bool) -> Vec<bool> {
-    let single_pass = |rel: &str| {
-        ram.strata
-            .iter()
-            .any(|s| !s.recursive && s.relations.iter().any(|r| r == rel))
-    };
-    let mut touched: BTreeSet<&str> = edb_changed.clone();
-    let mut rebuilt: BTreeSet<&str> = edb_changed
-        .iter()
-        .copied()
-        .filter(|rel| !delta_exact || single_pass(rel))
-        .collect();
-    ram.strata
-        .iter()
-        .map(|stratum| {
-            let referenced = reads(stratum);
-            let relations = || stratum.relations.iter().chain(&referenced);
-            if !relations().any(|r| touched.contains(r.as_str())) {
-                return false;
-            }
-            let tuple = delta_exact
-                && stratum.recursive
-                && !relations().any(|r| rebuilt.contains(r.as_str()));
-            let own = stratum.relations.iter().map(String::as_str);
-            touched.extend(own.clone());
-            if !tuple {
-                rebuilt.extend(own);
-            }
-            tuple
-        })
-        .collect()
-}
-
 /// A one-stratum program over the relations `stratum` names, with their
 /// schemas as the database holds them: what the compiler takes.
 fn program_of<P: Provenance>(db: &Database<P>, stratum: Stratum) -> RamProgram {
@@ -380,8 +349,9 @@ struct Refreshing<'a, P: Provenance> {
     /// Relations whose content differs from the materialized state.
     changed: BTreeSet<String>,
     /// Relations holding a (stable = old content, recent = Δ) split that
-    /// downstream delta strata can consume as a frontier. Folded back to a
-    /// single stable table before returning.
+    /// downstream delta strata can consume as a frontier — under a
+    /// delta-exact provenance only. Folded back to a single stable table
+    /// before returning.
     split: BTreeSet<String>,
     /// Relations that lost rows tuple by tuple: `stable` holds what
     /// survived, and their `LOST` scratch relation what did not.
@@ -394,11 +364,11 @@ struct Refreshing<'a, P: Provenance> {
 ///
 /// Under a [`delta_exact`](lobster_provenance::Provenance::delta_exact)
 /// provenance the insertions and retractions of `changes` go tuple by tuple
-/// through every recursive stratum they reach (see the module docs), and
-/// reweights change nothing: a tag that carries no information beyond
-/// membership cannot read a weight. Otherwise — and for relations a stratum
-/// derives in a single pass — every relation with a change is rebuilt from
-/// `changes.content` and its stratum recomputed.
+/// through every stratum they reach, recursive or not (see the module
+/// docs), and reweights change nothing: a tag that carries no information
+/// beyond membership cannot read a weight. Under any other provenance every
+/// relation with a change is rebuilt from `changes.content` and every
+/// stratum the change reaches recomputed.
 ///
 /// `strata` are `ram`'s strata compiled as a from-scratch run compiles them
 /// ([`compile_stratum_with_options`](crate::compile_stratum_with_options)
@@ -424,6 +394,10 @@ pub fn refresh_database<P: Provenance>(
 ) -> Result<Refresh<P>, ExecError> {
     debug_assert_eq!(strata.len(), ram.strata.len(), "one compiled stratum each");
     let delta_exact = db.provenance().delta_exact();
+    debug_assert!(
+        delta_exact || db.orders().is_empty(),
+        "a recompute keeps no secondary orders"
+    );
     let mut edb_changed: BTreeSet<&str> = changes
         .inserted
         .keys()
@@ -433,7 +407,6 @@ pub fn refresh_database<P: Provenance>(
     if !delta_exact {
         edb_changed.extend(changes.reweighted.iter().map(String::as_str));
     }
-    let plan = tuple_tier(ram, &edb_changed, delta_exact);
     let mut refresh = Refreshing {
         executor,
         device: executor.device().clone(),
@@ -448,15 +421,15 @@ pub fn refresh_database<P: Provenance>(
         grew: BTreeSet::new(),
     };
     if delta_exact {
-        refresh.stage(db, changes, &edb_changed, &plan);
-        refresh.over_delete(db, &plan)?;
-        refresh.rederive(db, changes, &plan)?;
+        refresh.stage(db, changes, &edb_changed);
+        refresh.over_delete(db)?;
+        refresh.rederive(db, changes)?;
         refresh.seed(db);
     } else {
         refresh.rebuild_edb(db, changes, &edb_changed);
     }
-    for ((stratum, compiled), &planned) in ram.strata.iter().zip(strata).zip(&plan) {
-        refresh.refresh_stratum(db, changes, stratum, compiled, planned, delta_exact)?;
+    for (stratum, compiled) in ram.strata.iter().zip(strata) {
+        refresh.refresh_stratum(db, changes, stratum, compiled, delta_exact)?;
     }
     Ok(refresh.finish(db))
 }
@@ -520,30 +493,23 @@ impl<P: Provenance> Refreshing<'_, P> {
     /// an EDB relation's lost and gained rows (old table less rebuilt one,
     /// and the other way round; or the inserted rows less the old table), a
     /// derived relation's own asserted rows and, of its retracted ones, those
-    /// no fact asserts any more. A relation some stratum derives in a single
-    /// pass, or a retraction from a derived relation whose stratum is
-    /// recomputed, is only marked changed: the recompute rebuilds it.
+    /// no fact asserts any more.
     fn stage(
         &mut self,
         db: &mut Database<P>,
         changes: &EdbChanges<'_, P::Tag>,
         edb_changed: &BTreeSet<&str>,
-        plan: &[bool],
     ) {
         let device = &self.device;
         let scratch = &mut self.scratch;
         for &rel in edb_changed {
-            let defined_by = self
+            let derived = self
                 .ram
                 .strata
                 .iter()
-                .position(|s| s.relations.iter().any(|r| r == rel));
-            let retracted = changes.retracted.get(rel);
-            match defined_by {
-                Some(s) if !self.ram.strata[s].recursive || (retracted.is_some() && !plan[s]) => {
-                    self.changed.insert(rel.to_string());
-                }
-                Some(_) => {
+                .any(|s| s.relations.iter().any(|r| r == rel));
+            match (derived, changes.retracted.get(rel)) {
+                (true, retracted) => {
                     let encode = |db: &mut Database<P>, (cols, tags): &EdbContent<P::Tag>| {
                         db.encoded_from_unsorted(device, rel, cols.clone(), tags.clone(), false)
                     };
@@ -558,7 +524,7 @@ impl<P: Provenance> Refreshing<'_, P> {
                     };
                     scratch.store(db, device, rel, GAINED, asserted);
                 }
-                None if retracted.is_some() => {
+                (false, Some(_)) => {
                     let (cols, tags) = (changes.content)(rel);
                     let new = db.encoded_from_unsorted(device, rel, cols, tags, false);
                     let old = &db.relation_data(rel).stable;
@@ -567,7 +533,7 @@ impl<P: Provenance> Refreshing<'_, P> {
                     scratch.store(db, device, rel, LOST, lost);
                     scratch.store(db, device, rel, GAINED, gained);
                 }
-                None => {
+                (false, None) => {
                     let (cols, tags) = &changes.inserted[rel];
                     let gained =
                         db.encoded_from_unsorted(device, rel, cols.clone(), tags.clone(), true);
@@ -577,11 +543,11 @@ impl<P: Provenance> Refreshing<'_, P> {
         }
     }
 
-    /// Over-deletion: one stratum of deletion rules for every planned
-    /// stratum that reads, or defines, a relation that may lose rows, run to
+    /// Over-deletion: one stratum of deletion rules for every stratum that
+    /// reads, or defines, a relation that may lose rows, run to
     /// its fix point against the old tables; then each relation that lost
     /// rows keeps its survivors.
-    fn over_delete(&mut self, db: &mut Database<P>, plan: &[bool]) -> Result<(), ExecError> {
+    fn over_delete(&mut self, db: &mut Database<P>) -> Result<(), ExecError> {
         let mut losing: BTreeSet<String> = self
             .scratch
             .0
@@ -596,7 +562,7 @@ impl<P: Provenance> Refreshing<'_, P> {
             recursive: true,
             ..Stratum::default()
         };
-        for (stratum, _) in self.ram.strata.iter().zip(plan).filter(|(_, &p)| p) {
+        for stratum in &self.ram.strata {
             let referenced = reads(stratum);
             if !stratum
                 .relations
@@ -700,11 +666,10 @@ impl<P: Provenance> Refreshing<'_, P> {
         &mut self,
         db: &mut Database<P>,
         changes: &EdbChanges<'_, P::Tag>,
-        plan: &[bool],
     ) -> Result<(), ExecError> {
         let ram = self.ram;
         let mut pass = Stratum::default();
-        for (stratum, _) in ram.strata.iter().zip(plan).filter(|(_, &p)| p) {
+        for stratum in &ram.strata {
             let mut filters = BTreeMap::new();
             let lost: Vec<&String> = stratum
                 .relations
@@ -802,7 +767,7 @@ impl<P: Provenance> Refreshing<'_, P> {
         db.relation_data_mut(&lost_name).stable = gone;
     }
 
-    /// Brings one stratum up to date, on the tier its changes allow;
+    /// Brings one stratum up to date, on the tier the provenance allows;
     /// `compiled` is the stratum as a from-scratch run compiles it.
     fn refresh_stratum(
         &mut self,
@@ -810,7 +775,6 @@ impl<P: Provenance> Refreshing<'_, P> {
         changes: &EdbChanges<'_, P::Tag>,
         stratum: &Stratum,
         compiled: &CompiledStratum,
-        planned: bool,
         delta_exact: bool,
     ) -> Result<(), ExecError> {
         let device = self.device.clone();
@@ -819,22 +783,14 @@ impl<P: Provenance> Refreshing<'_, P> {
         if !touched().any(|r| self.changed.contains(r)) {
             return Ok(());
         }
-        // The tuple-level tier needs every changed relation this stratum
-        // touches to carry its change tuple by tuple — a live Δ split, or
-        // survivors beside the rows they lost (which only a planned stratum
-        // over-deleted for). Anything changed via recompute forces the
-        // consumer to recompute too.
-        let tuple_level = delta_exact
-            && stratum.recursive
-            && touched()
-                .filter(|r| self.changed.contains(*r))
-                .all(|r| self.split.contains(r) || self.deleted.contains(r))
-            && (planned || !touched().any(|r| self.deleted.contains(r)));
-        if tuple_level {
-            // Tuple-level semi-naive insertion. The seeded run hands every
-            // own relation back as the split downstream strata read: the
-            // old table (or its survivors) in `stable`, untouched, and what
-            // it derived (with what was seeded) in `recent`.
+        if delta_exact {
+            // Tuple-level semi-naive insertion: every changed relation the
+            // stratum touches carries its change tuple by tuple, as a live
+            // Δ split or as survivors beside the rows they lost. The seeded
+            // run hands every own relation back as the split downstream
+            // strata read: the old table (or its survivors) in `stable`,
+            // untouched, and what it derived (with what was seeded) in
+            // `recent`.
             let changed_inputs: BTreeSet<String> = referenced
                 .iter()
                 .filter(|r| self.split.contains(*r) && !stratum.relations.contains(r))
@@ -843,14 +799,8 @@ impl<P: Provenance> Refreshing<'_, P> {
             if !changed_inputs.is_empty()
                 || stratum.relations.iter().any(|r| self.split.contains(r))
             {
-                let options = self.executor.options();
-                let compiled = compile_stratum_delta(
-                    stratum,
-                    self.ram,
-                    &changed_inputs,
-                    &self.orders,
-                    options,
-                );
+                let compiled =
+                    compile_stratum_delta(stratum, self.ram, &changed_inputs, &self.orders);
                 self.stats.strata_compiled += 1;
                 let ran = self
                     .executor
@@ -871,50 +821,28 @@ impl<P: Provenance> Refreshing<'_, P> {
             return Ok(());
         }
         // Stratum-level recompute: restore the exact stratum-entry state of
-        // a from-scratch run, then replay it.
-        for rel in referenced
-            .iter()
-            .filter(|r| !stratum.relations.contains(*r))
-        {
-            if self.split.remove(rel.as_str()) {
-                // Loads assume single sorted partitions; fold the split. What
-                // the relation gained or lost is no longer reported.
-                let (delta, written) = fold_split(&device, db, rel);
-                self.stats.update_rows_written += written;
-                delta.recycle(&device);
-                self.deleted.remove(rel.as_str());
-            }
-        }
-        let old_tables: Vec<(String, SortedTable<P>, SortedTable<P>)> = stratum
+        // a from-scratch run, then replay it. Nothing is split: every
+        // relation rests as one table.
+        let old_tables: Vec<(String, SortedTable<P>)> = stratum
             .relations
             .iter()
             .map(|rel| {
                 let (cols, tags) = (changes.content)(rel);
                 let new = db.encoded_from_unsorted(&device, rel, cols, tags, false);
-                // A pending EDB seed on this relation is subsumed by the
-                // full rebuild.
-                self.split.remove(rel);
-                let data = db.relation_data_mut(rel);
-                let old_stable = std::mem::replace(&mut data.stable, new);
-                (rel.clone(), old_stable, data.recent.take())
+                let old = std::mem::replace(&mut db.relation_data_mut(rel).stable, new);
+                (rel.clone(), old)
             })
             .collect();
         let ran = self
             .executor
             .run_stratum_from(db, compiled, self.run_start, true)?;
         self.stats.merge(&ran);
-        for (rel, old_stable, old_recent) in old_tables {
+        for (rel, old) in old_tables {
             let data = db.relation_data(&rel);
-            let same = data.stable.columns == old_stable.columns
-                && data.stable.tags == old_stable.tags
-                && data.recent.columns == old_recent.columns
-                && data.recent.tags == old_recent.tags;
-            if !same {
-                db.update_orders(&device, &rel, Stable::Rebuilt);
+            if data.stable.columns != old.columns || data.stable.tags != old.tags {
                 self.changed.insert(rel);
             }
-            old_stable.recycle(&device);
-            old_recent.recycle(&device);
+            old.recycle(&device);
         }
         Ok(())
     }
@@ -1113,6 +1041,39 @@ mod tests {
     }
 
     #[test]
+    fn an_insertion_into_a_non_recursive_output_reports_the_added_rows() {
+        // `painted` is derived in a single pass and rests as one sorted
+        // table like `path`, so a new colour reaches it tuple by tuple.
+        let (ram, executor, mut db) = materialized(&[(1, 2)]);
+        let colours = |rows: &[(u32, u32)]| -> BTreeMap<String, EdbContent<()>> {
+            [("colour".to_string(), edb(rows, ()))].into()
+        };
+        let unread = |_: &str| unreachable!("an insertion reads no EDB content");
+        let changes = EdbChanges {
+            inserted: colours(&[(0, 7), (3, 9)]),
+            retracted: BTreeMap::new(),
+            reweighted: BTreeSet::new(),
+            content: &unread,
+        };
+        let refresh = refresh_database(&executor, &mut db, &ram, &strata(&ram), &changes).unwrap();
+        assert_eq!(refresh.outputs.keys().collect::<Vec<_>>(), ["painted"]);
+        let RelationChange::Inserted { rows, positions } = &refresh.outputs["painted"] else {
+            panic!("`painted` was not reported as an insertion");
+        };
+        let added: Vec<Tuple> = db
+            .decode_table("painted", rows, |()| ())
+            .into_iter()
+            .map(|(t, ())| t)
+            .collect();
+        assert_eq!(added, [vec![Value::U32(0)], vec![Value::U32(3)]]);
+        assert_eq!(positions, &[0, 2], "around the old `painted(1)`");
+        assert_eq!(
+            tuples(&db, "painted"),
+            [0, 1, 3].map(|x| vec![Value::U32(x)])
+        );
+    }
+
+    #[test]
     fn a_retraction_reports_the_removed_rows_and_where_they_were() {
         // A diamond 1 -> {2, 3} -> 4 -> 5. Without 2 -> 4, the paths from 2
         // beyond it are gone, while 1 still reaches 4 and 5 through 3: they
@@ -1185,8 +1146,7 @@ mod tests {
     }
 
     /// Symbol-keyed TC beside a relation a single-pass stratum derives and
-    /// `path` reads: a change to `hop` rebuilds `link`, which sends `path`'s
-    /// stratum to the recompute tier.
+    /// `path` reads: a change to `hop` reaches `path` through `link`.
     const SYMBOL_TC: &str = "type edge(x: symbol, y: symbol)
          type hop(x: symbol, y: symbol)
          rel link(x, y) = hop(x, y)
@@ -1231,8 +1191,9 @@ mod tests {
         // After every step of a random insert / retract / reweight trace,
         // the order equals its relation re-sorted key-first, bit for bit,
         // and the relations decode to what a from-scratch run derives. Steps
-        // that change `hop` take the recompute tier; inserts bring symbols
-        // the database has not seen.
+        // that change `hop` go tuple by tuple through the single-pass `link`
+        // into `path`, like any other; inserts bring symbols the database
+        // has not seen.
         let ram = parse(SYMBOL_TC).unwrap().ram;
         let path_on_z = SecondaryOrder {
             relation: "path".to_string(),

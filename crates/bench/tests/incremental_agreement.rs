@@ -241,10 +241,11 @@ fn appending_an_edge_derives_each_new_path_once() {
 }
 
 #[test]
-fn a_fact_inserted_into_a_non_recursive_relation_recomputes_its_stratum() {
-    // `both` is derived by a stratum that does not iterate, so it has no
-    // tuple-level tier — and at rest it keeps its rows in `recent`, where a
-    // seeded Δ would have to go. The insertion is a recompute.
+fn a_fact_inserted_into_a_non_recursive_relation_is_refreshed_tuple_by_tuple() {
+    // `both` is derived by a stratum that does not iterate, and rests as one
+    // sorted table like every other relation: its asserted row is a Δ
+    // seeded into it, and the strata it reaches are compiled for the delta
+    // and run on the tuple-level tier.
     let program = Program::compile(
         "type a(x: u32)
          type b(x: u32)
@@ -270,6 +271,7 @@ fn a_fact_inserted_into_a_non_recursive_relation_recomputes_its_stratum() {
     let incremental = session.run_incremental().unwrap();
     assert_identical(&incremental, &session.run().unwrap(), "direct insert");
     assert!(incremental.contains("both", &[Value::U32(9)]));
+    assert!(incremental.stats.strata_compiled > 0, "no delta compile");
 }
 
 // ---------------------------------------------------------------------------
@@ -343,7 +345,7 @@ fn symbol_chain_and_one_more() -> (FactSet, FactSet) {
     (edges(1..41), edges(41..42))
 }
 
-const SHAPES: [Shape; 8] = [
+const SHAPES: [Shape; 9] = [
     Shape {
         name: "left-leaf TC",
         source: "type edge(x: u32, y: u32)
@@ -455,6 +457,24 @@ const SHAPES: [Shape; 8] = [
         inputs: &["edge"],
         node: sym_node,
         deep: symbol_chain_and_one_more,
+    },
+    Shape {
+        name: "a single-pass relation with facts of its own in a recursive join",
+        source: "type edge(x: u32, y: u32)
+            type hop(x: u32, y: u32)
+            rel link(x, y) = hop(x, z) and hop(z, y)
+            rel path(x, y) = edge(x, y) or (path(x, z) and link(z, y))
+            query link
+            query path",
+        inputs: &["edge", "hop", "link"],
+        node: Value::U32,
+        // A chain of asserted `link`s that `path` walks from node 0, one
+        // `link` a `hop` pair derives, and an edge near its far end.
+        deep: || {
+            let links = (1..41).map(|i| ("link", i, i + 1));
+            let rest = [("edge", 0, 1), ("hop", 41, 50), ("hop", 50, 42)];
+            (facts_of(links.chain(rest)), facts_of([("edge", 39, 40)]))
+        },
     },
 ];
 

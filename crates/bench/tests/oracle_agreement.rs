@@ -6,7 +6,9 @@
 //! variables and constants, `==` / `!=` constraints and `+ 1` between bound
 //! `u32` variables; left-linear, right-linear, non-linear and mutual
 //! recursion. The constant domain has eight values, among them `0` and
-//! `4294967295`, so `+ 1` wraps. Every fact gets a random probability.
+//! `4294967295`, so `+ 1` wraps. Every fact gets a random probability. The
+//! third test's draws also assert facts into derived relations, so that a
+//! relation holds asserted and derived rows at once.
 //!
 //! The generator emits both its rule structs and the program's source text.
 //! The engine parses the text; the oracle evaluates the structs bottom-up
@@ -24,7 +26,8 @@
 //!   different one from draw to draw.
 //!
 //! A failure prints the draw's seed and program text. Two tests of `DRAWS`
-//! draws each: 150 draws, about 7 s in a debug build on two cores.
+//! draws each and one of `DERIVED_FACT_DRAWS`: 180 draws, about 8 s in a
+//! debug build on two cores.
 
 use lobster::{FactSet, Lobster, Program, ProvenanceKind, RunResult, Value};
 use lobster_provenance::InputFactId;
@@ -34,6 +37,9 @@ use std::panic::{self, AssertUnwindSafe};
 
 /// Draws per test.
 const DRAWS: u64 = 75;
+
+/// Draws of the test whose draws assert facts into derived relations.
+const DERIVED_FACT_DRAWS: u64 = 30;
 
 /// Steps of each draw's insert/retract trace.
 const TRACE_STEPS: usize = 8;
@@ -151,10 +157,18 @@ fn relation_name(draw: &Draw, relation: usize) -> String {
 }
 
 impl Draw {
-    fn new(seed: u64) -> Draw {
+    /// The draw of `seed`. With `derived_facts` it also asserts facts into
+    /// its derived relations, has at least two, keeps the first of them
+    /// single-pass and joins it on its first column in about half of the
+    /// others' later rules ([`Draw::prefix_join_rule`]).
+    fn new(seed: u64, derived_facts: bool) -> Draw {
         let mut rng = SplitMix64::new(seed);
         let inputs = 2 + rng.below(3);
-        let derived = 1 + rng.below(3);
+        let derived = if derived_facts {
+            2 + rng.below(2)
+        } else {
+            1 + rng.below(3)
+        };
         // Most columns of one type, so that most columns can join.
         let (main, other) = if rng.chance(1, 2) {
             (Ty::U32, Ty::Symbol)
@@ -178,8 +192,20 @@ impl Draw {
         for head in inputs..inputs + derived {
             // The first rule reads input relations only, so every derived
             // relation can start somewhere; the others mix in derived ones.
-            for k in 0..1 + rng.below(3) {
-                let chain = if k > 0 && rng.chance(2, 3) {
+            // With derived facts the first derived relation has that rule
+            // alone, so it is derived in a single pass and holds asserted
+            // and derived rows at once, and the others often join it.
+            let rules = if derived_facts && head == inputs {
+                1
+            } else {
+                1 + rng.below(3)
+            };
+            for k in 0..rules {
+                let chain = if k == 0 {
+                    None
+                } else if derived_facts && rng.chance(1, 2) {
+                    draw.prefix_join_rule(&mut rng, head)
+                } else if rng.chance(2, 3) {
                     draw.chain_rule(&mut rng, head)
                 } else {
                     None
@@ -188,9 +214,19 @@ impl Draw {
                 draw.rules.push(rule);
             }
         }
-        for relation in 0..inputs {
+        let facts_for = if derived_facts {
+            draw.relations.len()
+        } else {
+            inputs
+        };
+        for relation in 0..facts_for {
             let types = draw.relations[relation].clone();
-            for _ in 0..3 + rng.below(8) {
+            let count = if relation < inputs {
+                3 + rng.below(8)
+            } else {
+                1 + rng.below(3)
+            };
+            for _ in 0..count {
                 let tuple = types.iter().map(|ty| rng.pick(&ty.domain())).collect();
                 let prob = (1 + rng.below(1000)) as f64 / 1000.0;
                 draw.facts.push(Fact {
@@ -256,6 +292,58 @@ impl Draw {
             },
         ];
         rng.shuffle(&mut body);
+        Some(Rule {
+            head,
+            head_args,
+            body,
+            constraints: Vec::new(),
+        })
+    }
+
+    /// `h(…) = x(v0, …), p0(v0, …)` in either atom order: an input
+    /// relation `x` and the first derived relation `p0` joined on their
+    /// first columns — a join of two tables stored sorted on its key, which
+    /// the planner sends down the merge path. `None` when no input relation
+    /// starts with the column type `p0` starts with.
+    fn prefix_join_rule(&self, rng: &mut SplitMix64, head: usize) -> Option<Rule> {
+        let p0 = self.inputs;
+        let key = self.relations[p0][0];
+        let fits: Vec<usize> = (0..self.inputs)
+            .filter(|&r| self.relations[r][0] == key)
+            .collect();
+        if fits.is_empty() {
+            return None;
+        }
+        // v0 is the key; every other column gets a variable of its own.
+        let mut vars = vec![key];
+        let mut atom = |relation: usize| {
+            let rest: Vec<Ty> = self.relations[relation][1..].to_vec();
+            let args = std::iter::once(Term::Var(0))
+                .chain(rest.into_iter().map(|ty| {
+                    vars.push(ty);
+                    Term::Var(vars.len() - 1)
+                }))
+                .collect();
+            Atom { relation, args }
+        };
+        let mut body = vec![atom(rng.pick(&fits)), atom(p0)];
+        rng.shuffle(&mut body);
+        let mut taken = Vec::new();
+        let head_args = self.relations[head]
+            .iter()
+            .map(|&ty| {
+                let free: Vec<usize> = (0..vars.len())
+                    .filter(|v| vars[*v] == ty && !taken.contains(v))
+                    .collect();
+                if free.is_empty() {
+                    Term::Const(rng.pick(&ty.domain()))
+                } else {
+                    let v = rng.pick(&free);
+                    taken.push(v);
+                    Term::Var(v)
+                }
+            })
+            .collect();
         Some(Rule {
             head,
             head_args,
@@ -679,8 +767,16 @@ fn check(draw: &Draw, seed: u64) {
         .map(|_| (0..draw.facts.len()).filter(|_| rng.chance(1, 2)).collect())
         .collect();
     let (initial, steps, models) = trace(draw, &mut rng);
-    // Facts of probability 0 are absent under `bool`.
-    let absent: Vec<bool> = draw.facts.iter().map(|_| rng.chance(1, 4)).collect();
+    // Facts of probability 0 are absent under `bool`. A fact asserted into
+    // a derived relation is never made absent: the engine would keep its
+    // tuple with the false tag and drop the true one a rule derives, since
+    // a known tuple's new derivations are not yet ⊕-ed into its tag
+    // (ROADMAP item 3, whose change lifts this exclusion).
+    let absent: Vec<bool> = draw
+        .facts
+        .iter()
+        .map(|fact| rng.chance(1, 4) && fact.relation < draw.inputs)
+        .collect();
     let present = draw.oracle(
         draw.facts
             .iter()
@@ -790,9 +886,9 @@ fn check(draw: &Draw, seed: u64) {
     }
 }
 
-fn fuzz(seeds: std::ops::Range<u64>) {
+fn fuzz(seeds: std::ops::Range<u64>, derived_facts: bool) {
     for seed in seeds {
-        let draw = Draw::new(seed);
+        let draw = Draw::new(seed, derived_facts);
         if let Err(panic) = panic::catch_unwind(AssertUnwindSafe(|| check(&draw, seed))) {
             eprintln!(
                 "oracle disagreement at seed {seed:#x}; the program:\n{}",
@@ -805,10 +901,15 @@ fn fuzz(seeds: std::ops::Range<u64>) {
 
 #[test]
 fn random_programs_agree_with_the_oracle() {
-    fuzz(0..DRAWS);
+    fuzz(0..DRAWS, false);
 }
 
 #[test]
 fn more_random_programs_agree_with_the_oracle() {
-    fuzz(0x1000..0x1000 + DRAWS);
+    fuzz(0x1000..0x1000 + DRAWS, false);
+}
+
+#[test]
+fn random_programs_with_facts_in_derived_relations_agree_with_the_oracle() {
+    fuzz(0x2000..0x2000 + DERIVED_FACT_DRAWS, true);
 }

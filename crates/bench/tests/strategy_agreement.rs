@@ -33,7 +33,7 @@
 //! order). Incremental delta sessions run through the same seal/refresh
 //! path and are pinned by `incremental_agreement`.
 
-use lobster::{Device, DeviceConfig, FactSet, Output, SymbolTable, Value};
+use lobster::{Device, DeviceConfig, FactSet, Lobster, Output, ProvenanceKind, SymbolTable, Value};
 use lobster_apm::{
     batch_transform, compile_stratum_hash_only, compile_stratum_with_options, Database, Executor,
     RuntimeOptions, StoragePlan,
@@ -307,6 +307,44 @@ fn same_generation_merge_join_is_bit_identical() {
         &facts,
         true,
     );
+}
+
+/// A relation a single-pass stratum derives that also holds facts of its
+/// own: `r`'s asserted rows (5, 6, 7) and its derived rows (1, 2, 3) rest as
+/// one sorted table, which the next stratum's merge join reads as its build
+/// side. Were they to rest as two sorted halves, their concatenation would
+/// not be sorted, and the merge join would find only the asserted half.
+#[test]
+fn a_single_pass_relation_with_facts_of_its_own_rests_sorted() {
+    let source = "type s(x: u32, y: u32)
+        type e(x: u32, z: u32)
+        type r(x: u32, y: u32)
+        rel r(x, y) = s(x, y)
+        rel out(x, y, z) = e(x, z) and r(x, y)
+        query out";
+    let mut facts = FactSet::new();
+    for x in [5, 6, 7] {
+        facts.add("r", &[Value::U32(x), Value::U32(0)], None);
+    }
+    for x in [1, 2, 3] {
+        facts.add("s", &[Value::U32(x), Value::U32(0)], None);
+    }
+    for x in [1, 2, 3, 5, 6, 7] {
+        facts.add("e", &[Value::U32(x), Value::U32(100 + x)], None);
+    }
+    let name = "single-pass build side";
+    join_differential(name, source, &facts, true);
+    storage_invariants(name, source, &facts);
+    for kind in ProvenanceKind::ALL {
+        let program = Lobster::builder(source).provenance(kind).compile().unwrap();
+        let mut session = program.session();
+        session.insert_facts(&facts).unwrap();
+        assert_eq!(session.run().unwrap().len("out"), 6, "{kind}: run");
+        let batch = program.run_batch(std::slice::from_ref(&facts)).unwrap();
+        assert_eq!(batch[0].len("out"), 6, "{kind}: run_batch");
+        let incremental = session.run_incremental().unwrap();
+        assert_eq!(incremental.len("out"), 6, "{kind}: run_incremental");
+    }
 }
 
 /// Transitive closure stays on the hash path (its probe side is a column

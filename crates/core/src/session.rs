@@ -460,18 +460,21 @@ impl Session {
     ///   launching a single kernel;
     /// * insert-only changes under a
     ///   [`delta_exact`](lobster_provenance::Provenance::delta_exact)
-    ///   provenance — recursive strata propagate the new rows tuple-level
-    ///   with semi-naive delta rules, so cost scales with |Δ| and its
-    ///   derivation cone, not |DB|;
-    /// * retractions under the same provenance — recursive strata
-    ///   over-delete every row derived through a retracted fact, keep the
-    ///   rest, and derive again only the over-deleted rows that other
-    ///   support still yields (delete/re-derive), so cost scales with the
-    ///   retraction's cone too;
-    /// * probability updates or richer provenances, and strata derived in a
-    ///   single pass — the affected strata (and only those) are recomputed
-    ///   from the surviving EDB support, replaying exactly what a
-    ///   from-scratch run would do.
+    ///   provenance — every stratum the change reaches, recursive or not,
+    ///   propagates the new rows tuple-level with semi-naive delta rules, so
+    ///   cost scales with |Δ| and its derivation cone, not |DB|;
+    /// * retractions under the same provenance — every stratum the change
+    ///   reaches over-deletes every row derived through a retracted fact,
+    ///   keeps the rest, and derives again only the over-deleted rows that
+    ///   other support still yields (delete/re-derive), so cost scales with
+    ///   the retraction's cone too;
+    /// * any change under every other provenance — the affected strata (and
+    ///   only those) are recomputed from the surviving EDB support,
+    ///   replaying exactly what a from-scratch run would do.
+    ///
+    /// The tier is the provenance's alone: between calls every relation
+    /// rests as one sorted table, whichever kind of stratum derived it, so
+    /// no stratum needs a tier of its own.
     ///
     /// In every case the resulting state — tuples *and* tags, including
     /// proofs and gradients — is bit-identical to [`Session::run`] on the

@@ -54,10 +54,6 @@ impl Provenance for AddMultProb {
     fn weight(&self, tag: &Self::Tag) -> f64 {
         tag.clamp(0.0, 1.0)
     }
-
-    fn is_idempotent(&self) -> bool {
-        false
-    }
 }
 
 #[cfg(test)]
@@ -80,7 +76,7 @@ mod tests {
     #[test]
     fn not_idempotent() {
         let p = AddMultProb::new();
-        assert!(!p.is_idempotent());
+        assert_ne!(p.add(&0.3, &0.3), 0.3);
     }
 
     #[test]

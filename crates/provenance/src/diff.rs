@@ -201,10 +201,6 @@ impl Provenance for DiffAddMultProb {
             gradient: tag.grad.clone().into_entries(),
         }
     }
-
-    fn is_idempotent(&self) -> bool {
-        false
-    }
 }
 
 /// Differentiable top-1-proof provenance (`diff-top-1-proofs`).
@@ -310,10 +306,6 @@ impl Provenance for DiffTop1Proof {
                 }
             }
         }
-    }
-
-    fn is_idempotent(&self) -> bool {
-        true
     }
 }
 

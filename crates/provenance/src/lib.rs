@@ -137,13 +137,6 @@ pub trait Provenance: Clone + Debug + Send + Sync + 'static {
         Output::scalar(self.weight(tag))
     }
 
-    /// `true` when `⊕` is idempotent and saturating (e.g. boolean, unit,
-    /// max-min-prob), which allows the runtime to rely purely on fact-count
-    /// convergence for fix-point detection.
-    fn is_idempotent(&self) -> bool {
-        true
-    }
-
     /// `true` when tags carry no information beyond set membership, so the
     /// tuple-level delta-insertion path — which never revisits the tag of an
     /// already-derived fact — is exact. Only [`Unit`] qualifies: every

@@ -118,10 +118,6 @@ impl Provenance for Top1Proof {
             Top1Tag::Proof(p) => p.probability(&self.registry),
         }
     }
-
-    fn is_idempotent(&self) -> bool {
-        true
-    }
 }
 
 #[cfg(test)]

@@ -60,6 +60,6 @@ mod tests {
         assert_eq!(p.mul(&p.one(), &p.zero()), ());
         assert_eq!(p.weight(&()), 1.0);
         assert!(p.accept(&()));
-        assert!(p.is_idempotent());
+        assert_eq!(p.add(&(), &()), ());
     }
 }

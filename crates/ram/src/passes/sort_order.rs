@@ -5,9 +5,12 @@
 //! lexicographically by row, deduplicated). The executor's loads therefore
 //! produce sorted columns whenever they read a single partition — and, for
 //! relations the running stratum does not update, even the combined "all"
-//! partition (its recent half is empty once the defining stratum reached its
-//! fix point). This pass propagates that invariant through the expression
-//! operators:
+//! partition. That rests on the engine's at-rest invariant (documented on
+//! `lobster_apm`'s `RelationData` and `Executor::run_stratum_from`): outside
+//! its defining stratum's run, every relation — derived by a recursive
+//! stratum, by a single-pass one, or by none — is one sorted `stable` table
+//! with its `recent` half empty. This pass propagates that invariant
+//! through the expression operators:
 //!
 //! * **project** keeps the longest output prefix that is an identity prefix
 //!   of the input (output column `i` reads input column `i`), capped by the
@@ -98,8 +101,9 @@ pub fn expr_sorted_prefix(expr: &RamExpr, leaf_sorted: &mut impl FnMut(&str) -> 
 
 /// Conservative whole-stratum count of merge-eligible join sites: a leaf is
 /// taken as fully sorted when its relation is *not* updated by the stratum
-/// (such loads read a table whose recent half is empty), and unsorted when
-/// it is (the semi-naive `all` partition interleaves two sorted halves).
+/// (such loads read a relation at rest, one sorted table with its recent
+/// half empty — the invariant in the module docs), and unsorted when it is
+/// (the semi-naive `all` partition interleaves two sorted halves).
 /// The compiler's per-variant decision can only find *more* merge sites
 /// than this (single-partition loads of own relations are sorted too).
 pub fn merge_eligible_joins(stratum: &Stratum, ram: &RamProgram) -> usize {
