@@ -162,7 +162,7 @@ mod tests {
         let batched = batch_transform(&compiled.ram);
         assert_eq!(batched.schemas["edge"].arity(), 3);
         assert_eq!(batched.schemas["path"].arity(), 3);
-        batched.validate().unwrap();
+        lobster_ram::passes::validate_program(&batched).unwrap();
         let mut join_widths = Vec::new();
         for stratum in &batched.strata {
             for rule in &stratum.rules {

@@ -11,10 +11,10 @@
 //! this is what CI runs. File paths may be passed instead to lint programs
 //! from disk.
 //!
-//! Exit status: non-zero if any program fails to parse or produces an
-//! error-severity diagnostic (a validator rejection surfaced as
-//! `invalid-ir`). Warnings are reported but do not fail the run unless
-//! `--deny-warnings` is given.
+//! Exit status: non-zero if any program fails to parse or compile (the
+//! front end rejects IR that fails validation, printing the validator's
+//! errors) or produces an error-severity diagnostic. Warnings are reported
+//! but do not fail the run unless `--deny-warnings` is given.
 
 use lobster_ram::passes::{lint_program, CostModel};
 use lobster_ram::Severity;

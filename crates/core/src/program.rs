@@ -19,7 +19,7 @@ use lobster_apm::{
 use lobster_datalog::CompiledProgram;
 use lobster_gpu::Device;
 use lobster_provenance::ProvenanceKind;
-use lobster_ram::passes::{lint_program, validate_program};
+use lobster_ram::passes::lint_program;
 use lobster_ram::{Diagnostic, RamProgram, Value};
 use std::sync::Arc;
 
@@ -88,9 +88,9 @@ impl LobsterBuilder {
     /// # Errors
     ///
     /// Returns [`LobsterError::Config`] when no provenance kind was set, a
-    /// [`LobsterError::Frontend`] when the program does not parse or
-    /// compile, or [`LobsterError::BadFact`] when an inline fact is
-    /// malformed.
+    /// [`LobsterError::Frontend`] when the program does not parse, compile
+    /// or pass IR validation (see [`lobster_datalog::parse`]), or
+    /// [`LobsterError::BadFact`] when an inline fact is malformed.
     pub fn compile(self) -> Result<crate::Program, LobsterError> {
         let Some(kind) = self.provenance else {
             return Err(LobsterError::Config {
@@ -99,20 +99,6 @@ impl LobsterBuilder {
             });
         };
         let compiled = lobster_datalog::parse(&self.source)?;
-        // Full structural validation of the compiled RAM: the front-end is
-        // expected to always produce valid IR, but a validator failure here
-        // (with rule provenance) beats executor misbehaviour at request time.
-        if let Err(errors) = validate_program(&compiled.ram) {
-            let rendered: Vec<String> = errors.iter().map(ToString::to_string).collect();
-            return Err(LobsterError::Frontend(
-                lobster_datalog::DatalogError::Semantic {
-                    message: format!(
-                        "compiled program failed IR validation:\n{}",
-                        rendered.join("\n")
-                    ),
-                },
-            ));
-        }
         let diagnostics = lint_program(&compiled.ram);
         let batched = batch_transform(&compiled.ram);
         let source_hash = Lobster::source_hash(&self.source);

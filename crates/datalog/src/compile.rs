@@ -4,6 +4,7 @@ use crate::ast::{Atom, BinOp, Body, Expr, Item};
 use crate::error::DatalogError;
 use crate::infer::{expr_type, infer_schemas, unify};
 use crate::stratify::{stratify, stratum_is_recursive};
+use lobster_ram::passes::validate_program;
 use lobster_ram::{
     BinaryOp, RamExpr, RamProgram, RamRule, RelationSchema, RowProjection, ScalarExpr, Stratum,
     SymbolTable, Tuple, Value, ValueType,
@@ -39,7 +40,10 @@ pub struct CompiledProgram {
 /// # Errors
 ///
 /// Returns a [`DatalogError`] for semantic problems: unknown relations,
-/// arity mismatches, unsupported expressions, or unbound variables.
+/// arity mismatches, unsupported expressions, or unbound variables; and a
+/// [`DatalogError::Semantic`] listing every error
+/// [`validate_program`] finds in the compiled RAM (arithmetic over
+/// `symbol` or `bool` operands, for one).
 pub fn compile(items: &[Item]) -> Result<CompiledProgram, DatalogError> {
     let inferred = infer_schemas(items)?;
     // Intern through the process-wide table: every compiled program agrees
@@ -139,8 +143,16 @@ pub fn compile(items: &[Item]) -> Result<CompiledProgram, DatalogError> {
         strata,
         outputs,
     };
-    ram.validate()
-        .map_err(|e| DatalogError::semantic(e.to_string()))?;
+    // The one RAM validator, with rule provenance: the compiler is expected
+    // to always produce valid IR, but a rejection here beats executor
+    // misbehaviour at request time.
+    if let Err(errors) = validate_program(&ram) {
+        let rendered: Vec<String> = errors.iter().map(ToString::to_string).collect();
+        return Err(DatalogError::semantic(format!(
+            "compiled program failed IR validation:\n{}",
+            rendered.join("\n")
+        )));
+    }
     Ok(CompiledProgram {
         ram,
         symbols,
@@ -631,7 +643,7 @@ mod tests {
         assert!(stratum.recursive);
         assert_eq!(stratum.rules.len(), 2);
         assert_eq!(program.ram.outputs, vec!["path".to_string()]);
-        program.ram.validate().unwrap();
+        validate_program(&program.ram).unwrap();
     }
 
     #[test]
@@ -659,7 +671,7 @@ mod tests {
             "type edge(x: u32, y: u32)
              rel self_loop(x) = edge(x, x)",
         );
-        program.ram.validate().unwrap();
+        validate_program(&program.ram).unwrap();
         let rule = &program.ram.strata[0].rules[0];
         let mut found_filter = false;
         rule.expr.visit(&mut |e| {
@@ -678,7 +690,7 @@ mod tests {
             "type cell(x: u32)
              rel next(x, y) = cell(x), y == x + 1",
         );
-        program.ram.validate().unwrap();
+        validate_program(&program.ram).unwrap();
         assert_eq!(program.ram.schemas["next"].arity(), 2);
     }
 
@@ -747,7 +759,7 @@ mod tests {
              rel connected() = edge(x, y)",
         );
         assert_eq!(program.ram.schemas["connected"].arity(), 0);
-        program.ram.validate().unwrap();
+        validate_program(&program.ram).unwrap();
     }
 
     #[test]

@@ -74,7 +74,9 @@ pub use stratify::stratify;
 /// # Errors
 ///
 /// Returns a [`DatalogError`] describing the first syntax, type, or
-/// compilation problem encountered.
+/// compilation problem encountered, or a [`DatalogError::Semantic`] listing
+/// every IR validation error of the compiled RAM
+/// ([`lobster_ram::passes::validate_program`]).
 pub fn parse(source: &str) -> Result<CompiledProgram, DatalogError> {
     let items = parser::parse_items(source)?;
     compile::compile(&items)

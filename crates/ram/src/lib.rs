@@ -20,10 +20,10 @@
 //! The [`passes`] module analyzes a finished [`RamProgram`] and produces
 //! facts the compiler, executor, and schedulers consume:
 //!
-//! * [`passes::validate_program`] — full structural validation (schemas,
-//!   arities, column bounds, operand types), reporting *every* error with
-//!   rule provenance instead of stopping at the first like
-//!   [`RamProgram::validate`];
+//! * [`passes::validate_program`] — the one IR validator (schemas,
+//!   arities, join widths, column bounds, operand types), reporting *every*
+//!   error with rule provenance. The Datalog front end runs it on every
+//!   program it compiles;
 //! * [`passes::expr_sorted_prefix`] / [`passes::join_strategy`] — sort-order
 //!   inference yielding per-join [`passes::JoinStrategy`] hints (merge-path
 //!   vs hash build+probe);
@@ -50,6 +50,6 @@ pub use analysis::{count_recursive_joins, is_linear_recursive, StratumAnalysis};
 pub use encoding::{Group, Lane, RelationLayout};
 pub use expr::{BinaryOp, ByteOp, ExprProgram, RowProjection, ScalarExpr, UnaryOp};
 pub use passes::{Diagnostic, IrError, JoinStrategy, RuleRef, Severity};
-pub use program::{RamExpr, RamProgram, RamRule, RelationSchema, Stratum, ValidationError};
+pub use program::{RamExpr, RamProgram, RamRule, RelationSchema, Stratum};
 pub use symbols::SymbolTable;
 pub use value::{Tuple, Value, ValueType};

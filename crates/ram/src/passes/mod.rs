@@ -5,9 +5,9 @@
 //! of guessing at run time:
 //!
 //! * [`validate_program`] — the IR validator: schema, arity, column-bound,
-//!   and type consistency for every expression of every rule. The APM
-//!   compiler runs it under `debug_assertions` after each rewrite; the core
-//!   builder runs it unconditionally at compile time.
+//!   and type consistency for every expression of every rule. The Datalog
+//!   front end runs it on every program it compiles; the APM compiler
+//!   re-checks under `debug_assertions` the RAM it is handed.
 //! * [`expr_sorted_prefix`] / [`join_strategy`] — sort-order inference:
 //!   propagates the sorted-table column-prefix invariant through
 //!   project/select/join so each join site statically knows whether both

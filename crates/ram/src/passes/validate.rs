@@ -1,15 +1,23 @@
 //! The IR validator: schema / arity / column-bound / type consistency.
 //!
-//! [`RamProgram::validate`](crate::RamProgram::validate) catches the
-//! coarse structural errors (unknown relations, rule-vs-target arity, join
-//! width). This pass goes further: it checks every column reference of every
-//! projection and selection against the arity of its input, type-checks
-//! scalar expressions against the relation schemas (arithmetic over symbols
-//! or bools is an error), and verifies that join
-//! keys and union/intersect sides agree column-by-column. Errors carry rule
-//! provenance, so a malformed rewrite is reported as "stratum 2, rule 1
-//! (`value_alias`): …" instead of surfacing as executor misbehaviour at
-//! request time.
+//! This is the one RAM validator. It checks that every relation a rule
+//! names has a schema, that every rule produces its target's arity, that
+//! join widths fit both inputs and union/intersect sides agree, that every
+//! column reference of every projection and selection is within its input's
+//! arity, and it type-checks scalar expressions against the relation schemas
+//! (arithmetic over symbols or bools is an error) and join keys and
+//! union/intersect sides column-by-column. It reports every error, not the
+//! first, and each carries rule provenance, so a malformed rewrite is
+//! reported as "stratum 2, rule 1 (`value_alias`): …" instead of surfacing
+//! as executor misbehaviour at request time.
+//!
+//! The Datalog front end (`lobster_datalog::compile`) runs it on every
+//! program it compiles and rejects one that fails; [`lint_program`]
+//! reports its errors as `invalid-ir` diagnostics for any [`RamProgram`];
+//! and the APM compiler re-checks the RAM it is handed under
+//! `debug_assertions`, since that RAM may be built by hand or rewritten.
+//!
+//! [`lint_program`]: super::lint_program
 
 use super::RuleRef;
 use crate::{

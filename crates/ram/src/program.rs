@@ -2,7 +2,6 @@
 
 use crate::{RowProjection, ScalarExpr, ValueType};
 use std::collections::BTreeMap;
-use std::fmt;
 
 /// The schema of one relation: its name and column types.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -220,55 +219,6 @@ pub struct RamProgram {
     pub outputs: Vec<String>,
 }
 
-/// Errors detected by [`RamProgram::validate`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ValidationError {
-    /// A rule or expression references a relation with no schema.
-    UnknownRelation(String),
-    /// An expression's arity does not match its target or sibling.
-    ArityMismatch {
-        /// Where the mismatch was found.
-        context: String,
-        /// Expected arity.
-        expected: usize,
-        /// Actual arity.
-        actual: usize,
-    },
-    /// A join's key width exceeds one of its inputs.
-    BadJoinWidth {
-        /// The rule's target relation.
-        target: String,
-        /// The requested key width.
-        width: usize,
-    },
-}
-
-impl fmt::Display for ValidationError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ValidationError::UnknownRelation(name) => write!(f, "unknown relation `{name}`"),
-            ValidationError::ArityMismatch {
-                context,
-                expected,
-                actual,
-            } => {
-                write!(
-                    f,
-                    "arity mismatch in {context}: expected {expected}, found {actual}"
-                )
-            }
-            ValidationError::BadJoinWidth { target, width } => {
-                write!(
-                    f,
-                    "join width {width} exceeds input arity in rule for `{target}`"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for ValidationError {}
-
 impl RamProgram {
     /// The schema of a relation, if declared.
     pub fn schema(&self, name: &str) -> Option<&RelationSchema> {
@@ -356,62 +306,12 @@ impl RamProgram {
         let outputs: usize = self.outputs.iter().map(|name| 24 + name.len()).sum();
         schemas + rules + outputs
     }
-
-    /// Checks structural well-formedness of the program.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`ValidationError`] found.
-    pub fn validate(&self) -> Result<(), ValidationError> {
-        let lookup = |name: &str| self.arity(name);
-        for stratum in &self.strata {
-            for rule in &stratum.rules {
-                let target_arity = self
-                    .arity(&rule.target)
-                    .ok_or_else(|| ValidationError::UnknownRelation(rule.target.clone()))?;
-                let mut refs = Vec::new();
-                rule.expr.referenced_relations(&mut refs);
-                for r in refs {
-                    if self.arity(&r).is_none() {
-                        return Err(ValidationError::UnknownRelation(r));
-                    }
-                }
-                let mut join_error = None;
-                rule.expr.visit(&mut |e| {
-                    if let RamExpr::Join { left, right, width } = e {
-                        let l = left.arity(&lookup).unwrap_or(0);
-                        let r = right.arity(&lookup).unwrap_or(0);
-                        if *width > l || *width > r {
-                            join_error.get_or_insert(ValidationError::BadJoinWidth {
-                                target: rule.target.clone(),
-                                width: *width,
-                            });
-                        }
-                    }
-                });
-                if let Some(err) = join_error {
-                    return Err(err);
-                }
-                let actual = rule
-                    .expr
-                    .arity(&lookup)
-                    .ok_or_else(|| ValidationError::UnknownRelation(rule.target.clone()))?;
-                if actual != target_arity {
-                    return Err(ValidationError::ArityMismatch {
-                        context: format!("rule for `{}`", rule.target),
-                        expected: target_arity,
-                        actual,
-                    });
-                }
-            }
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::passes::{validate_program, IrErrorKind};
     use crate::{RowProjection, ScalarExpr};
 
     fn tc_program() -> RamProgram {
@@ -454,10 +354,20 @@ mod tests {
         }
     }
 
+    /// What `validate_program` rejects in `prog`, all of it at the rule
+    /// appended to `tc_program`'s stratum.
+    fn rejections(prog: &RamProgram) -> Vec<IrErrorKind> {
+        let errors = validate_program(prog).unwrap_err();
+        for error in &errors {
+            assert_eq!((error.rule.stratum, error.rule.rule), (0, 2), "{error}");
+        }
+        errors.into_iter().map(|error| error.kind).collect()
+    }
+
     #[test]
     fn transitive_closure_program_validates() {
         let prog = tc_program();
-        prog.validate().unwrap();
+        validate_program(&prog).unwrap();
         assert_eq!(prog.edb_relations(), vec!["edge".to_string()]);
     }
 
@@ -482,8 +392,8 @@ mod tests {
             expr: RamExpr::relation("ghost"),
         });
         assert_eq!(
-            prog.validate(),
-            Err(ValidationError::UnknownRelation("ghost".into()))
+            rejections(&prog),
+            [IrErrorKind::UnknownRelation("ghost".into())]
         );
     }
 
@@ -495,10 +405,13 @@ mod tests {
             expr: RamExpr::relation("edge")
                 .project(RowProjection::new(vec![ScalarExpr::Col(0)], None)),
         });
-        assert!(matches!(
-            prog.validate(),
-            Err(ValidationError::ArityMismatch { .. })
-        ));
+        assert_eq!(
+            rejections(&prog),
+            [IrErrorKind::TargetArityMismatch {
+                expected: 2,
+                actual: 1
+            }]
+        );
     }
 
     #[test]
@@ -508,10 +421,14 @@ mod tests {
             target: "path".into(),
             expr: RamExpr::relation("edge").join(RamExpr::relation("edge"), 3),
         });
-        assert!(matches!(
-            prog.validate(),
-            Err(ValidationError::BadJoinWidth { .. })
-        ));
+        assert_eq!(
+            rejections(&prog),
+            [IrErrorKind::BadJoinWidth {
+                width: 3,
+                left: 2,
+                right: 2
+            }]
+        );
     }
 
     #[test]
