@@ -11,6 +11,10 @@
 //!   writes the output columns itself, and a column permutation directly
 //!   over a join is folded into that list — unions to `append`, and products
 //!   to a dedicated instruction;
+//! * has the `join` or `eval` whose table a `store` stages as it is write
+//!   it in the stored relation's storage encoding, so a candidate row is
+//!   born packed — a permutation over a selection or another projection is
+//!   composed with it into one `eval` for that;
 //! * marks hash indices whose build side is iteration-invariant as *static
 //!   registers* so they are built once and reused (Section 4.2) — the
 //!   "linear recursion" case that covers nearly all programs in the paper's
@@ -21,10 +25,13 @@
 //!   the [`secondary_orders`] the database keeps is sorted on the join key.
 
 use crate::config::RuntimeOptions;
-use crate::database::SecondaryOrder;
+use crate::database::{pack_lanes, SecondaryOrder};
 use crate::isa::{ApmProgram, DbPart, Instr, JoinSource, JoinWrite, RegId};
+use lobster_gpu::kernels::identity_lanes;
 use lobster_ram::passes::{join_strategy, projection_sorted_prefix, JoinStrategy};
-use lobster_ram::{RamExpr, RamProgram, RamRule, RowProjection, ScalarExpr, Stratum};
+use lobster_ram::{
+    RamExpr, RamProgram, RamRule, RelationLayout, RowProjection, ScalarExpr, Stratum,
+};
 use std::collections::BTreeSet;
 
 /// The result of compiling one stratum.
@@ -171,8 +178,17 @@ impl<'a> Compiler<'a> {
     }
 
     fn arity(&self, expr: &RamExpr) -> usize {
-        expr.arity(&|name| self.ram.arity(name))
-            .expect("validated program has known arities")
+        let arity = expr.arity(&|name| self.ram.arity(name));
+        // The front end runs `validate_program` on every program it
+        // compiles, and it rejects a rule over an undeclared relation.
+        // cannot fail: a validated program declares every relation it names.
+        arity.expect("validated program has known arities")
+    }
+
+    /// The arity of a relation a rule of the program names.
+    fn relation_arity(&self, name: &str) -> usize {
+        // cannot fail: a validated program declares every relation it names.
+        self.ram.arity(name).expect("relation arity")
     }
 
     /// Whether an expression depends on a relation this stratum updates,
@@ -230,7 +246,7 @@ impl<'a> Compiler<'a> {
                 } else {
                     DbPart::All
                 };
-                let arity = self.ram.arity(name).expect("relation arity");
+                let arity = self.relation_arity(name);
                 let columns = self.fresh_n(arity);
                 let tags = self.fresh();
                 self.emit(Instr::Load {
@@ -253,25 +269,7 @@ impl<'a> Compiler<'a> {
                 }
             }
             RamExpr::Project { input, proj } => {
-                // A pure column permutation directly over a join is the
-                // join's own output list: the columns it drops are never
-                // written.
-                if let (Some(select), Some((left, right, width))) =
-                    (proj.permutation.as_deref(), self.as_join(input))
-                {
-                    let mut joined = self.compile_join(
-                        left,
-                        right,
-                        width,
-                        Some(select),
-                        parts,
-                        next_recursive_leaf,
-                    );
-                    joined.sorted_prefix = projection_sorted_prefix(proj, joined.sorted_prefix);
-                    return joined;
-                }
-                let input = self.compile_expr(input, parts, next_recursive_leaf);
-                self.project(input, proj)
+                self.compile_project(input, proj, parts, next_recursive_leaf)
             }
             RamExpr::Select { input, cond } => {
                 let arity = self.arity(input);
@@ -286,6 +284,7 @@ impl<'a> Compiler<'a> {
                     inputs: input.columns,
                     input_tags: input.tags,
                     projection,
+                    pack: identity_lanes(arity),
                     outputs: outputs.clone(),
                     output_tags,
                 });
@@ -296,8 +295,11 @@ impl<'a> Compiler<'a> {
                     sorted_prefix: input.sorted_prefix,
                 }
             }
-            RamExpr::Join { .. } | RamExpr::Intersect(..) => {
-                let (left, right, width) = self.as_join(expr).expect("a join");
+            RamExpr::Join { left, right, width } => {
+                self.compile_join(left, right, *width, None, parts, next_recursive_leaf)
+            }
+            RamExpr::Intersect(left, right) => {
+                let width = self.arity(left);
                 self.compile_join(left, right, width, None, parts, next_recursive_leaf)
             }
             RamExpr::Union(left, right) => {
@@ -338,6 +340,49 @@ impl<'a> Compiler<'a> {
         }
     }
 
+    /// Compiles `proj` over `input`. A pure column permutation directly
+    /// over a join is the join's own output list: the columns it drops are
+    /// never written. Over a selection or another projection it is composed
+    /// with that one, so one `eval` writes the kept columns of the rows that
+    /// pass — and a `store` of them is fed straight by the kernel that
+    /// wrote them.
+    fn compile_project(
+        &mut self,
+        input: &RamExpr,
+        proj: &RowProjection,
+        parts: &[DbPart],
+        next_recursive_leaf: &mut usize,
+    ) -> Compiled {
+        if let Some(select) = proj.permutation.as_deref() {
+            if let Some((left, right, width)) = self.as_join(input) {
+                let mut joined =
+                    self.compile_join(left, right, width, Some(select), parts, next_recursive_leaf);
+                joined.sorted_prefix = projection_sorted_prefix(proj, joined.sorted_prefix);
+                return joined;
+            }
+            let inner = match input {
+                RamExpr::Select { input, cond } => {
+                    let columns = (0..self.arity(input)).map(ScalarExpr::Col).collect();
+                    Some((input, RowProjection::new(columns, Some(cond.clone()))))
+                }
+                RamExpr::Project { input, proj } => Some((input, proj.clone())),
+                _ => None,
+            };
+            if let Some((input, inner)) = inner {
+                let composed = RowProjection {
+                    programs: select.iter().map(|&c| inner.programs[c].clone()).collect(),
+                    permutation: inner
+                        .permutation
+                        .map(|columns| select.iter().map(|&c| columns[c]).collect()),
+                    filter: inner.filter,
+                };
+                return self.compile_project(input, &composed, parts, next_recursive_leaf);
+            }
+        }
+        let input = self.compile_expr(input, parts, next_recursive_leaf);
+        self.project(input, proj)
+    }
+
     /// `proj` over a compiled table.
     fn project(&mut self, input: Compiled, proj: &RowProjection) -> Compiled {
         let outputs = self.fresh_n(proj.output_arity());
@@ -346,6 +391,7 @@ impl<'a> Compiler<'a> {
             inputs: input.columns,
             input_tags: input.tags,
             projection: proj.clone(),
+            pack: identity_lanes(outputs.len()),
             outputs: outputs.clone(),
             output_tags,
         });
@@ -412,7 +458,7 @@ impl<'a> Compiler<'a> {
             let mut at = if stored_is_left { right_start } else { start };
             let delta = self.compile_expr(delta, parts, &mut at);
             *next_recursive_leaf = right_start + self.tracked_leaves(right).len();
-            let arity = self.ram.arity(&relation).expect("relation arity");
+            let arity = self.relation_arity(&relation);
             let columns = self.fresh_n(arity);
             let tags = self.fresh();
             self.emit(Instr::Lookup {
@@ -566,6 +612,7 @@ impl<'a> Compiler<'a> {
             build_tags: build.tags,
             probe_tags: probe.tags,
             build_is_left,
+            pack: identity_lanes(outputs.len()),
             outputs: outputs.clone(),
             output_tags,
         };
@@ -639,13 +686,51 @@ impl<'a> Compiler<'a> {
             self.current_first_only = first_only;
             let mut next_leaf = 0;
             let compiled = self.compile_expr(&rule.expr, &parts, &mut next_leaf);
-            self.emit(Instr::Store {
-                relation: rule.target.clone(),
-                columns: compiled.columns,
-                tags: compiled.tags,
-            });
+            self.emit_store(&rule.target, compiled);
             self.current_first_only = false;
         }
+    }
+
+    /// Stages a compiled table into `relation`. A table that is exactly
+    /// what the last instruction — a `join`, a `mergejoin` or an `eval`
+    /// that is not a column permutation — wrote is written by it in the
+    /// relation's storage encoding — the lanes the database plans from the
+    /// relation's column types, one output register per lane group — and
+    /// staged as it is. Any other table is packed by the store. (Under an
+    /// identity layout the lanes are the identity lanes the writer has.)
+    fn emit_store(&mut self, relation: &str, table: Compiled) {
+        let writer = match self.instructions.last_mut() {
+            Some(Instr::Join { write, .. } | Instr::MergeJoin { write, .. }) => {
+                Some((&mut write.outputs, write.output_tags, &mut write.pack))
+            }
+            Some(Instr::Eval {
+                projection,
+                pack,
+                outputs,
+                output_tags,
+                ..
+            }) if projection.permutation.is_none() => Some((outputs, *output_tags, pack)),
+            _ => None,
+        };
+        let mut columns = table.columns;
+        let packed = match writer {
+            Some((outputs, tags, pack)) if *outputs == columns && tags == table.tags => {
+                // cannot fail: a validated program declares every relation it names.
+                let schema = self.ram.schemas.get(relation).expect("stored relation");
+                let lanes = pack_lanes(&RelationLayout::plan(&schema.arg_types));
+                outputs.truncate(lanes.len());
+                columns.truncate(lanes.len());
+                *pack = lanes.into();
+                true
+            }
+            _ => false,
+        };
+        self.emit(Instr::Store {
+            relation: relation.to_string(),
+            columns,
+            tags: table.tags,
+            packed,
+        });
     }
 }
 
@@ -796,6 +881,12 @@ fn compile_from_scratch<'a>(
     #[cfg(debug_assertions)]
     if let Err(errors) = lobster_ram::passes::validate_program(ram) {
         let rendered: Vec<String> = errors.iter().map(ToString::to_string).collect();
+        // The front end refuses an invalid program with a typed error before
+        // it gets here, so no Datalog string or wire frame reaches this
+        // panic. It is a debug-only invariant check on RAM built or
+        // rewritten in code — a test's hand-built program, `batch_transform`,
+        // a refresh's scratch strata — where a failure is a bug in that code.
+        // cannot fail: from input; the invariant check trips on a code bug.
         panic!(
             "invalid RAM program reached the compiler:\n{}",
             rendered.join("\n")
@@ -829,9 +920,12 @@ pub fn secondary_orders(ram: &RamProgram) -> Vec<SecondaryOrder> {
         rule.expr.visit(&mut |expr| {
             let (left, right, width) = match expr {
                 RamExpr::Join { left, right, width } => (left, right, *width),
-                RamExpr::Intersect(left, right) => {
-                    (left, right, left.arity(&arity).expect("known relations"))
-                }
+                // A side over an undeclared relation has no arity, and no
+                // key to order on.
+                RamExpr::Intersect(left, right) => match left.arity(&arity) {
+                    Some(width) => (left, right, width),
+                    None => return,
+                },
                 _ => return,
             };
             for side in [left, right] {
@@ -853,6 +947,7 @@ pub fn secondary_orders(ram: &RamProgram) -> Vec<SecondaryOrder> {
 mod tests {
     use super::*;
     use lobster_datalog::parse;
+    use lobster_gpu::kernels::PackLane;
 
     /// The from-scratch build every run executes.
     fn compile(stratum: &Stratum, ram: &RamProgram) -> CompiledStratum {
@@ -958,7 +1053,17 @@ mod tests {
                     assert!(!instr.mnemonic().contains("gather"), "{instr}");
                     if let Instr::Join { write, .. } | Instr::MergeJoin { write, .. } = instr {
                         joins += 1;
-                        assert_eq!(write.sources.len(), write.outputs.len());
+                        // One word per lane group, the lanes covering every
+                        // source once.
+                        assert_eq!(write.pack.len(), write.outputs.len());
+                        let mut lanes: Vec<usize> = write
+                            .pack
+                            .iter()
+                            .flatten()
+                            .map(|lane| lane.column)
+                            .collect();
+                        lanes.sort_unstable();
+                        assert!(lanes.into_iter().eq(0..write.sources.len()));
                     }
                 }
             }
@@ -984,9 +1089,71 @@ mod tests {
         assert!(!write.build_is_left);
         assert!(matches!(
             &tc.instructions[at + 1],
-            Instr::Store { columns, tags, .. }
+            Instr::Store { columns, tags, packed: true, .. }
                 if *columns == write.outputs && *tags == write.output_tags
         ));
+        // `path(x: u32, y: u32)` is stored as one word, `x` in its high
+        // half, and the join writes that word.
+        let lane = |column, shift| PackLane {
+            column,
+            shift,
+            mask: u64::from(u32::MAX),
+        };
+        assert_eq!(write.pack, vec![vec![lane(0, 32), lane(1, 0)]]);
+    }
+
+    #[test]
+    fn a_store_right_after_the_kernel_that_wrote_its_table_stages_packed_words() {
+        // Whether a join or an eval packs for its store depends on the
+        // program's shape alone: the store after it must stage exactly its
+        // output registers, and an eval must run a kernel (a column
+        // permutation only copies registers). Every store a recursive
+        // variant runs, in all three gated programs, is fed straight by a
+        // join; a base rule's store of a load is not, and packs its chunk
+        // itself. Same Generation's selection over a join is an eval.
+        let (tc_ram, _) = transitive_closure();
+        let same_generation = "type parent(p: u32, c: u32)
+             rel sg(x, y) = parent(p, x), parent(p, y), x != y
+             rel sg(x, y) = parent(a, x), parent(b, y), sg(a, b)";
+        let programs = [
+            tc_ram,
+            parse(CLUTRR).unwrap().ram,
+            parse(CSPA).unwrap().ram,
+            parse(same_generation).unwrap().ram,
+        ];
+        let mut evals = 0;
+        for ram in programs {
+            for stratum in &ram.strata {
+                let program = compile(stratum, &ram).program;
+                for (pc, instr) in program.instructions.iter().enumerate() {
+                    let Instr::Store {
+                        columns,
+                        tags,
+                        packed,
+                        ..
+                    } = instr
+                    else {
+                        continue;
+                    };
+                    let mut staged = columns.clone();
+                    staged.push(*tags);
+                    let fed = pc
+                        .checked_sub(1)
+                        .map(|p| &program.instructions[p])
+                        .filter(|w| {
+                            let copies = matches!(w, Instr::Eval { projection, .. }
+                            if projection.permutation.is_some());
+                            w.pack().is_some() && !copies && w.defs() == staged
+                        });
+                    assert_eq!(*packed, fed.is_some(), "{instr}");
+                    evals += usize::from(matches!(fed, Some(Instr::Eval { .. })));
+                    if stratum.recursive && !program.first_iteration_only[pc] {
+                        assert!(*packed, "{instr}");
+                    }
+                }
+            }
+        }
+        assert!(evals > 0);
     }
 
     #[test]
@@ -1235,12 +1402,69 @@ mod tests {
             .any(|i| matches!(i, Instr::Build { static_: true, .. })));
     }
 
+    /// The `Debug` form `program` had before a join fed a `store` packed
+    /// words: the output registers of each join or eval that packs through
+    /// other than the identity lanes — one per column, fresh and
+    /// consecutive — restored, with its store's, and the two fields packing
+    /// added left out.
+    fn unpacked_debug(program: &ApmProgram) -> String {
+        let mut instructions = program.instructions.clone();
+        let mut restored = None;
+        // Registers `first..` for `n` outputs.
+        let consecutive = |outputs: &[RegId], n| (outputs[0].0..).take(n).map(RegId).collect();
+        for instr in &mut instructions {
+            restored = match instr {
+                Instr::Store { columns, .. } => {
+                    if let Some(outputs) = restored.take() {
+                        *columns = outputs;
+                    }
+                    None
+                }
+                Instr::Join { write, .. } | Instr::MergeJoin { write, .. } => {
+                    let width = write.sources.len();
+                    let packs = std::mem::take(&mut write.pack) != identity_lanes(width);
+                    packs.then(|| {
+                        write.outputs = consecutive(&write.outputs, width);
+                        write.outputs.clone()
+                    })
+                }
+                Instr::Eval {
+                    projection,
+                    pack,
+                    outputs,
+                    ..
+                } => {
+                    let width = projection.output_arity();
+                    let packs = std::mem::take(pack) != identity_lanes(width);
+                    packs.then(|| {
+                        *outputs = consecutive(outputs, width);
+                        outputs.clone()
+                    })
+                }
+                _ => None,
+            };
+        }
+        let program = ApmProgram::new(
+            instructions,
+            program.first_iteration_only.clone(),
+            program.register_count,
+            program.static_registers.clone(),
+            program.stored_relations.clone(),
+        );
+        format!("{program:?}")
+            .replace("pack: [], ", "")
+            .replace(", packed: true", "")
+            .replace(", packed: false", "")
+    }
+
     #[test]
     fn from_scratch_compiles_emit_what_they_did_before_keyed_reads() {
         // Lookups and secondary orders belong to a refresh's compiles: the
         // program a from-scratch run executes is, instruction for
-        // instruction, the one emitted before they existed. The constants
-        // hash the `Debug` form of every stratum's program as it was then.
+        // instruction, the one emitted before they existed, but for the
+        // packed words a join writes for the store after it. The constants
+        // hash the `Debug` form of every stratum's program as it was then,
+        // which `unpacked_debug` restores.
         let (tc_ram, _) = transitive_closure();
         for (name, ram, want) in [
             ("TC", tc_ram, 0x5714_e0e6_3226_e02d_u64),
@@ -1250,7 +1474,7 @@ mod tests {
             let programs: String = ram
                 .strata
                 .iter()
-                .map(|stratum| format!("{:?}", compile(stratum, &ram).program))
+                .map(|stratum| unpacked_debug(&compile(stratum, &ram).program))
                 .collect();
             assert_eq!(crate::fnv1a(programs.as_bytes()), want, "{name}");
             assert!(!programs.contains("Lookup"), "{name}");

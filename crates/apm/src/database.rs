@@ -284,7 +284,7 @@ impl<P: Provenance> SortedTable<P> {
 
 /// What `benchmark/` still hands [`Database::new_encoded`], and ignored:
 /// a layout depends on the column types alone. The next change to
-/// `benchmark/` drops it (ROADMAP item 4).
+/// `benchmark/` drops it.
 #[derive(Debug, Clone, Default)]
 pub struct EncodingSpec {
     /// Ignored: a symbol is stored as its interner id, so no program
@@ -337,6 +337,24 @@ impl StoragePlan {
     }
 }
 
+/// The pack lanes of `layout` as the gpu kernels take them. The one
+/// conversion: the database stores a relation in these lanes, and the
+/// compiler gives a join that feeds a `store` the lanes of the stored
+/// relation's column types.
+pub(crate) fn pack_lanes(layout: &RelationLayout) -> Vec<Vec<PackLane>> {
+    let groups = layout.groups.iter().map(|g| {
+        g.lanes
+            .iter()
+            .map(|l| PackLane {
+                column: l.column,
+                shift: l.shift,
+                mask: l.mask(),
+            })
+            .collect()
+    });
+    groups.collect()
+}
+
 /// The layouts of a database: one per relation and per secondary order,
 /// each with its precomputed pack lanes.
 #[derive(Debug, Clone)]
@@ -361,27 +379,8 @@ impl Codec {
     /// pack lanes.
     fn plan(&mut self, name: &str, arg_types: &[ValueType]) {
         let layout = RelationLayout::plan(arg_types);
-        self.lanes
-            .insert(name.to_string(), Self::pack_lanes(&layout));
+        self.lanes.insert(name.to_string(), pack_lanes(&layout));
         self.layouts.insert(name.to_string(), layout);
-    }
-
-    /// Converts a layout's groups into the gpu kernel's lane spec.
-    fn pack_lanes(layout: &RelationLayout) -> Vec<Vec<PackLane>> {
-        layout
-            .groups
-            .iter()
-            .map(|g| {
-                g.lanes
-                    .iter()
-                    .map(|l| PackLane {
-                        column: l.column,
-                        shift: l.shift,
-                        mask: l.mask(),
-                    })
-                    .collect()
-            })
-            .collect()
     }
 
     pub(crate) fn layout(&self, relation: &str) -> &RelationLayout {
@@ -929,6 +928,30 @@ impl<P: Provenance> Database<P> {
         packed
     }
 
+    /// Returns the buffers of every table, run, order, sketch and staged
+    /// chunk to the device arena: the database is done with, and its
+    /// columns fund the next run's allocations on the device.
+    pub fn recycle(self, device: &Device) {
+        for (_, mut data) in self.relations {
+            data.recycle_sketch(device);
+            let orders = data.orders.into_iter().map(|order| order.table);
+            for table in data
+                .runs
+                .into_iter()
+                .chain([data.stable, data.recent])
+                .chain(orders)
+            {
+                table.recycle(device);
+            }
+            for (columns, _) in data.staged {
+                recycle_columns(device, columns);
+            }
+        }
+        for (columns, _) in self.pending.into_values() {
+            recycle_columns(device, columns);
+        }
+    }
+
     /// The provenance context used by this database.
     pub fn provenance(&self) -> &P {
         &self.provenance
@@ -1128,6 +1151,38 @@ mod tests {
         assert_eq!(rows[0].0, vec![Value::U32(0), Value::U32(1)]);
         assert_eq!(db.total_facts(), 2);
         assert!(db.size_bytes() > 0);
+    }
+
+    #[test]
+    fn a_recycled_database_hands_its_tables_to_the_arena() {
+        // A database done with hands every table back to the arena, so the
+        // next fix point on the device can take the columns of its derived
+        // tables from the pools instead of growing smaller buffers.
+        let compiled = lobster_datalog::parse(
+            "type edge(x: u32, y: u32)
+             rel path(x, y) = edge(x, y) or (path(x, z) and edge(z, y))",
+        )
+        .unwrap();
+        let run = |device: &Device| {
+            let mut db = Database::new(compiled.ram.schemas.clone(), Unit::new());
+            for i in 0..100u32 {
+                db.insert("edge", &[Value::U32(i), Value::U32(i + 1)], ());
+            }
+            db.seal(device);
+            let options = crate::RuntimeOptions::default();
+            let exec = crate::Executor::new(device.clone(), Unit::new(), options);
+            exec.run_program(&mut db, &compiled.ram).unwrap();
+            assert_eq!(db.relation_len("path"), 100 * 101 / 2);
+            db
+        };
+        let device = Device::sequential();
+        let pooled = || device.arena().metrics().get("pooled_bytes").unwrap();
+        let db = run(&device);
+        let before = pooled();
+        db.recycle(&device);
+        // `path` is one word per row.
+        let path_bytes = 8 * 100 * 101 / 2;
+        assert!(pooled() >= before + path_bytes, "{before} -> {}", pooled());
     }
 
     #[test]

@@ -22,9 +22,9 @@
 
 use crate::compiler::{compile_stratum_with_options, CompiledStratum};
 use crate::config::RuntimeOptions;
-use crate::database::{recycle_columns, Database, SortedTable};
+use crate::database::{pack_lanes, recycle_columns, Database, SortedTable};
 use crate::isa::{DbPart, Instr, JoinSource, JoinWrite, RegId};
-use lobster_gpu::kernels::{JoinBuild, JoinColumn, PackLane};
+use lobster_gpu::kernels::{JoinBuild, JoinColumn};
 use lobster_gpu::{kernels, Column, Columns, Device, DeviceError, HashIndex};
 use lobster_provenance::Provenance;
 use lobster_ram::RamProgram;
@@ -494,14 +494,6 @@ impl<P: Provenance> Executor<P> {
         stats: &mut ExecutionStats,
     ) -> Result<(), ExecError> {
         let seeded = run.seeded;
-        // Pack lanes of the stratum's own relations (`None` = identity
-        // layout), copied out once so the loop can hold them beside
-        // `&mut db`.
-        let stratum_lanes: Vec<Option<Vec<Vec<PackLane>>>> = compiled
-            .relations
-            .iter()
-            .map(|rel| db.codec().lanes(rel).cloned())
-            .collect();
         // A stratum that is not recursive runs one iteration, in which no
         // sketch can pay: it keeps no rules.
         let mut rules: Vec<SketchRule> = compiled
@@ -544,18 +536,13 @@ impl<P: Provenance> Executor<P> {
             // batch and few candidates are known, a sketch of the known rows
             // saves most of the filter's searches (`SketchRule`).
             let mut changed = false;
-            let relations = compiled.relations.iter().zip(&stratum_lanes);
-            for (i, (rel, lanes)) in relations.enumerate() {
+            for (i, rel) in compiled.relations.iter().enumerate() {
                 let data = db.relation_data_mut(rel);
                 let staged = std::mem::take(&mut data.staged);
                 let batch = staged.iter().map(|(_, t)| t.len()).sum::<usize>();
                 stats.candidate_rows += batch;
-                let (columns, tags) = Self::collect_staged(
-                    &self.device,
-                    staged,
-                    data.recent.arity(),
-                    lanes.as_deref(),
-                );
+                let (columns, tags) =
+                    Self::collect_staged(&self.device, staged, data.recent.arity());
                 let frontier = data.recent.take();
                 stats.update_rows_written += data.push_run(&self.device, frontier, seeded);
                 let rule = rules.get_mut(i);
@@ -599,48 +586,35 @@ impl<P: Provenance> Executor<P> {
         }
     }
 
-    /// Turns the staged (columns, tags) chunks produced by `store` into one
-    /// unsorted candidate table in storage encoding, consuming the chunks
-    /// (dead buffers go back to the arena).
-    ///
-    /// When `lanes` is given the logical columns of every chunk are fused
-    /// into group words straight into one buffer — concatenation and
-    /// packing are one pass — so the sort, dedup and difference downstream
-    /// all run over `packed_arity` columns instead of the logical arity. A
-    /// relation of an identity layout keeps its first chunk as it is and
-    /// appends the others to it, so the usual single chunk is not copied at
-    /// all. `storage_arity` is the relation's `packed_arity`.
+    /// Turns the staged (columns, tags) chunks produced by `store` — each
+    /// already in storage encoding — into one unsorted candidate table,
+    /// consuming the chunks (dead buffers go back to the arena). The first
+    /// chunk is kept as it is and the others are appended to it, so the
+    /// usual single chunk is not copied at all. `storage_arity` is the
+    /// relation's `packed_arity`.
     fn collect_staged(
         device: &Device,
-        staged: Vec<(Vec<Column>, Vec<P::Tag>)>,
+        mut staged: Vec<(Vec<Column>, Vec<P::Tag>)>,
         storage_arity: usize,
-        lanes: Option<&[Vec<PackLane>]>,
     ) -> (Columns, Vec<P::Tag>) {
-        if staged.is_empty() {
-            return (vec![Vec::new(); storage_arity], Vec::new());
-        }
-        let packed = lanes.map(|lanes| {
-            let tables: Vec<Vec<&[u64]>> = staged
-                .iter()
-                .map(|(cols, _)| cols.iter().map(|c| c.as_slice()).collect())
-                .collect();
-            let tables: Vec<&[&[u64]]> = tables.iter().map(|t| t.as_slice()).collect();
-            kernels::pack_tables(device, &tables, lanes)
+        // A chunk without rows only hands its buffers back: kept first, its
+        // empty buffers would grow outside the arena.
+        staged.retain_mut(|(columns, tags)| {
+            if tags.is_empty() {
+                recycle_columns(device, std::mem::take(columns));
+            }
+            !tags.is_empty()
         });
         let mut chunks = staged.into_iter();
-        // cannot fail: `staged` is not empty, checked above.
-        let (mut columns, mut tags) = chunks.next().expect("checked non-empty");
+        let Some((mut columns, mut tags)) = chunks.next() else {
+            return (vec![Vec::new(); storage_arity], Vec::new());
+        };
         for (cols, t) in chunks {
-            if packed.is_none() {
-                for (dst, src) in columns.iter_mut().zip(&cols) {
-                    dst.extend_from_slice(src);
-                }
+            for (dst, src) in columns.iter_mut().zip(&cols) {
+                dst.extend_from_slice(src);
             }
             recycle_columns(device, cols);
             tags.extend(t);
-        }
-        if let Some(packed) = packed {
-            recycle_columns(device, std::mem::replace(&mut columns, packed));
         }
         (columns, tags)
     }
@@ -859,6 +833,7 @@ impl<P: Provenance> Executor<P> {
             counts: data(write.counts),
             offsets: data(write.offsets),
             columns: &columns,
+            pack: &write.pack,
             build_tags: tags(write.build_tags),
             probe_tags: tags(write.probe_tags),
         };
@@ -967,12 +942,24 @@ impl<P: Provenance> Executor<P> {
                     relation,
                     columns,
                     tags,
+                    packed,
                 } => {
+                    // A relation of an identity layout stores its logical
+                    // columns as they are.
+                    let lanes = db.codec().lanes(relation);
+                    debug_assert!(
+                        !packed
+                            || pc
+                                .checked_sub(1)
+                                .and_then(|p| program.instructions[p].pack())
+                                == Some(&pack_lanes(db.codec().layout(relation))[..]),
+                        "`{relation}` is stored packed in other lanes than its own"
+                    );
                     // The registers this store is the last to read leave the
                     // file as they are read, so a buffer nothing else holds
                     // is staged as it is. One that is still shared — a
                     // cached load, a register a columnar copy aliased, a
-                    // later store — is copied.
+                    // later store — is copied, or packed into a fresh one.
                     let last = program.last_reads(pc);
                     let mut take = |reg: RegId| {
                         let slot = &mut regs[reg.0 as usize];
@@ -984,47 +971,56 @@ impl<P: Provenance> Executor<P> {
                         // cannot fail: a register is written before it is read.
                         value.expect("register read before write")
                     };
-                    let cols: Vec<Arc<Column>> =
+                    let mut cols: Vec<Arc<Column>> =
                         columns.iter().map(|r| take(*r).data().clone()).collect();
-                    let tag_vec = take(*tags).tags().clone();
+                    let mut tag_vec = take(*tags).tags().clone();
                     let arena = self.device.arena();
-                    let staged = if tag_vec.iter().all(|t| self.provenance.accept(t)) {
-                        let cols = cols
-                            .into_iter()
-                            .map(|col| {
-                                Arc::try_unwrap(col).unwrap_or_else(|shared| {
-                                    arena.alloc_copy(exec_sites::STORE, &shared)
-                                })
-                            })
-                            .collect();
-                        let tag_vec =
-                            Arc::try_unwrap(tag_vec).unwrap_or_else(|shared| (*shared).clone());
-                        (cols, tag_vec)
-                    } else {
+                    if !tag_vec.iter().all(|t| self.provenance.accept(t)) {
                         // Rows whose tag collapsed to an unacceptable value
                         // (e.g. a conflicting proof) are dropped while
                         // copying.
                         let keep: Vec<usize> = (0..tag_vec.len())
                             .filter(|&i| self.provenance.accept(&tag_vec[i]))
                             .collect();
-                        let filtered_cols = cols
+                        cols = cols
                             .into_iter()
                             .map(|src| {
                                 let mut out = arena.alloc_empty(exec_sites::STORE, keep.len());
                                 out.extend(keep.iter().map(|&i| src[i]));
                                 Self::recycle_register(&self.device, RegValue::Data(src));
-                                out
+                                Arc::new(out)
                             })
                             .collect();
-                        let filtered_tags = keep.iter().map(|&i| tag_vec[i].clone()).collect();
-                        (filtered_cols, filtered_tags)
+                        tag_vec = Arc::new(keep.iter().map(|&i| tag_vec[i].clone()).collect());
+                    }
+                    let cols = match lanes.filter(|_| !packed) {
+                        Some(lanes) => {
+                            let refs: Vec<&[u64]> = cols.iter().map(|c| c.as_slice()).collect();
+                            let words = kernels::pack_columns(&self.device, &refs, lanes);
+                            drop(refs);
+                            for col in cols {
+                                Self::recycle_register(&self.device, RegValue::Data(col));
+                            }
+                            words
+                        }
+                        None => cols
+                            .into_iter()
+                            .map(|col| {
+                                Arc::try_unwrap(col).unwrap_or_else(|shared| {
+                                    arena.alloc_copy(exec_sites::STORE, &shared)
+                                })
+                            })
+                            .collect(),
                     };
-                    db.relation_data_mut(relation).staged.push(staged);
+                    let tag_vec =
+                        Arc::try_unwrap(tag_vec).unwrap_or_else(|shared| (*shared).clone());
+                    db.relation_data_mut(relation).staged.push((cols, tag_vec));
                 }
                 Instr::Eval {
                     inputs,
                     input_tags,
                     projection,
+                    pack,
                     outputs,
                     output_tags,
                 } => {
@@ -1032,7 +1028,9 @@ impl<P: Provenance> Executor<P> {
                     let in_tags = tags!(*input_tags);
                     let rows = in_tags.len();
                     if let Some(perm) = projection.permutation.as_ref() {
-                        // Columnar-copy fast path (Section 5.2).
+                        // Columnar-copy fast path (Section 5.2). The compiler
+                        // packs no copy's outputs: the store after it packs.
+                        debug_assert_eq!(*pack, kernels::identity_lanes(outputs.len()));
                         self.device.record_kernel();
                         for (out, src) in outputs.iter().zip(perm) {
                             set(&mut regs, *out, RegValue::Data(in_cols[*src].clone()));
@@ -1040,22 +1038,29 @@ impl<P: Provenance> Executor<P> {
                         set(&mut regs, *output_tags, RegValue::Tags(in_tags.clone()));
                     } else {
                         // Chunk-level evaluation: the input-row buffer, the
-                        // output-row buffer, and the expression stack are
-                        // hoisted out of the row loop, so evaluating a row
-                        // allocates nothing.
+                        // output-row buffer, the packed-word buffer and the
+                        // expression stack are hoisted out of the row loop,
+                        // so evaluating a row allocates nothing.
                         let out_arity = projection.output_arity();
                         let (out_cols, sources) =
-                            kernels::eval(&self.device, rows, out_arity, |range, sink| {
+                            kernels::eval(&self.device, rows, pack.len(), |range, sink| {
                                 let mut row = vec![0u64; in_cols.len()];
                                 let mut out = vec![0u64; out_arity];
+                                let mut words = vec![0u64; pack.len()];
                                 let mut stack: Vec<u64> = Vec::with_capacity(8);
                                 for i in range {
                                     for (slot, col) in row.iter_mut().zip(&in_cols) {
                                         *slot = col[i];
                                     }
-                                    if projection.eval_into(&row, &mut out, &mut stack) {
-                                        sink.emit(i, &out);
+                                    if !projection.eval_into(&row, &mut out, &mut stack) {
+                                        continue;
                                     }
+                                    for (word, lanes) in words.iter_mut().zip(pack.iter()) {
+                                        *word = lanes.iter().fold(0, |word, lane| {
+                                            word | lane.place(out[lane.column])
+                                        });
+                                    }
+                                    sink.emit(i, &words);
                                 }
                             });
                         let out_tag_vec = kernels::gather_tags(&self.device, &sources, &in_tags);
@@ -1783,6 +1788,7 @@ mod tests {
             relation: relation.into(),
             columns: columns.map(RegId).to_vec(),
             tags: reg(tags),
+            packed: false,
         };
         let program = ApmProgram::new(
             vec![
@@ -1799,6 +1805,7 @@ mod tests {
                         vec![ScalarExpr::Col(1), ScalarExpr::Col(0)],
                         None,
                     ),
+                    pack: kernels::identity_lanes(2),
                     outputs: vec![reg(3), reg(4)],
                     output_tags: reg(5),
                 },

@@ -6,7 +6,9 @@
 //! parallel implementation — the properties that guarantee efficient GPU
 //! execution (Section 3.2).
 
+use lobster_gpu::kernels::PackLane;
 use lobster_ram::RowProjection;
+use std::borrow::Cow;
 use std::fmt;
 
 /// A virtual vector register.
@@ -68,6 +70,15 @@ impl JoinSource {
 /// `sources` column by column — the compiler lists exactly the columns
 /// something downstream reads, so a join key that the next projection drops
 /// is never written — tagged `left ⊗ right`.
+///
+/// The write pass writes one word per lane group of `pack` into one
+/// register each. A join whose table a `store⟨ρ⟩` stages as it is (the
+/// store right after it, of exactly its output registers) writes it in ρ's
+/// storage encoding: `pack` holds ρ's lane groups over `sources`, which
+/// come from ρ's column types at compile time, as the database's layout of
+/// ρ does. Any other join writes through the identity lanes
+/// ([`identity_lanes`](lobster_gpu::kernels::identity_lanes)): one column
+/// per source.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JoinWrite {
     /// Probe key column registers.
@@ -85,7 +96,10 @@ pub struct JoinWrite {
     /// Whether the build side is the join's *left* input: an output tag is
     /// `build ⊗ probe` when set, `probe ⊗ build` otherwise.
     pub build_is_left: bool,
-    /// Destination column registers, one per source.
+    /// The lane groups the sources are packed into; a lane's `column`
+    /// indexes `sources`.
+    pub pack: Cow<'static, [Vec<PackLane>]>,
+    /// Destination registers, one per lane group of `pack`.
     pub outputs: Vec<RegId>,
     /// Destination tag register.
     pub output_tags: RegId,
@@ -160,18 +174,28 @@ pub enum Instr {
         tags: RegId,
     },
     /// `store⟨ρ⟩(s̄, s_t)`: stage the rows of a table as candidate delta
-    /// facts for a relation. Staged facts are deduplicated and folded into
-    /// the database by the end-of-iteration update sequence.
+    /// facts for a relation, in the relation's storage encoding. Staged
+    /// facts are deduplicated and folded into the database by the
+    /// end-of-iteration update sequence.
     Store {
         /// Target relation.
         relation: String,
-        /// Source column registers.
+        /// Source registers: the relation's logical columns, or its storage
+        /// words when `packed`.
         columns: Vec<RegId>,
         /// Source tag register.
         tags: RegId,
+        /// The `join`, `mergejoin` or `eval` right before wrote `columns` in
+        /// the relation's storage encoding (its `pack`), so they are staged
+        /// as they are. Otherwise the store packs them as it stages them.
+        packed: bool,
     },
     /// `d̄ ← eval⟨α⟩(s̄)`: row-wise projection / selection. Tags of surviving
-    /// rows are copied from the corresponding input rows.
+    /// rows are copied from the corresponding input rows. The outputs are
+    /// packed into lane groups as a `join`'s are (`JoinWrite`): the stored
+    /// relation's when the `store` after it stages its table as it is, the
+    /// identity lanes otherwise. A pure column permutation copies registers
+    /// instead and always has the identity lanes.
     Eval {
         /// Input column registers.
         inputs: Vec<RegId>,
@@ -179,7 +203,10 @@ pub enum Instr {
         input_tags: RegId,
         /// The projection (with optional fused filter).
         projection: RowProjection,
-        /// Output column registers.
+        /// The lane groups the projection's outputs are packed into; a
+        /// lane's `column` indexes them.
+        pack: Cow<'static, [Vec<PackLane>]>,
+        /// Output registers, one per lane group of `pack`.
         outputs: Vec<RegId>,
         /// Output tag register.
         output_tags: RegId,
@@ -286,6 +313,17 @@ impl Instr {
             Instr::MergeJoin { .. } => "mergejoin",
             Instr::Product { .. } => "product",
             Instr::Append { .. } => "append",
+        }
+    }
+
+    /// The `pack` operand of an instruction that can write a `store`'s
+    /// storage words — a `join`, `mergejoin` or `eval` — or `None` for any
+    /// other instruction.
+    pub(crate) fn pack(&self) -> Option<&[Vec<PackLane>]> {
+        match self {
+            Instr::Join { write, .. } | Instr::MergeJoin { write, .. } => Some(&write.pack),
+            Instr::Eval { pack, .. } => Some(pack),
+            _ => None,
         }
     }
 
@@ -454,8 +492,10 @@ impl fmt::Display for Instr {
                 relation,
                 columns,
                 tags,
+                packed,
             } => {
-                write!(f, "store<{relation}>({columns:?}, {tags})")
+                let packed = if *packed { " packed" } else { "" };
+                write!(f, "store<{relation}{packed}>({columns:?}, {tags})")
             }
             other => write!(f, "{} {:?} <- ...", other.mnemonic(), other.defs()),
         }
@@ -574,6 +614,7 @@ impl ApmProgram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lobster_gpu::kernels::identity_lanes;
 
     /// `r1 ⋈ r4` keyed on the probe column `r1`, writing (probe `r1`, build
     /// `r5`) into `r8, r9` and the tags into `r10`.
@@ -586,6 +627,7 @@ mod tests {
             build_tags: RegId(6),
             probe_tags: RegId(7),
             build_is_left: false,
+            pack: identity_lanes(2),
             outputs: vec![RegId(8), RegId(9)],
             output_tags: RegId(10),
         }
@@ -634,6 +676,7 @@ mod tests {
             relation: "path".into(),
             columns: vec![RegId(0)],
             tags: RegId(1),
+            packed: false,
         };
         assert!(instr.defs().is_empty());
         assert_eq!(instr.mnemonic(), "store");
@@ -653,6 +696,7 @@ mod tests {
                     relation: "path".into(),
                     columns: vec![RegId(0), RegId(1)],
                     tags: RegId(2),
+                    packed: false,
                 },
             ],
             vec![true, true],

@@ -253,8 +253,9 @@ impl<P: SessionProvenance> AnyEngine for Engine<P> {
 
     fn run(&self, session: SessionFacts<'_>) -> Result<(OutputView, ExecutionStats), LobsterError> {
         let (db, stats) = self.fix_point(session)?;
-        let outputs = &session.program.ram().outputs;
-        Ok((decode(&self.provenance, &db, outputs), stats))
+        let outputs = decode(&self.provenance, &db, &session.program.ram().outputs);
+        db.recycle(&session.program.device);
+        Ok((outputs, stats))
     }
 
     fn materialize(
@@ -390,6 +391,7 @@ impl<P: SessionProvenance> AnyEngine for Engine<P> {
                 sample_outputs.insert(relation.clone(), Arc::new(rows));
             }
         }
+        db.recycle(&program.device);
         Ok((per_sample, stats))
     }
 }

@@ -148,8 +148,8 @@ pub use error::LobsterError;
 pub use program::{Lobster, LobsterBuilder, Program};
 pub use session::{FactSet, RunResult, Session};
 
-/// The name `benchmark/` still spells for [`Program`]; the next `benchmark`
-/// PR drops it (ROADMAP item 4).
+/// The name `benchmark/` still spells for [`Program`]; the next change to
+/// `benchmark/` drops it.
 #[doc(hidden)]
 pub type DynProgram = Program;
 /// Likewise for [`Session`].

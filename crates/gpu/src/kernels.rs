@@ -60,8 +60,10 @@ use crate::parallel::{
 };
 use crate::sketch::row_hash;
 use crate::{Column, Columns, Device, HashIndex, KnownSketch};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::ops::Range;
+use std::sync::OnceLock;
 
 /// Allocation-site ids for kernel outputs and scratch buffers (see
 /// [`Arena`](crate::Arena)): every column a kernel allocates is tagged with
@@ -207,47 +209,58 @@ pub struct PackLane {
     pub mask: u64,
 }
 
-/// `pack(s*, G)`: fuses logical columns into one narrow word column per
-/// lane group. `out[g][k] = Σ_lanes (columns[lane.column][k] & mask) << shift`.
-/// The one-table case of [`pack_tables`].
-pub fn pack_columns(device: &Device, columns: &[&[u64]], groups: &[Vec<PackLane>]) -> Columns {
-    pack_tables(device, &[columns], groups)
+impl PackLane {
+    /// `value` in its place in the word.
+    ///
+    /// The value must fit the lane (`value & !mask == 0`) — the caller's
+    /// layout planner guarantees this by sizing lanes from the column's
+    /// logical type. Debug builds assert it.
+    #[inline]
+    pub fn place(&self, value: u64) -> u64 {
+        debug_assert_eq!(value & !self.mask, 0, "value overflows its pack lane");
+        (value & self.mask) << self.shift
+    }
 }
 
-/// [`pack_columns`] over the row-wise concatenation of `tables`, without
-/// building the concatenation: every table is packed straight into its own
-/// stretch of the output, so each input word is read once and each output
-/// word written once.
-///
-/// Every input value must fit its lane (`value & !mask == 0`) — the caller's
-/// layout planner guarantees this by sizing lanes from the column's logical
-/// type. Debug builds assert it.
-pub fn pack_tables(device: &Device, tables: &[&[&[u64]]], groups: &[Vec<PackLane>]) -> Columns {
+/// `pack(s*, G)`: fuses logical columns into one narrow word column per
+/// lane group. `out[g][k] = Σ_lanes (columns[lane.column][k] & mask) << shift`
+/// ([`PackLane::place`]).
+pub fn pack_columns(device: &Device, columns: &[&[u64]], groups: &[Vec<PackLane>]) -> Columns {
     let _t = device.launch(KernelKind::Other);
-    let rows_of = |columns: &[&[u64]]| columns.first().map_or(0, |c| c.len());
-    let rows = tables.iter().map(|columns| rows_of(columns)).sum();
+    let rows = columns.first().map_or(0, |c| c.len());
     let arena = device.arena();
     groups
         .iter()
         .map(|lanes| {
             let mut out = arena.alloc_zeroed(sites::PACK_OUT, rows);
-            let mut rest = out.as_mut_slice();
-            for columns in tables {
-                let (stretch, tail) = rest.split_at_mut(rows_of(columns));
-                par_map_into(device, stretch, |k| {
-                    let mut word = 0u64;
-                    for lane in lanes {
-                        let v = columns[lane.column][k];
-                        debug_assert_eq!(v & !lane.mask, 0, "value overflows its pack lane");
-                        word |= (v & lane.mask) << lane.shift;
-                    }
-                    word
-                });
-                rest = tail;
-            }
+            par_map_into(device, &mut out, |k| {
+                lanes
+                    .iter()
+                    .fold(0, |word, lane| word | lane.place(columns[lane.column][k]))
+            });
             out
         })
         .collect()
+}
+
+/// The lane groups of the identity layout of `arity` columns: each column
+/// one full-width lane, alone in its word. Packing through them writes the
+/// columns as they are. Up to 64 columns they are a prefix of one table
+/// built once, so asking for them allocates nothing.
+pub fn identity_lanes(arity: usize) -> Cow<'static, [Vec<PackLane>]> {
+    static WIDEST: OnceLock<Vec<Vec<PackLane>>> = OnceLock::new();
+    let lanes = |arity| -> Vec<Vec<PackLane>> {
+        let lane = |column| PackLane {
+            column,
+            shift: 0,
+            mask: u64::MAX,
+        };
+        (0..arity).map(|column| vec![lane(column)]).collect()
+    };
+    match WIDEST.get_or_init(|| lanes(64)).get(..arity) {
+        Some(prefix) => Cow::Borrowed(prefix),
+        None => Cow::Owned(lanes(arity)),
+    }
 }
 
 /// Inverse of [`pack_columns`]: splits packed group columns back into
@@ -1710,6 +1723,26 @@ pub enum JoinColumn<'a> {
     ProbeRow,
 }
 
+impl JoinColumn<'_> {
+    /// Whether the column is read at the probe row.
+    #[inline]
+    fn on_probe(self) -> bool {
+        matches!(self, JoinColumn::Probe(_) | JoinColumn::ProbeRow)
+    }
+
+    /// The column's value in the output row of build row `build` and probe
+    /// row `probe`.
+    #[inline]
+    fn at(self, build: usize, probe: usize) -> u64 {
+        match self {
+            JoinColumn::Build(column) => column[build],
+            JoinColumn::Probe(column) => column[probe],
+            JoinColumn::BuildRow => build as u64,
+            JoinColumn::ProbeRow => probe as u64,
+        }
+    }
+}
+
 /// The build side of a join, which is also what finds a probe row's matches
 /// for the write pass: the two *range providers* of [`join_write`].
 #[derive(Debug, Clone, Copy)]
@@ -1725,8 +1758,11 @@ pub enum JoinBuild<'a> {
 
 /// What the write pass of a join emits, after `count` and `scan` have sized
 /// it: output rows for probe row `i` occupy positions
-/// `offsets[i]..offsets[i] + counts[i]`, each one `columns` wide and tagged
-/// with the conjunction of its build row's and its probe row's tag.
+/// `offsets[i]..offsets[i] + counts[i]`, each tagged with the conjunction of
+/// its build row's and its probe row's tag. A row is one word per lane group
+/// of `pack`, each lane's `column` indexing `columns`: the storage words of
+/// the relation the rows are candidates for, written without a pass of
+/// their own — or, through [`identity_lanes`], the columns as they are.
 #[derive(Debug)]
 pub struct JoinWrite<'a, T> {
     /// Per-probe-row match counts ([`count_matches`] / [`merge_count`]).
@@ -1735,6 +1771,9 @@ pub struct JoinWrite<'a, T> {
     pub offsets: &'a [u64],
     /// The output columns, in output order.
     pub columns: &'a [JoinColumn<'a>],
+    /// The lane groups `columns` are packed into, one output word each
+    /// ([`pack_columns`]' groups).
+    pub pack: &'a [Vec<PackLane>],
     /// Tags of the build side, by build row.
     pub build_tags: &'a [T],
     /// Tags of the probe side, by probe row.
@@ -1742,11 +1781,12 @@ pub struct JoinWrite<'a, T> {
 }
 
 /// `join⟨W⟩(b̄, ā, h, c, o)`: the write pass of a join, hash or merge. Emits
-/// the output *columns* and `mul(build tag, probe tag)` of every matching
+/// the output *words* and `mul(build tag, probe tag)` of every matching
 /// (build row, probe row) pair directly — no index pairs are materialized
 /// and nothing is gathered afterwards, so a column nobody asked for is
-/// never written. Returns the columns in `write.columns` order and the
-/// tags.
+/// never written. Returns the words, one column per group of `write.pack`,
+/// and the tags. A write through any groups equals [`pack_columns`] over
+/// the write through [`identity_lanes`].
 ///
 /// Output rows are in probe-row order with a probe row's matches in
 /// ascending build-row order, for both [`JoinBuild`]s: downstream sorting,
@@ -1771,6 +1811,7 @@ where
         write.counts,
         write.offsets,
         write.columns,
+        write.pack,
         |build_row, probe_row| mul(&write.build_tags[build_row], &write.probe_tags[probe_row]),
     )
 }
@@ -1818,6 +1859,7 @@ fn write_pairs(
         counts,
         offsets,
         &columns,
+        &identity_lanes(2),
         |_, _| (),
     );
     let [build_out, probe_out]: [Column; 2] = pairs.try_into().expect("two columns asked for");
@@ -1835,9 +1877,10 @@ fn scan_total(counts: &[u64], offsets: &[u64]) -> usize {
 
 /// The one join write loop. Each worker owns the contiguous output range its
 /// probe rows map to (`offsets` is monotone); per probe row with matches it
-/// asks the build side for their range, then fills the probe-side columns,
-/// gathers the build-side ones through the range and folds the tags over it.
-/// `tag(build row, probe row)` makes one output tag.
+/// asks the build side for their range, then fills the word of each lane
+/// group of `pack`, ORing its probe lanes once for the row and its build
+/// lanes once per match. The tags fold over the range too. `tag(build row, probe row)` makes one output tag.
+#[allow(clippy::too_many_arguments)]
 fn write_matches<T, F>(
     device: &Device,
     build: JoinBuild<'_>,
@@ -1845,6 +1888,7 @@ fn write_matches<T, F>(
     counts: &[u64],
     offsets: &[u64],
     columns: &[JoinColumn<'_>],
+    pack: &[Vec<PackLane>],
     tag: F,
 ) -> (Columns, Vec<T>)
 where
@@ -1860,7 +1904,7 @@ where
         JoinBuild::Sorted(_) => sites::MERGE_JOIN_OUT,
     };
     let arena = device.arena();
-    let mut out_cols: Columns = columns
+    let mut out_cols: Columns = pack
         .iter()
         .map(|_| arena.alloc_zeroed(site, total))
         .collect();
@@ -1883,7 +1927,7 @@ where
             let tags = Vec::with_capacity(out_bounds[c].len());
             match build {
                 JoinBuild::Hash(index) => {
-                    write_chunk(range, counts, columns, outs, tags, &tag, |i, _| {
+                    write_chunk(range, counts, columns, pack, outs, tags, &tag, |i, _| {
                         let rows = index.matches_cols(probe_key_cols, i);
                         rows.iter().map(|&row| row as usize)
                     })
@@ -1893,7 +1937,7 @@ where
                     // over a sorted probe side the searches degrade into an
                     // amortized linear merge.
                     let mut cursor = 0;
-                    write_chunk(range, counts, columns, outs, tags, &tag, |i, n| {
+                    write_chunk(range, counts, columns, pack, outs, tags, &tag, |i, n| {
                         cursor = merge_lower_bound(build_key_cols, probe_key_cols, i, cursor);
                         debug_assert!(
                             (cursor..cursor + n).all(|row| cmp_rows(
@@ -1915,10 +1959,12 @@ where
 
 /// [`write_matches`] over one chunk of probe rows: `matches(i, n)` yields
 /// the `n` build rows matching probe row `i`, ascending.
+#[allow(clippy::too_many_arguments)]
 fn write_chunk<T, R>(
     range: Range<usize>,
     counts: &[u64],
     columns: &[JoinColumn<'_>],
+    pack: &[Vec<PackLane>],
     mut outs: Vec<&mut [u64]>,
     mut tags: Vec<T>,
     tag: &impl Fn(usize, usize) -> T,
@@ -1934,22 +1980,8 @@ where
             continue;
         }
         let rows = matches(i, n);
-        for (out, column) in outs.iter_mut().zip(columns) {
-            let out = &mut out[k..k + n];
-            match column {
-                JoinColumn::Probe(col) => out.fill(col[i]),
-                JoinColumn::ProbeRow => out.fill(i as u64),
-                JoinColumn::Build(col) => {
-                    for (slot, row) in out.iter_mut().zip(rows.clone()) {
-                        *slot = col[row];
-                    }
-                }
-                JoinColumn::BuildRow => {
-                    for (slot, row) in out.iter_mut().zip(rows.clone()) {
-                        *slot = row as u64;
-                    }
-                }
-            }
+        for (out, lanes) in outs.iter_mut().zip(pack) {
+            write_word(&mut out[k..k + n], lanes, columns, i, rows.clone());
         }
         tags.extend(rows.map(|row| tag(row, i)));
         k += n;
@@ -1957,6 +1989,53 @@ where
     debug_assert_eq!(k, tags.len(), "counts disagree with probe matches");
     debug_assert!(outs.iter().all(|out| out.len() == k));
     tags
+}
+
+/// One lane group's words for probe row `i`'s matches `rows`: the probe
+/// lanes ORed once, each build lane ORed per match.
+fn write_word(
+    out: &mut [u64],
+    lanes: &[PackLane],
+    columns: &[JoinColumn<'_>],
+    i: usize,
+    rows: impl Iterator<Item = usize>,
+) {
+    let mut base = 0;
+    let mut build = None;
+    let mut build_lanes = 0;
+    for lane in lanes {
+        match columns[lane.column] {
+            column if column.on_probe() => base |= lane.place(column.at(0, i)),
+            column => {
+                build = Some((lane, column));
+                build_lanes += 1;
+            }
+        }
+    }
+    match build {
+        // Probe lanes only: one word for every match.
+        None => out.fill(base),
+        // One build column — an identity layout's, or TC's `y` beside a
+        // probe lane — is a plain gather: through the fold below the write
+        // pass costs a fifth to two fifths more.
+        Some((lane, JoinColumn::Build(values))) if build_lanes == 1 => {
+            for (slot, row) in out.iter_mut().zip(rows) {
+                *slot = base | lane.place(values[row]);
+            }
+        }
+        _ => {
+            for (slot, row) in out.iter_mut().zip(rows) {
+                *slot = lanes.iter().fold(base, |bits, lane| {
+                    let column = columns[lane.column];
+                    if column.on_probe() {
+                        bits
+                    } else {
+                        bits | lane.place(column.at(row, i))
+                    }
+                });
+            }
+        }
+    }
 }
 
 /// First build row whose key is not less than probe row `i`'s key, found by
@@ -2323,6 +2402,7 @@ mod tests {
             counts: &counts,
             offsets: &offsets,
             columns: &[JoinColumn::Probe(&path_x), JoinColumn::Build(&edge_y)],
+            pack: &identity_lanes(2),
             build_tags: &edge_tags,
             probe_tags: &path_tags,
         };

@@ -628,6 +628,7 @@ fn fused_join_write_equals_pairs_gather_mul_from_the_oracle() {
                         counts: &counts,
                         offsets: &offsets,
                         columns: &columns,
+                        pack: &kernels::identity_lanes(columns.len()),
                         build_tags,
                         probe_tags: &probe_tags,
                     };
@@ -672,6 +673,176 @@ fn fused_join_write_equals_pairs_gather_mul_from_the_oracle() {
                         kernels::merge_count(&device, &refs(build_keys), &refs(&probe_keys));
                     check("merge", JoinBuild::Sorted(&refs(build_keys)), counts);
                 }
+            }
+        }
+    }
+}
+
+/// The lane groups the layout planner makes for columns of these byte
+/// widths: greedy, in column order, each group's first column in its most
+/// significant lane.
+fn planned_lanes(widths: &[u32]) -> Vec<Vec<PackLane>> {
+    let mut groups: Vec<Vec<(usize, u32)>> = Vec::new();
+    let mut used = 8;
+    for (column, &bytes) in widths.iter().enumerate() {
+        if used + bytes > 8 {
+            groups.push(Vec::new());
+            used = 0;
+        }
+        groups.last_mut().unwrap().push((column, bytes));
+        used += bytes;
+    }
+    groups
+        .into_iter()
+        .map(|group| {
+            let mut below: u32 = group.iter().map(|&(_, bytes)| bytes).sum();
+            group
+                .into_iter()
+                .map(|(column, bytes)| {
+                    below -= bytes;
+                    let mask = if bytes == 8 {
+                        u64::MAX
+                    } else {
+                        (1 << (bytes * 8)) - 1
+                    };
+                    PackLane {
+                        column,
+                        shift: below * 8,
+                        mask,
+                    }
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// A join that feeds a `store` writes the stored relation's words itself:
+/// its packed write pass must equal `pack_columns` over its write through
+/// the identity lanes (checked against the oracle above) —
+/// words and tags, bit for bit — on the hash and the merge path, at
+/// parallelism 1 and 4, for each layout a store meets: TC's one word,
+/// CLUTRR's two, the batched form with its leading sample column, a `bool`
+/// / symbol / 64-bit mix whose first group has two build lanes around a
+/// probe lane, and groups whose lanes all come from one side.
+#[test]
+fn packed_join_write_equals_pack_columns_of_the_unpacked_write() {
+    use kernels::{JoinBuild, JoinColumn, JoinWrite};
+    // The output columns: (lane bytes, read on the build side).
+    let layouts: [(&str, &[(u32, bool)]); 5] = [
+        ("(u32, u32)", &[(4, false), (4, true)]),
+        ("(u32, u32, u32)", &[(4, true), (4, false), (4, true)]),
+        (
+            "(sample, u32, u32, u32)",
+            &[(4, false), (4, true), (4, false), (4, true)],
+        ),
+        (
+            "(bool, symbol, bool, symbol, i64)",
+            &[(1, true), (4, false), (1, true), (4, true), (8, false)],
+        ),
+        (
+            "probe-only and build-only groups",
+            &[(4, false), (4, false), (4, true), (4, true)],
+        ),
+    ];
+    let seq = Device::sequential();
+    for (layout, outputs) in layouts {
+        let widths: Vec<u32> = outputs.iter().map(|&(bytes, _)| bytes).collect();
+        let groups = planned_lanes(&widths);
+        let mut rng = Rng::new(0x9ac4 + widths.len() as u64);
+        let (scattered_keys, rows_of_key) = duplicated_keys(&mut rng, 40, 1);
+        let build_rows = scattered_keys[0].len();
+        let present: Vec<u64> = rows_of_key.keys().map(|key| key[0]).collect();
+        let probe_rows = 300;
+        // Present keys several times over, in no order, and absent ones.
+        let probe_keys = vec![(0..probe_rows)
+            .map(|_| {
+                let key = present[rng.below(present.len() as u64) as usize];
+                key + 1000 * u64::from(rng.below(4) == 0)
+            })
+            .collect::<Vec<u64>>()];
+        let lane_values = |rng: &mut Rng, rows: usize, bytes: u32| -> Vec<u64> {
+            let space = if bytes == 8 {
+                1 << 40
+            } else {
+                1 << (bytes * 8)
+            };
+            (0..rows).map(|_| rng.below(space)).collect()
+        };
+        let payload: Vec<Vec<u64>> = outputs
+            .iter()
+            .map(|&(bytes, build)| {
+                let rows = if build { build_rows } else { probe_rows };
+                lane_values(&mut rng, rows, bytes)
+            })
+            .collect();
+        let (_, build_tags) = random_table(&mut rng, build_rows, 0, 1);
+        let (_, probe_tags) = random_table(&mut rng, probe_rows, 0, 1);
+        // The build side sorted on its key for the merge path, payload and
+        // tags travelling with their row.
+        let mut order: Vec<usize> = (0..build_rows).collect();
+        order.sort_by_key(|&row| scattered_keys[0][row]);
+        let sort = |col: &[u64]| -> Vec<u64> { order.iter().map(|&row| col[row]).collect() };
+        let sorted_keys = vec![sort(&scattered_keys[0])];
+        let sorted_payload: Vec<Vec<u64>> = outputs
+            .iter()
+            .zip(&payload)
+            .map(|(&(_, build), col)| if build { sort(col) } else { col.clone() })
+            .collect();
+        let sorted_tags: Vec<f64> = order.iter().map(|&row| build_tags[row]).collect();
+        let cases = [
+            ("hash", &scattered_keys, &payload, &build_tags),
+            ("merge", &sorted_keys, &sorted_payload, &sorted_tags),
+        ];
+        for (path, build_keys, payload, build_tags) in cases {
+            let columns: Vec<JoinColumn<'_>> = outputs
+                .iter()
+                .zip(payload)
+                .map(|(&(_, build), col)| {
+                    if build {
+                        JoinColumn::Build(col)
+                    } else {
+                        JoinColumn::Probe(col)
+                    }
+                })
+                .collect();
+            for parallelism in [1usize, 4] {
+                let device = parallel_device(parallelism);
+                let ctx = format!("{layout}, {path}, p {parallelism}");
+                let index = HashIndex::build(&device, &refs(build_keys), 2);
+                let (build, counts) = if path == "hash" {
+                    let counts = kernels::count_matches(&device, &index, &refs(&probe_keys));
+                    (JoinBuild::Hash(&index), counts)
+                } else {
+                    let counts =
+                        kernels::merge_count(&device, &refs(build_keys), &refs(&probe_keys));
+                    (JoinBuild::Sorted(&refs(build_keys)), counts)
+                };
+                assert!(
+                    counts.contains(&0) && counts.iter().any(|&c| c > 32),
+                    "{ctx}"
+                );
+                let (offsets, _) = kernels::scan(&device, &counts);
+                let write = |pack: &[Vec<PackLane>]| {
+                    let write = JoinWrite {
+                        counts: &counts,
+                        offsets: &offsets,
+                        columns: &columns,
+                        pack,
+                        build_tags,
+                        probe_tags: &probe_tags,
+                    };
+                    kernels::join_write(&device, build, &refs(&probe_keys), &write, tag_mul)
+                };
+                let (wide, wide_tags) = write(&kernels::identity_lanes(columns.len()));
+                let (words, tags) = write(&groups);
+                assert_eq!(words.len(), groups.len(), "{ctx}");
+                assert_eq!(
+                    words,
+                    kernels::pack_columns(&seq, &refs(&wide), &groups),
+                    "packed words: {ctx}"
+                );
+                assert_bits(&tags, &wide_tags, &format!("packed tags: {ctx}"));
+                index.recycle(&device);
             }
         }
     }
@@ -774,11 +945,15 @@ fn packed_narrow_rows_sort_like_wide_rows() {
                 // Packing a table in pieces is packing their concatenation.
                 let (head, tail): (Vec<&[u64]>, Vec<&[u64]>) =
                     cols.iter().map(|c| c.split_at(rows / 3)).unzip();
-                assert_eq!(
-                    kernels::pack_tables(&par, &[&head, &tail, &[]], &groups),
-                    seq_packed,
-                    "pack in pieces: {ctx}"
-                );
+                let pieces: Vec<Vec<u64>> = kernels::pack_columns(&par, &head, &groups)
+                    .into_iter()
+                    .zip(kernels::pack_columns(&par, &tail, &groups))
+                    .map(|(mut head, tail)| {
+                        head.extend(tail);
+                        head
+                    })
+                    .collect();
+                assert_eq!(pieces, seq_packed, "pack in pieces: {ctx}");
                 assert_eq!(
                     kernels::unpack_columns(&par, &refs(&packed), &groups, ARITY),
                     cols,

@@ -246,7 +246,7 @@ impl RamProgram {
 
     /// A name `benchmark/` still spells; always `false`, because the
     /// validator rejects arithmetic over symbols. The next change to
-    /// `benchmark/` drops it (ROADMAP item 4).
+    /// `benchmark/` drops it.
     #[doc(hidden)]
     pub fn has_symbol_arithmetic(&self) -> bool {
         false

@@ -64,7 +64,7 @@ impl SchedulerConfig {
 
     /// Returns `self` unchanged: every batch runs as one fix point on the
     /// program's device. Kept only for the one call `benchmark/`'s CLUTRR
-    /// workload still makes; ROADMAP item 4's housekeeping deletes it
+    /// workload still makes; the next change to `benchmark/` deletes it
     /// together with the `Dyn*` aliases.
     #[doc(hidden)]
     pub fn with_num_shards(self, _n: usize) -> Self {
