@@ -148,6 +148,8 @@ impl Scratch {
     /// `base` with `suffix`: added to the database, with `base`'s columns,
     /// unless it already was.
     fn add<P: Provenance>(&mut self, db: &mut Database<P>, base: &str, suffix: &str) -> String {
+        // The database was materialized from the refreshed program.
+        // cannot fail: `base` is a relation of that program.
         let types = db.schema(base).expect("known relation").arg_types.clone();
         self.add_typed(db, format!("{base}{suffix}"), types)
     }
@@ -225,6 +227,9 @@ fn program_of<P: Provenance>(db: &Database<P>, stratum: Stratum) -> RamProgram {
     let schemas = names
         .into_iter()
         .map(|name| {
+            // A pass names relations of the refreshed program, which the
+            // database was materialized from, and scratch relations.
+            // cannot fail: `Scratch` adds each to the database first.
             let schema = db.schema(&name).expect("known relation").clone();
             (name, schema)
         })
@@ -248,6 +253,9 @@ fn restrict(
     keys: &str,
     relation_arity: &impl Fn(&str) -> Option<usize>,
 ) -> RamExpr {
+    // `relation_arity` reads the database's schemas, which hold every
+    // relation of the refreshed program (it was materialized from it).
+    // cannot fail: `column_keys` adds its key relations before `restrict`.
     let arity = |e: &RamExpr| e.arity(relation_arity).expect("known relations");
     let boxed = |e: RamExpr| Box::new(e);
     match expr {
@@ -376,8 +384,9 @@ struct Refreshing<'a, P: Provenance> {
 /// recompute tier runs them as they are. What the tuple-level tier compiles
 /// is counted in [`ExecutionStats::strata_compiled`].
 ///
-/// Returns what ran and what it did to the program's output relations. The
-/// executor's `timeout_ms` budget covers the whole refresh.
+/// `db` is one materialized from `ram`, so it holds every relation `ram`
+/// names. Returns what ran and what it did to the program's output
+/// relations. The executor's `timeout_ms` budget covers the whole refresh.
 ///
 /// # Errors
 ///
@@ -636,6 +645,8 @@ impl<P: Provenance> Refreshing<'_, P> {
         let lost = &db.relation_data(&lost_name).stable;
         let wide = db.unpacked(&self.device, &lost_name, &lost.columns);
         let tags = lost.tags.clone();
+        // The database was materialized from the refreshed program.
+        // cannot fail: `rel` lost rows, so it is a relation of that program.
         let types = db.schema(rel).expect("known relation").arg_types.clone();
         wide.into_iter()
             .zip(types)

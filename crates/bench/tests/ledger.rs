@@ -14,7 +14,10 @@
 //!
 //! A line holds an FNV-1a digest of the outputs (every relation's tuples in
 //! result order, probability bits and gradient bits) and the
-//! `ExecutionStats` counters that are exact at one lane. Per program, one
+//! `ExecutionStats` counters that are exact at one lane. The last of them,
+//! `strata_compiled`, counts the strata the entry point compiled as it ran:
+//! 0 for `run` and `run_batch`, whose `Program` compiled its strata once,
+//! and the delta strata an incremental insert compiles. Per program, one
 //! more line records what `lobster-lint` prints: strata, rules, joins,
 //! merge-eligible joins, errors and warnings by code.
 //!
@@ -161,7 +164,7 @@ impl Entry {
         format!(
             "{program} | {} | digest={:016x} iterations={} candidate_rows={} \
              facts_produced={} rows_searched={} kernel_launches={} \
-             update_rows_written={} rows_loaded={}",
+             update_rows_written={} rows_loaded={} strata_compiled={}",
             self.name,
             self.digest,
             s.iterations,
@@ -171,6 +174,7 @@ impl Entry {
             s.kernel_launches,
             s.update_rows_written,
             s.rows_loaded,
+            s.strata_compiled,
         )
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! [`Program`] and [`Session`](crate::Session) are plain types: the semiring
 //! is a [`ProvenanceKind`] the program carries, not a type parameter.
-//! Everything above this module — facts, registry, change detection, pools
-//! — is the same code for every semiring. A semiring is
+//! Everything above this module — facts, registry, change detection,
+//! output views — is the same code for every semiring. A semiring is
 //! *used* in exactly three calls — a from-scratch run, a batched run, an
 //! incremental run — and those three go through the [`AnyEngine`] a session
 //! owns: one dynamic dispatch per call into an [`Engine<P>`] that holds the

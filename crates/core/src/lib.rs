@@ -101,13 +101,12 @@
 //! built once and recycled, so a warm request pays only validation,
 //! queueing, and its share of a fix-point:
 //!
-//! * `ProgramCache` — a keyed cache `(source hash, provenance kind, options
-//!   fingerprint) → Arc<Program>` with LRU eviction by compiled size, so
-//!   each distinct program compiles once per process no matter how many
-//!   threads race for it. The key ingredients live here:
-//!   [`Lobster::source_hash`] / [`Program::source_hash`] identify what was
-//!   compiled, [`RuntimeOptions::fingerprint`] identifies how, and
-//!   [`Program::compiled_size_bytes`] weighs the artifact for eviction.
+//! * `ProgramCache` — a cache `(source text, provenance kind) →
+//!   Arc<Program>` with LRU eviction by compiled size, so each distinct
+//!   program compiles once per process no matter how many threads race
+//!   for it. The cache compiles with the default device and options, so
+//!   the source and the [`ProvenanceKind`] fix the artifact and are its
+//!   key; [`Program::compiled_size_bytes`] weighs it for eviction.
 //! * `BatchScheduler` — accumulates per-request [`FactSet`]s into
 //!   mini-batches (one fix-point per batch) with `max_batch_size` /
 //!   `max_queue_delay` knobs, routing each result back to its caller.

@@ -38,15 +38,6 @@ impl Lobster {
             provenance: None,
         }
     }
-
-    /// A stable 64-bit hash (FNV-1a) of Datalog source text. Compiled
-    /// programs record this hash ([`Program::source_hash`]), so a serving
-    /// layer can key a cache of compiled artifacts by
-    /// `(source hash, provenance kind, options fingerprint)` without keeping
-    /// the source around.
-    pub fn source_hash(source: &str) -> u64 {
-        lobster_apm::fnv1a(source.as_bytes())
-    }
 }
 
 /// Configures and compiles a Lobster program: set the provenance semiring
@@ -101,14 +92,12 @@ impl LobsterBuilder {
         let compiled = lobster_datalog::parse(&self.source)?;
         let diagnostics = lint_program(&compiled.ram);
         let batched = batch_transform(&compiled.ram);
-        let source_hash = Lobster::source_hash(&self.source);
         let program = Program {
             artifact: Arc::new(Artifact {
                 plan: RunPlan::new(&compiled.ram, &self.options),
                 batched_plan: RunPlan::new(&batched, &self.options),
                 compiled,
                 batched,
-                source_hash,
                 diagnostics,
             }),
             device: self.device,
@@ -132,8 +121,6 @@ pub(crate) struct Artifact {
     /// The batch-transformed RAM program (Section 4.3), computed once at
     /// compile time instead of on every `run_batch` call.
     pub(crate) batched: RamProgram,
-    /// Stable hash of the source text this artifact was compiled from.
-    pub(crate) source_hash: u64,
     /// The static-analysis lint report, computed once at compile time and
     /// shared by every clone (and cached alongside the program in
     /// `ProgramCache`).
@@ -238,12 +225,6 @@ impl Program {
     /// The relations named in `query` declarations.
     pub fn queries(&self) -> &[String] {
         &self.artifact.compiled.queries
-    }
-
-    /// The stable hash of the source this program was compiled from; equals
-    /// [`Lobster::source_hash`] of the original source text.
-    pub fn source_hash(&self) -> u64 {
-        self.artifact.source_hash
     }
 
     /// The static-analysis lint report for this program: validator errors
@@ -410,14 +391,8 @@ mod tests {
     }
 
     #[test]
-    fn source_hash_and_size_support_cache_keys() {
+    fn size_estimate_weighs_every_compiled_part() {
         let program = unit(TC);
-        assert_eq!(program.source_hash(), Lobster::source_hash(TC));
-        // Different sources hash differently (the cache key discriminates).
-        assert_ne!(
-            Lobster::source_hash(TC),
-            Lobster::source_hash("type edge(x: u32, y: u32)\nquery edge")
-        );
         // The size estimate is stable and monotone: the batched variant adds
         // a sample column, so the combined estimate exceeds the plain RAM's.
         assert_eq!(

@@ -57,7 +57,7 @@ impl Parser {
         t
     }
 
-    fn expect(&mut self, expected: &Token, what: &str) -> Result<(), DatalogError> {
+    fn consume(&mut self, expected: &Token, what: &str) -> Result<(), DatalogError> {
         if self.peek() == Some(expected) {
             self.pos += 1;
             Ok(())
@@ -125,7 +125,7 @@ impl Parser {
                 if self.peek() != Some(&Token::RParen) {
                     loop {
                         let pname = self.ident("parameter name")?;
-                        self.expect(&Token::Colon, "`:` after parameter name")?;
+                        self.consume(&Token::Colon, "`:` after parameter name")?;
                         let ty = self.type_name()?;
                         params.push((pname, ty));
                         if self.peek() == Some(&Token::Comma) {
@@ -135,7 +135,7 @@ impl Parser {
                         }
                     }
                 }
-                self.expect(&Token::RParen, "`)` after relation parameters")?;
+                self.consume(&Token::RParen, "`)` after relation parameters")?;
                 Ok(Item::RelationDecl { name, params })
             }
             _ => Err(self.error("expected `=` or `(` after type name")),
@@ -148,11 +148,11 @@ impl Parser {
         if self.peek() == Some(&Token::Assign) && self.peek_at(1) == Some(&Token::LBrace) {
             self.pos += 2;
             let facts = self.fact_list()?;
-            self.expect(&Token::RBrace, "`}` closing fact set")?;
+            self.consume(&Token::RBrace, "`}` closing fact set")?;
             return Ok(Item::Facts { name, facts });
         }
         // Rule: `rel name(args) = body` or `rel name(args) :- body`.
-        self.expect(&Token::LParen, "`(` after relation name")?;
+        self.consume(&Token::LParen, "`(` after relation name")?;
         let mut args = Vec::new();
         if self.peek() != Some(&Token::RParen) {
             loop {
@@ -164,7 +164,7 @@ impl Parser {
                 }
             }
         }
-        self.expect(&Token::RParen, "`)` after head arguments")?;
+        self.consume(&Token::RParen, "`)` after head arguments")?;
         match self.peek() {
             Some(Token::Assign) | Some(Token::Turnstile) => {
                 self.pos += 1;
@@ -221,7 +221,7 @@ impl Parser {
                     }
                 }
             }
-            self.expect(&Token::RParen, "`)` closing fact tuple")?;
+            self.consume(&Token::RParen, "`)` closing fact tuple")?;
         } else {
             values.push(self.arith_expr()?);
         }
@@ -237,11 +237,10 @@ impl Parser {
             self.pos += 1;
             parts.push(self.conjunction()?);
         }
-        if parts.len() == 1 {
-            Ok(parts.pop().expect("non-empty"))
-        } else {
-            Ok(Body::Or(parts))
-        }
+        Ok(match <[Body; 1]>::try_from(parts) {
+            Ok([only]) => only,
+            Err(parts) => Body::Or(parts),
+        })
     }
 
     fn conjunction(&mut self) -> Result<Body, DatalogError> {
@@ -258,11 +257,10 @@ impl Parser {
             }
             parts.push(self.body_unit()?);
         }
-        if parts.len() == 1 {
-            Ok(parts.pop().expect("non-empty"))
-        } else {
-            Ok(Body::And(parts))
-        }
+        Ok(match <[Body; 1]>::try_from(parts) {
+            Ok([only]) => only,
+            Err(parts) => Body::And(parts),
+        })
     }
 
     fn body_unit(&mut self) -> Result<Body, DatalogError> {
@@ -270,7 +268,7 @@ impl Parser {
             Some(Token::LParen) => {
                 self.pos += 1;
                 let inner = self.disjunction()?;
-                self.expect(&Token::RParen, "`)` closing grouped body")?;
+                self.consume(&Token::RParen, "`)` closing grouped body")?;
                 Ok(inner)
             }
             Some(Token::Ident(name))
@@ -290,7 +288,7 @@ impl Parser {
                         }
                     }
                 }
-                self.expect(&Token::RParen, "`)` after atom arguments")?;
+                self.consume(&Token::RParen, "`)` after atom arguments")?;
                 Ok(Body::Atom(Atom { name, args }))
             }
             _ => Ok(Body::Constraint(self.comparison_expr()?)),
@@ -358,7 +356,7 @@ impl Parser {
             },
             Some(Token::LParen) => {
                 let inner = self.arith_expr()?;
-                self.expect(&Token::RParen, "`)` closing grouped expression")?;
+                self.consume(&Token::RParen, "`)` closing grouped expression")?;
                 Ok(inner)
             }
             other => Err(self.error(format!("expected an expression, found {other:?}"))),

@@ -9,13 +9,15 @@
 //! so a warm request pays only validation, queueing, and its share of a
 //! fix-point:
 //!
-//! * [`ProgramCache`] — a keyed cache `(source hash, provenance kind,
-//!   options fingerprint) → Arc<Program>` so each distinct program
-//!   compiles **once per process** and every request/thread shares the
-//!   artifact. Eviction is LRU over the compiled artifact's estimated
-//!   resident size ([`Program::compiled_size_bytes`]), bounded by a
-//!   configurable byte budget. Concurrent requests for the same key are
-//!   coalesced: exactly one thread compiles, the rest block on the result.
+//! * [`ProgramCache`] — a cache `(source text, provenance kind) →
+//!   Arc<Program>` so each distinct program compiles **once per process**
+//!   and every request/thread shares the artifact. The source is looked up
+//!   as it is, so a hit costs one hash of the text and one compare, and no
+//!   two sources can share an entry. Eviction is LRU over the compiled
+//!   artifact's estimated resident size ([`Program::compiled_size_bytes`]),
+//!   bounded by a configurable byte budget. Concurrent requests for the
+//!   same program are coalesced: exactly one thread compiles, the rest
+//!   block on the result.
 //! * [`BatchScheduler`] — accumulates per-request [`FactSet`]s into
 //!   mini-batches, paying one fix-point per batch instead of one per
 //!   request. Latency/throughput trade-off is controlled by
@@ -101,7 +103,7 @@ mod scheduler;
 
 pub use admission::{AdmissionConfig, AdmissionController};
 pub use auth::{AuthError, KeyStore, Quota};
-pub use cache::{CacheKey, ProgramCache};
+pub use cache::ProgramCache;
 pub use error::ServeError;
 pub use net::{Client, ClientError, Reply, Server, ServerConfig};
 pub use scheduler::{BatchScheduler, SchedulerConfig, Ticket};

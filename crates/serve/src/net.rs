@@ -1464,7 +1464,6 @@ mod tests {
             "cache.coalesced",
             "cache.compiles",
             "cache.evictions",
-            "cache.collisions",
             "cache.resident_bytes",
             "cache.resident_programs",
         ]
@@ -1521,7 +1520,6 @@ mod tests {
             ("cache.coalesced", 0),
             ("cache.compiles", 1),
             ("cache.evictions", 0),
-            ("cache.collisions", 0),
             ("cache.resident_programs", 1),
         ];
         for (path, count) in exact {

@@ -2,7 +2,7 @@
 //! thread contention, eviction within the byte budget, and batch/sequential
 //! result agreement across flush boundaries.
 
-use lobster::{FactSet, Program, ProvenanceKind, RuntimeOptions, Value};
+use lobster::{FactSet, Program, ProvenanceKind, Value};
 use lobster_serve::{BatchScheduler, ProgramCache, SchedulerConfig};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
@@ -118,10 +118,9 @@ fn eviction_respects_the_size_budget() {
     assert!(get("resident_programs") <= 2);
 
     // LRU order: the most recently inserted program survived…
-    let options = RuntimeOptions::default();
-    assert!(cache.contains(&variant_source(5), ProvenanceKind::Unit, &options));
+    assert!(cache.contains(&variant_source(5), ProvenanceKind::Unit));
     // …the oldest did not, and re-requesting it recompiles.
-    assert!(!cache.contains(&variant_source(0), ProvenanceKind::Unit, &options));
+    assert!(!cache.contains(&variant_source(0), ProvenanceKind::Unit));
     cache
         .get_or_compile(&variant_source(0), ProvenanceKind::Unit)
         .unwrap();
@@ -147,10 +146,9 @@ fn recently_used_entries_survive_eviction_over_older_ones() {
     cache
         .get_or_compile(&variant_source(2), ProvenanceKind::Unit)
         .unwrap();
-    let options = RuntimeOptions::default();
-    assert!(cache.contains(&variant_source(0), ProvenanceKind::Unit, &options));
-    assert!(!cache.contains(&variant_source(1), ProvenanceKind::Unit, &options));
-    assert!(cache.contains(&variant_source(2), ProvenanceKind::Unit, &options));
+    assert!(cache.contains(&variant_source(0), ProvenanceKind::Unit));
+    assert!(!cache.contains(&variant_source(1), ProvenanceKind::Unit));
+    assert!(cache.contains(&variant_source(2), ProvenanceKind::Unit));
 }
 
 /// One request per chain link plus a shared query edge — enough variety
