@@ -345,7 +345,26 @@ fn symbol_chain_and_one_more() -> (FactSet, FactSet) {
     (edges(1..41), edges(41..42))
 }
 
-const SHAPES: [Shape; 9] = [
+/// Node `i` of the `i64`-keyed shape: a word whose high and low bits are
+/// both set, negative for the lower half of the nodes.
+fn i64_node(i: u32) -> Value {
+    Value::I64((i64::from(i) - 32) << 40 | i64::from(i))
+}
+
+/// A 64-edge chain of `i64` nodes and the edge that extends it at the far
+/// end, as the non-linear TC shape's.
+fn i64_chain_and_one_more() -> (FactSet, FactSet) {
+    let edges = |from: std::ops::Range<u32>| {
+        let mut facts = FactSet::new();
+        for i in from {
+            facts.add("edge", &[i64_node(i), i64_node(i + 1)], None);
+        }
+        facts
+    };
+    (edges(0..64), edges(64..65))
+}
+
+const SHAPES: [Shape; 10] = [
     Shape {
         name: "left-leaf TC",
         source: "type edge(x: u32, y: u32)
@@ -475,6 +494,17 @@ const SHAPES: [Shape; 9] = [
             let rest = [("edge", 0, 1), ("hop", 41, 50), ("hop", 50, 42)];
             (facts_of(links.chain(rest)), facts_of([("edge", 39, 40)]))
         },
+    },
+    Shape {
+        name: "i64-keyed non-linear TC and siblings",
+        source: "type edge(x: i64, y: i64)
+            rel path(x, y) = edge(x, y) or (path(x, z) and path(z, y))
+            rel sibling(x, y) = edge(p, x), edge(p, y), x != y
+            query path
+            query sibling",
+        inputs: &["edge"],
+        node: i64_node,
+        deep: i64_chain_and_one_more,
     },
 ];
 

@@ -10,20 +10,23 @@
 //!   order, same probability bits, same gradients, for every relation —
 //!   across provenance kinds and device parallelism levels.
 //! * **packed storage** — every relation is stored in packed columns, `u32`
-//!   and `symbol` lanes 4 bytes wide (a symbol as its interner id). On seven
-//!   workloads, under four kinds: the fix point at parallelism 1 equals the
-//!   one at parallelism 4 bit for bit; every relation's rows strictly ascend
-//!   in logical lexicographic order, the order one word per column would
-//!   sort into; and the `unit` tuple set equals `ScallopEngine`'s, which
-//!   keeps whole tuples in `BTreeMap`s — a storage reference that shares
-//!   nothing with the packed layout. (`oracle_agreement` checks random
-//!   programs against an oracle that shares no code with the engine.)
+//!   and `symbol` lanes 4 bytes wide (a symbol as its interner id), `i64`
+//!   and `f64` lanes a whole word. On each workload, under four kinds, as
+//!   `run_batch` and as `Session::run` execute it: the fix point at
+//!   parallelism 1 equals the one at parallelism 4 bit for bit; every
+//!   relation's rows strictly ascend in logical lexicographic order, the
+//!   order one word per column would sort into; and the `unit` tuple set
+//!   equals `ScallopEngine`'s, which keeps whole tuples in `BTreeMap`s — a
+//!   storage reference that shares nothing with the packed layout.
+//!   (`oracle_agreement` checks random programs against an oracle that
+//!   shares no code with the engine.)
 //!
 //! There is no knob to flip, so each run is built here from `lobster_apm`'s
 //! parts: `Database::from_plan`, the planned compile entry or the hidden
 //! `compile_stratum_hash_only` hook, and `Executor::run_stratum` per
 //! stratum, over the batch-transformed program with the facts as sample 0 —
-//! what `run_batch` executes.
+//! what `run_batch` executes — and, for the storage invariants, over the
+//! plain program too.
 //!
 //! The join guarantee rests on the hash index's ascending-build-row match
 //! order (documented on `HashIndex::for_each_match`): a merge join emits the
@@ -210,16 +213,18 @@ fn join_differential(name: &str, source: &str, facts: &FactSet, expect_merge: bo
 
 /// The packed-storage invariants of one kind, under the planned build: the
 /// fix points at every parallelism are bit-identical, and every relation's
-/// rows strictly ascend in logical lexicographic order. Returns the fix
-/// point.
+/// rows strictly ascend in logical lexicographic order. With `sample` set,
+/// `ram` is batch-transformed and the facts are that sample's rows. Returns
+/// the fix point.
 fn storage_invariants_for<P: SessionProvenance>(
     name: &str,
     ram: &RamProgram,
     facts: &FactSet,
+    sample: Option<u32>,
 ) -> FixPoint {
-    let context = format!("{name} ({})", std::any::type_name::<P>());
+    let context = format!("{name} ({}, sample {sample:?})", std::any::type_name::<P>());
     let [first, rest @ ..] =
-        PARALLELISMS.map(|p| fix_point::<P>(ram, facts, Some(0), p, Joins::Planned));
+        PARALLELISMS.map(|p| fix_point::<P>(ram, facts, sample, p, Joins::Planned));
     for (p, other) in PARALLELISMS[1..].iter().zip(&rest) {
         let context = format!("{context}, parallelism {} vs {p}", PARALLELISMS[0]);
         assert_bit_identical(&first, other, &context);
@@ -242,34 +247,48 @@ fn storage_invariants_for<P: SessionProvenance>(
 }
 
 /// [`storage_invariants_for`] under four kinds, and the `unit` tuple set
-/// against `ScallopEngine`'s.
+/// against `ScallopEngine`'s: over the batch-transformed program, which
+/// `run_batch` executes and whose `u32` sample column makes every layout
+/// packed, and over the plain one, which `Session::run` executes and where
+/// a relation of 8-byte columns only is stored one word per column.
 fn storage_invariants(name: &str, source: &str, facts: &FactSet) {
-    let ram = batched(source);
-    let unit = storage_invariants_for::<Unit>(name, &ram, facts);
-    storage_invariants_for::<AddMultProb>(name, &ram, facts);
-    storage_invariants_for::<MaxMinProb>(name, &ram, facts);
-    storage_invariants_for::<DiffTop1Proof>(name, &ram, facts);
+    let batched = batched(source);
+    let plain = lobster_datalog::parse(source)
+        .expect("program compiles")
+        .ram;
+    for (ram, sample) in [(batched, Some(0)), (plain, None)] {
+        let unit = storage_invariants_for::<Unit>(name, &ram, facts, sample);
+        storage_invariants_for::<AddMultProb>(name, &ram, facts, sample);
+        storage_invariants_for::<MaxMinProb>(name, &ram, facts, sample);
+        storage_invariants_for::<DiffTop1Proof>(name, &ram, facts, sample);
 
-    let rows: Vec<(String, Vec<u64>, ())> = facts
-        .facts()
-        .map(|(relation, values, _, _)| {
-            let row = std::iter::once(0).chain(values.iter().map(Value::encode));
-            (relation.to_string(), row.collect(), ())
-        })
-        .collect();
-    let scallop = ScallopEngine::new(Unit::new())
-        .run(&ram, &rows)
-        .expect("the tuple-at-a-time engine runs");
-    for (relation, rows) in &unit.relations {
-        let ours: BTreeSet<Vec<u64>> = rows
-            .iter()
-            .map(|(tuple, _)| tuple.iter().map(Value::encode).collect())
+        let rows: Vec<(String, Vec<u64>, ())> = facts
+            .facts()
+            .map(|(relation, values, _, _)| {
+                let row = sample
+                    .map(u64::from)
+                    .into_iter()
+                    .chain(values.iter().map(Value::encode));
+                (relation.to_string(), row.collect(), ())
+            })
             .collect();
-        let theirs: BTreeSet<Vec<u64>> = scallop
-            .get(relation)
-            .map(|tuples| tuples.keys().cloned().collect())
-            .unwrap_or_default();
-        assert_eq!(ours, theirs, "{name}: `{relation}` against ScallopEngine");
+        let scallop = ScallopEngine::new(Unit::new())
+            .run(&ram, &rows)
+            .expect("the tuple-at-a-time engine runs");
+        for (relation, rows) in &unit.relations {
+            let ours: BTreeSet<Vec<u64>> = rows
+                .iter()
+                .map(|(tuple, _)| tuple.iter().map(Value::encode).collect())
+                .collect();
+            let theirs: BTreeSet<Vec<u64>> = scallop
+                .get(relation)
+                .map(|tuples| tuples.keys().cloned().collect())
+                .unwrap_or_default();
+            assert_eq!(
+                ours, theirs,
+                "{name} (sample {sample:?}): `{relation}` against ScallopEngine"
+            );
+        }
     }
 }
 
@@ -379,7 +398,8 @@ fn cspa_is_bit_identical_across_join_strategies() {
 }
 
 /// Transitive closure over `u32` keys: with no `u32` arithmetic in the
-/// program, both 4-byte edge columns pack into a single word column.
+/// program, both 4-byte edge columns pack into a single word column. Over
+/// `i64` keys every lane is a whole word.
 #[test]
 fn transitive_closure_encoded_is_bit_identical() {
     let mut rng = StdRng::seed_from_u64(21);
@@ -390,6 +410,27 @@ fn transitive_closure_encoded_is_bit_identical() {
         lobster_workloads::graphs::TRANSITIVE_CLOSURE,
         &facts,
     );
+
+    // The same closure over `i64` nodes that need all 64 bits, and an
+    // `(i64, f64)` relation it feeds: under the plain program every column
+    // is 8 bytes wide, so each relation is stored one word per column.
+    let source = "type edge(x: i64, y: i64)
+        type score(x: i64, s: f64)
+        rel path(x, y) = edge(x, y) or (path(x, z) and edge(z, y))
+        rel scored(x, s) = path(x, y) and score(y, s)
+        query path
+        query scored";
+    let node = |i: i64| Value::I64((i - 20) << 40 | i);
+    let mut facts = FactSet::new();
+    for _ in 0..120 {
+        let (x, y) = (rng.gen_range(0..40), rng.gen_range(0..40));
+        facts.add("edge", &[node(x), node(y)], Some(rng.gen_range(0.3..1.0)));
+    }
+    for y in (0..40).step_by(3) {
+        let s = Value::F64(rng.gen_range(-1e9..1e9));
+        facts.add("score", &[node(y), s], Some(rng.gen_range(0.3..1.0)));
+    }
+    storage_invariants("i64-closure", source, &facts);
 }
 
 /// CLUTRR: arity-3 relations whose 12 logical bytes split across two packed
