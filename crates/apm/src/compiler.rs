@@ -25,13 +25,11 @@
 //!   the [`secondary_orders`] the database keeps is sorted on the join key.
 
 use crate::config::RuntimeOptions;
-use crate::database::{pack_lanes, SecondaryOrder};
+use crate::database::{plan_lanes, SecondaryOrder};
 use crate::isa::{ApmProgram, DbPart, Instr, JoinSource, JoinWrite, RegId};
 use lobster_gpu::kernels::identity_lanes;
 use lobster_ram::passes::{join_strategy, projection_sorted_prefix, JoinStrategy};
-use lobster_ram::{
-    RamExpr, RamProgram, RamRule, RelationLayout, RowProjection, ScalarExpr, Stratum,
-};
+use lobster_ram::{RamExpr, RamProgram, RamRule, RowProjection, ScalarExpr, Stratum};
 use std::collections::BTreeSet;
 
 /// The result of compiling one stratum.
@@ -696,8 +694,9 @@ impl<'a> Compiler<'a> {
     /// that is not a column permutation — wrote is written by it in the
     /// relation's storage encoding — the lanes the database plans from the
     /// relation's column types, one output register per lane group — and
-    /// staged as it is. Any other table is packed by the store. (Under an
-    /// identity layout the lanes are the identity lanes the writer has.)
+    /// staged as it is. Any other table is packed by the store. (A relation
+    /// of 8-byte columns only plans the identity lanes, so its writer is
+    /// fused the same way.)
     fn emit_store(&mut self, relation: &str, table: Compiled) {
         let writer = match self.instructions.last_mut() {
             Some(Instr::Join { write, .. } | Instr::MergeJoin { write, .. }) => {
@@ -717,7 +716,7 @@ impl<'a> Compiler<'a> {
             Some((outputs, tags, pack)) if *outputs == columns && tags == table.tags => {
                 // cannot fail: a validated program declares every relation it names.
                 let schema = self.ram.schemas.get(relation).expect("stored relation");
-                let lanes = pack_lanes(&RelationLayout::plan(&schema.arg_types));
+                let lanes = plan_lanes(&schema.arg_types);
                 outputs.truncate(lanes.len());
                 columns.truncate(lanes.len());
                 *pack = lanes.into();

@@ -3,15 +3,17 @@
 //! # Narrow, packed storage
 //!
 //! Every database is built from a [`StoragePlan`] and stores every relation
-//! in *packed* form: a [`RelationLayout`] fuses adjacent narrow columns
-//! (bools, `u32`s, symbols — each symbol as its interner id in a 4-byte
-//! lane) into shared `u64` group words, and every [`SortedTable`] holds the
-//! group columns instead of one word per logical column. Packing is
-//! order-preserving — the first column takes the most-significant lane — so
-//! a packed table's rows ascend in logical lexicographic order, and the
-//! kernels sort, merge, difference and deduplicate group words without
-//! knowing the layout. A layout of 8-byte columns only is the identity:
-//! its tables skip the pack and unpack kernels.
+//! in *packed* form: its layout, the lane groups [`plan_lanes`] plans, fuses
+//! adjacent narrow columns (bools, `u32`s, symbols — each symbol as its
+//! interner id in a 4-byte lane) into shared `u64` group words, and every
+//! [`SortedTable`] holds the group columns instead of one word per logical
+//! column. Packing is order-preserving — the first column takes the
+//! most-significant lane — so a packed table's rows ascend in logical
+//! lexicographic order, and the kernels sort, merge, difference and
+//! deduplicate group words without knowing the layout. Every layout has
+//! lanes: one of 8-byte columns only plans the identity lanes
+//! ([`kernels::identity_lanes`]), one whole-word lane per group, and goes
+//! through the same pack and unpack kernels as any other.
 //!
 //! A relation's layout depends on its column types alone, so the plan fixes
 //! it once for the program. Facts enter ([`Database::insert`]) and leave
@@ -31,13 +33,9 @@
 use lobster_gpu::kernels::{KeyLane, PackLane};
 use lobster_gpu::{kernels, Column, Columns, Device, KnownSketch};
 use lobster_provenance::Provenance;
-use lobster_ram::{RamProgram, RelationLayout, RelationSchema, Tuple, Value, ValueType};
+use lobster_ram::{RamProgram, RelationSchema, Tuple, Value, ValueType};
 use std::collections::BTreeMap;
 use std::sync::Arc;
-
-/// Arena allocation site for codec scratch (stored columns copied out
-/// unpacked); distinct from the executor's sites (100–104).
-const CODEC_SITE: usize = 105;
 
 /// What a secondary order's layout is planned under: its relation's name,
 /// this, and its key. No source name can spell it.
@@ -297,7 +295,7 @@ pub struct EncodingSpec {
 }
 
 /// How a database stores its relations, decided from the program's schemas
-/// alone: the relation schemas and every relation's layout and pack lanes.
+/// alone: the relation schemas and every relation's layout, its lane groups.
 ///
 /// A plan is built once per program and shared: every database a run
 /// starts from it ([`Database::from_plan`]) shares its schemas and codec
@@ -330,86 +328,96 @@ impl StoragePlan {
         }
     }
 
-    /// The layout `relation` is stored in, or `None` for an unknown
-    /// relation.
-    pub fn layout(&self, relation: &str) -> Option<&RelationLayout> {
-        self.codec.layouts.get(relation)
+    /// The layout `relation` is stored in, its lane groups, or `None` for
+    /// an unknown relation.
+    pub fn lanes(&self, relation: &str) -> Option<&[Vec<PackLane>]> {
+        self.codec.lanes.get(relation).map(Vec::as_slice)
     }
 }
 
-/// The pack lanes of `layout` as the gpu kernels take them. The one
-/// conversion: the database stores a relation in these lanes, and the
+/// The layout of a relation with these column types: its lane groups, each
+/// one stored `u64` word, every column as wide as its
+/// [`ValueType::physical_width`]. The packing is greedy and
+/// **order-preserving**: columns are taken left to right, a group takes
+/// columns until the next would pass 8 bytes, and within a group the first
+/// column takes the most-significant lane. Comparing rows word by word
+/// therefore equals comparing them column by column. A `u32` lane is 4
+/// bytes in every program: `u32` arithmetic wraps at 32 bits, so no column
+/// holds a wider word. Columns of 8 bytes only plan
+/// [`kernels::identity_lanes`].
+///
+/// The one planner: the database stores a relation in these lanes, and the
 /// compiler gives a join that feeds a `store` the lanes of the stored
 /// relation's column types.
-pub(crate) fn pack_lanes(layout: &RelationLayout) -> Vec<Vec<PackLane>> {
-    let groups = layout.groups.iter().map(|g| {
-        g.lanes
-            .iter()
-            .map(|l| PackLane {
-                column: l.column,
-                shift: l.shift,
-                mask: l.mask(),
-            })
-            .collect()
-    });
-    groups.collect()
+pub(crate) fn plan_lanes(types: &[ValueType]) -> Vec<Vec<PackLane>> {
+    let mut groups = Vec::new();
+    let mut group: Vec<PackLane> = Vec::new();
+    let mut used = 0;
+    for (column, ty) in types.iter().enumerate() {
+        let bytes = ty.physical_width();
+        if used + bytes > 8 {
+            groups.push(std::mem::take(&mut group));
+            used = 0;
+        }
+        // The new lane is the least significant: the group's earlier lanes
+        // move up by its width.
+        let bits = 8 * bytes as u32;
+        for lane in &mut group {
+            lane.shift += bits;
+        }
+        let mask = u64::MAX >> (64 - bits);
+        group.push(PackLane {
+            column,
+            shift: 0,
+            mask,
+        });
+        used += bytes;
+    }
+    if !group.is_empty() {
+        groups.push(group);
+    }
+    groups
 }
 
-/// The layouts of a database: one per relation and per secondary order,
-/// each with its precomputed pack lanes.
+/// The layouts of a database, one per relation and per secondary order:
+/// each its lane groups.
 #[derive(Debug, Clone)]
 pub(crate) struct Codec {
-    layouts: BTreeMap<String, RelationLayout>,
     lanes: BTreeMap<String, Vec<Vec<PackLane>>>,
 }
 
 impl Codec {
     fn new(schemas: &BTreeMap<String, RelationSchema>) -> Codec {
-        let mut codec = Codec {
-            layouts: BTreeMap::new(),
-            lanes: BTreeMap::new(),
-        };
-        for (name, schema) in schemas {
-            codec.plan(name, &schema.arg_types);
-        }
-        codec
+        let lanes = schemas
+            .iter()
+            .map(|(name, schema)| (name.clone(), plan_lanes(&schema.arg_types)))
+            .collect();
+        Codec { lanes }
     }
 
-    /// Plans the layout of a relation with the given column types, with its
-    /// pack lanes.
+    /// Plans the layout of a relation with the given column types.
     fn plan(&mut self, name: &str, arg_types: &[ValueType]) {
-        let layout = RelationLayout::plan(arg_types);
-        self.lanes.insert(name.to_string(), pack_lanes(&layout));
-        self.layouts.insert(name.to_string(), layout);
-    }
-
-    pub(crate) fn layout(&self, relation: &str) -> &RelationLayout {
-        &self.layouts[relation]
+        self.lanes.insert(name.to_string(), plan_lanes(arg_types));
     }
 
     /// Where the first `width` logical columns of `relation`'s stored rows
     /// sit in its group words: the first `width` lanes, since a layout
     /// packs the columns in order.
     fn key_lanes(&self, relation: &str, width: usize) -> Vec<KeyLane> {
-        let groups = self.layouts[relation].groups.iter().enumerate();
-        let lanes = groups.flat_map(|(g, group)| {
-            group.lanes.iter().map(move |lane| KeyLane {
+        let groups = self.lanes[relation].iter().enumerate();
+        let lanes = groups.flat_map(|(g, lanes)| {
+            lanes.iter().map(move |lane| KeyLane {
                 column: g,
                 shift: lane.shift,
-                mask: lane.mask(),
+                mask: lane.mask,
             })
         });
         lanes.take(width).collect()
     }
 
-    /// The pack lanes of a relation, or `None` when its layout is the
-    /// identity (callers skip the pack/unpack kernels entirely).
-    pub(crate) fn lanes(&self, relation: &str) -> Option<&Vec<Vec<PackLane>>> {
-        if self.layouts[relation].is_identity() {
-            None
-        } else {
-            Some(&self.lanes[relation])
-        }
+    /// The layout of a relation or a secondary order: its lane groups.
+    pub(crate) fn lanes(&self, relation: &str) -> &[Vec<PackLane>] {
+        &self.lanes[relation]
     }
 }
 
@@ -718,7 +726,7 @@ impl<P: Provenance> Database<P> {
             .schemas
             .keys()
             .map(|name| {
-                let arity = plan.codec.layout(name).packed_arity();
+                let arity = plan.codec.lanes(name).len();
                 (name.clone(), RelationData::new(arity))
             })
             .collect();
@@ -766,7 +774,7 @@ impl<P: Provenance> Database<P> {
     pub(crate) fn add_relation(&mut self, name: &str, arg_types: Vec<ValueType>) {
         let codec = Arc::make_mut(&mut self.codec);
         codec.plan(name, &arg_types);
-        let arity = codec.layout(name).packed_arity();
+        let arity = codec.lanes(name).len();
         self.relations
             .insert(name.to_string(), RelationData::new(arity));
         Arc::make_mut(&mut self.schemas)
@@ -777,9 +785,7 @@ impl<P: Provenance> Database<P> {
     /// tables.
     pub(crate) fn remove_relation(&mut self, device: &Device, name: &str) {
         Arc::make_mut(&mut self.schemas).remove(name);
-        let codec = Arc::make_mut(&mut self.codec);
-        codec.layouts.remove(name);
-        codec.lanes.remove(name);
+        Arc::make_mut(&mut self.codec).lanes.remove(name);
         if let Some(data) = self.relations.remove(name) {
             data.stable.recycle(device);
             data.recent.recycle(device);
@@ -904,25 +910,15 @@ impl<P: Provenance> Database<P> {
     /// column as registers hold them: fresh arena columns.
     pub(crate) fn unpacked(&self, device: &Device, name: &str, stored: &[Column]) -> Columns {
         let refs: Vec<&[u64]> = stored.iter().map(|c| c.as_slice()).collect();
-        match self.codec.lanes(name) {
-            Some(lanes) => {
-                kernels::unpack_columns(device, &refs, lanes, self.codec.layout(name).arity)
-            }
-            None => refs
-                .iter()
-                .map(|c| device.arena().alloc_copy(CODEC_SITE, c))
-                .collect(),
-        }
+        let lanes = self.codec.lanes(name);
+        let arity = lanes.iter().map(Vec::len).sum();
+        kernels::unpack_columns(device, &refs, lanes, arity)
     }
 
-    /// Logical columns packed into layout `name`, consuming them. An
-    /// identity layout keeps them as they are.
+    /// Logical columns packed into layout `name`, consuming them.
     fn packed(&self, device: &Device, name: &str, logical: Columns) -> Columns {
-        let Some(lanes) = self.codec.lanes(name) else {
-            return logical;
-        };
         let refs: Vec<&[u64]> = logical.iter().map(|c| c.as_slice()).collect();
-        let packed = kernels::pack_columns(device, &refs, lanes);
+        let packed = kernels::pack_columns(device, &refs, self.codec.lanes(name));
         drop(refs);
         recycle_columns(device, logical);
         packed
@@ -1076,8 +1072,7 @@ impl<P: Provenance> Database<P> {
     }
 
     /// The one decode walk: every row of `table` goes from stored group
-    /// words to a tuple, lane by lane (an identity layout's lanes are whole
-    /// words), paired with `output` of its tag. One scratch row serves the
+    /// words to a tuple, lane by lane, paired with `output` of its tag. One scratch row serves the
     /// whole table; the only allocation per row is its tuple. Scalar and
     /// host-side (no [`Device`] at hand), which is a choice, not a sign that
     /// decode is cold: it is a fifth of a `tc_chain` or `tc_dense` request.
@@ -1092,12 +1087,13 @@ impl<P: Provenance> Database<P> {
             return;
         }
         let schema = &self.schemas[relation];
-        let layout = self.codec.layout(relation);
+        let lanes = self.codec.lanes(relation);
         let mut words = vec![0u64; schema.arity()];
         for (row, tag) in table.tags.iter().enumerate() {
-            for (group, column) in layout.groups.iter().zip(&table.columns) {
-                for (l, lane) in group.lanes.iter().enumerate() {
-                    words[lane.column] = group.unpack(column[row], l);
+            for (group, column) in lanes.iter().zip(&table.columns) {
+                let word = column[row];
+                for lane in group {
+                    words[lane.column] = (word >> lane.shift) & lane.mask;
                 }
             }
             let tuple: Tuple = words
@@ -1136,6 +1132,68 @@ mod tests {
         );
         m.insert("flag".into(), RelationSchema::new("flag", vec![]));
         m
+    }
+
+    /// The word `lanes` packs `values` (one per lane, in lane order) into.
+    fn pack(lanes: &[PackLane], values: &[u64]) -> u64 {
+        let placed = lanes.iter().zip(values).map(|(lane, v)| lane.place(*v));
+        placed.fold(0, |word, lane| word | lane)
+    }
+
+    /// One lane's value, read out of its word.
+    fn unpack(lane: &PackLane, word: u64) -> u64 {
+        (word >> lane.shift) & lane.mask
+    }
+
+    #[test]
+    fn layout_packs_greedily_and_preserves_order() {
+        // u32, u32 → one group with lanes at shifts 32 and 0.
+        let lanes = plan_lanes(&[ValueType::U32, ValueType::U32]);
+        assert_eq!(lanes.len(), 1);
+        let g = &lanes[0];
+        assert_eq!((g[0].shift, g[0].mask), (32, 0xFFFF_FFFF));
+        assert_eq!((g[1].shift, g[1].mask), (0, 0xFFFF_FFFF));
+        // Packed comparison == column-lexicographic comparison.
+        let a = pack(g, &[1, 9]);
+        let b = pack(g, &[2, 0]);
+        assert!(a < b);
+        assert_eq!(unpack(&g[0], a), 1);
+        assert_eq!(unpack(&g[1], a), 9);
+    }
+
+    #[test]
+    fn layout_splits_when_full() {
+        // i64 takes the whole word; u32+bool fit the next one, and the
+        // symbol, 4 bytes like a u32, does not fit beside them.
+        let lanes = plan_lanes(&[
+            ValueType::I64,
+            ValueType::U32,
+            ValueType::Bool,
+            ValueType::Symbol,
+        ]);
+        let shape: Vec<Vec<(usize, u32, u64)>> = lanes
+            .iter()
+            .map(|g| g.iter().map(|l| (l.column, l.shift, l.mask)).collect())
+            .collect();
+        assert_eq!(
+            shape,
+            [
+                vec![(0, 0, u64::MAX)],
+                vec![(1, 8, 0xFFFF_FFFF), (2, 0, 0xFF)],
+                vec![(3, 0, 0xFFFF_FFFF)],
+            ]
+        );
+    }
+
+    #[test]
+    fn full_width_layout_plans_the_identity_lanes() {
+        let lanes = plan_lanes(&[ValueType::F64, ValueType::I64]);
+        assert_eq!(lanes, *kernels::identity_lanes(2));
+    }
+
+    #[test]
+    fn empty_schema_packs_to_nothing() {
+        assert!(plan_lanes(&[]).is_empty());
     }
 
     #[test]
@@ -1561,12 +1619,13 @@ mod tests {
             db.insert("t", &[Value::Symbol(*id), Value::U32(k as u32)], ());
         }
         db.seal(&device);
-        let layout = plan.layout("t").unwrap();
-        assert_eq!(db.codec().layout("t"), layout);
-        assert_eq!(layout.groups[0].lanes[0].bytes, 4);
+        let lanes = plan.lanes("t").unwrap();
+        assert_eq!(db.codec().lanes("t"), lanes);
+        let symbol = lanes[0][0];
+        assert_eq!((symbol.shift, symbol.mask), (32, 0xFFFF_FFFF));
         let stored: Vec<u64> = db.relation_data("t").stable.columns[0]
             .iter()
-            .map(|word| layout.groups[0].unpack(*word, 0))
+            .map(|word| (word >> symbol.shift) & symbol.mask)
             .collect();
         let mut want: Vec<u64> = ids.iter().map(|id| u64::from(*id)).collect();
         want.sort_unstable();

@@ -22,7 +22,7 @@
 
 use crate::compiler::{compile_stratum_with_options, CompiledStratum};
 use crate::config::RuntimeOptions;
-use crate::database::{pack_lanes, recycle_columns, Database, SortedTable};
+use crate::database::{recycle_columns, Database, SortedTable};
 use crate::isa::{DbPart, Instr, JoinSource, JoinWrite, RegId};
 use lobster_gpu::kernels::{JoinBuild, JoinColumn};
 use lobster_gpu::{kernels, Column, Columns, Device, DeviceError, HashIndex};
@@ -591,7 +591,7 @@ impl<P: Provenance> Executor<P> {
     /// consuming the chunks (dead buffers go back to the arena). The first
     /// chunk is kept as it is and the others are appended to it, so the
     /// usual single chunk is not copied at all. `storage_arity` is the
-    /// relation's `packed_arity`.
+    /// relation's number of lane groups.
     fn collect_staged(
         device: &Device,
         mut staged: Vec<(Vec<Column>, Vec<P::Tag>)>,
@@ -656,12 +656,9 @@ impl<P: Provenance> Executor<P> {
             }
         }
         let arena = self.device.arena();
-        // Packed relations are unpacked into wide registers here; identity
-        // layouts copy straight through.
+        // Stored group words are unpacked into wide registers here.
         let lanes = db.codec().lanes(relation);
         let unpack = |packed: &[Column]| -> Vec<Arc<Column>> {
-            // cannot fail: called below only when `lanes` is `Some`.
-            let lanes = lanes.expect("lanes present");
             let refs: Vec<&[u64]> = packed.iter().map(|c| c.as_slice()).collect();
             kernels::unpack_columns(&self.device, &refs, lanes, arity)
                 .into_iter()
@@ -675,18 +672,7 @@ impl<P: Provenance> Executor<P> {
             DbPart::All => None,
         };
         let (cols, tag_vec): (Vec<Arc<Column>>, Arc<Vec<P::Tag>>) = match single {
-            Some(table) => (
-                if lanes.is_some() {
-                    unpack(&table.columns)
-                } else {
-                    table
-                        .columns
-                        .iter()
-                        .map(|c| Arc::new(arena.alloc_copy(exec_sites::LOAD, c)))
-                        .collect()
-                },
-                Arc::new(table.tags.clone()),
-            ),
+            Some(table) => (unpack(&table.columns), Arc::new(table.tags.clone())),
             None => {
                 // `all` of a relation the stratum updates, or of a changed
                 // input a delta run tracks, is compiled as unsorted, so the
@@ -706,13 +692,8 @@ impl<P: Provenance> Executor<P> {
                         merged
                     })
                     .collect();
-                let cols = if lanes.is_some() {
-                    let wide = unpack(&merged_cols);
-                    recycle_columns(&self.device, merged_cols);
-                    wide
-                } else {
-                    merged_cols.into_iter().map(Arc::new).collect()
-                };
+                let cols = unpack(&merged_cols);
+                recycle_columns(&self.device, merged_cols);
                 let mut t = Vec::with_capacity(rows);
                 for table in tables() {
                     t.extend(table.tags.iter().cloned());
@@ -756,9 +737,6 @@ impl<P: Provenance> Executor<P> {
         };
         // Stored words unpacked into registers.
         let unpack = |name: &str, packed: Columns| {
-            if db.codec().lanes(name).is_none() {
-                return packed;
-            }
             let wide = db.unpacked(device, name, &packed);
             recycle_columns(device, packed);
             wide
@@ -944,15 +922,13 @@ impl<P: Provenance> Executor<P> {
                     tags,
                     packed,
                 } => {
-                    // A relation of an identity layout stores its logical
-                    // columns as they are.
                     let lanes = db.codec().lanes(relation);
                     debug_assert!(
                         !packed
                             || pc
                                 .checked_sub(1)
                                 .and_then(|p| program.instructions[p].pack())
-                                == Some(&pack_lanes(db.codec().layout(relation))[..]),
+                                == Some(lanes),
                         "`{relation}` is stored packed in other lanes than its own"
                     );
                     // The registers this store is the last to read leave the
@@ -993,24 +969,22 @@ impl<P: Provenance> Executor<P> {
                             .collect();
                         tag_vec = Arc::new(keep.iter().map(|&i| tag_vec[i].clone()).collect());
                     }
-                    let cols = match lanes.filter(|_| !packed) {
-                        Some(lanes) => {
-                            let refs: Vec<&[u64]> = cols.iter().map(|c| c.as_slice()).collect();
-                            let words = kernels::pack_columns(&self.device, &refs, lanes);
-                            drop(refs);
-                            for col in cols {
-                                Self::recycle_register(&self.device, RegValue::Data(col));
-                            }
-                            words
-                        }
-                        None => cols
-                            .into_iter()
+                    let cols = if *packed {
+                        cols.into_iter()
                             .map(|col| {
                                 Arc::try_unwrap(col).unwrap_or_else(|shared| {
                                     arena.alloc_copy(exec_sites::STORE, &shared)
                                 })
                             })
-                            .collect(),
+                            .collect()
+                    } else {
+                        let refs: Vec<&[u64]> = cols.iter().map(|c| c.as_slice()).collect();
+                        let words = kernels::pack_columns(&self.device, &refs, lanes);
+                        drop(refs);
+                        for col in cols {
+                            Self::recycle_register(&self.device, RegValue::Data(col));
+                        }
+                        words
                     };
                     let tag_vec =
                         Arc::try_unwrap(tag_vec).unwrap_or_else(|shared| (*shared).clone());

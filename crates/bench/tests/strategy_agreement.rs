@@ -530,7 +530,7 @@ fn suite_storage_words_are_pinned() {
         let words: Vec<usize> = ram
             .schemas
             .keys()
-            .map(|relation| plan.layout(relation).unwrap().packed_arity())
+            .map(|relation| plan.lanes(relation).unwrap().len())
             .collect();
         assert_eq!(words.iter().sum::<usize>(), want, "{name}");
         one_word += words.iter().filter(|&&w| w == 1).count();
@@ -542,10 +542,10 @@ fn suite_storage_words_are_pinned() {
     let lanes = |source: &str, relation: &str| -> Vec<Vec<usize>> {
         let ram = lobster_datalog::parse(source).unwrap().ram;
         let plan = StoragePlan::for_program(&ram);
-        let groups = &plan.layout(relation).unwrap().groups;
+        let groups = plan.lanes(relation).unwrap();
         groups
             .iter()
-            .map(|g| g.lanes.iter().map(|l| l.bytes).collect())
+            .map(|g| g.iter().map(|l| l.mask.count_ones() as usize / 8).collect())
             .collect()
     };
     let tc = lobster_workloads::graphs::TRANSITIVE_CLOSURE;

@@ -373,7 +373,7 @@ mod tests {
                 let compile = |stratum| compile_stratum_with_options(stratum, ram, &options);
                 let emitted: Vec<CompiledStratum> = ram.strata.iter().map(compile).collect();
                 assert_eq!(plan.strata, emitted);
-                assert!(plan.storage.layout("edge").is_some());
+                assert!(plan.storage.lanes("edge").is_some());
             }
         }
     }

@@ -39,7 +39,6 @@
 #![warn(missing_docs)]
 
 mod analysis;
-mod encoding;
 mod expr;
 pub mod passes;
 mod program;
@@ -47,7 +46,6 @@ mod symbols;
 mod value;
 
 pub use analysis::{count_recursive_joins, is_linear_recursive, StratumAnalysis};
-pub use encoding::{Group, Lane, RelationLayout};
 pub use expr::{BinaryOp, ByteOp, ExprProgram, RowProjection, ScalarExpr, UnaryOp};
 pub use passes::{Diagnostic, IrError, JoinStrategy, RuleRef, Severity};
 pub use program::{RamExpr, RamProgram, RamRule, RelationSchema, Stratum};
