@@ -15,6 +15,11 @@
 //!   it in the stored relation's storage encoding, so a candidate row is
 //!   born packed — a permutation over a selection or another projection is
 //!   composed with it into one `eval` for that;
+//! * picks each join's strategy per semi-naive variant from the sorted
+//!   column prefix it tracks through the expression: a merge where both
+//!   sides arrive sorted on the key, a hash build+probe otherwise. This is
+//!   the only place the choice is made; [`CompiledStratum`] counts it, and
+//!   `lobster-lint` and the golden ledger report those counts;
 //! * marks hash indices whose build side is iteration-invariant as *static
 //!   registers* so they are built once and reused (Section 4.2) — the
 //!   "linear recursion" case that covers nearly all programs in the paper's
@@ -28,8 +33,9 @@ use crate::config::RuntimeOptions;
 use crate::database::{plan_lanes, SecondaryOrder};
 use crate::isa::{ApmProgram, DbPart, Instr, JoinSource, JoinWrite, RegId};
 use lobster_gpu::kernels::identity_lanes;
-use lobster_ram::passes::{join_strategy, projection_sorted_prefix, JoinStrategy};
-use lobster_ram::{RamExpr, RamProgram, RamRule, RowProjection, ScalarExpr, Stratum};
+use lobster_ram::{
+    ByteOp, ExprProgram, RamExpr, RamProgram, RamRule, RowProjection, ScalarExpr, Stratum,
+};
 use std::collections::BTreeSet;
 
 /// The result of compiling one stratum.
@@ -113,6 +119,51 @@ fn leaf_key(expr: &RamExpr, width: usize) -> Option<(&str, Vec<usize>)> {
 /// sorted is sorted on it.
 fn is_prefix(key: &[usize]) -> bool {
     key.iter().copied().eq(0..key.len())
+}
+
+/// How a join site is executed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum JoinStrategy {
+    /// Build a hash index over the build side, probe per row.
+    Hash,
+    /// Both sides sorted on the key prefix: binary-search the sorted build
+    /// side per probe row, no index at all.
+    Merge,
+}
+
+/// Picks the strategy for a join on `width` key columns whose inputs are
+/// sorted on `left_prefix` / `right_prefix` columns. A zero-width join is a
+/// cartesian product in disguise and never merges.
+fn join_strategy(left_prefix: usize, right_prefix: usize, width: usize) -> JoinStrategy {
+    if width > 0 && left_prefix >= width && right_prefix >= width {
+        JoinStrategy::Merge
+    } else {
+        JoinStrategy::Hash
+    }
+}
+
+/// The sorted prefix that survives a projection applied to an input sorted
+/// on its first `input_prefix` columns: the longest run of output columns
+/// that read the same-numbered input column, capped by `input_prefix`.
+/// (Filters reject rows but preserve order, so they don't cap anything.)
+fn projection_sorted_prefix(proj: &RowProjection, input_prefix: usize) -> usize {
+    let mut prefix = 0;
+    for (out_col, program) in proj.programs.iter().enumerate() {
+        if program_as_column(program) == Some(out_col) && out_col < input_prefix {
+            prefix += 1;
+        } else {
+            break;
+        }
+    }
+    prefix
+}
+
+/// If a compiled column program is a bare column read, returns its index.
+fn program_as_column(program: &ExprProgram) -> Option<usize> {
+    match program.ops.as_slice() {
+        [ByteOp::PushCol(i)] => Some(*i),
+        _ => None,
+    }
 }
 
 /// The value flowing out of [`Compiler::compile_expr`]: the registers of a
@@ -220,9 +271,8 @@ impl<'a> Compiler<'a> {
     /// leaves always load the full relation.
     ///
     /// Alongside the output registers, the compiler tracks the sorted column
-    /// prefix of each intermediate table (mirroring
-    /// `lobster_ram::passes::expr_sorted_prefix`, but with exact per-variant
-    /// partition knowledge): a single-partition load is fully sorted because
+    /// prefix of each intermediate table, with exact per-variant partition
+    /// knowledge: a single-partition load is fully sorted because
     /// tables are stored sorted, and a full (`all`) load of a relation this
     /// stratum does *not* update is fully sorted too — every relation rests
     /// as one sorted `stable` table with `recent` empty once its defining
@@ -947,6 +997,7 @@ mod tests {
     use super::*;
     use lobster_datalog::parse;
     use lobster_gpu::kernels::PackLane;
+    use lobster_ram::{BinaryOp, RelationSchema, ValueType};
 
     /// The from-scratch build every run executes.
     fn compile(stratum: &Stratum, ram: &RamProgram) -> CompiledStratum {
@@ -1174,6 +1225,109 @@ mod tests {
             .count();
         assert_eq!(stores, 1);
         assert!(apm.program.first_iteration_only.iter().all(|&b| !b));
+    }
+
+    #[test]
+    fn identity_prefix_survives_projection() {
+        // (0, 1) → keeps both; (0, arithmetic) → keeps one; (1, 0) → none.
+        let keep_both = RowProjection::new(vec![ScalarExpr::Col(0), ScalarExpr::Col(1)], None);
+        assert_eq!(projection_sorted_prefix(&keep_both, 2), 2);
+        let compute = RowProjection::new(
+            vec![
+                ScalarExpr::Col(0),
+                ScalarExpr::binary(
+                    BinaryOp::Add,
+                    ValueType::U32,
+                    ScalarExpr::Col(1),
+                    ScalarExpr::Col(0),
+                ),
+            ],
+            None,
+        );
+        assert_eq!(projection_sorted_prefix(&compute, 2), 1);
+        let swap = RowProjection::new(vec![ScalarExpr::Col(1), ScalarExpr::Col(0)], None);
+        assert_eq!(projection_sorted_prefix(&swap, 2), 0);
+    }
+
+    #[test]
+    fn input_prefix_caps_projection_prefix() {
+        let keep_both = RowProjection::new(vec![ScalarExpr::Col(0), ScalarExpr::Col(1)], None);
+        assert_eq!(projection_sorted_prefix(&keep_both, 1), 1);
+        assert_eq!(projection_sorted_prefix(&keep_both, 0), 0);
+    }
+
+    #[test]
+    fn filtered_identity_projection_keeps_order() {
+        // A filter forces `permutation: None`, but the per-column programs
+        // are still bare column reads — order is preserved, rows are only
+        // dropped.
+        let filtered = RowProjection::new(
+            vec![ScalarExpr::Col(0), ScalarExpr::Col(1)],
+            Some(ScalarExpr::binary(
+                BinaryOp::Ne,
+                ValueType::U32,
+                ScalarExpr::Col(0),
+                ScalarExpr::Col(1),
+            )),
+        );
+        assert!(!filtered.is_permutation());
+        assert_eq!(projection_sorted_prefix(&filtered, 2), 2);
+    }
+
+    #[test]
+    fn join_strategy_requires_both_sides_and_nonzero_width() {
+        assert_eq!(join_strategy(2, 2, 1), JoinStrategy::Merge);
+        assert_eq!(join_strategy(1, 2, 2), JoinStrategy::Hash);
+        assert_eq!(join_strategy(2, 0, 1), JoinStrategy::Hash);
+        assert_eq!(join_strategy(2, 2, 0), JoinStrategy::Hash);
+    }
+
+    #[test]
+    fn select_preserves_and_join_destroys_sortedness() {
+        let schemas = ["a", "b", "c", "out"]
+            .into_iter()
+            .map(|name| {
+                let schema = RelationSchema::new(name, vec![ValueType::U32, ValueType::U32]);
+                (name.to_string(), schema)
+            })
+            .collect();
+        let ne = ScalarExpr::binary(
+            BinaryOp::Ne,
+            ValueType::U32,
+            ScalarExpr::Col(0),
+            ScalarExpr::Col(1),
+        );
+        let first_two = RowProjection::new(vec![ScalarExpr::Col(0), ScalarExpr::Col(1)], None);
+        let rule = |expr: RamExpr| RamRule {
+            target: "out".into(),
+            expr: expr.project(first_two.clone()),
+        };
+        let stratum = Stratum {
+            relations: vec!["out".into()],
+            rules: vec![
+                // A filtered load is still sorted: the join merges.
+                rule(
+                    RamExpr::relation("a")
+                        .select(ne)
+                        .join(RamExpr::relation("b"), 1),
+                ),
+                // `a ⋈ b` merges; its output is unsorted, so joining it
+                // with `c` hashes.
+                rule(
+                    RamExpr::relation("a")
+                        .join(RamExpr::relation("b"), 1)
+                        .join(RamExpr::relation("c"), 1),
+                ),
+            ],
+            recursive: false,
+        };
+        let ram = RamProgram {
+            schemas,
+            strata: vec![stratum.clone()],
+            outputs: vec!["out".into()],
+        };
+        let apm = compile(&stratum, &ram);
+        assert_eq!((apm.merge_joins, apm.hash_joins), (2, 1));
     }
 
     #[test]

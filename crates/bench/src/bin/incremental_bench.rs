@@ -47,7 +47,7 @@
 //! artifact, so a degraded regeneration is self-describing.
 
 use lobster::{FactSet, Lobster, ProvenanceKind, Value};
-use lobster_bench::{print_header, quick_mode};
+use lobster_bench::{arg_value, best_of, print_header, quick_mode};
 use std::time::{Duration, Instant};
 
 const TC: &str = "type edge(x: u32, y: u32)
@@ -114,19 +114,6 @@ fn chain(from: u32, count: usize) -> FactSet {
         );
     }
     facts
-}
-
-fn best_of(repeats: usize, mut f: impl FnMut() -> Duration) -> Duration {
-    (0..repeats)
-        .map(|_| f())
-        .min()
-        .expect("at least one repeat")
-}
-
-fn arg_value(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
 }
 
 fn main() {

@@ -43,9 +43,9 @@
 //!   still recorded) when fewer than 2 CPUs are available.
 //! * `--assert-merge-join-factor X` — exit non-zero unless the merge join
 //!   (pre-sorted build side, no index) beats a hash join *including* its
-//!   index build by `X ×` at parallelism 4 — the wall-clock case the
-//!   compiler's sort-order pass exploits when it picks
-//!   `JoinStrategy::Merge`.
+//!   index build by `X ×` at parallelism 4 — the wall-clock case the APM
+//!   compiler exploits when both of a join's inputs arrive sorted on the
+//!   key and it emits `MergeCount`/`MergeJoin` instead of a hash join.
 //!
 //! `BENCH_kernels.json` records the machine context (`cpus`) and each
 //! gate's outcome (`not-requested` / `passed` / `failed` /
@@ -53,7 +53,7 @@
 //! speedup on a one-CPU runner is distinguishable from a regression.
 
 use lobster::{Lobster, ProvenanceKind, SymbolTable, Value};
-use lobster_bench::{print_header, quick_mode};
+use lobster_bench::{arg_value, best_of, print_header, quick_mode};
 use lobster_gpu::{kernels, Device, DeviceConfig, HashIndex, Snapshot};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -100,13 +100,6 @@ fn device_with(parallelism: usize) -> Device {
     })
 }
 
-fn best_of(repeats: usize, mut f: impl FnMut() -> Duration) -> Duration {
-    (0..repeats)
-        .map(|_| f())
-        .min()
-        .expect("at least one repeat")
-}
-
 fn refs(cols: &[Vec<u64>]) -> Vec<&[u64]> {
     cols.iter().map(|c| c.as_slice()).collect()
 }
@@ -126,12 +119,6 @@ fn random_cols(rng: &mut StdRng, rows: usize, arity: usize, key_space: u64) -> V
     (0..arity)
         .map(|_| (0..rows).map(|_| rng.gen_range(0..key_space)).collect())
         .collect()
-}
-
-fn arg_value(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
 }
 
 #[allow(clippy::too_many_lines)]
@@ -212,7 +199,7 @@ fn main() {
         );
         // The merge join's precondition — *both* sides sorted on the key —
         // is prepared outside the timings, exactly as the executor sees it
-        // when sort-order inference picks the merge path (stable partitions
+        // when the compiler picks the merge path (stable partitions
         // are maintained sorted; the sort is never paid per join). All three
         // join rows run over these same sorted inputs, so they compare the
         // strategies the compiler actually chooses between and
@@ -330,8 +317,9 @@ fn main() {
             }
         });
         bench("merge_join", rows, &mut || {
-            // The index-free path `JoinStrategy::Merge` compiles to: binary
-            // searches over the sorted build side, no build step at all.
+            // The index-free path of a compiled merge join
+            // (`MergeCount`/`MergeJoin`): binary searches over the sorted
+            // build side, no build step at all.
             let counts = kernels::merge_count(&device, &refs(&sorted_build), &refs(&sorted_probe));
             let (offsets, total) = kernels::scan(&device, &counts);
             let (bi, pi) = kernels::merge_join(

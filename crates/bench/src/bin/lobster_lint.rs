@@ -3,8 +3,10 @@
 //! Compiles each target Datalog program to RAM and runs the full
 //! `lobster_ram::passes` pipeline over it: IR validation, lint diagnostics
 //! (dead rules, cartesian products, constant-false filters, unused
-//! relations, non-linear recursion), and the static cost model with its
-//! sort-order-derived merge-join eligibility counts.
+//! relations, non-linear recursion) and the static cost model. It then
+//! compiles every stratum to APM as a `Program` does and reports the join
+//! sites the compiler sent down the merge path and the hash path (across
+//! every semi-naive variant).
 //!
 //! With no arguments the entire built-in workload suite (the paper's
 //! Table 2, which includes the CSPA program Table 4 scales) is analyzed —
@@ -16,6 +18,7 @@
 //! errors) or produces an error-severity diagnostic. Warnings are reported
 //! but do not fail the run unless `--deny-warnings` is given.
 
+use lobster_apm::{compile_stratum_with_options, RuntimeOptions};
 use lobster_ram::passes::{lint_program, CostModel};
 use lobster_ram::Severity;
 use lobster_workloads::suite::table2;
@@ -71,7 +74,13 @@ fn main() {
         let strata = compiled.ram.strata.len();
         let rules: usize = compiled.ram.strata.iter().map(|s| s.rules.len()).sum();
         let joins: usize = cost.strata.iter().map(|s| s.joins).sum();
-        let merge: usize = cost.strata.iter().map(|s| s.merge_eligible_joins).sum();
+        let (mut merge, mut hash) = (0, 0);
+        for stratum in &compiled.ram.strata {
+            let apm =
+                compile_stratum_with_options(stratum, &compiled.ram, &RuntimeOptions::default());
+            merge += apm.merge_joins;
+            hash += apm.hash_joins;
+        }
         let errs = diagnostics
             .iter()
             .filter(|d| d.severity == Severity::Error)
@@ -81,7 +90,7 @@ fn main() {
         warnings += warns;
         println!(
             "{:<24} {strata} strata, {rules} rules, {joins} joins \
-             ({merge} merge-eligible) — {errs} errors, {warns} warnings",
+             (merge={merge} hash={hash}) — {errs} errors, {warns} warnings",
             target.name,
         );
         for d in &diagnostics {

@@ -35,7 +35,7 @@
 //!   "bounded", not "fast").
 
 use lobster::{FactSet, ProvenanceKind};
-use lobster_bench::{print_header, quick_mode, ArtifactMode};
+use lobster_bench::{arg_value, print_header, quick_mode, ArtifactMode};
 use lobster_serve::json::{obj, parse, Json};
 use lobster_serve::{
     AdmissionConfig, Client, KeyStore, ProgramCache, Quota, SchedulerConfig, Server, ServerConfig,
@@ -170,12 +170,6 @@ fn run_phase(
         .into_iter()
         .map(|h| h.join().expect("client thread must not panic"))
         .fold(ClientReport::default(), |acc, r| acc.merge(&r))
-}
-
-fn arg_value(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
 }
 
 fn main() {

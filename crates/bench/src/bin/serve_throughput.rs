@@ -21,7 +21,9 @@
 //!   reaches `X ×` the sequential throughput.
 
 use lobster::ProvenanceKind;
-use lobster_bench::{degraded_overwrite_warning, print_header, quick_mode, scaled, ArtifactMode};
+use lobster_bench::{
+    arg_value, degraded_overwrite_warning, print_header, quick_mode, scaled, ArtifactMode,
+};
 use lobster_serve::json::{parse, Json};
 use lobster_serve::{BatchScheduler, ProgramCache, SchedulerConfig};
 use lobster_workloads::clutrr;
@@ -138,12 +140,6 @@ fn run_batched(
         latencies_ms: latencies,
         fixpoints: scheduler.metrics().get("batches").unwrap_or(0),
     }
-}
-
-fn arg_value(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
 }
 
 fn main() {

@@ -111,6 +111,21 @@ pub fn degraded_overwrite_warning(path: &str, mode: ArtifactMode) -> Option<Stri
     Some(note)
 }
 
+/// The value following the command-line flag `name` in `args`, if any.
+pub fn arg_value(args: &[String], name: &str) -> Option<String> {
+    args.iter()
+        .position(|a| a == name)
+        .and_then(|i| args.get(i + 1).cloned())
+}
+
+/// The shortest of `repeats` (at least one) timings taken by `f`.
+pub fn best_of(repeats: usize, mut f: impl FnMut() -> Duration) -> Duration {
+    (0..repeats)
+        .map(|_| f())
+        .min()
+        .expect("at least one repeat")
+}
+
 /// Times a closure.
 pub fn time_it<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     let start = Instant::now();

@@ -18,8 +18,9 @@
 //! `strata_compiled`, counts the strata the entry point compiled as it ran:
 //! 0 for `run` and `run_batch`, whose `Program` compiled its strata once,
 //! and the delta strata an incremental insert compiles. Per program, one
-//! more line records what `lobster-lint` prints: strata, rules, joins,
-//! merge-eligible joins, errors and warnings by code.
+//! more line records what `lobster-lint` prints: strata, rules, joins, the
+//! join sites its `Program` compiled to the merge path and to the hash path
+//! (across every semi-naive variant), errors and warnings by code.
 //!
 //! Before comparing with the file, the test checks that the ledger is
 //! repeatable: two renders at kernel parallelism 1 in one process are equal,
@@ -33,7 +34,7 @@
 //! cargo test -p lobster-bench --test ledger -- --ignored rewrite_ledger
 //! ```
 
-use lobster::{Device, DeviceConfig, ExecutionStats, FactSet, Lobster, RunResult, Value};
+use lobster::{Device, DeviceConfig, ExecutionStats, FactSet, Lobster, Program, RunResult, Value};
 use lobster_provenance::ProvenanceKind;
 use lobster_ram::passes::{lint_program, CostModel};
 use lobster_ram::Severity;
@@ -212,12 +213,15 @@ fn entries(info: &BenchmarkInfo, samples: &[WorkloadFacts], parallelism: usize) 
 /// What `lobster-lint` reports for one program, as one line; also returns
 /// its (errors, warnings).
 fn lint_line(info: &BenchmarkInfo) -> (String, usize, usize) {
-    let ram = lobster_datalog::parse(info.program).unwrap().ram;
-    let diagnostics = lint_program(&ram);
-    let cost = CostModel::analyze(&ram);
+    let program = Program::compile(info.program, info.provenance).unwrap();
+    let ram = program.ram();
+    let diagnostics = lint_program(ram);
+    let cost = CostModel::analyze(ram);
     let rules: usize = ram.strata.iter().map(|s| s.rules.len()).sum();
     let joins: usize = cost.strata.iter().map(|s| s.joins).sum();
-    let merge: usize = cost.strata.iter().map(|s| s.merge_eligible_joins).sum();
+    let compiled = program.compiled_strata();
+    let merge: usize = compiled.iter().map(|s| s.merge_joins).sum();
+    let hash: usize = compiled.iter().map(|s| s.hash_joins).sum();
     let mut errors = 0;
     let mut warnings = BTreeMap::new();
     for d in &diagnostics {
@@ -228,7 +232,7 @@ fn lint_line(info: &BenchmarkInfo) -> (String, usize, usize) {
     }
     let by_code: Vec<String> = warnings.iter().map(|(c, n)| format!("{c}:{n}")).collect();
     let line = format!(
-        "{} | lint | strata={} rules={rules} joins={joins} merge_eligible={merge} \
+        "{} | lint | strata={} rules={rules} joins={joins} merge={merge} hash={hash} \
          errors={errors} warnings=[{}]",
         info.name,
         ram.strata.len(),

@@ -57,7 +57,7 @@
 
 use crate::device::KernelKind;
 use crate::kernels::sites;
-use crate::parallel::{chunks_for, map_chunks, par_map_into, run_chunks, PerChunk};
+use crate::parallel::{chunks_for, map_chunks, par_map_column, run_chunks, PerChunk};
 use crate::{Column, Device};
 use std::ops::Range;
 
@@ -210,8 +210,9 @@ impl HashIndex {
             let shift = 64 - partitions.trailing_zeros();
             let arena = device.arena();
             // Pass 1: hash every row once.
-            let mut hashes = arena.alloc_zeroed(sites::JOIN_BUILD, rows);
-            par_map_into(device, &mut hashes, |row| hash_cols(key_columns, row));
+            let hashes = par_map_column(device, sites::JOIN_BUILD, rows, |row| {
+                hash_cols(key_columns, row)
+            });
             // Pass 2: stable scatter of row ids grouped by partition —
             // ascending global row order within each partition, which is
             // the order the grouping below visits them in.

@@ -56,7 +56,7 @@
 
 use crate::device::KernelKind;
 use crate::parallel::{
-    chunks_for, map_chunks, par_map_into, run_chunks, split_by_ranges, PerChunk,
+    chunks_for, map_chunks, par_map_column, run_chunks, split_by_ranges, PerChunk,
 };
 use crate::sketch::row_hash;
 use crate::{Column, Columns, Device, HashIndex, KnownSketch};
@@ -228,17 +228,14 @@ impl PackLane {
 pub fn pack_columns(device: &Device, columns: &[&[u64]], groups: &[Vec<PackLane>]) -> Columns {
     let _t = device.launch(KernelKind::Other);
     let rows = columns.first().map_or(0, |c| c.len());
-    let arena = device.arena();
     groups
         .iter()
         .map(|lanes| {
-            let mut out = arena.alloc_zeroed(sites::PACK_OUT, rows);
-            par_map_into(device, &mut out, |k| {
+            par_map_column(device, sites::PACK_OUT, rows, |k| {
                 lanes
                     .iter()
                     .fold(0, |word, lane| word | lane.place(columns[lane.column][k]))
-            });
-            out
+            })
         })
         .collect()
 }
@@ -274,18 +271,17 @@ pub fn unpack_columns(
 ) -> Columns {
     let _t = device.launch(KernelKind::Other);
     let rows = packed.first().map_or(0, |c| c.len());
-    let arena = device.arena();
-    let mut out: Columns = (0..arity)
-        .map(|_| arena.alloc_zeroed(sites::UNPACK_OUT, rows))
-        .collect();
+    // Every column is one lane of one group, so each is filled once.
+    let mut out: Columns = vec![Column::new(); arity];
     for (group, lanes) in packed.iter().zip(groups) {
         for lane in lanes {
             let (shift, mask) = (lane.shift, lane.mask);
-            par_map_into(device, &mut out[lane.column], |k| {
+            out[lane.column] = par_map_column(device, sites::UNPACK_OUT, rows, |k| {
                 (group[k] >> shift) & mask
             });
         }
     }
+    debug_assert!(out.iter().all(|c| c.len() == rows), "a column has no lane");
     out
 }
 
@@ -370,8 +366,7 @@ const SMALL_SEGMENT: usize = 32;
 pub fn sort_permutation(device: &Device, columns: &[&[u64]]) -> Column {
     let _t = device.launch(KernelKind::Sort);
     let len = columns.first().map(|c| c.len()).unwrap_or(0);
-    let mut perm = device.arena().alloc_zeroed(sites::SORT_OUT, len);
-    par_map_into(device, &mut perm, |i| i as u64);
+    let mut perm = par_map_column(device, sites::SORT_OUT, len, |i| i as u64);
     if len <= 1 || columns.is_empty() {
         return perm;
     }
@@ -1685,9 +1680,9 @@ pub fn difference<T: Clone + Send + Sync>(
     kept.truncate(total);
     let mut out_cols: Columns = Vec::with_capacity(a_cols.len());
     for col in a_cols {
-        let mut out = arena.alloc_zeroed(sites::DIFF_OUT, total);
-        par_map_into(device, &mut out, |k| col[kept[k] as usize]);
-        out_cols.push(out);
+        out_cols.push(par_map_column(device, sites::DIFF_OUT, total, |k| {
+            col[kept[k] as usize]
+        }));
     }
     let out_tags = gather_tags_inner(device, &kept, a_tags);
     arena.recycle(sites::DIFF_KEPT, kept);
@@ -1700,11 +1695,9 @@ pub fn difference<T: Clone + Send + Sync>(
 pub fn count_matches(device: &Device, index: &HashIndex, probe_key_cols: &[&[u64]]) -> Column {
     let _t = device.launch(KernelKind::Join);
     let len = probe_key_cols.first().map(|c| c.len()).unwrap_or(0);
-    let mut out = device.arena().alloc_zeroed(sites::COUNT_OUT, len);
-    par_map_into(device, &mut out, |i| {
+    par_map_column(device, sites::COUNT_OUT, len, |i| {
         index.count_cols(probe_key_cols, i) as u64
-    });
-    out
+    })
 }
 
 /// Where one output column of a join's write pass comes from. A join

@@ -73,7 +73,6 @@ pub use device::{
 };
 pub use hash::HashIndex;
 pub use metrics::{Metrics, Snapshot};
-pub use parallel::par_map_into;
 pub use sketch::KnownSketch;
 
 /// A column of a device-resident table: a flat vector of 64-bit words.

@@ -16,7 +16,7 @@
 //! the active launch on the calling thread; chunks that run inline are part
 //! of that launch's own wall time and are not timed apart.
 
-use crate::Device;
+use crate::{Column, Device};
 use std::ops::{Deref, Range};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -213,20 +213,30 @@ pub(crate) fn split_by_ranges<'a, T>(
     out
 }
 
-/// Fills `out[i] = f(offset + i)` for every element of `out`, splitting the
-/// work across the device's worker pool when profitable.
-pub fn par_map_into<T, F>(device: &Device, out: &mut [T], f: F)
+/// A fresh arena column of `len` words for allocation site `site`, with
+/// `column[i] = f(i)`, split across the device's worker pool when
+/// profitable. Each word is written once: a launch of one chunk pushes into
+/// an empty column, and only chunks that run in parallel, each writing its
+/// own slice, need the column zero-filled first.
+pub(crate) fn par_map_column<F>(device: &Device, site: usize, len: usize, f: F) -> Column
 where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
+    F: Fn(usize) -> u64 + Sync,
 {
-    let ranges = chunks_for(device, out.len());
-    let slices = split_by_ranges(out, &ranges);
+    let arena = device.arena();
+    let ranges = chunks_for(device, len);
+    if ranges.len() == 1 {
+        let mut out = arena.alloc_empty(site, len);
+        out.extend((0..len).map(f));
+        return out;
+    }
+    let mut out = arena.alloc_zeroed(site, len);
+    let slices = split_by_ranges(&mut out, &ranges);
     run_chunks(device, &ranges, slices, |_, range, slice| {
         for (slot, i) in slice.iter_mut().zip(range) {
             *slot = f(i);
         }
     });
+    out
 }
 
 #[cfg(test)]
@@ -247,18 +257,23 @@ mod tests {
         let seq = Device::sequential();
         let par = par_device(8);
         let n = 10_000;
-        let mut a = vec![0u64; n];
-        let mut b = vec![0u64; n];
-        par_map_into(&seq, &mut a, |i| (i * 3 + 1) as u64);
-        par_map_into(&par, &mut b, |i| (i * 3 + 1) as u64);
+        let a = par_map_column(&seq, 0, n, |i| (i * 3 + 1) as u64);
+        let b = par_map_column(&par, 0, n, |i| (i * 3 + 1) as u64);
+        assert_eq!(a.len(), n);
         assert_eq!(a, b);
+        // A pooled buffer comes back holding exactly the new words, from
+        // either path.
+        for (device, words) in [(&seq, a), (&par, b)] {
+            device.arena().recycle(0, words);
+            let again = par_map_column(device, 0, n / 2, |i| i as u64);
+            assert!(again.iter().copied().eq(0..(n / 2) as u64));
+        }
     }
 
     #[test]
     fn empty_input_is_fine() {
         let dev = Device::sequential();
-        let mut out: Vec<u64> = Vec::new();
-        par_map_into(&dev, &mut out, |i| i as u64);
+        let out = par_map_column(&dev, 0, 0, |i| i as u64);
         assert!(out.is_empty());
         let collected = map_chunks(&dev, &chunks_for(&dev, 0), |_, r| {
             r.map(|i| i as u64).collect::<Vec<_>>()

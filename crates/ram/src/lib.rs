@@ -17,20 +17,19 @@
 //!
 //! # Static analysis
 //!
-//! The [`passes`] module analyzes a finished [`RamProgram`] and produces
-//! facts the compiler, executor, and schedulers consume:
+//! The [`passes`] module analyzes a finished [`RamProgram`]: the front end
+//! gates on its validator, and the lint reports the rest. Which join runs
+//! as a merge and which hashes is the APM compiler's decision, not one of
+//! these facts.
 //!
 //! * [`passes::validate_program`] — the one IR validator (schemas,
 //!   arities, join widths, column bounds, operand types), reporting *every*
 //!   error with rule provenance. The Datalog front end runs it on every
 //!   program it compiles;
-//! * [`passes::expr_sorted_prefix`] / [`passes::join_strategy`] — sort-order
-//!   inference yielding per-join [`passes::JoinStrategy`] hints (merge-path
-//!   vs hash build+probe);
 //! * [`passes::live_relations`] / [`passes::eliminate_dead_rules`] — output
-//!   reachability and dead-rule pruning;
-//! * [`passes::CostModel`] — static per-relation weights refining the
-//!   fact-count costs used by batch planners;
+//!   reachability and dead rules;
+//! * [`passes::CostModel`] — static per-stratum rule and join counts,
+//!   reported by `lobster-lint`;
 //! * [`passes::lint_program`] — the combined diagnostics report
 //!   ([`passes::Diagnostic`]) surfaced by `Program::diagnostics()` and the
 //!   `lobster-lint` tool.
@@ -38,16 +37,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod analysis;
 mod expr;
 pub mod passes;
 mod program;
 mod symbols;
 mod value;
 
-pub use analysis::{count_recursive_joins, is_linear_recursive, StratumAnalysis};
 pub use expr::{BinaryOp, ByteOp, ExprProgram, RowProjection, ScalarExpr, UnaryOp};
-pub use passes::{Diagnostic, IrError, JoinStrategy, RuleRef, Severity};
+pub use passes::{Diagnostic, IrError, RuleRef, Severity};
 pub use program::{RamExpr, RamProgram, RamRule, RelationSchema, Stratum};
 pub use symbols::SymbolTable;
 pub use value::{Tuple, Value, ValueType};

@@ -1,23 +1,15 @@
-//! Static cost model: per-relation and per-stratum weights.
+//! Static cost model: per-stratum rule and join counts.
 //!
-//! A sample's fact count treats a fact feeding three recursive joins the
-//! same as one that a single non-recursive rule copies through. This pass
-//! derives a cheap static weight per relation from the program structure:
-//!
-//! ```text
-//! weight(R) = 1 + joins(R) + 2 × recursive_refs(R)
-//! ```
-//!
-//! where `joins(R)` counts the join operands referencing `R` across all
-//! rules, and `recursive_refs(R)` counts references to `R` from rules of
-//! recursive strata (facts feeding a fix point are amortised over every
-//! iteration). The weights are intentionally coarse — they refine relative
-//! ordering between samples, not absolute time. `lobster-lint` reports the
-//! per-stratum summary for every workload program.
+//! One walk over each stratum's rules counts its join sites, the ones that
+//! read the stratum's own relations, and whether any join reads them on
+//! both sides (non-linear recursion, which the lint flags). The counts are
+//! intentionally coarse — they compare strata, not absolute time.
+//! `lobster-lint` reports the per-stratum summary for every workload
+//! program. Which joins run as merges and which hash is the APM compiler's
+//! decision, and its `CompiledStratum` reports it.
 
-use crate::analysis::StratumAnalysis;
-use crate::{RamExpr, RamProgram};
-use std::collections::BTreeMap;
+use crate::{RamExpr, RamProgram, Stratum};
+use std::collections::BTreeSet;
 
 /// Static cost summary of one stratum.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -28,18 +20,47 @@ pub struct StratumCost {
     pub rules: usize,
     /// Total join sites across the stratum's rules.
     pub joins: usize,
-    /// Join sites with at least one recursive input.
+    /// Join sites with at least one input that reads a relation the
+    /// stratum updates.
     pub recursive_joins: usize,
-    /// Join sites where sort-order inference proves both inputs sorted on
-    /// the key prefix (merge-path candidates).
-    pub merge_eligible_joins: usize,
+    /// Whether every join has at most one such input: the "linear
+    /// recursion" of the paper's Section 4.2, which lets the index of the
+    /// other side be built once and reused across fix-point iterations.
+    pub linear: bool,
     /// Whether the stratum iterates to a fix point.
     pub recursive: bool,
-    /// Widest relation arity touched by the stratum.
-    pub max_arity: usize,
 }
 
 impl StratumCost {
+    /// Counts one stratum.
+    fn analyze(stratum: &Stratum) -> Self {
+        let own: BTreeSet<&str> = stratum.relations.iter().map(String::as_str).collect();
+        let reads_own = |expr: &RamExpr| {
+            let mut referenced = Vec::new();
+            expr.referenced_relations(&mut referenced);
+            referenced.iter().any(|name| own.contains(name.as_str()))
+        };
+        let mut cost = StratumCost {
+            relations: stratum.relations.clone(),
+            rules: stratum.rules.len(),
+            joins: 0,
+            recursive_joins: 0,
+            linear: true,
+            recursive: stratum.recursive,
+        };
+        for rule in &stratum.rules {
+            rule.expr.visit(&mut |node| {
+                if let RamExpr::Join { left, right, .. } = node {
+                    let (l, r) = (reads_own(left), reads_own(right));
+                    cost.joins += 1;
+                    cost.recursive_joins += usize::from(l || r);
+                    cost.linear &= !(l && r);
+                }
+            });
+        }
+        cost
+    }
+
     /// A scalar score for comparing strata: rules plus join sites, with
     /// recursive joins double-weighted (they re-run every iteration).
     pub fn score(&self) -> u64 {
@@ -47,11 +68,9 @@ impl StratumCost {
     }
 }
 
-/// Program-level cost facts: per-relation weights and per-stratum
-/// summaries.
+/// Program-level cost facts: one summary per stratum.
 #[derive(Debug, Clone, Default)]
 pub struct CostModel {
-    relation_weights: BTreeMap<String, u64>,
     /// One summary per stratum, in evaluation order.
     pub strata: Vec<StratumCost>,
 }
@@ -59,95 +78,19 @@ pub struct CostModel {
 impl CostModel {
     /// Computes the model for a program.
     pub fn analyze(ram: &RamProgram) -> Self {
-        let mut joins: BTreeMap<&str, u64> = BTreeMap::new();
-        let mut recursive_refs: BTreeMap<&str, u64> = BTreeMap::new();
-        let mut strata = Vec::with_capacity(ram.strata.len());
-        for stratum in &ram.strata {
-            let analysis = StratumAnalysis::analyze(stratum);
-            let mut max_arity = 0;
-            for rule in &stratum.rules {
-                let mut referenced = Vec::new();
-                rule.expr.referenced_relations(&mut referenced);
-                for name in referenced {
-                    if let Some(arity) = ram.arity(&name) {
-                        max_arity = max_arity.max(arity);
-                    }
-                    if stratum.recursive {
-                        if let Some((key, _)) = ram.schemas.get_key_value(&name) {
-                            *recursive_refs.entry(key).or_insert(0) += 1;
-                        }
-                    }
-                }
-                count_join_operands(&rule.expr, ram, &mut joins);
-                if let Some(arity) = ram.arity(&rule.target) {
-                    max_arity = max_arity.max(arity);
-                }
-            }
-            strata.push(StratumCost {
-                relations: stratum.relations.clone(),
-                rules: stratum.rules.len(),
-                joins: analysis.total_joins,
-                recursive_joins: analysis.recursive_joins,
-                merge_eligible_joins: super::merge_eligible_joins(stratum, ram),
-                recursive: stratum.recursive,
-                max_arity,
-            });
-        }
-        let relation_weights = ram
-            .schemas
-            .keys()
-            .map(|name| {
-                let weight = 1
-                    + joins.get(name.as_str()).copied().unwrap_or(0)
-                    + 2 * recursive_refs.get(name.as_str()).copied().unwrap_or(0);
-                (name.clone(), weight)
-            })
-            .collect();
-        Self {
-            relation_weights,
-            strata,
-        }
+        let strata = ram.strata.iter().map(StratumCost::analyze).collect();
+        Self { strata }
     }
-
-    /// The weight of one fact of `relation`; unknown relations weigh 1.
-    pub fn relation_weight(&self, relation: &str) -> u64 {
-        self.relation_weights.get(relation).copied().unwrap_or(1)
-    }
-
-    /// The full weight table, for consumers that snapshot it.
-    pub fn relation_weights(&self) -> &BTreeMap<String, u64> {
-        &self.relation_weights
-    }
-}
-
-/// Adds one join participation per join operand referencing each relation.
-fn count_join_operands<'a>(
-    expr: &RamExpr,
-    ram: &'a RamProgram,
-    joins: &mut BTreeMap<&'a str, u64>,
-) {
-    expr.visit(&mut |node| {
-        if let RamExpr::Join { left, right, .. } = node {
-            for side in [left, right] {
-                let mut referenced = Vec::new();
-                side.referenced_relations(&mut referenced);
-                for name in referenced {
-                    if let Some((key, _)) = ram.schemas.get_key_value(&name) {
-                        *joins.entry(key).or_insert(0) += 1;
-                    }
-                }
-            }
-        }
-    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{RamRule, RelationSchema, Stratum, ValueType};
+    use crate::{RamRule, RelationSchema, RowProjection, ScalarExpr, ValueType};
+    use std::collections::BTreeMap;
 
-    /// Transitive closure: `path = edge; path = path ⋈ edge` (recursive).
-    fn tc_program() -> RamProgram {
+    /// One stratum updating `path` with `rules`, over `edge` and `path`.
+    fn program(rules: Vec<RamExpr>, recursive: bool) -> RamProgram {
         let mut schemas = BTreeMap::new();
         for name in ["edge", "path"] {
             schemas.insert(
@@ -155,34 +98,37 @@ mod tests {
                 RelationSchema::new(name, vec![ValueType::U32, ValueType::U32]),
             );
         }
+        let rules = rules
+            .into_iter()
+            .map(|expr| RamRule {
+                target: "path".into(),
+                expr,
+            })
+            .collect();
         RamProgram {
             schemas,
             strata: vec![Stratum {
                 relations: vec!["path".into()],
-                rules: vec![
-                    RamRule {
-                        target: "path".into(),
-                        expr: RamExpr::relation("edge"),
-                    },
-                    RamRule {
-                        target: "path".into(),
-                        expr: RamExpr::relation("path").join(RamExpr::relation("edge"), 1),
-                    },
-                ],
-                recursive: true,
+                rules,
+                recursive,
             }],
             outputs: vec!["path".into()],
         }
     }
 
-    #[test]
-    fn recursive_references_dominate_weights() {
-        let model = CostModel::analyze(&tc_program());
-        // edge: 1 base + 1 join operand + 2×2 recursive refs (both rules).
-        assert_eq!(model.relation_weight("edge"), 6);
-        // path: 1 base + 1 join operand + 2×1 recursive ref.
-        assert_eq!(model.relation_weight("path"), 4);
-        assert_eq!(model.relation_weight("unknown"), 1);
+    /// Transitive closure: `path = edge; path = path ⋈ edge` (recursive).
+    fn tc_program() -> RamProgram {
+        let path_zx = RamExpr::relation("path").project(RowProjection::new(
+            vec![ScalarExpr::Col(1), ScalarExpr::Col(0)],
+            None,
+        ));
+        program(
+            vec![
+                RamExpr::relation("edge"),
+                path_zx.join(RamExpr::relation("edge"), 1),
+            ],
+            true,
+        )
     }
 
     #[test]
@@ -193,15 +139,39 @@ mod tests {
         assert_eq!(cost.rules, 2);
         assert_eq!(cost.joins, 1);
         assert_eq!(cost.recursive_joins, 1);
+        assert!(cost.linear);
         assert!(cost.recursive);
-        assert_eq!(cost.max_arity, 2);
         assert_eq!(cost.score(), 2 + 1 + 2);
     }
 
     #[test]
-    fn weights_are_stable_over_identical_programs() {
-        let a = CostModel::analyze(&tc_program());
-        let b = CostModel::analyze(&tc_program());
-        assert_eq!(a.relation_weights(), b.relation_weights());
+    fn linear_recursion_is_detected() {
+        assert!(CostModel::analyze(&tc_program()).strata[0].linear);
+        let path_path = RamExpr::relation("path").join(RamExpr::relation("path"), 1);
+        let cost = &CostModel::analyze(&program(vec![path_path], true)).strata[0];
+        assert_eq!((cost.joins, cost.recursive_joins), (1, 1));
+        assert!(!cost.linear);
+    }
+
+    #[test]
+    fn recursive_joins_are_counted() {
+        // One join reads `path`, one reads only `edge`, one nests both.
+        let edge_edge = RamExpr::relation("edge").join(RamExpr::relation("edge"), 1);
+        let path_edge = RamExpr::relation("path").join(RamExpr::relation("edge"), 1);
+        let nested = edge_edge.clone().join(path_edge.clone(), 1);
+        let cost =
+            &CostModel::analyze(&program(vec![edge_edge, path_edge, nested], true)).strata[0];
+        // The nested rule holds three joins: its own, which reads `path`
+        // on its right, and copies of the two others.
+        assert_eq!((cost.joins, cost.recursive_joins), (5, 3));
+        assert!(cost.linear);
+    }
+
+    #[test]
+    fn non_recursive_stratum_has_zero_recursive_joins() {
+        let edge_edge = RamExpr::relation("edge").join(RamExpr::relation("edge"), 1);
+        let cost = &CostModel::analyze(&program(vec![edge_edge], false)).strata[0];
+        assert_eq!((cost.joins, cost.recursive_joins), (1, 0));
+        assert!(cost.linear);
     }
 }

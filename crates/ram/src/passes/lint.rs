@@ -16,8 +16,7 @@
 //! * `dead-rule` — a rule that cannot reach any declared output (see
 //!   [`super::liveness`]).
 
-use super::{dead_rules, validate_program, RuleRef};
-use crate::analysis::StratumAnalysis;
+use super::{dead_rules, validate_program, CostModel, RuleRef};
 use crate::{RamExpr, RamProgram, ScalarExpr};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -83,8 +82,8 @@ pub fn lint_program(ram: &RamProgram) -> Vec<Diagnostic> {
         .into_iter()
         .map(|r| (r.stratum, r.rule))
         .collect();
-    for (stratum_idx, stratum) in ram.strata.iter().enumerate() {
-        let analysis = StratumAnalysis::analyze(stratum);
+    let cost = CostModel::analyze(ram);
+    for ((stratum_idx, stratum), cost) in ram.strata.iter().enumerate().zip(&cost.strata) {
         for (rule_idx, rule) in stratum.rules.iter().enumerate() {
             let at = || RuleRef {
                 stratum: stratum_idx,
@@ -145,7 +144,7 @@ pub fn lint_program(ram: &RamProgram) -> Vec<Diagnostic> {
                 });
             }
         }
-        if stratum.recursive && !analysis.linear_recursive {
+        if stratum.recursive && !cost.linear {
             report.push(Diagnostic {
                 severity: Severity::Warning,
                 code: "non-linear-recursion",

@@ -8,19 +8,13 @@
 //!   and type consistency for every expression of every rule. The Datalog
 //!   front end runs it on every program it compiles; the APM compiler
 //!   re-checks under `debug_assertions` the RAM it is handed.
-//! * [`expr_sorted_prefix`] / [`join_strategy`] — sort-order inference:
-//!   propagates the sorted-table column-prefix invariant through
-//!   project/select/join so each join site statically knows whether both
-//!   inputs arrive sorted on the join prefix, yielding a per-join
-//!   [`JoinStrategy`] hint the executor uses to pick a merge-path join over
-//!   a hash build+probe.
 //! * [`live_relations`] / [`eliminate_dead_rules`] — relation liveness:
 //!   reachability from the program's output relations, identifying rules
-//!   that can never contribute to any queried result (prunable behind a
-//!   runtime option).
-//! * [`CostModel`] — a static cost model: per-relation and per-stratum
-//!   weights (join participation, recursion, arity), reported per program
-//!   by `lobster-lint`.
+//!   that can never contribute to any queried result. The lint reports
+//!   them; no runtime path prunes them.
+//! * [`CostModel`] — a static cost model: per-stratum rule, join and
+//!   recursive-join counts and the linearity flag, reported per program by
+//!   `lobster-lint`.
 //! * [`lint_program`] — the diagnostics report: validator errors plus
 //!   warnings (cartesian products, non-linear recursion, unused inputs,
 //!   constant-false filters, dead rules), each carrying rule provenance.
@@ -28,15 +22,11 @@
 mod cost;
 mod lint;
 mod liveness;
-mod sort_order;
 mod validate;
 
 pub use cost::{CostModel, StratumCost};
 pub use lint::{lint_program, Diagnostic, Severity};
 pub use liveness::{dead_rules, eliminate_dead_rules, live_relations};
-pub use sort_order::{
-    expr_sorted_prefix, join_strategy, merge_eligible_joins, projection_sorted_prefix, JoinStrategy,
-};
 pub use validate::{validate_program, IrError, IrErrorKind};
 
 use std::fmt;

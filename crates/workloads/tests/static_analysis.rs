@@ -1,9 +1,10 @@
 //! The `lobster_ram::passes` pipeline against the real compiled workload
 //! programs — the suite the paper evaluates, not synthetic fixtures. These
-//! pin the analysis facts the compiler's join-strategy selection and the
-//! cost model report.
+//! pin the facts the cost model reports and the join strategies the APM
+//! compiler chooses.
 
-use lobster_ram::passes::{lint_program, merge_eligible_joins, validate_program, CostModel};
+use lobster::{Program, ProvenanceKind};
+use lobster_ram::passes::{lint_program, validate_program, CostModel};
 use lobster_ram::Severity;
 use lobster_workloads::suite::table2;
 
@@ -68,11 +69,10 @@ fn transitive_closure_and_clutrr_recursion_is_linear() {
 
 /// CSPA is the suite's join-heavy stress case: one mutually recursive
 /// stratum whose joins pair recursive inputs. The cost model must see all
-/// seven join sites, classify them recursive, and — because every relation
-/// in the stratum is derived in-stratum (nothing is sorted-stable across
-/// iterations) — offer no merge-eligible site.
+/// seven join sites, classify them recursive, and flag the stratum
+/// non-linear, which the lint reports.
 #[test]
-fn cspa_cost_model_counts_recursive_joins_and_sort_orders() {
+fn cspa_cost_model_counts_recursive_joins_and_flags_non_linearity() {
     let compiled = lobster_datalog::parse(lobster_workloads::cspa::PROGRAM).unwrap();
     let cost = CostModel::analyze(&compiled.ram);
     assert_eq!(cost.strata.len(), 1);
@@ -80,34 +80,30 @@ fn cspa_cost_model_counts_recursive_joins_and_sort_orders() {
     assert!(stratum.recursive);
     assert_eq!(stratum.joins, 7);
     assert!(stratum.recursive_joins > 0);
-    assert_eq!(stratum.merge_eligible_joins, 0);
+    assert!(!stratum.linear);
     // The non-linear recursion shows up in lint too: value_flow joins
     // value_flow.
     let diagnostics = lint_program(&compiled.ram);
     assert!(diagnostics.iter().any(|d| d.code == "non-linear-recursion"));
-    // The EDB relations feed the recursive stratum, so the model weights
-    // their facts above derived-only relations' default.
-    assert!(cost.relation_weight("assign") > 1);
-    assert!(cost.relation_weight("dereference") > 1);
 }
 
-/// Sort-order inference finds merge-eligible joins exactly where a
-/// non-recursive side loads a sealed (sorted) relation: none in TC or CSPA
-/// (probe sides are projected or in-stratum), one in Same Generation, and
-/// several in PacMan's layered strata.
+/// The join sites each program's compiled strata send down the merge path
+/// and the hash path, across every semi-naive variant: a merge wherever
+/// both sides of a variant arrive sorted on the key. TC's probe side is a
+/// column swap, so it only hashes; Same Generation merges once; CSPA's
+/// doubly-recursive rules have single-partition variants that merge;
+/// PacMan's layered strata merge most of their joins.
 #[test]
-fn merge_eligible_join_counts_match_sort_order_facts() {
+fn compiled_join_strategy_counts_per_program() {
     let count = |source: &str| {
-        let compiled = lobster_datalog::parse(source).unwrap();
-        compiled
-            .ram
-            .strata
-            .iter()
-            .map(|s| merge_eligible_joins(s, &compiled.ram))
-            .sum::<usize>()
+        let program = Program::compile(source, ProvenanceKind::Unit).unwrap();
+        let strata = program.compiled_strata();
+        let merge: usize = strata.iter().map(|s| s.merge_joins).sum();
+        let hash: usize = strata.iter().map(|s| s.hash_joins).sum();
+        (merge, hash)
     };
-    assert_eq!(count(lobster_workloads::graphs::TRANSITIVE_CLOSURE), 0);
-    assert_eq!(count(lobster_workloads::cspa::PROGRAM), 0);
-    assert_eq!(count(lobster_workloads::graphs::SAME_GENERATION), 1);
-    assert!(count(lobster_workloads::pacman::PROGRAM) >= 8);
+    assert_eq!(count(lobster_workloads::graphs::TRANSITIVE_CLOSURE), (0, 1));
+    assert_eq!(count(lobster_workloads::graphs::SAME_GENERATION), (1, 1));
+    assert_eq!(count(lobster_workloads::cspa::PROGRAM), (4, 9));
+    assert_eq!(count(lobster_workloads::pacman::PROGRAM), (9, 7));
 }
