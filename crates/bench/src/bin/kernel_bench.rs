@@ -3,8 +3,11 @@
 //!
 //! Each kernel row reports the best-of-N wall time at a given worker count
 //! over the *same* input data, so `speedup_vs_p1` isolates what the parallel
-//! decomposition (radix scatter, merge-path partitioning, partitioned hash
-//! builds, chunked probes) actually buys on this machine. The end-to-end
+//! decomposition (merge-path partitioning, partitioned hash builds, chunked
+//! probes, whole segments per worker) actually buys on this machine. The
+//! separate `sort_permutation` and `unique` references run sequentially at
+//! every worker count, so they have no rows here; `sort_permutation` only
+//! prepares the sorted inputs, outside the timings. The end-to-end
 //! chain-TC row publishes no factor: its frontiers stay under
 //! `min_parallel_rows`, so every launch is sequential whatever the worker
 //! count and a factor against parallelism 1 could not move. Beside its wall
@@ -36,7 +39,8 @@
 //! * `--quick` / `LOBSTER_BENCH_QUICK=1` — shrink the workload for a CI
 //!   smoke run.
 //! * `--rows N` — per-kernel input size override.
-//! * `--assert-parallel-factor X` — exit non-zero unless sort, unique *and*
+//! * `--assert-parallel-factor X` — exit non-zero unless `sort_unique` (the
+//!   one-word row, the engine's candidate-to-frontier kernel) *and*
 //!   hash_build at parallelism 4 each reach `X ×` the parallelism-1
 //!   throughput. Kernel pool workers are threads, so on a single-CPU
 //!   machine they cannot overlap; the gate is skipped (but the factors
@@ -146,7 +150,7 @@ fn main() {
     let tc_edges = scale(400, 120);
 
     print_header(
-        "Kernel throughput — parallel radix sort, segmented dedup, chunked joins",
+        "Kernel throughput — segment-parallel sort_unique, chunked joins",
         "same inputs at 1/2/4/8 workers; speedups isolate the parallel decomposition",
     );
 
@@ -223,17 +227,6 @@ fn main() {
             });
         };
 
-        bench("sort", rows, &mut || {
-            let perm = kernels::sort_permutation(&device, &refs(&table));
-            device.arena().recycle_shared(perm);
-        });
-        bench("unique", rows, &mut || {
-            let (cols, _tags) =
-                kernels::unique(&device, &refs(&sorted), &sorted_tags, |a, b| a + b);
-            for col in cols {
-                device.arena().recycle_shared(col);
-            }
-        });
         bench("scan", rows, &mut || {
             let (offsets, _) = kernels::scan(&device, &counts);
             device.arena().recycle_shared(offsets);
@@ -495,8 +488,7 @@ fn main() {
         wide_bytes as f64 / 1e6,
     );
 
-    let sort_factor = factor("sort", 4);
-    let unique_factor = factor("unique", 4);
+    let sort_unique_factor = factor("sort_unique", 4);
     let hash_build_factor = factor("hash_build", 4);
     // How much the sorted-build merge path buys over paying a fresh hash
     // index every join, at the gate parallelism.
@@ -512,27 +504,23 @@ fn main() {
             // Kernel pool workers are threads; on one CPU they serialize, so
             // the factor measures the machine, not the kernels.
             println!(
-                "sort x4 {sort_factor:.2}x / unique x4 {unique_factor:.2}x / \
-                 hash_build x4 {hash_build_factor:.2}x — gate skipped \
+                "sort_unique x4 {sort_unique_factor:.2}x / hash_build x4 \
+                 {hash_build_factor:.2}x — gate skipped \
                  ({cpus} CPU available, workers cannot overlap)"
             );
             "skipped-single-cpu"
         }
-        Some(required)
-            if sort_factor < required
-                || unique_factor < required
-                || hash_build_factor < required =>
-        {
+        Some(required) if sort_unique_factor < required || hash_build_factor < required => {
             eprintln!(
-                "FAIL: parallel(4) sort {sort_factor:.2}x / unique {unique_factor:.2}x / \
+                "FAIL: parallel(4) sort_unique {sort_unique_factor:.2}x / \
                  hash_build {hash_build_factor:.2}x below required {required:.2}x vs sequential"
             );
             "failed"
         }
         Some(required) => {
             println!(
-                "sort x4 {sort_factor:.2}x / unique x4 {unique_factor:.2}x / \
-                 hash_build x4 {hash_build_factor:.2}x (required ≥ {required:.2}x)"
+                "sort_unique x4 {sort_unique_factor:.2}x / hash_build x4 \
+                 {hash_build_factor:.2}x (required ≥ {required:.2}x)"
             );
             "passed"
         }
@@ -611,8 +599,7 @@ fn main() {
          \"wide_string\": [\n    {wide_json}\n  ],\n  \
          \"kernel_time_ms\": [\n    {times_json}\n  ],\n  \
          \"kernel_wall_ms\": [\n    {walls_json}\n  ],\n  \
-         \"sort_parallel4_factor\": {sort_factor:.3},\n  \
-         \"unique_parallel4_factor\": {unique_factor:.3},\n  \
+         \"sort_unique_parallel4_factor\": {sort_unique_factor:.3},\n  \
          \"hash_build_parallel4_factor\": {hash_build_factor:.3},\n  \
          \"merge_vs_hash_build_parallel4_factor\": {merge_factor:.3},\n  \
          \"parallel_factor_gate\": \"{parallel_gate}\",\n  \

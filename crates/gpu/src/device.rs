@@ -64,13 +64,13 @@ impl Default for DeviceConfig {
 /// the order of the buckets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelKind {
-    /// Row sorting (`sort_permutation`, and `sort_unique`, which builds every
-    /// fix-point frontier).
+    /// Row sorting (`sort_unique`, which builds every fix-point frontier,
+    /// and the sequential `sort_permutation` reference).
     Sort,
     /// Hash-join family (`HashIndex::build`, `count_matches`, `hash_join`).
     Join,
-    /// Sorted-run deduplication by the standalone `unique` kernel, which the
-    /// engine does not call: a frontier's deduplication is `Sort` time.
+    /// Sorted-run deduplication by the standalone `unique` reference, which
+    /// the engine does not call: a frontier's deduplication is `Sort` time.
     Unique,
     /// Every other kernel.
     Other,

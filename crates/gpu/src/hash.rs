@@ -381,8 +381,10 @@ impl HashIndex {
 /// Stable scatter of `0..hashes.len()` by partition (`hash >> shift`): the
 /// row ids grouped by partition, ascending inside each, and every
 /// partition's range of them. Carves the output into (partition, chunk)
-/// buckets in destination order and regroups per chunk, exactly like the
-/// radix-sort scatter in `kernels::radix_pass`.
+/// buckets in destination order and regroups them per chunk: bucket
+/// (p, c) starts where all smaller partitions and all earlier chunks of
+/// partition p end, so each chunk appends its rows in order to slices of
+/// its own.
 fn scatter_by_partition(
     device: &Device,
     hashes: &[u64],

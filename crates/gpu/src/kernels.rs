@@ -13,22 +13,20 @@
 //! parallelism**, because each one is built so that chunk boundaries decide
 //! only *which worker computes an element*, never what the element is:
 //!
-//! * [`sort_permutation`] returns the unique permutation that orders rows by
-//!   `(row content, original index)` — a total order, so the stable LSD
-//!   radix sort, the parallel merge sort and the small-input comparison
-//!   sort all produce the same bytes.
+//! * [`sort_permutation`] and [`unique`], the separate `sort` and
+//!   `unique⟨⊕⟩` steps kept as references, run sequentially on the calling
+//!   thread: one comparison sort ordering rows by `(row content, original
+//!   index)`, and one walk folding each run of equal rows left to right.
 //! * [`scan`] is one sequential fold at every size: a two-pass block scan
 //!   reads the counts twice and never beat it on any machine measured.
-//! * [`unique`] reduces each duplicate segment left-to-right (ascending row
-//!   index) — a segment belongs to the chunk it starts in, whole — so
-//!   non-commutative or order-sensitive tag disjunctions (e.g. float
-//!   addition) fold in exactly one order.
 //! * [`sort_unique`] folds the same order without sorting first: all rows
 //!   equal to one another lie in one segment, segments go to the workers
 //!   whole, and each of its three paths — fold as the rows come, fold each
 //!   row into its direct-address slot as the rows come, a stable segment
-//!   sort — visits equal rows in input order, which is the order the stable
-//!   sort puts them in for [`unique`]. The known-fact filter runs after the
+//!   sort — visits equal rows in input order, which is the order
+//!   [`sort_permutation`] puts them in for [`unique`], so non-commutative or
+//!   order-sensitive tag disjunctions (e.g. float addition) fold in exactly
+//!   one order. The known-fact filter runs after the
 //!   fold, on each distinct row, like [`difference`] after [`unique`].
 //! * [`merge`] / [`difference`] cut both inputs at *partition points*
 //!   (binary searches on the data), and each worker runs the sequential
@@ -333,53 +331,22 @@ pub fn scan(device: &Device, counts: &[u64]) -> (Column, u64) {
     (offsets, acc)
 }
 
-/// Maximum number of radix passes (one per *non-constant* byte, summed over
-/// columns) before [`sort_permutation`] falls back to the parallel merge
-/// sort: beyond this the `O(passes · n)` radix cost loses to
-/// `O(n log n)` comparisons.
-const RADIX_PASS_BUDGET: usize = 16;
-
-/// Below this row count the permutation is comparison-sorted directly —
-/// chunking and radix machinery only pay off in bulk.
-const SMALL_SORT: usize = 64;
-
-/// A segment ([`Segments`]) of at most this many rows is insertion-sorted in
-/// place: cheaper than zeroing and scanning a histogram per digit.
-const SMALL_SEGMENT: usize = 32;
-
 /// `sort(s̄)`: returns the permutation that lexicographically sorts the rows
-/// of the table formed by `columns`.
-///
-/// The permutation is the unique one ordering rows by `(row content,
-/// original index)`; equal rows keep their input order. Narrow tables (at
-/// most `RADIX_PASS_BUDGET` (16) non-constant bytes across all columns,
-/// every one-column table among them, and the common case once packed
-/// values stay small) are sorted with a parallel
-/// least-significant-digit radix sort — per-chunk digit histograms, a scan
-/// over `(digit, chunk)` buckets, and a scatter into per-bucket output
-/// slices. Wider tables fall back to a parallel stable merge sort (sorted
-/// chunks, pairwise merged). All are stable, so all produce the same bytes.
+/// of the table formed by `columns`: the unique one ordering rows by `(row
+/// content, original index)`, so equal rows keep their input order.
 ///
 /// The engine does not call it: a fix-point iteration sorts its candidate
-/// rows inside [`sort_unique`]. It stays as the reference the tests hold
-/// that kernel to and as a layer the repository benchmark measures.
+/// rows inside [`sort_unique`]. It stays, one comparison sort on the calling
+/// thread, as the reference the tests hold that kernel to and as a layer the
+/// repository benchmark measures.
 pub fn sort_permutation(device: &Device, columns: &[&[u64]]) -> Column {
     let _t = device.launch(KernelKind::Sort);
-    let len = columns.first().map(|c| c.len()).unwrap_or(0);
-    let mut perm = par_map_column(device, sites::SORT_OUT, len, |i| i as u64);
-    if len <= 1 || columns.is_empty() {
-        return perm;
-    }
-    if len <= SMALL_SORT {
-        perm.sort_unstable_by(|&i, &j| {
-            cmp_rows(columns, i as usize, columns, j as usize).then(i.cmp(&j))
-        });
-        return perm;
-    }
-    match radix_digits(device, columns) {
-        Some(digits) => radix_sort(device, columns, &digits, &mut perm),
-        None => merge_sort(device, columns, &mut perm),
-    }
+    let len = columns.first().map_or(0, |c| c.len());
+    let mut perm = device.arena().alloc_empty(sites::SORT_OUT, len);
+    perm.extend(0..len as u64);
+    perm.sort_unstable_by(|&i, &j| {
+        cmp_rows(columns, i as usize, columns, j as usize).then(i.cmp(&j))
+    });
     perm
 }
 
@@ -403,84 +370,6 @@ fn varying_digits(varying: u64) -> impl Iterator<Item = u32> {
     (0..8)
         .map(|b| 8 * b)
         .filter(move |shift| (varying >> shift) & 0xFF != 0)
-}
-
-/// The passes of an LSD radix sort of `columns`, in the order they run —
-/// `(column, bit shift)` of every byte that is not the same in all rows,
-/// last column first — or `None` when there are more than
-/// `RADIX_PASS_BUDGET` of them. A constant digit moves nothing, so it costs
-/// no pass and is not counted.
-fn radix_digits(device: &Device, columns: &[&[u64]]) -> Option<Vec<(usize, u32)>> {
-    let mut digits = Vec::new();
-    for (c, col) in columns.iter().enumerate().rev() {
-        digits.extend(varying_digits(varying_bits(device, col)).map(|shift| (c, shift)));
-        if digits.len() > RADIX_PASS_BUDGET {
-            return None;
-        }
-    }
-    Some(digits)
-}
-
-/// Stable LSD radix sort of `perm` by the rows of `columns`, one counting
-/// pass per entry of `digits` ([`radix_digits`]): bytes within a column
-/// least-significant first, columns last-to-first, so the final order is
-/// lexicographic by row with original-index ties (stability).
-fn radix_sort(device: &Device, columns: &[&[u64]], digits: &[(usize, u32)], perm: &mut Column) {
-    let arena = device.arena();
-    let mut cur = std::mem::take(perm);
-    let mut tmp = arena.alloc_zeroed(sites::SORT_SCRATCH, cur.len());
-    for &(c, shift) in digits {
-        radix_pass(device, columns[c], shift, &cur, &mut tmp);
-        std::mem::swap(&mut cur, &mut tmp);
-    }
-    *perm = cur;
-    arena.recycle(sites::SORT_SCRATCH, tmp);
-}
-
-/// One counting-sort pass over the byte at `shift`.
-fn radix_pass(device: &Device, col: &[u64], shift: u32, src: &Column, dst: &mut Column) {
-    let len = src.len();
-    let ranges = chunks_for(device, len);
-    let digit = |v: u64| ((col[v as usize] >> shift) & 0xFF) as usize;
-    // Per-chunk digit histograms.
-    let histograms: PerChunk<[usize; 256]> = map_chunks(device, &ranges, |_, range| {
-        let mut h = [0usize; 256];
-        for &v in &src[range] {
-            h[digit(v)] += 1;
-        }
-        h
-    });
-    // Carve `dst` into one slice per (digit, chunk) bucket, in destination
-    // order, and regroup them per chunk: bucket (d, c) starts where all
-    // smaller digits and all earlier chunks of digit d end.
-    let mut per_chunk: Vec<Vec<&mut [u64]>> =
-        (0..ranges.len()).map(|_| Vec::with_capacity(256)).collect();
-    {
-        let mut rest = dst.as_mut_slice();
-        for d in 0..256 {
-            for (c, h) in histograms.iter().enumerate() {
-                let (head, tail) = rest.split_at_mut(h[d]);
-                per_chunk[c].push(head);
-                rest = tail;
-            }
-        }
-        debug_assert!(rest.is_empty());
-    }
-    // Scatter: each chunk walks its elements in order and appends them to
-    // its own slice of each digit bucket — stable, disjoint, parallel.
-    run_chunks(
-        device,
-        &ranges,
-        per_chunk,
-        |_, range, mut slices: Vec<&mut [u64]>| {
-            let mut cursors = [0usize; 256];
-            for &v in &src[range] {
-                let d = digit(v);
-                slices[d][cursors[d]] = v;
-                cursors[d] += 1;
-            }
-        },
-    );
 }
 
 /// A table cut into *segments*, runs of rows whose leading words agree above
@@ -958,6 +847,10 @@ fn word_order(device: &Device, words: &[u64]) -> (u64, u64) {
     .fold((0, 0), |(v, d), (cv, cd)| (v | cv, d | cd))
 }
 
+/// A segment ([`Segments`]) of at most this many rows is insertion-sorted in
+/// place: cheaper than zeroing and scanning a histogram per digit.
+const SMALL_SEGMENT: usize = 32;
+
 /// Stable sort of the rows `segment` of `columns` into the front of
 /// `scratch.keys` / `scratch.ids` — each row's leading word and its row — by
 /// the bytes at `digits` ([`Segments`]): the only ones that can differ
@@ -1085,150 +978,38 @@ fn bucket_offsets(histogram: &mut [u64]) -> &mut [u64] {
     histogram
 }
 
-/// Stable parallel merge sort of `perm` by row content: sorted chunks (index
-/// tie-break), then pairwise parallel merges of adjacent runs. Adjacent runs
-/// partition the index space in order, so "left run first on ties" *is* the
-/// original-index tie-break.
-/// One pairwise-merge work unit: the left run, the right run if the round
-/// has one (the odd leftover run is copied through), and the output slice
-/// covering both.
-type MergeUnit<'a> = ((Range<usize>, Option<Range<usize>>), &'a mut [u64]);
-
-fn merge_sort(device: &Device, columns: &[&[u64]], perm: &mut Column) {
-    let len = perm.len();
-    let ranges = chunks_for(device, len);
-    {
-        let slices = split_by_ranges(perm, &ranges);
-        run_chunks(device, &ranges, slices, |_, _, slice: &mut [u64]| {
-            slice.sort_unstable_by(|&i, &j| {
-                cmp_rows(columns, i as usize, columns, j as usize).then(i.cmp(&j))
-            });
-        });
-    }
-    if ranges.len() <= 1 {
-        return;
-    }
-    let arena = device.arena();
-    let mut cur = std::mem::take(perm);
-    let mut buf = arena.alloc_zeroed(sites::SORT_SCRATCH, len);
-    let mut runs: Vec<Range<usize>> = ranges.into_vec();
-    while runs.len() > 1 {
-        let mut merged: Vec<Range<usize>> = Vec::with_capacity(runs.len().div_ceil(2));
-        let mut pairs: Vec<(Range<usize>, Option<Range<usize>>)> =
-            Vec::with_capacity(merged.capacity());
-        for pair in runs.chunks(2) {
-            if pair.len() == 2 {
-                merged.push(pair[0].start..pair[1].end);
-                pairs.push((pair[0].clone(), Some(pair[1].clone())));
-            } else {
-                merged.push(pair[0].clone());
-                pairs.push((pair[0].clone(), None));
-            }
-        }
-        {
-            let out_slices = split_by_ranges(&mut buf, &merged);
-            run_chunks(
-                device,
-                &merged,
-                pairs.into_iter().zip(out_slices),
-                |_, _, ((a, b), out): MergeUnit<'_>| match b {
-                    None => out.copy_from_slice(&cur[a]),
-                    Some(b) => {
-                        let (left, right) = (&cur[a], &cur[b]);
-                        let (mut i, mut j, mut k) = (0, 0, 0);
-                        while i < left.len() && j < right.len() {
-                            let li = left[i] as usize;
-                            let rj = right[j] as usize;
-                            if cmp_rows(columns, li, columns, rj) != Ordering::Greater {
-                                out[k] = left[i];
-                                i += 1;
-                            } else {
-                                out[k] = right[j];
-                                j += 1;
-                            }
-                            k += 1;
-                        }
-                        out[k..k + left.len() - i].copy_from_slice(&left[i..]);
-                        k += left.len() - i;
-                        out[k..].copy_from_slice(&right[j..]);
-                    }
-                },
-            );
-        }
-        std::mem::swap(&mut cur, &mut buf);
-        runs = merged;
-    }
-    *perm = cur;
-    arena.recycle(sites::SORT_SCRATCH, buf);
-}
-
 /// `unique⟨⊕⟩(s̄)`: merges adjacent duplicate rows of a sorted table,
-/// combining their tags with the semiring disjunction.
-///
-/// Segment starts (`row[i] != row[i-1]`) are counted per chunk, which sizes
-/// the output exactly; then every chunk takes **one walk** over the segments
-/// that start in it, writing each segment's row and the left-to-right fold
-/// of its tags as it goes — the order the sequential loop uses, so
-/// order-sensitive disjunctions (float addition) produce identical bits
-/// wherever the chunk boundaries fall.
+/// combining their tags with the semiring disjunction, left to right.
 ///
 /// The engine does not call it: a fix-point iteration goes from unsorted
-/// candidate rows to its frontier in [`sort_unique`]. It stays as the
-/// reference the tests hold [`sort_unique`] to, as a row of the kernel
-/// bench's parallel gate, and as a layer the repository benchmark measures.
+/// candidate rows to its frontier in [`sort_unique`]. It stays, one walk on
+/// the calling thread, as the reference the tests hold [`sort_unique`] to
+/// and as a layer the repository benchmark measures.
 pub fn unique<T, F>(device: &Device, columns: &[&[u64]], tags: &[T], or: F) -> (Columns, Vec<T>)
 where
     T: Clone + Send + Sync,
     F: Fn(&T, &T) -> T + Sync,
 {
     let _t = device.launch(KernelKind::Unique);
-    let is_start = |i: usize| i == 0 || cmp_rows(columns, i - 1, columns, i) != Ordering::Equal;
-    let len = columns.first().map(|c| c.len()).unwrap_or(0);
+    let len = columns.first().map_or(0, |c| c.len());
     let arena = device.arena();
-    // A chunk owns the segments that start in it: it skips the tail of one
-    // begun earlier and follows its own last one past its end.
-    let ranges = chunks_for(device, len);
-    let counts: PerChunk<usize> = map_chunks(device, &ranges, |_, range| {
-        range.filter(|&i| is_start(i)).count()
-    });
-    let total: usize = counts.iter().sum();
-    let mut bounds = Vec::with_capacity(counts.len());
-    let mut acc = 0;
-    for &c in &counts {
-        bounds.push(acc..acc + c);
-        acc += c;
-    }
     let mut out_cols: Columns = columns
         .iter()
-        .map(|_| arena.alloc_zeroed(sites::UNIQUE_OUT, total))
+        .map(|_| arena.alloc_empty(sites::UNIQUE_OUT, len))
         .collect();
-    let col_slices = columns_chunked(&mut out_cols, &bounds);
-    let pieces: PerChunk<Vec<T>> = run_chunks(
-        device,
-        &ranges,
-        col_slices,
-        |c, range, mut outs: Vec<&mut [u64]>| {
-            let mut out_tags = Vec::with_capacity(counts[c]);
-            let mut i = range.start;
-            while i < range.end && !is_start(i) {
-                i += 1;
-            }
-            for k in 0..counts[c] {
-                for (out, col) in outs.iter_mut().zip(columns) {
-                    out[k] = col[i];
+    let mut out_tags: Vec<T> = Vec::new();
+    for i in 0..len {
+        match out_tags.last_mut() {
+            Some(tag) if cmp_rows(columns, i - 1, columns, i).is_eq() => *tag = or(tag, &tags[i]),
+            _ => {
+                for (out, col) in out_cols.iter_mut().zip(columns) {
+                    out.push(col[i]);
                 }
-                let mut tag = tags[i].clone();
-                i += 1;
-                while i < len && !is_start(i) {
-                    tag = or(&tag, &tags[i]);
-                    i += 1;
-                }
-                out_tags.push(tag);
+                out_tags.push(tags[i].clone());
             }
-            out_tags
-        },
-    );
-    (out_cols, concat_pieces(pieces, total))
+        }
+    }
+    (out_cols, out_tags)
 }
 
 /// Finds the merge-path split of diagonal `t`: the `(i, j)` with `i + j = t`
@@ -2272,39 +2053,6 @@ mod tests {
         let cols = vec![vec![5u64, 1, 5, 1, 5]];
         let perm = sort_permutation(&d, &refs(&cols));
         assert_eq!(perm, vec![1, 3, 0, 2, 4]);
-    }
-
-    #[test]
-    fn constant_digits_are_not_charged_to_the_radix_budget() {
-        let d = dev();
-        // Three packed words of two 4-byte lanes holding values below 2^16:
-        // six significant bytes each, eighteen in all, but bytes 2 and 3 are
-        // zero in every row — twelve scatters, inside the budget of sixteen.
-        let word = |i: u64, salt: u64| ((i * salt) % 60_000) << 32 | ((i * 7 + salt) % 60_000);
-        let cols: Vec<Column> = [3, 11, 17]
-            .iter()
-            .map(|&salt| (0..500).map(|i| word(i, salt)).collect())
-            .collect();
-        let digits = radix_digits(&d, &refs(&cols)).expect("inside the radix budget");
-        let want: Vec<(usize, u32)> = [2, 1, 0]
-            .iter()
-            .flat_map(|&c| [0, 8, 32, 40].map(|shift| (c, shift)))
-            .collect();
-        assert_eq!(digits, want);
-        // One more such column is over it, and both sorts agree.
-        let mut wide = cols.clone();
-        wide.extend([cols[0].clone(), cols[1].clone()]);
-        assert_eq!(radix_digits(&d, &refs(&wide)), None);
-        let mut want: Vec<u64> = (0..500).collect();
-        want.sort_by_key(|&i| {
-            (
-                cols[0][i as usize],
-                cols[1][i as usize],
-                cols[2][i as usize],
-            )
-        });
-        assert_eq!(sort_permutation(&d, &refs(&cols)), want);
-        assert_eq!(sort_permutation(&d, &refs(&wide)), want);
     }
 
     #[test]

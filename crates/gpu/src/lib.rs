@@ -24,11 +24,10 @@
 //!   a [`KnownSketch`] of the known facts lets it emit a row it rules out
 //!   without searching for it,
 //! * [`kernels::merge`], [`kernels::difference`] — sorted-table maintenance,
-//! * [`kernels::sort_permutation`] (parallel LSD radix sort with a parallel
-//!   merge-sort fallback for wide rows) and [`kernels::unique`] — the
-//!   separate `sort` and `unique⟨⊕⟩` steps, which the engine no longer
-//!   calls: they stay as the reference the tests hold
-//!   [`kernels::sort_unique`] to, and as measured layers,
+//! * [`kernels::sort_permutation`] and [`kernels::unique`] — the separate
+//!   `sort` and `unique⟨⊕⟩` steps, which the engine no longer calls: a
+//!   sequential comparison sort and a sequential fold, kept as the reference
+//!   the tests hold [`kernels::sort_unique`] to, and as measured layers,
 //! * [`HashIndex`] with [`kernels::count_matches`] and
 //!   [`kernels::join_write`] — the open-addressing, linear-probing hash join
 //!   of Section 5.1: one slot per distinct key over row ids grouped by key,

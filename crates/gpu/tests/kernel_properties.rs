@@ -1,8 +1,9 @@
 //! Seeded property suite: every kernel must produce bit-identical output on
 //! a parallel device and on the sequential device, across row counts that
 //! exercise the empty, singleton, odd-sized, and chunk-spanning regimes, and
-//! across table shapes that hit both sorting algorithms (narrow rows → LSD
-//! radix sort, wide rows → parallel merge sort).
+//! across table shapes from one narrow word to nine columns. The sequential
+//! references `sort_permutation` and `unique` build the sorted inputs and
+//! the expected outputs; `sort_unique` is held to them.
 //!
 //! This is the contract the executor's differential suites
 //! (`batch_agreement`, `strategy_agreement`, cross-provenance) lean on: if
@@ -82,10 +83,8 @@ fn sorted_on(device: &Device, cols: &[Vec<u64>], tags: &[f64]) -> (Vec<Vec<u64>>
 }
 
 /// Table shapes: (arity, key space). One column is the one-word table shape;
-/// small key spaces force heavy duplication and few varying radix bytes; the
-/// huge key space forces full-width radix passes — 16 of them at arity 2,
-/// the whole budget — and at arity 3 blows the budget and lands on the
-/// parallel merge sort.
+/// small key spaces force heavy duplication; the huge key space makes every
+/// byte of every column vary.
 const SHAPES: [(usize, u64); 5] = [
     (1, 11),
     (2, 97),
@@ -103,7 +102,6 @@ fn sort_unique_merge_difference_agree_with_sequential() {
             let (cols, tags) = random_table(&mut rng, rows, arity, key_space);
             let (other_cols, other_tags) = random_table(&mut rng, rows / 2 + 1, arity, key_space);
 
-            let seq_perm = kernels::sort_permutation(&seq, &refs(&cols));
             let (seq_sorted, seq_stags) = sorted_on(&seq, &cols, &tags);
             let (seq_uniq, seq_utags) =
                 kernels::unique(&seq, &refs(&seq_sorted), &seq_stags, |a, b| a + b);
@@ -126,25 +124,19 @@ fn sort_unique_merge_difference_agree_with_sequential() {
             for parallelism in PARALLELISMS {
                 let par = parallel_device(parallelism);
                 let ctx = format!("arity {arity}, keys {key_space}, rows {rows}, p {parallelism}");
-                assert_eq!(
-                    kernels::sort_permutation(&par, &refs(&cols)),
-                    seq_perm,
-                    "sort: {ctx}"
+                let (merged, mtags) = kernels::merge(
+                    &par,
+                    &refs(&seq_sorted),
+                    &seq_stags,
+                    &refs(&seq_other),
+                    &seq_otags,
                 );
-                let (sorted, stags) = sorted_on(&par, &cols, &tags);
-                assert_eq!(sorted, seq_sorted, "sorted cols: {ctx}");
-                assert_bits(&stags, &seq_stags, &format!("sorted tags: {ctx}"));
-                let (uniq, utags) = kernels::unique(&par, &refs(&sorted), &stags, |a, b| a + b);
-                assert_eq!(uniq, seq_uniq, "unique cols: {ctx}");
-                assert_bits(&utags, &seq_utags, &format!("unique tags: {ctx}"));
-                let (merged, mtags) =
-                    kernels::merge(&par, &refs(&sorted), &stags, &refs(&seq_other), &seq_otags);
                 assert_eq!(merged, seq_merged, "merge cols: {ctx}");
                 assert_bits(&mtags, &seq_mtags, &format!("merge tags: {ctx}"));
                 let (diff, dtags) = kernels::difference(
                     &par,
-                    &refs(&uniq),
-                    &utags,
+                    &refs(&seq_uniq),
+                    &seq_utags,
                     &refs(&seq_other),
                     seq_otags.len(),
                 );
@@ -849,7 +841,7 @@ fn packed_join_write_equals_pack_columns_of_the_unpacked_write() {
 }
 
 /// A pooled device is reused across many launches: repeating the same
-/// sort → unique → join pipeline on one long-lived parallel device must keep
+/// `sort_unique` → join pipeline on one long-lived parallel device must keep
 /// producing exactly the first run's bytes (no cross-launch state in the
 /// persistent workers), and must agree with a fresh device every time.
 #[test]
@@ -862,8 +854,8 @@ fn pooled_device_reuse_is_stable_across_repeated_launches() {
 
     let mut baseline = None;
     for round in 0..10 {
-        let (sorted, stags) = sorted_on(&par, &cols, &tags);
-        let (uniq, utags) = kernels::unique(&par, &refs(&sorted), &stags, |a, b| a + b);
+        let (uniq, utags, _) =
+            kernels::sort_unique(&par, &refs(&cols), &tags, |a, b| a + b, &[], None);
         let index = HashIndex::build(&par, &refs(&uniq), 2);
         let counts = kernels::count_matches(&par, &index, &refs(&probe_cols));
         let (offsets, total) = kernels::scan(&par, &counts);
@@ -959,45 +951,8 @@ fn packed_narrow_rows_sort_like_wide_rows() {
                     cols,
                     "unpack: {ctx}"
                 );
-                assert_eq!(
-                    kernels::sort_permutation(&par, &refs(&packed)),
-                    wide_perm,
-                    "packed sort: {ctx}"
-                );
             }
         }
-    }
-}
-
-/// The radix/merge algorithm switch must be invisible: a table sorted just
-/// under the radix pass budget and one just over it (same data, one extra
-/// wide column appended) order their shared prefix identically.
-#[test]
-fn algorithm_switch_is_invisible_on_shared_prefix() {
-    let seq = Device::sequential();
-    let par = parallel_device(4);
-    let mut rng = Rng::new(99);
-    let rows = 2048;
-    let (mut cols, _) = random_table(&mut rng, rows, 2, 50);
-    // Wide columns that are a function of the first two: every byte of them
-    // varies, which forces the merge-sort path (constant bytes would cost no
-    // radix pass), while rows that tie on the prefix tie on them too, so the
-    // lexicographic order of the rows does not change.
-    for salt in 1..=3u64 {
-        let wide = (0..rows)
-            .map(|i| (cols[0][i] * 50 + cols[1][i] + salt).wrapping_mul(0x9e37_79b9_7f4a_7c15))
-            .collect();
-        cols.push(wide);
-    }
-    let narrow = &cols[..2];
-    let wide = &cols[..];
-    for device in [&seq, &par] {
-        let narrow_perm = kernels::sort_permutation(device, &refs(narrow));
-        let wide_perm = kernels::sort_permutation(device, &refs(wide));
-        assert_eq!(
-            narrow_perm, wide_perm,
-            "columns determined by the prefix change nothing"
-        );
     }
 }
 
@@ -1026,8 +981,8 @@ fn laned_words(
 }
 
 /// `sort_permutation` of a single packed-word column must return exactly
-/// the permutation a stable comparison sort returns, on the shapes a
-/// one-word table takes: a table in no order, a sorted one, a
+/// the permutation the standard library's stable sort returns, on the
+/// shapes a one-word table takes: a table in no order, a sorted one, a
 /// non-decreasing leading lane in short and long runs of equal prefix, and
 /// the shapes in between.
 #[test]
@@ -1073,20 +1028,11 @@ fn one_word_sort_is_the_stable_comparison_sort() {
                 for (shape, words) in &tables {
                     let mut want: Vec<u64> = (0..rows as u64).collect();
                     want.sort_by_key(|&i| words[i as usize]);
-                    for parallelism in PARALLELISMS {
-                        let par = parallel_device(parallelism);
-                        for device in [&seq, &par] {
-                            let ctx = format!(
-                                "{shape}, width {width}, rows {rows}, keys {key_space}, \
-                                 p {parallelism}"
-                            );
-                            assert_eq!(
-                                kernels::sort_permutation(device, &[words]),
-                                want,
-                                "sort_permutation: {ctx}"
-                            );
-                        }
-                    }
+                    assert_eq!(
+                        kernels::sort_permutation(&seq, &[words]),
+                        want,
+                        "sort_permutation: {shape}, width {width}, rows {rows}, keys {key_space}"
+                    );
                 }
             }
         }
@@ -1094,8 +1040,8 @@ fn one_word_sort_is_the_stable_comparison_sort() {
 }
 
 /// `unique` over one word column folds the tags of a duplicate run strictly
-/// left to right, wherever the chunk boundaries fall: pinned with a
-/// disjunction that is neither commutative nor associative.
+/// left to right: pinned with a disjunction that is neither commutative nor
+/// associative.
 #[test]
 fn one_word_unique_folds_tags_left_to_right() {
     let or = |a: &u64, b: &u64| a.wrapping_mul(31).wrapping_add(*b) ^ (a >> 7);
@@ -1122,13 +1068,10 @@ fn one_word_unique_folds_tags_left_to_right() {
                 want_tags.push(tags[i]);
             }
         }
-        for parallelism in PARALLELISMS {
-            let par = parallel_device(parallelism);
-            let (got_words, got_tags) = kernels::unique(&par, &[&words], &tags, or);
-            let ctx = format!("rows {rows}, keys {key_space}, p {parallelism}");
-            assert_eq!(got_words, vec![want_words.clone()], "words: {ctx}");
-            assert_eq!(got_tags, want_tags, "tags: {ctx}");
-        }
+        let (got_words, got_tags) = kernels::unique(&Device::sequential(), &[&words], &tags, or);
+        let ctx = format!("rows {rows}, keys {key_space}");
+        assert_eq!(got_words, vec![want_words], "words: {ctx}");
+        assert_eq!(got_tags, want_tags, "tags: {ctx}");
     }
 }
 
