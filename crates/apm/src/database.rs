@@ -16,9 +16,11 @@
 //! through the same pack and unpack kernels as any other.
 //!
 //! A relation's layout depends on its column types alone, so the plan fixes
-//! it once for the program. Facts enter ([`Database::insert`]) and leave
-//! ([`Database::rows`]) one word per column; they are packed at
-//! [`Database::seal`] and unpacked at extraction.
+//! it once for the program, and every database started from the plan shares
+//! it. A relation is one record: its schema and layout, its partitions and
+//! orders, and the facts inserted since the last seal. Facts enter
+//! ([`Database::insert`]) and leave ([`Database::rows`]) one word per column;
+//! they are packed at [`Database::seal`] and unpacked at extraction.
 //!
 //! # Secondary orders
 //!
@@ -27,8 +29,9 @@
 //! ([`SecondaryOrder`], [`Database::build_orders`]): what a join that reads
 //! the relation on a key that is not a prefix of its columns looks rows up
 //! in. An order is not a relation — no name lists it — but it is part of the
-//! relation's storage, in the layout its permuted column types plan, and
-//! every pass that rewrites the relation's table rewrites it too.
+//! relation's storage. It holds a layout of its own, planned from its
+//! permuted column types, and every pass that rewrites the relation's table
+//! rewrites it too.
 
 use lobster_gpu::kernels::{KeyLane, PackLane};
 use lobster_gpu::{kernels, Column, Columns, Device, KnownSketch};
@@ -36,10 +39,6 @@ use lobster_provenance::Provenance;
 use lobster_ram::{RamProgram, RelationSchema, Tuple, Value, ValueType};
 use std::collections::BTreeMap;
 use std::sync::Arc;
-
-/// What a secondary order's layout is planned under: its relation's name,
-/// this, and its key. No source name can spell it.
-const ORDER: &str = "⇅";
 
 /// Returns dead columns to the device arena (capacity-less vectors are
 /// dropped — there is nothing to reuse).
@@ -295,16 +294,15 @@ pub struct EncodingSpec {
 }
 
 /// How a database stores its relations, decided from the program's schemas
-/// alone: the relation schemas and every relation's layout, its lane groups.
+/// alone: every relation's [`Layout`], its schema and lane groups.
 ///
 /// A plan is built once per program and shared: every database a run
-/// starts from it ([`Database::from_plan`]) shares its schemas and codec
-/// by `Arc`, and copies them only when a refresh adds a scratch relation
-/// or a materialized database plans a secondary order.
+/// starts from it ([`Database::from_plan`]) holds each relation's layout by
+/// `Arc`. A scratch relation a refresh adds and a secondary order a
+/// materialized database keeps plan layouts of their own, outside the plan.
 #[derive(Debug, Clone)]
 pub struct StoragePlan {
-    schemas: Arc<BTreeMap<String, RelationSchema>>,
-    codec: Arc<Codec>,
+    layouts: BTreeMap<String, Arc<Layout>>,
 }
 
 impl StoragePlan {
@@ -321,17 +319,17 @@ impl StoragePlan {
 
     /// The storage of relations with these schemas.
     fn new(schemas: BTreeMap<String, RelationSchema>) -> Self {
-        let codec = Codec::new(&schemas);
-        StoragePlan {
-            schemas: Arc::new(schemas),
-            codec: Arc::new(codec),
-        }
+        let layouts = schemas
+            .into_iter()
+            .map(|(name, schema)| (name, Arc::new(Layout::new(schema))))
+            .collect();
+        StoragePlan { layouts }
     }
 
     /// The layout `relation` is stored in, its lane groups, or `None` for
     /// an unknown relation.
     pub fn lanes(&self, relation: &str) -> Option<&[Vec<PackLane>]> {
-        self.codec.lanes.get(relation).map(Vec::as_slice)
+        self.layouts.get(relation).map(|l| l.lanes.as_slice())
     }
 }
 
@@ -379,32 +377,25 @@ pub(crate) fn plan_lanes(types: &[ValueType]) -> Vec<Vec<PackLane>> {
     groups
 }
 
-/// The layouts of a database, one per relation and per secondary order:
-/// each its lane groups.
+/// How the rows of a relation, or of a secondary order, are stored: the
+/// schema and the lane groups [`plan_lanes`] plans from its column types.
 #[derive(Debug, Clone)]
-pub(crate) struct Codec {
-    lanes: BTreeMap<String, Vec<Vec<PackLane>>>,
+pub(crate) struct Layout {
+    pub(crate) schema: RelationSchema,
+    pub(crate) lanes: Vec<Vec<PackLane>>,
 }
 
-impl Codec {
-    fn new(schemas: &BTreeMap<String, RelationSchema>) -> Codec {
-        let lanes = schemas
-            .iter()
-            .map(|(name, schema)| (name.clone(), plan_lanes(&schema.arg_types)))
-            .collect();
-        Codec { lanes }
+impl Layout {
+    fn new(schema: RelationSchema) -> Layout {
+        let lanes = plan_lanes(&schema.arg_types);
+        Layout { schema, lanes }
     }
 
-    /// Plans the layout of a relation with the given column types.
-    fn plan(&mut self, name: &str, arg_types: &[ValueType]) {
-        self.lanes.insert(name.to_string(), plan_lanes(arg_types));
-    }
-
-    /// Where the first `width` logical columns of `relation`'s stored rows
-    /// sit in its group words: the first `width` lanes, since a layout
-    /// packs the columns in order.
-    fn key_lanes(&self, relation: &str, width: usize) -> Vec<KeyLane> {
-        let groups = self.lanes[relation].iter().enumerate();
+    /// Where the first `width` logical columns of the stored rows sit in
+    /// their group words: the first `width` lanes, since a layout packs the
+    /// columns in order.
+    pub(crate) fn key_lanes(&self, width: usize) -> Vec<KeyLane> {
+        let groups = self.lanes.iter().enumerate();
         let lanes = groups.flat_map(|(g, lanes)| {
             lanes.iter().map(move |lane| KeyLane {
                 column: g,
@@ -415,15 +406,58 @@ impl Codec {
         lanes.take(width).collect()
     }
 
-    /// The layout of a relation or a secondary order: its lane groups.
-    pub(crate) fn lanes(&self, relation: &str) -> &[Vec<PackLane>] {
-        &self.lanes[relation]
+    /// Stored columns as logical columns, one word per column as registers
+    /// hold them: fresh arena columns.
+    pub(crate) fn unpack(&self, device: &Device, stored: &[Column]) -> Columns {
+        let refs: Vec<&[u64]> = stored.iter().map(|c| c.as_slice()).collect();
+        kernels::unpack_columns(device, &refs, &self.lanes, self.schema.arity())
+    }
+
+    /// Logical columns packed into the stored group words, consuming them.
+    pub(crate) fn pack(&self, device: &Device, logical: Columns) -> Columns {
+        let refs: Vec<&[u64]> = logical.iter().map(|c| c.as_slice()).collect();
+        let packed = kernels::pack_columns(device, &refs, &self.lanes);
+        drop(refs);
+        recycle_columns(device, logical);
+        packed
+    }
+
+    /// The one decode walk: every row of `table` goes from stored group
+    /// words to a tuple, lane by lane, paired with `output` of its tag. One
+    /// scratch row serves the whole table; the only allocation per row is its
+    /// tuple. Scalar and host-side (no [`Device`] at hand), which is a choice,
+    /// not a sign that decode is cold: it is a fifth of a `tc_chain` or
+    /// `tc_dense` request.
+    fn decode_into<P: Provenance, T>(
+        &self,
+        table: &SortedTable<P>,
+        output: &mut impl FnMut(&P::Tag) -> T,
+        rows: &mut Vec<(Tuple, T)>,
+    ) {
+        if table.is_empty() {
+            return;
+        }
+        let mut words = vec![0u64; self.schema.arity()];
+        for (row, tag) in table.tags.iter().enumerate() {
+            for (group, column) in self.lanes.iter().zip(&table.columns) {
+                let word = column[row];
+                for lane in group {
+                    words[lane.column] = (word >> lane.shift) & lane.mask;
+                }
+            }
+            let tuple: Tuple = words
+                .iter()
+                .zip(&self.schema.arg_types)
+                .map(|(word, ty)| Value::decode(*word, *ty))
+                .collect();
+            rows.push((tuple, output(tag)));
+        }
     }
 }
 
-/// The bookkeeping for one relation: the semi-naive partitions plus staged
-/// delta candidates produced by `store` instructions during the current
-/// iteration.
+/// One relation: its [`Layout`], the semi-naive partitions, the staged delta
+/// candidates produced by `store` instructions during the current iteration,
+/// and the facts inserted since the last [`Database::seal`].
 ///
 /// # The stable partition as sorted runs
 ///
@@ -467,6 +501,9 @@ impl Codec {
 /// ends.
 #[derive(Debug, Clone)]
 pub(crate) struct RelationData<P: Provenance> {
+    /// The schema and layout: the plan's, shared by every database started
+    /// from it.
+    pub(crate) layout: Arc<Layout>,
     pub(crate) stable: SortedTable<P>,
     pub(crate) runs: Vec<SortedTable<P>>,
     pub(crate) recent: SortedTable<P>,
@@ -475,17 +512,23 @@ pub(crate) struct RelationData<P: Provenance> {
     /// Boxed: every relation of every `Database` carries the field, and
     /// only a long fix point fills it.
     pub(crate) sketch: Option<Box<KnownSketch>>,
+    /// The facts inserted since the last seal, one word per column. Boxed
+    /// and allocated at the relation's first insert: only inputs take any.
+    pending: Option<Box<(Columns, Vec<P::Tag>)>>,
 }
 
 impl<P: Provenance> RelationData<P> {
-    fn new(arity: usize) -> Self {
+    fn new(layout: Arc<Layout>) -> Self {
+        let arity = layout.lanes.len();
         RelationData {
+            layout,
             stable: SortedTable::empty(arity),
             runs: Vec::new(),
             recent: SortedTable::empty(arity),
             staged: Vec::new(),
             orders: Vec::new(),
             sketch: None,
+            pending: None,
         }
     }
 
@@ -663,17 +706,35 @@ pub(crate) struct Order<P: Provenance> {
     /// `columns[i]` is the relation column stored as column `i` of the
     /// order: the key, then the other columns ascending.
     pub(crate) columns: Vec<usize>,
-    /// The order's column types under a name no relation can have, which
-    /// is what its layout is planned under.
-    schema: RelationSchema,
+    /// The layout of the order's column types.
+    pub(crate) layout: Layout,
     /// The rows, sorted.
     pub(crate) table: SortedTable<P>,
 }
 
 impl<P: Provenance> Order<P> {
-    /// The name the order's layout is planned under.
-    pub(crate) fn layout_name(&self) -> &str {
-        &self.schema.name
+    /// The rows of `table` — rows of the relation, stored in `stored` — as
+    /// rows of the order, sorted.
+    fn reordered(
+        &self,
+        device: &Device,
+        prov: &P,
+        stored: &Layout,
+        table: &SortedTable<P>,
+    ) -> SortedTable<P> {
+        let mut logical: Vec<Option<Column>> = stored
+            .unpack(device, &table.columns)
+            .into_iter()
+            .map(Some)
+            .collect();
+        let permuted = self
+            .columns
+            .iter()
+            // cannot fail: `self.columns` is a permutation of the columns.
+            .map(|&c| logical[c].take().expect("each column once"))
+            .collect();
+        let columns = self.layout.pack(device, permuted);
+        SortedTable::from_unsorted(device, prov, columns, table.tags.clone())
     }
 }
 
@@ -695,11 +756,8 @@ pub(crate) enum Stable<'a, P: Provenance> {
 /// one word per logical column (see the module docs).
 #[derive(Debug, Clone)]
 pub struct Database<P: Provenance> {
-    schemas: Arc<BTreeMap<String, RelationSchema>>,
     relations: BTreeMap<String, RelationData<P>>,
-    pending: BTreeMap<String, (Columns, Vec<P::Tag>)>,
     provenance: P,
-    codec: Arc<Codec>,
 }
 
 impl<P: Provenance> Database<P> {
@@ -720,33 +778,17 @@ impl<P: Provenance> Database<P> {
     }
 
     /// Creates an empty database stored as `plan` says, sharing the plan's
-    /// schemas and codec.
+    /// layouts.
     pub fn from_plan(plan: &StoragePlan, provenance: P) -> Self {
         let relations = plan
-            .schemas
-            .keys()
-            .map(|name| {
-                let arity = plan.codec.lanes(name).len();
-                (name.clone(), RelationData::new(arity))
-            })
-            .collect();
-        let pending = plan
-            .schemas
+            .layouts
             .iter()
-            .map(|(name, schema)| (name.clone(), (vec![Vec::new(); schema.arity()], Vec::new())))
+            .map(|(name, layout)| (name.clone(), RelationData::new(Arc::clone(layout))))
             .collect();
         Database {
-            schemas: Arc::clone(&plan.schemas),
             relations,
-            pending,
             provenance,
-            codec: plan.codec.clone(),
         }
-    }
-
-    /// The database's layouts.
-    pub(crate) fn codec(&self) -> &Codec {
-        &self.codec
     }
 
     /// Builds a sorted table in this database's storage encoding from
@@ -760,9 +802,9 @@ impl<P: Provenance> Database<P> {
         tags: Vec<P::Tag>,
         minus_stable: bool,
     ) -> SortedTable<P> {
-        let columns = self.packed(device, relation, columns);
-        let stable = &self.relations[relation].stable;
-        let known: &[&SortedTable<P>] = if minus_stable { &[stable] } else { &[] };
+        let data = &self.relations[relation];
+        let columns = data.layout.pack(device, columns);
+        let known: &[&SortedTable<P>] = if minus_stable { &[&data.stable] } else { &[] };
         SortedTable::from_unsorted_minus(device, &self.provenance, columns, tags, known, None).0
     }
 
@@ -772,20 +814,14 @@ impl<P: Provenance> Database<P> {
     /// relations here, beside the materialized ones, and removes them with
     /// [`Database::remove_relation`].
     pub(crate) fn add_relation(&mut self, name: &str, arg_types: Vec<ValueType>) {
-        let codec = Arc::make_mut(&mut self.codec);
-        codec.plan(name, &arg_types);
-        let arity = codec.lanes(name).len();
-        self.relations
-            .insert(name.to_string(), RelationData::new(arity));
-        Arc::make_mut(&mut self.schemas)
-            .insert(name.to_string(), RelationSchema::new(name, arg_types));
+        let layout = Layout::new(RelationSchema::new(name, arg_types));
+        let data = RelationData::new(Arc::new(layout));
+        self.relations.insert(name.to_string(), data);
     }
 
     /// Drops a relation [`Database::add_relation`] added, recycling its
     /// tables.
     pub(crate) fn remove_relation(&mut self, device: &Device, name: &str) {
-        Arc::make_mut(&mut self.schemas).remove(name);
-        Arc::make_mut(&mut self.codec).lanes.remove(name);
         if let Some(data) = self.relations.remove(name) {
             data.stable.recycle(device);
             data.recent.recycle(device);
@@ -801,20 +837,18 @@ impl<P: Provenance> Database<P> {
     /// under any other provenance recomputes tables and keeps no orders.
     pub fn build_orders(&mut self, device: &Device, orders: &[SecondaryOrder]) {
         for SecondaryOrder { relation, key } in orders {
-            let schema = &self.schemas[relation];
+            let data = &self.relations[relation];
+            let schema = &data.layout.schema;
             let mut columns = key.clone();
             columns.extend((0..schema.arity()).filter(|c| !key.contains(c)));
             let types = columns.iter().map(|&c| schema.arg_types[c]).collect();
-            let schema = RelationSchema::new(format!("{relation}{ORDER}{key:?}"), types);
-            Arc::make_mut(&mut self.codec).plan(&schema.name, &schema.arg_types);
             let mut order = Order {
                 key: key.clone(),
                 columns,
-                schema,
+                layout: Layout::new(RelationSchema::new(relation.as_str(), types)),
                 table: SortedTable::empty(0),
             };
-            order.table =
-                self.reordered(device, relation, &order, &self.relations[relation].stable);
+            order.table = order.reordered(device, &self.provenance, &data.layout, &data.stable);
             self.relation_data_mut(relation).orders.push(order);
         }
     }
@@ -831,30 +865,6 @@ impl<P: Provenance> Database<P> {
         orders
     }
 
-    /// The rows of `table` — rows of `relation` in its stored layout — as
-    /// rows of `order`, sorted.
-    fn reordered(
-        &self,
-        device: &Device,
-        relation: &str,
-        order: &Order<P>,
-        table: &SortedTable<P>,
-    ) -> SortedTable<P> {
-        let mut logical: Vec<Option<Column>> = self
-            .unpacked(device, relation, &table.columns)
-            .into_iter()
-            .map(Some)
-            .collect();
-        let permuted = order
-            .columns
-            .iter()
-            // cannot fail: `order.columns` is a permutation of the columns.
-            .map(|&c| logical[c].take().expect("each column once"))
-            .collect();
-        let columns = self.packed(device, &order.schema.name, permuted);
-        SortedTable::from_unsorted(device, &self.provenance, columns, table.tags.clone())
-    }
-
     /// Brings each order of `relation` in step with its `stable` partition
     /// after `change`.
     pub(crate) fn update_orders(&mut self, device: &Device, relation: &str, change: Stable<'_, P>) {
@@ -863,7 +873,7 @@ impl<P: Provenance> Database<P> {
         let laid_out: Vec<SortedTable<P>> = data
             .orders
             .iter()
-            .map(|order| self.reordered(device, relation, order, rows))
+            .map(|order| order.reordered(device, &self.provenance, &data.layout, rows))
             .collect();
         let data = self.relation_data_mut(relation);
         for (order, rows) in data.orders.iter_mut().zip(laid_out) {
@@ -887,7 +897,7 @@ impl<P: Provenance> Database<P> {
         let mut stale = Vec::new();
         for (relation, data) in &self.relations {
             for order in &data.orders {
-                let want = self.reordered(device, relation, order, &data.stable);
+                let want = order.reordered(device, &self.provenance, &data.layout, &data.stable);
                 if want.columns != order.table.columns || want.tags != order.table.tags {
                     stale.push(SecondaryOrder {
                         relation: relation.clone(),
@@ -900,33 +910,9 @@ impl<P: Provenance> Database<P> {
         stale
     }
 
-    /// How to read the first `width` logical columns of rows stored in
-    /// layout `name` (a relation's, or an order's) in place.
-    pub(crate) fn key_lanes(&self, name: &str, width: usize) -> Vec<KeyLane> {
-        self.codec.key_lanes(name, width)
-    }
-
-    /// Columns stored in layout `name` as logical columns, one word per
-    /// column as registers hold them: fresh arena columns.
-    pub(crate) fn unpacked(&self, device: &Device, name: &str, stored: &[Column]) -> Columns {
-        let refs: Vec<&[u64]> = stored.iter().map(|c| c.as_slice()).collect();
-        let lanes = self.codec.lanes(name);
-        let arity = lanes.iter().map(Vec::len).sum();
-        kernels::unpack_columns(device, &refs, lanes, arity)
-    }
-
-    /// Logical columns packed into layout `name`, consuming them.
-    fn packed(&self, device: &Device, name: &str, logical: Columns) -> Columns {
-        let refs: Vec<&[u64]> = logical.iter().map(|c| c.as_slice()).collect();
-        let packed = kernels::pack_columns(device, &refs, self.codec.lanes(name));
-        drop(refs);
-        recycle_columns(device, logical);
-        packed
-    }
-
-    /// Returns the buffers of every table, run, order, sketch and staged
-    /// chunk to the device arena: the database is done with, and its
-    /// columns fund the next run's allocations on the device.
+    /// Returns the buffers of every table, run, order, sketch, staged chunk
+    /// and pending fact to the device arena: the database is done with, and
+    /// its columns fund the next run's allocations on the device.
     pub fn recycle(self, device: &Device) {
         for (_, mut data) in self.relations {
             data.recycle_sketch(device);
@@ -939,12 +925,10 @@ impl<P: Provenance> Database<P> {
             {
                 table.recycle(device);
             }
-            for (columns, _) in data.staged {
+            let pending = data.pending.map(|pending| pending.0);
+            for columns in data.staged.into_iter().map(|(c, _)| c).chain(pending) {
                 recycle_columns(device, columns);
             }
-        }
-        for (columns, _) in self.pending.into_values() {
-            recycle_columns(device, columns);
         }
     }
 
@@ -955,12 +939,12 @@ impl<P: Provenance> Database<P> {
 
     /// The schema of a relation.
     pub fn schema(&self, relation: &str) -> Option<&RelationSchema> {
-        self.schemas.get(relation)
+        self.relations.get(relation).map(|data| &data.layout.schema)
     }
 
     /// All relation names.
     pub fn relation_names(&self) -> Vec<String> {
-        self.schemas.keys().cloned().collect()
+        self.relations.keys().cloned().collect()
     }
 
     /// Inserts one fact (encoded values) with its tag. The fact becomes
@@ -971,45 +955,58 @@ impl<P: Provenance> Database<P> {
     /// Panics if the relation is unknown or the row arity does not match the
     /// schema.
     pub fn insert_encoded(&mut self, relation: &str, row: &[u64], tag: P::Tag) {
-        let (columns, tags) = self
-            .pending
+        self.push_pending(relation, row.iter().copied(), tag);
+    }
+
+    /// Inserts one fact given as [`Value`]s, as [`Database::insert_encoded`].
+    pub fn insert(&mut self, relation: &str, values: &[Value], tag: P::Tag) {
+        self.push_pending(relation, values.iter().map(Value::encode), tag);
+    }
+
+    /// Appends a fact to the relation's pending columns, allocating them at
+    /// its first insert.
+    fn push_pending(
+        &mut self,
+        relation: &str,
+        row: impl ExactSizeIterator<Item = u64>,
+        tag: P::Tag,
+    ) {
+        let data = self
+            .relations
             .get_mut(relation)
             // A session refuses a fact of an unknown relation or arity when
             // it is added (`LobsterError::BadFact`).
             // cannot fail: a direct caller is held to `# Panics` above.
             .unwrap_or_else(|| panic!("unknown relation `{relation}`"));
+        let arity = data.layout.schema.arity();
         assert_eq!(
-            columns.len(),
+            arity,
             row.len(),
             "arity mismatch inserting into `{relation}`"
         );
-        for (col, v) in columns.iter_mut().zip(row) {
-            col.push(*v);
+        let pending = data
+            .pending
+            .get_or_insert_with(|| Box::new((vec![Vec::new(); arity], Vec::new())));
+        for (col, v) in pending.0.iter_mut().zip(row) {
+            col.push(v);
         }
-        tags.push(tag);
-    }
-
-    /// Inserts one fact given as [`Value`]s.
-    pub fn insert(&mut self, relation: &str, values: &[Value], tag: P::Tag) {
-        let row: Vec<u64> = values.iter().map(Value::encode).collect();
-        self.insert_encoded(relation, &row, tag);
+        pending.1.push(tag);
     }
 
     /// Folds all pending inserts into the stable partitions. Pending facts
     /// arrive one word per column and are packed here.
     pub fn seal(&mut self, device: &Device) {
-        let mut pending = std::mem::take(&mut self.pending);
-        for (name, (columns, tags)) in &mut pending {
-            if tags.is_empty() {
+        for data in self.relations.values_mut() {
+            let Some(pending) = data.pending.take() else {
                 continue;
-            }
-            let columns = std::mem::replace(columns, vec![Vec::new(); columns.len()]);
-            let tags = std::mem::take(tags);
-            let new_rows = self.encoded_from_unsorted(device, name, columns, tags, true);
-            let data = self.relation_data_mut(name);
-            data.stable = SortedTable::merge_disjoint_owned(device, data.stable.take(), new_rows);
+            };
+            let (columns, tags) = *pending;
+            let (prov, known) = (&self.provenance, [&data.stable]);
+            let columns = data.layout.pack(device, columns);
+            let (rows, _) =
+                SortedTable::from_unsorted_minus(device, prov, columns, tags, &known, None);
+            data.stable = SortedTable::merge_disjoint_owned(device, data.stable.take(), rows);
         }
-        self.pending = pending;
     }
 
     /// Number of facts currently stored for a relation.
@@ -1053,7 +1050,8 @@ impl<P: Provenance> Database<P> {
             "`{relation}` read while not at rest"
         );
         let mut rows = Vec::with_capacity(data.stable.len());
-        self.decode_into(relation, &data.stable, &mut output, &mut rows);
+        data.layout
+            .decode_into(&data.stable, &mut output, &mut rows);
         rows
     }
 
@@ -1067,42 +1065,9 @@ impl<P: Provenance> Database<P> {
         mut output: impl FnMut(&P::Tag) -> T,
     ) -> Vec<(Tuple, T)> {
         let mut rows = Vec::with_capacity(table.len());
-        self.decode_into(relation, table, &mut output, &mut rows);
+        let layout = &self.relations[relation].layout;
+        layout.decode_into(table, &mut output, &mut rows);
         rows
-    }
-
-    /// The one decode walk: every row of `table` goes from stored group
-    /// words to a tuple, lane by lane, paired with `output` of its tag. One scratch row serves the
-    /// whole table; the only allocation per row is its tuple. Scalar and
-    /// host-side (no [`Device`] at hand), which is a choice, not a sign that
-    /// decode is cold: it is a fifth of a `tc_chain` or `tc_dense` request.
-    fn decode_into<T>(
-        &self,
-        relation: &str,
-        table: &SortedTable<P>,
-        output: &mut impl FnMut(&P::Tag) -> T,
-        rows: &mut Vec<(Tuple, T)>,
-    ) {
-        if table.is_empty() {
-            return;
-        }
-        let schema = &self.schemas[relation];
-        let lanes = self.codec.lanes(relation);
-        let mut words = vec![0u64; schema.arity()];
-        for (row, tag) in table.tags.iter().enumerate() {
-            for (group, column) in lanes.iter().zip(&table.columns) {
-                let word = column[row];
-                for lane in group {
-                    words[lane.column] = (word >> lane.shift) & lane.mask;
-                }
-            }
-            let tuple: Tuple = words
-                .iter()
-                .zip(&schema.arg_types)
-                .map(|(word, ty)| Value::decode(*word, *ty))
-                .collect();
-            rows.push((tuple, output(tag)));
-        }
     }
 
     /// Internal access for the executor.
@@ -1194,6 +1159,53 @@ mod tests {
     #[test]
     fn empty_schema_packs_to_nothing() {
         assert!(plan_lanes(&[]).is_empty());
+    }
+
+    /// A relation is one record whose layout is the plan's: databases
+    /// started from one plan share it, and what one database adds beside
+    /// its relations — an order, a scratch relation — reaches neither the
+    /// plan nor the other database.
+    #[test]
+    fn databases_share_the_plans_layouts_and_plan_their_own_beside_them() {
+        let device = Device::sequential();
+        let plan = StoragePlan::new(schemas());
+        let mut db = Database::from_plan(&plan, Unit::new());
+        let other = Database::from_plan(&plan, Unit::new());
+        let shared = |db: &Database<Unit>| {
+            plan.layouts
+                .iter()
+                .all(|(name, layout)| Arc::ptr_eq(&db.relation_data(name).layout, layout))
+        };
+        assert!(shared(&db) && shared(&other));
+        db.insert("edge", &[Value::U32(1), Value::U32(2)], ());
+        db.seal(&device);
+        let order = SecondaryOrder {
+            relation: "edge".into(),
+            key: vec![1],
+        };
+        db.build_orders(&device, &[order]);
+        db.add_relation("scratch", vec![ValueType::U32]);
+        db.add_relation("gone", vec![ValueType::Bool]);
+        db.remove_relation(&device, "gone");
+        assert!(shared(&db) && shared(&other));
+        let plan_names: Vec<&String> = plan.layouts.keys().collect();
+        assert_eq!(plan_names, ["edge", "flag"]);
+        assert!(plan.lanes("scratch").is_none() && plan.lanes("gone").is_none());
+        assert_eq!(other.relation_names(), ["edge", "flag"]);
+        assert_eq!(db.relation_names(), ["edge", "flag", "scratch"]);
+        // The order's layout is its own: `(y, x)` of two `u32`s.
+        let edge = db.relation_data("edge");
+        assert_eq!(edge.orders[0].layout.schema.arg_types, [ValueType::U32; 2]);
+        assert_eq!(edge.orders[0].table.columns, [vec![(2 << 32) | 1]]);
+    }
+
+    /// The first insert into a relation allocates its pending columns, and
+    /// is checked against the schema's arity like every later one.
+    #[test]
+    #[should_panic(expected = "arity mismatch")]
+    fn a_first_insert_of_the_wrong_arity_panics() {
+        let mut db = Database::new(schemas(), Unit::new());
+        db.insert("edge", &[Value::U32(1)], ());
     }
 
     #[test]
@@ -1377,6 +1389,17 @@ mod tests {
         }
     }
 
+    /// A layout of `words` stored words: the `(a, b)` rows of
+    /// [`columns_of`], one packed word or two full-width columns.
+    fn layout_of(words: usize) -> Arc<Layout> {
+        let ty = if words == 1 {
+            ValueType::U32
+        } else {
+            ValueType::I64
+        };
+        Arc::new(Layout::new(RelationSchema::new("r", vec![ty; 2])))
+    }
+
     /// Builds a sorted table over the given `(a, b)` rows.
     fn table_of<P: Provenance>(
         device: &Device,
@@ -1408,7 +1431,7 @@ mod tests {
                 for i in (1..universe.len()).rev() {
                     universe.swap(i, rng.below(i + 1));
                 }
-                let mut data: RelationData<P> = RelationData::new(arity);
+                let mut data: RelationData<P> = RelationData::new(layout_of(arity));
                 let mut fold: SortedTable<P> = SortedTable::empty(arity);
                 let mut pushed = 0;
                 let mut written = 0;
@@ -1491,7 +1514,7 @@ mod tests {
         }
         let (old, new) = universe.split_at(30);
         let entered = table_of(&device, &prov, old, vec![(); old.len()], true);
-        let mut data: RelationData<Unit> = RelationData::new(1);
+        let mut data: RelationData<Unit> = RelationData::new(layout_of(1));
         data.stable = entered.clone();
         let mut pushed_fold: SortedTable<Unit> = SortedTable::empty(1);
         let mut pushed = 0;
@@ -1620,7 +1643,7 @@ mod tests {
         }
         db.seal(&device);
         let lanes = plan.lanes("t").unwrap();
-        assert_eq!(db.codec().lanes("t"), lanes);
+        assert_eq!(db.relation_data("t").layout.lanes, lanes);
         let symbol = lanes[0][0];
         assert_eq!((symbol.shift, symbol.mask), (32, 0xFFFF_FFFF));
         let stored: Vec<u64> = db.relation_data("t").stable.columns[0]

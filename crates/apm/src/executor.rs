@@ -22,7 +22,7 @@
 
 use crate::compiler::{compile_stratum_with_options, CompiledStratum};
 use crate::config::RuntimeOptions;
-use crate::database::{recycle_columns, Database, SortedTable};
+use crate::database::{recycle_columns, Database, Layout, SortedTable};
 use crate::isa::{DbPart, Instr, JoinSource, JoinWrite, RegId};
 use lobster_gpu::kernels::{JoinBuild, JoinColumn};
 use lobster_gpu::{kernels, Column, Columns, Device, DeviceError, HashIndex};
@@ -644,10 +644,6 @@ impl<P: Provenance> Executor<P> {
         seeded: bool,
         stats: &mut ExecutionStats,
     ) -> LoadedTable<P::Tag> {
-        // `run_stratum_from` refuses a stratum that names a relation the
-        // database does not hold (`UnknownRelation`).
-        // cannot fail: `relation` is one the stratum names.
-        let arity = db.schema(relation).expect("loaded relation").arity();
         // The compiler treats a single-partition load as sorted (it may feed
         // a merge join), so the runs are folded into one table first: into
         // `stable` itself, or — in a seeded run, which must hand `stable`
@@ -668,16 +664,12 @@ impl<P: Provenance> Executor<P> {
             }
         }
         let arena = self.device.arena();
-        // Stored group words are unpacked into wide registers here.
-        let lanes = db.codec().lanes(relation);
-        let unpack = |packed: &[Column]| -> Vec<Arc<Column>> {
-            let refs: Vec<&[u64]> = packed.iter().map(|c| c.as_slice()).collect();
-            kernels::unpack_columns(&self.device, &refs, lanes, arity)
-                .into_iter()
-                .map(Arc::new)
-                .collect()
-        };
         let data = db.relation_data(relation);
+        // Stored group words are unpacked into wide registers here.
+        let unpack = |packed: &[Column]| -> Vec<Arc<Column>> {
+            let wide = data.layout.unpack(&self.device, packed);
+            wide.into_iter().map(Arc::new).collect()
+        };
         let single = match part {
             DbPart::Stable => Some(merged_stable.as_ref().unwrap_or(&data.stable)),
             DbPart::Recent => Some(&data.recent),
@@ -741,25 +733,25 @@ impl<P: Provenance> Executor<P> {
     ) -> (Columns, Vec<P::Tag>) {
         let device = &self.device;
         let data = db.relation_data(relation);
-        // The matching rows of `table`, stored in layout `name`.
-        let found = |name: &str, table: &SortedTable<P>| {
-            let lanes = db.key_lanes(name, key.len());
+        // The matching rows of `table`, stored in `layout`.
+        let found = |layout: &Layout, table: &SortedTable<P>| {
+            let lanes = layout.key_lanes(key.len());
             let columns: Vec<&[u64]> = table.columns.iter().map(|c| c.as_slice()).collect();
             kernels::lookup(device, &columns, &table.tags, &lanes, probes)
         };
         // Stored words unpacked into registers.
-        let unpack = |name: &str, packed: Columns| {
-            let wide = db.unpacked(device, name, &packed);
+        let unpack = |layout: &Layout, packed: Columns| {
+            let wide = layout.unpack(device, &packed);
             recycle_columns(device, packed);
             wide
         };
         debug_assert!(part != DbPart::Recent, "a lookup reads a stored table");
         if !in_order {
             let (packed, tags) = if part == DbPart::Stable || data.recent.is_empty() {
-                found(relation, &data.stable)
+                found(&data.layout, &data.stable)
             } else {
-                let (stable, stable_tags) = found(relation, &data.stable);
-                let (recent, recent_tags) = found(relation, &data.recent);
+                let (stable, stable_tags) = found(&data.layout, &data.stable);
+                let (recent, recent_tags) = found(&data.layout, &data.recent);
                 fn refs(columns: &[Column]) -> Vec<&[u64]> {
                     columns.iter().map(|c| c.as_slice()).collect()
                 }
@@ -776,7 +768,7 @@ impl<P: Provenance> Executor<P> {
                 recycle_columns(device, recent);
                 merged
             };
-            return (unpack(relation, packed), tags);
+            return (unpack(&data.layout, packed), tags);
         }
         // A lookup is compiled `in_order` only on the key of an order the
         // database keeps (`Database::orders`, read by the refresh that
@@ -787,8 +779,8 @@ impl<P: Provenance> Executor<P> {
             part == DbPart::Stable || data.recent.is_empty(),
             "the order of `{relation}` on {key:?} mirrors `stable` alone"
         );
-        let (packed, tags) = found(order.layout_name(), &order.table);
-        let found = unpack(order.layout_name(), packed);
+        let (packed, tags) = found(&order.layout, &order.table);
+        let found = unpack(&order.layout, packed);
         // Column `i` of the order is column `order.columns[i]` of the
         // relation.
         let mut columns = vec![Vec::new(); found.len()];
@@ -934,7 +926,7 @@ impl<P: Provenance> Executor<P> {
                     tags,
                     packed,
                 } => {
-                    let lanes = db.codec().lanes(relation);
+                    let lanes = &db.relation_data(relation).layout.lanes;
                     debug_assert!(
                         !packed
                             || pc

@@ -642,12 +642,10 @@ impl<P: Provenance> Refreshing<'_, P> {
     /// re-derivation restricts a rule for `rel` by.
     fn column_keys(&mut self, db: &mut Database<P>, rel: &str) -> Vec<String> {
         let lost_name = format!("{rel}{LOST}");
-        let lost = &db.relation_data(&lost_name).stable;
-        let wide = db.unpacked(&self.device, &lost_name, &lost.columns);
-        let tags = lost.tags.clone();
-        // The database was materialized from the refreshed program.
-        // cannot fail: `rel` lost rows, so it is a relation of that program.
-        let types = db.schema(rel).expect("known relation").arg_types.clone();
+        let lost = db.relation_data(&lost_name);
+        let wide = lost.layout.unpack(&self.device, &lost.stable.columns);
+        let tags = lost.stable.tags.clone();
+        let types = lost.layout.schema.arg_types.clone();
         wide.into_iter()
             .zip(types)
             .enumerate()

@@ -7,7 +7,8 @@
 //! probes, whole segments per worker) actually buys on this machine. The
 //! separate `sort_permutation` and `unique` references run sequentially at
 //! every worker count, so they have no rows here; `sort_permutation` only
-//! prepares the sorted inputs, outside the timings. The end-to-end
+//! prepares the sorted inputs, outside the timings and on a sequential
+//! device of its own, so no kernel-time bucket counts it. The end-to-end
 //! chain-TC row publishes no factor: its frontiers stay under
 //! `min_parallel_rows`, so every launch is sequential whatever the worker
 //! count and a factor against parallelism 1 could not move. Beside its wall
@@ -17,7 +18,7 @@
 //! searched for in the known runs — all of them but those the known-row
 //! sketch ruled out. A
 //! `kernel_time_ms` section breaks the device's accumulated chunk-execution
-//! (busy) time into the sort/join/unique buckets of its metrics
+//! (busy) time into the sort/join/other buckets of its metrics
 //! ([`Device::metrics`]' `kernel_time`), and `kernel_wall_ms` does the same
 //! for enqueue-to-completion wall time — busy exceeding wall means pool lanes
 //! overlapped; wall far above busy/lanes means the pool queued. Busy time is
@@ -108,8 +109,8 @@ fn refs(cols: &[Vec<u64>]) -> Vec<&[u64]> {
     cols.iter().map(|c| c.as_slice()).collect()
 }
 
-/// The rows of `cols` in the order of `device`'s sort, and their tags: the
-/// sorted inputs some kernels require, prepared outside the timings.
+/// The rows of `cols` sorted, and their tags: the sorted inputs some kernels
+/// require, prepared outside the timings on a device that is not measured.
 fn sorted_on(device: &Device, cols: &[Vec<u64>], tags: &[f64]) -> (Vec<Vec<u64>>, Vec<f64>) {
     let perm = kernels::sort_permutation(device, &refs(cols));
     let sorted = cols
@@ -190,10 +191,11 @@ fn main() {
 
     let mut rows_out: Vec<Row> = Vec::new();
     let mut times_out: Vec<(usize, Snapshot)> = Vec::new();
+    let prep = Device::sequential();
     for &p in &PARALLELISMS {
         let device = device_with(p);
         // Inputs that must be pre-sorted are prepared outside the timings.
-        let (sorted, sorted_tags) = sorted_on(&device, &table, &tags);
+        let (sorted, sorted_tags) = sorted_on(&prep, &table, &tags);
         let (a_half, at_half) = (
             sorted
                 .iter()
@@ -208,8 +210,8 @@ fn main() {
         // join rows run over these same sorted inputs, so they compare the
         // strategies the compiler actually chooses between and
         // `hash_build_join` − `hash_join` is the cost of the index build.
-        let (sorted_build, _) = sorted_on(&device, &build, &tags);
-        let (sorted_probe, _) = sorted_on(&device, &probe, &tags);
+        let (sorted_build, _) = sorted_on(&prep, &build, &tags);
+        let (sorted_probe, _) = sorted_on(&prep, &probe, &tags);
         let index = HashIndex::build(&device, &refs(&sorted_build), 2);
 
         let mut bench = |kernel: &'static str, rows: usize, f: &mut dyn FnMut()| {
@@ -556,7 +558,7 @@ fn main() {
             let ns = metrics.get(&format!("{group}.{bucket}_ns")).unwrap_or(0);
             format!("\"{bucket}_ms\": {:.3}", ns as f64 / 1e6)
         };
-        [ms("sort"), ms("join"), ms("unique"), ms("other")].join(", ")
+        [ms("sort"), ms("join"), ms("other")].join(", ")
     };
     // A chunk's busy time is a wall-clock interval on its worker, so with
     // more lanes than CPUs it also counts the time a lane sat descheduled:
@@ -567,7 +569,7 @@ fn main() {
             if *p > cpus {
                 format!(
                     "{{\"parallelism\": {p}, \"sort_ms\": null, \"join_ms\": null, \
-                     \"unique_ms\": null, \"other_ms\": null, \"reason\": \"{p} lanes on \
+                     \"other_ms\": null, \"reason\": \"{p} lanes on \
                      {cpus} CPUs: busy time per chunk is a wall-clock interval and would \
                      count the time a lane sits descheduled\"}}"
                 )

@@ -246,7 +246,7 @@ fn main() {
          \"cpus\": {},\n  \
          \"direct_loop\": {},\n  \
          \"kernel_time_ms\": {{\"sort_ms\": {:.3}, \"join_ms\": {:.3}, \
-         \"unique_ms\": {:.3}, \"other_ms\": {:.3}}},\n  \
+         \"other_ms\": {:.3}}},\n  \
          \"sequential\": {},\n  \"batched\": [\n    {}\n  ]\n}}\n",
         ProvenanceKind::DiffTop1Proof,
         requests_n,
@@ -256,7 +256,6 @@ fn main() {
         direct.json(seq_sps),
         kernel_ms("sort"),
         kernel_ms("join"),
-        kernel_ms("unique"),
         kernel_ms("other"),
         sequential.json(seq_sps),
         batched

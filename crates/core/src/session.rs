@@ -916,7 +916,7 @@ mod tests {
         assert!(metrics.get("kernel_launches") > Some(40));
         assert!(metrics.get("kernel_wall.sort_ns") > Some(0));
         assert!(metrics.get("kernel_wall.join_ns") > Some(0));
-        for bucket in ["sort_ns", "join_ns", "unique_ns", "other_ns"] {
+        for bucket in ["sort_ns", "join_ns", "other_ns"] {
             let busy = metrics.get(&format!("kernel_time.{bucket}"));
             assert_eq!(busy, metrics.get(&format!("kernel_wall.{bucket}")));
         }

@@ -57,21 +57,19 @@ impl Default for DeviceConfig {
 
 /// The accounting bucket a kernel launch is attributed to, for the
 /// per-kernel busy-time (`kernel_time.*`) and wall-time (`kernel_wall.*`)
-/// entries of [`Device::metrics`]. Sort, join, and unique are the paper's
-/// Table 1 hot set, so they get their own buckets — the one-launch frontier
-/// update, which sorts, deduplicates and filters, is sort; everything else
-/// (scan, merge, difference, eval, gathers, loads) is `Other`. Declared in
-/// the order of the buckets.
+/// entries of [`Device::metrics`]. Sort and join are the paper's Table 1 hot
+/// set, so they get their own buckets — the one-launch frontier update, which
+/// sorts, deduplicates and filters, is sort; everything else (scan, merge,
+/// difference, eval, gathers, loads) is `Other`. Declared in the order of the
+/// buckets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelKind {
-    /// Row sorting (`sort_unique`, which builds every fix-point frontier,
-    /// and the sequential `sort_permutation` reference).
+    /// Row sorting and deduplication (`sort_unique`, which builds every
+    /// fix-point frontier, and the sequential `sort_permutation` and
+    /// `unique` references).
     Sort,
     /// Hash-join family (`HashIndex::build`, `count_matches`, `hash_join`).
     Join,
-    /// Sorted-run deduplication by the standalone `unique` reference, which
-    /// the engine does not call: a frontier's deduplication is `Sort` time.
-    Unique,
     /// Every other kernel.
     Other,
 }
@@ -95,7 +93,6 @@ const ENTRIES: &[(&str, Kind)] = &[
     // lands in `other`.
     ("kernel_time.sort_ns", Kind::Nanos),
     ("kernel_time.join_ns", Kind::Nanos),
-    ("kernel_time.unique_ns", Kind::Nanos),
     ("kernel_time.other_ns", Kind::Nanos),
     // **Enqueue-to-completion** wall time per launch and [`KernelKind`] —
     // what a caller of the kernel observed, including any pool queue wait:
@@ -104,7 +101,6 @@ const ENTRIES: &[(&str, Kind)] = &[
     // whenever chunks overlap. A launch nested in another counts in both.
     ("kernel_wall.sort_ns", Kind::Nanos),
     ("kernel_wall.join_ns", Kind::Nanos),
-    ("kernel_wall.unique_ns", Kind::Nanos),
     ("kernel_wall.other_ns", Kind::Nanos),
     // Device allocations, the bytes live now and their high-water mark.
     ("allocations", Kind::Counter),
@@ -118,17 +114,17 @@ const ENTRIES: &[(&str, Kind)] = &[
     ("transfers", Kind::Counter),
 ];
 const KERNEL_LAUNCHES: usize = 0;
-/// The first busy-time bucket; [`KernelKind`] numbers the four.
+/// The first busy-time bucket; [`KernelKind`] numbers the three.
 const KERNEL_TIME: usize = 1;
 /// The first wall-time bucket.
-const KERNEL_WALL: usize = 5;
-const ALLOCATIONS: usize = 9;
-const LIVE_BYTES: usize = 10;
-const PEAK_BYTES: usize = 11;
-const ALLOCATED_BYTES: usize = 12;
-const BYTES_TO_DEVICE: usize = 13;
-const BYTES_TO_HOST: usize = 14;
-const TRANSFERS: usize = 15;
+const KERNEL_WALL: usize = 4;
+const ALLOCATIONS: usize = 7;
+const LIVE_BYTES: usize = 8;
+const PEAK_BYTES: usize = 9;
+const ALLOCATED_BYTES: usize = 10;
+const BYTES_TO_DEVICE: usize = 11;
+const BYTES_TO_HOST: usize = 12;
+const TRANSFERS: usize = 13;
 
 /// Errors produced by the simulated device.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -504,7 +500,7 @@ mod tests {
         let metrics = dev.metrics();
         assert_eq!(metrics.get("kernel_launches"), Some(1));
         assert!(metrics.get("kernel_wall.sort_ns") >= Some(1_000_000));
-        for bucket in ["sort_ns", "join_ns", "unique_ns", "other_ns"] {
+        for bucket in ["sort_ns", "join_ns", "other_ns"] {
             let busy = metrics.get(&format!("kernel_time.{bucket}"));
             assert_eq!(busy, metrics.get(&format!("kernel_wall.{bucket}")));
         }
@@ -530,7 +526,7 @@ mod tests {
         let metrics = dev.metrics();
         assert_eq!(metrics.get("kernel_launches"), Some(0));
         assert_eq!(metrics.get("kernel_time.other_ns"), Some(700));
-        for bucket in ["sort_ns", "join_ns", "unique_ns", "other_ns"] {
+        for bucket in ["sort_ns", "join_ns", "other_ns"] {
             assert_eq!(metrics.get(&format!("kernel_wall.{bucket}")), Some(0));
         }
     }

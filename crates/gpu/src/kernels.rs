@@ -990,7 +990,7 @@ where
     T: Clone + Send + Sync,
     F: Fn(&T, &T) -> T + Sync,
 {
-    let _t = device.launch(KernelKind::Unique);
+    let _t = device.launch(KernelKind::Sort);
     let len = columns.first().map_or(0, |c| c.len());
     let arena = device.arena();
     let mut out_cols: Columns = columns

@@ -47,7 +47,7 @@
 //! an iteration performs zero fresh column allocations (Section 4.1);
 //! [`Device::metrics`] attributes busy time (`kernel_time`: a launch's wall
 //! time, with its pooled chunks at their summed execution time) and
-//! enqueue-to-completion time (`kernel_wall`) to sort/join/unique buckets.
+//! enqueue-to-completion time (`kernel_wall`) to sort/join/other buckets.
 //! See `docs/PERFORMANCE.md` for how to tune the pool and read the artifacts.
 //!
 //! The crate is `unsafe`-free except for the single lifetime-erasure the

@@ -1020,8 +1020,7 @@ fn write_run_reply(result: &RunResult, out: &mut String) {
 /// and arena included), and the program cache when the server was given
 /// one. In the kernel-time buckets, the engine's frontier updates (candidate
 /// rows sorted, deduplicated and filtered in one launch) count in
-/// `sort_ms`; `unique_ms` counts only the standalone `unique` kernel, which
-/// the engine does not call.
+/// `sort_ms`.
 fn sections(shared: &ServerShared) -> Vec<(&'static str, Snapshot)> {
     let mut sections = vec![
         ("scheduler", shared.scheduler.metrics()),
@@ -1427,7 +1426,7 @@ mod tests {
         }
         let mut paths = Vec::new();
         leaves(doc, "", &mut paths);
-        let buckets = ["sort_ms", "join_ms", "unique_ms", "other_ms"];
+        let buckets = ["sort_ms", "join_ms", "other_ms"];
         let mut expected: Vec<String> = [
             "ok",
             "uptime_s",
