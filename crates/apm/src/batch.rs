@@ -9,9 +9,9 @@
 //! [`batch_transform`] performs the corresponding program transformation on a
 //! RAM program: every relation gains a leading `u32` sample column, every
 //! projection passes the sample column through, every selection shifts its
-//! column references by one, and every join / intersection widens its key by
-//! one. Products become sample-keyed joins so that cross products also stay
-//! within a sample.
+//! column references by one, and every join widens its key by one. A join on
+//! no columns, a cartesian product, so becomes a join on the sample id alone,
+//! and stays within a sample.
 
 use lobster_ram::{
     RamExpr, RamProgram, RamRule, RelationSchema, RowProjection, ScalarExpr, Stratum, ValueType,
@@ -92,19 +92,9 @@ fn transform_expr(expr: &RamExpr) -> RamExpr {
             right: Box::new(transform_expr(right)),
             width: width + 1,
         },
-        RamExpr::Intersect(l, r) => {
-            RamExpr::Intersect(Box::new(transform_expr(l)), Box::new(transform_expr(r)))
-        }
         RamExpr::Union(l, r) => {
             RamExpr::Union(Box::new(transform_expr(l)), Box::new(transform_expr(r)))
         }
-        // A cross product within a batch must still match on the sample id,
-        // so it becomes a width-1 join on the new leading column.
-        RamExpr::Product(l, r) => RamExpr::Join {
-            left: Box::new(transform_expr(l)),
-            right: Box::new(transform_expr(r)),
-            width: 1,
-        },
     }
 }
 
@@ -222,7 +212,7 @@ mod tests {
         for stratum in &batched.strata {
             for rule in &stratum.rules {
                 rule.expr.visit(&mut |e| match e {
-                    RamExpr::Product(_, _) => saw_product = true,
+                    RamExpr::Join { width: 0, .. } => saw_product = true,
                     RamExpr::Join { width: 1, .. } => saw_sample_join = true,
                     _ => {}
                 });

@@ -9,8 +9,9 @@
 //! * lowers project and select to `eval` (row-level parallelism), joins to
 //!   the `build`/`count`/`scan`/`join` sequence of Figure 6 — the `join`
 //!   writes the output columns itself, and a column permutation directly
-//!   over a join is folded into that list — unions to `append`, and products
-//!   to a dedicated instruction;
+//!   over a join is folded into that list — and unions to `append`. A join
+//!   on no columns, a cartesian product, reads a constant key on each side
+//!   and builds on its right one, so it runs like any other hash join;
 //! * has the `join` or `eval` whose table a `store` stages as it is write
 //!   it in the stored relation's storage encoding, so a candidate row is
 //!   born packed — a permutation over a selection or another projection is
@@ -34,7 +35,7 @@ use crate::database::{plan_lanes, SecondaryOrder};
 use crate::isa::{ApmProgram, DbPart, Instr, JoinSource, JoinWrite, RegId};
 use lobster_gpu::kernels::identity_lanes;
 use lobster_ram::{
-    ByteOp, ExprProgram, RamExpr, RamProgram, RamRule, RowProjection, ScalarExpr, Stratum,
+    ByteOp, ExprProgram, RamExpr, RamProgram, RamRule, RowProjection, ScalarExpr, Stratum, Value,
 };
 use std::collections::BTreeSet;
 
@@ -346,10 +347,6 @@ impl<'a> Compiler<'a> {
             RamExpr::Join { left, right, width } => {
                 self.compile_join(left, right, *width, None, parts, next_recursive_leaf)
             }
-            RamExpr::Intersect(left, right) => {
-                let width = self.arity(left);
-                self.compile_join(left, right, width, None, parts, next_recursive_leaf)
-            }
             RamExpr::Union(left, right) => {
                 let l = self.compile_expr(left, parts, next_recursive_leaf);
                 let r = self.compile_expr(right, parts, next_recursive_leaf);
@@ -357,25 +354,6 @@ impl<'a> Compiler<'a> {
                 let output_tags = self.fresh();
                 self.emit(Instr::Append {
                     inputs: vec![(l.columns, l.tags), (r.columns, r.tags)],
-                    outputs: outputs.clone(),
-                    output_tags,
-                });
-                Compiled {
-                    columns: outputs,
-                    tags: output_tags,
-                    sorted_prefix: 0,
-                }
-            }
-            RamExpr::Product(left, right) => {
-                let l = self.compile_expr(left, parts, next_recursive_leaf);
-                let r = self.compile_expr(right, parts, next_recursive_leaf);
-                let outputs = self.fresh_n(l.columns.len() + r.columns.len());
-                let output_tags = self.fresh();
-                self.emit(Instr::Product {
-                    left: l.columns,
-                    left_tags: l.tags,
-                    right: r.columns,
-                    right_tags: r.tags,
                     outputs: outputs.clone(),
                     output_tags,
                 });
@@ -450,13 +428,10 @@ impl<'a> Compiler<'a> {
         }
     }
 
-    /// The operands of a join expression: `left ⊲⊳_w right`, or `a ∩ b` —
-    /// a join on every column that keeps the left row, which the join
-    /// output convention already does.
+    /// The operands of a join expression: `left ⊲⊳_w right`.
     fn as_join<'e>(&self, expr: &'e RamExpr) -> Option<(&'e RamExpr, &'e RamExpr, usize)> {
         match expr {
             RamExpr::Join { left, right, width } => Some((left, right, *width)),
-            RamExpr::Intersect(left, right) => Some((left, right, self.arity(left))),
             _ => None,
         }
     }
@@ -541,10 +516,13 @@ impl<'a> Compiler<'a> {
         // Build the hash index on the side that does not depend on the
         // stratum's own relations when possible: that index is identical on
         // every iteration, so it can live in a static register and be reused
-        // (the linear-recursion optimization of Section 4.2).
+        // (the linear-recursion optimization of Section 4.2). A join on no
+        // columns builds on its right side, so that its rows come out as a
+        // product's: left rows outer, right rows inner, the order the ⊕ fold
+        // over duplicate candidates reads them in.
         let left_recursive = self.is_recursive_expr(left);
         let right_recursive = self.is_recursive_expr(right);
-        let build_is_left = !left_recursive && right_recursive;
+        let build_is_left = width > 0 && !left_recursive && right_recursive;
         let static_ = if build_is_left {
             !left_recursive
         } else {
@@ -647,13 +625,14 @@ impl<'a> Compiler<'a> {
             None => table,
         };
 
+        let build_keys = self.join_keys(build, width);
+        let probe_keys = self.join_keys(probe, width);
         let counts = self.fresh();
         let offsets = self.fresh();
         let outputs = self.fresh_n(sources.len());
         let output_tags = self.fresh();
-        let build_keys = build.columns[..width].to_vec();
         let write = JoinWrite {
-            probe_keys: probe.columns[..width].to_vec(),
+            probe_keys,
             counts,
             offsets,
             sources,
@@ -700,6 +679,27 @@ impl<'a> Compiler<'a> {
             tags: output_tags,
             sorted_prefix: 0,
         }
+    }
+
+    /// The key columns of `side` for a join on `width` columns: its first
+    /// `width`. A join on none, a cartesian product, reads a constant
+    /// column instead, written here, because the kernels take a side's row
+    /// count from its first key column.
+    fn join_keys(&mut self, side: &Compiled, width: usize) -> Vec<RegId> {
+        if width > 0 {
+            return side.columns[..width].to_vec();
+        }
+        let key = self.fresh();
+        let output_tags = self.fresh();
+        self.emit(Instr::Eval {
+            inputs: Vec::new(),
+            input_tags: side.tags,
+            projection: RowProjection::new(vec![ScalarExpr::Const(Value::U32(0))], None),
+            pack: identity_lanes(1),
+            outputs: vec![key],
+            output_tags,
+        });
+        vec![key]
     }
 
     /// Compiles one rule, expanding it into its semi-naive variants: one per
@@ -958,7 +958,6 @@ fn compile_from_scratch<'a>(
 /// one sorted `stable` table, which is what an order mirrors, whichever
 /// stratum derives it.
 pub fn secondary_orders(ram: &RamProgram) -> Vec<SecondaryOrder> {
-    let arity = |name: &str| ram.arity(name);
     let mut orders = BTreeSet::new();
     for rule in ram
         .strata
@@ -967,16 +966,10 @@ pub fn secondary_orders(ram: &RamProgram) -> Vec<SecondaryOrder> {
         .flat_map(|s| &s.rules)
     {
         rule.expr.visit(&mut |expr| {
-            let (left, right, width) = match expr {
-                RamExpr::Join { left, right, width } => (left, right, *width),
-                // A side over an undeclared relation has no arity, and no
-                // key to order on.
-                RamExpr::Intersect(left, right) => match left.arity(&arity) {
-                    Some(width) => (left, right, width),
-                    None => return,
-                },
-                _ => return,
+            let RamExpr::Join { left, right, width } = expr else {
+                return;
             };
+            let width = *width;
             for side in [left, right] {
                 if let Some((relation, key)) = leaf_key(side, width) {
                     if !is_prefix(&key) {

@@ -810,12 +810,20 @@ impl<P: Provenance> Database<P> {
 
     /// Adds an empty relation with the given column types, stored in the
     /// layout those types plan — the layout of every other relation of the
-    /// same types. A refresh derives its scratch
-    /// relations here, beside the materialized ones, and removes them with
-    /// [`Database::remove_relation`].
+    /// same types. A refresh derives its scratch relations here or through
+    /// [`Database::add_relation_like`], beside the materialized ones, and
+    /// removes them with [`Database::remove_relation`].
     pub(crate) fn add_relation(&mut self, name: &str, arg_types: Vec<ValueType>) {
         let layout = Layout::new(RelationSchema::new(name, arg_types));
         let data = RelationData::new(Arc::new(layout));
+        self.relations.insert(name.to_string(), data);
+    }
+
+    /// [`Database::add_relation`] with `base`'s columns: the new relation
+    /// shares `base`'s layout, schema name included, instead of planning
+    /// its own.
+    pub(crate) fn add_relation_like(&mut self, name: &str, base: &str) {
+        let data = RelationData::new(self.relations[base].layout.clone());
         self.relations.insert(name.to_string(), data);
     }
 
@@ -1187,6 +1195,10 @@ mod tests {
         db.add_relation("scratch", vec![ValueType::U32]);
         db.add_relation("gone", vec![ValueType::Bool]);
         db.remove_relation(&device, "gone");
+        db.add_relation_like("edge⁻", "edge");
+        let edge = &db.relation_data("edge").layout;
+        assert!(Arc::ptr_eq(edge, &db.relation_data("edge⁻").layout));
+        db.remove_relation(&device, "edge⁻");
         assert!(shared(&db) && shared(&other));
         let plan_names: Vec<&String> = plan.layouts.keys().collect();
         assert_eq!(plan_names, ["edge", "flag"]);

@@ -46,8 +46,6 @@ mod exec_sites {
     pub const LOAD: usize = 100;
     /// Register snapshots staged by `store`.
     pub const STORE: usize = 101;
-    /// Cartesian-product outputs.
-    pub const PRODUCT: usize = 102;
     /// Table-append outputs.
     pub const APPEND: usize = 103;
 }
@@ -1113,41 +1111,6 @@ impl<P: Provenance> Executor<P> {
                     let build = JoinBuild::Sorted(&build_refs);
                     let (cols, tag_vec) = self.join(&regs, static_file, build, write);
                     set_table(&mut regs, &write.outputs, cols, write.output_tags, tag_vec);
-                }
-                Instr::Product {
-                    left,
-                    left_tags,
-                    right,
-                    right_tags,
-                    outputs,
-                    output_tags,
-                } => {
-                    let l_cols: Vec<Arc<Column>> = left.iter().map(|r| data!(*r)).collect();
-                    let r_cols: Vec<Arc<Column>> = right.iter().map(|r| data!(*r)).collect();
-                    let lt = tags!(*left_tags);
-                    let rt = tags!(*right_tags);
-                    self.device.record_kernel();
-                    let (n, m) = (lt.len(), rt.len());
-                    let arena = self.device.arena();
-                    let mut out_cols: Vec<Column> = (0..l_cols.len() + r_cols.len())
-                        .map(|_| arena.alloc_empty(exec_sites::PRODUCT, n * m))
-                        .collect();
-                    let mut out_tags: Vec<P::Tag> = Vec::with_capacity(n * m);
-                    for i in 0..n {
-                        for j in 0..m {
-                            for (c, col) in l_cols.iter().enumerate() {
-                                out_cols[c].push(col[i]);
-                            }
-                            for (c, col) in r_cols.iter().enumerate() {
-                                out_cols[l_cols.len() + c].push(col[j]);
-                            }
-                            out_tags.push(self.provenance.mul(&lt[i], &rt[j]));
-                        }
-                    }
-                    for (reg, col) in outputs.iter().zip(out_cols) {
-                        set(&mut regs, *reg, RegValue::Data(Arc::new(col)));
-                    }
-                    set(&mut regs, *output_tags, RegValue::Tags(Arc::new(out_tags)));
                 }
                 Instr::Append {
                     inputs,

@@ -145,13 +145,15 @@ const GAINED: &str = "⁺";
 struct Scratch(BTreeSet<String>);
 
 impl Scratch {
-    /// `base` with `suffix`: added to the database, with `base`'s columns,
-    /// unless it already was.
+    /// `base` with `suffix`: added to the database, sharing `base`'s
+    /// layout, unless it already was. (`base` is a relation of the
+    /// refreshed program, which the database was materialized from.)
     fn add<P: Provenance>(&mut self, db: &mut Database<P>, base: &str, suffix: &str) -> String {
-        // The database was materialized from the refreshed program.
-        // cannot fail: `base` is a relation of that program.
-        let types = db.schema(base).expect("known relation").arg_types.clone();
-        self.add_typed(db, format!("{base}{suffix}"), types)
+        let name = format!("{base}{suffix}");
+        if self.0.insert(name.clone()) {
+            db.add_relation_like(&name, base);
+        }
+        name
     }
 
     fn add_typed<P: Provenance>(
@@ -243,8 +245,8 @@ fn program_of<P: Provenance>(db: &Database<P>, stratum: Stratum) -> RamProgram {
 
 /// `expr` restricted to the rows whose column `column` is a row of the
 /// one-column relation `keys`. The semijoin goes down to the leaf the
-/// column copies — through projections that copy it, selections, joins,
-/// intersections and both sides of a union — so that only that leaf's
+/// column copies — through projections that copy it, selections, joins
+/// and both sides of a union — so that only that leaf's
 /// matching rows enter the rest of the rule; a column a projection computes
 /// is filtered where it is computed.
 fn restrict(
@@ -257,7 +259,6 @@ fn restrict(
     // relation of the refreshed program (it was materialized from it).
     // cannot fail: `column_keys` adds its key relations before `restrict`.
     let arity = |e: &RamExpr| e.arity(relation_arity).expect("known relations");
-    let boxed = |e: RamExpr| Box::new(e);
     match expr {
         RamExpr::Relation(_) => semijoin(expr.clone(), column, arity(expr), keys),
         RamExpr::Project { input, proj } => match proj.programs[column].ops.as_slice() {
@@ -280,28 +281,9 @@ fn restrict(
                     .join(restrict(right, right_column, keys, relation_arity), *width)
             }
         }
-        RamExpr::Product(left, right) => {
-            let left_arity = arity(left);
-            if column < left_arity {
-                RamExpr::Product(
-                    boxed(restrict(left, column, keys, relation_arity)),
-                    right.clone(),
-                )
-            } else {
-                let right_column = column - left_arity;
-                RamExpr::Product(
-                    left.clone(),
-                    boxed(restrict(right, right_column, keys, relation_arity)),
-                )
-            }
-        }
-        RamExpr::Intersect(left, right) => RamExpr::Intersect(
-            boxed(restrict(left, column, keys, relation_arity)),
-            right.clone(),
-        ),
         RamExpr::Union(left, right) => RamExpr::Union(
-            boxed(restrict(left, column, keys, relation_arity)),
-            boxed(restrict(right, column, keys, relation_arity)),
+            Box::new(restrict(left, column, keys, relation_arity)),
+            Box::new(restrict(right, column, keys, relation_arity)),
         ),
     }
 }

@@ -268,22 +268,6 @@ pub enum Instr {
         /// What to write (shared with `join`).
         write: JoinWrite,
     },
-    /// Cartesian product of two tables (used when a rule joins relations with
-    /// no shared variables).
-    Product {
-        /// Left column registers.
-        left: Vec<RegId>,
-        /// Left tag register.
-        left_tags: RegId,
-        /// Right column registers.
-        right: Vec<RegId>,
-        /// Right tag register.
-        right_tags: RegId,
-        /// Output column registers (left columns then right columns).
-        outputs: Vec<RegId>,
-        /// Output tag register.
-        output_tags: RegId,
-    },
     /// Row-wise concatenation of several tables (the `append`/`copy` used by
     /// the Join translation rule to combine the semi-naive variants, and by
     /// unions).
@@ -311,7 +295,6 @@ impl Instr {
             Instr::Join { .. } => "join",
             Instr::MergeCount { .. } => "mergecount",
             Instr::MergeJoin { .. } => "mergejoin",
-            Instr::Product { .. } => "product",
             Instr::Append { .. } => "append",
         }
     }
@@ -350,15 +333,6 @@ impl Instr {
             Instr::Scan { offsets, .. } => vec![*offsets],
             Instr::MergeCount { counts, .. } => vec![*counts],
             Instr::Join { write, .. } | Instr::MergeJoin { write, .. } => write.defs(),
-            Instr::Product {
-                outputs,
-                output_tags,
-                ..
-            } => {
-                let mut regs = outputs.clone();
-                regs.push(*output_tags);
-                regs
-            }
             Instr::Append {
                 outputs,
                 output_tags,
@@ -432,19 +406,6 @@ impl Instr {
             Instr::MergeJoin { build_keys, write } => {
                 all(build_keys);
                 write.for_each_register(f);
-            }
-            Instr::Product {
-                left,
-                left_tags,
-                right,
-                right_tags,
-                outputs,
-                output_tags,
-            } => {
-                all(left);
-                all(right);
-                all(outputs);
-                all(&[*left_tags, *right_tags, *output_tags]);
             }
             Instr::Append {
                 inputs,

@@ -281,14 +281,6 @@ impl<P: Provenance> TupleEngine<P> {
                 self.check_deadline(start, "join")?;
                 Ok(self.join(&l, &r, *width))
             }
-            RamExpr::Intersect(left, right) => {
-                let l =
-                    self.eval_expr(left, stratum, db, recent, focus, recursive_counter, start)?;
-                let r =
-                    self.eval_expr(right, stratum, db, recent, focus, recursive_counter, start)?;
-                let width = l.first().map(|(t, _)| t.len()).unwrap_or(0);
-                Ok(self.join(&l, &r, width))
-            }
             RamExpr::Union(left, right) => {
                 let mut l =
                     self.eval_expr(left, stratum, db, recent, focus, recursive_counter, start)?;
@@ -296,21 +288,6 @@ impl<P: Provenance> TupleEngine<P> {
                     self.eval_expr(right, stratum, db, recent, focus, recursive_counter, start)?;
                 l.extend(r);
                 Ok(l)
-            }
-            RamExpr::Product(left, right) => {
-                let l =
-                    self.eval_expr(left, stratum, db, recent, focus, recursive_counter, start)?;
-                let r =
-                    self.eval_expr(right, stratum, db, recent, focus, recursive_counter, start)?;
-                let mut out = Vec::with_capacity(l.len() * r.len());
-                for (lt, ltag) in &l {
-                    for (rt, rtag) in &r {
-                        let mut row = lt.clone();
-                        row.extend_from_slice(rt);
-                        out.push((row, self.provenance.mul(ltag, rtag)));
-                    }
-                }
-                Ok(out)
             }
         }
     }

@@ -43,9 +43,10 @@ use lobster_apm::{
 };
 use lobster_baselines::ScallopEngine;
 use lobster_provenance::{
-    AddMultProb, DiffTop1Proof, InputFactRegistry, MaxMinProb, Provenance, SessionProvenance, Unit,
+    AddMultProb, Boolean, DiffAddMultProb, DiffMaxMinProb, DiffTop1Proof, InputFactRegistry,
+    MaxMinProb, Provenance, SessionProvenance, Top1Proof, Unit,
 };
-use lobster_ram::RamProgram;
+use lobster_ram::{RamExpr, RamProgram, RamRule, RelationSchema, Stratum, ValueType};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
@@ -395,6 +396,103 @@ fn cspa_is_bit_identical_across_join_strategies() {
         &cspa_facts(13),
         true,
     );
+}
+
+/// `pair(x, y) = a(x), b(y)`: a cartesian product, written as the join on
+/// no columns the front end emits for it.
+fn width_zero_product() -> RamProgram {
+    let schema = |name: &str, arity: usize| {
+        let schema = RelationSchema::new(name, vec![ValueType::U32; arity]);
+        (name.to_string(), schema)
+    };
+    RamProgram {
+        schemas: [schema("a", 1), schema("b", 1), schema("pair", 2)].into(),
+        strata: vec![Stratum {
+            relations: vec!["pair".into()],
+            rules: vec![RamRule {
+                target: "pair".into(),
+                expr: RamExpr::relation("a").join(RamExpr::relation("b"), 0),
+            }],
+            recursive: false,
+        }],
+        outputs: vec!["pair".into()],
+    }
+}
+
+/// The width-0 join of [`width_zero_product`] under one kind, as
+/// `Executor::run_program` runs it and over its batch transform (the facts
+/// as sample 0), against `ScallopEngine` over the same program and tags:
+/// the same 12 tuples, probability bits and gradients.
+fn width_zero_join_for<P: SessionProvenance>(facts: &FactSet) {
+    let plain = width_zero_product();
+    let batched = batch_transform(&plain);
+    for (ram, sample) in [(plain, None), (batched, Some(0))] {
+        for p in PARALLELISMS {
+            let device = device_with(p);
+            let registry = InputFactRegistry::new();
+            let provenance = P::bind(registry.clone());
+            let context = format!("{} (sample {sample:?}, parallelism {p})", provenance.name());
+            let mut db = Database::from_plan(&StoragePlan::for_program(&ram), provenance.clone());
+            let mut inputs = Vec::new();
+            for (relation, values, prob, exclusion) in facts.facts() {
+                let tag = provenance.input_tag(registry.register(prob, exclusion), prob);
+                let row: Vec<Value> = sample
+                    .map(Value::U32)
+                    .into_iter()
+                    .chain(values.iter().copied())
+                    .collect();
+                inputs.push((
+                    relation.to_string(),
+                    row.iter().map(Value::encode).collect(),
+                    tag.clone(),
+                ));
+                db.insert(relation, &row, tag);
+            }
+            db.seal(&device);
+            let executor = Executor::new(device, provenance.clone(), RuntimeOptions::default());
+            executor.run_program(&mut db, &ram).expect("program runs");
+            let rendered = |tuple: Vec<u64>, tag: &P::Tag| {
+                let output = provenance.output(tag);
+                (tuple, output.probability.to_bits(), output.gradient)
+            };
+            let ours: Vec<_> = db
+                .rows("pair")
+                .into_iter()
+                .map(|(tuple, tag)| rendered(tuple.iter().map(Value::encode).collect(), &tag))
+                .collect();
+            let scallop = ScallopEngine::new(provenance.clone())
+                .run(&ram, &inputs)
+                .expect("the tuple-at-a-time engine runs");
+            let theirs: Vec<_> = scallop["pair"]
+                .iter()
+                .map(|(tuple, tag)| rendered(tuple.clone(), tag))
+                .collect();
+            assert_eq!(ours.len(), 12, "{context}: `pair` rows");
+            assert_eq!(ours, theirs, "{context}: `pair` against ScallopEngine");
+        }
+    }
+}
+
+/// A join on no columns is a cartesian product under every kind, run
+/// straight and batched: the executor sees each side's rows although
+/// neither has a key column.
+#[test]
+fn width_zero_join_is_a_product_under_every_kind() {
+    let mut facts = FactSet::new();
+    for (x, prob) in [(1, 0.9), (2, 0.8), (3, 0.7)] {
+        facts.add("a", &[Value::U32(x)], Some(prob));
+    }
+    for (y, prob) in [(10, 0.6), (20, 0.5), (30, 0.4), (40, 0.3)] {
+        facts.add("b", &[Value::U32(y)], Some(prob));
+    }
+    width_zero_join_for::<Unit>(&facts);
+    width_zero_join_for::<Boolean>(&facts);
+    width_zero_join_for::<MaxMinProb>(&facts);
+    width_zero_join_for::<AddMultProb>(&facts);
+    width_zero_join_for::<Top1Proof>(&facts);
+    width_zero_join_for::<DiffMaxMinProb>(&facts);
+    width_zero_join_for::<DiffAddMultProb>(&facts);
+    width_zero_join_for::<DiffTop1Proof>(&facts);
 }
 
 /// Transitive closure over `u32` keys: with no `u32` arithmetic in the

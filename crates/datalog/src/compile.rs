@@ -374,55 +374,49 @@ impl<'a> RuleBuilder<'a> {
                 self.bound = atom_var_names;
             }
             Some(current) => {
-                // Shared variables become the join key.
+                // Shared variables become the join key; with none, the join
+                // is on no columns, a cartesian product.
                 let shared: Vec<String> = self
                     .bound
                     .iter()
                     .filter(|v| atom_var_names.contains(v))
                     .cloned()
                     .collect();
-                if shared.is_empty() {
-                    self.expr = Some(RamExpr::Product(Box::new(current), Box::new(atom_expr)));
-                    let mut bound = std::mem::take(&mut self.bound);
-                    bound.extend(atom_var_names);
-                    self.bound = bound;
-                } else {
-                    let left_rest: Vec<String> = self
-                        .bound
-                        .iter()
-                        .filter(|v| !shared.contains(v))
-                        .cloned()
-                        .collect();
-                    let right_rest: Vec<String> = atom_var_names
-                        .iter()
-                        .filter(|v| !shared.contains(v))
-                        .cloned()
-                        .collect();
-                    let left_order: Vec<usize> = shared
-                        .iter()
-                        .chain(&left_rest)
-                        // cannot fail: every name here comes from `self.bound`.
-                        .map(|v| self.column_of(v).expect("bound variable"))
-                        .collect();
-                    let right_order: Vec<usize> = shared
-                        .iter()
-                        .chain(&right_rest)
-                        .map(|v| {
-                            atom_var_names
-                                .iter()
-                                .position(|a| a == v)
-                                // cannot fail: every name here comes from `atom_var_names`.
-                                .expect("atom variable")
-                        })
-                        .collect();
-                    let left = reorder(current, &left_order);
-                    let right = reorder(atom_expr, &right_order);
-                    self.expr = Some(left.join(right, shared.len()));
-                    let mut bound = shared;
-                    bound.extend(left_rest);
-                    bound.extend(right_rest);
-                    self.bound = bound;
-                }
+                let left_rest: Vec<String> = self
+                    .bound
+                    .iter()
+                    .filter(|v| !shared.contains(v))
+                    .cloned()
+                    .collect();
+                let right_rest: Vec<String> = atom_var_names
+                    .iter()
+                    .filter(|v| !shared.contains(v))
+                    .cloned()
+                    .collect();
+                let left_order: Vec<usize> = shared
+                    .iter()
+                    .chain(&left_rest)
+                    // cannot fail: every name here comes from `self.bound`.
+                    .map(|v| self.column_of(v).expect("bound variable"))
+                    .collect();
+                let right_order: Vec<usize> = shared
+                    .iter()
+                    .chain(&right_rest)
+                    .map(|v| {
+                        atom_var_names
+                            .iter()
+                            .position(|a| a == v)
+                            // cannot fail: every name here comes from `atom_var_names`.
+                            .expect("atom variable")
+                    })
+                    .collect();
+                let left = reorder(current, &left_order);
+                let right = reorder(atom_expr, &right_order);
+                self.expr = Some(left.join(right, shared.len()));
+                let mut bound = shared;
+                bound.extend(left_rest);
+                bound.extend(right_rest);
+                self.bound = bound;
             }
         }
         Ok(())
@@ -745,7 +739,7 @@ mod tests {
         );
         let mut found_product = false;
         program.ram.strata[0].rules[0].expr.visit(&mut |e| {
-            if matches!(e, RamExpr::Product(_, _)) {
+            if matches!(e, RamExpr::Join { width: 0, .. }) {
                 found_product = true;
             }
         });

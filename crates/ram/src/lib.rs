@@ -4,8 +4,9 @@
 //! The Datalog front-end (`lobster-datalog`) compiles a user-level program
 //! into a RAM program (Figure 4 of the paper): an ordered list of *strata*,
 //! each containing rules of the form `ρ ← ε` where `ε` is a relational
-//! algebra expression over project (`π`), select (`σ`), join (`⊲⊳`), union,
-//! product, and intersect. The APM back-end (`lobster-apm`) then lowers each
+//! algebra expression over project (`π`), select (`σ`), join (`⊲⊳`) and
+//! union. A cartesian product is a join on no columns, an intersection a
+//! join on every column. The APM back-end (`lobster-apm`) then lowers each
 //! stratum to APM instructions for execution on the (simulated) GPU.
 //!
 //! This crate also defines the data model shared by every layer:

@@ -4,8 +4,8 @@
 //! Warnings flag RAM shapes that execute correctly but poorly, or that
 //! suggest a front-end mistake:
 //!
-//! * `cartesian-product` — a `Product` node or a width-0 join multiplies
-//!   its inputs' cardinalities;
+//! * `cartesian-product` — a width-0 join multiplies its inputs'
+//!   cardinalities;
 //! * `non-linear-recursion` — a recursive stratum joining two recursive
 //!   inputs, which disables the static-index reuse of the Lobster paper's
 //!   Section 4.2 (every iteration rebuilds its join index);
@@ -91,14 +91,6 @@ pub fn lint_program(ram: &RamProgram) -> Vec<Diagnostic> {
                 target: rule.target.clone(),
             };
             rule.expr.visit(&mut |node| match node {
-                RamExpr::Product(..) => report.push(Diagnostic {
-                    severity: Severity::Warning,
-                    code: "cartesian-product",
-                    rule: Some(at()),
-                    message: "product multiplies its input cardinalities; \
-                              join on a shared key if one exists"
-                        .into(),
-                }),
                 RamExpr::Join { width: 0, .. } => report.push(Diagnostic {
                     severity: Severity::Warning,
                     code: "cartesian-product",

@@ -246,7 +246,7 @@ fn infer_types(
             out.extend(r.into_iter().skip(*width));
             Some(out)
         }
-        RamExpr::Union(left, right) | RamExpr::Intersect(left, right) => {
+        RamExpr::Union(left, right) => {
             let l = infer_types(left, ram, push)?;
             let r = infer_types(right, ram, push)?;
             if l.len() != r.len() {
@@ -266,11 +266,6 @@ fn infer_types(
                     })
                     .collect(),
             )
-        }
-        RamExpr::Product(left, right) => {
-            let mut l = infer_types(left, ram, push)?;
-            l.extend(infer_types(right, ram, push)?);
-            Some(l)
         }
     }
 }

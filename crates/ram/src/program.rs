@@ -48,6 +48,9 @@ pub enum RamExpr {
     },
     /// Join `ε₁ ⊲⊳_w ε₂` on the first `w` columns of each side. The output
     /// row is the left row followed by the non-key columns of the right row.
+    /// A join on no columns is the cartesian product `ε₁ × ε₂`, and one on
+    /// every column of two sides of equal arity is the intersection
+    /// `ε₁ ∩ ε₂`.
     Join {
         /// Left (probe) input.
         left: Box<RamExpr>,
@@ -58,10 +61,6 @@ pub enum RamExpr {
     },
     /// Union `ε₁ ∪ ε₂`.
     Union(Box<RamExpr>, Box<RamExpr>),
-    /// Cartesian product `ε₁ × ε₂`.
-    Product(Box<RamExpr>, Box<RamExpr>),
-    /// Intersection `ε₁ ∩ ε₂`.
-    Intersect(Box<RamExpr>, Box<RamExpr>),
 }
 
 impl RamExpr {
@@ -106,8 +105,7 @@ impl RamExpr {
                 let r = right.arity(relation_arity)?;
                 Some(l + r - width)
             }
-            RamExpr::Union(l, _) | RamExpr::Intersect(l, _) => l.arity(relation_arity),
-            RamExpr::Product(l, r) => Some(l.arity(relation_arity)? + r.arity(relation_arity)?),
+            RamExpr::Union(l, _) => l.arity(relation_arity),
         }
     }
 
@@ -118,10 +116,7 @@ impl RamExpr {
             RamExpr::Project { input, .. } | RamExpr::Select { input, .. } => {
                 input.referenced_relations(out)
             }
-            RamExpr::Join { left, right, .. }
-            | RamExpr::Union(left, right)
-            | RamExpr::Product(left, right)
-            | RamExpr::Intersect(left, right) => {
+            RamExpr::Join { left, right, .. } | RamExpr::Union(left, right) => {
                 left.referenced_relations(out);
                 right.referenced_relations(out);
             }
@@ -152,14 +147,6 @@ impl RamExpr {
                 let (left, right) = pair(left, right);
                 RamExpr::Union(left, right)
             }
-            RamExpr::Product(left, right) => {
-                let (left, right) = pair(left, right);
-                RamExpr::Product(left, right)
-            }
-            RamExpr::Intersect(left, right) => {
-                let (left, right) = pair(left, right);
-                RamExpr::Intersect(left, right)
-            }
         }
     }
 
@@ -176,10 +163,7 @@ impl RamExpr {
         match self {
             RamExpr::Relation(_) => {}
             RamExpr::Project { input, .. } | RamExpr::Select { input, .. } => input.visit(f),
-            RamExpr::Join { left, right, .. }
-            | RamExpr::Union(left, right)
-            | RamExpr::Product(left, right)
-            | RamExpr::Intersect(left, right) => {
+            RamExpr::Join { left, right, .. } | RamExpr::Union(left, right) => {
                 left.visit(f);
                 right.visit(f);
             }
@@ -377,10 +361,7 @@ mod tests {
         let lookup = |name: &str| prog.arity(name);
         let expr = RamExpr::relation("path").join(RamExpr::relation("edge"), 1);
         assert_eq!(expr.arity(&lookup), Some(3));
-        let product = RamExpr::Product(
-            Box::new(RamExpr::relation("path")),
-            Box::new(RamExpr::relation("edge")),
-        );
+        let product = RamExpr::relation("path").join(RamExpr::relation("edge"), 0);
         assert_eq!(product.arity(&lookup), Some(4));
     }
 

@@ -90,7 +90,8 @@ fn cspa_cost_model_counts_recursive_joins_and_flags_non_linearity() {
 /// The join sites each program's compiled strata send down the merge path
 /// and the hash path, across every semi-naive variant: a merge wherever
 /// both sides of a variant arrive sorted on the key. TC's probe side is a
-/// column swap, so it only hashes; Same Generation merges once; CSPA's
+/// column swap, so it only hashes; Same Generation merges once and hashes
+/// its cartesian product, a join on no columns; CSPA's
 /// doubly-recursive rules have single-partition variants that merge;
 /// PacMan's layered strata merge most of their joins.
 #[test]
@@ -103,7 +104,7 @@ fn compiled_join_strategy_counts_per_program() {
         (merge, hash)
     };
     assert_eq!(count(lobster_workloads::graphs::TRANSITIVE_CLOSURE), (0, 1));
-    assert_eq!(count(lobster_workloads::graphs::SAME_GENERATION), (1, 1));
+    assert_eq!(count(lobster_workloads::graphs::SAME_GENERATION), (1, 2));
     assert_eq!(count(lobster_workloads::cspa::PROGRAM), (4, 9));
     assert_eq!(count(lobster_workloads::pacman::PROGRAM), (9, 7));
 }
