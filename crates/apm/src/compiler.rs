@@ -20,7 +20,7 @@
 //!   column prefix it tracks through the expression: a merge where both
 //!   sides arrive sorted on the key, a hash build+probe otherwise. This is
 //!   the only place the choice is made; [`CompiledStratum`] counts it, and
-//!   `lobster-lint` and the golden ledger report those counts;
+//!   `Program::explain` prints those counts and every instruction;
 //! * marks hash indices whose build side is iteration-invariant as *static
 //!   registers* so they are built once and reused (Section 4.2) — the
 //!   "linear recursion" case that covers nearly all programs in the paper's
@@ -1546,107 +1546,5 @@ mod tests {
             .instructions
             .iter()
             .any(|i| matches!(i, Instr::Build { static_: true, .. })));
-    }
-
-    /// The `Debug` form `program` had before a join fed a `store` packed
-    /// words: the output registers of each join or eval that packs through
-    /// other than the identity lanes — one per column, fresh and
-    /// consecutive — restored, with its store's, and the two fields packing
-    /// added left out.
-    fn unpacked_debug(program: &ApmProgram) -> String {
-        let mut instructions = program.instructions.clone();
-        let mut restored = None;
-        // Registers `first..` for `n` outputs.
-        let consecutive = |outputs: &[RegId], n| (outputs[0].0..).take(n).map(RegId).collect();
-        for instr in &mut instructions {
-            restored = match instr {
-                Instr::Store { columns, .. } => {
-                    if let Some(outputs) = restored.take() {
-                        *columns = outputs;
-                    }
-                    None
-                }
-                Instr::Join { write, .. } | Instr::MergeJoin { write, .. } => {
-                    let width = write.sources.len();
-                    let packs = std::mem::take(&mut write.pack) != identity_lanes(width);
-                    packs.then(|| {
-                        write.outputs = consecutive(&write.outputs, width);
-                        write.outputs.clone()
-                    })
-                }
-                Instr::Eval {
-                    projection,
-                    pack,
-                    outputs,
-                    ..
-                } => {
-                    let width = projection.output_arity();
-                    let packs = std::mem::take(pack) != identity_lanes(width);
-                    packs.then(|| {
-                        *outputs = consecutive(outputs, width);
-                        outputs.clone()
-                    })
-                }
-                _ => None,
-            };
-        }
-        let program = ApmProgram::new(
-            instructions,
-            program.first_iteration_only.clone(),
-            program.register_count,
-            program.static_registers.clone(),
-            program.stored_relations.clone(),
-        );
-        format!("{program:?}")
-            .replace("pack: [], ", "")
-            .replace(", packed: true", "")
-            .replace(", packed: false", "")
-    }
-
-    #[test]
-    fn from_scratch_compiles_emit_what_they_did_before_keyed_reads() {
-        // Lookups and secondary orders belong to a refresh's compiles: the
-        // program a from-scratch run executes is, instruction for
-        // instruction, the one emitted before they existed, but for the
-        // packed words a join writes for the store after it. The constants
-        // hash the `Debug` form of every stratum's program as it was then,
-        // which `unpacked_debug` restores.
-        let (tc_ram, _) = transitive_closure();
-        for (name, ram, want) in [
-            ("TC", tc_ram, 0x5714_e0e6_3226_e02d_u64),
-            ("CLUTRR", parse(CLUTRR).unwrap().ram, 0x4851_940d_57b9_e8ef),
-            ("CSPA", parse(CSPA).unwrap().ram, 0x4237_bab0_b2a7_a6d1),
-        ] {
-            let programs: String = ram
-                .strata
-                .iter()
-                .map(|stratum| unpacked_debug(&compile(stratum, &ram).program))
-                .collect();
-            assert_eq!(crate::fnv1a(programs.as_bytes()), want, "{name}");
-            assert!(!programs.contains("Lookup"), "{name}");
-        }
-    }
-
-    #[test]
-    fn the_planner_orders_a_relation_on_each_key_a_recursive_join_reads_past_its_prefix() {
-        let order = |relation: &str, key: &[usize]| SecondaryOrder {
-            relation: relation.to_string(),
-            key: key.to_vec(),
-        };
-        // TC reads `edge` on its first column and `path` on its second.
-        let (tc_ram, _) = transitive_closure();
-        assert_eq!(secondary_orders(&tc_ram), [order("path", &[1])]);
-        // CLUTRR: `derived(r1, a, b), kinship(r2, b, c)` joins on `b`, the
-        // last column of one and the second of the other.
-        assert_eq!(
-            secondary_orders(&parse(CLUTRR).unwrap().ram),
-            [order("derived", &[2]), order("kinship", &[1])]
-        );
-        // CSPA: `assign(x, z), memory_alias(z, y)` and `value_flow(x, z),
-        // value_flow(z, y)`; `dereference` is read on its first column.
-        assert_eq!(
-            secondary_orders(&parse(CSPA).unwrap().ram),
-            [order("assign", &[1]), order("value_flow", &[1])]
-        );
     }
 }

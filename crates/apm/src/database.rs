@@ -294,7 +294,7 @@ pub struct EncodingSpec {
 }
 
 /// How a database stores its relations, decided from the program's schemas
-/// alone: every relation's [`Layout`], its schema and lane groups.
+/// alone: every relation's `Layout`, its schema and lane groups.
 ///
 /// A plan is built once per program and shared: every database a run
 /// starts from it ([`Database::from_plan`]) holds each relation's layout by

@@ -7,7 +7,7 @@
 //! execution (Section 3.2).
 
 use lobster_gpu::kernels::PackLane;
-use lobster_ram::RowProjection;
+use lobster_ram::{ByteOp, ExprProgram, RowProjection, SymbolTable};
 use std::borrow::Cow;
 use std::fmt;
 
@@ -127,6 +127,27 @@ impl JoinWrite {
                 self.output_tags,
             ])
             .for_each(f);
+    }
+
+    /// `<sources tags pack>(first, probe keys, counts, offsets)`: every
+    /// operand of the write pass. A source is `b:` or `p:` for the build or
+    /// the probe side, and the tags read left ⊗ right, so which side was
+    /// built shows twice.
+    fn operands(&self, first: &dyn fmt::Display) -> String {
+        let side = |source: &JoinSource| match source {
+            JoinSource::Build(reg) => format!("b:{reg}"),
+            JoinSource::Probe(reg) => format!("p:{reg}"),
+        };
+        let sources: Vec<String> = self.sources.iter().map(side).collect();
+        let (build, probe) = (self.build_tags, self.probe_tags);
+        let tags = if self.build_is_left {
+            format!("b:{build}*p:{probe}")
+        } else {
+            format!("p:{probe}*b:{build}")
+        };
+        let (pack, keys) = (lane_groups(&self.pack), regs(&self.probe_keys));
+        let (sources, counts, offsets) = (sources.join(" "), self.counts, self.offsets);
+        format!("<[{sources}] tags {tags} pack {pack}>({first}, {keys}, {counts}, {offsets})")
     }
 }
 
@@ -423,31 +444,67 @@ impl Instr {
     }
 }
 
+/// A register list: `[r0 r1]`.
+fn regs(regs: &[RegId]) -> String {
+    let regs: Vec<String> = regs.iter().map(RegId::to_string).collect();
+    format!("[{}]", regs.join(" "))
+}
+
+/// Lane groups, one `{…}` per stored word. A lane is `c<column>`, with its
+/// bit range when it does not fill the word: `{c0[63:32] c1[31:0]}` packs
+/// two `u32` columns into one word.
+pub fn lane_groups(groups: &[Vec<PackLane>]) -> String {
+    let lane = |l: &PackLane| match l.mask {
+        u64::MAX => format!("c{}", l.column),
+        mask => {
+            let hi = l.shift + mask.count_ones() - 1;
+            format!("c{}[{hi}:{}]", l.column, l.shift)
+        }
+    };
+    let word = |group: &Vec<PackLane>| group.iter().map(lane).collect::<Vec<_>>().join(" ");
+    let words: Vec<String> = groups.iter().map(|g| format!("{{{}}}", word(g))).collect();
+    words.join(" ")
+}
+
+/// A compiled expression in postfix, as the stack machine runs it:
+/// `c0 1 Add<u32>`. A symbol constant prints as its name.
+fn postfix(program: &ExprProgram) -> String {
+    let op = |op: &ByteOp| match op {
+        ByteOp::PushCol(c) => format!("c{c}"),
+        ByteOp::PushConst(value) => value.to_string(),
+        ByteOp::PushSymConst(id) => match SymbolTable::global().resolve(*id) {
+            Some(name) => format!("{name:?}"),
+            None => format!("sym{id}"),
+        },
+        ByteOp::Binary(op, ty) => format!("{op:?}<{ty}>"),
+        ByteOp::Unary(op, ty) => format!("{op:?}<{ty}>"),
+    };
+    program.ops.iter().map(op).collect::<Vec<_>>().join(" ")
+}
+
 impl fmt::Display for Instr {
+    /// `defs <- mnemonic<attributes>(operands)`, with every operand the
+    /// executor reads, so two instructions that run differently print
+    /// differently. A table's registers are its columns, then its tags.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let defs = self.defs();
+        if !defs.is_empty() {
+            write!(f, "{} <- ", regs(&defs))?;
+        }
+        f.write_str(self.mnemonic())?;
         match self {
-            Instr::Load {
-                relation,
-                part,
-                columns,
-                tags,
-            } => {
-                write!(f, "{:?},{tags} <- load<{relation}:{part}>()", columns)
-            }
+            Instr::Load { relation, part, .. } => write!(f, "<{relation}:{part}>()"),
             Instr::Lookup {
                 relation,
                 part,
                 key,
                 in_order,
                 probes,
-                columns,
-                tags,
+                ..
             } => {
                 let order = if *in_order { " in order" } else { "" };
-                write!(
-                    f,
-                    "{columns:?},{tags} <- lookup<{relation}:{part} on {key:?}{order}>({probes:?})"
-                )
+                let probes = regs(probes);
+                write!(f, "<{relation}:{part} on {key:?}{order}>({probes})")
             }
             Instr::Store {
                 relation,
@@ -456,9 +513,50 @@ impl fmt::Display for Instr {
                 packed,
             } => {
                 let packed = if *packed { " packed" } else { "" };
-                write!(f, "store<{relation}{packed}>({columns:?}, {tags})")
+                write!(f, "<{relation}{packed}>({} {tags})", regs(columns))
             }
-            other => write!(f, "{} {:?} <- ...", other.mnemonic(), other.defs()),
+            Instr::Eval {
+                inputs,
+                input_tags,
+                projection,
+                pack,
+                ..
+            } => {
+                let columns: Vec<String> = projection.programs.iter().map(postfix).collect();
+                let filter = match &projection.filter {
+                    Some(filter) => format!(" if {}", postfix(filter)),
+                    None => String::new(),
+                };
+                let (columns, pack, inputs) = (columns.join(", "), lane_groups(pack), regs(inputs));
+                write!(
+                    f,
+                    "<({columns}){filter} pack {pack}>({inputs} {input_tags})"
+                )
+            }
+            Instr::Build { keys, static_, .. } => {
+                let static_ = if *static_ { "<static>" } else { "" };
+                write!(f, "{static_}({})", regs(keys))
+            }
+            Instr::Count {
+                index, probe_keys, ..
+            } => write!(f, "({index}, {})", regs(probe_keys)),
+            Instr::Scan { counts, .. } => write!(f, "({counts})"),
+            Instr::Join { index, write } => f.write_str(&write.operands(index)),
+            Instr::MergeCount {
+                build_keys,
+                probe_keys,
+                ..
+            } => write!(f, "({}, {})", regs(build_keys), regs(probe_keys)),
+            Instr::MergeJoin { build_keys, write } => {
+                f.write_str(&write.operands(&regs(build_keys)))
+            }
+            Instr::Append { inputs, .. } => {
+                let inputs: Vec<String> = inputs
+                    .iter()
+                    .map(|(columns, tags)| format!("{} {tags}", regs(columns)))
+                    .collect();
+                write!(f, "({})", inputs.join(", "))
+            }
         }
     }
 }
@@ -576,6 +674,7 @@ impl ApmProgram {
 mod tests {
     use super::*;
     use lobster_gpu::kernels::identity_lanes;
+    use lobster_ram::ValueType;
 
     /// `r1 ⋈ r4` keyed on the probe column `r1`, writing (probe `r1`, build
     /// `r5`) into `r8, r9` and the tags into `r10`.
@@ -602,6 +701,11 @@ mod tests {
         };
         assert_eq!(instr.defs(), vec![RegId(8), RegId(9), RegId(10)]);
         assert_eq!(instr.mnemonic(), "join");
+        // The listing names every operand, and the build side twice.
+        assert_eq!(
+            instr.to_string(),
+            "[r8 r9 r10] <- join<[p:r1 b:r5] tags p:r7*b:r6 pack {c0} {c1}>(r0, [r1], r2, r3)"
+        );
         // Liveness sees every operand: the index, the keys, both sides'
         // source columns and tags, and what is written.
         let mut mentioned = Vec::new();
@@ -629,6 +733,20 @@ mod tests {
         let mut mentioned = Vec::new();
         join.for_each_register(|reg| mentioned.push(reg.0));
         assert!(mentioned.contains(&4) && mentioned.contains(&5));
+        // Built on its left side and packed into one word, it lists so.
+        let mut write = join_write();
+        write.build_is_left = true;
+        write.pack = Cow::Owned(crate::database::plan_lanes(&[ValueType::U32; 2]));
+        write.outputs = vec![RegId(8)];
+        let left = Instr::MergeJoin {
+            build_keys: vec![RegId(4)],
+            write,
+        };
+        assert_eq!(
+            left.to_string(),
+            "[r8 r10] <- mergejoin<[p:r1 b:r5] tags b:r6*p:r7 pack {c0[63:32] c1[31:0]}>\
+             ([r4], [r1], r2, r3)"
+        );
     }
 
     #[test]

@@ -39,4 +39,4 @@ pub use config::{fnv1a, RuntimeOptions};
 pub use database::{Database, EncodingSpec, SecondaryOrder, SortedTable, StoragePlan};
 pub use executor::{ExecError, ExecutionStats, Executor};
 pub use incremental::{refresh_database, EdbChanges, EdbContent, Refresh, RelationChange};
-pub use isa::{ApmProgram, DbPart, Instr, JoinSource, JoinWrite, RegId};
+pub use isa::{lane_groups, ApmProgram, DbPart, Instr, JoinSource, JoinWrite, RegId};

@@ -1,12 +1,15 @@
-//! `lobster-lint` — static analysis over compiled RAM programs.
+//! `lobster-lint` — static analysis over compiled Lobster programs.
 //!
-//! Compiles each target Datalog program to RAM and runs the full
-//! `lobster_ram::passes` pipeline over it: IR validation, lint diagnostics
-//! (dead rules, cartesian products, constant-false filters, unused
-//! relations, non-linear recursion) and the static cost model. It then
-//! compiles every stratum to APM as a `Program` does and reports the join
-//! sites the compiler sent down the merge path and the hash path (across
-//! every semi-naive variant).
+//! Compiles each target Datalog program into a `Program` and prints, per
+//! program, the first line of `Program::explain` — strata, rules, joins,
+//! the join sites the compiler sent down the merge path and the hash path
+//! (across every semi-naive variant), errors and warnings by code — as
+//! `<name> | lint | <line>`, the golden ledger's `lint` line byte for byte,
+//! then each of `Program::diagnostics` (IR validation errors, dead rules,
+//! cartesian products, constant-false filters, unused relations, non-linear
+//! recursion). With `--verbose` the rest of `explain` follows: every
+//! stratum's plain and batched APM listing and every relation's storage.
+//! Nothing is analysed or compiled here that the `Program` did not.
 //!
 //! With no arguments the entire built-in workload suite (the paper's
 //! Table 2, which includes the CSPA program Table 4 scales) is analyzed —
@@ -18,26 +21,8 @@
 //! errors) or produces an error-severity diagnostic. Warnings are reported
 //! but do not fail the run unless `--deny-warnings` is given.
 
-use lobster_apm::{compile_stratum_with_options, RuntimeOptions};
-use lobster_ram::passes::{lint_program, CostModel};
-use lobster_ram::Severity;
-use lobster_workloads::suite::table2;
-
-/// One named program source to analyze.
-struct Target {
-    name: String,
-    source: String,
-}
-
-fn builtin_targets() -> Vec<Target> {
-    table2()
-        .iter()
-        .map(|info| Target {
-            name: info.name.to_string(),
-            source: info.program.to_string(),
-        })
-        .collect()
-}
+use lobster::{Program, ProvenanceKind, Severity};
+use lobster_workloads::suite::{table2, BenchmarkInfo};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -45,74 +30,52 @@ fn main() {
     let verbose = args.iter().any(|a| a == "--verbose");
     let paths: Vec<&String> = args.iter().filter(|a| !a.starts_with("--")).collect();
 
-    let targets: Vec<Target> = if paths.is_empty() {
-        builtin_targets()
+    // (name, source) per program.
+    let targets: Vec<(String, String)> = if paths.is_empty() {
+        let source = |info: BenchmarkInfo| (info.name.to_string(), info.program.to_string());
+        table2().into_iter().map(source).collect()
     } else {
-        paths
-            .iter()
-            .map(|path| Target {
-                name: path.to_string(),
-                source: std::fs::read_to_string(path)
-                    .unwrap_or_else(|e| panic!("read {path}: {e}")),
-            })
-            .collect()
+        let read = |path: &String| match std::fs::read_to_string(path) {
+            Ok(source) => (path.clone(), source),
+            Err(e) => panic!("read {path}: {e}"),
+        };
+        paths.into_iter().map(read).collect()
     };
 
     let mut errors = 0usize;
     let mut warnings = 0usize;
-    for target in &targets {
-        let compiled = match lobster_datalog::parse(&target.source) {
-            Ok(compiled) => compiled,
+    for (name, source) in &targets {
+        // The compiled plan is the same for every provenance kind.
+        let program = match Program::compile(source, ProvenanceKind::Unit) {
+            Ok(program) => program,
             Err(e) => {
-                println!("{}: FRONTEND ERROR: {e}", target.name);
+                println!("{name}: FRONTEND ERROR: {e}");
                 errors += 1;
                 continue;
             }
         };
-        let diagnostics = lint_program(&compiled.ram);
-        let cost = CostModel::analyze(&compiled.ram);
-        let strata = compiled.ram.strata.len();
-        let rules: usize = compiled.ram.strata.iter().map(|s| s.rules.len()).sum();
-        let joins: usize = cost.strata.iter().map(|s| s.joins).sum();
-        let (mut merge, mut hash) = (0, 0);
-        for stratum in &compiled.ram.strata {
-            let apm =
-                compile_stratum_with_options(stratum, &compiled.ram, &RuntimeOptions::default());
-            merge += apm.merge_joins;
-            hash += apm.hash_joins;
-        }
+        let explain = program.explain();
+        let mut lines = explain.lines();
+        println!("{name} | lint | {}", lines.next().unwrap_or(""));
+        let diagnostics = program.diagnostics();
         let errs = diagnostics
             .iter()
             .filter(|d| d.severity == Severity::Error)
             .count();
-        let warns = diagnostics.len() - errs;
         errors += errs;
-        warnings += warns;
-        println!(
-            "{:<24} {strata} strata, {rules} rules, {joins} joins \
-             (merge={merge} hash={hash}) — {errs} errors, {warns} warnings",
-            target.name,
-        );
-        for d in &diagnostics {
+        warnings += diagnostics.len() - errs;
+        for d in diagnostics {
             println!("  {d}");
         }
         if verbose {
-            for s in &cost.strata {
-                println!(
-                    "  stratum [{}]{}: score {}, {} rules, {} joins ({} recursive)",
-                    s.relations.join(", "),
-                    if s.recursive { " (recursive)" } else { "" },
-                    s.score(),
-                    s.rules,
-                    s.joins,
-                    s.recursive_joins,
-                );
+            for line in lines {
+                println!("  {line}");
             }
         }
     }
 
     println!(
-        "\n{} programs analyzed: {errors} errors, {warnings} warnings",
+        "lint | total | {} programs, {errors} errors, {warnings} warnings",
         targets.len(),
     );
     if errors > 0 || (deny_warnings && warnings > 0) {

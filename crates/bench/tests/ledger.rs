@@ -18,14 +18,15 @@
 //! `strata_compiled`, counts the strata the entry point compiled as it ran:
 //! 0 for `run` and `run_batch`, whose `Program` compiled its strata once,
 //! and the delta strata an incremental insert compiles. Per program, one
-//! more line records what `lobster-lint` prints: strata, rules, joins, the
-//! join sites its `Program` compiled to the merge path and to the hash path
-//! (across every semi-naive variant), errors and warnings by code.
+//! more line, `lint`, is the first line of `Program::explain`, which
+//! `lobster-lint` prints too: strata, rules, joins, the join sites the
+//! program compiled to the merge path and to the hash path (across every
+//! semi-naive variant), errors and warnings by code.
 //!
 //! Before comparing with the file, the test checks that the ledger is
 //! repeatable: two renders at kernel parallelism 1 in one process are equal,
 //! and the digests at parallelism 4 equal those at 1. A mismatch with the
-//! file prints a line diff.
+//! file prints a line diff (the `golden` module, shared with `plans.rs`).
 //!
 //! The file is a check's data: a change that moves a line says which and
 //! why, and rewrites the file by running the ignored twin by hand:
@@ -34,15 +35,16 @@
 //! cargo test -p lobster-bench --test ledger -- --ignored rewrite_ledger
 //! ```
 
-use lobster::{Device, DeviceConfig, ExecutionStats, FactSet, Lobster, Program, RunResult, Value};
+mod golden;
+
+use lobster::{
+    Device, DeviceConfig, ExecutionStats, FactSet, Lobster, Program, RunResult, Severity, Value,
+};
 use lobster_provenance::ProvenanceKind;
-use lobster_ram::passes::{lint_program, CostModel};
-use lobster_ram::Severity;
 use lobster_workloads::suite::{table2, BenchmarkInfo};
 use lobster_workloads::{clutrr, cspa, graphs, hwf, pacman, pathfinder, psa, rna, WorkloadFacts};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::BTreeMap;
 use std::fmt::Write;
 
 /// The seed of every program's input generator.
@@ -180,13 +182,9 @@ impl Entry {
     }
 }
 
-/// Runs every entry point of `info` over `samples` at `parallelism`.
-fn entries(info: &BenchmarkInfo, samples: &[WorkloadFacts], parallelism: usize) -> Vec<Entry> {
-    let program = Lobster::builder(info.program)
-        .device(device(parallelism))
-        .provenance(info.provenance)
-        .compile()
-        .unwrap_or_else(|e| panic!("{}: {e}", info.name));
+/// Runs every entry point of `program`, compiled from `info`, over
+/// `samples`.
+fn entries(program: &Program, info: &BenchmarkInfo, samples: &[WorkloadFacts]) -> Vec<Entry> {
     let sets: Vec<FactSet> = samples.iter().map(|s| fact_set(&s.facts)).collect();
 
     let mut session = program.session();
@@ -208,37 +206,6 @@ fn entries(info: &BenchmarkInfo, samples: &[WorkloadFacts], parallelism: usize) 
         entries.push(Entry::new("run_incremental", &[inserted]));
     }
     entries
-}
-
-/// What `lobster-lint` reports for one program, as one line; also returns
-/// its (errors, warnings).
-fn lint_line(info: &BenchmarkInfo) -> (String, usize, usize) {
-    let program = Program::compile(info.program, info.provenance).unwrap();
-    let ram = program.ram();
-    let diagnostics = lint_program(ram);
-    let cost = CostModel::analyze(ram);
-    let rules: usize = ram.strata.iter().map(|s| s.rules.len()).sum();
-    let joins: usize = cost.strata.iter().map(|s| s.joins).sum();
-    let compiled = program.compiled_strata();
-    let merge: usize = compiled.iter().map(|s| s.merge_joins).sum();
-    let hash: usize = compiled.iter().map(|s| s.hash_joins).sum();
-    let mut errors = 0;
-    let mut warnings = BTreeMap::new();
-    for d in &diagnostics {
-        match d.severity {
-            Severity::Error => errors += 1,
-            Severity::Warning => *warnings.entry(d.code).or_insert(0usize) += 1,
-        }
-    }
-    let by_code: Vec<String> = warnings.iter().map(|(c, n)| format!("{c}:{n}")).collect();
-    let line = format!(
-        "{} | lint | strata={} rules={rules} joins={joins} merge={merge} hash={hash} \
-         errors={errors} warnings=[{}]",
-        info.name,
-        ram.strata.len(),
-        by_code.join(" "),
-    );
-    (line, errors, warnings.values().sum())
 }
 
 /// The ledger at `parallelism`: its text, and every entry's digest.
@@ -264,11 +231,20 @@ fn render(parallelism: usize) -> (String, Vec<u64>) {
             sizes.join(" "),
         )
         .unwrap();
-        let (line, e, w) = lint_line(info);
-        writeln!(text, "{line}").unwrap();
-        errors += e;
-        warnings += w;
-        for entry in entries(info, &samples, parallelism) {
+        let program = Lobster::builder(info.program)
+            .device(device(parallelism))
+            .provenance(info.provenance)
+            .compile()
+            .unwrap_or_else(|e| panic!("{}: {e}", info.name));
+        let explain = program.explain();
+        let summary = explain.lines().next().unwrap_or_default();
+        writeln!(text, "{} | lint | {summary}", info.name).unwrap();
+        let diagnostics = program.diagnostics();
+        let errs = diagnostics.iter().filter(|d| d.severity == Severity::Error);
+        let errs = errs.count();
+        errors += errs;
+        warnings += diagnostics.len() - errs;
+        for entry in entries(&program, info, &samples) {
             writeln!(text, "{}", entry.line(info.name)).unwrap();
             digests.push(entry.digest);
         }
@@ -282,57 +258,12 @@ fn render(parallelism: usize) -> (String, Vec<u64>) {
     (text, digests)
 }
 
-/// A line diff of `expected` against `actual` (longest common subsequence):
-/// `-` lines only the first has, `+` lines only the second has.
-fn line_diff(expected: &str, actual: &str) -> String {
-    let a: Vec<&str> = expected.lines().collect();
-    let b: Vec<&str> = actual.lines().collect();
-    // lcs[i][j]: length of the longest common subsequence of a[i..], b[j..].
-    let mut lcs = vec![vec![0usize; b.len() + 1]; a.len() + 1];
-    for i in (0..a.len()).rev() {
-        for j in (0..b.len()).rev() {
-            lcs[i][j] = if a[i] == b[j] {
-                lcs[i + 1][j + 1] + 1
-            } else {
-                lcs[i + 1][j].max(lcs[i][j + 1])
-            };
-        }
-    }
-    let (mut i, mut j, mut out) = (0, 0, String::new());
-    while i < a.len() || j < b.len() {
-        if i < a.len() && j < b.len() && a[i] == b[j] {
-            i += 1;
-            j += 1;
-        } else if j == b.len() || (i < a.len() && lcs[i + 1][j] >= lcs[i][j + 1]) {
-            writeln!(out, "- {}", a[i]).unwrap();
-            i += 1;
-        } else {
-            writeln!(out, "+ {}", b[j]).unwrap();
-            j += 1;
-        }
-    }
-    out
-}
-
 #[test]
 fn ledger_matches_the_committed_file() {
     let (text, digests) = render(1);
-    let (again, _) = render(1);
-    assert!(
-        text == again,
-        "two renders in one process differ:\n{}",
-        line_diff(&text, &again)
-    );
     let (_, parallel) = render(4);
     assert_eq!(digests, parallel, "digests at parallelism 4 differ from 1");
-
-    let committed = std::fs::read_to_string(LEDGER).expect("ledger.txt is committed");
-    assert!(
-        committed == text,
-        "the ledger moved (`-` committed, `+` now); if the change is meant, \
-         list the lines and the reason and run the ignored `rewrite_ledger`:\n{}",
-        line_diff(&committed, &text)
-    );
+    golden::assert_golden(LEDGER, &text, &render(1).0, "rewrite_ledger");
 }
 
 /// Rewrites `tests/ledger.txt` from the current code. Run by hand, only for
@@ -340,5 +271,5 @@ fn ledger_matches_the_committed_file() {
 #[test]
 #[ignore]
 fn rewrite_ledger() {
-    std::fs::write(LEDGER, render(1).0).expect("write ledger.txt");
+    golden::rewrite(LEDGER, &render(1).0);
 }

@@ -601,60 +601,6 @@ fn overflowing_u32_arithmetic_encoded_is_bit_identical() {
     storage_invariants("overflowing-u32", source, &facts);
 }
 
-/// The storage words of the nine suite programs' plain (unbatched)
-/// relations: every program is planned the same way, `u32` lanes 4 bytes
-/// wide whether or not its rules do `u32` arithmetic (PacMan, HWF and RNA
-/// SSP do).
-#[test]
-fn suite_storage_words_are_pinned() {
-    let expected = [
-        ("Pathfinder", 3),
-        ("PacMan-Maze", 8),
-        ("HWF", 7),
-        ("CLUTRR", 8),
-        ("Prob. Static Analysis", 12),
-        ("RNA SSP", 3),
-        ("Transitive Closure", 2),
-        ("Same Generation", 2),
-        ("CSPA", 5),
-    ];
-    let suite = lobster_workloads::suite::table2();
-    assert_eq!(suite.len(), expected.len());
-    let mut one_word = 0;
-    for (info, (name, want)) in suite.iter().zip(expected) {
-        assert_eq!(info.name, name);
-        let ram = lobster_datalog::parse(info.program).unwrap().ram;
-        let plan = StoragePlan::for_program(&ram);
-        let words: Vec<usize> = ram
-            .schemas
-            .keys()
-            .map(|relation| plan.lanes(relation).unwrap().len())
-            .collect();
-        assert_eq!(words.iter().sum::<usize>(), want, "{name}");
-        one_word += words.iter().filter(|&&w| w == 1).count();
-    }
-    assert_eq!(one_word, 38);
-
-    // Lane bytes per group of two programs without arithmetic, as they
-    // always were: TC's two `u32`s share a word, CLUTRR's three take two.
-    let lanes = |source: &str, relation: &str| -> Vec<Vec<usize>> {
-        let ram = lobster_datalog::parse(source).unwrap().ram;
-        let plan = StoragePlan::for_program(&ram);
-        let groups = plan.lanes(relation).unwrap();
-        groups
-            .iter()
-            .map(|g| g.iter().map(|l| l.mask.count_ones() as usize / 8).collect())
-            .collect()
-    };
-    let tc = lobster_workloads::graphs::TRANSITIVE_CLOSURE;
-    assert_eq!(lanes(tc, "path"), [vec![4, 4]]);
-    assert_eq!(lanes(tc, "edge"), [vec![4, 4]]);
-    let clutrr = lobster_workloads::clutrr::PROGRAM;
-    for relation in ["kinship", "composition", "derived"] {
-        assert_eq!(lanes(clutrr, relation), [vec![4, 4], vec![4]], "{relation}");
-    }
-}
-
 /// Symbol-keyed reachability with a symbol constant in a rule body: ids are
 /// sparse interner ids stored in 4-byte lanes, two to a word, and the
 /// constant, an interner id too, is compared against them as compiled.

@@ -14,13 +14,15 @@
 use crate::error::LobsterError;
 use crate::session::Session;
 use lobster_apm::{
-    batch_transform, compile_stratum_with_options, CompiledStratum, RuntimeOptions, StoragePlan,
+    batch_transform, compile_stratum_with_options, lane_groups, secondary_orders, CompiledStratum,
+    RuntimeOptions, StoragePlan,
 };
 use lobster_datalog::CompiledProgram;
 use lobster_gpu::Device;
 use lobster_provenance::ProvenanceKind;
-use lobster_ram::passes::lint_program;
-use lobster_ram::{Diagnostic, RamProgram, Value};
+use lobster_ram::passes::{lint_program, CostModel};
+use lobster_ram::{Diagnostic, RamProgram, Severity, Value};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Entry point of the Lobster API: start a [`LobsterBuilder`] with
@@ -236,6 +238,65 @@ impl Program {
         &self.artifact.diagnostics
     }
 
+    /// The program as it is compiled and run, as text. The first line sums
+    /// it up — `strata= rules= joins= merge= hash= errors= warnings=[code:n
+    /// …]`, what `lobster-lint` prints — from [`Program::diagnostics`] and
+    /// [`Program::compiled_strata`]; `merge` and `hash` count join sites
+    /// across every semi-naive variant. Then every stratum's plain and
+    /// batched APM listing, with every operand the executor reads, and last
+    /// every relation's lane groups and the secondary orders a materialized
+    /// database keeps. Printed from what was compiled: nothing is compiled
+    /// again, and a program prints the same text in every process.
+    pub fn explain(&self) -> String {
+        let ram = self.ram();
+        let strata = self.compiled_strata();
+        let rules: usize = ram.strata.iter().map(|s| s.rules.len()).sum();
+        let joins: usize = CostModel::analyze(ram).strata.iter().map(|s| s.joins).sum();
+        let merge: usize = strata.iter().map(|s| s.merge_joins).sum();
+        let hash: usize = strata.iter().map(|s| s.hash_joins).sum();
+        let mut errors = 0;
+        let mut warnings = BTreeMap::new();
+        for d in self.diagnostics() {
+            match d.severity {
+                Severity::Error => errors += 1,
+                Severity::Warning => *warnings.entry(d.code).or_insert(0usize) += 1,
+            }
+        }
+        let by_code: Vec<String> = warnings.iter().map(|(c, n)| format!("{c}:{n}")).collect();
+        let mut out = format!(
+            "strata={} rules={rules} joins={joins} merge={merge} hash={hash} \
+             errors={errors} warnings=[{}]\n",
+            strata.len(),
+            by_code.join(" "),
+        );
+        let batched = &self.artifact.batched_plan.strata;
+        for (i, pair) in strata.iter().zip(batched).enumerate() {
+            for (form, stratum) in [("plain", pair.0), ("batched", pair.1)] {
+                out += &format!(
+                    "stratum {i} {form} [{}] recursive={} registers={} merge={} hash={}\n{}",
+                    stratum.relations.join(" "),
+                    stratum.recursive,
+                    stratum.program.register_count,
+                    stratum.merge_joins,
+                    stratum.hash_joins,
+                    stratum.program.listing(),
+                );
+            }
+        }
+        let orders = secondary_orders(ram);
+        for relation in ram.schemas.keys() {
+            let lanes = self.artifact.plan.storage.lanes(relation).unwrap_or(&[]);
+            let keys: Vec<&[usize]> = orders
+                .iter()
+                .filter(|order| &order.relation == relation)
+                .map(|order| order.key.as_slice())
+                .collect();
+            let lanes = lane_groups(lanes);
+            out += &format!("relation {relation}: lanes {lanes}, orders {keys:?}\n");
+        }
+        out
+    }
+
     /// A deterministic estimate of the compiled artifact's resident size in
     /// bytes (the plain RAM program plus its batch-transformed variant, and
     /// the compiled strata of both). Serving-layer caches use this as the
@@ -376,6 +437,28 @@ mod tests {
                 assert!(plan.storage.lanes("edge").is_some());
             }
         }
+    }
+
+    #[test]
+    fn explain_sums_up_then_lists_every_stratum_and_relation() {
+        let text = unit(TC).explain();
+        let headers: Vec<&str> = text
+            .lines()
+            .filter(|line| !line.starts_with([' ', '*']))
+            .map(|line| line.split(" registers=").next().unwrap_or(line))
+            .collect();
+        assert_eq!(
+            headers,
+            [
+                "strata=1 rules=2 joins=1 merge=0 hash=1 errors=0 warnings=[]",
+                "stratum 0 plain [path] recursive=true",
+                "stratum 0 batched [path] recursive=true",
+                "relation edge: lanes {c0[63:32] c1[31:0]}, orders []",
+                "relation path: lanes {c0[63:32] c1[31:0]}, orders [[1]]",
+            ]
+        );
+        // The recursive rule's one join hashes, on a static index over `edge`.
+        assert!(text.contains("<- build<static>("));
     }
 
     #[test]

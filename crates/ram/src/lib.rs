@@ -29,8 +29,8 @@
 //!   program it compiles;
 //! * [`passes::live_relations`] / [`passes::eliminate_dead_rules`] — output
 //!   reachability and dead rules;
-//! * [`passes::CostModel`] — static per-stratum rule and join counts,
-//!   reported by `lobster-lint`;
+//! * [`passes::CostModel`] — static per-stratum join counts,
+//!   summed in the `joins=` of `Program::explain`'s summary line;
 //! * [`passes::lint_program`] — the combined diagnostics report
 //!   ([`passes::Diagnostic`]) surfaced by `Program::diagnostics()` and the
 //!   `lobster-lint` tool.

@@ -1,12 +1,13 @@
-//! Static cost model: per-stratum rule and join counts.
+//! Static cost model: per-stratum join counts.
 //!
 //! One walk over each stratum's rules counts its join sites, the ones that
 //! read the stratum's own relations, and whether any join reads them on
 //! both sides (non-linear recursion, which the lint flags). The counts are
-//! intentionally coarse — they compare strata, not absolute time.
-//! `lobster-lint` reports the per-stratum summary for every workload
-//! program. Which joins run as merges and which hash is the APM compiler's
-//! decision, and its `CompiledStratum` reports it.
+//! intentionally coarse — they compare strata, not absolute time. The
+//! `joins=` count of `Program::explain`'s summary line, which `lobster-lint`
+//! and the golden ledger print, is their sum. Which joins run as merges and
+//! which hash is the APM compiler's decision, and its `CompiledStratum`
+//! reports it.
 
 use crate::{RamExpr, RamProgram, Stratum};
 use std::collections::BTreeSet;
@@ -14,10 +15,6 @@ use std::collections::BTreeSet;
 /// Static cost summary of one stratum.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StratumCost {
-    /// Relations the stratum updates.
-    pub relations: Vec<String>,
-    /// Number of rules (before semi-naive variant expansion).
-    pub rules: usize,
     /// Total join sites across the stratum's rules.
     pub joins: usize,
     /// Join sites with at least one input that reads a relation the
@@ -27,8 +24,6 @@ pub struct StratumCost {
     /// recursion" of the paper's Section 4.2, which lets the index of the
     /// other side be built once and reused across fix-point iterations.
     pub linear: bool,
-    /// Whether the stratum iterates to a fix point.
-    pub recursive: bool,
 }
 
 impl StratumCost {
@@ -41,12 +36,9 @@ impl StratumCost {
             referenced.iter().any(|name| own.contains(name.as_str()))
         };
         let mut cost = StratumCost {
-            relations: stratum.relations.clone(),
-            rules: stratum.rules.len(),
             joins: 0,
             recursive_joins: 0,
             linear: true,
-            recursive: stratum.recursive,
         };
         for rule in &stratum.rules {
             rule.expr.visit(&mut |node| {
@@ -59,12 +51,6 @@ impl StratumCost {
             });
         }
         cost
-    }
-
-    /// A scalar score for comparing strata: rules plus join sites, with
-    /// recursive joins double-weighted (they re-run every iteration).
-    pub fn score(&self) -> u64 {
-        (self.rules + self.joins + 2 * self.recursive_joins) as u64
     }
 }
 
@@ -136,12 +122,9 @@ mod tests {
         let model = CostModel::analyze(&tc_program());
         assert_eq!(model.strata.len(), 1);
         let cost = &model.strata[0];
-        assert_eq!(cost.rules, 2);
         assert_eq!(cost.joins, 1);
         assert_eq!(cost.recursive_joins, 1);
         assert!(cost.linear);
-        assert!(cost.recursive);
-        assert_eq!(cost.score(), 2 + 1 + 2);
     }
 
     #[test]

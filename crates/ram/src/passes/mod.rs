@@ -12,9 +12,9 @@
 //!   reachability from the program's output relations, identifying rules
 //!   that can never contribute to any queried result. The lint reports
 //!   them; no runtime path prunes them.
-//! * [`CostModel`] — a static cost model: per-stratum rule, join and
-//!   recursive-join counts and the linearity flag, reported per program by
-//!   `lobster-lint`.
+//! * [`CostModel`] — a static cost model: per-stratum join and
+//!   recursive-join counts and the linearity flag; the lint reads the flag
+//!   and `Program::explain`'s summary line sums the join counts.
 //! * [`lint_program`] — the diagnostics report: validator errors plus
 //!   warnings (cartesian products, non-linear recursion, unused inputs,
 //!   constant-false filters, dead rules), each carrying rule provenance.
