@@ -1,14 +1,5 @@
 //! Runtime configuration and optimization toggles.
 
-/// A stable FNV-1a 64-bit hash of `bytes` — process-independent, unlike
-/// `std`'s randomized hasher, so a digest of outputs or listings can be
-/// compared across runs and committed.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
-        (hash ^ u64::from(*byte)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
 /// Options controlling the APM executor: the two optimization toggles of
 /// the paper's ablation study (Figure 10) and the two run limits.
 ///
@@ -16,8 +7,8 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 /// from the program itself: joins take the merge path exactly where
 /// sort-order inference proves both inputs sorted on the key, every
 /// program's relations are stored in one packed layout
-/// (`StoragePlan::for_program`), and dead rules are reported by the lint,
-/// never pruned behind the caller's back.
+/// (`StoragePlan::for_program`), and dead rules are dropped when a
+/// `Program` is compiled.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RuntimeOptions {
     /// Reuse hash indices across fix-point iterations by storing them in

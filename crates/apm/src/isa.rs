@@ -365,9 +365,7 @@ impl Instr {
             }
         }
     }
-}
 
-impl Instr {
     /// Calls `f` on every register the instruction reads or writes (one it
     /// mentions twice is visited twice).
     pub fn for_each_register(&self, mut f: impl FnMut(RegId)) {
@@ -523,15 +521,11 @@ impl fmt::Display for Instr {
                 ..
             } => {
                 let columns: Vec<String> = projection.programs.iter().map(postfix).collect();
-                let filter = match &projection.filter {
-                    Some(filter) => format!(" if {}", postfix(filter)),
-                    None => String::new(),
-                };
-                let (columns, pack, inputs) = (columns.join(", "), lane_groups(pack), regs(inputs));
-                write!(
-                    f,
-                    "<({columns}){filter} pack {pack}>({inputs} {input_tags})"
-                )
+                let filter = projection.filter.as_ref().map(postfix);
+                let filter = filter.map_or(String::new(), |filter| format!(" if {filter}"));
+                let (columns, pack) = (columns.join(", "), lane_groups(pack));
+                let inputs = format!("{} {input_tags}", regs(inputs));
+                write!(f, "<({columns}){filter} pack {pack}>({inputs})")
             }
             Instr::Build { keys, static_, .. } => {
                 let static_ = if *static_ { "<static>" } else { "" };
@@ -674,7 +668,6 @@ impl ApmProgram {
 mod tests {
     use super::*;
     use lobster_gpu::kernels::identity_lanes;
-    use lobster_ram::ValueType;
 
     /// `r1 ⋈ r4` keyed on the probe column `r1`, writing (probe `r1`, build
     /// `r5`) into `r8, r9` and the tags into `r10`.
@@ -733,20 +726,6 @@ mod tests {
         let mut mentioned = Vec::new();
         join.for_each_register(|reg| mentioned.push(reg.0));
         assert!(mentioned.contains(&4) && mentioned.contains(&5));
-        // Built on its left side and packed into one word, it lists so.
-        let mut write = join_write();
-        write.build_is_left = true;
-        write.pack = Cow::Owned(crate::database::plan_lanes(&[ValueType::U32; 2]));
-        write.outputs = vec![RegId(8)];
-        let left = Instr::MergeJoin {
-            build_keys: vec![RegId(4)],
-            write,
-        };
-        assert_eq!(
-            left.to_string(),
-            "[r8 r10] <- mergejoin<[p:r1 b:r5] tags b:r6*p:r7 pack {c0[63:32] c1[31:0]}>\
-             ([r4], [r1], r2, r3)"
-        );
     }
 
     #[test]

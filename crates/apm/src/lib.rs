@@ -35,7 +35,7 @@ pub use compiler::compile_stratum_hash_only;
 pub use compiler::{
     compile_stratum_delta, compile_stratum_with_options, secondary_orders, CompiledStratum,
 };
-pub use config::{fnv1a, RuntimeOptions};
+pub use config::RuntimeOptions;
 pub use database::{Database, EncodingSpec, SecondaryOrder, SortedTable, StoragePlan};
 pub use executor::{ExecError, ExecutionStats, Executor};
 pub use incremental::{refresh_database, EdbChanges, EdbContent, Refresh, RelationChange};

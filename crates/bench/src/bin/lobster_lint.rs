@@ -1,20 +1,13 @@
 //! `lobster-lint` — static analysis over compiled Lobster programs.
 //!
-//! Compiles each target Datalog program into a `Program` and prints, per
-//! program, the first line of `Program::explain` — strata, rules, joins,
-//! the join sites the compiler sent down the merge path and the hash path
-//! (across every semi-naive variant), errors and warnings by code — as
-//! `<name> | lint | <line>`, the golden ledger's `lint` line byte for byte,
-//! then each of `Program::diagnostics` (IR validation errors, dead rules,
-//! cartesian products, constant-false filters, unused relations, non-linear
-//! recursion). With `--verbose` the rest of `explain` follows: every
-//! stratum's plain and batched APM listing and every relation's storage.
-//! Nothing is analysed or compiled here that the `Program` did not.
-//!
-//! With no arguments the entire built-in workload suite (the paper's
-//! Table 2, which includes the CSPA program Table 4 scales) is analyzed —
-//! this is what CI runs. File paths may be passed instead to lint programs
-//! from disk.
+//! Compiles each program into a `Program` and prints what it computed: the
+//! first line of `Program::explain` as `<name> | lint | <line>` (strata,
+//! rules, joins, merge/hash join sites, errors and warnings by code — the
+//! golden ledger's `lint` line byte for byte), then each of
+//! `Program::diagnostics`, and with `--verbose` the rest of `explain`:
+//! every stratum's APM listings and every relation's storage. With no
+//! arguments it reads the built-in Table 2 suite, which CI runs; file paths
+//! may be passed instead.
 //!
 //! Exit status: non-zero if any program fails to parse or compile (the
 //! front end rejects IR that fails validation, printing the validator's
@@ -57,15 +50,12 @@ fn main() {
         let explain = program.explain();
         let mut lines = explain.lines();
         println!("{name} | lint | {}", lines.next().unwrap_or(""));
-        let diagnostics = program.diagnostics();
-        let errs = diagnostics
-            .iter()
-            .filter(|d| d.severity == Severity::Error)
-            .count();
-        errors += errs;
-        warnings += diagnostics.len() - errs;
-        for d in diagnostics {
+        for d in program.diagnostics() {
             println!("  {d}");
+            match d.severity {
+                Severity::Error => errors += 1,
+                Severity::Warning => warnings += 1,
+            }
         }
         if verbose {
             for line in lines {

@@ -106,6 +106,42 @@ fn a_refresh_counts_what_it_compiles() {
     );
 }
 
+/// Only what a query reads is compiled: no query reaches `back`, so its rule
+/// and the stratum it alone fills are dropped. Every entry point runs the
+/// strata of the program without it and outputs what that program does,
+/// and a fact for `back` still validates and inserts.
+#[test]
+fn a_dead_stratum_is_dropped_at_compile() {
+    let dead = format!("{TC}\n    rel back(y, x) = path(x, y)");
+    let mut facts = FactSet::new();
+    for (x, y) in [(0u32, 1u32), (1, 2), (2, 0), (2, 3)] {
+        facts.add("edge", &[Value::U32(x), Value::U32(y)], Some(0.5));
+    }
+    let mut last = FactSet::new();
+    last.add("edge", &[Value::U32(3), Value::U32(4)], Some(0.5));
+    let runs = |program: &Program| {
+        let mut session = program.session();
+        session.insert_facts(&facts).unwrap();
+        let mut results = vec![session.run().unwrap()];
+        results.extend(program.run_batch(std::slice::from_ref(&facts)).unwrap());
+        results.push(session.run_incremental().unwrap());
+        session.insert_facts(&last).unwrap();
+        results.push(session.run_incremental().unwrap());
+        results
+    };
+    for kind in ProvenanceKind::ALL {
+        let [with, without] = [dead.as_str(), TC].map(|s| compile(s, kind, Default::default()));
+        for (i, (a, b)) in runs(&with).iter().zip(&runs(&without)).enumerate() {
+            assert_eq!(a.stats.strata, b.stats.strata, "{kind}, run {i}");
+            assert_eq!(a.relation("path"), b.relation("path"), "{kind}, run {i}");
+        }
+        let mut session = with.session();
+        let back = [Value::U32(1), Value::U32(0)];
+        session.add_fact("back", &back, Some(0.5)).unwrap();
+        assert!(session.run().unwrap().relation("path").is_empty());
+    }
+}
+
 /// One output row: its relation, tuple, probability bits and gradient bits.
 type RowBits = (String, Vec<Value>, u64, Vec<(u32, u64)>);
 

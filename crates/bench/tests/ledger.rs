@@ -156,7 +156,10 @@ impl Entry {
         }
         Entry {
             name,
-            digest: lobster_apm::fnv1a(&bytes),
+            // FNV-1a: stable across processes, unlike `std`'s hasher.
+            digest: bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+                (hash ^ u64::from(*byte)).wrapping_mul(0x0000_0100_0000_01b3)
+            }),
             // A batch's results share the stats of its one execution.
             stats: results[0].stats.clone(),
         }

@@ -1,13 +1,8 @@
 //! The golden plans: `Program::explain` of the nine Table 2 programs, each
-//! under a `== name` header, pinned in `tests/plans.txt` — the lint summary
-//! line, every stratum's plain and batched APM listing with every operand
-//! the executor reads, and every relation's lane groups and secondary
-//! orders. A compiler, planner or storage change that moves a plan moves a
-//! line here, whether or not it moves a digest or a counter of the ledger.
-//!
-//! The test renders the text twice in one process, compares the two, then
-//! compares with the file and prints a line diff on a mismatch. A change
-//! that moves a line says which and why, and rewrites the file by hand:
+//! under a `== name` header, pinned in `tests/plans.txt`, so a compiler,
+//! planner or storage change that moves a plan moves a line here whether
+//! or not it moves a digest or a counter of the ledger. A change that means
+//! to move one lists the lines and why, and rewrites the file by hand:
 //!
 //! ```text
 //! cargo test -p lobster-bench --test plans -- --ignored rewrite_plans

@@ -51,9 +51,8 @@
 //! bit-identical across device parallelism.
 //!
 //! The partition function uses the top bits of the same multiplicative mix
-//! hash the slots use, *not* `lobster_apm::fnv1a` — the apm crate depends on
-//! this one, so the gpu layer cannot see it; top-bits-of-mix gives the same
-//! uniformity without the dependency cycle.
+//! hash the slots use, which spreads keys as uniformly as a second hash
+//! would.
 
 use crate::device::KernelKind;
 use crate::kernels::sites;

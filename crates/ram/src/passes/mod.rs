@@ -11,7 +11,7 @@
 //! * [`live_relations`] / [`eliminate_dead_rules`] — relation liveness:
 //!   reachability from the program's output relations, identifying rules
 //!   that can never contribute to any queried result. The lint reports
-//!   them; no runtime path prunes them.
+//!   them, and a compiled `Program` drops them before it compiles.
 //! * [`CostModel`] — a static cost model: per-stratum join and
 //!   recursive-join counts and the linearity flag; the lint reads the flag
 //!   and `Program::explain`'s summary line sums the join counts.
