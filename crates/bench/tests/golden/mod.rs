@@ -41,18 +41,18 @@ fn line_diff(expected: &str, actual: &str) -> String {
 /// equal, and that `text` equals the committed file at `path`; a mismatch
 /// with the file names `rewrite`, the ignored test that rewrites it.
 pub fn assert_golden(path: &str, text: &str, again: &str, rewrite: &str) {
-    let diff = line_diff(text, again);
     assert!(
-        diff.is_empty(),
-        "two renders in one process differ:\n{diff}"
+        text == again,
+        "two renders in one process differ:\n{}",
+        line_diff(text, again)
     );
     let committed =
         std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{path} is committed: {e}"));
-    let diff = line_diff(&committed, text);
     assert!(
-        diff.is_empty(),
+        committed == text,
         "{path} moved (`-` committed, `+` now); if the change is meant, list \
-         the lines and the reason and run the ignored `{rewrite}`:\n{diff}"
+         the lines and the reason and run the ignored `{rewrite}`:\n{}",
+        line_diff(&committed, text)
     );
 }
 

@@ -248,9 +248,10 @@ impl Program {
 
     /// The program as it is compiled and run, as text. The first line sums
     /// it up — `strata= rules= joins= merge= hash= errors= warnings=[code:n
-    /// …]`, what `lobster-lint` prints — from [`Program::diagnostics`] and
-    /// [`Program::compiled_strata`]; `merge` and `hash` count join sites
-    /// across every semi-naive variant. Then every stratum's plain and
+    /// …]`, what `lobster-lint` prints: what was compiled
+    /// ([`Program::compiled_strata`]; `merge` and `hash` count join sites
+    /// across every semi-naive variant) and the lint report of the program
+    /// as written ([`Program::diagnostics`]). Then every stratum's plain and
     /// batched APM listing, with every operand the executor reads, and last
     /// every relation's lane groups and the secondary orders a materialized
     /// database keeps. Printed from what was compiled: nothing is compiled
